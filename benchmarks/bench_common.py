@@ -26,15 +26,13 @@ MACHINE_KEYS = (
 )
 
 
-def machine_block(workers="auto", backend=None, shards=None) -> dict:
+def machine_block(workers="auto", shards=None) -> dict:
     """The single machine/fingerprint block a benchmark payload carries."""
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        **execution_fingerprint(
-            workers=workers, backend=backend, shards=shards
-        ),
+        **execution_fingerprint(workers=workers, shards=shards),
     }
 
 

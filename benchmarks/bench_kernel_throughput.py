@@ -1,22 +1,19 @@
 #!/usr/bin/env python
-"""Kernel-throughput benchmark: per-tile vs fused vs parallel backends.
+"""Kernel-throughput benchmark: per-tile vs fused vs fused+parallel.
 
-Runs each fused algorithm through the G-Store engine in four modes — the
+Runs each fused algorithm through the G-Store engine in three modes — the
 per-tile reference loop, the fused batch kernels, and the fused kernels
-sharded over the thread backend and over the shared-memory *process*
-backend (true multicore, no GIL) — and records edges/sec and wall
+sharded over the worker thread pool — and records edges/sec and wall
 seconds for every mode into ``BENCH_kernels.json`` at the repo root.
 This is the perf trajectory file future PRs extend.
 
-Backend pools are warmed before timing: the process backend's one-time
-interpreter+NumPy spawn amortises to zero in a persistent engine, so
-charging it to the first measured iteration would only measure start-up.
+The thread pool is warmed before timing, so thread spawn is not charged
+to the first measured iteration.
 
 Usage::
 
     python benchmarks/bench_kernel_throughput.py             # full run
     python benchmarks/bench_kernel_throughput.py --scale 12  # CI smoke run
-    python benchmarks/bench_kernel_throughput.py --min-process-speedup 1.7
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from repro.engine.gstore import GStoreEngine  # noqa: E402
 from repro.format.tiles import TiledGraph  # noqa: E402
 from repro.graphgen.rmat import rmat  # noqa: E402
 from repro.runtime.threads import (  # noqa: E402
-    available_cpus,
     default_workers,
     execution_fingerprint,
 )
@@ -60,38 +56,27 @@ def build_graph(scale: int, edge_factor: int, tile_bits: int, seed: int) -> Tile
     return TiledGraph.from_edge_list(el, tile_bits=tile_bits, group_q=16)
 
 
-def run_mode(
-    tg: TiledGraph, factory, fused: bool, workers: int, repeats: int,
-    backend: str = "thread",
-):
-    """Best-of-N engine run; returns (wall_seconds, edges_processed, backend).
-
-    The returned backend is the *live* one — if the process backend fell
-    back to threads (no /dev/shm, sandboxed spawn) the record says so
-    instead of mislabelling thread numbers as process numbers.
-    """
+def run_mode(tg: TiledGraph, factory, fused: bool, workers: int, repeats: int):
+    """Best-of-N engine run; returns (wall_seconds, edges_processed)."""
     best = None
     edges = 0
-    live = backend
     for _ in range(repeats):
         cfg = EngineConfig(
             memory_bytes=256 * 1024 * 1024,
             segment_bytes=8 * 1024 * 1024,
             fused=fused,
             workers=workers,
-            backend=backend,
         )
         with GStoreEngine(tg, cfg) as engine:
-            # Pool spawn (threads or processes) happens off the clock.
+            # Thread-pool spawn happens off the clock.
             engine.warm_backend()
             algo = factory()
             t0 = time.perf_counter()
             stats = engine.run(algo)
             wall = time.perf_counter() - t0
             edges = stats.edges_processed
-            live = engine.backend_resolved
         best = wall if best is None else min(best, wall)
-    return best, edges, live
+    return best, edges
 
 
 def main(argv=None) -> int:
@@ -105,34 +90,24 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--repeats", type=int, default=2)
     ap.add_argument("--workers", type=int, default=None,
-                    help="workers for the parallel modes (default: all "
-                         "cores, minimum 2 so the pools genuinely engage "
-                         "— at 1 worker both backends route through the "
-                         "serial path and the comparison measures noise)")
-    ap.add_argument("--backends", nargs="*", default=["thread", "process"],
-                    choices=["thread", "process"],
-                    help="parallel backends to measure (default: both)")
+                    help="workers for the parallel mode (default: all "
+                         "cores, minimum 2 so the pool genuinely engages "
+                         "— at 1 worker it routes through the serial path "
+                         "and the comparison measures noise)")
     ap.add_argument("--algos", nargs="*", default=sorted(ALGOS),
                     choices=sorted(ALGOS))
     ap.add_argument("--min-fused-speedup", type=float, default=None,
                     help="exit nonzero if any algorithm's fused speedup over "
                          "the per-tile loop falls below this threshold")
-    ap.add_argument("--min-process-speedup", type=float, default=None,
-                    help="exit nonzero if the aggregate process-vs-thread "
-                         "speedup falls below this threshold; only enforced "
-                         "when >= 2 CPUs are available (reported otherwise)")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_kernels.json"))
     args = ap.parse_args(argv)
 
     workers = args.workers or max(2, default_workers())
     modes = [
-        ("per-tile", False, 1, "thread"),
-        ("fused", True, 1, "thread"),
+        ("per-tile", False, 1),
+        ("fused", True, 1),
+        ("fused+parallel", True, workers),
     ]
-    if "thread" in args.backends:
-        modes.append(("fused+parallel", True, workers, "thread"))
-    if "process" in args.backends:
-        modes.append(("fused+process", True, workers, "process"))
 
     print(f"building R-MAT graph: 2^{args.scale} vertices, "
           f"edge_factor={args.edge_factor}, tile_bits={args.tile_bits} ...")
@@ -143,32 +118,24 @@ def main(argv=None) -> int:
     for name in args.algos:
         factory = ALGOS[name]
         results[name] = {}
-        for label, fused, w, backend in modes:
-            wall, edges, live = run_mode(
-                tg, factory, fused, w, args.repeats, backend=backend
-            )
+        for label, fused, w in modes:
+            wall, edges = run_mode(tg, factory, fused, w, args.repeats)
             eps = edges / wall if wall > 0 else float("inf")
             results[name][label] = {
                 "wall_seconds": wall,
                 "edges_processed": edges,
                 "edges_per_sec": eps,
-                "backend": live,
             }
             print(f"  {name:10s} {label:15s} {wall:8.3f}s  "
-                  f"{eps / 1e6:9.2f} M edges/s  [{live}]")
+                  f"{eps / 1e6:9.2f} M edges/s")
         base = results[name]["per-tile"]["edges_per_sec"]
-        for label, _, _, _ in modes[1:]:
+        for label, _, _ in modes[1:]:
             results[name][label]["speedup_vs_per_tile"] = (
                 results[name][label]["edges_per_sec"] / base
             )
-        if "fused+parallel" in results[name] and "fused+process" in results[name]:
-            results[name]["fused+process"]["speedup_vs_thread"] = (
-                results[name]["fused+process"]["edges_per_sec"]
-                / results[name]["fused+parallel"]["edges_per_sec"]
-            )
         line = ", ".join(
             f"{label} {results[name][label]['speedup_vs_per_tile']:.2f}x"
-            for label, _, _, _ in modes[1:]
+            for label, _, _ in modes[1:]
         )
         print(f"  {name:10s} speedup vs per-tile: {line}")
 
@@ -205,59 +172,7 @@ def main(argv=None) -> int:
             print(f"  fused gate {name}: {sp:.2f}x "
                   f"(need >= {args.min_fused_speedup:.2f}x) [{status}]")
             ok = ok and sp >= args.min_fused_speedup
-    if args.min_process_speedup is not None:
-        gate_ok, enforced = _process_gate(
-            results, args.algos, args.min_process_speedup
-        )
-        ok = ok and (gate_ok or not enforced)
     return 0 if ok else 1
-
-
-def _process_gate(results, algos, threshold: float) -> "tuple[bool, bool]":
-    """Aggregate process-vs-thread gate; returns (passed, enforced).
-
-    The aggregate is throughput-of-totals — sum(edges)/sum(wall) on each
-    backend — so long-running algorithms weigh in proportion to the work
-    they do, rather than a mean of per-algo ratios where a trivial run
-    could swamp the result.  On a single-core runner true parallelism is
-    physically impossible, so the gate reports instead of enforcing.
-    """
-    walls = {"fused+parallel": 0.0, "fused+process": 0.0}
-    edge_sum = {"fused+parallel": 0, "fused+process": 0}
-    degraded = False
-    for name in algos:
-        for label in walls:
-            rec = results[name].get(label)
-            if rec is None:
-                print(f"  process gate: mode {label!r} was not measured")
-                return True, False
-            walls[label] += rec["wall_seconds"]
-            edge_sum[label] += rec["edges_processed"]
-        if results[name]["fused+process"]["backend"] != "process":
-            degraded = True
-    thr = {
-        label: edge_sum[label] / walls[label] if walls[label] > 0 else 0.0
-        for label in walls
-    }
-    agg = (
-        thr["fused+process"] / thr["fused+parallel"]
-        if thr["fused+parallel"] > 0
-        else 0.0
-    )
-    cpus = available_cpus()
-    enforced = cpus >= 2 and not degraded
-    passed = agg >= threshold
-    status = "ok" if passed else "TOO SLOW"
-    if not enforced:
-        reason = (
-            "process backend degraded to threads"
-            if degraded
-            else f"only {cpus} CPU available"
-        )
-        status = f"reported only: {reason}"
-    print(f"  process gate: aggregate process-vs-thread {agg:.2f}x "
-          f"(need >= {threshold:.2f}x) [{status}]")
-    return passed, enforced
 
 
 if __name__ == "__main__":

@@ -17,17 +17,17 @@ recording anything.  Results land in the ``shard_scaling`` section of
 ``BENCH_pipeline.json`` (the overlap benchmark's sections are preserved
 when the machine fingerprint matches).
 
-``--min-shard-speedup`` is the CI gate, honest by construction: it is
-enforced only when the runner actually has >= 2 CPUs available *and* the
-sharded runs really executed sharded (no graceful fallback); otherwise
-the measured numbers are recorded and the gate reports "reported only" —
-the same pattern as the process backend's ``--min-process-speedup``.
+``--min-shard-speedup`` is an optional gate, honest by construction: it
+is enforced only when the runner actually has >= 2 CPUs available *and*
+the sharded runs really executed sharded (no graceful fallback);
+otherwise the measured numbers are recorded and the gate reports
+"reported only".  CI does not pass it today — the sha256 + sim-signature
+assertion is the gate there (docs/PERFORMANCE.md "Shard scaling").
 
 Usage::
 
     python benchmarks/bench_shard_scaling.py                # full run
-    python benchmarks/bench_shard_scaling.py --scales 12 \
-        --repeats 2 --min-shard-speedup 1.05                # CI smoke
+    python benchmarks/bench_shard_scaling.py --scales 12 --repeats 2  # CI smoke
 """
 
 from __future__ import annotations

@@ -71,8 +71,11 @@ class TileAlgorithm(abc.ABC):
     # ------------------------------------------------------------------ #
 
     #: True for algorithms implementing the two-phase fused kernels
-    #: (:meth:`batch_partial` + :meth:`apply_partial`); the engine may then
-    #: shard the partial phase across worker threads.
+    #: (:meth:`batch_partial` + :meth:`apply_partial`) with the read-only
+    #: phase expressed as the pure :meth:`kernel_partial` over
+    #: :meth:`kernel_state` / :meth:`kernel_params`; the engine may then
+    #: shard the partial phase across worker threads, or run it in shard
+    #: worker processes (:mod:`repro.runtime.shard`).
     supports_fused: bool = False
 
     def process_batch(self, views: "list[TileView]") -> int:
@@ -150,39 +153,30 @@ class TileAlgorithm(abc.ABC):
         raise NotImplementedError(f"{type(self).__name__} has no fused kernel")
 
     # ------------------------------------------------------------------ #
-    # Process-kernel contract (the shared-memory multiprocessing backend)
+    # Pure-kernel half of the fused contract (what shard workers run)
     # ------------------------------------------------------------------ #
-
-    #: True when :meth:`batch_partial` is expressible as the pure
-    #: :meth:`kernel_partial` function over shared-memory payloads, so the
-    #: engine may run the partial phase in worker *processes*.
-    supports_process: bool = False
 
     def kernel_state(self) -> "dict[str, np.ndarray]":
         """The vertex-state arrays :meth:`kernel_partial` reads.
 
-        A name -> array mapping, snapshotted at batch-dispatch time; the
-        engine copies each array into the shared-memory arena once per
-        batch and workers map them back as read-only views (the
-        ``(shm name, offset, dtype, shape)`` data-placement contract).
-        Arrays must be 1-D, contiguous, and *frozen* for the duration of
-        the batch — exactly the read-only guarantee :meth:`batch_partial`
-        already makes.
+        A name -> array mapping, snapshotted at iteration start; the
+        shard coordinator copies each array into the shared-memory arena
+        once per iteration and workers map them back as read-only views
+        (the ``(shm name, offset, dtype, shape)`` data-placement
+        contract).  Arrays must be 1-D, contiguous, and *frozen* while
+        a partial is computed from them — exactly the read-only
+        guarantee :meth:`batch_partial` already makes.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no process kernel"
-        )
+        raise NotImplementedError(f"{type(self).__name__} has no fused kernel")
 
     def kernel_params(self) -> "dict[str, object]":
         """Frozen per-iteration scalars for :meth:`kernel_partial`.
 
         Small and picklable (ints, floats, bools) — these travel with
-        each task, unlike the array payloads, which go through shared
-        memory.
+        each scatter message, unlike the array payloads, which go through
+        shared memory.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no process kernel"
-        )
+        raise NotImplementedError(f"{type(self).__name__} has no fused kernel")
 
     @staticmethod
     def kernel_partial(
@@ -196,14 +190,14 @@ class TileAlgorithm(abc.ABC):
         Given the state snapshot, frozen params, and a shard's
         concatenated global endpoint arrays, return the same partial
         :meth:`batch_partial` would.  Implementations must be pure
-        functions of their arguments (they run in worker processes where
-        ``self`` does not exist) and must not mutate ``state`` (the views
-        are read-only shared memory).  Process-capable algorithms route
-        :meth:`batch_partial` through this, so serial, thread, and
-        process execution share one kernel implementation and one
+        functions of their arguments (they run in shard worker processes
+        where ``self`` does not exist) and must not mutate ``state`` (the
+        views are read-only shared memory).  Fused algorithms route
+        :meth:`batch_partial` through this, so serial, threaded, and
+        sharded execution share one kernel implementation and one
         floating-point accumulation order.
         """
-        raise NotImplementedError("no process kernel")
+        raise NotImplementedError("no fused kernel")
 
     # ------------------------------------------------------------------ #
     # Activity predicates (selective I/O + proactive caching)

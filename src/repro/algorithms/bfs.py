@@ -118,7 +118,6 @@ class BFS(TileAlgorithm):
     # ------------------------------------------------------------------ #
 
     supports_fused = True
-    supports_process = True
 
     def kernel_state(self):
         return {"depth": self.depth}
@@ -141,7 +140,7 @@ class BFS(TileAlgorithm):
         The discovery sets are snapshot-independent: whatever interleaving
         of tiles and batches runs, a vertex ends at ``level + 1`` iff some
         tile reports it, so per-tile, fused, and sharded execution converge
-        on bit-identical depth arrays — on any backend (the fancy-indexed
+        on bit-identical depth arrays — in any process (the fancy-indexed
         targets are fresh arrays, never views into shared memory).
 
         ``mode`` picks the evaluation order of the same per-edge AND

@@ -76,7 +76,6 @@ class ConnectedComponents(TileAlgorithm):
     # ------------------------------------------------------------------ #
 
     supports_fused = True
-    supports_process = True
 
     def kernel_state(self):
         return {"prev": self._prev}
@@ -90,7 +89,7 @@ class ConnectedComponents(TileAlgorithm):
 
         Labels are gathered from ``prev`` (frozen in ``begin_iteration``),
         so the min-scatter commutes: any tile order, batch shape, shard
-        interleaving, or execution backend produces the same labels —
+        interleaving, or worker process produces the same labels —
         elementwise ``min`` over the candidates.  Convergence still takes
         very few iterations because the pointer-jumping compress between
         iterations does the long-range hops.

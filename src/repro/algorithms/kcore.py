@@ -69,7 +69,6 @@ class KCore(TileAlgorithm):
     # ------------------------------------------------------------------ #
 
     supports_fused = True
-    supports_process = True
 
     def kernel_state(self):
         return {"removed": self._removed_now, "active": self.active}
@@ -83,7 +82,7 @@ class KCore(TileAlgorithm):
 
         ``removed``/``active`` are frozen for the iteration and decrements
         are integer sums, so the result is independent of tile order,
-        batching, sharding, and execution backend.
+        batching, and sharding.
         """
         removed = state["removed"]
         active = state["active"]

@@ -137,7 +137,6 @@ class PageRank(TileAlgorithm):
     # ------------------------------------------------------------------ #
 
     supports_fused = True
-    supports_process = True
 
     @classmethod
     def shard_views(cls, views):

@@ -75,7 +75,6 @@ class SpMV(TileAlgorithm):
     # ------------------------------------------------------------------ #
 
     supports_fused = True
-    supports_process = True
 
     @classmethod
     def shard_views(cls, views):

@@ -15,9 +15,10 @@ Every optimisation the paper ablates is a field here:
 * ``prefetch_depth`` — the *real* (wall-clock) prefetch pipeline: how many
   segment batches a background worker fetches + decodes ahead of compute
   (0 = strictly serial fetch-then-compute, the ablation baseline).
-* ``backend`` / ``workers`` — how the fused kernels' partial phase
-  executes: serially, sharded over GIL-sharing threads, or sharded over
-  worker processes fed through shared memory (true multicore).
+* ``workers`` / ``shards`` — parallelism: ``workers`` shards the fused
+  kernels' partial phase over a thread pool inside one process;
+  ``shards`` partitions the slide plan over worker processes that each
+  stream their own lane of the tile grid (true multicore).
 
 ``trace`` is not an ablation but the observability switch: it turns on
 the ``repro.obs`` span tracer and counters registry for the run.
@@ -67,17 +68,6 @@ class EngineConfig:
     #: the default to the machine's core count (falling back to serial on a
     #: single-core box); results are bit-identical at any worker count.
     workers: "int | str" = 1
-    #: Execution backend for the fused kernels' partial phase:
-    #: ``"thread"`` shards over the worker thread pool (NumPy releases the
-    #: GIL inside kernels, but Python-level overhead still serialises),
-    #: ``"process"`` over a persistent pool of worker *processes* fed
-    #: through shared memory (true multicore parallelism), ``"serial"``
-    #: forces the single-threaded shard walk for debugging.  ``None``
-    #: resolves from the ``REPRO_BACKEND`` environment variable, default
-    #: ``"thread"``.  Results are bit-identical on every backend; if
-    #: shared memory or process spawning is unavailable the engine falls
-    #: back to ``"thread"`` gracefully.
-    backend: "str | None" = None
     #: Shard-parallel execution: partition each iteration's slide plan
     #: over this many persistent engine worker *processes* — each owning
     #: its own tile-store mapping, simulated device lane, and fused
@@ -88,7 +78,7 @@ class EngineConfig:
     #: ``REPRO_SHARDS`` environment variable, default 1.  Results and
     #: simulated statistics are bit-identical at any shard count; runs
     #: that cannot shard (per-tile mode, fault injection, checksum
-    #: verification, algorithms without the process-kernel contract, or
+    #: verification, algorithms without fused kernels, or
     #: spawn/shm unavailable) fall back to the single-process path.
     #: Results and simulated statistics stay bit-identical across worker
     #: deaths because the supervisor replays lost lanes (see
@@ -160,13 +150,6 @@ class EngineConfig:
         ):
             raise StorageError(
                 f"workers must be a positive int or 'auto', got {self.workers!r}"
-            )
-        if self.backend is not None and self.backend not in (
-            "serial", "thread", "process",
-        ):
-            raise StorageError(
-                f"backend must be 'serial', 'thread', 'process', or None "
-                f"(REPRO_BACKEND default), got {self.backend!r}"
             )
         if self.shards is not None and (
             not isinstance(self.shards, int) or self.shards < 1

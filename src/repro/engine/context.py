@@ -16,8 +16,8 @@ Two kinds of context exist:
 * the **engine context** — built by the engine itself when ``run()`` is
   called without one.  It aliases the engine's own singletons
   (``engine.clock``, ``engine.tracer``, ``engine.aio``), so the classic
-  batch path behaves exactly as before, including shard-parallel and
-  process-backend execution.
+  batch path behaves exactly as before, including shard-parallel
+  execution.
 * a **private context** — built by
   :meth:`~repro.engine.gstore.GStoreEngine.query_context`.  It carries a
   fresh :class:`~repro.util.timer.SimClock`, a fresh
@@ -26,7 +26,7 @@ Two kinds of context exist:
   :class:`~repro.obs.counters.MetricsRegistry` — the per-query stats
   isolation contract: concurrent queries never write to a shared
   registry, so no counter or clock can be corrupted across queries.
-  Private runs execute single-process (no shard scatter, no process
+  Private runs execute single-process (no shard scatter, no worker
   pool, kernels inline on the calling thread) — cross-query concurrency
   replaces intra-query parallelism.
 
@@ -110,6 +110,19 @@ class RunContext:
         return self.deadline - time.monotonic()
 
 
+def wire_device_counters(array, registry) -> None:
+    """Point every simulated device under ``array`` at ``registry``."""
+    stack = [array]
+    while stack:
+        arr = stack.pop()
+        for dev in getattr(arr, "devices", ()):
+            dev.counters = registry
+        for sub in ("ssd", "hdd"):
+            nxt = getattr(arr, sub, None)
+            if nxt is not None:
+                stack.append(nxt)
+
+
 def make_private_context(
     engine,
     *,
@@ -141,16 +154,7 @@ def make_private_context(
     tracer = Tracer(clock=clock) if trace else NULL_TRACER
     array = build_device_array(engine.config, engine.graph)
     if tracer.enabled:
-        reg = tracer.registry
-        stack = [array]
-        while stack:
-            arr = stack.pop()
-            for dev in getattr(arr, "devices", ()):
-                dev.counters = reg
-            for sub in ("ssd", "hdd"):
-                nxt = getattr(arr, sub, None)
-                if nxt is not None:
-                    stack.append(nxt)
+        wire_device_counters(array, tracer.registry)
     aio = AIOContext(
         store=engine.store,
         array=array,

@@ -51,7 +51,11 @@ import numpy as np
 from repro.algorithms.base import TileAlgorithm
 from repro.engine.checkpoint import CheckpointManager
 from repro.engine.config import EngineConfig
-from repro.engine.context import RunContext, make_private_context
+from repro.engine.context import (
+    RunContext,
+    make_private_context,
+    wire_device_counters,
+)
 from repro.engine.selective import (
     dense_positions,
     merge_requests,
@@ -75,22 +79,12 @@ from repro.runtime.shard import (
     build_device_array,
 )
 from repro.runtime.threads import (
-    DEFAULT_MAX_SHARDS,
     Prefetcher,
-    ProcessPool,
-    ProcessPoolError,
-    ShmArena,
     WorkerPool,
     execute_batch,
-    resolve_backend,
     resolve_shards,
     resolve_workers,
 )
-
-#: Numeric codes for the ``engine.backend`` gauge (gauges hold numbers);
-#: the string itself is in ``RunStats.extra["execution"]["backend"]``.
-BACKEND_CODES = {"serial": 0, "thread": 1, "process": 2}
-
 
 #: Run-level views are split into this many equal-edge pieces per batch —
 #: enough shards for the thread pool (and one piece per shard keeps the
@@ -193,25 +187,14 @@ class GStoreEngine:
             retry=self.config.retry,
         )
         if self.tracer.enabled:
-            self._wire_device_counters()
+            wire_device_counters(self.array, self.tracer.registry)
         #: Resolved row-parallel worker count ("auto" clamps to the cores
         #: actually present; 1 routes through the serial path).
         self.workers = resolve_workers(self.config.workers)
-        #: Requested execution backend (``config.backend``, or the
-        #: ``REPRO_BACKEND`` environment default).
-        self.backend = resolve_backend(self.config.backend)
-        # The *live* backend: starts at the requested one and degrades to
-        # "thread" if shared memory / process spawning is unavailable or a
-        # worker process dies mid-run.
-        self._backend = self.backend
-        # One persistent pool per engine, shared by the fused layer and the
-        # off-critical-path rewind decode; threads spawn lazily on first
-        # use and are joined by close().
+        # One persistent pool per engine for the fused layer's partial
+        # phase; threads spawn lazily on first use and are joined by
+        # close().
         self._pool: "WorkerPool | None" = None
-        # Process-backend runtime (worker processes + shared-memory arena);
-        # created lazily by _process_runtime(), torn down by close().
-        self._ppool: "ProcessPool | None" = None
-        self._arena: "ShmArena | None" = None
         #: Resolved shard count (``config.shards``, or the ``REPRO_SHARDS``
         #: environment default).  >1 activates shard-parallel execution
         #: for runs that can shard (see ``_run_can_shard``).
@@ -219,8 +202,7 @@ class GStoreEngine:
         # Shard runtime (persistent worker processes + scatter arena);
         # created lazily on the first shardable iteration, torn down by
         # close().  _shard_failed latches a graceful fallback to the
-        # single-process path — permanently, for this engine — mirroring
-        # the process backend's degradation contract.
+        # single-process path — permanently, for this engine.
         self._shard_rt: "ShardRuntime | None" = None
         self._shard_failed = False
         #: Supervisor accounting (docs/RELIABILITY.md "Distributed fault
@@ -248,19 +230,6 @@ class GStoreEngine:
     # Lifecycle
     # ------------------------------------------------------------------ #
 
-    def _wire_device_counters(self) -> None:
-        """Point every simulated device at the run's counter registry."""
-        reg = self.tracer.registry
-        stack = [self.array]
-        while stack:
-            arr = stack.pop()
-            for dev in getattr(arr, "devices", ()):
-                dev.counters = reg
-            for sub in ("ssd", "hdd"):
-                nxt = getattr(arr, sub, None)
-                if nxt is not None:
-                    stack.append(nxt)
-
     @property
     def pool(self) -> WorkerPool:
         """The engine's persistent worker pool (created on first access)."""
@@ -268,74 +237,11 @@ class GStoreEngine:
             self._pool = WorkerPool(workers=self.workers)
         return self._pool
 
-    @property
-    def kernel_workers(self) -> int:
-        """Parallelism of the fused kernels' partial phase.
-
-        The ``serial`` backend forces 1 (the debugging reference walk)
-        whatever ``config.workers`` says; the others use the resolved
-        worker count.
-        """
-        return 1 if self._backend == "serial" else self.workers
-
-    @property
-    def backend_resolved(self) -> str:
-        """The backend actually in effect (after any graceful fallback)."""
-        return self._backend
-
-    def _process_runtime(self) -> "tuple[ProcessPool | None, ShmArena | None]":
-        """The process backend's pool + arena, created on first use.
-
-        Falls back to the thread backend — permanently, for this engine —
-        when shared memory or process spawning is unavailable (no
-        ``/dev/shm``, sandboxed spawn, ...), mirroring the prefetcher's
-        graceful-degradation contract: the run completes either way with
-        bit-identical results.
-        """
-        if self._backend != "process" or self.workers <= 1:
-            return None, None
-        if self._ppool is None:
-            arena = None
-            try:
-                arena = ShmArena(
-                    registry=self.tracer.registry
-                    if self.tracer.enabled
-                    else None
-                )
-                arena.ensure(arena.ALIGN)  # probe shared memory now
-                ppool = ProcessPool(self.workers)
-                ppool.start()
-            except Exception as exc:
-                if arena is not None:
-                    arena.close()
-                self._fallback_to_thread("spawn_failed", exc)
-                return None, None
-            self._ppool, self._arena = ppool, arena
-        return self._ppool, self._arena
-
-    def _fallback_to_thread(self, reason: str, exc: BaseException) -> None:
-        """Degrade the live backend to ``thread`` (counted + traced)."""
-        self._backend = "thread"
-        if self.tracer.enabled:
-            self.tracer.registry.counter("process.fallbacks").add(1)
-            self.tracer.instant(
-                "process_fallback", cat="process", reason=reason,
-                error=str(exc),
-            )
-
-    def _teardown_process_runtime(self) -> None:
-        ppool, self._ppool = self._ppool, None
-        arena, self._arena = self._arena, None
-        if ppool is not None:
-            ppool.shutdown()
-        if arena is not None:
-            arena.close()
-
     def _run_can_shard(self, algorithm: TileAlgorithm) -> bool:
         """Whether this run may execute shard-parallel.
 
-        Sharding needs the fused process-kernel contract (workers run the
-        static ``kernel_partial`` from a shipped state snapshot) and a
+        Sharding needs the fused kernel contract (workers run the static
+        ``kernel_partial`` from a shipped state snapshot) and a
         clean substrate: *storage* fault injection assigns request
         ordinals in global plan order under one AIO lock, and checksum
         verification happens at coordinator decode — neither exists on
@@ -350,7 +256,6 @@ class GStoreEngine:
             and not self._shard_failed
             and self.config.fused
             and algorithm.supports_fused
-            and algorithm.supports_process
             and (
                 self.injector is None
                 or self.config.faults.transport_only()
@@ -364,9 +269,9 @@ class GStoreEngine:
         """The shard workers, spawned on first shardable iteration.
 
         Falls back to the single-process engine — permanently, for this
-        engine — when shared memory or process spawning is unavailable,
-        mirroring ``_process_runtime``'s degradation contract: the run
-        completes either way with bit-identical results.
+        engine — when shared memory or process spawning is unavailable
+        (no ``/dev/shm``, sandboxed spawn, ...): the run completes either
+        way with bit-identical results.
         """
         if self._shard_rt is None:
             rt = ShardRuntime(
@@ -414,33 +319,23 @@ class GStoreEngine:
         layer's :class:`~repro.serve.health.HealthMonitor` reads)."""
         return self._shard_failed
 
-    @property
-    def backend_degraded(self) -> bool:
-        """True once the requested execution backend has degraded (the
-        process backend fell back to threads)."""
-        return self._backend != self.backend
-
-    def warm_backend(self) -> str:
-        """Start the configured backend's workers now; returns the live
-        backend.  Benchmarks call this before timing so the one-time
-        process spawn (interpreter + NumPy import per worker) is paid off
-        the measured path — in a persistent engine it amortises to zero.
+    def warm_backend(self) -> None:
+        """Start the engine's workers now.  Benchmarks call this before
+        timing so the one-time shard-worker spawn (interpreter + NumPy
+        import per process) is paid off the measured path — in a
+        persistent engine it amortises to zero.
         """
-        if self._backend == "process":
-            self._process_runtime()
-        elif self._backend == "thread" and self.workers > 1:
+        if self.workers > 1:
             self.pool.executor  # noqa: B018 - touch spawns the threads
         if self.shards > 1 and not self._shard_failed:
             self._shard_runtime()
-        return self._backend
 
     def close(self) -> None:
-        """Join and release the engine's workers — threads and processes —
-        and unlink the shared-memory arena (idempotent)."""
+        """Join and release the engine's workers — threads and shard
+        processes — and unlink the scatter arena (idempotent)."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown()
-        self._teardown_process_runtime()
         self._teardown_shard_runtime()
 
     def __enter__(self) -> "GStoreEngine":
@@ -474,7 +369,7 @@ class GStoreEngine:
         AIO context, and — when ``trace`` — a private tracer/registry, so
         per-query :class:`RunStats` and counters are fully isolated.
         Private runs execute single-process (kernels inline on the
-        calling thread; no shard scatter or process pool) and check
+        calling thread; no shard scatter or worker pool) and check
         ``deadline`` (relative seconds) cooperatively at iteration
         boundaries, raising :class:`~repro.errors.DeadlineError`.
         """
@@ -610,11 +505,9 @@ class GStoreEngine:
             "fused": cfg.fused and algorithm.supports_fused,
             "selective": cfg.selective,
             "workers": cfg.workers,
-            "workers_resolved": 1 if ctx.private else self.workers,
-            "backend": self.backend,
             # Private contexts always walk the serial kernel path — the
-            # honest resolution, whatever the engine-level backend is.
-            "backend_resolved": "serial" if ctx.private else self._backend,
+            # honest resolution, whatever the engine-level worker count.
+            "workers_resolved": 1 if ctx.private else self.workers,
             "shards": cfg.shards,
             # What this run actually executed with: the configured shard
             # count when the sharded path ran to completion, else 1
@@ -634,11 +527,6 @@ class GStoreEngine:
                 "counters": self.injector.counters(),
             }
         if ctx.tracer.enabled:
-            # Recorded after the run so the gauge reflects the backend the
-            # run actually finished on (post any graceful fallback).
-            ctx.tracer.registry.gauge("engine.backend").set(
-                BACKEND_CODES["serial" if ctx.private else self._backend]
-            )
             stats.extra["counters"] = ctx.tracer.registry.as_dict()
         return stats
 
@@ -689,8 +577,6 @@ class GStoreEngine:
                 # the prefetcher can run arbitrarily far ahead of compute.
                 plan: SlidePlan = scr.segment_plan(to_fetch, g.start_edge)
             fused = cfg.fused and algorithm.supports_fused
-            if not ctx.private:
-                self._presize_arena(algorithm, plan)
 
             # Shard-parallel slide: scatter the iteration's frozen kernel
             # state plus each worker's lane of the plan *before* rewind,
@@ -731,18 +617,12 @@ class GStoreEngine:
                 # --- Rewind: consume the pool before any I/O (§VI-D). ---
                 if cached.size:
                     rewound = scr.cached_buffers(cached)
-                    if prefetcher is not None or gather is not None:
-                        # Rewind decode off the critical path: it runs on
-                        # the worker pool concurrently with the
-                        # prefetcher's fetch of the first slide batches.
-                        views = self.pool.submit(
-                            self._rewind_views, algorithm, cached, rewound,
-                            ctx,
-                        ).result()
-                    else:
-                        views = self._rewind_views(
-                            algorithm, cached, rewound, ctx
-                        )
+                    # Decoded here on the engine thread; the prefetcher
+                    # (or the shard workers) already fetch the first
+                    # slide batches on their own threads meanwhile.
+                    views = self._rewind_views(
+                        algorithm, cached, rewound, ctx
+                    )
                     tc0 = _time.perf_counter()
                     with tracer.span(
                         "compute", cat="compute", phase="rewind",
@@ -911,7 +791,7 @@ class GStoreEngine:
             # per iteration on the ``sim:bytes`` track carrying the moved
             # vs skipped byte split.  Emitted in plan order on the engine
             # thread, so — like every simulated lane — the export is
-            # bit-identical at any prefetch depth or backend.
+            # bit-identical at any prefetch depth or worker count.
             tracer.sim_span(
                 "bytes",
                 start=elapsed_before,
@@ -1102,59 +982,16 @@ class GStoreEngine:
     def _execute_views(
         self, algorithm: TileAlgorithm, views, ctx: RunContext
     ) -> int:
-        """Route one batch through the live backend's ``execute_batch``.
+        """Route one batch through ``execute_batch``.
 
-        The single funnel for kernel execution: picks the worker count
-        (the ``serial`` backend forces 1; private contexts always run
-        serial — their concurrency is across queries, not within one),
-        attaches the process runtime when the algorithm speaks the
-        process-kernel contract, and — if a worker process dies mid-batch
-        — degrades to the thread backend and recomputes the batch there.
-        The retry is safe because partials are only applied after every
-        shard returns: a crashed batch has mutated no algorithm state, so
-        the thread recompute sees exactly the inputs the process attempt
-        saw and determinism holds.
+        The single funnel for kernel execution.  Private contexts always
+        run serial — their concurrency is across queries, not within one.
         """
-        kw = 1 if ctx.private else self.kernel_workers
-        ppool = arena = None
-        if kw > 1 and algorithm.supports_process:
-            ppool, arena = self._process_runtime()
-        try:
-            return execute_batch(
-                algorithm, views, fused=self.config.fused, workers=kw,
-                pool=self.pool if kw > 1 else None,
-                ppool=ppool, arena=arena, tracer=ctx.tracer,
-            )
-        except ProcessPoolError as exc:
-            self._teardown_process_runtime()
-            self._fallback_to_thread("worker_died", exc)
-            kw = self.kernel_workers
-            return execute_batch(
-                algorithm, views, fused=self.config.fused, workers=kw,
-                pool=self.pool if kw > 1 else None, tracer=ctx.tracer,
-            )
-
-    def _presize_arena(self, algorithm: TileAlgorithm, plan: SlidePlan) -> None:
-        """Grow the shared-memory arena for the iteration's largest batch.
-
-        Sizing from :attr:`SlidePlan.max_batch_bytes` up front means the
-        backing segment is replaced at most O(log max-batch) times per
-        *run*, not per iteration — workers keep their attachments.  Purely
-        an optimisation: ``process_batch_shards`` re-ensures exact layout
-        bytes per batch anyway.
-        """
-        if not (plan.n_batches and algorithm.supports_process):
-            return
-        _, arena = self._process_runtime()
-        if arena is None:
-            return
-        g = self.graph
-        # Decoded edges are two VERTEX_DTYPE endpoint arrays per on-disk
-        # tuple, plus the frozen state snapshot and per-shard alignment.
-        n_edges = plan.max_batch_bytes // g.start_edge.tuple_bytes
-        state_bytes = ShmArena.layout_bytes(algorithm.kernel_state().values())
-        slack = 4 * DEFAULT_MAX_SHARDS * ShmArena.ALIGN
-        arena.ensure(n_edges * 8 + state_bytes + slack)
+        kw = 1 if ctx.private else self.workers
+        return execute_batch(
+            algorithm, views, fused=self.config.fused, workers=kw,
+            pool=self.pool if kw > 1 else None,
+        )
 
     def _process_batch(
         self,
@@ -1168,7 +1005,7 @@ class GStoreEngine:
         if isinstance(batch, _ShardBatch):
             # The read-only kernel phase already ran on a shard worker;
             # apply its partials here in chunk order — the same
-            # shard_views-defined sequence every single-process backend
+            # shard_views-defined sequence every single-process path
             # commits in, which is what keeps float accumulation (and so
             # results) bit-identical at any shard count.  Pool buffers are
             # rebuilt from the coordinator's own store: cache membership

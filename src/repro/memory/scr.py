@@ -55,18 +55,6 @@ class SlidePlan:
     def total_bytes(self) -> int:
         return sum(self.batch_bytes)
 
-    @property
-    def max_batch_bytes(self) -> int:
-        """Payload bytes of the largest single batch in the plan.
-
-        The process backend sizes its shared-memory arena from this ahead
-        of execution — the decoded edge arrays it exports per batch are a
-        fixed multiple of the batch's payload bytes, so one up-front
-        reservation avoids segment regrowth (and worker re-attachment)
-        mid-iteration.
-        """
-        return max(self.batch_bytes, default=0)
-
     def __iter__(self):
         return iter(self.batches)
 

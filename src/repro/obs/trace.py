@@ -195,13 +195,13 @@ class Tracer:
     ) -> None:
         """Record a wall span measured *elsewhere* on an explicit track.
 
-        The process backend's workers time their kernels with
-        ``perf_counter`` and return the timestamps with each partial;
-        because ``perf_counter`` is a system-wide monotonic clock on
-        Linux, the engine can replay them against its own epoch — each
-        worker process becomes its own track (``repro-proc-<pid>``) and
-        the cross-process overlap is visible in Perfetto, exactly like
-        the prefetch thread's track.
+        Shard workers time their batches with ``perf_counter`` and
+        return the timestamps with each gathered result; because
+        ``perf_counter`` is a system-wide monotonic clock on Linux, the
+        coordinator can replay them against its own epoch — each worker
+        process becomes its own track (``repro-shard-<k>``) and the
+        cross-process overlap is visible in Perfetto, exactly like the
+        prefetch thread's track.
         """
         self._append(
             SpanRecord(

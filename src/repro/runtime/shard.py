@@ -29,7 +29,7 @@ rebuild per-shard plans whose chunk boundaries depend on K, silently
 reassociating float accumulation.  The same argument makes worker-side
 snapshot execution safe: workers compute from the iteration-start state
 snapshot while the coordinator interleaves applies, which every
-process-capable kernel tolerates by construction (frozen read sets for
+fused kernel tolerates by construction (frozen read sets for
 PageRank/SpMV/CC/k-core; idempotent constant writes + deduplicated
 frontier for BFS).
 """
@@ -493,14 +493,12 @@ class ShardGather:
 class ShardRuntime:
     """K persistent shard workers plus the coordinator-side protocol.
 
-    Lifecycle mirrors :class:`~repro.runtime.threads.ProcessPool`:
-    ``spawn``-ed workers (fork is unsafe next to the engine's threads)
-    bootstrap with a hello message, live for the engine's lifetime, and
-    are torn down through the shared
-    :func:`~repro.runtime.threads.stop_worker_processes` helper; the
-    scatter arena is owned here (separate from the process backend's —
-    that one re-reserves per *batch*, this one must stay stable for a
-    whole iteration) and tracked by the ``LIVE_SHM_SEGMENTS`` oracle.
+    Lifecycle: ``spawn``-ed workers (fork is unsafe next to the engine's
+    threads) bootstrap with a hello message, live for the engine's
+    lifetime, and are torn down through
+    :func:`~repro.runtime.threads.stop_worker_processes`; the scatter
+    arena is owned here (it must stay stable for a whole iteration) and
+    tracked by the ``LIVE_SHM_SEGMENTS`` oracle.
     """
 
     _POLL = 0.2

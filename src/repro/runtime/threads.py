@@ -9,30 +9,24 @@ operations; this module adds the thread machinery around them:
   dynamic (work-queue) assignment; NumPy releases the GIL in its inner
   loops, so skewed rows balance the same way OpenMP ``schedule(dynamic)``
   does.
-* :class:`WorkerPool` — a persistent, lazily-created executor shared by
-  the fused layer and the prefetcher (one pool per engine, not one per
-  batch).
+* :class:`WorkerPool` — a persistent, lazily-created executor for the
+  fused layer (one pool per engine, not one per batch).
 * :class:`Prefetcher` — a bounded background pipeline: a dedicated worker
   thread prepares batches ``k+1..k+D`` (I/O + decode) while the consumer
   processes batch ``k``, delivering results strictly in submission order.
-* :class:`ProcessPool` + :class:`ShmArena` — the true-parallel execution
-  backend: a persistent pool of worker *processes* that receive decoded
-  shard payloads through POSIX shared memory (zero-copy NumPy views, no
-  pickling of edge data), compute each shard's read-only
-  :meth:`~repro.algorithms.base.TileAlgorithm.kernel_partial`, and return
-  partials the engine thread applies in shard order — escaping the GIL
-  while preserving the fused layer's bit-identical determinism contract.
+* :class:`ShmArena` — the shared-memory data plane of the shard runtime
+  (:mod:`repro.runtime.shard`): the coordinator scatters each
+  iteration's frozen kernel state through it as ``(shm name, offset,
+  dtype, shape)`` descriptors, and shard workers map them back as
+  zero-copy read-only NumPy views.
 """
 
 from __future__ import annotations
 
-import importlib
 import multiprocessing
 import os
 import queue
 import threading
-import time
-import traceback
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -48,14 +42,9 @@ R = TypeVar("R")
 #: ``threading.enumerate()``.
 PREFETCH_THREAD_NAME = "repro-prefetch"
 WORKER_THREAD_PREFIX = "repro-worker"
-#: Process-name prefix for :class:`ProcessPool` workers, so tests can
-#: assert clean shutdown via ``multiprocessing.active_children()``.
-PROCESS_WORKER_PREFIX = "repro-procworker"
-#: Process-name prefix for shard workers (:mod:`repro.runtime.shard`).
+#: Process-name prefix for shard workers (:mod:`repro.runtime.shard`), so
+#: tests can assert clean shutdown via ``multiprocessing.active_children()``.
 SHARD_WORKER_PREFIX = "repro-shard"
-
-#: The execution backends the engine can run fused kernels on.
-BACKENDS = ("serial", "thread", "process")
 
 
 def available_cpus() -> int:
@@ -98,27 +87,6 @@ def resolve_workers(workers: "int | str") -> int:
     return w
 
 
-def default_backend() -> str:
-    """The execution backend used when the config does not pick one.
-
-    ``REPRO_BACKEND`` overrides the ``"thread"`` default, which is how CI
-    runs the whole tier-1 suite under the process backend without
-    touching any test.
-    """
-    return os.environ.get("REPRO_BACKEND", "thread")
-
-
-def resolve_backend(backend: "str | None") -> str:
-    """Resolve a backend setting (``None`` means environment default)."""
-    b = default_backend() if backend in (None, "auto") else str(backend)
-    if b not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {BACKENDS} (or None for the "
-            f"REPRO_BACKEND default), got {backend!r}"
-        )
-    return b
-
-
 def default_shards() -> int:
     """Shard count used when the config does not pick one.
 
@@ -147,7 +115,6 @@ def resolve_shards(shards: "int | None") -> int:
 
 def execution_fingerprint(
     workers: "int | str" = "auto",
-    backend: "str | None" = None,
     shards: "int | None" = None,
 ) -> "dict[str, object]":
     """Resolved execution environment for benchmark machine blocks.
@@ -159,7 +126,6 @@ def execution_fingerprint(
         "cpus_logical": os.cpu_count(),
         "cpus_available": available_cpus(),
         "workers_resolved": resolve_workers(workers),
-        "backend_resolved": resolve_backend(backend),
         "shards_resolved": resolve_shards(shards),
     }
 
@@ -167,24 +133,19 @@ def execution_fingerprint(
 def stop_worker_processes(
     procs: "Sequence[multiprocessing.process.BaseProcess]",
     task_queues: "Sequence",
-    result_queues: "Sequence" = (),
     timeout: float = 5.0,
 ) -> None:
-    """Shared teardown for process-backed pools (idempotent by design).
+    """Teardown for the shard runtime's worker processes (idempotent).
 
-    Both :class:`ProcessPool` and the shard runtime
-    (:mod:`repro.runtime.shard`) follow the same lifecycle: send one
-    ``None`` shutdown sentinel per worker (round-robin over the task
-    queues, so pools with one shared queue and runtimes with one queue
-    per worker both drain correctly), join with a timeout, terminate
-    stragglers — escalating to SIGKILL for workers that ignore SIGTERM
-    (a stopped or D-state process never sees terminate, and teardown
-    must stay bounded) — then close every queue with
-    ``cancel_join_thread`` so an unread result can never block
-    interpreter exit.  Shared-memory segments are *not* released here —
-    arenas own their segments and the ``LIVE_SHM_SEGMENTS`` leak oracle
-    stays exact because every segment release still goes through
-    :meth:`ShmArena.close`.
+    Send one ``None`` shutdown sentinel per worker (round-robin over the
+    task queues), join with a timeout, terminate stragglers — escalating
+    to SIGKILL for workers that ignore SIGTERM (a stopped or D-state
+    process never sees terminate, and teardown must stay bounded) — then
+    close every queue with ``cancel_join_thread`` so an unsent task can
+    never block interpreter exit.  Shared-memory segments are *not*
+    released here — arenas own their segments and the
+    ``LIVE_SHM_SEGMENTS`` leak oracle stays exact because every segment
+    release still goes through :meth:`ShmArena.close`.
     """
     if procs and task_queues:
         try:
@@ -201,7 +162,7 @@ def stop_worker_processes(
             if p.is_alive():
                 p.kill()
                 p.join(timeout=timeout)
-    for q_ in (*task_queues, *result_queues):
+    for q_ in task_queues:
         try:
             q_.close()
             q_.cancel_join_thread()
@@ -212,12 +173,11 @@ def stop_worker_processes(
 class WorkerPool:
     """Persistent, lazily-created thread pool.
 
-    One :class:`WorkerPool` is owned by each engine and shared by the
-    fused execution layer, the rewind decoder, and the prefetcher's
-    decode jobs — worker threads live for the engine's lifetime instead
-    of being respawned per segment batch, and are joined by the engine's
-    ``close()``.  The underlying executor is only created on first use,
-    so serial runs never spawn a thread.
+    One :class:`WorkerPool` is owned by each engine and used by the
+    fused execution layer — worker threads live for the engine's
+    lifetime instead of being respawned per segment batch, and are
+    joined by the engine's ``close()``.  The underlying executor is only
+    created on first use, so serial runs never spawn a thread.
     """
 
     def __init__(self, workers: "int | None" = None):
@@ -277,7 +237,7 @@ class WorkerPool:
 
 
 # ---------------------------------------------------------------------- #
-# Shared-memory arena (the process backend's data plane)
+# Shared-memory arena (the shard scatter's data plane)
 # ---------------------------------------------------------------------- #
 
 #: Names of shared-memory segments created by :class:`ShmArena` and not
@@ -290,7 +250,7 @@ LIVE_SHM_SEGMENTS: "set[str]" = set()
 class ShmDescriptor:
     """Address of one NumPy array inside a shared-memory segment.
 
-    This is the process backend's *data-placement contract*: payloads
+    This is the shard scatter's *data-placement contract*: payloads
     cross the process boundary as ``(shm name, offset, dtype, shape)``
     quadruples, and the worker maps them back as zero-copy array views —
     the bytes themselves are never pickled.
@@ -312,15 +272,14 @@ class ShmDescriptor:
 class ShmArena:
     """Bump allocator over one POSIX shared-memory segment.
 
-    The engine copies each batch's payloads (frozen vertex-state arrays
-    plus per-shard concatenated edge arrays) into the arena exactly once;
-    worker processes map them back as read-only NumPy views with zero
-    copies and zero pickling.  The arena is reused batch after batch —
-    :meth:`reserve` resets the bump pointer and grows the segment when a
-    batch needs more room (only ever between batches, when no worker
-    holds descriptors into it).
+    The shard coordinator copies each iteration's frozen vertex-state
+    arrays into the arena exactly once; shard workers map them back as
+    read-only NumPy views with zero copies and zero pickling.  The arena
+    is reused scatter after scatter — :meth:`reserve` resets the bump
+    pointer and grows the segment when a scatter needs more room (only
+    ever between iterations, when no worker holds descriptors into it).
 
-    Lifecycle: one arena per engine, unlinked by ``close()``.  Segment
+    Lifecycle: one arena per shard runtime, unlinked by ``close()``.  Segment
     names are tracked in :data:`LIVE_SHM_SEGMENTS` so tests can assert
     nothing leaks, even after a worker crash.
     """
@@ -407,7 +366,7 @@ class ShmArena:
     def put(self, arr: np.ndarray) -> ShmDescriptor:
         """Copy one array into the arena; returns its descriptor.
 
-        The only copy the process backend ever makes of a payload — the
+        The only copy the coordinator ever makes of a payload — the
         worker side maps the descriptor as a view.  Raises if the current
         batch overflows its :meth:`reserve` (a caller bug: the reserve
         must cover :meth:`layout_bytes` of everything it will put).
@@ -507,299 +466,6 @@ def attach_view(desc: ShmDescriptor, cache: "dict[str, object]") -> np.ndarray:
     )
     view.flags.writeable = False
     return view
-
-
-# ---------------------------------------------------------------------- #
-# Process pool (the process backend's control plane)
-# ---------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class KernelTask:
-    """One shard's worth of work, shipped to a worker process.
-
-    Everything here is metadata: the algorithm's kernel is named by
-    ``module``/``qualname`` (resolved by import in the worker), the
-    payloads by shared-memory descriptors.  ``params`` carries the
-    iteration's frozen scalars (BFS level, |V|, symmetry flag, ...).
-    """
-
-    module: str
-    qualname: str
-    params: "dict[str, object]"
-    state: "dict[str, ShmDescriptor]"
-    gsrc: ShmDescriptor
-    gdst: ShmDescriptor
-
-
-class ProcessPoolError(RuntimeError):
-    """A worker process died or its kernel raised; the pool is broken."""
-
-
-def _resolve_kernel(module: str, qualname: str, cache: dict):
-    key = (module, qualname)
-    fn = cache.get(key)
-    if fn is None:
-        obj = importlib.import_module(module)
-        for part in qualname.split("."):
-            obj = getattr(obj, part)
-        fn = obj.kernel_partial
-        cache[key] = fn
-    return fn
-
-
-def _kernel_worker_main(task_q, result_q) -> None:
-    """Worker-process loop: map descriptors, run kernels, return partials.
-
-    Runs in a ``spawn``-ed child; results are ``(seq, ok, payload, meta)``
-    tuples where ``meta`` is ``(pid, t0, t1)`` on ``perf_counter`` — a
-    system-wide monotonic clock on Linux, so the engine can place worker
-    spans on the tracer's shared timeline.  The first message is a
-    ``("hello", pid, None, None)`` bootstrap marker.
-    """
-    pid = os.getpid()
-    result_q.put(("hello", pid, None, None))
-    seg_cache: "dict[str, object]" = {}
-    kernel_cache: dict = {}
-    while True:
-        item = task_q.get()
-        if item is None:
-            break
-        seq, task = item
-        t0 = time.perf_counter()
-        try:
-            fn = _resolve_kernel(task.module, task.qualname, kernel_cache)
-            state = {
-                k: attach_view(d, seg_cache) for k, d in task.state.items()
-            }
-            gsrc = attach_view(task.gsrc, seg_cache)
-            gdst = attach_view(task.gdst, seg_cache)
-            out = fn(state, task.params, gsrc, gdst)
-            result_q.put((seq, True, out, (pid, t0, time.perf_counter())))
-        except BaseException as exc:
-            detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-            result_q.put((seq, False, detail, (pid, t0, time.perf_counter())))
-    for seg in seg_cache.values():
-        try:
-            seg.close()
-        except BufferError:  # pragma: no cover - exiting anyway
-            pass
-
-
-class ProcessPool:
-    """Persistent pool of kernel worker processes (the process backend).
-
-    Workers are ``spawn``-ed lazily on first use (safe next to the
-    engine's threads, unlike ``fork``) and live for the engine's
-    lifetime, so the multi-hundred-millisecond interpreter+NumPy start-up
-    is paid once, not per batch.  Tasks go down one shared queue —
-    dynamic balancing, exactly like the thread pool — and results come
-    back tagged with submission order, so :meth:`run_tasks` returns them
-    in task order regardless of which worker finished first; the caller
-    then applies partials in shard order and determinism is preserved.
-
-    A dead worker (crash, OOM-kill) is detected by liveness polling while
-    results are outstanding and surfaces as :class:`ProcessPoolError`;
-    the pool is then *broken* — the engine degrades to the thread backend
-    and tears the pool down (no orphaned processes or segments).
-    """
-
-    #: How often the result wait re-checks worker liveness (seconds).
-    _POLL = 0.2
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
-        self._workers = int(workers)
-        self._ctx = multiprocessing.get_context("spawn")
-        self._procs: list = []
-        self._tasks = None
-        self._results = None
-        self._seq = 0
-        self._started = False
-        self._broken = False
-        self._closed = False
-
-    @property
-    def size(self) -> int:
-        return self._workers
-
-    @property
-    def started(self) -> bool:
-        return self._started
-
-    @property
-    def broken(self) -> bool:
-        return self._broken
-
-    @property
-    def processes(self) -> list:
-        """The live worker ``Process`` objects (tests kill these)."""
-        return list(self._procs)
-
-    def start(self, timeout: float = 60.0) -> None:
-        """Spawn the workers and wait for their bootstrap hellos.
-
-        Separated from ``__init__`` so the engine (and benchmarks) can
-        warm the pool off the timed path; ``run_tasks`` calls it lazily
-        otherwise.
-        """
-        if self._closed:
-            raise RuntimeError("process pool is shut down")
-        if self._started:
-            return
-        self._tasks = self._ctx.Queue()
-        self._results = self._ctx.Queue()
-        for i in range(self._workers):
-            p = self._ctx.Process(
-                target=_kernel_worker_main,
-                args=(self._tasks, self._results),
-                name=f"{PROCESS_WORKER_PREFIX}-{i}",
-                daemon=True,
-            )
-            p.start()
-            self._procs.append(p)
-        self._started = True
-        deadline = time.monotonic() + timeout
-        hellos = 0
-        while hellos < self._workers:
-            try:
-                msg = self._results.get(timeout=self._POLL)
-            except queue.Empty:
-                if time.monotonic() > deadline:
-                    self._broken = True
-                    raise ProcessPoolError(
-                        f"workers failed to start within {timeout}s"
-                    )
-                self._check_alive()
-                continue
-            if msg[0] == "hello":
-                hellos += 1
-
-    def _check_alive(self) -> None:
-        dead = [p for p in self._procs if not p.is_alive()]
-        if dead:
-            self._broken = True
-            names = ", ".join(
-                f"{p.name} (pid {p.pid}, exit {p.exitcode})" for p in dead
-            )
-            raise ProcessPoolError(f"worker process died: {names}")
-
-    def run_tasks(
-        self, tasks: "Sequence[KernelTask]"
-    ) -> "list[tuple[object, tuple]]":
-        """Execute tasks on the pool; returns ``(payload, meta)`` pairs in
-        task order.  Raises :class:`ProcessPoolError` if a worker dies or
-        a kernel raises (the worker's traceback is embedded)."""
-        if self._closed:
-            raise RuntimeError("process pool is shut down")
-        if self._broken:
-            raise ProcessPoolError("process pool is broken")
-        self.start()
-        n = len(tasks)
-        if n == 0:
-            return []
-        base = self._seq
-        self._seq += n
-        for i, t in enumerate(tasks):
-            self._tasks.put((base + i, t))
-        out: "list" = [None] * n
-        got = 0
-        while got < n:
-            try:
-                seq, ok, payload, meta = self._results.get(timeout=self._POLL)
-            except queue.Empty:
-                self._check_alive()
-                continue
-            if seq == "hello":  # pragma: no cover - late bootstrap marker
-                continue
-            if not ok:
-                self._broken = True
-                raise ProcessPoolError(
-                    f"kernel failed in worker pid {meta[0]}:\n{payload}"
-                )
-            out[seq - base] = (payload, meta)
-            got += 1
-        return out
-
-    def shutdown(self) -> None:
-        """Stop and join every worker (idempotent; terminates stragglers)."""
-        if self._closed:
-            return
-        self._closed = True
-        if not self._started:
-            return
-        stop_worker_processes(self._procs, [self._tasks], [self._results])
-        self._procs = []
-
-    def __enter__(self) -> "ProcessPool":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.shutdown()
-
-    def __del__(self):  # pragma: no cover - GC backstop
-        try:
-            self.shutdown()
-        except Exception:
-            pass
-
-
-def process_batch_shards(
-    algorithm,
-    shards: "list[list]",
-    ppool: ProcessPool,
-    arena: ShmArena,
-    tracer=NULL_TRACER,
-) -> list:
-    """Run one batch's shards on worker processes; partials in shard order.
-
-    The engine-side half of the process backend's data-placement
-    contract: freeze the algorithm's kernel state and each shard's
-    concatenated edge arrays into the arena (one copy), ship descriptors,
-    and collect partials.  The shard structure comes from the same
-    :meth:`batch_shards` the thread backend uses and partials are applied
-    in the same shard order, so results are bit-identical across
-    ``serial``/``thread``/``process`` at any worker count.
-    """
-    from repro.format.tiles import concat_global_edges
-
-    cls = type(algorithm)
-    params = algorithm.kernel_params()
-    state = algorithm.kernel_state()
-    edge_pairs = [concat_global_edges(shard) for shard in shards]
-    arrays = list(state.values())
-    for gs, gd in edge_pairs:
-        arrays.append(gs)
-        arrays.append(gd)
-    arena.reserve(ShmArena.layout_bytes(arrays))
-    state_desc = {k: arena.put(v) for k, v in state.items()}
-    tasks = [
-        KernelTask(
-            module=cls.__module__,
-            qualname=cls.__qualname__,
-            params=params,
-            state=state_desc,
-            gsrc=arena.put(gs),
-            gdst=arena.put(gd),
-        )
-        for gs, gd in edge_pairs
-    ]
-    with tracer.span("process.dispatch", cat="process", shards=len(tasks)):
-        results = ppool.run_tasks(tasks)
-    if tracer.enabled:
-        reg = tracer.registry
-        reg.counter("process.shards").add(len(results))
-        for i, (_, (pid, t0, t1)) in enumerate(results):
-            reg.counter("process.kernel_seconds").add(t1 - t0)
-            # perf_counter is system-wide monotonic on Linux, so worker
-            # timestamps land correctly on the engine tracer's epoch —
-            # each worker process gets its own track in the trace view.
-            tracer.remote_span(
-                "kernel", track=f"repro-proc-{pid}", t0=t0, t1=t1,
-                cat="process", shard=i,
-            )
-    return [payload for payload, _ in results]
 
 
 class Prefetcher:
@@ -941,8 +607,7 @@ def row_run_shards(views: "Sequence[T]") -> "list[list[T]]":
     return shards
 
 
-#: Default shard ceiling for :func:`chunk_by_edges` — also the bound the
-#: engine uses when pre-sizing the shared-memory arena's alignment slack.
+#: Default shard ceiling for :func:`chunk_by_edges`.
 DEFAULT_MAX_SHARDS = 8
 
 
@@ -985,9 +650,6 @@ def execute_batch(
     fused: bool = True,
     workers: int = 1,
     pool: "WorkerPool | None" = None,
-    ppool: "ProcessPool | None" = None,
-    arena: "ShmArena | None" = None,
-    tracer=NULL_TRACER,
 ) -> int:
     """Run one batch of tile views through an algorithm.
 
@@ -995,15 +657,12 @@ def execute_batch(
     through :meth:`TileAlgorithm.process_batch`.  With ``workers > 1`` and
     a fused-capable algorithm, the read-only partial phase is sharded by
     the algorithm's :meth:`batch_shards` and distributed over a dynamic
-    thread pool (``pool`` when given, else a transient one) — or, when
-    ``ppool``/``arena`` are given and the algorithm supports the process
-    kernel contract, over worker *processes* via shared memory (true
-    multicore parallelism, no GIL).  Partials are committed serially in
-    shard order either way.  Because the shard structure is
-    worker-independent and the serial :meth:`process_batch` walks the
-    *same* shards, results are bit-identical at any worker count and on
-    every backend — a deterministic merge with OpenMP
-    ``schedule(dynamic)`` balance (§VI-B).
+    thread pool (``pool`` when given, else a transient one), and the
+    partials are committed serially in shard order.  Because the shard
+    structure is worker-independent and the serial :meth:`process_batch`
+    walks the *same* shards, results are bit-identical at any worker
+    count — a deterministic merge with OpenMP ``schedule(dynamic)``
+    balance (§VI-B).
     """
     if not views:
         return 0
@@ -1015,18 +674,8 @@ def execute_batch(
     if workers > 1 and algorithm.supports_fused and len(views) > 1:
         shards = algorithm.batch_shards(views)
         if len(shards) > 1:
-            if (
-                ppool is not None
-                and arena is not None
-                and algorithm.supports_process
-            ):
-                partials = process_batch_shards(
-                    algorithm, shards, ppool, arena, tracer=tracer
-                )
-            else:
-                partials = dynamic_row_map(
-                    algorithm.batch_partial, shards, workers=workers,
-                    pool=pool,
-                )
+            partials = dynamic_row_map(
+                algorithm.batch_partial, shards, workers=workers, pool=pool
+            )
             return sum(algorithm.apply_partial(p) for p in partials)
     return algorithm.process_batch(views)

@@ -2,8 +2,8 @@
 
 One :class:`HealthMonitor` sits between the engine's degradation flags
 and the service's admission decisions.  It condenses everything the
-reliability plane latches — backend fallback, shard fallback, exhausted
-storage retries, prefetch degradation — plus the service's own error
+reliability plane latches — shard fallback, exhausted storage retries,
+prefetch degradation — plus the service's own error
 stream into one of three states:
 
 * ``healthy``  — full admission.
@@ -112,8 +112,6 @@ class HealthMonitor:
     def _engine_reasons(self) -> "list[str]":
         eng = self._engine
         reasons = []
-        if getattr(eng, "backend_degraded", False):
-            reasons.append("backend_fallback")
         if getattr(eng, "shard_failed", False):
             reasons.append("shard_fallback")
         injector = getattr(eng, "injector", None)

@@ -14,7 +14,7 @@ Two contracts matter here:
   byte-identical payloads.
 * **Determinism** — :meth:`Query.run` returns a payload dict whose
   ndarray values are in a canonical order, so
-  :func:`payload_digest` is stable across runs, threads, and backends.
+  :func:`payload_digest` is stable across runs, threads, and shard counts.
   The load harness leans on this: every concurrent result is
   sha256-compared against its serial baseline.
 """

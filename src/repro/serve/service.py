@@ -155,7 +155,7 @@ class QueryService:
             )
         if state is HealthState.DEGRADED:
             # Load shedding: a degraded engine runs on a slower substrate
-            # (serial I/O, thread backend, no shards) — admit only half
+            # (serial I/O, no shards) — admit only half
             # the configured depth so queue time does not explode.
             with self._inflight_lock:
                 inflight = self._inflight

@@ -1,18 +1,17 @@
-"""Backend equivalence: serial / thread / process produce identical runs.
+"""Execution equivalence: worker counts, prefetch depths, and shard
+counts produce identical runs.
 
-The process backend's whole contract is that moving the fused partial
-phase into worker processes changes *nothing observable* except wall
-time: result arrays are sha256-identical, the simulated timeline and SCR
-cache stats match field for field, and no shared-memory segment or
-worker process outlives the engine — even when a worker is SIGKILLed
-mid-run (the engine degrades to the thread backend and recomputes).
+Parallelism changes *nothing observable* except wall time: over
+``workers`` in {1, 3} x prefetch depths {0, 2} (x selective on/off for
+the frontier algorithms) and over shard counts {2, 4}, result arrays are
+sha256-identical to the serial run, the simulated timeline and SCR cache
+stats match field for field, and no shared-memory segment or worker
+process outlives the engine.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import signal
 
 import numpy as np
 import pytest
@@ -38,10 +37,9 @@ ALGOS = {
     "kcore": lambda: KCore(k=4),
 }
 
-#: (backend, workers) grid: thread gets 3 workers and process 2 so the
-#: two parallel backends also cross-check at *different* worker counts —
-#: the shard structure (and so the result) must not care.
-BACKENDS = [("serial", 1), ("thread", 3), ("process", 2)]
+#: Worker counts: the serial walk and the thread pool — the shard
+#: structure (and so the result) must not care.
+WORKERS = [1, 3]
 
 DEPTHS = [0, 2]
 
@@ -52,10 +50,7 @@ def graph() -> TiledGraph:
     return TiledGraph.from_edge_list(el, tile_bits=6, group_q=4)
 
 
-def _run(
-    tg, factory, backend, workers,
-    depth=2, trace=False, selective=True, shards=None,
-):
+def _run(tg, factory, workers, depth=2, selective=True, shards=None):
     # Tiny budget: several slide batches per iteration plus cache
     # pressure, so rewind, evictions, and multi-batch dispatch all run.
     # shards=None resolves through REPRO_SHARDS, so the equivalence
@@ -63,18 +58,15 @@ def _run(
     cfg = EngineConfig(
         memory_bytes=24 * 1024,
         segment_bytes=4 * 1024,
-        backend=backend,
         workers=workers,
         prefetch_depth=depth,
-        trace=trace,
         selective=selective,
         shards=shards,
     )
     with GStoreEngine(tg, cfg) as engine:
         algo = factory()
         stats = engine.run(algo)
-        live = engine.backend_resolved
-    return algo.result().copy(), stats, live
+    return algo.result().copy(), stats
 
 
 def _sha(arr: np.ndarray) -> str:
@@ -83,19 +75,16 @@ def _sha(arr: np.ndarray) -> str:
 
 @pytest.mark.parametrize("name", sorted(ALGOS))
 def test_backend_equivalence(graph, name):
-    """Results and the full observable run are identical on every backend
-    at every prefetch depth — sha256 on the result bytes, so 'identical'
+    """Results and the full observable run are identical at every worker
+    count and prefetch depth — sha256 on the result bytes, so 'identical'
     means bit-identical, not approximately equal."""
     factory = ALGOS[name]
-    ref_result, ref_stats, _ = _run(graph, factory, "serial", 1, depth=0)
+    ref_result, ref_stats = _run(graph, factory, 1, depth=0)
     ref_hash = _sha(ref_result)
-    for backend, workers in BACKENDS:
+    for workers in WORKERS:
         for depth in DEPTHS:
-            result, stats, live = _run(
-                graph, factory, backend, workers, depth=depth
-            )
-            assert live == backend, (name, backend, depth)
-            assert _sha(result) == ref_hash, (name, backend, depth)
+            result, stats = _run(graph, factory, workers, depth=depth)
+            assert _sha(result) == ref_hash, (name, workers, depth)
             assert stats.edges_processed == ref_stats.edges_processed
             assert len(stats.iterations) == len(ref_stats.iterations)
             assert stats.sim_elapsed == pytest.approx(ref_stats.sim_elapsed)
@@ -103,9 +92,7 @@ def test_backend_equivalence(graph, name):
             assert stats.bytes_read == ref_stats.bytes_read
             assert stats.tiles_fetched == ref_stats.tiles_fetched
             assert stats.extra["scr"] == ref_stats.extra["scr"]
-            ex = stats.extra["execution"]
-            assert ex["backend"] == backend
-            assert ex["backend_resolved"] == backend
+            assert stats.extra["execution"]["workers_resolved"] == workers
     assert not LIVE_SHM_SEGMENTS
 
 
@@ -125,16 +112,14 @@ FRONTIER_ALGOS = {
 @pytest.mark.parametrize("name", sorted(FRONTIER_ALGOS))
 def test_selective_matrix(graph, name):
     """Selective execution is an I/O optimisation, never a semantic one:
-    for every frontier algorithm, {selective on, off} x all three
-    backends x prefetch depths 0/2 produce sha256-identical results, and
-    within each mode the full simulated run (timeline, bytes, SCR stats)
-    is identical on every backend at every depth."""
+    for every frontier algorithm, {selective on, off} x workers 1/3 x
+    prefetch depths 0/2 produce sha256-identical results, and within each
+    mode the full simulated run (timeline, bytes, SCR stats) is identical
+    at every worker count and depth."""
     factory = FRONTIER_ALGOS[name]
     mode_ref = {}
     for selective in (False, True):
-        result, stats, _ = _run(
-            graph, factory, "serial", 1, depth=0, selective=selective
-        )
+        result, stats = _run(graph, factory, 1, depth=0, selective=selective)
         mode_ref[selective] = (_sha(result), stats)
     # Cross-mode: skipping inactive tiles changes no result bit.
     assert mode_ref[True][0] == mode_ref[False][0], name
@@ -152,14 +137,12 @@ def test_selective_matrix(graph, name):
     )
     for selective in (False, True):
         ref_hash, ref_stats = mode_ref[selective]
-        for backend, workers in BACKENDS:
+        for workers in WORKERS:
             for depth in DEPTHS:
-                result, stats, live = _run(
-                    graph, factory, backend, workers,
-                    depth=depth, selective=selective,
+                result, stats = _run(
+                    graph, factory, workers, depth=depth, selective=selective
                 )
-                key = (name, selective, backend, depth)
-                assert live == backend, key
+                key = (name, selective, workers, depth)
                 assert _sha(result) == ref_hash, key
                 assert stats.edges_processed == ref_stats.edges_processed, key
                 assert len(stats.iterations) == len(ref_stats.iterations)
@@ -176,124 +159,17 @@ def test_selective_matrix(graph, name):
     assert not LIVE_SHM_SEGMENTS
 
 
-def test_process_backend_records_counters(graph):
-    """A traced process run exposes the backend gauge, shm traffic, and
-    per-worker kernel spans.  Pinned to shards=1: this test asserts the
-    process *backend*'s internals, which shard mode bypasses."""
-    _, stats, live = _run(
-        graph, ALGOS["pagerank"], "process", 2, trace=True, shards=1
-    )
-    assert live == "process"
-    counters = stats.extra["counters"]
-    assert counters["engine.backend"] == 2  # BACKEND_CODES["process"]
-    assert counters["process.shards"] > 0
-    assert counters["shm.bytes_written"] > 0
-    assert counters["shm.segments"] >= 1
-    assert counters["process.kernel_seconds"] > 0
-    assert not LIVE_SHM_SEGMENTS
-
-
-def test_serial_backend_ignores_workers(graph):
-    """backend='serial' is the debugging walk: workers>1 notwithstanding,
-    kernels run on the engine thread with no pools."""
-    cfg = EngineConfig(
-        memory_bytes=24 * 1024, segment_bytes=4 * 1024,
-        backend="serial", workers=4,
-    )
-    with GStoreEngine(graph, cfg) as engine:
-        assert engine.kernel_workers == 1
-        algo = ALGOS["bfs"]()
-        engine.run(algo)
-        assert engine._ppool is None
-
-
-def test_env_default_backend(graph, monkeypatch):
-    """backend=None resolves through REPRO_BACKEND — how CI runs the
-    whole suite under the process backend without touching any test."""
-    monkeypatch.setenv("REPRO_BACKEND", "serial")
-    cfg = EngineConfig(memory_bytes=24 * 1024, segment_bytes=4 * 1024)
-    with GStoreEngine(graph, cfg) as engine:
-        assert engine.backend == "serial"
-    monkeypatch.setenv("REPRO_BACKEND", "nonsense")
-    with pytest.raises(ValueError):
-        GStoreEngine(graph, cfg)
-
-
-def test_config_rejects_unknown_backend():
-    with pytest.raises(StorageError):
-        EngineConfig(backend="gpu")
-
-
-def test_fallback_when_shared_memory_unavailable(graph, monkeypatch):
-    """No /dev/shm (or a sandboxed container): the engine degrades to the
-    thread backend at pool creation and the run still matches serial."""
-
-    def no_shm(*a, **k):
-        raise OSError("shared memory unavailable")
-
-    monkeypatch.setattr(
-        "multiprocessing.shared_memory.SharedMemory", no_shm
-    )
-    ref_result, _, _ = _run(graph, ALGOS["bfs"], "serial", 1)
-    result, stats, live = _run(graph, ALGOS["bfs"], "process", 2)
-    assert live == "thread"
-    assert np.array_equal(result, ref_result)
-    ex = stats.extra["execution"]
-    assert ex["backend"] == "process"
-    assert ex["backend_resolved"] == "thread"
-    assert not LIVE_SHM_SEGMENTS
-
-
-def test_worker_crash_degrades_and_stays_correct(graph):
-    """SIGKILL every worker process mid-engine: the next batch raises
-    inside the pool, the engine recomputes it on threads, and the final
-    result is still bit-identical — with nothing leaked.  Pinned to
-    shards=1 so the batches actually flow through the process pool."""
-    ref_result, _, _ = _run(graph, ALGOS["pagerank"], "serial", 1, shards=1)
-    cfg = EngineConfig(
-        memory_bytes=24 * 1024, segment_bytes=4 * 1024,
-        backend="process", workers=2, shards=1,
-    )
-    with GStoreEngine(graph, cfg) as engine:
-        assert engine.warm_backend() == "process"
-        for proc in engine._ppool.processes:
-            os.kill(proc.pid, signal.SIGKILL)
-        algo = ALGOS["pagerank"]()
-        stats = engine.run(algo)
-        assert engine.backend_resolved == "thread"
-        assert engine._ppool is None  # torn down by the fallback
-        assert stats.extra["execution"]["backend_resolved"] == "thread"
-        assert np.array_equal(algo.result(), ref_result)
-    assert not LIVE_SHM_SEGMENTS
-
-
-def test_close_tears_down_process_runtime(graph):
-    cfg = EngineConfig(
-        memory_bytes=24 * 1024, segment_bytes=4 * 1024,
-        backend="process", workers=2, shards=1,
-    )
-    engine = GStoreEngine(graph, cfg)
-    assert engine.warm_backend() == "process"
-    procs = engine._ppool.processes
-    assert procs and all(p.is_alive() for p in procs)
-    assert LIVE_SHM_SEGMENTS  # arena is live while the engine is
-    engine.close()
-    assert engine._ppool is None and engine._arena is None
-    assert not any(p.is_alive() for p in procs)
-    assert not LIVE_SHM_SEGMENTS
-    engine.close()  # idempotent
-
-
 # --------------------------------------------------------------------- #
 # Shard-parallel execution (coordinator + persistent shard workers)
 # --------------------------------------------------------------------- #
 
-#: The shard-capable algorithm set: fused + process-kernel contract.
-#: BFS runs direction-optimised — the push/pull switch must survive
-#: having its batches computed on worker snapshots.
+#: The shard-capable algorithm set: every fused algorithm.  BFS runs
+#: direction-optimised — the push/pull switch must survive having its
+#: batches computed on worker snapshots.
 SHARD_ALGOS = {
     "bfs": lambda: BFS(root=0, direction_optimizing=True),
     "pagerank": lambda: PageRank(max_iterations=15, tolerance=1e-10),
+    "spmv": lambda: SpMV(iterations=3),
     "cc": lambda: ConnectedComponents(),
     "kcore": lambda: KCore(k=4),
 }
@@ -305,20 +181,18 @@ def test_shard_matrix(graph, selective):
     for every shard-capable algorithm, shards {2, 4} x selective {on, off}
     are sha256-identical to the single-process serial run, with the full
     simulated timeline and SCR stats matching field for field.  One
-    engine per shard count is reused across all four algorithms — the
+    engine per shard count is reused across all five algorithms — the
     persistent workers serve heterogeneous kernels back to back."""
     refs = {}
     for name, factory in SHARD_ALGOS.items():
-        result, stats, _ = _run(
-            graph, factory, "serial", 1,
-            depth=0, selective=selective, shards=1,
+        result, stats = _run(
+            graph, factory, 1, depth=0, selective=selective, shards=1
         )
         refs[name] = (_sha(result), stats)
     for shards in (2, 4):
         cfg = EngineConfig(
             memory_bytes=24 * 1024,
             segment_bytes=4 * 1024,
-            backend="serial",
             workers=1,
             prefetch_depth=2,
             selective=selective,
@@ -352,7 +226,7 @@ def test_shard_counters_and_worker_tracks(graph):
     worker's batch spans on its own trace track."""
     cfg = EngineConfig(
         memory_bytes=24 * 1024, segment_bytes=4 * 1024,
-        backend="serial", workers=1, shards=2, trace=True,
+        workers=1, shards=2, trace=True,
     )
     with GStoreEngine(graph, cfg) as engine:
         algo = SHARD_ALGOS["pagerank"]()
@@ -372,11 +246,11 @@ def test_shard_counters_and_worker_tracks(graph):
 
 
 def test_shard_gating_unsupported_algorithm(graph):
-    """An algorithm without the process-kernel contract (SSSP) silently
-    runs single-process even when shards are configured."""
+    """An algorithm without fused kernels (SSSP) silently runs
+    single-process even when shards are configured."""
     factory = lambda: SSSP(root=0)  # noqa: E731
-    ref_result, _, _ = _run(graph, factory, "serial", 1, shards=1)
-    result, stats, _ = _run(graph, factory, "serial", 1, shards=2)
+    ref_result, _ = _run(graph, factory, 1, shards=1)
+    result, stats = _run(graph, factory, 1, shards=2)
     assert np.array_equal(result, ref_result)
     ex = stats.extra["execution"]
     assert ex["shards"] == 2
@@ -408,11 +282,11 @@ def test_shard_fallback_when_shared_memory_unavailable(graph, monkeypatch):
     def no_shm(*a, **k):
         raise OSError("shared memory unavailable")
 
-    ref_result, _, _ = _run(graph, SHARD_ALGOS["bfs"], "serial", 1, shards=1)
+    ref_result, _ = _run(graph, SHARD_ALGOS["bfs"], 1, shards=1)
     monkeypatch.setattr(
         "multiprocessing.shared_memory.SharedMemory", no_shm
     )
-    result, stats, _ = _run(graph, SHARD_ALGOS["bfs"], "serial", 1, shards=2)
+    result, stats = _run(graph, SHARD_ALGOS["bfs"], 1, shards=2)
     assert np.array_equal(result, ref_result)
     ex = stats.extra["execution"]
     assert ex["shards"] == 2
@@ -423,7 +297,7 @@ def test_shard_fallback_when_shared_memory_unavailable(graph, monkeypatch):
 def test_close_tears_down_shard_runtime(graph):
     cfg = EngineConfig(
         memory_bytes=24 * 1024, segment_bytes=4 * 1024,
-        backend="serial", workers=1, shards=2,
+        workers=1, shards=2,
     )
     engine = GStoreEngine(graph, cfg)
     engine.warm_backend()

@@ -125,9 +125,28 @@ class TestEngineReentrancy:
         stats = engine.run(BFS(root=0), context=engine.query_context())
         execution = stats.extra["execution"]
         assert execution["private_context"] is True
-        assert execution["backend_resolved"] == "serial"
         assert execution["workers_resolved"] == 1
         assert execution["shards_resolved"] == 1
+
+    def test_private_run_spawns_no_engine_threads(self, graph):
+        """A private run that both rewinds and slides decodes on the
+        calling thread: the engine's shared worker pool is never created
+        (the ``query_context`` contract — kernels and decode inline)."""
+        cfg = EngineConfig(memory_bytes=10 * 1024, segment_bytes=2 * 1024)
+        with GStoreEngine(graph, cfg) as eng:
+            stats = eng.run(
+                PageRank(max_iterations=3, tolerance=0.0),
+                context=eng.query_context(),
+            )
+            assert any(
+                it.tiles_from_cache and it.tiles_fetched
+                for it in stats.iterations
+            )
+            assert eng._pool is None
+            assert not any(
+                t.name.startswith("repro-worker")
+                for t in threading.enumerate()
+            )
 
     def test_private_context_rejects_fault_injection(self, graph):
         from repro.faults import FaultPlan

@@ -1,8 +1,7 @@
 """Unit tests for the dynamic row scheduler, the persistent worker pool,
-the bounded prefetcher, and the process backend's shared-memory plane."""
+the bounded prefetcher, and the shard scatter's shared-memory plane."""
 
 import os
-import signal
 import threading
 import time
 
@@ -15,20 +14,15 @@ from repro.runtime.threads import (
     DEFAULT_MAX_SHARDS,
     LIVE_SHM_SEGMENTS,
     PREFETCH_THREAD_NAME,
-    KernelTask,
     Prefetcher,
-    ProcessPool,
-    ProcessPoolError,
     ShmArena,
     WorkerPool,
     attach_view,
     available_cpus,
     chunk_by_edges,
-    default_backend,
     default_workers,
     dynamic_row_map,
     execution_fingerprint,
-    resolve_backend,
     resolve_workers,
     row_run_shards,
 )
@@ -96,6 +90,17 @@ class TestResolveWorkers:
                 del os.environ["REPRO_WORKERS"]
             else:
                 os.environ["REPRO_WORKERS"] = old
+
+    def test_available_cpus_positive(self):
+        cpus = available_cpus()
+        assert 1 <= cpus <= (os.cpu_count() or 1)
+
+    def test_fingerprint_fields(self):
+        fp = execution_fingerprint(workers=2, shards=3)
+        assert fp["workers_resolved"] == 2
+        assert fp["shards_resolved"] == 3
+        assert fp["cpus_available"] == available_cpus()
+        assert fp["cpus_logical"] == (os.cpu_count() or 1)
 
 
 class TestWorkerPool:
@@ -201,45 +206,6 @@ class TestPrefetcher:
 
 
 # ---------------------------------------------------------------------- #
-# Backend resolution and the execution fingerprint
-# ---------------------------------------------------------------------- #
-
-
-class TestBackendResolution:
-    def test_explicit_passthrough(self):
-        for b in ("serial", "thread", "process"):
-            assert resolve_backend(b) == b
-
-    def test_none_uses_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert default_backend() == "process"
-        assert resolve_backend(None) == "process"
-        assert resolve_backend("auto") == "process"
-
-    def test_default_is_thread(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend(None) == "thread"
-
-    def test_rejects_bad_values(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_backend("gpu")
-        monkeypatch.setenv("REPRO_BACKEND", "quantum")
-        with pytest.raises(ValueError):
-            resolve_backend(None)
-
-    def test_available_cpus_positive(self):
-        cpus = available_cpus()
-        assert 1 <= cpus <= (os.cpu_count() or 1)
-
-    def test_fingerprint_fields(self):
-        fp = execution_fingerprint(workers=2, backend="process")
-        assert fp["workers_resolved"] == 2
-        assert fp["backend_resolved"] == "process"
-        assert fp["cpus_available"] == available_cpus()
-        assert fp["cpus_logical"] == (os.cpu_count() or 1)
-
-
-# ---------------------------------------------------------------------- #
 # Shard-structure invariants (property-based)
 # ---------------------------------------------------------------------- #
 
@@ -267,7 +233,7 @@ def view_batches(draw):
 
 
 class TestShardInvariants:
-    """The properties the parallel backends' determinism rests on: shards
+    """The properties parallel execution's determinism rests on: shards
     concatenate back to the original batch order, respect the shard
     ceiling, and are edge-balanced — independent of any worker count."""
 
@@ -389,110 +355,3 @@ class TestShmArena:
         with ShmArena() as arena:
             with pytest.raises(RuntimeError, match="reserve"):
                 arena.put(np.arange(4))
-
-
-# ---------------------------------------------------------------------- #
-# Process pool (spawn-heavy: kept to a few tests, small worker counts)
-# ---------------------------------------------------------------------- #
-
-
-def _bfs_tasks(arena: ShmArena, shard_sizes) -> "tuple[list, list]":
-    """KernelTasks running the real BFS kernel, plus expected partials."""
-    from repro.algorithms.bfs import BFS
-    from repro.types import INF_DEPTH
-
-    rng = np.random.default_rng(11)
-    n = 64
-    depth = np.full(n, INF_DEPTH, dtype=np.uint32)
-    depth[:8] = 0
-    params = {"level": 0, "symmetric": False}
-    shards = [
-        (
-            rng.integers(0, n, size).astype(np.uint32),
-            rng.integers(0, n, size).astype(np.uint32),
-        )
-        for size in shard_sizes
-    ]
-    arrays = [depth] + [a for pair in shards for a in pair]
-    arena.reserve(ShmArena.layout_bytes(arrays))
-    state_desc = {"depth": arena.put(depth)}
-    tasks = [
-        KernelTask(
-            module="repro.algorithms.bfs",
-            qualname="BFS",
-            params=params,
-            state=state_desc,
-            gsrc=arena.put(gs),
-            gdst=arena.put(gd),
-        )
-        for gs, gd in shards
-    ]
-    expected = [
-        BFS.kernel_partial({"depth": depth}, params, gs, gd)
-        for gs, gd in shards
-    ]
-    return tasks, expected
-
-
-class TestProcessPool:
-    def test_runs_kernels_in_task_order(self):
-        with ShmArena() as arena, ProcessPool(workers=2) as pool:
-            tasks, expected = _bfs_tasks(arena, [200, 17, 333, 1])
-            results = pool.run_tasks(tasks)
-            assert len(results) == len(tasks)
-            for (got, meta), want in zip(results, expected):
-                np.testing.assert_array_equal(got[0], want[0])
-                assert got[1] is None and want[1] is None
-                assert got[2] == want[2]
-                pid, t0, t1 = meta
-                assert t1 >= t0
-            # Reuse: a second round on the same (warm) pool.
-            tasks2, expected2 = _bfs_tasks(arena, [50, 50])
-            for (got, _), want in zip(pool.run_tasks(tasks2), expected2):
-                np.testing.assert_array_equal(got[0], want[0])
-        assert not LIVE_SHM_SEGMENTS
-
-    def test_kernel_error_embeds_traceback(self):
-        with ShmArena() as arena, ProcessPool(workers=1) as pool:
-            tasks, _ = _bfs_tasks(arena, [10])
-            bad = KernelTask(
-                module="repro.algorithms.bfs",
-                qualname="NoSuchAlgorithm",
-                params={},
-                state={},
-                gsrc=tasks[0].gsrc,
-                gdst=tasks[0].gdst,
-            )
-            with pytest.raises(ProcessPoolError, match="AttributeError"):
-                pool.run_tasks([bad])
-            assert pool.broken
-        assert not LIVE_SHM_SEGMENTS
-
-    def test_worker_crash_detected_and_nothing_leaks(self):
-        """SIGKILLing a worker mid-wait surfaces ProcessPoolError, and
-        shutdown + arena close leave no process and no shm segment."""
-        arena = ShmArena()
-        pool = ProcessPool(workers=1)
-        try:
-            pool.start()
-            tasks, _ = _bfs_tasks(arena, [10])
-            os.kill(pool.processes[0].pid, signal.SIGKILL)
-            with pytest.raises(ProcessPoolError, match="died"):
-                pool.run_tasks(tasks)
-            assert pool.broken
-        finally:
-            pool.shutdown()
-            arena.close()
-        assert not any(p.is_alive() for p in pool.processes)
-        assert not LIVE_SHM_SEGMENTS
-
-    def test_shutdown_idempotent(self):
-        pool = ProcessPool(workers=1)
-        pool.shutdown()  # never started
-        pool.shutdown()
-        with pytest.raises(RuntimeError):
-            pool.run_tasks([])
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            ProcessPool(workers=0)
