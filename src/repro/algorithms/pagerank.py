@@ -28,18 +28,63 @@ FLOAT_SHARD_QUANTUM = 8
 
 
 def scatter_sums(
-    indices: np.ndarray, values: np.ndarray, n: int
-) -> np.ndarray:
-    """Dense per-vertex sums ``out[v] = sum(values[indices == v])``, fused.
+    x: np.ndarray, gsrc: np.ndarray, gdst: np.ndarray, symmetric: bool
+) -> "list[tuple[int, np.ndarray]]":
+    """A shard's ``y[dst] += x[src]`` as windowed per-vertex sums.
 
-    One ``np.bincount`` over the concatenated batch replaces thousands of
-    per-tile bincounts — the "one gather, one scatter per batch" kernel
-    shape.  Accumulation order is the edge order of ``indices``, which is
+    Returns ``(lo, sums)`` windows with ``sums[v - lo]`` the total
+    arriving at vertex ``v``, covering only the ``[min, max]`` vertex range
+    the shard's edges touch — cost proportional to the shard's edges and
+    vertex span, not to |V|, which is also all a shard worker pickles
+    back.  One ``np.bincount`` over the concatenated batch replaces
+    thousands of per-tile bincounts (the "one gather, one scatter per
+    batch" kernel shape); accumulation order is the edge order, which is
     deterministic for a fixed shard structure.
+
+    On symmetric storage the mirrored ``y[src] += x[dst]`` is included:
+    where the destination and source windows overlap both are summed over
+    their hull (element for element what adding two dense |V|-vectors
+    computes); where they are disjoint they stay two windows, each element
+    still receiving its one sum.  :func:`add_windows` commits the result,
+    bit-identical to adding a dense partial: every vertex outside the
+    windows would only have had ``0.0`` added to it.
     """
-    return np.bincount(
-        indices.astype(np.int64), weights=values, minlength=n
-    )
+    if gsrc.shape[0] == 0:
+        return []
+    # One widening per endpoint array serves both the gather and the
+    # scatter (fancy-indexing with the stored 32-bit IDs is ~3x slower).
+    src = gsrc.astype(np.int64)
+    dst = gdst.astype(np.int64)
+    vals = x[src]
+    lo, hi = int(dst.min()), int(dst.max()) + 1
+    if not symmetric:
+        dst -= lo
+        return [(lo, np.bincount(dst, weights=vals))]
+    # The stored upper triangle carries the mirrored edge too.
+    vals2 = x[dst]
+    lo2, hi2 = int(src.min()), int(src.max()) + 1
+    if hi <= lo2 or hi2 <= lo:
+        dst -= lo
+        src -= lo2
+        return [
+            (lo, np.bincount(dst, weights=vals)),
+            (lo2, np.bincount(src, weights=vals2)),
+        ]
+    base = min(lo, lo2)
+    span = max(hi, hi2) - base
+    dst -= base
+    src -= base
+    part = np.bincount(dst, weights=vals, minlength=span)
+    part += np.bincount(src, weights=vals2, minlength=span)
+    return [(base, part)]
+
+
+def add_windows(
+    acc: np.ndarray, windows: "list[tuple[int, np.ndarray]]"
+) -> None:
+    """Commit :func:`scatter_sums` windows into the dense accumulator."""
+    for lo, part in windows:
+        acc[lo : lo + part.shape[0]] += part
 
 
 class PageRank(TileAlgorithm):
@@ -140,8 +185,8 @@ class PageRank(TileAlgorithm):
 
     @classmethod
     def shard_views(cls, views):
-        # Each partial is a dense |V|-vector, so the shard count must stay
-        # small and fixed — a worker-independent quantum keeps accumulation
+        # Float partials are summed in shard order, so the shard count must
+        # stay fixed — a worker-independent quantum keeps accumulation
         # order (and hence results) identical at any parallelism.
         return chunk_by_edges(views, FLOAT_SHARD_QUANTUM)
 
@@ -149,7 +194,7 @@ class PageRank(TileAlgorithm):
         return {"contrib": self._contrib}
 
     def kernel_params(self):
-        return {"n": self._graph().n_vertices, "symmetric": self.symmetric}
+        return {"symmetric": self.symmetric}
 
     @staticmethod
     def kernel_partial(state, params, gsrc, gdst):
@@ -157,14 +202,11 @@ class PageRank(TileAlgorithm):
 
         ``contrib`` is frozen for the iteration, so this is safe to run
         concurrently with other shards — threads or worker processes; the
-        partial is a fresh dense |V|-vector either way."""
-        contrib = state["contrib"]
-        n = params["n"]
-        part = scatter_sums(gdst, contrib[gsrc], n)
-        if params["symmetric"]:
-            # The stored upper triangle carries the mirrored edge too.
-            part += scatter_sums(gsrc, contrib[gdst], n)
-        return part, int(gsrc.shape[0])
+        partial covers only the shard's vertex window(s)."""
+        windows = scatter_sums(
+            state["contrib"], gsrc, gdst, params["symmetric"]
+        )
+        return windows, int(gsrc.shape[0])
 
     def batch_partial(self, views):
         gsrc, gdst = concat_global_edges(views)
@@ -173,8 +215,8 @@ class PageRank(TileAlgorithm):
         )
 
     def apply_partial(self, partial) -> int:
-        part, edges = partial
-        self._acc += part
+        windows, edges = partial
+        add_windows(self._acc, windows)
         return edges
 
     def end_iteration(self, iteration: int) -> bool:

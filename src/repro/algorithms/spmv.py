@@ -12,7 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
-from repro.algorithms.pagerank import FLOAT_SHARD_QUANTUM, scatter_sums
+from repro.algorithms.pagerank import (
+    FLOAT_SHARD_QUANTUM,
+    add_windows,
+    scatter_sums,
+)
 from repro.errors import AlgorithmError
 from repro.format.tiles import TileView, concat_global_edges
 from repro.runtime.threads import chunk_by_edges
@@ -78,25 +82,21 @@ class SpMV(TileAlgorithm):
 
     @classmethod
     def shard_views(cls, views):
-        # Dense |V|-vector partials: fixed, worker-independent shard quantum
-        # (see PageRank.shard_views).
+        # Float partials: fixed, worker-independent shard quantum (see
+        # PageRank.shard_views).
         return chunk_by_edges(views, FLOAT_SHARD_QUANTUM)
 
     def kernel_state(self):
         return {"x": self.x}
 
     def kernel_params(self):
-        return {"n": self._graph().n_vertices, "symmetric": self.symmetric}
+        return {"symmetric": self.symmetric}
 
     @staticmethod
     def kernel_partial(state, params, gsrc, gdst):
         """Read-only fused pass (``x`` is frozen within an iteration)."""
-        x = state["x"]
-        n = params["n"]
-        part = scatter_sums(gdst, x[gsrc], n)
-        if params["symmetric"]:
-            part += scatter_sums(gsrc, x[gdst], n)
-        return part, int(gsrc.shape[0])
+        windows = scatter_sums(state["x"], gsrc, gdst, params["symmetric"])
+        return windows, int(gsrc.shape[0])
 
     def batch_partial(self, views):
         gsrc, gdst = concat_global_edges(views)
@@ -105,8 +105,8 @@ class SpMV(TileAlgorithm):
         )
 
     def apply_partial(self, partial) -> int:
-        part, edges = partial
-        self.y += part
+        windows, edges = partial
+        add_windows(self.y, windows)
         return edges
 
     def end_iteration(self, iteration: int) -> bool:

@@ -44,6 +44,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import DeadlineError
 from repro.obs.trace import NULL_TRACER
 from repro.runtime.pipeline import WallOverlap
@@ -84,7 +86,7 @@ class RunContext:
     shard_active: bool = False
     # Memoized rewind batch: all-active algorithms rewind the same tile
     # set every iteration, so the merged run-level views are built once.
-    rewind_key: "list[int] | None" = None
+    rewind_key: "np.ndarray | None" = None
     rewind_merged: "list | None" = None
 
     def check_cancelled(self) -> None:

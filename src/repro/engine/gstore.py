@@ -94,20 +94,19 @@ _RUN_SPLIT = 8
 
 @dataclass
 class _Batch:
-    """One fetched segment: pool buffers plus the views compute consumes.
+    """One fetched segment: what the cache pool is offered plus the views
+    compute consumes.
 
-    ``views`` is run-level (one view per merged extent) on the fused path
-    and per-tile otherwise; ``buffers`` is always per-tile — the cache
-    pool's granularity (§V-B: tiles are the indivisible unit).
+    On the fused path ``views`` is run-level (one view per merged extent)
+    and ``tiles`` is the plan's ``int64`` position array, untouched — the
+    pool accounts by position, so nothing per-tile is built.  On the
+    per-tile path both are per-tile: ``tiles`` holds the
+    :class:`TileBuffer` of every view, which a later rewind reuses.
     """
 
-    buffers: "list[TileBuffer]"
+    tiles: "np.ndarray | list[TileBuffer]"
     views: list
     edges: int
-
-    @property
-    def n_tiles(self) -> int:
-        return len(self.buffers)
 
 
 @dataclass
@@ -116,18 +115,13 @@ class _ShardBatch:
 
     The worker already ran the read-only kernel phase; the engine thread
     applies the partials in chunk order (the same
-    ``shard_views``-defined order every other path uses), then rebuilds
-    the batch's pool buffers from its own store for the cache offer —
-    zero-copy slices of the immutable backing file, so no payload bytes
-    ever cross the worker queue.
+    ``shard_views``-defined order every other path uses), then offers the
+    batch's positions to the cache pool — membership is coordinator
+    state, and no payload bytes ever cross the worker pipe.
     """
 
-    positions: "list[int]"
+    tiles: np.ndarray
     partials: list
-
-    @property
-    def n_tiles(self) -> int:
-        return len(self.positions)
 
 
 @dataclass
@@ -220,10 +214,8 @@ class GStoreEngine:
         # plus its byte total.  Selective iterations measure what they
         # skipped against it; selective-off iterations fetch exactly it.
         self._dense_positions = dense_positions(graph)
-        se = graph.start_edge.start_edge
-        dp = self._dense_positions
-        self._dense_bytes = (
-            int((se[dp + 1] - se[dp]).sum()) * graph.start_edge.tuple_bytes
+        self._dense_bytes = int(
+            graph.start_edge.tile_bytes(self._dense_positions).sum()
         )
 
     # ------------------------------------------------------------------ #
@@ -440,11 +432,12 @@ class GStoreEngine:
                 total_bytes=cfg.memory_bytes, segment_bytes=cfg.segment_bytes
             )
             scr = SCRScheduler(
-                budget=budget, policy=cfg.cache_policy, tracer=ctx.tracer
+                budget=budget, policy=cfg.cache_policy, tracer=ctx.tracer,
+                start_edge=g.start_edge,
             )
             if resume_cached:
                 # Rebuild the cache pool the interrupted run had at this
-                # boundary: the buffers are zero-copy slices of the backing
+                # boundary: payloads are zero-copy slices of the backing
                 # store, so membership (not bytes) is all the checkpoint
                 # records.  Same pool => same rewind/slide batch structure
                 # => bit-identical float accumulation order on resume.
@@ -564,11 +557,7 @@ class GStoreEngine:
                 # Skip accounting against the fixed dense demand: what a
                 # fetch-everything iteration would have moved but this
                 # one's frontier ruled out.
-                se = g.start_edge.start_edge
-                needed_bytes = (
-                    int((se[needed + 1] - se[needed]).sum())
-                    * g.start_edge.tuple_bytes
-                ) if needed.size else 0
+                needed_bytes = int(g.start_edge.tile_bytes(needed).sum())
                 it.tiles_skipped = int(self._dense_positions.size - needed.size)
                 it.bytes_skipped = self._dense_bytes - needed_bytes
                 scr.note_skipped(it.tiles_skipped, it.bytes_skipped)
@@ -606,7 +595,7 @@ class GStoreEngine:
                 and not ctx.degraded
             ):
                 jobs = [
-                    (lambda b=batch: self._prepare(list(b), fused, ctx))
+                    (lambda b=batch: self._prepare(b, fused, ctx))
                     for batch in plan.batches
                 ]
                 prefetcher = Prefetcher(
@@ -616,13 +605,10 @@ class GStoreEngine:
             try:
                 # --- Rewind: consume the pool before any I/O (§VI-D). ---
                 if cached.size:
-                    rewound = scr.cached_buffers(cached)
                     # Decoded here on the engine thread; the prefetcher
                     # (or the shard workers) already fetch the first
                     # slide batches on their own threads meanwhile.
-                    views = self._rewind_views(
-                        algorithm, cached, rewound, ctx
-                    )
+                    views = self._rewind_views(algorithm, scr, cached, ctx)
                     tc0 = _time.perf_counter()
                     with tracer.span(
                         "compute", cat="compute", phase="rewind",
@@ -638,22 +624,15 @@ class GStoreEngine:
                     it.compute_time += t
                     it.tiles_from_cache += len(cached)
                     it.edges_processed += edges
-                    se = g.start_edge.start_edge
-                    pos_arr = np.asarray(cached, dtype=np.int64)
-                    it.bytes_from_cache += (
-                        int((se[pos_arr + 1] - se[pos_arr]).sum())
-                        * g.start_edge.tuple_bytes
+                    it.bytes_from_cache += int(
+                        g.start_edge.tile_bytes(cached).sum()
                     )
-                    # Rewound tiles stay pooled only if still useful;
-                    # re-offer.
-                    scr.offer(
-                        rewound,
-                        g.tile_rows,
-                        g.tile_cols,
-                        self._rows_active_next(algorithm),
-                        g.info.symmetric,
-                        self._cols_active_next(algorithm),
-                    )
+                    # Rewound tiles are resident already, so there is
+                    # nothing to offer.  The ones the next iteration no
+                    # longer needs are dropped where every stale resident
+                    # is: by the analysis a later offer runs when the pool
+                    # is under pressure, and by end_iteration's analysis
+                    # with the complete next frontier.
 
                 # --- Slide: overlapped fetch/compute over segment batches.
                 # Batch k computes on the engine thread while the
@@ -679,7 +658,7 @@ class GStoreEngine:
                                 sp = gather.get()
                                 prep = _Prepared(
                                     batch=_ShardBatch(
-                                        positions=list(plan.batches[k]),
+                                        tiles=plan.batches[k],
                                         partials=sp.partials,
                                     ),
                                     io_time=sp.io_time,
@@ -699,7 +678,7 @@ class GStoreEngine:
                                 self._teardown_shard_runtime()
                                 self._shard_fallback(ctx, "worker_died", exc)
                                 prep = self._prepare(
-                                    list(plan.batches[k]), fused, ctx
+                                    plan.batches[k], fused, ctx
                                 )
                         stall = _time.perf_counter() - tc1
                     elif prefetcher is not None:
@@ -727,11 +706,11 @@ class GStoreEngine:
                                     batch=k, error=str(exc),
                                 )
                                 prep = self._prepare(
-                                    list(plan.batches[k]), fused, ctx
+                                    plan.batches[k], fused, ctx
                                 )
                         stall = _time.perf_counter() - tc1
                     else:
-                        prep = self._prepare(list(plan.batches[k]), fused, ctx)
+                        prep = self._prepare(plan.batches[k], fused, ctx)
                         stall = prep.wall  # serial path: compute waits it out
                     ctx.wall_overlap.record_fetch(
                         prep.wall, stall,
@@ -742,7 +721,7 @@ class GStoreEngine:
                     it.io_time += prep.io_time
                     it.compute_time += comp_t
                     it.bytes_read += prep.bytes_read
-                    it.tiles_fetched += prep.batch.n_tiles
+                    it.tiles_fetched += len(prep.batch.tiles)
                     prev = prep
 
                 # Pipeline drain: the last fetched batch computes with no
@@ -809,7 +788,7 @@ class GStoreEngine:
     # ------------------------------------------------------------------ #
 
     def _prepare(
-        self, batch_positions: "list[int]", fused: bool, ctx: RunContext
+        self, batch_positions: np.ndarray, fused: bool, ctx: RunContext
     ) -> _Prepared:
         """Fetch + decode one slide batch (runs on the prefetch thread when
         prefetching, inline on the engine thread at depth 0).
@@ -825,7 +804,6 @@ class GStoreEngine:
         with tracer.span("prepare", cat="pipeline", tiles=len(batch_positions)):
             requests = merge_requests(batch_positions, g.start_edge)
             events, io_t = ctx.aio.service(requests)
-            buffers: "list[TileBuffer]" = []
             views: list = []
             edges = 0
             tb = g.start_edge.tuple_bytes
@@ -834,17 +812,19 @@ class GStoreEngine:
                 if fused:
                     # Batch-level decode: one widened global-ID buffer for
                     # the whole batch, one run-level view per extent — the
-                    # fused kernels concatenate everything anyway, so
-                    # per-tile decoding here would be pure overhead.
-                    views, tiles = g.decode_batch(
-                        [(ev.tag, ev.data) for ev in events]
+                    # fused kernels concatenate everything anyway, and the
+                    # pool accounts by position, so the only reason left to
+                    # cut the extents into tiles is to checksum them.
+                    tiles = batch_positions
+                    views, records = g.decode_batch(
+                        [(ev.tag, ev.data) for ev in events],
+                        with_tiles=verify,
                     )
                     views = g.split_run_views(views, _RUN_SPLIT)
-                    for pos, i, j, raw in tiles:
-                        if verify:
-                            self._verify_tile(pos, raw)
-                        buffers.append(TileBuffer(pos=pos, i=i, j=j, data=raw))
+                    for pos, _, _, raw in records:
+                        self._verify_tile(pos, raw)
                 else:
+                    tiles = []
                     for ev in events:
                         # One vectorised decode per merged extent: a single
                         # frombuffer + global-ID widening covers the whole
@@ -852,7 +832,7 @@ class GStoreEngine:
                         for tv, raw in g.decode_run(ev.tag, ev.data):
                             if verify:
                                 self._verify_tile(tv.pos, raw)
-                            buffers.append(
+                            tiles.append(
                                 TileBuffer(
                                     pos=tv.pos, i=tv.i, j=tv.j, data=raw,
                                     view=tv,
@@ -862,41 +842,27 @@ class GStoreEngine:
                 for ev in events:
                     edges += len(ev.data) // tb
         return _Prepared(
-            batch=_Batch(buffers=buffers, views=views, edges=edges),
+            batch=_Batch(tiles=tiles, views=views, edges=edges),
             io_time=io_t,
             bytes_read=sum(r.size for r in requests),
             wall=_time.perf_counter() - t0,
         )
 
-    def _tile_buffers(self, positions: "list[int]") -> "list[TileBuffer]":
-        """Per-tile pool buffers rebuilt straight off the backing store.
-
-        Zero-copy slices of the immutable tile file, charged no simulated
-        I/O — used where the bytes were already paid for elsewhere: cache
-        reseeding after checkpoint resume, and cache offers for batches
-        whose fetch happened on a shard worker's private store mapping.
-        """
-        g = self.graph
-        return [
-            TileBuffer(
-                pos=pos,
-                i=int(g.tile_rows[pos]),
-                j=int(g.tile_cols[pos]),
-                data=self.store.read(*g.start_edge.byte_extent(pos)),
-            )
-            for pos in positions
-        ]
-
     def _seed_pool(self, scr: SCRScheduler, positions: "list[int]") -> None:
         """Repopulate the cache pool from a checkpoint's membership list.
 
-        Reads come straight off the backing store with no simulated I/O —
-        the interrupted run already paid for these bytes, and re-charging
-        them would skew the resumed timeline for data that is by definition
-        cache-resident.
+        Residency is all there is to restore — no simulated I/O (the
+        interrupted run already paid for these bytes, and re-charging them
+        would skew the resumed timeline for data that is by definition
+        cache-resident) and no payload either: fused rewinds decode
+        straight off the backing store, and the per-tile rewind fills in a
+        buffer for a position that has none.  The recorded pool fitted
+        this budget; under a smaller one the leading tiles that fit stay.
         """
-        for buf in self._tile_buffers(positions):
-            scr.pool.add(buf)
+        pos = np.unique(np.asarray(positions, dtype=np.int64))
+        sizes = self.graph.start_edge.tile_bytes(pos)
+        fits = np.cumsum(sizes) <= scr.pool.free_bytes
+        scr.pool.admit(pos[fits], sizes[fits])
 
     def _verify_tile(self, pos: int, raw: "bytes | memoryview") -> None:
         """Checksum one fetched tile extent (on whichever thread decoded
@@ -929,13 +895,19 @@ class GStoreEngine:
             return algorithm.cols_active_next()
         return None
 
-    def _rewind_views(self, algorithm: TileAlgorithm, cached, rewound, ctx):
+    def _rewind_views(
+        self,
+        algorithm: TileAlgorithm,
+        scr: SCRScheduler,
+        cached: np.ndarray,
+        ctx: RunContext,
+    ):
         """Views for the rewind batch.
 
         Per-tile views are decoded lazily, once per pooled buffer.  On the
-        fused path the whole rewind set is additionally merged into a few
+        fused path the whole rewind set is instead merged into a few
         run-level views over one concatenated global-ID array — memoized on
-        the cached-position list (per run, on the context), so all-active
+        the cached-position array (per run, on the context), so all-active
         algorithms (which rewind an identical set every iteration) pay the
         merge exactly once.  The merged pieces concatenate back to the
         per-tile edge order, and their count is worker-independent, so the
@@ -944,8 +916,24 @@ class GStoreEngine:
         g = self.graph
         fused = self.config.fused and algorithm.supports_fused
         if not fused:
-            # Per-tile execution: decode pooled tiles lazily, once per
-            # buffer lifetime.
+            # Per-tile execution: every resident tile has the buffer its
+            # slide batch offered — except after a checkpoint resume, which
+            # seeds the pool from positions only; those read their payload
+            # straight off the backing store (already paid for).
+            pool = scr.pool
+            rewound = []
+            for pos in cached.tolist():
+                buf = pool.get(pos)
+                if buf is None:
+                    buf = TileBuffer(
+                        pos=pos,
+                        i=int(g.tile_rows[pos]),
+                        j=int(g.tile_cols[pos]),
+                        data=self.store.read(*g.start_edge.byte_extent(pos)),
+                    )
+                    pool.attach((buf,))
+                rewound.append(buf)
+            # Decode pooled tiles lazily, once per buffer lifetime.
             misses = [buf for buf in rewound if buf.view is None]
             if misses:
                 with ctx.tracer.span(
@@ -958,14 +946,15 @@ class GStoreEngine:
                     for buf, tv in zip(misses, decoded):
                         buf.view = tv
             return [buf.view for buf in rewound]
-        key = [int(p) for p in cached]
-        if key == ctx.rewind_key:
+        if ctx.rewind_key is not None and np.array_equal(
+            cached, ctx.rewind_key
+        ):
             return ctx.rewind_merged
-        # Fused path: the pooled buffers are zero-copy slices of the
-        # immutable tile store, so the rewind set can be re-merged into
-        # byte-adjacent extents and batch-decoded straight off the backing
-        # buffer — no per-tile views, no simulated I/O (the pool already
-        # paid for these bytes).
+        # Fused path: resident tiles are zero-copy slices of the immutable
+        # tile store, so the rewind set can be re-merged into byte-adjacent
+        # extents and batch-decoded straight off the backing buffer — no
+        # per-tile views, no simulated I/O (the pool already paid for
+        # these bytes).
         with ctx.tracer.span(
             "rewind.decode", cat="decode", tiles=len(cached)
         ):
@@ -975,7 +964,7 @@ class GStoreEngine:
                 with_tiles=False,
             )
             views = g.split_run_views(views, _RUN_SPLIT)
-        ctx.rewind_key = key
+        ctx.rewind_key = cached
         ctx.rewind_merged = views
         return views
 
@@ -1007,19 +996,15 @@ class GStoreEngine:
             # apply its partials here in chunk order — the same
             # shard_views-defined sequence every single-process path
             # commits in, which is what keeps float accumulation (and so
-            # results) bit-identical at any shard count.  Pool buffers are
-            # rebuilt from the coordinator's own store: cache membership
-            # is coordinator state, and the bytes are zero-copy.
+            # results) bit-identical at any shard count.
             edges = 0
             for partial in batch.partials:
                 edges += algorithm.apply_partial(partial)
-            buffers = self._tile_buffers(batch.positions)
         else:
             edges = self._execute_views(algorithm, batch.views, ctx)
-            buffers = batch.buffers
         it.edges_processed += edges
         scr.offer(
-            buffers,
+            batch.tiles,
             g.tile_rows,
             g.tile_cols,
             self._rows_active_next(algorithm),
@@ -1029,5 +1014,5 @@ class GStoreEngine:
         return self.config.cost_model.compute_time(
             algorithm.name,
             edges * algorithm.direction_passes,
-            len(buffers),
+            len(batch.tiles),
         )

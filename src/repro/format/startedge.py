@@ -65,6 +65,13 @@ class StartEdgeIndex:
         """Per-tile edge counts for all tiles (Figure 5 input)."""
         return np.diff(self.start_edge.astype(np.int64))
 
+    def tile_bytes(self, positions: np.ndarray) -> np.ndarray:
+        """On-disk byte size of every tile in ``positions``, as ``int64``."""
+        se = self.start_edge
+        return (se[positions + 1] - se[positions]).astype(
+            np.int64
+        ) * self.tuple_bytes
+
     def byte_extent(self, pos: int) -> tuple[int, int]:
         """``(offset, size)`` in bytes of tile ``pos`` within the data file."""
         tb = self.tuple_bytes

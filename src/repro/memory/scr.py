@@ -44,7 +44,9 @@ class SlidePlan:
     while batch ``k`` computes without changing any scheduling decision.
     """
 
-    batches: "tuple[tuple[int, ...], ...]"
+    #: One ``int64`` position array per batch — consecutive slices of the
+    #: iteration's fetch set, in disk order.
+    batches: "tuple[np.ndarray, ...]"
     batch_bytes: "tuple[int, ...]"
 
     @property
@@ -76,6 +78,39 @@ class SCRStats:
     bytes_skipped: int = 0
 
 
+def _admit_in_order(size: np.ndarray, free: int) -> np.ndarray:
+    """Which tiles the rule "admit it if it still fits" takes, in order.
+
+    Equivalent to walking ``size`` once with a running ``free`` — a tile
+    that does not fit is dropped and later, smaller ones are still tried —
+    but advances a whole admitted run per step (one ``searchsorted`` over
+    the cumulative sizes) and stops as soon as the space left is below
+    every remaining tile.
+    """
+    n = size.shape[0]
+    mask = np.zeros(n, dtype=bool)
+    if n == 0 or free < int(size.min()):
+        return mask
+    csum = size.cumsum()
+    k = 0  # next tile to decide
+    base = 0  # bytes of tiles [0, k), admitted or not
+    while k < n:
+        # Tiles [k, r) fit together in the space left.
+        r = int(csum.searchsorted(base + free, side="right"))
+        if r > k:
+            mask[k:r] = True
+            free -= int(csum[r - 1]) - base
+            if r == n:
+                break
+        # Tile r does not fit: skip to the next one that does.
+        fits = (size[r + 1:] <= free).nonzero()[0]
+        if fits.size == 0:
+            break
+        k = r + 1 + int(fits[0])
+        base = int(csum[k - 1])
+    return mask
+
+
 @dataclass
 class SCRScheduler:
     """Cache-pool bookkeeping for one engine run.
@@ -93,11 +128,16 @@ class SCRScheduler:
     #: Observability hook: proactive analysis runs under a ``scr.analyse``
     #: span and the ``scr.*`` counters mirror :class:`SCRStats`.
     tracer: object = NULL_TRACER
+    #: Where tile sizes come from when :meth:`offer` is handed bare
+    #: positions (the fused path); a sequence of :class:`TileBuffer`
+    #: carries its own sizes and needs none.
+    start_edge: "StartEdgeIndex | None" = None
 
     def __post_init__(self) -> None:
         if self.pool is None:
             cap = self.budget.pool_bytes if self.policy is CachePolicy.SCR else 0
-            self.pool = CachePool(capacity_bytes=cap)
+            n = self.start_edge.n_tiles if self.start_edge is not None else 0
+            self.pool = CachePool(capacity_bytes=cap, n_tiles=n)
 
     # ------------------------------------------------------------------ #
     # Rewind
@@ -118,14 +158,12 @@ class SCRScheduler:
         arr = np.asarray(needed_positions, dtype=np.int64)
         if self.policy is not CachePolicy.SCR or len(self.pool) == 0:
             return np.empty(0, dtype=np.int64), arr
-        mask = np.isin(arr, self.pool.position_array(), assume_unique=True)
+        self.pool.reserve(start_edge.n_tiles)
+        mask = self.pool.resident(arr)
         hit = arr[mask]
         to_fetch = arr[~mask]
         if hit.size:
-            se = start_edge.start_edge
-            hit_bytes = (
-                int((se[hit + 1] - se[hit]).sum()) * start_edge.tuple_bytes
-            )
+            hit_bytes = int(start_edge.tile_bytes(hit).sum())
             self.stats.cache_hits += int(hit.size)
             self.stats.bytes_from_cache += hit_bytes
             if self.tracer.enabled:
@@ -157,8 +195,9 @@ class SCRScheduler:
             raise KeyError(f"tile {pos} not cached")
         return buf
 
-    def cached_buffers(self, positions: "list[int]") -> "list[TileBuffer]":
-        """Resident buffers for an iteration's rewind set, one batch lookup."""
+    def cached_buffers(self, positions) -> "list[TileBuffer]":
+        """The per-tile path's payload buffers for a rewind set, one batch
+        lookup (KeyError for a position that was never offered with one)."""
         return self.pool.get_many(positions)
 
     # ------------------------------------------------------------------ #
@@ -182,34 +221,35 @@ class SCRScheduler:
         plan is returned *ahead of execution* so the prefetch pipeline can
         run arbitrarily far into it.
         """
-        batches: "list[tuple[int, ...]]" = []
-        sizes_out: "list[int]" = []
-        cur: "list[int]" = []
-        cur_bytes = 0
-        cap = self.budget.segment_bytes
         arr = np.asarray(positions, dtype=np.int64)
         if arr.size == 0:
             return SlidePlan(batches=(), batch_bytes=())
-        se = start_edge.start_edge
-        sizes = ((se[arr + 1] - se[arr]) * start_edge.tuple_bytes).tolist()
-        for pos, size in zip(arr.tolist(), sizes):
-            if cur and cur_bytes + size > cap:
-                batches.append(tuple(cur))
-                sizes_out.append(cur_bytes)
-                cur = []
-                cur_bytes = 0
-            cur.append(pos)
-            cur_bytes += size
-        if cur:
-            batches.append(tuple(cur))
-            sizes_out.append(cur_bytes)
-        return SlidePlan(batches=tuple(batches), batch_bytes=tuple(sizes_out))
+        cap = self.budget.segment_bytes
+        # csum[k] = bytes of tiles [0, k); a batch starting at tile a takes
+        # every following tile whose running total stays within the
+        # segment — one searchsorted per batch instead of a step per tile.
+        n = int(arr.size)
+        csum = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(start_edge.tile_bytes(arr), out=csum[1:])
+        bounds = [0]
+        a = 0
+        while a < n:
+            b = int(csum.searchsorted(csum[a] + cap, side="right")) - 1
+            a = max(b, a + 1)  # an oversized tile still travels alone
+            bounds.append(a)
+        sizes = np.diff(csum[bounds]).tolist()
+        return SlidePlan(
+            batches=tuple(
+                [arr[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+            ),
+            batch_bytes=tuple(sizes),
+        )
 
     def segment_batches(
         self, positions: "list[int]", start_edge: StartEdgeIndex
     ) -> "list[list[int]]":
         """Batches of :meth:`segment_plan`, as plain lists (legacy shape)."""
-        return [list(b) for b in self.segment_plan(positions, start_edge)]
+        return [b.tolist() for b in self.segment_plan(positions, start_edge)]
 
     # ------------------------------------------------------------------ #
     # Cache
@@ -217,59 +257,80 @@ class SCRScheduler:
 
     def offer(
         self,
-        buffers: "list[TileBuffer]",
+        tiles: "np.ndarray | list[TileBuffer]",
         tile_rows: np.ndarray,
         tile_cols: np.ndarray,
         row_active_next: np.ndarray,
         symmetric: bool,
         col_active_next: "np.ndarray | None" = None,
     ) -> None:
-        """Offer processed tiles to the pool, analysing on pressure.
+        """Offer one processed batch to the pool, analysing on pressure.
+
+        ``tiles`` is the batch's ``int64`` position array (the fused
+        path: sizes come from :attr:`start_edge`, nothing per-tile is
+        built) or a sequence of :class:`TileBuffer` (the per-tile path:
+        reduced to positions and sizes here, the admitted buffers kept in
+        the pool's side table for the next rewind).  Positions within one
+        offer are distinct — a slide batch is a slice of a disk-order
+        fetch set.
 
         Tiles that proactive analysis already rules out are not cached at
-        all; when the pool is full, resident tiles are re-analysed with the
-        *current* (possibly partial) next-iteration metadata and the
-        unneeded ones evicted (§VI-C).
+        all, and residents are skipped.  The rest are admitted in batch
+        order under the sequential rule — admit while the tile fits; on
+        the first refusal re-analyse the residents once with the
+        *current* (possibly partial) next-iteration metadata, evict the
+        unneeded ones (§VI-C) and retry; after that a tile that does not
+        fit is dropped (it is re-fetched next iteration if needed) while
+        later, smaller ones are still tried — computed with one cumulative
+        sum and a ``searchsorted`` per admitted run rather than a step per
+        tile.
         """
         if self.policy is not CachePolicy.SCR:
             return
-        keep_now = tiles_needed_for_rows(
-            tile_rows, tile_cols, row_active_next, symmetric,
+        pool = self.pool
+        pool.reserve(tile_rows.shape[0])
+        if isinstance(tiles, np.ndarray):
+            buffers, pos = None, tiles
+        else:
+            buffers = tiles
+            pos = np.fromiter((b.pos for b in buffers), np.int64, len(buffers))
+        keep = tiles_needed_for_rows(
+            tile_rows[pos], tile_cols[pos], row_active_next, symmetric,
             col_active=col_active_next,
         )
-        # One fancy-index over the batch instead of a numpy scalar lookup
-        # per tile; pool membership goes through the dict directly.
-        keep_l = keep_now[[buf.pos for buf in buffers]].tolist()
-        resident = self.pool._tiles
-        analysed = False
-        cached_before = self.stats.tiles_cached
-        for buf, keep in zip(buffers, keep_l):
-            if not keep:
-                continue
-            if buf.pos in resident:
-                continue  # re-offered rewind tile, already resident
-            if self.pool.add(buf):
-                self.stats.tiles_cached += 1
-                continue
-            # Pool full: run proactive analysis over residents, then
-            # retry.  One analysis per offered batch — the metadata does
-            # not change between tiles of the same batch, so re-running
-            # it per tile would only burn CPU (profiling showed exactly
-            # this hotspot).
-            if not analysed:
+        idx = (keep & ~pool.resident(pos)).nonzero()[0]
+        if idx.size:
+            cand = pos[idx]
+            if buffers is None:
+                size = self.start_edge.tile_bytes(cand)
+            else:
+                size = np.fromiter(
+                    (buffers[k].nbytes for k in idx.tolist()), np.int64,
+                    idx.size,
+                )
+            csum = size.cumsum()
+            if csum[-1] > pool.free_bytes:
+                # The first r candidates fit, the next is refused: analyse
+                # once — the metadata does not change between tiles of the
+                # same batch — and go on with the reclaimed space.
+                r = int(csum.searchsorted(pool.free_bytes, side="right"))
+                pool.admit(cand[:r], size[:r])
                 self._analyse(
                     tile_rows, tile_cols, row_active_next, symmetric,
                     col_active_next,
                 )
-                analysed = True
-                if self.pool.add(buf):
-                    self.stats.tiles_cached += 1
-            # else: even after analysis there is no room — drop the tile
-            # (it will be re-fetched next iteration if needed).
+                fits = r + _admit_in_order(
+                    size[r:], pool.free_bytes
+                ).nonzero()[0]
+                pool.admit(cand[fits], size[fits])
+                idx = np.concatenate((idx[:r], idx[fits]))
+            else:
+                pool.admit(cand, size)
+            if buffers is not None:
+                pool.attach(buffers[k] for k in idx.tolist())
+        self.stats.tiles_cached += int(idx.size)
         if self.tracer.enabled:
-            self.tracer.registry.counter("scr.tiles_cached").add(
-                self.stats.tiles_cached - cached_before
-            )
+            self.tracer.registry.counter("scr.tiles_cached").add(int(idx.size))
 
     def _analyse(
         self,
@@ -282,25 +343,24 @@ class SCRScheduler:
         """Evict resident tiles the metadata says are not needed next."""
         self.stats.analyses += 1
         self.tracer.registry.counter("scr.analyses").add(1)
-        residents = self.pool.positions()
-        if not residents:
+        res = self.pool.position_array()
+        if res.size == 0:
             return 0
         with self.tracer.span(
-            "scr.analyse", cat="cache", residents=len(residents)
+            "scr.analyse", cat="cache", residents=int(res.size)
         ):
-            res = np.asarray(residents, dtype=np.int64)
             keep = tiles_needed_for_rows(
                 tile_rows[res], tile_cols[res], row_active_next, symmetric,
                 col_active=col_active_next,
             )
-            victims = res[~keep].tolist()
+            victims = res[~keep]
             self.pool.evict(victims)
-            self.stats.tiles_evicted += len(victims)
+            self.stats.tiles_evicted += int(victims.size)
             if self.tracer.enabled:
                 self.tracer.registry.counter("scr.tiles_evicted").add(
-                    len(victims)
+                    int(victims.size)
                 )
-        return len(victims)
+        return int(victims.size)
 
     def end_iteration(
         self,

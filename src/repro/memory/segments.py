@@ -3,14 +3,17 @@
 G-Store splits the streaming/caching memory into two fixed-size *segments*
 (one loading from disk while the other is processed) plus a *cache pool*
 holding tiles that proactive analysis predicts will be needed again.  The
-pool here stores real tile payload bytes and enforces the byte budget the
-way G-Store's memcpy-compacted pool does — without page-management
-overhead or fragmentation, since tiles are stored exactly sized.
+pool here enforces the byte budget the way G-Store's memcpy-compacted pool
+does — exactly sized tiles, no page-management overhead, no fragmentation —
+but it never copies: tile payloads are zero-copy slices of the immutable
+backing store, so what the pool has to *store* is which disk positions are
+resident and how many bytes they account for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -46,7 +49,9 @@ class MemoryBudget:
 
 @dataclass
 class TileBuffer:
-    """A cached tile: its disk position, grid coords, and payload buffer.
+    """The per-tile execution path's record of one tile: its disk
+    position, grid coords, and payload buffer.  (The fused path never
+    builds one — the pool accounts by position.)
 
     ``data`` is typically a zero-copy ``memoryview`` over the tile store's
     backing buffer; holding it pins the underlying pages, which is exactly
@@ -69,25 +74,51 @@ class TileBuffer:
         return len(self.data)
 
 
-@dataclass
 class CachePool:
-    """Byte-budgeted pool of cached tiles with O(1) membership.
+    """Byte-budgeted tile residency, accounted by disk position.
 
-    ``add`` refuses (returns False) when the tile would overflow the
-    budget; the SCR scheduler then runs proactive analysis to reclaim
+    The pool's unit of account is the tile *position*: residency is a
+    boolean mask over disk positions plus a per-position size and one byte
+    counter, so membership tests, admission, analysis and eviction are
+    array operations over a whole batch — no per-tile Python object is
+    created on the fused path, whose kernels re-decode resident tiles
+    straight off the (immutable, zero-copy) backing store.
+
+    The per-tile execution path does need per-tile state — a
+    :class:`TileBuffer` with its lazily decoded view — and keeps it in a
+    side table keyed by position (:meth:`attach`, :meth:`get`) that
+    :meth:`evict` clears.
+
+    Admission never evicts: a tile that would overflow the budget is
+    refused and the SCR scheduler runs proactive analysis to reclaim
     space before retrying (§VI-C: "the cache analysis happens only when
     the cache pool is full").
     """
 
-    capacity_bytes: int
-    _tiles: "dict[int, TileBuffer]" = field(default_factory=dict)
-    _used: int = 0
+    def __init__(self, capacity_bytes: int, n_tiles: int = 0) -> None:
+        self.capacity_bytes = capacity_bytes
+        self._resident = np.zeros(n_tiles, dtype=bool)
+        self._nbytes = np.zeros(n_tiles, dtype=np.int64)
+        self._buffers: "dict[int, TileBuffer]" = {}
+        self._used = 0
+        self._count = 0
+
+    def reserve(self, n_tiles: int) -> None:
+        """Grow the position space to cover ``[0, n_tiles)``."""
+        have = self._resident.shape[0]
+        if n_tiles > have:
+            self._resident = np.concatenate(
+                [self._resident, np.zeros(n_tiles - have, dtype=bool)]
+            )
+            self._nbytes = np.concatenate(
+                [self._nbytes, np.zeros(n_tiles - have, dtype=np.int64)]
+            )
 
     def __contains__(self, pos: int) -> bool:
-        return pos in self._tiles
+        return 0 <= pos < self._resident.shape[0] and bool(self._resident[pos])
 
     def __len__(self) -> int:
-        return len(self._tiles)
+        return self._count
 
     @property
     def used_bytes(self) -> int:
@@ -97,43 +128,82 @@ class CachePool:
     def free_bytes(self) -> int:
         return self.capacity_bytes - self._used
 
-    def get(self, pos: int) -> "TileBuffer | None":
-        return self._tiles.get(pos)
+    def resident(self, positions: np.ndarray) -> np.ndarray:
+        """Boolean mask: which of ``positions`` (all within the reserved
+        position space) are in the pool."""
+        return self._resident[positions]
 
-    def get_many(self, positions: "list[int]") -> "list[TileBuffer]":
-        """Resident buffers for ``positions`` (KeyError on a miss)."""
-        tiles = self._tiles
-        return [tiles[pos] for pos in positions]
+    def position_array(self) -> np.ndarray:
+        """Resident positions as an ``int64`` array, in disk order."""
+        return self._resident.nonzero()[0]
 
     def positions(self) -> "list[int]":
-        return list(self._tiles.keys())
+        return self.position_array().tolist()
 
-    def position_array(self) -> "np.ndarray":
-        """Resident positions as an int64 array (for vectorised membership)."""
-        return np.fromiter(
-            self._tiles.keys(), dtype=np.int64, count=len(self._tiles)
-        )
+    def admit(self, positions: np.ndarray, sizes: np.ndarray) -> None:
+        """Mark ``positions`` (distinct, none resident) resident.
+
+        The caller has already decided they fit — the scheduler's
+        admission arithmetic works on the whole batch at once — so this
+        only records the decision.
+        """
+        if positions.size == 0:
+            return
+        self._resident[positions] = True
+        self._nbytes[positions] = sizes
+        self._used += int(sizes.sum())
+        self._count += int(positions.size)
+
+    def attach(self, buffers: "Iterable[TileBuffer]") -> None:
+        """Keep the payload buffers of resident tiles in the side table
+        (until eviction), for the per-tile path's next rewind."""
+        for buf in buffers:
+            self._buffers[buf.pos] = buf
 
     def add(self, buf: TileBuffer) -> bool:
-        """Insert a tile; returns False when it does not fit."""
-        if buf.pos in self._tiles:
+        """Admit one tile with its payload buffer; returns False when it
+        does not fit (a resident position is left as it is)."""
+        pos = buf.pos
+        if pos in self:
             return True
         if buf.nbytes > self.free_bytes:
             return False
-        self._tiles[buf.pos] = buf
-        self._used += buf.nbytes
+        self.reserve(pos + 1)
+        self.admit(
+            np.array([pos], dtype=np.int64),
+            np.array([buf.nbytes], dtype=np.int64),
+        )
+        self._buffers[pos] = buf
         return True
 
-    def evict(self, positions: "list[int]") -> int:
-        """Remove tiles; returns bytes reclaimed."""
-        freed = 0
-        for pos in positions:
-            buf = self._tiles.pop(pos, None)
-            if buf is not None:
-                freed += buf.nbytes
+    def get(self, pos: int) -> "TileBuffer | None":
+        """The payload buffer kept for ``pos``, if the per-tile path
+        offered one (residency alone does not imply a buffer)."""
+        return self._buffers.get(pos)
+
+    def get_many(self, positions) -> "list[TileBuffer]":
+        """Payload buffers for ``positions`` (KeyError on a miss)."""
+        buffers = self._buffers
+        return [buffers[pos] for pos in positions]
+
+    def evict(self, positions) -> int:
+        """Remove tiles (non-residents are ignored); returns bytes freed."""
+        pos = np.asarray(positions, dtype=np.int64)
+        if pos.size == 0:
+            return 0
+        pos = pos[pos < self._resident.shape[0]]
+        pos = pos[self._resident[pos]]
+        freed = int(self._nbytes[pos].sum())
+        self._resident[pos] = False
         self._used -= freed
+        self._count -= int(pos.size)
+        if self._buffers:
+            for p in pos.tolist():
+                self._buffers.pop(p, None)
         return freed
 
     def clear(self) -> None:
-        self._tiles.clear()
+        self._resident[:] = False
+        self._buffers.clear()
         self._used = 0
+        self._count = 0

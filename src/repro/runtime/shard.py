@@ -44,6 +44,8 @@ import time
 import traceback
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.obs.trace import NULL_TRACER
 from repro.runtime.threads import (
     SHARD_WORKER_PREFIX,
@@ -88,13 +90,13 @@ class ShardSpec:
 
     shards: int
 
-    def assign(self, plan) -> "list[list[tuple[int, tuple[int, ...]]]]":
+    def assign(self, plan) -> "list[list[tuple[int, np.ndarray]]]":
         """Lanes of ``(global_batch_index, tile_positions)`` per worker."""
-        lanes: "list[list[tuple[int, tuple[int, ...]]]]" = [
+        lanes: "list[list[tuple[int, np.ndarray]]]" = [
             [] for _ in range(self.shards)
         ]
         for k, batch in enumerate(plan.batches):
-            lanes[k % self.shards].append((k, tuple(batch)))
+            lanes[k % self.shards].append((k, batch))
         return lanes
 
 
@@ -239,7 +241,7 @@ def _shard_worker_main(
                         k: attach_view(d, seg_cache)
                         for k, d in state_descs.items()
                     }
-                requests = merge_requests(list(positions), graph.start_edge)
+                requests = merge_requests(positions, graph.start_edge)
                 events, io_t = aio.service(requests)
                 views, _ = graph.decode_batch(
                     [(ev.tag, ev.data) for ev in events], with_tiles=False
@@ -311,7 +313,7 @@ class ShardGather:
         self,
         runtime: "ShardRuntime",
         n_batches: int,
-        lanes: "list[list[tuple[int, tuple[int, ...]]]] | None" = None,
+        lanes: "list[list[tuple[int, np.ndarray]]] | None" = None,
         scatter: "tuple | None" = None,
     ):
         self._rt = runtime

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.format.startedge import StartEdgeIndex
 from repro.memory.scr import CachePolicy, SCRScheduler
@@ -144,3 +146,144 @@ class TestOfferAndAnalysis:
         assert s.cached_buffer(0).nbytes == 10
         with pytest.raises(KeyError):
             s.cached_buffer(3)
+
+
+# --------------------------------------------------------------------- #
+# Admission is order-exact
+# --------------------------------------------------------------------- #
+
+
+class _SequentialPool:
+    """The oracle: the per-tile admission loop the vectorised ``offer``
+    replaced, over a plain ``{pos: size}`` dict — one tile at a time, in
+    batch order."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.tiles = {}
+        self.cached = self.evicted = self.analyses = 0
+
+    @property
+    def used(self):
+        return sum(self.tiles.values())
+
+    def add(self, pos, size):
+        if size > self.capacity - self.used:
+            return False
+        self.tiles[pos] = size
+        return True
+
+    def analyse(self, keep):
+        self.analyses += 1
+        for pos in [p for p in self.tiles if not keep[p]]:
+            del self.tiles[pos]
+            self.evicted += 1
+
+    def offer(self, batch, sizes, keep):
+        analysed = False
+        for pos in batch:
+            if not keep[pos] or pos in self.tiles:
+                continue
+            if self.add(pos, sizes[pos]):
+                self.cached += 1
+                continue
+            if not analysed:
+                self.analyse(keep)
+                analysed = True
+                if self.add(pos, sizes[pos]):
+                    self.cached += 1
+
+
+def _drive_both(sizes, capacity, resident, offers, as_buffers):
+    """Run the same offers through ``SCRScheduler`` and the oracle,
+    comparing the full pool state after every one.  Tile ``p`` sits alone
+    in row ``p`` of a directed grid, so ``row_active_next`` *is* the keep
+    mask."""
+    n = len(sizes)
+    grid = np.arange(n)
+    se = StartEdgeIndex.from_counts(sizes, tuple_bytes=1)
+    s = SCRScheduler(
+        budget=MemoryBudget(total_bytes=capacity + 2, segment_bytes=1),
+        start_edge=se,
+    )
+    ref = _SequentialPool(capacity)
+    for pos in resident:
+        if ref.add(pos, sizes[pos]):
+            s.pool.add(_buf(pos, sizes[pos]))
+    for batch, keep in offers:
+        keep = np.asarray(keep, dtype=bool)
+        if as_buffers:
+            tiles = [_buf(pos, sizes[pos]) for pos in batch]
+        else:
+            tiles = np.asarray(batch, dtype=np.int64)
+        s.offer(tiles, grid, grid, keep, symmetric=False)
+        ref.offer(batch, sizes, keep)
+        assert sorted(s.pool.positions()) == sorted(ref.tiles)
+        assert len(s.pool) == len(ref.tiles)
+        assert s.pool.used_bytes == ref.used
+        assert s.stats.tiles_cached == ref.cached
+        assert s.stats.tiles_evicted == ref.evicted
+        assert s.stats.analyses == ref.analyses
+        if as_buffers:
+            assert [b.pos for b in s.cached_buffers(sorted(ref.tiles))] == (
+                sorted(ref.tiles)
+            )
+    return s
+
+
+@st.composite
+def _admission_cases(draw):
+    n = draw(st.integers(1, 24))
+    sizes = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    capacity = draw(st.integers(0, 120))
+    resident = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    offers = []
+    for _ in range(draw(st.integers(1, 4))):
+        # One iteration's worth: a disk-order subset cut into batches, each
+        # offered under its own (possibly changed) keep mask.
+        order = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        cuts = sorted(draw(st.lists(st.integers(0, len(order)), max_size=4)))
+        for a, b in zip([0, *cuts], [*cuts, len(order)]):
+            keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            offers.append((order[a:b], keep))
+    return sizes, capacity, resident, offers, draw(st.booleans())
+
+
+class TestAdmissionOrderExact:
+    @given(case=_admission_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sequential_rule(self, case):
+        _drive_both(*case)
+
+    @pytest.mark.parametrize("as_buffers", [False, True])
+    def test_oversized_tile_then_smaller_ones_that_fit(self, as_buffers):
+        # 50 never fits a 30-byte pool; 10, 25 (refused: 20 left) and 20
+        # behind it are still tried, in order.
+        s = _drive_both(
+            [50, 10, 25, 20], 30, [], [([0, 1, 2, 3], [True] * 4)], as_buffers
+        )
+        assert s.pool.positions() == [1, 3]
+        assert s.stats.analyses == 1
+
+    @pytest.mark.parametrize("as_buffers", [False, True])
+    def test_full_pool_stays_full(self, as_buffers):
+        # Everything resident is still needed: each batch analyses once,
+        # evicts nothing and admits nothing.
+        keep = [True] * 6
+        s = _drive_both(
+            [10, 10, 10, 10, 10, 10], 20, [0, 1],
+            [([2, 3], keep), ([4, 5], keep)], as_buffers,
+        )
+        assert s.pool.positions() == [0, 1]
+        assert s.stats.analyses == 2 and s.stats.tiles_evicted == 0
+
+    @pytest.mark.parametrize("as_buffers", [False, True])
+    def test_analysis_makes_room_mid_batch(self, as_buffers):
+        # Tile 0 is stale; the first refusal (tile 2) evicts it and the
+        # retry admits tile 2, then 3 no longer fits.
+        s = _drive_both(
+            [20, 10, 15, 10], 30, [0],
+            [([1, 2, 3], [False, True, True, True])], as_buffers,
+        )
+        assert s.pool.positions() == [1, 2]
+        assert s.stats.tiles_evicted == 1
