@@ -32,7 +32,9 @@ from repro.algorithms.bfs import BFS  # noqa: E402
 from repro.algorithms.cc import ConnectedComponents  # noqa: E402
 from repro.algorithms.kcore import KCore  # noqa: E402
 from repro.algorithms.pagerank import PageRank  # noqa: E402
+from repro.algorithms.reachability import Reachability  # noqa: E402
 from repro.algorithms.spmv import SpMV  # noqa: E402
+from repro.algorithms.sssp import SSSP  # noqa: E402
 from repro.engine.config import EngineConfig  # noqa: E402
 from repro.engine.gstore import GStoreEngine  # noqa: E402
 from repro.format.tiles import TiledGraph  # noqa: E402
@@ -48,6 +50,8 @@ ALGOS = {
     "spmv": lambda: SpMV(iterations=3),
     "cc": lambda: ConnectedComponents(),
     "kcore": lambda: KCore(k=8),
+    "sssp": lambda: SSSP(root=0),
+    "reachability": lambda: Reachability(seeds=[0]),
 }
 
 
@@ -128,10 +132,13 @@ def main(argv=None) -> int:
             }
             print(f"  {name:10s} {label:15s} {wall:8.3f}s  "
                   f"{eps / 1e6:9.2f} M edges/s")
-        base = results[name]["per-tile"]["edges_per_sec"]
+        # Wall ratio, not edges/sec ratio: a live kernel (SSSP) counts
+        # its second in-shard relaxation, so its fused run processes more
+        # edges than the per-tile run it is compared with.
+        base = results[name]["per-tile"]["wall_seconds"]
         for label, _, _ in modes[1:]:
             results[name][label]["speedup_vs_per_tile"] = (
-                results[name][label]["edges_per_sec"] / base
+                base / results[name][label]["wall_seconds"]
             )
         line = ", ".join(
             f"{label} {results[name][label]['speedup_vs_per_tile']:.2f}x"

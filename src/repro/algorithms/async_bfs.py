@@ -10,6 +10,11 @@ sweeps of the graph.
 
 The final depth array is identical to synchronous BFS (it is the same
 fixpoint); only the iteration count differs.
+
+The fused kernel is *live* (:attr:`~repro.algorithms.base.TileAlgorithm.
+live_kernel`): shards commit in order, each seeing every earlier commit,
+and the relaxation runs to a fixpoint within the resident shard — the
+per-tile loop's semantics at shard instead of tile granularity.
 """
 
 from __future__ import annotations
@@ -84,6 +89,51 @@ class AsyncBFS(TileAlgorithm):
                 break
         self.traversed_edges += tv.n_edges
         return tv.n_edges
+
+    # ------------------------------------------------------------------ #
+    # Fused batch kernel (live: shards commit in order)
+    # ------------------------------------------------------------------ #
+
+    supports_fused = True
+    live_kernel = True
+
+    def kernel_state(self):
+        return {"depth": self.depth}
+
+    def kernel_params(self):
+        return {"symmetric": self.symmetric}
+
+    @staticmethod
+    def kernel_partial(state, params, gsrc, gdst):
+        """One relaxation of the shard against the current depths
+        (read-only): the strictly improving ``(vertex, depth)`` candidates,
+        both directions on symmetric storage."""
+        depth = state["depth"]
+        ds = depth[gsrc]
+        dd = depth[gdst]
+        better = ds + 1 < dd
+        idx = gdst[better]
+        vals = ds[better] + 1
+        if params["symmetric"]:
+            better = dd + 1 < ds
+            idx = np.concatenate([idx, gsrc[better]])
+            vals = np.concatenate([vals, dd[better] + 1])
+        return idx, vals, gsrc, gdst
+
+    def apply_partial(self, partial) -> int:
+        """Commit the shard's improvements and keep relaxing the resident
+        shard until nothing moves.  As in the per-tile loop, the edges
+        count once however many rounds the fixpoint takes."""
+        idx, vals, gsrc, gdst = partial
+        while idx.size:
+            np.minimum.at(self.depth, idx, vals)
+            self._changed_next[idx] = True
+            idx, vals = self.kernel_partial(
+                self.kernel_state(), self.kernel_params(), gsrc, gdst
+            )[:2]
+        edges = int(gsrc.shape[0])
+        self.traversed_edges += edges
+        return edges
 
     def end_iteration(self, iteration: int) -> bool:
         self._changed, self._changed_next = self._changed_next, self._changed

@@ -23,7 +23,7 @@ import abc
 import numpy as np
 
 from repro.errors import AlgorithmError
-from repro.format.tiles import TiledGraph, TileView
+from repro.format.tiles import TiledGraph, TileView, concat_global_edges
 from repro.memory.proactive import row_activity_from_vertices
 
 
@@ -77,6 +77,18 @@ class TileAlgorithm(abc.ABC):
     #: shard the partial phase across worker threads, or run it in shard
     #: worker processes (:mod:`repro.runtime.shard`).
     supports_fused: bool = False
+
+    #: Which of the two kernel kinds a fused algorithm is.  A *snapshot*
+    #: kernel (the default) reads only state that is frozen for the
+    #: iteration, so its partials may be computed concurrently — on the
+    #: thread pool or in shard workers — and committed afterwards.  A
+    #: *live* kernel (SSSP, AsyncBFS) is asynchronous: each shard's
+    #: partial must see every earlier shard's commit, or the relaxation
+    #: degenerates from Gauss-Seidel to Jacobi and re-reads the graph for
+    #: it.  Live kernels therefore always run the serial in-order sweep of
+    #: :meth:`process_batch`, whatever ``workers``/``shards`` say — an
+    #: algorithm property, not a configuration choice.
+    live_kernel: bool = False
 
     def process_batch(self, views: "list[TileView]") -> int:
         """Process one fetched segment's tiles as a single batch.
@@ -134,9 +146,19 @@ class TileAlgorithm(abc.ABC):
         Runs all per-edge work (gathers, masks, per-shard reductions) over
         the concatenated shard without mutating algorithm state, so the
         engine can execute several shards concurrently (NumPy releases the
-        GIL).  Returns an opaque partial for :meth:`apply_partial`.
+        GIL) — unless the kernel is live (:attr:`live_kernel`), in which
+        case the previous shard's commit has always landed first.  Returns
+        an opaque partial for :meth:`apply_partial`.
+
+        The default concatenates the shard's global endpoint arrays and
+        hands them to :meth:`kernel_partial` with the current state and
+        params — all a kernel over ``(gsrc, gdst)`` needs; override only
+        to feed the kernel more (SSSP adds the shard's edge weights).
         """
-        raise NotImplementedError(f"{type(self).__name__} has no fused kernel")
+        gsrc, gdst = concat_global_edges(views)
+        return self.kernel_partial(
+            self.kernel_state(), self.kernel_params(), gsrc, gdst
+        )
 
     def apply_partial(self, partial) -> int:
         """Phase 2 of fused execution: commit a partial's updates.

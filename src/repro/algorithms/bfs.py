@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
 from repro.errors import AlgorithmError
-from repro.format.tiles import TileView, concat_global_edges
+from repro.format.tiles import TileView
 from repro.types import INF_DEPTH
 
 
@@ -187,12 +187,6 @@ class BFS(TileAlgorithm):
                 cand = gsrc[idx]
                 bwd_targets = cand[depth[cand] == INF_DEPTH]
         return fwd_targets, bwd_targets, edges
-
-    def batch_partial(self, views):
-        gsrc, gdst = concat_global_edges(views)
-        return self.kernel_partial(
-            self.kernel_state(), self.kernel_params(), gsrc, gdst
-        )
 
     def apply_partial(self, partial) -> int:
         fwd_targets, bwd_targets, edges = partial

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
-from repro.format.tiles import TileView, concat_global_edges
+from repro.format.tiles import TileView
 
 
 class ConnectedComponents(TileAlgorithm):
@@ -100,12 +100,6 @@ class ConnectedComponents(TileAlgorithm):
         idx = np.concatenate([gdst, gsrc])
         vals = np.concatenate([prev[gsrc], prev[gdst]])
         return idx, vals, int(gsrc.shape[0])
-
-    def batch_partial(self, views):
-        gsrc, gdst = concat_global_edges(views)
-        return self.kernel_partial(
-            self.kernel_state(), self.kernel_params(), gsrc, gdst
-        )
 
     def apply_partial(self, partial) -> int:
         idx, vals, edges = partial

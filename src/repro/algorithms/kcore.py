@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
 from repro.errors import AlgorithmError
-from repro.format.tiles import TileView, concat_global_edges
+from repro.format.tiles import TileView
 
 
 class KCore(TileAlgorithm):
@@ -98,12 +98,6 @@ class KCore(TileAlgorithm):
             hits.append(gsrc[hit])
         targets = np.concatenate(hits) if hits else None
         return targets, int(gsrc.shape[0])
-
-    def batch_partial(self, views):
-        gsrc, gdst = concat_global_edges(views)
-        return self.kernel_partial(
-            self.kernel_state(), self.kernel_params(), gsrc, gdst
-        )
 
     def apply_partial(self, partial) -> int:
         targets, edges = partial

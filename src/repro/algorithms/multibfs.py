@@ -69,6 +69,52 @@ class MultiSourceBFS(TileAlgorithm):
                     d[gsrc[bwd]] = nxt
         return tv.n_edges
 
+    # ------------------------------------------------------------------ #
+    # Fused batch kernel
+    # ------------------------------------------------------------------ #
+
+    supports_fused = True
+
+    def kernel_state(self):
+        # Flattened view of the C-contiguous (k, V) matrix: the state
+        # contract ships 1-D arrays.
+        return {"depth": self.depth.reshape(-1)}
+
+    def kernel_params(self):
+        return {
+            "level": self.level,
+            "symmetric": self.symmetric,
+            "k": self.k,
+        }
+
+    @staticmethod
+    def kernel_partial(state, params, gsrc, gdst):
+        """All ``k`` traversals' discoveries over the concatenated shard
+        in one (k, E) gather (read-only).
+
+        Returns flat indices into the ``(k, V)`` depth matrix.  As for
+        single-source BFS the discovery sets are snapshot-independent, so
+        every execution path converges on the same matrix.
+        """
+        k = params["k"]
+        depth = state["depth"].reshape(k, -1)
+        n = depth.shape[1]
+        level = np.uint32(params["level"])
+        src_d = depth[:, gsrc]
+        dst_d = depth[:, gdst]
+        t, e = np.nonzero((src_d == level) & (dst_d == INF_DEPTH))
+        flat = t * n + gdst[e]
+        if params["symmetric"]:
+            t, e = np.nonzero((dst_d == level) & (src_d == INF_DEPTH))
+            flat = np.concatenate([flat, t * n + gsrc[e]])
+        return flat, int(gsrc.shape[0])
+
+    def apply_partial(self, partial) -> int:
+        flat, edges = partial
+        if flat.size:
+            self.depth.reshape(-1)[flat] = np.uint32(self.level + 1)
+        return edges
+
     def end_iteration(self, iteration: int) -> bool:
         self.level += 1
         new = (self.depth == np.uint32(self.level)).any(axis=1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
-from repro.format.tiles import TileView, concat_global_edges
+from repro.format.tiles import TileView
 from repro.runtime.threads import chunk_by_edges
 
 #: Fixed shard quantum for the float-accumulating fused kernels.  The
@@ -207,12 +207,6 @@ class PageRank(TileAlgorithm):
             state["contrib"], gsrc, gdst, params["symmetric"]
         )
         return windows, int(gsrc.shape[0])
-
-    def batch_partial(self, views):
-        gsrc, gdst = concat_global_edges(views)
-        return self.kernel_partial(
-            self.kernel_state(), self.kernel_params(), gsrc, gdst
-        )
 
     def apply_partial(self, partial) -> int:
         windows, edges = partial

@@ -96,6 +96,59 @@ class Reachability(TileAlgorithm):
                 self._expand(gsrc, gdst)
         return tv.n_edges
 
+    # ------------------------------------------------------------------ #
+    # Fused batch kernel
+    # ------------------------------------------------------------------ #
+
+    supports_fused = True
+
+    def kernel_state(self):
+        return {
+            "frontier": self._frontier,
+            "allowed": self.allowed,
+            "visited": self.visited,
+        }
+
+    def kernel_params(self):
+        return {"forward": self.forward, "symmetric": self.symmetric}
+
+    @staticmethod
+    def kernel_partial(state, params, gsrc, gdst):
+        """Frontier-side filter first, then the open-target check, over
+        the concatenated shard (read-only).
+
+        The frontier is frozen for the iteration and marking a vertex
+        visited is idempotent, so the union of the hit sets — hence the
+        result — is the same whichever ``visited`` snapshot a shard sees:
+        per-tile, fused, threaded, and sharded execution agree bit for
+        bit.
+        """
+        frontier = state["frontier"]
+        allowed = state["allowed"]
+        visited = state["visited"]
+
+        def expand(from_ids, to_ids):
+            cand = to_ids[frontier[from_ids]]
+            return cand[allowed[cand] & ~visited[cand]]
+
+        if params["forward"]:
+            hits = [expand(gsrc, gdst)]
+            if params["symmetric"]:
+                hits.append(expand(gdst, gsrc))
+        else:
+            hits = [expand(gdst, gsrc)]
+            if params["symmetric"]:
+                hits.append(expand(gsrc, gdst))
+        hit = hits[0] if len(hits) == 1 else np.concatenate(hits)
+        return hit, int(gsrc.shape[0])
+
+    def apply_partial(self, partial) -> int:
+        hit, edges = partial
+        if hit.size:
+            self.visited[hit] = True
+            self._frontier_next[hit] = True
+        return edges
+
     def end_iteration(self, iteration: int) -> bool:
         self._frontier, self._frontier_next = self._frontier_next, self._frontier
         return bool(self._frontier.any())

@@ -18,7 +18,7 @@ from repro.algorithms.pagerank import (
     scatter_sums,
 )
 from repro.errors import AlgorithmError
-from repro.format.tiles import TileView, concat_global_edges
+from repro.format.tiles import TileView
 from repro.runtime.threads import chunk_by_edges
 
 
@@ -97,12 +97,6 @@ class SpMV(TileAlgorithm):
         """Read-only fused pass (``x`` is frozen within an iteration)."""
         windows = scatter_sums(state["x"], gsrc, gdst, params["symmetric"])
         return windows, int(gsrc.shape[0])
-
-    def batch_partial(self, views):
-        gsrc, gdst = concat_global_edges(views)
-        return self.kernel_partial(
-            self.kernel_state(), self.kernel_params(), gsrc, gdst
-        )
 
     def apply_partial(self, partial) -> int:
         windows, edges = partial

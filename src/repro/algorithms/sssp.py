@@ -8,6 +8,17 @@ the networkx cross-check see identical weights.  Relaxation is
 Bellman-Ford style per iteration with a changed-vertex frontier driving
 selective I/O, exercising the same metadata machinery as BFS but with
 floating-point metadata.
+
+The relaxation is *asynchronous*: an improvement made early in an
+iteration feeds every later relaxation of that iteration.  The fused
+kernel keeps that at shard granularity (a live kernel, see
+:attr:`~repro.algorithms.base.TileAlgorithm.live_kernel`) and relaxes
+each resident shard a second time once its improvements are committed —
+compute on bytes already in memory, which is what buys back the
+iterations (hence bytes) the coarser-than-tile commit would otherwise
+cost.  Distances are a unique fixpoint (each is the left-to-right float
+sum along its shortest path), so every execution order converges to the
+same bits; only the iteration count and the work per iteration differ.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
 from repro.errors import AlgorithmError
-from repro.format.tiles import TileView
+from repro.format.tiles import TileView, concat_global_edges
 
 _HASH_A = np.uint64(2654435761)
 _HASH_B = np.uint64(40503)
@@ -89,6 +100,90 @@ class SSSP(TileAlgorithm):
             if improved.any():
                 self._changed_next[gsrc[improved]] = True
         return tv.n_edges
+
+    # ------------------------------------------------------------------ #
+    # Fused batch kernel (live: shards commit in order)
+    # ------------------------------------------------------------------ #
+
+    supports_fused = True
+    live_kernel = True
+
+    def kernel_state(self):
+        return {"dist": self.dist}
+
+    def kernel_params(self):
+        return {"symmetric": self.symmetric}
+
+    @staticmethod
+    def kernel_partial(state, params, gsrc, gdst, w=None):
+        """One relaxation of the shard against the current distances
+        (read-only): the strictly improving ``(vertex, distance)``
+        candidates, both directions on symmetric storage.
+
+        ``w`` is the shard's per-edge weights; ``None`` derives the hash
+        weights from the endpoints.  The weights ride in the partial so the
+        second pass of :meth:`apply_partial` reuses them.
+        """
+        dist = state["dist"]
+        if w is None:
+            w = edge_weights(gsrc, gdst)
+        ds = dist[gsrc]
+        dd = dist[gdst]
+        cand = ds + w
+        better = cand < dd
+        idx = gdst[better]
+        vals = cand[better]
+        if params["symmetric"]:
+            cand = dd + w
+            better = cand < ds
+            idx = np.concatenate([idx, gsrc[better]])
+            vals = np.concatenate([vals, cand[better]])
+        return idx, vals, gsrc, gdst, w
+
+    def _shard_weights(self, views) -> "np.ndarray | None":
+        """The shard's stored weights in edge order, from each view's
+        extent of the disk-edge-ordered weight array; ``None`` when the
+        graph stores none (the kernel then derives the hash weights)."""
+        stored = self._graph().edge_weights
+        if stored is None:
+            return None
+        if len(views) == 1:
+            tv = views[0]
+            return stored[tv.edge_lo : tv.edge_lo + tv.n_edges]
+        return np.concatenate(
+            [stored[tv.edge_lo : tv.edge_lo + tv.n_edges] for tv in views]
+        )
+
+    def batch_partial(self, views):
+        gsrc, gdst = concat_global_edges(views)
+        return self.kernel_partial(
+            self.kernel_state(), self.kernel_params(), gsrc, gdst,
+            self._shard_weights(views),
+        )
+
+    def _commit(self, idx: np.ndarray, vals: np.ndarray) -> None:
+        np.minimum.at(self.dist, idx, vals)
+        self._changed_next[idx] = True
+
+    def apply_partial(self, partial) -> int:
+        """Commit the shard's improvements, then relax the same resident
+        shard once more against the updated distances.
+
+        The second pass is real per-edge work and is counted into the
+        returned edge total; a shard whose first pass improved nothing is
+        not re-relaxed (the pass would repeat the first bit for bit).
+        """
+        idx, vals, gsrc, gdst, w = partial
+        edges = int(gsrc.shape[0])
+        if idx.size == 0:
+            return edges
+        self._commit(idx, vals)
+        idx, vals = self.kernel_partial(
+            self.kernel_state(), self.kernel_params(), gsrc, gdst, w
+        )[:2]
+        if idx.size:
+            self._commit(idx, vals)
+        return 2 * edges
 
     def end_iteration(self, iteration: int) -> bool:
         self._changed, self._changed_next = self._changed_next, self._changed

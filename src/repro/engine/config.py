@@ -78,8 +78,8 @@ class EngineConfig:
     #: ``REPRO_SHARDS`` environment variable, default 1.  Results and
     #: simulated statistics are bit-identical at any shard count; runs
     #: that cannot shard (per-tile mode, fault injection, checksum
-    #: verification, algorithms without fused kernels, or
-    #: spawn/shm unavailable) fall back to the single-process path.
+    #: verification, algorithms without fused kernels or with live ones,
+    #: or spawn/shm unavailable) fall back to the single-process path.
     #: Results and simulated statistics stay bit-identical across worker
     #: deaths because the supervisor replays lost lanes (see
     #: ``shard_respawn_budget``).

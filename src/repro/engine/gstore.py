@@ -232,8 +232,9 @@ class GStoreEngine:
     def _run_can_shard(self, algorithm: TileAlgorithm) -> bool:
         """Whether this run may execute shard-parallel.
 
-        Sharding needs the fused kernel contract (workers run the static
-        ``kernel_partial`` from a shipped state snapshot) and a
+        Sharding needs a fused *snapshot* kernel (workers run the static
+        ``kernel_partial`` from a state snapshot shipped at iteration
+        start — a live kernel must see earlier commits instead) and a
         clean substrate: *storage* fault injection assigns request
         ordinals in global plan order under one AIO lock, and checksum
         verification happens at coordinator decode — neither exists on
@@ -248,6 +249,7 @@ class GStoreEngine:
             and not self._shard_failed
             and self.config.fused
             and algorithm.supports_fused
+            and not algorithm.live_kernel
             and (
                 self.injector is None
                 or self.config.faults.transport_only()

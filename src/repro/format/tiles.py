@@ -53,6 +53,12 @@ class TileView:
     the fused batch layer, which concatenates them across a whole segment)
     can call :meth:`global_edges` repeatedly without re-allocating.  Callers
     must treat the returned arrays as read-only.
+
+    ``edge_lo`` is the disk-edge offset of the view's first edge: the
+    view's edges are ``[edge_lo, edge_lo + n_edges)`` of the graph's
+    disk-edge order, whether it spans one tile, a byte-adjacent run, or a
+    split piece of one — which is how per-edge side arrays
+    (``TiledGraph.edge_weights``) are sliced for views that are not tiles.
     """
 
     i: int
@@ -62,6 +68,7 @@ class TileView:
     src_base: int
     dst_base: int
     pos: int
+    edge_lo: int
     _gsrc: "np.ndarray | None" = field(default=None, repr=False, compare=False)
     _gdst: "np.ndarray | None" = field(default=None, repr=False, compare=False)
 
@@ -350,7 +357,7 @@ class TiledGraph:
         sb, db = self._bases(i, j)
         return TileView(
             i=i, j=j, lsrc=chunk[0::2], ldst=chunk[1::2],
-            src_base=sb, dst_base=db, pos=pos,
+            src_base=sb, dst_base=db, pos=pos, edge_lo=lo,
         )
 
     def view_from_bytes(self, pos: int, buf: "bytes | memoryview | np.ndarray") -> TileView:
@@ -370,7 +377,7 @@ class TiledGraph:
         sb, db = self._bases(i, j)
         return TileView(
             i=i, j=j, lsrc=inter[0::2], ldst=inter[1::2],
-            src_base=sb, dst_base=db, pos=pos,
+            src_base=sb, dst_base=db, pos=pos, edge_lo=int(se[pos]),
         )
 
     def decode_run(
@@ -428,7 +435,7 @@ class TiledGraph:
             g = garr[e0:e1]
             tv = TileView(
                 i=i, j=j, lsrc=chunk[0::2], ldst=chunk[1::2],
-                src_base=sbase, dst_base=dbase, pos=pos,
+                src_base=sbase, dst_base=dbase, pos=pos, edge_lo=base + lo,
                 _gsrc=g[0::2], _gdst=g[1::2],
             )
             append((tv, data[lo * tb : hi * tb]))
@@ -467,7 +474,7 @@ class TiledGraph:
                         i=tv.i, j=tv.j,
                         lsrc=tv.lsrc[a:b], ldst=tv.ldst[a:b],
                         src_base=tv.src_base, dst_base=tv.dst_base,
-                        pos=tv.pos,
+                        pos=tv.pos, edge_lo=tv.edge_lo + a,
                         _gsrc=None if tv._gsrc is None else tv._gsrc[a:b],
                         _gdst=None if tv._gdst is None else tv._gdst[a:b],
                     )
@@ -497,17 +504,18 @@ class TiledGraph:
             db_l = (self.tile_cols[pos_arr] << tbits).tolist()
         else:
             sb_l = db_l = [0] * len(positions)
+        lo_l = self.start_edge.start_edge[pos_arr].tolist()
         out: "list[TileView]" = []
         append = out.append
         frombuffer = np.frombuffer
-        for pos, data, i, j, sb, db in zip(
-            positions, datas, rows_l, cols_l, sb_l, db_l
+        for pos, data, i, j, sb, db, lo in zip(
+            positions, datas, rows_l, cols_l, sb_l, db_l, lo_l
         ):
             arr = frombuffer(data, dtype=dt)
             append(
                 TileView(
                     i=i, j=j, lsrc=arr[0::2], ldst=arr[1::2],
-                    src_base=sb, dst_base=db, pos=pos,
+                    src_base=sb, dst_base=db, pos=pos, edge_lo=lo,
                 )
             )
         return out
@@ -528,7 +536,8 @@ class TiledGraph:
         per-extent cost is just a ``frombuffer`` and two strided slices.
 
         Run-level views carry the first tile's grid coords and bases for
-        repr purposes only; their ``_gsrc``/``_gdst`` caches are always
+        repr purposes only (``edge_lo`` is exact: a run's tiles are adjacent
+        in disk-edge order too); their ``_gsrc``/``_gdst`` caches are always
         pre-seeded, so :meth:`TileView.global_edges` never recomputes from
         the (run-spanning) locals.  ``with_tiles=False`` skips the per-tile
         records — the rewind path decodes straight off the backing store
@@ -572,6 +581,7 @@ class TiledGraph:
         else:
             rows_l = rows[all_pos[first]].tolist()
             cols_l = cols[all_pos[first]].tolist()
+        run_lo = starts[first].tolist()
         run_views: "list[TileView]" = []
         tiles: "list[tuple[int, int, int, bytes | memoryview]]" = []
         append = tiles.append
@@ -588,7 +598,7 @@ class TiledGraph:
                     i=i0, j=j0, lsrc=arr[0::2], ldst=arr[1::2],
                     src_base=(i0 << tbits) if snb else 0,
                     dst_base=(j0 << tbits) if snb else 0,
-                    pos=int(positions[0]),
+                    pos=int(positions[0]), edge_lo=run_lo[r_idx],
                     _gsrc=g[0::2], _gdst=g[1::2],
                 )
             )

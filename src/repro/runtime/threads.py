@@ -655,14 +655,16 @@ def execute_batch(
 
     ``fused=False`` is the per-tile reference loop; ``fused=True`` routes
     through :meth:`TileAlgorithm.process_batch`.  With ``workers > 1`` and
-    a fused-capable algorithm, the read-only partial phase is sharded by
+    a fused snapshot kernel, the read-only partial phase is sharded by
     the algorithm's :meth:`batch_shards` and distributed over a dynamic
     thread pool (``pool`` when given, else a transient one), and the
     partials are committed serially in shard order.  Because the shard
     structure is worker-independent and the serial :meth:`process_batch`
     walks the *same* shards, results are bit-identical at any worker
     count — a deterministic merge with OpenMP ``schedule(dynamic)``
-    balance (§VI-B).
+    balance (§VI-B).  Live kernels (``algorithm.live_kernel``) need each
+    shard's commit before the next shard's partial, so they take the
+    serial sweep at any worker count.
     """
     if not views:
         return 0
@@ -671,7 +673,12 @@ def execute_batch(
         for tv in views:
             edges += algorithm.process_tile(tv)
         return edges
-    if workers > 1 and algorithm.supports_fused and len(views) > 1:
+    if (
+        workers > 1
+        and algorithm.supports_fused
+        and not algorithm.live_kernel
+        and len(views) > 1
+    ):
         shards = algorithm.batch_shards(views)
         if len(shards) > 1:
             partials = dynamic_row_map(

@@ -1,4 +1,5 @@
-"""Property-based tests: algorithm results vs networkx on random graphs."""
+"""Property-based tests: algorithm results vs networkx and scipy on random
+graphs."""
 
 import networkx as nx
 import numpy as np
@@ -117,3 +118,163 @@ class TestPageRankProperty:
         r = algo.result()
         assert float(r.sum()) == np.float64(1.0).item() or abs(r.sum() - 1) < 1e-8
         assert float(r.min()) > 0
+
+
+# --------------------------------------------------------------------- #
+# Independent-oracle differential for the shard-granular fused kernels
+# --------------------------------------------------------------------- #
+
+_TILE_BITS = 4
+_SPAN = 1 << _TILE_BITS
+
+
+@st.composite
+def adversarial_graphs(draw, directed, weighted=False):
+    """Random graphs carrying the format's edge cases on purpose: self
+    loops and duplicate edges (stored as given when directed, folded away
+    at ingest when undirected), an edge on the max-ID vertex, a hub on a
+    tile boundary whose edges land in several tiles and shards, whole
+    tile rows without an edge, and — ``weighted`` — float32 stored
+    weights (duplicates then carry different weights)."""
+    n_v = draw(st.integers(min_value=3, max_value=150))
+    n_e = draw(st.integers(min_value=1, max_value=250))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    # Confining the random edges to a vertex prefix leaves tile rows empty.
+    span = draw(st.integers(min_value=2, max_value=n_v))
+    src = rng.integers(0, span, n_e)
+    dst = rng.integers(0, span, n_e)
+    dup = rng.integers(0, n_e, draw(st.integers(0, 8)))
+    loops = rng.integers(0, n_v, draw(st.integers(0, 4)))
+    hub = _SPAN * draw(st.integers(0, 2)) + draw(st.sampled_from([0, _SPAN - 1]))
+    hub = min(hub, n_v - 1)
+    spokes = rng.integers(0, n_v, draw(st.integers(0, 40)))
+    last = np.array([n_v - 1])
+    src = np.concatenate([src, src[dup], loops, np.full(spokes.size, hub), last])
+    dst = np.concatenate([dst, dst[dup], loops, spokes, rng.integers(0, n_v, 1)])
+    el = EdgeList(
+        src.astype(np.uint32), dst.astype(np.uint32), n_v,
+        directed=directed, name="adversarial",
+    )
+    if weighted:
+        if not directed:
+            # Undirected ingest keeps one of a duplicate's weights; fold
+            # first so the oracle and the store see the same one.
+            el = el.canonicalized()
+        w = rng.uniform(0.5, 10.0, el.n_edges).astype(np.float32)
+        el = EdgeList(el.src, el.dst, n_v, directed=directed,
+                      name="adversarial", weights=w)
+    return el
+
+
+def _oracle_matrix(el, weight_fn=None):
+    """CSR adjacency for scipy with the *minimum* weight per vertex pair
+    (``coo -> csr`` would sum duplicates)."""
+    import scipy.sparse as sp
+
+    src = el.src.astype(np.int64)
+    dst = el.dst.astype(np.int64)
+    if el.weights is not None:
+        w = el.weights.astype(np.float64)
+    elif weight_fn is not None:
+        w = weight_fn(el.src, el.dst)
+    else:
+        w = np.ones(src.size)
+    if not el.directed:
+        src, dst, w = (np.concatenate([src, dst]), np.concatenate([dst, src]),
+                       np.concatenate([w, w]))
+    order = np.lexsort((w, dst, src))
+    src, dst, w = src[order], dst[order], w[order]
+    first = np.ones(src.size, dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    n = el.n_vertices
+    return sp.csr_matrix((w[first], (src[first], dst[first])), shape=(n, n))
+
+
+def _tiny_engine(tg, fused):
+    # A few hundred bytes of payload: budgets this small still give
+    # several slide batches, cache pressure, and rewinds.
+    return GStoreEngine(
+        tg,
+        EngineConfig(memory_bytes=384, segment_bytes=96, fused=fused),
+    )
+
+
+def _run_both(tg, factory):
+    out = []
+    for fused in (True, False):
+        algo = factory()
+        stats = _tiny_engine(tg, fused).run(algo)
+        assert stats.extra["execution"]["fused"] == fused
+        out.append(algo.result().copy())
+    assert np.array_equal(out[0], out[1])
+    return out[0]
+
+
+class TestSSSPOracle:
+    def _check(self, el, root_seed):
+        from scipy.sparse.csgraph import dijkstra
+
+        from repro.algorithms.sssp import SSSP, edge_weights
+
+        root = root_seed % el.n_vertices
+        tg = TiledGraph.from_edge_list(el, tile_bits=_TILE_BITS, group_q=2)
+        dist = _run_both(tg, lambda: SSSP(root=root))
+        ref = dijkstra(_oracle_matrix(el, edge_weights), directed=True,
+                       indices=root)
+        assert np.array_equal(np.isinf(dist), np.isinf(ref))
+        assert np.allclose(dist, ref, rtol=1e-12, atol=0.0)
+
+    @given(el=adversarial_graphs(directed=False), root_seed=st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_undirected_hash_weights(self, el, root_seed):
+        self._check(el, root_seed)
+
+    @given(el=adversarial_graphs(directed=True), root_seed=st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_directed_hash_weights(self, el, root_seed):
+        self._check(el, root_seed)
+
+    @given(el=adversarial_graphs(directed=False, weighted=True),
+           root_seed=st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_undirected_stored_weights(self, el, root_seed):
+        self._check(el, root_seed)
+
+    @given(el=adversarial_graphs(directed=True, weighted=True),
+           root_seed=st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_directed_stored_weights(self, el, root_seed):
+        self._check(el, root_seed)
+
+
+class TestReachabilityOracle:
+    @given(el=adversarial_graphs(directed=True),
+           seed=st.integers(0, 10**6), forward=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_directed(self, el, seed, forward):
+        self._check(el, seed, forward)
+
+    @given(el=adversarial_graphs(directed=False),
+           seed=st.integers(0, 10**6), forward=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_undirected(self, el, seed, forward):
+        self._check(el, seed, forward)
+
+    def _check(self, el, seed, forward):
+        from scipy.sparse.csgraph import breadth_first_order
+
+        from repro.algorithms.reachability import Reachability
+
+        source = seed % el.n_vertices
+        tg = TiledGraph.from_edge_list(el, tile_bits=_TILE_BITS, group_q=2)
+        reached = _run_both(
+            tg, lambda: Reachability(seeds=[source], forward=forward)
+        )
+        adj = _oracle_matrix(el)
+        order = breadth_first_order(
+            adj if forward else adj.T.tocsr(), source, directed=True,
+            return_predecessors=False,
+        )
+        ref = np.zeros(el.n_vertices, dtype=bool)
+        ref[order] = True
+        assert np.array_equal(reached, ref)

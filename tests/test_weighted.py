@@ -130,10 +130,21 @@ class TestTiledWeights:
 
 class TestWeightedSSSP:
     def test_matches_dijkstra_on_real_weights(self, weighted_el):
+        # Default (fused) config: views span runs of tiles, or pieces of
+        # one, so weights come from the view's disk-edge extent.
+        self._check_dijkstra(weighted_el, fused=True)
+
+    def test_matches_dijkstra_on_real_weights_per_tile(self, weighted_el):
+        self._check_dijkstra(weighted_el, fused=False)
+
+    def _check_dijkstra(self, weighted_el, fused):
         tg = TiledGraph.from_edge_list(weighted_el, tile_bits=6, group_q=2)
         algo = SSSP(root=0)
         GStoreEngine(
-            tg, EngineConfig(memory_bytes=64 * 1024, segment_bytes=8 * 1024)
+            tg,
+            EngineConfig(
+                memory_bytes=64 * 1024, segment_bytes=8 * 1024, fused=fused
+            ),
         ).run(algo)
         g = nx.Graph()
         g.add_nodes_from(range(weighted_el.n_vertices))
