@@ -219,10 +219,16 @@ def cmd_fsck(args: argparse.Namespace) -> int:
     """Exit codes: 0 = clean, 1 = corrupt (graph or checkpoint), 2 =
     unable to verify (the checksum pass was requested but the graph
     predates checksums, or ``--checkpoint`` named an empty directory)."""
+    from repro.errors import FormatError
     from repro.format.tiles import TiledGraph
     from repro.format.validate import check_tiled_graph
 
-    tg = TiledGraph.load(args.directory)
+    try:
+        tg = TiledGraph.load(args.directory)
+    except FormatError as exc:
+        # Unreadable or inconsistent files fail load's own audit.
+        print(f"tile graph CORRUPT: {exc}")
+        return 1
     rep = check_tiled_graph(
         tg, deep=not args.shallow, checksums=args.checksums
     )

@@ -128,7 +128,8 @@ class EngineConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Verify each fetched tile extent against its CRC32C at decode time.
     #: ``None`` auto-enables verification exactly when ``faults`` is set,
-    #: so clean runs never pay the (pure-Python) checksum cost.
+    #: so clean runs never pay the checksum cost (one array-kernel call
+    #: per fetched batch; docs/RELIABILITY.md).
     verify_checksums: "bool | None" = None
     #: When set, the graph lives on tiered storage: this fraction of the
     #: payload (the disk-order prefix, where dense groups are packed) sits

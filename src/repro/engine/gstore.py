@@ -814,17 +814,16 @@ class GStoreEngine:
                 if fused:
                     # Batch-level decode: one widened global-ID buffer for
                     # the whole batch, one run-level view per extent — the
-                    # fused kernels concatenate everything anyway, and the
-                    # pool accounts by position, so the only reason left to
-                    # cut the extents into tiles is to checksum them.
+                    # fused kernels concatenate everything anyway, the pool
+                    # accounts by position, and the checksum kernel takes
+                    # the batch's extents as they are, so nothing cuts
+                    # them into tiles.
                     tiles = batch_positions
-                    views, records = g.decode_batch(
-                        [(ev.tag, ev.data) for ev in events],
-                        with_tiles=verify,
-                    )
+                    runs = [(ev.tag, ev.data) for ev in events]
+                    if verify:
+                        self._verified(g.verify_batch_bytes, runs)
+                    views, _ = g.decode_batch(runs, with_tiles=False)
                     views = g.split_run_views(views, _RUN_SPLIT)
-                    for pos, _, _, raw in records:
-                        self._verify_tile(pos, raw)
                 else:
                     tiles = []
                     for ev in events:
@@ -833,7 +832,9 @@ class GStoreEngine:
                         # run.
                         for tv, raw in g.decode_run(ev.tag, ev.data):
                             if verify:
-                                self._verify_tile(tv.pos, raw)
+                                self._verified(
+                                    g.verify_tile_bytes, tv.pos, raw
+                                )
                             tiles.append(
                                 TileBuffer(
                                     pos=tv.pos, i=tv.i, j=tv.j, data=raw,
@@ -866,13 +867,13 @@ class GStoreEngine:
         fits = np.cumsum(sizes) <= scr.pool.free_bytes
         scr.pool.admit(pos[fits], sizes[fits])
 
-    def _verify_tile(self, pos: int, raw: "bytes | memoryview") -> None:
-        """Checksum one fetched tile extent (on whichever thread decoded
-        it); counts the failure before the typed error propagates.  The
-        rewind path skips this — the cache pool only ever holds bytes that
-        were verified on the way in."""
+    def _verified(self, check, *args) -> None:
+        """Run one of the graph's checksum checks over fetched bytes (on
+        whichever thread decoded them); counts the failure before the
+        typed error propagates.  The rewind path skips this — the cache
+        pool only ever holds bytes that were verified on the way in."""
         try:
-            self.graph.verify_tile_bytes(pos, raw)
+            check(*args)
         except ChecksumError:
             if self.injector is not None:
                 self.injector.registry.counter(

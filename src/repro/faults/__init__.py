@@ -12,15 +12,17 @@ injectable, deterministically, behind ``EngineConfig.faults``:
   into :class:`~repro.storage.aio.AIOContext` and the simulated device
   array; every injected event is charged to the simulated clock and
   counted through the ``fault.*`` / ``retry.*`` metric families.
-* :func:`~repro.faults.crc.crc32c` — the checksum kernel behind the tile
-  format's per-tile integrity words (bit-flips become typed
-  :class:`~repro.errors.ChecksumError`\\ s instead of garbage results).
+* :func:`~repro.faults.crc.crc32c_extents` — the checksum kernel behind
+  the tile format's per-tile integrity words (bit-flips become typed
+  :class:`~repro.errors.ChecksumError`\\ s instead of garbage results):
+  all extents of a payload at once, at NumPy speed.
+  :func:`~repro.faults.crc.crc32c` is the scalar, chainable form.
 
 See docs/RELIABILITY.md for the fault taxonomy, the plan spec format, and
 the retry/backoff policy.
 """
 
-from repro.faults.crc import crc32c
+from repro.faults.crc import crc32c, crc32c_extents
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     TRANSPORT_KINDS,
@@ -33,6 +35,7 @@ from repro.faults.plan import (
 
 __all__ = [
     "crc32c",
+    "crc32c_extents",
     "FaultEvent",
     "FaultInjector",
     "FaultKind",

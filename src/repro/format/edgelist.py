@@ -24,6 +24,44 @@ _MAGIC = b"GSEL"
 _VERSION = 1
 
 
+def sort_unique_keys(
+    key: np.ndarray, weights: "np.ndarray | None" = None
+) -> "tuple[np.ndarray, np.ndarray | None]":
+    """Sort integer edge keys ascending and drop duplicates — one sort.
+
+    ``key`` is consumed: unweighted keys are value-sorted in place (no
+    permutation array, no gathers).  Weights have to follow their keys, so
+    a weighted input pays for a stable argsort instead, and of equal keys
+    the first in input order keeps its weight.
+    """
+    if weights is None:
+        key.sort()
+    else:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        weights = weights[order]
+    if key.size:
+        first = np.empty(key.shape, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        key = key[first]
+        if weights is not None:
+            weights = weights[first]
+    return key, weights
+
+
+def _pair_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a << 32 | b``: sorts like the pair ``(a, b)``."""
+    return (a.astype(np.uint64) << np.uint64(32)) | b
+
+
+def _unpack_pair_key(key: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    return (
+        (key >> np.uint64(32)).astype(VERTEX_DTYPE),
+        key.astype(VERTEX_DTYPE),  # the cast keeps the low 32 bits
+    )
+
+
 @dataclass
 class EdgeList:
     """A graph as a flat collection of ``(src, dst)`` tuples.
@@ -151,15 +189,13 @@ class EdgeList:
             lo, hi = lo[keep], hi[keep]
             if w is not None:
                 w = w[keep]
-        key = lo.astype(np.uint64) * np.uint64(self.n_vertices) + hi.astype(np.uint64)
-        _, idx = np.unique(key, return_index=True)
+        key, w = sort_unique_keys(_pair_key(lo, hi), w)
         return EdgeList(
-            lo[idx],
-            hi[idx],
+            *_unpack_pair_key(key),
             self.n_vertices,
             directed=False,
             name=self.name,
-            weights=None if w is None else w[idx],
+            weights=w,
         )
 
     def symmetrized(self) -> "EdgeList":
@@ -183,17 +219,13 @@ class EdgeList:
 
     def deduped(self) -> "EdgeList":
         """Remove duplicate tuples (keeping direction)."""
-        key = self.src.astype(np.uint64) * np.uint64(self.n_vertices) + self.dst.astype(
-            np.uint64
-        )
-        _, idx = np.unique(key, return_index=True)
+        key, w = sort_unique_keys(_pair_key(self.src, self.dst), self.weights)
         return EdgeList(
-            self.src[idx],
-            self.dst[idx],
+            *_unpack_pair_key(key),
             self.n_vertices,
             directed=self.directed,
             name=self.name,
-            weights=None if self.weights is None else self.weights[idx],
+            weights=w,
         )
 
     def without_self_loops(self) -> "EdgeList":

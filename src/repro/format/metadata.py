@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from repro.errors import FormatError
 from repro.types import edge_tuple_bytes, vertex_bytes_needed
 from repro.util.bitops import ceil_div
+
+
+#: Smallest value a readable info file may hold for each integer field of
+#: :class:`GraphInfo` (checked on load: the file is outside input).
+_LOWEST = {
+    "n_vertices": 1, "n_edges": 0, "n_input_edges": 0, "tile_bits": 1,
+    "group_q": 1, "format_version": 1,
+}
 
 
 @dataclass
@@ -64,12 +72,27 @@ class GraphInfo:
 
     @classmethod
     def load(cls, path: "str | os.PathLike") -> "GraphInfo":
-        with open(os.fspath(path), "r", encoding="utf-8") as fh:
-            data = json.load(fh)
         try:
-            return cls(**data)
-        except TypeError as exc:
+            with open(os.fspath(path), "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            info = cls(**data)
+        except (TypeError, ValueError) as exc:  # not JSON, not UTF-8, wrong keys
             raise FormatError(f"{path}: bad GraphInfo payload: {exc}") from exc
+        for f in fields(cls):
+            value = getattr(info, f.name)
+            # Annotations are strings here; bool is not accepted for int.
+            if type(value).__name__ != f.type:
+                raise FormatError(
+                    f"{path}: GraphInfo.{f.name} must be {f.type}, got {value!r}"
+                )
+            lowest = _LOWEST.get(f.name)
+            if lowest is not None and value < lowest:
+                raise FormatError(
+                    f"{path}: GraphInfo.{f.name}={value} below {lowest}"
+                )
+        if info.tile_bits > 32:
+            raise FormatError(f"{path}: tile_bits {info.tile_bits} > 32")
+        return info
 
 
 @dataclass(frozen=True)

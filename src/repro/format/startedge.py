@@ -115,7 +115,8 @@ class StartEdgeIndex:
                 raise FormatError(f"{path}: not a start-edge file")
             tuple_bytes = int.from_bytes(fh.read(4), "little")
             n = int.from_bytes(fh.read(8), "little")
-            arr = np.frombuffer(fh.read(), dtype=OFFSET_DTYPE)
-        if arr.shape[0] != n:
+            raw = fh.read()
+        if len(raw) != n * np.dtype(OFFSET_DTYPE).itemsize:
             raise FormatError(f"{path}: truncated start-edge array")
+        arr = np.frombuffer(raw, dtype=OFFSET_DTYPE)
         return cls(arr.copy(), tuple_bytes)

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ChecksumError, FormatError
-from repro.faults.crc import crc32c
-from repro.format.edgelist import EdgeList
+from repro.faults.crc import crc32c, crc32c_extents
+from repro.format.edgelist import EdgeList, sort_unique_keys
 from repro.format.grouping import PhysicalGrouping
 from repro.format.metadata import GraphInfo
 from repro.format.startedge import StartEdgeIndex
@@ -149,6 +149,102 @@ def concat_global_edges(views: "list[TileView]") -> tuple[np.ndarray, np.ndarray
     return gsrc, gdst
 
 
+#: Entries a graph's aux file may hold; the first three are mandatory.
+_AUX_KEYS = (
+    "out_degrees", "in_degrees", "snb",
+    "tile_checksums", "edge_weights", "info_crc32c",
+)
+
+
+def _load_aux(path: str) -> "dict[str, np.ndarray]":
+    """Read the aux ``.npz`` whole, failing typed on anything damaged."""
+    try:
+        # Opened here, not by np.load: it leaks its own handle when the
+        # zip directory turns out to be damaged.
+        with open(path, "rb") as fh, np.load(fh) as z:
+            aux = {key: z[key] for key in z.files}
+    except FileNotFoundError:
+        raise
+    except Exception as exc:
+        # The zip and npy readers raise a dozen unrelated types on damaged
+        # input (BadZipFile, zlib.error, ValueError, KeyError, EOFError,
+        # RuntimeError, NotImplementedError...); the caller needs one.
+        raise FormatError(f"{path}: unreadable aux file: {exc}") from exc
+    missing = [key for key in _AUX_KEYS[:3] if key not in aux]
+    unknown = [key for key in aux if key not in _AUX_KEYS]
+    if missing or unknown or aux["snb"].size != 1:
+        raise FormatError(
+            f"{path}: bad aux entries",
+            context={"missing": missing, "unknown": unknown},
+        )
+    return aux
+
+
+def _encode_upper_triangle(
+    el: EdgeList,
+    pos_grid: np.ndarray,
+    tile_rows: np.ndarray,
+    tile_cols: np.ndarray,
+    tile_bits: int,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]":
+    """Symmetric conversion of an undirected edge list with a single sort.
+
+    Every non-loop edge becomes one ``uint64`` key ``pos << 2·tile_bits |
+    lsrc << tile_bits | ldst`` (``lsrc``/``ldst`` the in-tile IDs of its
+    smaller and larger endpoint).  It always fits: with 32-bit vertex IDs
+    a grid of more than one tile has ``pos < p² ≤ 2**(64 − 2·tile_bits)``.
+    Sorted, the keys *are* the disk order — tiles by position, edges in a
+    tile by ``(src, dst)`` — duplicates sit side by side, and tile
+    boundaries are a binary search; nothing is permuted or gathered.
+
+    Returns the start-edge array, the global endpoint arrays of the stored
+    edges in disk order, and their weights (``None`` when unweighted).
+    """
+    tb = np.uint32(tile_bits)
+    mask = np.uint32((1 << tile_bits) - 1)
+    lo = np.minimum(el.src, el.dst)
+    hi = np.maximum(el.src, el.dst)
+    keep = lo != hi
+    lo, hi = lo[keep], hi[keep]
+    weights = None if el.weights is None else el.weights[keep]
+    n_tiles = tile_rows.shape[0]
+    shift = np.uint64(tile_bits)
+    key = ((lo & mask).astype(np.uint64) << shift) | (hi & mask)
+    if n_tiles > 1:  # else pos is 0, and 2·tile_bits may be the full 64
+        pos = pos_grid[lo >> tb, hi >> tb]
+        key |= pos.astype(np.uint64) << (shift + shift)
+    key, weights = sort_unique_keys(key, weights)
+    inner = np.arange(1, n_tiles, dtype=np.uint64) << (shift + shift)
+    start = np.empty(n_tiles + 1, dtype=np.int64)
+    start[0] = 0
+    start[1:-1] = np.searchsorted(key, inner)
+    start[-1] = key.shape[0]
+    counts = np.diff(start)
+    span = np.uint64(mask)
+    gsrc = ((key >> shift) & span).astype(VERTEX_DTYPE)
+    gsrc += np.repeat((tile_rows << tile_bits).astype(VERTEX_DTYPE), counts)
+    gdst = (key & span).astype(VERTEX_DTYPE)
+    gdst += np.repeat((tile_cols << tile_bits).astype(VERTEX_DTYPE), counts)
+    return start, gsrc, gdst, weights
+
+
+def _encode_by_position(
+    work: EdgeList, pos_grid: np.ndarray, n_tiles: int, tile_bits: int
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]":
+    """Conversion that keeps the input's order inside every tile: a stable
+    sort by disk position (directed graphs and the ``symmetric=False``
+    ablation, whose tuples are not one canonical orientation).  Returns
+    what :func:`_encode_upper_triangle` does."""
+    tb = np.uint32(tile_bits)
+    pos = pos_grid[work.src >> tb, work.dst >> tb]
+    counts = np.bincount(pos, minlength=n_tiles)
+    start = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=start[1:])
+    order = np.argsort(pos, kind="stable")
+    weights = None if work.weights is None else work.weights[order]
+    return start, work.src[order], work.dst[order], weights
+
+
 @dataclass
 class TiledGraph:
     """A graph stored in the G-Store tile format.
@@ -195,69 +291,70 @@ class TiledGraph:
         snb: bool = True,
         name: "str | None" = None,
     ) -> "TiledGraph":
-        """Two-pass conversion from an edge list (§IV-B *Implementation*).
+        """Conversion from an edge list (§IV-B *Implementation*).
 
-        Pass 1 buckets edges by tile and builds the start-edge array;
-        pass 2 scatters SNB tuples to their disk positions.  For an
-        undirected input the default stores only the upper triangle
-        (``symmetric=True``); for a directed input the stored orientation
-        is the input's (out-edges), and symmetry does not apply.
+        Edges are bucketed by tile into disk order and stored as SNB
+        tuples, with the start-edge array counting each tile's share.  For
+        an undirected input the default stores only the upper triangle
+        (``symmetric=True``) and the whole conversion is one sort
+        (:func:`_encode_upper_triangle`); for a directed input the stored
+        orientation is the input's (out-edges), and symmetry does not
+        apply.
         """
         name = name if name is not None else el.name
         if el.directed:
             if symmetric:
                 raise FormatError("symmetric storage applies to undirected graphs")
-            work = el
             symmetric = False
-            n_input = el.n_edges
-            out_deg = el.out_degrees()
-            in_deg = el.in_degrees()
-        else:
-            canon = el.canonicalized()
-            if symmetric is None:
-                symmetric = True
-            work = canon if symmetric else canon.symmetrized()
-            n_input = 2 * canon.n_edges
-            # Undirected degree counts each endpoint of each unique edge.
-            out_deg = canon.degrees()
-            in_deg = out_deg
+        elif symmetric is None:
+            symmetric = True
 
         p = ceil_div(el.n_vertices, 1 << tile_bits)
         grouping = PhysicalGrouping(p=p, q=group_q, symmetric=symmetric)
         pos_grid = grouping.position_grid()
-
-        src = work.src
-        dst = work.dst
-        ti = (src >> np.uint32(tile_bits)).astype(np.int64)
-        tj = (dst >> np.uint32(tile_bits)).astype(np.int64)
-        pos = pos_grid[ti, tj]
-        if pos.size and int(pos.min()) < 0:
-            raise FormatError("edge mapped to an unstored tile (symmetry violation)")
-
-        counts = np.bincount(pos, minlength=grouping.n_tiles)
-        dt = local_dtype(tile_bits) if snb else np.dtype(VERTEX_DTYPE)
-        start_edge = StartEdgeIndex.from_counts(counts, tuple_bytes=2 * dt.itemsize)
-
-        order = np.argsort(pos, kind="stable")
-        edge_weights = None
-        if work.weights is not None:
-            edge_weights = work.weights[order]
-        mask = np.uint32((1 << tile_bits) - 1)
-        if snb:
-            lsrc = (src[order] & mask).astype(dt)
-            ldst = (dst[order] & mask).astype(dt)
-        else:
-            lsrc = src[order].astype(dt)
-            ldst = dst[order].astype(dt)
-        payload = np.empty(2 * work.n_edges, dtype=dt)
-        payload[0::2] = lsrc
-        payload[1::2] = ldst
-
         order_arr = np.array(grouping.disk_order(), dtype=np.int64).reshape(-1, 2)
+        tile_rows = order_arr[:, 0].copy()
+        tile_cols = order_arr[:, 1].copy()
+        dt = local_dtype(tile_bits) if snb else np.dtype(VERTEX_DTYPE)
+
+        if symmetric:
+            start, gsrc, gdst, edge_weights = _encode_upper_triangle(
+                el, pos_grid, tile_rows, tile_cols, tile_bits
+            )
+            n_input = 2 * gsrc.shape[0]
+            # Undirected degree counts each endpoint of each unique edge.
+            out_deg = in_deg = (
+                np.bincount(gsrc, minlength=el.n_vertices)
+                + np.bincount(gdst, minlength=el.n_vertices)
+            ).astype(np.uint32)
+        else:
+            if el.directed:
+                work = el
+                n_input = el.n_edges
+                out_deg = el.out_degrees()
+                in_deg = el.in_degrees()
+            else:
+                canon = el.canonicalized()
+                work = canon.symmetrized()
+                n_input = 2 * canon.n_edges
+                out_deg = in_deg = canon.degrees()
+            start, gsrc, gdst, edge_weights = _encode_by_position(
+                work, pos_grid, grouping.n_tiles, tile_bits
+            )
+        start_edge = StartEdgeIndex(start, tuple_bytes=2 * dt.itemsize)
+        payload = np.empty(2 * gsrc.shape[0], dtype=dt)
+        if snb:
+            mask = np.uint32((1 << tile_bits) - 1)
+            payload[0::2] = gsrc & mask
+            payload[1::2] = gdst & mask
+        else:
+            payload[0::2] = gsrc
+            payload[1::2] = gdst
+
         info = GraphInfo(
             name=name,
             n_vertices=el.n_vertices,
-            n_edges=work.n_edges,
+            n_edges=start_edge.n_edges,
             n_input_edges=n_input,
             directed=el.directed,
             symmetric=symmetric,
@@ -268,8 +365,8 @@ class TiledGraph:
             info=info,
             grouping=grouping,
             start_edge=start_edge,
-            tile_rows=order_arr[:, 0].copy(),
-            tile_cols=order_arr[:, 1].copy(),
+            tile_rows=tile_rows,
+            tile_cols=tile_cols,
             out_degrees=out_deg,
             in_degrees=in_deg,
             payload=payload,
@@ -540,8 +637,9 @@ class TiledGraph:
         in disk-edge order too); their ``_gsrc``/``_gdst`` caches are always
         pre-seeded, so :meth:`TileView.global_edges` never recomputes from
         the (run-spanning) locals.  ``with_tiles=False`` skips the per-tile
-        records — the rewind path decodes straight off the backing store
-        and needs no new pool entries.
+        records.  Every engine path passes ``False`` — the pool accounts by
+        position and :meth:`verify_batch_bytes` checksums whole extents —
+        so the records are kept for callers outside the engine only.
         """
         if not runs:
             return [], []
@@ -659,54 +757,104 @@ class TiledGraph:
     # Integrity (docs/RELIABILITY.md)
     # ------------------------------------------------------------------ #
 
-    def _payload_bytes_view(self) -> memoryview:
-        """A byte view over the full payload, resident or on disk."""
+    def _payload_bytes_view(self) -> "memoryview | np.ndarray":
+        """A byte buffer over the full payload: the resident array, or a
+        read-only memory map of the payload file (nothing is read until
+        the checksum kernel touches it, a slab at a time)."""
         if self.payload is not None:
             return memoryview(self.payload).cast("B")
         if self.payload_path is not None:
-            with open(self.payload_path, "rb") as fh:
-                return memoryview(fh.read())
+            if os.path.getsize(self.payload_path) == 0:
+                return memoryview(b"")  # an empty file cannot be mapped
+            return np.memmap(self.payload_path, dtype=np.uint8, mode="r")
         raise FormatError("TiledGraph has neither resident payload nor a path")
+
+    def _tile_crcs(self) -> np.ndarray:
+        """CRC32C of every tile's extent of the payload as it is now."""
+        se = self.start_edge
+        tb = se.tuple_bytes
+        offsets = se.start_edge[:-1].astype(np.int64) * tb
+        sizes = se.edge_counts() * tb
+        view = self._payload_bytes_view()
+        if offsets.size and int(offsets[-1] + sizes[-1]) > len(view):
+            raise FormatError(
+                "start-edge index runs past the end of the payload",
+                context={
+                    "indexed_bytes": int(offsets[-1] + sizes[-1]),
+                    "payload_bytes": len(view),
+                },
+            )
+        return crc32c_extents(view, offsets, sizes)
 
     def ensure_checksums(self) -> np.ndarray:
         """Compute (once) and return the per-tile CRC32C array."""
         if self.tile_checksums is None:
-            view = self._payload_bytes_view()
-            sums = np.zeros(self.n_tiles, dtype=np.uint32)
-            for pos in range(self.n_tiles):
-                off, size = self.start_edge.byte_extent(pos)
-                if size:
-                    sums[pos] = crc32c(view[off : off + size])
-            self.tile_checksums = sums
+            self.tile_checksums = self._tile_crcs()
         return self.tile_checksums
+
+    def _checksum_context(self, pos: int, actual: int) -> dict:
+        """The ``ChecksumError.context`` / fsck record of one corrupt tile."""
+        off, size = self.start_edge.byte_extent(pos)
+        return {
+            "tile": pos,
+            "i": int(self.tile_rows[pos]),
+            "j": int(self.tile_cols[pos]),
+            "offset": off,
+            "size": size,
+            "expected": f"{int(self.tile_checksums[pos]):#010x}",
+            "actual": f"{actual:#010x}",
+        }
 
     def verify_tile_bytes(
         self, pos: int, raw: "bytes | memoryview"
     ) -> None:
-        """Check a fetched tile extent against its stored checksum.
+        """Check a fetched tile extent against its stored checksum (the
+        per-tile reference loop's verify; batches go through
+        :meth:`verify_batch_bytes`).
 
         No-op when the graph carries no checksums (version-1 files).
         Raises :class:`ChecksumError` carrying the tile's grid position
         and byte extent when the payload does not match.
         """
-        sums = self.tile_checksums
-        if sums is None:
+        if self.tile_checksums is None:
             return
         actual = crc32c(raw)
-        expected = int(sums[pos])
-        if actual != expected:
-            off, size = self.start_edge.byte_extent(pos)
+        if actual != int(self.tile_checksums[pos]):
             raise ChecksumError(
                 f"tile {pos} payload failed checksum verification",
-                context={
-                    "tile": pos,
-                    "i": int(self.tile_rows[pos]),
-                    "j": int(self.tile_cols[pos]),
-                    "offset": off,
-                    "size": size,
-                    "expected": f"{expected:#010x}",
-                    "actual": f"{actual:#010x}",
-                },
+                context=self._checksum_context(pos, actual),
+            )
+
+    def verify_batch_bytes(
+        self, runs: "list[tuple[list[int], bytes | memoryview]]"
+    ) -> None:
+        """Check one fetched batch — ``(positions, merged extent)`` pairs
+        as :meth:`decode_batch` takes them — against the stored checksums
+        with a single kernel call over all its tiles.
+
+        No-op when the graph carries no checksums.  Raises
+        :class:`ChecksumError` for the first corrupt tile in batch order,
+        with the same context as :meth:`verify_tile_bytes`.
+        """
+        sums = self.tile_checksums
+        if sums is None or not runs:
+            return
+        positions = np.concatenate(
+            [np.asarray(r[0], dtype=np.int64) for r in runs]
+        )
+        sizes = self.start_edge.tile_bytes(positions)
+        # Tiles of a run are byte-adjacent in its extent and the extents
+        # are laid end to end, so tile k starts where tile k-1 stopped.
+        data = np.concatenate(
+            [np.frombuffer(r[1], dtype=np.uint8) for r in runs]
+        )
+        actual = crc32c_extents(data, np.cumsum(sizes) - sizes, sizes)
+        bad = np.flatnonzero(actual != sums[positions])
+        if bad.size:
+            pos = int(positions[bad[0]])
+            raise ChecksumError(
+                f"tile {pos} payload failed checksum verification",
+                context=self._checksum_context(pos, int(actual[bad[0]])),
             )
 
     def verify_checksums(self) -> "list[dict]":
@@ -722,27 +870,11 @@ class TiledGraph:
                 "re-save it to add them",
                 context={"format_version": self.info.format_version},
             )
-        view = self._payload_bytes_view()
-        bad: "list[dict]" = []
-        for pos in range(self.n_tiles):
-            off, size = self.start_edge.byte_extent(pos)
-            if not size:
-                continue
-            actual = crc32c(view[off : off + size])
-            expected = int(sums[pos])
-            if actual != expected:
-                bad.append(
-                    {
-                        "tile": pos,
-                        "i": int(self.tile_rows[pos]),
-                        "j": int(self.tile_cols[pos]),
-                        "offset": off,
-                        "size": size,
-                        "expected": f"{expected:#010x}",
-                        "actual": f"{actual:#010x}",
-                    }
-                )
-        return bad
+        actual = self._tile_crcs()
+        return [
+            self._checksum_context(pos, int(actual[pos]))
+            for pos in np.flatnonzero(actual != sums).tolist()
+        ]
 
     # ------------------------------------------------------------------ #
     # Size accounting
@@ -768,15 +900,22 @@ class TiledGraph:
             raise FormatError("cannot save a TiledGraph without resident payload")
         payload_path = os.path.join(directory, _PAYLOAD_FILE)
         with open(payload_path, "wb") as fh:
-            fh.write(self.payload.tobytes())
+            self.payload.tofile(fh)  # straight from the array, no bytes copy
         self.start_edge.save(os.path.join(directory, _STARTEDGE_FILE))
         self.info.format_version = 2
-        self.info.save(os.path.join(directory, _INFO_FILE))
+        info_path = os.path.join(directory, _INFO_FILE)
+        self.info.save(info_path)
+        with open(info_path, "rb") as fh:
+            info_crc = crc32c(fh.read())
         aux = dict(
             out_degrees=self.out_degrees,
             in_degrees=self.in_degrees,
             snb=np.array([int(self.snb)]),
             tile_checksums=self.ensure_checksums(),
+            # The info file decides how every other byte is read (tile
+            # width, group side, orientation) and nothing else on disk
+            # repeats it, so its own checksum rides here.
+            info_crc32c=np.array([info_crc], dtype=np.uint32),
         )
         if self.edge_weights is not None:
             aux["edge_weights"] = self.edge_weights
@@ -789,41 +928,72 @@ class TiledGraph:
     ) -> "TiledGraph":
         """Load a saved graph; ``resident=False`` leaves the payload on disk
         (semi-external mode: the engine streams it through the storage
-        substrate)."""
+        substrate).
+
+        The files are outside input: anything unreadable or inconsistent
+        in them — including every metadata invariant of
+        :func:`~repro.format.validate.check_tiled_graph` — raises
+        :class:`FormatError` here rather than an untyped error later.
+        Payload *content* is not read for that; ``fsck --checksums`` and
+        ``verify_checksums=True`` runs check it against the tile CRCs.
+        """
         directory = os.fspath(directory)
-        info = GraphInfo.load(os.path.join(directory, _INFO_FILE))
+        aux = _load_aux(os.path.join(directory, _DEGREE_FILE))
+        info_path = os.path.join(directory, _INFO_FILE)
+        if "info_crc32c" in aux:  # graphs saved before it existed have none
+            with open(info_path, "rb") as fh:
+                actual = crc32c(fh.read())
+            expected = int(aux["info_crc32c"][0])
+            if actual != expected:
+                raise ChecksumError(
+                    f"{info_path} failed checksum verification",
+                    context={
+                        "expected": f"{expected:#010x}",
+                        "actual": f"{actual:#010x}",
+                    },
+                )
+        info = GraphInfo.load(info_path)
         start_edge = StartEdgeIndex.load(os.path.join(directory, _STARTEDGE_FILE))
-        with np.load(os.path.join(directory, _DEGREE_FILE)) as z:
-            out_deg = z["out_degrees"]
-            in_deg = z["in_degrees"]
-            snb = bool(int(z["snb"][0]))
-            edge_weights = z["edge_weights"] if "edge_weights" in z else None
-            # Version-1 files predate per-tile checksums; load as None.
-            tile_checksums = (
-                z["tile_checksums"] if "tile_checksums" in z else None
-            )
         grouping = PhysicalGrouping(p=info.p, q=info.group_q, symmetric=info.symmetric)
+        if start_edge.n_tiles != grouping.n_tiles:  # before walking the grid
+            raise FormatError(
+                f"{directory}: start-edge index has {start_edge.n_tiles} "
+                f"tiles, the info file's grid has {grouping.n_tiles}"
+            )
         order_arr = np.array(grouping.disk_order(), dtype=np.int64).reshape(-1, 2)
+        snb = bool(int(aux["snb"][0]))
         payload_path = os.path.join(directory, _PAYLOAD_FILE)
         payload = None
         if resident:
             dt = local_dtype(info.tile_bits) if snb else np.dtype(VERTEX_DTYPE)
-            with open(payload_path, "rb") as fh:
-                payload = np.frombuffer(fh.read(), dtype=dt).copy()
-        return cls(
+            if os.path.getsize(payload_path) % dt.itemsize:
+                raise FormatError(
+                    f"{payload_path}: size is not a whole number of "
+                    f"{dt.itemsize}-byte local IDs"
+                )
+            payload = np.fromfile(payload_path, dtype=dt)  # one read
+        tg = cls(
             info=info,
             grouping=grouping,
             start_edge=start_edge,
             tile_rows=order_arr[:, 0].copy(),
             tile_cols=order_arr[:, 1].copy(),
-            out_degrees=out_deg,
-            in_degrees=in_deg,
+            out_degrees=aux["out_degrees"],
+            in_degrees=aux["in_degrees"],
             payload=payload,
             payload_path=payload_path,
             snb=snb,
-            edge_weights=edge_weights,
-            tile_checksums=tile_checksums,
+            edge_weights=aux.get("edge_weights"),
+            # Version-1 files predate per-tile checksums; load as None.
+            tile_checksums=aux.get("tile_checksums"),
         )
+        # Imported here: the validator is written against this module.
+        from repro.format.validate import check_tiled_graph
+
+        rep = check_tiled_graph(tg, deep=False)
+        if not rep.ok:
+            raise FormatError(f"{directory}: " + "; ".join(rep.errors))
+        return tg
 
     def __repr__(self) -> str:
         return (

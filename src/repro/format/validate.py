@@ -69,6 +69,13 @@ def check_tiled_graph(
         )
     if tg.tile_rows.shape[0] != tg.grouping.n_tiles:
         rep.fail("tile_rows length mismatch")
+    if tg.start_edge.tuple_bytes != 2 * tg.payload_dtype().itemsize:
+        rep.fail(
+            f"start-edge tuple size {tg.start_edge.tuple_bytes} != "
+            f"{2 * tg.payload_dtype().itemsize} for this tile width"
+        )
+    if not rep.ok:
+        return rep  # nothing below can index a grid that does not line up
 
     # Edge totals.
     if tg.start_edge.n_edges != info.n_edges:
@@ -83,9 +90,19 @@ def check_tiled_graph(
                 f"payload holds {tg.payload.shape[0]} local IDs, expected {expect}"
             )
 
+    # Per-tile and per-edge side arrays.
+    for label, arr, expect in (
+        ("tile_checksums", tg.tile_checksums, tg.grouping.n_tiles),
+        ("edge_weights", tg.edge_weights, tg.start_edge.n_edges),
+    ):
+        if arr is not None and arr.shape != (expect,):
+            rep.fail(f"{label} shape {arr.shape} != ({expect},)")
+
     # Degrees.
-    if tg.out_degrees.shape[0] != info.n_vertices:
+    if tg.out_degrees.shape != (info.n_vertices,):
         rep.fail("out_degrees length != n_vertices")
+    if tg.in_degrees.shape != (info.n_vertices,):
+        rep.fail("in_degrees length != n_vertices")
     deg_sum = int(tg.out_degrees.astype(np.int64).sum())
     # Symmetric storage keeps one tuple per undirected edge but degrees
     # count both endpoints; every other layout stores one tuple per degree
@@ -100,6 +117,7 @@ def check_tiled_graph(
         if lower.any():
             rep.fail("non-empty lower-triangle tile in symmetric graph")
 
+    metadata_ok = rep.ok
     if deep and tg.payload is not None:
         span = 1 << info.tile_bits
         for tv in tg.iter_tiles():
@@ -119,13 +137,16 @@ def check_tiled_graph(
                     )
 
     if checksums:
-        try:
-            for bad in tg.verify_checksums():
-                rep.fail(
-                    f"tile {bad['tile']} ({bad['i']},{bad['j']}) checksum "
-                    f"mismatch: expected {bad['expected']}, got "
-                    f"{bad['actual']} (extent {bad['offset']}+{bad['size']})"
-                )
-        except FormatError:
+        if tg.tile_checksums is None:
             rep.checksums_unavailable = True
+        elif metadata_ok:  # extents mean nothing on unsound metadata
+            try:
+                for bad in tg.verify_checksums():
+                    rep.fail(
+                        f"tile {bad['tile']} ({bad['i']},{bad['j']}) checksum "
+                        f"mismatch: expected {bad['expected']}, got "
+                        f"{bad['actual']} (extent {bad['offset']}+{bad['size']})"
+                    )
+            except FormatError as exc:
+                rep.fail(str(exc))
     return rep

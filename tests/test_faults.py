@@ -15,6 +15,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.bfs import BFS
 from repro.algorithms.cc import ConnectedComponents
@@ -36,7 +38,9 @@ from repro.faults import (
     FaultPlan,
     FaultRates,
     crc32c,
+    crc32c_extents,
 )
+from repro.faults import crc as crc_module
 from repro.format.tiles import TiledGraph
 from repro.format.validate import check_tiled_graph
 
@@ -73,6 +77,135 @@ class TestCrc32c:
         base = crc32c(bytes(data))
         data[5] ^= 0x10
         assert crc32c(bytes(data)) != base
+
+
+def _scalar(buf, offsets, sizes) -> "list[int]":
+    return [crc32c(buf[o : o + s]) for o, s in zip(offsets, sizes)]
+
+
+#: Extent sizes around everything the array kernel branches on: empty,
+#: the 8-byte word, and the block width.
+_EDGE_SIZES = [0, 1, 7, 8, 9] + [
+    k * crc_module._BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)
+]
+
+
+@st.composite
+def _buffers_and_extents(draw):
+    seed = draw(st.integers(0, 2**31 - 1))
+    length = draw(st.integers(0, 6 * crc_module._BLOCK))
+    buf = np.random.default_rng(seed).integers(
+        0, 256, length, dtype=np.uint8
+    ).tobytes()
+    sizes = draw(
+        st.lists(
+            st.one_of(st.sampled_from(_EDGE_SIZES), st.integers(0, length)),
+            max_size=24,
+        )
+    )
+    # Unsorted and overlapping by construction: every extent picks its
+    # own offset, independent of the others.
+    sizes = [min(s, length) for s in sizes]
+    offsets = [draw(st.integers(0, length - s)) for s in sizes]
+    return buf, offsets, sizes
+
+
+class TestCrc32cExtents:
+    """The array kernel is held to the scalar ``crc32c`` bit for bit."""
+
+    def test_rfc3720_vectors(self):
+        vectors = [b"", b"123456789", b"\x00" * 32, b"\xff" * 32]
+        buf = b"".join(vectors)
+        sizes = [len(v) for v in vectors]
+        offsets = np.cumsum(sizes) - sizes
+        assert crc32c_extents(buf, offsets, sizes).tolist() == [
+            0, 0xE3069283, 0x8A9136AA, 0x62A8AB43,
+        ]
+
+    @given(case=_buffers_and_extents())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar(self, case):
+        buf, offsets, sizes = case
+        got = crc32c_extents(buf, offsets, sizes)
+        assert got.dtype == np.uint32
+        assert got.tolist() == _scalar(buf, offsets, sizes)
+
+    @given(case=_buffers_and_extents())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_across_slab_cuts(self, case):
+        # A three-block slab cuts most of these extents mid-way, so the
+        # per-slab pieces of one extent have to fold together.
+        buf, offsets, sizes = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crc_module, "_SLAB", 3 * crc_module._BLOCK)
+            got = crc32c_extents(buf, offsets, sizes)
+        assert got.tolist() == _scalar(buf, offsets, sizes)
+
+    def test_slab_sized_and_larger_extents(self):
+        slab = crc_module._SLAB
+        assert slab == 1 << 20
+        buf = np.random.default_rng(3).integers(
+            0, 256, 3 * slab, dtype=np.uint8
+        ).tobytes()
+        sizes = [slab - 1, slab, slab + 1, slab + slab // 2, 0, 5]
+        offsets = [7, 0, slab - 3, slab // 3, len(buf), len(buf) - 5]
+        assert crc32c_extents(buf, offsets, sizes).tolist() == _scalar(
+            buf, offsets, sizes
+        )
+
+    def test_accepts_arrays_and_memory_maps(self, tmp_path):
+        payload = np.arange(5000, dtype=np.uint16)
+        path = tmp_path / "p.bin"
+        payload.tofile(path)
+        offsets, sizes = [0, 300, 9000], [300, 8700, 1000]
+        want = _scalar(payload.tobytes(), offsets, sizes)
+        mapped = np.memmap(path, dtype=np.uint8, mode="r")
+        for buf in (payload, memoryview(payload).cast("B"), mapped):
+            assert crc32c_extents(buf, offsets, sizes).tolist() == want
+
+    def test_lazy_tables_survive_concurrent_first_use(self):
+        # Verification runs on the prefetch thread and on serving threads;
+        # the zero-append tables are built on first use by whichever gets
+        # there, and a lost update would shift every later table.
+        import sys
+
+        buf = bytes(range(256)) * 40
+        sizes = [3, 17, 129, 1000, 4097, 10240]
+        offsets = [0] * len(sizes)
+        want = _scalar(buf, offsets, sizes)
+        crc_module._ZERO_TABLES.clear()
+        assert crc32c_extents(buf, offsets, sizes).tolist() == want
+        serial = list(crc_module._ZERO_TABLES)  # built by one thread
+        results: "list[list[int]]" = []
+        start = threading.Barrier(8)
+
+        def work():
+            start.wait(timeout=10)
+            results.append(crc32c_extents(buf, offsets, sizes).tolist())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(25):
+                crc_module._ZERO_TABLES.clear()
+                threads = [threading.Thread(target=work) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                built = crc_module._ZERO_TABLES
+                assert len(built) == len(serial)
+                assert all(np.array_equal(a, b) for a, b in zip(built, serial))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 200
+        assert all(r == want for r in results)
+
+    def test_rejects_extents_outside_the_buffer(self):
+        for offsets, sizes in ([-1], [1]), ([0], [-1]), ([5], [6]):
+            with pytest.raises(ValueError):
+                crc32c_extents(b"0123456789", offsets, sizes)
 
 
 # --------------------------------------------------------------------- #

@@ -37,6 +37,17 @@ class TestWeights:
         w = edge_weights(s, d)
         assert w.min() >= 1 and w.max() <= 16
 
+    def test_hash_weights_are_derived_in_the_kernel_only(self, tiled_undirected):
+        # An unweighted graph hands the kernel no weights; the kernel
+        # derives them once and carries them in the partial for the
+        # second relaxation pass.
+        algo = SSSP(root=0)
+        algo.setup(tiled_undirected)
+        views = [tiled_undirected.tile_view(0)]
+        assert algo._shard_weights(views) is None
+        *_, gsrc, gdst, w = algo.batch_partial(views)
+        assert np.array_equal(w, edge_weights(gsrc, gdst))
+
 
 class TestCorrectness:
     def _nx_weighted(self, el):

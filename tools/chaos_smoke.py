@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI chaos smoke: seeded fault injection must recover, kill/resume must match.
 
-Five gates (docs/RELIABILITY.md), each exiting non-zero on failure:
+Six gates (docs/RELIABILITY.md), each exiting non-zero on failure:
 
 1. **Recovery** — a seeded chaos run (transient read errors + short reads
    + latency spikes + one slow RAID member) of BFS and PageRank completes
@@ -19,6 +19,9 @@ Five gates (docs/RELIABILITY.md), each exiting non-zero on failure:
 5. **Serve chaos** — an engine-side error streak flips ``/healthz`` to
    ``degraded`` and shed queries come back as typed 429s with a
    ``Retry-After`` header; recovery flips it back to ``healthy``.
+6. **Disk bit-rot** — ``repro convert`` a smoke graph, ``repro fsck
+   --checksums`` exits 0; one flipped payload byte makes it exit 1 and
+   name the tile that owns the byte.
 
 Usage: PYTHONPATH=src python tools/chaos_smoke.py [--scale 10] [--seed 7]
 """
@@ -26,6 +29,9 @@ Usage: PYTHONPATH=src python tools/chaos_smoke.py [--scale 10] [--seed 7]
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import os
 import sys
 import tempfile
 
@@ -33,6 +39,7 @@ import numpy as np
 
 from repro.algorithms.bfs import BFS
 from repro.algorithms.pagerank import PageRank
+from repro.cli import main as repro_main
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
 from repro.errors import StorageError
@@ -301,6 +308,42 @@ def gate_serve_chaos(tg: TiledGraph) -> None:
         eng.close()
 
 
+def gate_disk_bitrot() -> None:
+    print("gate 6: a flipped payload byte on disk fails fsck, naming its tile")
+    def fsck(directory: str) -> "tuple[int, str]":
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = repro_main(["fsck", directory, "--checksums"])
+        return rc, out.getvalue()
+
+    with tempfile.TemporaryDirectory() as d:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = repro_main(
+                ["convert", "kron-small-16", "--tier", "tiny", "--out", d]
+            )
+        check(rc == 0, "repro convert wrote the smoke graph")
+        rc, _ = fsck(d)
+        check(rc == 0, "fsck --checksums exits 0 on the fresh graph")
+
+        tg = TiledGraph.load(d, resident=False)
+        payload = os.path.join(d, "tiles.dat")
+        byte = os.path.getsize(payload) // 2
+        ends = tg.start_edge.start_edge[1:].astype(np.int64) * tg.tuple_bytes
+        pos = int(np.searchsorted(ends, byte, side="right"))
+        with open(payload, "r+b") as fh:
+            fh.seek(byte)
+            value = fh.read(1)[0]
+            fh.seek(byte)
+            fh.write(bytes([value ^ 0x20]))
+        rc, out = fsck(d)
+        check(rc == 1, "fsck --checksums exits 1 after the flip")
+        named = [ln for ln in out.splitlines() if "checksum mismatch" in ln]
+        check(
+            len(named) == 1 and f"tile {pos} " in named[0],
+            f"the one checksum mismatch names tile {pos}",
+        )
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scale", type=int, default=10, help="R-MAT scale")
@@ -316,6 +359,7 @@ def main() -> int:
     gate_kill_resume(tg)
     gate_shard_chaos(tg)
     gate_serve_chaos(tg)
+    gate_disk_bitrot()
 
     if _failures:
         print(f"chaos smoke: {_failures} gate(s) FAILED")
