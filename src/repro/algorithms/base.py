@@ -127,9 +127,7 @@ class TileAlgorithm(abc.ABC):
         accumulation sequence.  A classmethod (of the class and the batch,
         never instance state) so shard worker processes
         (:mod:`repro.runtime.shard`) chunk exactly as the coordinator
-        would without holding an algorithm instance.  Algorithms wanting
-        row-aligned shards can override with
-        :func:`~repro.runtime.threads.row_run_shards`.
+        would without holding an algorithm instance.
         """
         from repro.runtime.threads import chunk_by_edges
 

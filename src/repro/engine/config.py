@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import StorageError
-from repro.faults.plan import FaultPlan, RetryPolicy
+from repro.faults.plan import FaultPlan
 from repro.memory.scr import CachePolicy
 from repro.runtime.cost import CostModel
 from repro.storage.aio import IOMode
@@ -81,20 +81,9 @@ class EngineConfig:
     #: verification, algorithms without fused kernels or with live ones,
     #: or spawn/shm unavailable) fall back to the single-process path.
     #: Results and simulated statistics stay bit-identical across worker
-    #: deaths because the supervisor replays lost lanes (see
-    #: ``shard_respawn_budget``).
+    #: deaths because the supervisor replays lost lanes (bounded by
+    #: ``ShardRuntime.RESPAWN_BUDGET``; docs/RELIABILITY.md).
     shards: "int | None" = None
-    #: How many shard-worker respawns the supervisor may perform over the
-    #: engine's lifetime before giving up and falling back to the
-    #: single-process path (docs/RELIABILITY.md "Distributed fault
-    #: model").  0 disables self-healing: the first worker death falls
-    #: back immediately, the pre-supervisor behaviour.
-    shard_respawn_budget: int = 2
-    #: Seconds without any gathered result — while batches are
-    #: outstanding — before a live-but-silent shard worker is declared
-    #: hung, killed, and respawned.  ``None`` disables hang detection
-    #: (dead workers are still detected via liveness).
-    shard_heartbeat_timeout: "float | None" = 60.0
     #: Activity-aware tile skipping (§V-B): each iteration fetches only
     #: the tiles the algorithm's frontier metadata says it must touch
     #: (``rows_active()``/``cols_active()``/``tile_mask()``).  False is
@@ -124,8 +113,6 @@ class EngineConfig:
     #: (the default) leaves the storage substrate untouched — the clean
     #: path is bit-identical to an engine without the fault plane.
     faults: "FaultPlan | None" = None
-    #: Recovery policy for retryable storage errors, injected or real.
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Verify each fetched tile extent against its CRC32C at decode time.
     #: ``None`` auto-enables verification exactly when ``faults`` is set,
     #: so clean runs never pay the checksum cost (one array-kernel call
@@ -159,13 +146,6 @@ class EngineConfig:
                 f"shards must be a positive int or None "
                 f"(REPRO_SHARDS default), got {self.shards!r}"
             )
-        if self.shard_respawn_budget < 0:
-            raise StorageError("shard_respawn_budget must be >= 0")
-        if (
-            self.shard_heartbeat_timeout is not None
-            and self.shard_heartbeat_timeout <= 0
-        ):
-            raise StorageError("shard_heartbeat_timeout must be > 0 or None")
         if self.prefetch_depth < 0:
             raise StorageError("prefetch_depth must be >= 0")
         if self.tiered_hot_fraction is not None and not (

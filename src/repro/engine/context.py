@@ -79,10 +79,12 @@ class RunContext:
     deadline: "float | None" = None
     #: Optional external cancellation flag, checked with the deadline.
     cancel_event: "threading.Event | None" = None
-    #: Set when the prefetch pipeline died and the run degraded to
-    #: serial engine-thread I/O for its remainder.
+    #: Set by the engine's degrade step when the prefetch pipeline died:
+    #: the run prepares its remaining batches at depth 0, serially on the
+    #: engine thread.
     degraded: bool = False
-    #: Whether this run executes shard-parallel (engine context only).
+    #: Whether this run executes shard-parallel (engine context only);
+    #: cleared by the degrade step when the shard source fails.
     shard_active: bool = False
     # Memoized rewind batch: all-active algorithms rewind the same tile
     # set every iteration, so the merged run-level views are built once.
@@ -164,7 +166,6 @@ def make_private_context(
         mode=engine.config.io_mode,
         realize_io=engine.config.realize_io,
         tracer=tracer,
-        retry=engine.config.retry,
     )
     abs_deadline = None if deadline is None else time.monotonic() + deadline
     return RunContext(

@@ -13,10 +13,15 @@ Per iteration the engine:
    ``k+1`` is fetched while batch ``k`` computes, so each pipeline step
    costs ``max(io, compute)`` (§VI-B).  The overlap exists on *both*
    clocks: the simulated timeline accounts it via
-   :class:`~repro.runtime.pipeline.PipelineTimeline`, and with
-   ``config.prefetch_depth >= 1`` a background prefetcher really fetches
-   and decodes batches ``k+1..k+D`` (store read + ``decode_batch``, both
-   GIL-releasing) while the engine thread computes batch ``k``.  Compute
+   :class:`~repro.runtime.pipeline.PipelineTimeline`, and one loop —
+   compute ``k-1``, get ``k``, commit ``k`` — draws prepared batches from
+   one ordered source: with ``config.prefetch_depth >= 1`` a background
+   prefetcher really fetches and decodes batches ``k+1..k+D`` (store read
+   + ``decode_batch``, both GIL-releasing) while the engine thread
+   computes batch ``k``; shard-parallel runs gather them from worker
+   processes; depth 0 prepares each batch inside ``get()``.  A source that
+   fails mid-run is closed and the run continues from the same batch at
+   depth 0 (:meth:`GStoreEngine._get`, the one degrade step).  Compute
    runs through the fused batch layer: a whole segment's tiles execute as
    one vectorised kernel pass, optionally sharded row-parallel over a
    persistent worker pool with a deterministic merge (``config.fused`` /
@@ -43,8 +48,8 @@ foundation (docs/SERVING.md).
 
 from __future__ import annotations
 
+import contextlib
 import time as _time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +78,7 @@ from repro.storage.file import TileStore
 from repro.util.timer import SimClock, WallTimer
 from repro.runtime.pipeline import PipelineTimeline, WallOverlap
 from repro.runtime.shard import (
-    ShardGather,
+    Prepared,
     ShardRuntime,
     ShardRuntimeError,
     build_device_array,
@@ -90,48 +95,6 @@ from repro.runtime.threads import (
 #: enough shards for the thread pool (and one piece per shard keeps the
 #: single-view concat fast path) while staying worker-independent.
 _RUN_SPLIT = 8
-
-
-@dataclass
-class _Batch:
-    """One fetched segment: what the cache pool is offered plus the views
-    compute consumes.
-
-    On the fused path ``views`` is run-level (one view per merged extent)
-    and ``tiles`` is the plan's ``int64`` position array, untouched — the
-    pool accounts by position, so nothing per-tile is built.  On the
-    per-tile path both are per-tile: ``tiles`` holds the
-    :class:`TileBuffer` of every view, which a later rewind reuses.
-    """
-
-    tiles: "np.ndarray | list[TileBuffer]"
-    views: list
-    edges: int
-
-
-@dataclass
-class _ShardBatch:
-    """One batch gathered from a shard worker: partials, not views.
-
-    The worker already ran the read-only kernel phase; the engine thread
-    applies the partials in chunk order (the same
-    ``shard_views``-defined order every other path uses), then offers the
-    batch's positions to the cache pool — membership is coordinator
-    state, and no payload bytes ever cross the worker pipe.
-    """
-
-    tiles: np.ndarray
-    partials: list
-
-
-@dataclass
-class _Prepared:
-    """One serviced + decoded batch, ready to commit in plan order."""
-
-    batch: _Batch
-    io_time: float  # simulated service time, not yet charged to the clock
-    bytes_read: int
-    wall: float  # real seconds the preparation took (fetch + decode)
 
 
 class GStoreEngine:
@@ -178,7 +141,6 @@ class GStoreEngine:
             store=self.store, array=self.array, clock=self.clock,
             mode=self.config.io_mode, realize_io=self.config.realize_io,
             tracer=self.tracer, injector=self.injector,
-            retry=self.config.retry,
         )
         if self.tracer.enabled:
             wire_device_counters(self.array, self.tracer.registry)
@@ -193,15 +155,23 @@ class GStoreEngine:
         #: environment default).  >1 activates shard-parallel execution
         #: for runs that can shard (see ``_run_can_shard``).
         self.shards = resolve_shards(self.config.shards)
-        # Shard runtime (persistent worker processes + scatter arena);
-        # created lazily on the first shardable iteration, torn down by
-        # close().  _shard_failed latches a graceful fallback to the
-        # single-process path — permanently, for this engine.
-        self._shard_rt: "ShardRuntime | None" = None
-        self._shard_failed = False
+        #: The shard runtime (persistent worker processes + scatter
+        #: arena): ``None`` until the first shardable iteration (or
+        #: ``warm_backend``) creates it, and again once ``close()`` — or
+        #: the degrade step, for good — has torn it down.
+        self.shard_runtime: "ShardRuntime | None" = None
+        #: What the slide loop's degrade step has latched on this engine,
+        #: as health reason -> the error that caused it:
+        #: ``"shard_fallback"`` (shard execution fell back to the
+        #: single-process path, permanently) and ``"prefetch_degraded"``
+        #: (a prefetch pipeline died and its run finished on serial
+        #: engine-thread I/O).  Recorded with or without a fault injector;
+        #: the serve layer's :class:`~repro.serve.health.HealthMonitor`
+        #: reports the keys.
+        self.degradations: "dict[str, str]" = {}
         #: Supervisor accounting (docs/RELIABILITY.md "Distributed fault
         #: model"): worker deaths/hangs detected, respawns consumed from
-        #: ``config.shard_respawn_budget``, and batches replayed.  Owned
+        #: ``ShardRuntime.RESPAWN_BUDGET``, and batches replayed.  Owned
         #: by the engine so the numbers survive a runtime teardown; the
         #: shard runtime increments it in place.
         self.supervisor: "dict[str, int]" = dict.fromkeys(
@@ -246,7 +216,7 @@ class GStoreEngine:
         """
         return (
             self.shards > 1
-            and not self._shard_failed
+            and not self.shard_failed
             and self.config.fused
             and algorithm.supports_fused
             and not algorithm.live_kernel
@@ -257,61 +227,31 @@ class GStoreEngine:
             and not self._verify
         )
 
-    def _shard_runtime(
-        self, ctx: "RunContext | None" = None
-    ) -> "ShardRuntime | None":
-        """The shard workers, spawned on first shardable iteration.
-
-        Falls back to the single-process engine — permanently, for this
-        engine — when shared memory or process spawning is unavailable
-        (no ``/dev/shm``, sandboxed spawn, ...): the run completes either
-        way with bit-identical results.
-        """
-        if self._shard_rt is None:
-            rt = ShardRuntime(
+    def _ensure_shard_runtime(self) -> ShardRuntime:
+        """The shard runtime, created on first use; its workers spawn at
+        the first scatter (or ``warm_backend``)."""
+        if self.shard_runtime is None:
+            self.shard_runtime = ShardRuntime(
                 self.graph,
                 self.config,
                 self.shards,
                 tracer=self.tracer,
                 faults=self.config.faults,
-                respawn_budget=self.config.shard_respawn_budget,
-                heartbeat_timeout=self.config.shard_heartbeat_timeout,
                 supervisor=self.supervisor,
             )
-            try:
-                rt.start()
-            except Exception as exc:
-                rt.shutdown()
-                self._shard_fallback(ctx, "spawn_failed", exc)
-                return None
-            self._shard_rt = rt
-        return self._shard_rt
+        return self.shard_runtime
 
-    def _shard_fallback(
-        self, ctx: "RunContext | None", reason: str, exc: BaseException
-    ) -> None:
-        """Degrade to the single-process path (counted + traced)."""
-        self._shard_failed = True
-        tracer = ctx.tracer if ctx is not None else self.tracer
-        if ctx is not None:
-            ctx.shard_active = False
-        if tracer.enabled:
-            tracer.registry.counter("shard.fallbacks").add(1)
-            tracer.instant(
-                "shard_fallback", cat="shard", reason=reason, error=str(exc)
-            )
-
-    def _teardown_shard_runtime(self) -> None:
-        rt, self._shard_rt = self._shard_rt, None
+    def _close_shard_runtime(self) -> None:
+        rt, self.shard_runtime = self.shard_runtime, None
         if rt is not None:
             rt.shutdown()
 
     @property
     def shard_failed(self) -> bool:
         """True once shard execution has permanently degraded to the
-        single-process path (a latched engine-health signal the serve
-        layer's :class:`~repro.serve.health.HealthMonitor` reads)."""
-        return self._shard_failed
+        single-process path (a latched engine-health signal; see
+        ``degradations``)."""
+        return "shard_fallback" in self.degradations
 
     def warm_backend(self) -> None:
         """Start the engine's workers now.  Benchmarks call this before
@@ -321,8 +261,12 @@ class GStoreEngine:
         """
         if self.workers > 1:
             self.pool.executor  # noqa: B018 - touch spawns the threads
-        if self.shards > 1 and not self._shard_failed:
-            self._shard_runtime()
+        if self.shards > 1 and not self.shard_failed:
+            # A failed spawn is not warm-up's to report: it leaves the
+            # runtime broken, and the first sharded iteration degrades
+            # through the slide loop like any other failed source.
+            with contextlib.suppress(ShardRuntimeError):
+                self._ensure_shard_runtime().start()
 
     def close(self) -> None:
         """Join and release the engine's workers — threads and shard
@@ -330,7 +274,7 @@ class GStoreEngine:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown()
-        self._teardown_shard_runtime()
+        self._close_shard_runtime()
 
     def __enter__(self) -> "GStoreEngine":
         return self
@@ -535,265 +479,259 @@ class GStoreEngine:
         iteration: int,
         ctx: RunContext,
     ) -> IterationStats:
-        cfg = self.config
         g = self.graph
         tracer = ctx.tracer
         it = IterationStats(iteration=iteration)
         elapsed_before = timeline.totals.elapsed
+        fused = self.config.fused and algorithm.supports_fused
         with tracer.span("iteration", cat="engine", iteration=iteration):
             algorithm.begin_iteration(iteration)
-
             with tracer.span("select", cat="engine", iteration=iteration):
-                if cfg.selective:
-                    needed = select_positions(
-                        g,
-                        algorithm.rows_active(),
-                        algorithm.cols_active(),
-                        algorithm.tile_mask(g.tile_rows, g.tile_cols),
-                    )
-                else:
-                    # Dense ablation baseline: every non-empty tile, every
-                    # iteration — what the engine did before activity-aware
-                    # skipping.
-                    needed = self._dense_positions
-                # Skip accounting against the fixed dense demand: what a
-                # fetch-everything iteration would have moved but this
-                # one's frontier ruled out.
-                needed_bytes = int(g.start_edge.tile_bytes(needed).sum())
-                it.tiles_skipped = int(self._dense_positions.size - needed.size)
-                it.bytes_skipped = self._dense_bytes - needed_bytes
-                scr.note_skipped(it.tiles_skipped, it.bytes_skipped)
-                cached, to_fetch = scr.split_cached(needed, g.start_edge)
-                # The slide schedule is fixed before anything executes, so
-                # the prefetcher can run arbitrarily far ahead of compute.
-                plan: SlidePlan = scr.segment_plan(to_fetch, g.start_edge)
-            fused = cfg.fused and algorithm.supports_fused
-
-            # Shard-parallel slide: scatter the iteration's frozen kernel
-            # state plus each worker's lane of the plan *before* rewind,
-            # so workers fetch + compute while the coordinator rewinds.
-            # (Safe: workers compute from the iteration-start snapshot;
-            # every shardable kernel is snapshot-tolerant — see
-            # repro.runtime.shard.)
-            gather: "ShardGather | None" = None
-            if ctx.shard_active and plan.n_batches > 0:
-                rt = self._shard_runtime(ctx)
-                if rt is not None:
-                    try:
-                        gather = rt.begin_iteration(
-                            algorithm, plan, iteration=iteration
-                        )
-                    except ShardRuntimeError as exc:
-                        self._teardown_shard_runtime()
-                        self._shard_fallback(ctx, "scatter_failed", exc)
-
-            # Shard workers prefetch their own lanes; the coordinator-side
-            # prefetcher only runs on single-process iterations.
-            prefetcher: "Prefetcher | None" = None
-            if (
-                gather is None
-                and cfg.prefetch_depth > 0
-                and plan.n_batches > 0
-                and not ctx.degraded
-            ):
-                jobs = [
-                    (lambda b=batch: self._prepare(b, fused, ctx))
-                    for batch in plan.batches
-                ]
-                prefetcher = Prefetcher(
-                    jobs, depth=cfg.prefetch_depth, tracer=tracer
-                )
-
+                cached, plan = self._plan(algorithm, scr, it)
+            # Opened *before* the rewind: the slide schedule is fixed, so
+            # the prefetch thread — or the shard workers, which compute
+            # from the iteration-start snapshot every shardable kernel
+            # tolerates (see repro.runtime.shard) — fetch the first slide
+            # batches while the engine thread rewinds.
+            source = self._open_source(algorithm, plan, iteration, fused, ctx)
             try:
                 # --- Rewind: consume the pool before any I/O (§VI-D). ---
                 if cached.size:
-                    # Decoded here on the engine thread; the prefetcher
-                    # (or the shard workers) already fetch the first
-                    # slide batches on their own threads meanwhile.
-                    views = self._rewind_views(algorithm, scr, cached, ctx)
-                    tc0 = _time.perf_counter()
-                    with tracer.span(
-                        "compute", cat="compute", phase="rewind",
-                        tiles=len(cached),
-                    ):
-                        edges = self._execute_views(algorithm, views, ctx)
-                    ctx.wall_overlap.compute_busy += _time.perf_counter() - tc0
-                    t = cfg.cost_model.compute_time(
-                        algorithm.name, edges * algorithm.direction_passes,
-                        len(cached),
+                    # Resident already, so there is nothing to fetch — and
+                    # nothing to offer: tiles the next iteration no longer
+                    # needs are dropped where every stale resident is, by
+                    # the analysis a later offer runs when the pool is
+                    # under pressure and by end_iteration's analysis with
+                    # the complete next frontier.
+                    rewound = Prepared(
+                        tiles=cached,
+                        views=self._rewind_views(algorithm, scr, cached, ctx),
+                        io_time=0.0, bytes_read=0, wall=0.0,
                     )
-                    timeline.compute_only(t)
-                    it.compute_time += t
+                    timeline.compute_only(self._compute(
+                        algorithm, rewound, it, ctx,
+                        phase="rewind", tiles=len(cached),
+                    ))
                     it.tiles_from_cache += len(cached)
-                    it.edges_processed += edges
                     it.bytes_from_cache += int(
                         g.start_edge.tile_bytes(cached).sum()
                     )
-                    # Rewound tiles are resident already, so there is
-                    # nothing to offer.  The ones the next iteration no
-                    # longer needs are dropped where every stale resident
-                    # is: by the analysis a later offer runs when the pool
-                    # is under pressure, and by end_iteration's analysis
-                    # with the complete next frontier.
 
-                # --- Slide: overlapped fetch/compute over segment batches.
-                # Batch k computes on the engine thread while the
-                # prefetcher prepares k+1..k+depth; each batch then commits
-                # (clock, stats, cache offer) in plan order.
-                prev: "_Prepared | None" = None
+                # --- Slide: compute k-1, get k, commit k.  Batch k-1
+                # computes on the engine thread while the source prepares
+                # k and beyond; each batch then commits (clock, stats) in
+                # plan order, whatever served it.
+                prev: "Prepared | None" = None
                 for k in range(plan.n_batches):
                     comp_t = 0.0
-                    tc0 = _time.perf_counter()
                     if prev is not None:
-                        with tracer.span(
-                            "compute", cat="compute", phase="slide",
-                            batch=k - 1,
-                        ):
-                            comp_t = self._process_batch(
-                                algorithm, scr, prev.batch, it, ctx
-                            )
-                    tc1 = _time.perf_counter()
-                    ctx.wall_overlap.compute_busy += tc1 - tc0
-                    if gather is not None:
-                        with tracer.span("stall", cat="pipeline", batch=k):
-                            try:
-                                sp = gather.get()
-                                prep = _Prepared(
-                                    batch=_ShardBatch(
-                                        tiles=plan.batches[k],
-                                        partials=sp.partials,
-                                    ),
-                                    io_time=sp.io_time,
-                                    bytes_read=sp.bytes_read,
-                                    wall=sp.wall,
-                                )
-                            except ShardRuntimeError as exc:
-                                # Graceful degradation: a shard worker
-                                # died mid-iteration.  Already-gathered
-                                # batches are applied and committed;
-                                # nothing from batch k onward touched the
-                                # clock or the algorithm, so finishing
-                                # those batches on the coordinator's own
-                                # fetch path keeps results and simulated
-                                # stats bit-identical.
-                                gather = None
-                                self._teardown_shard_runtime()
-                                self._shard_fallback(ctx, "worker_died", exc)
-                                prep = self._prepare(
-                                    plan.batches[k], fused, ctx
-                                )
-                        stall = _time.perf_counter() - tc1
-                    elif prefetcher is not None:
-                        with tracer.span("stall", cat="pipeline", batch=k):
-                            try:
-                                prep: _Prepared = prefetcher.get()
-                            except (StorageError, FormatError) as exc:
-                                # Graceful degradation: the prefetch
-                                # pipeline died on a persistent storage or
-                                # corruption fault.  Drain it (no thread
-                                # leak), then re-attempt this batch — and
-                                # run the rest of the run — serially on
-                                # the engine thread; if the fault truly
-                                # persists (e.g. a dead RAID member) the
-                                # serial attempt propagates it typed.
-                                prefetcher.close()
-                                prefetcher = None
-                                ctx.degraded = True
-                                if self.injector is not None:
-                                    self.injector.registry.counter(
-                                        "fault.prefetch_fallbacks"
-                                    ).add(1)
-                                tracer.instant(
-                                    "prefetch_fallback", cat="pipeline",
-                                    batch=k, error=str(exc),
-                                )
-                                prep = self._prepare(
-                                    plan.batches[k], fused, ctx
-                                )
-                        stall = _time.perf_counter() - tc1
-                    else:
-                        prep = self._prepare(plan.batches[k], fused, ctx)
-                        stall = prep.wall  # serial path: compute waits it out
+                        comp_t = self._compute(
+                            algorithm, prev, it, ctx, scr,
+                            phase="slide", batch=k - 1,
+                        )
+                    t0 = _time.perf_counter()
+                    with tracer.span("stall", cat="pipeline", batch=k):
+                        source, prep = self._get(source, k, plan, fused, ctx)
+                    waited = _time.perf_counter() - t0
+                    # A batch prepared inside get() stalls the engine
+                    # thread for exactly its preparation, by definition.
                     ctx.wall_overlap.record_fetch(
-                        prep.wall, stall,
-                        prefetched=prefetcher is not None or gather is not None,
+                        prep.wall,
+                        waited if source.overlapped else prep.wall,
+                        prefetched=source.overlapped,
                     )
                     ctx.aio.commit(prep.io_time)
                     timeline.step(prep.io_time, comp_t)
                     it.io_time += prep.io_time
-                    it.compute_time += comp_t
                     it.bytes_read += prep.bytes_read
-                    it.tiles_fetched += len(prep.batch.tiles)
+                    it.tiles_fetched += len(prep.tiles)
                     prev = prep
 
                 # Pipeline drain: the last fetched batch computes with no
                 # I/O.
                 if prev is not None:
-                    tc0 = _time.perf_counter()
-                    with tracer.span(
-                        "compute", cat="compute", phase="drain",
-                        batch=plan.n_batches - 1,
-                    ):
-                        comp_t = self._process_batch(
-                            algorithm, scr, prev.batch, it, ctx
-                        )
-                    ctx.wall_overlap.compute_busy += _time.perf_counter() - tc0
-                    timeline.compute_only(comp_t)
-                    it.compute_time += comp_t
+                    timeline.compute_only(self._compute(
+                        algorithm, prev, it, ctx, scr,
+                        phase="drain", batch=plan.n_batches - 1,
+                    ))
             finally:
                 # An algorithm exception must not leak the prefetch thread
-                # or leave undelivered shard results in the queue (a dirty
-                # queue would corrupt the next iteration's gather; if the
+                # or leave undelivered shard results in the pipes (a dirty
+                # pipe would corrupt the next iteration's gather; if the
                 # drain fails the runtime marks itself broken and the next
-                # scatter falls back gracefully).
-                if prefetcher is not None:
-                    prefetcher.close()
-                if gather is not None:
-                    gather.close()
+                # iteration degrades).
+                source.close()
 
         it.elapsed = timeline.totals.elapsed - elapsed_before
         if tracer.enabled:
-            # Flush the iteration's aggregates into the counters registry;
-            # summed over iterations these match RunStats field for field
-            # (asserted by tests/test_obs.py).
-            reg = tracer.registry
-            reg.counter("engine.iterations").add(1)
-            reg.counter("engine.batches").add(plan.n_batches)
-            reg.counter("engine.io_time_sim").add(it.io_time)
-            reg.counter("engine.compute_time_sim").add(it.compute_time)
-            reg.counter("engine.bytes_read").add(it.bytes_read)
-            reg.counter("engine.bytes_from_cache").add(it.bytes_from_cache)
-            reg.counter("engine.tiles_fetched").add(it.tiles_fetched)
-            reg.counter("engine.tiles_from_cache").add(it.tiles_from_cache)
-            reg.counter("engine.edges_processed").add(it.edges_processed)
-            reg.counter("engine.bytes_skipped").add(it.bytes_skipped)
-            reg.counter("engine.tiles_skipped").add(it.tiles_skipped)
-            # Per-iteration bytes lane on the simulated clock: one span
-            # per iteration on the ``sim:bytes`` track carrying the moved
-            # vs skipped byte split.  Emitted in plan order on the engine
-            # thread, so — like every simulated lane — the export is
-            # bit-identical at any prefetch depth or worker count.
-            tracer.sim_span(
-                "bytes",
-                start=elapsed_before,
-                duration=it.elapsed,
-                track="sim:bytes",
-                cat="bytes",
-                iteration=iteration,
-                bytes_read=it.bytes_read,
-                bytes_from_cache=it.bytes_from_cache,
-                bytes_skipped=it.bytes_skipped,
-                tiles_skipped=it.tiles_skipped,
-            )
+            self._flush_iteration(tracer, it, plan.n_batches, elapsed_before)
         return it
 
+    def _plan(
+        self, algorithm: TileAlgorithm, scr: SCRScheduler, it: IterationStats
+    ) -> "tuple[np.ndarray, SlidePlan]":
+        """Select this iteration's tiles: the resident ones to rewind and
+        the slide schedule for the rest (skips accounted on ``it``)."""
+        g = self.graph
+        if self.config.selective:
+            needed = select_positions(
+                g,
+                algorithm.rows_active(),
+                algorithm.cols_active(),
+                algorithm.tile_mask(g.tile_rows, g.tile_cols),
+            )
+        else:
+            # Dense ablation baseline: every non-empty tile, every
+            # iteration — what the engine did before activity-aware
+            # skipping.
+            needed = self._dense_positions
+        # Skip accounting against the fixed dense demand: what a
+        # fetch-everything iteration would have moved but this one's
+        # frontier ruled out.
+        needed_bytes = int(g.start_edge.tile_bytes(needed).sum())
+        it.tiles_skipped = int(self._dense_positions.size - needed.size)
+        it.bytes_skipped = self._dense_bytes - needed_bytes
+        scr.note_skipped(it.tiles_skipped, it.bytes_skipped)
+        cached, to_fetch = scr.split_cached(needed, g.start_edge)
+        # The slide schedule is fixed before anything executes, so a
+        # source can run arbitrarily far ahead of compute.
+        return cached, scr.segment_plan(to_fetch, g.start_edge)
+
+    def _flush_iteration(
+        self, tracer, it: IterationStats, n_batches: int, elapsed_before: float
+    ) -> None:
+        """Flush the iteration's aggregates into the counters registry;
+        summed over iterations these match RunStats field for field
+        (asserted by tests/test_obs.py)."""
+        reg = tracer.registry
+        reg.counter("engine.iterations").add(1)
+        reg.counter("engine.batches").add(n_batches)
+        reg.counter("engine.io_time_sim").add(it.io_time)
+        reg.counter("engine.compute_time_sim").add(it.compute_time)
+        reg.counter("engine.bytes_read").add(it.bytes_read)
+        reg.counter("engine.bytes_from_cache").add(it.bytes_from_cache)
+        reg.counter("engine.tiles_fetched").add(it.tiles_fetched)
+        reg.counter("engine.tiles_from_cache").add(it.tiles_from_cache)
+        reg.counter("engine.edges_processed").add(it.edges_processed)
+        reg.counter("engine.bytes_skipped").add(it.bytes_skipped)
+        reg.counter("engine.tiles_skipped").add(it.tiles_skipped)
+        # Per-iteration bytes lane on the simulated clock: one span per
+        # iteration on the ``sim:bytes`` track carrying the moved vs
+        # skipped byte split.  Emitted in plan order on the engine thread,
+        # so — like every simulated lane — the export is bit-identical at
+        # any prefetch depth, worker count or shard count.
+        tracer.sim_span(
+            "bytes",
+            start=elapsed_before,
+            duration=it.elapsed,
+            track="sim:bytes",
+            cat="bytes",
+            iteration=it.iteration,
+            bytes_read=it.bytes_read,
+            bytes_from_cache=it.bytes_from_cache,
+            bytes_skipped=it.bytes_skipped,
+            tiles_skipped=it.tiles_skipped,
+        )
+
     # ------------------------------------------------------------------ #
+    # Batch sources: one contract, one degrade step
+    # ------------------------------------------------------------------ #
+
+    def _open_source(
+        self,
+        algorithm: TileAlgorithm,
+        plan: SlidePlan,
+        iteration: int,
+        fused: bool,
+        ctx: RunContext,
+    ):
+        """This iteration's ordered source of prepared batches.
+
+        One contract, whatever serves the batches: ``get()`` returns the
+        next :class:`Prepared` in plan order, ``close()`` leaves no thread
+        and no undelivered result behind, ``overlapped`` says whether
+        batches are prepared off the engine thread.  A shard-parallel run
+        scatters the iteration's frozen kernel state plus each worker's
+        lane of the plan (workers prefetch their own lanes); every other
+        run prepares its batches itself — ``prefetch_depth`` ahead on the
+        prefetch thread, or inside ``get()`` at depth 0 and once the run
+        has degraded.
+        """
+        if ctx.shard_active and plan.n_batches:
+            return self._ensure_shard_runtime().begin_iteration(
+                algorithm, plan, iteration=iteration
+            )
+        depth = 0 if ctx.degraded else self.config.prefetch_depth
+        return self._local_source(plan.batches, fused, ctx, depth)
+
+    def _local_source(
+        self, batches, fused: bool, ctx: RunContext, depth: int
+    ) -> Prefetcher:
+        jobs = [(lambda b=b: self._prepare(b, fused, ctx)) for b in batches]
+        return Prefetcher(jobs, depth=depth, tracer=ctx.tracer)
+
+    def _get(
+        self, source, k: int, plan: SlidePlan, fused: bool, ctx: RunContext
+    ):
+        """Batch ``k`` and the source the run continues on.
+
+        The one degrade step.  A source that prepares batches off the
+        engine thread can die under the run: the prefetch pipeline on a
+        persistent storage or corruption fault; the shard gather when
+        workers cannot spawn, the scatter fails, or a worker dies with the
+        respawn budget spent.  Batches before ``k`` are committed and
+        nothing from ``k`` on has touched the clock, the algorithm or the
+        cache pool, so closing the source (no thread, no undelivered
+        result left) and preparing ``k`` onward inside ``get()`` on the
+        engine thread keeps results and simulated statistics bit-identical.
+        That depth-0 local source is the floor: it has nowhere to degrade
+        to, so a fault that truly persists (a dead RAID member, say)
+        propagates from it typed.
+        """
+        try:
+            return source, source.get()
+        except (StorageError, FormatError, ShardRuntimeError) as exc:
+            if not source.overlapped:
+                raise
+            source.close()
+            self._record_degrade(ctx, k, exc)
+            source = self._local_source(plan.batches[k:], fused, ctx, depth=0)
+            return source, source.get()
+
+    def _record_degrade(
+        self, ctx: RunContext, k: int, exc: Exception
+    ) -> None:
+        """Say why batch ``k``'s source was abandoned: on the run (its
+        ``execution`` stats), on the engine (``degradations``, injector or
+        not) and in the trace."""
+        tracer = ctx.tracer
+        if ctx.shard_active:
+            # Permanent, for this engine: workers that failed once are
+            # not trusted with another iteration.
+            ctx.shard_active = False
+            self._close_shard_runtime()
+            self.degradations["shard_fallback"] = str(exc)
+            tracer.registry.counter("shard.fallbacks").add(1)
+            tracer.instant(
+                "shard_fallback", cat="shard", batch=k, error=str(exc)
+            )
+        else:
+            # For the rest of this run: later iterations open at depth 0.
+            ctx.degraded = True
+            self.degradations["prefetch_degraded"] = str(exc)
+            if self.injector is not None:
+                self.injector.registry.counter(
+                    "fault.prefetch_fallbacks"
+                ).add(1)
+            tracer.instant(
+                "prefetch_fallback", cat="pipeline", batch=k, error=str(exc)
+            )
 
     def _prepare(
         self, batch_positions: np.ndarray, fused: bool, ctx: RunContext
-    ) -> _Prepared:
+    ) -> Prepared:
         """Fetch + decode one slide batch (runs on the prefetch thread when
-        prefetching, inline on the engine thread at depth 0).
+        prefetching, inside ``get()`` on the engine thread at depth 0).
 
         Everything here is free of engine-thread state: the AIO service
         half is thread-safe and clock-free, the store reads are zero-copy,
@@ -807,8 +745,6 @@ class GStoreEngine:
             requests = merge_requests(batch_positions, g.start_edge)
             events, io_t = ctx.aio.service(requests)
             views: list = []
-            edges = 0
-            tb = g.start_edge.tuple_bytes
             verify = self._verify
             with tracer.span("decode", cat="decode", tiles=len(batch_positions)):
                 if fused:
@@ -842,10 +778,9 @@ class GStoreEngine:
                                 )
                             )
                             views.append(tv)
-                for ev in events:
-                    edges += len(ev.data) // tb
-        return _Prepared(
-            batch=_Batch(tiles=tiles, views=views, edges=edges),
+        return Prepared(
+            tiles=tiles,
+            views=views,
             io_time=io_t,
             bytes_read=sum(r.size for r in requests),
             wall=_time.perf_counter() - t0,
@@ -985,37 +920,53 @@ class GStoreEngine:
             pool=self.pool if kw > 1 else None,
         )
 
-    def _process_batch(
+    def _compute(
         self,
         algorithm: TileAlgorithm,
-        scr: SCRScheduler,
-        batch: "_Batch | _ShardBatch",
+        prep: Prepared,
         it: IterationStats,
         ctx: RunContext,
+        scr: "SCRScheduler | None" = None,
+        **where,
     ) -> float:
+        """Compute one prepared batch on the engine thread and account it
+        — the step rewind, slide and drain share.
+
+        Runs the kernels over ``prep.views``, or applies ``prep.partials``
+        when a shard worker already ran the read-only kernel phase: in
+        chunk order, the same shard_views-defined sequence every
+        single-process path commits in, which is what keeps float
+        accumulation (and so results) bit-identical at any shard count.
+        Then offers the batch to the cache pool — ``scr``; the rewind
+        passes none — membership being coordinator state on every path.
+        Wall compute time, edges and simulated compute time go onto the
+        stats; the latter is returned for the caller's timeline step.
+        ``where`` labels the ``compute`` span.
+        """
         g = self.graph
-        if isinstance(batch, _ShardBatch):
-            # The read-only kernel phase already ran on a shard worker;
-            # apply its partials here in chunk order — the same
-            # shard_views-defined sequence every single-process path
-            # commits in, which is what keeps float accumulation (and so
-            # results) bit-identical at any shard count.
-            edges = 0
-            for partial in batch.partials:
-                edges += algorithm.apply_partial(partial)
-        else:
-            edges = self._execute_views(algorithm, batch.views, ctx)
-        it.edges_processed += edges
-        scr.offer(
-            batch.tiles,
-            g.tile_rows,
-            g.tile_cols,
-            self._rows_active_next(algorithm),
-            g.info.symmetric,
-            self._cols_active_next(algorithm),
-        )
-        return self.config.cost_model.compute_time(
+        t0 = _time.perf_counter()
+        with ctx.tracer.span("compute", cat="compute", **where):
+            if prep.partials is None:
+                edges = self._execute_views(algorithm, prep.views, ctx)
+            else:
+                edges = 0
+                for partial in prep.partials:
+                    edges += algorithm.apply_partial(partial)
+            if scr is not None:
+                scr.offer(
+                    prep.tiles,
+                    g.tile_rows,
+                    g.tile_cols,
+                    self._rows_active_next(algorithm),
+                    g.info.symmetric,
+                    self._cols_active_next(algorithm),
+                )
+        ctx.wall_overlap.compute_busy += _time.perf_counter() - t0
+        comp_t = self.config.cost_model.compute_time(
             algorithm.name,
             edges * algorithm.direction_passes,
-            len(batch.tiles),
+            len(prep.tiles),
         )
+        it.edges_processed += edges
+        it.compute_time += comp_t
+        return comp_t

@@ -11,8 +11,7 @@ per-iteration questions:
   when the pool fills, which get evicted by proactive analysis.
 
 ``CachePolicy.BASE`` disables the pool and rewind entirely, reproducing the
-two-segment streaming baseline of Figure 13; ``CachePolicy.NONE`` is pure
-streaming with no reuse at all.
+two-segment streaming baseline of Figure 13.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.obs.trace import NULL_TRACER
 class CachePolicy(enum.Enum):
     SCR = "scr"  # slide + proactive cache + rewind
     BASE = "base"  # two streaming segments only (Figure 13 baseline)
-    NONE = "none"  # alias of BASE kept for clarity in ablation sweeps
 
 
 @dataclass(frozen=True)

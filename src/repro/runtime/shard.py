@@ -56,7 +56,9 @@ from repro.runtime.threads import (
 
 
 class ShardRuntimeError(RuntimeError):
-    """A shard worker died or its batch failed; the runtime is broken."""
+    """The shard workers could not spawn, the scatter failed, a batch
+    failed in a worker, or one died with the respawn budget spent; the
+    runtime is broken."""
 
 
 @dataclass(frozen=True)
@@ -134,18 +136,25 @@ def build_device_array(cfg, graph):
 
 
 @dataclass
-class ShardPrepared:
-    """One gathered batch, ready to commit in plan order."""
+class Prepared:
+    """One slide batch, serviced and ready to commit in plan order — the
+    one record every batch source returns.
 
-    batch_index: int
-    partials: list
+    Exactly one of ``views`` (the engine's own fetch path: decoded, the
+    kernel still to run on the engine thread) and ``partials`` (a shard
+    worker already ran the read-only kernel phase; in chunk order) is
+    set.  ``tiles`` is what the cache pool is offered: the plan's
+    ``int64`` position array, untouched — or, on the per-tile path, the
+    :class:`~repro.memory.segments.TileBuffer` of every view, which a
+    later rewind reuses.
+    """
+
+    tiles: "np.ndarray | list"
     io_time: float  # simulated service time, not yet charged to the clock
     bytes_read: int
-    wall: float  # real seconds the worker spent (fetch + decode + kernel)
-    shard_id: int
-    pid: int
-    t0: float  # perf_counter span endpoints on the worker, for tracing
-    t1: float
+    wall: float  # real seconds the preparation took, wherever it ran
+    views: "list | None" = None
+    partials: "list | None" = None
 
 
 def _resolve_algorithm(module: str, qualname: str, cache: dict):
@@ -309,25 +318,28 @@ class ShardGather:
     finishes the iteration on its own fetch path.
     """
 
+    #: Batches are prepared off the engine thread (see
+    #: :class:`~repro.runtime.threads.Prefetcher`, the other batch source).
+    overlapped = True
+
     def __init__(
         self,
         runtime: "ShardRuntime",
         n_batches: int,
         lanes: "list[list[tuple[int, np.ndarray]]] | None" = None,
         scatter: "tuple | None" = None,
+        error: "ShardRuntimeError | None" = None,
     ):
         self._rt = runtime
         self._n = n_batches
         self._next = 0
         self._buffered: "dict[int, tuple]" = {}
         self._lanes = lanes if lanes is not None else []
+        self._tiles = {b: pos for lane in self._lanes for b, pos in lane}
         self._scatter = scatter  # (module, qualname, params, descs)
+        self._error = error  # a failed scatter, delivered by get()
         self._received: "set[int]" = set()
         self._last_progress = time.monotonic()
-
-    @property
-    def exhausted(self) -> bool:
-        return self._next >= self._n
 
     def _accept(self, idx, ok, payload, meta) -> None:
         """Buffer one raw result message (shared by get and supervise)."""
@@ -374,8 +386,7 @@ class ShardGather:
         hung: "list[int]" = []
         if (
             not dead
-            and rt.heartbeat_timeout is not None
-            and time.monotonic() - self._last_progress > rt.heartbeat_timeout
+            and time.monotonic() - self._last_progress > rt.HEARTBEAT_TIMEOUT
         ):
             hung = [i for i in range(rt.shards) if self._missing_for(i)]
         if not dead and not hung:
@@ -385,15 +396,14 @@ class ShardGather:
             missing = self._missing_for(i)
             rt.respawn_worker(i, hung=i in hung)
             if missing and self._scatter is not None:
-                module, qualname, params, descs = self._scatter
-                rt._task_qs[i].put(
-                    ("iter", module, qualname, params, descs, missing)
-                )
+                rt._task_qs[i].put(("iter", *self._scatter, missing))
                 rt._count_supervisor("replayed_batches", len(missing))
         self._last_progress = time.monotonic()
 
-    def get(self) -> ShardPrepared:
+    def get(self) -> Prepared:
         """The next batch in plan order (blocks until its worker posts)."""
+        if self._error is not None:
+            raise self._error
         rt = self._rt
         while self._next not in self._buffered:
             # The conn list is rebuilt every pass: a respawn swaps the
@@ -415,21 +425,9 @@ class ShardGather:
             if not accepted:
                 # Only EOFs were ready: don't spin on a dead channel.
                 self._supervise()
-        payload, meta = self._buffered.pop(self._next)
+        k = self._next
         (partials, io_time, bytes_read), (shard_id, pid, t0, t1) = (
-            payload,
-            meta,
-        )
-        prep = ShardPrepared(
-            batch_index=self._next,
-            partials=partials,
-            io_time=io_time,
-            bytes_read=bytes_read,
-            wall=t1 - t0,
-            shard_id=shard_id,
-            pid=pid,
-            t0=t0,
-            t1=t1,
+            self._buffered.pop(k)
         )
         self._next += 1
         tracer = rt._tracer
@@ -437,17 +435,24 @@ class ShardGather:
             reg = tracer.registry
             reg.counter("shard.batches").add(1)
             reg.counter("shard.bytes_read").add(bytes_read)
-            reg.counter("shard.worker_seconds").add(prep.wall)
+            reg.counter("shard.worker_seconds").add(t1 - t0)
             tracer.remote_span(
                 "shard.batch",
                 track=f"repro-shard-{shard_id}",
                 t0=t0,
                 t1=t1,
                 cat="shard",
-                batch=prep.batch_index,
+                batch=k,
                 pid=pid,
             )
-        return prep
+        # wall: the worker's own fetch + decode + kernel seconds.
+        return Prepared(
+            tiles=self._tiles[k],
+            partials=partials,
+            io_time=io_time,
+            bytes_read=bytes_read,
+            wall=t1 - t0,
+        )
 
     def close(self, timeout: float = 30.0) -> None:
         """Drain undelivered results so the queue is clean for the next
@@ -504,6 +509,14 @@ class ShardRuntime:
     """
 
     _POLL = 0.2
+    #: Worker respawns the supervisor may spend over the runtime's life
+    #: before declaring it broken (the engine then finishes on its own
+    #: fetch path; docs/RELIABILITY.md "Distributed fault model").
+    RESPAWN_BUDGET = 2
+    #: Seconds without any gathered result — while batches are
+    #: outstanding — before a live-but-silent worker is declared hung,
+    #: killed, and respawned.
+    HEARTBEAT_TIMEOUT = 60.0
 
     def __init__(
         self,
@@ -512,8 +525,6 @@ class ShardRuntime:
         shards: int,
         tracer=NULL_TRACER,
         faults=None,
-        respawn_budget: int = 2,
-        heartbeat_timeout: "float | None" = 60.0,
         supervisor: "dict | None" = None,
     ):
         self.shards = int(shards)
@@ -531,8 +542,6 @@ class ShardRuntime:
         self._spec = ShardSpec(self.shards)
         self._tracer = tracer
         self._faults = faults
-        self.respawn_budget = int(respawn_budget)
-        self.heartbeat_timeout = heartbeat_timeout
         self.supervisor = (
             supervisor
             if supervisor is not None
@@ -619,10 +628,10 @@ class ShardRuntime:
         :class:`ShardRuntimeError` once the budget is exhausted — the
         engine's existing fallback path takes over from there.
         """
-        if self.respawns >= self.respawn_budget:
+        if self.respawns >= self.RESPAWN_BUDGET:
             self._broken = True
             raise ShardRuntimeError(
-                f"respawn budget exhausted ({self.respawn_budget}) at "
+                f"respawn budget exhausted ({self.RESPAWN_BUDGET}) at "
                 f"worker {shard_id}"
             )
         old = self._procs[shard_id]
@@ -670,14 +679,20 @@ class ShardRuntime:
             raise ShardRuntimeError("shard runtime is shut down")
         if self._started:
             return
-        self._arena.ensure(self._arena.ALIGN)  # probe shared memory now
-        for i in range(self.shards):
-            p, task_q, conn = self._spawn_worker(i, incarnation=1)
-            self._task_qs.append(task_q)
-            self._procs.append(p)
-            self._result_conns.append(conn)
-            self._incarnations.append(1)
-        self._started = True
+        self._started = True  # from here shutdown() has workers to reap
+        try:
+            self._arena.ensure(self._arena.ALIGN)  # probe shared memory now
+            for i in range(self.shards):
+                p, task_q, conn = self._spawn_worker(i, incarnation=1)
+                self._task_qs.append(task_q)
+                self._procs.append(p)
+                self._result_conns.append(conn)
+                self._incarnations.append(1)
+        except Exception as exc:  # no /dev/shm, sandboxed spawn, ...
+            self._broken = True
+            raise ShardRuntimeError(
+                f"shard workers could not spawn: {exc}"
+            ) from exc
         deadline = time.monotonic() + timeout
         waiting = set(range(self.shards))
         while waiting:
@@ -720,20 +735,28 @@ class ShardRuntime:
         result, and the engine never begins an iteration before the
         previous gather completed (or the runtime was torn down).  A
         scripted ``scatterfail@ITER`` transport fault fires here, before
-        anything is scattered, exercising the engine's scatter-failed
-        fallback path.
+        anything is scattered.
+
+        Never raises :class:`ShardRuntimeError`: when the workers cannot
+        spawn or the scatter fails, the runtime is marked broken and the
+        returned gather delivers the error from its first ``get()`` — a
+        batch source fails in one place, where the engine's degrade step
+        takes over from batch 0 on its own fetch path.
         """
-        if self._broken:
-            raise ShardRuntimeError("shard runtime is broken")
-        if (
-            self._faults is not None
-            and self._faults.scatter_event_for(iteration) is not None
-        ):
+        try:
+            if self._broken:
+                raise ShardRuntimeError("shard runtime is broken")
+            if (
+                self._faults is not None
+                and self._faults.scatter_event_for(iteration) is not None
+            ):
+                raise ShardRuntimeError(
+                    f"injected scatter failure at iteration {iteration}"
+                )
+            self.start()
+        except ShardRuntimeError as exc:
             self._broken = True
-            raise ShardRuntimeError(
-                f"injected scatter failure at iteration {iteration}"
-            )
-        self.start()
+            return ShardGather(self, plan.n_batches, error=exc)
         cls = type(algorithm)
         state = algorithm.kernel_state()
         params = algorithm.kernel_params()
@@ -742,9 +765,7 @@ class ShardRuntime:
         lanes = self._spec.assign(plan)
         scatter = (cls.__module__, cls.__qualname__, params, descs)
         for task_q, lane in zip(self._task_qs, lanes):
-            task_q.put(
-                ("iter", cls.__module__, cls.__qualname__, params, descs, lane)
-            )
+            task_q.put(("iter", *scatter, lane))
         return ShardGather(self, plan.n_batches, lanes=lanes, scatter=scatter)
 
     def shutdown(self) -> None:

@@ -469,7 +469,7 @@ def attach_view(desc: ShmDescriptor, cache: "dict[str, object]") -> np.ndarray:
 
 
 class Prefetcher:
-    """Bounded background batch preparation (the *slide*'s real overlap).
+    """An ordered source of prepared batches (the *slide*'s real overlap).
 
     Given an ordered list of ``jobs`` (callables that fetch + decode one
     segment batch), a dedicated worker thread runs them sequentially,
@@ -477,9 +477,14 @@ class Prefetcher:
     :meth:`get` returns results strictly in submission order — the single
     producer thread guarantees it — so the consumer commits batches in
     plan order and results are bit-identical to the serial path at any
-    depth.  A job exception is re-raised by the corresponding :meth:`get`;
-    :meth:`close` always leaves no thread behind (assertable via
-    ``threading.enumerate()``).
+    depth.  ``depth=0`` *is* the serial path: no thread, each job runs
+    inside its :meth:`get` on the consumer's thread.  A job exception is
+    re-raised by the corresponding :meth:`get`; :meth:`close` always
+    leaves no thread behind (assertable via ``threading.enumerate()``).
+
+    ``get()`` in plan order, ``close()``, and ``overlapped`` are the
+    whole batch-source contract the engine's slide loop consumes;
+    :class:`~repro.runtime.shard.ShardGather` is the other source.
     """
 
     #: How often the producer re-checks the stop flag while the queue is
@@ -493,20 +498,24 @@ class Prefetcher:
         name: str = PREFETCH_THREAD_NAME,
         tracer: object = NULL_TRACER,
     ):
-        if depth < 1:
-            raise ValueError(f"prefetch depth must be >= 1, got {depth}")
+        if depth < 0:
+            raise ValueError(f"prefetch depth must be >= 0, got {depth}")
         self._jobs = list(jobs)
         self._tracer = tracer
-        self._slots = threading.Semaphore(depth)
-        self._results: "queue.Queue[tuple[object, BaseException | None]]" = (
-            queue.Queue()
-        )
-        self._stop = threading.Event()
+        #: Whether jobs run off the consumer's thread (``depth >= 1``).
+        self.overlapped = depth > 0
         self._consumed = 0
-        self._thread = threading.Thread(
-            target=self._produce, name=name, daemon=True
-        )
-        self._thread.start()
+        self._thread: "threading.Thread | None" = None
+        if self.overlapped and self._jobs:
+            self._slots = threading.Semaphore(depth)
+            self._results: (
+                "queue.Queue[tuple[object, BaseException | None]]"
+            ) = queue.Queue()
+            self._stop = threading.Event()
+            self._thread = threading.Thread(
+                target=self._produce, name=name, daemon=True
+            )
+            self._thread.start()
 
     def _produce(self) -> None:
         tracer = self._tracer
@@ -535,8 +544,11 @@ class Prefetcher:
         """Next prepared batch, in submission order (blocks until ready)."""
         if self._consumed >= len(self._jobs):
             raise IndexError("all prefetch jobs already consumed")
-        out, exc = self._results.get()
+        job = self._jobs[self._consumed]
         self._consumed += 1
+        if self._thread is None:
+            return job()
+        out, exc = self._results.get()
         self._slots.release()
         if exc is not None:
             self.close()
@@ -545,6 +557,8 @@ class Prefetcher:
 
     def close(self) -> None:
         """Stop the worker and join it (idempotent, exception-safe)."""
+        if self._thread is None:
+            return
         self._stop.set()
         if self._thread.is_alive():
             self._thread.join()
@@ -584,27 +598,6 @@ def dynamic_row_map(
         return pool.map(fn, items)
     with ThreadPoolExecutor(max_workers=workers) as tmp:
         return list(tmp.map(fn, items))
-
-
-def row_run_shards(views: "Sequence[T]") -> "list[list[T]]":
-    """Split a batch of tile views into row runs (consecutive same-row tiles).
-
-    The shards concatenate back to the original sequence, so applying
-    per-shard partials in shard order reproduces the batch's tile order
-    exactly — the property that keeps parallel execution bit-identical to
-    serial.  Rows are the paper's unit of dynamic scheduling (§VI-B):
-    within one row the destination windows march over disjoint columns,
-    and row sizes are skewed enough that a work queue balances them.
-    """
-    shards: "list[list[T]]" = []
-    last_row = None
-    for tv in views:
-        row = tv.i
-        if not shards or row != last_row:
-            shards.append([])
-            last_row = row
-        shards[-1].append(tv)
-    return shards
 
 
 #: Default shard ceiling for :func:`chunk_by_edges`.

@@ -111,16 +111,15 @@ class HealthMonitor:
 
     def _engine_reasons(self) -> "list[str]":
         eng = self._engine
-        reasons = []
-        if getattr(eng, "shard_failed", False):
-            reasons.append("shard_fallback")
+        # What the engine's degrade step latched (``shard_fallback``,
+        # ``prefetch_degraded``) — real failures count, not only injected
+        # ones, so this does not go through the fault injector.
+        reasons = list(getattr(eng, "degradations", ()))
         injector = getattr(eng, "injector", None)
-        if injector is not None:
-            counters = injector.counters()
-            if counters.get("retry.exhausted", 0):
-                reasons.append("retry_exhausted")
-            if counters.get("fault.prefetch_fallbacks", 0):
-                reasons.append("prefetch_degraded")
+        if injector is not None and injector.counters().get(
+            "retry.exhausted", 0
+        ):
+            reasons.append("retry_exhausted")
         return reasons
 
     def reasons(self) -> "list[str]":

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +16,32 @@ from repro.engine.config import EngineConfig
 from repro.format.edgelist import EdgeList
 from repro.format.tiles import TiledGraph
 from repro.graphgen.kronecker import kronecker
+from repro.runtime.threads import (
+    LIVE_SHM_SEGMENTS,
+    PREFETCH_THREAD_NAME,
+    SHARD_WORKER_PREFIX,
+)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaked_batch_sources():
+    """Suite-wide leak oracle for the batch sources' close/degrade paths.
+
+    After every test module: no prefetch thread, no shard worker process,
+    no shared-memory segment left alive — so a source that some exception
+    path forgets to close fails tier-1 wherever it happens, not only in
+    the tests that think to look.
+    """
+    yield
+    gc.collect()  # engines dropped without close() release in __del__
+    leaked = [
+        t.name for t in threading.enumerate()
+        if t.name.startswith(PREFETCH_THREAD_NAME)
+    ] + [
+        p.name for p in multiprocessing.active_children()
+        if p.name.startswith(SHARD_WORKER_PREFIX)
+    ] + sorted(LIVE_SHM_SEGMENTS)
+    assert not leaked, f"left alive after this module: {leaked}"
 
 
 @pytest.fixture(scope="session")

@@ -338,13 +338,13 @@ def test_close_tears_down_shard_runtime(graph):
     )
     engine = GStoreEngine(graph, cfg)
     engine.warm_backend()
-    rt = engine._shard_rt
+    rt = engine.shard_runtime
     assert rt is not None and not rt.broken
     procs = rt.processes
     assert len(procs) == 2 and all(p.is_alive() for p in procs)
     assert LIVE_SHM_SEGMENTS  # the scatter arena is live with the engine
     engine.close()
-    assert engine._shard_rt is None
+    assert engine.shard_runtime is None
     assert not any(p.is_alive() for p in procs)
     assert not LIVE_SHM_SEGMENTS
     engine.close()  # idempotent

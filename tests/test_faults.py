@@ -397,7 +397,7 @@ class TestChaosRuns:
             eng.run(BFS(root=0))
         assert not ei.value.retryable
         ctx = ei.value.context
-        assert ctx["attempts"] == eng.config.retry.max_attempts
+        assert ctx["attempts"] == eng.aio.retry.max_attempts
         assert "batch_requests" in ctx
         assert eng.injector.counters()["retry.exhausted"] == 1
 
@@ -441,7 +441,7 @@ class TestChaosRuns:
         eng = GStoreEngine(tiled_undirected, _cfg(shards=2))
         try:
             eng.warm_backend()
-            rt = eng._shard_rt
+            rt = eng.shard_runtime
             assert rt is not None and len(rt.processes) == 2
             victim = rt.processes[0]
             os.kill(victim.pid, signal.SIGKILL)
@@ -450,49 +450,13 @@ class TestChaosRuns:
         finally:
             eng.close()
         np.testing.assert_array_equal(clean.rank, algo.rank)
-        assert not eng._shard_failed
+        assert not eng.shard_failed
         assert stats.extra["execution"]["shards"] == 2
         assert stats.extra["execution"]["shards_resolved"] == 2
         sup = stats.extra["supervisor"]
         assert sup["respawns"] == 1
         assert sup["worker_deaths"] == 1
         assert sup["replayed_batches"] >= 1
-        assert stats.sim_elapsed == pytest.approx(ref_stats.sim_elapsed)
-        assert stats.bytes_read == ref_stats.bytes_read
-        assert not LIVE_SHM_SEGMENTS
-
-    def test_shard_worker_sigkill_budget_zero_falls_back(
-        self, tiled_undirected
-    ):
-        # ``shard_respawn_budget=0`` disables self-healing: the old
-        # contract — tear the runtime down, finish on the coordinator's
-        # fetch path, still bit-identical — is preserved behind the knob.
-        import signal
-
-        from repro.runtime.threads import LIVE_SHM_SEGMENTS
-
-        clean = PageRank(max_iterations=10, tolerance=1e-12)
-        ref_stats = GStoreEngine(tiled_undirected, _cfg(shards=1)).run(clean)
-
-        algo = PageRank(max_iterations=10, tolerance=1e-12)
-        eng = GStoreEngine(
-            tiled_undirected, _cfg(shards=2, shard_respawn_budget=0)
-        )
-        try:
-            eng.warm_backend()
-            rt = eng._shard_rt
-            assert rt is not None and len(rt.processes) == 2
-            victim = rt.processes[0]
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=10)
-            stats = eng.run(algo)
-        finally:
-            eng.close()
-        np.testing.assert_array_equal(clean.rank, algo.rank)
-        assert eng._shard_rt is None  # torn down by the fallback
-        assert eng._shard_failed
-        assert stats.extra["execution"]["shards_resolved"] == 1
-        assert stats.extra["supervisor"]["respawns"] == 0
         assert stats.sim_elapsed == pytest.approx(ref_stats.sim_elapsed)
         assert stats.bytes_read == ref_stats.bytes_read
         assert not LIVE_SHM_SEGMENTS
@@ -519,6 +483,49 @@ class TestDegradedMode:
         assert stats.extra["execution"]["degraded"] is True
         assert eng.injector.counters()["fault.prefetch_fallbacks"] == 1
         assert threading.active_count() <= before
+
+    def test_real_prefetch_failure_is_not_silent(
+        self, tiled_undirected, monkeypatch
+    ):
+        # No injector anywhere: the store itself fails one read on the
+        # prefetch thread.  The run degrades exactly as above — and says
+        # so where an operator looks, not only in injector counters.
+        from repro.obs.counters import MetricsRegistry
+        from repro.serve.health import HealthMonitor
+
+        clean = BFS(root=0)
+        GStoreEngine(tiled_undirected, _cfg()).run(clean)
+
+        algo = BFS(root=0)
+        eng = GStoreEngine(
+            tiled_undirected, _cfg(prefetch_depth=2, shards=1)
+        )
+        health = HealthMonitor(eng, MetricsRegistry())
+        real_read = eng.store.read
+        failed = []
+
+        def read(offset, size):
+            on_prefetch = threading.current_thread().name.startswith(
+                "repro-prefetch"
+            )
+            if on_prefetch and not failed:
+                failed.append(offset)
+                raise StorageError("media error", context={"offset": offset})
+            return real_read(offset, size)
+
+        monkeypatch.setattr(eng.store, "read", read)
+        assert eng.injector is None and health.reasons() == []
+        stats = eng.run(algo)
+        eng.close()
+        assert failed
+        np.testing.assert_array_equal(clean.depth, algo.depth)
+        assert stats.extra["execution"]["degraded"] is True
+        assert "media error" in eng.degradations["prefetch_degraded"]
+        assert health.reasons() == ["prefetch_degraded"]
+        assert not [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("repro-prefetch")
+        ]
 
 
 # --------------------------------------------------------------------- #

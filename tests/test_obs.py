@@ -26,6 +26,7 @@ from repro.algorithms.bfs import BFS
 from repro.algorithms.pagerank import PageRank
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
+from repro.faults import FaultPlan
 from repro.format.tiles import TiledGraph
 from repro.graphgen.rmat import rmat
 from repro.obs import (
@@ -57,15 +58,15 @@ def _traced_run(tg, factory, depth, **cfg_kw):
     # shards pinned to 1: these tests assert the coordinator's own
     # fetch/decode/prefetch span structure, which shard-parallel runs
     # move onto worker tracks (covered by tests/test_backends.py).
-    cfg = EngineConfig(
+    kw = dict(
         memory_bytes=24 * 1024,
         segment_bytes=4 * 1024,
         prefetch_depth=depth,
         trace=True,
         shards=1,
-        **cfg_kw,
     )
-    with GStoreEngine(tg, cfg) as engine:
+    kw.update(cfg_kw)
+    with GStoreEngine(tg, EngineConfig(**kw)) as engine:
         stats = engine.run(factory())
         records = engine.tracer.records()
         counters = engine.tracer.registry.as_dict()
@@ -360,6 +361,45 @@ class TestEngineTracing:
                 json.dumps(to_chrome(records, clock="sim"), sort_keys=True)
             )
         assert exports[0] == exports[1] == exports[2]
+
+        # ... and whatever source serves the batches: the engine's own
+        # fetch path at depth 0 and 2, the shard gather, and the shard
+        # gather degrading to depth 0 at batch 0 (failed scatter) or
+        # mid-iteration (a worker re-killed past the respawn budget) — on
+        # a budget tight enough that every iteration slides through five
+        # or more batches (the payload is 7 KiB).
+        sources = {
+            "depth 0": dict(depth=0),
+            "depth 2": dict(depth=2),
+            "shards": dict(depth=2, shards=2),
+            "scatterfail": dict(
+                depth=2, shards=2, faults=FaultPlan.parse("scatterfail@0")
+            ),
+            "worker died": dict(
+                depth=2, shards=2, faults=FaultPlan.parse("kill:0@2:999")
+            ),
+        }
+        for factory in (
+            lambda: BFS(root=0),
+            lambda: PageRank(max_iterations=5, tolerance=0.0),
+        ):
+            exports = {}
+            for name, kw in sources.items():
+                stats, records, counters = _traced_run(
+                    graph, factory, memory_bytes=4096, segment_bytes=1024,
+                    **kw,
+                )
+                assert counters["engine.batches"] >= 25
+                resolved = stats.extra["execution"]["shards_resolved"]
+                assert resolved == (2 if name == "shards" else 1), name
+                if name == "worker died":  # really mid-iteration
+                    assert stats.extra["supervisor"]["respawns"] == 2
+                exports[name] = json.dumps(
+                    to_chrome(records, clock="sim"), sort_keys=True
+                )
+            assert len(set(exports.values())) == 1, {
+                name: len(e) for name, e in exports.items()
+            }
 
     def test_counters_match_runstats(self, graph):
         stats, _, counters = _traced_run(

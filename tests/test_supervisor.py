@@ -45,7 +45,7 @@ from repro.errors import AlgorithmError, StorageError
 from repro.faults import TRANSPORT_KINDS, FaultKind, FaultPlan
 from repro.format.tiles import TiledGraph
 from repro.graphgen.rmat import rmat
-from repro.runtime.shard import ShardGather
+from repro.runtime.shard import ShardGather, ShardRuntime
 from repro.runtime.threads import LIVE_SHM_SEGMENTS
 
 
@@ -175,7 +175,7 @@ class TestSupervisedRecovery:
         assert sup["respawns"] == 1
         assert sup["worker_deaths"] == 1
         assert sup["replayed_batches"] >= 1
-        assert not eng._shard_failed
+        assert not eng.shard_failed
         assert stats.sim_elapsed == pytest.approx(ref_stats.sim_elapsed)
         assert stats.bytes_read == ref_stats.bytes_read
         assert not LIVE_SHM_SEGMENTS
@@ -193,21 +193,22 @@ class TestSupervisedRecovery:
         assert stats.extra["supervisor"]["respawns"] == 1
         assert not LIVE_SHM_SEGMENTS
 
-    def test_drop_trips_heartbeat_and_respawns(self, graph, serial_baseline):
+    def test_drop_trips_heartbeat_and_respawns(
+        self, graph, serial_baseline, monkeypatch
+    ):
         # The worker swallows batch 3: no death to observe, just
         # silence.  The heartbeat timeout classifies it as hung, the
         # respawned incarnation recomputes the batch, and the run stays
         # sharded and bit-identical.
         ref_rank, _ = serial_baseline
-        rank, stats, eng = _run_sharded(
-            graph, faults="drop:1@3", shard_heartbeat_timeout=1.0
-        )
+        monkeypatch.setattr(ShardRuntime, "HEARTBEAT_TIMEOUT", 1.0)
+        rank, stats, eng = _run_sharded(graph, faults="drop:1@3")
         np.testing.assert_array_equal(ref_rank, rank)
         assert stats.extra["execution"]["shards_resolved"] == 2
         sup = stats.extra["supervisor"]
         assert sup["respawns"] == 1
         assert sup["hangs"] == 1
-        assert not eng._shard_failed
+        assert not eng.shard_failed
         assert not LIVE_SHM_SEGMENTS
 
     def test_delay_is_tolerated_without_respawn(self, graph, serial_baseline):
@@ -234,8 +235,8 @@ class TestSupervisedRecovery:
         sup = stats.extra["supervisor"]
         assert sup["respawns"] == 2  # the full budget
         assert sup["worker_deaths"] >= 2
-        assert eng._shard_failed
-        assert eng._shard_rt is None
+        assert eng.shard_failed
+        assert eng.shard_runtime is None
         assert not LIVE_SHM_SEGMENTS
 
     def test_scatter_failure_falls_back_bit_identical(
@@ -245,7 +246,7 @@ class TestSupervisedRecovery:
         rank, stats, eng = _run_sharded(graph, faults="scatterfail@0")
         np.testing.assert_array_equal(ref_rank, rank)
         assert stats.extra["execution"]["shards_resolved"] == 1
-        assert eng._shard_failed
+        assert eng.shard_failed
         assert not LIVE_SHM_SEGMENTS
 
 
@@ -263,7 +264,7 @@ class TestBoundedTeardown:
         eng = GStoreEngine(graph, _cfg(shards=2))
         try:
             eng.warm_backend()
-            rt = eng._shard_rt
+            rt = eng.shard_runtime
             assert rt is not None
             victim = rt.processes[0]
             os.kill(victim.pid, signal.SIGSTOP)
@@ -289,7 +290,7 @@ class TestBoundedTeardown:
         # stop_worker_processes can reap it.
         eng = GStoreEngine(graph, _cfg(shards=2))
         eng.warm_backend()
-        rt = eng._shard_rt
+        rt = eng.shard_runtime
         assert rt is not None
         victim = rt.processes[1]
         os.kill(victim.pid, signal.SIGSTOP)

@@ -24,7 +24,6 @@ from repro.runtime.threads import (
     dynamic_row_map,
     execution_fingerprint,
     resolve_workers,
-    row_run_shards,
 )
 
 
@@ -135,8 +134,14 @@ class TestWorkerPool:
 class TestPrefetcher:
     def test_in_order_delivery(self):
         jobs = [lambda i=i: i * i for i in range(20)]
-        with Prefetcher(jobs, depth=3) as pf:
-            assert [pf.get() for _ in range(20)] == [i * i for i in range(20)]
+        for depth in (0, 3):  # 0: each job runs inside its get(), no thread
+            with Prefetcher(jobs, depth=depth) as pf:
+                assert pf.overlapped == (depth > 0)
+                assert pf.overlapped == any(
+                    t.name.startswith(PREFETCH_THREAD_NAME)
+                    for t in threading.enumerate()
+                )
+                assert [pf.get() for _ in jobs] == [i * i for i in range(20)]
 
     def test_bounded_depth(self):
         """The producer never runs more than depth jobs ahead of consumption."""
@@ -202,7 +207,7 @@ class TestPrefetcher:
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
-            Prefetcher([], depth=0)
+            Prefetcher([], depth=-1)
 
 
 # ---------------------------------------------------------------------- #
@@ -252,18 +257,6 @@ class TestShardInvariants:
             # Every shard closed early reached the balance target.
             for shard in shards[:-1]:
                 assert sum(tv.lsrc.shape[0] for tv in shard) >= target
-
-    @given(views=view_batches())
-    @settings(max_examples=100, deadline=None)
-    def test_row_run_shards(self, views):
-        shards = row_run_shards(views)
-        flat = [tv for shard in shards for tv in shard]
-        assert flat == views
-        for shard in shards:
-            assert shard
-            assert len({tv.i for tv in shard}) == 1  # one row per run
-        for a, b in zip(shards, shards[1:]):
-            assert a[0].i != b[0].i  # maximal runs
 
     @given(views=view_batches(), max_shards=st.integers(1, 16))
     @settings(max_examples=50, deadline=None)
