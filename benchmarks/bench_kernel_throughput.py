@@ -40,7 +40,7 @@ from repro.engine.gstore import GStoreEngine  # noqa: E402
 from repro.format.tiles import TiledGraph  # noqa: E402
 from repro.graphgen.rmat import rmat  # noqa: E402
 from repro.runtime.threads import (  # noqa: E402
-    default_workers,
+    available_cpus,
     execution_fingerprint,
 )
 
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_kernels.json"))
     args = ap.parse_args(argv)
 
-    workers = args.workers or max(2, default_workers())
+    workers = args.workers or max(2, available_cpus())
     modes = [
         ("per-tile", False, 1),
         ("fused", True, 1),

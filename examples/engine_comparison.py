@@ -27,6 +27,8 @@ from repro import (
 )
 from repro.baselines.common import BaselineConfig
 from repro.storage.device import DeviceProfile
+from repro.storage.raid import Raid0Array
+from repro.storage.tiered import TieredArray, plan_hot_groups
 from repro.util.humanize import fmt_bytes, fmt_time
 
 PR_ITERS = 8
@@ -107,22 +109,25 @@ def main() -> None:
         f"{fmt_time(sync_stats.sim_elapsed)})"
     )
 
-    tiered_cfg = EngineConfig(
-        memory_bytes=memory,
-        segment_bytes=segment,
-        device_profile=SCALED,
-        tiered_hot_fraction=0.25,
+    # Tiered SSD+HDD storage (§IX future work) is a property of the device
+    # array, so the device model answers directly: one full sweep of the
+    # graph's physical groups on two SSDs vs a 25%-hot tiered layout.
+    extents = []
+    for _, sl in graph.grouping.group_slices():
+        if sl.stop > sl.start:
+            off, size = graph.start_edge.run_byte_extent(sl.start, sl.stop - 1)
+            if size:
+                extents.append((off, size))
+    hot = plan_hot_groups(graph, hot_fraction=0.25)
+    t_ssd = Raid0Array(n_devices=2).read_batch_time(extents)
+    t_tiered = TieredArray(hot_bytes=int(hot["hot_bytes"])).read_batch_time(
+        extents
     )
-    tiered_algo = BFS(root=0)
-    tiered_stats = GStoreEngine(graph, tiered_cfg).run(tiered_algo)
-    assert np.array_equal(tiered_algo.result(), gstore["bfs"][0])
     print(
-        f"  tiered storage (25% SSD / 75% HDD): BFS "
-        f"{fmt_time(tiered_stats.sim_elapsed)} vs all-SSD "
-        f"{fmt_time(sync_stats.sim_elapsed)} — same result, graph "
+        f"  tiered storage (25% SSD / 75% HDD): one full sweep "
+        f"{fmt_time(t_tiered)} vs all-SSD {fmt_time(t_ssd)} — graph "
         f"{fmt_bytes(graph.storage_bytes())} mostly on spinning disks"
     )
-
 
 if __name__ == "__main__":
     main()

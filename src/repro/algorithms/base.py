@@ -26,6 +26,50 @@ from repro.errors import AlgorithmError
 from repro.format.tiles import TiledGraph, TileView, concat_global_edges
 from repro.memory.proactive import row_activity_from_vertices
 
+#: How a decoded batch is cut for fused execution: the engine splits its
+#: run-level views into this many equal-edge pieces
+#: (``TiledGraph.split_run_views``) and :func:`chunk_by_edges` groups them
+#: into at most this many shards — one piece per shard keeps the
+#: single-view concat fast path, and eight shards keep a thread pool
+#: busy.  Partials are committed in shard order, so this number *is* the
+#: float accumulation order: it must never depend on a worker or process
+#: count, and every path (engine, shard workers, layer walk) reads it
+#: from here.
+SHARDS_PER_BATCH = 8
+
+
+def chunk_by_edges(
+    views: "list[TileView]", max_shards: int = SHARDS_PER_BATCH
+) -> "list[list[TileView]]":
+    """Split a batch into at most ``max_shards`` contiguous, edge-balanced
+    chunks.
+
+    The split depends only on the batch contents — never on the worker
+    count — so algorithms whose floating-point accumulation order follows
+    the shard structure produce bit-identical results at any parallelism.
+    Chunks concatenate back to the original sequence.
+    """
+    views = list(views)
+    if not views:
+        return []
+    if len(views) <= 1 or max_shards <= 1:
+        return [views]
+    counts = [tv.lsrc.shape[0] for tv in views]
+    total = sum(counts)
+    target = max(1, -(-total // max_shards))  # ceil
+    shards: "list[list[TileView]]" = []
+    cur: "list[TileView]" = []
+    cur_edges = 0
+    for tv, c in zip(views, counts):
+        cur.append(tv)
+        cur_edges += c
+        if cur_edges >= target and len(shards) < max_shards - 1:
+            shards.append(cur)
+            cur, cur_edges = [], 0
+    if cur:
+        shards.append(cur)
+    return shards
+
 
 class TileAlgorithm(abc.ABC):
     """Base class for algorithms executed over G-Store tiles."""
@@ -129,8 +173,6 @@ class TileAlgorithm(abc.ABC):
         (:mod:`repro.runtime.shard`) chunk exactly as the coordinator
         would without holding an algorithm instance.
         """
-        from repro.runtime.threads import chunk_by_edges
-
         return chunk_by_edges(views)
 
     def batch_shards(self, views: "list[TileView]") -> "list[list[TileView]]":

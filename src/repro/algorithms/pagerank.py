@@ -17,14 +17,6 @@ import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
 from repro.format.tiles import TileView
-from repro.runtime.threads import chunk_by_edges
-
-#: Fixed shard quantum for the float-accumulating fused kernels.  The
-#: shard structure must not depend on the worker count — partials are
-#: computed per shard and committed in shard order, so a fixed quantum
-#: makes results bit-identical at any parallelism (and run to run), while
-#: still exposing enough shards to keep a thread pool busy.
-FLOAT_SHARD_QUANTUM = 8
 
 
 def scatter_sums(
@@ -182,13 +174,6 @@ class PageRank(TileAlgorithm):
     # ------------------------------------------------------------------ #
 
     supports_fused = True
-
-    @classmethod
-    def shard_views(cls, views):
-        # Float partials are summed in shard order, so the shard count must
-        # stay fixed — a worker-independent quantum keeps accumulation
-        # order (and hence results) identical at any parallelism.
-        return chunk_by_edges(views, FLOAT_SHARD_QUANTUM)
 
     def kernel_state(self):
         return {"contrib": self._contrib}

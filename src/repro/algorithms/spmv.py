@@ -12,14 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
-from repro.algorithms.pagerank import (
-    FLOAT_SHARD_QUANTUM,
-    add_windows,
-    scatter_sums,
-)
+from repro.algorithms.pagerank import add_windows, scatter_sums
 from repro.errors import AlgorithmError
 from repro.format.tiles import TileView
-from repro.runtime.threads import chunk_by_edges
 
 
 class SpMV(TileAlgorithm):
@@ -79,12 +74,6 @@ class SpMV(TileAlgorithm):
     # ------------------------------------------------------------------ #
 
     supports_fused = True
-
-    @classmethod
-    def shard_views(cls, views):
-        # Float partials: fixed, worker-independent shard quantum (see
-        # PageRank.shard_views).
-        return chunk_by_edges(views, FLOAT_SHARD_QUANTUM)
 
     def kernel_state(self):
         return {"x": self.x}

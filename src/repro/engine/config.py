@@ -118,12 +118,6 @@ class EngineConfig:
     #: so clean runs never pay the checksum cost (one array-kernel call
     #: per fetched batch; docs/RELIABILITY.md).
     verify_checksums: "bool | None" = None
-    #: When set, the graph lives on tiered storage: this fraction of the
-    #: payload (the disk-order prefix, where dense groups are packed) sits
-    #: on the SSD array and the rest on an HDD array (§IX future work).
-    tiered_hot_fraction: "float | None" = None
-    #: Number of HDDs backing the cold tier when tiering is enabled.
-    n_hdds: int = 2
 
     def __post_init__(self) -> None:
         if self.memory_bytes < 2 * self.segment_bytes:
@@ -148,9 +142,3 @@ class EngineConfig:
             )
         if self.prefetch_depth < 0:
             raise StorageError("prefetch_depth must be >= 0")
-        if self.tiered_hot_fraction is not None and not (
-            0.0 <= self.tiered_hot_fraction <= 1.0
-        ):
-            raise StorageError("tiered_hot_fraction must be in [0, 1]")
-        if self.n_hdds < 1:
-            raise StorageError("need at least one HDD in the cold tier")

@@ -50,6 +50,7 @@ from repro.errors import DeadlineError
 from repro.obs.trace import NULL_TRACER
 from repro.runtime.pipeline import WallOverlap
 from repro.storage.aio import AIOContext
+from repro.storage.raid import Raid0Array
 from repro.util.timer import SimClock
 
 
@@ -86,6 +87,9 @@ class RunContext:
     #: Whether this run executes shard-parallel (engine context only);
     #: cleared by the degrade step when the shard source fails.
     shard_active: bool = False
+    #: Whether this run takes the fused batch path (``config.fused`` and
+    #: the algorithm has fused kernels), resolved once by ``run()``.
+    fused: bool = False
     # Memoized rewind batch: all-active algorithms rewind the same tile
     # set every iteration, so the merged run-level views are built once.
     rewind_key: "np.ndarray | None" = None
@@ -114,17 +118,10 @@ class RunContext:
         return self.deadline - time.monotonic()
 
 
-def wire_device_counters(array, registry) -> None:
-    """Point every simulated device under ``array`` at ``registry``."""
-    stack = [array]
-    while stack:
-        arr = stack.pop()
-        for dev in getattr(arr, "devices", ()):
-            dev.counters = registry
-        for sub in ("ssd", "hdd"):
-            nxt = getattr(arr, sub, None)
-            if nxt is not None:
-                stack.append(nxt)
+def wire_device_counters(array: Raid0Array, registry) -> None:
+    """Point every simulated device of ``array`` at ``registry``."""
+    for dev in array.devices:
+        dev.counters = registry
 
 
 def make_private_context(
@@ -143,7 +140,6 @@ def make_private_context(
     """
     from repro.errors import AlgorithmError
     from repro.obs import Tracer
-    from repro.runtime.shard import build_device_array
 
     if engine.config.faults is not None and not engine.config.faults.transport_only():
         # Transport-only plans are exempt: they target the shard
@@ -156,7 +152,7 @@ def make_private_context(
         )
     clock = SimClock()
     tracer = Tracer(clock=clock) if trace else NULL_TRACER
-    array = build_device_array(engine.config, engine.graph)
+    array = Raid0Array.from_config(engine.config)
     if tracer.enabled:
         wire_device_counters(array, tracer.registry)
     aio = AIOContext(

@@ -49,10 +49,15 @@ foundation (docs/SERVING.md).
 from __future__ import annotations
 
 import contextlib
+import threading
 import time as _time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+# ``_RUN_SPLIT``: the name benchmarks/perf/layer_walk.py mirrors the
+# engine's batch split through.
+from repro.algorithms.base import SHARDS_PER_BATCH as _RUN_SPLIT
 from repro.algorithms.base import TileAlgorithm
 from repro.engine.checkpoint import CheckpointManager
 from repro.engine.config import EngineConfig
@@ -75,26 +80,16 @@ from repro.memory.segments import MemoryBudget, TileBuffer
 from repro.obs import NULL_TRACER, Tracer
 from repro.storage.aio import AIOContext
 from repro.storage.file import TileStore
+from repro.storage.raid import Raid0Array
 from repro.util.timer import SimClock, WallTimer
 from repro.runtime.pipeline import PipelineTimeline, WallOverlap
-from repro.runtime.shard import (
-    Prepared,
-    ShardRuntime,
-    ShardRuntimeError,
-    build_device_array,
-)
+from repro.runtime.prefetch import Prefetcher, Prepared
+from repro.runtime.shard import ShardRuntime, ShardRuntimeError, resolve_shards
 from repro.runtime.threads import (
-    Prefetcher,
-    WorkerPool,
+    WORKER_THREAD_PREFIX,
     execute_batch,
-    resolve_shards,
     resolve_workers,
 )
-
-#: Run-level views are split into this many equal-edge pieces per batch —
-#: enough shards for the thread pool (and one piece per shard keeps the
-#: single-view concat fast path) while staying worker-independent.
-_RUN_SPLIT = 8
 
 
 class GStoreEngine:
@@ -106,9 +101,9 @@ class GStoreEngine:
         self.graph = graph
         self.config = config or EngineConfig()
         self.clock = SimClock()
-        # Shared with shard workers (repro.runtime.shard), which build
-        # bit-identical device-array replicas from the same config.
-        self.array = build_device_array(self.config, graph)
+        # Shard workers and private query contexts build bit-identical
+        # replicas from the same config.
+        self.array = Raid0Array.from_config(self.config)
         #: Observability (``repro.obs``): a real tracer when
         #: ``config.trace`` is set, the shared no-op otherwise.  Spans and
         #: counters accumulate for the engine's lifetime; export them with
@@ -148,9 +143,9 @@ class GStoreEngine:
         #: actually present; 1 routes through the serial path).
         self.workers = resolve_workers(self.config.workers)
         # One persistent pool per engine for the fused layer's partial
-        # phase; threads spawn lazily on first use and are joined by
-        # close().
-        self._pool: "WorkerPool | None" = None
+        # phase, created by the first batch that needs it (or
+        # ``warm_backend``) and joined by close().
+        self._pool: "ThreadPoolExecutor | None" = None
         #: Resolved shard count (``config.shards``, or the ``REPRO_SHARDS``
         #: environment default).  >1 activates shard-parallel execution
         #: for runs that can shard (see ``_run_can_shard``).
@@ -193,10 +188,14 @@ class GStoreEngine:
     # ------------------------------------------------------------------ #
 
     @property
-    def pool(self) -> WorkerPool:
-        """The engine's persistent worker pool (created on first access)."""
+    def pool(self) -> ThreadPoolExecutor:
+        """The engine's persistent kernel thread pool (created on first
+        access; only ``workers > 1`` engines ever touch it)."""
         if self._pool is None:
-            self._pool = WorkerPool(workers=self.workers)
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers,
+                thread_name_prefix=WORKER_THREAD_PREFIX,
+            )
         return self._pool
 
     def _run_can_shard(self, algorithm: TileAlgorithm) -> bool:
@@ -255,12 +254,16 @@ class GStoreEngine:
 
     def warm_backend(self) -> None:
         """Start the engine's workers now.  Benchmarks call this before
-        timing so the one-time shard-worker spawn (interpreter + NumPy
-        import per process) is paid off the measured path — in a
-        persistent engine it amortises to zero.
+        timing so the one-time pool-thread and shard-worker spawn
+        (interpreter + NumPy import per process) is paid off the measured
+        path — in a persistent engine it amortises to zero.
         """
         if self.workers > 1:
-            self.pool.executor  # noqa: B018 - touch spawns the threads
+            # An executor spawns a thread per submit only while no worker
+            # is idle, so ``workers`` tasks that cannot finish before the
+            # last one starts are what brings the whole pool up.
+            barrier = threading.Barrier(self.workers)
+            list(self.pool.map(lambda _: barrier.wait(), range(self.workers)))
         if self.shards > 1 and not self.shard_failed:
             # A failed spawn is not warm-up's to report: it leaves the
             # runtime broken, and the first sharded iteration degrades
@@ -350,6 +353,7 @@ class GStoreEngine:
         ctx.rewind_key = None
         ctx.rewind_merged = None
         ctx.degraded = False
+        ctx.fused = cfg.fused and algorithm.supports_fused
         # Private contexts trade intra-query parallelism for cross-query
         # concurrency: no shard scatter (the shard runtime is bound to
         # the engine's clock and gather queue, which are not re-entrant).
@@ -441,7 +445,7 @@ class GStoreEngine:
         stats.extra["pipeline"] = timeline.totals
         stats.extra["pipeline_wall"] = ctx.wall_overlap.as_dict()
         stats.extra["execution"] = {
-            "fused": cfg.fused and algorithm.supports_fused,
+            "fused": ctx.fused,
             "selective": cfg.selective,
             "workers": cfg.workers,
             # Private contexts always walk the serial kernel path — the
@@ -483,7 +487,6 @@ class GStoreEngine:
         tracer = ctx.tracer
         it = IterationStats(iteration=iteration)
         elapsed_before = timeline.totals.elapsed
-        fused = self.config.fused and algorithm.supports_fused
         with tracer.span("iteration", cat="engine", iteration=iteration):
             algorithm.begin_iteration(iteration)
             with tracer.span("select", cat="engine", iteration=iteration):
@@ -493,7 +496,7 @@ class GStoreEngine:
             # from the iteration-start snapshot every shardable kernel
             # tolerates (see repro.runtime.shard) — fetch the first slide
             # batches while the engine thread rewinds.
-            source = self._open_source(algorithm, plan, iteration, fused, ctx)
+            source = self._open_source(algorithm, plan, iteration, ctx)
             try:
                 # --- Rewind: consume the pool before any I/O (§VI-D). ---
                 if cached.size:
@@ -505,7 +508,7 @@ class GStoreEngine:
                     # the complete next frontier.
                     rewound = Prepared(
                         tiles=cached,
-                        views=self._rewind_views(algorithm, scr, cached, ctx),
+                        views=self._rewind_views(scr, cached, ctx),
                         io_time=0.0, bytes_read=0, wall=0.0,
                     )
                     timeline.compute_only(self._compute(
@@ -531,7 +534,7 @@ class GStoreEngine:
                         )
                     t0 = _time.perf_counter()
                     with tracer.span("stall", cat="pipeline", batch=k):
-                        source, prep = self._get(source, k, plan, fused, ctx)
+                        source, prep = self._get(source, k, plan, ctx)
                     waited = _time.perf_counter() - t0
                     # A batch prepared inside get() stalls the engine
                     # thread for exactly its preparation, by definition.
@@ -642,7 +645,6 @@ class GStoreEngine:
         algorithm: TileAlgorithm,
         plan: SlidePlan,
         iteration: int,
-        fused: bool,
         ctx: RunContext,
     ):
         """This iteration's ordered source of prepared batches.
@@ -662,17 +664,15 @@ class GStoreEngine:
                 algorithm, plan, iteration=iteration
             )
         depth = 0 if ctx.degraded else self.config.prefetch_depth
-        return self._local_source(plan.batches, fused, ctx, depth)
+        return self._local_source(plan.batches, ctx, depth)
 
     def _local_source(
-        self, batches, fused: bool, ctx: RunContext, depth: int
+        self, batches, ctx: RunContext, depth: int
     ) -> Prefetcher:
-        jobs = [(lambda b=b: self._prepare(b, fused, ctx)) for b in batches]
+        jobs = [(lambda b=b: self._prepare(b, ctx)) for b in batches]
         return Prefetcher(jobs, depth=depth, tracer=ctx.tracer)
 
-    def _get(
-        self, source, k: int, plan: SlidePlan, fused: bool, ctx: RunContext
-    ):
+    def _get(self, source, k: int, plan: SlidePlan, ctx: RunContext):
         """Batch ``k`` and the source the run continues on.
 
         The one degrade step.  A source that prepares batches off the
@@ -695,7 +695,7 @@ class GStoreEngine:
                 raise
             source.close()
             self._record_degrade(ctx, k, exc)
-            source = self._local_source(plan.batches[k:], fused, ctx, depth=0)
+            source = self._local_source(plan.batches[k:], ctx, depth=0)
             return source, source.get()
 
     def _record_degrade(
@@ -728,7 +728,7 @@ class GStoreEngine:
             )
 
     def _prepare(
-        self, batch_positions: np.ndarray, fused: bool, ctx: RunContext
+        self, batch_positions: np.ndarray, ctx: RunContext
     ) -> Prepared:
         """Fetch + decode one slide batch (runs on the prefetch thread when
         prefetching, inside ``get()`` on the engine thread at depth 0).
@@ -747,7 +747,7 @@ class GStoreEngine:
             views: list = []
             verify = self._verify
             with tracer.span("decode", cat="decode", tiles=len(batch_positions)):
-                if fused:
+                if ctx.fused:
                     # Batch-level decode: one widened global-ID buffer for
                     # the whole batch, one run-level view per extent — the
                     # fused kernels concatenate everything anyway, the pool
@@ -834,11 +834,7 @@ class GStoreEngine:
         return None
 
     def _rewind_views(
-        self,
-        algorithm: TileAlgorithm,
-        scr: SCRScheduler,
-        cached: np.ndarray,
-        ctx: RunContext,
+        self, scr: SCRScheduler, cached: np.ndarray, ctx: RunContext
     ):
         """Views for the rewind batch.
 
@@ -852,8 +848,7 @@ class GStoreEngine:
         determinism contract of the fused layer is unchanged.
         """
         g = self.graph
-        fused = self.config.fused and algorithm.supports_fused
-        if not fused:
+        if not ctx.fused:
             # Per-tile execution: every resident tile has the buffer its
             # slide batch offered — except after a checkpoint resume, which
             # seeds the pool from positions only; those read their payload
@@ -914,10 +909,10 @@ class GStoreEngine:
         The single funnel for kernel execution.  Private contexts always
         run serial — their concurrency is across queries, not within one.
         """
-        kw = 1 if ctx.private else self.workers
+        parallel = self.workers > 1 and not ctx.private
         return execute_batch(
-            algorithm, views, fused=self.config.fused, workers=kw,
-            pool=self.pool if kw > 1 else None,
+            algorithm, views, fused=ctx.fused,
+            pool=self.pool if parallel else None,
         )
 
     def _compute(

@@ -19,18 +19,18 @@ from repro.engine.selective import select_positions
 from repro.engine.stats import IterationStats, RunStats
 from repro.errors import AlgorithmError
 from repro.format.tiles import TiledGraph
-from repro.runtime.threads import execute_batch, resolve_workers
+from repro.runtime.threads import execute_batch
 from repro.util.timer import WallTimer
 
 
 class InMemoryEngine:
     """Run tile algorithms over a resident :class:`TiledGraph`.
 
-    ``fused``/``workers`` select the execution path exactly like
+    ``fused`` selects the execution path exactly like
     :class:`~repro.engine.config.EngineConfig` does for the semi-external
-    engine; fused results are bit-identical across worker counts (see
-    :meth:`~repro.algorithms.base.TileAlgorithm.apply_partial` for the
-    exact-vs-reassociation contract against the per-tile loop).
+    engine (see :meth:`~repro.algorithms.base.TileAlgorithm.apply_partial`
+    for the exact-vs-reassociation contract against the per-tile loop);
+    kernels run on the calling thread.
     """
 
     name = "inmemory"
@@ -40,7 +40,6 @@ class InMemoryEngine:
         graph: TiledGraph,
         max_iterations: int = 100_000,
         fused: bool = True,
-        workers: "int | str" = 1,
     ):
         if graph.payload is None:
             raise AlgorithmError(
@@ -50,7 +49,6 @@ class InMemoryEngine:
         self.graph = graph
         self.max_iterations = int(max_iterations)
         self.fused = bool(fused)
-        self.workers = resolve_workers(workers)
 
     def run(self, algorithm: TileAlgorithm) -> RunStats:
         """Execute to convergence; only wall-clock time is meaningful."""
@@ -75,7 +73,7 @@ class InMemoryEngine:
                         )
                     ]
                     it.edges_processed += execute_batch(
-                        algorithm, views, fused=self.fused, workers=self.workers
+                        algorithm, views, fused=self.fused
                     )
                 it.compute_time = t.elapsed
                 it.elapsed = t.elapsed

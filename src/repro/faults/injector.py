@@ -55,14 +55,8 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
 
     def configure_array(self, array) -> None:
-        """Apply slow/dead member events to a device array (recurses into
-        tiered arrays' SSD/HDD halves; device indices address the flat
-        concatenation of their members)."""
-        devices = list(getattr(array, "devices", ()))
-        for sub in ("ssd", "hdd"):
-            nested = getattr(array, sub, None)
-            if nested is not None:
-                devices.extend(getattr(nested, "devices", ()))
+        """Apply slow/dead member events to a RAID-0 device array."""
+        devices = array.devices
         for ev in self.plan.device_events():
             if not (0 <= ev.device < len(devices)):
                 raise StorageError(

@@ -1,14 +1,13 @@
-"""Execution runtime: compute cost model, pipelined timeline, row scheduler."""
+"""Execution runtime: compute cost model, pipelined timeline, and the
+thread / prefetch / shared-memory / shard-process mechanisms."""
 
 from repro.runtime.calibrate import CalibrationResult, calibrate_cost_model
 from repro.runtime.cost import CostModel
 from repro.runtime.pipeline import PipelineTimeline
-from repro.runtime.threads import dynamic_row_map
 
 __all__ = [
     "CostModel",
     "PipelineTimeline",
-    "dynamic_row_map",
     "calibrate_cost_model",
     "CalibrationResult",
 ]

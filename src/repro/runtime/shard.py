@@ -13,7 +13,7 @@ that defines determinism: plan construction, the SCR cache pool, the
 rewind phase, the simulated clock, and partial application.
 
 Per iteration the coordinator *scatters* the algorithm's frozen kernel
-state through a dedicated :class:`~repro.runtime.threads.ShmArena`
+state through a dedicated :class:`~repro.runtime.shm.ShmArena`
 (descriptors only — payload bytes never cross a queue) together with each
 worker's lane of the global slide plan, then *gathers* per-batch fused
 partials and applies them **in plan order**.
@@ -43,16 +43,49 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from repro.algorithms.base import SHARDS_PER_BATCH
+from repro.format.tiles import concat_global_edges
 from repro.obs.trace import NULL_TRACER
-from repro.runtime.threads import (
-    SHARD_WORKER_PREFIX,
-    ShmArena,
-    attach_view,
-    stop_worker_processes,
-)
+from repro.runtime.prefetch import Prepared
+from repro.runtime.shm import ShmArena, attach_view
+from repro.storage.aio import AIOContext
+from repro.storage.file import TileStore
+from repro.storage.raid import Raid0Array
+from repro.util.timer import SimClock
+
+#: Process-name prefix for shard workers, so tests can assert clean
+#: shutdown via ``multiprocessing.active_children()``.
+SHARD_WORKER_PREFIX = "repro-shard"
+
+
+def default_shards() -> int:
+    """Shard count used when the config does not pick one.
+
+    ``REPRO_SHARDS`` overrides the single-coordinator default of 1,
+    which is how CI runs the whole tier-1 suite sharded without touching
+    any test.
+    """
+    env = os.environ.get("REPRO_SHARDS")
+    if env:
+        s = int(env)
+        if s < 1:
+            raise ValueError(f"REPRO_SHARDS must be >= 1, got {env!r}")
+        return s
+    return 1
+
+
+def resolve_shards(shards: "int | None") -> int:
+    """Resolve a shard-count setting (``None`` means environment default)."""
+    if shards is None:
+        return default_shards()
+    s = int(shards)
+    if s < 1:
+        raise ValueError(f"shards must be >= 1 (or None), got {shards!r}")
+    return s
 
 
 class ShardRuntimeError(RuntimeError):
@@ -65,99 +98,24 @@ class ShardRuntimeError(RuntimeError):
 class ShardWorkerConfig:
     """The slice of :class:`~repro.engine.config.EngineConfig` a shard
     worker needs to rebuild the coordinator's fetch chain exactly: the
-    simulated device array (identical modeled service times), the AIO
-    mode, device pacing, and the fused run-split factor."""
+    simulated device array — modeled service time is a pure function of
+    the array geometry and the requested extents, so a worker computes
+    its batches' ``io_time`` on a private lane and the coordinator commits
+    it to the one true clock in plan order — the AIO mode and device
+    pacing."""
 
     n_ssds: int
     device_profile: object
     stripe_bytes: int
     io_mode: object
     realize_io: bool
-    tiered_hot_fraction: "float | None"
-    n_hdds: int
-    run_split: int
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """Round-robin partition of a global slide plan over K shard lanes.
-
-    The partitioner is deliberately *not* a grid partitioner: it stripes
-    the already-constructed global plan's batches (see the module
-    docstring for why that is the only K-invariant choice), so worker
-    ``w``'s lane is batches ``w, w+K, w+2K, ...`` — contiguous disk-order
-    segments interleaved across workers, which also balances the skewed
-    batch sizes the same way dynamic row scheduling balances rows.
-    """
-
-    shards: int
-
-    def assign(self, plan) -> "list[list[tuple[int, np.ndarray]]]":
-        """Lanes of ``(global_batch_index, tile_positions)`` per worker."""
-        lanes: "list[list[tuple[int, np.ndarray]]]" = [
-            [] for _ in range(self.shards)
-        ]
-        for k, batch in enumerate(plan.batches):
-            lanes[k % self.shards].append((k, batch))
-        return lanes
-
-
-def build_device_array(cfg, graph):
-    """The simulated device array a config describes (engine + workers).
-
-    Factored out of the engine constructor so every shard worker builds a
-    bit-identical replica: modeled service time is a pure function of the
-    array geometry and the requested extents, which is what lets workers
-    compute their own batches' ``io_time`` on private lanes while the
-    coordinator commits those times to the one true clock in plan order.
-    ``cfg`` is anything with the :class:`ShardWorkerConfig` device fields
-    (:class:`~repro.engine.config.EngineConfig` included).
-    """
-    from repro.storage.raid import Raid0Array
-
-    ssd = Raid0Array(
-        n_devices=cfg.n_ssds,
-        profile=cfg.device_profile,
-        stripe_bytes=cfg.stripe_bytes,
-    )
-    if cfg.tiered_hot_fraction is None:
-        return ssd
-    from repro.storage.tiered import HDD_PROFILE, TieredArray
-
-    return TieredArray(
-        hot_bytes=int(graph.storage_bytes() * cfg.tiered_hot_fraction),
-        ssd=ssd,
-        hdd=Raid0Array(
-            n_devices=cfg.n_hdds,
-            profile=HDD_PROFILE,
-            stripe_bytes=cfg.stripe_bytes,
-        ),
-    )
-
-
-@dataclass
-class Prepared:
-    """One slide batch, serviced and ready to commit in plan order — the
-    one record every batch source returns.
-
-    Exactly one of ``views`` (the engine's own fetch path: decoded, the
-    kernel still to run on the engine thread) and ``partials`` (a shard
-    worker already ran the read-only kernel phase; in chunk order) is
-    set.  ``tiles`` is what the cache pool is offered: the plan's
-    ``int64`` position array, untouched — or, on the per-tile path, the
-    :class:`~repro.memory.segments.TileBuffer` of every view, which a
-    later rewind reuses.
-    """
-
-    tiles: "np.ndarray | list"
-    io_time: float  # simulated service time, not yet charged to the clock
-    bytes_read: int
-    wall: float  # real seconds the preparation took, wherever it ran
-    views: "list | None" = None
-    partials: "list | None" = None
 
 
 def _resolve_algorithm(module: str, qualname: str, cache: dict):
+    """The algorithm class a scatter names, imported worker-side: classes
+    travel as ``(module, qualname)`` so one that cannot be resolved fails
+    typed inside the worker's batch handler instead of vanishing in the
+    coordinator queue's feeder thread at pickle time."""
     key = (module, qualname)
     cls = cache.get(key)
     if cls is None:
@@ -206,16 +164,14 @@ def _shard_worker_main(
     deterministic: the batch either came from the original process or is
     recomputed bit-identically from the same frozen state snapshot.
     """
+    # Late import: ``repro.engine``'s package init imports the engine,
+    # which imports this module.
     from repro.engine.selective import merge_requests
-    from repro.format.tiles import concat_global_edges
-    from repro.storage.aio import AIOContext
-    from repro.storage.file import TileStore
-    from repro.util.timer import SimClock
 
     store = TileStore.from_tiled_graph(graph)
     aio = AIOContext(
         store=store,
-        array=build_device_array(wcfg, graph),
+        array=Raid0Array.from_config(wcfg),
         clock=SimClock(),
         mode=wcfg.io_mode,
         realize_io=wcfg.realize_io,
@@ -255,7 +211,7 @@ def _shard_worker_main(
                 views, _ = graph.decode_batch(
                     [(ev.tag, ev.data) for ev in events], with_tiles=False
                 )
-                views = graph.split_run_views(views, wcfg.run_split)
+                views = graph.split_run_views(views, SHARDS_PER_BATCH)
                 partials = [
                     cls.kernel_partial(
                         state, params, *concat_global_edges(chunk)
@@ -319,7 +275,7 @@ class ShardGather:
     """
 
     #: Batches are prepared off the engine thread (see
-    #: :class:`~repro.runtime.threads.Prefetcher`, the other batch source).
+    #: :class:`~repro.runtime.prefetch.Prefetcher`, the other batch source).
     overlapped = True
 
     def __init__(
@@ -497,13 +453,53 @@ class ShardGather:
                     return
 
 
+def stop_worker_processes(
+    procs: "Sequence[multiprocessing.process.BaseProcess]",
+    task_queues: "Sequence",
+    timeout: float = 5.0,
+) -> None:
+    """Teardown for the shard runtime's worker processes (idempotent).
+
+    Send one ``None`` shutdown sentinel per worker (round-robin over the
+    task queues), join with a timeout, terminate stragglers — escalating
+    to SIGKILL for workers that ignore SIGTERM (a stopped or D-state
+    process never sees terminate, and teardown must stay bounded) — then
+    close every queue with ``cancel_join_thread`` so an unsent task can
+    never block interpreter exit.  Shared-memory segments are *not*
+    released here — arenas own their segments and the
+    ``LIVE_SHM_SEGMENTS`` leak oracle stays exact because every segment
+    release still goes through :meth:`ShmArena.close`.
+    """
+    if procs and task_queues:
+        try:
+            for i in range(len(procs)):
+                task_queues[i % len(task_queues)].put(None)
+        except Exception:  # pragma: no cover - queue already broken
+            pass
+        for p in procs:
+            p.join(timeout=timeout)
+        for p in procs:
+            if p.is_alive():
+                p.terminate()
+                p.join(timeout=timeout)
+            if p.is_alive():
+                p.kill()
+                p.join(timeout=timeout)
+    for q_ in task_queues:
+        try:
+            q_.close()
+            q_.cancel_join_thread()
+        except Exception:  # pragma: no cover
+            pass
+
+
 class ShardRuntime:
     """K persistent shard workers plus the coordinator-side protocol.
 
     Lifecycle: ``spawn``-ed workers (fork is unsafe next to the engine's
     threads) bootstrap with a hello message, live for the engine's
     lifetime, and are torn down through
-    :func:`~repro.runtime.threads.stop_worker_processes`; the scatter
+    :func:`stop_worker_processes`; the scatter
     arena is owned here (it must stay stable for a whole iteration) and
     tracked by the ``LIVE_SHM_SEGMENTS`` oracle.
     """
@@ -535,11 +531,7 @@ class ShardRuntime:
             stripe_bytes=config.stripe_bytes,
             io_mode=config.io_mode,
             realize_io=config.realize_io,
-            tiered_hot_fraction=config.tiered_hot_fraction,
-            n_hdds=config.n_hdds,
-            run_split=_engine_run_split(),
         )
-        self._spec = ShardSpec(self.shards)
         self._tracer = tracer
         self._faults = faults
         self.supervisor = (
@@ -762,7 +754,12 @@ class ShardRuntime:
         params = algorithm.kernel_params()
         self._arena.reserve(ShmArena.layout_bytes(state.values()))
         descs = {k: self._arena.put(v) for k, v in state.items()}
-        lanes = self._spec.assign(plan)
+        # Batch k -> worker k mod K: striping the *global* plan is the
+        # K-invariant partition (module docstring), and interleaving
+        # disk-order segments balances skewed batch sizes the way dynamic
+        # row scheduling balances rows.
+        indexed = list(enumerate(plan.batches))
+        lanes = [indexed[w :: self.shards] for w in range(self.shards)]
         scatter = (cls.__module__, cls.__qualname__, params, descs)
         for task_q, lane in zip(self._task_qs, lanes):
             task_q.put(("iter", *scatter, lane))
@@ -796,11 +793,3 @@ class ShardRuntime:
             self.shutdown()
         except Exception:
             pass
-
-
-def _engine_run_split() -> int:
-    """The engine's fused run-split factor (late import: the engine
-    imports this module for :func:`build_device_array`)."""
-    from repro.engine.gstore import _RUN_SPLIT
-
-    return _RUN_SPLIT

@@ -1,23 +1,23 @@
 """Asynchronous I/O context over the simulated array (paper §V-B).
 
 Mirrors the libaio shape G-Store uses: many reads are batched into a single
-``io_submit``-equivalent call, then completions are polled.  The context
+``io_submit``-equivalent call, then completions are reaped.  The context
 charges service time to the shared :class:`~repro.util.timer.SimClock` and
 returns the *real* bytes from the backing :class:`TileStore` file.
 
-Submission and completion are separable, so a prefetch thread can *service*
-a batch (store reads + simulated service time) while the engine thread
-computes, and the engine later *commits* the simulated time in plan order:
+Submission and completion are separate calls, so a prefetch thread can
+*service* a batch (store reads + simulated service time) while the engine
+thread computes, and the engine later *commits* the simulated time in plan
+order:
 
 * :meth:`AIOContext.service` is the thread-safe submission half — it never
-  touches the clock.
-* :meth:`AIOContext.submit_async` wraps :meth:`service` in a future-like
-  :class:`AIOHandle` (optionally on an executor).
-* :meth:`AIOContext.complete` / :meth:`AIOContext.commit` are the
-  completion half: they advance the clock and account ``io_time``.
+  touches the clock, and any number of serviced batches may be awaiting
+  their commit.
+* :meth:`AIOContext.commit` is the completion half: it advances the clock
+  and accounts ``io_time``.
 
-The legacy :meth:`submit` / :meth:`poll` pair is the synchronous
-composition of the two halves and remains the depth-0 (serial) path.
+Every caller — the depth-0 slide loop, the prefetch thread, shard workers,
+private query contexts — uses exactly this pair.
 
 ``IOMode.SYNC`` models the direct/synchronous POSIX alternative the paper
 compares against (per-request latency, no overlap).  ``realize_io=True``
@@ -42,7 +42,6 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from concurrent.futures import Executor, Future
 from dataclasses import dataclass, field
 
 from repro.errors import StorageError
@@ -89,33 +88,6 @@ class AIOStats:
     io_time: float = 0.0
 
 
-class AIOHandle:
-    """Future-like handle for one submitted batch (what ``io_submit``
-    returns).  ``result()`` blocks until the batch is serviced and yields
-    ``(events, service_time)``; service errors re-raise there."""
-
-    __slots__ = ("_future", "_events", "_time")
-
-    def __init__(
-        self,
-        future: "Future | None" = None,
-        events: "list[IOEvent] | None" = None,
-        service_time: float = 0.0,
-    ):
-        self._future = future
-        self._events = events
-        self._time = service_time
-
-    def done(self) -> bool:
-        return self._future is None or self._future.done()
-
-    def result(self) -> "tuple[list[IOEvent], float]":
-        if self._future is not None:
-            self._events, self._time = self._future.result()
-            self._future = None
-        return self._events, self._time
-
-
 @dataclass
 class AIOContext:
     """Batched read interface binding a store, an array, and a clock."""
@@ -138,8 +110,6 @@ class AIOContext:
     #: Recovery policy for retryable :class:`StorageError`\ s (injected or
     #: real); backoff is charged to the batch's simulated service time.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    _pending: "list[IOEvent]" = field(default_factory=list)
-    _pending_time: float = 0.0
     _next_ordinal: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -156,7 +126,7 @@ class AIOContext:
 
         Thread-safe and clock-free, so any thread (a prefetch worker, an
         executor) may call it; the simulated time must later be committed
-        on the engine thread via :meth:`commit` (or :meth:`complete`).
+        on the engine thread via :meth:`commit`.
         All-or-nothing: if any extent is invalid or a fault exhausts the
         retry budget, no event is produced and no counter moves.
         """
@@ -266,40 +236,6 @@ class AIOContext:
             events.append(IOEvent(tag=r.tag, data=data))
         return events, extra
 
-    def submit(self, requests: "list[IORequest]") -> int:
-        """Submit a batch synchronously; returns the number of queued
-        requests.
-
-        Like ``io_submit``, this only queues work: time is charged when the
-        batch is reaped by :meth:`poll`.  Submission is all-or-nothing — a
-        failed extent leaves no partial pending state behind.
-        """
-        if self._pending:
-            raise StorageError("previous batch not yet reaped; call poll() first")
-        if not requests:
-            return 0
-        events, t = self.service(requests)
-        self._pending = events
-        self._pending_time = t
-        return len(requests)
-
-    def submit_async(
-        self, requests: "list[IORequest]", executor: "Executor | None" = None
-    ) -> AIOHandle:
-        """Submit a batch for background servicing; returns a future-like
-        :class:`AIOHandle`.
-
-        With an ``executor`` the store reads (and the ``realize_io`` sleep)
-        run on a pool thread; without one the batch is serviced eagerly on
-        the calling thread (useful when the caller *is* the background
-        worker).  Unlike :meth:`submit`, any number of async batches may be
-        in flight — the caller sequences completion.
-        """
-        if executor is not None:
-            return AIOHandle(future=executor.submit(self.service, requests))
-        events, t = self.service(requests)
-        return AIOHandle(events=events, service_time=t)
-
     # ------------------------------------------------------------------ #
     # Completion half
     # ------------------------------------------------------------------ #
@@ -315,24 +251,3 @@ class AIOContext:
             self.stats.io_time += service_time
         if self.tracer.enabled:
             self.tracer.registry.counter("aio.io_time_sim").add(service_time)
-
-    def complete(self, handle: AIOHandle) -> "tuple[list[IOEvent], float]":
-        """Reap one async batch: block on the handle, then charge its time."""
-        events, t = handle.result()
-        self.commit(t)
-        return events, t
-
-    def poll(self) -> "tuple[list[IOEvent], float]":
-        """Reap all completions of the last :meth:`submit`; advances the
-        clock and returns ``(events, service_time)``."""
-        events = self._pending
-        t = self._pending_time
-        self._pending = []
-        self._pending_time = 0.0
-        self.commit(t)
-        return events, t
-
-    def read_batch(self, requests: "list[IORequest]") -> "tuple[list[IOEvent], float]":
-        """Convenience: submit + poll in one call."""
-        self.submit(requests)
-        return self.poll()

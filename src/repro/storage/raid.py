@@ -75,6 +75,22 @@ class Raid0Array:
             for d, dev in enumerate(self.devices):
                 dev.index = d
 
+    @classmethod
+    def from_config(cls, cfg) -> "Raid0Array":
+        """The SSD array a config describes.
+
+        ``cfg`` is anything carrying ``n_ssds``, ``device_profile`` and
+        ``stripe_bytes`` — an :class:`~repro.engine.config.EngineConfig`
+        or a shard worker's slice of one.  The engine, every private
+        query context and every shard worker builds its own array through
+        here, so all of them model bit-identical service times.
+        """
+        return cls(
+            n_devices=cfg.n_ssds,
+            profile=cfg.device_profile,
+            stripe_bytes=cfg.stripe_bytes,
+        )
+
     def _check_members(self, per_dev_sizes: "list[list[int]]") -> None:
         """All-or-nothing member check: a dead device that a batch touches
         fails the whole batch *before* any device counter moves."""

@@ -16,11 +16,9 @@ from repro.engine.config import EngineConfig
 from repro.format.edgelist import EdgeList
 from repro.format.tiles import TiledGraph
 from repro.graphgen.kronecker import kronecker
-from repro.runtime.threads import (
-    LIVE_SHM_SEGMENTS,
-    PREFETCH_THREAD_NAME,
-    SHARD_WORKER_PREFIX,
-)
+from repro.runtime.prefetch import PREFETCH_THREAD_NAME
+from repro.runtime.shard import SHARD_WORKER_PREFIX
+from repro.runtime.shm import LIVE_SHM_SEGMENTS
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -1,13 +1,13 @@
-"""Unit tests for the AIO context (submit/poll semantics, §V-B; the
-submission/completion split behind the prefetch pipeline)."""
+"""Unit tests for the AIO context (§V-B): ``service`` is the clock-free
+``io_submit`` half, ``commit`` the completion half that charges the
+clock — the split behind the prefetch pipeline."""
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.aio import AIOContext, AIOHandle, IOMode, IORequest
+from repro.storage.aio import AIOContext, IOMode, IORequest
 from repro.storage.device import DeviceProfile
 from repro.storage.file import TileStore
 from repro.storage.raid import Raid0Array
@@ -24,34 +24,27 @@ def _ctx(data=b"0123456789abcdef", mode=IOMode.AIO):
 class TestSubmitPoll:
     def test_data_returned(self):
         ctx, _ = _ctx()
-        ctx.submit([IORequest(0, 4, tag="a"), IORequest(8, 4, tag="b")])
-        events, t = ctx.poll()
+        events, t = ctx.service(
+            [IORequest(0, 4, tag="a"), IORequest(8, 4, tag="b")]
+        )
         assert t > 0
         assert {e.tag: e.data for e in events} == {"a": b"0123", "b": b"89ab"}
 
     def test_clock_advances_on_poll(self):
+        """Servicing never touches the clock; committing charges it."""
         ctx, clock = _ctx()
-        ctx.submit([IORequest(0, 8)])
-        assert clock.now == 0.0
-        _, t = ctx.poll()
+        _, t = ctx.service([IORequest(0, 8)])
+        assert t > 0 and clock.now == 0.0
+        ctx.commit(t)
         assert clock.now == pytest.approx(t)
-
-    def test_double_submit_rejected(self):
-        ctx, _ = _ctx()
-        ctx.submit([IORequest(0, 1)])
-        with pytest.raises(StorageError):
-            ctx.submit([IORequest(0, 1)])
+        assert ctx.stats.io_time == pytest.approx(t)
 
     def test_empty_submit(self):
-        ctx, _ = _ctx()
-        assert ctx.submit([]) == 0
-        events, t = ctx.poll()
+        ctx, clock = _ctx()
+        events, t = ctx.service([])
         assert events == [] and t == 0.0
-
-    def test_read_batch_convenience(self):
-        ctx, _ = _ctx()
-        events, t = ctx.read_batch([IORequest(4, 4, tag=1)])
-        assert events[0].data == b"4567"
+        ctx.commit(t)
+        assert clock.now == 0.0 and ctx.stats.submissions == 0
 
 
 class TestModes:
@@ -59,27 +52,27 @@ class TestModes:
         reqs = [IORequest(i, 1) for i in range(8)]
         aio_ctx, _ = _ctx(mode=IOMode.AIO)
         sync_ctx, _ = _ctx(mode=IOMode.SYNC)
-        _, t_aio = aio_ctx.read_batch(reqs)
-        _, t_sync = sync_ctx.read_batch(list(reqs))
+        _, t_aio = aio_ctx.service(reqs)
+        _, t_sync = sync_ctx.service(list(reqs))
         assert t_sync > t_aio
 
 
 class TestAllOrNothing:
     def test_failed_submit_leaves_no_pending_state(self):
-        """A bad extent mid-batch must not half-build the pending queue."""
+        """A bad extent mid-batch must not half-service the batch."""
         ctx, clock = _ctx()
         good = IORequest(0, 4, tag="good")
         bad = IORequest(1000, 4, tag="bad")  # outside the 16-byte store
         with pytest.raises(StorageError):
-            ctx.submit([good, bad])
-        # No partial state: stats untouched, clock still, next submit fine.
+            ctx.service([good, bad])
+        # No partial state: stats untouched, clock still, next batch fine.
         assert ctx.stats.submissions == 0
         assert ctx.stats.requests == 0
         assert ctx.stats.bytes_read == 0
         assert clock.now == 0.0
-        assert ctx.submit([good]) == 1
-        events, t = ctx.poll()
+        events, t = ctx.service([good])
         assert events[0].data == b"0123" and t > 0
+        assert ctx.stats.requests == 1
 
     def test_failed_service_charges_nothing(self):
         ctx, _ = _ctx()
@@ -91,37 +84,29 @@ class TestAllOrNothing:
 
 
 class TestAsyncSubmission:
-    def test_handle_inline(self):
-        """Without an executor the handle is serviced eagerly."""
-        ctx, clock = _ctx()
-        handle = ctx.submit_async([IORequest(0, 4, tag="a")])
-        assert isinstance(handle, AIOHandle) and handle.done()
-        assert clock.now == 0.0  # submission half never touches the clock
-        events, t = ctx.complete(handle)
-        assert events[0].data == b"0123"
-        assert clock.now == pytest.approx(t) and t > 0
-        assert ctx.stats.io_time == pytest.approx(t)
-
     def test_handle_on_executor(self):
         ctx, clock = _ctx()
         with ThreadPoolExecutor(max_workers=1) as pool:
-            handle = ctx.submit_async([IORequest(8, 4, tag="b")], executor=pool)
-            events, t = ctx.complete(handle)
+            future = pool.submit(ctx.service, [IORequest(8, 4, tag="b")])
+            events, t = future.result()
         assert events[0].data == b"89ab"
+        assert clock.now == 0.0  # serviced off-thread, not yet committed
+        ctx.commit(t)
         assert clock.now == pytest.approx(t)
 
     def test_many_in_flight(self):
-        """Unlike submit/poll, async batches may overlap arbitrarily."""
+        """Any number of serviced batches may await their commit."""
         ctx, clock = _ctx()
         with ThreadPoolExecutor(max_workers=2) as pool:
-            handles = [
-                ctx.submit_async([IORequest(i, 2, tag=i)], executor=pool)
+            futures = [
+                pool.submit(ctx.service, [IORequest(i, 2, tag=i)])
                 for i in range(4)
             ]
             total = 0.0
-            for i, h in enumerate(handles):  # completion stays in plan order
-                events, t = ctx.complete(h)
+            for i, f in enumerate(futures):  # commit stays in plan order
+                events, t = f.result()
                 assert events[0].tag == i
+                ctx.commit(t)
                 total += t
         assert clock.now == pytest.approx(total)
         assert ctx.stats.submissions == 4
@@ -129,10 +114,11 @@ class TestAsyncSubmission:
     def test_service_error_reraised_at_result(self):
         ctx, clock = _ctx()
         with ThreadPoolExecutor(max_workers=1) as pool:
-            handle = ctx.submit_async([IORequest(999, 4)], executor=pool)
+            future = pool.submit(ctx.service, [IORequest(999, 4)])
             with pytest.raises(StorageError):
-                ctx.complete(handle)
+                future.result()
         assert clock.now == 0.0  # failed batches charge nothing
+        assert ctx.stats.submissions == 0
 
     def test_thread_safe_stats(self):
         """Concurrent service calls keep counters exact (lock-protected)."""
@@ -165,8 +151,9 @@ class TestRealizeIO:
 class TestStats:
     def test_counters(self):
         ctx, _ = _ctx()
-        ctx.read_batch([IORequest(0, 4), IORequest(4, 4)])
-        ctx.read_batch([IORequest(8, 2)])
+        for batch in ([IORequest(0, 4), IORequest(4, 4)], [IORequest(8, 2)]):
+            _, t = ctx.service(batch)
+            ctx.commit(t)
         assert ctx.stats.submissions == 2
         assert ctx.stats.requests == 3
         assert ctx.stats.bytes_read == 10

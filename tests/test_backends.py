@@ -31,7 +31,7 @@ from repro.engine.gstore import GStoreEngine
 from repro.errors import StorageError
 from repro.format.tiles import TiledGraph
 from repro.graphgen.rmat import rmat
-from repro.runtime.threads import LIVE_SHM_SEGMENTS
+from repro.runtime.shm import LIVE_SHM_SEGMENTS
 
 ALGOS = {
     "bfs": lambda: BFS(root=0),

@@ -66,7 +66,7 @@ class TestTruncatedReads:
         )
         off, size = tg.start_edge.byte_extent(pos)
         with pytest.raises(StorageError) as ei:
-            ctx.read_batch([IORequest(off, size, tag=pos)])
+            ctx.service([IORequest(off, size, tag=pos)])
         assert ei.value.context["offset"] == off
         assert ei.value.context["tag"] == pos
         assert ei.value.context["attempts"] == ctx.retry.max_attempts
@@ -87,7 +87,7 @@ class TestTruncatedReads:
             p for p in range(tg.n_tiles) if tg.start_edge.edge_count(p) > 0
         )
         off, size = tg.start_edge.byte_extent(pos)
-        events, t = ctx.read_batch([IORequest(off, size, tag=pos)])
+        events, t = ctx.service([IORequest(off, size, tag=pos)])
         assert len(events[0].data) == size
         counters = inj.counters()
         assert counters["retry.attempts"] == 1

@@ -432,7 +432,7 @@ class TestChaosRuns:
         # coordinator fallback.
         import signal
 
-        from repro.runtime.threads import LIVE_SHM_SEGMENTS
+        from repro.runtime.shm import LIVE_SHM_SEGMENTS
 
         clean = PageRank(max_iterations=10, tolerance=1e-12)
         ref_stats = GStoreEngine(tiled_undirected, _cfg(shards=1)).run(clean)

@@ -156,8 +156,8 @@ def test_inmemory_equivalence(graphs, name):
     factory = ALGOS[name]
     exact_vs_per_tile = name not in FLOAT_ALGOS
     results = []
-    for label, fused, workers in MODES:
-        engine = InMemoryEngine(tg, fused=fused, workers=workers)
+    for label, fused, _ in MODES[:2]:  # the in-memory engine is serial
+        engine = InMemoryEngine(tg, fused=fused)
         algo = factory()
         stats = engine.run(algo)
         results.append((label, algo.result().copy(), stats.edges_processed))
@@ -167,7 +167,6 @@ def test_inmemory_equivalence(graphs, name):
     for label, result, edges in results[1:]:
         _assert_matches(result, per_tile, exact_vs_per_tile, (name, label))
         assert edges == ref_edges, (name, label)
-    assert np.array_equal(results[1][1], results[2][1]), name
 
 
 class _PerTileOnlyDegree(TileAlgorithm):

@@ -25,7 +25,8 @@ from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
 from repro.format.tiles import TiledGraph
 from repro.graphgen.rmat import rmat
-from repro.runtime.threads import PREFETCH_THREAD_NAME, WORKER_THREAD_PREFIX
+from repro.runtime.prefetch import PREFETCH_THREAD_NAME
+from repro.runtime.threads import WORKER_THREAD_PREFIX
 
 ALGOS = {
     "bfs": lambda: BFS(root=0),

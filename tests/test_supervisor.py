@@ -46,7 +46,7 @@ from repro.faults import TRANSPORT_KINDS, FaultKind, FaultPlan
 from repro.format.tiles import TiledGraph
 from repro.graphgen.rmat import rmat
 from repro.runtime.shard import ShardGather, ShardRuntime
-from repro.runtime.threads import LIVE_SHM_SEGMENTS
+from repro.runtime.shm import LIVE_SHM_SEGMENTS
 
 
 @pytest.fixture(scope="module")

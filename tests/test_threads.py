@@ -1,70 +1,152 @@
-"""Unit tests for the dynamic row scheduler, the persistent worker pool,
-the bounded prefetcher, and the shard scatter's shared-memory plane."""
+"""Unit tests for the runtime's four mechanisms: row-parallel kernel
+dispatch (``execute_batch`` over the engine's thread pool), the bounded
+prefetcher, the shard structure, and the shard scatter's shared-memory
+plane."""
 
+import gc
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.threads import (
-    DEFAULT_MAX_SHARDS,
-    LIVE_SHM_SEGMENTS,
-    PREFETCH_THREAD_NAME,
-    Prefetcher,
-    ShmArena,
-    WorkerPool,
-    attach_view,
-    available_cpus,
+from repro.algorithms.base import (
+    SHARDS_PER_BATCH,
+    TileAlgorithm,
     chunk_by_edges,
-    default_workers,
-    dynamic_row_map,
+)
+from repro.algorithms.pagerank import PageRank
+from repro.engine.config import EngineConfig
+from repro.engine.gstore import GStoreEngine
+from repro.runtime.prefetch import PREFETCH_THREAD_NAME, Prefetcher
+from repro.runtime.shm import LIVE_SHM_SEGMENTS, ShmArena, attach_view
+from repro.runtime.threads import (
+    WORKER_THREAD_PREFIX,
+    available_cpus,
+    execute_batch,
     execution_fingerprint,
     resolve_workers,
 )
 
 
+class _FakeView:
+    """Minimal stand-in for TileView: a row index and an edge count."""
+
+    __slots__ = ("i", "lsrc")
+
+    def __init__(self, i: int, n_edges: int):
+        self.i = i
+        self.lsrc = np.empty(n_edges, dtype=np.uint16)
+
+
+class _Recorder(TileAlgorithm):
+    """A fused snapshot kernel over fake views: a shard's partial is the
+    ids of its views (computed after ``work(shard)``), and applying it
+    appends them to ``applied`` — so ``applied`` is the commit order."""
+
+    supports_fused = True
+
+    def __init__(self, work=lambda shard: None):
+        super().__init__()
+        self.work = work
+        self.applied: "list[list[int]]" = []
+        self.threads: "set[str]" = set()
+
+    def _setup(self) -> None:
+        pass
+
+    def process_tile(self, tv) -> int:
+        self.applied.append([tv.i])
+        return tv.lsrc.shape[0]
+
+    def end_iteration(self, iteration: int) -> bool:
+        return False
+
+    def result(self):
+        return self.applied
+
+    def batch_partial(self, views):
+        self.threads.add(threading.current_thread().name)
+        self.work(views)
+        return [tv.i for tv in views], sum(tv.lsrc.shape[0] for tv in views)
+
+    def apply_partial(self, partial) -> int:
+        ids, edges = partial
+        self.applied.append(ids)
+        return edges
+
+
+def _views(counts):
+    return [_FakeView(i, n) for i, n in enumerate(counts)]
+
+
+def _worker_threads():
+    gc.collect()  # unclosed engines of earlier tests join their pools
+    return {
+        t for t in threading.enumerate()
+        if t.name.startswith(WORKER_THREAD_PREFIX)
+    }
+
+
 class TestDynamicRowMap:
+    """``execute_batch``'s row-parallel map: handed a pool, shard partials
+    are computed on its work queue and committed in shard order."""
+
     def test_preserves_order(self):
-        out = dynamic_row_map(lambda x: x * 2, range(100), workers=4)
-        assert out == [x * 2 for x in range(100)]
+        views = _views([50] * 40)
+        serial = _Recorder()
+        assert execute_batch(serial, views) == 2000
+        assert len(serial.applied) == SHARDS_PER_BATCH
+
+        # Earlier shards take longer, so they finish last.
+        slow_first = _Recorder(work=lambda shard: time.sleep(
+            0.002 * (40 - shard[0].i)
+        ))
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert execute_batch(slow_first, views, pool=pool) == 2000
+        assert slow_first.applied == serial.applied
+        assert len(slow_first.threads) > 1
 
     def test_serial_path(self):
-        out = dynamic_row_map(lambda x: x + 1, [1, 2, 3], workers=1)
-        assert out == [2, 3, 4]
+        algo = _Recorder()
+        execute_batch(algo, _views([10, 20, 30]))
+        assert algo.threads == {threading.current_thread().name}
+        assert [i for ids in algo.applied for i in ids] == [0, 1, 2]
 
     def test_single_item(self):
-        assert dynamic_row_map(str, [7], workers=8) == ["7"]
+        algo = _Recorder()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert execute_batch(algo, _views([7]), pool=pool) == 7
+        assert algo.threads == {threading.current_thread().name}
 
     def test_empty(self):
-        assert dynamic_row_map(str, [], workers=4) == []
+        algo = _Recorder()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert execute_batch(algo, [], pool=pool) == 0
+        assert algo.applied == []
 
     def test_skewed_work(self):
-        # Mimics skewed tile rows: some items much heavier than others.
-        def work(n):
-            return sum(range(n))
+        # Mimics skewed tile rows: some shards much heavier than others.
+        counts = [10, 10_000, 10, 10_000, 10]
+        views = _views(counts)
 
-        items = [10, 10_000, 10, 10_000, 10]
-        assert dynamic_row_map(work, items, workers=3) == [work(n) for n in items]
+        def work(shard):
+            return sum(range(sum(tv.lsrc.shape[0] for tv in shard)))
+
+        serial, parallel = _Recorder(work), _Recorder(work)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            assert execute_batch(parallel, views, pool=pool) == sum(counts)
+        assert execute_batch(serial, views) == sum(counts)
+        assert parallel.applied == serial.applied
 
 
 class TestDefaultWorkers:
-    def test_env_override(self):
-        old = os.environ.get("REPRO_WORKERS")
-        os.environ["REPRO_WORKERS"] = "3"
-        try:
-            assert default_workers() == 3
-        finally:
-            if old is None:
-                del os.environ["REPRO_WORKERS"]
-            else:
-                os.environ["REPRO_WORKERS"] = old
-
     def test_positive(self):
-        assert default_workers() >= 1
+        assert resolve_workers("auto") >= 1
 
 
 class TestResolveWorkers:
@@ -79,16 +161,7 @@ class TestResolveWorkers:
             resolve_workers("many")
 
     def test_auto_clamps_to_cores(self):
-        cores = os.cpu_count() or 1
-        old = os.environ.get("REPRO_WORKERS")
-        os.environ["REPRO_WORKERS"] = str(cores * 8)  # oversubscribed env
-        try:
-            assert resolve_workers("auto") == cores
-        finally:
-            if old is None:
-                del os.environ["REPRO_WORKERS"]
-            else:
-                os.environ["REPRO_WORKERS"] = old
+        assert resolve_workers("auto") == available_cpus()
 
     def test_available_cpus_positive(self):
         cpus = available_cpus()
@@ -103,32 +176,44 @@ class TestResolveWorkers:
 
 
 class TestWorkerPool:
-    def test_lazy_creation(self):
-        pool = WorkerPool(workers=2)
-        assert not pool.started
-        assert pool.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-        assert pool.started
-        pool.shutdown()
+    """The engine's kernel pool: a bare ``ThreadPoolExecutor`` it holds
+    lazily.  ``shards=1`` keeps the slide on the engine's own kernels."""
 
-    def test_reused_across_calls(self):
-        with WorkerPool(workers=2) as pool:
-            first = pool.executor
-            pool.map(str, range(10))
-            assert pool.executor is first  # no per-batch churn
+    @staticmethod
+    def _engine(graph, workers=2):
+        return GStoreEngine(graph, EngineConfig(
+            memory_bytes=64 * 1024, segment_bytes=8 * 1024,
+            workers=workers, shards=1,
+        ))
 
-    def test_shutdown_idempotent_and_final(self):
-        pool = WorkerPool(workers=2)
-        pool.submit(lambda: None).result()
-        pool.shutdown()
-        pool.shutdown()
-        with pytest.raises(RuntimeError):
-            pool.executor  # noqa: B018
+    def test_lazy_creation(self, tiled_undirected):
+        before = _worker_threads()
+        with self._engine(tiled_undirected) as engine:
+            assert _worker_threads() == before
+            engine.run(PageRank(max_iterations=2, tolerance=0.0))
+            assert _worker_threads() > before
+        assert _worker_threads() == before
+        with self._engine(tiled_undirected, workers=1) as serial:
+            serial.run(PageRank(max_iterations=2, tolerance=0.0))
+            assert _worker_threads() == before
 
-    def test_dynamic_row_map_uses_pool(self):
-        with WorkerPool(workers=4) as pool:
-            out = dynamic_row_map(lambda x: x * 3, range(50), pool=pool)
-            assert out == [x * 3 for x in range(50)]
-            assert pool.started
+    def test_reused_across_calls(self, tiled_undirected):
+        with self._engine(tiled_undirected) as engine:
+            engine.run(PageRank(max_iterations=2, tolerance=0.0))
+            first = engine.pool
+            engine.run(PageRank(max_iterations=2, tolerance=0.0))
+            assert engine.pool is first  # no per-batch churn
+
+    def test_warm_backend_spawns_every_thread(self, tiled_undirected):
+        """``warm_backend`` leaves no thread spawn for the first timed
+        batch, and ``close`` joins them all."""
+        before = _worker_threads()
+        engine = self._engine(tiled_undirected, workers=3)
+        engine.warm_backend()
+        assert len(_worker_threads() - before) == 3
+        engine.close()
+        engine.close()  # idempotent
+        assert _worker_threads() == before
 
 
 class TestPrefetcher:
@@ -215,16 +300,6 @@ class TestPrefetcher:
 # ---------------------------------------------------------------------- #
 
 
-class _FakeView:
-    """Minimal stand-in for TileView: a row index and an edge count."""
-
-    __slots__ = ("i", "lsrc")
-
-    def __init__(self, i: int, n_edges: int):
-        self.i = i
-        self.lsrc = np.empty(n_edges, dtype=np.uint16)
-
-
 @st.composite
 def view_batches(draw):
     spec = draw(
@@ -272,7 +347,7 @@ class TestShardInvariants:
 
     def test_default_ceiling(self):
         views = [_FakeView(0, 10) for _ in range(100)]
-        assert len(chunk_by_edges(views)) <= DEFAULT_MAX_SHARDS
+        assert len(chunk_by_edges(views)) <= SHARDS_PER_BATCH
 
 
 # ---------------------------------------------------------------------- #

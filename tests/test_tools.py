@@ -1,5 +1,8 @@
-"""The developer tools: API-docs generator and CLI fsck/report paths."""
+"""The developer tools: API-docs generator and CLI fsck/report paths —
+and the source tree's own structural rules."""
 
+import ast
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -124,6 +127,102 @@ class TestCheckLinks:
     def test_repo_docs_are_clean(self, tool):
         """Every intra-repo markdown link in this repo resolves."""
         assert tool.main([]) == 0
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+
+
+def _src_trees():
+    for root, _, files in os.walk(SRC):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as fh:
+                    yield os.path.relpath(path, SRC), ast.parse(fh.read())
+
+
+def _imports(tree):
+    """Every module path an import statement anywhere under ``tree`` names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{a.name}" for a in node.names)
+
+
+def _is_os_attr(node, attr):
+    return (
+        isinstance(node, ast.Attribute) and node.attr == attr
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+    )
+
+
+def _env_reads(tree):
+    """``(keys, mentions)``: the literal keys of every ``os.environ.get(K)``
+    / ``os.environ[K]`` / ``os.getenv(K)``, and how often ``os.environ`` /
+    ``os.getenv`` appear at all (more mentions than keys = some other use)."""
+    keys, mentions = [], 0
+    for node in ast.walk(tree):
+        mentions += _is_os_attr(node, "environ") or _is_os_attr(node, "getenv")
+        key = None
+        if isinstance(node, ast.Subscript) and _is_os_attr(node.value, "environ"):
+            key = node.slice
+        elif isinstance(node, ast.Call) and node.args and (
+            _is_os_attr(node.func, "getenv")
+            or (isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and _is_os_attr(node.func.value, "environ"))
+        ):
+            key = node.args[0]
+        if isinstance(key, ast.Constant):
+            keys.append(key.value)
+    return keys, mentions
+
+
+def test_source_structure_holds():
+    """Rules ``src/repro`` keeps about itself: the runtime never reaches up
+    into the engine, the engine and algorithms import the runtime at module
+    level only, the shard structure (which *is* the float accumulation
+    order) is assigned in one place, and the option surface — config fields
+    and environment variables — is exactly the documented one."""
+    from repro.engine.config import EngineConfig
+
+    shard_names = {"SHARDS_PER_BATCH", "_RUN_SPLIT", "DEFAULT_MAX_SHARDS",
+                   "FLOAT_SHARD_QUANTUM"}
+    upward, late, shard_assigned, env_keys, env_mentions = [], [], [], [], 0
+    for rel, tree in _src_trees():
+        package = rel.split(os.sep)[0]
+        if package == "runtime":
+            upward += [
+                f"{rel}: {m}" for m in _imports(tree)
+                if m.startswith(("repro.engine.gstore", "repro.engine.context"))
+            ]
+        if package in ("engine", "algorithms"):
+            late += [
+                f"{rel}: {fn.name}() imports {m}"
+                for fn in ast.walk(tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for m in _imports(fn) if m.startswith("repro.runtime")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                shard_assigned += [
+                    f"{rel}: {t.id}" for t in targets
+                    if isinstance(t, ast.Name) and t.id in shard_names
+                ]
+        keys, mentions = _env_reads(tree)
+        env_keys += keys
+        env_mentions += mentions
+    assert not upward, upward
+    assert not late, late
+    assert shard_assigned == [
+        f"{os.path.join('algorithms', 'base.py')}: SHARDS_PER_BATCH"
+    ]
+    assert len(dataclasses.fields(EngineConfig)) == 19
+    assert sorted(env_keys) == ["REPRO_SCALE", "REPRO_SHARDS"]
+    assert env_mentions == len(env_keys)
 
 
 class TestCliFsck:

@@ -170,7 +170,7 @@ def gate_kill_resume(tg: TiledGraph) -> None:
 
 def gate_shard_chaos(tg: TiledGraph) -> None:
     print("gate 4: killed shard worker respawns, stays sharded + identical")
-    from repro.runtime.threads import LIVE_SHM_SEGMENTS
+    from repro.runtime.shm import LIVE_SHM_SEGMENTS
 
     clean = PageRank(max_iterations=10, tolerance=1e-12)
     GStoreEngine(tg, make_config()).run(clean)
