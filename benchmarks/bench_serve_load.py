@@ -7,8 +7,12 @@ latency two ways:
 
 * **closed loop** — ``c`` client threads, each issuing its next query
   the moment the previous one returns.  Sweeping ``c`` produces the
-  saturation curve: throughput climbs until the worker pool saturates,
-  then p99 latency grows with queue depth.
+  saturation curve: engine runs go one at a time (the engine lane), so
+  throughput is roughly flat from one client on — more clients only
+  overlap the cheap non-engine work — and latency grows with the queue.
+  ``--min-concurrency-scaling`` gates that flatness: throughput at every
+  client count over that of one-client parts interleaved with it (0.46
+  before the lane: two clients were slower than one).
 * **open loop** — queries arrive on a Poisson-ish fixed-rate schedule
   regardless of completions, the "heavy traffic" regime: offered load
   beyond capacity shows up as admission rejections, not unbounded queue
@@ -116,8 +120,9 @@ def percentiles(latencies: "list[float]") -> dict:
     }
 
 
-def closed_loop(service, mix, baselines, total: int, concurrency: int) -> dict:
-    """``concurrency`` threads, each back-to-back until ``total`` queries."""
+def _clients(service, mix, baselines, total: int, concurrency: int):
+    """``concurrency`` threads, each back-to-back until ``total`` queries;
+    returns ``(latencies, elapsed, corrupt, errors)``."""
     latencies: "list[float]" = []
     corrupt = 0
     errors = 0
@@ -152,15 +157,50 @@ def closed_loop(service, mix, baselines, total: int, concurrency: int) -> dict:
         t.start()
     for t in threads:
         t.join()
-    elapsed = time.perf_counter() - t0
+    return latencies, time.perf_counter() - t0, corrupt, errors
+
+
+#: Parts a level above one client is cut into (see :func:`closed_loop`).
+ROUNDS = 4
+
+
+def closed_loop(service, mix, baselines, total: int, concurrency: int) -> dict:
+    """One level of the saturation curve: ``total`` queries from
+    ``concurrency`` clients.
+
+    Above one client the level is cut into ``ROUNDS`` parts and each part
+    runs right after a one-client part of the same size;
+    ``concurrency_scaling`` is the throughput of the one side over the
+    other.  Interleaved because levels minutes apart on a shared host
+    differ by tens of percent for no reason of ours (and the first level
+    of a process reads fastest), which a ratio of two such levels
+    inherits and a ratio of interleaved parts does not.
+    """
+    rounds = ROUNDS if concurrency > 1 else 1
+    ref, own = [], []  # (latencies, elapsed, corrupt, errors) per part
+    for i in range(rounds):
+        part = total * (i + 1) // rounds - total * i // rounds
+        if concurrency > 1:
+            ref.append(_clients(service, mix, baselines, part, 1))
+        own.append(_clients(service, mix, baselines, part, concurrency))
+    latencies = [dt for part in own for dt in part[0]]
+    busy = sum(part[1] for part in own)
     out = percentiles(latencies)
     out.update(
         concurrency=concurrency,
-        throughput_qps=len(latencies) / elapsed if elapsed else 0.0,
-        elapsed_s=elapsed,
-        corrupt=corrupt,
-        errors=errors,
+        throughput_qps=len(latencies) / busy if busy else 0.0,
+        elapsed_s=busy,
+        corrupt=sum(part[2] for part in ref + own),
+        errors=sum(part[3] for part in ref + own),
     )
+    if ref:
+        out["one_client_n"] = sum(len(part[0]) for part in ref)
+        out["one_client_qps"] = out["one_client_n"] / sum(
+            part[1] for part in ref
+        )
+        out["concurrency_scaling"] = (
+            out["throughput_qps"] / out["one_client_qps"]
+        )
     return out
 
 
@@ -244,6 +284,10 @@ def main() -> int:
                          "from the measured closed-loop capacity")
     ap.add_argument("--max-p99-ms", type=float, default=None,
                     help="fail if any closed-loop p99 exceeds this bound")
+    ap.add_argument("--min-concurrency-scaling", type=float, default=None,
+                    help="fail if closed-loop throughput at any client "
+                         "count falls under this multiple of the "
+                         "one-client throughput interleaved with it")
     args = ap.parse_args()
 
     print(f"building 2^{args.scale} R-MAT and service "
@@ -264,10 +308,14 @@ def main() -> int:
     for c in args.concurrency:
         r = closed_loop(service, mix, baselines, args.queries, c)
         closed.append(r)
+        scaling = (
+            f"   scaling {r['concurrency_scaling']:.2f}"
+            if "concurrency_scaling" in r else ""
+        )
         print(
             f"closed loop c={c:<3d} {r['throughput_qps']:8.1f} qps   "
             f"p50 {r['p50_ms']:7.1f} ms   p95 {r['p95_ms']:7.1f} ms   "
-            f"p99 {r['p99_ms']:7.1f} ms   corrupt {r['corrupt']}"
+            f"p99 {r['p99_ms']:7.1f} ms   corrupt {r['corrupt']}{scaling}"
         )
 
     capacity = max(r["throughput_qps"] for r in closed)
@@ -285,7 +333,9 @@ def main() -> int:
             f"rejected {r['rejected']}   corrupt {r['corrupt']}"
         )
 
-    total_queries = sum(r["n"] for r in closed) + sum(r["n"] for r in opened)
+    total_queries = sum(
+        r["n"] + r.get("one_client_n", 0) for r in closed + opened
+    )
     total_corrupt = sum(r["corrupt"] for r in closed + opened)
     total_errors = sum(r["errors"] for r in closed + opened)
     print(
@@ -333,6 +383,20 @@ def main() -> int:
                 f"{args.max_p99_ms:.1f} ms",
                 file=sys.stderr,
             )
+            return 1
+    bound = args.min_concurrency_scaling
+    if bound is not None:
+        slow = [
+            r for r in closed if r.get("concurrency_scaling", bound) < bound
+        ]
+        for r in slow:
+            print(
+                f"FAIL: {r['concurrency']} clients reach "
+                f"{r['concurrency_scaling']:.2f}x the one-client "
+                f"throughput, under the bound {bound:.2f}x",
+                file=sys.stderr,
+            )
+        if slow:
             return 1
     return 0
 

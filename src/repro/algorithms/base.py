@@ -25,24 +25,15 @@ import numpy as np
 from repro.errors import AlgorithmError
 from repro.format.tiles import TiledGraph, TileView, concat_global_edges
 from repro.memory.proactive import row_activity_from_vertices
-
-#: How a decoded batch is cut for fused execution: the engine splits its
-#: run-level views into this many equal-edge pieces
-#: (``TiledGraph.split_run_views``) and :func:`chunk_by_edges` groups them
-#: into at most this many shards — one piece per shard keeps the
-#: single-view concat fast path, and eight shards keep a thread pool
-#: busy.  Partials are committed in shard order, so this number *is* the
-#: float accumulation order: it must never depend on a worker or process
-#: count, and every path (engine, shard workers, layer walk) reads it
-#: from here.
-SHARDS_PER_BATCH = 8
+from repro.types import SHARDS_PER_BATCH, shard_pieces
 
 
 def chunk_by_edges(
     views: "list[TileView]", max_shards: int = SHARDS_PER_BATCH
 ) -> "list[list[TileView]]":
     """Split a batch into at most ``max_shards`` contiguous, edge-balanced
-    chunks.
+    chunks, none cut below ``MIN_SHARD_EDGES``
+    (:func:`~repro.types.shard_pieces`).
 
     The split depends only on the batch contents — never on the worker
     count — so algorithms whose floating-point accumulation order follows
@@ -52,10 +43,11 @@ def chunk_by_edges(
     views = list(views)
     if not views:
         return []
-    if len(views) <= 1 or max_shards <= 1:
-        return [views]
     counts = [tv.lsrc.shape[0] for tv in views]
     total = sum(counts)
+    max_shards = shard_pieces(max_shards, total)
+    if len(views) <= 1 or max_shards <= 1:
+        return [views]
     target = max(1, -(-total // max_shards))  # ceil
     shards: "list[list[TileView]]" = []
     cur: "list[TileView]" = []

@@ -54,10 +54,6 @@ class BFS(TileAlgorithm):
         self.level = 0
         self.traversed_edges = 0
         self._frontier_count = 0
-        #: Per-tile/batch arrays of vertices assigned depth ``level + 1``
-        #: this iteration; their union is the new frontier, counted in
-        #: ``end_iteration`` without an O(|V|) scan.
-        self._new_targets: "list[np.ndarray]" = []
         #: Vertices discovered so far (root included) — drives the
         #: push/pull switch without an O(|V|) scan per iteration.
         self._visited_total = 0
@@ -77,7 +73,6 @@ class BFS(TileAlgorithm):
         self.level = 0
         self.traversed_edges = 0
         self._frontier_count = 1
-        self._new_targets = []
         self._visited_total = 1
         self.direction_history = []
         self._pull = False
@@ -86,7 +81,6 @@ class BFS(TileAlgorithm):
 
     def begin_iteration(self, iteration: int) -> None:
         super().begin_iteration(iteration)
-        self._new_targets = []
         if self.direction_optimizing:
             # Beamer-style switch on algorithm state only (never timing):
             # pull once the frontier outnumbers the remaining unvisited
@@ -99,15 +93,12 @@ class BFS(TileAlgorithm):
         return self.apply_partial(self.batch_partial([tv]))
 
     def end_iteration(self, iteration: int) -> bool:
-        # The union of the per-tile discovery targets is exactly the set of
-        # vertices assigned ``level + 1`` (every such vertex is reported by
-        # whichever tile saw it unvisited first), so the frontier count
-        # needs no full depth-array scan.
-        if self._new_targets:
-            new_frontier = int(np.unique(np.concatenate(self._new_targets)).size)
-        else:
-            new_frontier = 0
-        self._new_targets = []
+        # The new frontier is exactly the vertices assigned ``level + 1``:
+        # one pass over the depth array (microseconds), where a unique
+        # over every discovered target sorted or hashed them all.
+        new_frontier = int(
+            np.count_nonzero(self.depth == np.uint32(self.level + 1))
+        )
         self.level += 1
         self._frontier_count = new_frontier
         self._visited_total += new_frontier
@@ -193,10 +184,8 @@ class BFS(TileAlgorithm):
         nxt = np.uint32(self.level + 1)
         if fwd_targets.size:
             self.depth[fwd_targets] = nxt
-            self._new_targets.append(fwd_targets)
         if bwd_targets is not None and bwd_targets.size:
             self.depth[bwd_targets] = nxt
-            self._new_targets.append(bwd_targets)
         self.traversed_edges += edges
         return edges
 

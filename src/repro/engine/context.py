@@ -26,13 +26,16 @@ Two kinds of context exist:
   :class:`~repro.obs.counters.MetricsRegistry` — the per-query stats
   isolation contract: concurrent queries never write to a shared
   registry, so no counter or clock can be corrupted across queries.
-  Private runs execute single-process (no shard scatter, no worker
-  pool, kernels inline on the calling thread) — cross-query concurrency
-  replaces intra-query parallelism.
+  A private run is exactly one thread — no shard scatter, no worker
+  pool, no prefetch thread; fetch, decode and kernels inline on the
+  caller's — and private runs take turns: the engine's lane
+  (:mod:`repro.runtime.lane`) admits one at a time in arrival order,
+  because two interpreter-bound runs side by side only trade the GIL.
 
 A private context also carries the cooperative cancellation state for
 the serving layer's per-query deadlines: the engine calls
-:meth:`RunContext.check_cancelled` at every iteration boundary and a
+:meth:`RunContext.check_cancelled` at every iteration boundary — and
+:meth:`RunContext.wait_slice` while the run waits for the lane — and a
 missed deadline raises the typed
 :class:`~repro.errors.DeadlineError` without leaving threads or
 undelivered batches behind.
@@ -52,6 +55,9 @@ from repro.runtime.pipeline import WallOverlap
 from repro.storage.aio import AIOContext
 from repro.storage.raid import Raid0Array
 from repro.util.timer import SimClock
+
+#: How often a queued run looks at its cancel event (seconds).
+_CANCEL_POLL = 0.02
 
 
 @dataclass
@@ -94,6 +100,9 @@ class RunContext:
     # set every iteration, so the merged run-level views are built once.
     rewind_key: "np.ndarray | None" = None
     rewind_merged: "list | None" = None
+    #: Seconds this run waited its turn in the engine lane before it
+    #: started (private contexts; not part of ``RunStats.wall_seconds``).
+    lane_wait: float = 0.0
 
     def check_cancelled(self) -> None:
         """Raise :class:`DeadlineError` if this run should stop.
@@ -116,6 +125,17 @@ class RunContext:
         if self.deadline is None:
             return None
         return self.deadline - time.monotonic()
+
+    def wait_slice(self) -> "float | None":
+        """:meth:`check_cancelled`, then how long a blocking wait may last
+        before this must be asked again: until the deadline, in
+        ``_CANCEL_POLL`` steps while there is a cancel event to watch
+        (``None``: indefinitely).  What the engine lane's queue calls."""
+        self.check_cancelled()
+        remaining = self.remaining
+        if self.cancel_event is None:
+            return remaining
+        return _CANCEL_POLL if remaining is None else min(_CANCEL_POLL, remaining)
 
 
 def wire_device_counters(array: Raid0Array, registry) -> None:

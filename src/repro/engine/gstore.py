@@ -41,9 +41,12 @@ simulated SSD array and compute time from the cost model (see DESIGN.md).
 Every piece of state a run mutates lives in a
 :class:`~repro.engine.context.RunContext`; ``run()`` without one uses
 the engine's own context (the classic batch path), while
-:meth:`GStoreEngine.query_context` builds a private context so many
-runs can execute concurrently over one engine — the serving layer's
-foundation (docs/SERVING.md).
+:meth:`GStoreEngine.query_context` builds a private context so any
+number of threads can run queries over one engine — the serving layer's
+foundation (docs/SERVING.md).  Private runs share no data, but they do
+share the interpreter, so each is exactly one thread (depth-0 source,
+serial kernels) and they take the engine lane one at a time, in arrival
+order (:mod:`repro.runtime.lane`).
 """
 
 from __future__ import annotations
@@ -55,9 +58,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# ``_RUN_SPLIT``: the name benchmarks/perf/layer_walk.py mirrors the
-# engine's batch split through.
-from repro.algorithms.base import SHARDS_PER_BATCH as _RUN_SPLIT
 from repro.algorithms.base import TileAlgorithm
 from repro.engine.checkpoint import CheckpointManager
 from repro.engine.config import EngineConfig
@@ -81,7 +81,11 @@ from repro.obs import NULL_TRACER, Tracer
 from repro.storage.aio import AIOContext
 from repro.storage.file import TileStore
 from repro.storage.raid import Raid0Array
+# ``_RUN_SPLIT``: the name benchmarks/perf/layer_walk.py mirrors the
+# engine's batch split through.
+from repro.types import SHARDS_PER_BATCH as _RUN_SPLIT
 from repro.util.timer import SimClock, WallTimer
+from repro.runtime.lane import FifoLane
 from repro.runtime.pipeline import PipelineTimeline, WallOverlap
 from repro.runtime.prefetch import Prefetcher, Prepared
 from repro.runtime.shard import ShardRuntime, ShardRuntimeError, resolve_shards
@@ -172,6 +176,12 @@ class GStoreEngine:
         self.supervisor: "dict[str, int]" = dict.fromkeys(
             ("respawns", "worker_deaths", "hangs", "replayed_batches"), 0
         )
+        #: The engine lane: private-context runs take it one at a time, in
+        #: arrival order (:meth:`run`).  Width one is the measured optimum
+        #: on CPython — the run loop is interpreter-bound, so two runs
+        #: side by side cost 2-3x the CPU of the same two in turn
+        #: (docs/SERVING.md "Concurrency model").
+        self.lane = FifoLane()
         #: Wall-clock overlap accounting for the most recent *engine-context*
         #: run (private-context runs carry their own on the RunContext).
         self.wall_overlap = WallOverlap()
@@ -304,15 +314,17 @@ class GStoreEngine:
 
         The serving layer's entry point (docs/SERVING.md): any number of
         threads may each build a context and call
-        ``engine.run(algo, context=ctx)`` concurrently on *one* engine.
+        ``engine.run(algo, context=ctx)`` on *one* engine.
         The context shares the immutable substrate (graph, tile-store
         mmap, configuration) but owns its clock, simulated device array,
         AIO context, and — when ``trace`` — a private tracer/registry, so
         per-query :class:`RunStats` and counters are fully isolated.
-        Private runs execute single-process (kernels inline on the
-        calling thread; no shard scatter or worker pool) and check
-        ``deadline`` (relative seconds) cooperatively at iteration
-        boundaries, raising :class:`~repro.errors.DeadlineError`.
+        A private run is exactly one thread (fetch, decode and kernels
+        inline on the calling thread; no shard scatter, worker pool or
+        prefetch thread), waits its turn in the engine lane (:meth:`run`)
+        and checks ``deadline`` (relative seconds) cooperatively — in the
+        lane's queue and at iteration boundaries — raising
+        :class:`~repro.errors.DeadlineError`.
         """
         return make_private_context(
             self, trace=trace, deadline=deadline, cancel_event=cancel_event
@@ -345,11 +357,35 @@ class GStoreEngine:
         default) uses the engine's own clock/tracer/AIO singletons — one
         run at a time, exactly the historical behaviour.  A private
         context from :meth:`query_context` makes the call re-entrant:
-        concurrent runs with distinct contexts are safe on one engine.
+        any number of threads may call it on one engine.  Those runs take
+        the engine lane (``self.lane``) in strict arrival order; the wait
+        honours the context's deadline and cancel event (a run that gives
+        up in the queue raises :class:`~repro.errors.DeadlineError`
+        having touched nothing) and is reported as
+        ``extra["execution"]["lane_wait_s"]``, outside ``wall_seconds``.
         """
+        ctx = context if context is not None else self._engine_context()
+        if not ctx.private:
+            return self._run(algorithm, checkpoint, ctx)
+        t0 = _time.perf_counter()
+        try:
+            self.lane.acquire(ctx.wait_slice)
+        finally:  # a run that gave up in the queue waited too
+            ctx.lane_wait = _time.perf_counter() - t0
+        try:
+            return self._run(algorithm, checkpoint, ctx)
+        finally:
+            self.lane.release()
+
+    def _run(
+        self,
+        algorithm: TileAlgorithm,
+        checkpoint: "str | None",
+        ctx: RunContext,
+    ) -> RunStats:
+        """:meth:`run`, on a resolved context (lane, if any, held)."""
         cfg = self.config
         g = self.graph
-        ctx = context if context is not None else self._engine_context()
         ctx.rewind_key = None
         ctx.rewind_merged = None
         ctx.degraded = False
@@ -457,6 +493,8 @@ class GStoreEngine:
             # (non-shardable run, or graceful fallback mid-run).
             "shards_resolved": self.shards if ctx.shard_active else 1,
             "prefetch_depth": cfg.prefetch_depth,
+            "prefetch_depth_resolved": self._prefetch_depth(ctx),
+            "lane_wait_s": ctx.lane_wait,
             "realize_io": cfg.realize_io,
             "degraded": ctx.degraded,
             "private_context": ctx.private,
@@ -655,16 +693,24 @@ class GStoreEngine:
         batches are prepared off the engine thread.  A shard-parallel run
         scatters the iteration's frozen kernel state plus each worker's
         lane of the plan (workers prefetch their own lanes); every other
-        run prepares its batches itself — ``prefetch_depth`` ahead on the
-        prefetch thread, or inside ``get()`` at depth 0 and once the run
-        has degraded.
+        run prepares its batches itself — :meth:`_prefetch_depth` ahead on
+        the prefetch thread, or inside ``get()`` at depth 0.
         """
         if ctx.shard_active and plan.n_batches:
             return self._ensure_shard_runtime().begin_iteration(
                 algorithm, plan, iteration=iteration
             )
-        depth = 0 if ctx.degraded else self.config.prefetch_depth
-        return self._local_source(plan.batches, ctx, depth)
+        return self._local_source(plan.batches, ctx, self._prefetch_depth(ctx))
+
+    def _prefetch_depth(self, ctx: RunContext) -> int:
+        """Prefetch depth of this run's local source: as configured, or 0
+        — no thread, each batch prepared inside ``get()`` — for a private
+        context (a query is exactly one thread: a per-iteration prefetch
+        thread only adds a GIL hand-off per batch to an interpreter-bound
+        run) and for a run the degrade step moved off its prefetcher."""
+        if ctx.private or ctx.degraded:
+            return 0
+        return self.config.prefetch_depth
 
     def _local_source(
         self, batches, ctx: RunContext, depth: int

@@ -32,6 +32,7 @@ from repro.types import (
     DEFAULT_TILE_BITS,
     VERTEX_DTYPE,
     local_dtype,
+    shard_pieces,
 )
 from repro.util.bitops import ceil_div
 
@@ -542,7 +543,9 @@ class TiledGraph:
     def split_run_views(
         views: "list[TileView]", pieces: int
     ) -> "list[TileView]":
-        """Split run-level views into ≈``pieces`` equal-edge sub-views.
+        """Split run-level views into ≈``pieces`` equal-edge sub-views,
+        none cut below ``MIN_SHARD_EDGES``
+        (:func:`~repro.types.shard_pieces`).
 
         Zero-copy (every sub-array is a slice) and deterministic — the
         split depends only on the views, never on the worker count — so a
@@ -550,10 +553,11 @@ class TiledGraph:
         for the thread pool without changing the fused determinism
         contract.  Sub-views concatenate back to the original edge order.
         """
-        if len(views) >= pieces:
+        if len(views) >= pieces:  # the floor only ever lowers ``pieces``
             return views
         total = sum(tv.lsrc.shape[0] for tv in views)
-        if total == 0:
+        pieces = shard_pieces(pieces, total)
+        if len(views) >= pieces:
             return views
         out: "list[TileView]" = []
         for tv in views:

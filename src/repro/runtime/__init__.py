@@ -1,5 +1,6 @@
 """Execution runtime: compute cost model, pipelined timeline, and the
-thread / prefetch / shared-memory / shard-process mechanisms."""
+thread / prefetch / shared-memory / shard-process / engine-lane
+mechanisms."""
 
 from repro.runtime.calibrate import CalibrationResult, calibrate_cost_model
 from repro.runtime.cost import CostModel

@@ -47,7 +47,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.algorithms.base import SHARDS_PER_BATCH
 from repro.format.tiles import concat_global_edges
 from repro.obs.trace import NULL_TRACER
 from repro.runtime.prefetch import Prepared
@@ -55,6 +54,7 @@ from repro.runtime.shm import ShmArena, attach_view
 from repro.storage.aio import AIOContext
 from repro.storage.file import TileStore
 from repro.storage.raid import Raid0Array
+from repro.types import SHARDS_PER_BATCH
 from repro.util.timer import SimClock
 
 #: Process-name prefix for shard workers, so tests can assert clean

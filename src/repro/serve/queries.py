@@ -97,7 +97,11 @@ class QueryResult:
     payload: dict
     sha256: str
     fingerprint: str
+    #: Seconds from a worker thread picking the query up to its reply.
     wall_seconds: float
+    #: The part of ``wall_seconds`` spent waiting for the engine lane
+    #: (``RunContext.lane_wait``, every attempt): the rest is run time.
+    queue_seconds: float = 0.0
     cache_hit: bool = False
     #: Per-query counters snapshot (only when the service traces queries;
     #: drawn from the query's *private* registry — never the shared one).
@@ -110,6 +114,7 @@ class QueryResult:
             "sha256": self.sha256,
             "fingerprint": self.fingerprint,
             "wall_seconds": self.wall_seconds,
+            "queue_seconds": self.queue_seconds,
             "cache_hit": self.cache_hit,
         }
         out.update(self.query.summarize(self.payload))

@@ -3,12 +3,19 @@
 One :class:`QueryService` wraps one read-only
 :class:`~repro.engine.gstore.GStoreEngine` and executes typed queries
 (:mod:`repro.serve.queries`) on a bounded thread pool.  The concurrency
-model in one sentence: *everything mutable is per-query* (clock, AIO
+model in two sentences: *everything mutable is per-query* (clock, AIO
 context, tracer/registry, stats — via
 :meth:`~repro.engine.gstore.GStoreEngine.query_context`), while the
 engine contributes only the immutable substrate (graph, tile-store mmap,
-configuration), so queries never contend on anything but the OS page
-cache.
+configuration), so queries share no data.  They do share the
+interpreter: an engine run is hundreds of microsecond-sized NumPy calls
+under the GIL, and two side by side take longer than the same two in
+turn — so the *engine* runs private contexts one at a time, in arrival
+order (its lane, :mod:`repro.runtime.lane`), and this service's threads
+overlap only what is not an engine run: admission, cache probes, point
+lookups, reply digests, and waiting their turn.  The service reads the
+wait (``serve.lane_wait_s``, ``serve.lane_waiting``,
+``QueryResult.queue_seconds``) and adds no queueing of its own.
 
 Three service mechanisms sit in front of the engine:
 
@@ -57,7 +64,10 @@ from repro.util.timer import SimClock
 class ServiceConfig:
     """Tunables of one :class:`QueryService`."""
 
-    #: Worker threads executing queries (each runs one private context).
+    #: Worker threads: how many admitted queries are off the executor's
+    #: queue at once — one of them in an engine run, the others probing
+    #: the cache, doing point lookups, digesting replies, or waiting for
+    #: the engine lane.
     workers: int = 4
     #: Admission bound: maximum queries admitted at once (queued +
     #: running).  Submissions beyond it fail fast with AdmissionError.
@@ -246,7 +256,9 @@ class QueryService:
                 )
             self.registry.counter("serve.cache_misses").add(1)
             attempts_left = max(0, int(self.config.retry_attempts))
+            queued = 0.0
             while True:
+                ctx = None
                 try:
                     ctx = self.engine.query_context(
                         trace=self.config.trace_queries,
@@ -281,6 +293,14 @@ class QueryService:
                     self.registry.counter("serve.errors").add(1)
                     self.health.note_error()
                     raise
+                finally:
+                    if ctx is not None:
+                        # Every attempt's wait counts, the ones that gave
+                        # up in the queue above all.
+                        queued += ctx.lane_wait
+                        self.registry.counter("serve.lane_wait_s").add(
+                            ctx.lane_wait
+                        )
             self.health.note_success()
             result = QueryResult(
                 query=query,
@@ -288,6 +308,7 @@ class QueryService:
                 sha256=payload_digest(payload),
                 fingerprint=self.fingerprint,
                 wall_seconds=time.perf_counter() - t0,
+                queue_seconds=queued,
                 cache_hit=False,
                 counters=(
                     ctx.tracer.registry.as_dict()
@@ -313,10 +334,12 @@ class QueryService:
         return self.fingerprint
 
     def stats(self) -> dict:
-        """Snapshot of the shared ``serve.*`` registry plus cache size
-        and the current health state/reasons."""
+        """Snapshot of the shared ``serve.*`` registry plus cache size,
+        how many queries are waiting for the engine lane right now, and
+        the current health state/reasons."""
         out = self.registry.as_dict()
         out["serve.cache_entries"] = len(self.cache)
+        out["serve.lane_waiting"] = self.engine.lane.waiting
         out["serve.health"] = self.health.state().value
         out["serve.health.reasons"] = self.health.reasons()
         return out

@@ -34,6 +34,33 @@ SECTOR_BYTES = 512
 #: Default RAID-0 stripe size used in the paper's evaluation (64 KB).
 DEFAULT_STRIPE_BYTES = 64 * 1024
 
+#: How a decoded batch is cut for fused execution: the engine splits its
+#: run-level views into this many equal-edge pieces
+#: (``TiledGraph.split_run_views``) and ``algorithms.base.chunk_by_edges``
+#: groups them into at most this many shards — one piece per shard keeps
+#: the single-view concat fast path, and eight shards keep a thread pool
+#: busy.  Partials are committed in shard order, so the shard structure
+#: *is* the float accumulation order: it must never depend on a worker or
+#: process count, and every path (engine, shard workers, layer walk) gets
+#: it from :func:`shard_pieces`.
+SHARDS_PER_BATCH = 8
+
+#: Fewest edges a shard is cut down to.  A fused kernel is a dozen NumPy
+#: calls per shard, so below a few thousand edges the calls cost more than
+#: the edges: eight ~1 000-edge shards of a one-tile batch run slower than
+#: the batch as one shard (docs/PERFORMANCE.md "A FIFO engine lane").
+MIN_SHARD_EDGES = 4096
+
+
+def shard_pieces(pieces: int, total_edges: int) -> int:
+    """``pieces`` lowered until no shard of a ``total_edges`` batch falls
+    under :data:`MIN_SHARD_EDGES` (never below one piece).
+
+    The one rule both halves of the batch split apply, so the structure is
+    a function of the batch contents alone on every execution path.
+    """
+    return max(1, min(pieces, total_edges // MIN_SHARD_EDGES))
+
 
 def local_dtype(tile_bits: int) -> np.dtype:
     """Smallest unsigned dtype able to hold a local (in-tile) vertex ID.

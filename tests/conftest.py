@@ -12,6 +12,8 @@ import pytest
 
 os.environ.setdefault("REPRO_SCALE", "tiny")
 
+import repro.runtime.shard
+import repro.types
 from repro.engine.config import EngineConfig
 from repro.format.edgelist import EdgeList
 from repro.format.tiles import TiledGraph
@@ -19,6 +21,7 @@ from repro.graphgen.kronecker import kronecker
 from repro.runtime.prefetch import PREFETCH_THREAD_NAME
 from repro.runtime.shard import SHARD_WORKER_PREFIX
 from repro.runtime.shm import LIVE_SHM_SEGMENTS
+from tests import shard_floor
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -40,6 +43,18 @@ def no_leaked_batch_sources():
         if p.name.startswith(SHARD_WORKER_PREFIX)
     ] + sorted(LIVE_SHM_SEGMENTS)
     assert not leaked, f"left alive after this module: {leaked}"
+
+
+@pytest.fixture()
+def low_shard_floor(monkeypatch) -> int:
+    """Lower ``MIN_SHARD_EDGES`` — here and in every shard worker spawned
+    meanwhile — so the small test graphs' batches still cut into several
+    shards: the equivalence matrices are about multi-shard batches."""
+    monkeypatch.setattr(repro.types, "MIN_SHARD_EDGES", shard_floor.LOW_FLOOR)
+    monkeypatch.setattr(
+        repro.runtime.shard, "_shard_worker_main", shard_floor.worker_main
+    )
+    return shard_floor.LOW_FLOOR
 
 
 @pytest.fixture(scope="session")

@@ -32,6 +32,7 @@ from repro.errors import StorageError
 from repro.format.tiles import TiledGraph
 from repro.graphgen.rmat import rmat
 from repro.runtime.shm import LIVE_SHM_SEGMENTS
+from repro.types import SHARDS_PER_BATCH
 
 ALGOS = {
     "bfs": lambda: BFS(root=0),
@@ -47,6 +48,11 @@ ALGOS = {
     "mis": lambda: MaximalIndependentSet(seed=4),
 }
 
+#: The graph's slide batches hold ~2 000 edges, under the shipped
+#: ``MIN_SHARD_EDGES``: lowered for this file so they still cut into
+#: several shards (``test_matrix_batches_cut_into_several_shards``).
+pytestmark = pytest.mark.usefixtures("low_shard_floor")
+
 #: Worker counts: the serial walk and the thread pool — the shard
 #: structure (and so the result) must not care.
 WORKERS = [1, 3]
@@ -60,7 +66,8 @@ def graph() -> TiledGraph:
     return TiledGraph.from_edge_list(el, tile_bits=6, group_q=4)
 
 
-def _run(tg, factory, workers, depth=2, selective=True, shards=None):
+def _run(tg, factory, workers, depth=2, selective=True, shards=None,
+         private=False):
     # Tiny budget: several slide batches per iteration plus cache
     # pressure, so rewind, evictions, and multi-batch dispatch all run.
     # shards=None resolves through REPRO_SHARDS, so the equivalence
@@ -75,7 +82,9 @@ def _run(tg, factory, workers, depth=2, selective=True, shards=None):
     )
     with GStoreEngine(tg, cfg) as engine:
         algo = factory()
-        stats = engine.run(algo)
+        stats = engine.run(
+            algo, context=engine.query_context() if private else None
+        )
     return algo.result().copy(), stats
 
 
@@ -83,26 +92,59 @@ def _sha(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
+def test_matrix_batches_cut_into_several_shards(graph, monkeypatch):
+    """What makes the matrices below mean something: under ``_run``'s
+    budget a batch of this graph yields more than one shard at the
+    lowered floor — and exactly one at the shipped floor, which is why
+    the file lowers it."""
+
+    class Counting(PageRank):
+        def batch_shards(self, views):
+            shards = super().batch_shards(views)
+            counts.append(len(shards))
+            return shards
+
+    def factory():
+        return Counting(max_iterations=2, tolerance=0.0)
+
+    counts: "list[int]" = []
+    _run(graph, factory, 1, depth=0)
+    assert 1 < max(counts) <= SHARDS_PER_BATCH
+    assert sorted(counts)[len(counts) // 2] > 1  # most batches, not one
+    monkeypatch.undo()  # back to the shipped floor
+    counts.clear()
+    _run(graph, factory, 1, depth=0)
+    assert set(counts) == {1}
+
+
 @pytest.mark.parametrize("name", sorted(ALGOS))
 def test_backend_equivalence(graph, name):
     """Results and the full observable run are identical at every worker
-    count and prefetch depth — sha256 on the result bytes, so 'identical'
-    means bit-identical, not approximately equal."""
+    count and prefetch depth, and through a private context (one thread,
+    depth 0, whatever the engine is configured with) — sha256 on the
+    result bytes, so 'identical' means bit-identical, not approximately
+    equal."""
     factory = ALGOS[name]
     ref_result, ref_stats = _run(graph, factory, 1, depth=0)
     ref_hash = _sha(ref_result)
-    for workers in WORKERS:
-        for depth in DEPTHS:
-            result, stats = _run(graph, factory, workers, depth=depth)
-            assert _sha(result) == ref_hash, (name, workers, depth)
-            assert stats.edges_processed == ref_stats.edges_processed
-            assert len(stats.iterations) == len(ref_stats.iterations)
-            assert stats.sim_elapsed == pytest.approx(ref_stats.sim_elapsed)
-            assert stats.io_time == pytest.approx(ref_stats.io_time)
-            assert stats.bytes_read == ref_stats.bytes_read
-            assert stats.tiles_fetched == ref_stats.tiles_fetched
-            assert stats.extra["scr"] == ref_stats.extra["scr"]
-            assert stats.extra["execution"]["workers_resolved"] == workers
+    modes = [(w, d, False) for w in WORKERS for d in DEPTHS] + [(3, 2, True)]
+    for workers, depth, private in modes:
+        result, stats = _run(
+            graph, factory, workers, depth=depth, private=private
+        )
+        assert _sha(result) == ref_hash, (name, workers, depth, private)
+        assert stats.edges_processed == ref_stats.edges_processed
+        assert len(stats.iterations) == len(ref_stats.iterations)
+        assert stats.sim_elapsed == pytest.approx(ref_stats.sim_elapsed)
+        assert stats.io_time == pytest.approx(ref_stats.io_time)
+        assert stats.bytes_read == ref_stats.bytes_read
+        assert stats.tiles_fetched == ref_stats.tiles_fetched
+        assert stats.extra["scr"] == ref_stats.extra["scr"]
+        execution = stats.extra["execution"]
+        assert execution["workers_resolved"] == (1 if private else workers)
+        assert execution["prefetch_depth_resolved"] == (
+            0 if private else depth
+        )
     assert not LIVE_SHM_SEGMENTS
 
 
@@ -255,6 +297,26 @@ def test_shard_matrix(graph, selective):
                 assert ex["shards"] == shards, key
                 assert ex["shards_resolved"] == shards, key
     assert not LIVE_SHM_SEGMENTS
+
+
+def test_shard_workers_cut_batches_as_the_coordinator_does(graph):
+    """A worker chunking at another floor than its coordinator commits
+    PageRank partials in another order.  The matrix above cannot see it
+    (fifteen iterations over a resident graph converge the last bits
+    back); three iterations streamed from storage every time can."""
+    digests = set()
+    for shards in (1, 2):
+        cfg = EngineConfig(
+            memory_bytes=8 * 1024, segment_bytes=4 * 1024,
+            workers=1, prefetch_depth=0, shards=shards,
+        )
+        with GStoreEngine(graph, cfg) as engine:
+            algo = PageRank(max_iterations=3, tolerance=0.0)
+            stats = engine.run(algo)
+            assert stats.extra["execution"]["shards_resolved"] == shards
+            assert stats.bytes_read > 2 * graph.storage_bytes()
+        digests.add(_sha(algo.result()))
+    assert len(digests) == 1
 
 
 def test_shard_counters_and_worker_tracks(graph):

@@ -58,6 +58,9 @@ ALGOS = {
     "mis": lambda: MaximalIndependentSet(seed=4),
 }
 
+#: ~2 000-edge batches: keep them multi-shard (see tests/test_backends.py).
+pytestmark = pytest.mark.usefixtures("low_shard_floor")
+
 #: Kernels that accumulate floats: per-tile vs fused differ only by
 #: reassociation; everything else must be bit-identical.
 FLOAT_ALGOS = {"pagerank", "spmv"}

@@ -128,11 +128,23 @@ class TestEngineReentrancy:
         assert execution["workers_resolved"] == 1
         assert execution["shards_resolved"] == 1
 
-    def test_private_run_spawns_no_engine_threads(self, graph):
-        """A private run that both rewinds and slides decodes on the
-        calling thread: the engine's shared worker pool is never created
-        (the ``query_context`` contract — kernels and decode inline)."""
-        cfg = EngineConfig(memory_bytes=10 * 1024, segment_bytes=2 * 1024)
+    def test_private_run_spawns_no_engine_threads(self, graph, monkeypatch):
+        """A private run that both rewinds and slides is exactly one
+        thread — fetch, decode and kernels all on the caller's (the
+        ``query_context`` contract) — on an engine whose batch path is
+        configured to start both kinds: no ``Thread.start`` at all."""
+        started: "list[str]" = []
+        start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        cfg = EngineConfig(
+            memory_bytes=10 * 1024, segment_bytes=2 * 1024,
+            workers=3, prefetch_depth=2, shards=1,
+        )
         with GStoreEngine(graph, cfg) as eng:
             stats = eng.run(
                 PageRank(max_iterations=3, tolerance=0.0),
@@ -142,11 +154,14 @@ class TestEngineReentrancy:
                 it.tiles_from_cache and it.tiles_fetched
                 for it in stats.iterations
             )
+            assert started == []
             assert eng._pool is None
-            assert not any(
-                t.name.startswith("repro-worker")
-                for t in threading.enumerate()
-            )
+            execution = stats.extra["execution"]
+            assert execution["prefetch_depth"] == 2
+            assert execution["prefetch_depth_resolved"] == 0
+            # The spy sees what it should: the batch path prefetches.
+            eng.run(PageRank(max_iterations=1, tolerance=0.0))
+            assert any(name.startswith("repro-prefetch") for name in started)
 
     def test_private_context_rejects_fault_injection(self, graph):
         from repro.faults import FaultPlan
@@ -191,6 +206,10 @@ class TestQueries:
         assert len(results) == 6 * len(MIX)
         for (_tid, q), digest in results.items():
             assert digest == baselines[q], f"corrupted result for {q}"
+        # The six clients did queue for the engine lane, and left it empty.
+        stats = service.stats()
+        assert stats["serve.lane_wait_s"] > 0
+        assert stats["serve.lane_waiting"] == 0
 
     def test_neighborhood_matches_edge_list(self, service, edge_list):
         v = 2
@@ -439,6 +458,7 @@ class TestHTTP:
                     body = json.load(r)
                 assert body["sha256"] == svc.execute(BFSQuery(root=0)).sha256
                 assert body["reached"] >= 1
+                assert 0 <= body["queue_seconds"] < body["wall_seconds"]
 
                 bad = urllib.request.Request(
                     base + "/query",
@@ -451,6 +471,7 @@ class TestHTTP:
                 with urllib.request.urlopen(base + "/stats", timeout=10) as r:
                     stats = json.load(r)
                 assert stats["serve.completed"] >= 2
+                assert stats["serve.lane_waiting"] == 0
             finally:
                 server.shutdown()
                 server.server_close()

@@ -1,7 +1,7 @@
 """Unit tests for the runtime's four mechanisms: row-parallel kernel
 dispatch (``execute_batch`` over the engine's thread pool), the bounded
-prefetcher, the shard structure, and the shard scatter's shared-memory
-plane."""
+prefetcher, the shard structure (and the edge floor under it), and the
+shard scatter's shared-memory plane."""
 
 import gc
 import os
@@ -22,6 +22,7 @@ from repro.algorithms.base import (
 from repro.algorithms.pagerank import PageRank
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
+from repro.format.tiles import TiledGraph, TileView
 from repro.runtime.prefetch import PREFETCH_THREAD_NAME, Prefetcher
 from repro.runtime.shm import LIVE_SHM_SEGMENTS, ShmArena, attach_view
 from repro.runtime.threads import (
@@ -31,6 +32,7 @@ from repro.runtime.threads import (
     execution_fingerprint,
     resolve_workers,
 )
+from repro.types import MIN_SHARD_EDGES, shard_pieces
 
 
 class _FakeView:
@@ -97,9 +99,9 @@ class TestDynamicRowMap:
     are computed on its work queue and committed in shard order."""
 
     def test_preserves_order(self):
-        views = _views([50] * 40)
+        views = _views([1024] * 40)  # eight shards' worth of edges
         serial = _Recorder()
-        assert execute_batch(serial, views) == 2000
+        assert execute_batch(serial, views) == 40960
         assert len(serial.applied) == SHARDS_PER_BATCH
 
         # Earlier shards take longer, so they finish last.
@@ -107,7 +109,7 @@ class TestDynamicRowMap:
             0.002 * (40 - shard[0].i)
         ))
         with ThreadPoolExecutor(max_workers=4) as pool:
-            assert execute_batch(slow_first, views, pool=pool) == 2000
+            assert execute_batch(slow_first, views, pool=pool) == 40960
         assert slow_first.applied == serial.applied
         assert len(slow_first.threads) > 1
 
@@ -186,7 +188,8 @@ class TestWorkerPool:
             workers=workers, shards=1,
         ))
 
-    def test_lazy_creation(self, tiled_undirected):
+    def test_lazy_creation(self, tiled_undirected, low_shard_floor):
+        # (floor lowered: a single-shard batch never needs the pool)
         before = _worker_threads()
         with self._engine(tiled_undirected) as engine:
             assert _worker_threads() == before
@@ -348,6 +351,122 @@ class TestShardInvariants:
     def test_default_ceiling(self):
         views = [_FakeView(0, 10) for _ in range(100)]
         assert len(chunk_by_edges(views)) <= SHARDS_PER_BATCH
+
+
+# ---------------------------------------------------------------------- #
+# The edge floor under fused shards
+# ---------------------------------------------------------------------- #
+
+
+def _run_view(n_edges: int, edge_lo: int = 0) -> TileView:
+    """A run-level view over ``n_edges`` distinguishable edges."""
+    ids = (np.arange(n_edges) % 65536).astype(np.uint16)
+    return TileView(
+        i=0, j=0, lsrc=ids, ldst=ids[::-1], src_base=0, dst_base=0,
+        pos=0, edge_lo=edge_lo,
+    )
+
+
+def _edges(views) -> "list[int]":
+    return [int(tv.lsrc.shape[0]) for tv in views]
+
+
+class TestShardFloor:
+    """``MIN_SHARD_EDGES`` under both halves of the batch split
+    (``TiledGraph.split_run_views``, then ``chunk_by_edges``): a batch is
+    cut into ``min(SHARDS_PER_BATCH, edges // MIN_SHARD_EDGES)`` shards."""
+
+    def test_below_the_floor_is_one_shard(self):
+        views = _views([100] * 40)  # 4 000 edges in 40 views
+        assert chunk_by_edges(views) == [views]
+        run = [_run_view(MIN_SHARD_EDGES - 1)]
+        assert TiledGraph.split_run_views(run, SHARDS_PER_BATCH) is run
+        assert chunk_by_edges(run) == [run]
+        assert shard_pieces(SHARDS_PER_BATCH, 0) == 1
+
+    @pytest.mark.parametrize("edges, shards", [
+        (MIN_SHARD_EDGES, 1),
+        (2 * MIN_SHARD_EDGES - 1, 1),
+        (2 * MIN_SHARD_EDGES, 2),
+        (14_000, 3),  # one serve_mix tile
+        (SHARDS_PER_BATCH * MIN_SHARD_EDGES - 1, SHARDS_PER_BATCH - 1),
+        (SHARDS_PER_BATCH * MIN_SHARD_EDGES, SHARDS_PER_BATCH),
+        (70_000, SHARDS_PER_BATCH),  # a pr_stream batch: as before the floor
+    ])
+    def test_one_extent_cuts_by_its_edge_count(self, edges, shards):
+        pieces = TiledGraph.split_run_views(
+            [_run_view(edges)], SHARDS_PER_BATCH
+        )
+        assert len(pieces) == shards
+        assert min(_edges(pieces)) >= MIN_SHARD_EDGES
+        # (chunking may pair pieces a rounding short of its balance target)
+        assert 1 <= len(chunk_by_edges(pieces)) <= shards
+
+    @given(
+        counts=st.lists(st.integers(0, 30_000), min_size=0, max_size=12),
+        pieces=st.integers(1, 16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_split_then_chunk(self, counts, pieces):
+        """Whatever the batch: the pieces concatenate back to the original
+        edge order, the shard count respects both the ceiling and the
+        floor, and asking twice gives the same structure."""
+        lo = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        views = [_run_view(n, edge_lo=a) for n, a in zip(counts, lo)]
+        total = sum(counts)
+        split = TiledGraph.split_run_views(views, pieces)
+        assert np.array_equal(
+            np.concatenate([tv.lsrc for tv in split] or [[]]),
+            np.concatenate([tv.lsrc for tv in views] or [[]]),
+        )
+        assert np.array_equal(
+            np.concatenate([tv.ldst for tv in split] or [[]]),
+            np.concatenate([tv.ldst for tv in views] or [[]]),
+        )
+        # Each piece still knows where its edges sit in disk-edge order.
+        kept = [tv for tv in split if tv.lsrc.shape[0]]
+        assert [tv.edge_lo for tv in kept[1:]] == [
+            tv.edge_lo + tv.lsrc.shape[0] for tv in kept[:-1]
+        ]
+        shards = chunk_by_edges(split, max_shards=pieces)
+        assert [tv for shard in shards for tv in shard] == split
+        assert len(shards) <= shard_pieces(pieces, total) <= pieces
+        for shard in shards[:-1]:  # only the remainder may fall short
+            assert sum(_edges(shard)) >= MIN_SHARD_EDGES
+        again = chunk_by_edges(
+            TiledGraph.split_run_views(views, pieces), max_shards=pieces
+        )
+        assert [_edges(s) for s in again] == [_edges(s) for s in shards]
+
+    def test_engine_structure_is_worker_independent(self, kron_small):
+        """The engine's batches, at the shipped floor: the same shards at
+        one worker and at three, several of them, none under the floor."""
+        tg = TiledGraph.from_edge_list(kron_small, tile_bits=10, group_q=2)
+
+        def structure(workers: int) -> "list[list[int]]":
+            seen: "list[list[int]]" = []
+
+            class Recording(PageRank):
+                def batch_shards(self, views):
+                    shards = super().batch_shards(views)
+                    seen.append([sum(_edges(shard)) for shard in shards])
+                    return shards
+
+            cfg = EngineConfig(
+                memory_bytes=256 * 1024, segment_bytes=64 * 1024,
+                workers=workers, shards=1,
+            )
+            with GStoreEngine(tg, cfg) as engine:
+                engine.run(Recording(max_iterations=2, tolerance=0.0))
+            return seen
+
+        one, three = structure(1), structure(3)
+        assert one == three
+        assert any(len(batch) > 1 for batch in one)
+        assert all(len(batch) <= SHARDS_PER_BATCH for batch in one)
+        assert all(
+            edges >= MIN_SHARD_EDGES for batch in one for edges in batch[:-1]
+        )
 
 
 # ---------------------------------------------------------------------- #

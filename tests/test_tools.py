@@ -188,8 +188,8 @@ def test_source_structure_holds():
     and environment variables — is exactly the documented one."""
     from repro.engine.config import EngineConfig
 
-    shard_names = {"SHARDS_PER_BATCH", "_RUN_SPLIT", "DEFAULT_MAX_SHARDS",
-                   "FLOAT_SHARD_QUANTUM"}
+    shard_names = {"SHARDS_PER_BATCH", "MIN_SHARD_EDGES", "_RUN_SPLIT",
+                   "DEFAULT_MAX_SHARDS", "FLOAT_SHARD_QUANTUM"}
     upward, late, shard_assigned, env_keys, env_mentions = [], [], [], [], 0
     for rel, tree in _src_trees():
         package = rel.split(os.sep)[0]
@@ -218,7 +218,7 @@ def test_source_structure_holds():
     assert not upward, upward
     assert not late, late
     assert shard_assigned == [
-        f"{os.path.join('algorithms', 'base.py')}: SHARDS_PER_BATCH"
+        "types.py: SHARDS_PER_BATCH", "types.py: MIN_SHARD_EDGES"
     ]
     assert len(dataclasses.fields(EngineConfig)) == 19
     assert sorted(env_keys) == ["REPRO_SCALE", "REPRO_SHARDS"]
