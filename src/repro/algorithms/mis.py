@@ -3,9 +3,12 @@
 Luby's classic parallel MIS maps cleanly onto tile processing: every
 undecided vertex holds a random priority; a vertex joins the set when its
 priority beats every undecided neighbour's, and its neighbours drop out.
-Each round needs one sweep over the tiles touching undecided vertices —
-another all-rounds-shrinking workload for the selective-I/O machinery,
-converging in O(log n) rounds with high probability.
+A round is two engine iterations, both selective: *compete* sweeps the
+tiles touching undecided vertices, *knock* sweeps the tiles touching that
+round's winners and moves their undecided neighbours out — so every byte
+either phase reads is fetched and charged by the engine.  Another
+all-rounds-shrinking workload for the selective-I/O machinery, converging
+in O(log n) rounds with high probability.
 
 Priorities are a deterministic hash of (seed, round, vertex), so results
 are reproducible and identical across engines.
@@ -36,12 +39,8 @@ def _priorities(seed: int, rnd: int, n: int) -> np.ndarray:
 
 
 class MaximalIndependentSet(TileAlgorithm):
-    """Luby's MIS over tiles (undirected semantics).
-
-    Known accounting gap: :meth:`_knockout`'s end-of-round scan over the
-    whole graph runs off-engine, so its reads are not charged to
-    ``bytes_read`` / ``sim_s``.
-    """
+    """Luby's MIS over tiles (undirected semantics).  ``max_iterations``
+    bounds rounds; the engine runs two iterations per round."""
 
     name = "cc"  # comparable per-edge work to label propagation
     all_active = False
@@ -52,7 +51,13 @@ class MaximalIndependentSet(TileAlgorithm):
         self.max_iterations = int(max_iterations)
         self.state: "np.ndarray | None" = None
         self._prio: "np.ndarray | None" = None
+        #: This sweep's marks: who lost a comparison (compete), who has a
+        #: winner for a neighbour (knock).  ``state`` is frozen meanwhile.
         self._beaten: "np.ndarray | None" = None
+        self._winners: "np.ndarray | None" = None
+        #: Phase of the coming (or running) iteration: compete, or knock
+        #: this round's winners' neighbours out.
+        self._knock = False
         self.rounds = 0
 
     @property
@@ -70,22 +75,31 @@ class MaximalIndependentSet(TileAlgorithm):
         )
         self.state[deg == 0] = _IN_SET
         self._beaten = np.zeros(g.n_vertices, dtype=bool)
+        self._winners = np.zeros(g.n_vertices, dtype=bool)
+        self._knock = False
         self.rounds = 0
 
     # ------------------------------------------------------------------ #
 
     def begin_iteration(self, iteration: int) -> None:
         super().begin_iteration(iteration)
-        g = self._graph()
-        self._prio = _priorities(self.seed, iteration, g.n_vertices)
+        if not self._knock:
+            self._prio = _priorities(
+                self.seed, self.rounds, self._graph().n_vertices
+            )
         # Decided vertices never beat anyone and cannot be beaten.
         self._beaten.fill(False)
 
     def process_tile(self, tv: TileView) -> int:
         state = self.state
-        prio = self._prio
         beaten = self._beaten
         gsrc, gdst = tv.global_edges()
+        if self._knock:
+            winners = self._winners
+            beaten[gdst[winners[gsrc] & (state[gdst] == _UNDECIDED)]] = True
+            beaten[gsrc[winners[gdst] & (state[gsrc] == _UNDECIDED)]] = True
+            return tv.n_edges
+        prio = self._prio
         und = (state[gsrc] == _UNDECIDED) & (state[gdst] == _UNDECIDED)
         if und.any():
             s = gsrc[und]
@@ -107,20 +121,30 @@ class MaximalIndependentSet(TileAlgorithm):
     supports_fused = True
 
     def kernel_state(self):
-        return {"state": self.state, "prio": self._prio}
+        return {
+            "state": self.state, "prio": self._prio, "winners": self._winners,
+        }
 
     def kernel_params(self):
-        return {}
+        return {"knock": self._knock}
 
     @staticmethod
     def kernel_partial(state, params, gsrc, gdst):
-        """The losing endpoint of every undecided-undecided edge of the
-        shard (read-only).  ``state`` and the priorities are frozen for
-        the round and marking a vertex beaten is idempotent, so the result
-        is independent of tile order, batching, and sharding."""
+        """The vertices the shard's edges beat (read-only): competing, the
+        losing endpoint of every undecided-undecided edge; knocking, every
+        undecided neighbour of a winner.  State, winners and priorities
+        are frozen for the iteration and marking a vertex beaten is
+        idempotent, so the result is independent of tile order, batching,
+        and sharding."""
         st = state["state"]
-        prio = state["prio"]
         edges = int(gsrc.shape[0])
+        if params["knock"]:
+            winners = state["winners"]
+            return np.concatenate([
+                gdst[winners[gsrc] & (st[gdst] == _UNDECIDED)],
+                gsrc[winners[gdst] & (st[gsrc] == _UNDECIDED)],
+            ]), edges
+        prio = state["prio"]
         und = (st[gsrc] == _UNDECIDED) & (st[gdst] == _UNDECIDED)
         if not und.any():
             return None, edges
@@ -138,49 +162,40 @@ class MaximalIndependentSet(TileAlgorithm):
         return edges
 
     def end_iteration(self, iteration: int) -> bool:
+        # The phase flips here, not in begin_iteration: the engine's
+        # end-of-iteration cache analysis asks rows_active() right after,
+        # and must be told what the *next* sweep reads.
         state = self.state
-        winners = (state == _UNDECIDED) & ~self._beaten
-        if winners.any():
-            state[winners] = _IN_SET
-        self.rounds = iteration + 1
+        if self._knock:
+            state[self._beaten] = _OUT
+            self._knock = False
+            return (
+                bool((state == _UNDECIDED).any())
+                and self.rounds < self.max_iterations
+            )
+        np.logical_and(state == _UNDECIDED, ~self._beaten, out=self._winners)
+        state[self._winners] = _IN_SET
+        self.rounds += 1
         # Winners' neighbours must leave the set before the next round
-        # draws priorities; that takes one more edge sweep, run here.
-        self._knockout(winners)
-        undecided = self.state == _UNDECIDED
-        return bool(undecided.any()) and self.rounds < self.max_iterations
-
-    def _knockout(self, winners: np.ndarray) -> None:
-        """Move undecided neighbours of fresh winners to OUT."""
-        if not winners.any():
-            return
-        g = self._graph()
-        state = self.state
-        if g.payload is not None:
-            tiles = g.iter_tiles()
-        else:  # pragma: no cover - semi-external fallback via store
-            from repro.storage.file import TileStore
-
-            store = TileStore.from_tiled_graph(g)
-            def _gen():
-                for pos in range(g.n_tiles):
-                    if g.start_edge.edge_count(pos) == 0:
-                        continue
-                    off, size = g.start_edge.byte_extent(pos)
-                    yield g.view_from_bytes(pos, store.read(off, size))
-            tiles = _gen()
-        for tv in tiles:
-            gsrc, gdst = tv.global_edges()
-            hit = winners[gsrc] & (state[gdst] == _UNDECIDED)
-            if hit.any():
-                state[gdst[hit]] = _OUT
-            hit = winners[gdst] & (state[gsrc] == _UNDECIDED)
-            if hit.any():
-                state[gsrc[hit]] = _OUT
+        # draws priorities; that takes one more edge sweep — the knock.
+        # No winner: nobody is left undecided, or only vertices no round
+        # can decide (a directed self-loop loses to itself every time).
+        self._knock = bool(self._winners.any())
+        return self._knock
 
     # ------------------------------------------------------------------ #
 
     def rows_active(self) -> np.ndarray:
+        if self._knock:
+            return self._rows_of_vertices(self._winners)
         return self._rows_of_vertices(self.state == _UNDECIDED)
+
+    def cols_active(self) -> "np.ndarray | None":
+        # A directed graph stores each edge once, in its own orientation:
+        # a winner's in-neighbours sit in its tile *column*.
+        if self._knock and self._graph().info.directed:
+            return self._rows_of_vertices(self._winners)
+        return None
 
     def rows_active_next(self) -> np.ndarray:
         return self._rows_of_vertices(self.state == _UNDECIDED)
@@ -190,7 +205,9 @@ class MaximalIndependentSet(TileAlgorithm):
         return np.nonzero(self.state == _IN_SET)[0]
 
     def metadata_bytes(self) -> int:
-        return int(self.state.nbytes + self._beaten.nbytes)
+        return int(
+            self.state.nbytes + self._beaten.nbytes + self._winners.nbytes
+        )
 
     def result(self) -> np.ndarray:
         """Boolean membership mask."""

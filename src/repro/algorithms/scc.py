@@ -15,9 +15,10 @@ Algorithm (FW-BW with trimming):
 3. ``F ∩ B`` is the pivot's SCC; recurse on ``F \\ B``, ``B \\ F``, and the
    remainder — three disjoint sets that cannot share an SCC.
 
-The driver runs the engine once per reachability sweep, so every byte of
-graph traffic flows through the same storage substrate as the headline
-algorithms.
+The driver runs the engine once per reachability sweep and once per trim
+pass, so every byte of graph traffic flows through the same storage
+substrate as the headline algorithms — and a graph whose payload is not
+resident decomposes like any other.
 """
 
 from __future__ import annotations
@@ -26,10 +27,67 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.algorithms.base import TileAlgorithm
+from repro.algorithms.pagerank import add_windows, scatter_sums
 from repro.algorithms.reachability import Reachability
 from repro.engine.stats import RunStats
 from repro.errors import AlgorithmError
-from repro.format.tiles import TiledGraph
+from repro.format.tiles import TiledGraph, TileView
+
+
+class SubgraphDegrees(TileAlgorithm):
+    """One sweep counting, for every vertex, its in- and out-neighbours
+    inside the ``active`` subset — the trim step's test.  PageRank's
+    windowed scatter of a 0/1 vector, once in each direction (float sums
+    of ones are exact far beyond any degree)."""
+
+    name = "degrees"
+    supports_fused = True
+
+    def __init__(self, active: np.ndarray) -> None:
+        super().__init__()
+        self._x = active.astype(np.float64)
+
+    def _setup(self) -> None:
+        n = self._graph().n_vertices
+        self.in_deg = np.zeros(n, dtype=np.float64)
+        self.out_deg = np.zeros(n, dtype=np.float64)
+
+    def process_tile(self, tv: TileView) -> int:
+        return self.apply_partial(self.batch_partial([tv]))
+
+    def kernel_state(self):
+        return {"x": self._x}
+
+    def kernel_params(self):
+        return {}
+
+    @staticmethod
+    def kernel_partial(state, params, gsrc, gdst):
+        x = state["x"]
+        return (
+            scatter_sums(x, gsrc, gdst, False),
+            scatter_sums(x, gdst, gsrc, False),
+            int(gsrc.shape[0]),
+        )
+
+    def apply_partial(self, partial) -> int:
+        in_windows, out_windows, edges = partial
+        add_windows(self.in_deg, in_windows)
+        add_windows(self.out_deg, out_windows)
+        return edges
+
+    def end_iteration(self, iteration: int) -> bool:
+        return False
+
+    def rows_active(self) -> np.ndarray:
+        return self._rows_of_vertices(self._x > 0)
+
+    def rows_active_next(self) -> np.ndarray:
+        return np.zeros(self._n_rows(), dtype=bool)  # one sweep: cache nothing
+
+    def result(self) -> "tuple[np.ndarray, np.ndarray]":
+        return self.in_deg, self.out_deg
 
 
 @dataclass
@@ -41,6 +99,8 @@ class SCCResult:
     pivot_rounds: int
     trimmed: int
     reachability_stats: "list[RunStats]" = field(default_factory=list)
+    #: One engine run per trim pass (the active-subgraph degree sweeps).
+    trim_stats: "list[RunStats]" = field(default_factory=list)
 
     def component_sizes(self) -> np.ndarray:
         return np.bincount(self.labels)
@@ -60,29 +120,17 @@ class SCCDriver:
 
     # ------------------------------------------------------------------ #
 
-    def _subgraph_degrees(self, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """In/out degrees restricted to the active subgraph (one pass over
-        the resident payload; degree counting is metadata work, not the
-        measured I/O of the reachability sweeps)."""
-        g = self.graph
-        n = g.n_vertices
-        out_deg = np.zeros(n, dtype=np.int64)
-        in_deg = np.zeros(n, dtype=np.int64)
-        for tv in g.iter_tiles():
-            gsrc, gdst = tv.global_edges()
-            keep = active[gsrc] & active[gdst]
-            if keep.any():
-                out_deg += np.bincount(gsrc[keep], minlength=n)
-                in_deg += np.bincount(gdst[keep], minlength=n)
-        return in_deg, out_deg
-
-    def _trim(self, active: np.ndarray, labels: np.ndarray, next_label: int) -> tuple[int, int]:
-        """Iteratively peel trivial SCCs (zero in- or out-degree)."""
+    def _trim(
+        self, active: np.ndarray, labels: np.ndarray, next_label: int,
+        trim_stats: "list[RunStats]",
+    ) -> tuple[int, int]:
+        """Iteratively peel trivial SCCs (zero in- or out-degree); each
+        pass is one engine sweep over the active subgraph."""
         trimmed = 0
-        while True:
-            if not active.any():
-                break
-            in_deg, out_deg = self._subgraph_degrees(active)
+        while active.any():
+            degrees = SubgraphDegrees(active)
+            trim_stats.append(self.engine_factory().run(degrees))
+            in_deg, out_deg = degrees.result()
             trivial = active & ((in_deg == 0) | (out_deg == 0))
             if not trivial.any():
                 break
@@ -112,6 +160,7 @@ class SCCDriver:
         trimmed_total = 0
         pivot_rounds = 0
         all_stats: "list[RunStats]" = []
+        trim_stats: "list[RunStats]" = []
 
         worklist: "list[np.ndarray]" = [active]
         while worklist:
@@ -120,7 +169,9 @@ class SCCDriver:
             if not subset.any():
                 continue
             if trim:
-                next_label, t = self._trim(subset, labels, next_label)
+                next_label, t = self._trim(
+                    subset, labels, next_label, trim_stats
+                )
                 trimmed_total += t
                 if not subset.any():
                     continue
@@ -150,4 +201,5 @@ class SCCDriver:
             pivot_rounds=pivot_rounds,
             trimmed=trimmed_total,
             reachability_stats=all_stats,
+            trim_stats=trim_stats,
         )

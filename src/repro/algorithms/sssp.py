@@ -81,9 +81,7 @@ class SSSP(TileAlgorithm):
     def process_tile(self, tv: TileView) -> int:
         dist = self.dist
         gsrc, gdst = tv.global_edges()
-        w = self._graph().tile_weights(tv.pos)
-        if w is None:
-            w = edge_weights(gsrc, gdst)
+        w = self._weights([tv], gsrc, gdst)
 
         before = dist[gdst]
         cand = dist[gsrc] + w
@@ -115,18 +113,16 @@ class SSSP(TileAlgorithm):
         return {"symmetric": self.symmetric}
 
     @staticmethod
-    def kernel_partial(state, params, gsrc, gdst, w=None):
+    def kernel_partial(state, params, gsrc, gdst, w):
         """One relaxation of the shard against the current distances
         (read-only): the strictly improving ``(vertex, distance)``
         candidates, both directions on symmetric storage.
 
-        ``w`` is the shard's per-edge weights; ``None`` derives the hash
-        weights from the endpoints.  The weights ride in the partial so the
-        second pass of :meth:`apply_partial` reuses them.
+        ``w`` is the shard's per-edge weights (:meth:`_weights`); they
+        ride in the partial so the second pass of :meth:`apply_partial`
+        reuses them.
         """
         dist = state["dist"]
-        if w is None:
-            w = edge_weights(gsrc, gdst)
         ds = dist[gsrc]
         dd = dist[gdst]
         cand = ds + w
@@ -143,7 +139,7 @@ class SSSP(TileAlgorithm):
     def _shard_weights(self, views) -> "np.ndarray | None":
         """The shard's stored weights in edge order, from each view's
         extent of the disk-edge-ordered weight array; ``None`` when the
-        graph stores none (the kernel then derives the hash weights)."""
+        graph stores none."""
         stored = self._graph().edge_weights
         if stored is None:
             return None
@@ -154,11 +150,17 @@ class SSSP(TileAlgorithm):
             [stored[tv.edge_lo : tv.edge_lo + tv.n_edges] for tv in views]
         )
 
+    def _weights(self, views, gsrc, gdst) -> np.ndarray:
+        """Per-edge weights of the views' edges ``(gsrc, gdst)``: stored,
+        or else the endpoint hash — derived here and nowhere else."""
+        w = self._shard_weights(views)
+        return edge_weights(gsrc, gdst) if w is None else w
+
     def batch_partial(self, views):
         gsrc, gdst = concat_global_edges(views)
         return self.kernel_partial(
             self.kernel_state(), self.kernel_params(), gsrc, gdst,
-            self._shard_weights(views),
+            self._weights(views, gsrc, gdst),
         )
 
     def _commit(self, idx: np.ndarray, vals: np.ndarray) -> None:

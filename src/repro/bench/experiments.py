@@ -822,7 +822,9 @@ def ext_scc(dataset: str = "twitter-small"):
     )
     result = driver.run()
     sizes = result.component_sizes()
-    io_bytes = sum(s.bytes_read for s in result.reachability_stats)
+    io_bytes = sum(
+        s.bytes_read for s in result.reachability_stats + result.trim_stats
+    )
     dual_csr_bytes = 2 * tg.storage_bytes()
     table = Table(
         "Extension: SCC (FW-BW-Trim) on one-orientation tiles",
@@ -833,6 +835,7 @@ def ext_scc(dataset: str = "twitter-small"):
     table.add_row("trimmed singletons", result.trimmed)
     table.add_row("pivot rounds", result.pivot_rounds)
     table.add_row("reachability sweeps", len(result.reachability_stats))
+    table.add_row("trim sweeps", len(result.trim_stats))
     table.add_row("on-disk graph copy", fmt_bytes(tg.storage_bytes()))
     table.add_row("dual-CSR alternative", fmt_bytes(dual_csr_bytes))
     table.add_row("bytes read (all sweeps)", fmt_bytes(io_bytes))

@@ -97,7 +97,7 @@ class RunContext:
     #: the algorithm has fused kernels), resolved once by ``run()``.
     fused: bool = False
     # Memoized rewind batch: all-active algorithms rewind the same tile
-    # set every iteration, so the merged run-level views are built once.
+    # set every iteration, so its views are decoded once.
     rewind_key: "np.ndarray | None" = None
     rewind_merged: "list | None" = None
     #: Seconds this run waited its turn in the engine lane before it

@@ -17,8 +17,8 @@ Per iteration the engine:
    compute ``k-1``, get ``k``, commit ``k`` — draws prepared batches from
    one ordered source: with ``config.prefetch_depth >= 1`` a background
    prefetcher really fetches and decodes batches ``k+1..k+D`` (store read
-   + ``decode_batch``, both GIL-releasing) while the engine thread
-   computes batch ``k``; shard-parallel runs gather them from worker
+   + batch decode, both GIL-releasing) while the engine thread computes
+   batch ``k``; shard-parallel runs gather them from worker
    processes; depth 0 prepares each batch inside ``get()``.  A source that
    fails mid-run is closed and the run continues from the same batch at
    depth 0 (:meth:`GStoreEngine._get`, the one degrade step).  Compute
@@ -76,7 +76,7 @@ from repro.errors import AlgorithmError, ChecksumError, FormatError, StorageErro
 from repro.faults.injector import FaultInjector
 from repro.format.tiles import TiledGraph
 from repro.memory.scr import SCRScheduler, SlidePlan
-from repro.memory.segments import MemoryBudget, TileBuffer
+from repro.memory.segments import MemoryBudget
 from repro.obs import NULL_TRACER, Tracer
 from repro.storage.aio import AIOContext
 from repro.storage.file import TileStore
@@ -546,7 +546,7 @@ class GStoreEngine:
                     # the complete next frontier.
                     rewound = Prepared(
                         tiles=cached,
-                        views=self._rewind_views(scr, cached, ctx),
+                        views=self._rewind_views(cached, ctx),
                         io_time=0.0, bytes_read=0, wall=0.0,
                     )
                     timeline.compute_only(self._compute(
@@ -784,53 +784,45 @@ class GStoreEngine:
         and the NumPy decode releases the GIL — which is exactly what makes
         the overlap with compute real.
         """
-        g = self.graph
         t0 = _time.perf_counter()
         tracer = ctx.tracer
         with tracer.span("prepare", cat="pipeline", tiles=len(batch_positions)):
-            requests = merge_requests(batch_positions, g.start_edge)
+            requests = merge_requests(batch_positions, self.graph.start_edge)
             events, io_t = ctx.aio.service(requests)
-            views: list = []
-            verify = self._verify
             with tracer.span("decode", cat="decode", tiles=len(batch_positions)):
-                if ctx.fused:
-                    # Batch-level decode: one widened global-ID buffer for
-                    # the whole batch, one run-level view per extent — the
-                    # fused kernels concatenate everything anyway, the pool
-                    # accounts by position, and the checksum kernel takes
-                    # the batch's extents as they are, so nothing cuts
-                    # them into tiles.
-                    tiles = batch_positions
-                    runs = [(ev.tag, ev.data) for ev in events]
-                    if verify:
-                        self._verified(g.verify_batch_bytes, runs)
-                    views, _ = g.decode_batch(runs, with_tiles=False)
-                    views = g.split_run_views(views, _RUN_SPLIT)
-                else:
-                    tiles = []
-                    for ev in events:
-                        # One vectorised decode per merged extent: a single
-                        # frombuffer + global-ID widening covers the whole
-                        # run.
-                        for tv, raw in g.decode_run(ev.tag, ev.data):
-                            if verify:
-                                self._verified(
-                                    g.verify_tile_bytes, tv.pos, raw
-                                )
-                            tiles.append(
-                                TileBuffer(
-                                    pos=tv.pos, i=tv.i, j=tv.j, data=raw,
-                                    view=tv,
-                                )
-                            )
-                            views.append(tv)
+                views = self._decode(
+                    [(ev.tag, ev.data) for ev in events], ctx, self._verify
+                )
         return Prepared(
-            tiles=tiles,
+            tiles=batch_positions,
             views=views,
             io_time=io_t,
             bytes_read=sum(r.size for r in requests),
             wall=_time.perf_counter() - t0,
         )
+
+    def _decode(self, runs: list, ctx: RunContext, verify: bool = False) -> list:
+        """``(positions, merged extent)`` pairs -> kernel-ready views: the
+        step the slide and the rewind share, on whichever thread holds the
+        bytes.
+
+        With ``verify`` the batch is first checked against the stored
+        CRC32C in one kernel call; a failure is counted before the typed
+        error propagates.  (The rewind skips it: the pool only holds
+        positions whose bytes were verified on the way in.)  Fused or
+        per-tile is the decoder's choice and nothing else's — the pool
+        accounts by position either way.
+        """
+        if verify:
+            try:
+                self.graph.verify_batch_bytes(runs)
+            except ChecksumError:
+                if self.injector is not None:
+                    self.injector.registry.counter(
+                        "fault.checksum_failures"
+                    ).add(1)
+                raise
+        return self.graph.decode_extents(runs, fused=ctx.fused)
 
     def _seed_pool(self, scr: SCRScheduler, positions: "list[int]") -> None:
         """Repopulate the cache pool from a checkpoint's membership list.
@@ -838,29 +830,14 @@ class GStoreEngine:
         Residency is all there is to restore — no simulated I/O (the
         interrupted run already paid for these bytes, and re-charging them
         would skew the resumed timeline for data that is by definition
-        cache-resident) and no payload either: fused rewinds decode
-        straight off the backing store, and the per-tile rewind fills in a
-        buffer for a position that has none.  The recorded pool fitted
-        this budget; under a smaller one the leading tiles that fit stay.
+        cache-resident) and no payload either: rewinds decode straight off
+        the backing store.  The recorded pool fitted this budget; under a
+        smaller one the leading tiles that fit stay.
         """
         pos = np.unique(np.asarray(positions, dtype=np.int64))
         sizes = self.graph.start_edge.tile_bytes(pos)
         fits = np.cumsum(sizes) <= scr.pool.free_bytes
         scr.pool.admit(pos[fits], sizes[fits])
-
-    def _verified(self, check, *args) -> None:
-        """Run one of the graph's checksum checks over fetched bytes (on
-        whichever thread decoded them); counts the failure before the
-        typed error propagates.  The rewind path skips this — the cache
-        pool only ever holds bytes that were verified on the way in."""
-        try:
-            check(*args)
-        except ChecksumError:
-            if self.injector is not None:
-                self.injector.registry.counter(
-                    "fault.checksum_failures"
-                ).add(1)
-            raise
 
     def _rows_active_next(self, algorithm: TileAlgorithm) -> np.ndarray:
         """Next-iteration row activity as proactive caching should see it.
@@ -879,70 +856,33 @@ class GStoreEngine:
             return algorithm.cols_active_next()
         return None
 
-    def _rewind_views(
-        self, scr: SCRScheduler, cached: np.ndarray, ctx: RunContext
-    ):
+    def _rewind_views(self, cached: np.ndarray, ctx: RunContext) -> list:
         """Views for the rewind batch.
 
-        Per-tile views are decoded lazily, once per pooled buffer.  On the
-        fused path the whole rewind set is instead merged into a few
-        run-level views over one concatenated global-ID array — memoized on
-        the cached-position array (per run, on the context), so all-active
-        algorithms (which rewind an identical set every iteration) pay the
-        merge exactly once.  The merged pieces concatenate back to the
-        per-tile edge order, and their count is worker-independent, so the
-        determinism contract of the fused layer is unchanged.
+        Resident tiles are zero-copy slices of the immutable tile store, so
+        the rewind set is re-merged into byte-adjacent extents and decoded
+        straight off the backing buffer — no simulated I/O (the pool
+        already paid for these bytes).  Memoized on the cached-position
+        array (per run, on the context), so all-active algorithms (which
+        rewind an identical set every iteration) pay the decode exactly
+        once.  The views concatenate back to the per-tile edge order, and
+        their count is worker-independent, so the determinism contract of
+        the fused layer is unchanged.
         """
-        g = self.graph
-        if not ctx.fused:
-            # Per-tile execution: every resident tile has the buffer its
-            # slide batch offered — except after a checkpoint resume, which
-            # seeds the pool from positions only; those read their payload
-            # straight off the backing store (already paid for).
-            pool = scr.pool
-            rewound = []
-            for pos in cached.tolist():
-                buf = pool.get(pos)
-                if buf is None:
-                    buf = TileBuffer(
-                        pos=pos,
-                        i=int(g.tile_rows[pos]),
-                        j=int(g.tile_cols[pos]),
-                        data=self.store.read(*g.start_edge.byte_extent(pos)),
-                    )
-                    pool.attach((buf,))
-                rewound.append(buf)
-            # Decode pooled tiles lazily, once per buffer lifetime.
-            misses = [buf for buf in rewound if buf.view is None]
-            if misses:
-                with ctx.tracer.span(
-                    "rewind.decode", cat="decode", tiles=len(misses)
-                ):
-                    decoded = g.decode_tiles(
-                        [buf.pos for buf in misses],
-                        [buf.data for buf in misses],
-                    )
-                    for buf, tv in zip(misses, decoded):
-                        buf.view = tv
-            return [buf.view for buf in rewound]
         if ctx.rewind_key is not None and np.array_equal(
             cached, ctx.rewind_key
         ):
             return ctx.rewind_merged
-        # Fused path: resident tiles are zero-copy slices of the immutable
-        # tile store, so the rewind set can be re-merged into byte-adjacent
-        # extents and batch-decoded straight off the backing buffer — no
-        # per-tile views, no simulated I/O (the pool already paid for
-        # these bytes).
         with ctx.tracer.span(
             "rewind.decode", cat="decode", tiles=len(cached)
         ):
-            runs = merge_requests(cached, g.start_edge)
-            views, _ = g.decode_batch(
-                [(r.tag, self.store.read(r.offset, r.size)) for r in runs],
-                with_tiles=False,
+            views = self._decode(
+                [
+                    (r.tag, self.store.read(r.offset, r.size))
+                    for r in merge_requests(cached, self.graph.start_edge)
+                ],
+                ctx,
             )
-            views = g.split_run_views(views, _RUN_SPLIT)
         ctx.rewind_key = cached
         ctx.rewind_merged = views
         return views

@@ -91,22 +91,3 @@ def merge_requests(
         )
     return requests
 
-
-def slice_run(
-    data: "bytes | memoryview", positions: "list[int]", start_edge: StartEdgeIndex
-) -> "list[tuple[int, bytes | memoryview]]":
-    """Split a merged extent's payload back into per-tile buffers.
-
-    Slicing is zero-copy end to end: the extent arrives as a
-    ``memoryview`` over the store's backing buffer (or mmap), each tile's
-    slice is a sub-view of it, and ``view_from_bytes`` decodes that slice
-    with ``np.frombuffer`` — no intermediate ``bytes`` materialise anywhere
-    on the fetch path.
-    """
-    out = []
-    base, _ = start_edge.byte_extent(positions[0])
-    for pos in positions:
-        off, size = start_edge.byte_extent(pos)
-        rel = off - base
-        out.append((pos, data[rel : rel + size]))
-    return out

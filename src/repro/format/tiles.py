@@ -30,6 +30,7 @@ from repro.format.startedge import StartEdgeIndex
 from repro.types import (
     DEFAULT_GROUP_Q,
     DEFAULT_TILE_BITS,
+    SHARDS_PER_BATCH,
     VERTEX_DTYPE,
     local_dtype,
     shard_pieces,
@@ -490,8 +491,7 @@ class TiledGraph:
         global IDs of the *entire run* are materialised with a single
         widening add whose per-tile slices seed every view's
         :meth:`TileView.global_edges` cache.  Returns ``(view, raw)`` pairs
-        where ``raw`` is the tile's zero-copy byte slice of ``data`` (what
-        the cache pool retains).
+        where ``raw`` is the tile's zero-copy byte slice of ``data``.
         """
         arr = np.frombuffer(data, dtype=self.payload_dtype())
         se = self.start_edge.start_edge
@@ -587,11 +587,13 @@ class TiledGraph:
     ) -> "list[TileView]":
         """Per-tile decode of arbitrary (not necessarily adjacent) tiles.
 
-        Used for rewind sets: the tiles come out of the cache pool as
-        separate buffers, so unlike :meth:`decode_run` there is one
-        ``frombuffer`` per tile — but the grid/base arithmetic is still
-        vectorised across the whole set, which is most of the per-tile
-        cost of :meth:`view_from_bytes`.
+        For tiles held as separate buffers: unlike :meth:`decode_run`
+        there is one ``frombuffer`` per tile — but the grid/base
+        arithmetic is still vectorised across the whole set, which is most
+        of the per-tile cost of :meth:`view_from_bytes`.  The engine no
+        longer holds tiles that way (its rewind re-decodes merged extents
+        through :meth:`decode_extents`); ``benchmarks/perf/layer_walk.py``
+        is the remaining caller.
         """
         if not positions:
             return []
@@ -641,9 +643,10 @@ class TiledGraph:
         in disk-edge order too); their ``_gsrc``/``_gdst`` caches are always
         pre-seeded, so :meth:`TileView.global_edges` never recomputes from
         the (run-spanning) locals.  ``with_tiles=False`` skips the per-tile
-        records.  Every engine path passes ``False`` — the pool accounts by
-        position and :meth:`verify_batch_bytes` checksums whole extents —
-        so the records are kept for callers outside the engine only.
+        records; :meth:`decode_extents`, the one caller in ``src/``, passes
+        it — the pool accounts by position and :meth:`verify_batch_bytes`
+        checksums whole extents — so the records are kept for
+        ``benchmarks/perf/layer_walk.py`` only.
         """
         if not runs:
             return [], []
@@ -710,18 +713,24 @@ class TiledGraph:
                     k += 1
         return run_views, tiles
 
-    def tile_weights(self, pos: int) -> "np.ndarray | None":
-        """Per-edge weights of the tile at disk position ``pos``.
+    def decode_extents(
+        self,
+        runs: "list[tuple[list[int], bytes | memoryview]]",
+        fused: bool = True,
+    ) -> "list[TileView]":
+        """Kernel-ready views of fetched ``(positions, merged extent)``
+        pairs — the one decode step behind every reader of tile bytes (the
+        engine's slide and rewind, the shard workers, the serving lookup).
 
-        Weights live in memory alongside the algorithmic metadata, so this
-        works in semi-external mode too; returns None for an unweighted
-        graph.
+        Fused kernels get :meth:`decode_batch`'s run-level views cut into
+        the batch's shard structure; ``fused=False`` (the per-tile
+        reference loop, ``process_tile``-only algorithms) gets one view per
+        tile from :meth:`decode_run` over the same extents, same edge order.
         """
-        if self.edge_weights is None:
-            return None
-        lo = int(self.start_edge.start_edge[pos])
-        hi = int(self.start_edge.start_edge[pos + 1])
-        return self.edge_weights[lo:hi]
+        if not fused:
+            return [tv for run in runs for tv, _ in self.decode_run(*run)]
+        views, _ = self.decode_batch(runs, with_tiles=False)
+        return self.split_run_views(views, SHARDS_PER_BATCH)
 
     def payload_dtype(self) -> np.dtype:
         dt = self._payload_dt
@@ -809,26 +818,6 @@ class TiledGraph:
             "actual": f"{actual:#010x}",
         }
 
-    def verify_tile_bytes(
-        self, pos: int, raw: "bytes | memoryview"
-    ) -> None:
-        """Check a fetched tile extent against its stored checksum (the
-        per-tile reference loop's verify; batches go through
-        :meth:`verify_batch_bytes`).
-
-        No-op when the graph carries no checksums (version-1 files).
-        Raises :class:`ChecksumError` carrying the tile's grid position
-        and byte extent when the payload does not match.
-        """
-        if self.tile_checksums is None:
-            return
-        actual = crc32c(raw)
-        if actual != int(self.tile_checksums[pos]):
-            raise ChecksumError(
-                f"tile {pos} payload failed checksum verification",
-                context=self._checksum_context(pos, actual),
-            )
-
     def verify_batch_bytes(
         self, runs: "list[tuple[list[int], bytes | memoryview]]"
     ) -> None:
@@ -836,9 +825,9 @@ class TiledGraph:
         as :meth:`decode_batch` takes them — against the stored checksums
         with a single kernel call over all its tiles.
 
-        No-op when the graph carries no checksums.  Raises
-        :class:`ChecksumError` for the first corrupt tile in batch order,
-        with the same context as :meth:`verify_tile_bytes`.
+        No-op when the graph carries no checksums (version-1 files).
+        Raises :class:`ChecksumError` for the first corrupt tile in batch
+        order, carrying its grid position and byte extent.
         """
         sums = self.tile_checksums
         if sums is None or not runs:

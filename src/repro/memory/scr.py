@@ -127,7 +127,7 @@ class SCRScheduler:
     #: span and the ``scr.*`` counters mirror :class:`SCRStats`.
     tracer: object = NULL_TRACER
     #: Where tile sizes come from when :meth:`offer` is handed bare
-    #: positions (the fused path); a sequence of :class:`TileBuffer`
+    #: positions (every engine path); a sequence of :class:`TileBuffer`
     #: carries its own sizes and needs none.
     start_edge: "StartEdgeIndex | None" = None
 
@@ -187,15 +187,10 @@ class SCRScheduler:
             reg.counter("selective.tiles_skipped").add(tiles)
             reg.counter("scr.bytes_skipped").add(bytes_)
 
-    def cached_buffer(self, pos: int) -> TileBuffer:
-        buf = self.pool.get(pos)
-        if buf is None:
-            raise KeyError(f"tile {pos} not cached")
-        return buf
-
     def cached_buffers(self, positions) -> "list[TileBuffer]":
-        """The per-tile path's payload buffers for a rewind set, one batch
-        lookup (KeyError for a position that was never offered with one)."""
+        """Payload buffers for a rewind set offered as :class:`TileBuffer`
+        (KeyError for a position that was not).  The engine offers bare
+        positions and never asks; ``benchmarks/perf/layer_walk.py`` does."""
         return self.pool.get_many(positions)
 
     # ------------------------------------------------------------------ #
@@ -243,12 +238,6 @@ class SCRScheduler:
             batch_bytes=tuple(sizes),
         )
 
-    def segment_batches(
-        self, positions: "list[int]", start_edge: StartEdgeIndex
-    ) -> "list[list[int]]":
-        """Batches of :meth:`segment_plan`, as plain lists (legacy shape)."""
-        return [b.tolist() for b in self.segment_plan(positions, start_edge)]
-
     # ------------------------------------------------------------------ #
     # Cache
     # ------------------------------------------------------------------ #
@@ -264,13 +253,14 @@ class SCRScheduler:
     ) -> None:
         """Offer one processed batch to the pool, analysing on pressure.
 
-        ``tiles`` is the batch's ``int64`` position array (the fused
-        path: sizes come from :attr:`start_edge`, nothing per-tile is
-        built) or a sequence of :class:`TileBuffer` (the per-tile path:
-        reduced to positions and sizes here, the admitted buffers kept in
-        the pool's side table for the next rewind).  Positions within one
-        offer are distinct — a slide batch is a slice of a disk-order
-        fetch set.
+        ``tiles`` is the batch's ``int64`` position array (what the
+        engine hands over, fused or per-tile: sizes come from
+        :attr:`start_edge`, nothing per-tile is built) or a sequence of
+        :class:`TileBuffer` (``benchmarks/perf/layer_walk.py``'s call
+        shape: reduced to positions and sizes here, the admitted buffers
+        kept in the pool's side table for :meth:`cached_buffers`).
+        Positions within one offer are distinct — a slide batch is a slice
+        of a disk-order fetch set.
 
         Tiles that proactive analysis already rules out are not cached at
         all, and residents are skipped.  The rest are admitted in batch

@@ -49,9 +49,10 @@ class MemoryBudget:
 
 @dataclass
 class TileBuffer:
-    """The per-tile execution path's record of one tile: its disk
-    position, grid coords, and payload buffer.  (The fused path never
-    builds one — the pool accounts by position.)
+    """A per-tile record of one tile: its disk position, grid coords, and
+    payload buffer.  The engine never builds one — the pool accounts by
+    position on every execution path; ``benchmarks/perf/layer_walk.py``
+    still replays the call shape that did.
 
     ``data`` is typically a zero-copy ``memoryview`` over the tile store's
     backing buffer; holding it pins the underlying pages, which is exactly
@@ -80,14 +81,13 @@ class CachePool:
     The pool's unit of account is the tile *position*: residency is a
     boolean mask over disk positions plus a per-position size and one byte
     counter, so membership tests, admission, analysis and eviction are
-    array operations over a whole batch — no per-tile Python object is
-    created on the fused path, whose kernels re-decode resident tiles
-    straight off the (immutable, zero-copy) backing store.
+    array operations over a whole batch — the engine creates no per-tile
+    Python object, its rewind re-decodes resident tiles straight off the
+    (immutable, zero-copy) backing store.
 
-    The per-tile execution path does need per-tile state — a
-    :class:`TileBuffer` with its lazily decoded view — and keeps it in a
-    side table keyed by position (:meth:`attach`, :meth:`get`) that
-    :meth:`evict` clears.
+    A caller that does hold per-tile state — a :class:`TileBuffer` with
+    its lazily decoded view — keeps it in a side table keyed by position
+    (:meth:`attach`, :meth:`get`) that :meth:`evict` clears.
 
     Admission never evicts: a tile that would overflow the budget is
     refused and the SCR scheduler runs proactive analysis to reclaim
@@ -156,7 +156,7 @@ class CachePool:
 
     def attach(self, buffers: "Iterable[TileBuffer]") -> None:
         """Keep the payload buffers of resident tiles in the side table
-        (until eviction), for the per-tile path's next rewind."""
+        (until eviction), for a later :meth:`get_many`."""
         for buf in buffers:
             self._buffers[buf.pos] = buf
 
@@ -177,8 +177,8 @@ class CachePool:
         return True
 
     def get(self, pos: int) -> "TileBuffer | None":
-        """The payload buffer kept for ``pos``, if the per-tile path
-        offered one (residency alone does not imply a buffer)."""
+        """The payload buffer kept for ``pos``, if it was offered with
+        one (residency alone does not imply a buffer)."""
         return self._buffers.get(pos)
 
     def get_many(self, positions) -> "list[TileBuffer]":

@@ -35,12 +35,10 @@ class Prepared:
     kernel still to run on the engine thread) and ``partials`` (a shard
     worker already ran the read-only kernel phase; in chunk order) is
     set.  ``tiles`` is what the cache pool is offered: the plan's
-    ``int64`` position array, untouched — or, on the per-tile path, the
-    :class:`~repro.memory.segments.TileBuffer` of every view, which a
-    later rewind reuses.
+    ``int64`` position array, untouched.
     """
 
-    tiles: "np.ndarray | list"
+    tiles: np.ndarray
     io_time: float  # simulated service time, not yet charged to the clock
     bytes_read: int
     wall: float  # real seconds the preparation took, wherever it ran

@@ -54,7 +54,6 @@ from repro.runtime.shm import ShmArena, attach_view
 from repro.storage.aio import AIOContext
 from repro.storage.file import TileStore
 from repro.storage.raid import Raid0Array
-from repro.types import SHARDS_PER_BATCH
 from repro.util.timer import SimClock
 
 #: Process-name prefix for shard workers, so tests can assert clean
@@ -208,10 +207,9 @@ def _shard_worker_main(
                     }
                 requests = merge_requests(positions, graph.start_edge)
                 events, io_t = aio.service(requests)
-                views, _ = graph.decode_batch(
-                    [(ev.tag, ev.data) for ev in events], with_tiles=False
+                views = graph.decode_extents(
+                    [(ev.tag, ev.data) for ev in events]
                 )
-                views = graph.split_run_views(views, SHARDS_PER_BATCH)
                 partials = [
                     cls.kernel_partial(
                         state, params, *concat_global_edges(chunk)

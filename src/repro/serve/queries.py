@@ -292,13 +292,12 @@ class NeighborhoodQuery(Query):
             requests = merge_requests(positions, g.start_edge)
             events, io_t = ctx.aio.service(requests)
             ctx.aio.commit(io_t)
-            for ev in events:
-                for tv, _raw in g.decode_run(ev.tag, ev.data):
-                    gsrc, gdst = tv.global_edges()
-                    if want_src:
-                        neighbors.append(gdst[gsrc == v])
-                    if want_dst:
-                        neighbors.append(gsrc[gdst == v])
+            for tv in g.decode_extents([(ev.tag, ev.data) for ev in events]):
+                gsrc, gdst = tv.global_edges()
+                if want_src:
+                    neighbors.append(gdst[gsrc == v])
+                if want_dst:
+                    neighbors.append(gsrc[gdst == v])
         if neighbors:
             out = np.unique(np.concatenate(neighbors))
         else:

@@ -10,7 +10,7 @@ import pytest
 from repro.algorithms.bfs import BFS
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
-from repro.errors import FormatError, StorageError
+from repro.errors import ChecksumError, FormatError, StorageError
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.format.tiles import TiledGraph
 from repro.format.validate import check_tiled_graph
@@ -118,6 +118,28 @@ class TestCorruptPayload:
                 break
         rep = check_tiled_graph(tg)
         assert not rep.ok
+
+    def test_per_tile_run_rejects_bit_flip_like_fused(self, tiled_undirected):
+        # The reference loop verifies through the same batch check as the
+        # fused path: the first corrupt tile's context, counted once.
+        contexts = []
+        for fused in (True, False):
+            eng = GStoreEngine(
+                tiled_undirected,
+                EngineConfig(
+                    memory_bytes=64 * 1024, segment_bytes=8 * 1024,
+                    faults=FaultPlan.parse("bitflip@0"), prefetch_depth=0,
+                    fused=fused,
+                ),
+            )
+            with pytest.raises(ChecksumError) as ei:
+                eng.run(BFS(root=0))
+            assert eng.injector.counters()["fault.checksum_failures"] == 1
+            contexts.append(ei.value.context)
+        assert contexts[0] == contexts[1]
+        assert set(contexts[0]) == {
+            "tile", "i", "j", "offset", "size", "expected", "actual",
+        }
 
     def test_out_of_range_extent_rejected(self, tiled_undirected):
         store = TileStore.from_tiled_graph(tiled_undirected)

@@ -1,11 +1,12 @@
-"""The fused slide loop costs O(batches), not O(tiles), in Python objects.
+"""The slide loop costs O(batches), not O(tiles), in pool-side objects.
 
-The cache pool accounts by disk position, so a fused run hands each
+The cache pool accounts by disk position, so a run — fused or the
+per-tile reference loop, which differ only in the decoder — hands each
 batch's position array straight from the slide plan to the pool: no
 ``TileBuffer`` is built and the pool is entered a bounded number of times
-per batch and per iteration.  Per-tile execution keeps its buffers — and
-still finds them (or rebuilds them) after a checkpoint resume that seeds
-the pool from positions alone.
+per batch and per iteration.  A checkpoint resume seeds the pool from
+positions alone, and the first rewind decodes them off the backing store
+like any other.
 """
 
 from __future__ import annotations
@@ -68,26 +69,28 @@ def _count_pool_and_buffers(monkeypatch) -> dict:
 )
 def test_fused_run_builds_no_per_tile_objects(many_tiles, monkeypatch, make_algo):
     payload = many_tiles.storage_bytes()
-    cfg = EngineConfig(
-        memory_bytes=payload // 4, segment_bytes=payload // 16,
-        prefetch_depth=0,
-    )
     counts = _count_pool_and_buffers(monkeypatch)
-    with GStoreEngine(many_tiles, cfg) as engine:
-        stats = engine.run(make_algo())
-    assert stats.extra["execution"]["fused"]
-    assert stats.tiles_fetched >= 4000
-    assert stats.extra["scr"].tiles_cached > 0  # the pool was really used
-    assert counts["buffers"] == 0
-    steps = stats.extra["pipeline_wall"]["batches"] + len(stats.iterations)
-    assert counts["pool_calls"] <= CALLS_PER_STEP * steps
-    assert counts["pool_calls"] < stats.tiles_fetched // 4
+    for fused in (True, False):  # the reference loop builds none either
+        cfg = EngineConfig(
+            memory_bytes=payload // 4, segment_bytes=payload // 16,
+            prefetch_depth=0, fused=fused,
+        )
+        counts.update(buffers=0, pool_calls=0)
+        with GStoreEngine(many_tiles, cfg) as engine:
+            stats = engine.run(make_algo())
+        assert stats.extra["execution"]["fused"] is fused
+        assert stats.tiles_fetched >= 4000
+        assert stats.extra["scr"].tiles_cached > 0  # the pool was really used
+        assert counts["buffers"] == 0, fused
+        steps = stats.extra["pipeline_wall"]["batches"] + len(stats.iterations)
+        assert counts["pool_calls"] <= CALLS_PER_STEP * steps, fused
+        assert counts["pool_calls"] < stats.tiles_fetched // 4, fused
 
 
 def test_per_tile_resume_rewinds_from_positions(many_tiles, tmp_path):
-    """A resumed per-tile run starts from a pool that knows positions
-    only; its first rewind must still produce every resident tile's view,
-    and the result must match the uninterrupted run bit for bit."""
+    """A resumed run starts from a pool that knows positions only; its
+    first rewind must still produce every resident tile's view, and the
+    result must match the uninterrupted run bit for bit."""
     payload = many_tiles.storage_bytes()
 
     def cfg(**kw):

@@ -61,25 +61,25 @@ class TestSplitCached:
 class TestSegmentBatches:
     def test_batches_respect_segment_size(self, start_edge):
         s = _sched(seg=100)
-        batches = s.segment_batches([0, 2, 3, 4], start_edge)
-        for batch in batches:
-            size = sum(start_edge.byte_extent(p)[1] for p in batch)
+        plan = s.segment_plan([0, 2, 3, 4], start_edge)
+        for batch, nbytes in zip(plan.batches, plan.batch_bytes):
+            size = sum(start_edge.byte_extent(p)[1] for p in batch.tolist())
+            assert size == nbytes
             assert size <= 100 or len(batch) == 1
 
     def test_all_positions_covered_in_order(self, start_edge):
         s = _sched(seg=60)
-        batches = s.segment_batches([0, 2, 3, 4], start_edge)
-        flat = [p for b in batches for p in b]
-        assert flat == [0, 2, 3, 4]
+        plan = s.segment_plan([0, 2, 3, 4], start_edge)
+        assert np.concatenate(plan.batches).tolist() == [0, 2, 3, 4]
 
     def test_oversized_tile_travels_alone(self):
         se = StartEdgeIndex.from_counts([100, 1], tuple_bytes=4)
         s = _sched(seg=50)
-        batches = s.segment_batches([0, 1], se)
-        assert batches[0] == [0]
+        plan = s.segment_plan([0, 1], se)
+        assert plan.batches[0].tolist() == [0]
 
     def test_empty(self, start_edge):
-        assert _sched().segment_batches([], start_edge) == []
+        assert _sched().segment_plan([], start_edge).batches == ()
 
 
 class TestOfferAndAnalysis:
@@ -143,9 +143,9 @@ class TestOfferAndAnalysis:
         s = _sched()
         rows, cols = self._geometry()
         s.offer([_buf(0, 10)], rows, cols, np.array([True, False, False]), True)
-        assert s.cached_buffer(0).nbytes == 10
+        assert [b.nbytes for b in s.cached_buffers([0])] == [10]
         with pytest.raises(KeyError):
-            s.cached_buffer(3)
+            s.cached_buffers([3])
 
 
 # --------------------------------------------------------------------- #

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.engine.selective import merge_requests, select_positions, slice_run
+from repro.engine.selective import merge_requests, select_positions
 from repro.format.startedge import StartEdgeIndex
 
 
@@ -92,19 +92,3 @@ class TestMergeRequests:
         assert len(reqs) == 1
         assert reqs[0].tag == [0, 1, 2]
         assert all(type(t) is int for t in reqs[0].tag)
-
-
-class TestSliceRun:
-    def test_slices_back_to_tiles(self):
-        idx = self._idx = StartEdgeIndex.from_counts([2, 3, 1], tuple_bytes=4)
-        payload = bytes(range(24))
-        parts = slice_run(payload, [0, 1, 2], idx)
-        assert [p for p, _ in parts] == [0, 1, 2]
-        assert [len(b) for _, b in parts] == [8, 12, 4]
-        assert b"".join(b for _, b in parts) == payload
-
-    def test_slice_partial_run(self):
-        idx = StartEdgeIndex.from_counts([2, 3], tuple_bytes=4)
-        payload = bytes(range(8, 8 + 12))
-        parts = slice_run(payload, [1], idx)
-        assert parts == [(1, payload)]

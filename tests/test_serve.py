@@ -223,6 +223,30 @@ class TestQueries:
         )
         assert np.array_equal(np.sort(nbrs.astype(np.int64)), expect)
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_neighborhood_digest_by_direction(self, directed):
+        # The lookup reads through the engine's decode step; whatever
+        # shape its views take, the payload is the stored tuples' answer.
+        el = rmat(9, edge_factor=8, seed=5, directed=directed)
+        tg = TiledGraph.from_edge_list(el, tile_bits=6, group_q=4)
+        stored = tg.to_edge_list()
+        src, dst = stored.src, stored.dst
+        cfg = EngineConfig(memory_bytes=64 * 1024, segment_bytes=8 * 1024)
+        with GStoreEngine(tg, cfg) as eng:
+            for v in (0, 1, 77, 300, tg.n_vertices - 1):
+                sides = {"out": [dst[src == v]], "in": [src[dst == v]]}
+                sides["both"] = sides["out"] + sides["in"]
+                for direction, parts in sides.items():
+                    if not directed:
+                        parts = sides["both"]
+                    payload = NeighborhoodQuery(
+                        vertex=v, direction=direction
+                    ).run(eng, eng.query_context())
+                    expect = {"neighbors": np.unique(np.concatenate(parts))}
+                    assert payload_digest(payload) == payload_digest(expect), (
+                        v, direction,
+                    )
+
     def test_pagerank_topk_is_deterministic_and_ordered(self, service):
         q = PageRankTopKQuery(k=8, max_iterations=6)
         a = service.execute(q)

@@ -38,8 +38,8 @@ class TestWeights:
         assert w.min() >= 1 and w.max() <= 16
 
     def test_hash_weights_are_derived_in_the_kernel_only(self, tiled_undirected):
-        # An unweighted graph hands the kernel no weights; the kernel
-        # derives them once and carries them in the partial for the
+        # An unweighted graph stores no weights; they are derived once,
+        # on the way into the kernel, and ride in the partial for the
         # second relaxation pass.
         algo = SSSP(root=0)
         algo.setup(tiled_undirected)

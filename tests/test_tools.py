@@ -184,13 +184,16 @@ def test_source_structure_holds():
     """Rules ``src/repro`` keeps about itself: the runtime never reaches up
     into the engine, the engine and algorithms import the runtime at module
     level only, the shard structure (which *is* the float accumulation
-    order) is assigned in one place, and the option surface — config fields
+    order) is assigned in one place, tile bytes take one path — no
+    execution layer holds per-tile buffers, no algorithm opens the store,
+    one function decodes a batch — and the option surface — config fields
     and environment variables — is exactly the documented one."""
     from repro.engine.config import EngineConfig
 
     shard_names = {"SHARDS_PER_BATCH", "MIN_SHARD_EDGES", "_RUN_SPLIT",
                    "DEFAULT_MAX_SHARDS", "FLOAT_SHARD_QUANTUM"}
     upward, late, shard_assigned, env_keys, env_mentions = [], [], [], [], 0
+    per_tile, off_engine, batch_decoders = [], [], []
     for rel, tree in _src_trees():
         package = rel.split(os.sep)[0]
         if package == "runtime":
@@ -198,6 +201,25 @@ def test_source_structure_holds():
                 f"{rel}: {m}" for m in _imports(tree)
                 if m.startswith(("repro.engine.gstore", "repro.engine.context"))
             ]
+        if package in ("engine", "runtime", "serve", "algorithms"):
+            per_tile += [
+                f"{rel}: {m}" for m in _imports(tree)
+                if m.endswith(".TileBuffer")
+            ]
+        if package == "algorithms":
+            off_engine += [
+                f"{rel}: {m}" for m in _imports(tree)
+                if m.startswith("repro.storage")
+            ]
+        batch_decoders += [
+            f"{rel}: {fn.name}"
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "decode_batch"
+        ]
         if package in ("engine", "algorithms"):
             late += [
                 f"{rel}: {fn.name}() imports {m}"
@@ -217,6 +239,11 @@ def test_source_structure_holds():
         env_mentions += mentions
     assert not upward, upward
     assert not late, late
+    assert not per_tile, per_tile
+    assert not off_engine, off_engine
+    assert batch_decoders == [
+        os.path.join("format", "tiles.py") + ": decode_extents"
+    ]
     assert shard_assigned == [
         "types.py: SHARDS_PER_BATCH", "types.py: MIN_SHARD_EDGES"
     ]

@@ -102,7 +102,9 @@ class TestTiledWeights:
         }
         seen = 0
         for tv in tg.iter_tiles():
-            w = tg.tile_weights(tv.pos)
+            # As the kernels slice it: the view's extent of the
+            # disk-edge-ordered weight array.
+            w = tg.edge_weights[tv.edge_lo : tv.edge_lo + tv.n_edges]
             gsrc, gdst = tv.global_edges()
             for u, v, wt in zip(gsrc.tolist(), gdst.tolist(), w.tolist()):
                 assert expect[(u, v)] == pytest.approx(wt)
@@ -110,7 +112,7 @@ class TestTiledWeights:
         assert seen == tg.n_edges
 
     def test_unweighted_returns_none(self, tiled_undirected):
-        assert tiled_undirected.tile_weights(0) is None
+        assert tiled_undirected.edge_weights is None
 
     def test_save_load_weights(self, tmp_path, weighted_el):
         tg = TiledGraph.from_edge_list(weighted_el, tile_bits=6, group_q=2)

@@ -1,8 +1,9 @@
-"""Zero-copy guarantees of the decode chain (fetch → slice → view).
+"""Zero-copy guarantees of the decode chain (fetch → merged extent → view).
 
-``TileStore.read`` → ``slice_run`` → ``view_from_bytes`` must never
+``TileStore.read`` → ``decode_run`` / ``decode_batch`` — the chain the
+engine runs, through ``TiledGraph.decode_extents`` — must never
 materialise intermediate ``bytes``: with an in-memory store the decoded
-tile arrays share memory with the payload array itself, and with an
+local-ID arrays share memory with the payload array itself, and with an
 on-disk store they are views over one shared mmap of the payload file.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.selective import merge_requests, slice_run
+from repro.engine.selective import merge_requests
 from repro.format.tiles import TiledGraph
 from repro.graphgen.rmat import rmat
 from repro.storage.file import TileStore
@@ -43,16 +44,29 @@ class TestInMemoryStore:
         whole = np.frombuffer(store.read(0, store.size), dtype=tg.payload_dtype())
         assert np.shares_memory(whole, tg.payload)
 
-    def test_slice_run_and_view_from_bytes_share_payload(self, tg):
+    def test_decode_run_and_decode_batch_share_payload(self, tg):
         store = TileStore.from_tiled_graph(tg)
-        positions = _nonempty_positions(tg)
-        for req in merge_requests(positions, tg.start_edge):
-            raw = store.read(req.offset, req.size)
-            for pos, chunk in slice_run(raw, req.tag, tg.start_edge):
-                assert isinstance(chunk, memoryview)
-                tv = tg.view_from_bytes(pos, chunk)
-                assert np.shares_memory(tv.lsrc, tg.payload), pos
-                assert np.shares_memory(tv.ldst, tg.payload), pos
+        # Two runs, neither starting at byte 0: tiles 1-3 and 5-7 of the
+        # non-empty ones (skipping a non-empty tile breaks adjacency).
+        nz = _nonempty_positions(tg, 8)
+        requests = merge_requests(nz[1:4] + nz[5:8], tg.start_edge)
+        assert len(requests) == 2 and requests[0].offset > 0
+        runs = [(r.tag, store.read(r.offset, r.size)) for r in requests]
+        for tags, extent in runs:
+            raws = []
+            for tv, raw in tg.decode_run(tags, extent):
+                assert isinstance(raw, memoryview)
+                assert np.shares_memory(tv.lsrc, tg.payload), tv.pos
+                assert np.shares_memory(tv.ldst, tg.payload), tv.pos
+                # The per-tile slices are exactly the tiles' own extents.
+                assert len(raw) == tg.start_edge.byte_extent(tv.pos)[1]
+                raws.append(raw)
+            assert b"".join(raws) == bytes(extent)
+        run_views, _ = tg.decode_batch(runs, with_tiles=False)
+        assert len(run_views) == len(runs)
+        for view in run_views + tg.decode_extents(runs):
+            assert np.shares_memory(view.lsrc, tg.payload), view.pos
+            assert np.shares_memory(view.ldst, tg.payload), view.pos
 
 
 class TestOnDiskStore:
