@@ -112,12 +112,12 @@ def main() -> None:
     # Tiered SSD+HDD storage (§IX future work) is a property of the device
     # array, so the device model answers directly: one full sweep of the
     # graph's physical groups on two SSDs vs a 25%-hot tiered layout.
-    extents = []
-    for _, sl in graph.grouping.group_slices():
-        if sl.stop > sl.start:
-            off, size = graph.start_edge.run_byte_extent(sl.start, sl.stop - 1)
-            if size:
-                extents.append((off, size))
+    bounds = graph.grouping.group_bounds().tolist()
+    extents = [
+        graph.start_edge.run_byte_extent(lo, hi - 1)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    extents = [extent for extent in extents if extent[1]]
     hot = plan_hot_groups(graph, hot_fraction=0.25)
     t_ssd = Raid0Array(n_devices=2).read_batch_time(extents)
     t_tiered = TieredArray(hot_bytes=int(hot["hot_bytes"])).read_batch_time(

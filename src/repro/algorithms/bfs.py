@@ -215,10 +215,6 @@ class BFS(TileAlgorithm):
 
     # ------------------------------------------------------------------ #
 
-    @property
-    def frontier_size(self) -> int:
-        return self._frontier_count
-
     def visited_count(self) -> int:
         return int(np.count_nonzero(self.depth != INF_DEPTH))
 

@@ -101,6 +101,9 @@ class MaximalIndependentSet(TileAlgorithm):
             return tv.n_edges
         prio = self._prio
         und = (state[gsrc] == _UNDECIDED) & (state[gdst] == _UNDECIDED)
+        # A vertex is not its own neighbour: a stored self-loop (directed
+        # graphs keep them) never competes, so it never beats its vertex.
+        und &= gsrc != gdst
         if und.any():
             s = gsrc[und]
             d = gdst[und]
@@ -146,6 +149,7 @@ class MaximalIndependentSet(TileAlgorithm):
             ]), edges
         prio = state["prio"]
         und = (st[gsrc] == _UNDECIDED) & (st[gdst] == _UNDECIDED)
+        und &= gsrc != gdst  # a self-loop competes with nobody
         if not und.any():
             return None, edges
         s = gsrc[und]
@@ -178,8 +182,8 @@ class MaximalIndependentSet(TileAlgorithm):
         self.rounds += 1
         # Winners' neighbours must leave the set before the next round
         # draws priorities; that takes one more edge sweep — the knock.
-        # No winner: nobody is left undecided, or only vertices no round
-        # can decide (a directed self-loop loses to itself every time).
+        # No winner means nobody is left undecided (the largest-priority
+        # undecided vertex always wins); stopping here is the guard.
         self._knock = bool(self._winners.any())
         return self._knock
 

@@ -15,7 +15,7 @@ Algorithm (FW-BW with trimming):
 3. ``F ∩ B`` is the pivot's SCC; recurse on ``F \\ B``, ``B \\ F``, and the
    remainder — three disjoint sets that cannot share an SCC.
 
-The driver runs the engine once per reachability sweep and once per trim
+The driver runs one engine once per reachability sweep and once per trim
 pass, so every byte of graph traffic flows through the same storage
 substrate as the headline algorithms — and a graph whose payload is not
 resident decomposes like any other.
@@ -109,14 +109,14 @@ class SCCResult:
 class SCCDriver:
     """Forward-backward SCC decomposition over a directed tiled graph."""
 
-    def __init__(self, engine_factory, graph: TiledGraph):
-        """``engine_factory`` builds a fresh engine for one reachability
-        sweep (the driver runs many); typically
-        ``lambda: GStoreEngine(graph, config)``."""
-        if not graph.info.directed:
+    def __init__(self, engine):
+        """Every trim pass and reachability sweep is one run on ``engine``
+        (a :class:`~repro.engine.gstore.GStoreEngine`, each run a fresh
+        cache pool); the caller owns and closes it."""
+        if not engine.graph.info.directed:
             raise AlgorithmError("SCC is defined for directed graphs")
-        self.graph = graph
-        self.engine_factory = engine_factory
+        self.engine = engine
+        self.graph: TiledGraph = engine.graph
 
     # ------------------------------------------------------------------ #
 
@@ -129,15 +129,14 @@ class SCCDriver:
         trimmed = 0
         while active.any():
             degrees = SubgraphDegrees(active)
-            trim_stats.append(self.engine_factory().run(degrees))
+            trim_stats.append(self.engine.run(degrees))
             in_deg, out_deg = degrees.result()
             trivial = active & ((in_deg == 0) | (out_deg == 0))
             if not trivial.any():
                 break
             ids = np.nonzero(trivial)[0]
-            for v in ids:
-                labels[v] = next_label
-                next_label += 1
+            labels[ids] = next_label + np.arange(ids.shape[0])
+            next_label += int(ids.shape[0])
             active[ids] = False
             trimmed += int(ids.shape[0])
         return next_label, trimmed
@@ -146,7 +145,7 @@ class SCCDriver:
         algo = Reachability(
             seeds=[pivot], forward=forward, allowed=active.copy()
         )
-        stats = self.engine_factory().run(algo)
+        stats = self.engine.run(algo)
         return algo.reached(), stats
 
     # ------------------------------------------------------------------ #

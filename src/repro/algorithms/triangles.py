@@ -23,18 +23,9 @@ def adjacency_matrix(tg: TiledGraph) -> sp.csr_matrix:
     Duplicate tuples collapse to a single 1; self-loops are dropped; both
     orientations are materialised whatever the storage layout.
     """
-    rows = []
-    cols = []
-    for tv in tg.iter_tiles():
-        gsrc, gdst = tv.global_edges()
-        rows.append(gsrc)
-        cols.append(gdst)
-    if rows:
-        r = np.concatenate(rows).astype(np.int64)
-        c = np.concatenate(cols).astype(np.int64)
-    else:
-        r = np.empty(0, dtype=np.int64)
-        c = np.empty(0, dtype=np.int64)
+    el = tg.to_edge_list()
+    r = el.src.astype(np.int64)
+    c = el.dst.astype(np.int64)
     keep = r != c
     r, c = r[keep], c[keep]
     n = tg.n_vertices

@@ -34,9 +34,8 @@ _DEFAULT_KRON = "kron-small-16"
 
 
 def _run_gstore(tg, algo, **cfg_kwargs):
-    eng = GStoreEngine(tg, scaled_config(tg, **cfg_kwargs))
-    stats = eng.run(algo)
-    return stats
+    with GStoreEngine(tg, scaled_config(tg, **cfg_kwargs)) as eng:
+        return eng.run(algo)
 
 
 def _algo(label: str, root: int = 0):
@@ -308,7 +307,7 @@ def fig7_group_distribution(dataset: str = "twitter-small"):
     """Per-physical-group edge counts (paper Figure 7)."""
     tg = graphs().tiled(dataset)
     by_group = tg.group_edge_counts()
-    counts = np.array(sorted(by_group.values(), reverse=True), dtype=np.int64)
+    counts = np.sort(by_group)[::-1]
     table = Table(
         "Figure 7: physical-group edge counts",
         ["Metric", "Value"],
@@ -427,8 +426,8 @@ def fig10_space_saving(dataset: str = _DEFAULT_KRON):
         cfg.segment_bytes = max(memory // 32, 16 * 1024)
         results = {}
         for algo_label in ["bfs", "pagerank"]:
-            stats = GStoreEngine(tg, cfg).run(_algo(algo_label))
-            results[algo_label] = stats.sim_elapsed
+            with GStoreEngine(tg, cfg) as engine:
+                results[algo_label] = engine.run(_algo(algo_label)).sim_elapsed
         times[label] = results
     table = Table(
         "Figure 10: speedup from space saving",
@@ -458,20 +457,16 @@ def _grouping_trace_stats(
     ``q``.  Edges are subsampled per tile beyond ``max_edges`` total.
     """
     grouping = PhysicalGrouping(p=tg.p, q=q, symmetric=tg.info.symmetric)
-    pos_grid = tg.pos_grid()
     total_edges = tg.n_edges
     stride = max(1, total_edges // max_edges)
     cache = SetAssocCache(size_bytes=llc_bytes, line_bytes=64, ways=16)
     rank_base = 0
     acc_base = tg.n_vertices * meta_bytes
     addrs = []
-    for i, j in grouping.disk_order():
-        pos = int(pos_grid[i, j])
-        if pos < 0:
-            continue
+    # The graph's own positions of its tiles, visited in ``q``'s order.
+    visit = tg.pos_grid()[grouping.tile_coords]
+    for pos in visit[tg.tile_edge_counts()[visit] > 0].tolist():
         tv = tg.tile_view(pos)
-        if tv.n_edges == 0:
-            continue
         gsrc, gdst = tv.global_edges()
         if stride > 1:
             gsrc = gsrc[::stride]
@@ -760,12 +755,13 @@ def ext_tiered_storage(dataset: str = _DEFAULT_KRON):
     from repro.storage.tiered import HDD_PROFILE, TieredArray, plan_hot_groups
 
     tg = graphs().tiled(dataset)
-    extents = []
-    for (_gi, _gj), sl in tg.grouping.group_slices():
-        if sl.stop > sl.start:
-            off, size = tg.start_edge.run_byte_extent(sl.start, sl.stop - 1)
-            if size:
-                extents.append((off, size))
+    # One extent per physical group: a contiguous run of disk positions.
+    bounds = tg.grouping.group_bounds().tolist()
+    extents = [
+        tg.start_edge.run_byte_extent(lo, hi - 1)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    extents = [extent for extent in extents if extent[1]]
     plan = plan_hot_groups(tg, hot_fraction=0.25)
     ssd = Raid0Array(n_devices=2)
     hdd = Raid0Array(n_devices=2, profile=HDD_PROFILE)
@@ -817,10 +813,8 @@ def ext_scc(dataset: str = "twitter-small"):
     from repro.engine.gstore import GStoreEngine
 
     tg = graphs().tiled(dataset)
-    driver = SCCDriver(
-        lambda: GStoreEngine(tg, scaled_config(tg, memory_fraction=0.25)), tg
-    )
-    result = driver.run()
+    with GStoreEngine(tg, scaled_config(tg, memory_fraction=0.25)) as engine:
+        result = SCCDriver(engine).run()
     sizes = result.component_sizes()
     io_bytes = sum(
         s.bytes_read for s in result.reachability_stats + result.trim_stats

@@ -224,7 +224,8 @@ def cmd_fsck(args: argparse.Namespace) -> int:
     from repro.format.validate import check_tiled_graph
 
     try:
-        tg = TiledGraph.load(args.directory)
+        # Semi-external: the audit streams the payload, a slab at a time.
+        tg = TiledGraph.load(args.directory, resident=False)
     except FormatError as exc:
         # Unreadable or inconsistent files fail load's own audit.
         print(f"tile graph CORRUPT: {exc}")

@@ -255,10 +255,6 @@ class FaultPlan:
         """Per-device configuration events (slow / dead members)."""
         return tuple(e for e in self.events if e.kind in DEVICE_KINDS)
 
-    def transport_events(self) -> "tuple[FaultEvent, ...]":
-        """Coordinator<->worker transport events (kill/drop/delay/scatter)."""
-        return tuple(e for e in self.events if e.kind in TRANSPORT_KINDS)
-
     def transport_only(self) -> bool:
         """True when the plan touches *only* the shard transport.
 

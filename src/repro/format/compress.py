@@ -117,10 +117,10 @@ def decompress_tile(buf: bytes, tile_bits: int) -> tuple[np.ndarray, np.ndarray]
 
 def compressed_payload_size(tg) -> int:
     """Total compressed bytes of a :class:`TiledGraph`'s tiles."""
-    total = 0
-    for tv in tg.iter_tiles():
-        total += len(compress_tile(tv.lsrc, tv.ldst))
-    return total
+    return sum(
+        len(compress_tile(tv.lsrc, tv.ldst))
+        for _, views in tg.scan(fused=False) for tv in views
+    )
 
 
 def compression_report(tg) -> "dict[str, float]":

@@ -14,6 +14,7 @@ exist, and only groups intersecting the upper triangle are emitted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,47 +59,31 @@ class PhysicalGrouping:
         return self.p * self.p
 
     # ------------------------------------------------------------------ #
-    # Iteration orders
+    # Disk order, as arrays
     # ------------------------------------------------------------------ #
 
-    def groups(self) -> "list[tuple[int, int]]":
-        """Group coordinates in disk order (row-major over the group grid)."""
-        out = []
-        for gi in range(self.g):
-            for gj in range(self.g):
-                if self.symmetric and gj < gi:
-                    continue
-                out.append((gi, gj))
-        return out
+    @cached_property
+    def tile_coords(self) -> "tuple[np.ndarray, np.ndarray]":
+        """``(rows, cols)`` of every stored tile in disk order (read-only
+        ``int64``, derived once); a tile's disk position is its index.
 
-    def tiles_in_group(self, gi: int, gj: int) -> "list[tuple[int, int]]":
-        """Tile coordinates of group ``(gi, gj)`` in disk order."""
-        if not (0 <= gi < self.g and 0 <= gj < self.g):
-            raise FormatError(f"group ({gi},{gj}) outside {self.g}x{self.g} grid")
-        out = []
-        for i in range(gi * self.q, min((gi + 1) * self.q, self.p)):
-            for j in range(gj * self.q, min((gj + 1) * self.q, self.p)):
-                if self.symmetric and j < i:
-                    continue
-                out.append((i, j))
-        return out
-
-    def disk_order(self) -> "list[tuple[int, int]]":
-        """All stored tiles in their on-disk order."""
-        out = []
-        for gi, gj in self.groups():
-            out.extend(self.tiles_in_group(gi, gj))
-        return out
-
-    def group_of_tile(self, i: int, j: int) -> tuple[int, int]:
-        """Physical group containing tile ``(i, j)``."""
-        if not (0 <= i < self.p and 0 <= j < self.p):
-            raise FormatError(f"tile ({i},{j}) outside {self.p}x{self.p} grid")
-        return (i // self.q, j // self.q)
-
-    # ------------------------------------------------------------------ #
-    # Derived geometry
-    # ------------------------------------------------------------------ #
+        Indexed ``(group row, group column, row in group, column in
+        group)`` the grid's row-major flattening *is* the disk order; tiles
+        past a ragged edge or below a symmetric diagonal drop out under
+        one mask.
+        """
+        q = min(self.q, self.p)  # one group covers the grid either way
+        side = np.arange(self.g * q, dtype=np.int64).reshape(self.g, q)
+        i, j = np.broadcast_arrays(
+            side[:, None, :, None], side[None, :, None, :]
+        )
+        inside = side < self.p
+        keep = inside[:, None, :, None] & inside[None, :, None, :]
+        if self.symmetric:
+            keep &= j >= i
+        rows, cols = i[keep], j[keep]
+        rows.flags.writeable = cols.flags.writeable = False
+        return rows, cols
 
     def position_grid(self) -> np.ndarray:
         """``(p, p)`` int64 array mapping tile coords to disk position.
@@ -106,24 +91,23 @@ class PhysicalGrouping:
         Unstored tiles (lower triangle of a symmetric graph) map to -1.
         """
         grid = np.full((self.p, self.p), -1, dtype=np.int64)
-        for pos, (i, j) in enumerate(self.disk_order()):
-            grid[i, j] = pos
+        grid[self.tile_coords] = np.arange(self.n_tiles, dtype=np.int64)
         return grid
 
-    def group_slices(self) -> "list[tuple[tuple[int, int], slice]]":
-        """Per-group contiguous ranges of disk positions.
+    def group_bounds(self) -> np.ndarray:
+        """First disk position of every physical group, then ``n_tiles``
+        (``int64``): group ``k`` is positions ``[bounds[k], bounds[k + 1])``
+        — disk order enumerates groups one after another, which is precisely
+        what makes a physical group a single sequential read."""
+        rows, cols = self.tile_coords
+        cell = rows // self.q * self.g + cols // self.q
+        return np.flatnonzero(np.diff(cell, prepend=-1, append=-1))
 
-        Because disk order enumerates groups one after another, every group
-        occupies a contiguous run of positions — this is precisely what
-        makes a physical group a single sequential read.
-        """
-        out = []
-        pos = 0
-        for gi, gj in self.groups():
-            n = len(self.tiles_in_group(gi, gj))
-            out.append(((gi, gj), slice(pos, pos + n)))
-            pos += n
-        return out
+    def group_of_tile(self, i: int, j: int) -> tuple[int, int]:
+        """Physical group containing tile ``(i, j)``."""
+        if not (0 <= i < self.p and 0 <= j < self.p):
+            raise FormatError(f"tile ({i},{j}) outside {self.p}x{self.p} grid")
+        return (i // self.q, j // self.q)
 
     def metadata_bytes_per_group(self, tile_bits: int, meta_bytes: int) -> int:
         """Working-set size of one group's algorithmic metadata.

@@ -314,9 +314,7 @@ class TiledGraph:
         p = ceil_div(el.n_vertices, 1 << tile_bits)
         grouping = PhysicalGrouping(p=p, q=group_q, symmetric=symmetric)
         pos_grid = grouping.position_grid()
-        order_arr = np.array(grouping.disk_order(), dtype=np.int64).reshape(-1, 2)
-        tile_rows = order_arr[:, 0].copy()
-        tile_cols = order_arr[:, 1].copy()
+        tile_rows, tile_cols = grouping.tile_coords
         dt = local_dtype(tile_bits) if snb else np.dtype(VERTEX_DTYPE)
 
         if symmetric:
@@ -425,12 +423,11 @@ class TiledGraph:
         """Per-tile edge counts in disk order (Figure 5)."""
         return self.start_edge.edge_counts()
 
-    def group_edge_counts(self) -> "dict[tuple[int, int], int]":
-        """Per-physical-group edge counts (Figure 7)."""
-        counts = self.tile_edge_counts()
-        return {
-            grp: int(counts[sl].sum()) for grp, sl in self.grouping.group_slices()
-        }
+    def group_edge_counts(self) -> np.ndarray:
+        """Per-physical-group edge counts in group disk order (Figure 7)."""
+        return np.add.reduceat(
+            self.tile_edge_counts(), self.grouping.group_bounds()[:-1]
+        )
 
     # ------------------------------------------------------------------ #
     # Tile access
@@ -739,25 +736,29 @@ class TiledGraph:
             self._payload_dt = dt
         return dt
 
-    def iter_tiles(self):
-        """Yield all tiles in disk order (requires resident payload)."""
-        for pos in range(self.n_tiles):
-            if self.start_edge.edge_count(pos):
-                yield self.tile_view(pos)
+    def scan(self, slab_bytes: int = 4 << 20, fused: bool = True):
+        """The one whole-graph reader: yield ``(positions, views)`` per
+        slab of the payload in disk order — the non-empty tiles whose
+        extents start inside one ``slab_bytes`` window (one byte-adjacent
+        run: empty tiles hold no bytes) and their :meth:`decode_extents`
+        views.  Resident or mapped, it holds a slab at a time."""
+        offsets = self.start_edge.start_edge.astype(np.int64) * self.tuple_bytes
+        live = np.flatnonzero(offsets[1:] > offsets[:-1])
+        if not live.size:
+            return
+        data = self._payload_bytes_view()
+        cuts = np.flatnonzero(np.diff(offsets[live] // slab_bytes)) + 1
+        for positions in np.split(live, cuts):
+            extent = data[offsets[positions[0]] : offsets[positions[-1] + 1]]
+            yield positions, self.decode_extents([(positions, extent)], fused)
 
     def to_edge_list(self) -> EdgeList:
         """Reconstruct the stored tuples as a global-ID edge list."""
-        srcs, dsts = [], []
-        for tv in self.iter_tiles():
-            gsrc, gdst = tv.global_edges()
-            srcs.append(gsrc)
-            dsts.append(gdst)
-        if srcs:
-            src = np.concatenate(srcs)
-            dst = np.concatenate(dsts)
-        else:
-            src = np.empty(0, dtype=VERTEX_DTYPE)
-            dst = np.empty(0, dtype=VERTEX_DTYPE)
+        src = np.empty(self.n_edges, dtype=VERTEX_DTYPE)
+        dst = np.empty_like(src)
+        for _, views in self.scan():
+            lo, hi = views[0].edge_lo, views[-1].edge_lo + views[-1].n_edges
+            src[lo:hi], dst[lo:hi] = concat_global_edges(views)
         return EdgeList(
             src,
             dst,
@@ -772,15 +773,26 @@ class TiledGraph:
 
     def _payload_bytes_view(self) -> "memoryview | np.ndarray":
         """A byte buffer over the full payload: the resident array, or a
-        read-only memory map of the payload file (nothing is read until
-        the checksum kernel touches it, a slab at a time)."""
+        read-only memory map of the payload file (nothing is read until a
+        reader touches it, a slab at a time).  Every extent the start-edge
+        index names lies inside it."""
         if self.payload is not None:
-            return memoryview(self.payload).cast("B")
-        if self.payload_path is not None:
-            if os.path.getsize(self.payload_path) == 0:
-                return memoryview(b"")  # an empty file cannot be mapped
-            return np.memmap(self.payload_path, dtype=np.uint8, mode="r")
-        raise FormatError("TiledGraph has neither resident payload nor a path")
+            view = memoryview(self.payload).cast("B")
+        elif self.payload_path is None:
+            raise FormatError("TiledGraph has neither resident payload nor a path")
+        elif os.path.getsize(self.payload_path) == 0:
+            view = memoryview(b"")  # an empty file cannot be mapped
+        else:
+            view = np.memmap(self.payload_path, dtype=np.uint8, mode="r")
+        if self.storage_bytes() > len(view):
+            raise FormatError(
+                "start-edge index runs past the end of the payload",
+                context={
+                    "indexed_bytes": self.storage_bytes(),
+                    "payload_bytes": len(view),
+                },
+            )
+        return view
 
     def _tile_crcs(self) -> np.ndarray:
         """CRC32C of every tile's extent of the payload as it is now."""
@@ -788,16 +800,7 @@ class TiledGraph:
         tb = se.tuple_bytes
         offsets = se.start_edge[:-1].astype(np.int64) * tb
         sizes = se.edge_counts() * tb
-        view = self._payload_bytes_view()
-        if offsets.size and int(offsets[-1] + sizes[-1]) > len(view):
-            raise FormatError(
-                "start-edge index runs past the end of the payload",
-                context={
-                    "indexed_bytes": int(offsets[-1] + sizes[-1]),
-                    "payload_bytes": len(view),
-                },
-            )
-        return crc32c_extents(view, offsets, sizes)
+        return crc32c_extents(self._payload_bytes_view(), offsets, sizes)
 
     def ensure_checksums(self) -> np.ndarray:
         """Compute (once) and return the per-tile CRC32C array."""
@@ -953,7 +956,7 @@ class TiledGraph:
                 f"{directory}: start-edge index has {start_edge.n_tiles} "
                 f"tiles, the info file's grid has {grouping.n_tiles}"
             )
-        order_arr = np.array(grouping.disk_order(), dtype=np.int64).reshape(-1, 2)
+        tile_rows, tile_cols = grouping.tile_coords
         snb = bool(int(aux["snb"][0]))
         payload_path = os.path.join(directory, _PAYLOAD_FILE)
         payload = None
@@ -969,8 +972,8 @@ class TiledGraph:
             info=info,
             grouping=grouping,
             start_edge=start_edge,
-            tile_rows=order_arr[:, 0].copy(),
-            tile_cols=order_arr[:, 1].copy(),
+            tile_rows=tile_rows,
+            tile_cols=tile_cols,
             out_degrees=aux["out_degrees"],
             in_degrees=aux["in_degrees"],
             payload=payload,

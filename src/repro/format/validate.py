@@ -9,12 +9,13 @@ file transfer — the tile-format equivalent of ``fsck``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import FormatError
-from repro.format.tiles import TiledGraph
+from repro.format.tiles import TiledGraph, concat_global_edges
 
 
 @dataclass
@@ -43,14 +44,40 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _check_payload(tg: TiledGraph, rep: ValidationReport) -> None:
+    """The deep pass: every stored tuple, a slab of the payload at a time
+    (:meth:`TiledGraph.scan`, resident or not), each check one vector
+    comparison over the slab that names the tiles owning an offending edge."""
+    info, rows, cols = tg.info, tg.tile_rows, tg.tile_cols
+    counts = tg.tile_edge_counts()
+    for positions, views in tg.scan():
+        gsrc, gdst = concat_global_edges(views)
+        rep.tiles_checked += positions.shape[0]
+        rep.edges_checked += gsrc.shape[0]
+        edges = counts[positions]
+        owner = np.repeat(positions, edges)
+        n = info.n_vertices
+        bad = {"tile (%d,%d): endpoint beyond n_vertices": (gsrc >= n) | (gdst >= n)}
+        if tg.snb:
+            ids = np.concatenate([np.maximum(tv.lsrc, tv.ldst) for tv in views])
+            bad["tile (%d,%d): local ID beyond tile span"] = ids >= 1 << info.tile_bits
+        if info.symmetric:
+            diagonal = np.repeat(rows[positions] == cols[positions], edges)
+            bad["diagonal tile (%d,%d): lower-triangle edge"] = diagonal & (gsrc > gdst)
+        for message, mask in bad.items():
+            for pos in np.unique(owner[mask]).tolist():
+                rep.fail(message % (rows[pos], cols[pos]))
+
+
 def check_tiled_graph(
     tg: TiledGraph, deep: bool = True, checksums: bool = False
 ) -> ValidationReport:
     """Audit a tiled graph's structural invariants.
 
-    ``deep=True`` also walks every tile's payload (local-ID bounds and,
-    for symmetric storage, the in-diagonal-tile ordering); metadata-only
-    checks are cheap enough for every load.  ``checksums=True`` adds the
+    ``deep=True`` also reads every tuple of the payload, resident or on
+    disk (endpoint and local-ID bounds and, for symmetric storage, the
+    in-diagonal-tile ordering); metadata-only checks are cheap enough for
+    every load.  ``checksums=True`` adds the
     CRC32C deep-verify of every tile extent against the stored checksum
     array (``repro fsck --checksums``); a graph saved before checksums
     existed sets :attr:`ValidationReport.checksums_unavailable` instead
@@ -83,12 +110,13 @@ def check_tiled_graph(
             f"start-edge total {tg.start_edge.n_edges} != info n_edges "
             f"{info.n_edges}"
         )
-    if tg.payload is not None:
-        expect = 2 * info.n_edges
-        if tg.payload.shape[0] != expect:
-            rep.fail(
-                f"payload holds {tg.payload.shape[0]} local IDs, expected {expect}"
-            )
+    if tg.payload is not None or tg.payload_path is not None:
+        have = (
+            tg.payload.nbytes if tg.payload is not None
+            else os.path.getsize(tg.payload_path)  # semi-external: stat only
+        )
+        if have != tg.storage_bytes():
+            rep.fail(f"payload holds {have} bytes, expected {tg.storage_bytes()}")
 
     # Per-tile and per-edge side arrays.
     for label, arr, expect in (
@@ -118,23 +146,11 @@ def check_tiled_graph(
             rep.fail("non-empty lower-triangle tile in symmetric graph")
 
     metadata_ok = rep.ok
-    if deep and tg.payload is not None:
-        span = 1 << info.tile_bits
-        for tv in tg.iter_tiles():
-            rep.tiles_checked += 1
-            rep.edges_checked += tv.n_edges
-            gsrc, gdst = tv.global_edges()
-            if tv.n_edges:
-                if int(gsrc.max()) >= info.n_vertices or int(gdst.max()) >= info.n_vertices:
-                    rep.fail(f"tile ({tv.i},{tv.j}): endpoint beyond n_vertices")
-                if tg.snb and (
-                    int(tv.lsrc.max()) >= span or int(tv.ldst.max()) >= span
-                ):
-                    rep.fail(f"tile ({tv.i},{tv.j}): local ID beyond tile span")
-                if info.symmetric and tv.i == tv.j and np.any(gsrc > gdst):
-                    rep.fail(
-                        f"diagonal tile ({tv.i},{tv.j}): lower-triangle edge"
-                    )
+    if deep:
+        try:
+            _check_payload(tg, rep)
+        except FormatError as exc:  # no payload, or shorter than its index
+            rep.fail(str(exc))
 
     if checksums:
         if tg.tile_checksums is None:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import StorageError
 from repro.storage.device import DeviceProfile
 from repro.storage.raid import Raid0Array
@@ -107,32 +109,30 @@ def plan_hot_groups(tg, hot_fraction: float) -> "dict[str, object]":
     """Choose which physical groups deserve the SSD tier.
 
     Greedy by per-group edge count (densest groups first) until the hot
-    byte budget is filled.  Returns the chosen groups, their byte volume,
-    the fraction of all edges they cover, and the fraction of all groups
-    chosen — with skewed graphs a *small number of groups* holds the hot
+    byte budget is filled.  Returns the chosen groups (numbered in disk
+    order, as ``grouping.group_bounds()`` numbers them), their byte
+    volume, the fraction of all edges they cover, and the fraction of all
+    groups chosen — with skewed graphs a *small number of groups* holds the hot
     byte budget (``group_fraction`` far below ``edge_coverage``), which is
     what makes SSD placement at group granularity practical.
     """
     if not (0.0 <= hot_fraction <= 1.0):
         raise StorageError("hot_fraction must be in [0, 1]")
-    by_group = tg.group_edge_counts()
-    total_bytes = tg.storage_bytes()
-    budget = int(total_bytes * hot_fraction)
+    edges = tg.group_edge_counts()
+    budget = int(tg.storage_bytes() * hot_fraction)
     chosen = []
     used = 0
-    covered_edges = 0
-    for grp, edges in sorted(by_group.items(), key=lambda kv: -kv[1]):
-        size = edges * tg.tuple_bytes
+    for k in np.argsort(-edges, kind="stable").tolist():
+        size = int(edges[k]) * tg.tuple_bytes
         if used + size > budget and chosen:
             continue
         if size > budget and not chosen:
             break
-        chosen.append(grp)
+        chosen.append(k)
         used += size
-        covered_edges += edges
     return {
         "groups": chosen,
         "hot_bytes": used,
-        "edge_coverage": covered_edges / max(tg.n_edges, 1),
-        "group_fraction": len(chosen) / max(len(by_group), 1),
+        "edge_coverage": used // tg.tuple_bytes / max(tg.n_edges, 1),
+        "group_fraction": len(chosen) / max(edges.shape[0], 1),
     }

@@ -140,6 +140,17 @@ class TestStatsShape:
         assert "scr" in stats.extra
         assert "pipeline" in stats.extra
 
+    def test_configured_cost_model_sets_compute_time(self, tiled_undirected):
+        from repro.runtime.cost import CostModel
+
+        def run(model):
+            with GStoreEngine(tiled_undirected, _cfg(cost_model=model)) as engine:
+                return engine.run(PageRank(max_iterations=2, tolerance=0.0))
+
+        slow, fast = run(CostModel()), run(CostModel().scaled(4.0))
+        assert 0 < fast.compute_time < slow.compute_time
+        assert fast.bytes_read == slow.bytes_read
+
     def test_edges_processed_bfs(self, tiled_undirected):
         stats = GStoreEngine(tiled_undirected, _cfg()).run(BFS(root=0))
         # Never more than one full pass per iteration.

@@ -35,8 +35,13 @@ class TestTruncatedReads:
         d = tmp_path / "g"
         tiled_undirected.save(d)
         payload = d / "tiles.dat"
-        payload.write_bytes(payload.read_bytes()[:-4])
         ext = TiledGraph.load(d, resident=False)
+        payload.write_bytes(payload.read_bytes()[:-4])
+        # Semi-external loading stats the payload file: it is four bytes
+        # short of what the start-edge index names.
+        with pytest.raises(FormatError, match="payload holds"):
+            TiledGraph.load(d, resident=False)
+        # Truncated behind a graph already loaded, the run fails typed.
         algo = BFS(root=0)
         with pytest.raises((StorageError, FormatError)):
             GStoreEngine(

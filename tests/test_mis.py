@@ -137,6 +137,33 @@ class TestOnEngineKnockout:
             assert algo.rounds == rounds
             assert len(stats.iterations) == 2 * rounds  # compete + knock
 
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_self_loops_are_not_neighbours(self, small_directed, fused):
+        """A stored self-loop used to beat its own vertex every round,
+        leaving it to the no-winner stop; it competes with nobody now, so
+        the set is the loop-free graph's."""
+        plain = small_directed
+        loops = np.arange(0, plain.n_vertices, 7, dtype=np.uint32)
+        looped = EdgeList(
+            np.concatenate([plain.src, loops]),
+            np.concatenate([plain.dst, loops]),
+            plain.n_vertices, directed=True,
+        )
+        cfg = EngineConfig(
+            memory_bytes=24 * 1024, segment_bytes=4 * 1024, fused=fused
+        )
+        reference = TiledGraph.from_edge_list(plain, tile_bits=7, group_q=2)
+        tg = TiledGraph.from_edge_list(looped, tile_bits=7, group_q=2)
+        assert tg.n_edges == reference.n_edges + loops.shape[0]
+        for seed in (1, 7):
+            algo = MaximalIndependentSet(seed=seed)
+            with GStoreEngine(tg, cfg) as engine:
+                engine.run(algo)
+            expect, rounds = _reference_luby(reference, seed)
+            assert np.array_equal(algo.result(), expect), seed
+            assert algo.rounds == rounds
+            assert not (algo.state == 0).any()  # every vertex decided
+
     @pytest.mark.parametrize("kind", ["undirected", "directed"])
     def test_every_byte_touched_is_charged(
         self, tiled_undirected, tiled_directed, kind, monkeypatch
@@ -154,7 +181,7 @@ class TestOnEngineKnockout:
             touched["bytes"] += size
             return read(self, offset, size)
 
-        def counting_walk(self):
+        def counting_walk(self, *args, **kwargs):
             touched["walks"] += 1
             return iter(())
 
@@ -162,7 +189,7 @@ class TestOnEngineKnockout:
             TileStore, "from_tiled_graph", classmethod(counting_store)
         )
         monkeypatch.setattr(TileStore, "read", counting_read)
-        monkeypatch.setattr(TiledGraph, "iter_tiles", counting_walk)
+        monkeypatch.setattr(TiledGraph, "scan", counting_walk)
         algo = MaximalIndependentSet(seed=3)
         cfg = EngineConfig(
             memory_bytes=24 * 1024, segment_bytes=4 * 1024, prefetch_depth=0

@@ -132,24 +132,34 @@ class TestDegreeProperties:
 
 
 class TestGroupingProperties:
-    @given(p=st.integers(1, 20), q=st.integers(1, 8), sym=st.booleans())
+    @given(p=st.integers(1, 70), q=st.integers(1, 20), sym=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_disk_order_is_a_permutation(self, p, q, sym):
         g = PhysicalGrouping(p=p, q=q, symmetric=sym)
-        order = g.disk_order()
-        assert len(order) == g.n_tiles
-        assert len(set(order)) == g.n_tiles
+        rows, cols = g.tile_coords
+        assert rows.shape == cols.shape == (g.n_tiles,)
+        assert np.unique(rows * p + cols).shape[0] == g.n_tiles
+        assert rows.min() >= 0 and cols.max() < p
         if sym:
-            assert all(j >= i for i, j in order)
+            assert (cols >= rows).all()
+        assert np.array_equal(
+            g.position_grid()[rows, cols], np.arange(g.n_tiles)
+        )
 
-    @given(p=st.integers(1, 20), q=st.integers(1, 8), sym=st.booleans())
+    @given(p=st.integers(1, 70), q=st.integers(1, 20), sym=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_group_slices_partition_positions(self, p, q, sym):
         g = PhysicalGrouping(p=p, q=q, symmetric=sym)
-        covered = []
-        for _, sl in g.group_slices():
-            covered.extend(range(sl.start, sl.stop))
-        assert covered == list(range(g.n_tiles))
+        rows, cols = g.tile_coords
+        bounds = g.group_bounds()
+        assert bounds[0] == 0 and bounds[-1] == g.n_tiles
+        assert (np.diff(bounds) > 0).all()  # no group is empty
+        # A position's group is the bounds interval it falls in, and all
+        # its tiles share one cell of the group grid.
+        gid = (rows // q) * g.g + cols // q
+        group = np.searchsorted(bounds, np.arange(g.n_tiles), side="right") - 1
+        assert np.array_equal(gid[bounds[:-1]][group], gid)
+        assert np.unique(gid[bounds[:-1]]).shape[0] == bounds.shape[0] - 1
 
 
 class TestStartEdgeProperties:

@@ -14,10 +14,13 @@ from repro.format.edgelist import EdgeList
 from repro.format.tiles import TiledGraph
 
 
-def _driver(el, tile_bits=5):
+_CFG = EngineConfig(memory_bytes=64 * 1024, segment_bytes=8 * 1024)
+
+
+def _scc(el, tile_bits=5, trim=True):
     tg = TiledGraph.from_edge_list(el, tile_bits=tile_bits, group_q=2)
-    cfg = EngineConfig(memory_bytes=64 * 1024, segment_bytes=8 * 1024)
-    return SCCDriver(lambda: GStoreEngine(tg, cfg), tg)
+    with GStoreEngine(tg, _CFG) as engine:
+        return SCCDriver(engine).run(trim=trim)
 
 
 def _check_against_nx(el, result):
@@ -42,7 +45,7 @@ class TestKnownGraphs:
             n_vertices=5,
             directed=True,
         )
-        res = _driver(el).run()
+        res = _scc(el)
         _check_against_nx(el, res)
         assert res.n_components == 2
 
@@ -50,7 +53,7 @@ class TestKnownGraphs:
         el = EdgeList.from_pairs(
             [(0, 1), (1, 2), (0, 2), (2, 3)], n_vertices=4, directed=True
         )
-        res = _driver(el).run()
+        res = _scc(el)
         assert res.n_components == 4
         assert res.trimmed >= 3  # trimming should peel most of a DAG
 
@@ -59,20 +62,20 @@ class TestKnownGraphs:
         el = EdgeList.from_pairs(
             [(i, (i + 1) % n) for i in range(n)], n_vertices=n, directed=True
         )
-        res = _driver(el).run()
+        res = _scc(el)
         assert res.n_components == 1
         assert res.pivot_rounds == 1
 
     def test_random_graph(self, small_directed):
-        res = _driver(small_directed, tile_bits=7).run()
+        res = _scc(small_directed, tile_bits=7)
         _check_against_nx(small_directed, res)
 
     def test_without_trim_same_result(self):
         el = EdgeList.from_pairs(
             [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)], n_vertices=4, directed=True
         )
-        with_trim = _driver(el).run(trim=True)
-        without = _driver(el).run(trim=False)
+        with_trim = _scc(el, trim=True)
+        without = _scc(el, trim=False)
         assert with_trim.n_components == without.n_components == 2
         # Trim saves reachability sweeps on graphs with tendrils.
         assert with_trim.pivot_rounds <= without.pivot_rounds
@@ -87,17 +90,18 @@ class TestProperties:
         src = rng.integers(0, n, m).astype(np.uint32)
         dst = rng.integers(0, n, m).astype(np.uint32)
         el = EdgeList(src, dst, n, directed=True).deduped().without_self_loops()
-        res = _driver(el, tile_bits=4).run()
+        res = _scc(el, tile_bits=4)
         _check_against_nx(el, res)
 
 
 class TestValidation:
     def test_undirected_rejected(self, tiled_undirected):
-        with pytest.raises(AlgorithmError):
-            SCCDriver(lambda: None, tiled_undirected)
+        with GStoreEngine(tiled_undirected, _CFG) as engine:
+            with pytest.raises(AlgorithmError):
+                SCCDriver(engine)
 
     def test_stats_collected(self, small_directed):
-        res = _driver(small_directed, tile_bits=7).run()
+        res = _scc(small_directed, tile_bits=7)
         assert res.reachability_stats
         assert all(s.sim_elapsed >= 0 for s in res.reachability_stats)
         assert res.component_sizes().sum() == small_directed.n_vertices
@@ -117,9 +121,10 @@ class TestNonResident:
         tg = TiledGraph.from_edge_list(el, tile_bits=5, group_q=2)
         ext = TiledGraph.load(tg.save(tmp_path / "g"), resident=False)
         assert ext.payload is None
-        cfg = EngineConfig(memory_bytes=64 * 1024, segment_bytes=8 * 1024)
-        resident = SCCDriver(lambda: GStoreEngine(tg, cfg), tg).run()
-        external = SCCDriver(lambda: GStoreEngine(ext, cfg), ext).run()
+        with GStoreEngine(tg, _CFG) as engine:
+            resident = SCCDriver(engine).run()
+        with GStoreEngine(ext, _CFG) as engine:
+            external = SCCDriver(engine).run()
         assert np.array_equal(resident.labels, external.labels)
         assert external.trimmed == resident.trimmed > 0
         # The trim passes are engine runs, charged like the sweeps.

@@ -132,7 +132,14 @@ class TestGeometry:
 
     def test_group_edge_counts_sum(self, tiled_undirected):
         tg = tiled_undirected
-        assert sum(tg.group_edge_counts().values()) == tg.n_edges
+        counts = tg.group_edge_counts()
+        bounds = tg.grouping.group_bounds()
+        assert counts.shape == (bounds.shape[0] - 1,)
+        assert int(counts.sum()) == tg.n_edges
+        per_tile = tg.tile_edge_counts()
+        assert counts.tolist() == [
+            int(per_tile[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:])
+        ]
 
     def test_degrees_match_edge_list(self, small_undirected, tiled_undirected):
         canon = small_undirected.canonicalized()
@@ -157,9 +164,21 @@ class TestPersistence:
         with pytest.raises(FormatError):
             ext.tile_view(0)
 
-    def test_iter_tiles_requires_payload(self, tmp_path, tiled_undirected):
+    def test_scan_reads_external_payload(self, tmp_path, tiled_undirected):
         d = tmp_path / "g"
         tiled_undirected.save(d)
         ext = TiledGraph.load(d, resident=False)
-        with pytest.raises(FormatError):
-            list(ext.iter_tiles())
+        for slab_bytes in (4 << 20, 512):
+            for fused in (True, False):
+                want = list(tiled_undirected.scan(slab_bytes, fused))
+                got = list(ext.scan(slab_bytes, fused))
+                assert len(got) == len(want)
+                for (pos_a, views_a), (pos_b, views_b) in zip(got, want):
+                    assert np.array_equal(pos_a, pos_b)
+                    assert [tv.edge_lo for tv in views_a] == [
+                        tv.edge_lo for tv in views_b
+                    ]
+                    for tv_a, tv_b in zip(views_a, views_b):
+                        for x, y in zip(tv_a.global_edges(), tv_b.global_edges()):
+                            assert np.array_equal(x, y)
+        assert ext.payload is None

@@ -129,6 +129,43 @@ class TestCheckLinks:
         assert tool.main([]) == 0
 
 
+class TestEquivMatrix:
+    @pytest.fixture(scope="class")
+    def tool(self):
+        return _load_tool("equiv_matrix")
+
+    def test_diff_names_every_changed_field(self, tool):
+        ours = {"k": {"result": "a", "stats": {"iterations": [{"io": 1.0}, {"io": 2.0}]}}}
+        same = {"k": {"result": "a", "stats": {"iterations": [{"io": 1.0}, {"io": 2.0}]}}}
+        assert tool.diff_records(ours, same) == []
+        theirs = {
+            "k": {"result": "b", "stats": {"iterations": [{"io": 1.0}, {"io": 2.5}]}},
+            "gone": {},
+        }
+        assert tool.diff_records(ours, theirs) == [
+            "gone: missing in this tree",
+            "k.result: 'b' -> 'a'",
+            "k.stats.iterations[1].io: 2.5 -> 2.0",
+        ]
+
+    def test_enumeration_covers_every_kind(self, tool):
+        """One algorithm's slice of the lattice: every configuration kind
+        is there, each record carries a digest and per-iteration fields,
+        and the undirected fused runs agree on the answer."""
+        records = dict(tool.enumerate_records(["bfs"]))
+        kinds = {key.rsplit("/", 1)[1] for key in records}
+        assert kinds == {"selective", "dense", "shards2", "private", "resumed"}
+        assert len(records) == 64 + 4 + 8
+        for rec in records.values():
+            assert len(rec["result"]) == 64
+            assert rec["stats"]["iterations"] and "tiles_cached" in rec["stats"]["scr"]
+        answers = {
+            rec["result"] for key, rec in records.items()
+            if key.startswith("bfs/undirected") and "per-tile" not in key
+        }
+        assert len(answers) == 1
+
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
 
 
@@ -186,16 +223,37 @@ def test_source_structure_holds():
     level only, the shard structure (which *is* the float accumulation
     order) is assigned in one place, tile bytes take one path — no
     execution layer holds per-tile buffers, no algorithm opens the store,
-    one function decodes a batch — and the option surface — config fields
-    and environment variables — is exactly the documented one."""
+    one function decodes a batch — the tile grid is never walked (no
+    tuple-list geometry, no per-tile payload iterator, one engine per SCC
+    driver) and the format package reads bytes without the storage or
+    engine layers — and the option surface — config fields and environment
+    variables — is exactly the documented one."""
     from repro.engine.config import EngineConfig
+
+    grid_walks = {"iter_tiles", "disk_order", "tiles_in_group",
+                  "group_slices", "engine_factory"}
 
     shard_names = {"SHARDS_PER_BATCH", "MIN_SHARD_EDGES", "_RUN_SPLIT",
                    "DEFAULT_MAX_SHARDS", "FLOAT_SHARD_QUANTUM"}
     upward, late, shard_assigned, env_keys, env_mentions = [], [], [], [], 0
     per_tile, off_engine, batch_decoders = [], [], []
+    walked, format_reach = [], []
     for rel, tree in _src_trees():
         package = rel.split(os.sep)[0]
+        walked += [
+            f"{rel}: {name}"
+            for node in ast.walk(tree)
+            for name in (
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "name", None), getattr(node, "arg", None),
+            )
+            if name in grid_walks
+        ]
+        if package == "format":
+            format_reach += [
+                f"{rel}: {m}" for m in _imports(tree)
+                if m.startswith(("repro.storage", "repro.engine"))
+            ]
         if package == "runtime":
             upward += [
                 f"{rel}: {m}" for m in _imports(tree)
@@ -241,6 +299,8 @@ def test_source_structure_holds():
     assert not late, late
     assert not per_tile, per_tile
     assert not off_engine, off_engine
+    assert not walked, walked
+    assert not format_reach, format_reach
     assert batch_decoders == [
         os.path.join("format", "tiles.py") + ": decode_extents"
     ]

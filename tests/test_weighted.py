@@ -101,7 +101,7 @@ class TestTiledWeights:
             )
         }
         seen = 0
-        for tv in tg.iter_tiles():
+        for tv in (tv for _, views in tg.scan(fused=False) for tv in views):
             # As the kernels slice it: the view's extent of the
             # disk-edge-ordered weight array.
             w = tg.edge_weights[tv.edge_lo : tv.edge_lo + tv.n_edges]
