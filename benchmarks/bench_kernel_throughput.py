@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Kernel-throughput benchmark: per-tile vs fused vs fused+parallel.
 
-Runs each fused algorithm through the G-Store engine in three modes — the
-per-tile reference loop, the fused batch kernels, and the fused kernels
-sharded over the worker thread pool — and records edges/sec and wall
-seconds for every mode into ``BENCH_kernels.json`` at the repo root.
-This is the perf trajectory file future PRs extend.
+Runs each algorithm's one kernel through the G-Store engine at three
+dispatch granularities — once per tile (``fused=False``), once per shard
+of a batch, and per shard over the worker thread pool — and records
+edges/sec and wall seconds for every mode into ``BENCH_kernels.json`` at
+the repo root.  This is the perf trajectory file future PRs extend.
 
 The thread pool is warmed before timing, so thread spawn is not charged
 to the first measured iteration.

@@ -13,8 +13,8 @@ fixpoint); only the iteration count differs.
 
 The fused kernel is *live* (:attr:`~repro.algorithms.base.TileAlgorithm.
 live_kernel`): shards commit in order, each seeing every earlier commit,
-and the relaxation runs to a fixpoint within the resident shard — the
-per-tile loop's semantics at shard instead of tile granularity.
+and the relaxation runs to a fixpoint within the resident shard (a
+single tile under per-tile dispatch).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
 from repro.errors import AlgorithmError
-from repro.format.tiles import TileView
 from repro.types import INF_DEPTH
 
 
@@ -62,39 +61,10 @@ class AsyncBFS(TileAlgorithm):
         super().begin_iteration(iteration)
         self._changed_next.fill(False)
 
-    def process_tile(self, tv: TileView) -> int:
-        depth = self.depth
-        gsrc, gdst = tv.global_edges()
-        changed = self._changed_next
-        # Asynchronous relaxation, run to a fixpoint *within* the tile so
-        # chains cascade in one visit; improvements also flow to every
-        # later tile of the same iteration.  This is what collapses the
-        # iteration count relative to level-synchronous BFS.
-        while True:
-            any_improved = False
-            before = depth[gdst]
-            np.minimum.at(depth, gdst, depth[gsrc] + 1)
-            improved = depth[gdst] < before
-            if improved.any():
-                changed[gdst[improved]] = True
-                any_improved = True
-            if self.symmetric:
-                before = depth[gsrc]
-                np.minimum.at(depth, gsrc, depth[gdst] + 1)
-                improved = depth[gsrc] < before
-                if improved.any():
-                    changed[gsrc[improved]] = True
-                    any_improved = True
-            if not any_improved:
-                break
-        self.traversed_edges += tv.n_edges
-        return tv.n_edges
-
     # ------------------------------------------------------------------ #
     # Fused batch kernel (live: shards commit in order)
     # ------------------------------------------------------------------ #
 
-    supports_fused = True
     live_kernel = True
 
     def kernel_state(self):
@@ -122,8 +92,8 @@ class AsyncBFS(TileAlgorithm):
 
     def apply_partial(self, partial) -> int:
         """Commit the shard's improvements and keep relaxing the resident
-        shard until nothing moves.  As in the per-tile loop, the edges
-        count once however many rounds the fixpoint takes."""
+        shard until nothing moves.  The edges count once however many
+        rounds the fixpoint takes."""
         idx, vals, gsrc, gdst = partial
         while idx.size:
             np.minimum.at(self.depth, idx, vals)

@@ -6,9 +6,16 @@ The engine drives an algorithm through a strict per-iteration protocol::
     while True:
         algo.begin_iteration(k)
         ... engine selects tiles via algo.rows_active(), fetches them,
-            calls algo.process_tile(view) for each ...
+            and for each shard of a fetched batch commits
+            algo.apply_partial(algo.batch_partial(shard)) ...
         if not algo.end_iteration(k):
             break
+
+An algorithm is written once, as a kernel: ``kernel_state`` /
+``kernel_params`` / ``kernel_partial`` / ``apply_partial``.  How many
+tiles one kernel call covers is the engine's dispatch granularity — a
+shard of the batch by default, a single tile (``process_tile``) under
+``EngineConfig(fused=False)`` — never a second implementation.
 
 ``rows_active()`` reports which tile-row vertex ranges the *current*
 iteration must touch (selective fetching, §V-B); ``rows_active_next()``
@@ -94,9 +101,10 @@ class TileAlgorithm(abc.ABC):
     def begin_iteration(self, iteration: int) -> None:
         self.iteration = iteration
 
-    @abc.abstractmethod
     def process_tile(self, tv: TileView) -> int:
-        """Process one tile; returns the number of edges examined."""
+        """The kernel dispatched on one tile — what ``fused=False`` runs
+        per view; returns the number of edges examined."""
+        return self.apply_partial(self.batch_partial([tv]))
 
     @abc.abstractmethod
     def end_iteration(self, iteration: int) -> bool:
@@ -106,15 +114,11 @@ class TileAlgorithm(abc.ABC):
     # Fused batch execution (§VI-B)
     # ------------------------------------------------------------------ #
 
-    #: True for algorithms implementing the two-phase fused kernels
-    #: (:meth:`batch_partial` + :meth:`apply_partial`) with the read-only
-    #: phase expressed as the pure :meth:`kernel_partial` over
-    #: :meth:`kernel_state` / :meth:`kernel_params`; the engine may then
-    #: shard the partial phase across worker threads, or run it in shard
-    #: worker processes (:mod:`repro.runtime.shard`).
-    supports_fused: bool = False
+    #: Constant: every algorithm is a kernel.  Read by nothing in ``src/``;
+    #: kept only because ``benchmarks/perf/layer_walk.py`` reads it.
+    supports_fused: bool = True
 
-    #: Which of the two kernel kinds a fused algorithm is.  A *snapshot*
+    #: Which of the two kernel kinds an algorithm is.  A *snapshot*
     #: kernel (the default) reads only state that is frozen for the
     #: iteration, so its partials may be computed concurrently — on the
     #: thread pool or in shard workers — and committed afterwards.  A
@@ -129,25 +133,16 @@ class TileAlgorithm(abc.ABC):
     def process_batch(self, views: "list[TileView]") -> int:
         """Process one fetched segment's tiles as a single batch.
 
-        Fused algorithms concatenate each shard's tiles into one kernel
-        pass (one gather, one mask, one scatter per shard); the default
-        falls back to the per-tile loop, so every algorithm works under
-        batch execution.  The serial path walks exactly the shards that
-        :func:`~repro.runtime.threads.execute_batch` would distribute over
-        workers, committing partials in shard order — which is what makes
-        fused results bit-identical at any worker count.  Returns the
-        number of edges examined.
+        Each shard's tiles are concatenated into one kernel pass (one
+        gather, one mask, one scatter per shard).  The serial path walks
+        exactly the shards :func:`~repro.runtime.threads.execute_batch`
+        would distribute over workers, committing partials in shard order
+        — which is what makes fused results bit-identical at any worker
+        count.  Returns the number of edges examined.
         """
-        if not views:
-            return 0
-        if self.supports_fused:
-            edges = 0
-            for shard in self.batch_shards(views):
-                edges += self.apply_partial(self.batch_partial(shard))
-            return edges
         edges = 0
-        for tv in views:
-            edges += self.process_tile(tv)
+        for shard in self.shard_views(views):
+            edges += self.apply_partial(self.batch_partial(shard))
         return edges
 
     @classmethod
@@ -168,8 +163,8 @@ class TileAlgorithm(abc.ABC):
         return chunk_by_edges(views)
 
     def batch_shards(self, views: "list[TileView]") -> "list[list[TileView]]":
-        """Instance-side alias of :meth:`shard_views` (same structure on
-        every execution path — that is the determinism contract)."""
+        """The layer walk's alias of :meth:`shard_views`; nothing in
+        ``src/`` calls it."""
         return type(self).shard_views(views)
 
     def batch_partial(self, views: "list[TileView]"):
@@ -192,6 +187,7 @@ class TileAlgorithm(abc.ABC):
             self.kernel_state(), self.kernel_params(), gsrc, gdst
         )
 
+    @abc.abstractmethod
     def apply_partial(self, partial) -> int:
         """Phase 2 of fused execution: commit a partial's updates.
 
@@ -199,17 +195,17 @@ class TileAlgorithm(abc.ABC):
         lands in a deterministic sequence: results are bit-identical across
         worker counts and run-to-run.  Kernels whose updates commute
         exactly (constant writes, integer decrements, idempotent minima —
-        BFS, CC, k-core) additionally match the per-tile loop bit-for-bit;
+        BFS, CC, k-core) additionally match per-tile dispatch bit-for-bit;
         float-accumulating kernels (PageRank, SpMV) match it up to
         floating-point reassociation, the standard parallel-reduction
         contract.  Returns the number of edges the partial covered.
         """
-        raise NotImplementedError(f"{type(self).__name__} has no fused kernel")
 
     # ------------------------------------------------------------------ #
     # Pure-kernel half of the fused contract (what shard workers run)
     # ------------------------------------------------------------------ #
 
+    @abc.abstractmethod
     def kernel_state(self) -> "dict[str, np.ndarray]":
         """The vertex-state arrays :meth:`kernel_partial` reads.
 
@@ -221,8 +217,8 @@ class TileAlgorithm(abc.ABC):
         a partial is computed from them — exactly the read-only
         guarantee :meth:`batch_partial` already makes.
         """
-        raise NotImplementedError(f"{type(self).__name__} has no fused kernel")
 
+    @abc.abstractmethod
     def kernel_params(self) -> "dict[str, object]":
         """Frozen per-iteration scalars for :meth:`kernel_partial`.
 
@@ -230,9 +226,9 @@ class TileAlgorithm(abc.ABC):
         each scatter message, unlike the array payloads, which go through
         shared memory.
         """
-        raise NotImplementedError(f"{type(self).__name__} has no fused kernel")
 
     @staticmethod
+    @abc.abstractmethod
     def kernel_partial(
         state: "dict[str, np.ndarray]",
         params: "dict[str, object]",
@@ -246,12 +242,10 @@ class TileAlgorithm(abc.ABC):
         :meth:`batch_partial` would.  Implementations must be pure
         functions of their arguments (they run in shard worker processes
         where ``self`` does not exist) and must not mutate ``state`` (the
-        views are read-only shared memory).  Fused algorithms route
-        :meth:`batch_partial` through this, so serial, threaded, and
-        sharded execution share one kernel implementation and one
-        floating-point accumulation order.
+        views are read-only shared memory).  :meth:`batch_partial` routes
+        through this, so per-tile, serial, threaded, and sharded execution
+        share one kernel implementation.
         """
-        raise NotImplementedError("no fused kernel")
 
     # ------------------------------------------------------------------ #
     # Activity predicates (selective I/O + proactive caching)

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
 from repro.errors import AlgorithmError
-from repro.format.tiles import TileView
 from repro.types import INF_DEPTH
 
 
@@ -89,9 +88,6 @@ class BFS(TileAlgorithm):
             self._pull = self._frontier_count > unvisited
             self.direction_history.append("pull" if self._pull else "push")
 
-    def process_tile(self, tv: TileView) -> int:
-        return self.apply_partial(self.batch_partial([tv]))
-
     def end_iteration(self, iteration: int) -> bool:
         # The new frontier is exactly the vertices assigned ``level + 1``:
         # one pass over the depth array (microseconds), where a unique
@@ -107,8 +103,6 @@ class BFS(TileAlgorithm):
     # ------------------------------------------------------------------ #
     # Fused batch kernel
     # ------------------------------------------------------------------ #
-
-    supports_fused = True
 
     def kernel_state(self):
         return {"depth": self.depth}

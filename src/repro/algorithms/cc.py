@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
-from repro.format.tiles import TileView
 
 
 class ConnectedComponents(TileAlgorithm):
@@ -68,14 +67,9 @@ class ConnectedComponents(TileAlgorithm):
         super().begin_iteration(iteration)
         self._prev = self.comp.copy()
 
-    def process_tile(self, tv: TileView) -> int:
-        return self.apply_partial(self.batch_partial([tv]))
-
     # ------------------------------------------------------------------ #
     # Fused batch kernel
     # ------------------------------------------------------------------ #
-
-    supports_fused = True
 
     def kernel_state(self):
         return {"prev": self._prev}

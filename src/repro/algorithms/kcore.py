@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
 from repro.errors import AlgorithmError
-from repro.format.tiles import TileView
 
 
 class KCore(TileAlgorithm):
@@ -61,14 +60,9 @@ class KCore(TileAlgorithm):
         self._removed_now = self.active & (self.residual_degree < self.k)
         self.active &= ~self._removed_now
 
-    def process_tile(self, tv: TileView) -> int:
-        return self.apply_partial(self.batch_partial([tv]))
-
     # ------------------------------------------------------------------ #
     # Fused batch kernel
     # ------------------------------------------------------------------ #
-
-    supports_fused = True
 
     def kernel_state(self):
         return {"removed": self._removed_now, "active": self.active}

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
-from repro.format.tiles import TileView
 
 _UNDECIDED = 0
 _IN_SET = 1
@@ -90,38 +89,9 @@ class MaximalIndependentSet(TileAlgorithm):
         # Decided vertices never beat anyone and cannot be beaten.
         self._beaten.fill(False)
 
-    def process_tile(self, tv: TileView) -> int:
-        state = self.state
-        beaten = self._beaten
-        gsrc, gdst = tv.global_edges()
-        if self._knock:
-            winners = self._winners
-            beaten[gdst[winners[gsrc] & (state[gdst] == _UNDECIDED)]] = True
-            beaten[gsrc[winners[gdst] & (state[gsrc] == _UNDECIDED)]] = True
-            return tv.n_edges
-        prio = self._prio
-        und = (state[gsrc] == _UNDECIDED) & (state[gdst] == _UNDECIDED)
-        # A vertex is not its own neighbour: a stored self-loop (directed
-        # graphs keep them) never competes, so it never beats its vertex.
-        und &= gsrc != gdst
-        if und.any():
-            s = gsrc[und]
-            d = gdst[und]
-            ps = prio[s]
-            pd = prio[d]
-            # The lower-priority endpoint is beaten (ties break by ID,
-            # impossible here since the hash is injective per round for
-            # distinct vertices... except collisions; break by ID then).
-            s_loses = (ps < pd) | ((ps == pd) & (s < d))
-            beaten[s[s_loses]] = True
-            beaten[d[~s_loses]] = True
-        return tv.n_edges
-
     # ------------------------------------------------------------------ #
     # Fused batch kernel
     # ------------------------------------------------------------------ #
-
-    supports_fused = True
 
     def kernel_state(self):
         return {

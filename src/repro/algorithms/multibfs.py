@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
 from repro.errors import AlgorithmError
-from repro.format.tiles import TileView
 from repro.types import INF_DEPTH
 
 
@@ -51,29 +50,8 @@ class MultiSourceBFS(TileAlgorithm):
         self.level = 0
 
     # ------------------------------------------------------------------ #
-
-    def process_tile(self, tv: TileView) -> int:
-        level = np.uint32(self.level)
-        nxt = np.uint32(self.level + 1)
-        gsrc, gdst = tv.global_edges()  # gathered once, shared by all k
-        for t in range(self.k):
-            d = self.depth[t]
-            src_d = d[gsrc]
-            dst_d = d[gdst]
-            fwd = (src_d == level) & (dst_d == INF_DEPTH)
-            if fwd.any():
-                d[gdst[fwd]] = nxt
-            if self.symmetric:
-                bwd = (dst_d == level) & (src_d == INF_DEPTH)
-                if bwd.any():
-                    d[gsrc[bwd]] = nxt
-        return tv.n_edges
-
-    # ------------------------------------------------------------------ #
     # Fused batch kernel
     # ------------------------------------------------------------------ #
-
-    supports_fused = True
 
     def kernel_state(self):
         # Flattened view of the C-contiguous (k, V) matrix: the state

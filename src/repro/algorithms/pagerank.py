@@ -3,9 +3,10 @@
 Power iteration with damping: every iteration streams the whole graph, so
 all rows stay active and — crucially for slide-cache-rewind — every cached
 tile is guaranteed useful next iteration.  Contributions are accumulated
-per tile with ``np.bincount`` over the *local* destination IDs: within one
-tile the metadata touched spans only the tile's two vertex ranges, which is
-the access-localisation property measured in Figure 2(b).
+with one ``np.bincount`` per kernel call over window-relative destination
+IDs: the metadata touched spans only the vertex ranges of the tiles the
+call covers, which is the access-localisation property measured in
+Figure 2(b).
 
 Dangling vertices redistribute their rank uniformly each iteration, which
 matches networkx's formulation and keeps the cross-check tight.
@@ -16,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
-from repro.format.tiles import TileView
 
 
 def scatter_sums(
@@ -145,35 +145,9 @@ class PageRank(TileAlgorithm):
         self._acc.fill(0.0)
         self._contrib = self.rank * self._inv_deg
 
-    def process_tile(self, tv: TileView) -> int:
-        acc = self._acc
-        contrib = self._contrib
-        g = self._graph()
-        gsrc, gdst = tv.global_edges()
-        # Accumulate into the destination range through in-window offsets:
-        # the scatter stays inside this tile's 2**tile_bits-vertex window,
-        # which is the metadata-localisation property of Figure 2(b).
-        j_lo, j_hi = g.row_range(tv.j)
-        acc[j_lo:j_hi] += np.bincount(
-            gdst.astype(np.int64) - j_lo,
-            weights=contrib[gsrc],
-            minlength=j_hi - j_lo,
-        )
-        if self.symmetric:
-            # The stored upper triangle carries the mirrored edge too.
-            i_lo, i_hi = g.row_range(tv.i)
-            acc[i_lo:i_hi] += np.bincount(
-                gsrc.astype(np.int64) - i_lo,
-                weights=contrib[gdst],
-                minlength=i_hi - i_lo,
-            )
-        return tv.n_edges
-
     # ------------------------------------------------------------------ #
     # Fused batch kernel
     # ------------------------------------------------------------------ #
-
-    supports_fused = True
 
     def kernel_state(self):
         return {"contrib": self._contrib}

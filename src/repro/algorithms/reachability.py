@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
 from repro.errors import AlgorithmError
-from repro.format.tiles import TileView
 
 
 class Reachability(TileAlgorithm):
@@ -77,30 +76,9 @@ class Reachability(TileAlgorithm):
         super().begin_iteration(iteration)
         self._frontier_next.fill(False)
 
-    def _expand(self, from_ids: np.ndarray, to_ids: np.ndarray) -> None:
-        cand = self._frontier[from_ids] & self.allowed[to_ids] & ~self.visited[to_ids]
-        if cand.any():
-            hit = to_ids[cand]
-            self.visited[hit] = True
-            self._frontier_next[hit] = True
-
-    def process_tile(self, tv: TileView) -> int:
-        gsrc, gdst = tv.global_edges()
-        if self.forward:
-            self._expand(gsrc, gdst)
-            if self.symmetric:
-                self._expand(gdst, gsrc)
-        else:
-            self._expand(gdst, gsrc)
-            if self.symmetric:
-                self._expand(gsrc, gdst)
-        return tv.n_edges
-
     # ------------------------------------------------------------------ #
     # Fused batch kernel
     # ------------------------------------------------------------------ #
-
-    supports_fused = True
 
     def kernel_state(self):
         return {

@@ -32,7 +32,7 @@ from repro.algorithms.pagerank import add_windows, scatter_sums
 from repro.algorithms.reachability import Reachability
 from repro.engine.stats import RunStats
 from repro.errors import AlgorithmError
-from repro.format.tiles import TiledGraph, TileView
+from repro.format.tiles import TiledGraph
 
 
 class SubgraphDegrees(TileAlgorithm):
@@ -42,7 +42,6 @@ class SubgraphDegrees(TileAlgorithm):
     of ones are exact far beyond any degree)."""
 
     name = "degrees"
-    supports_fused = True
 
     def __init__(self, active: np.ndarray) -> None:
         super().__init__()
@@ -52,9 +51,6 @@ class SubgraphDegrees(TileAlgorithm):
         n = self._graph().n_vertices
         self.in_deg = np.zeros(n, dtype=np.float64)
         self.out_deg = np.zeros(n, dtype=np.float64)
-
-    def process_tile(self, tv: TileView) -> int:
-        return self.apply_partial(self.batch_partial([tv]))
 
     def kernel_state(self):
         return {"x": self._x}

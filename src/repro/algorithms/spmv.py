@@ -14,7 +14,6 @@ import numpy as np
 from repro.algorithms.base import TileAlgorithm
 from repro.algorithms.pagerank import add_windows, scatter_sums
 from repro.errors import AlgorithmError
-from repro.format.tiles import TileView
 
 
 class SpMV(TileAlgorithm):
@@ -51,29 +50,9 @@ class SpMV(TileAlgorithm):
         super().begin_iteration(iteration)
         self.y.fill(0.0)
 
-    def process_tile(self, tv: TileView) -> int:
-        g = self._graph()
-        gsrc, gdst = tv.global_edges()
-        j_lo, j_hi = g.row_range(tv.j)
-        self.y[j_lo:j_hi] += np.bincount(
-            gdst.astype(np.int64) - j_lo,
-            weights=self.x[gsrc],
-            minlength=j_hi - j_lo,
-        )
-        if self.symmetric:
-            i_lo, i_hi = g.row_range(tv.i)
-            self.y[i_lo:i_hi] += np.bincount(
-                gsrc.astype(np.int64) - i_lo,
-                weights=self.x[gdst],
-                minlength=i_hi - i_lo,
-            )
-        return tv.n_edges
-
     # ------------------------------------------------------------------ #
     # Fused batch kernel
     # ------------------------------------------------------------------ #
-
-    supports_fused = True
 
     def kernel_state(self):
         return {"x": self.x}

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
 from repro.errors import AlgorithmError
-from repro.format.tiles import TileView, concat_global_edges
+from repro.format.tiles import concat_global_edges
 
 _HASH_A = np.uint64(2654435761)
 _HASH_B = np.uint64(40503)
@@ -78,32 +78,10 @@ class SSSP(TileAlgorithm):
         super().begin_iteration(iteration)
         self._changed_next.fill(False)
 
-    def process_tile(self, tv: TileView) -> int:
-        dist = self.dist
-        gsrc, gdst = tv.global_edges()
-        w = self._weights([tv], gsrc, gdst)
-
-        before = dist[gdst]
-        cand = dist[gsrc] + w
-        np.minimum.at(dist, gdst, cand)
-        improved = dist[gdst] < before
-        if improved.any():
-            self._changed_next[gdst[improved]] = True
-
-        if self.symmetric:
-            before = dist[gsrc]
-            cand = dist[gdst] + w
-            np.minimum.at(dist, gsrc, cand)
-            improved = dist[gsrc] < before
-            if improved.any():
-                self._changed_next[gsrc[improved]] = True
-        return tv.n_edges
-
     # ------------------------------------------------------------------ #
     # Fused batch kernel (live: shards commit in order)
     # ------------------------------------------------------------------ #
 
-    supports_fused = True
     live_kernel = True
 
     def kernel_state(self):

@@ -60,8 +60,8 @@ class EngineConfig:
     overlap: bool = True
     #: Compute-time model for the pipelined timeline.
     cost_model: CostModel = field(default_factory=CostModel)
-    #: Route kernels through the fused batch API (one vectorised pass per
-    #: fetched segment); False forces the per-tile reference loop.
+    #: Kernel dispatch granularity: one vectorised pass per shard of a
+    #: fetched segment; False dispatches the same kernel once per tile.
     fused: bool = True
     #: Worker threads for row-parallel batch execution (§VI-B dynamic row
     #: scheduling).  1 keeps execution single-threaded; ``"auto"`` clamps
@@ -78,8 +78,8 @@ class EngineConfig:
     #: ``REPRO_SHARDS`` environment variable, default 1.  Results and
     #: simulated statistics are bit-identical at any shard count; runs
     #: that cannot shard (per-tile mode, fault injection, checksum
-    #: verification, algorithms without fused kernels or with live ones,
-    #: or spawn/shm unavailable) fall back to the single-process path.
+    #: verification, live kernels, or spawn/shm unavailable) fall back to
+    #: the single-process path.
     #: Results and simulated statistics stay bit-identical across worker
     #: deaths because the supervisor replays lost lanes (bounded by
     #: ``ShardRuntime.RESPAWN_BUDGET``; docs/RELIABILITY.md).

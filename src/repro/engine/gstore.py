@@ -211,10 +211,10 @@ class GStoreEngine:
     def _run_can_shard(self, algorithm: TileAlgorithm) -> bool:
         """Whether this run may execute shard-parallel.
 
-        Sharding needs a fused *snapshot* kernel (workers run the static
-        ``kernel_partial`` from a state snapshot shipped at iteration
-        start — a live kernel must see earlier commits instead) and a
-        clean substrate: *storage* fault injection assigns request
+        Sharding needs fused dispatch of a *snapshot* kernel (workers run
+        the static ``kernel_partial`` from a state snapshot shipped at
+        iteration start — a live kernel must see earlier commits instead)
+        and a clean substrate: *storage* fault injection assigns request
         ordinals in global plan order under one AIO lock, and checksum
         verification happens at coordinator decode — neither exists on
         worker-private replicas, so those runs stay single-process rather
@@ -227,7 +227,6 @@ class GStoreEngine:
             self.shards > 1
             and not self.shard_failed
             and self.config.fused
-            and algorithm.supports_fused
             and not algorithm.live_kernel
             and (
                 self.injector is None
@@ -389,7 +388,7 @@ class GStoreEngine:
         ctx.rewind_key = None
         ctx.rewind_merged = None
         ctx.degraded = False
-        ctx.fused = cfg.fused and algorithm.supports_fused
+        ctx.fused = cfg.fused
         # Private contexts trade intra-query parallelism for cross-query
         # concurrency: no shard scatter (the shard runtime is bound to
         # the engine's clock and gather queue, which are not re-entrant).

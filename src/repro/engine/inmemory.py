@@ -26,11 +26,11 @@ from repro.util.timer import WallTimer
 class InMemoryEngine:
     """Run tile algorithms over a resident :class:`TiledGraph`.
 
-    ``fused`` selects the execution path exactly like
+    ``fused`` selects the kernel dispatch granularity exactly like
     :class:`~repro.engine.config.EngineConfig` does for the semi-external
     engine (see :meth:`~repro.algorithms.base.TileAlgorithm.apply_partial`
-    for the exact-vs-reassociation contract against the per-tile loop);
-    kernels run on the calling thread.
+    for the exact-vs-reassociation contract between the two); kernels run
+    on the calling thread.
     """
 
     name = "inmemory"

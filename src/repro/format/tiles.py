@@ -719,10 +719,10 @@ class TiledGraph:
         pairs — the one decode step behind every reader of tile bytes (the
         engine's slide and rewind, the shard workers, the serving lookup).
 
-        Fused kernels get :meth:`decode_batch`'s run-level views cut into
-        the batch's shard structure; ``fused=False`` (the per-tile
-        reference loop, ``process_tile``-only algorithms) gets one view per
-        tile from :meth:`decode_run` over the same extents, same edge order.
+        Fused dispatch gets :meth:`decode_batch`'s run-level views cut
+        into the batch's shard structure; ``fused=False`` (the same kernels
+        dispatched once per tile) gets one view per tile from
+        :meth:`decode_run` over the same extents, same edge order.
         """
         if not fused:
             return [tv for run in runs for tv, _ in self.decode_run(*run)]

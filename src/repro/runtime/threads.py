@@ -79,15 +79,16 @@ def execute_batch(
     fused: bool = True,
     pool: "ThreadPoolExecutor | None" = None,
 ) -> int:
-    """Run one batch of tile views through an algorithm.
+    """Run one batch of tile views through an algorithm's kernel.
 
-    ``fused=False`` is the per-tile reference loop; ``fused=True`` routes
-    through :meth:`TileAlgorithm.process_batch`.  Handed a ``pool`` and a
-    fused snapshot kernel, the read-only partial phase is sharded by the
-    algorithm's :meth:`batch_shards` and mapped over the pool's work
-    queue, and the partials are committed serially in shard order.
-    Because the shard structure is worker-independent and the serial
-    :meth:`process_batch` walks the *same* shards, results are
+    ``fused`` is the dispatch granularity of that one kernel:
+    ``fused=False`` calls it once per tile (:meth:`process_tile`),
+    ``fused=True`` once per shard (:meth:`TileAlgorithm.process_batch`).
+    Handed a ``pool`` and a snapshot kernel, the read-only partial phase
+    is sharded by the algorithm's :meth:`shard_views` and mapped over the
+    pool's work queue, and the partials are committed serially in shard
+    order.  Because the shard structure is worker-independent and the
+    serial :meth:`process_batch` walks the *same* shards, results are
     bit-identical with or without a pool of any size — a deterministic
     merge with OpenMP ``schedule(dynamic)`` balance (§VI-B).  Live kernels
     (``algorithm.live_kernel``) need each shard's commit before the next
@@ -101,13 +102,8 @@ def execute_batch(
         for tv in views:
             edges += algorithm.process_tile(tv)
         return edges
-    if (
-        pool is not None
-        and algorithm.supports_fused
-        and not algorithm.live_kernel
-        and len(views) > 1
-    ):
-        shards = algorithm.batch_shards(views)
+    if pool is not None and not algorithm.live_kernel and len(views) > 1:
+        shards = algorithm.shard_views(views)
         if len(shards) > 1:
             partials = list(pool.map(algorithm.batch_partial, shards))
             return sum(algorithm.apply_partial(p) for p in partials)

@@ -99,8 +99,9 @@ def test_matrix_batches_cut_into_several_shards(graph, monkeypatch):
     the file lowers it."""
 
     class Counting(PageRank):
-        def batch_shards(self, views):
-            shards = super().batch_shards(views)
+        @classmethod
+        def shard_views(cls, views):
+            shards = super().shard_views(views)
             counts.append(len(shards))
             return shards
 

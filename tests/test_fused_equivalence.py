@@ -1,6 +1,8 @@
 """Fused-vs-per-tile equivalence of the batch execution layer.
 
-The execution contract, verified here over random R-MAT graphs (undirected
+Per-tile and fused are two dispatch granularities of one kernel
+(``process_tile`` is ``apply_partial(batch_partial([tv]))``).  The
+execution contract, verified here over random R-MAT graphs (undirected
 symmetric storage and directed storage) pushed through tiny memory budgets
 so every mechanism fires (multi-batch slides, proactive caching, rewind):
 
@@ -9,22 +11,29 @@ so every mechanism fires (multi-batch slides, proactive caching, rewind):
   worker-independent shard structure in the same order.
 * Kernels whose updates commute exactly (BFS/MultiBFS/reachability
   constant writes, CC minima, k-core integer decrements, MIS marks) are
-  additionally bit-identical to the per-tile reference loop.
-* Float-accumulating kernels (PageRank, SpMV) match the per-tile loop up
+  additionally bit-identical to per-tile dispatch.
+* Float-accumulating kernels (PageRank, SpMV) match per-tile dispatch up
   to floating-point reassociation — the standard parallel-reduction
   contract — with identical iteration counts.
 * ``edges_processed`` accounting is exactly identical everywhere for
   those snapshot kernels.
 * The live kernels (SSSP, AsyncBFS) relax to a unique fixpoint, so their
-  results are bit-identical to the per-tile loop too; their relaxation
+  results are bit-identical to per-tile dispatch too; their relaxation
   *order* is shard- instead of tile-granular, so iteration and edge counts
-  match across the fused modes only, not against the per-tile loop.
+  match across the fused modes only, not against per-tile dispatch.
+* The algorithms whose only implementation is that kernel (PageRank, SpMV,
+  MIS, MultiBFS, reachability, SSSP, AsyncBFS) are also checked, in every
+  mode, against an oracle that shares no code with it (networkx, scipy)
+  — on the two R-MAT graphs and on one graph of the format's edge cases.
 """
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from repro.algorithms.async_bfs import AsyncBFS
 from repro.algorithms.base import TileAlgorithm
@@ -36,12 +45,15 @@ from repro.algorithms.multibfs import MultiSourceBFS
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.reachability import Reachability
 from repro.algorithms.spmv import SpMV
-from repro.algorithms.sssp import SSSP
+from repro.algorithms.sssp import SSSP, edge_weights
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
 from repro.engine.inmemory import InMemoryEngine
+from repro.format.edgelist import EdgeList
 from repro.format.tiles import TiledGraph
 from repro.graphgen.rmat import rmat
+from repro.types import INF_DEPTH
+from tests.test_property_algorithms import _nx, _oracle_matrix
 
 ALGOS = {
     "bfs": lambda: BFS(root=0),
@@ -82,23 +94,150 @@ def _assert_matches(result, ref, exact: bool, ctx) -> None:
 MODES = [
     ("per-tile", False, 1),
     ("fused", True, 1),
-    ("fused+parallel", True, 4),
+    ("fused+parallel", True, 2),
 ]
 
 
-def _graph(directed: bool, seed: int) -> TiledGraph:
-    el = rmat(9, edge_factor=8, seed=seed, directed=directed)
-    if directed:
-        el = el.without_self_loops()
-    return TiledGraph.from_edge_list(el, tile_bits=6, group_q=4)
+KINDS = ["undirected", "directed", "edge-cases"]
+
+
+def _edge_cases() -> EdgeList:
+    """One directed graph carrying the format's edge cases at
+    ``tile_bits=6``: self-loops, duplicate edges, the max-ID vertex (in a
+    partial last tile row), two hubs on either side of a tile-row boundary
+    whose spokes land in every row, and — the random edges being confined
+    to a vertex prefix — many empty tiles."""
+    n = 500
+    rng = np.random.default_rng(33)
+    src = rng.integers(0, 200, 1500)
+    dst = rng.integers(0, 200, 1500)
+    dup = rng.integers(0, 1500, 40)
+    loops = np.concatenate([rng.integers(0, n, 10), [0, n - 1]])
+    spokes = rng.integers(0, n, 80)
+    hubs = np.repeat([63, 64], 40)
+    src = np.concatenate([src, src[dup], loops, hubs, spokes, [n - 1, 7]])
+    dst = np.concatenate([dst, dst[dup], loops, spokes, hubs, [3, n - 1]])
+    return EdgeList(
+        src.astype(np.uint32), dst.astype(np.uint32), n, directed=True,
+        name="edge-cases",
+    )
+
+
+def _edge_list(kind: str) -> EdgeList:
+    if kind == "edge-cases":
+        return _edge_cases()
+    directed = kind == "directed"
+    el = rmat(9, edge_factor=8, seed=32 if directed else 31, directed=directed)
+    return el.without_self_loops() if directed else el
 
 
 @pytest.fixture(scope="module")
-def graphs():
-    return {
-        "undirected": _graph(directed=False, seed=31),
-        "directed": _graph(directed=True, seed=32),
+def edge_lists():
+    return {kind: _edge_list(kind) for kind in KINDS}
+
+
+@pytest.fixture(scope="module")
+def graphs(edge_lists):
+    tiled = {
+        kind: TiledGraph.from_edge_list(el, tile_bits=6, group_q=4)
+        for kind, el in edge_lists.items()
     }
+    assert (tiled["edge-cases"].tile_edge_counts() == 0).sum() > 8
+    return tiled
+
+
+# ---------------------------------------------------------------------- #
+# Independent oracles, straight off the source edge list
+# ---------------------------------------------------------------------- #
+
+def _arcs(el: EdgeList):
+    """Every directed arc the stored graph means, duplicates kept."""
+    if el.directed:
+        return el.src.astype(np.int64), el.dst.astype(np.int64)
+    canon = el.canonicalized()
+    s, d = canon.src.astype(np.int64), canon.dst.astype(np.int64)
+    return np.concatenate([s, d]), np.concatenate([d, s])
+
+
+def _nx_depths(el: EdgeList, root: int) -> np.ndarray:
+    depth = np.full(el.n_vertices, INF_DEPTH, dtype=np.uint32)
+    for v, d in nx.single_source_shortest_path_length(_nx(el), root).items():
+        depth[v] = d
+    return depth
+
+
+def _transposed_counts(el: EdgeList):
+    """``A.T`` with ``A[s, d]`` the number of stored ``s -> d`` arcs."""
+    s, d = _arcs(el)
+    n = el.n_vertices
+    return sp.coo_matrix((np.ones(s.size), (d, s)), shape=(n, n)).tocsr()
+
+
+def _oracle_multibfs(el, result):
+    for t, root in enumerate([0, 3, 200]):
+        assert np.array_equal(result[t], _nx_depths(el, root)), root
+
+
+def _oracle_async_bfs(el, result):
+    assert np.array_equal(result, _nx_depths(el, 0))
+
+
+def _oracle_reachability(forward: bool):
+    def check(el, result):
+        g = _nx(el)
+        walk = nx.descendants if forward or not el.directed else nx.ancestors
+        expect = {0, 5} | walk(g, 0) | walk(g, 5)
+        assert set(np.nonzero(result)[0].tolist()) == expect
+    return check
+
+
+def _oracle_sssp(el, result):
+    ref = dijkstra(_oracle_matrix(el, edge_weights), directed=True, indices=0)
+    assert np.array_equal(np.isinf(result), np.isinf(ref))
+    assert np.allclose(result, ref, rtol=1e-12, atol=0.0)
+
+
+def _oracle_spmv(el, result):
+    at = _transposed_counts(el)
+    y = np.ones(el.n_vertices)
+    for _ in range(3):
+        y = at @ y
+    assert np.allclose(result, y, rtol=1e-12, atol=0.0)
+
+
+def _oracle_pagerank(el, result):
+    """25 damped power steps on scipy's mat-vec (the run stops at its
+    iteration cap long before the 1e-12 tolerance)."""
+    at = _transposed_counts(el)
+    n = el.n_vertices
+    deg = np.asarray(at.sum(axis=0)).ravel()
+    dangling = deg == 0
+    inv = 1.0 / np.where(dangling, 1.0, deg)
+    r = np.full(n, 1.0 / n)
+    for _ in range(25):
+        r = 0.15 / n + 0.85 * (at @ (r * inv) + r[dangling].sum() / n)
+    assert np.allclose(result, r, rtol=1e-9, atol=0.0)
+
+
+def _oracle_mis(el, result):
+    g = nx.Graph(_nx(el))
+    g.remove_edges_from(list(nx.selfloop_edges(g)))
+    members = set(np.nonzero(result)[0].tolist())
+    assert g.subgraph(members).number_of_edges() == 0  # independent
+    assert nx.is_dominating_set(g, members)  # maximal
+
+
+#: The algorithms with no second implementation to cross-check against.
+ORACLES = {
+    "pagerank": _oracle_pagerank,
+    "spmv": _oracle_spmv,
+    "mis": _oracle_mis,
+    "multibfs": _oracle_multibfs,
+    "reachability-fwd": _oracle_reachability(forward=True),
+    "reachability-bwd": _oracle_reachability(forward=False),
+    "sssp": _oracle_sssp,
+    "async-bfs": _oracle_async_bfs,
+}
 
 
 def _run(tg: TiledGraph, algo_factory, fused: bool, workers: int):
@@ -116,17 +255,21 @@ def _run(tg: TiledGraph, algo_factory, fused: bool, workers: int):
     return algo.result().copy(), stats
 
 
-@pytest.mark.parametrize("kind", ["undirected", "directed"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", sorted(ALGOS))
-def test_engine_equivalence(graphs, kind, name):
+def test_engine_equivalence(graphs, edge_lists, kind, name):
     tg = graphs[kind]
     factory = ALGOS[name]
+    oracle = ORACLES.get(name, lambda el, result: None)
     exact_vs_per_tile = name not in FLOAT_ALGOS
     per_tile, ref_stats = _run(tg, factory, *MODES[0][1:])
+    assert not ref_stats.extra["execution"]["fused"]
+    oracle(edge_lists[kind], per_tile)
     fused_results = []
     for label, fused, workers in MODES[1:]:
         result, stats = _run(tg, factory, fused=fused, workers=workers)
         assert stats.extra["execution"]["fused"], (name, kind, label)
+        oracle(edge_lists[kind], result)
         _assert_matches(result, per_tile, exact_vs_per_tile, (name, kind, label))
         fused_results.append((label, result))
         if name in LIVE_ALGOS:
@@ -172,52 +315,44 @@ def test_inmemory_equivalence(graphs, name):
         assert edges == ref_edges, (name, label)
 
 
-class _PerTileOnlyDegree(TileAlgorithm):
-    """A user-style algorithm that implements ``process_tile`` and nothing
-    of the fused contract: one pass counting stored out-edges."""
-
-    def _setup(self) -> None:
-        self.count = np.zeros(self._graph().n_vertices, dtype=np.int64)
-
-    def process_tile(self, tv) -> int:
-        gsrc, _ = tv.global_edges()
-        np.add.at(self.count, gsrc, 1)
-        return tv.n_edges
-
-    def end_iteration(self, iteration: int) -> bool:
-        return False
-
-    def result(self) -> np.ndarray:
-        return self.count
+#: The least a ``TileAlgorithm`` subclass must define: the lifecycle hooks
+#: and the four kernel-contract methods.
+_CONTRACT = {
+    "_setup": lambda self: None,
+    "end_iteration": lambda self, iteration: False,
+    "result": lambda self: None,
+    "kernel_state": lambda self: {},
+    "kernel_params": lambda self: {},
+    "kernel_partial": staticmethod(
+        lambda state, params, gsrc, gdst: int(gsrc.shape[0])
+    ),
+    "apply_partial": lambda self, partial: partial,
+}
 
 
-def test_default_fallback_loops_per_tile(graphs):
-    """Algorithms without fused kernels run identically via process_batch."""
+@pytest.mark.parametrize(
+    "missing",
+    ["kernel_state", "kernel_params", "kernel_partial", "apply_partial"],
+)
+def test_incomplete_kernel_contract_cannot_be_constructed(graphs, missing):
+    """An algorithm is a kernel: a subclass missing any of the four
+    contract methods fails at construction, typed, not mid-run — and
+    ``process_tile`` is that kernel on one tile, never overridden."""
+    body = {k: v for k, v in _CONTRACT.items() if k != missing}
+    with pytest.raises(TypeError, match=missing):
+        type("Incomplete", (TileAlgorithm,), body)()
     tg = graphs["undirected"]
-    assert not _PerTileOnlyDegree().supports_fused
-    runs = []
     for fused in (False, True):
-        engine = InMemoryEngine(tg, fused=fused)
-        algo = _PerTileOnlyDegree()
-        stats = engine.run(algo)
-        assert stats.edges_processed == tg.n_edges
-        runs.append(algo.result().copy())
-    # The semi-external engine takes the same fallback under its default
-    # (fused) config and says so.
-    result, stats = _run(tg, _PerTileOnlyDegree, fused=True, workers=1)
-    assert not stats.extra["execution"]["fused"]
-    runs.append(result)
-    assert np.array_equal(runs[0], runs[1])
-    assert np.array_equal(runs[0], runs[2])
-    el = tg.to_edge_list()
-    assert np.array_equal(
-        runs[0], np.bincount(el.src, minlength=tg.n_vertices)
-    )
+        algo = type("Complete", (TileAlgorithm,), dict(_CONTRACT))()
+        assert InMemoryEngine(tg, fused=fused).run(algo).edges_processed == (
+            tg.n_edges
+        )
 
 
 def test_every_shipped_algorithm_is_fused():
-    """No in-repo algorithm takes the per-tile fallback by default, and
-    the live kernels are exactly the two asynchronous relaxations."""
+    """Every in-repo algorithm is a kernel (the base class is abstract
+    without one); the live ones are exactly the two asynchronous
+    relaxations."""
     import repro.algorithms  # noqa: F401 - imports every algorithm module
 
     shipped = [
@@ -225,5 +360,4 @@ def test_every_shipped_algorithm_is_fused():
         if cls.__module__.startswith("repro.algorithms.")
     ]
     assert len(shipped) >= 10
-    assert all(cls.supports_fused for cls in shipped), shipped
     assert {cls for cls in shipped if cls.live_kernel} == {SSSP, AsyncBFS}

@@ -110,13 +110,14 @@ class TestMechanics:
 
 
 class TestFusedByteGuard:
-    """The shard-granular live kernel must not read more than the per-tile
-    Gauss-Seidel it replaced.
+    """Coarser dispatch must not cost bytes: the live kernel at shard
+    granularity reads no more than the same kernel dispatched per tile.
 
-    A single in-order sweep at 8-shard granularity commits less often
-    than the per-tile loop and reads 2-5 % *more* bytes; relaxing each
-    resident shard a second time (``SSSP.apply_partial``) is what turns
-    that into a saving, and this guard fails without it.
+    A single in-order relaxation per dispatch commits less often at
+    8-shard granularity than per tile and reads 2-5 % *more* bytes;
+    relaxing the resident edges a second time (``SSSP.apply_partial``)
+    helps the coarse dispatch more than the fine one and turns that into
+    a saving — with one pass at both granularities this guard fails.
     """
 
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -46,11 +46,11 @@ class _FakeView:
 
 
 class _Recorder(TileAlgorithm):
-    """A fused snapshot kernel over fake views: a shard's partial is the
-    ids of its views (computed after ``work(shard)``), and applying it
-    appends them to ``applied`` — so ``applied`` is the commit order."""
-
-    supports_fused = True
+    """A snapshot kernel over fake views: a shard's partial is the ids of
+    its views (computed after ``work(shard)``), and applying it appends
+    them to ``applied`` — so ``applied`` is the commit order.  The fake
+    views carry no edges, so ``batch_partial`` stands in for the kernel
+    the contract's other three methods would feed."""
 
     def __init__(self, work=lambda shard: None):
         super().__init__()
@@ -61,15 +61,21 @@ class _Recorder(TileAlgorithm):
     def _setup(self) -> None:
         pass
 
-    def process_tile(self, tv) -> int:
-        self.applied.append([tv.i])
-        return tv.lsrc.shape[0]
-
     def end_iteration(self, iteration: int) -> bool:
         return False
 
     def result(self):
         return self.applied
+
+    def kernel_state(self):
+        return {}
+
+    def kernel_params(self):
+        return {}
+
+    @staticmethod
+    def kernel_partial(state, params, gsrc, gdst):
+        raise AssertionError("batch_partial is overridden")
 
     def batch_partial(self, views):
         self.threads.add(threading.current_thread().name)
@@ -447,8 +453,9 @@ class TestShardFloor:
             seen: "list[list[int]]" = []
 
             class Recording(PageRank):
-                def batch_shards(self, views):
-                    shards = super().batch_shards(views)
+                @classmethod
+                def shard_views(cls, views):
+                    shards = super().shard_views(views)
                     seen.append([sum(_edges(shard)) for shard in shards])
                     return shards
 

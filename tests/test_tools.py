@@ -223,7 +223,9 @@ def test_source_structure_holds():
     level only, the shard structure (which *is* the float accumulation
     order) is assigned in one place, tile bytes take one path — no
     execution layer holds per-tile buffers, no algorithm opens the store,
-    one function decodes a batch — the tile grid is never walked (no
+    one function decodes a batch, one function is the kernel on a single
+    tile (no algorithm carries a per-tile twin, nothing asks whether an
+    algorithm is fused) — the tile grid is never walked (no
     tuple-list geometry, no per-tile payload iterator, one engine per SCC
     driver) and the format package reads bytes without the storage or
     engine layers — and the option surface — config fields and environment
@@ -238,8 +240,22 @@ def test_source_structure_holds():
     upward, late, shard_assigned, env_keys, env_mentions = [], [], [], [], 0
     per_tile, off_engine, batch_decoders = [], [], []
     walked, format_reach = [], []
+    tile_kernels, fused_asked, twin_imports = [], [], []
     for rel, tree in _src_trees():
         package = rel.split(os.sep)[0]
+        tile_kernels += [
+            f"{rel}: {fn.name}" for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "process_tile"
+        ]
+        fused_asked += [
+            rel for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "supports_fused"
+        ]
+        if package == "algorithms" and os.path.basename(rel) != "base.py":
+            twin_imports += [
+                f"{rel}: {m}" for m in _imports(tree)
+                if m.endswith(".TileView")
+            ]
         walked += [
             f"{rel}: {name}"
             for node in ast.walk(tree)
@@ -301,6 +317,11 @@ def test_source_structure_holds():
     assert not off_engine, off_engine
     assert not walked, walked
     assert not format_reach, format_reach
+    assert tile_kernels == [
+        os.path.join("algorithms", "base.py") + ": process_tile"
+    ]
+    assert not fused_asked, fused_asked
+    assert not twin_imports, twin_imports
     assert batch_decoders == [
         os.path.join("format", "tiles.py") + ": decode_extents"
     ]

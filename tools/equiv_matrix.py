@@ -14,6 +14,9 @@ The enumeration:
 * 11 algorithms + direction-optimising BFS × undirected/directed storage ×
   fused/per-tile × ``prefetch_depth`` 0/2 × ``workers`` 1/2 × selective
   on/off × the 24 KB/4 KB and 8 KB/4 KB budgets (768 single-process runs).
+  Fused/per-tile is one kernel at two dispatch granularities (a shard of
+  the batch, or a single tile) — every algorithm has exactly one
+  implementation, so the axis compares dispatch, not twins.
   The directed graph keeps its self-loops.  ``MIN_SHARD_EDGES`` is lowered
   for these, as the tier-1 matrices lower it, so the ~1 000-edge batches of
   those budgets still cut into several shards.
