@@ -26,12 +26,11 @@ from repro import (
     kronecker,
 )
 from repro.baselines.common import BaselineConfig
+from repro.bench.experiments import PR_FIXED_ITERS, run_comparator
 from repro.storage.device import DeviceProfile
 from repro.storage.raid import Raid0Array
 from repro.storage.tiered import TieredArray, plan_hot_groups
 from repro.util.humanize import fmt_bytes, fmt_time
-
-PR_ITERS = 8
 
 #: Device latency scaled with the ~1000x graph downscaling (see
 #: DESIGN.md) so request-batching effects keep their real proportions.
@@ -57,7 +56,7 @@ def main() -> None:
     gstore = {}
     for label, algo in [
         ("bfs", BFS(root=0)),
-        ("pagerank", PageRank(max_iterations=PR_ITERS, tolerance=0.0)),
+        ("pagerank", PageRank(max_iterations=PR_FIXED_ITERS, tolerance=0.0)),
         ("cc", ConnectedComponents()),
     ]:
         stats = GStoreEngine(graph, gcfg).run(algo)
@@ -65,29 +64,21 @@ def main() -> None:
 
     # --- Baselines ------------------------------------------------------
     rows = []
-    for engine_name, factory in [
-        ("xstream", lambda: XStreamEngine(edges, bcfg)),
-        ("flashgraph", lambda: FlashGraphEngine(edges, bcfg)),
-        ("gridgraph", lambda: GridGraphEngine(edges, bcfg, n_parts=16)),
+    for eng in [
+        XStreamEngine(edges, bcfg),
+        FlashGraphEngine(edges, bcfg),
+        GridGraphEngine(edges, bcfg, n_parts=16),
     ]:
-        eng = factory()
         speeds = {}
         for label in ["bfs", "pagerank", "cc"]:
-            if label == "bfs":
-                result, stats = eng.run_bfs(0)
-            elif label == "pagerank":
-                result, stats = eng.run_pagerank(
-                    max_iterations=PR_ITERS, tolerance=0.0
-                )
-            else:
-                result, stats = eng.run_cc()
+            result, stats = run_comparator(eng, label)
             ref_result, ref_stats = gstore[label]
             if label == "pagerank":
                 assert np.allclose(result, ref_result, atol=1e-10)
             else:
                 assert np.array_equal(result, ref_result)
             speeds[label] = stats.sim_elapsed / ref_stats.sim_elapsed
-        rows.append((engine_name, speeds))
+        rows.append((eng.name, speeds))
 
     print("results verified identical across engines\n")
     print(f"{'engine':<12} {'BFS':>8} {'PageRank':>10} {'CC/WCC':>8}   (G-Store speedup)")

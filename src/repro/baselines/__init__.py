@@ -9,9 +9,11 @@
 * :mod:`repro.baselines.gridgraph` — 2-level 2-D grid streaming with
   OS-page-cache-style LRU (Zhu et al., ATC'15).
 
-All three run their computation for real (vectorised NumPy) so results are
-bit-comparable with G-Store's, while their I/O volume and request pattern
-are accounted on the same simulated SSD array.
+A comparator is a storage layout plus an I/O model.  BFS, PageRank and CC
+are written once (:class:`repro.baselines.common.ComparatorEngine`) and run
+for real (vectorised NumPy) over each model's own edge order, so results
+are bit-comparable with G-Store's; each module answers only what an
+iteration costs to read, accounted on the same simulated SSD array.
 """
 
 from repro.baselines.flashgraph import FlashGraphEngine

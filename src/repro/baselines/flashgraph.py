@@ -7,263 +7,101 @@ out-CSR and the in-CSR (8 bytes per edge in total — the paper's §IV-A
 criticism), and label-propagation CC touches both sides.  For undirected
 graphs the CSR holds both orientations of every edge (no symmetry saving).
 
-The computation runs vectorised over the in-memory CSR for correctness;
-the I/O cost is whatever the page cache misses, read as merged page runs
-through the simulated array.
+The module is the layout (the CSR pair) and its I/O model — whatever the
+page cache misses of the active vertices' adjacency, read as merged page
+runs through the simulated array; the programs are
+:class:`~repro.baselines.common.ComparatorEngine`'s, run over the out-CSR
+expanded to flat edge arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import BaselineConfig, pagerank_new_rank, phase_time
+from repro.baselines.common import BaselineConfig, ComparatorEngine, Phase
 from repro.cache.pagecache import LRUPageCache
-from repro.engine.stats import IterationStats, RunStats
 from repro.format.csr import CSRGraph, build_bidirectional
 from repro.format.edgelist import EdgeList
-from repro.types import INF_DEPTH
-from repro.util.timer import SimClock, WallTimer
 
 PAGE_BYTES = 4096
 _ENTRY_BYTES = 4  # one uint32 adjacency entry
 
 
-def _flat_sources(csr: CSRGraph) -> np.ndarray:
-    """Per-adjacency-entry source vertex (vectorised CSR expansion)."""
-    return np.repeat(
-        np.arange(csr.n_vertices, dtype=np.int64), np.diff(csr.beg_pos)
+def _runs(ids: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``(first, last)`` of each run of consecutive values in ascending ``ids``."""
+    breaks = np.nonzero(np.diff(ids) > 1)[0]
+    return (
+        ids[np.concatenate([[0], breaks + 1])],
+        ids[np.concatenate([breaks, [ids.size - 1]])],
     )
 
 
-class FlashGraphEngine:
+class FlashGraphEngine(ComparatorEngine):
     """Semi-external CSR engine with LRU page cache and selective I/O."""
 
     name = "flashgraph"
 
     def __init__(self, edges: EdgeList, config: "BaselineConfig | None" = None):
-        self.config = config or BaselineConfig()
-        self.directed_input = edges.directed
         self.out_csr, self.in_csr = build_bidirectional(edges)
-        self.n_vertices = edges.n_vertices
-        self.clock = SimClock()
-        self.array = self.config.make_array()
+        out = self.out_csr
+        super().__init__(
+            config,
+            out.name,
+            edges.n_vertices,
+            np.repeat(np.arange(out.n_vertices, dtype=np.int64), np.diff(out.beg_pos)),
+            out.adj.astype(np.int64),
+        )
         self.cache = LRUPageCache(
             capacity_bytes=self.config.memory_bytes, page_bytes=PAGE_BYTES
         )
         # On-disk layout: out-CSR adjacency first, then (if distinct) in-CSR.
-        self._out_base = 0
-        out_bytes = self.out_csr.n_edges * _ENTRY_BYTES
-        self._in_base = out_bytes if self.in_csr is not self.out_csr else 0
-        # Precomputed flat edge arrays for the vectorised kernels.
-        self._out_src = _flat_sources(self.out_csr)
-        self._out_dst = self.out_csr.adj.astype(np.int64)
-
-    # ------------------------------------------------------------------ #
-    # Selective page I/O
-    # ------------------------------------------------------------------ #
+        self._sides = [(out, 0)]
+        if self.in_csr is not out:
+            self._sides.append((self.in_csr, out.n_edges * _ENTRY_BYTES))
 
     def _adjacency_pages(
         self, vertices: np.ndarray, csr: CSRGraph, base: int
     ) -> np.ndarray:
-        """Page IDs covering the adjacency extents of ``vertices``.
+        """Page IDs covering the adjacency extents of ascending ``vertices``.
 
         Consecutive vertices merge into runs first (their adjacency is
         contiguous in CSR), then each run expands to its page range.
         """
         if vertices.size == 0:
             return np.empty(0, dtype=np.int64)
-        v = np.sort(vertices)
-        beg = csr.beg_pos
-        # Merge runs of consecutive vertex IDs.
-        breaks = np.nonzero(np.diff(v) > 1)[0]
-        run_starts = np.concatenate([[0], breaks + 1])
-        run_ends = np.concatenate([breaks, [v.size - 1]])
-        pages: "list[np.ndarray]" = []
-        for s_idx, e_idx in zip(run_starts, run_ends):
-            lo_byte = base + int(beg[v[s_idx]]) * _ENTRY_BYTES
-            hi_byte = base + int(beg[v[e_idx] + 1]) * _ENTRY_BYTES
-            if hi_byte <= lo_byte:
-                continue
-            pages.append(
-                np.arange(lo_byte // PAGE_BYTES, (hi_byte - 1) // PAGE_BYTES + 1)
-            )
-        if not pages:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(pages))
-
-    def _fetch(self, pages: np.ndarray) -> "tuple[float, int, int]":
-        """Run pages through the LRU cache; read misses as merged extents.
-
-        Returns ``(io_time, bytes_read, bytes_from_cache)``.
-        """
-        if pages.size == 0:
-            return 0.0, 0, 0
-        missed: "list[int]" = []
-        cache = self.cache
-        for pid in pages.tolist():
-            if pid in cache._pages:
-                cache._pages.move_to_end(pid)
-                cache.stats.hits += 1
-            else:
-                cache.stats.misses += 1
-                missed.append(pid)
-                if cache.capacity_pages > 0:
-                    cache._pages[pid] = None
-                    if len(cache._pages) > cache.capacity_pages:
-                        cache._pages.popitem(last=False)
-                        cache.stats.evictions += 1
-        cache.stats.accesses += pages.size
-        hit_bytes = (pages.size - len(missed)) * PAGE_BYTES
-        if not missed:
-            return 0.0, 0, hit_bytes
-        # Merge consecutive missed pages into extents.
-        arr = np.asarray(missed, dtype=np.int64)
-        breaks = np.nonzero(np.diff(arr) > 1)[0]
-        starts = np.concatenate([[0], breaks + 1])
-        ends = np.concatenate([breaks, [arr.size - 1]])
-        extents = [
-            (int(arr[s]) * PAGE_BYTES, int(arr[e] - arr[s] + 1) * PAGE_BYTES)
-            for s, e in zip(starts, ends)
+        first, last = _runs(vertices)
+        lo = base + csr.beg_pos[first].astype(np.int64) * _ENTRY_BYTES
+        hi = base + csr.beg_pos[last + 1].astype(np.int64) * _ENTRY_BYTES
+        pages = [
+            np.arange(a // PAGE_BYTES, (b - 1) // PAGE_BYTES + 1)
+            for a, b in zip(lo.tolist(), hi.tolist())
+            if b > a
         ]
-        io_t = self.array.read_batch_time(extents)
-        return io_t, len(missed) * PAGE_BYTES, hit_bytes
+        return np.unique(np.concatenate(pages)) if pages else np.empty(0, np.int64)
 
-    def _account(
-        self,
-        stats: RunStats,
-        iteration: int,
-        io_t: float,
-        bytes_read: int,
-        bytes_cached: int,
-        edges: int,
-    ) -> None:
-        it = IterationStats(iteration=iteration)
-        it.io_time = io_t
-        it.compute_time = self.config.cost_model.compute_time(
-            stats.algorithm, edges
-        )
-        it.bytes_read = bytes_read
-        it.bytes_from_cache = bytes_cached
-        it.edges_processed = edges
-        it.elapsed = phase_time(io_t, it.compute_time, self.config.overlap)
-        stats.add_iteration(it)
-        self.clock.advance(it.elapsed)
+    def _fetch(self, pages: np.ndarray, phase: Phase) -> None:
+        """Run pages through the LRU cache; read the misses as merged extents."""
+        missed = np.asarray(self.cache.access_pages(pages), dtype=np.int64)
+        phase.bytes_from_cache += (pages.size - missed.size) * PAGE_BYTES
+        phase.bytes_read += missed.size * PAGE_BYTES
+        if missed.size:
+            phase.io_time += self.array.read_batch_time([
+                (int(lo) * PAGE_BYTES, int(hi - lo + 1) * PAGE_BYTES)
+                for lo, hi in zip(*_runs(missed))
+            ])
 
-    # ------------------------------------------------------------------ #
-    # Algorithms
-    # ------------------------------------------------------------------ #
-
-    def run_bfs(self, root: int = 0) -> "tuple[np.ndarray, RunStats]":
-        """BFS over out-edges with selective adjacency reads."""
-        stats = RunStats(
-            engine=self.name, algorithm="bfs", graph=self.out_csr.name
-        )
-        with WallTimer() as wall:
-            beg = self.out_csr.beg_pos
-            adj = self.out_csr.adj
-            depth = np.full(self.n_vertices, INF_DEPTH, dtype=np.uint32)
-            depth[root] = 0
-            level = 0
-            while True:
-                frontier = np.nonzero(depth == np.uint32(level))[0]
-                if frontier.size == 0:
-                    break
-                pages = self._adjacency_pages(frontier, self.out_csr, self._out_base)
-                io_t, br, bc = self._fetch(pages)
-                counts = (beg[frontier + 1] - beg[frontier]).astype(np.int64)
-                total = int(counts.sum())
-                if total:
-                    starts = beg[frontier].astype(np.int64)
-                    idx = np.repeat(starts, counts) + (
-                        np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-                    )
-                    neigh = adj[idx]
-                    fresh = neigh[depth[neigh] == INF_DEPTH]
-                    depth[fresh] = np.uint32(level + 1)
-                self._account(stats, level, io_t, br, bc, total)
-                level += 1
-        stats.wall_seconds = wall.elapsed
-        return depth, stats
-
-    def run_pagerank(
-        self,
-        damping: float = 0.85,
-        max_iterations: int = 100,
-        tolerance: float = 1e-6,
-    ) -> "tuple[np.ndarray, RunStats]":
-        """PageRank over out-edges; every iteration reads the whole out-CSR."""
-        stats = RunStats(
-            engine=self.name, algorithm="pagerank", graph=self.out_csr.name
-        )
-        with WallTimer() as wall:
-            n = self.n_vertices
-            deg = self.out_csr.out_degrees().astype(np.float64)
-            dangling = deg == 0
-            inv_deg = 1.0 / np.where(dangling, 1.0, deg)
-            rank = np.full(n, 1.0 / n, dtype=np.float64)
-            all_vertices = np.arange(n, dtype=np.int64)
-            for it in range(max_iterations):
-                pages = self._adjacency_pages(
-                    all_vertices, self.out_csr, self._out_base
-                )
-                io_t, br, bc = self._fetch(pages)
-                contrib = rank * inv_deg
-                acc = np.bincount(
-                    self._out_dst, weights=contrib[self._out_src], minlength=n
-                )
-                self._account(stats, it, io_t, br, bc, self.out_csr.n_edges)
-                new_rank = pagerank_new_rank(acc, rank, dangling, damping)
-                delta = float(np.abs(new_rank - rank).sum())
-                rank = new_rank
-                if delta < tolerance:
-                    break
-        stats.wall_seconds = wall.elapsed
-        return rank, stats
-
-    def run_cc(self, max_iterations: int = 1000) -> "tuple[np.ndarray, RunStats]":
-        """Label-propagation CC touching both in- and out-adjacency.
-
-        This is the redundancy Algorithm 2 of the paper removes: the
-        broadcast along out-edges makes FlashGraph read both CSRs, twice
-        the bytes G-Store moves.
-        """
-        stats = RunStats(engine=self.name, algorithm="cc", graph=self.out_csr.name)
-        with WallTimer() as wall:
-            comp = np.arange(self.n_vertices, dtype=np.int64)
-            active = np.arange(self.n_vertices, dtype=np.int64)
-            for it in range(max_iterations):
-                if active.size == 0:
-                    break
-                pages_out = self._adjacency_pages(
-                    active, self.out_csr, self._out_base
-                )
-                io_t, br, bc = self._fetch(pages_out)
-                if self.in_csr is not self.out_csr:
-                    pages_in = self._adjacency_pages(
-                        active, self.in_csr, self._in_base
-                    )
-                    io2, br2, bc2 = self._fetch(pages_in)
-                    io_t += io2
-                    br += br2
-                    bc += bc2
-                prev = comp.copy()
-                np.minimum.at(comp, self._out_dst, comp[self._out_src])
-                np.minimum.at(comp, self._out_src, comp[self._out_dst])
-                while True:
-                    nxt = comp[comp]
-                    if np.array_equal(nxt, comp):
-                        break
-                    comp = nxt
-                edges = int(
-                    (self.out_csr.beg_pos[active + 1] - self.out_csr.beg_pos[active])
-                    .sum()
-                )
-                if self.in_csr is not self.out_csr:
-                    edges += int(
-                        (self.in_csr.beg_pos[active + 1] - self.in_csr.beg_pos[active])
-                        .sum()
-                    )
-                self._account(stats, it, io_t, br, bc, edges)
-                active = np.nonzero(comp != prev)[0]
-        stats.wall_seconds = wall.elapsed
-        return comp, stats
+    def _iteration(
+        self, active: np.ndarray, updates: int, both_ways: bool
+    ) -> "tuple[list[Phase], int]":
+        """Read the active vertices' out-adjacency — and, when values travel
+        both ways over a directed graph, their in-adjacency too: the
+        redundancy Algorithm 2 of the paper removes (twice the bytes G-Store
+        moves)."""
+        vertices = np.nonzero(active)[0]
+        phase = Phase()
+        for csr, base in self._sides if both_ways else self._sides[:1]:
+            self._fetch(self._adjacency_pages(vertices, csr, base), phase)
+            phase.work += int(
+                (csr.beg_pos[vertices + 1] - csr.beg_pos[vertices]).sum()
+            )
+        return [phase], phase.work

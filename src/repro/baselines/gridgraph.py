@@ -6,25 +6,27 @@ range), and relies on the OS page cache — plain LRU — for reuse across
 iterations.  Relative to G-Store it lacks the SNB tuple compression, the
 symmetry saving, and the proactive caching policy, which is exactly the
 comparison the paper's related-work section draws (§VIII).
+
+The module is the layout (the partition grid) and its I/O model — the
+partitions of every active source row, streamed through the page cache; the
+programs are :class:`~repro.baselines.common.ComparatorEngine`'s, run over
+the grid's row-major edge arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import BaselineConfig, pagerank_new_rank, phase_time
+from repro.baselines.common import BaselineConfig, ComparatorEngine, Phase
 from repro.cache.pagecache import LRUPageCache
-from repro.engine.stats import IterationStats, RunStats
 from repro.format.edgelist import EdgeList
 from repro.format.partition2d import Partitioned2D
-from repro.types import INF_DEPTH
-from repro.util.timer import SimClock, WallTimer
 
 PAGE_BYTES = 4096
 _TUPLE_BYTES = 8
 
 
-class GridGraphEngine:
+class GridGraphEngine(ComparatorEngine):
     """2-D grid streaming engine with OS-page-cache-style LRU."""
 
     name = "gridgraph"
@@ -35,172 +37,36 @@ class GridGraphEngine:
         config: "BaselineConfig | None" = None,
         n_parts: int = 32,
     ):
-        self.config = config or BaselineConfig()
         source = edges.symmetrized() if not edges.directed else edges
         self.grid = Partitioned2D.from_edge_list(source, n_parts)
-        self.n_vertices = edges.n_vertices
-        self.clock = SimClock()
-        self.array = self.config.make_array()
+        super().__init__(
+            config, self.grid.name, edges.n_vertices, self.grid.src, self.grid.dst
+        )
         self.cache = LRUPageCache(
             capacity_bytes=self.config.memory_bytes, page_bytes=PAGE_BYTES
         )
 
-    # ------------------------------------------------------------------ #
-
-    def _partition_extent(self, i: int, j: int) -> tuple[int, int]:
-        k = i * self.grid.n_parts + j
-        lo = int(self.grid.offsets[k]) * _TUPLE_BYTES
-        hi = int(self.grid.offsets[k + 1]) * _TUPLE_BYTES
-        return lo, hi - lo
-
-    def _stream_partitions(
-        self, needed: "list[tuple[int, int]]"
-    ) -> "tuple[float, int, int, int]":
-        """Stream the needed partitions through the page cache.
-
-        Returns ``(io_time, bytes_read, bytes_cached, edges_scanned)``.
-        """
-        io_t = 0.0
-        bytes_read = 0
-        bytes_cached = 0
-        edges = 0
-        extents: "list[tuple[int, int]]" = []
-        for i, j in needed:
-            off, size = self._partition_extent(i, j)
-            if size == 0:
-                continue
-            edges += size // _TUPLE_BYTES
-            hit_b, miss_b = self.cache.access_extent(off, size)
-            bytes_cached += hit_b
-            bytes_read += miss_b
-            if miss_b:
-                extents.append((off, miss_b))
+    def _iteration(
+        self, active: np.ndarray, updates: int, both_ways: bool
+    ) -> "tuple[list[Phase], int]":
+        """Selective scheduling: stream the non-empty partitions of every row
+        with an active source through the page cache, one extent each."""
+        grid = self.grid
+        rows = np.unique(np.nonzero(active)[0] // grid.span)
+        k = (rows[:, None] * grid.n_parts + np.arange(grid.n_parts)).ravel()
+        lo = grid.offsets[k] * _TUPLE_BYTES
+        size = grid.offsets[k + 1] * _TUPLE_BYTES - lo
+        stored = size > 0
+        phase = Phase()
+        extents = []
+        for off, nbytes in zip(lo[stored].tolist(), size[stored].tolist()):
+            hit, miss = self.cache.access_extent(off, nbytes)
+            phase.bytes_from_cache += hit
+            phase.bytes_read += miss
+            if miss:
+                extents.append((off, miss))
         if extents:
-            io_t = self.array.read_batch_time(extents)
-        return io_t, bytes_read, bytes_cached, edges
-
-    def _account(
-        self,
-        stats: RunStats,
-        iteration: int,
-        io_t: float,
-        br: int,
-        bc: int,
-        edges: int,
-        work_factor: int = 1,
-    ) -> None:
-        it = IterationStats(iteration=iteration)
-        it.io_time = io_t
-        it.compute_time = self.config.cost_model.compute_time(
-            stats.algorithm, edges * work_factor
-        )
-        it.bytes_read = br
-        it.bytes_from_cache = bc
-        it.edges_processed = edges
-        it.elapsed = phase_time(io_t, it.compute_time, self.config.overlap)
-        stats.add_iteration(it)
-        self.clock.advance(it.elapsed)
-
-    def _needed_partitions(self, active_rows: np.ndarray) -> "list[tuple[int, int]]":
-        """Selective scheduling: only partitions with an active source range."""
-        out = []
-        for i in range(self.grid.n_parts):
-            if not active_rows[i]:
-                continue
-            for j in range(self.grid.n_parts):
-                out.append((i, j))
-        return out
-
-    def _rows_of(self, active_mask: np.ndarray) -> np.ndarray:
-        span = self.grid.span
-        idx = np.nonzero(active_mask)[0] // span
-        rows = np.zeros(self.grid.n_parts, dtype=bool)
-        rows[idx] = True
-        return rows
-
-    # ------------------------------------------------------------------ #
-
-    def run_bfs(self, root: int = 0) -> "tuple[np.ndarray, RunStats]":
-        stats = RunStats(engine=self.name, algorithm="bfs", graph=self.grid.name)
-        with WallTimer() as wall:
-            depth = np.full(self.n_vertices, INF_DEPTH, dtype=np.uint32)
-            depth[root] = 0
-            level = 0
-            while True:
-                frontier_rows = self._rows_of(depth == np.uint32(level))
-                needed = self._needed_partitions(frontier_rows)
-                io_t, br, bc, edges = self._stream_partitions(needed)
-                n_new = 0
-                for i, j in needed:
-                    s, d = self.grid.partition(i, j)
-                    if s.shape[0] == 0:
-                        continue
-                    cand = (depth[s] == np.uint32(level)) & (depth[d] == INF_DEPTH)
-                    if cand.any():
-                        depth[d[cand]] = np.uint32(level + 1)
-                        n_new += int(np.count_nonzero(cand))
-                self._account(stats, level, io_t, br, bc, edges)
-                if int(np.count_nonzero(depth == np.uint32(level + 1))) == 0:
-                    break
-                level += 1
-        stats.wall_seconds = wall.elapsed
-        return depth, stats
-
-    def run_pagerank(
-        self,
-        damping: float = 0.85,
-        max_iterations: int = 100,
-        tolerance: float = 1e-6,
-    ) -> "tuple[np.ndarray, RunStats]":
-        stats = RunStats(
-            engine=self.name, algorithm="pagerank", graph=self.grid.name
-        )
-        with WallTimer() as wall:
-            n = self.n_vertices
-            deg = np.bincount(self.grid.src, minlength=n).astype(np.float64)
-            dangling = deg == 0
-            inv_deg = 1.0 / np.where(dangling, 1.0, deg)
-            rank = np.full(n, 1.0 / n, dtype=np.float64)
-            all_parts = [
-                (i, j)
-                for i in range(self.grid.n_parts)
-                for j in range(self.grid.n_parts)
-            ]
-            for it in range(max_iterations):
-                io_t, br, bc, edges = self._stream_partitions(all_parts)
-                contrib = rank * inv_deg
-                acc = np.bincount(
-                    self.grid.dst, weights=contrib[self.grid.src], minlength=n
-                )
-                self._account(stats, it, io_t, br, bc, edges)
-                new_rank = pagerank_new_rank(acc, rank, dangling, damping)
-                delta = float(np.abs(new_rank - rank).sum())
-                rank = new_rank
-                if delta < tolerance:
-                    break
-        stats.wall_seconds = wall.elapsed
-        return rank, stats
-
-    def run_cc(self, max_iterations: int = 1000) -> "tuple[np.ndarray, RunStats]":
-        stats = RunStats(engine=self.name, algorithm="cc", graph=self.grid.name)
-        with WallTimer() as wall:
-            comp = np.arange(self.n_vertices, dtype=np.int64)
-            active_rows = np.ones(self.grid.n_parts, dtype=bool)
-            for it in range(max_iterations):
-                needed = self._needed_partitions(active_rows)
-                io_t, br, bc, edges = self._stream_partitions(needed)
-                prev = comp.copy()
-                np.minimum.at(comp, self.grid.dst, comp[self.grid.src])
-                np.minimum.at(comp, self.grid.src, comp[self.grid.dst])
-                while True:
-                    nxt = comp[comp]
-                    if np.array_equal(nxt, comp):
-                        break
-                    comp = nxt
-                self._account(stats, it, io_t, br, bc, edges, work_factor=2)
-                changed = comp != prev
-                if not changed.any():
-                    break
-                active_rows = self._rows_of(changed)
-        stats.wall_seconds = wall.elapsed
-        return comp, stats
+            phase.io_time = self.array.read_batch_time(extents)
+        edges = int(size.sum()) // _TUPLE_BYTES
+        phase.work = edges * (2 if both_ways else 1)
+        return [phase], edges

@@ -9,39 +9,31 @@ structural reasons G-Store beats it by 12-32x (§VII-B).
 
 ``tuple_bytes`` is configurable (8 or 16) to reproduce the paper's
 Figure 2(a): halving the tuple halves the edge-stream time.
+
+The module is the layout (the traditional tuple list) and the cost of its
+two streams; the programs are :class:`~repro.baselines.common.ComparatorEngine`'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from repro.baselines.common import (
     BaselineConfig,
+    ComparatorEngine,
+    Phase,
     chunk_extents,
-    pagerank_new_rank,
-    phase_time,
 )
-from repro.engine.stats import IterationStats, RunStats
 from repro.errors import AlgorithmError
 from repro.format.edgelist import EdgeList
-from repro.types import INF_DEPTH
-from repro.util.timer import SimClock, WallTimer
 
 #: Bytes of one (destination, value) update record.
 UPDATE_BYTES = 8
 
 
-@dataclass
-class _Phase:
-    io_read: int = 0
-    io_written: int = 0
-    io_time: float = 0.0
-    compute_time: float = 0.0
-
-
-class XStreamEngine:
+class XStreamEngine(ComparatorEngine):
     """Fully external edge-centric engine over the traditional tuple list."""
 
     name = "xstream"
@@ -61,8 +53,9 @@ class XStreamEngine:
         # The traditional representation: undirected graphs store both
         # orientations of every edge.
         self.edges = edges.symmetrized() if not edges.directed else edges
-        self.directed_input = edges.directed
-        self.config = config or BaselineConfig()
+        super().__init__(
+            config, self.edges.name, edges.n_vertices, self.edges.src, self.edges.dst
+        )
         self.tuple_bytes = tuple_bytes
         #: Streaming partitions: updates are bucketed per destination
         #: partition so the gather phase touches one vertex-state window
@@ -73,175 +66,32 @@ class XStreamEngine:
         #: keeps them there; Figure 2(a) isolates the edge-stream cost by
         #: running in that regime.
         self.updates_to_disk = updates_to_disk
-        self.clock = SimClock()
-        self.array = self.config.make_array()
 
-    # ------------------------------------------------------------------ #
-    # Phase accounting
-    # ------------------------------------------------------------------ #
-
-    def _edge_stream_bytes(self) -> int:
-        return self.edges.n_edges * self.tuple_bytes
-
-    def _scatter(self, n_updates: int, algo: str, work_factor: int = 1) -> _Phase:
-        """Scatter: stream all edges, emit ``n_updates`` update records.
-
-        ``work_factor`` is the direction passes per tuple (2 for WCC's
-        bidirectional min propagation).
-        """
-        cfg = self.config
-        ph = _Phase()
-        read_bytes = self._edge_stream_bytes()
-        write_bytes = n_updates * UPDATE_BYTES if self.updates_to_disk else 0
-        ph.io_read = read_bytes
-        ph.io_written = write_bytes
-        ph.io_time += self.array.read_batch_time(
-            chunk_extents(read_bytes, cfg.segment_bytes)
+    def _iteration(
+        self, active: np.ndarray, updates: int, both_ways: bool
+    ) -> "tuple[list[Phase], int]":
+        """Scatter streams every edge and appends ``updates`` records to the
+        buckets; gather streams them back, one bucket at a time."""
+        n_edges = self.edges.n_edges
+        edge_bytes = n_edges * self.tuple_bytes
+        update_bytes = updates * UPDATE_BYTES if self.updates_to_disk else 0
+        # Scatter scans every tuple once per direction and emits the updates.
+        scatter = Phase(
+            io_time=self.array.read_batch_time(
+                chunk_extents(edge_bytes, self.config.segment_bytes)
+            ),
+            bytes_read=edge_bytes,
+            bytes_written=update_bytes,
+            work=(2 if both_ways else 1) * n_edges + updates,
         )
-        if write_bytes:
-            # Updates are appended to one bucket per destination
-            # partition; each bucket is a sequential stream.
-            per_bucket = max(1, write_bytes // self.n_partitions)
-            sizes: "list[int]" = []
-            for _ in range(self.n_partitions):
-                for _, sz in chunk_extents(per_bucket, cfg.segment_bytes):
-                    sizes.append(sz)
-            ph.io_time += self.array.write_batch_time(sizes)
-        # Scatter scans every edge and emits updates.
-        ph.compute_time = cfg.cost_model.compute_time(
-            algo, work_factor * self.edges.n_edges + n_updates
-        )
-        return ph
-
-    def _gather(self, n_updates: int, algo: str) -> _Phase:
-        """Gather: stream updates back and apply them."""
-        cfg = self.config
-        ph = _Phase()
-        read_bytes = n_updates * UPDATE_BYTES if self.updates_to_disk else 0
-        ph.io_read = read_bytes
-        if read_bytes:
-            # Gather streams one partition bucket at a time.
-            per_bucket = max(1, read_bytes // self.n_partitions)
-            extents: "list[tuple[int, int]]" = []
-            off = 0
-            for _ in range(self.n_partitions):
-                for _, sz in chunk_extents(per_bucket, cfg.segment_bytes):
-                    extents.append((off, sz))
-                    off += sz
-            ph.io_time = self.array.read_batch_time(extents)
-        ph.compute_time = cfg.cost_model.compute_time(algo, n_updates)
-        return ph
-
-    def _account(
-        self, stats: RunStats, iteration: int, phases: "list[_Phase]", edges: int
-    ) -> None:
-        it = IterationStats(iteration=iteration)
-        for ph in phases:
-            it.io_time += ph.io_time
-            it.compute_time += ph.compute_time
-            it.bytes_read += ph.io_read
-            it.elapsed += phase_time(ph.io_time, ph.compute_time, self.config.overlap)
-            stats.bytes_written += ph.io_written
-        it.edges_processed = edges
-        stats.add_iteration(it)
-        self.clock.advance(it.elapsed)
-
-    # ------------------------------------------------------------------ #
-    # Algorithms (edge-centric, vectorised)
-    # ------------------------------------------------------------------ #
-
-    def run_bfs(self, root: int = 0) -> "tuple[np.ndarray, RunStats]":
-        """Level-synchronous BFS; returns (depth array, stats)."""
-        e = self.edges
-        stats = RunStats(engine=self.name, algorithm="bfs", graph=e.name)
-        with WallTimer() as wall:
-            depth = np.full(e.n_vertices, INF_DEPTH, dtype=np.uint32)
-            depth[root] = 0
-            level = 0
-            while True:
-                src_active = depth[e.src] == np.uint32(level)
-                cand = src_active & (depth[e.dst] == INF_DEPTH)
-                n_updates = int(np.count_nonzero(cand))
-                self._account(
-                    stats,
-                    level,
-                    [self._scatter(n_updates, "bfs"), self._gather(n_updates, "bfs")],
-                    e.n_edges,
-                )
-                if n_updates == 0:
-                    break
-                depth[e.dst[cand]] = np.uint32(level + 1)
-                level += 1
-        stats.wall_seconds = wall.elapsed
-        return depth, stats
-
-    def run_pagerank(
-        self,
-        damping: float = 0.85,
-        max_iterations: int = 100,
-        tolerance: float = 1e-6,
-    ) -> "tuple[np.ndarray, RunStats]":
-        """Power-iteration PageRank; returns (rank array, stats)."""
-        e = self.edges
-        stats = RunStats(engine=self.name, algorithm="pagerank", graph=e.name)
-        with WallTimer() as wall:
-            n = e.n_vertices
-            deg = e.out_degrees().astype(np.float64)
-            dangling = deg == 0
-            inv_deg = 1.0 / np.where(dangling, 1.0, deg)
-            rank = np.full(n, 1.0 / n, dtype=np.float64)
-            for it in range(max_iterations):
-                contrib = rank * inv_deg
-                # Every edge carries one update in PageRank's scatter.
-                acc = np.bincount(e.dst, weights=contrib[e.src], minlength=n)
-                self._account(
-                    stats,
-                    it,
-                    [
-                        self._scatter(e.n_edges, "pagerank"),
-                        self._gather(e.n_edges, "pagerank"),
-                    ],
-                    e.n_edges,
-                )
-                new_rank = pagerank_new_rank(acc, rank, dangling, damping)
-                delta = float(np.abs(new_rank - rank).sum())
-                rank = new_rank
-                if delta < tolerance:
-                    break
-        stats.wall_seconds = wall.elapsed
-        return rank, stats
-
-    def run_cc(self, max_iterations: int = 1000) -> "tuple[np.ndarray, RunStats]":
-        """Min-label connected components; returns (labels, stats)."""
-        e = self.edges
-        stats = RunStats(engine=self.name, algorithm="cc", graph=e.name)
-        with WallTimer() as wall:
-            comp = np.arange(e.n_vertices, dtype=np.int64)
-            for it in range(max_iterations):
-                prev = comp.copy()
-                # WCC ignores direction: propagate the min label both ways.
-                np.minimum.at(comp, e.dst, comp[e.src])
-                np.minimum.at(comp, e.src, comp[e.dst])
-                while True:
-                    nxt = comp[comp]
-                    if np.array_equal(nxt, comp):
-                        break
-                    comp = nxt
-                n_updates = int(np.count_nonzero(comp != prev))
-                # Scatter emits an update per edge whose source label moved;
-                # approximate with edges touching changed vertices.
-                changed = comp != prev
-                upd = int(np.count_nonzero(changed[e.src] | changed[e.dst]))
-                self._account(
-                    stats,
-                    it,
-                    [
-                        self._scatter(upd, "cc", work_factor=2),
-                        self._gather(upd, "cc"),
-                    ],
-                    e.n_edges,
-                )
-                if n_updates == 0:
-                    break
-        stats.wall_seconds = wall.elapsed
-        return comp, stats
+        gather = Phase(bytes_read=update_bytes, work=updates)
+        if update_bytes:
+            # One bucket per destination partition, each its own
+            # sequential stream of segment-sized chunks.
+            per_bucket = max(1, update_bytes // self.n_partitions)
+            chunks = chunk_extents(per_bucket, self.config.segment_bytes)
+            sizes = [size for _, size in chunks] * self.n_partitions
+            scatter.io_time += self.array.write_batch_time(sizes)
+            offsets = accumulate(sizes, initial=0)
+            gather.io_time = self.array.read_batch_time(list(zip(offsets, sizes)))
+        return [scatter, gather], n_edges

@@ -2,8 +2,10 @@
 
 Each function regenerates one table or figure of the paper at the current
 ``REPRO_SCALE`` tier and returns ``(Table, data)`` — the rendered rows plus
-the raw numbers for assertions and EXPERIMENTS.md.  See DESIGN.md for the
-experiment index mapping these functions to the paper.
+the raw numbers for assertions and EXPERIMENTS.md.  :data:`EXPERIMENTS`, at
+the bottom, is the index: the ``repro bench`` labels, the files under
+``benchmarks/results/`` and the report's sections all derive from it
+(DESIGN.md maps the entries to the paper).
 """
 
 from __future__ import annotations
@@ -46,6 +48,31 @@ def _algo(label: str, root: int = 0):
     if label == "cc":
         return ConnectedComponents()
     raise ValueError(label)
+
+
+def run_comparator(engine, label: str, root: int = 0):
+    """:func:`_algo`'s program on a comparator engine: ``(result, stats)``."""
+    if label == "bfs":
+        return engine.run_bfs(root)
+    if label == "pagerank":
+        return engine.run_pagerank(max_iterations=PR_FIXED_ITERS, tolerance=0.0)
+    if label == "cc":
+        return engine.run_cc()
+    raise ValueError(label)
+
+
+def _speedups_over(comparator_cls, el, tg) -> "dict[str, float]":
+    """G-Store's simulated speedup over a comparator per algorithm: same
+    graph, same hardware, the paper's memory ratio, BFS from the
+    highest-degree vertex."""
+    comparator = comparator_cls(el, scaled_baseline_config(tg, memory_fraction=0.125))
+    root = int(tg.out_degrees.argmax())
+    speeds = {}
+    for label in ["bfs", "pagerank", "cc"]:
+        g_stats = _run_gstore(tg, _algo(label, root=root), memory_fraction=0.125)
+        _, c_stats = run_comparator(comparator, label, root)
+        speeds[label] = c_stats.sim_elapsed / g_stats.sim_elapsed
+    return speeds
 
 
 # ---------------------------------------------------------------------- #
@@ -172,7 +199,7 @@ def fig2a_tuple_size(dataset: str = _DEFAULT_KRON):
             tuple_bytes=tb,
             updates_to_disk=False,
         )
-        _, stats = eng.run_pagerank(max_iterations=PR_FIXED_ITERS, tolerance=0.0)
+        _, stats = run_comparator(eng, "pagerank")
         times[tb] = stats.sim_elapsed
     table = Table(
         "Figure 2(a): X-Stream PageRank vs tuple size",
@@ -254,7 +281,7 @@ def fig2c_streaming_memory(dataset: str = _DEFAULT_KRON):
         cfg = scaled_baseline_config(tg, memory_fraction=0.125)
         cfg.segment_bytes = seg
         eng = XStreamEngine(el, cfg)
-        _, stats = eng.run_pagerank(max_iterations=PR_FIXED_ITERS, tolerance=0.0)
+        _, stats = run_comparator(eng, "pagerank")
         times[seg] = stats.sim_elapsed
     base = times[sizes[0]]
     table = Table(
@@ -351,20 +378,7 @@ def fig9_vs_flashgraph(datasets: "list[str] | None" = None):
             )
             if directed:
                 el = el.deduped().without_self_loops()
-        fg = FlashGraphEngine(el, scaled_baseline_config(tg, memory_fraction=0.125))
-        root = int(tg.out_degrees.argmax())
-        speeds = {}
-        for label in ["bfs", "pagerank", "cc"]:
-            g_stats = _run_gstore(tg, _algo(label, root=root), memory_fraction=0.125)
-            if label == "bfs":
-                _, f_stats = fg.run_bfs(root)
-            elif label == "pagerank":
-                _, f_stats = fg.run_pagerank(
-                    max_iterations=PR_FIXED_ITERS, tolerance=0.0
-                )
-            else:
-                _, f_stats = fg.run_cc()
-            speeds[label] = f_stats.sim_elapsed / g_stats.sim_elapsed
+        speeds = _speedups_over(FlashGraphEngine, el, tg)
         suffix = {True: "-d", False: "-u", None: ""}[directed]
         table.add_row(
             name + suffix, speeds["bfs"], speeds["pagerank"], speeds["cc"]
@@ -384,20 +398,7 @@ def vs_xstream(datasets: "list[str] | None" = None):
     for name in datasets:
         tg = graphs().tiled(name)
         el = graphs().edge_list(name)
-        xs = XStreamEngine(el, scaled_baseline_config(tg, memory_fraction=0.125))
-        root = int(tg.out_degrees.argmax())
-        speeds = {}
-        for label in ["bfs", "pagerank", "cc"]:
-            g_stats = _run_gstore(tg, _algo(label, root=root), memory_fraction=0.125)
-            if label == "bfs":
-                _, x_stats = xs.run_bfs(root)
-            elif label == "pagerank":
-                _, x_stats = xs.run_pagerank(
-                    max_iterations=PR_FIXED_ITERS, tolerance=0.0
-                )
-            else:
-                _, x_stats = xs.run_cc()
-            speeds[label] = x_stats.sim_elapsed / g_stats.sim_elapsed
+        speeds = _speedups_over(XStreamEngine, el, tg)
         table.add_row(name, speeds["bfs"], speeds["pagerank"], speeds["cc"])
         data[name] = speeds
     return table, data
@@ -415,15 +416,13 @@ def fig10_space_saving(dataset: str = _DEFAULT_KRON):
         "symmetry+snb": dict(symmetric=True, snb=True),
     }
     # Fixed absolute memory across variants (the paper allocates 8 GB for
-    # all three configurations).
-    ref = graphs().tiled(dataset, **variants["base"])
-    memory = max(int(ref.info.n_input_edges * 8 * 0.125), 64 * 1024)
+    # all three configurations): the base variant's budget.
+    cfg = scaled_config(
+        graphs().tiled(dataset, **variants["base"]), memory_fraction=0.125
+    )
     times = {}
     for label, kw in variants.items():
         tg = graphs().tiled(dataset, **kw)
-        cfg = scaled_config(tg, memory_fraction=0.125)
-        cfg.memory_bytes = memory
-        cfg.segment_bytes = max(memory // 32, 16 * 1024)
         results = {}
         for algo_label in ["bfs", "pagerank"]:
             with GStoreEngine(tg, cfg) as engine:
@@ -931,3 +930,58 @@ def ext_direction_optimizing_bfs(dataset: str = _DEFAULT_KRON):
         "plain": k_plain,
         "opt": k_opt,
     }
+
+
+# ---------------------------------------------------------------------- #
+# The experiment index
+# ---------------------------------------------------------------------- #
+
+#: ``(label, runner, {result-file stem: report title})`` in the paper's
+#: order, extensions last.  ``python -m repro bench <label>`` runs the
+#: runner; the benchmark suite records its table under
+#: ``benchmarks/results/<stem>.txt``; ``python -m repro report`` prints the
+#: sections in this order under these titles.
+EXPERIMENTS = (
+    ("table1", table1_conversion,
+     {"table1_conversion": "Table I — conversion time"}),
+    ("table2", table2_sizes, {"table2_sizes": "Table II — storage sizes"}),
+    ("table3", table3_large_graphs,
+     {"table3_large_graphs": "Table III — largest-graph runtimes"}),
+    ("fig2a", fig2a_tuple_size,
+     {"fig02a_tuple_size": "Figure 2(a) — edge-tuple size"}),
+    ("fig2b", fig2b_partitions,
+     {"fig02b_partitions": "Figure 2(b) — metadata localisation"}),
+    ("fig2c", fig2c_streaming_memory,
+     {"fig02c_streaming_memory": "Figure 2(c) — streaming memory"}),
+    ("fig5", fig5_tile_distribution,
+     {"fig05_tile_distribution": "Figure 5 — tile edge counts"}),
+    ("fig7", fig7_group_distribution,
+     {"fig07_group_distribution": "Figure 7 — group edge counts"}),
+    ("fig9", fig9_vs_flashgraph,
+     {"fig09_vs_flashgraph": "Figure 9 — vs FlashGraph"}),
+    ("xstream", vs_xstream, {"vs_xstream": "§VII-B — vs X-Stream"}),
+    ("fig10", fig10_space_saving,
+     {"fig10_space_saving": "Figure 10 — space-saving ablation"}),
+    ("fig11", fig11_12_grouping,
+     {"fig11_grouping_speedup": "Figure 11 — grouping speedup",
+      "fig12_llc_misses": "Figure 12 — LLC misses"}),
+    ("fig13", fig13_scr, {"fig13_scr": "Figure 13 — SCR vs base policy"}),
+    ("fig14", fig14_cache_size, {"fig14_cache_size": "Figure 14 — cache size"}),
+    ("fig15", fig15_ssd_scaling, {"fig15_ssd_scaling": "Figure 15 — SSD scaling"}),
+    ("io-modes", ablation_io_modes,
+     {"ablation_io_modes": "Ablation — AIO and overlap"}),
+    ("degree-compression", ablation_degree_compression,
+     {"ablation_degree_compression": "Ablation — degree compression"}),
+    ("ext_tile_compression", ext_tile_compression,
+     {"ext_tile_compression": "Extension — tile compression"}),
+    ("ext_async_bfs", ext_async_bfs,
+     {"ext_async_bfs": "Extension — asynchronous BFS"}),
+    ("ext_multi_bfs", ext_multi_bfs,
+     {"ext_multi_bfs": "Extension — concurrent multi-source BFS"}),
+    ("ext_direction_optimizing_bfs", ext_direction_optimizing_bfs,
+     {"ext_direction_opt_bfs": "Extension — direction-optimised BFS"}),
+    ("ext_tiered_storage", ext_tiered_storage,
+     {"ext_tiered_storage": "Extension — tiered storage"}),
+    ("ext_kcore", ext_kcore, {"ext_kcore": "Extension — k-core"}),
+    ("ext_scc", ext_scc, {"ext_scc": "Extension — SCC"}),
+)

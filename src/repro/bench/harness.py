@@ -110,6 +110,28 @@ def _traditional_bytes(tg: TiledGraph) -> int:
     return tg.info.n_input_edges * 8
 
 
+def _scaled_hardware(
+    tg: TiledGraph,
+    memory_fraction: float,
+    n_ssds: int,
+    cost_model: "CostModel | None",
+    device_profile: "DeviceProfile | None" = None,
+) -> dict:
+    """The budget and the hardware both sides of a comparison run on — the
+    one place ``memory_fraction`` becomes bytes and the device is chosen."""
+    total = max(int(_traditional_bytes(tg) * memory_fraction), 64 * 1024)
+    kwargs = dict(
+        memory_bytes=total,
+        segment_bytes=max(total // 32, 16 * 1024),
+        n_ssds=n_ssds,
+        device_profile=device_profile if device_profile is not None else SCALED_DEVICE,
+        stripe_bytes=SCALED_STRIPE,
+    )
+    if cost_model is not None:
+        kwargs["cost_model"] = cost_model
+    return kwargs
+
+
 def scaled_config(
     tg: TiledGraph,
     memory_fraction: float = 0.25,
@@ -126,23 +148,12 @@ def scaled_config(
     the traditional (8-byte tuple) graph size — the paper's 8 GB versus a
     64 GB Kron-28-16 is fraction 0.125.
     """
-    total = max(int(_traditional_bytes(tg) * memory_fraction), 64 * 1024)
-    segment = max(total // 32, 16 * 1024)
-    kwargs = dict(
-        memory_bytes=total,
-        segment_bytes=segment,
+    return EngineConfig(
         cache_policy=cache_policy,
-        n_ssds=n_ssds,
         io_mode=io_mode,
         overlap=overlap,
+        **_scaled_hardware(tg, memory_fraction, n_ssds, cost_model, device_profile),
     )
-    if cost_model is not None:
-        kwargs["cost_model"] = cost_model
-    kwargs["device_profile"] = (
-        device_profile if device_profile is not None else SCALED_DEVICE
-    )
-    kwargs["stripe_bytes"] = SCALED_STRIPE
-    return EngineConfig(**kwargs)
 
 
 def scaled_baseline_config(
@@ -152,15 +163,4 @@ def scaled_baseline_config(
     cost_model: "CostModel | None" = None,
 ) -> BaselineConfig:
     """The matching :class:`BaselineConfig` (same memory, same hardware)."""
-    total = max(int(_traditional_bytes(tg) * memory_fraction), 64 * 1024)
-    segment = max(total // 32, 16 * 1024)
-    kwargs = dict(
-        memory_bytes=total,
-        segment_bytes=segment,
-        n_ssds=n_ssds,
-        device_profile=SCALED_DEVICE,
-        stripe_bytes=SCALED_STRIPE,
-    )
-    if cost_model is not None:
-        kwargs["cost_model"] = cost_model
-    return BaselineConfig(**kwargs)
+    return BaselineConfig(**_scaled_hardware(tg, memory_fraction, n_ssds, cost_model))

@@ -11,34 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-#: Display order: paper experiments first (paper order), then extensions.
-_ORDER = [
-    ("table1_conversion", "Table I — conversion time"),
-    ("table2_sizes", "Table II — storage sizes"),
-    ("table3_large_graphs", "Table III — largest-graph runtimes"),
-    ("fig02a_tuple_size", "Figure 2(a) — edge-tuple size"),
-    ("fig02b_partitions", "Figure 2(b) — metadata localisation"),
-    ("fig02c_streaming_memory", "Figure 2(c) — streaming memory"),
-    ("fig05_tile_distribution", "Figure 5 — tile edge counts"),
-    ("fig07_group_distribution", "Figure 7 — group edge counts"),
-    ("fig09_vs_flashgraph", "Figure 9 — vs FlashGraph"),
-    ("vs_xstream", "§VII-B — vs X-Stream"),
-    ("fig10_space_saving", "Figure 10 — space-saving ablation"),
-    ("fig11_grouping_speedup", "Figure 11 — grouping speedup"),
-    ("fig12_llc_misses", "Figure 12 — LLC misses"),
-    ("fig13_scr", "Figure 13 — SCR vs base policy"),
-    ("fig14_cache_size", "Figure 14 — cache size"),
-    ("fig15_ssd_scaling", "Figure 15 — SSD scaling"),
-    ("ablation_io_modes", "Ablation — AIO and overlap"),
-    ("ablation_degree_compression", "Ablation — degree compression"),
-    ("ext_tile_compression", "Extension — tile compression"),
-    ("ext_async_bfs", "Extension — asynchronous BFS"),
-    ("ext_multi_bfs", "Extension — concurrent multi-source BFS"),
-    ("ext_direction_opt_bfs", "Extension — direction-optimised BFS"),
-    ("ext_tiered_storage", "Extension — tiered storage"),
-    ("ext_kcore", "Extension — k-core"),
-    ("ext_scc", "Extension — SCC"),
-]
+from repro.bench.experiments import EXPERIMENTS
 
 
 @dataclass
@@ -51,16 +24,22 @@ class ReportStatus:
 def build_report(results_dir: str) -> tuple[str, ReportStatus]:
     """Assemble the markdown report; returns (text, status).
 
-    Missing tables are listed (run ``pytest benchmarks/ --benchmark-only``
-    to produce them); unknown files in the directory are appended at the
-    end so nothing recorded is dropped silently.
+    Sections follow :data:`~repro.bench.experiments.EXPERIMENTS`.  Missing
+    tables are listed (run ``pytest benchmarks/ --benchmark-only`` to
+    produce them); unknown files in the directory are appended at the end
+    so nothing recorded is dropped silently.
     """
-    known = {name for name, _ in _ORDER}
+    titles = {
+        stem: title for _, _, results in EXPERIMENTS for stem, title in results.items()
+    }
     present = {
         os.path.splitext(f)[0]
         for f in os.listdir(results_dir)
         if f.endswith(".txt")
     } if os.path.isdir(results_dir) else set()
+    found = [stem for stem in titles if stem in present]
+    missing = [stem for stem in titles if stem not in present]
+    unknown = sorted(present - set(titles))
 
     lines = [
         "# G-Store reproduction — experiment report",
@@ -68,33 +47,13 @@ def build_report(results_dir: str) -> tuple[str, ReportStatus]:
         f"Generated from `{results_dir}`.",
         "",
     ]
-    found, missing = [], []
-    for name, title in _ORDER:
-        path = os.path.join(results_dir, f"{name}.txt")
-        if name not in present:
-            missing.append(name)
-            continue
-        found.append(name)
-        with open(path, "r", encoding="utf-8") as fh:
-            body = fh.read().rstrip()
-        lines.append(f"## {title}")
-        lines.append("")
-        lines.append("```")
-        lines.append(body)
-        lines.append("```")
-        lines.append("")
-    unknown = sorted(present - known)
-    for name in unknown:
+    for stem in found + unknown:
         with open(
-            os.path.join(results_dir, f"{name}.txt"), "r", encoding="utf-8"
+            os.path.join(results_dir, f"{stem}.txt"), "r", encoding="utf-8"
         ) as fh:
             body = fh.read().rstrip()
-        lines.append(f"## (unindexed) {name}")
-        lines.append("")
-        lines.append("```")
-        lines.append(body)
-        lines.append("```")
-        lines.append("")
+        title = titles.get(stem, f"(unindexed) {stem}")
+        lines += [f"## {title}", "", "```", body, "```", ""]
     if missing:
         lines.append("## Missing experiments")
         lines.append("")

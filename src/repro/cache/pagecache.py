@@ -9,6 +9,7 @@ faithful LRU so that G-Store's proactive policy has the right foil.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,32 +44,30 @@ class LRUPageCache:
         self.stats = PageCacheStats()
         self._pages.clear()
 
-    def access_pages(self, page_ids: "np.ndarray | list[int]") -> tuple[int, int]:
-        """Touch pages in order; returns ``(hit_pages, miss_pages)``.
+    def access_pages(self, page_ids: "np.ndarray | Sequence[int]") -> "list[int]":
+        """Touch pages in order; returns the page IDs that missed.
 
         Missed pages are inserted (read-allocate); LRU evicts beyond
         capacity.  With zero capacity every access misses.
         """
         pages = self._pages
         cap = self.capacity_pages
-        hits = 0
-        misses = 0
+        missed: "list[int]" = []
         seq = page_ids.tolist() if isinstance(page_ids, np.ndarray) else page_ids
         for pid in seq:
             if pid in pages:
                 pages.move_to_end(pid)
-                hits += 1
             else:
-                misses += 1
+                missed.append(pid)
                 if cap > 0:
                     pages[pid] = None
                     if len(pages) > cap:
                         pages.popitem(last=False)
                         self.stats.evictions += 1
-        self.stats.accesses += hits + misses
-        self.stats.hits += hits
-        self.stats.misses += misses
-        return hits, misses
+        self.stats.accesses += len(seq)
+        self.stats.hits += len(seq) - len(missed)
+        self.stats.misses += len(missed)
+        return missed
 
     def access_extent(self, offset: int, size: int) -> tuple[int, int]:
         """Touch the pages of a byte extent; returns ``(hit_bytes, miss_bytes)``.
@@ -80,8 +79,11 @@ class LRUPageCache:
             return 0, 0
         first = offset // self.page_bytes
         last = (offset + size - 1) // self.page_bytes
-        hit_p, miss_p = self.access_pages(list(range(first, last + 1)))
-        return hit_p * self.page_bytes, miss_p * self.page_bytes
+        missed = len(self.access_pages(range(first, last + 1)))
+        return (
+            (last + 1 - first - missed) * self.page_bytes,
+            missed * self.page_bytes,
+        )
 
     @property
     def resident_pages(self) -> int:

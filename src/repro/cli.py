@@ -31,13 +31,6 @@ from repro.util.humanize import fmt_bytes
 
 _ALGORITHMS = ("bfs", "async-bfs", "pagerank", "cc", "sssp", "spmv", "kcore")
 
-_EXPERIMENTS = (
-    "table1", "table2", "table3",
-    "fig2a", "fig2b", "fig2c", "fig5", "fig7", "fig9", "fig10",
-    "fig11", "fig13", "fig14", "fig15",
-    "xstream", "io-modes", "degree-compression",
-)
-
 
 def _make_algorithm(label: str, root: int, k: int = 2):
     from repro.algorithms import (
@@ -65,36 +58,6 @@ def _make_algorithm(label: str, root: int, k: int = 2):
     if label == "spmv":
         return SpMV()
     raise SystemExit(f"unknown algorithm {label!r}; choose from {_ALGORITHMS}")
-
-
-def _experiment_fn(label: str):
-    import repro.bench.experiments as E
-
-    table = {
-        "table1": E.table1_conversion,
-        "table2": E.table2_sizes,
-        "table3": E.table3_large_graphs,
-        "fig2a": E.fig2a_tuple_size,
-        "fig2b": E.fig2b_partitions,
-        "fig2c": E.fig2c_streaming_memory,
-        "fig5": E.fig5_tile_distribution,
-        "fig7": E.fig7_group_distribution,
-        "fig9": E.fig9_vs_flashgraph,
-        "fig10": E.fig10_space_saving,
-        "fig11": E.fig11_12_grouping,
-        "fig13": E.fig13_scr,
-        "fig14": E.fig14_cache_size,
-        "fig15": E.fig15_ssd_scaling,
-        "xstream": E.vs_xstream,
-        "io-modes": E.ablation_io_modes,
-        "degree-compression": E.ablation_degree_compression,
-    }
-    try:
-        return table[label]
-    except KeyError:
-        raise SystemExit(
-            f"unknown experiment {label!r}; choose from {_EXPERIMENTS}"
-        ) from None
 
 
 def cmd_datasets(_args: argparse.Namespace) -> int:
@@ -305,8 +268,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    fn = _experiment_fn(args.experiment)
-    table, _ = fn()
+    from repro.bench.experiments import EXPERIMENTS
+
+    runner = {label: fn for label, fn, _ in EXPERIMENTS}[args.experiment]
+    table, _ = runner()
     print(table)
     return 0
 
@@ -442,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(fn=cmd_serve)
 
     pb = sub.add_parser("bench", help="regenerate one paper table/figure")
-    pb.add_argument("experiment", choices=_EXPERIMENTS)
+    from repro.bench.experiments import EXPERIMENTS
+
+    pb.add_argument("experiment", choices=[label for label, _, _ in EXPERIMENTS])
     pb.set_defaults(fn=cmd_bench)
 
     pr2 = sub.add_parser(

@@ -21,8 +21,17 @@ class TestParser:
             build_parser().parse_args(["run", "dijkstra", "kron-small-16"])
 
     def test_bad_experiment_rejected(self):
+        from repro.bench.experiments import EXPERIMENTS
+
+        parser = build_parser()
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "fig99"])
+            parser.parse_args(["bench", "fig99"])
+        # The choices are the experiment index, all 24 runners of it
+        # (test_source_structure_holds: cli.py spells no label itself).
+        labels = [label for label, _, _ in EXPERIMENTS]
+        assert len(set(labels)) == len({fn for _, fn, _ in EXPERIMENTS}) == 24
+        for label in labels:
+            assert parser.parse_args(["bench", label]).experiment == label
 
 
 class TestCommands:
@@ -80,6 +89,11 @@ class TestCommands:
         )
         assert "gstore/pagerank" in capsys.readouterr().out
 
-    def test_bench_table2(self, capsys):
+    def test_bench_table2(self, capsys, monkeypatch):
         assert main(["bench", "table2"]) == 0
         assert "Kron-33-16" in capsys.readouterr().out
+        # ...and one of the runners only the experiment index brought to
+        # the CLI.
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        assert main(["bench", "ext_scc"]) == 0
+        assert "dual-CSR alternative" in capsys.readouterr().out

@@ -15,6 +15,7 @@ from repro import (
     TiledGraph,
     XStreamEngine,
     kronecker,
+    rmat,
 )
 from repro.baselines.common import BaselineConfig
 from repro.memory.scr import CachePolicy
@@ -36,41 +37,58 @@ def _cfg(**kw):
     return EngineConfig(**base)
 
 
+@pytest.fixture(scope="module")
+def agreement_graphs(kron, kron_tiled):
+    """``(edge list, tiles)``: the undirected Kronecker graph and a directed
+    R-MAT (self-loops and duplicates kept)."""
+    directed = rmat(10, edge_factor=8, seed=34, directed=True)
+    return [
+        (kron, kron_tiled),
+        (directed, TiledGraph.from_edge_list(directed, tile_bits=7, group_q=4)),
+    ]
+
+
+COMPARATORS = [
+    XStreamEngine,
+    FlashGraphEngine,
+    lambda el, cfg: GridGraphEngine(el, cfg, n_parts=8),
+]
+
+
 class TestFourEnginesAgree:
-    """All four engines must produce identical results on the same graph."""
+    """All four engines must produce identical results on the same graph:
+    every comparator (whose programs are written apart from G-Store's tile
+    kernels) × BFS / PageRank / CC × undirected and directed."""
 
-    def test_bfs_consensus(self, kron, kron_tiled):
-        gs = BFS(root=0)
-        GStoreEngine(kron_tiled, _cfg()).run(gs)
+    @staticmethod
+    def _consensus(graphs, algorithm, run, same):
         bcfg = BaselineConfig(memory_bytes=128 * 1024, segment_bytes=16 * 1024)
-        d_xs, _ = XStreamEngine(kron, bcfg).run_bfs(0)
-        d_fg, _ = FlashGraphEngine(kron, bcfg).run_bfs(0)
-        d_gg, _ = GridGraphEngine(kron, bcfg, n_parts=8).run_bfs(0)
-        assert np.array_equal(gs.result(), d_xs)
-        assert np.array_equal(gs.result(), d_fg)
-        assert np.array_equal(gs.result(), d_gg)
+        for el, tiled in graphs:
+            gs = algorithm()
+            GStoreEngine(tiled, _cfg()).run(gs)
+            for comparator in COMPARATORS:
+                result, stats = run(comparator(el, bcfg))
+                assert same(gs.result(), result), (stats.engine, el.name)
 
-    def test_pagerank_consensus(self, kron, kron_tiled):
-        gs = PageRank(tolerance=1e-12, max_iterations=300)
-        GStoreEngine(kron_tiled, _cfg()).run(gs)
-        bcfg = BaselineConfig(memory_bytes=128 * 1024, segment_bytes=16 * 1024)
-        r_xs, _ = XStreamEngine(kron, bcfg).run_pagerank(
-            tolerance=1e-12, max_iterations=300
+    def test_bfs_consensus(self, agreement_graphs):
+        self._consensus(
+            agreement_graphs, lambda: BFS(root=0), lambda eng: eng.run_bfs(0),
+            np.array_equal,
         )
-        r_fg, _ = FlashGraphEngine(kron, bcfg).run_pagerank(
-            tolerance=1e-12, max_iterations=300
-        )
-        assert np.allclose(gs.result(), r_xs, atol=1e-10)
-        assert np.allclose(gs.result(), r_fg, atol=1e-10)
 
-    def test_cc_consensus(self, kron, kron_tiled):
-        gs = ConnectedComponents()
-        GStoreEngine(kron_tiled, _cfg()).run(gs)
-        bcfg = BaselineConfig(memory_bytes=128 * 1024, segment_bytes=16 * 1024)
-        c_xs, _ = XStreamEngine(kron, bcfg).run_cc()
-        c_gg, _ = GridGraphEngine(kron, bcfg, n_parts=8).run_cc()
-        assert np.array_equal(gs.result(), c_xs)
-        assert np.array_equal(gs.result(), c_gg)
+    def test_pagerank_consensus(self, agreement_graphs):
+        self._consensus(
+            agreement_graphs,
+            lambda: PageRank(tolerance=1e-12, max_iterations=300),
+            lambda eng: eng.run_pagerank(tolerance=1e-12, max_iterations=300),
+            lambda ours, theirs: np.allclose(ours, theirs, atol=1e-10),
+        )
+
+    def test_cc_consensus(self, agreement_graphs):
+        self._consensus(
+            agreement_graphs, ConnectedComponents, lambda eng: eng.run_cc(),
+            np.array_equal,
+        )
 
 
 class TestPersistedPipeline:

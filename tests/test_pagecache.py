@@ -1,5 +1,6 @@
 """Unit tests for the LRU page cache (the baselines' caching policy)."""
 
+import numpy as np
 import pytest
 
 from repro.cache.pagecache import LRUPageCache
@@ -7,35 +8,39 @@ from repro.errors import StorageError
 
 
 class TestAccessPages:
+    """``access_pages`` answers with the page IDs that missed, in access
+    order — counts, byte totals and the extents to read all follow."""
+
     def test_cold_miss(self):
         c = LRUPageCache(capacity_bytes=4 * 4096)
-        hits, misses = c.access_pages([1, 2, 3])
-        assert (hits, misses) == (0, 3)
+        assert c.access_pages([1, 2, 3]) == [1, 2, 3]
+        assert (c.stats.hits, c.stats.misses, c.stats.accesses) == (0, 3, 3)
 
     def test_rehit(self):
         c = LRUPageCache(capacity_bytes=4 * 4096)
         c.access_pages([1, 2])
-        hits, misses = c.access_pages([1, 2])
-        assert (hits, misses) == (2, 0)
+        assert c.access_pages(np.array([1, 2])) == []
+        assert (c.stats.hits, c.stats.misses) == (2, 2)
 
     def test_lru_eviction(self):
         c = LRUPageCache(capacity_bytes=2 * 4096)
         c.access_pages([1, 2])
         c.access_pages([3])  # evicts 1
-        hits, misses = c.access_pages([1])
-        assert misses == 1
-        assert c.stats.evictions >= 1
+        assert c.access_pages([2, 1]) == [1]
+        assert c.stats.evictions == 2
 
     def test_move_to_end_on_hit(self):
         c = LRUPageCache(capacity_bytes=2 * 4096)
-        c.access_pages([1, 2, 1, 3])  # hit on 1 protects it; evicts 2
-        assert c.access_pages([1]) == (1, 0)
-        assert c.access_pages([2]) == (0, 1)
+        assert c.access_pages([1, 2, 1, 3]) == [1, 2, 3]  # the hit protects 1
+        assert c.access_pages([1]) == []
+        assert c.access_pages([2]) == [2]  # ...so 2 was evicted
 
     def test_zero_capacity_always_misses(self):
         c = LRUPageCache(capacity_bytes=0)
         c.access_pages([1])
-        assert c.access_pages([1]) == (0, 1)
+        assert c.access_pages([1, 1]) == [1, 1]
+        assert c.access_extent(4096, 1) == (0, 4096)
+        assert (c.stats.hits, c.stats.evictions, c.resident_pages) == (0, 0, 0)
 
     def test_bad_geometry(self):
         with pytest.raises(StorageError):

@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import importlib.util
 import os
+import re
 import sys
 
 import pytest
@@ -154,11 +155,18 @@ class TestEquivMatrix:
         and the undirected fused runs agree on the answer."""
         records = dict(tool.enumerate_records(["bfs"]))
         kinds = {key.rsplit("/", 1)[1] for key in records}
-        assert kinds == {"selective", "dense", "shards2", "private", "resumed"}
-        assert len(records) == 64 + 4 + 8
-        for rec in records.values():
+        assert kinds == {"selective", "dense", "shards2", "private", "resumed",
+                         "overlap", "serial"}
+        assert len(records) == 64 + 4 + 8 + 24
+        comparators = {"xstream", "flashgraph", "gridgraph"}
+        for key, rec in records.items():
             assert len(rec["result"]) == 64
-            assert rec["stats"]["iterations"] and "tiles_cached" in rec["stats"]["scr"]
+            assert rec["stats"]["iterations"]
+            if key.split("/")[0] in comparators:
+                assert rec["clock"] == rec["stats"]["sim_elapsed"] > 0
+                assert ("page_cache" in rec) == (not key.startswith("xstream"))
+            else:
+                assert "tiles_cached" in rec["stats"]["scr"]
         answers = {
             rec["result"] for key, rec in records.items()
             if key.startswith("bfs/undirected") and "per-tile" not in key
@@ -228,8 +236,11 @@ def test_source_structure_holds():
     algorithm is fused) — the tile grid is never walked (no
     tuple-list geometry, no per-tile payload iterator, one engine per SCC
     driver) and the format package reads bytes without the storage or
-    engine layers — and the option surface — config fields and environment
-    variables — is exactly the documented one."""
+    engine layers — and the option surface — config fields (both sides of
+    a comparison) and environment variables — is exactly the documented
+    one."""
+    from repro.baselines.common import BaselineConfig
+    from repro.bench.experiments import EXPERIMENTS
     from repro.engine.config import EngineConfig
 
     grid_walks = {"iter_tiles", "disk_order", "tiles_in_group",
@@ -241,8 +252,26 @@ def test_source_structure_holds():
     per_tile, off_engine, batch_decoders = [], [], []
     walked, format_reach = [], []
     tile_kernels, fused_asked, twin_imports = [], [], []
+    comparator_defs, page_table_reach, index_literals = [], [], []
+    comparator_names = {"run_bfs", "run_pagerank", "run_cc", "_account"}
+    stems = {stem for _, _, results in EXPERIMENTS for stem in results}
+    indexed = stems | {label for label, _, _ in EXPERIMENTS}
     for rel, tree in _src_trees():
         package = rel.split(os.sep)[0]
+        comparator_defs += [
+            f"{rel}: {fn.name}" for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in comparator_names
+        ]
+        if rel != os.path.join("cache", "pagecache.py"):
+            page_table_reach += [
+                rel for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "_pages"
+            ]
+        if rel in ("cli.py", os.path.join("bench", "report.py")):
+            index_literals += [
+                f"{rel}: {node.value}" for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value in indexed
+            ]
         tile_kernels += [
             f"{rel}: {fn.name}" for fn in ast.walk(tree)
             if isinstance(fn, ast.FunctionDef) and fn.name == "process_tile"
@@ -322,6 +351,22 @@ def test_source_structure_holds():
     ]
     assert not fused_asked, fused_asked
     assert not twin_imports, twin_imports
+    assert sorted(comparator_defs) == sorted(
+        os.path.join("baselines", "common.py") + f": {name}"
+        for name in comparator_names
+    )
+    assert not page_table_reach, page_table_reach
+    assert not index_literals, index_literals
+    bench_dir = os.path.join(SRC, "..", "..", "benchmarks")
+    recorded = {
+        os.path.splitext(f)[0]
+        for f in os.listdir(os.path.join(bench_dir, "results")) if f.endswith(".txt")
+    }
+    for name in sorted(os.listdir(bench_dir)):
+        if name.endswith(".py"):
+            with open(os.path.join(bench_dir, name), encoding="utf-8") as fh:
+                recorded |= set(re.findall(r'\brecord\("([^"]+)"', fh.read()))
+    assert recorded == stems, recorded ^ stems
     assert batch_decoders == [
         os.path.join("format", "tiles.py") + ": decode_extents"
     ]
@@ -329,6 +374,7 @@ def test_source_structure_holds():
         "types.py: SHARDS_PER_BATCH", "types.py: MIN_SHARD_EDGES"
     ]
     assert len(dataclasses.fields(EngineConfig)) == 19
+    assert len(dataclasses.fields(BaselineConfig)) == 7
     assert sorted(env_keys) == ["REPRO_SCALE", "REPRO_SHARDS"]
     assert env_mentions == len(env_keys)
 

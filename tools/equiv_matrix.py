@@ -25,6 +25,12 @@ The enumeration:
 * one private-context run and one checkpoint resume of BFS and PageRank
   per graph and decode path.
 * SCC over the directed graph, payload resident and left on disk.
+* the comparators: X-Stream, FlashGraph and GridGraph × BFS / PageRank / CC
+  × undirected/directed × a thrashing and a resident page-cache budget ×
+  ``overlap`` on/off (72 runs: result digest, every ``RunStats`` and
+  ``IterationStats`` field, the model's clock, page-cache counters).
+
+906 records in all.
 
 Usage::
 
@@ -47,6 +53,9 @@ import tempfile
 
 BUDGETS = ((24 * 1024, 4 * 1024), (8 * 1024, 4 * 1024))
 LOW_SHARD_FLOOR = 256
+#: (memory, segment) of the comparator runs: 8 and 64 pages of page cache
+#: under a graph of 32 (CSR) to 64 (full tuples) pages.
+COMPARATOR_BUDGETS = ((32 * 1024, 4 * 1024), (256 * 1024, 16 * 1024))
 
 
 # ---------------------------------------------------------------------- #
@@ -90,14 +99,20 @@ def _digest(array) -> str:
     return h.hexdigest()
 
 
-def _stats_record(stats) -> dict:
-    """Every simulated field of one run; nothing from the wall clock."""
+def _run_fields(stats) -> dict:
+    """The simulated ``RunStats`` totals and every ``IterationStats`` field."""
     rec = {
         f.name: getattr(stats, f.name)
         for f in dataclasses.fields(stats)
         if f.name not in ("iterations", "wall_seconds", "extra")
     }
     rec["iterations"] = [dataclasses.asdict(it) for it in stats.iterations]
+    return rec
+
+
+def _stats_record(stats) -> dict:
+    """Every simulated field of one run; nothing from the wall clock."""
+    rec = _run_fields(stats)
     for key in ("scr", "pipeline"):
         rec[key] = dataclasses.asdict(stats.extra[key])
     return rec
@@ -129,6 +144,50 @@ def _scc(graph, cfg):
         "sweeps": [_stats_record(s) for s in res.reachability_stats],
         "trims": [_stats_record(s) for s in res.trim_stats],
     }
+
+
+def _comparator_records(names):
+    """X-Stream, FlashGraph and GridGraph: one record per engine, program,
+    orientation, budget and ``overlap`` — a fresh engine each, so the page
+    cache starts cold."""
+    from repro.baselines import FlashGraphEngine, GridGraphEngine, XStreamEngine
+    from repro.baselines.common import BaselineConfig
+    from repro.graphgen.rmat import rmat
+
+    programs = {
+        "bfs": lambda eng: eng.run_bfs(0),
+        "pagerank": lambda eng: eng.run_pagerank(max_iterations=25, tolerance=1e-12),
+        "cc": lambda eng: eng.run_cc(),
+    }
+    engines = {
+        "xstream": XStreamEngine,
+        "flashgraph": FlashGraphEngine,
+        "gridgraph": lambda el, cfg: GridGraphEngine(el, cfg, n_parts=8),
+    }
+    graphs = {
+        kind: rmat(11, edge_factor=8, seed=seed, directed=kind == "directed")
+        for kind, seed in (("undirected", 33), ("directed", 34))
+    }
+    for (kind, el), budget, overlap, (label, make), name in itertools.product(
+        graphs.items(), COMPARATOR_BUDGETS, (True, False), engines.items(),
+        [n for n in programs if n in names],
+    ):
+        engine = make(el, BaselineConfig(
+            memory_bytes=budget[0], segment_bytes=budget[1], overlap=overlap,
+        ))
+        result, stats = programs[name](engine)
+        rec = {
+            "result": _digest(result),
+            "stats": _run_fields(stats),
+            "clock": engine.clock.now,
+        }
+        if hasattr(engine, "cache"):
+            rec["page_cache"] = dataclasses.asdict(engine.cache.stats)
+        yield (
+            f"{label}/{name}/{kind}/{budget[0] >> 10}K/"
+            f"{'overlap' if overlap else 'serial'}",
+            rec,
+        )
 
 
 def enumerate_records(algorithms: "list[str] | None" = None):
@@ -216,6 +275,8 @@ def enumerate_records(algorithms: "list[str] | None" = None):
         with tempfile.TemporaryDirectory() as d:
             external = TiledGraph.load(directed.save(d), resident=False)
             yield "scc/directed/external", _scc(external, cfg)
+
+    yield from _comparator_records(names)
 
 
 # ---------------------------------------------------------------------- #
