@@ -3,13 +3,13 @@
 The paper positions Galois/Ligra-style in-memory engines as complementary
 (§VIII: "G-Store can take advantage of such algorithmic techniques"); this
 engine runs the same tile algorithms directly over a resident payload.
-It is what the in-memory experiments (Figure 2(b) / Figure 11 flavours)
-and quick interactive analysis use, and it doubles as the ground truth
-when validating the semi-external engine: identical kernels, no I/O.
+Only the tests use it, as ground truth for the semi-external engine:
+identical kernels, no I/O.  (The in-memory experiments do not: Figure
+2(b) times its own partitioned PageRank loop, and Figures 11/12 replay
+the grouped tile order through the LLC model.)
 
-Tiles are visited in physical-group disk order by default — that order is
-the cache-friendly one (Figure 11) — or in plain row-major order for
-comparison.
+Tiles are visited in physical-group disk order, the cache-friendly one
+(Figure 11).
 """
 
 from __future__ import annotations

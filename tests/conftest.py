@@ -12,8 +12,6 @@ import pytest
 
 os.environ.setdefault("REPRO_SCALE", "tiny")
 
-import repro.runtime.shard
-import repro.types
 from repro.engine.config import EngineConfig
 from repro.format.edgelist import EdgeList
 from repro.format.tiles import TiledGraph
@@ -22,6 +20,7 @@ from repro.runtime.prefetch import PREFETCH_THREAD_NAME
 from repro.runtime.shard import SHARD_WORKER_PREFIX
 from repro.runtime.shm import LIVE_SHM_SEGMENTS
 from tests import shard_floor
+from tools import equiv_matrix
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -46,15 +45,23 @@ def no_leaked_batch_sources():
 
 
 @pytest.fixture()
-def low_shard_floor(monkeypatch) -> int:
+def low_shard_floor():
     """Lower ``MIN_SHARD_EDGES`` — here and in every shard worker spawned
-    meanwhile — so the small test graphs' batches still cut into several
-    shards: the equivalence matrices are about multi-shard batches."""
-    monkeypatch.setattr(repro.types, "MIN_SHARD_EDGES", shard_floor.LOW_FLOOR)
-    monkeypatch.setattr(
-        repro.runtime.shard, "_shard_worker_main", shard_floor.worker_main
-    )
-    return shard_floor.LOW_FLOOR
+    meanwhile — to the floor the equivalence lattice runs at, so the small
+    test graphs' batches still cut into several shards."""
+    with shard_floor.lowered() as floor:
+        yield floor
+
+
+@pytest.fixture(scope="session")
+def lattice():
+    """``tools/equiv_matrix.py``'s enumeration, run once per session:
+    ``(records by key, result arrays by digest)``."""
+    records, answers = {}, {}
+    for key, rec, answer in equiv_matrix.enumerate_records():
+        records[key] = rec
+        answers.setdefault(rec["result"], answer)
+    return records, answers
 
 
 @pytest.fixture(scope="session")

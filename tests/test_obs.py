@@ -57,7 +57,8 @@ def graph() -> TiledGraph:
 def _traced_run(tg, factory, depth, **cfg_kw):
     # shards pinned to 1: these tests assert the coordinator's own
     # fetch/decode/prefetch span structure, which shard-parallel runs
-    # move onto worker tracks (covered by tests/test_backends.py).
+    # move onto worker tracks (covered by tests/test_backends.py, and their
+    # equivalence by tests/test_equiv_lattice.py).
     kw = dict(
         memory_bytes=24 * 1024,
         segment_bytes=4 * 1024,

@@ -2,33 +2,22 @@
 and the source tree's own structural rules."""
 
 import ast
+import collections
+import copy
 import dataclasses
-import importlib.util
 import os
 import re
-import sys
 
 import pytest
 
 from repro.cli import main
-
-
-def _load_tool(name):
-    path = os.path.join(os.path.dirname(__file__), "..", "tools", f"{name}.py")
-    spec = importlib.util.spec_from_file_location(name, path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def _load_gen_api_docs():
-    return _load_tool("gen_api_docs")
+from tools import check_links, equiv_matrix, gen_api_docs
 
 
 class TestGenApiDocs:
     @pytest.fixture(scope="class")
     def tool(self):
-        return _load_gen_api_docs()
+        return gen_api_docs
 
     def test_iter_modules_covers_package(self, tool):
         mods = tool.iter_modules("repro")
@@ -86,7 +75,7 @@ class TestGenApiDocs:
 class TestCheckLinks:
     @pytest.fixture(scope="class")
     def tool(self):
-        return _load_tool("check_links")
+        return check_links
 
     def test_extracts_links_outside_fences(self, tool):
         text = (
@@ -133,7 +122,7 @@ class TestCheckLinks:
 class TestEquivMatrix:
     @pytest.fixture(scope="class")
     def tool(self):
-        return _load_tool("equiv_matrix")
+        return equiv_matrix
 
     def test_diff_names_every_changed_field(self, tool):
         ours = {"k": {"result": "a", "stats": {"iterations": [{"io": 1.0}, {"io": 2.0}]}}}
@@ -149,29 +138,52 @@ class TestEquivMatrix:
             "k.stats.iterations[1].io: 2.5 -> 2.0",
         ]
 
-    def test_enumeration_covers_every_kind(self, tool):
-        """One algorithm's slice of the lattice: every configuration kind
-        is there, each record carries a digest and per-iteration fields,
-        and the undirected fused runs agree on the answer."""
-        records = dict(tool.enumerate_records(["bfs"]))
-        kinds = {key.rsplit("/", 1)[1] for key in records}
-        assert kinds == {"selective", "dense", "shards2", "private", "resumed",
-                         "overlap", "serial"}
-        assert len(records) == 64 + 4 + 8 + 24
-        comparators = {"xstream", "flashgraph", "gridgraph"}
+    def test_lattice_violations_name_key_and_field(self, tool, lattice):
+        """The within-tree checker names the key and field of a planted
+        mismatch, and the key it was held to."""
+        records, answers = lattice
+        run = "bfs/directed/8K/fused/depth4-workers3/dense"
+        answer = "pagerank/directed/8K/fused/shards4/selective"
+        planted = dict(records)
+        planted[run] = copy.deepcopy(records[run])
+        iteration = planted[run]["stats"]["iterations"][1]
+        iteration["bytes_read"] += 1
+        planted[answer] = dict(records[answer], result="0" * 64)
+        assert tool.lattice_violations(planted, answers) == [
+            f"{run}.stats.iterations[1].bytes_read: "
+            f"{iteration['bytes_read'] - 1} -> {iteration['bytes_read']} "
+            "(against bfs/directed/8K/fused/depth0-workers1/dense)",
+            f"{answer}.result: {records[answer]['result']!r} -> {'0' * 64!r} "
+            "(against pagerank/directed/8K/fused/depth0-workers1/selective)",
+        ]
+
+    def test_enumeration_covers_every_kind(self, tool, lattice):
+        """The session's lattice: every configuration kind in the counts
+        the tool's docstring states, each record's digest naming its answer
+        and carrying per-iteration fields."""
+        records, answers = lattice
+        names = tool.algorithms()
+        kinds = collections.Counter(
+            key.split("/")[4 if key.split("/")[0] in names else 0]
+            for key in records
+        )
+        assert kinds == {
+            "depth0-workers1": 288, "depth2-workers1": 288,
+            "depth1-workers2": 144, "depth4-workers3": 144,
+            "shards2": 24, "shards4": 12, "private": 12, "resumed": 12,
+            "scc": 2, "xstream": 24, "flashgraph": 24, "gridgraph": 24,
+        }  # 998 records
         for key, rec in records.items():
-            assert len(rec["result"]) == 64
+            assert tool._digest(answers[rec["result"]]) == rec["result"]
+            if key.startswith("scc/"):
+                assert rec["sweeps"] and rec["n_components"] > 1
+                continue
             assert rec["stats"]["iterations"]
-            if key.split("/")[0] in comparators:
+            if key.split("/")[0] in ("xstream", "flashgraph", "gridgraph"):
                 assert rec["clock"] == rec["stats"]["sim_elapsed"] > 0
                 assert ("page_cache" in rec) == (not key.startswith("xstream"))
             else:
                 assert "tiles_cached" in rec["stats"]["scr"]
-        answers = {
-            rec["result"] for key, rec in records.items()
-            if key.startswith("bfs/undirected") and "per-tile" not in key
-        }
-        assert len(answers) == 1
 
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")

@@ -1,36 +1,46 @@
 #!/usr/bin/env python
-"""The equivalence matrix: does this tree compute what another revision did?
+"""The equivalence lattice: what every execution path must agree on.
 
-``--against <rev>`` exports ``<rev>`` with ``git archive``, runs one
-enumeration of engine configurations on both trees (a subprocess each,
-``PYTHONPATH`` pointing at the tree's ``src/``) and diffs one record per
-configuration — the result's sha256 and every *simulated* statistic
-(``RunStats`` totals, every ``IterationStats`` field, ``SCRStats``, the
-pipeline totals; nothing measured on the wall clock).  Exit 1 on any
-difference, each printed field by field.
+One enumeration of engine configurations, declared here once, is checked
+two ways, each record being the result's sha256 and every *simulated*
+statistic (``RunStats`` totals, every ``IterationStats`` field,
+``SCRStats``, the pipeline totals) plus the resolved
+``extra["execution"]`` values — nothing measured on the wall clock:
 
-The enumeration:
+* across trees: ``--against <rev>`` exports ``<rev>`` with ``git
+  archive``, runs the enumeration on both trees (a subprocess each,
+  ``PYTHONPATH`` pointing at the tree's ``src/``) and diffs the records.
+  Exit 1 on any difference, each printed field by field.
+* within this tree: :func:`lattice_violations` asserts the equalities the
+  axes promise (one answer per algorithm, graph and budget; one simulated
+  run per selective mode; dense sweeps bounding selective demand), and
+  ``tests/test_equiv_lattice.py`` runs it in tier-1 beside independent
+  oracles for every distinct answer.
 
-* 11 algorithms + direction-optimising BFS × undirected/directed storage ×
-  fused/per-tile × ``prefetch_depth`` 0/2 × ``workers`` 1/2 × selective
-  on/off × the 24 KB/4 KB and 8 KB/4 KB budgets (768 single-process runs).
-  Fused/per-tile is one kernel at two dispatch granularities (a shard of
-  the batch, or a single tile) — every algorithm has exactly one
-  implementation, so the axis compares dispatch, not twins.
-  The directed graph keeps its self-loops.  ``MIN_SHARD_EDGES`` is lowered
-  for these, as the tier-1 matrices lower it, so the ~1 000-edge batches of
-  those budgets still cut into several shards.
-* ``shards=2`` (default shard floor, coordinator and workers alike): every
-  algorithm on one engine per graph and budget.
+The enumeration, every engine run at one shard floor — coordinator and
+shard workers alike (``tests/shard_floor.py``), so the ~2 000-edge
+batches of these budgets still cut into several shards:
+
+* 11 algorithms + direction-optimising BFS on three graphs — an
+  undirected R-MAT, a directed R-MAT keeping its self-loops, and a
+  directed graph of the format's edge cases — × selective on/off × the
+  24 KB/4 KB and 8 KB/4 KB budgets × the single-process executions
+  (``EXECUTIONS``: fused at ``(prefetch_depth, workers)`` (0, 1), (2, 1),
+  (1, 2), (4, 3); per-tile at (0, 1), (2, 1) — 864 runs).  Fused/per-tile
+  is one kernel at two dispatch granularities (a shard of the batch, or
+  a single tile), so the axis compares dispatch, not twins.
+* shard processes (``SHARDED``): every algorithm on one engine per
+  graph — two shards at the 24 KB budget dense, four at the 8 KB budget
+  selective, two at the 8 KB budget dense (36).
 * one private-context run and one checkpoint resume of BFS and PageRank
-  per graph and decode path.
-* SCC over the directed graph, payload resident and left on disk.
+  per graph and decode path (24).
+* SCC over the directed graph, payload resident and left on disk (2).
 * the comparators: X-Stream, FlashGraph and GridGraph × BFS / PageRank / CC
   × undirected/directed × a thrashing and a resident page-cache budget ×
   ``overlap`` on/off (72 runs: result digest, every ``RunStats`` and
   ``IterationStats`` field, the model's clock, page-cache counters).
 
-906 records in all.
+998 records in all.
 
 Usage::
 
@@ -46,23 +56,44 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
 import tempfile
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUDGETS = ((24 * 1024, 4 * 1024), (8 * 1024, 4 * 1024))
-LOW_SHARD_FLOOR = 256
+#: ``(prefetch_depth, workers)`` of the single-process runs, by ``fused``.
+#: Fused: the serial baseline, the default, and the kernel pool beside the
+#: prefetch thread — depths 0/1/2/4, workers 1/2/3.  Per-tile dispatch
+#: never hands a batch to the pool, so it runs serial and prefetched.
+EXECUTIONS = {
+    True: ((0, 1), (2, 1), (1, 2), (4, 3)),
+    False: ((0, 1), (2, 1)),
+}
+#: Each graph's shard-parallel engine, ``(shards, budget, selective)``:
+#: every shard count, budget and selective mode appears once a worker
+#: spawn (~0.5 s of interpreter and NumPy start-up each) is paid for it.
+SHARDED = {
+    "undirected": (2, BUDGETS[0], False),
+    "directed": (4, BUDGETS[1], True),
+    "edge-cases": (2, BUDGETS[1], False),
+}
 #: (memory, segment) of the comparator runs: 8 and 64 pages of page cache
 #: under a graph of 32 (CSR) to 64 (full tuples) pages.
 COMPARATOR_BUDGETS = ((32 * 1024, 4 * 1024), (256 * 1024, 16 * 1024))
+#: Kernels that accumulate floats: per-tile dispatch sums them in another
+#: order, so it matches fused dispatch up to reassociation, not bit for bit.
+FLOAT_ALGORITHMS = ("pagerank", "spmv")
 
 
 # ---------------------------------------------------------------------- #
 # Enumeration (runs against whatever ``repro`` is importable)
 # ---------------------------------------------------------------------- #
 
-def _algorithms():
+def algorithms():
+    """Every algorithm of the lattice, by name, as a factory."""
     from repro.algorithms.async_bfs import AsyncBFS
     from repro.algorithms.bfs import BFS
     from repro.algorithms.cc import ConnectedComponents
@@ -77,7 +108,7 @@ def _algorithms():
     return {
         "bfs": lambda: BFS(root=0),
         "bfs-diropt": lambda: BFS(root=0, direction_optimizing=True),
-        "pagerank": lambda: PageRank(max_iterations=25, tolerance=1e-12),
+        "pagerank": lambda: PageRank(max_iterations=10, tolerance=1e-12),
         "spmv": lambda: SpMV(iterations=3),
         "cc": lambda: ConnectedComponents(),
         "kcore": lambda: KCore(k=4),
@@ -88,6 +119,52 @@ def _algorithms():
         "multibfs": lambda: MultiSourceBFS(roots=[0, 3, 200]),
         "mis": lambda: MaximalIndependentSet(seed=4),
     }
+
+
+def _edge_cases():
+    """One directed graph carrying the format's edge cases at
+    ``tile_bits=6``: self-loops, duplicate edges, the max-ID vertex (in a
+    partial last tile row), two hubs on either side of a tile-row boundary
+    whose spokes land in every row, and — the random edges being confined
+    to a vertex prefix — many empty tiles."""
+    import numpy as np
+
+    from repro.format.edgelist import EdgeList
+
+    n = 500
+    rng = np.random.default_rng(33)
+    src = rng.integers(0, 200, 1500)
+    dst = rng.integers(0, 200, 1500)
+    dup = rng.integers(0, 1500, 40)
+    loops = np.concatenate([rng.integers(0, n, 10), [0, n - 1]])
+    spokes = rng.integers(0, n, 80)
+    hubs = np.repeat([63, 64], 40)
+    src = np.concatenate([src, src[dup], loops, hubs, spokes, [n - 1, 7]])
+    dst = np.concatenate([dst, dst[dup], loops, spokes, hubs, [3, n - 1]])
+    return EdgeList(
+        src.astype(np.uint32), dst.astype(np.uint32), n, directed=True,
+        name="edge-cases",
+    )
+
+
+def edge_lists():
+    """The lattice's graphs, by kind, as the edge lists :func:`tiled`
+    stores."""
+    from repro.graphgen.rmat import rmat
+
+    return {
+        "undirected": rmat(9, edge_factor=8, seed=31),
+        "directed": rmat(9, edge_factor=8, seed=32, directed=True),
+        "edge-cases": _edge_cases(),
+    }
+
+
+def tiled(el):
+    """One lattice graph as the engine reads it: 64-vertex tiles, so the
+    ~500-vertex graphs span an 8 × 8 grid."""
+    from repro.format.tiles import TiledGraph
+
+    return TiledGraph.from_edge_list(el, tile_bits=6, group_q=4)
 
 
 def _digest(array) -> str:
@@ -106,7 +183,9 @@ def _run_fields(stats) -> dict:
         for f in dataclasses.fields(stats)
         if f.name not in ("iterations", "wall_seconds", "extra")
     }
-    rec["iterations"] = [dataclasses.asdict(it) for it in stats.iterations]
+    # The statistics dataclasses are flat: vars() copies them without
+    # asdict's recursive deep copy, ~5 % of the enumeration's time.
+    rec["iterations"] = [dict(vars(it)) for it in stats.iterations]
     return rec
 
 
@@ -114,16 +193,26 @@ def _stats_record(stats) -> dict:
     """Every simulated field of one run; nothing from the wall clock."""
     rec = _run_fields(stats)
     for key in ("scr", "pipeline"):
-        rec[key] = dataclasses.asdict(stats.extra[key])
+        rec[key] = dict(vars(stats.extra[key]))
     return rec
 
 
-def _record(algo, stats) -> dict:
-    rec = {"result": _digest(algo.result()), "stats": _stats_record(stats)}
+def _record(algo, stats):
+    """``(record, answer)`` of one engine run."""
+    answer = algo.result()
+    rec = {
+        "result": _digest(answer),
+        "stats": _stats_record(stats),
+        # lane_wait_s is the wall clock's.
+        "execution": {
+            k: v for k, v in stats.extra["execution"].items()
+            if k != "lane_wait_s"
+        },
+    }
     if hasattr(algo, "rounds"):  # MIS: a changed set shows how, not just that
         rec["rounds"] = algo.rounds
         rec["members"] = algo.in_set().tolist()
-    return rec
+    return rec, answer
 
 
 def _scc(graph, cfg):
@@ -143,10 +232,10 @@ def _scc(graph, cfg):
         "trimmed": res.trimmed,
         "sweeps": [_stats_record(s) for s in res.reachability_stats],
         "trims": [_stats_record(s) for s in res.trim_stats],
-    }
+    }, res.labels
 
 
-def _comparator_records(names):
+def _comparator_records():
     """X-Stream, FlashGraph and GridGraph: one record per engine, program,
     orientation, budget and ``overlap`` — a fresh engine each, so the page
     cache starts cold."""
@@ -168,14 +257,16 @@ def _comparator_records(names):
         kind: rmat(11, edge_factor=8, seed=seed, directed=kind == "directed")
         for kind, seed in (("undirected", 33), ("directed", 34))
     }
-    for (kind, el), budget, overlap, (label, make), name in itertools.product(
-        graphs.items(), COMPARATOR_BUDGETS, (True, False), engines.items(),
-        [n for n in programs if n in names],
+    for (kind, el), budget, overlap, (label, make), (name, program) in (
+        itertools.product(
+            graphs.items(), COMPARATOR_BUDGETS, (True, False),
+            engines.items(), programs.items(),
+        )
     ):
         engine = make(el, BaselineConfig(
             memory_bytes=budget[0], segment_bytes=budget[1], overlap=overlap,
         ))
-        result, stats = programs[name](engine)
+        result, stats = program(engine)
         rec = {
             "result": _digest(result),
             "stats": _run_fields(stats),
@@ -186,97 +277,91 @@ def _comparator_records(names):
         yield (
             f"{label}/{name}/{kind}/{budget[0] >> 10}K/"
             f"{'overlap' if overlap else 'serial'}",
-            rec,
+            rec, result,
         )
 
 
-def enumerate_records(algorithms: "list[str] | None" = None):
-    """Yield ``(key, record)`` for every configuration (``algorithms``
-    narrows the list — the tier-1 smoke test runs one)."""
-    import repro.types
+def enumerate_records():
+    """Yield ``(key, record, answer)`` for every configuration: the record
+    the trees are diffed on and the result array its digest names.
+
+    An engine run's key is ``algorithm/graph/budget/path/variant/mode`` —
+    path ``fused`` or ``per-tile``, variant ``depth<d>-workers<w>``,
+    ``shards<n>``, ``private`` or ``resumed``, mode ``selective`` or
+    ``dense``.
+    """
     from repro.engine.config import EngineConfig
     from repro.engine.gstore import GStoreEngine
     from repro.errors import AlgorithmError
     from repro.format.tiles import TiledGraph
-    from repro.graphgen.rmat import rmat
+    from tests.shard_floor import lowered
 
-    algos = _algorithms()
-    names = sorted(algos) if algorithms is None else algorithms
-    graphs = {
-        kind: TiledGraph.from_edge_list(
-            rmat(9, edge_factor=8, seed=seed, directed=kind == "directed"),
-            tile_bits=6, group_q=4,
-        )
-        for kind, seed in (("undirected", 31), ("directed", 32))
-    }
+    algos = algorithms()
+    graphs = {kind: tiled(el) for kind, el in edge_lists().items()}
 
     def config(budget, **kw):
         return EngineConfig(memory_bytes=budget[0], segment_bytes=budget[1], **kw)
 
-    floor = repro.types.MIN_SHARD_EDGES
-    repro.types.MIN_SHARD_EDGES = LOW_SHARD_FLOOR
-    try:
-        for (kind, tg), budget, fused, depth, workers, selective in (
-            itertools.product(
-                graphs.items(), BUDGETS, (True, False), (0, 2), (1, 2),
-                (True, False),
-            )
+    def key(name, kind, budget, fused, variant, selective=True):
+        return (
+            f"{name}/{kind}/{budget[0] >> 10}K/"
+            f"{'fused' if fused else 'per-tile'}/{variant}/"
+            f"{'selective' if selective else 'dense'}"
+        )
+
+    with lowered():
+        for (kind, tg), budget, fused, selective in itertools.product(
+            graphs.items(), BUDGETS, (True, False), (True, False),
         ):
-            cfg = config(budget, fused=fused, prefetch_depth=depth,
-                         workers=workers, selective=selective, shards=1)
-            with GStoreEngine(tg, cfg) as engine:
-                for name in names:
+            for depth, workers in EXECUTIONS[fused]:
+                cfg = config(budget, fused=fused, prefetch_depth=depth,
+                             workers=workers, selective=selective, shards=1)
+                variant = f"depth{depth}-workers{workers}"
+                with GStoreEngine(tg, cfg) as engine:
+                    for name, make in algos.items():
+                        algo = make()
+                        yield (key(name, kind, budget, fused, variant, selective),
+                               *_record(algo, engine.run(algo)))
+
+        for kind, (shards, budget, selective) in SHARDED.items():
+            cfg = config(budget, shards=shards, selective=selective)
+            with GStoreEngine(graphs[kind], cfg) as engine:
+                for name, make in algos.items():
+                    algo = make()
+                    yield (key(name, kind, budget, True, f"shards{shards}", selective),
+                           *_record(algo, engine.run(algo)))
+
+        budget = BUDGETS[0]
+        for (kind, tg), fused, name in itertools.product(
+            graphs.items(), (True, False), ("bfs", "pagerank"),
+        ):
+            with GStoreEngine(tg, config(budget, fused=fused, shards=1)) as engine:
+                algo = algos[name]()
+                stats = engine.run(algo, context=engine.query_context())
+                yield (key(name, kind, budget, fused, "private"),
+                       *_record(algo, stats))
+            with tempfile.TemporaryDirectory() as ckpt:
+                try:
+                    with GStoreEngine(
+                        tg, config(budget, fused=fused, shards=1, max_iterations=3)
+                    ) as engine:
+                        engine.run(algos[name](), checkpoint=ckpt)
+                except AlgorithmError:
+                    pass  # the interruption: iteration 3 is checkpointed
+                with GStoreEngine(tg, config(budget, fused=fused, shards=1)) as engine:
                     algo = algos[name]()
-                    yield (
-                        f"{name}/{kind}/{budget[0] >> 10}K/"
-                        f"{'fused' if fused else 'per-tile'}/depth{depth}/"
-                        f"workers{workers}/"
-                        f"{'selective' if selective else 'dense'}",
-                        _record(algo, engine.run(algo)),
-                    )
-    finally:
-        repro.types.MIN_SHARD_EDGES = floor
+                    stats = engine.run(algo, checkpoint=ckpt)
+                yield (key(name, kind, budget, fused, "resumed"),
+                       *_record(algo, stats))
 
-    for (kind, tg), budget in itertools.product(graphs.items(), BUDGETS):
-        with GStoreEngine(tg, config(budget, shards=2)) as engine:
-            for name in names:
-                algo = algos[name]()
-                yield (
-                    f"{name}/{kind}/{budget[0] >> 10}K/shards2",
-                    _record(algo, engine.run(algo)),
-                )
-
-    for (kind, tg), fused, name in itertools.product(
-        graphs.items(), (True, False),
-        [n for n in ("bfs", "pagerank") if n in names],
-    ):
-        path = "fused" if fused else "per-tile"
-        with GStoreEngine(tg, config(BUDGETS[0], fused=fused, shards=1)) as engine:
-            algo = algos[name]()
-            stats = engine.run(algo, context=engine.query_context())
-            yield f"{name}/{kind}/{path}/private", _record(algo, stats)
-        with tempfile.TemporaryDirectory() as ckpt:
-            try:
-                with GStoreEngine(
-                    tg, config(BUDGETS[0], fused=fused, shards=1, max_iterations=3)
-                ) as engine:
-                    engine.run(algos[name](), checkpoint=ckpt)
-            except AlgorithmError:
-                pass  # the interruption: iteration 3 is checkpointed
-            with GStoreEngine(tg, config(BUDGETS[0], fused=fused, shards=1)) as engine:
-                algo = algos[name]()
-                stats = engine.run(algo, checkpoint=ckpt)
-            yield f"{name}/{kind}/{path}/resumed", _record(algo, stats)
-
-    if algorithms is None:
         directed = graphs["directed"]
         cfg = config((64 * 1024, 8 * 1024), shards=1)
-        yield "scc/directed/resident", _scc(directed, cfg)
+        yield ("scc/directed/resident", *_scc(directed, cfg))
         with tempfile.TemporaryDirectory() as d:
             external = TiledGraph.load(directed.save(d), resident=False)
-            yield "scc/directed/external", _scc(external, cfg)
+            yield ("scc/directed/external", *_scc(external, cfg))
 
-    yield from _comparator_records(names)
+    yield from _comparator_records()
 
 
 # ---------------------------------------------------------------------- #
@@ -308,6 +393,136 @@ def diff_records(ours: dict, theirs: dict, path: str = "") -> "list[str]":
     return [] if ours == theirs else [f"{path}: {theirs!r} -> {ours!r}"]
 
 
+def _declared_execution(path, variant, mode, live) -> dict:
+    """The ``extra["execution"]`` values an engine run's key declares: the
+    configuration, and what the engine must resolve it to (a private run
+    is one thread at depth 0; only a fused snapshot kernel shards)."""
+    depth, workers, shards = 2, 1, 1  # the EngineConfig defaults
+    if variant.startswith("depth"):
+        depth, workers = map(int, re.findall(r"\d+", variant))
+    elif variant.startswith("shards"):
+        shards = int(variant[len("shards"):])
+    private = variant == "private"
+    return {
+        "fused": path == "fused",
+        "selective": mode == "selective",
+        "workers": workers,
+        "workers_resolved": 1 if private else workers,
+        "shards": shards,
+        "shards_resolved": 1 if live or path != "fused" else shards,
+        "prefetch_depth": depth,
+        "prefetch_depth_resolved": 0 if private else depth,
+        "realize_io": False,
+        "degraded": False,
+        "private_context": private,
+    }
+
+
+def _demand(stats) -> int:
+    """Bytes a run (or one iteration) asked for: fetched plus rewound."""
+    return stats["bytes_read"] + stats["bytes_from_cache"]
+
+
+def _work(stats) -> dict:
+    """What dispatch granularity must not change for a snapshot kernel."""
+    return {"iterations": len(stats["iterations"]),
+            "edges_processed": stats["edges_processed"]}
+
+
+def lattice_violations(records: dict, answers: dict) -> "list[str]":
+    """The within-tree equalities of the enumeration's engine runs, one
+    line per broken field, naming the key (and the key it was held to):
+
+    * one answer (result digest; MIS rounds and members) per algorithm,
+      graph and budget across every fused run — depth, workers, selective
+      on/off, shards, private context, checkpoint resume;
+    * per-tile runs give that answer too — PageRank and SpMV up to float
+      reassociation (``answers`` maps digests to arrays for this) — and,
+      for snapshot kernels, the fused run's iterations and edge count;
+    * one simulated run (every ``stats`` field) per decode path and
+      selective mode across depth, workers, shards and private context,
+      and ``execution`` as each key declares it;
+    * dense skips nothing and every dense iteration is one full sweep; no
+      selective iteration asks for more, and a selective run asks for no
+      more than the dense one — plus one sweep for live kernels, whose
+      dense sweeps also relax what the frontier has not reached yet.
+    """
+    import numpy as np
+
+    factories = algorithms()
+    live = {name: make().live_kernel for name, make in factories.items()}
+    # SCC and the comparators are diffed across trees only.
+    runs = {key: key.split("/") for key in records
+            if key.split("/", 1)[0] in factories}
+    answer_of, run_of = {}, {}  # the first run of each group is its reference
+    for key, (name, kind, budget, path, variant, mode) in runs.items():
+        if path == "fused":
+            answer_of.setdefault((name, kind, budget), key)
+        if variant != "resumed":  # a resumed run starts with a cold cache
+            run_of.setdefault((name, kind, budget, path, mode), key)
+
+    out: "list[str]" = []
+
+    def differ(key, ours, ref_key, theirs):
+        out.extend(f"{line} (against {ref_key})"
+                   for line in diff_records(ours, theirs, key))
+
+    for key, (name, kind, budget, path, variant, mode) in runs.items():
+        rec = records[key]
+        ref_key = answer_of[name, kind, budget]
+        answer, ref = (
+            {k: v for k, v in r.items() if k not in ("stats", "execution")}
+            for r in (rec, records[ref_key])
+        )
+        if path == "fused" or name not in FLOAT_ALGORITHMS:
+            differ(key, answer, ref_key, ref)
+        else:
+            a, b = answers[rec["result"]], answers[ref["result"]]
+            if not (a.dtype == b.dtype and a.shape == b.shape
+                    and np.allclose(a, b, rtol=1e-9, atol=1e-12)):
+                out.append(f"{key}.result: not allclose to {ref_key}")
+        out += diff_records(
+            rec["execution"],
+            _declared_execution(path, variant, mode, live[name]),
+            f"{key}.execution",
+        )
+        if variant == "resumed":
+            continue
+        ref_key = run_of[name, kind, budget, path, mode]
+        differ(f"{key}.stats", rec["stats"], ref_key, records[ref_key]["stats"])
+        if path != "fused" and not live[name]:
+            ref_key = run_of[name, kind, budget, "fused", mode]
+            differ(f"{key}.stats", _work(rec["stats"]),
+                   ref_key, _work(records[ref_key]["stats"]))
+
+    for key in run_of.values():
+        if not key.endswith("/dense"):
+            continue
+        dense = records[key]["stats"]
+        sel_key = key[:-len("dense")] + "selective"
+        sel = records[sel_key]["stats"]
+        sweep = _demand(dense["iterations"][0])
+        if dense["tiles_skipped"]:
+            out.append(f"{key}.stats.tiles_skipped: {dense['tiles_skipped']} > 0")
+        for k, it in enumerate(dense["iterations"]):
+            if _demand(it) != sweep:
+                out.append(f"{key}.stats.iterations[{k}]: demand "
+                           f"{_demand(it)} is not one sweep ({sweep})")
+        for k, it in enumerate(sel["iterations"]):
+            if _demand(it) > sweep:
+                out.append(f"{sel_key}.stats.iterations[{k}]: demand "
+                           f"{_demand(it)} > one dense sweep ({sweep})")
+        is_live = live[key.split("/", 1)[0]]
+        bound = _demand(dense) + (sweep if is_live else 0)
+        if _demand(sel) > bound:
+            out.append(f"{sel_key}.stats: demand {_demand(sel)} > {bound} "
+                       f"(dense {key})")
+        if not is_live and len(sel["iterations"]) != len(dense["iterations"]):
+            out.append(f"{sel_key}.stats.iterations: {len(sel['iterations'])} "
+                       f"iterations, dense {len(dense['iterations'])}")
+    return out
+
+
 def _run_tree(src: str) -> dict:
     """The enumeration's records with ``src`` first on the import path."""
     proc = subprocess.run(
@@ -319,16 +534,15 @@ def _run_tree(src: str) -> dict:
 
 
 def compare(rev: str) -> int:
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(
-            ["git", "-C", root, "archive", "--format=tar", rev, "src"],
+            ["git", "-C", ROOT, "archive", "--format=tar", rev, "src"],
             check=True, stdout=subprocess.PIPE,
         ).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp)
         theirs = _run_tree(os.path.join(tmp, "src"))
-    ours = _run_tree(os.path.join(root, "src"))
+    ours = _run_tree(os.path.join(ROOT, "src"))
     lines = diff_records(ours, theirs)
     for line in lines:
         print(line)
@@ -347,11 +561,12 @@ def main(argv: "list[str] | None" = None) -> int:
                       help="print this tree's records, one JSON pair a line")
     args = ap.parse_args(argv)
     if args.enumerate:
-        for pair in enumerate_records():
-            print(json.dumps(pair))
+        for key, rec, _ in enumerate_records():
+            print(json.dumps([key, rec]))
         return 0
     return compare(args.against)
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, ROOT)  # for tests.shard_floor, here and in shard workers
     sys.exit(main())
