@@ -355,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--k", type=int, default=2, help="k for kcore")
     pt.add_argument("--memory-fraction", type=float, default=0.25)
     pt.add_argument("--ssds", type=int, default=1)
-    pt.add_argument("--depth", type=int, default=2,
-                    help="prefetch depth (0 = serial baseline)")
+    pt.add_argument("--depth", type=int, default=None,
+                    help="prefetch depth (0 = serial baseline; default: "
+                         "2 with --device-paced, else 0)")
     pt.add_argument("--device-paced", action="store_true",
                     help="sleep simulated I/O time for real (realize_io)")
     pt.add_argument("--out", default="trace.json")

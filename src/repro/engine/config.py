@@ -14,7 +14,10 @@ Every optimisation the paper ablates is a field here:
   fetch-every-tile baseline; same results, fewer bytes moved.
 * ``prefetch_depth`` — the *real* (wall-clock) prefetch pipeline: how many
   segment batches a background worker fetches + decodes ahead of compute
-  (0 = strictly serial fetch-then-compute, the ablation baseline).
+  (0 = strictly serial fetch-then-compute, the ablation baseline).  Unset,
+  the engine runs the thread only when reads block (``realize_io``): over
+  page-cached reads it has nothing to overlap and costs a GIL hand-off
+  per batch.
 * ``workers`` / ``shards`` — parallelism: ``workers`` shards the fused
   kernels' partial phase over a thread pool inside one process;
   ``shards`` partitions the slide plan over worker processes that each
@@ -96,8 +99,12 @@ class EngineConfig:
     #: and decoded by a background worker while batch ``k`` computes on the
     #: engine thread.  0 disables the pipeline entirely (the serial
     #: fetch-then-compute ablation baseline); results are bit-identical at
-    #: every depth.
-    prefetch_depth: int = 2
+    #: every depth.  ``None`` resolves from what the store does: depth
+    #: ``BLOCKING_IO_DEPTH`` (2) under ``realize_io``, where the producer
+    #: sleeps with the GIL released, else 0 — a page-cached fetch is a
+    #: buffer slice with nothing to overlap (docs/PERFORMANCE.md "The
+    #: prefetch thread runs only when reads block").
+    prefetch_depth: "int | None" = None
     #: Sleep each batch's simulated I/O service time in real time, so the
     #: wall clock behaves like the modeled device (used by the
     #: pipeline-overlap benchmark to demonstrate real overlap).
@@ -140,5 +147,5 @@ class EngineConfig:
                 f"shards must be a positive int or None "
                 f"(REPRO_SHARDS default), got {self.shards!r}"
             )
-        if self.prefetch_depth < 0:
-            raise StorageError("prefetch_depth must be >= 0")
+        if self.prefetch_depth is not None and self.prefetch_depth < 0:
+            raise StorageError("prefetch_depth must be >= 0 or None")

@@ -15,17 +15,20 @@ Per iteration the engine:
    clocks: the simulated timeline accounts it via
    :class:`~repro.runtime.pipeline.PipelineTimeline`, and one loop —
    compute ``k-1``, get ``k``, commit ``k`` — draws prepared batches from
-   one ordered source: with ``config.prefetch_depth >= 1`` a background
-   prefetcher really fetches and decodes batches ``k+1..k+D`` (store read
-   + batch decode, both GIL-releasing) while the engine thread computes
-   batch ``k``; shard-parallel runs gather them from worker
-   processes; depth 0 prepares each batch inside ``get()``.  A source that
-   fails mid-run is closed and the run continues from the same batch at
-   depth 0 (:meth:`GStoreEngine._get`, the one degrade step).  Compute
-   runs through the fused batch layer: a whole segment's tiles execute as
-   one vectorised kernel pass, optionally sharded row-parallel over a
-   persistent worker pool with a deterministic merge (``config.fused`` /
-   ``config.workers``);
+   one ordered source: at prefetch depth ``D >= 1`` a background
+   prefetcher really fetches and decodes batches ``k+1..k+D`` while the
+   engine thread computes batch ``k``; shard-parallel runs gather them
+   from worker processes; depth 0 prepares each batch inside ``get()``.
+   :meth:`GStoreEngine._prefetch_depth` resolves the depth in one place:
+   an explicit ``config.prefetch_depth`` as given; unset, 2 when reads
+   block (``config.realize_io``) and 0 over page-cached reads, where a
+   fetch is a buffer slice and the thread would overlap nothing.  A
+   source that fails mid-run is closed and the run continues from the
+   same batch at depth 0 (:meth:`GStoreEngine._get`, the one degrade
+   step).  Compute runs through the fused batch layer: a whole segment's
+   tiles execute as one vectorised kernel pass, optionally sharded
+   row-parallel over a persistent worker pool with a deterministic merge
+   (``config.fused`` / ``config.workers``);
 4. *caches*: processed tiles enter the pool under the proactive rules;
    when the pool fills, analysis evicts tiles the next iteration will not
    need (§VI-C).
@@ -87,7 +90,7 @@ from repro.types import SHARDS_PER_BATCH as _RUN_SPLIT
 from repro.util.timer import SimClock, WallTimer
 from repro.runtime.lane import FifoLane
 from repro.runtime.pipeline import PipelineTimeline, WallOverlap
-from repro.runtime.prefetch import Prefetcher, Prepared
+from repro.runtime.prefetch import BLOCKING_IO_DEPTH, Prefetcher, Prepared
 from repro.runtime.shard import ShardRuntime, ShardRuntimeError, resolve_shards
 from repro.runtime.threads import (
     WORKER_THREAD_PREFIX,
@@ -702,14 +705,24 @@ class GStoreEngine:
         return self._local_source(plan.batches, ctx, self._prefetch_depth(ctx))
 
     def _prefetch_depth(self, ctx: RunContext) -> int:
-        """Prefetch depth of this run's local source: as configured, or 0
-        — no thread, each batch prepared inside ``get()`` — for a private
-        context (a query is exactly one thread: a per-iteration prefetch
-        thread only adds a GIL hand-off per batch to an interpreter-bound
-        run) and for a run the degrade step moved off its prefetcher."""
+        """Prefetch depth of this run's local source — the one place that
+        decides whether a prefetch thread runs.
+
+        0 — no thread, each batch prepared inside ``get()`` — for a
+        private context (a query is exactly one thread) and for a run the
+        degrade step moved off its prefetcher.  Otherwise an explicit
+        ``config.prefetch_depth`` is honoured; unset, it is
+        ``BLOCKING_IO_DEPTH`` when reads block (``realize_io``: the
+        producer sleeps with the GIL released) and 0 over page-cached
+        reads, where a fetch is a buffer slice and the decode holds the
+        GIL, so the thread overlaps nothing and costs a hand-off per
+        batch."""
         if ctx.private or ctx.degraded:
             return 0
-        return self.config.prefetch_depth
+        depth = self.config.prefetch_depth
+        if depth is None:
+            return BLOCKING_IO_DEPTH if self.config.realize_io else 0
+        return depth
 
     def _local_source(
         self, batches, ctx: RunContext, depth: int
@@ -779,9 +792,11 @@ class GStoreEngine:
         prefetching, inside ``get()`` on the engine thread at depth 0).
 
         Everything here is free of engine-thread state: the AIO service
-        half is thread-safe and clock-free, the store reads are zero-copy,
-        and the NumPy decode releases the GIL — which is exactly what makes
-        the overlap with compute real.
+        half is thread-safe and clock-free and the store reads are
+        zero-copy, so either thread may run it.  The overlap with compute
+        is real when the service half blocks with the GIL released (the
+        ``realize_io`` sleep) — which is when an unset depth runs the
+        prefetch thread at all (:meth:`_prefetch_depth`).
         """
         t0 = _time.perf_counter()
         tracer = ctx.tracer

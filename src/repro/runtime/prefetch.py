@@ -25,6 +25,13 @@ T = TypeVar("T")
 #: ``threading.enumerate()``.
 PREFETCH_THREAD_NAME = "repro-prefetch"
 
+#: The depth an unset ``EngineConfig.prefetch_depth`` resolves to when
+#: reads really block (``realize_io``): the producer then sleeps with the
+#: GIL released, so two batches ahead is what there is to overlap
+#: (``BENCH_pipeline.json``).  Over page-cached reads the same unset depth
+#: resolves to 0 — no thread.
+BLOCKING_IO_DEPTH = 2
+
 
 @dataclass
 class Prepared:

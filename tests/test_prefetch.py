@@ -4,10 +4,12 @@ With ``prefetch_depth >= 1`` a background worker fetches and decodes slide
 batches ahead of compute, but batches still *commit* in plan order on the
 engine thread — that results and every simulated statistic are identical
 at any depth is the equivalence lattice's (``tools/equiv_matrix.py``,
-asserted in tier-1 by ``tests/test_equiv_lattice.py``).  Here: the wall
-clock tells serial from prefetched batches, device-paced mode changes no
-result, and whatever happens mid-run (algorithm exceptions included), no
-prefetch thread survives the iteration.
+asserted in tier-1 by ``tests/test_equiv_lattice.py``).  Here: an unset
+depth runs the thread only when reads block (``realize_io``) and an
+explicit one is honoured, the wall clock tells serial from prefetched
+batches, device-paced mode changes no result, and whatever happens mid-run
+(algorithm exceptions included), no prefetch thread survives the
+iteration.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.algorithms.bfs import BFS
 from repro.algorithms.pagerank import PageRank
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
+from repro.errors import StorageError
 from repro.format.tiles import TiledGraph
 from repro.graphgen.rmat import rmat
 from repro.runtime.prefetch import PREFETCH_THREAD_NAME
@@ -45,6 +48,44 @@ def _config(**kw) -> EngineConfig:
 
 def _lingering(prefix: str) -> "list[str]":
     return [t.name for t in threading.enumerate() if t.name.startswith(prefix)]
+
+
+@pytest.mark.parametrize("depth, realize_io, resolved", [
+    (None, False, 0),  # the default over page-cached reads: no thread
+    (None, True, 2),   # reads block: the thread has something to overlap
+    (0, False, 0), (0, True, 0), (2, False, 2), (2, True, 2),
+])
+def test_depth_resolution(graph, monkeypatch, depth, realize_io, resolved):
+    """``prefetch_depth`` unset resolves from ``realize_io``; an explicit
+    depth is honoured either way — in the record, in the wall accounting,
+    and in which threads the run started."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    kw = {} if depth is None else {"prefetch_depth": depth}
+    cfg = _config(realize_io=realize_io, **kw)
+    assert cfg.prefetch_depth == depth
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    with GStoreEngine(graph, cfg) as engine:
+        stats = engine.run(PageRank(max_iterations=4, tolerance=0.0))
+    ex, pw = stats.extra["execution"], stats.extra["pipeline_wall"]
+    assert ex["prefetch_depth"] == depth
+    assert ex["prefetch_depth_resolved"] == resolved
+    assert pw["batches"] > 0
+    assert pw["prefetched"] == (pw["batches"] if resolved else 0)
+    # Every thread the run started is a prefetcher, and there are some
+    # exactly when the depth resolved above 0.
+    assert all(n.startswith(PREFETCH_THREAD_NAME) for n in started), started
+    assert bool(started) == bool(resolved), started
+
+
+def test_negative_depth_rejected():
+    with pytest.raises(StorageError, match="prefetch_depth"):
+        EngineConfig(prefetch_depth=-1)
 
 
 def test_prefetched_batches_recorded(graph):

@@ -208,6 +208,25 @@ def _imports(tree):
             yield from (f"{node.module}.{a.name}" for a in node.names)
 
 
+def _attr_loads(tree, attr):
+    """The innermost enclosing function (``<module>`` at top level) of
+    every read of ``.attr`` under ``tree``, one entry a read."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == attr
+                    and isinstance(child.ctx, ast.Load)):
+                out.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return out
+
+
 def _is_os_attr(node, attr):
     return (
         isinstance(node, ast.Attribute) and node.attr == attr
@@ -248,8 +267,12 @@ def test_source_structure_holds():
     algorithm is fused) — the tile grid is never walked (no
     tuple-list geometry, no per-tile payload iterator, one engine per SCC
     driver) and the format package reads bytes without the storage or
-    engine layers — and the option surface — config fields (both sides of
-    a comparison) and environment variables — is exactly the documented
+    engine layers — the prefetch depth is resolved in one place (outside
+    the config's own validation, ``prefetch_depth`` is read only by
+    ``GStoreEngine._prefetch_depth`` and the ``extra["execution"]``
+    record in ``_run``, so nothing else decides whether a prefetch thread
+    runs) — and the option surface — config fields (both sides of a
+    comparison) and environment variables — is exactly the documented
     one."""
     from repro.baselines.common import BaselineConfig
     from repro.bench.experiments import EXPERIMENTS
@@ -265,11 +288,16 @@ def test_source_structure_holds():
     walked, format_reach = [], []
     tile_kernels, fused_asked, twin_imports = [], [], []
     comparator_defs, page_table_reach, index_literals = [], [], []
+    depth_reads = []
     comparator_names = {"run_bfs", "run_pagerank", "run_cc", "_account"}
     stems = {stem for _, _, results in EXPERIMENTS for stem in results}
     indexed = stems | {label for label, _, _ in EXPERIMENTS}
     for rel, tree in _src_trees():
         package = rel.split(os.sep)[0]
+        if rel != os.path.join("engine", "config.py"):
+            depth_reads += [
+                f"{rel}: {fn}" for fn in _attr_loads(tree, "prefetch_depth")
+            ]
         comparator_defs += [
             f"{rel}: {fn.name}" for fn in ast.walk(tree)
             if isinstance(fn, ast.FunctionDef) and fn.name in comparator_names
@@ -369,6 +397,10 @@ def test_source_structure_holds():
     )
     assert not page_table_reach, page_table_reach
     assert not index_literals, index_literals
+    assert sorted(depth_reads) == [
+        os.path.join("engine", "gstore.py") + f": {fn}"
+        for fn in ("_prefetch_depth", "_run")
+    ], depth_reads
     bench_dir = os.path.join(SRC, "..", "..", "benchmarks")
     recorded = {
         os.path.splitext(f)[0]

@@ -65,9 +65,10 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUDGETS = ((24 * 1024, 4 * 1024), (8 * 1024, 4 * 1024))
 #: ``(prefetch_depth, workers)`` of the single-process runs, by ``fused``.
-#: Fused: the serial baseline, the default, and the kernel pool beside the
-#: prefetch thread — depths 0/1/2/4, workers 1/2/3.  Per-tile dispatch
-#: never hands a batch to the pool, so it runs serial and prefetched.
+#: Fused: the serial baseline (what the default resolves to over
+#: page-cached reads), the explicit prefetch thread, and the kernel pool
+#: beside it — depths 0/1/2/4, workers 1/2/3.  Per-tile dispatch never
+#: hands a batch to the pool, so it runs serial and prefetched.
 EXECUTIONS = {
     True: ((0, 1), (2, 1), (1, 2), (4, 3)),
     False: ((0, 1), (2, 1)),
@@ -396,13 +397,22 @@ def diff_records(ours: dict, theirs: dict, path: str = "") -> "list[str]":
 def _declared_execution(path, variant, mode, live) -> dict:
     """The ``extra["execution"]`` values an engine run's key declares: the
     configuration, and what the engine must resolve it to (a private run
-    is one thread at depth 0; only a fused snapshot kernel shards)."""
-    depth, workers, shards = 2, 1, 1  # the EngineConfig defaults
+    is one thread at depth 0; an unset depth runs the prefetch thread only
+    when reads block; only a fused snapshot kernel shards)."""
+    from repro.engine.config import EngineConfig
+    from repro.runtime.prefetch import BLOCKING_IO_DEPTH
+
+    default = EngineConfig()
+    # Every run but the sharded ones pins shards=1.
+    depth, workers, shards = default.prefetch_depth, default.workers, 1
     if variant.startswith("depth"):
         depth, workers = map(int, re.findall(r"\d+", variant))
     elif variant.startswith("shards"):
         shards = int(variant[len("shards"):])
     private = variant == "private"
+    resolved = depth
+    if depth is None:
+        resolved = BLOCKING_IO_DEPTH if default.realize_io else 0
     return {
         "fused": path == "fused",
         "selective": mode == "selective",
@@ -411,8 +421,8 @@ def _declared_execution(path, variant, mode, live) -> dict:
         "shards": shards,
         "shards_resolved": 1 if live or path != "fused" else shards,
         "prefetch_depth": depth,
-        "prefetch_depth_resolved": 0 if private else depth,
-        "realize_io": False,
+        "prefetch_depth_resolved": 0 if private else resolved,
+        "realize_io": default.realize_io,
         "degraded": False,
         "private_context": private,
     }
