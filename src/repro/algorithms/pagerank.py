@@ -3,10 +3,10 @@
 Power iteration with damping: every iteration streams the whole graph, so
 all rows stay active and — crucially for slide-cache-rewind — every cached
 tile is guaranteed useful next iteration.  Contributions are accumulated
-with one ``np.bincount`` per kernel call over window-relative destination
-IDs: the metadata touched spans only the vertex ranges of the tiles the
-call covers, which is the access-localisation property measured in
-Figure 2(b).
+with one compiled COO mat-vec per vertex window of a kernel call
+(:func:`scatter_sums`): the metadata touched spans only the vertex ranges
+of the tiles the call covers, which is the access-localisation property
+measured in Figure 2(b).
 
 Dangling vertices redistribute their rank uniformly each iteration, which
 matches networkx's formulation and keeps the cross-check tight.
@@ -15,8 +15,49 @@ matches networkx's formulation and keeps the cross-check tight.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse._sparsetools import coo_matvec
 
 from repro.algorithms.base import TileAlgorithm
+
+
+#: Unit edge weights for ``coo_matvec``: shared by every call, grown on
+#: demand, never written (read-only, so no caller can).
+_ONES = np.ones(0)
+_ONES.flags.writeable = False
+
+
+def _unit_weights(m: int) -> np.ndarray:
+    global _ONES
+    ones = _ONES
+    if ones.shape[0] < m:
+        ones = np.ones(m)
+        ones.flags.writeable = False
+        _ONES = ones
+    return ones
+
+
+def _as_index(ids: np.ndarray, n: int) -> np.ndarray:
+    """Endpoint IDs as a signed index array ``coo_matvec`` takes: stored
+    ``uint32`` IDs are reinterpreted in place while every valid ID fits
+    in ``int32``, so an ID of 2**31 or more reads as negative and fails
+    :func:`_bounds` like any other."""
+    if ids.dtype == np.uint32 and n <= 1 << 31:
+        return ids.view(np.int32)
+    return ids.astype(np.int64, copy=False)
+
+
+def _bounds(idx: np.ndarray, ids: np.ndarray, n: int) -> "tuple[int, int]":
+    """``[min, max + 1)`` of ``idx``, raising NumPy's gather ``IndexError``
+    when any ID falls outside ``[0, n)`` — ``coo_matvec`` checks nothing,
+    and a corrupt ID must never read or write outside its arrays."""
+    lo, hi = int(idx.min()), int(idx.max())
+    if lo < 0 or hi >= n:
+        low = int(ids.min())
+        bad = low if low < 0 else int(ids.max())
+        raise IndexError(
+            f"index {bad} is out of bounds for axis 0 with size {n}"
+        )
+    return lo, hi + 1
 
 
 def scatter_sums(
@@ -28,46 +69,51 @@ def scatter_sums(
     arriving at vertex ``v``, covering only the ``[min, max]`` vertex range
     the shard's edges touch — cost proportional to the shard's edges and
     vertex span, not to |V|, which is also all a shard worker pickles
-    back.  One ``np.bincount`` over the concatenated batch replaces
-    thousands of per-tile bincounts (the "one gather, one scatter per
-    batch" kernel shape); accumulation order is the edge order, which is
-    deterministic for a fixed shard structure.
+    back.  Each window is one compiled COO mat-vec (scipy's
+    ``coo_matvec``, which releases the GIL) over the whole shard:
+    ``out[rows[k] - lo] += 1.0 * x[cols[k]]`` in edge order — the
+    addition sequence of ``np.bincount(rows - lo, weights=x[cols])``, so
+    bit-identical to it, with no gathered temporary and no widened copy
+    of the endpoint arrays.  Edge order is deterministic for a fixed
+    shard structure.
 
     On symmetric storage the mirrored ``y[src] += x[dst]`` is included:
     where the destination and source windows overlap both are summed over
-    their hull (element for element what adding two dense |V|-vectors
-    computes); where they are disjoint they stay two windows, each element
-    still receiving its one sum.  :func:`add_windows` commits the result,
+    their hull, each direction into its own array and the two then added
+    (element for element what adding two dense |V|-vectors computes);
+    where they are disjoint they stay two windows, each element still
+    receiving its one sum.  :func:`add_windows` commits the result,
     bit-identical to adding a dense partial: every vertex outside the
     windows would only have had ``0.0`` added to it.
+
+    Raises ``IndexError`` if any endpoint lies outside ``x``.
     """
-    if gsrc.shape[0] == 0:
+    m = gsrc.shape[0]
+    if m == 0:
         return []
-    # One widening per endpoint array serves both the gather and the
-    # scatter (fancy-indexing with the stored 32-bit IDs is ~3x slower).
-    src = gsrc.astype(np.int64)
-    dst = gdst.astype(np.int64)
-    vals = x[src]
-    lo, hi = int(dst.min()), int(dst.max()) + 1
+    n = x.shape[0]
+    src, dst = _as_index(gsrc, n), _as_index(gdst, n)
+    lo2, hi2 = _bounds(src, gsrc, n)
+    lo, hi = _bounds(dst, gdst, n)
+    ones = _unit_weights(m)
+
+    def window(base: int, span: int, rows: np.ndarray, cols: np.ndarray):
+        out = np.zeros(span)
+        coo_matvec(m, rows - base if base else rows, cols, ones, x, out)
+        return out
+
     if not symmetric:
-        dst -= lo
-        return [(lo, np.bincount(dst, weights=vals))]
+        return [(lo, window(lo, hi - lo, dst, src))]
     # The stored upper triangle carries the mirrored edge too.
-    vals2 = x[dst]
-    lo2, hi2 = int(src.min()), int(src.max()) + 1
     if hi <= lo2 or hi2 <= lo:
-        dst -= lo
-        src -= lo2
         return [
-            (lo, np.bincount(dst, weights=vals)),
-            (lo2, np.bincount(src, weights=vals2)),
+            (lo, window(lo, hi - lo, dst, src)),
+            (lo2, window(lo2, hi2 - lo2, src, dst)),
         ]
     base = min(lo, lo2)
     span = max(hi, hi2) - base
-    dst -= base
-    src -= base
-    part = np.bincount(dst, weights=vals, minlength=span)
-    part += np.bincount(src, weights=vals2, minlength=span)
+    part = window(base, span, dst, src)
+    part += window(base, span, src, dst)
     return [(base, part)]
 
 
@@ -157,7 +203,8 @@ class PageRank(TileAlgorithm):
 
     @staticmethod
     def kernel_partial(state, params, gsrc, gdst):
-        """Read-only fused pass: one weighted bincount over the whole shard.
+        """Read-only fused pass: one COO mat-vec per vertex window over the
+        whole shard (:func:`scatter_sums`).
 
         ``contrib`` is frozen for the iteration, so this is safe to run
         concurrently with other shards — threads or worker processes; the

@@ -53,7 +53,10 @@ class TileView:
 
     The global-ID arrays are computed lazily and cached, so kernels (and
     the fused batch layer, which concatenates them across a whole segment)
-    can call :meth:`global_edges` repeatedly without re-allocating.  Callers
+    can call :meth:`global_edges` repeatedly without re-allocating.  Every
+    decoder that seeds the cache seeds it with C-contiguous ``VERTEX_DTYPE``
+    arrays (slices of one array per endpoint, never strided views of an
+    interleaved buffer), so kernels index them without a copy.  Callers
     must treat the returned arrays as read-only.
 
     ``edge_lo`` is the disk-edge offset of the view's first edge: the
@@ -83,7 +86,8 @@ class TileView:
         return self.lsrc.nbytes + self.ldst.nbytes
 
     def global_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint IDs in the global vertex space (cached uint32 arrays)."""
+        """Endpoint IDs in the global vertex space: cached, C-contiguous
+        ``VERTEX_DTYPE`` arrays."""
         if self._gsrc is None:
             gsrc = self.lsrc.astype(VERTEX_DTYPE)
             gdst = self.ldst.astype(VERTEX_DTYPE)
@@ -101,7 +105,9 @@ def concat_global_edges(views: "list[TileView]") -> tuple[np.ndarray, np.ndarray
 
     Edge order is the batch's tile order — the same sequence a per-tile
     loop over ``views`` would visit, which is what keeps the fused kernels
-    bit-identical to per-tile execution.
+    bit-identical to per-tile execution.  Both arrays are C-contiguous
+    ``VERTEX_DTYPE``; a one-view batch (every shard of a rewind) returns
+    that view's cached arrays themselves, no copy.
     """
     if not views:
         empty = np.empty(0, dtype=VERTEX_DTYPE)
@@ -484,11 +490,12 @@ class TiledGraph:
         ``data`` is the merged extent covering ``positions`` (as produced by
         :func:`~repro.engine.selective.merge_requests`).  One
         ``np.frombuffer`` interprets the whole extent; each tile's local
-        arrays are strided views into it, and — for SNB storage — the
-        global IDs of the *entire run* are materialised with a single
-        widening add whose per-tile slices seed every view's
-        :meth:`TileView.global_edges` cache.  Returns ``(view, raw)`` pairs
-        where ``raw`` is the tile's zero-copy byte slice of ``data``.
+        arrays are strided views into it, and the global IDs of the
+        *entire run* are materialised by :meth:`_global_ids` — the layout
+        :meth:`decode_batch` emits — whose per-tile slices seed every
+        view's :meth:`TileView.global_edges` cache.  Returns ``(view,
+        raw)`` pairs where ``raw`` is the tile's zero-copy byte slice of
+        ``data``.
         """
         arr = np.frombuffer(data, dtype=self.payload_dtype())
         se = self.start_edge.start_edge
@@ -497,41 +504,27 @@ class TiledGraph:
         starts = se[pos_arr].astype(np.int64)
         ends = se[pos_arr + 1].astype(np.int64)
         base = int(starts[0])
-        rows = self.tile_rows
-        cols = self.tile_cols
         tbits = self.tile_bits
-        snb = self.snb
-        if snb:
-            sb = (rows[pos_arr].astype(np.int64) << tbits).astype(VERTEX_DTYPE)
-            db = (cols[pos_arr].astype(np.int64) << tbits).astype(VERTEX_DTYPE)
-            garr = arr.astype(VERTEX_DTYPE)
-            # Interleaved [src, dst, src, dst, ...] base pattern, one add.
-            garr += np.repeat(
-                np.stack([sb, db], axis=1), ends - starts, axis=0
-            ).reshape(-1)
-        else:
-            garr = arr if arr.dtype == VERTEX_DTYPE else arr.astype(VERTEX_DTYPE)
+        gsrc, gdst = self._global_ids(arr, pos_arr, ends - starts)
         out: "list[tuple[TileView, memoryview]]" = []
         starts_l = (starts - base).tolist()
         ends_l = (ends - base).tolist()
-        rows_l = rows[pos_arr].tolist()
-        cols_l = cols[pos_arr].tolist()
-        if snb:
-            sb_l = sb.tolist()
-            db_l = db.tolist()
+        rows_l = self.tile_rows[pos_arr].tolist()
+        cols_l = self.tile_cols[pos_arr].tolist()
+        if self.snb:
+            sb_l = [i << tbits for i in rows_l]
+            db_l = [j << tbits for j in cols_l]
         else:
             sb_l = db_l = [0] * len(positions)
         append = out.append
         for pos, lo, hi, i, j, sbase, dbase in zip(
             positions, starts_l, ends_l, rows_l, cols_l, sb_l, db_l
         ):
-            e0, e1 = 2 * lo, 2 * hi
-            chunk = arr[e0:e1]
-            g = garr[e0:e1]
+            chunk = arr[2 * lo : 2 * hi]
             tv = TileView(
                 i=i, j=j, lsrc=chunk[0::2], ldst=chunk[1::2],
                 src_base=sbase, dst_base=dbase, pos=pos, edge_lo=base + lo,
-                _gsrc=g[0::2], _gdst=g[1::2],
+                _gsrc=gsrc[lo:hi], _gdst=gdst[lo:hi],
             )
             append((tv, data[lo * tb : hi * tb]))
         return out
@@ -620,6 +613,23 @@ class TiledGraph:
             )
         return out
 
+    def _global_ids(
+        self, flat: np.ndarray, pos_arr: np.ndarray, counts: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Global endpoint IDs of the stored tuples ``flat`` — the
+        interleaved locals of tiles ``pos_arr``, ``counts`` edges each, in
+        that order — as two contiguous ``VERTEX_DTYPE`` arrays.  One pass
+        per endpoint de-interleaves, widens and (SNB storage) adds each
+        tile's base, so kernels index the result without a copy."""
+        if not self.snb:
+            return (flat[0::2].astype(VERTEX_DTYPE),
+                    flat[1::2].astype(VERTEX_DTYPE))
+        tbits = self.tile_bits
+        sb = (self.tile_rows[pos_arr].astype(np.int64) << tbits).astype(VERTEX_DTYPE)
+        db = (self.tile_cols[pos_arr].astype(np.int64) << tbits).astype(VERTEX_DTYPE)
+        return (flat[0::2] + np.repeat(sb, counts),
+                flat[1::2] + np.repeat(db, counts))
+
     def decode_batch(
         self,
         runs: "list[tuple[list[int], bytes | memoryview]]",
@@ -631,9 +641,13 @@ class TiledGraph:
         concatenate everything in a batch anyway — so this emits one
         *run-level* :class:`TileView` per extent whose arrays span the whole
         run, plus per-tile ``(pos, i, j, raw)`` records for the cache pool.
-        The global IDs of the entire batch are materialised into a single
-        contiguous buffer with one widening pass and one base add; the
-        per-extent cost is just a ``frombuffer`` and two strided slices.
+        The global IDs of the entire batch are materialised by one
+        :meth:`_global_ids` pass over the concatenated extents into two
+        contiguous ``VERTEX_DTYPE`` arrays, ``gsrc`` and ``gdst``; the
+        per-extent cost is just a ``frombuffer`` and two slices.  Run
+        views — and the split views :meth:`split_run_views` cuts from
+        them — carry contiguous slices, so a one-view shard reaches its
+        kernel without a copy.
 
         Run-level views carry the first tile's grid coords and bases for
         repr purposes only (``edge_lo`` is exact: a run's tiles are adjacent
@@ -660,17 +674,10 @@ class TiledGraph:
         ends = se[all_pos + 1].astype(np.int64)
         counts = ends - starts
         arrs = [np.frombuffer(d, dtype=dt) for _, d in runs]
-        garr = np.empty(2 * int(counts.sum()), dtype=VERTEX_DTYPE)
-        off = 0
-        for a in arrs:
-            garr[off : off + a.shape[0]] = a  # fused copy + widen per extent
-            off += a.shape[0]
-        if snb:
-            sb = (rows[all_pos].astype(np.int64) << tbits).astype(VERTEX_DTYPE)
-            db = (cols[all_pos].astype(np.int64) << tbits).astype(VERTEX_DTYPE)
-            garr += np.repeat(
-                np.stack([sb, db], axis=1), counts, axis=0
-            ).reshape(-1)
+        gsrc, gdst = self._global_ids(
+            arrs[0] if len(arrs) == 1 else np.concatenate(arrs),
+            all_pos, counts,
+        )
         run_lengths = [int(p.shape[0]) for p in pos_lists]
         rl = np.asarray(run_lengths, dtype=np.int64)
         first = np.cumsum(rl) - rl
@@ -687,12 +694,10 @@ class TiledGraph:
         run_views: "list[TileView]" = []
         tiles: "list[tuple[int, int, int, bytes | memoryview]]" = []
         append = tiles.append
-        g_off = 0
+        e_lo = 0
         k = 0
         for r_idx, ((positions, data), arr) in enumerate(zip(runs, arrs)):
-            m = arr.shape[0]
-            g = garr[g_off : g_off + m]
-            g_off += m
+            e_hi = e_lo + arr.shape[0] // 2
             i0 = rows_l[k] if with_tiles else rows_l[r_idx]
             j0 = cols_l[k] if with_tiles else cols_l[r_idx]
             run_views.append(
@@ -701,9 +706,10 @@ class TiledGraph:
                     src_base=(i0 << tbits) if snb else 0,
                     dst_base=(j0 << tbits) if snb else 0,
                     pos=int(positions[0]), edge_lo=run_lo[r_idx],
-                    _gsrc=g[0::2], _gdst=g[1::2],
+                    _gsrc=gsrc[e_lo:e_hi], _gdst=gdst[e_lo:e_hi],
                 )
             )
+            e_lo = e_hi
             if with_tiles:
                 for pos in positions:
                     append((pos, rows_l[k], cols_l[k], data[lob[k] : hib[k]]))

@@ -271,9 +271,11 @@ def test_source_structure_holds():
     the config's own validation, ``prefetch_depth`` is read only by
     ``GStoreEngine._prefetch_depth`` and the ``extra["execution"]``
     record in ``_run``, so nothing else decides whether a prefetch thread
-    runs) — and the option surface — config fields (both sides of a
-    comparison) and environment variables — is exactly the documented
-    one."""
+    runs) — scipy's private ``scipy.sparse._sparsetools`` (the compiled
+    COO mat-vec behind the scatter kernels) is imported by one module,
+    ``algorithms/pagerank.py``, so the private symbol lives in one place —
+    and the option surface — config fields (both sides of a comparison)
+    and environment variables — is exactly the documented one."""
     from repro.baselines.common import BaselineConfig
     from repro.bench.experiments import EXPERIMENTS
     from repro.engine.config import EngineConfig
@@ -288,12 +290,14 @@ def test_source_structure_holds():
     walked, format_reach = [], []
     tile_kernels, fused_asked, twin_imports = [], [], []
     comparator_defs, page_table_reach, index_literals = [], [], []
-    depth_reads = []
+    depth_reads, private_scipy = [], []
     comparator_names = {"run_bfs", "run_pagerank", "run_cc", "_account"}
     stems = {stem for _, _, results in EXPERIMENTS for stem in results}
     indexed = stems | {label for label, _, _ in EXPERIMENTS}
     for rel, tree in _src_trees():
         package = rel.split(os.sep)[0]
+        if any(m.startswith("scipy.sparse._sparsetools") for m in _imports(tree)):
+            private_scipy.append(rel)
         if rel != os.path.join("engine", "config.py"):
             depth_reads += [
                 f"{rel}: {fn}" for fn in _attr_loads(tree, "prefetch_depth")
@@ -401,6 +405,7 @@ def test_source_structure_holds():
         os.path.join("engine", "gstore.py") + f": {fn}"
         for fn in ("_prefetch_depth", "_run")
     ], depth_reads
+    assert private_scipy == [os.path.join("algorithms", "pagerank.py")]
     bench_dir = os.path.join(SRC, "..", "..", "benchmarks")
     recorded = {
         os.path.splitext(f)[0]

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from repro.engine.selective import merge_requests
-from repro.format.tiles import TiledGraph
+from repro.format.tiles import TiledGraph, concat_global_edges
 from repro.graphgen.rmat import rmat
 from repro.storage.file import TileStore
+from repro.types import VERTEX_DTYPE
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +100,37 @@ class TestTileViewCache:
         gsrc1, gdst1 = tv.global_edges()
         gsrc2, gdst2 = tv.global_edges()
         assert gsrc1 is gsrc2 and gdst1 is gdst2
+
+
+class TestGlobalEdgeLayout:
+    """Both decoders hand kernels one layout: two C-contiguous
+    ``VERTEX_DTYPE`` arrays per view, never strided views of an
+    interleaved buffer."""
+
+    @staticmethod
+    def _runs(g):
+        store = TileStore.from_tiled_graph(g)
+        nz = np.nonzero(g.tile_edge_counts() > 0)[0].tolist()
+        requests = merge_requests(nz, g.start_edge)
+        return [(r.tag, store.read(r.offset, r.size)) for r in requests]
+
+    @pytest.mark.parametrize("snb", [True, False])
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_views_carry_contiguous_global_ids(self, snb, fused):
+        g = TiledGraph.from_edge_list(
+            rmat(8, edge_factor=8, seed=5), tile_bits=5, group_q=4, snb=snb
+        )
+        views = g.decode_extents(self._runs(g), fused=fused)
+        for tv in views:
+            for arr in (tv._gsrc, tv._gdst):
+                assert arr is not None and arr.dtype == VERTEX_DTYPE
+                assert arr.flags.c_contiguous
+        ref = g.to_edge_list()
+        assert np.array_equal(np.concatenate([tv._gsrc for tv in views]), ref.src)
+        assert np.array_equal(np.concatenate([tv._gdst for tv in views]), ref.dst)
+
+    def test_one_view_shard_is_not_copied(self, tg):
+        for tv in tg.decode_extents(self._runs(tg)):
+            gsrc, gdst = concat_global_edges([tv])
+            assert np.shares_memory(gsrc, tv._gsrc)
+            assert np.shares_memory(gdst, tv._gdst)
