@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import TileAlgorithm
+from repro.algorithms.base import TileAlgorithm, gather_ids
 from repro.errors import AlgorithmError
 from repro.types import INF_DEPTH
 
@@ -77,7 +77,10 @@ class AsyncBFS(TileAlgorithm):
     def kernel_partial(state, params, gsrc, gdst):
         """One relaxation of the shard against the current depths
         (read-only): the strictly improving ``(vertex, depth)`` candidates,
-        both directions on symmetric storage."""
+        both directions on symmetric storage.  The widened endpoints ride
+        in the partial, so the fixpoint rounds of :meth:`apply_partial`
+        widen nothing again."""
+        gsrc, gdst = gather_ids(gsrc, gdst)
         depth = state["depth"]
         ds = depth[gsrc]
         dd = depth[gdst]

@@ -35,6 +35,26 @@ from repro.memory.proactive import row_activity_from_vertices
 from repro.types import SHARDS_PER_BATCH, shard_pieces
 
 
+def gather_ids(
+    gsrc: np.ndarray, gdst: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """A shard's endpoint arrays as ``intp``, the index dtype every gather
+    kernel calls first.
+
+    The decoder emits ``VERTEX_DTYPE`` (``uint32``) IDs, and NumPy fancy
+    indexing with any index dtype but ``intp`` takes a slow path that
+    converts the index on every gather: ``state[gsrc]`` over 20 000
+    ``uint32`` IDs costs ≈ 59 µs against ≈ 8 µs to widen once plus
+    ≈ 29 µs per ``intp`` gather (2-CPU Xeon, docs/PERFORMANCE.md "Gather
+    kernels index with ``intp``").  Widening once per
+    kernel call pays the conversion once for all of the kernel's gathers,
+    mask selections and the commit's scatters.  ``uint32`` input is
+    copied — a read-only shared-memory slice becomes a private array, and
+    the inputs are never written — and ``intp`` input passes through.
+    """
+    return gsrc.astype(np.intp, copy=False), gdst.astype(np.intp, copy=False)
+
+
 def chunk_by_edges(
     views: "list[TileView]", max_shards: int = SHARDS_PER_BATCH
 ) -> "list[list[TileView]]":
@@ -241,10 +261,18 @@ class TileAlgorithm(abc.ABC):
         concatenated global endpoint arrays, return the same partial
         :meth:`batch_partial` would.  Implementations must be pure
         functions of their arguments (they run in shard worker processes
-        where ``self`` does not exist) and must not mutate ``state`` (the
-        views are read-only shared memory).  :meth:`batch_partial` routes
-        through this, so per-tile, serial, threaded, and sharded execution
-        share one kernel implementation.
+        where ``self`` does not exist) and must not mutate ``state`` or
+        the endpoint arrays (both may be read-only shared memory).
+        :meth:`batch_partial` routes through this, so per-tile, serial,
+        threaded, and sharded execution share one kernel implementation.
+
+        The endpoints arrive as ``VERTEX_DTYPE`` (``uint32``), as the
+        decoder writes them.  A *gather* kernel (state indexed by
+        endpoint: BFS, SSSP, CC, ...) widens them with :func:`gather_ids`
+        before anything else; a *scatter* kernel (PageRank, SpMV, SCC's
+        degrees) hands them to
+        :func:`~repro.algorithms.pagerank.scatter_sums`, which views them
+        as ``int32`` without a copy.
         """
 
     # ------------------------------------------------------------------ #

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import TileAlgorithm
+from repro.algorithms.base import TileAlgorithm, gather_ids
 from repro.errors import AlgorithmError
 from repro.types import INF_DEPTH
 
@@ -135,6 +135,7 @@ class BFS(TileAlgorithm):
         both sides densely.  All three produce identical targets in
         identical order — only the size of the second gather differs.
         """
+        gsrc, gdst = gather_ids(gsrc, gdst)
         depth = state["depth"]
         level = np.uint32(params["level"])
         symmetric = params["symmetric"]

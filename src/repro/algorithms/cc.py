@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import TileAlgorithm
+from repro.algorithms.base import TileAlgorithm, gather_ids
 
 
 class ConnectedComponents(TileAlgorithm):
@@ -88,16 +88,18 @@ class ConnectedComponents(TileAlgorithm):
         very few iterations because the pointer-jumping compress between
         iterations does the long-range hops.
         """
+        gsrc, gdst = gather_ids(gsrc, gdst)
         prev = state["prev"]
-        # WCC treats every edge as undirected: propagate the minimum label
-        # both ways regardless of the stored orientation.
-        idx = np.concatenate([gdst, gsrc])
-        vals = np.concatenate([prev[gsrc], prev[gdst]])
-        return idx, vals, int(gsrc.shape[0])
+        # WCC treats every edge as undirected: each endpoint offers its
+        # label to the other regardless of the stored orientation.  The
+        # two directions stay separate arrays: concatenating them would
+        # copy every widened ID and label once more.
+        return gsrc, gdst, prev[gsrc], prev[gdst], int(gsrc.shape[0])
 
     def apply_partial(self, partial) -> int:
-        idx, vals, edges = partial
-        np.minimum.at(self.comp, idx, vals)
+        gsrc, gdst, src_labels, dst_labels, edges = partial
+        np.minimum.at(self.comp, gdst, src_labels)
+        np.minimum.at(self.comp, gsrc, dst_labels)
         return edges
 
     def end_iteration(self, iteration: int) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import TileAlgorithm
+from repro.algorithms.base import TileAlgorithm, gather_ids
 from repro.errors import AlgorithmError
 
 
@@ -78,6 +78,7 @@ class KCore(TileAlgorithm):
         are integer sums, so the result is independent of tile order,
         batching, and sharding.
         """
+        gsrc, gdst = gather_ids(gsrc, gdst)
         removed = state["removed"]
         active = state["active"]
         # An edge whose one endpoint was just peeled lowers the residual
@@ -97,9 +98,7 @@ class KCore(TileAlgorithm):
         targets, edges = partial
         if targets is not None:
             deg = self.residual_degree
-            deg -= np.bincount(
-                targets.astype(np.int64), minlength=deg.shape[0]
-            ).astype(deg.dtype)
+            deg -= np.bincount(targets, minlength=deg.shape[0])
         return edges
 
     def end_iteration(self, iteration: int) -> bool:

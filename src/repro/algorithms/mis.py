@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import TileAlgorithm
+from repro.algorithms.base import TileAlgorithm, gather_ids
 
 _UNDECIDED = 0
 _IN_SET = 1
@@ -109,6 +109,7 @@ class MaximalIndependentSet(TileAlgorithm):
         are frozen for the iteration and marking a vertex beaten is
         idempotent, so the result is independent of tile order, batching,
         and sharding."""
+        gsrc, gdst = gather_ids(gsrc, gdst)
         st = state["state"]
         edges = int(gsrc.shape[0])
         if params["knock"]:

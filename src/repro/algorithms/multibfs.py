@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import TileAlgorithm
+from repro.algorithms.base import TileAlgorithm, gather_ids
 from repro.errors import AlgorithmError
 from repro.types import INF_DEPTH
 
@@ -74,6 +74,7 @@ class MultiSourceBFS(TileAlgorithm):
         single-source BFS the discovery sets are snapshot-independent, so
         every execution path converges on the same matrix.
         """
+        gsrc, gdst = gather_ids(gsrc, gdst)
         k = params["k"]
         depth = state["depth"].reshape(k, -1)
         n = depth.shape[1]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import TileAlgorithm
+from repro.algorithms.base import TileAlgorithm, gather_ids
 from repro.errors import AlgorithmError
 
 
@@ -101,6 +101,7 @@ class Reachability(TileAlgorithm):
         per-tile, fused, threaded, and sharded execution agree bit for
         bit.
         """
+        gsrc, gdst = gather_ids(gsrc, gdst)
         frontier = state["frontier"]
         allowed = state["allowed"]
         visited = state["visited"]

@@ -25,25 +25,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import TileAlgorithm
+from repro.algorithms.base import TileAlgorithm, gather_ids
 from repro.errors import AlgorithmError
 from repro.format.tiles import concat_global_edges
 
-_HASH_A = np.uint64(2654435761)
-_HASH_B = np.uint64(40503)
-_WEIGHT_LEVELS = 16
-
 
 def edge_weights(gsrc: np.ndarray, gdst: np.ndarray) -> np.ndarray:
-    """Deterministic per-edge weights in ``{1, ..., 16}``.
+    """Deterministic per-edge weights in ``{1, ..., 16}``: the hash
+    ``1 + ((a * 2654435761) ^ (b * 40503)) mod 16`` of the smaller
+    endpoint ``a`` and the larger ``b``, so an undirected edge weighs the
+    same whichever orientation was stored.
 
-    Symmetric in the endpoints so that an undirected edge weighs the same
-    whichever orientation was stored.
+    Computed exactly as ``1 + ((a ^ 7b) & 15)``: the low 4 bits of a
+    product or an XOR depend only on the operands' low 4 bits, and
+    2654435761 ≡ 1, 40503 ≡ 7 (mod 16).  So ``uint32`` input (where
+    ``7b`` wraps, keeping its low bits) and ``intp`` input agree.
     """
-    a = np.minimum(gsrc, gdst).astype(np.uint64)
-    b = np.maximum(gsrc, gdst).astype(np.uint64)
-    h = (a * _HASH_A) ^ (b * _HASH_B)
-    return (1 + (h % np.uint64(_WEIGHT_LEVELS))).astype(np.float64)
+    a = np.minimum(gsrc, gdst)
+    b = np.maximum(gsrc, gdst)
+    b *= 7
+    a ^= b
+    a &= 15
+    return a.astype(np.float64) + 1.0
 
 
 class SSSP(TileAlgorithm):
@@ -97,9 +100,10 @@ class SSSP(TileAlgorithm):
         candidates, both directions on symmetric storage.
 
         ``w`` is the shard's per-edge weights (:meth:`_weights`); they
-        ride in the partial so the second pass of :meth:`apply_partial`
-        reuses them.
+        ride in the partial with the widened endpoints, so the second
+        pass of :meth:`apply_partial` reuses all three.
         """
+        gsrc, gdst = gather_ids(gsrc, gdst)
         dist = state["dist"]
         ds = dist[gsrc]
         dd = dist[gdst]

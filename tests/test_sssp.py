@@ -3,11 +3,38 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.sssp import SSSP, edge_weights
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
 from repro.errors import AlgorithmError
+
+
+def _hash_weights(gsrc, gdst):
+    """The endpoint hash ``edge_weights`` defines, in 64-bit arithmetic:
+    the oracle for the 4-bit identity it computes instead."""
+    a = np.minimum(gsrc, gdst).astype(np.uint64)
+    b = np.maximum(gsrc, gdst).astype(np.uint64)
+    h = (a * np.uint64(2654435761)) ^ (b * np.uint64(40503))
+    return (1 + (h % np.uint64(16))).astype(np.float64)
+
+
+_MAX_ID = 2**32 - 1
+_IDS = st.one_of(
+    st.sampled_from([0, 1, 7, _MAX_ID - 1, _MAX_ID]),
+    st.integers(0, _MAX_ID),
+)
+
+
+@st.composite
+def _pair(draw):
+    s = draw(_IDS)
+    return s, (s if draw(st.booleans()) else draw(_IDS))
+
+
+_EDGE_CASES = [(0, 0), (0, _MAX_ID), (_MAX_ID, 0), (_MAX_ID, _MAX_ID), (9, 9)]
 
 
 def _run(tg, root=0):
@@ -36,6 +63,24 @@ class TestWeights:
         d = rng.integers(0, 1000, 500).astype(np.uint32)
         w = edge_weights(s, d)
         assert w.min() >= 1 and w.max() <= 16
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(_pair(), max_size=48),
+        dtype=st.sampled_from([np.uint32, np.int64]),
+    )
+    @example(pairs=_EDGE_CASES, dtype=np.uint32)
+    @example(pairs=_EDGE_CASES, dtype=np.int64)
+    def test_matches_the_64_bit_hash(self, pairs, dtype):
+        """The 4-bit form is the hash exactly, in either orientation and
+        for the decoder's ``uint32`` IDs as for widened ones."""
+        arr = np.array(pairs, dtype=dtype).reshape(-1, 2)
+        s, d = arr[:, 0].copy(), arr[:, 1].copy()
+        want = _hash_weights(s, d)
+        for got in (edge_weights(s, d), edge_weights(d, s)):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+        assert np.array_equal(np.stack([s, d], axis=1), arr)  # inputs kept
 
     def test_hash_weights_are_derived_in_the_kernel_only(self, tiled_undirected):
         # An unweighted graph stores no weights; they are derived once,

@@ -274,6 +274,10 @@ def test_source_structure_holds():
     runs) — scipy's private ``scipy.sparse._sparsetools`` (the compiled
     COO mat-vec behind the scatter kernels) is imported by one module,
     ``algorithms/pagerank.py``, so the private symbol lives in one place —
+    every kernel indexes with ``intp`` or views its IDs as ``int32`` (each
+    ``kernel_partial`` under ``algorithms/`` calls ``gather_ids``, defined
+    once in ``algorithms/base.py``, or ``scatter_sums``, so no kernel
+    gathers through NumPy's slow ``uint32`` fancy-index path) —
     and the option surface — config fields (both sides of a comparison)
     and environment variables — is exactly the documented one."""
     from repro.baselines.common import BaselineConfig
@@ -291,6 +295,7 @@ def test_source_structure_holds():
     tile_kernels, fused_asked, twin_imports = [], [], []
     comparator_defs, page_table_reach, index_literals = [], [], []
     depth_reads, private_scipy = [], []
+    gather_defs, kernels, raw_kernels = [], [], []
     comparator_names = {"run_bfs", "run_pagerank", "run_cc", "_account"}
     stems = {stem for _, _, results in EXPERIMENTS for stem in results}
     indexed = stems | {label for label, _, _ in EXPERIMENTS}
@@ -324,11 +329,26 @@ def test_source_structure_holds():
             rel for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "supports_fused"
         ]
+        gather_defs += [
+            f"{rel}: {fn.name}" for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "gather_ids"
+        ]
         if package == "algorithms" and os.path.basename(rel) != "base.py":
             twin_imports += [
                 f"{rel}: {m}" for m in _imports(tree)
                 if m.endswith(".TileView")
             ]
+            for fn in ast.walk(tree):
+                if not (isinstance(fn, ast.FunctionDef)
+                        and fn.name == "kernel_partial"):
+                    continue
+                kernels.append(rel)
+                called = {
+                    getattr(node.func, "id", getattr(node.func, "attr", None))
+                    for node in ast.walk(fn) if isinstance(node, ast.Call)
+                }
+                if not called & {"gather_ids", "scatter_sums"}:
+                    raw_kernels.append(rel)
         walked += [
             f"{rel}: {name}"
             for node in ast.walk(tree)
@@ -406,6 +426,8 @@ def test_source_structure_holds():
         for fn in ("_prefetch_depth", "_run")
     ], depth_reads
     assert private_scipy == [os.path.join("algorithms", "pagerank.py")]
+    assert gather_defs == [os.path.join("algorithms", "base.py") + ": gather_ids"]
+    assert kernels and not raw_kernels, raw_kernels
     bench_dir = os.path.join(SRC, "..", "..", "benchmarks")
     recorded = {
         os.path.splitext(f)[0]
