@@ -1,9 +1,11 @@
 """Micro-benchmarks of the hot kernels (pytest-benchmark timing targets).
 
-These are the pieces profiling identifies as the inner loops: SNB
-pack/unpack, the per-tile BFS and PageRank kernels, and the two-pass tile
-conversion.  They give wall-clock throughput numbers for this Python
-implementation (the simulated timeline is calibrated separately).
+These are the pieces profiling identifies as the inner loops: the one
+decode step every engine byte goes through (``TiledGraph.decode_extents``:
+SNB locals to global IDs), the per-tile BFS and PageRank kernels, and the
+two-pass tile conversion.  They give wall-clock throughput numbers for
+this Python implementation (the simulated timeline is calibrated
+separately).
 """
 
 import numpy as np
@@ -11,7 +13,6 @@ import numpy as np
 from repro.algorithms.bfs import BFS
 from repro.algorithms.pagerank import PageRank
 from repro.bench.harness import graphs
-from repro.format.snb import pack_tuples, unpack_tuples
 from repro.format.tiles import TiledGraph
 
 
@@ -20,21 +21,18 @@ def _biggest_tile(tg: TiledGraph):
     return tg.tile_view(int(counts.argmax()))
 
 
-def test_kernel_snb_pack(benchmark):
-    rng = np.random.default_rng(1)
-    lsrc = rng.integers(0, 1 << 16, 1_000_000).astype(np.uint16)
-    ldst = rng.integers(0, 1 << 16, 1_000_000).astype(np.uint16)
-    buf = benchmark(pack_tuples, lsrc, ldst, 16)
-    assert len(buf) == 4_000_000
-
-
-def test_kernel_snb_unpack(benchmark):
-    rng = np.random.default_rng(1)
-    lsrc = rng.integers(0, 1 << 16, 1_000_000).astype(np.uint16)
-    ldst = rng.integers(0, 1 << 16, 1_000_000).astype(np.uint16)
-    buf = pack_tuples(lsrc, ldst, 16)
-    s, d = benchmark(unpack_tuples, buf, 16)
-    assert s.shape[0] == 1_000_000
+def test_kernel_decode_extents(benchmark):
+    tg = graphs().tiled("kron-small-16")
+    data = memoryview(tg.payload.view(np.uint8))
+    bounds = tg.grouping.group_bounds().tolist()
+    runs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        off, size = tg.start_edge.run_byte_extent(lo, hi - 1)
+        if size:
+            runs.append((list(range(lo, hi)), data[off : off + size]))
+    views = benchmark(tg.decode_extents, runs)
+    assert sum(v.n_edges for v in views) == tg.n_edges
+    benchmark.extra_info["edges_per_call"] = tg.n_edges
 
 
 def test_kernel_bfs_tile(benchmark):

@@ -4,8 +4,9 @@
 Runs BFS, PageRank, and connected components on the same Kronecker graph
 through all four engines over identical simulated hardware, verifies the
 results agree bit-for-bit, and prints the §VII-B-style speedup table.
-Also shows two engine variants: asynchronous BFS and tiered SSD+HDD
-storage.
+Also shows one engine variant: asynchronous BFS.  (Tiered SSD+HDD
+storage is the ``ext_tiered_storage`` experiment; REPORT.md carries its
+table.)
 
 Run:  python examples/engine_comparison.py
 """
@@ -28,9 +29,7 @@ from repro import (
 from repro.baselines.common import BaselineConfig
 from repro.bench.experiments import PR_FIXED_ITERS, run_comparator
 from repro.storage.device import DeviceProfile
-from repro.storage.raid import Raid0Array
-from repro.storage.tiered import TieredArray, plan_hot_groups
-from repro.util.humanize import fmt_bytes, fmt_time
+from repro.util.humanize import fmt_time
 
 #: Device latency scaled with the ~1000x graph downscaling (see
 #: DESIGN.md) so request-batching effects keep their real proportions.
@@ -100,25 +99,6 @@ def main() -> None:
         f"{fmt_time(sync_stats.sim_elapsed)})"
     )
 
-    # Tiered SSD+HDD storage (§IX future work) is a property of the device
-    # array, so the device model answers directly: one full sweep of the
-    # graph's physical groups on two SSDs vs a 25%-hot tiered layout.
-    bounds = graph.grouping.group_bounds().tolist()
-    extents = [
-        graph.start_edge.run_byte_extent(lo, hi - 1)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    extents = [extent for extent in extents if extent[1]]
-    hot = plan_hot_groups(graph, hot_fraction=0.25)
-    t_ssd = Raid0Array(n_devices=2).read_batch_time(extents)
-    t_tiered = TieredArray(hot_bytes=int(hot["hot_bytes"])).read_batch_time(
-        extents
-    )
-    print(
-        f"  tiered storage (25% SSD / 75% HDD): one full sweep "
-        f"{fmt_time(t_tiered)} vs all-SSD {fmt_time(t_ssd)} — graph "
-        f"{fmt_bytes(graph.storage_bytes())} mostly on spinning disks"
-    )
 
 if __name__ == "__main__":
     main()

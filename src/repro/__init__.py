@@ -31,7 +31,6 @@ from repro.algorithms import (
 from repro.algorithms.async_bfs import AsyncBFS
 from repro.baselines import FlashGraphEngine, GridGraphEngine, XStreamEngine
 from repro.engine import EngineConfig, GStoreEngine, RunStats
-from repro.engine.inmemory import InMemoryEngine
 from repro.format import (
     CompressedDegreeArray,
     CSRGraph,
@@ -55,7 +54,6 @@ from repro.graphgen import (
 from repro.memory import CachePolicy
 from repro.runtime import CostModel
 from repro.storage import DeviceProfile, Raid0Array, SimulatedSSD
-from repro.storage.tiered import TieredArray, plan_hot_groups
 
 __version__ = "1.0.0"
 
@@ -73,7 +71,6 @@ __all__ = [
     "format_sizes",
     # engine
     "GStoreEngine",
-    "InMemoryEngine",
     "EngineConfig",
     "RunStats",
     "CachePolicy",
@@ -97,8 +94,6 @@ __all__ = [
     "DeviceProfile",
     "SimulatedSSD",
     "Raid0Array",
-    "TieredArray",
-    "plan_hot_groups",
     # generators
     "kronecker",
     "rmat",

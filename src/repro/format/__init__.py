@@ -5,8 +5,8 @@ The module mirrors §II/§IV/§V of the paper:
 * :mod:`repro.format.edgelist` — the raw tuple format (Figure 1b).
 * :mod:`repro.format.csr` — compressed sparse row (Figure 1c).
 * :mod:`repro.format.partition2d` — 2-D partitioned edge list (Figure 1e).
-* :mod:`repro.format.snb` — smallest-number-of-bits tuple packing (§IV-B).
-* :mod:`repro.format.tiles` — the tile format with symmetry + SNB (§IV).
+* :mod:`repro.format.tiles` — the tile format with symmetry and SNB
+  (smallest-number-of-bits) local IDs (§IV-A/B).
 * :mod:`repro.format.degree` — compressed degree array (§IV-C).
 * :mod:`repro.format.startedge` — the start-edge index file (§IV-B).
 * :mod:`repro.format.grouping` — on-disk physical grouping (§V-A).

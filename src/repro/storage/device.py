@@ -37,6 +37,16 @@ class DeviceProfile:
             raise StorageError("queue_depth must be >= 1")
 
 
+#: A spinning disk: decent sequential bandwidth, millisecond seeks (the
+#: cold tier of the tiered-storage extension, §IX).
+HDD_PROFILE = DeviceProfile(
+    read_bandwidth=160e6,
+    write_bandwidth=140e6,
+    latency=8e-3,
+    queue_depth=4,
+)
+
+
 @dataclass
 class DeviceStats:
     """Cumulative counters of one device."""

@@ -6,9 +6,10 @@ Per-tile and fused are two dispatch granularities of one kernel
 G-Store engine's two paths agree — bit-identically, except PageRank and
 SpMV up to float reassociation — and agree with independent oracles is
 the equivalence lattice's (``tools/equiv_matrix.py``, asserted in tier-1
-by ``tests/test_equiv_lattice.py``).  Here: the in-memory engine's two
-paths agree too, repeated fused+parallel float runs are bit-identical,
-and an algorithm cannot be built without the whole contract.
+by ``tests/test_equiv_lattice.py``).  Here: the two paths agree under a
+resident budget too (the in-memory case, §VIII), repeated fused+parallel
+float runs are bit-identical, and an algorithm cannot be built without
+the whole contract.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.algorithms.base import TileAlgorithm
 from repro.algorithms.sssp import SSSP
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
-from repro.engine.inmemory import InMemoryEngine
 from tools import equiv_matrix
 
 #: ~2 000-edge batches: keep them multi-shard, as the lattice does.
@@ -48,17 +48,28 @@ def test_fused_runs_are_deterministic(graph, name):
     assert np.array_equal(*results), name
 
 
+def _run_resident(graph, algo, fused):
+    """Run ``algo`` on a G-Store engine whose budget holds the whole
+    payload: iteration 0 streams it once, every later one rewinds it."""
+    payload = graph.storage_bytes()
+    segment = max(4096, payload)
+    cfg = EngineConfig(memory_bytes=2 * segment + payload,
+                       segment_bytes=segment, fused=fused, shards=1)
+    with GStoreEngine(graph, cfg) as engine:
+        return engine.run(algo)
+
+
 @pytest.mark.parametrize("name", sorted(equiv_matrix.algorithms()))
-def test_inmemory_equivalence(graph, name):
-    """The in-memory engine's fused path matches its per-tile path too:
-    bit-identical except float reassociation, and the same edge count
-    (live kernels relax in another order per tile, so theirs is compared
-    between fused runs only)."""
+def test_resident_budget_equivalence(graph, name):
+    """Under a budget that holds the whole payload the fused path matches
+    the per-tile path too: bit-identical except float reassociation, and
+    the same edge count (live kernels relax in another order per tile, so
+    theirs is compared between fused runs only)."""
     make = equiv_matrix.algorithms()[name]
     runs = []
     for fused in (False, True):
         algo = make()
-        stats = InMemoryEngine(graph, fused=fused).run(algo)
+        stats = _run_resident(graph, algo, fused)
         runs.append((algo.result(), stats.edges_processed, algo.live_kernel))
     (per_tile, tile_edges, live), (fused, fused_edges, _) = runs
     assert fused.dtype == per_tile.dtype and fused.shape == per_tile.shape
@@ -98,9 +109,7 @@ def test_incomplete_kernel_contract_cannot_be_constructed(graph, missing):
         type("Incomplete", (TileAlgorithm,), body)()
     for fused in (False, True):
         algo = type("Complete", (TileAlgorithm,), dict(_CONTRACT))()
-        assert InMemoryEngine(graph, fused=fused).run(algo).edges_processed == (
-            graph.n_edges
-        )
+        assert _run_resident(graph, algo, fused).edges_processed == graph.n_edges
 
 
 def test_every_shipped_algorithm_is_fused():

@@ -9,10 +9,8 @@ from repro.format.degree import CompressedDegreeArray
 from repro.format.edgelist import EdgeList
 from repro.format.grouping import PhysicalGrouping
 from repro.format.partition2d import Partitioned2D
-from repro.format.snb import pack_tuples, unpack_tuples
 from repro.format.startedge import StartEdgeIndex
 from repro.format.tiles import TiledGraph
-from repro.types import local_dtype
 
 
 @st.composite
@@ -95,23 +93,6 @@ class TestPartition2DProperties:
             assert np.array_equal(_keys(back), _keys(el))
         else:
             assert el.n_edges == 0
-
-
-class TestSNBProperties:
-    @given(
-        n=st.integers(0, 200),
-        tile_bits=st.sampled_from([4, 8, 12, 16]),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_pack_unpack_roundtrip(self, n, tile_bits, seed):
-        rng = np.random.default_rng(seed)
-        dt = local_dtype(tile_bits)
-        lsrc = rng.integers(0, 1 << tile_bits, n).astype(dt)
-        ldst = rng.integers(0, 1 << tile_bits, n).astype(dt)
-        s, d = unpack_tuples(pack_tuples(lsrc, ldst, tile_bits), tile_bits)
-        assert np.array_equal(s, lsrc)
-        assert np.array_equal(d, ldst)
 
 
 class TestDegreeProperties:

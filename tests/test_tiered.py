@@ -1,84 +1,56 @@
-"""Tiered SSD+HDD storage (the paper's future work, implemented)."""
+"""Tiered SSD+HDD storage (the paper's future work, §IX): the split, the
+hot-group plan and the HDD profile behind ``ext_tiered_storage``."""
 
 import pytest
 
+from repro.bench.experiments import _plan_hot_groups, _split_at
 from repro.errors import StorageError
 from repro.format.tiles import TiledGraph
 from repro.graphgen.powerlaw import powerlaw_directed
-from repro.storage.device import DeviceProfile
+from repro.storage.device import HDD_PROFILE, DeviceProfile
 from repro.storage.raid import Raid0Array
-from repro.storage.tiered import HDD_PROFILE, TieredArray, plan_hot_groups
 
 
-def _tiered(hot_bytes, ssd_n=1, hdd_n=1):
-    return TieredArray(
-        hot_bytes=hot_bytes,
-        ssd=Raid0Array(n_devices=ssd_n),
-        hdd=Raid0Array(n_devices=hdd_n, profile=HDD_PROFILE),
-    )
+def _tiered_time(extents, hot_bytes):
+    """One batch over both tiers: it completes when the slower one drains."""
+    hot, cold = _split_at(extents, hot_bytes)
+    ssd = Raid0Array(n_devices=1)
+    hdd = Raid0Array(n_devices=1, profile=HDD_PROFILE)
+    return max(ssd.read_batch_time(hot), hdd.read_batch_time(cold))
 
 
 class TestSplit:
     def test_hot_extent(self):
-        t = _tiered(1000)
-        hot, cold = t.split([(0, 500)])
+        hot, cold = _split_at([(0, 500)], 1000)
         assert hot == [(0, 500)] and cold == []
 
     def test_cold_extent(self):
-        t = _tiered(1000)
-        hot, cold = t.split([(1000, 500)])
+        hot, cold = _split_at([(1000, 500)], 1000)
         assert hot == [] and cold == [(1000, 500)]
 
     def test_straddling_extent_split_at_boundary(self):
-        t = _tiered(1000)
-        hot, cold = t.split([(900, 400)])
+        hot, cold = _split_at([(900, 400)], 1000)
         assert hot == [(900, 100)]
         assert cold == [(1000, 300)]
-
-    def test_negative_hot_bytes(self):
-        with pytest.raises(StorageError):
-            TieredArray(hot_bytes=-1)
 
 
 class TestTiming:
     def test_hdd_much_slower_for_random_reads(self):
-        hot = _tiered(10**9)  # everything hot
-        cold = _tiered(0)  # everything cold
         extents = [(i * 100_000, 4096) for i in range(64)]
-        assert cold.read_batch_time(list(extents)) > 5 * hot.read_batch_time(
-            list(extents)
-        )
+        all_hot = _tiered_time(extents, 10**9)
+        all_cold = _tiered_time(extents, 0)
+        assert all_cold > 5 * all_hot
 
     def test_tiers_overlap_in_batch(self):
-        t = _tiered(1 << 20)
-        hot_only = _tiered(1 << 30)
         mixed = [(0, 1 << 20), (1 << 20, 1 << 20)]
-        tm = t.read_batch_time(list(mixed))
         # Batch completes with the slower tier, not the sum.
-        t2 = _tiered(1 << 20)
-        hdd_only_time = t2.hdd.read_batch_time([(1 << 20, 1 << 20)])
-        assert tm == pytest.approx(
-            max(hdd_only_time, hot_only.ssd.read_batch_time([(0, 1 << 20)])),
+        hdd_only = Raid0Array(n_devices=1, profile=HDD_PROFILE)
+        ssd_only = Raid0Array(n_devices=1)
+        assert _tiered_time(mixed, 1 << 20) == pytest.approx(
+            max(hdd_only.read_batch_time([(1 << 20, 1 << 20)]),
+                ssd_only.read_batch_time([(0, 1 << 20)])),
             rel=0.01,
         )
-
-    def test_sync_sums_tiers(self):
-        t = _tiered(1 << 20)
-        mixed = [(0, 4096), (1 << 20, 4096)]
-        assert t.read_sync_time(mixed) > t.ssd.profile.latency
-
-    def test_stats_aggregate(self):
-        t = _tiered(1000)
-        t.read_batch_time([(0, 500), (2000, 500)])
-        assert t.bytes_read == 1000
-        t.reset_stats()
-        assert t.bytes_read == 0
-
-    def test_writes_go_hot(self):
-        t = _tiered(1000)
-        t.write_batch_time([500])
-        assert t.ssd.bytes_written == 500
-        assert t.hdd.bytes_written == 0
 
 
 class TestHotPlacement:
@@ -90,7 +62,7 @@ class TestHotPlacement:
         # groups while covering ~half the edges.
         el = powerlaw_directed(1 << 13, 120_000, s_in=1.5, s_out=1.15, seed=5)
         tg = TiledGraph.from_edge_list(el.deduped(), tile_bits=8, group_q=4)
-        plan = plan_hot_groups(tg, hot_fraction=0.5)
+        plan = _plan_hot_groups(tg, hot_fraction=0.5)
         assert plan["hot_bytes"] <= tg.storage_bytes() * 0.5
         assert plan["edge_coverage"] > 0.4  # budget well utilised
         assert plan["edge_coverage"] > 2 * plan["group_fraction"]
@@ -98,21 +70,21 @@ class TestHotPlacement:
     def test_zero_fraction(self):
         el = powerlaw_directed(1 << 10, 5000, seed=5)
         tg = TiledGraph.from_edge_list(el.deduped(), tile_bits=7, group_q=2)
-        plan = plan_hot_groups(tg, hot_fraction=0.0)
+        plan = _plan_hot_groups(tg, hot_fraction=0.0)
         assert plan["groups"] == []
         assert plan["edge_coverage"] == 0.0
 
     def test_full_fraction_covers_everything(self):
         el = powerlaw_directed(1 << 10, 5000, seed=5)
         tg = TiledGraph.from_edge_list(el.deduped(), tile_bits=7, group_q=2)
-        plan = plan_hot_groups(tg, hot_fraction=1.0)
+        plan = _plan_hot_groups(tg, hot_fraction=1.0)
         assert plan["edge_coverage"] == pytest.approx(1.0)
 
     def test_bad_fraction(self):
         el = powerlaw_directed(1 << 10, 5000, seed=5)
         tg = TiledGraph.from_edge_list(el.deduped(), tile_bits=7, group_q=2)
         with pytest.raises(StorageError):
-            plan_hot_groups(tg, hot_fraction=1.5)
+            _plan_hot_groups(tg, hot_fraction=1.5)
 
 
 class TestHDDProfile:

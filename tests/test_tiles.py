@@ -47,6 +47,24 @@ class TestPaperExample:
             (4, 5), (5, 6), (5, 7),
         ]
 
+    def test_edge_4_5_through_the_codec(self, paper_graph):
+        # §IV-B: tile[1,1] has offset (4,4); edge (4,5) is stored as (0,1)
+        # and both decoders concatenate the tile ID back onto it.
+        tg = TiledGraph.from_edge_list(paper_graph, tile_bits=2, group_q=1)
+        pos = tg.position_of(1, 1)
+        assert (int(tg.tile_rows[pos]), int(tg.tile_cols[pos])) == (1, 1)
+        off, size = tg.start_edge.byte_extent(pos)
+        stored = tg.payload.tobytes()[off : off + size]
+        pairs = np.frombuffer(stored, dtype=tg.payload_dtype()).reshape(-1, 2)
+        gsrc, gdst = tg.tile_view(pos).global_edges()
+        k = list(zip(gsrc.tolist(), gdst.tolist())).index((4, 5))
+        assert tuple(pairs[k].tolist()) == (0, 1)
+        for fused in (True, False):
+            views = tg.decode_extents([([pos], stored)], fused=fused)
+            gsrc = np.concatenate([v.global_edges()[0] for v in views])
+            gdst = np.concatenate([v.global_edges()[1] for v in views])
+            assert (int(gsrc[k]), int(gdst[k])) == (4, 5)
+
 
 class TestRoundtrip:
     def test_undirected_roundtrip(self, small_undirected):

@@ -26,10 +26,10 @@ class TestGenApiDocs:
         assert not any(m.endswith("__main__") for m in mods)
 
     def test_document_module(self, tool):
-        lines = tool.document_module("repro.format.snb")
+        lines = tool.document_module("repro.format.startedge")
         text = "\n".join(lines)
-        assert "repro.format.snb" in text
-        assert "encode_tile_edges" in text
+        assert "repro.format.startedge" in text
+        assert "class `StartEdgeIndex`" in text
 
     def test_generates_file(self, tool, tmp_path):
         out = tmp_path / "API.md"
@@ -278,8 +278,10 @@ def test_source_structure_holds():
     ``kernel_partial`` under ``algorithms/`` calls ``gather_ids``, defined
     once in ``algorithms/base.py``, or ``scatter_sums``, so no kernel
     gathers through NumPy's slow ``uint32`` fancy-index path) —
-    and the option surface — config fields (both sides of a comparison)
-    and environment variables — is exactly the documented one."""
+    one engine loop (under ``engine/`` only ``GStoreEngine`` defines
+    ``run``) — and the option surface — config fields (both sides of a
+    comparison) and environment variables — is exactly the documented
+    one."""
     from repro.baselines.common import BaselineConfig
     from repro.bench.experiments import EXPERIMENTS
     from repro.engine.config import EngineConfig
@@ -296,6 +298,7 @@ def test_source_structure_holds():
     comparator_defs, page_table_reach, index_literals = [], [], []
     depth_reads, private_scipy = [], []
     gather_defs, kernels, raw_kernels = [], [], []
+    engine_runs = []
     comparator_names = {"run_bfs", "run_pagerank", "run_cc", "_account"}
     stems = {stem for _, _, results in EXPERIMENTS for stem in results}
     indexed = stems | {label for label, _, _ in EXPERIMENTS}
@@ -358,6 +361,13 @@ def test_source_structure_holds():
             )
             if name in grid_walks
         ]
+        if package == "engine":
+            engine_runs += [
+                f"{rel}: {cls.name}" for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef)
+                and any(isinstance(fn, ast.FunctionDef) and fn.name == "run"
+                        for fn in cls.body)
+            ]
         if package == "format":
             format_reach += [
                 f"{rel}: {m}" for m in _imports(tree)
@@ -410,6 +420,9 @@ def test_source_structure_holds():
     assert not off_engine, off_engine
     assert not walked, walked
     assert not format_reach, format_reach
+    assert engine_runs == [
+        os.path.join("engine", "gstore.py") + ": GStoreEngine"
+    ], engine_runs
     assert tile_kernels == [
         os.path.join("algorithms", "base.py") + ": process_tile"
     ]
