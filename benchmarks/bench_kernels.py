@@ -2,8 +2,9 @@
 
 These are the pieces profiling identifies as the inner loops: the one
 decode step every engine byte goes through (``TiledGraph.decode_extents``:
-SNB locals to global IDs), the per-tile BFS and PageRank kernels, and the
-two-pass tile conversion.  They give wall-clock throughput numbers for
+SNB locals to global IDs), the per-tile BFS and PageRank kernels, the
+two-pass tile conversion and the CSR conversion it is compared with in
+Table I.  They give wall-clock throughput numbers for
 this Python implementation (the simulated timeline is calibrated
 separately).
 """
@@ -13,6 +14,7 @@ import numpy as np
 from repro.algorithms.bfs import BFS
 from repro.algorithms.pagerank import PageRank
 from repro.bench.harness import graphs
+from repro.format.convert import convert_to_csr
 from repro.format.tiles import TiledGraph
 
 
@@ -65,3 +67,9 @@ def test_kernel_tile_build(benchmark):
     el = graphs().edge_list("kron-small-16")
     tg = benchmark(TiledGraph.from_edge_list, el, 11, 8)
     assert tg.n_edges > 0
+
+
+def test_kernel_csr_build(benchmark):
+    el = graphs().edge_list("kron-small-16")
+    csr, _ = benchmark(convert_to_csr, el)
+    assert csr.n_edges == 2 * el.canonicalized().n_edges

@@ -1,8 +1,8 @@
 """Benchmark harness: graph build cache, table rendering, per-figure runners.
 
 Every table and figure of the paper's evaluation has a function in
-:mod:`repro.bench.experiments` that regenerates it; ``benchmarks/`` wraps
-those functions in pytest-benchmark targets.
+:mod:`repro.bench.experiments` that regenerates it and a verdict that
+checks its paper claims; ``python -m repro bench`` runs them all.
 """
 
 from repro.bench.harness import GraphCache, graphs, scaled_baseline_config, scaled_config

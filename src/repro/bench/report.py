@@ -1,9 +1,9 @@
 """Collate recorded experiment tables into one markdown report.
 
 ``python -m repro report`` (or :func:`build_report`) gathers every table
-the benchmark suite wrote into ``benchmarks/results/`` and emits a single
-document ordered like the paper's evaluation section — the artefact to
-attach to a reproduction write-up.
+``python -m repro bench --results`` wrote into ``benchmarks/results/`` and
+emits a single document ordered like the paper's evaluation section — the
+artefact to attach to a reproduction write-up.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ def build_report(results_dir: str) -> tuple[str, ReportStatus]:
     """Assemble the markdown report; returns (text, status).
 
     Sections follow :data:`~repro.bench.experiments.EXPERIMENTS`.  Missing
-    tables are listed (run ``pytest benchmarks/ --benchmark-only`` to
-    produce them); unknown files in the directory are appended at the end
+    tables are listed (``python -m repro bench --results DIR`` produces
+    them); unknown files in the directory are appended at the end
     so nothing recorded is dropped silently.
     """
-    titles = {
-        stem: title for _, _, results in EXPERIMENTS for stem, title in results.items()
-    }
+    titles = dict(result for _, _, result, _ in EXPERIMENTS)
     present = {
         os.path.splitext(f)[0]
         for f in os.listdir(results_dir)
@@ -58,7 +56,7 @@ def build_report(results_dir: str) -> tuple[str, ReportStatus]:
         lines.append("## Missing experiments")
         lines.append("")
         lines.append(
-            "Run `pytest benchmarks/ --benchmark-only` to produce: "
+            f"Run `python -m repro bench --results {results_dir}` to produce: "
             + ", ".join(f"`{m}`" for m in missing)
         )
         lines.append("")

@@ -15,8 +15,10 @@ Commands
     ``trace_event`` JSON (load in Perfetto) or JSONL.  ``--rmat-scale N``
     substitutes the 2^N R-MAT reference graph of the pipeline benchmark
     for a registered dataset.
-``bench EXPERIMENT``
-    Regenerate one paper table/figure and print it.
+``bench [LABEL ...] [--results DIR]``
+    Regenerate paper tables/figures (all of them without a label), print
+    each, write it to ``DIR/<stem>.txt`` and exit 1 if a paper claim of
+    any of them fails.
 ``serve NAME``
     Start the concurrent query service (docs/SERVING.md) over a dataset
     (or ``--rmat-scale N`` reference graph) on a local HTTP port.
@@ -25,6 +27,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.util.humanize import fmt_bytes
@@ -270,10 +273,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.experiments import EXPERIMENTS
 
-    runner = {label: fn for label, fn, _ in EXPERIMENTS}[args.experiment]
-    table, _ = runner()
-    print(table)
-    return 0
+    entries = {entry[0]: entry for entry in EXPERIMENTS}
+    failed = []
+    for label in args.labels or list(entries):
+        _, runner, (stem, _), verdict = entries[label]
+        table, data = runner()
+        text = table.render()
+        print(text)
+        if args.results:
+            os.makedirs(args.results, exist_ok=True)
+            with open(os.path.join(args.results, f"{stem}.txt"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        failed += [f"{label}: {claim}" for claim in verdict(data)]
+    for line in failed:
+        print(f"FAILED {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -407,10 +422,25 @@ def build_parser() -> argparse.ArgumentParser:
                          "attach its counter snapshot to the result")
     ps.set_defaults(fn=cmd_serve)
 
-    pb = sub.add_parser("bench", help="regenerate one paper table/figure")
+    pb = sub.add_parser(
+        "bench", help="regenerate paper tables/figures and check their claims"
+    )
     from repro.bench.experiments import EXPERIMENTS
 
-    pb.add_argument("experiment", choices=[label for label, _, _ in EXPERIMENTS])
+    labels = [entry[0] for entry in EXPERIMENTS]
+
+    def experiment(label: str) -> str:
+        # Validated per label rather than by ``choices``: with ``nargs="*"``
+        # argparse (3.11) checks an empty list against the choices too.
+        if label not in labels:
+            raise argparse.ArgumentTypeError(f"unknown experiment {label!r}")
+        return label
+
+    pb.add_argument("labels", nargs="*", type=experiment, metavar="LABEL",
+                    help="experiments to run (default: all, in this order): "
+                         + ", ".join(labels))
+    pb.add_argument("--results", default=None, metavar="DIR",
+                    help="also write each table to DIR/<stem>.txt")
     pb.set_defaults(fn=cmd_bench)
 
     pr2 = sub.add_parser(

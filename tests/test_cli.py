@@ -26,12 +26,18 @@ class TestParser:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["bench", "fig99"])
-        # The choices are the experiment index, all 24 runners of it
-        # (test_source_structure_holds: cli.py spells no label itself).
-        labels = [label for label, _, _ in EXPERIMENTS]
-        assert len(set(labels)) == len({fn for _, fn, _ in EXPERIMENTS}) == 24
+        with pytest.raises(SystemExit):
+            parser.parse_args(["bench", "fig13", "fig99"])
+        # The labels are the experiment index, all 24 runners of it, one
+        # result file each (test_source_structure_holds: cli.py spells no
+        # label itself).
+        labels = [label for label, *_ in EXPERIMENTS]
+        assert (len(set(labels)) == len({fn for _, fn, _, _ in EXPERIMENTS})
+                == len({stem for _, _, (stem, _), _ in EXPERIMENTS}) == 24)
         for label in labels:
-            assert parser.parse_args(["bench", label]).experiment == label
+            assert parser.parse_args(["bench", label]).labels == [label]
+        args = parser.parse_args(["bench"])
+        assert args.labels == [] and args.results is None
 
 
 class TestCommands:
@@ -97,3 +103,40 @@ class TestCommands:
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         assert main(["bench", "ext_scc"]) == 0
         assert "dual-CSR alternative" in capsys.readouterr().out
+
+    def test_bench_writes_exactly_the_named_tables(self, tmp_path, capsys):
+        results = tmp_path / "results"
+        assert main(["bench", "fig13", "table2", "--results", str(results)]) == 0
+        out = capsys.readouterr().out
+        assert sorted(p.name for p in results.iterdir()) == [
+            "fig13_scr.txt", "table2_sizes.txt"
+        ]
+        for path in results.iterdir():
+            assert path.read_text(encoding="utf-8") in out
+
+    def test_bench_runs_every_entry_and_fails_on_a_claim(self, tmp_path,
+                                                         monkeypatch, capsys):
+        import repro.bench.experiments as E
+        from repro.bench.tables import Table
+
+        def entry(label, claims):
+            def runner():
+                table = Table(f"Table {label}", ["x"])
+                table.add_row(1)
+                return table, claims
+
+            return label, runner, (f"stem_{label}", label), lambda data: data
+
+        monkeypatch.setattr(E, "EXPERIMENTS", (
+            entry("a", []), entry("b", ["b's claim (got 0.9)"]), entry("c", []),
+        ))
+        # No label: every entry, in index order, and exit 1 only after the
+        # table past the failed claim is written too.
+        assert main(["bench", "--results", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        order = [captured.out.index(f"Table {label}") for label in "abc"]
+        assert order == sorted(order)
+        assert captured.err.strip() == "FAILED b: b's claim (got 0.9)"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "stem_a.txt", "stem_b.txt", "stem_c.txt"
+        ]

@@ -53,3 +53,6 @@ class TestBuildReport:
         text, status = build_report(results)
         assert status.found  # the bench suite has been run in this repo
         assert "Table II" in text
+        # Exactly the indexed tables: none missing, none stale.
+        assert status.missing == []
+        assert status.unknown == []

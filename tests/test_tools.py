@@ -6,7 +6,6 @@ import collections
 import copy
 import dataclasses
 import os
-import re
 
 import pytest
 
@@ -279,7 +278,10 @@ def test_source_structure_holds():
     once in ``algorithms/base.py``, or ``scatter_sums``, so no kernel
     gathers through NumPy's slow ``uint32`` fancy-index path) —
     one engine loop (under ``engine/`` only ``GStoreEngine`` defines
-    ``run``) — and the option surface — config fields (both sides of a
+    ``run``) — the experiment verdicts are plain predicates (no
+    ``assert`` in ``bench/experiments.py``, which ``python -O`` would
+    strip), each entry records exactly one result file — and the option
+    surface — config fields (both sides of a
     comparison) and environment variables — is exactly the documented
     one."""
     from repro.baselines.common import BaselineConfig
@@ -298,10 +300,10 @@ def test_source_structure_holds():
     comparator_defs, page_table_reach, index_literals = [], [], []
     depth_reads, private_scipy = [], []
     gather_defs, kernels, raw_kernels = [], [], []
-    engine_runs = []
+    engine_runs, verdict_asserts = [], []
     comparator_names = {"run_bfs", "run_pagerank", "run_cc", "_account"}
-    stems = {stem for _, _, results in EXPERIMENTS for stem in results}
-    indexed = stems | {label for label, _, _ in EXPERIMENTS}
+    stems = {stem for _, _, (stem, _), _ in EXPERIMENTS}
+    indexed = stems | {label for label, *_ in EXPERIMENTS}
     for rel, tree in _src_trees():
         package = rel.split(os.sep)[0]
         if any(m.startswith("scipy.sparse._sparsetools") for m in _imports(tree)):
@@ -318,6 +320,10 @@ def test_source_structure_holds():
             page_table_reach += [
                 rel for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "_pages"
+            ]
+        if rel == os.path.join("bench", "experiments.py"):
+            verdict_asserts += [
+                node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
             ]
         if rel in ("cli.py", os.path.join("bench", "report.py")):
             index_literals += [
@@ -434,6 +440,7 @@ def test_source_structure_holds():
     )
     assert not page_table_reach, page_table_reach
     assert not index_literals, index_literals
+    assert not verdict_asserts, verdict_asserts
     assert sorted(depth_reads) == [
         os.path.join("engine", "gstore.py") + f": {fn}"
         for fn in ("_prefetch_depth", "_run")
@@ -441,15 +448,10 @@ def test_source_structure_holds():
     assert private_scipy == [os.path.join("algorithms", "pagerank.py")]
     assert gather_defs == [os.path.join("algorithms", "base.py") + ": gather_ids"]
     assert kernels and not raw_kernels, raw_kernels
-    bench_dir = os.path.join(SRC, "..", "..", "benchmarks")
+    results_dir = os.path.join(SRC, "..", "..", "benchmarks", "results")
     recorded = {
-        os.path.splitext(f)[0]
-        for f in os.listdir(os.path.join(bench_dir, "results")) if f.endswith(".txt")
+        os.path.splitext(f)[0] for f in os.listdir(results_dir) if f.endswith(".txt")
     }
-    for name in sorted(os.listdir(bench_dir)):
-        if name.endswith(".py"):
-            with open(os.path.join(bench_dir, name), encoding="utf-8") as fh:
-                recorded |= set(re.findall(r'\brecord\("([^"]+)"', fh.read()))
     assert recorded == stems, recorded ^ stems
     assert batch_decoders == [
         os.path.join("format", "tiles.py") + ": decode_extents"
