@@ -20,9 +20,11 @@ import platform
 from repro.runtime.threads import execution_fingerprint
 
 #: The machine-identity keys two payloads must agree on for their
-#: sections to be comparable inside one ``BENCH_*.json`` file.
+#: sections to be comparable inside one ``BENCH_*.json`` file (the kernel
+#: tier among them: compiled and NumPy min-relaxations are not one speed).
 MACHINE_KEYS = (
     "platform", "python", "cpus", "cpus_logical", "cpus_available",
+    "native_kernels",
 )
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms import native
 from repro.algorithms.base import TileAlgorithm, gather_ids
 from repro.errors import AlgorithmError
 from repro.types import INF_DEPTH
@@ -77,9 +78,15 @@ class AsyncBFS(TileAlgorithm):
     def kernel_partial(state, params, gsrc, gdst):
         """One relaxation of the shard against the current depths
         (read-only): the strictly improving ``(vertex, depth)`` candidates,
-        both directions on symmetric storage.  The widened endpoints ride
-        in the partial, so the fixpoint rounds of :meth:`apply_partial`
-        widen nothing again."""
+        both directions on symmetric storage.  The endpoints (widened, on
+        the NumPy tier) ride in the partial, so the fixpoint rounds of
+        :meth:`apply_partial` convert nothing again.  Compiled (:mod:`~repro.algorithms.native`)
+        when that tier loaded; the NumPy body below is its fallback and
+        oracle."""
+        if native.lib is not None:
+            return native.candidates(
+                state["depth"], gsrc, gdst, params["symmetric"]
+            )[:4]
         gsrc, gdst = gather_ids(gsrc, gdst)
         depth = state["depth"]
         ds = depth[gsrc]
@@ -98,12 +105,18 @@ class AsyncBFS(TileAlgorithm):
         shard until nothing moves.  The edges count once however many
         rounds the fixpoint takes."""
         idx, vals, gsrc, gdst = partial
-        while idx.size:
-            np.minimum.at(self.depth, idx, vals)
-            self._changed_next[idx] = True
-            idx, vals = self.kernel_partial(
-                self.kernel_state(), self.kernel_params(), gsrc, gdst
-            )[:2]
+        if native.lib is not None:
+            native.rounds(
+                self.depth, gsrc, gdst, self.symmetric, idx, vals,
+                self._changed_next, -1,
+            )
+        else:
+            while idx.size:
+                np.minimum.at(self.depth, idx, vals)
+                self._changed_next[idx] = True
+                idx, vals = self.kernel_partial(
+                    self.kernel_state(), self.kernel_params(), gsrc, gdst
+                )[:2]
         edges = int(gsrc.shape[0])
         self.traversed_edges += edges
         return edges

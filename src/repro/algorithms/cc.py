@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms import native
 from repro.algorithms.base import TileAlgorithm, gather_ids
 
 
@@ -98,8 +99,9 @@ class ConnectedComponents(TileAlgorithm):
 
     def apply_partial(self, partial) -> int:
         gsrc, gdst, src_labels, dst_labels, edges = partial
-        np.minimum.at(self.comp, gdst, src_labels)
-        np.minimum.at(self.comp, gsrc, dst_labels)
+        commit = native.min_commit if native.lib is not None else np.minimum.at
+        commit(self.comp, gdst, src_labels)
+        commit(self.comp, gsrc, dst_labels)
         return edges
 
     def end_iteration(self, iteration: int) -> bool:

@@ -1,0 +1,273 @@
+"""Compiled min-relaxation kernels: SSSP, AsyncBFS and CC commit in C.
+
+``_relax.c`` (beside this module) is compiled once with ``gcc`` into a
+per-user cache, ``~/.cache/repro/native/<sha256>.so`` keyed by source,
+flags and platform, and loaded with cffi in ABI mode (``FFI.dlopen``: no
+setuptools, no Python headers; every call releases the GIL).  The tier is
+chosen here, at import, and nowhere else: :data:`lib` is the loaded
+library, or ``None`` with :data:`status` naming why (cffi or ``gcc``
+missing, the build failing), and then every caller runs its NumPy body —
+which the tests also keep as the oracle of the C one.
+
+The wrappers below take what the NumPy bodies take.  Endpoints reach C as
+contiguous ``VERTEX_DTYPE`` — the decoder's arrays pass through, any other
+integer array is range-checked and converted once — and every entry point
+checks each endpoint or index against the state's length before it
+touches memory there, so a corrupt endpoint raises NumPy's own
+``IndexError`` instead of reading out of bounds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from repro.types import VERTEX_DTYPE
+
+SOURCE = Path(__file__).with_name("_relax.c")
+FLAGS = ("-O2", "-shared", "-fPIC", "-std=c11")
+
+CDEF = "".join(
+    f"""
+int min_commit_{x}({t} *, int64_t, const int64_t *, const {t} *, int64_t,
+                  uint8_t *);
+int64_t candidates_{x}(const {t} *, int64_t, const uint32_t *,
+                       const uint32_t *, int64_t, int, const float *,
+                       const double *, float *, int64_t *, {t} *);
+int rounds_{x}({t} *, int64_t, const uint32_t *, const uint32_t *, int64_t,
+               int, const float *, const double *, const int64_t *,
+               const {t} *, int64_t, uint8_t *, int64_t);
+"""
+    for x, t in (("f64", "double"), ("i64", "int64_t"))
+)
+
+
+def library_path(cache: Path) -> Path:
+    """The cached library for this source, these flags and this platform."""
+    key = hashlib.sha256()
+    for part in (SOURCE.read_bytes(), " ".join(FLAGS).encode(),
+                 platform.platform().encode()):
+        key.update(part)
+        key.update(b"\0")
+    return cache / f"{key.hexdigest()}.so"
+
+
+def build(so: Path) -> None:
+    """Compile :data:`SOURCE` to ``so``, with the sha256 of the library
+    appended (the loader ignores trailing bytes; :func:`intact` checks
+    them).  Written under a temporary name in the same directory and then
+    ``os.replace``d into place, so a concurrent loader finds either no
+    file or a whole one."""
+    so.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=so.parent, suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run(
+            ["gcc", *FLAGS, "-o", tmp, str(SOURCE)],
+            check=True, capture_output=True, timeout=120,
+        )
+        with open(tmp, "r+b") as fh:
+            fh.write(hashlib.sha256(fh.read()).digest())
+        os.replace(tmp, so)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def intact(so: Path) -> bool:
+    """Whether ``so`` is a whole library :func:`build` wrote.  Checked
+    before ``dlopen``: a truncated library can map and then fault (SIGBUS)
+    on the missing pages rather than fail to load."""
+    try:
+        data = so.read_bytes()
+    except OSError:
+        return False
+    return len(data) > 32 and hashlib.sha256(data[:-32]).digest() == data[-32:]
+
+
+def load(cache: "Path | None" = None):
+    """Build if needed and load the kernels from ``cache`` (default
+    ``~/.cache/repro/native``, created mode 0700): ``(lib, ffi, status)``,
+    with ``lib``/``ffi`` ``None`` and ``status`` the reason when they
+    cannot be had, else ``status == "loaded"``.  A cached library that is
+    missing or not :func:`intact` is (re)built, which needs ``gcc``."""
+    try:
+        import cffi
+    except ImportError as exc:
+        return None, None, f"cffi not importable ({exc})"
+    if cache is None:
+        cache = Path.home() / ".cache" / "repro" / "native"
+    so = library_path(cache)
+    try:
+        if not intact(so):
+            if shutil.which("gcc") is None:
+                return None, None, "gcc not on PATH"
+            build(so)
+        ffi = cffi.FFI()
+        ffi.cdef(CDEF)
+        return ffi.dlopen(str(so)), ffi, "loaded"
+    except subprocess.CalledProcessError as exc:
+        err = exc.stderr.decode(errors="replace").strip().splitlines()
+        return None, None, f"gcc failed: {err[-1] if err else exc}"
+    except (OSError, subprocess.SubprocessError) as exc:
+        return None, None, f"build or load failed: {exc}"
+
+
+#: The loaded kernels, or ``None``: then callers run their NumPy bodies.
+#: Tests set it to ``None`` to force the NumPy tier.
+lib, ffi, status = load()
+
+
+# ---------------------------------------------------------------------- #
+# Wrappers (call only while ``lib`` is loaded)
+# ---------------------------------------------------------------------- #
+
+
+def _out_of_bounds(n: int, *arrays: np.ndarray) -> IndexError:
+    """NumPy's error for the first index outside ``[0, n)``, searching the
+    arrays in order (as ``state[gsrc]`` then ``state[gdst]`` would)."""
+    for a in arrays:
+        bad = np.flatnonzero((a < 0) | (a >= n))
+        if bad.size:
+            return IndexError(
+                f"index {a[bad[0]]} is out of bounds for axis 0 with size {n}"
+            )
+    return IndexError(f"index out of bounds for axis 0 with size {n}")
+
+
+def _vertex_ids(n: int, gsrc: np.ndarray, gdst: np.ndarray):
+    """The endpoints as contiguous ``VERTEX_DTYPE``: passed through when
+    they already are, else range-checked against ``n`` and converted once
+    (a negative ID is out of range here, not wrapped)."""
+    if gsrc.shape != gdst.shape:
+        raise ValueError("endpoint arrays differ in length")
+    if gsrc.dtype == gdst.dtype == VERTEX_DTYPE and (
+        gsrc.flags.c_contiguous and gdst.flags.c_contiguous
+    ):
+        return gsrc, gdst
+    for a in (gsrc, gdst):
+        if a.size and (a.min() < 0 or a.max() >= n):
+            raise _out_of_bounds(n, gsrc, gdst)
+    return (np.ascontiguousarray(gsrc, dtype=VERTEX_DTYPE),
+            np.ascontiguousarray(gdst, dtype=VERTEX_DTYPE))
+
+
+#: Per state dtype: the C suffix, the state's C array type.
+_KINDS = {
+    np.dtype(np.float64): ("f64", "double[]"),
+    np.dtype(np.int64): ("i64", "int64_t[]"),
+}
+
+
+def _buf(ctype: str, a: "np.ndarray | None"):
+    return ffi.NULL if a is None else ffi.from_buffer(ctype, a)
+
+
+def _flags(flags: "np.ndarray | None", n: int):
+    """The writable buffer of a ``bool`` flag array over all ``n`` vertices
+    (``NULL`` for ``None``)."""
+    if flags is None:
+        return ffi.NULL
+    if flags.dtype != np.bool_ or flags.shape != (n,):
+        raise ValueError(f"flags must be {n} bools, got {flags.dtype}{flags.shape}")
+    return ffi.from_buffer("uint8_t[]", flags, require_writable=True)
+
+
+def _weights(w: "np.ndarray | None", m: int):
+    """The ``(w32, w64)`` buffers of stored weights ``w`` (``NULL`` both
+    for the endpoint hash)."""
+    if w is None:
+        return ffi.NULL, ffi.NULL
+    if w.shape[0] != m:
+        raise ValueError("weights and endpoints differ in length")
+    if w.dtype == np.float32:
+        return _buf("float[]", np.ascontiguousarray(w)), ffi.NULL
+    return ffi.NULL, _buf("double[]", np.ascontiguousarray(w, np.float64))
+
+
+def min_commit(
+    a: np.ndarray, idx: np.ndarray, vals: np.ndarray,
+    flags: "np.ndarray | None" = None,
+) -> None:
+    """``np.minimum.at(a, idx, vals)``, then ``flags[idx] = True`` when
+    ``flags`` is given, for ``float64`` or ``int64`` ``a``."""
+    k = idx.shape[0]
+    if vals.shape[0] != k:
+        raise ValueError("indices and values differ in length")
+    if k == 0:
+        return
+    x, ctype = _KINDS[a.dtype]
+    n = a.shape[0]
+    rc = getattr(lib, f"min_commit_{x}")(
+        ffi.from_buffer(ctype, a, require_writable=True), n,
+        ffi.from_buffer("int64_t[]", np.ascontiguousarray(idx, np.int64)),
+        ffi.from_buffer(ctype, np.ascontiguousarray(vals, a.dtype)), k,
+        _flags(flags, n),
+    )
+    if rc:
+        raise _out_of_bounds(n, idx)
+
+
+def candidates(state, gsrc, gdst, symmetric: bool, w=None):
+    """One relaxation pass against ``state`` (read-only): the partial
+    ``(idx, vals, gsrc, gdst, w)`` of strictly improving candidates,
+    forward ones in edge order, then the mirrored ones on symmetric
+    storage.  ``float64`` state is SSSP's (``state[s] + w``; ``w`` the
+    stored ``float32``/``float64`` weights, or ``None``: then the endpoint
+    hash is derived in the pass and returned as ``float32``); ``int64``
+    state is AsyncBFS's (``state[s] + 1``, ``w`` stays ``None``)."""
+    x, ctype = _KINDS[state.dtype]
+    n = state.shape[0]
+    src, dst = _vertex_ids(n, gsrc, gdst)
+    m = src.shape[0]
+    w_out = None
+    if w is None and x == "f64":
+        w = w_out = np.empty(m, np.float32)
+        w32 = w64 = ffi.NULL
+    else:
+        w32, w64 = _weights(w, m)
+    cap = 2 * m if symmetric else m
+    idx = np.empty(cap, np.int64)
+    vals = np.empty(cap, state.dtype)
+    k = getattr(lib, f"candidates_{x}")(
+        ffi.from_buffer(ctype, np.ascontiguousarray(state)), n,
+        ffi.from_buffer("uint32_t[]", src), ffi.from_buffer("uint32_t[]", dst),
+        m, bool(symmetric), w32, w64, _buf("float[]", w_out),
+        ffi.from_buffer("int64_t[]", idx), ffi.from_buffer(ctype, vals),
+    )
+    if k < 0:
+        raise _out_of_bounds(n, src, dst)
+    return idx[:k], vals[:k], src, dst, w
+
+
+def rounds(state, gsrc, gdst, symmetric: bool, idx, vals, changed,
+           n_rounds: int, w=None) -> None:
+    """Commit the candidates ``(idx, vals)`` into ``state`` (flagging
+    ``changed``), then relax the shard against the committed state and
+    commit again, ``n_rounds`` times or — ``n_rounds < 0`` — until no
+    candidate is left.  Types as in :func:`candidates`."""
+    x, ctype = _KINDS[state.dtype]
+    n = state.shape[0]
+    src, dst = _vertex_ids(n, gsrc, gdst)
+    k = idx.shape[0]
+    if vals.shape[0] != k:
+        raise ValueError("indices and values differ in length")
+    rc = getattr(lib, f"rounds_{x}")(
+        ffi.from_buffer(ctype, state, require_writable=True), n,
+        ffi.from_buffer("uint32_t[]", src), ffi.from_buffer("uint32_t[]", dst),
+        src.shape[0], bool(symmetric), *_weights(w, src.shape[0]),
+        ffi.from_buffer("int64_t[]", np.ascontiguousarray(idx, np.int64)),
+        ffi.from_buffer(ctype, np.ascontiguousarray(vals, state.dtype)), k,
+        _flags(changed, n), n_rounds,
+    )
+    if rc == -2:
+        raise MemoryError("no room for a relaxation round's candidates")
+    if rc:
+        raise _out_of_bounds(n, idx, src, dst)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms import native
 from repro.algorithms.base import TileAlgorithm, gather_ids
 from repro.errors import AlgorithmError
 from repro.format.tiles import concat_global_edges
@@ -94,15 +95,25 @@ class SSSP(TileAlgorithm):
         return {"symmetric": self.symmetric}
 
     @staticmethod
-    def kernel_partial(state, params, gsrc, gdst, w):
+    def kernel_partial(state, params, gsrc, gdst, w=None):
         """One relaxation of the shard against the current distances
         (read-only): the strictly improving ``(vertex, distance)``
         candidates, both directions on symmetric storage.
 
-        ``w`` is the shard's per-edge weights (:meth:`_weights`); they
-        ride in the partial with the widened endpoints, so the second
-        pass of :meth:`apply_partial` reuses all three.
+        ``w`` is the shard's stored weights (:meth:`_shard_weights`), or
+        ``None`` on an unweighted graph: then the endpoint hash
+        (:func:`edge_weights`) is derived here and nowhere else.  The
+        weights ride in the partial with the endpoints, so the second pass
+        of :meth:`apply_partial` reuses all three.  Compiled
+        (:mod:`~repro.algorithms.native`) when that tier loaded; the NumPy
+        body below is its fallback and oracle.
         """
+        if native.lib is not None:
+            return native.candidates(
+                state["dist"], gsrc, gdst, params["symmetric"], w
+            )
+        if w is None:
+            w = edge_weights(gsrc, gdst)
         gsrc, gdst = gather_ids(gsrc, gdst)
         dist = state["dist"]
         ds = dist[gsrc]
@@ -132,17 +143,11 @@ class SSSP(TileAlgorithm):
             [stored[tv.edge_lo : tv.edge_lo + tv.n_edges] for tv in views]
         )
 
-    def _weights(self, views, gsrc, gdst) -> np.ndarray:
-        """Per-edge weights of the views' edges ``(gsrc, gdst)``: stored,
-        or else the endpoint hash — derived here and nowhere else."""
-        w = self._shard_weights(views)
-        return edge_weights(gsrc, gdst) if w is None else w
-
     def batch_partial(self, views):
         gsrc, gdst = concat_global_edges(views)
         return self.kernel_partial(
             self.kernel_state(), self.kernel_params(), gsrc, gdst,
-            self._weights(views, gsrc, gdst),
+            self._shard_weights(views),
         )
 
     def _commit(self, idx: np.ndarray, vals: np.ndarray) -> None:
@@ -161,6 +166,12 @@ class SSSP(TileAlgorithm):
         edges = int(gsrc.shape[0])
         if idx.size == 0:
             return edges
+        if native.lib is not None:
+            native.rounds(
+                self.dist, gsrc, gdst, self.symmetric, idx, vals,
+                self._changed_next, 1, w,
+            )
+            return 2 * edges
         self._commit(idx, vals)
         idx, vals = self.kernel_partial(
             self.kernel_state(), self.kernel_params(), gsrc, gdst, w

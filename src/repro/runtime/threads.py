@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.algorithms import native
 from repro.runtime.shard import resolve_shards
 
 #: Thread-name prefix of the engine's kernel pool, so tests can assert
@@ -63,13 +64,17 @@ def execution_fingerprint(
     """Resolved execution environment for benchmark machine blocks.
 
     Every ``BENCH_*.json`` records this so a result can be interpreted
-    without guessing what ``"auto"`` meant on the runner that produced it.
+    without guessing what ``"auto"`` meant on the runner that produced it,
+    nor which kernel tier ran: ``native_kernels`` is ``"loaded"`` when the
+    compiled min-relaxations (:mod:`repro.algorithms.native`) ran, else
+    the reason the NumPy bodies did.
     """
     return {
         "cpus_logical": os.cpu_count(),
         "cpus_available": available_cpus(),
         "workers_resolved": resolve_workers(workers),
         "shards_resolved": resolve_shards(shards),
+        "native_kernels": native.status,
     }
 
 

@@ -272,7 +272,9 @@ def test_source_structure_holds():
     record in ``_run``, so nothing else decides whether a prefetch thread
     runs) — scipy's private ``scipy.sparse._sparsetools`` (the compiled
     COO mat-vec behind the scatter kernels) is imported by one module,
-    ``algorithms/pagerank.py``, so the private symbol lives in one place —
+    ``algorithms/pagerank.py``, so the private symbol lives in one place,
+    and cffi by one, ``algorithms/native.py``, so the compiled tier is
+    chosen in one place —
     every kernel indexes with ``intp`` or views its IDs as ``int32`` (each
     ``kernel_partial`` under ``algorithms/`` calls ``gather_ids``, defined
     once in ``algorithms/base.py``, or ``scatter_sums``, so no kernel
@@ -298,7 +300,7 @@ def test_source_structure_holds():
     walked, format_reach = [], []
     tile_kernels, fused_asked, twin_imports = [], [], []
     comparator_defs, page_table_reach, index_literals = [], [], []
-    depth_reads, private_scipy = [], []
+    depth_reads, private_scipy, cffi_users = [], [], []
     gather_defs, kernels, raw_kernels = [], [], []
     engine_runs, verdict_asserts = [], []
     comparator_names = {"run_bfs", "run_pagerank", "run_cc", "_account"}
@@ -308,6 +310,8 @@ def test_source_structure_holds():
         package = rel.split(os.sep)[0]
         if any(m.startswith("scipy.sparse._sparsetools") for m in _imports(tree)):
             private_scipy.append(rel)
+        if any(m.split(".")[0] == "cffi" for m in _imports(tree)):
+            cffi_users.append(rel)
         if rel != os.path.join("engine", "config.py"):
             depth_reads += [
                 f"{rel}: {fn}" for fn in _attr_loads(tree, "prefetch_depth")
@@ -446,6 +450,7 @@ def test_source_structure_holds():
         for fn in ("_prefetch_depth", "_run")
     ], depth_reads
     assert private_scipy == [os.path.join("algorithms", "pagerank.py")]
+    assert cffi_users == [os.path.join("algorithms", "native.py")]
     assert gather_defs == [os.path.join("algorithms", "base.py") + ": gather_ids"]
     assert kernels and not raw_kernels, raw_kernels
     results_dir = os.path.join(SRC, "..", "..", "benchmarks", "results")
