@@ -1,11 +1,15 @@
 #!/usr/bin/env python
-"""Kernel-throughput benchmark: per-tile vs fused vs fused+parallel.
+"""Kernel-throughput benchmark: fused vs fused+parallel.
 
-Runs each algorithm's one kernel through the G-Store engine at three
-dispatch granularities — once per tile (``fused=False``), once per shard
-of a batch, and per shard over the worker thread pool — and records
-edges/sec and wall seconds for every mode into ``BENCH_kernels.json`` at
-the repo root.  This is the perf trajectory file future PRs extend.
+Runs each algorithm's one kernel through the G-Store engine once per
+shard of a batch, serially (``fused``) and over the worker thread pool
+(``fused+parallel``), and records edges/sec, wall seconds and the
+result's sha256 for both modes into ``BENCH_kernels.json`` at the repo
+root.  This is the perf trajectory file future PRs extend.
+
+One gate, always on: the thread pool's determinism contract.  Per
+algorithm, ``fused+parallel`` must give a result sha256-identical to
+``fused`` and the same ``edges_processed``; otherwise the script exits 1.
 
 The thread pool is warmed before timing, so thread spawn is not charged
 to the first measured iteration.
@@ -19,6 +23,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -60,15 +65,15 @@ def build_graph(scale: int, edge_factor: int, tile_bits: int, seed: int) -> Tile
     return TiledGraph.from_edge_list(el, tile_bits=tile_bits, group_q=16)
 
 
-def run_mode(tg: TiledGraph, factory, fused: bool, workers: int, repeats: int):
-    """Best-of-N engine run; returns (wall_seconds, edges_processed)."""
+def run_mode(tg: TiledGraph, factory, workers: int, repeats: int):
+    """Best-of-N engine run; returns (wall_seconds, edges_processed,
+    result sha256)."""
     best = None
     edges = 0
     for _ in range(repeats):
         cfg = EngineConfig(
             memory_bytes=256 * 1024 * 1024,
             segment_bytes=8 * 1024 * 1024,
-            fused=fused,
             workers=workers,
         )
         with GStoreEngine(tg, cfg) as engine:
@@ -79,8 +84,9 @@ def run_mode(tg: TiledGraph, factory, fused: bool, workers: int, repeats: int):
             stats = engine.run(algo)
             wall = time.perf_counter() - t0
             edges = stats.edges_processed
+            digest = hashlib.sha256(algo.result().tobytes()).hexdigest()
         best = wall if best is None else min(best, wall)
-    return best, edges
+    return best, edges, digest
 
 
 def main(argv=None) -> int:
@@ -89,7 +95,7 @@ def main(argv=None) -> int:
     ap.add_argument("--edge-factor", type=int, default=8)
     # 2^10-vertex tiles: the many-small-tiles regime the fused layer
     # targets (a trillion-edge graph at the paper's 2^16-vertex tiles has
-    # millions of tiles — per-tile dispatch overhead is the bottleneck).
+    # millions of tiles).
     ap.add_argument("--tile-bits", type=int, default=10)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--repeats", type=int, default=2)
@@ -100,18 +106,11 @@ def main(argv=None) -> int:
                          "and the comparison measures noise)")
     ap.add_argument("--algos", nargs="*", default=sorted(ALGOS),
                     choices=sorted(ALGOS))
-    ap.add_argument("--min-fused-speedup", type=float, default=None,
-                    help="exit nonzero if any algorithm's fused speedup over "
-                         "the per-tile loop falls below this threshold")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_kernels.json"))
     args = ap.parse_args(argv)
 
     workers = args.workers or max(2, available_cpus())
-    modes = [
-        ("per-tile", False, 1),
-        ("fused", True, 1),
-        ("fused+parallel", True, workers),
-    ]
+    modes = [("fused", 1), ("fused+parallel", workers)]
 
     print(f"building R-MAT graph: 2^{args.scale} vertices, "
           f"edge_factor={args.edge_factor}, tile_bits={args.tile_bits} ...")
@@ -122,29 +121,17 @@ def main(argv=None) -> int:
     for name in args.algos:
         factory = ALGOS[name]
         results[name] = {}
-        for label, fused, w in modes:
-            wall, edges = run_mode(tg, factory, fused, w, args.repeats)
+        for label, w in modes:
+            wall, edges, digest = run_mode(tg, factory, w, args.repeats)
             eps = edges / wall if wall > 0 else float("inf")
             results[name][label] = {
                 "wall_seconds": wall,
                 "edges_processed": edges,
                 "edges_per_sec": eps,
+                "result_sha256": digest,
             }
             print(f"  {name:10s} {label:15s} {wall:8.3f}s  "
                   f"{eps / 1e6:9.2f} M edges/s")
-        # Wall ratio, not edges/sec ratio: a live kernel (SSSP) counts
-        # its second in-shard relaxation, so its fused run processes more
-        # edges than the per-tile run it is compared with.
-        base = results[name]["per-tile"]["wall_seconds"]
-        for label, _, _ in modes[1:]:
-            results[name][label]["speedup_vs_per_tile"] = (
-                base / results[name][label]["wall_seconds"]
-            )
-        line = ", ".join(
-            f"{label} {results[name][label]['speedup_vs_per_tile']:.2f}x"
-            for label, _, _ in modes[1:]
-        )
-        print(f"  {name:10s} speedup vs per-tile: {line}")
 
     payload = {
         "benchmark": "kernel_throughput",
@@ -172,13 +159,13 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}")
 
     ok = True
-    if args.min_fused_speedup is not None:
-        for name in args.algos:
-            sp = results[name]["fused"]["speedup_vs_per_tile"]
-            status = "ok" if sp >= args.min_fused_speedup else "TOO SLOW"
-            print(f"  fused gate {name}: {sp:.2f}x "
-                  f"(need >= {args.min_fused_speedup:.2f}x) [{status}]")
-            ok = ok and sp >= args.min_fused_speedup
+    for name in args.algos:
+        serial, parallel = (results[name][label] for label, _ in modes)
+        same = all(serial[k] == parallel[k]
+                   for k in ("result_sha256", "edges_processed"))
+        print(f"  determinism gate {name}: fused+parallel "
+              f"{'identical to' if same else 'DIFFERS FROM'} fused")
+        ok = ok and same
     return 0 if ok else 1
 
 

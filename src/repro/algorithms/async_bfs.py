@@ -13,8 +13,7 @@ fixpoint); only the iteration count differs.
 
 The fused kernel is *live* (:attr:`~repro.algorithms.base.TileAlgorithm.
 live_kernel`): shards commit in order, each seeing every earlier commit,
-and the relaxation runs to a fixpoint within the resident shard (a
-single tile under per-tile dispatch).
+and the relaxation runs to a fixpoint within the resident shard.
 """
 
 from __future__ import annotations

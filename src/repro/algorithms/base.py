@@ -12,10 +12,9 @@ The engine drives an algorithm through a strict per-iteration protocol::
             break
 
 An algorithm is written once, as a kernel: ``kernel_state`` /
-``kernel_params`` / ``kernel_partial`` / ``apply_partial``.  How many
-tiles one kernel call covers is the engine's dispatch granularity — a
-shard of the batch by default, a single tile (``process_tile``) under
-``EngineConfig(fused=False)`` — never a second implementation.
+``kernel_params`` / ``kernel_partial`` / ``apply_partial``.  The engine
+calls it once per shard of a fetched batch, and an answer must not depend
+on where the shards are cut (:meth:`TileAlgorithm.apply_partial`).
 
 ``rows_active()`` reports which tile-row vertex ranges the *current*
 iteration must touch (selective fetching, §V-B); ``rows_active_next()``
@@ -122,8 +121,9 @@ class TileAlgorithm(abc.ABC):
         self.iteration = iteration
 
     def process_tile(self, tv: TileView) -> int:
-        """The kernel dispatched on one tile — what ``fused=False`` runs
-        per view; returns the number of edges examined."""
+        """The kernel on one tile; returns the number of edges examined.
+        Called by nothing in ``src/``; kept only because
+        ``benchmarks/perf/layer_walk.py`` calls it."""
         return self.apply_partial(self.batch_partial([tv]))
 
     @abc.abstractmethod
@@ -213,12 +213,15 @@ class TileAlgorithm(abc.ABC):
 
         Called from the engine thread, in shard order, so every update
         lands in a deterministic sequence: results are bit-identical across
-        worker counts and run-to-run.  Kernels whose updates commute
-        exactly (constant writes, integer decrements, idempotent minima —
-        BFS, CC, k-core) additionally match per-tile dispatch bit-for-bit;
-        float-accumulating kernels (PageRank, SpMV) match it up to
-        floating-point reassociation, the standard parallel-reduction
-        contract.  Returns the number of edges the partial covered.
+        worker counts and run-to-run.  The answer must not depend on how a
+        batch is cut into shards.  Kernels whose updates commute exactly
+        (constant writes, integer decrements, idempotent minima — BFS, CC,
+        k-core) give the same bits, edge count and iteration count for any
+        contiguous cut, down to one edge per shard; float-accumulating
+        kernels (PageRank, SpMV) give them up to floating-point
+        reassociation, the standard parallel-reduction contract; live
+        kernels (SSSP, AsyncBFS) converge to the same distances.  Returns
+        the number of edges the partial covered.
         """
 
     # ------------------------------------------------------------------ #
@@ -263,8 +266,8 @@ class TileAlgorithm(abc.ABC):
         functions of their arguments (they run in shard worker processes
         where ``self`` does not exist) and must not mutate ``state`` or
         the endpoint arrays (both may be read-only shared memory).
-        :meth:`batch_partial` routes through this, so per-tile, serial,
-        threaded, and sharded execution share one kernel implementation.
+        :meth:`batch_partial` routes through this, so serial, threaded,
+        and sharded execution share one kernel implementation.
 
         The endpoints arrive as ``VERTEX_DTYPE`` (``uint32``), as the
         decoder writes them.  A *gather* kernel (state indexed by

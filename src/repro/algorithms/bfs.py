@@ -124,9 +124,10 @@ class BFS(TileAlgorithm):
 
         The discovery sets are snapshot-independent: whatever interleaving
         of tiles and batches runs, a vertex ends at ``level + 1`` iff some
-        tile reports it, so per-tile, fused, and sharded execution converge
-        on bit-identical depth arrays — in any process (the fancy-indexed
-        targets are fresh arrays, never views into shared memory).
+        tile reports it, so every shard cut, thread count and shard
+        process count converges on bit-identical depth arrays — in any
+        process (the fancy-indexed targets are fresh arrays, never views
+        into shared memory).
 
         ``mode`` picks the evaluation order of the same per-edge AND
         predicate (``frontier-side == level`` ∧ ``target-side`` unvisited):

@@ -98,7 +98,7 @@ class Reachability(TileAlgorithm):
         The frontier is frozen for the iteration and marking a vertex
         visited is idempotent, so the union of the hit sets — hence the
         result — is the same whichever ``visited`` snapshot a shard sees:
-        per-tile, fused, threaded, and sharded execution agree bit for
+        every shard cut, threaded and sharded execution agree bit for
         bit.
         """
         gsrc, gdst = gather_ids(gsrc, gdst)

@@ -63,9 +63,6 @@ class EngineConfig:
     overlap: bool = True
     #: Compute-time model for the pipelined timeline.
     cost_model: CostModel = field(default_factory=CostModel)
-    #: Kernel dispatch granularity: one vectorised pass per shard of a
-    #: fetched segment; False dispatches the same kernel once per tile.
-    fused: bool = True
     #: Worker threads for row-parallel batch execution (§VI-B dynamic row
     #: scheduling).  1 keeps execution single-threaded; ``"auto"`` clamps
     #: the default to the machine's core count (falling back to serial on a
@@ -80,9 +77,9 @@ class EngineConfig:
     #: single-coordinator engine; ``None`` resolves from the
     #: ``REPRO_SHARDS`` environment variable, default 1.  Results and
     #: simulated statistics are bit-identical at any shard count; runs
-    #: that cannot shard (per-tile mode, fault injection, checksum
-    #: verification, live kernels, or spawn/shm unavailable) fall back to
-    #: the single-process path.
+    #: that cannot shard (fault injection, checksum verification, live
+    #: kernels, or spawn/shm unavailable) fall back to the single-process
+    #: path.
     #: Results and simulated statistics stay bit-identical across worker
     #: deaths because the supervisor replays lost lanes (bounded by
     #: ``ShardRuntime.RESPAWN_BUDGET``; docs/RELIABILITY.md).
@@ -125,6 +122,13 @@ class EngineConfig:
     #: so clean runs never pay the checksum cost (one array-kernel call
     #: per fetched batch; docs/RELIABILITY.md).
     verify_checksums: "bool | None" = None
+
+    @property
+    def fused(self) -> bool:
+        """Constant: every kernel is dispatched once per shard of a batch.
+        Read by nothing in ``src/``; kept only because
+        ``benchmarks/perf/layer_walk.py`` reads it."""
+        return True
 
     def __post_init__(self) -> None:
         if self.memory_bytes < 2 * self.segment_bytes:

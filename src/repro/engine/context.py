@@ -93,9 +93,6 @@ class RunContext:
     #: Whether this run executes shard-parallel (engine context only);
     #: cleared by the degrade step when the shard source fails.
     shard_active: bool = False
-    #: Whether this run takes the fused batch path (``config.fused`` and
-    #: the algorithm has fused kernels), resolved once by ``run()``.
-    fused: bool = False
     # Memoized rewind batch: all-active algorithms rewind the same tile
     # set every iteration, so its views are decoded once.
     rewind_key: "np.ndarray | None" = None

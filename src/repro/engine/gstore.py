@@ -28,7 +28,7 @@ Per iteration the engine:
    step).  Compute runs through the fused batch layer: a whole segment's
    tiles execute as one vectorised kernel pass, optionally sharded
    row-parallel over a persistent worker pool with a deterministic merge
-   (``config.fused`` / ``config.workers``);
+   (``config.workers``);
 4. *caches*: processed tiles enter the pool under the proactive rules;
    when the pool fills, analysis evicts tiles the next iteration will not
    need (§VI-C).
@@ -229,7 +229,6 @@ class GStoreEngine:
         return (
             self.shards > 1
             and not self.shard_failed
-            and self.config.fused
             and not algorithm.live_kernel
             and (
                 self.injector is None
@@ -391,7 +390,6 @@ class GStoreEngine:
         ctx.rewind_key = None
         ctx.rewind_merged = None
         ctx.degraded = False
-        ctx.fused = cfg.fused
         # Private contexts trade intra-query parallelism for cross-query
         # concurrency: no shard scatter (the shard runtime is bound to
         # the engine's clock and gather queue, which are not re-entrant).
@@ -483,7 +481,6 @@ class GStoreEngine:
         stats.extra["pipeline"] = timeline.totals
         stats.extra["pipeline_wall"] = ctx.wall_overlap.as_dict()
         stats.extra["execution"] = {
-            "fused": ctx.fused,
             "selective": cfg.selective,
             "workers": cfg.workers,
             # Private contexts always walk the serial kernel path — the
@@ -805,7 +802,7 @@ class GStoreEngine:
             events, io_t = ctx.aio.service(requests)
             with tracer.span("decode", cat="decode", tiles=len(batch_positions)):
                 views = self._decode(
-                    [(ev.tag, ev.data) for ev in events], ctx, self._verify
+                    [(ev.tag, ev.data) for ev in events], self._verify
                 )
         return Prepared(
             tiles=batch_positions,
@@ -815,7 +812,7 @@ class GStoreEngine:
             wall=_time.perf_counter() - t0,
         )
 
-    def _decode(self, runs: list, ctx: RunContext, verify: bool = False) -> list:
+    def _decode(self, runs: list, verify: bool = False) -> list:
         """``(positions, merged extent)`` pairs -> kernel-ready views: the
         step the slide and the rewind share, on whichever thread holds the
         bytes.
@@ -823,9 +820,7 @@ class GStoreEngine:
         With ``verify`` the batch is first checked against the stored
         CRC32C in one kernel call; a failure is counted before the typed
         error propagates.  (The rewind skips it: the pool only holds
-        positions whose bytes were verified on the way in.)  Fused or
-        per-tile is the decoder's choice and nothing else's — the pool
-        accounts by position either way.
+        positions whose bytes were verified on the way in.)
         """
         if verify:
             try:
@@ -836,7 +831,7 @@ class GStoreEngine:
                         "fault.checksum_failures"
                     ).add(1)
                 raise
-        return self.graph.decode_extents(runs, fused=ctx.fused)
+        return self.graph.decode_extents(runs)
 
     def _seed_pool(self, scr: SCRScheduler, positions: "list[int]") -> None:
         """Repopulate the cache pool from a checkpoint's membership list.
@@ -894,8 +889,7 @@ class GStoreEngine:
                 [
                     (r.tag, self.store.read(r.offset, r.size))
                     for r in merge_requests(cached, self.graph.start_edge)
-                ],
-                ctx,
+                ]
             )
         ctx.rewind_key = cached
         ctx.rewind_merged = views
@@ -911,8 +905,7 @@ class GStoreEngine:
         """
         parallel = self.workers > 1 and not ctx.private
         return execute_batch(
-            algorithm, views, fused=ctx.fused,
-            pool=self.pool if parallel else None,
+            algorithm, views, pool=self.pool if parallel else None,
         )
 
     def _compute(

@@ -103,11 +103,11 @@ class TileView:
 def concat_global_edges(views: "list[TileView]") -> tuple[np.ndarray, np.ndarray]:
     """Concatenated global endpoint arrays for a batch of tiles.
 
-    Edge order is the batch's tile order — the same sequence a per-tile
-    loop over ``views`` would visit, which is what keeps the fused kernels
-    bit-identical to per-tile execution.  Both arrays are C-contiguous
-    ``VERTEX_DTYPE``; a one-view batch (every shard of a rewind) returns
-    that view's cached arrays themselves, no copy.
+    Edge order is the batch's tile order — the same sequence a loop over
+    ``views`` would visit, which is what keeps an exact kernel's answer
+    independent of where a batch is cut into shards.  Both arrays are
+    C-contiguous ``VERTEX_DTYPE``; a one-view batch (every shard of a
+    rewind) returns that view's cached arrays themselves, no copy.
     """
     if not views:
         empty = np.empty(0, dtype=VERTEX_DTYPE)
@@ -717,21 +717,14 @@ class TiledGraph:
         return run_views, tiles
 
     def decode_extents(
-        self,
-        runs: "list[tuple[list[int], bytes | memoryview]]",
-        fused: bool = True,
+        self, runs: "list[tuple[list[int], bytes | memoryview]]"
     ) -> "list[TileView]":
         """Kernel-ready views of fetched ``(positions, merged extent)``
         pairs — the one decode step behind every reader of tile bytes (the
-        engine's slide and rewind, the shard workers, the serving lookup).
-
-        Fused dispatch gets :meth:`decode_batch`'s run-level views cut
-        into the batch's shard structure; ``fused=False`` (the same kernels
-        dispatched once per tile) gets one view per tile from
-        :meth:`decode_run` over the same extents, same edge order.
+        engine's slide and rewind, the shard workers, the serving lookup):
+        :meth:`decode_batch`'s run-level views cut into the batch's shard
+        structure.
         """
-        if not fused:
-            return [tv for run in runs for tv, _ in self.decode_run(*run)]
         views, _ = self.decode_batch(runs, with_tiles=False)
         return self.split_run_views(views, SHARDS_PER_BATCH)
 
@@ -747,7 +740,8 @@ class TiledGraph:
         slab of the payload in disk order — the non-empty tiles whose
         extents start inside one ``slab_bytes`` window (one byte-adjacent
         run: empty tiles hold no bytes) and their :meth:`decode_extents`
-        views.  Resident or mapped, it holds a slab at a time."""
+        views, or with ``fused=False`` one :meth:`decode_run` view per
+        tile.  Resident or mapped, it holds a slab at a time."""
         offsets = self.start_edge.start_edge.astype(np.int64) * self.tuple_bytes
         live = np.flatnonzero(offsets[1:] > offsets[:-1])
         if not live.size:
@@ -756,7 +750,11 @@ class TiledGraph:
         cuts = np.flatnonzero(np.diff(offsets[live] // slab_bytes)) + 1
         for positions in np.split(live, cuts):
             extent = data[offsets[positions[0]] : offsets[positions[-1] + 1]]
-            yield positions, self.decode_extents([(positions, extent)], fused)
+            if fused:
+                views = self.decode_extents([(positions, extent)])
+            else:
+                views = [tv for tv, _ in self.decode_run(positions, extent)]
+            yield positions, views
 
     def to_edge_list(self) -> EdgeList:
         """Reconstruct the stored tuples as a global-ID edge list."""

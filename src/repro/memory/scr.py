@@ -254,11 +254,11 @@ class SCRScheduler:
         """Offer one processed batch to the pool, analysing on pressure.
 
         ``tiles`` is the batch's ``int64`` position array (what the
-        engine hands over, fused or per-tile: sizes come from
-        :attr:`start_edge`, nothing per-tile is built) or a sequence of
-        :class:`TileBuffer` (``benchmarks/perf/layer_walk.py``'s call
-        shape: reduced to positions and sizes here, the admitted buffers
-        kept in the pool's side table for :meth:`cached_buffers`).
+        engine hands over: sizes come from :attr:`start_edge`, nothing
+        per-tile is built) or a sequence of :class:`TileBuffer`
+        (``benchmarks/perf/layer_walk.py``'s call shape: reduced to
+        positions and sizes here, the admitted buffers kept in the pool's
+        side table for :meth:`cached_buffers`).
         Positions within one offer are distinct — a slide batch is a slice
         of a disk-order fetch set.
 

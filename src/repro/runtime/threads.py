@@ -81,14 +81,11 @@ def execution_fingerprint(
 def execute_batch(
     algorithm,
     views,
-    fused: bool = True,
     pool: "ThreadPoolExecutor | None" = None,
 ) -> int:
-    """Run one batch of tile views through an algorithm's kernel.
+    """Run one batch of tile views through an algorithm's kernel, once per
+    shard (:meth:`TileAlgorithm.process_batch`).
 
-    ``fused`` is the dispatch granularity of that one kernel:
-    ``fused=False`` calls it once per tile (:meth:`process_tile`),
-    ``fused=True`` once per shard (:meth:`TileAlgorithm.process_batch`).
     Handed a ``pool`` and a snapshot kernel, the read-only partial phase
     is sharded by the algorithm's :meth:`shard_views` and mapped over the
     pool's work queue, and the partials are committed serially in shard
@@ -102,11 +99,6 @@ def execute_batch(
     """
     if not views:
         return 0
-    if not fused:
-        edges = 0
-        for tv in views:
-            edges += algorithm.process_tile(tv)
-        return edges
     if pool is not None and not algorithm.live_kernel and len(views) > 1:
         shards = algorithm.shard_views(views)
         if len(shards) > 1:

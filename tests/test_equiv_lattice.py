@@ -1,15 +1,14 @@
 """The equivalence lattice, checked inside this tree.
 
 ``tools/equiv_matrix.py`` declares the lattice once — algorithms, graphs,
-budgets and every execution axis: fused/per-tile dispatch, prefetch
-depth, worker threads, selective scheduling, shard processes, private
-query contexts, checkpoint resume — and CI diffs its records against the
-base commit.  Here the same enumeration runs once per session (the
+budgets and every execution axis: prefetch depth, worker threads,
+selective scheduling, shard processes, private query contexts,
+checkpoint resume — and CI diffs its records against the base commit.  Here the same enumeration runs once per session (the
 ``lattice`` fixture) and is held two ways:
 
 * the axes agree with each other (``lattice_violations``): one answer per
-  algorithm, graph and budget; one simulated run per decode path and
-  selective mode; dense sweeps bounding selective demand;
+  algorithm, graph and budget; one simulated run per selective mode;
+  dense sweeps bounding selective demand;
 * every distinct answer — shard, private-context and resumed ones
   included — agrees with an oracle that shares no code with the engine
   (networkx, scipy, a peeling loop), on two R-MAT graphs and on one graph
@@ -41,7 +40,7 @@ def edge_lists():
 
 
 def test_lattice_holds(lattice):
-    violations = equiv_matrix.lattice_violations(*lattice)
+    violations = equiv_matrix.lattice_violations(lattice[0])
     assert not violations, "\n".join(violations[:40])
 
 
@@ -236,8 +235,8 @@ ORACLES = {
 @pytest.mark.parametrize("name", sorted(equiv_matrix.algorithms()))
 def test_every_answer_matches_its_oracle(lattice, edge_lists, name):
     """Each distinct answer the lattice produced for this algorithm — over
-    both decode paths, every budget and every execution axis — against
-    the oracle, on each graph."""
+    every budget and every execution axis — against the oracle, on each
+    graph."""
     records, answers = lattice
     distinct = {}
     for key, rec in records.items():

@@ -124,25 +124,20 @@ class TestCorruptPayload:
         rep = check_tiled_graph(tg)
         assert not rep.ok
 
-    def test_per_tile_run_rejects_bit_flip_like_fused(self, tiled_undirected):
-        # The reference loop verifies through the same batch check as the
-        # fused path: the first corrupt tile's context, counted once.
-        contexts = []
-        for fused in (True, False):
-            eng = GStoreEngine(
-                tiled_undirected,
-                EngineConfig(
-                    memory_bytes=64 * 1024, segment_bytes=8 * 1024,
-                    faults=FaultPlan.parse("bitflip@0"), prefetch_depth=0,
-                    fused=fused,
-                ),
-            )
-            with pytest.raises(ChecksumError) as ei:
-                eng.run(BFS(root=0))
-            assert eng.injector.counters()["fault.checksum_failures"] == 1
-            contexts.append(ei.value.context)
-        assert contexts[0] == contexts[1]
-        assert set(contexts[0]) == {
+    def test_bit_flip_names_the_corrupt_tile_once(self, tiled_undirected):
+        # The batch check reports the first corrupt tile's context, and
+        # the failure is counted once.
+        eng = GStoreEngine(
+            tiled_undirected,
+            EngineConfig(
+                memory_bytes=64 * 1024, segment_bytes=8 * 1024,
+                faults=FaultPlan.parse("bitflip@0"), prefetch_depth=0,
+            ),
+        )
+        with pytest.raises(ChecksumError) as ei:
+            eng.run(BFS(root=0))
+        assert eng.injector.counters()["fault.checksum_failures"] == 1
+        assert set(ei.value.context) == {
             "tile", "i", "j", "offset", "size", "expected", "actual",
         }
 

@@ -117,16 +117,17 @@ class TestOnEngineKnockout:
     tuples, and nothing read behind the engine's back."""
 
     @pytest.mark.parametrize("kind", ["undirected", "directed"])
-    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("selective", [True, False])
     @pytest.mark.parametrize("workers", [1, 4])
     def test_sets_and_rounds_match_reference(
-        self, tiled_undirected, tiled_directed, kind, fused, workers
+        self, tiled_undirected, tiled_directed, kind, selective, workers
     ):
         tg = tiled_undirected if kind == "undirected" else tiled_directed
-        # Small pool: the knock sweeps rewind, evict and re-fetch.
+        # Small pool: the knock sweeps rewind, evict and re-fetch; dense
+        # sweeps also read the tiles no undecided vertex touches.
         cfg = EngineConfig(
             memory_bytes=24 * 1024, segment_bytes=4 * 1024,
-            fused=fused, workers=workers,
+            selective=selective, workers=workers,
         )
         for seed in (1, 7):
             algo = MaximalIndependentSet(seed=seed)
@@ -137,8 +138,8 @@ class TestOnEngineKnockout:
             assert algo.rounds == rounds
             assert len(stats.iterations) == 2 * rounds  # compete + knock
 
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_self_loops_are_not_neighbours(self, small_directed, fused):
+    @pytest.mark.parametrize("selective", [True, False])
+    def test_self_loops_are_not_neighbours(self, small_directed, selective):
         """A stored self-loop used to beat its own vertex every round,
         leaving it to the no-winner stop; it competes with nobody now, so
         the set is the loop-free graph's."""
@@ -150,7 +151,8 @@ class TestOnEngineKnockout:
             plain.n_vertices, directed=True,
         )
         cfg = EngineConfig(
-            memory_bytes=24 * 1024, segment_bytes=4 * 1024, fused=fused
+            memory_bytes=24 * 1024, segment_bytes=4 * 1024,
+            selective=selective,
         )
         reference = TiledGraph.from_edge_list(plain, tile_bits=7, group_q=2)
         tg = TiledGraph.from_edge_list(looped, tile_bits=7, group_q=2)

@@ -309,13 +309,13 @@ _ALGORITHMS = {
 
 
 @needs_tier
-@pytest.mark.parametrize("fused", [True, False])
+@pytest.mark.parametrize("selective", [True, False])
 @pytest.mark.parametrize("graph", ["tiled_undirected", "tiled_directed", "weighted_tiled"])
 @pytest.mark.parametrize("name", sorted(_ALGORITHMS))
-def test_tier_off_is_bit_identical(name, graph, fused, request, monkeypatch):
+def test_tier_off_is_bit_identical(name, graph, selective, request, monkeypatch):
     tg = request.getfixturevalue(graph)
     config = EngineConfig(memory_bytes=64 * 1024, segment_bytes=8 * 1024,
-                          fused=fused)
+                          selective=selective)
     runs = []
     for lib in (native.lib, None):
         monkeypatch.setattr(native, "lib", lib)

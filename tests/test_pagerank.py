@@ -252,11 +252,12 @@ class TestScatterSums:
 
 
 @pytest.mark.parametrize("directed", [True, False])
-@pytest.mark.parametrize("fused", [True, False])
-def test_corrupt_local_id_fails_typed(directed, fused):
+@pytest.mark.parametrize("prefetch", [True, False])
+def test_corrupt_local_id_fails_typed(directed, prefetch):
     """A local ID patched past ``n_vertices`` in the last tile row (10
     vertices, 4-vertex tiles) reaches the kernel unverified and raises
-    ``IndexError`` — never a read or write outside the kernel's arrays."""
+    ``IndexError`` — never a read or write outside the kernel's arrays —
+    whether or not a prefetch thread is decoding ahead of the kernel."""
     from repro.format.edgelist import EdgeList
     from repro.format.tiles import TiledGraph
 
@@ -274,7 +275,7 @@ def test_corrupt_local_id_fails_typed(directed, fused):
         tg,
         EngineConfig(
             memory_bytes=64 * 1024, segment_bytes=8 * 1024,
-            fused=fused, verify_checksums=False,
+            prefetch_depth=2 if prefetch else 0, verify_checksums=False,
         ),
     )
     with pytest.raises(IndexError, match="index 11 is out of bounds"):

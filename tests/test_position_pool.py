@@ -1,8 +1,7 @@
 """The slide loop costs O(batches), not O(tiles), in pool-side objects.
 
-The cache pool accounts by disk position, so a run — fused or the
-per-tile reference loop, which differ only in the decoder — hands each
-batch's position array straight from the slide plan to the pool: no
+The cache pool accounts by disk position, so a run hands each batch's
+position array straight from the slide plan to the pool: no
 ``TileBuffer`` is built and the pool is entered a bounded number of times
 per batch and per iteration.  A checkpoint resume seeds the pool from
 positions alone, and the first rewind decodes them off the backing store
@@ -70,24 +69,21 @@ def _count_pool_and_buffers(monkeypatch) -> dict:
 def test_fused_run_builds_no_per_tile_objects(many_tiles, monkeypatch, make_algo):
     payload = many_tiles.storage_bytes()
     counts = _count_pool_and_buffers(monkeypatch)
-    for fused in (True, False):  # the reference loop builds none either
-        cfg = EngineConfig(
-            memory_bytes=payload // 4, segment_bytes=payload // 16,
-            prefetch_depth=0, fused=fused,
-        )
-        counts.update(buffers=0, pool_calls=0)
-        with GStoreEngine(many_tiles, cfg) as engine:
-            stats = engine.run(make_algo())
-        assert stats.extra["execution"]["fused"] is fused
-        assert stats.tiles_fetched >= 4000
-        assert stats.extra["scr"].tiles_cached > 0  # the pool was really used
-        assert counts["buffers"] == 0, fused
-        steps = stats.extra["pipeline_wall"]["batches"] + len(stats.iterations)
-        assert counts["pool_calls"] <= CALLS_PER_STEP * steps, fused
-        assert counts["pool_calls"] < stats.tiles_fetched // 4, fused
+    cfg = EngineConfig(
+        memory_bytes=payload // 4, segment_bytes=payload // 16,
+        prefetch_depth=0,
+    )
+    with GStoreEngine(many_tiles, cfg) as engine:
+        stats = engine.run(make_algo())
+    assert stats.tiles_fetched >= 4000
+    assert stats.extra["scr"].tiles_cached > 0  # the pool was really used
+    assert counts["buffers"] == 0
+    steps = stats.extra["pipeline_wall"]["batches"] + len(stats.iterations)
+    assert counts["pool_calls"] <= CALLS_PER_STEP * steps
+    assert counts["pool_calls"] < stats.tiles_fetched // 4
 
 
-def test_per_tile_resume_rewinds_from_positions(many_tiles, tmp_path):
+def test_resume_rewinds_from_positions(many_tiles, tmp_path):
     """A resumed run starts from a pool that knows positions only; its
     first rewind must still produce every resident tile's view, and the
     result must match the uninterrupted run bit for bit."""
@@ -96,7 +92,7 @@ def test_per_tile_resume_rewinds_from_positions(many_tiles, tmp_path):
     def cfg(**kw):
         return EngineConfig(
             memory_bytes=payload // 2, segment_bytes=payload // 16,
-            fused=False, prefetch_depth=0, **kw,
+            prefetch_depth=0, **kw,
         )
 
     def make_algo():
@@ -115,7 +111,6 @@ def test_per_tile_resume_rewinds_from_positions(many_tiles, tmp_path):
 
     resumed = make_algo()
     resumed_stats = GStoreEngine(many_tiles, cfg()).run(resumed, checkpoint=ckpt)
-    assert not resumed_stats.extra["execution"]["fused"]
     first, same_clean = resumed_stats.iterations[0], clean_stats.iterations[2]
     assert first.tiles_from_cache == len(engine_state["cached_positions"])
     assert first.tiles_from_cache == same_clean.tiles_from_cache

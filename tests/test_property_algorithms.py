@@ -190,24 +190,14 @@ def _oracle_matrix(el, weight_fn=None):
     return sp.csr_matrix((w[first], (src[first], dst[first])), shape=(n, n))
 
 
-def _tiny_engine(tg, fused):
+def _run_tiny(tg, factory):
     # A few hundred bytes of payload: budgets this small still give
     # several slide batches, cache pressure, and rewinds.
-    return GStoreEngine(
-        tg,
-        EngineConfig(memory_bytes=384, segment_bytes=96, fused=fused),
-    )
-
-
-def _run_both(tg, factory):
-    out = []
-    for fused in (True, False):
-        algo = factory()
-        stats = _tiny_engine(tg, fused).run(algo)
-        assert stats.extra["execution"]["fused"] == fused
-        out.append(algo.result().copy())
-    assert np.array_equal(out[0], out[1])
-    return out[0]
+    algo = factory()
+    GStoreEngine(
+        tg, EngineConfig(memory_bytes=384, segment_bytes=96)
+    ).run(algo)
+    return algo.result().copy()
 
 
 class TestSSSPOracle:
@@ -218,7 +208,7 @@ class TestSSSPOracle:
 
         root = root_seed % el.n_vertices
         tg = TiledGraph.from_edge_list(el, tile_bits=_TILE_BITS, group_q=2)
-        dist = _run_both(tg, lambda: SSSP(root=root))
+        dist = _run_tiny(tg, lambda: SSSP(root=root))
         ref = dijkstra(_oracle_matrix(el, edge_weights), directed=True,
                        indices=root)
         assert np.array_equal(np.isinf(dist), np.isinf(ref))
@@ -267,7 +257,7 @@ class TestReachabilityOracle:
 
         source = seed % el.n_vertices
         tg = TiledGraph.from_edge_list(el, tile_bits=_TILE_BITS, group_q=2)
-        reached = _run_both(
+        reached = _run_tiny(
             tg, lambda: Reachability(seeds=[source], forward=forward)
         )
         adj = _oracle_matrix(el)

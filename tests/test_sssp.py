@@ -1,5 +1,7 @@
 """SSSP correctness against networkx Dijkstra (extension algorithm)."""
 
+import contextlib
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from repro.algorithms.sssp import SSSP, edge_weights
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
 from repro.errors import AlgorithmError
+from tests.batch_cuts import PER_TILE, cut_batches
 
 
 def _hash_weights(gsrc, gdst):
@@ -155,14 +158,15 @@ class TestMechanics:
 
 
 class TestFusedByteGuard:
-    """Coarser dispatch must not cost bytes: the live kernel at shard
-    granularity reads no more than the same kernel dispatched per tile.
+    """Coarser shards must not cost bytes: the live kernel over the
+    engine's shards reads no more than the same kernel over one-tile
+    shards (every batch cut at every tile boundary).
 
-    A single in-order relaxation per dispatch commits less often at
-    8-shard granularity than per tile and reads 2-5 % *more* bytes;
-    relaxing the resident edges a second time (``SSSP.apply_partial``)
-    helps the coarse dispatch more than the fine one and turns that into
-    a saving — with one pass at both granularities this guard fails.
+    A single in-order relaxation per shard commits less often at 8-shard
+    granularity than per tile and reads 2-5 % *more* bytes; relaxing the
+    resident edges a second time (``SSSP.apply_partial``) helps the coarse
+    cut more than the fine one and turns that into a saving — with one
+    pass at both granularities this guard fails.
     """
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -182,9 +186,10 @@ class TestFusedByteGuard:
             cfg = EngineConfig(
                 memory_bytes=payload // 4,
                 segment_bytes=payload // 16,
-                fused=fused,
             )
-            with GStoreEngine(tg, cfg) as eng:
+            cut = (contextlib.nullcontext() if fused
+                   else cut_batches(SSSP, tg, PER_TILE))
+            with cut, GStoreEngine(tg, cfg) as eng:
                 stats = eng.run(algo)
             runs[fused] = (algo.result().copy(), stats)
         assert np.array_equal(runs[True][0], runs[False][0])

@@ -59,11 +59,10 @@ class TestPaperExample:
         gsrc, gdst = tg.tile_view(pos).global_edges()
         k = list(zip(gsrc.tolist(), gdst.tolist())).index((4, 5))
         assert tuple(pairs[k].tolist()) == (0, 1)
-        for fused in (True, False):
-            views = tg.decode_extents([([pos], stored)], fused=fused)
-            gsrc = np.concatenate([v.global_edges()[0] for v in views])
-            gdst = np.concatenate([v.global_edges()[1] for v in views])
-            assert (int(gsrc[k]), int(gdst[k])) == (4, 5)
+        views = tg.decode_extents([([pos], stored)])
+        gsrc = np.concatenate([v.global_edges()[0] for v in views])
+        gdst = np.concatenate([v.global_edges()[1] for v in views])
+        assert (int(gsrc[k]), int(gdst[k])) == (4, 5)
 
 
 class TestRoundtrip:

@@ -5,6 +5,7 @@ import ast
 import collections
 import copy
 import dataclasses
+import inspect
 import os
 
 import pytest
@@ -140,7 +141,7 @@ class TestEquivMatrix:
     def test_lattice_violations_name_key_and_field(self, tool, lattice):
         """The within-tree checker names the key and field of a planted
         mismatch, and the key it was held to."""
-        records, answers = lattice
+        records, _ = lattice
         run = "bfs/directed/8K/fused/depth4-workers3/dense"
         answer = "pagerank/directed/8K/fused/shards4/selective"
         planted = dict(records)
@@ -148,7 +149,7 @@ class TestEquivMatrix:
         iteration = planted[run]["stats"]["iterations"][1]
         iteration["bytes_read"] += 1
         planted[answer] = dict(records[answer], result="0" * 64)
-        assert tool.lattice_violations(planted, answers) == [
+        assert tool.lattice_violations(planted) == [
             f"{run}.stats.iterations[1].bytes_read: "
             f"{iteration['bytes_read'] - 1} -> {iteration['bytes_read']} "
             "(against bfs/directed/8K/fused/depth0-workers1/dense)",
@@ -167,11 +168,11 @@ class TestEquivMatrix:
             for key in records
         )
         assert kinds == {
-            "depth0-workers1": 288, "depth2-workers1": 288,
+            "depth0-workers1": 144, "depth2-workers1": 144,
             "depth1-workers2": 144, "depth4-workers3": 144,
-            "shards2": 24, "shards4": 12, "private": 12, "resumed": 12,
+            "shards2": 24, "shards4": 12, "private": 6, "resumed": 6,
             "scc": 2, "xstream": 24, "flashgraph": 24, "gridgraph": 24,
-        }  # 998 records
+        }  # 698 records
         for key, rec in records.items():
             assert tool._digest(answers[rec["result"]]) == rec["result"]
             if key.startswith("scc/"):
@@ -263,7 +264,9 @@ def test_source_structure_holds():
     execution layer holds per-tile buffers, no algorithm opens the store,
     one function decodes a batch, one function is the kernel on a single
     tile (no algorithm carries a per-tile twin, nothing asks whether an
-    algorithm is fused) — the tile grid is never walked (no
+    algorithm or a configuration is fused, and neither ``execute_batch``
+    nor ``decode_extents`` takes a ``fused`` argument: there is one
+    dispatch granularity) — the tile grid is never walked (no
     tuple-list geometry, no per-tile payload iterator, one engine per SCC
     driver) and the format package reads bytes without the storage or
     engine layers — the prefetch depth is resolved in one place (outside
@@ -289,6 +292,8 @@ def test_source_structure_holds():
     from repro.baselines.common import BaselineConfig
     from repro.bench.experiments import EXPERIMENTS
     from repro.engine.config import EngineConfig
+    from repro.format.tiles import TiledGraph
+    from repro.runtime.threads import execute_batch
 
     grid_walks = {"iter_tiles", "disk_order", "tiles_in_group",
                   "group_slices", "engine_factory"}
@@ -339,8 +344,9 @@ def test_source_structure_holds():
             if isinstance(fn, ast.FunctionDef) and fn.name == "process_tile"
         ]
         fused_asked += [
-            rel for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "supports_fused"
+            f"{rel}: {node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("supports_fused", "fused")
         ]
         gather_defs += [
             f"{rel}: {fn.name}" for fn in ast.walk(tree)
@@ -437,6 +443,8 @@ def test_source_structure_holds():
         os.path.join("algorithms", "base.py") + ": process_tile"
     ]
     assert not fused_asked, fused_asked
+    for dispatch in (execute_batch, TiledGraph.decode_extents):
+        assert "fused" not in inspect.signature(dispatch).parameters
     assert not twin_imports, twin_imports
     assert sorted(comparator_defs) == sorted(
         os.path.join("baselines", "common.py") + f": {name}"
@@ -464,7 +472,7 @@ def test_source_structure_holds():
     assert shard_assigned == [
         "types.py: SHARDS_PER_BATCH", "types.py: MIN_SHARD_EDGES"
     ]
-    assert len(dataclasses.fields(EngineConfig)) == 19
+    assert len(dataclasses.fields(EngineConfig)) == 18
     assert len(dataclasses.fields(BaselineConfig)) == 7
     assert sorted(env_keys) == ["REPRO_SCALE", "REPRO_SHARDS"]
     assert env_mentions == len(env_keys)

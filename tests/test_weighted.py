@@ -1,5 +1,7 @@
 """Weighted-graph support: edge-list plumbing, tile alignment, SSSP."""
 
+import contextlib
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from repro.engine.gstore import GStoreEngine
 from repro.errors import FormatError
 from repro.format.edgelist import EdgeList
 from repro.format.tiles import TiledGraph
+from tests.batch_cuts import PER_TILE, cut_batches
 
 
 @pytest.fixture(scope="module")
@@ -132,22 +135,25 @@ class TestTiledWeights:
 
 class TestWeightedSSSP:
     def test_matches_dijkstra_on_real_weights(self, weighted_el):
-        # Default (fused) config: views span runs of tiles, or pieces of
+        # The engine's shards: views span runs of tiles, or pieces of
         # one, so weights come from the view's disk-edge extent.
-        self._check_dijkstra(weighted_el, fused=True)
+        self._check_dijkstra(weighted_el, per_tile=False)
 
     def test_matches_dijkstra_on_real_weights_per_tile(self, weighted_el):
-        self._check_dijkstra(weighted_el, fused=False)
+        # Every batch cut into one-tile shards: each shard's weights are
+        # its own tiles' extents.
+        self._check_dijkstra(weighted_el, per_tile=True)
 
-    def _check_dijkstra(self, weighted_el, fused):
+    def _check_dijkstra(self, weighted_el, per_tile):
         tg = TiledGraph.from_edge_list(weighted_el, tile_bits=6, group_q=2)
         algo = SSSP(root=0)
-        GStoreEngine(
-            tg,
-            EngineConfig(
-                memory_bytes=64 * 1024, segment_bytes=8 * 1024, fused=fused
-            ),
-        ).run(algo)
+        cut = (cut_batches(SSSP, tg, PER_TILE) if per_tile
+               else contextlib.nullcontext())
+        with cut:
+            GStoreEngine(
+                tg,
+                EngineConfig(memory_bytes=64 * 1024, segment_bytes=8 * 1024),
+            ).run(algo)
         g = nx.Graph()
         g.add_nodes_from(range(weighted_el.n_vertices))
         for u, v, w in zip(

@@ -115,12 +115,16 @@ class TestGlobalEdgeLayout:
         return [(r.tag, store.read(r.offset, r.size)) for r in requests]
 
     @pytest.mark.parametrize("snb", [True, False])
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_views_carry_contiguous_global_ids(self, snb, fused):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_views_carry_contiguous_global_ids(self, snb, batched):
         g = TiledGraph.from_edge_list(
             rmat(8, edge_factor=8, seed=5), tile_bits=5, group_q=4, snb=snb
         )
-        views = g.decode_extents(self._runs(g), fused=fused)
+        runs = self._runs(g)
+        if batched:
+            views = g.decode_extents(runs)
+        else:  # one view per tile, as scan(fused=False) hands them out
+            views = [tv for run in runs for tv, _ in g.decode_run(*run)]
         for tv in views:
             for arr in (tv._gsrc, tv._gdst):
                 assert arr is not None and arr.dtype == VERTEX_DTYPE

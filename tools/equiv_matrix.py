@@ -25,22 +25,22 @@ batches of these budgets still cut into several shards:
   undirected R-MAT, a directed R-MAT keeping its self-loops, and a
   directed graph of the format's edge cases — × selective on/off × the
   24 KB/4 KB and 8 KB/4 KB budgets × the single-process executions
-  (``EXECUTIONS``: fused at ``(prefetch_depth, workers)`` (0, 1), (2, 1),
-  (1, 2), (4, 3); per-tile at (0, 1), (2, 1) — 864 runs).  Fused/per-tile
-  is one kernel at two dispatch granularities (a shard of the batch, or
-  a single tile), so the axis compares dispatch, not twins.
+  (``EXECUTIONS``: ``(prefetch_depth, workers)`` (0, 1), (2, 1), (1, 2),
+  (4, 3) — 576 runs).  That an answer does not depend on where a batch
+  is cut into shards is a property of the kernel contract, checked in
+  ``tests/test_fused_equivalence.py``.
 * shard processes (``SHARDED``): every algorithm on one engine per
   graph — two shards at the 24 KB budget dense, four at the 8 KB budget
   selective, two at the 8 KB budget dense (36).
 * one private-context run and one checkpoint resume of BFS and PageRank
-  per graph and decode path (24).
+  per graph (12).
 * SCC over the directed graph, payload resident and left on disk (2).
 * the comparators: X-Stream, FlashGraph and GridGraph × BFS / PageRank / CC
   × undirected/directed × a thrashing and a resident page-cache budget ×
   ``overlap`` on/off (72 runs: result digest, every ``RunStats`` and
   ``IterationStats`` field, the model's clock, page-cache counters).
 
-998 records in all.
+698 records in all.
 
 Usage::
 
@@ -64,15 +64,11 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUDGETS = ((24 * 1024, 4 * 1024), (8 * 1024, 4 * 1024))
-#: ``(prefetch_depth, workers)`` of the single-process runs, by ``fused``.
-#: Fused: the serial baseline (what the default resolves to over
-#: page-cached reads), the explicit prefetch thread, and the kernel pool
-#: beside it — depths 0/1/2/4, workers 1/2/3.  Per-tile dispatch never
-#: hands a batch to the pool, so it runs serial and prefetched.
-EXECUTIONS = {
-    True: ((0, 1), (2, 1), (1, 2), (4, 3)),
-    False: ((0, 1), (2, 1)),
-}
+#: ``(prefetch_depth, workers)`` of the single-process runs: the serial
+#: baseline (what the default resolves to over page-cached reads), the
+#: explicit prefetch thread, and the kernel pool beside it — depths
+#: 0/1/2/4, workers 1/2/3.
+EXECUTIONS = ((0, 1), (2, 1), (1, 2), (4, 3))
 #: Each graph's shard-parallel engine, ``(shards, budget, selective)``:
 #: every shard count, budget and selective mode appears once a worker
 #: spawn (~0.5 s of interpreter and NumPy start-up each) is paid for it.
@@ -84,8 +80,8 @@ SHARDED = {
 #: (memory, segment) of the comparator runs: 8 and 64 pages of page cache
 #: under a graph of 32 (CSR) to 64 (full tuples) pages.
 COMPARATOR_BUDGETS = ((32 * 1024, 4 * 1024), (256 * 1024, 16 * 1024))
-#: Kernels that accumulate floats: per-tile dispatch sums them in another
-#: order, so it matches fused dispatch up to reassociation, not bit for bit.
+#: Kernels that accumulate floats: a batch cut into other shards sums them
+#: in another order, so it matches up to reassociation, not bit for bit.
 FLOAT_ALGORITHMS = ("pagerank", "spmv")
 
 
@@ -286,10 +282,11 @@ def enumerate_records():
     """Yield ``(key, record, answer)`` for every configuration: the record
     the trees are diffed on and the result array its digest names.
 
-    An engine run's key is ``algorithm/graph/budget/path/variant/mode`` —
-    path ``fused`` or ``per-tile``, variant ``depth<d>-workers<w>``,
-    ``shards<n>``, ``private`` or ``resumed``, mode ``selective`` or
-    ``dense``.
+    An engine run's key is ``algorithm/graph/budget/fused/variant/mode``
+    — variant ``depth<d>-workers<w>``, ``shards<n>``, ``private`` or
+    ``resumed``, mode ``selective`` or ``dense``.  The constant ``fused``
+    segment keeps the keys those of earlier revisions, which also ran
+    per-tile dispatch.
     """
     from repro.engine.config import EngineConfig
     from repro.engine.gstore import GStoreEngine
@@ -303,57 +300,55 @@ def enumerate_records():
     def config(budget, **kw):
         return EngineConfig(memory_bytes=budget[0], segment_bytes=budget[1], **kw)
 
-    def key(name, kind, budget, fused, variant, selective=True):
+    def key(name, kind, budget, variant, selective=True):
         return (
-            f"{name}/{kind}/{budget[0] >> 10}K/"
-            f"{'fused' if fused else 'per-tile'}/{variant}/"
+            f"{name}/{kind}/{budget[0] >> 10}K/fused/{variant}/"
             f"{'selective' if selective else 'dense'}"
         )
 
     with lowered():
-        for (kind, tg), budget, fused, selective in itertools.product(
-            graphs.items(), BUDGETS, (True, False), (True, False),
+        for (kind, tg), budget, selective, (depth, workers) in (
+            itertools.product(
+                graphs.items(), BUDGETS, (True, False), EXECUTIONS,
+            )
         ):
-            for depth, workers in EXECUTIONS[fused]:
-                cfg = config(budget, fused=fused, prefetch_depth=depth,
-                             workers=workers, selective=selective, shards=1)
-                variant = f"depth{depth}-workers{workers}"
-                with GStoreEngine(tg, cfg) as engine:
-                    for name, make in algos.items():
-                        algo = make()
-                        yield (key(name, kind, budget, fused, variant, selective),
-                               *_record(algo, engine.run(algo)))
+            cfg = config(budget, prefetch_depth=depth, workers=workers,
+                         selective=selective, shards=1)
+            variant = f"depth{depth}-workers{workers}"
+            with GStoreEngine(tg, cfg) as engine:
+                for name, make in algos.items():
+                    algo = make()
+                    yield (key(name, kind, budget, variant, selective),
+                           *_record(algo, engine.run(algo)))
 
         for kind, (shards, budget, selective) in SHARDED.items():
             cfg = config(budget, shards=shards, selective=selective)
             with GStoreEngine(graphs[kind], cfg) as engine:
                 for name, make in algos.items():
                     algo = make()
-                    yield (key(name, kind, budget, True, f"shards{shards}", selective),
+                    yield (key(name, kind, budget, f"shards{shards}", selective),
                            *_record(algo, engine.run(algo)))
 
         budget = BUDGETS[0]
-        for (kind, tg), fused, name in itertools.product(
-            graphs.items(), (True, False), ("bfs", "pagerank"),
+        for (kind, tg), name in itertools.product(
+            graphs.items(), ("bfs", "pagerank"),
         ):
-            with GStoreEngine(tg, config(budget, fused=fused, shards=1)) as engine:
+            with GStoreEngine(tg, config(budget, shards=1)) as engine:
                 algo = algos[name]()
                 stats = engine.run(algo, context=engine.query_context())
-                yield (key(name, kind, budget, fused, "private"),
-                       *_record(algo, stats))
+                yield (key(name, kind, budget, "private"), *_record(algo, stats))
             with tempfile.TemporaryDirectory() as ckpt:
                 try:
                     with GStoreEngine(
-                        tg, config(budget, fused=fused, shards=1, max_iterations=3)
+                        tg, config(budget, shards=1, max_iterations=3)
                     ) as engine:
                         engine.run(algos[name](), checkpoint=ckpt)
                 except AlgorithmError:
                     pass  # the interruption: iteration 3 is checkpointed
-                with GStoreEngine(tg, config(budget, fused=fused, shards=1)) as engine:
+                with GStoreEngine(tg, config(budget, shards=1)) as engine:
                     algo = algos[name]()
                     stats = engine.run(algo, checkpoint=ckpt)
-                yield (key(name, kind, budget, fused, "resumed"),
-                       *_record(algo, stats))
+                yield (key(name, kind, budget, "resumed"), *_record(algo, stats))
 
         directed = graphs["directed"]
         cfg = config((64 * 1024, 8 * 1024), shards=1)
@@ -394,11 +389,11 @@ def diff_records(ours: dict, theirs: dict, path: str = "") -> "list[str]":
     return [] if ours == theirs else [f"{path}: {theirs!r} -> {ours!r}"]
 
 
-def _declared_execution(path, variant, mode, live) -> dict:
+def _declared_execution(variant, mode, live) -> dict:
     """The ``extra["execution"]`` values an engine run's key declares: the
     configuration, and what the engine must resolve it to (a private run
     is one thread at depth 0; an unset depth runs the prefetch thread only
-    when reads block; only a fused snapshot kernel shards)."""
+    when reads block; only a snapshot kernel shards)."""
     from repro.engine.config import EngineConfig
     from repro.runtime.prefetch import BLOCKING_IO_DEPTH
 
@@ -414,12 +409,11 @@ def _declared_execution(path, variant, mode, live) -> dict:
     if depth is None:
         resolved = BLOCKING_IO_DEPTH if default.realize_io else 0
     return {
-        "fused": path == "fused",
         "selective": mode == "selective",
         "workers": workers,
         "workers_resolved": 1 if private else workers,
         "shards": shards,
-        "shards_resolved": 1 if live or path != "fused" else shards,
+        "shards_resolved": 1 if live else shards,
         "prefetch_depth": depth,
         "prefetch_depth_resolved": 0 if private else resolved,
         "realize_io": default.realize_io,
@@ -433,43 +427,31 @@ def _demand(stats) -> int:
     return stats["bytes_read"] + stats["bytes_from_cache"]
 
 
-def _work(stats) -> dict:
-    """What dispatch granularity must not change for a snapshot kernel."""
-    return {"iterations": len(stats["iterations"]),
-            "edges_processed": stats["edges_processed"]}
-
-
-def lattice_violations(records: dict, answers: dict) -> "list[str]":
+def lattice_violations(records: dict) -> "list[str]":
     """The within-tree equalities of the enumeration's engine runs, one
     line per broken field, naming the key (and the key it was held to):
 
     * one answer (result digest; MIS rounds and members) per algorithm,
-      graph and budget across every fused run — depth, workers, selective
+      graph and budget across every run — depth, workers, selective
       on/off, shards, private context, checkpoint resume;
-    * per-tile runs give that answer too — PageRank and SpMV up to float
-      reassociation (``answers`` maps digests to arrays for this) — and,
-      for snapshot kernels, the fused run's iterations and edge count;
-    * one simulated run (every ``stats`` field) per decode path and
-      selective mode across depth, workers, shards and private context,
-      and ``execution`` as each key declares it;
+    * one simulated run (every ``stats`` field) per selective mode across
+      depth, workers, shards and private context, and ``execution`` as
+      each key declares it;
     * dense skips nothing and every dense iteration is one full sweep; no
       selective iteration asks for more, and a selective run asks for no
       more than the dense one — plus one sweep for live kernels, whose
       dense sweeps also relax what the frontier has not reached yet.
     """
-    import numpy as np
-
     factories = algorithms()
     live = {name: make().live_kernel for name, make in factories.items()}
     # SCC and the comparators are diffed across trees only.
     runs = {key: key.split("/") for key in records
             if key.split("/", 1)[0] in factories}
     answer_of, run_of = {}, {}  # the first run of each group is its reference
-    for key, (name, kind, budget, path, variant, mode) in runs.items():
-        if path == "fused":
-            answer_of.setdefault((name, kind, budget), key)
+    for key, (name, kind, budget, _, variant, mode) in runs.items():
+        answer_of.setdefault((name, kind, budget), key)
         if variant != "resumed":  # a resumed run starts with a cold cache
-            run_of.setdefault((name, kind, budget, path, mode), key)
+            run_of.setdefault((name, kind, budget, mode), key)
 
     out: "list[str]" = []
 
@@ -477,33 +459,23 @@ def lattice_violations(records: dict, answers: dict) -> "list[str]":
         out.extend(f"{line} (against {ref_key})"
                    for line in diff_records(ours, theirs, key))
 
-    for key, (name, kind, budget, path, variant, mode) in runs.items():
+    for key, (name, kind, budget, _, variant, mode) in runs.items():
         rec = records[key]
         ref_key = answer_of[name, kind, budget]
         answer, ref = (
             {k: v for k, v in r.items() if k not in ("stats", "execution")}
             for r in (rec, records[ref_key])
         )
-        if path == "fused" or name not in FLOAT_ALGORITHMS:
-            differ(key, answer, ref_key, ref)
-        else:
-            a, b = answers[rec["result"]], answers[ref["result"]]
-            if not (a.dtype == b.dtype and a.shape == b.shape
-                    and np.allclose(a, b, rtol=1e-9, atol=1e-12)):
-                out.append(f"{key}.result: not allclose to {ref_key}")
+        differ(key, answer, ref_key, ref)
         out += diff_records(
             rec["execution"],
-            _declared_execution(path, variant, mode, live[name]),
+            _declared_execution(variant, mode, live[name]),
             f"{key}.execution",
         )
         if variant == "resumed":
             continue
-        ref_key = run_of[name, kind, budget, path, mode]
+        ref_key = run_of[name, kind, budget, mode]
         differ(f"{key}.stats", rec["stats"], ref_key, records[ref_key]["stats"])
-        if path != "fused" and not live[name]:
-            ref_key = run_of[name, kind, budget, "fused", mode]
-            differ(f"{key}.stats", _work(rec["stats"]),
-                   ref_key, _work(records[ref_key]["stats"]))
 
     for key in run_of.values():
         if not key.endswith("/dense"):
