@@ -1,14 +1,15 @@
-/* Min-relaxation kernels of SSSP (float64 distances, suffix f64) and
- * AsyncBFS (int64 depths, i64), and the min-commit CC uses too; loaded by
- * repro.algorithms.native.
+/* The compiled kernel tier, loaded by repro.algorithms.native: the
+ * min-relaxation kernels of SSSP (float64 distances, suffix f64) and
+ * AsyncBFS (int64 depths, i64) and the min-commit CC uses too; BFS's and
+ * Reachability's discovery passes; and the SNB decode (widen_*).
  *
- * Every entry point takes n, the length of the state array, and checks an
+ * Every kernel takes n, the length of the state array, and checks an
  * endpoint or index against it before it reads or writes state there: on
  * an out-of-range one it returns -1 (the caller raises IndexError).  A
- * candidate pass writes only its outputs, and a commit checks all its
- * indices before its first write.  Candidates are computed against the
- * state as it stands on entry and only then committed, as the NumPy bodies
- * they replace do; nothing relaxes in place.
+ * candidate or discovery pass writes only its outputs, and a commit
+ * checks all its indices before its first write.  Candidates are computed
+ * against the state as it stands on entry and only then committed, as the
+ * NumPy bodies they replace do; nothing relaxes in place.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -141,3 +142,105 @@ i64 candidates_i64(const i64 *d, i64 n, const uint32_t *src,
     return relax_i64(d, n, src, dst, m, sym, UNIT, w32, w64, w_out, idx,
                      val);
 }
+
+/* Which discovery a pass runs: BFS's (frontier depth == level, open
+ * depth == inf, UINT32_MAX = types.INF_DEPTH) or Reachability's (frontier
+ * flags; open is allowed and not visited). */
+enum { BFS, REACH };
+
+/* One discovery pass over m edges against the state as it stands (read
+ * only): the targets t of edges whose source s is on the frontier and t
+ * open, in edge order, then (sym) the mirrored ones, the sources of edges
+ * whose target is on the frontier and s open, packed into out (room for
+ * 2m when sym, m otherwise).  A vertex discovered twice is listed twice,
+ * as the NumPy bodies list it.  Returns the count, or -1 on an
+ * out-of-range endpoint.  Branch-free: every edge writes its slot and
+ * advances the count by the predicate, since the explosion level makes a
+ * frontier test unpredictable (a third faster than branching there). */
+INLINE i64 discover(int kind, int sym, const uint32_t *depth,
+                    uint32_t level, const uint8_t *frontier,
+                    const uint8_t *allowed, const uint8_t *visited, i64 n,
+                    const uint32_t *src, const uint32_t *dst, i64 m,
+                    i64 *out)
+{
+    i64 k = 0, kb = 0;
+    for (i64 i = 0; i < m; i++) {
+        uint32_t s = src[i], t = dst[i];
+        if (s >= n || t >= n)
+            return -1;
+        int from_s, from_t, open_s, open_t;
+        if (kind == BFS) {
+            uint32_t ds = depth[s], dt = depth[t];
+            from_s = ds == level;
+            from_t = dt == level;
+            open_s = ds == UINT32_MAX;
+            open_t = dt == UINT32_MAX;
+        } else {
+            from_s = frontier[s];
+            from_t = frontier[t];
+            open_s = allowed[s] & !visited[s];
+            open_t = allowed[t] & !visited[t];
+        }
+        out[k] = t;
+        k += from_s & open_t;
+        if (sym) {
+            out[m + kb] = s;
+            kb += from_t & open_s;
+        }
+    }
+    memmove(out + k, out + m, kb * sizeof *out);
+    return k + kb;
+}
+
+i64 discover_bfs(const uint32_t *depth, i64 n, const uint32_t *src,
+                 const uint32_t *dst, i64 m, int sym, uint32_t level,
+                 i64 *out)
+{
+#define PASS(SYM) \
+    discover(BFS, SYM, depth, level, NULL, NULL, NULL, n, src, dst, m, out)
+    return sym ? PASS(1) : PASS(0);
+#undef PASS
+}
+
+/* A backward sweep passes src and dst swapped. */
+i64 discover_reach(const uint8_t *frontier, const uint8_t *allowed,
+                   const uint8_t *visited, i64 n, const uint32_t *src,
+                   const uint32_t *dst, i64 m, int sym, i64 *out)
+{
+#define PASS(SYM) discover(REACH, SYM, NULL, 0, frontier, allowed, visited, \
+                           n, src, dst, m, out)
+    return sym ? PASS(1) : PASS(0);
+#undef PASS
+}
+
+/* The SNB decode: k tiles' interleaved local (src, dst) pairs, counts[j]
+ * of them for tile j, in order, to global IDs, gsrc[e] = sb[j] + pairs[2e]
+ * and gdst[e] = db[j] + pairs[2e + 1] with uint32 wraparound (numpy's).
+ * Returns -1, having written nothing, unless the counts are non-negative
+ * and sum to the n_pairs the payload holds. */
+#define WIDEN(X, L)                                                          \
+int widen_##X(const L *pairs, i64 n_pairs, const i64 *counts,                \
+              const uint32_t *sb, const uint32_t *db, i64 k,                 \
+              uint32_t *gsrc, uint32_t *gdst)                                \
+{                                                                            \
+    i64 total = 0;                                                           \
+    for (i64 j = 0; j < k; j++) {                                            \
+        if (counts[j] < 0 || counts[j] > n_pairs - total)                    \
+            return -1;                                                       \
+        total += counts[j];                                                  \
+    }                                                                        \
+    if (total != n_pairs)                                                    \
+        return -1;                                                           \
+    for (i64 j = 0, e = 0; j < k; j++) {                                     \
+        uint32_t a = sb[j], b = db[j];                                       \
+        for (i64 end = e + counts[j]; e < end; e++) {                        \
+            gsrc[e] = a + pairs[2 * e];                                      \
+            gdst[e] = b + pairs[2 * e + 1];                                  \
+        }                                                                    \
+    }                                                                        \
+    return 0;                                                                \
+}
+
+WIDEN(u8, uint8_t)
+WIDEN(u16, uint16_t)
+WIDEN(u32, uint32_t)

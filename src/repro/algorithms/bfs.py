@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms import native
 from repro.algorithms.base import TileAlgorithm, gather_ids
 from repro.errors import AlgorithmError
 from repro.types import INF_DEPTH
@@ -60,6 +61,10 @@ class BFS(TileAlgorithm):
         #: empty unless ``direction_optimizing``.
         self.direction_history: "list[str]" = []
         self._pull = False
+        #: Row activity of the current and of the next frontier, the
+        #: latter marked as commits land (:meth:`apply_partial`).
+        self._rows_now: "np.ndarray | None" = None
+        self._rows_next: "np.ndarray | None" = None
 
     def _setup(self) -> None:
         g = self._graph()
@@ -75,11 +80,14 @@ class BFS(TileAlgorithm):
         self._visited_total = 1
         self.direction_history = []
         self._pull = False
+        self._rows_now = self._rows_of_vertices(self.depth == 0)
+        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
 
     # ------------------------------------------------------------------ #
 
     def begin_iteration(self, iteration: int) -> None:
         super().begin_iteration(iteration)
+        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
         if self.direction_optimizing:
             # Beamer-style switch on algorithm state only (never timing):
             # pull once the frontier outnumbers the remaining unvisited
@@ -96,6 +104,7 @@ class BFS(TileAlgorithm):
             np.count_nonzero(self.depth == np.uint32(self.level + 1))
         )
         self.level += 1
+        self._rows_now = self._rows_next
         self._frontier_count = new_frontier
         self._visited_total += new_frontier
         return new_frontier > 0
@@ -120,28 +129,38 @@ class BFS(TileAlgorithm):
 
     @staticmethod
     def kernel_partial(state, params, gsrc, gdst):
-        """One gather + one mask over the concatenated shard (read-only).
+        """One discovery pass over the concatenated shard (read-only): the
+        targets of edges from the frontier (``depth == level``) to an
+        unvisited vertex, forward ones in edge order, then on symmetric
+        storage the mirrored ones (Algorithm 1 lines 8-10), and the edge
+        count.
 
         The discovery sets are snapshot-independent: whatever interleaving
         of tiles and batches runs, a vertex ends at ``level + 1`` iff some
         tile reports it, so every shard cut, thread count and shard
         process count converges on bit-identical depth arrays — in any
-        process (the fancy-indexed targets are fresh arrays, never views
-        into shared memory).
+        process (the targets are fresh arrays, never views into shared
+        memory).
 
-        ``mode`` picks the evaluation order of the same per-edge AND
-        predicate (``frontier-side == level`` ∧ ``target-side`` unvisited):
-        ``"push"`` filters by the frontier side first, ``"pull"`` by the
-        unvisited side, ``None`` (direction optimisation off) evaluates
-        both sides densely.  All three produce identical targets in
-        identical order — only the size of the second gather differs.
+        Compiled (:mod:`~repro.algorithms.native`) when that tier loaded,
+        one loop whatever the mode.  The NumPy body below is its fallback
+        and oracle, where ``mode`` picks the evaluation order of the same
+        per-edge AND predicate: ``"push"`` filters by the frontier side
+        first, ``"pull"`` by the unvisited side, ``None`` (direction
+        optimisation off) evaluates both sides densely.  All of them give
+        identical targets in identical order — only the size of the second
+        gather differs.
         """
-        gsrc, gdst = gather_ids(gsrc, gdst)
         depth = state["depth"]
-        level = np.uint32(params["level"])
         symmetric = params["symmetric"]
-        mode = params.get("mode")
         edges = int(gsrc.shape[0])
+        if native.lib is not None:
+            return native.discover_bfs(
+                depth, gsrc, gdst, symmetric, params["level"]
+            ), edges
+        gsrc, gdst = gather_ids(gsrc, gdst)
+        level = np.uint32(params["level"])
+        mode = params.get("mode")
         bwd_targets = None
         if mode is None:
             src_d = depth[gsrc]
@@ -173,27 +192,30 @@ class BFS(TileAlgorithm):
                 idx = np.nonzero(depth[gdst] == level)[0]
                 cand = gsrc[idx]
                 bwd_targets = cand[depth[cand] == INF_DEPTH]
-        return fwd_targets, bwd_targets, edges
+        if bwd_targets is not None:
+            fwd_targets = np.concatenate([fwd_targets, bwd_targets])
+        return fwd_targets, edges
 
     def apply_partial(self, partial) -> int:
-        fwd_targets, bwd_targets, edges = partial
-        nxt = np.uint32(self.level + 1)
-        if fwd_targets.size:
-            self.depth[fwd_targets] = nxt
-        if bwd_targets is not None and bwd_targets.size:
-            self.depth[bwd_targets] = nxt
+        targets, edges = partial
+        if targets.size:
+            self.depth[targets] = np.uint32(self.level + 1)
+            self._rows_next[targets >> self._graph().tile_bits] = True
         self.traversed_edges += edges
         return edges
 
     # ------------------------------------------------------------------ #
 
     def rows_active(self) -> np.ndarray:
-        """Rows whose vertex range holds current-frontier vertices."""
-        return self._rows_of_vertices(self.depth == np.uint32(self.level))
+        """Rows whose vertex range holds current-frontier vertices: the
+        previous iteration's :meth:`rows_active_next`."""
+        return self._rows_now
 
     def rows_active_next(self) -> np.ndarray:
-        """Partial knowledge of next-level frontiers discovered so far."""
-        return self._rows_of_vertices(self.depth == np.uint32(self.level + 1))
+        """Rows holding next-level frontiers discovered so far, marked per
+        commit (never rescanned); a fresh array every iteration, so a
+        caller may keep it."""
+        return self._rows_next
 
     def tile_mask(self, tile_rows, tile_cols):
         if not self.direction_optimizing:

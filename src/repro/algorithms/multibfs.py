@@ -36,6 +36,10 @@ class MultiSourceBFS(TileAlgorithm):
             raise AlgorithmError("need a non-empty 1-D root list")
         self.depth: "np.ndarray | None" = None  # (k, V) uint32
         self.level = 0
+        #: Row activity of the current and of the next frontiers (any
+        #: traversal), the latter marked as commits land.
+        self._rows_now: "np.ndarray | None" = None
+        self._rows_next: "np.ndarray | None" = None
 
     @property
     def k(self) -> int:
@@ -48,6 +52,12 @@ class MultiSourceBFS(TileAlgorithm):
         self.depth = np.full((self.k, g.n_vertices), INF_DEPTH, dtype=np.uint32)
         self.depth[np.arange(self.k), self.roots] = 0
         self.level = 0
+        self._rows_now = self._rows_of_vertices((self.depth == 0).any(axis=0))
+        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
+
+    def begin_iteration(self, iteration: int) -> None:
+        super().begin_iteration(iteration)
+        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
 
     # ------------------------------------------------------------------ #
     # Fused batch kernel
@@ -92,22 +102,25 @@ class MultiSourceBFS(TileAlgorithm):
         flat, edges = partial
         if flat.size:
             self.depth.reshape(-1)[flat] = np.uint32(self.level + 1)
+            vertices = flat % self.depth.shape[1]
+            self._rows_next[vertices >> self._graph().tile_bits] = True
         return edges
 
     def end_iteration(self, iteration: int) -> bool:
         self.level += 1
-        new = (self.depth == np.uint32(self.level)).any(axis=1)
-        return bool(new.any())
+        self._rows_now = self._rows_next
+        return bool(self._rows_now.any())
 
     # ------------------------------------------------------------------ #
 
     def rows_active(self) -> np.ndarray:
-        any_frontier = (self.depth == np.uint32(self.level)).any(axis=0)
-        return self._rows_of_vertices(any_frontier)
+        """The previous iteration's :meth:`rows_active_next`."""
+        return self._rows_now
 
     def rows_active_next(self) -> np.ndarray:
-        any_next = (self.depth == np.uint32(self.level + 1)).any(axis=0)
-        return self._rows_of_vertices(any_next)
+        """Rows holding a vertex some traversal reached at ``level + 1``,
+        marked per commit; a fresh array every iteration."""
+        return self._rows_next
 
     @property
     def direction_passes(self) -> int:

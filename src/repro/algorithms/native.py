@@ -1,4 +1,12 @@
-"""Compiled min-relaxation kernels: SSSP, AsyncBFS and CC commit in C.
+"""The compiled kernel tier: min-relaxations, BFS and reachability
+discovery, and the SNB decode, in C.
+
+SSSP's and AsyncBFS's relaxations and the min-commits of SSSP, AsyncBFS
+and CC (:func:`candidates`, :func:`rounds`, :func:`min_commit`), BFS's and
+Reachability's discovery passes (:func:`discover_bfs`,
+:func:`discover_reach`) and the widening of SNB tile payloads into global
+IDs (:func:`widen`, behind ``TiledGraph._global_ids``) each run as one
+loop of one C file.
 
 ``_relax.c`` (beside this module) is compiled once with ``gcc`` into a
 per-user cache, ``~/.cache/repro/native/<sha256>.so`` keyed by source,
@@ -7,14 +15,17 @@ setuptools, no Python headers; every call releases the GIL).  The tier is
 chosen here, at import, and nowhere else: :data:`lib` is the loaded
 library, or ``None`` with :data:`status` naming why (cffi or ``gcc``
 missing, the build failing), and then every caller runs its NumPy body —
-which the tests also keep as the oracle of the C one.
+which the tests also keep as the oracle of the C one.  The answers are
+the NumPy bodies' element for element and in the same order, so results
+and simulated statistics do not depend on the tier.
 
 The wrappers below take what the NumPy bodies take.  Endpoints reach C as
 contiguous ``VERTEX_DTYPE`` — the decoder's arrays pass through, any other
 integer array is range-checked and converted once — and every entry point
 checks each endpoint or index against the state's length before it
 touches memory there, so a corrupt endpoint raises NumPy's own
-``IndexError`` instead of reading out of bounds.
+``IndexError`` instead of reading out of bounds; the decode checks that
+the tiles' edge counts cover the payload before its first write.
 """
 
 from __future__ import annotations
@@ -46,6 +57,18 @@ int rounds_{x}({t} *, int64_t, const uint32_t *, const uint32_t *, int64_t,
                const {t} *, int64_t, uint8_t *, int64_t);
 """
     for x, t in (("f64", "double"), ("i64", "int64_t"))
+) + """
+int64_t discover_bfs(const uint32_t *, int64_t, const uint32_t *,
+                     const uint32_t *, int64_t, int, uint32_t, int64_t *);
+int64_t discover_reach(const uint8_t *, const uint8_t *, const uint8_t *,
+                       int64_t, const uint32_t *, const uint32_t *, int64_t,
+                       int, int64_t *);
+""" + "".join(
+    f"""
+int widen_{x}(const {t} *, int64_t, const int64_t *, const uint32_t *,
+              const uint32_t *, int64_t, uint32_t *, uint32_t *);
+"""
+    for x, t in (("u8", "uint8_t"), ("u16", "uint16_t"), ("u32", "uint32_t"))
 )
 
 
@@ -271,3 +294,85 @@ def rounds(state, gsrc, gdst, symmetric: bool, idx, vals, changed,
         raise MemoryError("no room for a relaxation round's candidates")
     if rc:
         raise _out_of_bounds(n, idx, src, dst)
+
+
+def _bools(a: np.ndarray, n: int):
+    """The read-only buffer of a ``bool`` vertex mask of length ``n``."""
+    if a.dtype != np.bool_ or a.shape != (n,):
+        raise ValueError(f"mask must be {n} bools, got {a.dtype}{a.shape}")
+    return ffi.from_buffer("uint8_t[]", np.ascontiguousarray(a))
+
+
+def discover_bfs(depth, gsrc, gdst, symmetric: bool, level: int) -> np.ndarray:
+    """BFS's discovery pass against ``uint32`` ``depth`` (read-only): the
+    targets of edges from a vertex at ``level`` to an unvisited one, forward
+    ones in edge order, then the mirrored ones on symmetric storage, as
+    ``int64``."""
+    if depth.dtype != np.uint32:
+        raise ValueError(f"depth must be uint32, got {depth.dtype}")
+    n = depth.shape[0]
+    src, dst = _vertex_ids(n, gsrc, gdst)
+    m = src.shape[0]
+    out = np.empty(2 * m if symmetric else m, np.int64)
+    k = lib.discover_bfs(
+        ffi.from_buffer("uint32_t[]", np.ascontiguousarray(depth)), n,
+        ffi.from_buffer("uint32_t[]", src), ffi.from_buffer("uint32_t[]", dst),
+        m, bool(symmetric), int(level), ffi.from_buffer("int64_t[]", out),
+    )
+    if k < 0:
+        raise _out_of_bounds(n, src, dst)
+    return out[:k]
+
+
+def discover_reach(frontier, allowed, visited, gsrc, gdst,
+                   symmetric: bool) -> np.ndarray:
+    """Reachability's discovery pass against its ``bool`` masks
+    (read-only): the targets of edges from a ``frontier`` vertex to one
+    ``allowed`` and not ``visited``, forward ones in edge order, then the
+    mirrored ones on symmetric storage, as ``int64``.  A backward sweep
+    swaps ``gsrc`` and ``gdst``."""
+    n = frontier.shape[0]
+    masks = [_bools(a, n) for a in (frontier, allowed, visited)]
+    src, dst = _vertex_ids(n, gsrc, gdst)
+    m = src.shape[0]
+    out = np.empty(2 * m if symmetric else m, np.int64)
+    k = lib.discover_reach(
+        *masks, n,
+        ffi.from_buffer("uint32_t[]", src), ffi.from_buffer("uint32_t[]", dst),
+        m, bool(symmetric), ffi.from_buffer("int64_t[]", out),
+    )
+    if k < 0:
+        raise _out_of_bounds(n, src, dst)
+    return out[:k]
+
+
+def widen(pairs: np.ndarray, counts: np.ndarray, sb: np.ndarray,
+          db: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """The SNB decode in one pass: the interleaved unsigned local ``(src,
+    dst)`` pairs (``uint8``, ``uint16`` or ``uint32``) of tiles holding
+    ``counts`` edges each, to two contiguous ``VERTEX_DTYPE`` arrays of
+    global IDs, tile ``j``'s bases ``sb[j]``/``db[j]`` added with
+    ``uint32`` wraparound.  ``ValueError`` unless the counts cover the
+    payload exactly."""
+    bits = 8 * pairs.itemsize
+    k = counts.shape[0]
+    if pairs.dtype.kind != "u" or bits not in (8, 16, 32):
+        raise ValueError(f"no SNB decode of {pairs.dtype} pairs")
+    if pairs.shape[0] % 2 or sb.shape != (k,) or db.shape != (k,):
+        raise ValueError("payload, counts and bases do not match")
+    m = pairs.shape[0] // 2
+    gsrc = np.empty(m, VERTEX_DTYPE)
+    gdst = np.empty(m, VERTEX_DTYPE)
+    rc = getattr(lib, f"widen_u{bits}")(
+        ffi.from_buffer(f"uint{bits}_t[]", np.ascontiguousarray(pairs)), m,
+        ffi.from_buffer("int64_t[]", np.ascontiguousarray(counts, np.int64)),
+        ffi.from_buffer("uint32_t[]", np.ascontiguousarray(sb, VERTEX_DTYPE)),
+        ffi.from_buffer("uint32_t[]", np.ascontiguousarray(db, VERTEX_DTYPE)),
+        k, ffi.from_buffer("uint32_t[]", gsrc),
+        ffi.from_buffer("uint32_t[]", gdst),
+    )
+    if rc:
+        raise ValueError(
+            f"tile edge counts do not cover the payload's {m} edges"
+        )
+    return gsrc, gdst

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms import native
 from repro.algorithms.base import TileAlgorithm, gather_ids
 from repro.errors import AlgorithmError
 
@@ -48,6 +49,10 @@ class Reachability(TileAlgorithm):
         self.visited: "np.ndarray | None" = None
         self._frontier: "np.ndarray | None" = None
         self._frontier_next: "np.ndarray | None" = None
+        #: Row activity of the current and of the next frontier, the
+        #: latter marked as commits land (:meth:`apply_partial`).
+        self._rows_now: "np.ndarray | None" = None
+        self._rows_next: "np.ndarray | None" = None
 
     def _setup(self) -> None:
         g = self._graph()
@@ -69,12 +74,15 @@ class Reachability(TileAlgorithm):
         self._frontier = np.zeros(n, dtype=bool)
         self._frontier[self._seed_init] = True
         self._frontier_next = np.zeros(n, dtype=bool)
+        self._rows_now = self._rows_of_vertices(self._frontier)
+        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
 
     # ------------------------------------------------------------------ #
 
     def begin_iteration(self, iteration: int) -> None:
         super().begin_iteration(iteration)
         self._frontier_next.fill(False)
+        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
 
     # ------------------------------------------------------------------ #
     # Fused batch kernel
@@ -93,50 +101,59 @@ class Reachability(TileAlgorithm):
     @staticmethod
     def kernel_partial(state, params, gsrc, gdst):
         """Frontier-side filter first, then the open-target check, over
-        the concatenated shard (read-only).
+        the concatenated shard (read-only): the hits in the swept
+        direction in edge order, then on symmetric storage the mirrored
+        ones, and the edge count.
 
         The frontier is frozen for the iteration and marking a vertex
         visited is idempotent, so the union of the hit sets — hence the
         result — is the same whichever ``visited`` snapshot a shard sees:
         every shard cut, threaded and sharded execution agree bit for
-        bit.
+        bit.  Compiled (:mod:`~repro.algorithms.native`) when that tier
+        loaded; the NumPy body below is its fallback and oracle.
         """
-        gsrc, gdst = gather_ids(gsrc, gdst)
         frontier = state["frontier"]
         allowed = state["allowed"]
         visited = state["visited"]
+        symmetric = params["symmetric"]
+        edges = int(gsrc.shape[0])
+        if not params["forward"]:
+            # A backward sweep follows dst -> src: from here on ``gsrc``
+            # is the side expanded from and ``gdst`` the side reached.
+            gsrc, gdst = gdst, gsrc
+        if native.lib is not None:
+            return native.discover_reach(
+                frontier, allowed, visited, gsrc, gdst, symmetric
+            ), edges
+        gsrc, gdst = gather_ids(gsrc, gdst)
 
         def expand(from_ids, to_ids):
             cand = to_ids[frontier[from_ids]]
             return cand[allowed[cand] & ~visited[cand]]
 
-        if params["forward"]:
-            hits = [expand(gsrc, gdst)]
-            if params["symmetric"]:
-                hits.append(expand(gdst, gsrc))
-        else:
-            hits = [expand(gdst, gsrc)]
-            if params["symmetric"]:
-                hits.append(expand(gsrc, gdst))
-        hit = hits[0] if len(hits) == 1 else np.concatenate(hits)
-        return hit, int(gsrc.shape[0])
+        hit = expand(gsrc, gdst)
+        if symmetric:
+            hit = np.concatenate([hit, expand(gdst, gsrc)])
+        return hit, edges
 
     def apply_partial(self, partial) -> int:
         hit, edges = partial
         if hit.size:
             self.visited[hit] = True
             self._frontier_next[hit] = True
+            self._rows_next[hit >> self._graph().tile_bits] = True
         return edges
 
     def end_iteration(self, iteration: int) -> bool:
         self._frontier, self._frontier_next = self._frontier_next, self._frontier
+        self._rows_now = self._rows_next
         return bool(self._frontier.any())
 
     # ------------------------------------------------------------------ #
 
     def rows_active(self) -> np.ndarray:
         if self.forward or self.symmetric:
-            return self._rows_of_vertices(self._frontier)
+            return self._rows_now
         # Backward sweep on directed storage: frontier vertices appear on
         # the destination (column) side only — cols_active() carries them.
         return np.zeros(self._n_rows(), dtype=bool)
@@ -144,17 +161,17 @@ class Reachability(TileAlgorithm):
     def cols_active(self) -> "np.ndarray | None":
         if self.forward or self.symmetric:
             return None
-        return self._rows_of_vertices(self._frontier)
+        return self._rows_now
 
     def rows_active_next(self) -> np.ndarray:
         if self.forward or self.symmetric:
-            return self._rows_of_vertices(self._frontier_next)
+            return self._rows_next
         return np.zeros(self._n_rows(), dtype=bool)
 
     def cols_active_next(self) -> "np.ndarray | None":
         if self.forward or self.symmetric:
             return None
-        return self._rows_of_vertices(self._frontier_next)
+        return self._rows_next
 
     def reached(self) -> np.ndarray:
         """Boolean mask of vertices reachable from the seeds."""

@@ -618,15 +618,27 @@ class TiledGraph:
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Global endpoint IDs of the stored tuples ``flat`` — the
         interleaved locals of tiles ``pos_arr``, ``counts`` edges each, in
-        that order — as two contiguous ``VERTEX_DTYPE`` arrays.  One pass
-        per endpoint de-interleaves, widens and (SNB storage) adds each
-        tile's base, so kernels index the result without a copy."""
+        that order — as two contiguous ``VERTEX_DTYPE`` arrays, so kernels
+        index the result without a copy.  On SNB storage one compiled pass
+        (:func:`repro.algorithms.native.widen`) de-interleaves, widens and
+        adds each tile's base; the NumPy body is its fallback and oracle.
+        ``ValueError`` unless ``counts`` covers ``flat`` exactly."""
         if not self.snb:
             return (flat[0::2].astype(VERTEX_DTYPE),
                     flat[1::2].astype(VERTEX_DTYPE))
+        # Imported here: importing repro.algorithms imports this module.
+        from repro.algorithms import native
+
         tbits = self.tile_bits
         sb = (self.tile_rows[pos_arr].astype(np.int64) << tbits).astype(VERTEX_DTYPE)
         db = (self.tile_cols[pos_arr].astype(np.int64) << tbits).astype(VERTEX_DTYPE)
+        if native.lib is not None:
+            return native.widen(flat, counts, sb, db)
+        if 2 * int(counts.sum()) != flat.shape[0] or (counts < 0).any():
+            raise ValueError(
+                f"tile edge counts do not cover the payload's "
+                f"{flat.shape[0] // 2} edges"
+            )
         return (flat[0::2] + np.repeat(sb, counts),
                 flat[1::2] + np.repeat(db, counts))
 

@@ -66,8 +66,8 @@ def execution_fingerprint(
     Every ``BENCH_*.json`` records this so a result can be interpreted
     without guessing what ``"auto"`` meant on the runner that produced it,
     nor which kernel tier ran: ``native_kernels`` is ``"loaded"`` when the
-    compiled min-relaxations (:mod:`repro.algorithms.native`) ran, else
-    the reason the NumPy bodies did.
+    compiled kernels and decode (:mod:`repro.algorithms.native`) ran,
+    else the reason the NumPy bodies did.
     """
     return {
         "cpus_logical": os.cpu_count(),

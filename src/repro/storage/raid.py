@@ -29,28 +29,24 @@ def stripe_split(
     """
     if offset < 0 or size < 0:
         raise StorageError(f"bad extent ({offset}, {size})")
-    per_dev: "list[list[int]]" = [[] for _ in range(n_devices)]
     if size == 0:
-        return per_dev
+        return [[] for _ in range(n_devices)]
+    if n_devices == 1:
+        # The one device's stripes all merge into one request: the walk
+        # below would sum the extent back to ``size`` stripe by stripe.
+        return [[size]]
+    # Device d's consecutive stripes within one extent are spaced
+    # n_devices apart logically but contiguous physically; treat each
+    # device's share of one extent as one request.
+    shares = [0] * n_devices
     pos = offset
     end = offset + size
-    last_dev = -1
     while pos < end:
         stripe_idx = pos // stripe
-        dev = stripe_idx % n_devices
         chunk_end = min((stripe_idx + 1) * stripe, end)
-        chunk = chunk_end - pos
-        if dev == last_dev and n_devices == 1:
-            per_dev[dev][-1] += chunk
-        else:
-            per_dev[dev].append(chunk)
-            last_dev = dev
+        shares[stripe_idx % n_devices] += chunk_end - pos
         pos = chunk_end
-    # Merge the wrap-around adjacency: device d's consecutive stripes within
-    # one extent are spaced n_devices apart logically but contiguous
-    # physically; treat each device's share of one extent as one request.
-    merged = [[sum(segs)] if segs else [] for segs in per_dev]
-    return merged
+    return [[b] if b else [] for b in shares]
 
 
 @dataclass

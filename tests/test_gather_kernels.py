@@ -101,7 +101,7 @@ def test_partials_do_not_depend_on_endpoint_dtype(name, graph, request):
     assert it >= 1, "the kernel converged before a second iteration"
 
 
-@pytest.mark.parametrize("name", ["bfs", "sssp", "async_bfs", "cc"])
+@pytest.mark.parametrize("name", ["bfs", "sssp", "async_bfs", "cc", "reachability"])
 @pytest.mark.parametrize("side", ["src", "dst"])
 @pytest.mark.parametrize("bad", ["len(state)", 2**32 - 1])
 def test_corrupt_endpoint_raises_index_error(name, side, bad, tiled_undirected):

@@ -1,10 +1,11 @@
-"""The compiled min-relaxation tier against its NumPy oracle.
+"""The compiled kernel tier against its NumPy oracle.
 
-:mod:`repro.algorithms.native` runs SSSP's and AsyncBFS's relaxations and
-the min-commits of SSSP, AsyncBFS and CC in C when it loads; the NumPy
-bodies it replaces stay in the algorithms as the fallback, and here they
-are the oracle: every C entry point must give what they give, element for
-element and in the same order.  The build half — the per-user cache, a
+:mod:`repro.algorithms.native` runs SSSP's and AsyncBFS's relaxations,
+the min-commits of SSSP, AsyncBFS and CC, BFS's and Reachability's
+discovery passes and the SNB decode in C when it loads; the NumPy bodies
+it replaces stay in the algorithms and the decoder as the fallback, and
+here they are the oracle: every C entry point must give what they give,
+element for element and in the same order.  The build half — the per-user cache, a
 damaged cached file, no ``gcc``, two first imports at once — is checked
 on throwaway cache directories.
 """
@@ -27,12 +28,14 @@ from hypothesis import strategies as st
 
 from repro.algorithms import native
 from repro.algorithms.async_bfs import AsyncBFS
+from repro.algorithms.bfs import BFS
 from repro.algorithms.cc import ConnectedComponents
+from repro.algorithms.reachability import Reachability
 from repro.algorithms.sssp import SSSP, edge_weights
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
 from repro.format.edgelist import EdgeList
-from repro.format.tiles import TiledGraph
+from repro.format.tiles import TiledGraph, concat_global_edges
 from repro.runtime.threads import execution_fingerprint
 from repro.types import INF_DEPTH
 
@@ -72,15 +75,20 @@ def test_native_tier_loaded():
 _N = st.integers(1, 40)
 
 
-@st.composite
-def _shard(draw, dtype):
-    """A state array (some entries unreached) and a shard's endpoints that
-    hit 0 and n - 1 often."""
-    n = draw(_N)
+def _endpoints(draw, n: int):
+    """A shard's endpoints over ``n`` vertices that hit 0 and n - 1 often."""
     ids = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
     m = draw(st.integers(0, 60))
     src = np.array(draw(st.lists(ids, min_size=m, max_size=m)), np.uint32)
     dst = np.array(draw(st.lists(ids, min_size=m, max_size=m)), np.uint32)
+    return src, dst
+
+
+@st.composite
+def _shard(draw, dtype):
+    """A state array (some entries unreached) and a shard's endpoints."""
+    n = draw(_N)
+    src, dst = _endpoints(draw, n)
     if dtype == np.float64:
         vals = st.one_of(st.just(np.inf), st.floats(0, 100, width=32))
     else:
@@ -234,6 +242,156 @@ def test_cc_label_scatters_match_numpy(shard):
     assert np.array_equal(*runs)
 
 
+@st.composite
+def _bfs_shard(draw):
+    """Depths around ``level`` — on it, one past it, unvisited — and a
+    shard; the level includes 0 and the top of the ``uint32`` range,
+    where it meets ``INF_DEPTH``."""
+    inf = int(INF_DEPTH)
+    level = draw(st.sampled_from([0, 1, inf - 1, inf]) | st.integers(0, 30))
+    n = draw(_N)
+    vals = st.sampled_from([inf, level, min(level + 1, inf), max(level - 1, 0)])
+    depth = np.array(
+        draw(st.lists(vals | st.integers(0, 30), min_size=n, max_size=n)),
+        np.uint32,
+    )
+    return depth, *_endpoints(draw, n), level
+
+
+@needs_tier
+@settings(max_examples=100, deadline=None)
+@given(shard=_bfs_shard(), symmetric=st.booleans(),
+       mode=st.sampled_from([None, "push", "pull"]))
+def test_bfs_discovery_matches_numpy(shard, symmetric, mode):
+    """One C loop for all three modes; each NumPy evaluation order gives
+    the same targets in the same order."""
+    depth, src, dst, level = shard
+    state = {"depth": _frozen(depth)}
+    params = {"level": level, "symmetric": symmetric, "mode": mode}
+    got = BFS.kernel_partial(state, params, _frozen(src), _frozen(dst))
+    want = _numpy(BFS.kernel_partial, state, params, src, dst)
+    assert got[0].dtype == want[0].dtype == np.intp
+    _assert_partials_equal(got, want)
+
+
+@st.composite
+def _reach_shard(draw):
+    """Frontier, allowed and visited masks, and a shard."""
+    n = draw(_N)
+    masks = st.lists(st.booleans(), min_size=n, max_size=n)
+    state = {
+        name: _frozen(np.array(draw(masks), bool))
+        for name in ("frontier", "allowed", "visited")
+    }
+    return state, *_endpoints(draw, n)
+
+
+@needs_tier
+@settings(max_examples=100, deadline=None)
+@given(shard=_reach_shard(), forward=st.booleans(), symmetric=st.booleans())
+def test_reachability_discovery_matches_numpy(shard, forward, symmetric):
+    state, src, dst = shard
+    params = {"forward": forward, "symmetric": symmetric}
+    got = Reachability.kernel_partial(state, params, _frozen(src), _frozen(dst))
+    want = _numpy(Reachability.kernel_partial, state, params, src, dst)
+    assert got[0].dtype == want[0].dtype == np.intp
+    _assert_partials_equal(got, want)
+
+
+def _global_ids(pairs, pos, counts, tile_bits, rows, cols):
+    """``TiledGraph._global_ids`` of an SNB graph with this tile grid."""
+    grid = SimpleNamespace(snb=True, tile_bits=tile_bits, tile_rows=rows,
+                           tile_cols=cols)
+    return TiledGraph._global_ids(grid, pairs, pos, counts)
+
+
+@st.composite
+def _payload(draw):
+    """Interleaved local pairs of tiles, ``counts`` each, on a grid whose
+    bases reach the top of the ``uint32`` range."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.uint32]))
+    bits = draw({np.uint8: st.integers(1, 8), np.uint16: st.integers(9, 16),
+                 np.uint32: st.integers(17, 32)}[dtype])
+    top = 2 ** (32 - bits) - 1
+    p = draw(st.integers(1, 6))
+    coords = st.lists(st.sampled_from([0, top]) | st.integers(0, top),
+                      min_size=p, max_size=p)
+    rows = np.array(draw(coords), np.uint32)
+    cols = np.array(draw(coords), np.uint32)
+    k = draw(st.integers(1, 8))
+    pos = np.array(draw(st.lists(st.integers(0, p - 1), min_size=k,
+                                 max_size=k)), np.int64)
+    counts = np.array(draw(st.lists(st.integers(0, 12), min_size=k,
+                                    max_size=k)), np.int64)
+    local = st.sampled_from([0, 2**bits - 1]) | st.integers(0, 2**bits - 1)
+    m = 2 * int(counts.sum())
+    pairs = np.array(draw(st.lists(local, min_size=m, max_size=m)), dtype)
+    return pairs, pos, counts, bits, rows, cols
+
+
+@needs_tier
+@settings(max_examples=100, deadline=None)
+@given(payload=_payload())
+def test_decode_matches_numpy(payload):
+    got = _global_ids(*payload)
+    want = _numpy(_global_ids, *payload)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.uint32 and g.flags.c_contiguous
+        assert np.array_equal(g, w)
+
+
+@needs_tier
+@pytest.mark.parametrize("tile_bits", [6, 10, 17])  # uint8, 16, 32 locals
+@pytest.mark.parametrize("runs", ["one", "per-tile", "pairs"])
+def test_decode_runs_match_numpy(tile_bits, runs, kron_small):
+    """Whole batches of merged extents, one run or many, decode to the
+    same views in both tiers, and to every tile's own global IDs."""
+    tg = TiledGraph.from_edge_list(kron_small, tile_bits=tile_bits)
+    assert tg.payload_dtype().itemsize == {6: 1, 10: 2, 17: 4}[tile_bits]
+    assert (tg.tile_rows != tg.tile_cols).any() or tile_bits == 17
+    live = np.flatnonzero(tg.tile_edge_counts() > 0).tolist()
+    cut = {"one": [live], "per-tile": [[p] for p in live],
+           "pairs": [live[i : i + 2] for i in range(0, len(live), 2)]}[runs]
+    data = memoryview(tg.payload).cast("B")
+    batch = []
+    for positions in cut:
+        off, size = tg.start_edge.run_byte_extent(positions[0], positions[-1])
+        batch.append((positions, data[off : off + size]))
+    got = concat_global_edges(tg.decode_extents(batch))
+    want = _numpy(lambda: concat_global_edges(tg.decode_extents(batch)))
+    tiles = concat_global_edges([tg.tile_view(p) for p in live])
+    for g, w, t in zip(got, want, tiles):
+        assert np.array_equal(g, w) and np.array_equal(g, t)
+
+
+@needs_tier
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+@pytest.mark.parametrize("counts", [[1, 1], [2, 2], [-1, 4], [0, 0]])
+def test_decode_counts_must_cover_the_payload(dtype, counts):
+    """A payload of 3 pairs with per-tile counts that do not sum to 3 (or
+    go negative): ``ValueError`` in both tiers, and the compiled pass
+    checks before its first write."""
+    pairs = np.arange(6, dtype=dtype)
+    counts = np.array(counts, np.int64)
+    args = (pairs, np.array([0, 1]), counts, 4,
+            np.array([1, 2], np.uint32), np.array([3, 4], np.uint32))
+    for tier in (lambda f, *a: f(*a), _numpy):
+        with pytest.raises(ValueError, match="do not cover the payload"):
+            tier(_global_ids, *args)
+    out = [np.full(4, 7, np.uint32) for _ in range(2)]
+    bits = 8 * pairs.itemsize
+    buf = native.ffi.from_buffer
+    rc = getattr(native.lib, f"widen_u{bits}")(
+        buf(f"uint{bits}_t[]", pairs), 3,
+        buf("int64_t[]", counts), buf("uint32_t[]", args[4]),
+        buf("uint32_t[]", args[5]), 2, *(buf("uint32_t[]", a) for a in out),
+    )
+    assert rc == -1
+    assert all((a == 7).all() for a in out)
+    with pytest.raises(ValueError):  # an odd number of local IDs
+        native.widen(pairs[:5], counts, args[4], args[5])
+
+
 def _zero_state(n: int) -> np.ndarray:
     """A read-only all-zero ``float64`` state of length ``n`` that costs no
     memory: an untouched private read-only mapping is backed by the zero
@@ -305,6 +463,9 @@ _ALGORITHMS = {
     "sssp": lambda: SSSP(root=0),
     "async_bfs": lambda: AsyncBFS(root=0),
     "cc": ConnectedComponents,
+    "bfs": lambda: BFS(root=0),
+    "bfs-direction-optimizing": lambda: BFS(root=0, direction_optimizing=True),
+    "reachability": lambda: Reachability([0, 7]),
 }
 
 
