@@ -14,8 +14,10 @@ import numpy as np
 from repro.algorithms.bfs import BFS
 from repro.algorithms.pagerank import PageRank
 from repro.bench.harness import graphs
+from repro.engine.selective import merge_extents
 from repro.format.convert import convert_to_csr
 from repro.format.tiles import TiledGraph
+from repro.storage.file import TileStore
 
 
 def _biggest_tile(tg: TiledGraph):
@@ -25,15 +27,12 @@ def _biggest_tile(tg: TiledGraph):
 
 def test_kernel_decode_extents(benchmark):
     tg = graphs().tiled("kron-small-16")
-    data = memoryview(tg.payload.view(np.uint8))
-    bounds = tg.grouping.group_bounds().tolist()
-    runs = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        off, size = tg.start_edge.run_byte_extent(lo, hi - 1)
-        if size:
-            runs.append((list(range(lo, hi)), data[off : off + size]))
-    views = benchmark(tg.decode_extents, runs)
-    assert sum(v.n_edges for v in views) == tg.n_edges
+    ext = merge_extents(
+        np.flatnonzero(tg.tile_edge_counts() > 0), tg.start_edge
+    )
+    data = TileStore.from_tiled_graph(tg).gather(ext.offsets, ext.sizes)
+    batch = benchmark(tg.decode_extents, ext.positions, ext.first, data)
+    assert batch.n_edges == tg.n_edges
     benchmark.extra_info["edges_per_call"] = tg.n_edges
 
 

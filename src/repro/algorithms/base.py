@@ -6,8 +6,8 @@ The engine drives an algorithm through a strict per-iteration protocol::
     while True:
         algo.begin_iteration(k)
         ... engine selects tiles via algo.rows_active(), fetches them,
-            and for each shard of a fetched batch commits
-            algo.apply_partial(algo.batch_partial(shard)) ...
+            and for each shard [a, b) of a fetched batch commits
+            algo.apply_partial(algo.shard_partial(batch, a, b)) ...
         if not algo.end_iteration(k):
             break
 
@@ -29,7 +29,7 @@ import abc
 import numpy as np
 
 from repro.errors import AlgorithmError
-from repro.format.tiles import TiledGraph, TileView, concat_global_edges
+from repro.format.tiles import DecodedBatch, TiledGraph, TileView
 from repro.memory.proactive import row_activity_from_vertices
 from repro.types import SHARDS_PER_BATCH, shard_pieces
 
@@ -64,7 +64,11 @@ def chunk_by_edges(
     The split depends only on the batch contents — never on the worker
     count — so algorithms whose floating-point accumulation order follows
     the shard structure produce bit-identical results at any parallelism.
-    Chunks concatenate back to the original sequence.
+    Chunks concatenate back to the original sequence.  The engine cuts a
+    decoded batch by the same arithmetic on edge counts
+    (:func:`~repro.format.tiles.shard_cuts`); this list-of-views form is
+    kept for :meth:`TileAlgorithm.batch_shards` and as the reference the
+    tests hold those cuts to.
     """
     views = list(views)
     if not views:
@@ -150,62 +154,74 @@ class TileAlgorithm(abc.ABC):
     #: algorithm property, not a configuration choice.
     live_kernel: bool = False
 
-    def process_batch(self, views: "list[TileView]") -> int:
-        """Process one fetched segment's tiles as a single batch.
+    def process_batch(self, batch: DecodedBatch) -> int:
+        """Process one fetched batch, one kernel pass per shard.
 
-        Each shard's tiles are concatenated into one kernel pass (one
-        gather, one mask, one scatter per shard).  The serial path walks
-        exactly the shards :func:`~repro.runtime.threads.execute_batch`
-        would distribute over workers, committing partials in shard order
-        — which is what makes fused results bit-identical at any worker
-        count.  Returns the number of edges examined.
+        The serial path walks exactly the shards
+        :func:`~repro.runtime.threads.execute_batch` would distribute over
+        workers, committing partials in shard order — which is what makes
+        fused results bit-identical at any worker count.  Returns the
+        number of edges examined.
         """
+        cuts = self.shard_cuts(batch).tolist()
         edges = 0
-        for shard in self.shard_views(views):
-            edges += self.apply_partial(self.batch_partial(shard))
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            edges += self.apply_partial(self.shard_partial(batch, a, b))
         return edges
 
     @classmethod
-    def shard_views(cls, views: "list[TileView]") -> "list[list[TileView]]":
-        """Split a batch into the shards fused execution operates on.
+    def shard_cuts(cls, batch: DecodedBatch) -> np.ndarray:
+        """Where a batch is cut into the shards fused execution operates
+        on, as batch-edge offsets ``[0, ..., n_edges]``.
 
-        The default is a small number of contiguous, edge-balanced chunks —
-        coarse enough that each fused kernel call amortises its setup over
-        many tiles, fine enough for the dynamic worker pool to balance
-        skewed rows (§VI-B).  The structure must depend only on the batch
+        The default is the batch's own cuts
+        (:func:`~repro.format.tiles.shard_cuts`): a small number of
+        contiguous, edge-balanced shards — coarse enough that each fused
+        kernel call amortises its setup over many tiles, fine enough for
+        the dynamic worker pool to balance skewed rows (§VI-B).  The structure must depend only on the batch
         contents — never the worker count — because partials are committed
         in shard order and that order defines the floating-point
         accumulation sequence.  A classmethod (of the class and the batch,
         never instance state) so shard worker processes
-        (:mod:`repro.runtime.shard`) chunk exactly as the coordinator
-        would without holding an algorithm instance.
+        (:mod:`repro.runtime.shard`) cut exactly as the coordinator would
+        without holding an algorithm instance.
         """
-        return chunk_by_edges(views)
+        return batch.cuts
 
-    def batch_shards(self, views: "list[TileView]") -> "list[list[TileView]]":
-        """The layer walk's alias of :meth:`shard_views`; nothing in
-        ``src/`` calls it."""
-        return type(self).shard_views(views)
-
-    def batch_partial(self, views: "list[TileView]"):
-        """Phase 1 of fused execution: the heavy, *read-only* pass.
+    def shard_partial(self, batch: DecodedBatch, a: int, b: int):
+        """Phase 1 of fused execution: the heavy, *read-only* pass over
+        edges ``[a, b)`` of ``batch``.
 
         Runs all per-edge work (gathers, masks, per-shard reductions) over
-        the concatenated shard without mutating algorithm state, so the
-        engine can execute several shards concurrently (NumPy releases the
-        GIL) — unless the kernel is live (:attr:`live_kernel`), in which
-        case the previous shard's commit has always landed first.  Returns
-        an opaque partial for :meth:`apply_partial`.
+        the shard without mutating algorithm state, so the engine can
+        execute several shards concurrently (NumPy releases the GIL) —
+        unless the kernel is live (:attr:`live_kernel`), in which case the
+        previous shard's commit has always landed first.  Returns an
+        opaque partial for :meth:`apply_partial`.
 
-        The default concatenates the shard's global endpoint arrays and
-        hands them to :meth:`kernel_partial` with the current state and
-        params — all a kernel over ``(gsrc, gdst)`` needs; override only
-        to feed the kernel more (SSSP adds the shard's edge weights).
+        The default hands the shard's global endpoint arrays — zero-copy
+        slices of the batch's — to :meth:`kernel_partial` with the current
+        state and params: all a kernel over ``(gsrc, gdst)`` needs;
+        override only to feed the kernel more (SSSP adds the shard's edge
+        weights, :meth:`DecodedBatch.side`).
         """
-        gsrc, gdst = concat_global_edges(views)
         return self.kernel_partial(
-            self.kernel_state(), self.kernel_params(), gsrc, gdst
+            self.kernel_state(), self.kernel_params(),
+            batch.gsrc[a:b], batch.gdst[a:b],
         )
+
+    def batch_shards(self, views: "list[TileView]") -> "list[list[TileView]]":
+        """:func:`chunk_by_edges` of a list of views.  Nothing in ``src/``
+        calls it; kept only because ``benchmarks/perf/layer_walk.py``
+        does."""
+        return chunk_by_edges(views)
+
+    def batch_partial(self, views: "list[TileView]"):
+        """:meth:`shard_partial` over a list of views, taken as one shard.
+        Nothing in ``src/`` calls it but :meth:`process_tile`; kept only
+        because ``benchmarks/perf/layer_walk.py`` does."""
+        batch = DecodedBatch.of_views(views)
+        return self.shard_partial(batch, 0, batch.n_edges)
 
     @abc.abstractmethod
     def apply_partial(self, partial) -> int:
@@ -238,7 +254,7 @@ class TileAlgorithm(abc.ABC):
         (the ``(shm name, offset, dtype, shape)`` data-placement
         contract).  Arrays must be 1-D, contiguous, and *frozen* while
         a partial is computed from them — exactly the read-only
-        guarantee :meth:`batch_partial` already makes.
+        guarantee :meth:`shard_partial` already makes.
         """
 
     @abc.abstractmethod
@@ -258,15 +274,15 @@ class TileAlgorithm(abc.ABC):
         gsrc: np.ndarray,
         gdst: np.ndarray,
     ):
-        """Pure form of :meth:`batch_partial`: no ``self``, arrays in.
+        """Pure form of :meth:`shard_partial`: no ``self``, arrays in.
 
-        Given the state snapshot, frozen params, and a shard's
-        concatenated global endpoint arrays, return the same partial
-        :meth:`batch_partial` would.  Implementations must be pure
+        Given the state snapshot, frozen params, and a shard's global
+        endpoint arrays, return the same partial :meth:`shard_partial`
+        would.  Implementations must be pure
         functions of their arguments (they run in shard worker processes
         where ``self`` does not exist) and must not mutate ``state`` or
         the endpoint arrays (both may be read-only shared memory).
-        :meth:`batch_partial` routes through this, so serial, threaded,
+        :meth:`shard_partial` routes through this, so serial, threaded,
         and sharded execution share one kernel implementation.
 
         The endpoints arrive as ``VERTEX_DTYPE`` (``uint32``), as the

@@ -28,7 +28,6 @@ import numpy as np
 from repro.algorithms import native
 from repro.algorithms.base import TileAlgorithm, gather_ids
 from repro.errors import AlgorithmError
-from repro.format.tiles import concat_global_edges
 
 
 def edge_weights(gsrc: np.ndarray, gdst: np.ndarray) -> np.ndarray:
@@ -129,25 +128,15 @@ class SSSP(TileAlgorithm):
             vals = np.concatenate([vals, cand[better]])
         return idx, vals, gsrc, gdst, w
 
-    def _shard_weights(self, views) -> "np.ndarray | None":
-        """The shard's stored weights in edge order, from each view's
-        extent of the disk-edge-ordered weight array; ``None`` when the
-        graph stores none."""
+    def shard_partial(self, batch, a, b):
+        """Edges ``[a, b)`` of ``batch`` with their stored weights, read
+        from the disk-edge-ordered weight array (none when the graph
+        stores none: the kernel hashes them)."""
         stored = self._graph().edge_weights
-        if stored is None:
-            return None
-        if len(views) == 1:
-            tv = views[0]
-            return stored[tv.edge_lo : tv.edge_lo + tv.n_edges]
-        return np.concatenate(
-            [stored[tv.edge_lo : tv.edge_lo + tv.n_edges] for tv in views]
-        )
-
-    def batch_partial(self, views):
-        gsrc, gdst = concat_global_edges(views)
         return self.kernel_partial(
-            self.kernel_state(), self.kernel_params(), gsrc, gdst,
-            self._shard_weights(views),
+            self.kernel_state(), self.kernel_params(),
+            batch.gsrc[a:b], batch.gdst[a:b],
+            None if stored is None else batch.side(stored, a, b),
         )
 
     def _commit(self, idx: np.ndarray, vals: np.ndarray) -> None:

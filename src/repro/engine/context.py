@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import DeadlineError
+from repro.format.tiles import DecodedBatch
 from repro.obs.trace import NULL_TRACER
 from repro.runtime.pipeline import WallOverlap
 from repro.storage.aio import AIOContext
@@ -94,9 +95,9 @@ class RunContext:
     #: cleared by the degrade step when the shard source fails.
     shard_active: bool = False
     # Memoized rewind batch: all-active algorithms rewind the same tile
-    # set every iteration, so its views are decoded once.
+    # set every iteration, so it is decoded once.
     rewind_key: "np.ndarray | None" = None
-    rewind_merged: "list | None" = None
+    rewind_merged: "DecodedBatch | None" = None
     #: Seconds this run waited its turn in the engine lane before it
     #: started (private contexts; not part of ``RunStats.wall_seconds``).
     lane_wait: float = 0.0

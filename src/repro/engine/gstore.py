@@ -71,13 +71,13 @@ from repro.engine.context import (
 )
 from repro.engine.selective import (
     dense_positions,
-    merge_requests,
+    merge_extents,
     select_positions,
 )
 from repro.engine.stats import IterationStats, RunStats
 from repro.errors import AlgorithmError, ChecksumError, FormatError, StorageError
 from repro.faults.injector import FaultInjector
-from repro.format.tiles import TiledGraph
+from repro.format.tiles import DecodedBatch, TiledGraph
 from repro.memory.scr import SCRScheduler, SlidePlan
 from repro.memory.segments import MemoryBudget
 from repro.obs import NULL_TRACER, Tracer
@@ -545,7 +545,7 @@ class GStoreEngine:
                     # the complete next frontier.
                     rewound = Prepared(
                         tiles=cached,
-                        views=self._rewind_views(cached, ctx),
+                        batch=self._rewind_batch(cached, ctx),
                         io_time=0.0, bytes_read=0, wall=0.0,
                     )
                     timeline.compute_only(self._compute(
@@ -786,7 +786,8 @@ class GStoreEngine:
         self, batch_positions: np.ndarray, ctx: RunContext
     ) -> Prepared:
         """Fetch + decode one slide batch (runs on the prefetch thread when
-        prefetching, inside ``get()`` on the engine thread at depth 0).
+        prefetching, inside ``get()`` on the engine thread at depth 0):
+        positions -> extent arrays -> one service call -> one decode.
 
         Everything here is free of engine-thread state: the AIO service
         half is thread-safe and clock-free and the store reads are
@@ -798,22 +799,20 @@ class GStoreEngine:
         t0 = _time.perf_counter()
         tracer = ctx.tracer
         with tracer.span("prepare", cat="pipeline", tiles=len(batch_positions)):
-            requests = merge_requests(batch_positions, self.graph.start_edge)
-            events, io_t = ctx.aio.service(requests)
+            ext = merge_extents(batch_positions, self.graph.start_edge)
+            data, io_t = ctx.aio.service(ext)
             with tracer.span("decode", cat="decode", tiles=len(batch_positions)):
-                views = self._decode(
-                    [(ev.tag, ev.data) for ev in events], self._verify
-                )
+                batch = self._decode(ext, data, self._verify)
         return Prepared(
             tiles=batch_positions,
-            views=views,
+            batch=batch,
             io_time=io_t,
-            bytes_read=sum(r.size for r in requests),
+            bytes_read=ext.nbytes,
             wall=_time.perf_counter() - t0,
         )
 
-    def _decode(self, runs: list, verify: bool = False) -> list:
-        """``(positions, merged extent)`` pairs -> kernel-ready views: the
+    def _decode(self, ext, data: np.ndarray, verify: bool = False) -> DecodedBatch:
+        """A batch's extents and bytes -> its :class:`DecodedBatch`: the
         step the slide and the rewind share, on whichever thread holds the
         bytes.
 
@@ -824,14 +823,14 @@ class GStoreEngine:
         """
         if verify:
             try:
-                self.graph.verify_batch_bytes(runs)
+                self.graph.verify_batch_bytes(ext.positions, data)
             except ChecksumError:
                 if self.injector is not None:
                     self.injector.registry.counter(
                         "fault.checksum_failures"
                     ).add(1)
                 raise
-        return self.graph.decode_extents(runs)
+        return self.graph.decode_extents(ext.positions, ext.first, data)
 
     def _seed_pool(self, scr: SCRScheduler, positions: "list[int]") -> None:
         """Repopulate the cache pool from a checkpoint's membership list.
@@ -865,8 +864,8 @@ class GStoreEngine:
             return algorithm.cols_active_next()
         return None
 
-    def _rewind_views(self, cached: np.ndarray, ctx: RunContext) -> list:
-        """Views for the rewind batch.
+    def _rewind_batch(self, cached: np.ndarray, ctx: RunContext) -> DecodedBatch:
+        """The rewind's decoded batch.
 
         Resident tiles are zero-copy slices of the immutable tile store, so
         the rewind set is re-merged into byte-adjacent extents and decoded
@@ -874,9 +873,9 @@ class GStoreEngine:
         already paid for these bytes).  Memoized on the cached-position
         array (per run, on the context), so all-active algorithms (which
         rewind an identical set every iteration) pay the decode exactly
-        once.  The views concatenate back to the per-tile edge order, and
-        their count is worker-independent, so the determinism contract of
-        the fused layer is unchanged.
+        once.  Its edges are the per-tile edge order, and its shard cuts
+        are worker-independent, so the determinism contract of the fused
+        layer is unchanged.
         """
         if ctx.rewind_key is not None and np.array_equal(
             cached, ctx.rewind_key
@@ -885,18 +884,14 @@ class GStoreEngine:
         with ctx.tracer.span(
             "rewind.decode", cat="decode", tiles=len(cached)
         ):
-            views = self._decode(
-                [
-                    (r.tag, self.store.read(r.offset, r.size))
-                    for r in merge_requests(cached, self.graph.start_edge)
-                ]
-            )
+            ext = merge_extents(cached, self.graph.start_edge)
+            batch = self._decode(ext, self.store.gather(ext.offsets, ext.sizes))
         ctx.rewind_key = cached
-        ctx.rewind_merged = views
-        return views
+        ctx.rewind_merged = batch
+        return batch
 
-    def _execute_views(
-        self, algorithm: TileAlgorithm, views, ctx: RunContext
+    def _execute(
+        self, algorithm: TileAlgorithm, batch: DecodedBatch, ctx: RunContext
     ) -> int:
         """Route one batch through ``execute_batch``.
 
@@ -905,7 +900,7 @@ class GStoreEngine:
         """
         parallel = self.workers > 1 and not ctx.private
         return execute_batch(
-            algorithm, views, pool=self.pool if parallel else None,
+            algorithm, batch, pool=self.pool if parallel else None,
         )
 
     def _compute(
@@ -920,9 +915,9 @@ class GStoreEngine:
         """Compute one prepared batch on the engine thread and account it
         — the step rewind, slide and drain share.
 
-        Runs the kernels over ``prep.views``, or applies ``prep.partials``
+        Runs the kernels over ``prep.batch``, or applies ``prep.partials``
         when a shard worker already ran the read-only kernel phase: in
-        chunk order, the same shard_views-defined sequence every
+        shard order, the same ``shard_cuts``-defined sequence every
         single-process path commits in, which is what keeps float
         accumulation (and so results) bit-identical at any shard count.
         Then offers the batch to the cache pool — ``scr``; the rewind
@@ -935,7 +930,7 @@ class GStoreEngine:
         t0 = _time.perf_counter()
         with ctx.tracer.span("compute", cat="compute", **where):
             if prep.partials is None:
-                edges = self._execute_views(algorithm, prep.views, ctx)
+                edges = self._execute(algorithm, prep.batch, ctx)
             else:
                 edges = 0
                 for partial in prep.partials:

@@ -14,7 +14,7 @@ import numpy as np
 from repro.format.startedge import StartEdgeIndex
 from repro.format.tiles import TiledGraph
 from repro.memory.proactive import tiles_needed_for_rows
-from repro.storage.aio import IORequest
+from repro.storage.aio import Extents, IORequest
 
 
 def select_positions(
@@ -28,7 +28,7 @@ def select_positions(
 
     ``tile_mask`` (when an algorithm provides one) is an exact per-tile
     predicate that overrides the row/column OR-combination.  The result
-    stays an ``int64`` ndarray end to end — :func:`merge_requests`,
+    stays an ``int64`` ndarray end to end — :func:`merge_extents`,
     :meth:`~repro.memory.scr.SCRScheduler.split_cached`, and the byte
     accounting all fancy-index with it directly, no list round-trips.
     """
@@ -58,36 +58,49 @@ def dense_positions(graph: TiledGraph) -> np.ndarray:
     )
 
 
+def merge_extents(
+    positions: "np.ndarray | list[int]", start_edge: StartEdgeIndex
+) -> Extents:
+    """Merge byte-adjacent positions into single extents, as arrays.
+
+    ``positions`` is the ``int64`` array :func:`select_positions` returns
+    (plain lists still work).  The record keeps it and says where each
+    extent's tiles start in it (``first``), so a fetched batch decodes
+    without a per-extent object (:meth:`TiledGraph.decode_extents`).
+    """
+    pos_arr = np.asarray(positions, dtype=np.int64)
+    se = start_edge.start_edge
+    lo = se[pos_arr]
+    hi = se[pos_arr + 1]
+    # A run breaks wherever the next tile does not begin where the
+    # previous one ended (vectorised over the whole position list).
+    breaks = np.flatnonzero(lo[1:] != hi[:-1]) + 1
+    n = pos_arr.size
+    first = np.concatenate(([0], breaks, [n])) if n else np.zeros(1, np.int64)
+    edge_lo = lo[first[:-1]].astype(np.int64)
+    edge_hi = hi[first[1:] - 1].astype(np.int64)
+    tb = start_edge.tuple_bytes
+    return Extents(
+        offsets=edge_lo * tb,
+        sizes=(edge_hi - edge_lo) * tb,
+        positions=pos_arr,
+        first=first,
+    )
+
+
 def merge_requests(
     positions: "np.ndarray | list[int]", start_edge: StartEdgeIndex
 ) -> "list[IORequest]":
-    """Merge byte-adjacent positions into single extents.
-
-    ``positions`` is the ``int64`` array :func:`select_positions` returns
-    (plain lists still work).  The request ``tag`` carries the list of
-    tile positions the extent covers, so completions can be sliced back
-    into tiles.
-    """
-    pos_arr = np.asarray(positions, dtype=np.int64)
-    if pos_arr.size == 0:
-        return []
-    se = start_edge.start_edge
-    tb = start_edge.tuple_bytes
-    starts = se[pos_arr].astype(np.int64) * tb
-    ends = se[pos_arr + 1].astype(np.int64) * tb
-    # A run breaks wherever the next tile does not begin where the
-    # previous one ended (vectorised over the whole position list).
-    breaks = np.nonzero(starts[1:] != ends[:-1])[0] + 1
-    bounds = [0, *breaks.tolist(), int(pos_arr.size)]
-    pos_list = pos_arr.tolist()  # python ints for the per-request tags
-    requests: "list[IORequest]" = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        requests.append(
-            IORequest(
-                offset=int(starts[a]),
-                size=int(ends[b - 1] - starts[a]),
-                tag=pos_list[a:b],
-            )
+    """:func:`merge_extents` as one :class:`IORequest` per extent, its
+    ``tag`` the list of tile positions the extent covers.  Nothing in
+    ``src/`` calls it; kept only because ``benchmarks/perf/layer_walk.py``
+    does."""
+    ext = merge_extents(positions, start_edge)
+    pos_list = ext.positions.tolist()
+    bounds = ext.first.tolist()
+    return [
+        IORequest(offset=off, size=size, tag=pos_list[a:b])
+        for off, size, a, b in zip(
+            ext.offsets.tolist(), ext.sizes.tolist(), bounds[:-1], bounds[1:]
         )
-    return requests
-
+    ]

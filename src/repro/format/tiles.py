@@ -157,6 +157,132 @@ def concat_global_edges(views: "list[TileView]") -> tuple[np.ndarray, np.ndarray
     return gsrc, gdst
 
 
+def shard_cuts(
+    run_bounds: np.ndarray, pieces: int = SHARDS_PER_BATCH
+) -> np.ndarray:
+    """Where a batch of runs is cut into shards, as batch-edge offsets
+    ``[0, ..., total]`` (shard ``k`` is edges ``[cuts[k], cuts[k + 1])``).
+
+    ``run_bounds`` are the runs' edge offsets in the batch, ``[0, ...,
+    total]`` (no runs, no shards).  The arithmetic of
+    :meth:`TiledGraph.split_run_views` followed by
+    :func:`~repro.algorithms.base.chunk_by_edges`, on edge counts alone: a
+    batch of fewer runs than :func:`~repro.types.shard_pieces` allows is
+    cut into equal-edge pieces, and the pieces are grouped greedily into
+    at most that many shards of at least ``ceil(total / shards)`` edges.
+    Partials commit in shard order, so these cuts *are* the float
+    accumulation order; they depend on the batch contents alone.
+    """
+    bounds = np.asarray(run_bounds, dtype=np.int64)
+    n = bounds.shape[0] - 1
+    if n <= 0:
+        return np.zeros(1, dtype=np.int64)
+    total = int(bounds[-1])
+    shards = shard_pieces(pieces, total)
+    if shards <= 1:
+        return np.array([0, total], dtype=np.int64)
+    if n < shards:
+        # Fewer runs than shards (so fewer than ``pieces``): run [lo, hi)
+        # becomes k pieces, piece t of it edges [c*t // k, c*(t+1) // k)
+        # of its c edges; empty pieces of a cut run are dropped.
+        ends: "list[int]" = []
+        run = bounds.tolist()
+        for lo, hi in zip(run[:-1], run[1:]):
+            c = hi - lo
+            k = max(1, (shards * c + total - 1) // total)
+            if k == 1:
+                ends.append(hi)
+            else:
+                ends += sorted({lo + c * t // k for t in range(1, k + 1)} - {lo})
+        bounds = np.array([0] + ends, dtype=np.int64)
+    if bounds.shape[0] <= 2:
+        return np.array([0, total], dtype=np.int64)
+    # Greedy grouping: a shard opened at piece s closes at the first
+    # piece that brings it to ``target`` edges, until only the remainder
+    # shard is left.
+    last = bounds.shape[0] - 1  # pieces
+    target = -(-total // shards)
+    close = np.searchsorted(bounds, bounds + target).tolist()
+    cut = [0]
+    while len(cut) < shards and close[cut[-1]] <= last:
+        cut.append(close[cut[-1]])
+    if cut[-1] < last:
+        cut.append(last)
+    return bounds[cut]
+
+
+def tile_bases(
+    tile_rows: np.ndarray, tile_cols: np.ndarray, pos_arr: np.ndarray, tile_bits: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The SNB source and destination bases of tiles ``pos_arr`` as
+    ``VERTEX_DTYPE`` arrays: what the widen adds to each stored local, in
+    the same wrapping ``uint32`` arithmetic."""
+    sb = (tile_rows[pos_arr].astype(np.int64) << tile_bits).astype(VERTEX_DTYPE)
+    db = (tile_cols[pos_arr].astype(np.int64) << tile_bits).astype(VERTEX_DTYPE)
+    return sb, db
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class DecodedBatch:
+    """One decoded batch of tile bytes: what every reader of them gets.
+
+    A batch is a sequence of *runs* — byte-adjacent tiles, one merged
+    extent each.  ``gsrc``/``gdst`` are the whole batch's global endpoint
+    IDs, C-contiguous ``VERTEX_DTYPE`` from one widening pass, in plan
+    order.  Run ``r`` is batch edges ``[run_bounds[r], run_bounds[r + 1])``
+    and disk edges from ``run_edge_lo[r]`` on, which is how per-edge side
+    arrays (``TiledGraph.edge_weights``) are read (:meth:`side`).
+    ``cuts`` (:func:`shard_cuts`) are the shard boundaries: a kernel is
+    handed edges ``[cuts[k], cuts[k + 1])`` as zero-copy slices.  Callers
+    treat every array as read-only.
+    """
+
+    gsrc: np.ndarray
+    gdst: np.ndarray
+    run_bounds: np.ndarray
+    run_edge_lo: np.ndarray
+    cuts: np.ndarray
+
+    @classmethod
+    def of_runs(
+        cls,
+        gsrc: np.ndarray,
+        gdst: np.ndarray,
+        run_bounds: np.ndarray,
+        run_edge_lo: np.ndarray,
+    ) -> "DecodedBatch":
+        return cls(gsrc, gdst, run_bounds, run_edge_lo, shard_cuts(run_bounds))
+
+    @classmethod
+    def of_views(cls, views: "list[TileView]") -> "DecodedBatch":
+        """A list of views as a batch of one run per view (the
+        list-of-views form ``benchmarks/perf/layer_walk.py`` calls)."""
+        gsrc, gdst = concat_global_edges(views)
+        bounds = np.zeros(len(views) + 1, dtype=np.int64)
+        np.cumsum([tv.n_edges for tv in views], out=bounds[1:])
+        lo = np.array([tv.edge_lo for tv in views], dtype=np.int64)
+        return cls.of_runs(gsrc, gdst, bounds, lo)
+
+    @property
+    def n_edges(self) -> int:
+        return int(self.gsrc.shape[0])
+
+    def side(self, values: np.ndarray, a: int, b: int) -> np.ndarray:
+        """A disk-edge-ordered side array's values for batch edges
+        ``[a, b)``: a zero-copy slice when they lie in one run."""
+        bounds = self.run_bounds
+        if a == b:
+            return values[:0]
+        r = int(np.searchsorted(bounds, a, side="right")) - 1
+        shift = self.run_edge_lo - bounds[:-1]  # disk edge - batch edge
+        if b <= bounds[r + 1]:
+            lo = a + int(shift[r])
+            return values[lo : lo + b - a]
+        end = int(np.searchsorted(bounds, b))
+        per_run = np.diff(np.clip(bounds[r : end + 1], a, b))
+        return values[np.arange(a, b) + np.repeat(shift[r:end], per_run)]
+
+
 #: Entries a graph's aux file may hold; the first three are mandatory.
 _AUX_KEYS = (
     "out_degrees", "in_degrees", "snb",
@@ -542,6 +668,9 @@ class TiledGraph:
         batch that merged into a single extent still yields enough shards
         for the thread pool without changing the fused determinism
         contract.  Sub-views concatenate back to the original edge order.
+        :func:`shard_cuts` is the same arithmetic on edge counts; this
+        list-of-views form is kept for ``benchmarks/perf/layer_walk.py``
+        and as the reference the tests hold the cuts to.
         """
         if len(views) >= pieces:  # the floor only ever lowers ``pieces``
             return views
@@ -629,9 +758,7 @@ class TiledGraph:
         # Imported here: importing repro.algorithms imports this module.
         from repro.algorithms import native
 
-        tbits = self.tile_bits
-        sb = (self.tile_rows[pos_arr].astype(np.int64) << tbits).astype(VERTEX_DTYPE)
-        db = (self.tile_cols[pos_arr].astype(np.int64) << tbits).astype(VERTEX_DTYPE)
+        sb, db = tile_bases(self.tile_rows, self.tile_cols, pos_arr, self.tile_bits)
         if native.lib is not None:
             return native.widen(flat, counts, sb, db)
         if 2 * int(counts.sum()) != flat.shape[0] or (counts < 0).any():
@@ -666,10 +793,9 @@ class TiledGraph:
         in disk-edge order too); their ``_gsrc``/``_gdst`` caches are always
         pre-seeded, so :meth:`TileView.global_edges` never recomputes from
         the (run-spanning) locals.  ``with_tiles=False`` skips the per-tile
-        records; :meth:`decode_extents`, the one caller in ``src/``, passes
-        it — the pool accounts by position and :meth:`verify_batch_bytes`
-        checksums whole extents — so the records are kept for
-        ``benchmarks/perf/layer_walk.py`` only.
+        records.  Nothing in ``src/`` calls it — the engine decodes a batch
+        into one :class:`DecodedBatch` (:meth:`decode_extents`) — so it is
+        kept for ``benchmarks/perf/layer_walk.py`` only.
         """
         if not runs:
             return [], []
@@ -729,16 +855,33 @@ class TiledGraph:
         return run_views, tiles
 
     def decode_extents(
-        self, runs: "list[tuple[list[int], bytes | memoryview]]"
-    ) -> "list[TileView]":
-        """Kernel-ready views of fetched ``(positions, merged extent)``
-        pairs — the one decode step behind every reader of tile bytes (the
-        engine's slide and rewind, the shard workers, the serving lookup):
-        :meth:`decode_batch`'s run-level views cut into the batch's shard
-        structure.
+        self,
+        positions: np.ndarray,
+        first: np.ndarray,
+        data: "bytes | memoryview | np.ndarray",
+    ) -> DecodedBatch:
+        """Decode one fetched batch — the one decode step behind every
+        reader of tile bytes (the engine's slide and rewind, the shard
+        workers, the serving lookup, :meth:`scan`).
+
+        ``positions`` are the batch's tiles in plan order, ``first`` where
+        each merged extent's tiles start among them (one entry more than
+        there are extents, as :func:`~repro.engine.selective.merge_extents`
+        records it) and ``data`` the extents' bytes laid end to end.  One
+        :meth:`_global_ids` pass widens the whole batch; runs and shard
+        cuts come from the tiles' edge counts.  ``ValueError`` unless those
+        counts cover ``data`` exactly.
         """
-        views, _ = self.decode_batch(runs, with_tiles=False)
-        return self.split_run_views(views, SHARDS_PER_BATCH)
+        flat = np.frombuffer(data, dtype=self.payload_dtype())
+        se = self.start_edge.start_edge
+        lo = se[positions].astype(np.int64)
+        counts = se[positions + 1].astype(np.int64) - lo
+        gsrc, gdst = self._global_ids(flat, positions, counts)
+        tile_bounds = np.zeros(positions.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=tile_bounds[1:])
+        return DecodedBatch.of_runs(
+            gsrc, gdst, tile_bounds[first], lo[first[:-1]]
+        )
 
     def payload_dtype(self) -> np.dtype:
         dt = self._payload_dt
@@ -748,12 +891,12 @@ class TiledGraph:
         return dt
 
     def scan(self, slab_bytes: int = 4 << 20, fused: bool = True):
-        """The one whole-graph reader: yield ``(positions, views)`` per
+        """The one whole-graph reader: yield ``(positions, batch)`` per
         slab of the payload in disk order — the non-empty tiles whose
         extents start inside one ``slab_bytes`` window (one byte-adjacent
         run: empty tiles hold no bytes) and their :meth:`decode_extents`
-        views, or with ``fused=False`` one :meth:`decode_run` view per
-        tile.  Resident or mapped, it holds a slab at a time."""
+        record, or with ``fused=False`` a list of one :meth:`decode_run`
+        view per tile.  Resident or mapped, it holds a slab at a time."""
         offsets = self.start_edge.start_edge.astype(np.int64) * self.tuple_bytes
         live = np.flatnonzero(offsets[1:] > offsets[:-1])
         if not live.size:
@@ -763,18 +906,21 @@ class TiledGraph:
         for positions in np.split(live, cuts):
             extent = data[offsets[positions[0]] : offsets[positions[-1] + 1]]
             if fused:
-                views = self.decode_extents([(positions, extent)])
+                one_run = np.array([0, positions.shape[0]])
+                yield positions, self.decode_extents(positions, one_run, extent)
             else:
-                views = [tv for tv, _ in self.decode_run(positions, extent)]
-            yield positions, views
+                yield positions, [
+                    tv for tv, _ in self.decode_run(positions, extent)
+                ]
 
     def to_edge_list(self) -> EdgeList:
         """Reconstruct the stored tuples as a global-ID edge list."""
         src = np.empty(self.n_edges, dtype=VERTEX_DTYPE)
         dst = np.empty_like(src)
-        for _, views in self.scan():
-            lo, hi = views[0].edge_lo, views[-1].edge_lo + views[-1].n_edges
-            src[lo:hi], dst[lo:hi] = concat_global_edges(views)
+        for _, batch in self.scan():
+            lo = int(batch.run_edge_lo[0])
+            src[lo : lo + batch.n_edges] = batch.gsrc
+            dst[lo : lo + batch.n_edges] = batch.gdst
         return EdgeList(
             src,
             dst,
@@ -838,28 +984,22 @@ class TiledGraph:
         }
 
     def verify_batch_bytes(
-        self, runs: "list[tuple[list[int], bytes | memoryview]]"
+        self, positions: np.ndarray, data: "bytes | memoryview | np.ndarray"
     ) -> None:
-        """Check one fetched batch — ``(positions, merged extent)`` pairs
-        as :meth:`decode_batch` takes them — against the stored checksums
-        with a single kernel call over all its tiles.
+        """Check one fetched batch — its tiles in plan order and their
+        bytes laid end to end, as :meth:`decode_extents` takes them —
+        against the stored checksums with a single kernel call.
 
         No-op when the graph carries no checksums (version-1 files).
         Raises :class:`ChecksumError` for the first corrupt tile in batch
         order, carrying its grid position and byte extent.
         """
         sums = self.tile_checksums
-        if sums is None or not runs:
+        if sums is None or not positions.shape[0]:
             return
-        positions = np.concatenate(
-            [np.asarray(r[0], dtype=np.int64) for r in runs]
-        )
         sizes = self.start_edge.tile_bytes(positions)
         # Tiles of a run are byte-adjacent in its extent and the extents
         # are laid end to end, so tile k starts where tile k-1 stopped.
-        data = np.concatenate(
-            [np.frombuffer(r[1], dtype=np.uint8) for r in runs]
-        )
         actual = crc32c_extents(data, np.cumsum(sizes) - sizes, sizes)
         bad = np.flatnonzero(actual != sums[positions])
         if bad.size:

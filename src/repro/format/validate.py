@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import FormatError
-from repro.format.tiles import TiledGraph, concat_global_edges
+from repro.format.tiles import TiledGraph, tile_bases
 
 
 @dataclass
@@ -50,8 +50,8 @@ def _check_payload(tg: TiledGraph, rep: ValidationReport) -> None:
     comparison over the slab that names the tiles owning an offending edge."""
     info, rows, cols = tg.info, tg.tile_rows, tg.tile_cols
     counts = tg.tile_edge_counts()
-    for positions, views in tg.scan():
-        gsrc, gdst = concat_global_edges(views)
+    for positions, batch in tg.scan():
+        gsrc, gdst = batch.gsrc, batch.gdst
         rep.tiles_checked += positions.shape[0]
         rep.edges_checked += gsrc.shape[0]
         edges = counts[positions]
@@ -59,7 +59,9 @@ def _check_payload(tg: TiledGraph, rep: ValidationReport) -> None:
         n = info.n_vertices
         bad = {"tile (%d,%d): endpoint beyond n_vertices": (gsrc >= n) | (gdst >= n)}
         if tg.snb:
-            ids = np.concatenate([np.maximum(tv.lsrc, tv.ldst) for tv in views])
+            # The stored locals: global minus the owning tile's base.
+            sb, db = tile_bases(rows, cols, positions, info.tile_bits)
+            ids = np.maximum(gsrc - np.repeat(sb, edges), gdst - np.repeat(db, edges))
             bad["tile (%d,%d): local ID beyond tile span"] = ids >= 1 << info.tile_bits
         if info.symmetric:
             diagonal = np.repeat(rows[positions] == cols[positions], edges)

@@ -17,6 +17,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from repro.format.tiles import DecodedBatch
 from repro.obs.trace import NULL_TRACER
 
 T = TypeVar("T")
@@ -38,9 +39,9 @@ class Prepared:
     """One slide batch, serviced and ready to commit in plan order — the
     one record every batch source returns.
 
-    Exactly one of ``views`` (the engine's own fetch path: decoded, the
+    Exactly one of ``batch`` (the engine's own fetch path: decoded, the
     kernel still to run on the engine thread) and ``partials`` (a shard
-    worker already ran the read-only kernel phase; in chunk order) is
+    worker already ran the read-only kernel phase; in shard order) is
     set.  ``tiles`` is what the cache pool is offered: the plan's
     ``int64`` position array, untouched.
     """
@@ -49,7 +50,7 @@ class Prepared:
     io_time: float  # simulated service time, not yet charged to the clock
     bytes_read: int
     wall: float  # real seconds the preparation took, wherever it ran
-    views: "list | None" = None
+    batch: "DecodedBatch | None" = None
     partials: "list | None" = None
 
 

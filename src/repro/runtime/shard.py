@@ -47,7 +47,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.format.tiles import concat_global_edges
 from repro.obs.trace import NULL_TRACER
 from repro.runtime.prefetch import Prepared
 from repro.runtime.shm import ShmArena, attach_view
@@ -165,7 +164,7 @@ def _shard_worker_main(
     """
     # Late import: ``repro.engine``'s package init imports the engine,
     # which imports this module.
-    from repro.engine.selective import merge_requests
+    from repro.engine.selective import merge_extents
 
     store = TileStore.from_tiled_graph(graph)
     aio = AIOContext(
@@ -205,16 +204,15 @@ def _shard_worker_main(
                         k: attach_view(d, seg_cache)
                         for k, d in state_descs.items()
                     }
-                requests = merge_requests(positions, graph.start_edge)
-                events, io_t = aio.service(requests)
-                views = graph.decode_extents(
-                    [(ev.tag, ev.data) for ev in events]
-                )
+                ext = merge_extents(positions, graph.start_edge)
+                data, io_t = aio.service(ext)
+                batch = graph.decode_extents(ext.positions, ext.first, data)
+                cuts = cls.shard_cuts(batch).tolist()
                 partials = [
                     cls.kernel_partial(
-                        state, params, *concat_global_edges(chunk)
+                        state, params, batch.gsrc[a:b], batch.gdst[a:b]
                     )
-                    for chunk in cls.shard_views(views)
+                    for a, b in zip(cuts[:-1], cuts[1:])
                 ]
                 if fault is not None and fault[0] == "drop":
                     continue  # computed, never posted: the hang scenario
@@ -223,7 +221,7 @@ def _shard_worker_main(
                 result_conn.send((
                     batch_index,
                     True,
-                    (partials, io_t, sum(r.size for r in requests)),
+                    (partials, io_t, ext.nbytes),
                     (shard_id, pid, t0, time.perf_counter()),
                 ))
             except (BrokenPipeError, OSError):  # pragma: no cover

@@ -4,10 +4,10 @@ G-Store assigns different tile rows to different OpenMP threads with
 dynamic scheduling because row sizes are wildly skewed.  The NumPy kernels
 here already execute each tile's edges data-parallel inside vectorised
 operations; :func:`execute_batch` adds row-level concurrency on top: the
-read-only partial phase of a fused batch is mapped over a thread pool's
-work queue (NumPy releases the GIL in its inner loops, so skewed shards
-balance the way OpenMP ``schedule(dynamic)`` does) and committed serially
-in shard order.  The pool is a plain
+read-only partial phase of a decoded batch's shards is mapped over a
+thread pool's work queue (NumPy releases the GIL in its inner loops, so
+skewed shards balance the way OpenMP ``schedule(dynamic)`` does) and
+committed serially in shard order.  The pool is a plain
 :class:`~concurrent.futures.ThreadPoolExecutor` the engine owns; this
 module also resolves how many workers it gets.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 
 from repro.algorithms import native
 from repro.runtime.shard import resolve_shards
@@ -80,14 +81,15 @@ def execution_fingerprint(
 
 def execute_batch(
     algorithm,
-    views,
+    batch,
     pool: "ThreadPoolExecutor | None" = None,
 ) -> int:
-    """Run one batch of tile views through an algorithm's kernel, once per
-    shard (:meth:`TileAlgorithm.process_batch`).
+    """Run one decoded batch (:class:`~repro.format.tiles.DecodedBatch`)
+    through an algorithm's kernel, once per shard
+    (:meth:`TileAlgorithm.process_batch`).
 
     Handed a ``pool`` and a snapshot kernel, the read-only partial phase
-    is sharded by the algorithm's :meth:`shard_views` and mapped over the
+    is cut by the algorithm's :meth:`shard_cuts` and mapped over the
     pool's work queue, and the partials are committed serially in shard
     order.  Because the shard structure is worker-independent and the
     serial :meth:`process_batch` walks the *same* shards, results are
@@ -97,11 +99,11 @@ def execute_batch(
     shard's partial, so they take the serial sweep whatever they are
     handed.
     """
-    if not views:
-        return 0
-    if pool is not None and not algorithm.live_kernel and len(views) > 1:
-        shards = algorithm.shard_views(views)
-        if len(shards) > 1:
-            partials = list(pool.map(algorithm.batch_partial, shards))
+    if pool is not None and not algorithm.live_kernel:
+        cuts = algorithm.shard_cuts(batch).tolist()
+        if len(cuts) > 2:
+            partials = list(pool.map(
+                algorithm.shard_partial, repeat(batch), cuts[:-1], cuts[1:]
+            ))
             return sum(algorithm.apply_partial(p) for p in partials)
-    return algorithm.process_batch(views)
+    return algorithm.process_batch(batch)

@@ -31,7 +31,7 @@ from repro.algorithms.bfs import BFS
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.reachability import Reachability
 from repro.algorithms.sssp import SSSP
-from repro.engine.selective import merge_requests
+from repro.engine.selective import merge_extents
 from repro.errors import QueryError
 
 
@@ -289,19 +289,16 @@ class NeighborhoodQuery(Query):
         with ctx.tracer.span(
             "serve.lookup", cat="serve", vertex=v, tiles=len(positions)
         ):
-            requests = merge_requests(positions, g.start_edge)
-            events, io_t = ctx.aio.service(requests)
+            ext = merge_extents(positions, g.start_edge)
+            data, io_t = ctx.aio.service(ext)
             ctx.aio.commit(io_t)
-            for tv in g.decode_extents([(ev.tag, ev.data) for ev in events]):
-                gsrc, gdst = tv.global_edges()
-                if want_src:
-                    neighbors.append(gdst[gsrc == v])
-                if want_dst:
-                    neighbors.append(gsrc[gdst == v])
-        if neighbors:
-            out = np.unique(np.concatenate(neighbors))
-        else:
-            out = np.empty(0, dtype=np.uint32)
+            batch = g.decode_extents(ext.positions, ext.first, data)
+            # One mask per direction over the whole lookup.
+            if want_src:
+                neighbors.append(batch.gdst[batch.gsrc == v])
+            if want_dst:
+                neighbors.append(batch.gsrc[batch.gdst == v])
+        out = np.unique(np.concatenate(neighbors))
         return {"neighbors": np.ascontiguousarray(out)}
 
     def summarize(self, payload: dict) -> dict:

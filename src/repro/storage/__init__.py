@@ -7,7 +7,7 @@ read is simulated by a discrete device model while the *bytes* are real
 substitution preserves the evaluation's behaviour.
 """
 
-from repro.storage.aio import AIOContext, IOMode, IORequest
+from repro.storage.aio import AIOContext, Extents, IOMode, IORequest
 from repro.storage.device import DeviceProfile, SimulatedSSD
 from repro.storage.file import TileStore
 from repro.storage.raid import Raid0Array
@@ -17,6 +17,7 @@ __all__ = [
     "SimulatedSSD",
     "Raid0Array",
     "AIOContext",
+    "Extents",
     "IOMode",
     "IORequest",
     "TileStore",

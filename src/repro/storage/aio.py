@@ -19,6 +19,14 @@ order:
 Every caller — the depth-0 slide loop, the prefetch thread, shard workers,
 private query contexts — uses exactly this pair.
 
+A batch is an :class:`Extents` record: its merged reads as ``int64``
+offset and size arrays.  :meth:`AIOContext.service` returns the batch's
+bytes as one contiguous array (:meth:`~repro.storage.file.TileStore.gather`:
+a zero-copy slice for one extent), so nothing is built per extent on the
+clean path.  A list of :class:`IORequest` objects is still accepted and answered
+with one :class:`IOEvent` per request — the form
+``benchmarks/perf/layer_walk.py`` calls.
+
 ``IOMode.SYNC`` models the direct/synchronous POSIX alternative the paper
 compares against (per-request latency, no overlap).  ``realize_io=True``
 additionally *sleeps* each batch's simulated service time on the servicing
@@ -43,6 +51,9 @@ import enum
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from repro.errors import StorageError
 from repro.faults.plan import RetryPolicy
@@ -78,6 +89,49 @@ class IOEvent:
 
     tag: object
     data: "bytes | memoryview"
+
+
+@dataclass(frozen=True)
+class Extents:
+    """One batch's merged reads, as arrays.
+
+    Extent ``k`` is bytes ``[offsets[k], offsets[k] + sizes[k])`` of the
+    store.  A batch of tiles (:func:`~repro.engine.selective.merge_extents`)
+    also says which tiles each extent covers: ``positions[first[k] :
+    first[k + 1]]``, so ``first`` has one entry more than there are
+    extents.  ``tags``, when set, label the extents in error context (the
+    :class:`IORequest` form); otherwise an extent's label is its tiles.
+    """
+
+    offsets: np.ndarray
+    sizes: np.ndarray
+    positions: "np.ndarray | None" = None
+    first: "np.ndarray | None" = None
+    tags: "list | None" = None
+
+    def __len__(self) -> int:
+        return int(self.offsets.shape[0])
+
+    @cached_property
+    def nbytes(self) -> int:
+        return int(self.sizes.sum())
+
+    def tag(self, k: int) -> object:
+        """Extent ``k``'s label: its tag, else the tiles it covers."""
+        if self.tags is not None:
+            return self.tags[k]
+        if self.positions is None:
+            return None
+        return self.positions[self.first[k] : self.first[k + 1]].tolist()
+
+    @classmethod
+    def of(cls, requests: "list[IORequest]") -> "Extents":
+        """The record of a list of requests, tags kept."""
+        return cls(
+            offsets=np.array([r.offset for r in requests], dtype=np.int64),
+            sizes=np.array([r.size for r in requests], dtype=np.int64),
+            tags=[r.tag for r in requests],
+        )
 
 
 @dataclass
@@ -120,37 +174,51 @@ class AIOContext:
     # ------------------------------------------------------------------ #
 
     def service(
-        self, requests: "list[IORequest]"
-    ) -> "tuple[list[IOEvent], float]":
+        self, batch: "Extents | list[IORequest]"
+    ) -> "tuple[np.ndarray | list[IOEvent], float]":
         """Service a batch: store reads plus modeled service time.
 
+        Returns the batch's bytes — its extents laid end to end in one
+        contiguous ``uint8`` array — and its simulated service time.  A
+        list of :class:`IORequest` objects gets one :class:`IOEvent` per
+        request instead (the layer walk's form).
         Thread-safe and clock-free, so any thread (a prefetch worker, an
         executor) may call it; the simulated time must later be committed
         on the engine thread via :meth:`commit`.
         All-or-nothing: if any extent is invalid or a fault exhausts the
-        retry budget, no event is produced and no counter moves.
+        retry budget, no bytes are returned and no counter moves.
         """
-        if not requests:
-            return [], 0.0
-        extents = [(r.offset, r.size) for r in requests]
-        size = sum(r.size for r in requests)
+        if not isinstance(batch, Extents):
+            if not batch:
+                return [], 0.0
+            ext = Extents.of(batch)
+            data, t = self.service(ext)
+            bounds = np.cumsum(ext.sizes).tolist()
+            view = memoryview(data)
+            return [
+                IOEvent(tag=r.tag, data=view[hi - r.size : hi])
+                for r, hi in zip(batch, bounds)
+            ], t
+        if not len(batch):
+            return np.empty(0, dtype=np.uint8), 0.0
+        size = batch.nbytes
         with self.tracer.span(
-            "fetch", cat="io", requests=len(requests), bytes=size
+            "fetch", cat="io", requests=len(batch), bytes=size
         ):
             with self._lock:
-                events, t = self._service_locked(requests, extents, size)
+                data, t = self._service_locked(batch, size)
             if self.tracer.enabled:
                 reg = self.tracer.registry
                 reg.counter("aio.submissions").add(1)
-                reg.counter("aio.requests").add(len(requests))
+                reg.counter("aio.requests").add(len(batch))
                 reg.counter("aio.bytes_read").add(size)
             if self.realize_io and t > 0.0:
                 time.sleep(t)
-        return events, t
+        return data, t
 
     def _service_locked(
-        self, requests: "list[IORequest]", extents, size: int
-    ) -> "tuple[list[IOEvent], float]":
+        self, ext: Extents, size: int
+    ) -> "tuple[np.ndarray, float]":
         """Read + time one batch under the lock, retrying retryable
         failures with bounded backoff.
 
@@ -160,7 +228,7 @@ class AIOContext:
         identical at every prefetch depth.
         """
         base = self._next_ordinal
-        self._next_ordinal += len(requests)
+        self._next_ordinal += len(ext)
         inj = self.injector
         reg = inj.registry if inj is not None else None
         attempt = 1
@@ -169,11 +237,11 @@ class AIOContext:
             try:
                 # Reads (and injection) first: a failure raises before any
                 # device counter or AIOStats field mutates.
-                events, spike = self._read_attempt(requests, base, attempt)
+                data, spike = self._read_attempt(ext, base, attempt)
                 if self.mode is IOMode.AIO:
-                    t = self.array.read_batch_time(extents)
+                    t = self.array.read_batch_time(ext)
                 else:
-                    t = self.array.read_sync_time(extents)
+                    t = self.array.read_sync_time(ext)
                 break
             except StorageError as exc:
                 if not exc.retryable:
@@ -185,7 +253,7 @@ class AIOContext:
                         reg.counter("retry.exhausted").add(1)
                     ctx = dict(exc.context)
                     ctx["attempts"] = attempt
-                    ctx["batch_requests"] = len(requests)
+                    ctx["batch_requests"] = len(ext)
                     raise StorageError(
                         f"batch failed after {attempt} attempts: {exc.args[0]}",
                         context=ctx,
@@ -200,41 +268,49 @@ class AIOContext:
             reg.counter("retry.recovered").add(1)
         t += spike + backoff
         self.stats.submissions += 1
-        self.stats.requests += len(requests)
+        self.stats.requests += len(ext)
         self.stats.bytes_read += size
-        return events, t
+        return data, t
 
     def _read_attempt(
-        self, requests: "list[IORequest]", base: int, attempt: int
-    ) -> "tuple[list[IOEvent], float]":
+        self, ext: Extents, base: int, attempt: int
+    ) -> "tuple[np.ndarray, float]":
         """One read pass over the batch: store reads, fault injection, and
-        centralised short-read detection.  Returns ``(events, extra_sim)``."""
+        centralised short-read detection.  Returns ``(data, extra_sim)``.
+
+        Clean, it is one gather.  Under a fault injector each extent is
+        read and handed to the injector's per-ordinal hook in plan order —
+        the hook may delay, truncate, flip a bit or raise — and the
+        results are joined."""
         inj = self.injector
-        events: "list[IOEvent]" = []
+        if inj is None:
+            return self.store.gather(ext.offsets, ext.sizes), 0.0
+        parts: "list[np.ndarray]" = []
         extra = 0.0
-        for k, r in enumerate(requests):
-            data = self.store.read(r.offset, r.size)
-            if inj is not None:
-                data, delay = inj.apply(
-                    base + k, attempt, r.offset, r.size, data
-                )
-                extra += delay
-            if len(data) != r.size:
+        for k, (off, size) in enumerate(
+            zip(ext.offsets.tolist(), ext.sizes.tolist())
+        ):
+            data = self.store.read(off, size)
+            data, delay = inj.apply(base + k, attempt, off, size, data)
+            extra += delay
+            if len(data) != size:
                 raise StorageError(
-                    f"short read at offset {r.offset}: got {len(data)} of "
-                    f"{r.size} bytes",
+                    f"short read at offset {off}: got {len(data)} of "
+                    f"{size} bytes",
                     context={
                         "ordinal": base + k,
-                        "offset": r.offset,
-                        "size": r.size,
+                        "offset": off,
+                        "size": size,
                         "got": len(data),
-                        "tag": r.tag,
+                        "tag": ext.tag(k),
                         "attempt": attempt,
                     },
                     retryable=True,
                 )
-            events.append(IOEvent(tag=r.tag, data=data))
-        return events, extra
+            parts.append(np.frombuffer(data, dtype=np.uint8))
+        if len(parts) == 1:
+            return parts[0], extra
+        return np.concatenate(parts), extra
 
     # ------------------------------------------------------------------ #
     # Completion half

@@ -15,8 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import StorageError
 from repro.util.bitops import ceil_div
+
+
+def _sized(sizes: "np.ndarray | list[int]") -> "tuple[int, int]":
+    """``(total bytes, requests)`` of a batch of read sizes, checked
+    non-negative in one vector test.  The total stays an exact integer, so
+    a time computed from it is the same whatever container held the sizes."""
+    arr = np.asarray(sizes, dtype=np.int64)
+    if arr.size and arr.min() < 0:
+        raise StorageError(f"negative request size {int(arr[arr < 0][0])}")
+    return int(arr.sum()), int(arr.size)
 
 
 @dataclass(frozen=True)
@@ -103,27 +115,13 @@ class SimulatedSSD:
         reg.counter(f"device.{'read' if reads else 'write'}_requests").add(n)
         reg.counter("device.busy_time_sim").add(t)
 
-    def read_batch_time(self, sizes: "list[int]") -> float:
-        """Service time for a batch of reads of the given byte sizes."""
-        if not sizes:
-            return 0.0
-        total = 0
-        for s in sizes:
-            if s < 0:
-                raise StorageError(f"negative request size {s}")
-            total += s
-        n = len(sizes)
-        waves = ceil_div(n, self.profile.queue_depth)
-        t = waves * self.profile.latency + total / self.profile.read_bandwidth
-        if self.slow_factor != 1.0:  # injected degradation, never the default
-            t *= self.slow_factor
-        self.stats.bytes_read += total
-        self.stats.read_requests += n
-        self.stats.busy_time += t
-        self._count(True, total, n, t)
-        return t
+    def read_batch_time(self, sizes: "np.ndarray | list[int]") -> float:
+        """Service time for a batch of reads of the given byte sizes (an
+        ``int64`` array, or any sequence of ints)."""
+        total, n = _sized(sizes)
+        return self.read_time(total, n, ceil_div(n, self.profile.queue_depth))
 
-    def read_sync_time(self, sizes: "list[int]") -> float:
+    def read_sync_time(self, sizes: "np.ndarray | list[int]") -> float:
         """Service time when each request is issued synchronously (POSIX
         pread): the full latency is paid per request, no overlap.
 
@@ -131,16 +129,22 @@ class SimulatedSSD:
         (§V-B: "batching data reads in fewer system calls using Linux AIO
         instead of direct and synchronous POSIX I/O").
         """
-        if not sizes:
+        total, n = _sized(sizes)
+        return self.read_time(total, n, n)
+
+    def read_time(self, total: int, n: int, waves: int) -> float:
+        """Charge ``n`` reads of ``total`` bytes that pay the latency
+        ``waves`` times — a batch's wave count, or ``n`` read one at a
+        time — and return their service time."""
+        if not n:
             return 0.0
-        total = sum(sizes)
-        t = len(sizes) * self.profile.latency + total / self.profile.read_bandwidth
-        if self.slow_factor != 1.0:
+        t = waves * self.profile.latency + total / self.profile.read_bandwidth
+        if self.slow_factor != 1.0:  # injected degradation, never the default
             t *= self.slow_factor
         self.stats.bytes_read += total
-        self.stats.read_requests += len(sizes)
+        self.stats.read_requests += n
         self.stats.busy_time += t
-        self._count(True, total, len(sizes), t)
+        self._count(True, total, n, t)
         return t
 
     def write_batch_time(self, sizes: "list[int]") -> float:

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import StorageError
 from repro.storage.device import DeviceProfile, SimulatedSSD
 from repro.types import DEFAULT_STRIPE_BYTES
+from repro.util.bitops import ceil_div
 
 
 def stripe_split(
@@ -87,39 +90,58 @@ class Raid0Array:
             stripe_bytes=cfg.stripe_bytes,
         )
 
-    def _check_members(self, per_dev_sizes: "list[list[int]]") -> None:
+    def _check_members(self, per_dev_bytes: "list[int]") -> None:
         """All-or-nothing member check: a dead device that a batch touches
-        fails the whole batch *before* any device counter moves."""
-        for d, sizes in enumerate(per_dev_sizes):
-            if sizes and not self.devices[d].alive:
-                self.devices[d].check_alive(sum(sizes))
+        (``per_dev_bytes[d] > 0``) fails the whole batch *before* any
+        device counter moves."""
+        for d, nbytes in enumerate(per_dev_bytes):
+            if nbytes and not self.devices[d].alive:
+                self.devices[d].check_alive(nbytes)
 
-    def read_batch_time(self, extents: "list[tuple[int, int]]") -> float:
-        """Service time of a batch of ``(offset, size)`` reads submitted
-        together; the batch completes when the slowest device drains."""
-        per_dev_sizes: "list[list[int]]" = [[] for _ in range(self.n_devices)]
-        for off, size in extents:
-            split = stripe_split(off, size, self.stripe_bytes, self.n_devices)
-            for d in range(self.n_devices):
-                per_dev_sizes[d].extend(split[d])
-        self._check_members(per_dev_sizes)
-        times = [
-            self.devices[d].read_batch_time(per_dev_sizes[d])
-            for d in range(self.n_devices)
-        ]
-        return max(times) if times else 0.0
+    def _shares(self, extents) -> np.ndarray:
+        """``shares[k, d]``: the bytes device ``d`` serves of extent ``k``
+        (:func:`stripe_split` per extent; one device serves it whole).
+        ``extents`` is a record with ``offsets``/``sizes`` arrays or a
+        sequence of ``(offset, size)`` pairs."""
+        if hasattr(extents, "offsets"):
+            offsets, sizes = extents.offsets, extents.sizes
+        else:
+            pairs = np.asarray(extents, dtype=np.int64).reshape(-1, 2)
+            offsets, sizes = pairs[:, 0], pairs[:, 1]
+        if len(sizes) and (offsets | sizes).min() < 0:  # either sign bit
+            k = int(np.argmax((offsets < 0) | (sizes < 0)))
+            raise StorageError(f"bad extent ({int(offsets[k])}, {int(sizes[k])})")
+        n = self.n_devices
+        if n == 1:
+            return sizes[:, None]
+        shares = np.zeros((len(sizes), n), dtype=np.int64)
+        for k, (off, size) in enumerate(zip(offsets.tolist(), sizes.tolist())):
+            split = stripe_split(off, size, self.stripe_bytes, n)
+            shares[k] = [segs[0] if segs else 0 for segs in split]
+        return shares
 
-    def read_sync_time(self, extents: "list[tuple[int, int]]") -> float:
+    def read_batch_time(self, extents) -> float:
+        """Service time of a batch of reads submitted together — an
+        :class:`~repro.storage.aio.Extents` record or ``(offset, size)``
+        pairs; the batch completes when the slowest device drains."""
+        shares = self._shares(extents)
+        totals = shares.sum(axis=0).tolist()
+        self._check_members(totals)
+        qd = self.profile.queue_depth
+        times = []
+        for dev, col, total in zip(self.devices, shares.T, totals):
+            n = int(np.count_nonzero(col))  # zero shares are no request
+            times.append(dev.read_time(total, n, ceil_div(n, qd)))
+        return max(times)
+
+    def read_sync_time(self, extents) -> float:
         """Service time when the extents are read one at a time
         synchronously; no overlap between requests *or* across them."""
         total = 0.0
-        for off, size in extents:
-            split = stripe_split(off, size, self.stripe_bytes, self.n_devices)
-            self._check_members(split)
+        for row in self._shares(extents).tolist():
+            self._check_members(row)
             per_req = [
-                self.devices[d].read_sync_time(split[d])
-                for d in range(self.n_devices)
-                if split[d]
+                dev.read_time(b, 1, 1) for dev, b in zip(self.devices, row) if b
             ]
             total += max(per_req) if per_req else 0.0
         return total
@@ -133,7 +155,7 @@ class Raid0Array:
             for d in range(self.n_devices):
                 per_dev[d].extend(split[d])
             pos += size
-        self._check_members(per_dev)
+        self._check_members([sum(segs) for segs in per_dev])
         times = [
             self.devices[d].write_batch_time(per_dev[d])
             for d in range(self.n_devices)

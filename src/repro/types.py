@@ -34,15 +34,14 @@ SECTOR_BYTES = 512
 #: Default RAID-0 stripe size used in the paper's evaluation (64 KB).
 DEFAULT_STRIPE_BYTES = 64 * 1024
 
-#: How a decoded batch is cut for fused execution: the engine splits its
-#: run-level views into this many equal-edge pieces
-#: (``TiledGraph.split_run_views``) and ``algorithms.base.chunk_by_edges``
-#: groups them into at most this many shards — one piece per shard keeps
-#: the single-view concat fast path, and eight shards keep a thread pool
-#: busy.  Partials are committed in shard order, so the shard structure
-#: *is* the float accumulation order: it must never depend on a worker or
-#: process count, and every path (engine, shard workers, layer walk) gets
-#: it from :func:`shard_pieces`.
+#: How a decoded batch is cut for fused execution
+#: (``format.tiles.shard_cuts``): a batch of fewer runs is split into this
+#: many equal-edge pieces and the pieces are grouped into at most this
+#: many shards — eight shards keep a thread pool busy.  Partials are
+#: committed in shard order, so the shard structure *is* the float
+#: accumulation order: it must never depend on a worker or process count,
+#: and every path (engine, shard workers, layer walk) gets it from
+#: :func:`shard_pieces`.
 SHARDS_PER_BATCH = 8
 
 #: Fewest edges a shard is cut down to.  A fused kernel is a dozen NumPy

@@ -1,5 +1,5 @@
 """Random contiguous cuts of a batch into shards, through the one seam an
-algorithm class owns: ``shard_views``.
+algorithm class owns: ``shard_cuts``.
 
 The engine calls an algorithm's kernel once per shard of a fetched batch,
 and an answer must not depend on where the shards are cut (the kernel
@@ -10,7 +10,6 @@ Kept apart from the tests that use it, as ``shard_floor`` is.
 """
 
 import contextlib
-import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -34,23 +33,24 @@ WHOLE = ("edge", 0, False, 0)
 
 
 def _cutter(tg, unit, max_cuts, consecutive, seed):
-    """A ``shard_views`` that cuts each batch into random contiguous pieces
+    """A ``shard_cuts`` that cuts each batch into random contiguous pieces
     in plan order, placed as the drawn cut says."""
     rng = np.random.default_rng(seed)
     tile_starts = tg.start_edge.start_edge.astype(np.int64)
 
-    def cut(views):
-        sizes = np.array([tv.n_edges for tv in views], dtype=np.int64)
-        first = np.concatenate([[0], np.cumsum(sizes)])
+    def cut(batch):
+        first = batch.run_bounds  # batch-edge offset of each run
+        n = int(first[-1])
         if unit == "edge":
-            bounds = np.arange(1, first[-1])
-        else:  # tile starts inside each view, and the views' own edges
-            lo = np.array([tv.edge_lo for tv in views], dtype=np.int64)
+            bounds = np.arange(1, n)
+        else:  # tile starts inside each run, and the runs' own bounds
+            lo = batch.run_edge_lo
+            sizes = np.diff(first)
             inner = [
                 first[k] + tile_starts[(tile_starts > lo[k])
                                        & (tile_starts < lo[k] + sizes[k])]
                 - lo[k]
-                for k in range(len(views))
+                for k in range(lo.shape[0])
             ]
             bounds = np.union1d(np.concatenate(inner), first[1:-1])
         m = min(max_cuts, bounds.size)
@@ -59,29 +59,9 @@ def _cutter(tg, unit, max_cuts, consecutive, seed):
             chosen = bounds[start:start + m]
         else:
             chosen = np.sort(rng.choice(bounds, m, replace=False))
-        pieces = []
-        for a, b in zip(np.concatenate([[0], chosen]),
-                        np.concatenate([chosen, [first[-1]]])):
-            piece = []
-            for k in np.flatnonzero((first[:-1] < b) & (first[1:] > a)):
-                x = max(a, first[k]) - first[k]
-                y = min(b, first[k + 1]) - first[k]
-                piece.append(_slice(views[k], x, y))
-            pieces.append(piece)
-        return pieces
+        return np.concatenate([[0], chosen, [n]]).astype(np.int64)
 
     return cut
-
-
-def _slice(tv, a, b):
-    """Edges ``[a, b)`` of a view, zero-copy, as ``split_run_views`` cuts."""
-    if (a, b) == (0, tv.n_edges):
-        return tv
-    return dataclasses.replace(
-        tv, lsrc=tv.lsrc[a:b], ldst=tv.ldst[a:b], edge_lo=tv.edge_lo + a,
-        _gsrc=None if tv._gsrc is None else tv._gsrc[a:b],
-        _gdst=None if tv._gdst is None else tv._gdst[a:b],
-    )
 
 
 @contextlib.contextmanager
@@ -91,7 +71,7 @@ def cut_batches(algorithm_class, tg, cut):
     says."""
     cutter = _cutter(tg, *cut)
     with mock.patch.object(
-        algorithm_class, "shard_views",
-        classmethod(lambda cls, views: cutter(views)),
+        algorithm_class, "shard_cuts",
+        classmethod(lambda cls, batch: cutter(batch)),
     ):
         yield

@@ -4,10 +4,11 @@ clock — the split behind the prefetch pipeline."""
 
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.aio import AIOContext, IOMode, IORequest
+from repro.storage.aio import AIOContext, Extents, IOMode, IORequest
 from repro.storage.device import DeviceProfile
 from repro.storage.file import TileStore
 from repro.storage.raid import Raid0Array
@@ -45,6 +46,46 @@ class TestSubmitPoll:
         assert events == [] and t == 0.0
         ctx.commit(t)
         assert clock.now == 0.0 and ctx.stats.submissions == 0
+
+
+def _extents(*pairs):
+    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return Extents(offsets=arr[:, 0], sizes=arr[:, 1])
+
+
+class TestExtentArrays:
+    """The engine's form: an :class:`Extents` record in, the batch's bytes
+    out as one contiguous array."""
+
+    def test_bytes_laid_end_to_end(self):
+        ctx, _ = _ctx()
+        data, t = ctx.service(_extents((0, 4), (8, 4), (14, 2)))
+        assert data.dtype == np.uint8 and data.flags.c_contiguous
+        assert data.tobytes() == b"012389abef"
+        ref, _ = _ctx()
+        _, t_list = ref.service(
+            [IORequest(0, 4), IORequest(8, 4), IORequest(14, 2)]
+        )
+        assert t == t_list and ctx.stats == ref.stats
+
+    def test_one_extent_is_a_slice_of_the_store(self):
+        payload = np.arange(64, dtype=np.uint8)
+        ctx, _ = _ctx(data=payload)
+        data, _ = ctx.service(_extents((16, 8)))
+        assert np.shares_memory(data, payload)
+        assert data.tolist() == list(range(16, 24))
+
+    def test_outside_the_store_is_typed_and_charges_nothing(self):
+        ctx, clock = _ctx()
+        with pytest.raises(StorageError) as ei:
+            ctx.service(_extents((0, 4), (1000, 4)))
+        assert ei.value.context["offset"] == 1000
+        assert ctx.stats.submissions == 0 and clock.now == 0.0
+
+    def test_empty_batch(self):
+        ctx, _ = _ctx()
+        data, t = ctx.service(_extents())
+        assert data.size == 0 and t == 0.0 and ctx.stats.submissions == 0
 
 
 class TestModes:

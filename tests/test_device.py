@@ -1,5 +1,6 @@
 """Unit tests for the simulated SSD device model."""
 
+import numpy as np
 import pytest
 
 from repro.errors import StorageError
@@ -48,6 +49,20 @@ class TestBatchTiming:
     def test_negative_size_rejected(self):
         with pytest.raises(StorageError):
             _ssd().read_batch_time([-1])
+
+    def test_size_arrays_time_as_lists(self):
+        """``int64`` size arrays: the same integer total, so the same bits,
+        and the negative-size check is one vector test with the same
+        error."""
+        sizes = [4096, 0, 123_457, 7, 65_536]
+        for method in ("read_batch_time", "read_sync_time"):
+            a, b = _ssd(), _ssd()
+            want = getattr(a, method)(sizes)
+            assert getattr(b, method)(np.array(sizes, dtype=np.int64)) == want
+            assert a.stats == b.stats
+            with pytest.raises(StorageError, match="negative request size -3"):
+                getattr(_ssd(), method)(np.array([5, -3, -1], dtype=np.int64))
+            assert getattr(_ssd(), method)(np.empty(0, np.int64)) == 0.0
 
 
 class TestSyncVsAio:

@@ -70,10 +70,10 @@ def test_lattice_batches_cut_into_several_shards(edge_lists):
 
     class Counting(PageRank):
         @classmethod
-        def shard_views(cls, views):
-            shards = super().shard_views(views)
-            counts.append(len(shards))
-            return shards
+        def shard_cuts(cls, batch):
+            cuts = super().shard_cuts(batch)
+            counts.append(len(cuts) - 1)
+            return cuts
 
     memory, segment = equiv_matrix.BUDGETS[0]
     cfg = EngineConfig(memory_bytes=memory, segment_bytes=segment,

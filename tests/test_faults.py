@@ -372,6 +372,80 @@ class TestChaosRuns:
         np.testing.assert_array_equal(depths[0], depths[2])
         assert any(t[1] != "spike" for t in logs[0])  # something retried
 
+    @staticmethod
+    def _multi_extent_ordinals(tg, cfg) -> "list[int]":
+        """The request ordinals a clean run at depth 0 issues inside
+        batches of more than one merged extent."""
+        ordinals: "list[int]" = []
+        with GStoreEngine(tg, cfg) as eng:
+            service = eng.aio.service
+
+            def recording(ext):
+                first = eng.aio._next_ordinal
+                if len(ext) > 1:
+                    ordinals.extend(range(first, first + len(ext)))
+                return service(ext)
+
+            eng.aio.service = recording
+            eng.run(BFS(root=0))
+        return ordinals
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_fault_in_a_multi_extent_batch_hits_one_ordinal_at_every_depth(
+        self, tiled_undirected, data
+    ):
+        """A transient error, a short read or a bit flip aimed at one
+        extent of a multi-extent batch hits that extent's ordinal — the
+        same log entries at depth 0 and 2 — and the run recovers the
+        clean answer identically, or fails at depth 0 with the error the
+        depth-2 run names as its degradation (and then recovers)."""
+        base = dict(memory_bytes=8 * 1024, segment_bytes=2 * 1024)
+        # One process, as every storage-fault run is: its own AIO context
+        # numbers the requests.
+        ordinals = self._multi_extent_ordinals(
+            tiled_undirected, _cfg(**base, prefetch_depth=0, shards=1)
+        )
+        assert ordinals
+        target = data.draw(st.sampled_from(ordinals), label="ordinal")
+        kind = data.draw(
+            st.sampled_from(["transient", "short", "bitflip"]), label="kind"
+        )
+        arg = data.draw(st.integers(1, 5), label="count/drop/bit")
+        spec = f"{kind}@{target}:{arg}"
+        clean = BFS(root=0)
+        GStoreEngine(tiled_undirected, _cfg(**base)).run(clean)
+        runs = {}
+        for depth in (0, 2):
+            algo = BFS(root=0)
+            with GStoreEngine(tiled_undirected, _cfg(
+                **base, faults=FaultPlan.parse(spec), prefetch_depth=depth,
+            )) as eng:
+                try:
+                    stats = eng.run(algo)
+                    error = None
+                except (StorageError, FormatError) as exc:
+                    stats, error = None, str(exc)
+                runs[depth] = (error, stats, algo, eng)
+        (err0, stats0, algo0, eng0), (err2, stats2, algo2, eng2) = (
+            runs[0], runs[2]
+        )
+        hits = [
+            [t for t in eng.injector.log_tuples() if t[0] == target]
+            for eng in (eng0, eng2)
+        ]
+        assert hits[0] == hits[1] and hits[0], spec
+        assert err2 is None, spec  # depth 2 has the degrade step under it
+        np.testing.assert_array_equal(algo2.depth, clean.depth)
+        if err0 is None:
+            np.testing.assert_array_equal(algo0.depth, clean.depth)
+            assert eng0.injector.log_tuples() == eng2.injector.log_tuples()
+            assert eng0.injector.counters() == eng2.injector.counters()
+            assert stats0.sim_elapsed == stats2.sim_elapsed
+            assert not eng2.degradations
+        else:
+            assert eng2.degradations == {"prefetch_degraded": err0}, spec
+
     def test_backoff_charged_to_sim_clock(self, tiled_undirected):
         base = GStoreEngine(tiled_undirected, _cfg(prefetch_depth=0)).run(
             BFS(root=0)
@@ -501,19 +575,21 @@ class TestDegradedMode:
             tiled_undirected, _cfg(prefetch_depth=2, shards=1)
         )
         health = HealthMonitor(eng, MetricsRegistry())
-        real_read = eng.store.read
+        real_gather = eng.store.gather
         failed = []
 
-        def read(offset, size):
+        def gather(offsets, sizes):
             on_prefetch = threading.current_thread().name.startswith(
                 "repro-prefetch"
             )
             if on_prefetch and not failed:
-                failed.append(offset)
-                raise StorageError("media error", context={"offset": offset})
-            return real_read(offset, size)
+                failed.append(int(offsets[0]))
+                raise StorageError(
+                    "media error", context={"offset": int(offsets[0])}
+                )
+            return real_gather(offsets, sizes)
 
-        monkeypatch.setattr(eng.store, "read", read)
+        monkeypatch.setattr(eng.store, "gather", gather)
         assert eng.injector is None and health.reasons() == []
         stats = eng.run(algo)
         eng.close()

@@ -2,8 +2,8 @@
 not depend on how a batch is cut into shards.
 
 The engine calls an algorithm's kernel once per shard of a fetched batch
-(``process_batch``: ``apply_partial(batch_partial(shard))`` for each shard
-of ``shard_views``, in plan order).  Where the shards are cut must not
+(``process_batch``: ``apply_partial(shard_partial(batch, a, b))`` for each
+shard ``[a, b)`` of ``shard_cuts``, in plan order).  Where the shards are cut must not
 change the answer: that is a property of the kernel contract, checked
 here over random contiguous cuts of every batch, down to one tile or one
 edge per piece, for every algorithm of the equivalence lattice

@@ -173,7 +173,7 @@ class TestOnEngineKnockout:
         tg = tiled_undirected if kind == "undirected" else tiled_directed
         touched = {"stores": 0, "bytes": 0, "walks": 0}
         from_graph = TileStore.from_tiled_graph.__func__
-        read = TileStore.read
+        read, gather = TileStore.read, TileStore.gather
 
         def counting_store(cls, graph):
             touched["stores"] += 1
@@ -183,6 +183,10 @@ class TestOnEngineKnockout:
             touched["bytes"] += size
             return read(self, offset, size)
 
+        def counting_gather(self, offsets, sizes):
+            touched["bytes"] += int(sizes.sum())
+            return gather(self, offsets, sizes)
+
         def counting_walk(self, *args, **kwargs):
             touched["walks"] += 1
             return iter(())
@@ -191,6 +195,7 @@ class TestOnEngineKnockout:
             TileStore, "from_tiled_graph", classmethod(counting_store)
         )
         monkeypatch.setattr(TileStore, "read", counting_read)
+        monkeypatch.setattr(TileStore, "gather", counting_gather)
         monkeypatch.setattr(TiledGraph, "scan", counting_walk)
         algo = MaximalIndependentSet(seed=3)
         cfg = EngineConfig(

@@ -352,16 +352,20 @@ def test_decode_runs_match_numpy(tile_bits, runs, kron_small):
     live = np.flatnonzero(tg.tile_edge_counts() > 0).tolist()
     cut = {"one": [live], "per-tile": [[p] for p in live],
            "pairs": [live[i : i + 2] for i in range(0, len(live), 2)]}[runs]
-    data = memoryview(tg.payload).cast("B")
-    batch = []
+    payload = np.frombuffer(memoryview(tg.payload).cast("B"), np.uint8)
+    extents = []
     for positions in cut:
         off, size = tg.start_edge.run_byte_extent(positions[0], positions[-1])
-        batch.append((positions, data[off : off + size]))
-    got = concat_global_edges(tg.decode_extents(batch))
-    want = _numpy(lambda: concat_global_edges(tg.decode_extents(batch)))
+        extents.append(payload[off : off + size])
+    positions = np.array(live, dtype=np.int64)
+    first = np.cumsum([0] + [len(c) for c in cut])
+    data = np.concatenate(extents)
+    got = tg.decode_extents(positions, first, data)
+    want = _numpy(lambda: tg.decode_extents(positions, first, data))
     tiles = concat_global_edges([tg.tile_view(p) for p in live])
-    for g, w, t in zip(got, want, tiles):
+    for g, w, t in zip((got.gsrc, got.gdst), (want.gsrc, want.gdst), tiles):
         assert np.array_equal(g, w) and np.array_equal(g, t)
+    assert np.array_equal(got.cuts, want.cuts)
 
 
 @needs_tier

@@ -115,19 +115,19 @@ def test_execution_extra_records_pipeline(graph):
 class _Exploder(PageRank):
     """PageRank that blows up mid-run, after the pipeline has started.
 
-    ``batch_partial`` sees every dispatch path — serial, pooled and per
-    tile — so it counts each shard kernel call once."""
+    ``shard_partial`` sees every dispatch path — serial and pooled — so
+    it counts each shard kernel call once."""
 
     def __init__(self, after_batches: int = 3):
         super().__init__(max_iterations=10, tolerance=0.0)
         self._batches = 0
         self._after = after_batches
 
-    def batch_partial(self, views):
+    def shard_partial(self, batch, a, b):
         self._batches += 1
         if self._batches > self._after:
             raise RuntimeError("kernel exploded mid-iteration")
-        return super().batch_partial(views)
+        return super().shard_partial(batch, a, b)
 
 
 @pytest.mark.parametrize("depth", [1, 4])
@@ -146,15 +146,15 @@ def test_io_error_propagates_and_cleans_up(graph):
     """A store-read failure inside a prefetch job surfaces on the engine
     thread and still tears the pipeline down."""
     engine = GStoreEngine(graph, _config(prefetch_depth=2))
-    original = engine.store.read
+    original = engine.store.gather
 
-    def broken(offset, size):
+    def broken(offsets, sizes):
         raise OSError("injected read failure")
 
-    engine.store.read = broken
+    engine.store.gather = broken
     with pytest.raises(OSError, match="injected"):
         engine.run(BFS(root=0))
-    engine.store.read = original
+    engine.store.gather = original
     assert _lingering(PREFETCH_THREAD_NAME) == []
     engine.close()
 

@@ -15,11 +15,12 @@ turns activity into I/O must uphold:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.selective import (
     dense_positions,
+    merge_extents,
     merge_requests,
     select_positions,
 )
@@ -103,6 +104,49 @@ class TestMergeRequestsProperties:
         for r in merge_requests(positions, idx):
             assert r.tag
             assert r.size >= 0
+
+
+def _merged_per_tile(idx, positions):
+    """The reference merge: walk the tiles one at a time, extending the
+    open extent while the next tile starts where it ends."""
+    offsets, sizes, first = [], [], []
+    for k, p in enumerate(positions.tolist()):
+        off, size = idx.byte_extent(p)
+        if offsets and offsets[-1] + sizes[-1] == off:
+            sizes[-1] += size
+        else:
+            offsets.append(off)
+            sizes.append(size)
+            first.append(k)
+    return offsets, sizes, first + [len(positions)]
+
+
+class TestMergeExtentsProperties:
+    @given(data=indexed_subsets())
+    @example(data=(StartEdgeIndex.from_counts([3, 1, 4], 4),
+                   np.empty(0, dtype=np.int64)))  # no tile
+    @example(data=(StartEdgeIndex.from_counts([3, 1, 4], 4),
+                   np.array([1], dtype=np.int64)))  # one tile
+    @example(data=(StartEdgeIndex.from_counts([3, 1, 4], 4),
+                   np.arange(3, dtype=np.int64)))  # every tile
+    @example(data=(StartEdgeIndex.from_counts([3, 1, 4, 1, 5], 4),
+                   np.array([0, 2, 4], dtype=np.int64)))  # gaps
+    @settings(max_examples=80, deadline=None)
+    def test_array_extents_equal_per_tile_merging(self, data):
+        """The array merge is the per-tile ``byte_extent`` merge: the same
+        extents, covering the same tiles, in the same order."""
+        idx, positions = data
+        ext = merge_extents(positions, idx)
+        offsets, sizes, first = _merged_per_tile(idx, positions)
+        assert ext.offsets.tolist() == offsets
+        assert ext.sizes.tolist() == sizes
+        assert ext.first.tolist() == first
+        assert ext.positions.tolist() == positions.tolist()
+        assert len(ext) == len(offsets) and ext.nbytes == sum(sizes)
+        for r, k in zip(merge_requests(positions, idx), range(len(ext))):
+            assert (r.offset, r.size, r.tag) == (
+                offsets[k], sizes[k], ext.tag(k)
+            )
 
 
 class TestSelectPositionsProperties:

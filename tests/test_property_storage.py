@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cache.llc import SetAssocCache
 from repro.cache.pagecache import LRUPageCache
+from repro.storage.aio import Extents
 from repro.storage.device import DeviceProfile, SimulatedSSD
 from repro.storage.raid import Raid0Array, stripe_split
 
@@ -110,6 +111,38 @@ class TestRaidProperties:
         arr = Raid0Array(n_devices=4)
         arr.read_batch_time(list(extents))
         assert arr.bytes_read == sum(s for _, s in extents)
+
+    @given(
+        extents=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 3 * 10**5)),
+            max_size=20,
+        ),
+        stripe=st.sampled_from([16, 4096, 65536]) | st.integers(16, 10**5),
+        n_dev=st.integers(1, 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_extent_arrays_time_as_the_per_extent_walk(
+        self, extents, stripe, n_dev
+    ):
+        """A batch given as extent arrays is timed bit-identically to the
+        per-extent stripe walk: every device sees the same request sizes
+        in the same order, so its time, bytes and requests are equal."""
+        ref = Raid0Array(n_devices=n_dev, stripe_bytes=stripe)
+        per_dev = [[] for _ in range(n_dev)]
+        for off, size in extents:
+            for d, segs in enumerate(stripe_split(off, size, stripe, n_dev)):
+                per_dev[d].extend(segs)
+        t_ref = max(
+            ref.devices[d].read_batch_time(per_dev[d]) for d in range(n_dev)
+        )
+        arr = Raid0Array(n_devices=n_dev, stripe_bytes=stripe)
+        pairs = np.array(extents, dtype=np.int64).reshape(-1, 2)
+        ext = Extents(offsets=pairs[:, 0], sizes=pairs[:, 1])
+        assert arr.read_batch_time(ext) == t_ref
+        assert [d.stats for d in arr.devices] == [d.stats for d in ref.devices]
+        sync_ref = Raid0Array(n_devices=n_dev, stripe_bytes=stripe)
+        sync = Raid0Array(n_devices=n_dev, stripe_bytes=stripe)
+        assert sync.read_sync_time(ext) == sync_ref.read_sync_time(extents)
 
 
 class TestCacheProperties:

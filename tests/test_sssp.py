@@ -12,6 +12,7 @@ from repro.algorithms.sssp import SSSP, edge_weights
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
 from repro.errors import AlgorithmError
+from repro.format.tiles import DecodedBatch
 from tests.batch_cuts import PER_TILE, cut_batches
 
 
@@ -91,9 +92,9 @@ class TestWeights:
         # second relaxation pass.
         algo = SSSP(root=0)
         algo.setup(tiled_undirected)
-        views = [tiled_undirected.tile_view(0)]
-        assert algo._shard_weights(views) is None
-        *_, gsrc, gdst, w = algo.batch_partial(views)
+        assert tiled_undirected.edge_weights is None
+        batch = DecodedBatch.of_views([tiled_undirected.tile_view(0)])
+        *_, gsrc, gdst, w = algo.shard_partial(batch, 0, batch.n_edges)
         assert np.array_equal(w, edge_weights(gsrc, gdst))
 
 

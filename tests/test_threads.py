@@ -22,7 +22,7 @@ from repro.algorithms.base import (
 from repro.algorithms.pagerank import PageRank
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
-from repro.format.tiles import TiledGraph, TileView
+from repro.format.tiles import DecodedBatch, TiledGraph, TileView, shard_cuts
 from repro.runtime.prefetch import PREFETCH_THREAD_NAME, Prefetcher
 from repro.runtime.shm import LIVE_SHM_SEGMENTS, ShmArena, attach_view
 from repro.runtime.threads import (
@@ -46,16 +46,16 @@ class _FakeView:
 
 
 class _Recorder(TileAlgorithm):
-    """A snapshot kernel over fake views: a shard's partial is the ids of
-    its views (computed after ``work(shard)``), and applying it appends
-    them to ``applied`` — so ``applied`` is the commit order.  The fake
-    views carry no edges, so ``batch_partial`` stands in for the kernel
-    the contract's other three methods would feed."""
+    """A snapshot kernel over a batch whose IDs it never reads: a shard's
+    partial is its edge range ``(a, b)`` (computed after ``work(a, b)``),
+    and applying it appends it to ``applied`` — so ``applied`` is the
+    commit order.  ``shard_partial`` stands in for the kernel the
+    contract's other three methods would feed."""
 
-    def __init__(self, work=lambda shard: None):
+    def __init__(self, work=lambda a, b: None):
         super().__init__()
         self.work = work
-        self.applied: "list[list[int]]" = []
+        self.applied: "list[tuple[int, int]]" = []
         self.threads: "set[str]" = set()
 
     def _setup(self) -> None:
@@ -75,21 +75,28 @@ class _Recorder(TileAlgorithm):
 
     @staticmethod
     def kernel_partial(state, params, gsrc, gdst):
-        raise AssertionError("batch_partial is overridden")
+        raise AssertionError("shard_partial is overridden")
 
-    def batch_partial(self, views):
+    def shard_partial(self, batch, a, b):
         self.threads.add(threading.current_thread().name)
-        self.work(views)
-        return [tv.i for tv in views], sum(tv.lsrc.shape[0] for tv in views)
+        self.work(a, b)
+        return a, b
 
     def apply_partial(self, partial) -> int:
-        ids, edges = partial
-        self.applied.append(ids)
-        return edges
+        self.applied.append(partial)
+        a, b = partial
+        return b - a
 
 
 def _views(counts):
     return [_FakeView(i, n) for i, n in enumerate(counts)]
+
+
+def _batch(counts) -> DecodedBatch:
+    """A batch of runs with these edge counts (IDs all zero)."""
+    bounds = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    ids = np.zeros(int(bounds[-1]), dtype=np.uint32)
+    return DecodedBatch.of_runs(ids, ids, bounds, bounds[:-1])
 
 
 def _worker_threads():
@@ -105,50 +112,50 @@ class TestDynamicRowMap:
     are computed on its work queue and committed in shard order."""
 
     def test_preserves_order(self):
-        views = _views([1024] * 40)  # eight shards' worth of edges
+        batch = _batch([1024] * 40)  # eight shards' worth of edges
         serial = _Recorder()
-        assert execute_batch(serial, views) == 40960
+        assert execute_batch(serial, batch) == 40960
         assert len(serial.applied) == SHARDS_PER_BATCH
 
         # Earlier shards take longer, so they finish last.
-        slow_first = _Recorder(work=lambda shard: time.sleep(
-            0.002 * (40 - shard[0].i)
+        slow_first = _Recorder(work=lambda a, b: time.sleep(
+            0.002 * (40 - a // 1024)
         ))
         with ThreadPoolExecutor(max_workers=4) as pool:
-            assert execute_batch(slow_first, views, pool=pool) == 40960
+            assert execute_batch(slow_first, batch, pool=pool) == 40960
         assert slow_first.applied == serial.applied
         assert len(slow_first.threads) > 1
 
     def test_serial_path(self):
         algo = _Recorder()
-        execute_batch(algo, _views([10, 20, 30]))
+        execute_batch(algo, _batch([10, 20, 30]))
         assert algo.threads == {threading.current_thread().name}
-        assert [i for ids in algo.applied for i in ids] == [0, 1, 2]
+        assert algo.applied == [(0, 60)]
 
     def test_single_item(self):
         algo = _Recorder()
         with ThreadPoolExecutor(max_workers=8) as pool:
-            assert execute_batch(algo, _views([7]), pool=pool) == 7
+            assert execute_batch(algo, _batch([7]), pool=pool) == 7
         assert algo.threads == {threading.current_thread().name}
 
     def test_empty(self):
         algo = _Recorder()
         with ThreadPoolExecutor(max_workers=4) as pool:
-            assert execute_batch(algo, [], pool=pool) == 0
+            assert execute_batch(algo, _batch([]), pool=pool) == 0
         assert algo.applied == []
 
     def test_skewed_work(self):
         # Mimics skewed tile rows: some shards much heavier than others.
         counts = [10, 10_000, 10, 10_000, 10]
-        views = _views(counts)
+        batch = _batch(counts)
 
-        def work(shard):
-            return sum(range(sum(tv.lsrc.shape[0] for tv in shard)))
+        def work(a, b):
+            return sum(range(b - a))
 
         serial, parallel = _Recorder(work), _Recorder(work)
         with ThreadPoolExecutor(max_workers=3) as pool:
-            assert execute_batch(parallel, views, pool=pool) == sum(counts)
-        assert execute_batch(serial, views) == sum(counts)
+            assert execute_batch(parallel, batch, pool=pool) == sum(counts)
+        assert execute_batch(serial, batch) == sum(counts)
         assert parallel.applied == serial.applied
 
 
@@ -444,6 +451,23 @@ class TestShardFloor:
         )
         assert [_edges(s) for s in again] == [_edges(s) for s in shards]
 
+    @given(
+        counts=st.lists(st.integers(0, 30_000), min_size=0, max_size=40),
+        pieces=st.integers(1, 16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_record_cuts_equal_split_then_chunk(self, counts, pieces):
+        """The decoded batch's shard cuts are the list-of-views split's
+        edge offsets: ``split_run_views`` + ``chunk_by_edges`` over runs of
+        the same edge counts cut at the same edges (no runs, no shards)."""
+        views = [_run_view(n) for n in counts]
+        shards = chunk_by_edges(
+            TiledGraph.split_run_views(views, pieces), max_shards=pieces
+        )
+        want = np.cumsum([0] + [sum(_edges(s)) for s in shards])
+        bounds = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+        assert shard_cuts(bounds, pieces).tolist() == want.tolist()
+
     def test_engine_structure_is_worker_independent(self, kron_small):
         """The engine's batches, at the shipped floor: the same shards at
         one worker and at three, several of them, none under the floor."""
@@ -454,10 +478,10 @@ class TestShardFloor:
 
             class Recording(PageRank):
                 @classmethod
-                def shard_views(cls, views):
-                    shards = super().shard_views(views)
-                    seen.append([sum(_edges(shard)) for shard in shards])
-                    return shards
+                def shard_cuts(cls, batch):
+                    cuts = super().shard_cuts(batch)
+                    seen.append(np.diff(cuts).tolist())
+                    return cuts
 
             cfg = EngineConfig(
                 memory_bytes=256 * 1024, segment_bytes=64 * 1024,

@@ -59,10 +59,8 @@ class TestPaperExample:
         gsrc, gdst = tg.tile_view(pos).global_edges()
         k = list(zip(gsrc.tolist(), gdst.tolist())).index((4, 5))
         assert tuple(pairs[k].tolist()) == (0, 1)
-        views = tg.decode_extents([([pos], stored)])
-        gsrc = np.concatenate([v.global_edges()[0] for v in views])
-        gdst = np.concatenate([v.global_edges()[1] for v in views])
-        assert (int(gsrc[k]), int(gdst[k])) == (4, 5)
+        batch = tg.decode_extents(np.array([pos]), np.array([0, 1]), stored)
+        assert (int(batch.gsrc[k]), int(batch.gdst[k])) == (4, 5)
 
 
 class TestRoundtrip:
@@ -192,6 +190,12 @@ class TestPersistence:
                 assert len(got) == len(want)
                 for (pos_a, views_a), (pos_b, views_b) in zip(got, want):
                     assert np.array_equal(pos_a, pos_b)
+                    if fused:  # one decoded batch per slab
+                        for field in ("gsrc", "gdst", "run_bounds",
+                                      "run_edge_lo", "cuts"):
+                            assert np.array_equal(getattr(views_a, field),
+                                                  getattr(views_b, field))
+                        continue
                     assert [tv.edge_lo for tv in views_a] == [
                         tv.edge_lo for tv in views_b
                     ]

@@ -84,12 +84,11 @@ def test_scan_slabs_partition_the_live_tiles(tiled_undirected):
     assert len(slabs) > 4
     assert np.array_equal(np.concatenate([pos for pos, _ in slabs]), live)
     lo = 0
-    for positions, views in slabs:
-        # A slab is one byte-adjacent run: its views continue the edge
-        # order where the slab before stopped.
-        for tv in views:
-            assert tv.edge_lo == lo
-            lo += tv.n_edges
+    for positions, batch in slabs:
+        # A slab is one byte-adjacent run: it continues the edge order
+        # where the slab before stopped.
+        assert batch.run_edge_lo.tolist() == [lo]
+        lo += batch.n_edges
         assert lo == int(tg.start_edge.start_edge[positions[-1] + 1])
     assert lo == tg.n_edges
     # The per-tile decoder over the same slabs: one view per live tile.

@@ -1,19 +1,28 @@
 """Zero-copy guarantees of the decode chain (fetch → merged extent → view).
 
-``TileStore.read`` → ``decode_run`` / ``decode_batch`` — the chain the
-engine runs, through ``TiledGraph.decode_extents`` — must never
-materialise intermediate ``bytes``: with an in-memory store the decoded
-local-ID arrays share memory with the payload array itself, and with an
-on-disk store they are views over one shared mmap of the payload file.
+``TileStore.read`` / ``TileStore.gather`` → ``decode_run`` /
+``decode_batch`` / ``decode_extents`` must never materialise intermediate
+``bytes``: with an in-memory store a one-extent batch and the decoded
+local-ID arrays share memory with the payload array itself, with an
+on-disk store they are views over one shared mmap of the payload file,
+and a kernel's shard is a slice of its batch's global-ID arrays.
 """
 
 from __future__ import annotations
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.engine.selective import merge_requests
-from repro.format.tiles import TiledGraph, concat_global_edges
+from repro.algorithms.bfs import BFS
+from repro.algorithms.pagerank import PageRank
+from repro.engine.config import EngineConfig
+from repro.engine.gstore import GStoreEngine
+from repro.engine.selective import merge_extents, merge_requests
+from repro.format.tiles import TiledGraph, TileView
+from repro.storage.aio import IOEvent, IORequest
 from repro.graphgen.rmat import rmat
 from repro.storage.file import TileStore
 from repro.types import VERTEX_DTYPE
@@ -65,9 +74,13 @@ class TestInMemoryStore:
             assert b"".join(raws) == bytes(extent)
         run_views, _ = tg.decode_batch(runs, with_tiles=False)
         assert len(run_views) == len(runs)
-        for view in run_views + tg.decode_extents(runs):
+        for view in run_views:
             assert np.shares_memory(view.lsrc, tg.payload), view.pos
             assert np.shares_memory(view.ldst, tg.payload), view.pos
+        # The engine's path: one extent is a slice of the payload itself.
+        ext = merge_extents(nz[1:4], tg.start_edge)
+        data = store.gather(ext.offsets, ext.sizes)
+        assert np.shares_memory(data, tg.payload)
 
 
 class TestOnDiskStore:
@@ -114,27 +127,123 @@ class TestGlobalEdgeLayout:
         requests = merge_requests(nz, g.start_edge)
         return [(r.tag, store.read(r.offset, r.size)) for r in requests]
 
+    @staticmethod
+    def _batch(g):
+        store = TileStore.from_tiled_graph(g)
+        ext = merge_extents(np.flatnonzero(g.tile_edge_counts() > 0),
+                            g.start_edge)
+        data = store.gather(ext.offsets, ext.sizes)
+        return g.decode_extents(ext.positions, ext.first, data)
+
     @pytest.mark.parametrize("snb", [True, False])
     @pytest.mark.parametrize("batched", [True, False])
     def test_views_carry_contiguous_global_ids(self, snb, batched):
         g = TiledGraph.from_edge_list(
             rmat(8, edge_factor=8, seed=5), tile_bits=5, group_q=4, snb=snb
         )
-        runs = self._runs(g)
         if batched:
-            views = g.decode_extents(runs)
+            batch = self._batch(g)
+            ids = [(batch.gsrc, batch.gdst)]
         else:  # one view per tile, as scan(fused=False) hands them out
-            views = [tv for run in runs for tv, _ in g.decode_run(*run)]
-        for tv in views:
-            for arr in (tv._gsrc, tv._gdst):
+            ids = [
+                (tv._gsrc, tv._gdst)
+                for run in self._runs(g) for tv, _ in g.decode_run(*run)
+            ]
+        for pair in ids:
+            for arr in pair:
                 assert arr is not None and arr.dtype == VERTEX_DTYPE
                 assert arr.flags.c_contiguous
         ref = g.to_edge_list()
-        assert np.array_equal(np.concatenate([tv._gsrc for tv in views]), ref.src)
-        assert np.array_equal(np.concatenate([tv._gdst for tv in views]), ref.dst)
+        assert np.array_equal(np.concatenate([s for s, _ in ids]), ref.src)
+        assert np.array_equal(np.concatenate([d for _, d in ids]), ref.dst)
 
     def test_one_view_shard_is_not_copied(self, tg):
-        for tv in tg.decode_extents(self._runs(tg)):
-            gsrc, gdst = concat_global_edges([tv])
-            assert np.shares_memory(gsrc, tv._gsrc)
-            assert np.shares_memory(gdst, tv._gdst)
+        """Every shard a kernel is handed is a slice of its batch's
+        arrays, whatever the cut."""
+        batch = self._batch(tg)
+        algo = PageRank()
+        algo.setup(tg)
+        cuts = np.array([0, 1, batch.n_edges // 2, batch.n_edges])
+        with mock.patch.multiple(
+            PageRank,
+            kernel_state=lambda self: {},
+            kernel_params=lambda self: {},
+            kernel_partial=staticmethod(
+                lambda state, params, gsrc, gdst: (gsrc, gdst)
+            ),
+        ):
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                gsrc, gdst = algo.shard_partial(batch, a, b)
+                assert np.shares_memory(gsrc, batch.gsrc)
+                assert np.shares_memory(gdst, batch.gdst)
+
+
+class TestNoPerExtentObjects:
+    """The clean path builds nothing per merged extent or per tile: a run
+    that slides and rewinds constructs no request, no completion event and
+    no tile view — positions become extent arrays, one service call, one
+    widen and shard slices."""
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize("make", [
+        lambda: BFS(root=0), lambda: PageRank(max_iterations=3),
+    ], ids=["bfs", "pagerank"])
+    def test_engine_run_constructs_no_request_event_or_view(
+        self, tiled_undirected, depth, make
+    ):
+        built = {"IORequest": 0, "IOEvent": 0, "TileView": 0}
+
+        def counted(cls):
+            init = cls.__init__
+
+            def wrapped(self, *args, **kwargs):
+                built[cls.__name__] += 1
+                init(self, *args, **kwargs)
+
+            return mock.patch.object(cls, "__init__", wrapped)
+
+        cfg = EngineConfig(memory_bytes=8 * 1024, segment_bytes=2 * 1024,
+                           prefetch_depth=depth)
+        with GStoreEngine(tiled_undirected, cfg) as engine:
+            engine.run(make())  # lazy set-up (mapping, checksums) first
+            with counted(IORequest), counted(IOEvent), counted(TileView):
+                stats = engine.run(make())
+        assert stats.tiles_fetched > 0 and stats.tiles_from_cache > 0
+        assert built == {"IORequest": 0, "IOEvent": 0, "TileView": 0}
+
+    def test_the_counting_sees_the_list_forms(self, tiled_undirected):
+        """The control: the layer walk's list forms do build them."""
+        g = tiled_undirected
+        reqs = merge_requests(np.flatnonzero(g.tile_edge_counts() > 0),
+                              g.start_edge)
+        assert reqs and all(isinstance(r, IORequest) for r in reqs)
+
+
+class TestStoreLifetime:
+    @staticmethod
+    def _open_fds(path) -> int:
+        real = os.path.realpath(path)
+        fds = os.listdir("/proc/self/fd")
+        return sum(
+            1 for fd in fds
+            if os.path.realpath(os.path.join("/proc/self/fd", fd)) == real
+        )
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc to list open descriptors")
+    def test_close_after_reads_leaves_no_handle(self, tg, tmp_path):
+        """The store maps its file once and wraps the mapping once; after
+        reads and gathers, ``close()`` releases the map and the handle."""
+        disk = TiledGraph.load(tg.save(tmp_path / "g"), resident=False)
+        store = TileStore.from_tiled_graph(disk)
+        ext = merge_extents(np.flatnonzero(disk.tile_edge_counts() > 0)[::2],
+                            disk.start_edge)
+        data = store.gather(ext.offsets, ext.sizes)
+        head = bytes(store.read(0, 16))
+        assert store._map() is store._map()  # one view, not one per read
+        assert self._open_fds(disk.payload_path) == 1  # the map's own
+        del data
+        store.close()
+        assert self._open_fds(disk.payload_path) == 0
+        assert store._mm is None and store._fh is None
+        assert head == bytes(tg.payload.view(np.uint8)[:16])
