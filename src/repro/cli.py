@@ -13,8 +13,8 @@ Commands
 ``trace ALGO [NAME]``
     Run with the observability layer on and export the trace — Chrome
     ``trace_event`` JSON (load in Perfetto) or JSONL.  ``--rmat-scale N``
-    substitutes the 2^N R-MAT reference graph of the pipeline benchmark
-    for a registered dataset.
+    substitutes the 2^N R-MAT reference graph (the geometry of the overlap
+    gate in ``tools/wall_smoke.py``) for a registered dataset.
 ``bench [LABEL ...] [--results DIR]``
     Regenerate paper tables/figures (all of them without a label), print
     each, write it to ``DIR/<stem>.txt`` and exit 1 if a paper claim of
@@ -148,7 +148,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         from repro.format.tiles import TiledGraph
         from repro.graphgen.rmat import rmat
 
-        # The pipeline benchmark's reference graph (bench_pipeline_overlap).
+        # The overlap smoke's graph (tools/wall_smoke.py) at any scale.
         el = rmat(args.rmat_scale, edge_factor=8, seed=42)
         tg = TiledGraph.from_edge_list(el, tile_bits=10, group_q=16)
     elif args.name is not None:

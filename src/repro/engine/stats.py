@@ -1,9 +1,9 @@
 """Run statistics collected by every engine (G-Store and the baselines).
 
 ``sim_elapsed`` is the pipelined simulated time (the number every speedup
-figure uses); ``wall_seconds`` is the real Python time (what
-pytest-benchmark records).  Byte counters separate disk reads from cache
-hits so the SCR experiments can attribute their wins.
+figure uses); ``wall_seconds`` is the real Python time (what the repo
+benchmark, ``benchmarks/perf``, records).  Byte counters separate disk
+reads from cache hits so the SCR experiments can attribute their wins.
 
 The G-Store engine additionally reports the overlap story in *both*
 clocks: ``extra["pipeline"]`` carries the simulated

@@ -18,8 +18,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 
-from repro.algorithms import native
-from repro.runtime.shard import resolve_shards
 
 #: Thread-name prefix of the engine's kernel pool, so tests can assert
 #: clean shutdown via ``threading.enumerate()``.
@@ -47,8 +45,8 @@ def resolve_workers(workers: "int | str") -> int:
     (:func:`available_cpus`) — on a single-core box or a pinned CI
     container that resolves to 1, which routes execution through the
     serial path instead of paying pool overhead for no parallelism (the
-    ``fused+parallel`` regression BENCH_kernels.json showed with one
-    CPU).  Integers pass through unchanged (must be >= 1).
+    ``fused+parallel`` regression measured on a one-CPU box, before the
+    compiled tier).  Integers pass through unchanged (must be >= 1).
     """
     if workers == "auto":
         return available_cpus()
@@ -56,27 +54,6 @@ def resolve_workers(workers: "int | str") -> int:
     if w < 1:
         raise ValueError(f"workers must be >= 1 or 'auto', got {workers!r}")
     return w
-
-
-def execution_fingerprint(
-    workers: "int | str" = "auto",
-    shards: "int | None" = None,
-) -> "dict[str, object]":
-    """Resolved execution environment for benchmark machine blocks.
-
-    Every ``BENCH_*.json`` records this so a result can be interpreted
-    without guessing what ``"auto"`` meant on the runner that produced it,
-    nor which kernel tier ran: ``native_kernels`` is ``"loaded"`` when the
-    compiled kernels and decode (:mod:`repro.algorithms.native`) ran,
-    else the reason the NumPy bodies did.
-    """
-    return {
-        "cpus_logical": os.cpu_count(),
-        "cpus_available": available_cpus(),
-        "workers_resolved": resolve_workers(workers),
-        "shards_resolved": resolve_shards(shards),
-        "native_kernels": native.status,
-    }
 
 
 def execute_batch(

@@ -6,8 +6,8 @@ admission control, deadlines, and an LRU result cache
 (:mod:`repro.serve.service`), a health state machine with load shedding
 (:mod:`repro.serve.health`), and a stdlib HTTP front-end
 (:mod:`repro.serve.http`).  ``python -m repro serve`` starts it from
-the command line; ``benchmarks/bench_serve_load.py`` is the load
-harness.
+the command line; ``tools/wall_smoke.py`` gates it under load and
+``benchmarks/perf``'s ``serve_mix`` workload measures it.
 """
 
 from repro.serve.cache import ResultCache

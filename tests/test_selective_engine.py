@@ -121,6 +121,27 @@ class TestMonotoneBytes:
             assert moved <= dense_demand, name
 
 
+    def test_selective_bfs_skips_a_third_of_dense_demand(self):
+        """At the pipeline smoke geometry (2^12 R-MAT, 32 tile rows,
+        128 KB budget streaming 32 KB segments, prefetch depth 4) selective
+        BFS answers like the dense run and never moves at least 30% of its
+        byte demand.  Simulated bytes, so the fraction is deterministic."""
+        tg = TiledGraph.from_edge_list(
+            rmat(12, edge_factor=8, seed=42), tile_bits=7, group_q=16
+        )
+        runs = {}
+        for selective in (False, True):
+            cfg = EngineConfig(
+                memory_bytes=128 * 1024, segment_bytes=32 * 1024,
+                prefetch_depth=4, realize_io=False, selective=selective,
+            )
+            with GStoreEngine(tg, cfg) as engine:
+                algo = BFS(root=0)
+                runs[selective] = algo, engine.run(algo)
+        np.testing.assert_array_equal(runs[False][0].depth, runs[True][0].depth)
+        assert runs[True][1].bytes_skipped_fraction() >= 0.30
+
+
 class TestChaosSelective:
     def test_selective_chaos_bit_deterministic_across_depths(self, graph):
         """Selective + injected faults: the recovered run is identical at

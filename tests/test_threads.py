@@ -29,7 +29,6 @@ from repro.runtime.threads import (
     WORKER_THREAD_PREFIX,
     available_cpus,
     execute_batch,
-    execution_fingerprint,
     resolve_workers,
 )
 from repro.types import MIN_SHARD_EDGES, shard_pieces
@@ -181,13 +180,6 @@ class TestResolveWorkers:
     def test_available_cpus_positive(self):
         cpus = available_cpus()
         assert 1 <= cpus <= (os.cpu_count() or 1)
-
-    def test_fingerprint_fields(self):
-        fp = execution_fingerprint(workers=2, shards=3)
-        assert fp["workers_resolved"] == 2
-        assert fp["shards_resolved"] == 3
-        assert fp["cpus_available"] == available_cpus()
-        assert fp["cpus_logical"] == (os.cpu_count() or 1)
 
 
 class TestWorkerPool:
