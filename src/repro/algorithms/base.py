@@ -48,8 +48,8 @@ def gather_ids(
     kernels index with ``intp``").  Widening once per
     kernel call pays the conversion once for all of the kernel's gathers,
     mask selections and the commit's scatters.  ``uint32`` input is
-    copied — a read-only shared-memory slice becomes a private array, and
-    the inputs are never written — and ``intp`` input passes through.
+    copied — the inputs are never written — and ``intp`` input passes
+    through.
     """
     return gsrc.astype(np.intp, copy=False), gdst.astype(np.intp, copy=False)
 
@@ -144,13 +144,13 @@ class TileAlgorithm(abc.ABC):
 
     #: Which of the two kernel kinds an algorithm is.  A *snapshot*
     #: kernel (the default) reads only state that is frozen for the
-    #: iteration, so its partials may be computed concurrently — on the
-    #: thread pool or in shard workers — and committed afterwards.  A
+    #: iteration, so its partials may be computed concurrently on the
+    #: thread pool and committed afterwards.  A
     #: *live* kernel (SSSP, AsyncBFS) is asynchronous: each shard's
     #: partial must see every earlier shard's commit, or the relaxation
     #: degenerates from Gauss-Seidel to Jacobi and re-reads the graph for
     #: it.  Live kernels therefore always run the serial in-order sweep of
-    #: :meth:`process_batch`, whatever ``workers``/``shards`` say — an
+    #: :meth:`process_batch`, whatever ``workers`` says — an
     #: algorithm property, not a configuration choice.
     live_kernel: bool = False
 
@@ -181,10 +181,8 @@ class TileAlgorithm(abc.ABC):
         the dynamic worker pool to balance skewed rows (§VI-B).  The structure must depend only on the batch
         contents — never the worker count — because partials are committed
         in shard order and that order defines the floating-point
-        accumulation sequence.  A classmethod (of the class and the batch,
-        never instance state) so shard worker processes
-        (:mod:`repro.runtime.shard`) cut exactly as the coordinator would
-        without holding an algorithm instance.
+        accumulation sequence.  A classmethod: the cut is a function of
+        the class and the batch, never of instance state.
         """
         return batch.cuts
 
@@ -241,29 +239,26 @@ class TileAlgorithm(abc.ABC):
         """
 
     # ------------------------------------------------------------------ #
-    # Pure-kernel half of the fused contract (what shard workers run)
+    # Pure-kernel half of the fused contract (what the pool threads run)
     # ------------------------------------------------------------------ #
 
     @abc.abstractmethod
     def kernel_state(self) -> "dict[str, np.ndarray]":
         """The vertex-state arrays :meth:`kernel_partial` reads.
 
-        A name -> array mapping, snapshotted at iteration start; the
-        shard coordinator copies each array into the shared-memory arena
-        once per iteration and workers map them back as read-only views
-        (the ``(shm name, offset, dtype, shape)`` data-placement
-        contract).  Arrays must be 1-D, contiguous, and *frozen* while
-        a partial is computed from them — exactly the read-only
-        guarantee :meth:`shard_partial` already makes.
+        A name -> array mapping, read at each :meth:`shard_partial` call.
+        Arrays must be 1-D, contiguous, and *frozen* while a partial is
+        computed from them — exactly the read-only guarantee
+        :meth:`shard_partial` already makes, which lets the thread pool
+        compute a batch's partials side by side.
         """
 
     @abc.abstractmethod
     def kernel_params(self) -> "dict[str, object]":
         """Frozen per-iteration scalars for :meth:`kernel_partial`.
 
-        Small and picklable (ints, floats, bools) — these travel with
-        each scatter message, unlike the array payloads, which go through
-        shared memory.
+        Small scalars (ints, floats, bools), read alongside
+        :meth:`kernel_state`.
         """
 
     @staticmethod
@@ -278,12 +273,12 @@ class TileAlgorithm(abc.ABC):
 
         Given the state snapshot, frozen params, and a shard's global
         endpoint arrays, return the same partial :meth:`shard_partial`
-        would.  Implementations must be pure
-        functions of their arguments (they run in shard worker processes
-        where ``self`` does not exist) and must not mutate ``state`` or
-        the endpoint arrays (both may be read-only shared memory).
-        :meth:`shard_partial` routes through this, so serial, threaded,
-        and sharded execution share one kernel implementation.
+        would.  Implementations must be pure functions of their arguments
+        and must not mutate ``state`` or the endpoint arrays (the
+        endpoints are slices of the batch, shared by the pool threads
+        computing its other shards).  :meth:`shard_partial` routes
+        through this, so serial and threaded execution share one kernel
+        implementation, and the Hypothesis properties call it directly.
 
         The endpoints arrive as ``VERTEX_DTYPE`` (``uint32``), as the
         decoder writes them.  A *gather* kernel (state indexed by

@@ -137,10 +137,8 @@ class BFS(TileAlgorithm):
 
         The discovery sets are snapshot-independent: whatever interleaving
         of tiles and batches runs, a vertex ends at ``level + 1`` iff some
-        tile reports it, so every shard cut, thread count and shard
-        process count converges on bit-identical depth arrays — in any
-        process (the targets are fresh arrays, never views into shared
-        memory).
+        tile reports it, so every shard cut and thread count converges on
+        bit-identical depth arrays.
 
         Compiled (:mod:`~repro.algorithms.native`) when that tier loaded,
         one loop whatever the mode.  The NumPy body below is its fallback

@@ -84,7 +84,7 @@ class ConnectedComponents(TileAlgorithm):
 
         Labels are gathered from ``prev`` (frozen in ``begin_iteration``),
         so the min-scatter commutes: any tile order, batch shape, shard
-        interleaving, or worker process produces the same labels —
+        interleaving or worker thread produces the same labels —
         elementwise ``min`` over the candidates.  Convergence still takes
         very few iterations because the pointer-jumping compress between
         iterations does the long-range hops.

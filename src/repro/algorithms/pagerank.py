@@ -68,8 +68,7 @@ def scatter_sums(
     Returns ``(lo, sums)`` windows with ``sums[v - lo]`` the total
     arriving at vertex ``v``, covering only the ``[min, max]`` vertex range
     the shard's edges touch — cost proportional to the shard's edges and
-    vertex span, not to |V|, which is also all a shard worker pickles
-    back.  Each window is one compiled COO mat-vec (scipy's
+    vertex span, not to |V|.  Each window is one compiled COO mat-vec (scipy's
     ``coo_matvec``, which releases the GIL) over the whole shard:
     ``out[rows[k] - lo] += 1.0 * x[cols[k]]`` in edge order — the
     addition sequence of ``np.bincount(rows - lo, weights=x[cols])``, so
@@ -207,8 +206,8 @@ class PageRank(TileAlgorithm):
         whole shard (:func:`scatter_sums`).
 
         ``contrib`` is frozen for the iteration, so this is safe to run
-        concurrently with other shards — threads or worker processes; the
-        partial covers only the shard's vertex window(s)."""
+        concurrently with other shards on the thread pool; the partial
+        covers only the shard's vertex window(s)."""
         windows = scatter_sums(
             state["contrib"], gsrc, gdst, params["symmetric"]
         )

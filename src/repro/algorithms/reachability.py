@@ -108,9 +108,9 @@ class Reachability(TileAlgorithm):
         The frontier is frozen for the iteration and marking a vertex
         visited is idempotent, so the union of the hit sets — hence the
         result — is the same whichever ``visited`` snapshot a shard sees:
-        every shard cut, threaded and sharded execution agree bit for
-        bit.  Compiled (:mod:`~repro.algorithms.native`) when that tier
-        loaded; the NumPy body below is its fallback and oracle.
+        every shard cut, serial and threaded execution agree bit for bit.
+        Compiled (:mod:`~repro.algorithms.native`) when that tier loaded;
+        the NumPy body below is its fallback and oracle.
         """
         frontier = state["frontier"]
         allowed = state["allowed"]

@@ -132,7 +132,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.faults is not None:
         cfg.faults = FaultPlan.parse(args.faults)
         print(f"fault injection: {cfg.faults.describe()}")
-    cfg.shards = args.shards
     with GStoreEngine(tg, cfg) as engine:
         stats = engine.run(algo, checkpoint=args.checkpoint)
     print(stats.summary())
@@ -340,19 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--memory-fraction", type=float, default=0.25)
     pr.add_argument("--ssds", type=int, default=1)
     pr.add_argument("--faults", default=None, metavar="SEED_OR_SPEC",
-                    help="inject storage or transport faults: an integer "
-                         "seed, or a comma-separated event spec such as "
-                         "'transient@3,spike@5:0.01,slow:0:4' or "
-                         "'kill:0@2,drop:1@3,scatterfail@1' "
+                    help="inject storage faults: an integer seed, or a "
+                         "comma-separated event spec such as "
+                         "'transient@3,spike@5:0.01,slow:0:4' "
                          "(see docs/RELIABILITY.md)")
     pr.add_argument("--checkpoint", default=None, metavar="DIR",
                     help="checkpoint algorithm state here every iteration; "
                          "resumes automatically when DIR already holds one")
-    pr.add_argument("--shards", type=int, default=None, metavar="K",
-                    help="shard-parallel execution over K persistent "
-                         "engine worker processes (default: the "
-                         "REPRO_SHARDS environment variable, else 1); "
-                         "results are bit-identical at any K")
     pr.add_argument("--no-scr", action="store_true",
                     help="use the two-segment base policy instead of SCR")
     pr.set_defaults(fn=cmd_run)

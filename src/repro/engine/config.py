@@ -18,10 +18,8 @@ Every optimisation the paper ablates is a field here:
   the engine runs the thread only when reads block (``realize_io``): over
   page-cached reads it has nothing to overlap and costs a GIL hand-off
   per batch.
-* ``workers`` / ``shards`` — parallelism: ``workers`` shards the fused
-  kernels' partial phase over a thread pool inside one process;
-  ``shards`` partitions the slide plan over worker processes that each
-  stream their own lane of the tile grid (true multicore).
+* ``workers`` — parallelism: the fused kernels' partial phase runs
+  over a thread pool inside the one engine process.
 
 ``trace`` is not an ablation but the observability switch: it turns on
 the ``repro.obs`` span tracer and counters registry for the run.
@@ -30,6 +28,7 @@ the ``repro.obs`` span tracer and counters registry for the run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from repro.errors import StorageError
 from repro.faults.plan import FaultPlan
@@ -38,6 +37,17 @@ from repro.runtime.cost import CostModel
 from repro.storage.aio import IOMode
 from repro.storage.device import DeviceProfile
 from repro.types import DEFAULT_STRIPE_BYTES
+
+
+#: Fields that count something (bytes, devices, batches, iterations):
+#: ``__post_init__`` rejects anything but an integer (NumPy's included),
+#: ``bool`` and ``float`` too, before a fractional value can reach
+#: ``range()`` or a ``Semaphore``.  ``workers`` also takes ``"auto"``
+#: and is checked apart.
+_INT_FIELDS = (
+    "memory_bytes", "segment_bytes", "n_ssds", "stripe_bytes",
+    "prefetch_depth", "max_iterations",
+)
 
 
 @dataclass
@@ -68,22 +78,6 @@ class EngineConfig:
     #: the default to the machine's core count (falling back to serial on a
     #: single-core box); results are bit-identical at any worker count.
     workers: "int | str" = 1
-    #: Shard-parallel execution: partition each iteration's slide plan
-    #: over this many persistent engine worker *processes* — each owning
-    #: its own tile-store mapping, simulated device lane, and fused
-    #: fetch→decode→kernel chain — with the coordinator scattering frozen
-    #: kernel state per iteration and committing gathered partials in
-    #: plan order (docs/ARCHITECTURE.md "Sharded execution").  1 is the
-    #: single-coordinator engine; ``None`` resolves from the
-    #: ``REPRO_SHARDS`` environment variable, default 1.  Results and
-    #: simulated statistics are bit-identical at any shard count; runs
-    #: that cannot shard (fault injection, checksum verification, live
-    #: kernels, or spawn/shm unavailable) fall back to the single-process
-    #: path.
-    #: Results and simulated statistics stay bit-identical across worker
-    #: deaths because the supervisor replays lost lanes (bounded by
-    #: ``ShardRuntime.RESPAWN_BUDGET``; docs/RELIABILITY.md).
-    shards: "int | None" = None
     #: Activity-aware tile skipping (§V-B): each iteration fetches only
     #: the tiles the algorithm's frontier metadata says it must touch
     #: (``rows_active()``/``cols_active()``/``tile_mask()``).  False is
@@ -103,8 +97,8 @@ class EngineConfig:
     #: prefetch thread runs only when reads block").
     prefetch_depth: "int | None" = None
     #: Sleep each batch's simulated I/O service time in real time, so the
-    #: wall clock behaves like the modeled device (used by the
-    #: pipeline-overlap benchmark to demonstrate real overlap).
+    #: wall clock behaves like the modeled device (``tools/wall_smoke.py``
+    #: gate 1 uses it to show the prefetch overlap is real).
     realize_io: bool = False
     #: Record an execution trace (``repro.obs``): spans on both the wall
     #: and the simulated clock, plus the counters registry.  Off by
@@ -131,6 +125,15 @@ class EngineConfig:
         return True
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "prefetch_depth":
+                continue
+            # ``bool`` is an ``int`` subclass; ``True`` is no byte count.
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise StorageError(
+                    f"{name} must be an int, got {value!r}"
+                )
         if self.memory_bytes < 2 * self.segment_bytes:
             raise StorageError(
                 f"memory_bytes={self.memory_bytes} cannot hold two "
@@ -139,17 +142,12 @@ class EngineConfig:
         if self.n_ssds < 1:
             raise StorageError("need at least one SSD")
         if self.workers != "auto" and (
-            not isinstance(self.workers, int) or self.workers < 1
+            not isinstance(self.workers, Integral)
+            or isinstance(self.workers, bool)
+            or self.workers < 1
         ):
             raise StorageError(
                 f"workers must be a positive int or 'auto', got {self.workers!r}"
-            )
-        if self.shards is not None and (
-            not isinstance(self.shards, int) or self.shards < 1
-        ):
-            raise StorageError(
-                f"shards must be a positive int or None "
-                f"(REPRO_SHARDS default), got {self.shards!r}"
             )
         if self.prefetch_depth is not None and self.prefetch_depth < 0:
             raise StorageError("prefetch_depth must be >= 0 or None")

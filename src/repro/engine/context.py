@@ -16,8 +16,8 @@ Two kinds of context exist:
 * the **engine context** — built by the engine itself when ``run()`` is
   called without one.  It aliases the engine's own singletons
   (``engine.clock``, ``engine.tracer``, ``engine.aio``), so the classic
-  batch path behaves exactly as before, including shard-parallel
-  execution.
+  batch path behaves exactly as before, including the prefetch thread
+  and the kernel thread pool.
 * a **private context** — built by
   :meth:`~repro.engine.gstore.GStoreEngine.query_context`.  It carries a
   fresh :class:`~repro.util.timer.SimClock`, a fresh
@@ -26,11 +26,11 @@ Two kinds of context exist:
   :class:`~repro.obs.counters.MetricsRegistry` — the per-query stats
   isolation contract: concurrent queries never write to a shared
   registry, so no counter or clock can be corrupted across queries.
-  A private run is exactly one thread — no shard scatter, no worker
-  pool, no prefetch thread; fetch, decode and kernels inline on the
-  caller's — and private runs take turns: the engine's lane
-  (:mod:`repro.runtime.lane`) admits one at a time in arrival order,
-  because two interpreter-bound runs side by side only trade the GIL.
+  A private run is exactly one thread — no worker pool, no prefetch
+  thread; fetch, decode and kernels inline on the caller's — and
+  private runs take turns: the engine's lane (:mod:`repro.runtime.lane`)
+  admits one at a time in arrival order, because two interpreter-bound
+  runs side by side only trade the GIL.
 
 A private context also carries the cooperative cancellation state for
 the serving layer's per-query deadlines: the engine calls
@@ -81,7 +81,7 @@ class RunContext:
     #: Real-clock overlap accounting for this run.
     wall_overlap: WallOverlap = field(default_factory=WallOverlap)
     #: True for per-query contexts from ``query_context()``: the run must
-    #: not touch engine-level mutable state and executes single-process.
+    #: not touch engine-level mutable state and executes on one thread.
     private: bool = False
     #: Absolute ``time.monotonic()`` deadline; ``None`` = no deadline.
     deadline: "float | None" = None
@@ -91,9 +91,6 @@ class RunContext:
     #: the run prepares its remaining batches at depth 0, serially on the
     #: engine thread.
     degraded: bool = False
-    #: Whether this run executes shard-parallel (engine context only);
-    #: cleared by the degrade step when the shard source fails.
-    shard_active: bool = False
     # Memoized rewind batch: all-active algorithms rewind the same tile
     # set every iteration, so it is decoded once.
     rewind_key: "np.ndarray | None" = None
@@ -107,7 +104,7 @@ class RunContext:
 
         Called by the engine at iteration boundaries (the cooperative
         cancellation points — no thread is interrupted mid-kernel, no
-        prefetcher or shard gather is live when it fires).
+        prefetcher is live when it fires).
         """
         if self.cancel_event is not None and self.cancel_event.is_set():
             raise DeadlineError("query cancelled")
@@ -159,10 +156,7 @@ def make_private_context(
     from repro.errors import AlgorithmError
     from repro.obs import Tracer
 
-    if engine.config.faults is not None and not engine.config.faults.transport_only():
-        # Transport-only plans are exempt: they target the shard
-        # coordinator<->worker transport, which private (serial) runs
-        # never touch.
+    if engine.config.faults is not None:
         raise AlgorithmError(
             "private run contexts do not support fault injection: fault "
             "ordinals are assigned in global plan order on the engine's "

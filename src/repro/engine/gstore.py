@@ -17,8 +17,8 @@ Per iteration the engine:
    compute ``k-1``, get ``k``, commit ``k`` — draws prepared batches from
    one ordered source: at prefetch depth ``D >= 1`` a background
    prefetcher really fetches and decodes batches ``k+1..k+D`` while the
-   engine thread computes batch ``k``; shard-parallel runs gather them
-   from worker processes; depth 0 prepares each batch inside ``get()``.
+   engine thread computes batch ``k``; depth 0 prepares each batch
+   inside ``get()``.
    :meth:`GStoreEngine._prefetch_depth` resolves the depth in one place:
    an explicit ``config.prefetch_depth`` as given; unset, 2 when reads
    block (``config.realize_io``) and 0 over page-cached reads, where a
@@ -54,7 +54,6 @@ order (:mod:`repro.runtime.lane`).
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
@@ -91,7 +90,6 @@ from repro.util.timer import SimClock, WallTimer
 from repro.runtime.lane import FifoLane
 from repro.runtime.pipeline import PipelineTimeline, WallOverlap
 from repro.runtime.prefetch import BLOCKING_IO_DEPTH, Prefetcher, Prepared
-from repro.runtime.shard import ShardRuntime, ShardRuntimeError, resolve_shards
 from repro.runtime.threads import (
     WORKER_THREAD_PREFIX,
     execute_batch,
@@ -108,8 +106,8 @@ class GStoreEngine:
         self.graph = graph
         self.config = config or EngineConfig()
         self.clock = SimClock()
-        # Shard workers and private query contexts build bit-identical
-        # replicas from the same config.
+        # Private query contexts build bit-identical replicas from the
+        # same config.
         self.array = Raid0Array.from_config(self.config)
         #: Observability (``repro.obs``): a real tracer when
         #: ``config.trace`` is set, the shared no-op otherwise.  Spans and
@@ -128,16 +126,11 @@ class GStoreEngine:
             )
             self.injector.configure_array(self.array)
         #: Verify fetched tile extents against their CRC32C at decode time;
-        #: defaults to on exactly when *storage* faults are being injected
-        #: (transport-only plans never corrupt payloads — they exercise
-        #: the shard supervisor, which needs verification off to shard).
+        #: defaults to on exactly when faults are being injected.
         self._verify = (
             self.config.verify_checksums
             if self.config.verify_checksums is not None
-            else (
-                self.config.faults is not None
-                and not self.config.faults.transport_only()
-            )
+            else self.config.faults is not None
         )
         self.aio = AIOContext(
             store=self.store, array=self.array, clock=self.clock,
@@ -153,32 +146,13 @@ class GStoreEngine:
         # phase, created by the first batch that needs it (or
         # ``warm_backend``) and joined by close().
         self._pool: "ThreadPoolExecutor | None" = None
-        #: Resolved shard count (``config.shards``, or the ``REPRO_SHARDS``
-        #: environment default).  >1 activates shard-parallel execution
-        #: for runs that can shard (see ``_run_can_shard``).
-        self.shards = resolve_shards(self.config.shards)
-        #: The shard runtime (persistent worker processes + scatter
-        #: arena): ``None`` until the first shardable iteration (or
-        #: ``warm_backend``) creates it, and again once ``close()`` — or
-        #: the degrade step, for good — has torn it down.
-        self.shard_runtime: "ShardRuntime | None" = None
         #: What the slide loop's degrade step has latched on this engine,
         #: as health reason -> the error that caused it:
-        #: ``"shard_fallback"`` (shard execution fell back to the
-        #: single-process path, permanently) and ``"prefetch_degraded"``
-        #: (a prefetch pipeline died and its run finished on serial
-        #: engine-thread I/O).  Recorded with or without a fault injector;
-        #: the serve layer's :class:`~repro.serve.health.HealthMonitor`
-        #: reports the keys.
+        #: ``"prefetch_degraded"`` (a prefetch pipeline died and its run
+        #: finished on serial engine-thread I/O).  Recorded with or
+        #: without a fault injector; the serve layer's
+        #: :class:`~repro.serve.health.HealthMonitor` reports the keys.
         self.degradations: "dict[str, str]" = {}
-        #: Supervisor accounting (docs/RELIABILITY.md "Distributed fault
-        #: model"): worker deaths/hangs detected, respawns consumed from
-        #: ``ShardRuntime.RESPAWN_BUDGET``, and batches replayed.  Owned
-        #: by the engine so the numbers survive a runtime teardown; the
-        #: shard runtime increments it in place.
-        self.supervisor: "dict[str, int]" = dict.fromkeys(
-            ("respawns", "worker_deaths", "hangs", "replayed_batches"), 0
-        )
         #: The engine lane: private-context runs take it one at a time, in
         #: arrival order (:meth:`run`).  Width one is the measured optimum
         #: on CPython — the run loop is interpreter-bound, so two runs
@@ -211,63 +185,10 @@ class GStoreEngine:
             )
         return self._pool
 
-    def _run_can_shard(self, algorithm: TileAlgorithm) -> bool:
-        """Whether this run may execute shard-parallel.
-
-        Sharding needs fused dispatch of a *snapshot* kernel (workers run
-        the static ``kernel_partial`` from a state snapshot shipped at
-        iteration start — a live kernel must see earlier commits instead)
-        and a clean substrate: *storage* fault injection assigns request
-        ordinals in global plan order under one AIO lock, and checksum
-        verification happens at coordinator decode — neither exists on
-        worker-private replicas, so those runs stay single-process rather
-        than silently changing their semantics.  Transport-only fault
-        plans (``kill``/``drop``/``delay``/``scatterfail``) are the
-        exception: they target the shard transport itself and *require*
-        sharding to mean anything.
-        """
-        return (
-            self.shards > 1
-            and not self.shard_failed
-            and not algorithm.live_kernel
-            and (
-                self.injector is None
-                or self.config.faults.transport_only()
-            )
-            and not self._verify
-        )
-
-    def _ensure_shard_runtime(self) -> ShardRuntime:
-        """The shard runtime, created on first use; its workers spawn at
-        the first scatter (or ``warm_backend``)."""
-        if self.shard_runtime is None:
-            self.shard_runtime = ShardRuntime(
-                self.graph,
-                self.config,
-                self.shards,
-                tracer=self.tracer,
-                faults=self.config.faults,
-                supervisor=self.supervisor,
-            )
-        return self.shard_runtime
-
-    def _close_shard_runtime(self) -> None:
-        rt, self.shard_runtime = self.shard_runtime, None
-        if rt is not None:
-            rt.shutdown()
-
-    @property
-    def shard_failed(self) -> bool:
-        """True once shard execution has permanently degraded to the
-        single-process path (a latched engine-health signal; see
-        ``degradations``)."""
-        return "shard_fallback" in self.degradations
-
     def warm_backend(self) -> None:
-        """Start the engine's workers now.  Benchmarks call this before
-        timing so the one-time pool-thread and shard-worker spawn
-        (interpreter + NumPy import per process) is paid off the measured
-        path — in a persistent engine it amortises to zero.
+        """Start the engine's pool threads now.  Benchmarks call this
+        before timing so the one-time thread spawn is paid off the
+        measured path — in a persistent engine it amortises to zero.
         """
         if self.workers > 1:
             # An executor spawns a thread per submit only while no worker
@@ -275,20 +196,12 @@ class GStoreEngine:
             # last one starts are what brings the whole pool up.
             barrier = threading.Barrier(self.workers)
             list(self.pool.map(lambda _: barrier.wait(), range(self.workers)))
-        if self.shards > 1 and not self.shard_failed:
-            # A failed spawn is not warm-up's to report: it leaves the
-            # runtime broken, and the first sharded iteration degrades
-            # through the slide loop like any other failed source.
-            with contextlib.suppress(ShardRuntimeError):
-                self._ensure_shard_runtime().start()
 
     def close(self) -> None:
-        """Join and release the engine's workers — threads and shard
-        processes — and unlink the scatter arena (idempotent)."""
+        """Join and release the engine's pool threads (idempotent)."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown()
-        self._close_shard_runtime()
 
     def __enter__(self) -> "GStoreEngine":
         return self
@@ -321,10 +234,10 @@ class GStoreEngine:
         AIO context, and — when ``trace`` — a private tracer/registry, so
         per-query :class:`RunStats` and counters are fully isolated.
         A private run is exactly one thread (fetch, decode and kernels
-        inline on the calling thread; no shard scatter, worker pool or
-        prefetch thread), waits its turn in the engine lane (:meth:`run`)
-        and checks ``deadline`` (relative seconds) cooperatively — in the
-        lane's queue and at iteration boundaries — raising
+        inline on the calling thread; no worker pool or prefetch thread),
+        waits its turn in the engine lane (:meth:`run`) and checks
+        ``deadline`` (relative seconds) cooperatively — in the lane's
+        queue and at iteration boundaries — raising
         :class:`~repro.errors.DeadlineError`.
         """
         return make_private_context(
@@ -390,12 +303,6 @@ class GStoreEngine:
         ctx.rewind_key = None
         ctx.rewind_merged = None
         ctx.degraded = False
-        # Private contexts trade intra-query parallelism for cross-query
-        # concurrency: no shard scatter (the shard runtime is bound to
-        # the engine's clock and gather queue, which are not re-entrant).
-        ctx.shard_active = (
-            not ctx.private and self._run_can_shard(algorithm)
-        )
         if not ctx.private:
             self.wall_overlap = ctx.wall_overlap
         if self._verify:
@@ -440,8 +347,8 @@ class GStoreEngine:
             iteration = start_iteration
             while iteration < cfg.max_iterations:
                 # Cooperative cancellation point: between iterations no
-                # prefetcher or shard gather is live, so a deadline can
-                # stop the run without leaking threads or queue state.
+                # prefetcher is live, so a deadline can stop the run
+                # without leaking threads or queue state.
                 ctx.check_cancelled()
                 it_stats = self._run_iteration(
                     algorithm, scr, timeline, iteration, ctx
@@ -486,11 +393,6 @@ class GStoreEngine:
             # Private contexts always walk the serial kernel path — the
             # honest resolution, whatever the engine-level worker count.
             "workers_resolved": 1 if ctx.private else self.workers,
-            "shards": cfg.shards,
-            # What this run actually executed with: the configured shard
-            # count when the sharded path ran to completion, else 1
-            # (non-shardable run, or graceful fallback mid-run).
-            "shards_resolved": self.shards if ctx.shard_active else 1,
             "prefetch_depth": cfg.prefetch_depth,
             "prefetch_depth_resolved": self._prefetch_depth(ctx),
             "lane_wait_s": ctx.lane_wait,
@@ -498,8 +400,6 @@ class GStoreEngine:
             "degraded": ctx.degraded,
             "private_context": ctx.private,
         }
-        if self.shards > 1:
-            stats.extra["supervisor"] = dict(self.supervisor)
         if self.injector is not None:
             stats.extra["faults"] = {
                 "plan": self.injector.plan.describe(),
@@ -529,11 +429,9 @@ class GStoreEngine:
             with tracer.span("select", cat="engine", iteration=iteration):
                 cached, plan = self._plan(algorithm, scr, it)
             # Opened *before* the rewind: the slide schedule is fixed, so
-            # the prefetch thread — or the shard workers, which compute
-            # from the iteration-start snapshot every shardable kernel
-            # tolerates (see repro.runtime.shard) — fetch the first slide
-            # batches while the engine thread rewinds.
-            source = self._open_source(algorithm, plan, iteration, ctx)
+            # the prefetch thread fetches the first slide batches while
+            # the engine thread rewinds.
+            source = self._source(plan.batches, ctx, self._prefetch_depth(ctx))
             try:
                 # --- Rewind: consume the pool before any I/O (§VI-D). ---
                 if cached.size:
@@ -595,11 +493,7 @@ class GStoreEngine:
                         phase="drain", batch=plan.n_batches - 1,
                     ))
             finally:
-                # An algorithm exception must not leak the prefetch thread
-                # or leave undelivered shard results in the pipes (a dirty
-                # pipe would corrupt the next iteration's gather; if the
-                # drain fails the runtime marks itself broken and the next
-                # iteration degrades).
+                # An algorithm exception must not leak the prefetch thread.
                 source.close()
 
         it.elapsed = timeline.totals.elapsed - elapsed_before
@@ -659,7 +553,7 @@ class GStoreEngine:
         # iteration on the ``sim:bytes`` track carrying the moved vs
         # skipped byte split.  Emitted in plan order on the engine thread,
         # so — like every simulated lane — the export is bit-identical at
-        # any prefetch depth, worker count or shard count.
+        # any prefetch depth or worker count.
         tracer.sim_span(
             "bytes",
             start=elapsed_before,
@@ -674,35 +568,11 @@ class GStoreEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Batch sources: one contract, one degrade step
+    # The batch source and its one degrade step
     # ------------------------------------------------------------------ #
 
-    def _open_source(
-        self,
-        algorithm: TileAlgorithm,
-        plan: SlidePlan,
-        iteration: int,
-        ctx: RunContext,
-    ):
-        """This iteration's ordered source of prepared batches.
-
-        One contract, whatever serves the batches: ``get()`` returns the
-        next :class:`Prepared` in plan order, ``close()`` leaves no thread
-        and no undelivered result behind, ``overlapped`` says whether
-        batches are prepared off the engine thread.  A shard-parallel run
-        scatters the iteration's frozen kernel state plus each worker's
-        lane of the plan (workers prefetch their own lanes); every other
-        run prepares its batches itself — :meth:`_prefetch_depth` ahead on
-        the prefetch thread, or inside ``get()`` at depth 0.
-        """
-        if ctx.shard_active and plan.n_batches:
-            return self._ensure_shard_runtime().begin_iteration(
-                algorithm, plan, iteration=iteration
-            )
-        return self._local_source(plan.batches, ctx, self._prefetch_depth(ctx))
-
     def _prefetch_depth(self, ctx: RunContext) -> int:
-        """Prefetch depth of this run's local source — the one place that
+        """Prefetch depth of this run's batch source — the one place that
         decides whether a prefetch thread runs.
 
         0 — no thread, each batch prepared inside ``get()`` — for a
@@ -721,66 +591,45 @@ class GStoreEngine:
             return BLOCKING_IO_DEPTH if self.config.realize_io else 0
         return depth
 
-    def _local_source(
-        self, batches, ctx: RunContext, depth: int
-    ) -> Prefetcher:
+    def _source(self, batches, ctx: RunContext, depth: int) -> Prefetcher:
+        """An ordered source of ``batches``, prepared ``depth`` ahead on
+        the prefetch thread, or inside ``get()`` at depth 0."""
         jobs = [(lambda b=b: self._prepare(b, ctx)) for b in batches]
         return Prefetcher(jobs, depth=depth, tracer=ctx.tracer)
 
     def _get(self, source, k: int, plan: SlidePlan, ctx: RunContext):
         """Batch ``k`` and the source the run continues on.
 
-        The one degrade step.  A source that prepares batches off the
-        engine thread can die under the run: the prefetch pipeline on a
-        persistent storage or corruption fault; the shard gather when
-        workers cannot spawn, the scatter fails, or a worker dies with the
-        respawn budget spent.  Batches before ``k`` are committed and
-        nothing from ``k`` on has touched the clock, the algorithm or the
-        cache pool, so closing the source (no thread, no undelivered
-        result left) and preparing ``k`` onward inside ``get()`` on the
-        engine thread keeps results and simulated statistics bit-identical.
-        That depth-0 local source is the floor: it has nowhere to degrade
-        to, so a fault that truly persists (a dead RAID member, say)
-        propagates from it typed.
+        The one degrade step.  The prefetch thread can die under the run
+        on a persistent storage or corruption fault.  Batches before ``k``
+        are committed and nothing from ``k`` on has touched the clock, the
+        algorithm or the cache pool, so closing the source (no thread, no
+        undelivered result left) and preparing ``k`` onward inside
+        ``get()`` on the engine thread keeps results and simulated
+        statistics bit-identical.  The run says why on its ``execution``
+        stats (``degraded``; later iterations open at depth 0), the engine
+        in ``degradations`` (injector or not) and the trace in a
+        ``prefetch_fallback`` instant.  That depth-0 source is the floor:
+        it has nowhere to degrade to, so a fault that truly persists (a
+        dead RAID member, say) propagates from it typed.
         """
         try:
             return source, source.get()
-        except (StorageError, FormatError, ShardRuntimeError) as exc:
+        except (StorageError, FormatError) as exc:
             if not source.overlapped:
                 raise
             source.close()
-            self._record_degrade(ctx, k, exc)
-            source = self._local_source(plan.batches[k:], ctx, depth=0)
-            return source, source.get()
-
-    def _record_degrade(
-        self, ctx: RunContext, k: int, exc: Exception
-    ) -> None:
-        """Say why batch ``k``'s source was abandoned: on the run (its
-        ``execution`` stats), on the engine (``degradations``, injector or
-        not) and in the trace."""
-        tracer = ctx.tracer
-        if ctx.shard_active:
-            # Permanent, for this engine: workers that failed once are
-            # not trusted with another iteration.
-            ctx.shard_active = False
-            self._close_shard_runtime()
-            self.degradations["shard_fallback"] = str(exc)
-            tracer.registry.counter("shard.fallbacks").add(1)
-            tracer.instant(
-                "shard_fallback", cat="shard", batch=k, error=str(exc)
-            )
-        else:
-            # For the rest of this run: later iterations open at depth 0.
             ctx.degraded = True
             self.degradations["prefetch_degraded"] = str(exc)
             if self.injector is not None:
                 self.injector.registry.counter(
                     "fault.prefetch_fallbacks"
                 ).add(1)
-            tracer.instant(
+            ctx.tracer.instant(
                 "prefetch_fallback", cat="pipeline", batch=k, error=str(exc)
             )
+            source = self._source(plan.batches[k:], ctx, depth=0)
+            return source, source.get()
 
     def _prepare(
         self, batch_positions: np.ndarray, ctx: RunContext
@@ -915,13 +764,8 @@ class GStoreEngine:
         """Compute one prepared batch on the engine thread and account it
         — the step rewind, slide and drain share.
 
-        Runs the kernels over ``prep.batch``, or applies ``prep.partials``
-        when a shard worker already ran the read-only kernel phase: in
-        shard order, the same ``shard_cuts``-defined sequence every
-        single-process path commits in, which is what keeps float
-        accumulation (and so results) bit-identical at any shard count.
-        Then offers the batch to the cache pool — ``scr``; the rewind
-        passes none — membership being coordinator state on every path.
+        Runs the kernels over ``prep.batch``, then offers the batch to the
+        cache pool — ``scr``; the rewind passes none.
         Wall compute time, edges and simulated compute time go onto the
         stats; the latter is returned for the caller's timeline step.
         ``where`` labels the ``compute`` span.
@@ -929,12 +773,7 @@ class GStoreEngine:
         g = self.graph
         t0 = _time.perf_counter()
         with ctx.tracer.span("compute", cat="compute", **where):
-            if prep.partials is None:
-                edges = self._execute(algorithm, prep.batch, ctx)
-            else:
-                edges = 0
-                for partial in prep.partials:
-                    edges += algorithm.apply_partial(partial)
+            edges = self._execute(algorithm, prep.batch, ctx)
             if scr is not None:
                 scr.offer(
                     prep.tiles,

@@ -25,7 +25,6 @@ the retry/backoff policy.
 from repro.faults.crc import crc32c, crc32c_extents
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
-    TRANSPORT_KINDS,
     FaultEvent,
     FaultKind,
     FaultPlan,
@@ -42,5 +41,4 @@ __all__ = [
     "FaultPlan",
     "FaultRates",
     "RetryPolicy",
-    "TRANSPORT_KINDS",
 ]

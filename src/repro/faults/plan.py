@@ -37,10 +37,6 @@ class FaultKind(enum.Enum):
     LATENCY_SPIKE = "spike"  # `delay` extra simulated seconds on the batch
     DEVICE_SLOW = "slow"  # RAID member `device` slowed by `factor`
     DEVICE_DEAD = "dead"  # RAID member `device` fails every request
-    WORKER_KILL = "kill"  # shard worker exits before computing batch `request`
-    MSG_DROP = "drop"  # shard worker computes batch `request` but never posts it
-    MSG_DELAY = "delay"  # shard worker delays posting batch `request` by `delay` s
-    SCATTER_FAIL = "scatterfail"  # coordinator scatter raises at iteration `request`
 
 
 #: Kinds keyed by request ordinal (vs. per-device configuration).
@@ -54,37 +50,22 @@ REQUEST_KINDS = frozenset(
     }
 )
 DEVICE_KINDS = frozenset({FaultKind.DEVICE_SLOW, FaultKind.DEVICE_DEAD})
-#: Coordinator<->worker transport faults (shard runtime, not storage).
-TRANSPORT_KINDS = frozenset(
-    {
-        FaultKind.WORKER_KILL,
-        FaultKind.MSG_DROP,
-        FaultKind.MSG_DELAY,
-        FaultKind.SCATTER_FAIL,
-    }
-)
 
 
 @dataclass(frozen=True)
 class FaultEvent:
     """One scheduled fault.
 
-    ``request`` is the AIO request ordinal it fires on (request kinds),
-    the global batch index (worker transport kinds), or the iteration
-    index (scatter faults); ``device`` the RAID member index (device
-    kinds); ``shard`` the shard-worker index (worker transport kinds).
-    ``count`` is how many attempts a transient condition fails before
-    clearing — for worker transport kinds, how many worker
-    *incarnations* (original process plus respawns) the condition
-    applies to.
+    ``request`` is the AIO request ordinal it fires on (request kinds);
+    ``device`` the RAID member index (device kinds).  ``count`` is how
+    many attempts a transient condition fails before clearing.
     """
 
     kind: FaultKind
     request: "int | None" = None
     device: "int | None" = None
-    shard: "int | None" = None
     count: int = 1
-    delay: float = 0.0  # LATENCY_SPIKE / MSG_DELAY: seconds added
+    delay: float = 0.0  # LATENCY_SPIKE: seconds added
     factor: float = 1.0  # DEVICE_SLOW: service-time multiplier
     bit: int = 0  # BIT_FLIP: bit index within the payload
     drop: int = 1  # SHORT_READ: trailing bytes withheld
@@ -94,13 +75,6 @@ class FaultEvent:
             raise StorageError(f"{self.kind.value} fault needs a request ordinal")
         if self.kind in DEVICE_KINDS and self.device is None:
             raise StorageError(f"{self.kind.value} fault needs a device index")
-        if self.kind in TRANSPORT_KINDS:
-            if self.request is None:
-                raise StorageError(
-                    f"{self.kind.value} fault needs a batch/iteration index"
-                )
-            if self.kind is not FaultKind.SCATTER_FAIL and self.shard is None:
-                raise StorageError(f"{self.kind.value} fault needs a shard index")
         if self.count < 1:
             raise StorageError("fault count must be >= 1")
         if self.delay < 0:
@@ -187,12 +161,9 @@ class FaultPlan:
         Tokens (docs/RELIABILITY.md):
         ``transient@N[:count]``, ``persistent@N``, ``short@N[:drop]``,
         ``bitflip@N[:bit]``, ``spike@N[:seconds]``, ``slow:DEV:FACTOR``,
-        ``dead:DEV``; transport tokens ``kill:SHARD@BATCH[:COUNT]``,
-        ``drop:SHARD@BATCH[:COUNT]``, ``delay:SHARD@BATCH:SECONDS``,
-        ``scatterfail@ITER``.  Example::
+        ``dead:DEV``.  Example::
 
             transient@3,spike@5:0.01,slow:0:4
-            kill:0@2,delay:1@4:0.05
         """
         spec = spec.strip()
         if not spec:
@@ -255,38 +226,6 @@ class FaultPlan:
         """Per-device configuration events (slow / dead members)."""
         return tuple(e for e in self.events if e.kind in DEVICE_KINDS)
 
-    def transport_only(self) -> bool:
-        """True when the plan touches *only* the shard transport.
-
-        Transport-only plans never inject storage faults, so they do not
-        force checksum verification and remain compatible with
-        shard-parallel execution (the whole point: they exercise the
-        supervisor, not the storage retry path).  A seeded plan is never
-        transport-only — seeded draws produce storage faults.
-        """
-        return (
-            self.seed is None
-            and bool(self.events)
-            and all(e.kind in TRANSPORT_KINDS for e in self.events)
-        )
-
-    def worker_events(self, shard: int) -> "tuple[FaultEvent, ...]":
-        """Kill/drop/delay events addressed to shard worker ``shard``."""
-        return tuple(
-            e
-            for e in self.events
-            if e.kind in TRANSPORT_KINDS
-            and e.kind is not FaultKind.SCATTER_FAIL
-            and e.shard == shard
-        )
-
-    def scatter_event_for(self, iteration: int) -> "FaultEvent | None":
-        """The scatter-failure event (if any) scheduled for ``iteration``."""
-        for e in self.events:
-            if e.kind is FaultKind.SCATTER_FAIL and e.request == iteration:
-                return e
-        return None
-
     def describe(self) -> str:
         parts = [f"{len(self.events)} explicit events"]
         if self.seed is not None:
@@ -298,36 +237,6 @@ def _parse_token(token: str) -> FaultEvent:
     kind_s, _, rest = token.partition("@")
     try:
         prefix = token.split(":", 1)[0]
-        if prefix in ("kill", "drop", "delay"):
-            head, _, rest = token.partition("@")
-            head_fields = head.split(":")
-            if len(head_fields) != 2 or not rest:
-                raise ValueError(f"{prefix}:SHARD@BATCH")
-            shard = int(head_fields[1])
-            arg_s, _, extra = rest.partition(":")
-            batch = int(arg_s)
-            if prefix == "kill":
-                return FaultEvent(
-                    FaultKind.WORKER_KILL,
-                    request=batch,
-                    shard=shard,
-                    count=int(extra) if extra else 1,
-                )
-            if prefix == "drop":
-                return FaultEvent(
-                    FaultKind.MSG_DROP,
-                    request=batch,
-                    shard=shard,
-                    count=int(extra) if extra else 1,
-                )
-            if not extra:
-                raise ValueError("delay:SHARD@BATCH:SECONDS")
-            return FaultEvent(
-                FaultKind.MSG_DELAY,
-                request=batch,
-                shard=shard,
-                delay=float(extra),
-            )
         if prefix in ("slow", "dead"):
             fields = token.split(":")
             if fields[0] == "slow":
@@ -371,8 +280,6 @@ def _parse_token(token: str) -> FaultEvent:
                 request=ordinal,
                 delay=float(extra) if extra else 0.005,
             )
-        if kind_s == "scatterfail":
-            return FaultEvent(FaultKind.SCATTER_FAIL, request=ordinal)
         raise ValueError(f"unknown fault kind {kind_s!r}")
     except (ValueError, IndexError) as exc:
         raise StorageError(

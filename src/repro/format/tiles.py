@@ -384,8 +384,8 @@ class TiledGraph:
     """A graph stored in the G-Store tile format.
 
     The payload may be held in memory (``payload`` array) or left on disk
-    (``payload_path``); the engine fetches byte extents through the storage
-    substrate and decodes them with :meth:`view_from_bytes`.
+    (``payload_path``); the engine fetches a batch's byte extents through
+    the storage substrate and decodes them with :meth:`decode_extents`.
     """
 
     info: GraphInfo

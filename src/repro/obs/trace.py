@@ -184,34 +184,6 @@ class Tracer:
             )
         )
 
-    def remote_span(
-        self,
-        name: str,
-        track: str,
-        t0: float,
-        t1: float,
-        cat: str = "process",
-        **args,
-    ) -> None:
-        """Record a wall span measured *elsewhere* on an explicit track.
-
-        Shard workers time their batches with ``perf_counter`` and
-        return the timestamps with each gathered result; because
-        ``perf_counter`` is a system-wide monotonic clock on Linux, the
-        coordinator can replay them against its own epoch — each worker
-        process becomes its own track (``repro-shard-<k>``) and the
-        cross-process overlap is visible in Perfetto, exactly like the
-        prefetch thread's track.
-        """
-        self._append(
-            SpanRecord(
-                name=name, cat=cat, track=track,
-                ts=t0 - self.epoch, dur=t1 - t0,
-                sim_ts=None, sim_dur=None,
-                depth=0, args=args,
-            )
-        )
-
     def counter(self, name: str):
         """Shorthand for ``tracer.registry.counter(name)``."""
         return self.registry.counter(name)

@@ -1,11 +1,10 @@
-"""The local batch source: a bounded prefetch pipeline (paper §VI-B).
+"""The batch source: a bounded prefetch pipeline (paper §VI-B).
 
 The engine's slide loop draws prepared batches from one ordered source.
-This module holds the record every source returns (:class:`Prepared`)
-and the local source (:class:`Prefetcher`): a dedicated worker thread
-prepares batches ``k+1..k+D`` (I/O + decode) while the consumer processes
-batch ``k``, delivering results strictly in submission order.  The other
-source is :class:`~repro.runtime.shard.ShardGather`.
+This module holds the record it returns (:class:`Prepared`) and the
+source itself (:class:`Prefetcher`): a dedicated worker thread prepares
+batches ``k+1..k+D`` (I/O + decode) while the consumer processes batch
+``k``, delivering results strictly in submission order.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -37,22 +37,17 @@ BLOCKING_IO_DEPTH = 2
 
 @dataclass
 class Prepared:
-    """One slide batch, serviced and ready to commit in plan order — the
-    one record every batch source returns.
-
-    Exactly one of ``batch`` (the engine's own fetch path: decoded, the
-    kernel still to run on the engine thread) and ``partials`` (a shard
-    worker already ran the read-only kernel phase; in shard order) is
-    set.  ``tiles`` is what the cache pool is offered: the plan's
-    ``int64`` position array, untouched.
+    """One slide (or rewind) batch, decoded and ready to commit in plan
+    order; its kernels still run on the engine thread.  ``tiles`` is what
+    the cache pool is offered: the plan's ``int64`` position array,
+    untouched.
     """
 
     tiles: np.ndarray
+    batch: DecodedBatch
     io_time: float  # simulated service time, not yet charged to the clock
     bytes_read: int
     wall: float  # real seconds the preparation took, wherever it ran
-    batch: "DecodedBatch | None" = None
-    partials: "list | None" = None
 
 
 class Prefetcher:
@@ -70,8 +65,7 @@ class Prefetcher:
     leaves no thread behind (assertable via ``threading.enumerate()``).
 
     ``get()`` in plan order, ``close()``, and ``overlapped`` are the
-    whole batch-source contract the engine's slide loop consumes;
-    :class:`~repro.runtime.shard.ShardGather` is the other source.
+    whole batch-source contract the engine's slide loop consumes.
 
     The producer is hand-rolled rather than an executor on purpose: it
     stops at the first failed job, where an executor would run the jobs
@@ -89,6 +83,10 @@ class Prefetcher:
         name: str = PREFETCH_THREAD_NAME,
         tracer: object = NULL_TRACER,
     ):
+        # A fractional depth would make a Semaphore that steps past zero
+        # without ever reaching it: unbounded read-ahead.
+        if not isinstance(depth, Integral) or isinstance(depth, bool):
+            raise TypeError(f"prefetch depth must be an int, got {depth!r}")
         if depth < 0:
             raise ValueError(f"prefetch depth must be >= 0, got {depth}")
         self._jobs = list(jobs)

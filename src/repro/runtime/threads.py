@@ -5,10 +5,12 @@ dynamic scheduling because row sizes are wildly skewed.  The NumPy kernels
 here already execute each tile's edges data-parallel inside vectorised
 operations; :func:`execute_batch` adds row-level concurrency on top: the
 read-only partial phase of a decoded batch's shards is mapped over a
-thread pool's work queue (NumPy releases the GIL in its inner loops, so
-skewed shards balance the way OpenMP ``schedule(dynamic)`` does) and
-committed serially in shard order.  The pool is a plain
-:class:`~concurrent.futures.ThreadPoolExecutor` the engine owns; this
+thread pool's work queue (NumPy and the compiled tier release the GIL in
+their inner loops, so skewed shards balance the way OpenMP
+``schedule(dynamic)`` does) and committed serially in shard order.  The
+pool is a plain :class:`~concurrent.futures.ThreadPoolExecutor` the
+engine owns — like G-Store's OpenMP threads, it shares the engine's one
+address space, and it is the only parallel compute a run has; this
 module also resolves how many workers it gets.
 """
 

@@ -2,8 +2,8 @@
 
 One :class:`HealthMonitor` sits between the engine's degradation flags
 and the service's admission decisions.  It condenses everything the
-reliability plane latches — shard fallback, exhausted storage retries,
-prefetch degradation — plus the service's own error
+reliability plane latches — exhausted storage retries, prefetch
+degradation — plus the service's own error
 stream into one of three states:
 
 * ``healthy``  — full admission.
@@ -111,9 +111,9 @@ class HealthMonitor:
 
     def _engine_reasons(self) -> "list[str]":
         eng = self._engine
-        # What the engine's degrade step latched (``shard_fallback``,
-        # ``prefetch_degraded``) — real failures count, not only injected
-        # ones, so this does not go through the fault injector.
+        # What the engine's degrade step latched (``prefetch_degraded``)
+        # — real failures count, not only injected ones, so this does not
+        # go through the fault injector.
         reasons = list(getattr(eng, "degradations", ()))
         injector = getattr(eng, "injector", None)
         if injector is not None and injector.counters().get(

@@ -165,8 +165,8 @@ class QueryService:
             )
         if state is HealthState.DEGRADED:
             # Load shedding: a degraded engine runs on a slower substrate
-            # (serial I/O, no shards) — admit only half
-            # the configured depth so queue time does not explode.
+            # (serial I/O) — admit only half the configured depth so
+            # queue time does not explode.
             with self._inflight_lock:
                 inflight = self._inflight
             if inflight >= max(1, self.config.queue_depth // 2):

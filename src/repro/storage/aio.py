@@ -16,8 +16,8 @@ order:
 * :meth:`AIOContext.commit` is the completion half: it advances the clock
   and accounts ``io_time``.
 
-Every caller — the depth-0 slide loop, the prefetch thread, shard workers,
-private query contexts — uses exactly this pair.
+Every caller — the depth-0 slide loop, the prefetch thread, private
+query contexts — uses exactly this pair.
 
 A batch is an :class:`Extents` record: its merged reads as ``int64``
 offset and size arrays.  :meth:`AIOContext.service` returns the batch's
@@ -30,8 +30,9 @@ with one :class:`IOEvent` per request — the form
 ``IOMode.SYNC`` models the direct/synchronous POSIX alternative the paper
 compares against (per-request latency, no overlap).  ``realize_io=True``
 additionally *sleeps* each batch's simulated service time on the servicing
-thread, so the wall clock behaves like the modeled device — the mode the
-pipeline-overlap benchmark uses to demonstrate real fetch/compute overlap.
+thread, so the wall clock behaves like the modeled device — the mode
+``tools/wall_smoke.py`` gate 1 uses to show that the prefetch overlap of
+fetch and compute is real.
 
 Reliability plane (docs/RELIABILITY.md): the context assigns every
 request a monotonically increasing *ordinal* (in batch-plan order; retries

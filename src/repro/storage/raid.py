@@ -79,10 +79,9 @@ class Raid0Array:
         """The SSD array a config describes.
 
         ``cfg`` is anything carrying ``n_ssds``, ``device_profile`` and
-        ``stripe_bytes`` — an :class:`~repro.engine.config.EngineConfig`
-        or a shard worker's slice of one.  The engine, every private
-        query context and every shard worker builds its own array through
-        here, so all of them model bit-identical service times.
+        ``stripe_bytes`` — an :class:`~repro.engine.config.EngineConfig`.
+        The engine and every private query context build their own array
+        through here, so all of them model bit-identical service times.
         """
         return cls(
             n_devices=cfg.n_ssds,

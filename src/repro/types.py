@@ -39,9 +39,8 @@ DEFAULT_STRIPE_BYTES = 64 * 1024
 #: many equal-edge pieces and the pieces are grouped into at most this
 #: many shards — eight shards keep a thread pool busy.  Partials are
 #: committed in shard order, so the shard structure *is* the float
-#: accumulation order: it must never depend on a worker or process count,
-#: and every path (engine, shard workers, layer walk) gets it from
-#: :func:`shard_pieces`.
+#: accumulation order: it must never depend on a worker count, and every
+#: path (engine, layer walk) gets it from :func:`shard_pieces`.
 SHARDS_PER_BATCH = 8
 
 #: Fewest edges a shard is cut down to.  A fused kernel is a dozen NumPy

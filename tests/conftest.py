@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import os
 import threading
 
@@ -17,38 +16,34 @@ from repro.format.edgelist import EdgeList
 from repro.format.tiles import TiledGraph
 from repro.graphgen.kronecker import kronecker
 from repro.runtime.prefetch import PREFETCH_THREAD_NAME
-from repro.runtime.shard import SHARD_WORKER_PREFIX
-from repro.runtime.shm import LIVE_SHM_SEGMENTS
+from repro.runtime.threads import WORKER_THREAD_PREFIX
 from tests import shard_floor
 from tools import equiv_matrix
 
 
 @pytest.fixture(scope="module", autouse=True)
 def no_leaked_batch_sources():
-    """Suite-wide leak oracle for the batch sources' close/degrade paths.
+    """Suite-wide leak oracle for the engine's threads.
 
-    After every test module: no prefetch thread, no shard worker process,
-    no shared-memory segment left alive — so a source that some exception
-    path forgets to close fails tier-1 wherever it happens, not only in
-    the tests that think to look.
+    After every test module: no prefetch thread and no kernel pool thread
+    left alive — so a source or an engine that some exception path
+    forgets to close fails tier-1 wherever it happens, not only in the
+    tests that think to look.
     """
     yield
     gc.collect()  # engines dropped without close() release in __del__
     leaked = [
         t.name for t in threading.enumerate()
-        if t.name.startswith(PREFETCH_THREAD_NAME)
-    ] + [
-        p.name for p in multiprocessing.active_children()
-        if p.name.startswith(SHARD_WORKER_PREFIX)
-    ] + sorted(LIVE_SHM_SEGMENTS)
+        if t.name.startswith((PREFETCH_THREAD_NAME, WORKER_THREAD_PREFIX))
+    ]
     assert not leaked, f"left alive after this module: {leaked}"
 
 
 @pytest.fixture()
 def low_shard_floor():
-    """Lower ``MIN_SHARD_EDGES`` — here and in every shard worker spawned
-    meanwhile — to the floor the equivalence lattice runs at, so the small
-    test graphs' batches still cut into several shards."""
+    """Lower ``MIN_SHARD_EDGES`` to the floor the equivalence lattice runs
+    at, so the small test graphs' batches still cut into several
+    shards."""
     with shard_floor.lowered() as floor:
         yield floor
 

@@ -9,6 +9,7 @@ from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
 from repro.errors import AlgorithmError, StorageError
 from repro.memory.scr import CachePolicy
+from repro.runtime.prefetch import Prefetcher
 from repro.storage.aio import IOMode
 
 
@@ -26,6 +27,21 @@ class TestConfigValidation:
     def test_need_one_ssd(self):
         with pytest.raises(StorageError):
             EngineConfig(n_ssds=0)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+    @pytest.mark.parametrize("field", [
+        "memory_bytes", "segment_bytes", "n_ssds", "stripe_bytes",
+        "prefetch_depth", "workers", "max_iterations",
+    ])
+    def test_integer_fields_reject_other_types(self, field, value):
+        """A count is an integer: a fractional ``n_ssds`` would fail
+        untyped in ``range()``, and a fractional prefetch depth would make
+        a semaphore that never reaches zero — read-ahead without bound."""
+        with pytest.raises(StorageError, match=field):
+            EngineConfig(**{field: value})
+        if field == "prefetch_depth":
+            with pytest.raises(TypeError, match="depth"):
+                Prefetcher([lambda: None] * 4, depth=value)
 
 
 class TestSCRBehaviour:

@@ -77,7 +77,7 @@ def test_lattice_batches_cut_into_several_shards(edge_lists):
 
     memory, segment = equiv_matrix.BUDGETS[0]
     cfg = EngineConfig(memory_bytes=memory, segment_bytes=segment,
-                       prefetch_depth=0, shards=1)
+                       prefetch_depth=0)
     graphs = {kind: equiv_matrix.tiled(el) for kind, el in edge_lists.items()}
     for kind, tg in graphs.items():
         counts: "list[int]" = []

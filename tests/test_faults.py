@@ -217,8 +217,7 @@ class TestFaultPlan:
     def test_parse_tokens(self):
         plan = FaultPlan.parse(
             "transient@3:2,persistent@7,short@1:5,bitflip@2:12,"
-            "spike@5:0.01,slow:1:4,dead:2,"
-            "kill:0@2,drop:1@3,delay:0@4:0.1,scatterfail@1"
+            "spike@5:0.01,slow:1:4,dead:2"
         )
         kinds = {e.kind for e in plan.events}
         assert kinds == set(FaultKind)
@@ -241,6 +240,18 @@ class TestFaultPlan:
             FaultPlan.parse("")
         with pytest.raises(StorageError):
             FaultPlan.parse("frobnicate@3")
+
+    @pytest.mark.parametrize("token", [
+        "kill:0", "kill@2", "drop:x@2", "delay:0@2", "scatterfail",
+        "kill:0@2", "drop:1@3", "delay:0@4:0.1", "scatterfail@1",
+    ])
+    def test_malformed_tokens_are_typed(self, token):
+        """Every run is one process, so there is no worker transport to
+        fault: the shard-transport tokens, well formed or not, fail typed
+        and name themselves."""
+        with pytest.raises(StorageError, match="bad fault token") as ei:
+            FaultPlan.parse(token)
+        assert ei.value.context["token"] == token
 
     def test_seeded_schedule_is_deterministic(self):
         plan = FaultPlan.from_seed(7, HOT_RATES)
@@ -401,10 +412,8 @@ class TestChaosRuns:
         clean answer identically, or fails at depth 0 with the error the
         depth-2 run names as its degradation (and then recovers)."""
         base = dict(memory_bytes=8 * 1024, segment_bytes=2 * 1024)
-        # One process, as every storage-fault run is: its own AIO context
-        # numbers the requests.
         ordinals = self._multi_extent_ordinals(
-            tiled_undirected, _cfg(**base, prefetch_depth=0, shards=1)
+            tiled_undirected, _cfg(**base, prefetch_depth=0)
         )
         assert ordinals
         target = data.draw(st.sampled_from(ordinals), label="ordinal")
@@ -495,46 +504,6 @@ class TestChaosRuns:
         assert slow.sim_elapsed > clean.sim_elapsed
         assert (algo.depth == 0).sum() == 1
 
-    def test_shard_worker_sigkill_respawns_and_stays_correct(
-        self, tiled_undirected
-    ):
-        # SIGKILL one shard worker on a warm two-shard engine: the
-        # gather's supervisor detects the death, respawns the worker,
-        # replays the lost lane's unapplied batches, and the run
-        # completes *fully sharded* — bit-identical, on the same
-        # simulated clock, with no process or segment leaked and no
-        # coordinator fallback.
-        import signal
-
-        from repro.runtime.shm import LIVE_SHM_SEGMENTS
-
-        clean = PageRank(max_iterations=10, tolerance=1e-12)
-        ref_stats = GStoreEngine(tiled_undirected, _cfg(shards=1)).run(clean)
-
-        algo = PageRank(max_iterations=10, tolerance=1e-12)
-        eng = GStoreEngine(tiled_undirected, _cfg(shards=2))
-        try:
-            eng.warm_backend()
-            rt = eng.shard_runtime
-            assert rt is not None and len(rt.processes) == 2
-            victim = rt.processes[0]
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=10)
-            stats = eng.run(algo)
-        finally:
-            eng.close()
-        np.testing.assert_array_equal(clean.rank, algo.rank)
-        assert not eng.shard_failed
-        assert stats.extra["execution"]["shards"] == 2
-        assert stats.extra["execution"]["shards_resolved"] == 2
-        sup = stats.extra["supervisor"]
-        assert sup["respawns"] == 1
-        assert sup["worker_deaths"] == 1
-        assert sup["replayed_batches"] >= 1
-        assert stats.sim_elapsed == pytest.approx(ref_stats.sim_elapsed)
-        assert stats.bytes_read == ref_stats.bytes_read
-        assert not LIVE_SHM_SEGMENTS
-
 
 class TestDegradedMode:
     def test_prefetch_falls_back_to_serial(self, tiled_undirected):
@@ -572,7 +541,7 @@ class TestDegradedMode:
 
         algo = BFS(root=0)
         eng = GStoreEngine(
-            tiled_undirected, _cfg(prefetch_depth=2, shards=1)
+            tiled_undirected, _cfg(prefetch_depth=2)
         )
         health = HealthMonitor(eng, MetricsRegistry())
         real_gather = eng.store.gather

@@ -112,7 +112,7 @@ def test_resident_budget_equivalence(reference, name):
     payload = tg.storage_bytes()
     segment = max(4096, payload)
     cfg = EngineConfig(memory_bytes=2 * segment + payload,
-                       segment_bytes=segment, shards=1)
+                       segment_bytes=segment)
     algo = equiv_matrix.algorithms()[name]()
     with GStoreEngine(tg, cfg) as engine:
         stats = engine.run(algo)
@@ -129,7 +129,7 @@ def _run_cut(tg, make, cut):
     """One serial engine run whose batches are cut as ``cut`` says."""
     algo = make()
     cfg = EngineConfig(memory_bytes=BUDGET[0], segment_bytes=BUDGET[1],
-                       workers=1, shards=1)
+                       workers=1)
     with cut_batches(type(algo), tg, cut), GStoreEngine(tg, cfg) as engine:
         stats = engine.run(algo)
     return algo, stats

@@ -26,7 +26,6 @@ from repro.algorithms.bfs import BFS
 from repro.algorithms.pagerank import PageRank
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
-from repro.faults import FaultPlan
 from repro.format.tiles import TiledGraph
 from repro.graphgen.rmat import rmat
 from repro.obs import (
@@ -55,16 +54,11 @@ def graph() -> TiledGraph:
 
 
 def _traced_run(tg, factory, depth, **cfg_kw):
-    # shards pinned to 1: these tests assert the coordinator's own
-    # fetch/decode/prefetch span structure, which shard-parallel runs
-    # move onto worker tracks (covered by tests/test_backends.py, and their
-    # equivalence by tests/test_equiv_lattice.py).
     kw = dict(
         memory_bytes=24 * 1024,
         segment_bytes=4 * 1024,
         prefetch_depth=depth,
         trace=True,
-        shards=1,
     )
     kw.update(cfg_kw)
     with GStoreEngine(tg, EngineConfig(**kw)) as engine:
@@ -363,22 +357,12 @@ class TestEngineTracing:
             )
         assert exports[0] == exports[1] == exports[2]
 
-        # ... and whatever source serves the batches: the engine's own
-        # fetch path at depth 0 and 2, the shard gather, and the shard
-        # gather degrading to depth 0 at batch 0 (failed scatter) or
-        # mid-iteration (a worker re-killed past the respawn budget) — on
-        # a budget tight enough that every iteration slides through five
-        # or more batches (the payload is 7 KiB).
+        # ... and on a budget tight enough that every iteration slides
+        # through five or more batches (the payload is 7 KiB), whether the
+        # batches are prepared inside get() or on the prefetch thread.
         sources = {
             "depth 0": dict(depth=0),
             "depth 2": dict(depth=2),
-            "shards": dict(depth=2, shards=2),
-            "scatterfail": dict(
-                depth=2, shards=2, faults=FaultPlan.parse("scatterfail@0")
-            ),
-            "worker died": dict(
-                depth=2, shards=2, faults=FaultPlan.parse("kill:0@2:999")
-            ),
         }
         for factory in (
             lambda: BFS(root=0),
@@ -391,10 +375,6 @@ class TestEngineTracing:
                     **kw,
                 )
                 assert counters["engine.batches"] >= 25
-                resolved = stats.extra["execution"]["shards_resolved"]
-                assert resolved == (2 if name == "shards" else 1), name
-                if name == "worker died":  # really mid-iteration
-                    assert stats.extra["supervisor"]["respawns"] == 2
                 exports[name] = json.dumps(
                     to_chrome(records, clock="sim"), sort_keys=True
                 )
@@ -450,12 +430,9 @@ class TestEngineTracing:
 
 
 class TestTraceCLI:
-    def test_trace_chrome_export(self, tmp_path, capsys, monkeypatch):
+    def test_trace_chrome_export(self, tmp_path, capsys):
         from repro.cli import main
 
-        # The asserted span names are the coordinator's own fetch chain;
-        # a REPRO_SHARDS environment would move them onto worker tracks.
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
         out = str(tmp_path / "trace.json")
         rc = main(["trace", "bfs", "--rmat-scale", "9", "--depth", "2",
                    "--out", out])

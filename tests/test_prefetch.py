@@ -28,6 +28,7 @@ from repro.format.tiles import TiledGraph
 from repro.graphgen.rmat import rmat
 from repro.runtime.prefetch import PREFETCH_THREAD_NAME
 from repro.runtime.threads import WORKER_THREAD_PREFIX
+from repro.storage.device import DeviceProfile
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +40,7 @@ def graph() -> TiledGraph:
 def _config(**kw) -> EngineConfig:
     # Tiny budget: several slide batches per iteration plus cache pressure,
     # so rewind, mid-iteration evictions, and multi-batch prefetch all run.
-    # shards is pinned to 1 module-wide: this file asserts the prefetch
-    # *pipeline*'s internals, which shard-parallel execution bypasses.
-    return EngineConfig(
-        memory_bytes=24 * 1024, segment_bytes=4 * 1024, shards=1, **kw
-    )
+    return EngineConfig(memory_bytes=24 * 1024, segment_bytes=4 * 1024, **kw)
 
 
 def _lingering(prefix: str) -> "list[str]":
@@ -173,3 +170,24 @@ def test_realize_io_matches_unrealized_results(graph):
     assert stats.sim_elapsed == pytest.approx(ref_stats.sim_elapsed)
     # The run really slept its I/O: wall time covers the simulated io time.
     assert stats.wall_seconds > 0
+
+
+@pytest.mark.parametrize("execution", [
+    {"prefetch_depth": 0},
+    {"prefetch_depth": 2},
+    {"prefetch_depth": 2, "workers": 2},
+], ids=["depth0", "depth2", "depth2-workers2"])
+def test_realize_io_paces_reads_at_the_device_bandwidth(graph, execution):
+    """The pacing contract: under ``realize_io`` one device moves no more
+    than its bandwidth, so a run's wall time is at least ``bytes_read /
+    read_bandwidth`` — whichever thread sleeps the service time, and
+    whatever computes beside it.  (Two processes each sleeping their own
+    lane of one modelled device broke it.)"""
+    profile = DeviceProfile(read_bandwidth=1e5, latency=0.0)
+    cfg = _config(realize_io=True, n_ssds=1, device_profile=profile,
+                  **execution)
+    with GStoreEngine(graph, cfg) as engine:
+        stats = engine.run(PageRank(max_iterations=3, tolerance=0.0))
+    floor = stats.bytes_read / profile.read_bandwidth
+    assert floor > 0.05  # enough bytes for the bound to mean something
+    assert stats.wall_seconds >= floor

@@ -5,9 +5,9 @@ per-row array as each partial commits (``apply_partial``); proactive
 caching (§VI-C) reads it after every batch as ``rows_active_next()``, and
 the next iteration's ``rows_active()`` is the same array.  After every
 commit both must equal the masks recomputed from the state — on the
-serial path, with two kernel threads, with two shard worker processes,
-and in a run resumed from a checkpoint (which saves and restores the
-arrays with the rest of the state) — and the cache pool must take exactly
+serial path, with two kernel threads, and in a run resumed from a
+checkpoint (which saves and restores the arrays with the rest of the
+state) — and the cache pool must take exactly
 the decisions it took when the masks were recomputed from the state.
 """
 
@@ -95,7 +95,7 @@ def _config(**kw) -> EngineConfig:
 
 
 @pytest.mark.parametrize("graph", ["tiled_undirected", "tiled_directed"])
-@pytest.mark.parametrize("path", ["serial", "workers=2", "shards=2"])
+@pytest.mark.parametrize("path", ["serial", "workers=2"])
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_kept_activity_matches_state_after_every_commit(
     name, path, graph, request, low_shard_floor
@@ -105,8 +105,7 @@ def test_kept_activity_matches_state_after_every_commit(
     GStoreEngine(tg, _config()).run(clean)
     algo = ALGORITHMS[name]()
     commits = _checked(algo)
-    kw = {"serial": {}, "workers=2": {"workers": 2},
-          "shards=2": {"shards": 2}}[path]
+    kw = {"serial": {}, "workers=2": {"workers": 2}}[path]
     with GStoreEngine(tg, _config(**kw)) as engine:
         stats = engine.run(algo)
     assert len(set(commits)) >= 2, "fewer than two iterations committed"

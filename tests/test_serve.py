@@ -126,7 +126,6 @@ class TestEngineReentrancy:
         execution = stats.extra["execution"]
         assert execution["private_context"] is True
         assert execution["workers_resolved"] == 1
-        assert execution["shards_resolved"] == 1
 
     def test_private_run_spawns_no_engine_threads(self, graph, monkeypatch):
         """A private run that both rewinds and slides is exactly one
@@ -143,7 +142,7 @@ class TestEngineReentrancy:
         monkeypatch.setattr(threading.Thread, "start", spy)
         cfg = EngineConfig(
             memory_bytes=10 * 1024, segment_bytes=2 * 1024,
-            workers=3, prefetch_depth=2, shards=1,
+            workers=3, prefetch_depth=2,
         )
         with GStoreEngine(graph, cfg) as eng:
             stats = eng.run(

@@ -1,7 +1,6 @@
-"""Unit tests for the runtime's four mechanisms: row-parallel kernel
-dispatch (``execute_batch`` over the engine's thread pool), the bounded
-prefetcher, the shard structure (and the edge floor under it), and the
-shard scatter's shared-memory plane."""
+"""Unit tests for the runtime's mechanisms: row-parallel kernel dispatch
+(``execute_batch`` over the engine's thread pool), the bounded
+prefetcher, and the shard structure (and the edge floor under it)."""
 
 import gc
 import os
@@ -24,7 +23,6 @@ from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
 from repro.format.tiles import DecodedBatch, TiledGraph, TileView, shard_cuts
 from repro.runtime.prefetch import PREFETCH_THREAD_NAME, Prefetcher
-from repro.runtime.shm import LIVE_SHM_SEGMENTS, ShmArena, attach_view
 from repro.runtime.threads import (
     WORKER_THREAD_PREFIX,
     available_cpus,
@@ -184,13 +182,13 @@ class TestResolveWorkers:
 
 class TestWorkerPool:
     """The engine's kernel pool: a bare ``ThreadPoolExecutor`` it holds
-    lazily.  ``shards=1`` keeps the slide on the engine's own kernels."""
+    lazily."""
 
     @staticmethod
     def _engine(graph, workers=2):
         return GStoreEngine(graph, EngineConfig(
             memory_bytes=64 * 1024, segment_bytes=8 * 1024,
-            workers=workers, shards=1,
+            workers=workers,
         ))
 
     def test_lazy_creation(self, tiled_undirected, low_shard_floor):
@@ -477,7 +475,7 @@ class TestShardFloor:
 
             cfg = EngineConfig(
                 memory_bytes=256 * 1024, segment_bytes=64 * 1024,
-                workers=workers, shards=1,
+                workers=workers,
             )
             with GStoreEngine(tg, cfg) as engine:
                 engine.run(Recording(max_iterations=2, tolerance=0.0))
@@ -490,78 +488,3 @@ class TestShardFloor:
         assert all(
             edges >= MIN_SHARD_EDGES for batch in one for edges in batch[:-1]
         )
-
-
-# ---------------------------------------------------------------------- #
-# Shared-memory arena
-# ---------------------------------------------------------------------- #
-
-
-class TestShmArena:
-    def test_put_attach_roundtrip(self):
-        rng = np.random.default_rng(3)
-        arrays = [
-            rng.integers(0, 2**32, 1000).astype(np.uint32),
-            rng.standard_normal(501),
-            np.array([True, False, True]),
-        ]
-        with ShmArena() as arena:
-            arena.reserve(ShmArena.layout_bytes(arrays))
-            descs = [arena.put(a) for a in arrays]
-            cache: dict = {}
-            for arr, desc in zip(arrays, descs):
-                assert desc.offset % ShmArena.ALIGN == 0
-                assert desc.nbytes == arr.nbytes
-                view = attach_view(desc, cache)
-                np.testing.assert_array_equal(view, arr)
-                assert not view.flags.writeable
-            # Same-process attach maps the same physical bytes.
-            assert len(cache) == 1
-            del view
-            for seg in cache.values():
-                seg.close()
-
-    def test_overflow_raises(self):
-        with ShmArena() as arena:
-            arena.reserve(64)
-            big = np.zeros(arena.capacity + 1, dtype=np.uint8)
-            with pytest.raises(RuntimeError, match="overflow"):
-                arena.put(big)
-
-    def test_reserve_resets_between_batches(self):
-        with ShmArena() as arena:
-            arena.reserve(4096)
-            d1 = arena.put(np.arange(16))
-            arena.reserve(4096)  # next batch: bump pointer rewinds
-            d2 = arena.put(np.arange(16))
-            assert d1.offset == d2.offset
-
-    def test_growth_replaces_segment_and_leaks_nothing(self):
-        arena = ShmArena(capacity=1024)
-        try:
-            arena.reserve(512)
-            first = arena.name
-            assert first in LIVE_SHM_SEGMENTS
-            arena.reserve(arena.capacity * 4)
-            second = arena.name
-            assert second != first
-            assert first not in LIVE_SHM_SEGMENTS  # old gen unlinked
-            assert second in LIVE_SHM_SEGMENTS
-        finally:
-            arena.close()
-        assert second not in LIVE_SHM_SEGMENTS
-
-    def test_close_idempotent_and_final(self):
-        arena = ShmArena()
-        arena.reserve(128)
-        name = arena.name
-        arena.close()
-        arena.close()
-        assert name not in LIVE_SHM_SEGMENTS
-        with pytest.raises(RuntimeError):
-            arena.ensure(128)
-
-    def test_put_before_reserve_raises(self):
-        with ShmArena() as arena:
-            with pytest.raises(RuntimeError, match="reserve"):
-                arena.put(np.arange(4))

@@ -143,7 +143,7 @@ class TestEquivMatrix:
         mismatch, and the key it was held to."""
         records, _ = lattice
         run = "bfs/directed/8K/fused/depth4-workers3/dense"
-        answer = "pagerank/directed/8K/fused/shards4/selective"
+        answer = "pagerank/directed/24K/fused/private/selective"
         planted = dict(records)
         planted[run] = copy.deepcopy(records[run])
         iteration = planted[run]["stats"]["iterations"][1]
@@ -154,7 +154,7 @@ class TestEquivMatrix:
             f"{iteration['bytes_read'] - 1} -> {iteration['bytes_read']} "
             "(against bfs/directed/8K/fused/depth0-workers1/dense)",
             f"{answer}.result: {records[answer]['result']!r} -> {'0' * 64!r} "
-            "(against pagerank/directed/8K/fused/depth0-workers1/selective)",
+            "(against pagerank/directed/24K/fused/depth0-workers1/selective)",
         ]
 
     def test_enumeration_covers_every_kind(self, tool, lattice):
@@ -170,9 +170,9 @@ class TestEquivMatrix:
         assert kinds == {
             "depth0-workers1": 144, "depth2-workers1": 144,
             "depth1-workers2": 144, "depth4-workers3": 144,
-            "shards2": 24, "shards4": 12, "private": 6, "resumed": 6,
+            "private": 6, "resumed": 6,
             "scc": 2, "xstream": 24, "flashgraph": 24, "gridgraph": 24,
-        }  # 698 records
+        }  # 662 records
         for key, rec in records.items():
             assert tool._digest(answers[rec["result"]]) == rec["result"]
             if key.startswith("scc/"):
@@ -277,7 +277,8 @@ def test_source_structure_holds():
     COO mat-vec behind the scatter kernels) is imported by one module,
     ``algorithms/pagerank.py``, so the private symbol lives in one place,
     and cffi by one, ``algorithms/native.py``, so the compiled tier is
-    chosen in one place —
+    chosen in one place — every run is one process (no module imports
+    ``multiprocessing``) —
     every kernel indexes with ``intp`` or views its IDs as ``int32`` (each
     ``kernel_partial`` under ``algorithms/`` calls ``gather_ids``, defined
     once in ``algorithms/base.py``, or ``scatter_sums``, so no kernel
@@ -305,7 +306,7 @@ def test_source_structure_holds():
     walked, format_reach = [], []
     tile_kernels, fused_asked, twin_imports = [], [], []
     comparator_defs, page_table_reach, index_literals = [], [], []
-    depth_reads, private_scipy, cffi_users = [], [], []
+    depth_reads, private_scipy, cffi_users, process_users = [], [], [], []
     gather_defs, kernels, raw_kernels = [], [], []
     engine_runs, verdict_asserts = [], []
     comparator_names = {"run_bfs", "run_pagerank", "run_cc", "_account"}
@@ -317,6 +318,8 @@ def test_source_structure_holds():
             private_scipy.append(rel)
         if any(m.split(".")[0] == "cffi" for m in _imports(tree)):
             cffi_users.append(rel)
+        if any(m.split(".")[0] == "multiprocessing" for m in _imports(tree)):
+            process_users.append(rel)
         if rel != os.path.join("engine", "config.py"):
             depth_reads += [
                 f"{rel}: {fn}" for fn in _attr_loads(tree, "prefetch_depth")
@@ -459,6 +462,9 @@ def test_source_structure_holds():
     ], depth_reads
     assert private_scipy == [os.path.join("algorithms", "pagerank.py")]
     assert cffi_users == [os.path.join("algorithms", "native.py")]
+    # Every run executes in one process: the engine thread, the prefetch
+    # thread and the kernel pool.
+    assert not process_users, process_users
     assert gather_defs == [os.path.join("algorithms", "base.py") + ": gather_ids"]
     assert kernels and not raw_kernels, raw_kernels
     results_dir = os.path.join(SRC, "..", "..", "benchmarks", "results")
@@ -472,9 +478,9 @@ def test_source_structure_holds():
     assert shard_assigned == [
         "types.py: SHARDS_PER_BATCH", "types.py: MIN_SHARD_EDGES"
     ]
-    assert len(dataclasses.fields(EngineConfig)) == 18
+    assert len(dataclasses.fields(EngineConfig)) == 17
     assert len(dataclasses.fields(BaselineConfig)) == 7
-    assert sorted(env_keys) == ["REPRO_SCALE", "REPRO_SHARDS"]
+    assert env_keys == ["REPRO_SCALE"]
     assert env_mentions == len(env_keys)
 
 

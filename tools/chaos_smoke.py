@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI chaos smoke: seeded fault injection must recover, kill/resume must match.
 
-Six gates (docs/RELIABILITY.md), each exiting non-zero on failure:
+Five gates (docs/RELIABILITY.md), each exiting non-zero on failure:
 
 1. **Recovery** — a seeded chaos run (transient read errors + short reads
    + latency spikes + one slow RAID member) of BFS and PageRank completes
@@ -12,14 +12,10 @@ Six gates (docs/RELIABILITY.md), each exiting non-zero on failure:
 3. **Kill/resume** — a PageRank run killed mid-way by a persistent fault
    resumes from its last checkpoint and reproduces the uninterrupted
    result bit-for-bit.
-4. **Shard chaos** — a scripted transport fault kills one shard worker
-   mid-run; the supervisor must *respawn* it (never fall back to the
-   coordinator path), finish fully sharded, and stay bit-identical to
-   the serial baseline at prefetch depths 0 and 2.
-5. **Serve chaos** — an engine-side error streak flips ``/healthz`` to
+4. **Serve chaos** — an engine-side error streak flips ``/healthz`` to
    ``degraded`` and shed queries come back as typed 429s with a
    ``Retry-After`` header; recovery flips it back to ``healthy``.
-6. **Disk bit-rot** — ``repro convert`` a smoke graph, ``repro fsck
+5. **Disk bit-rot** — ``repro convert`` a smoke graph, ``repro fsck
    --checksums`` exits 0; one flipped payload byte makes it exit 1 and
    name the tile that owns the byte.
 
@@ -168,44 +164,8 @@ def gate_kill_resume(tg: TiledGraph) -> None:
         )
 
 
-def gate_shard_chaos(tg: TiledGraph) -> None:
-    print("gate 4: killed shard worker respawns, stays sharded + identical")
-    from repro.runtime.shm import LIVE_SHM_SEGMENTS
-
-    clean = PageRank(max_iterations=10, tolerance=1e-12)
-    GStoreEngine(tg, make_config()).run(clean)
-
-    for depth in (0, 2):
-        chaos = PageRank(max_iterations=10, tolerance=1e-12)
-        eng = GStoreEngine(
-            tg,
-            make_config(
-                shards=2,
-                prefetch_depth=depth,
-                faults=FaultPlan.parse("kill:0@2"),
-            ),
-        )
-        stats = eng.run(chaos)
-        eng.close()
-        sup = stats.extra["supervisor"]
-        check(
-            np.array_equal(clean.rank, chaos.rank),
-            f"depth {depth}: post-kill rank matches serial baseline",
-        )
-        check(
-            stats.extra["execution"]["shards_resolved"] == 2,
-            f"depth {depth}: run finished sharded (no coordinator fallback)",
-        )
-        check(
-            sup["respawns"] == 1 and sup["worker_deaths"] == 1,
-            f"depth {depth}: exactly one respawn "
-            f"({sup['replayed_batches']} batches replayed)",
-        )
-        check(not LIVE_SHM_SEGMENTS, f"depth {depth}: no leaked shm segment")
-
-
 def gate_serve_chaos(tg: TiledGraph) -> None:
-    print("gate 5: degraded engine flips /healthz, shed queries get typed 429s")
+    print("gate 4: degraded engine flips /healthz, shed queries get typed 429s")
     import json
     import threading
     import urllib.error
@@ -309,7 +269,7 @@ def gate_serve_chaos(tg: TiledGraph) -> None:
 
 
 def gate_disk_bitrot() -> None:
-    print("gate 6: a flipped payload byte on disk fails fsck, naming its tile")
+    print("gate 5: a flipped payload byte on disk fails fsck, naming its tile")
     def fsck(directory: str) -> "tuple[int, str]":
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -357,7 +317,6 @@ def main() -> int:
     gate_recovery(tg, args.seed)
     gate_determinism(tg, args.seed)
     gate_kill_resume(tg)
-    gate_shard_chaos(tg)
     gate_serve_chaos(tg)
     gate_disk_bitrot()
 

@@ -17,9 +17,9 @@ statistic (``RunStats`` totals, every ``IterationStats`` field,
   ``tests/test_equiv_lattice.py`` runs it in tier-1 beside independent
   oracles for every distinct answer.
 
-The enumeration, every engine run at one shard floor — coordinator and
-shard workers alike (``tests/shard_floor.py``), so the ~2 000-edge
-batches of these budgets still cut into several shards:
+The enumeration, every engine run at one lowered shard floor
+(``tests/shard_floor.py``), so the ~2 000-edge batches of these budgets
+still cut into several shards:
 
 * 11 algorithms + direction-optimising BFS on three graphs — an
   undirected R-MAT, a directed R-MAT keeping its self-loops, and a
@@ -29,9 +29,6 @@ batches of these budgets still cut into several shards:
   (4, 3) — 576 runs).  That an answer does not depend on where a batch
   is cut into shards is a property of the kernel contract, checked in
   ``tests/test_fused_equivalence.py``.
-* shard processes (``SHARDED``): every algorithm on one engine per
-  graph — two shards at the 24 KB budget dense, four at the 8 KB budget
-  selective, two at the 8 KB budget dense (36).
 * one private-context run and one checkpoint resume of BFS and PageRank
   per graph (12).
 * SCC over the directed graph, payload resident and left on disk (2).
@@ -40,7 +37,7 @@ batches of these budgets still cut into several shards:
   ``overlap`` on/off (72 runs: result digest, every ``RunStats`` and
   ``IterationStats`` field, the model's clock, page-cache counters).
 
-698 records in all.
+662 records in all.
 
 Usage::
 
@@ -64,19 +61,11 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUDGETS = ((24 * 1024, 4 * 1024), (8 * 1024, 4 * 1024))
-#: ``(prefetch_depth, workers)`` of the single-process runs: the serial
+#: ``(prefetch_depth, workers)`` of the engine runs: the serial
 #: baseline (what the default resolves to over page-cached reads), the
 #: explicit prefetch thread, and the kernel pool beside it — depths
 #: 0/1/2/4, workers 1/2/3.
 EXECUTIONS = ((0, 1), (2, 1), (1, 2), (4, 3))
-#: Each graph's shard-parallel engine, ``(shards, budget, selective)``:
-#: every shard count, budget and selective mode appears once a worker
-#: spawn (~0.5 s of interpreter and NumPy start-up each) is paid for it.
-SHARDED = {
-    "undirected": (2, BUDGETS[0], False),
-    "directed": (4, BUDGETS[1], True),
-    "edge-cases": (2, BUDGETS[1], False),
-}
 #: (memory, segment) of the comparator runs: 8 and 64 pages of page cache
 #: under a graph of 32 (CSR) to 64 (full tuples) pages.
 COMPARATOR_BUDGETS = ((32 * 1024, 4 * 1024), (256 * 1024, 16 * 1024))
@@ -283,10 +272,9 @@ def enumerate_records():
     the trees are diffed on and the result array its digest names.
 
     An engine run's key is ``algorithm/graph/budget/fused/variant/mode``
-    — variant ``depth<d>-workers<w>``, ``shards<n>``, ``private`` or
-    ``resumed``, mode ``selective`` or ``dense``.  The constant ``fused``
-    segment keeps the keys those of earlier revisions, which also ran
-    per-tile dispatch.
+    — variant ``depth<d>-workers<w>``, ``private`` or ``resumed``, mode
+    ``selective`` or ``dense``.  The constant ``fused`` segment keeps the
+    keys those of earlier revisions, which also ran per-tile dispatch.
     """
     from repro.engine.config import EngineConfig
     from repro.engine.gstore import GStoreEngine
@@ -313,7 +301,7 @@ def enumerate_records():
             )
         ):
             cfg = config(budget, prefetch_depth=depth, workers=workers,
-                         selective=selective, shards=1)
+                         selective=selective)
             variant = f"depth{depth}-workers{workers}"
             with GStoreEngine(tg, cfg) as engine:
                 for name, make in algos.items():
@@ -321,37 +309,29 @@ def enumerate_records():
                     yield (key(name, kind, budget, variant, selective),
                            *_record(algo, engine.run(algo)))
 
-        for kind, (shards, budget, selective) in SHARDED.items():
-            cfg = config(budget, shards=shards, selective=selective)
-            with GStoreEngine(graphs[kind], cfg) as engine:
-                for name, make in algos.items():
-                    algo = make()
-                    yield (key(name, kind, budget, f"shards{shards}", selective),
-                           *_record(algo, engine.run(algo)))
-
         budget = BUDGETS[0]
         for (kind, tg), name in itertools.product(
             graphs.items(), ("bfs", "pagerank"),
         ):
-            with GStoreEngine(tg, config(budget, shards=1)) as engine:
+            with GStoreEngine(tg, config(budget)) as engine:
                 algo = algos[name]()
                 stats = engine.run(algo, context=engine.query_context())
                 yield (key(name, kind, budget, "private"), *_record(algo, stats))
             with tempfile.TemporaryDirectory() as ckpt:
                 try:
                     with GStoreEngine(
-                        tg, config(budget, shards=1, max_iterations=3)
+                        tg, config(budget, max_iterations=3)
                     ) as engine:
                         engine.run(algos[name](), checkpoint=ckpt)
                 except AlgorithmError:
                     pass  # the interruption: iteration 3 is checkpointed
-                with GStoreEngine(tg, config(budget, shards=1)) as engine:
+                with GStoreEngine(tg, config(budget)) as engine:
                     algo = algos[name]()
                     stats = engine.run(algo, checkpoint=ckpt)
                 yield (key(name, kind, budget, "resumed"), *_record(algo, stats))
 
         directed = graphs["directed"]
-        cfg = config((64 * 1024, 8 * 1024), shards=1)
+        cfg = config((64 * 1024, 8 * 1024))
         yield ("scc/directed/resident", *_scc(directed, cfg))
         with tempfile.TemporaryDirectory() as d:
             external = TiledGraph.load(directed.save(d), resident=False)
@@ -389,21 +369,18 @@ def diff_records(ours: dict, theirs: dict, path: str = "") -> "list[str]":
     return [] if ours == theirs else [f"{path}: {theirs!r} -> {ours!r}"]
 
 
-def _declared_execution(variant, mode, live) -> dict:
+def _declared_execution(variant, mode) -> dict:
     """The ``extra["execution"]`` values an engine run's key declares: the
     configuration, and what the engine must resolve it to (a private run
     is one thread at depth 0; an unset depth runs the prefetch thread only
-    when reads block; only a snapshot kernel shards)."""
+    when reads block)."""
     from repro.engine.config import EngineConfig
     from repro.runtime.prefetch import BLOCKING_IO_DEPTH
 
     default = EngineConfig()
-    # Every run but the sharded ones pins shards=1.
-    depth, workers, shards = default.prefetch_depth, default.workers, 1
+    depth, workers = default.prefetch_depth, default.workers
     if variant.startswith("depth"):
         depth, workers = map(int, re.findall(r"\d+", variant))
-    elif variant.startswith("shards"):
-        shards = int(variant[len("shards"):])
     private = variant == "private"
     resolved = depth
     if depth is None:
@@ -412,8 +389,6 @@ def _declared_execution(variant, mode, live) -> dict:
         "selective": mode == "selective",
         "workers": workers,
         "workers_resolved": 1 if private else workers,
-        "shards": shards,
-        "shards_resolved": 1 if live else shards,
         "prefetch_depth": depth,
         "prefetch_depth_resolved": 0 if private else resolved,
         "realize_io": default.realize_io,
@@ -433,9 +408,9 @@ def lattice_violations(records: dict) -> "list[str]":
 
     * one answer (result digest; MIS rounds and members) per algorithm,
       graph and budget across every run — depth, workers, selective
-      on/off, shards, private context, checkpoint resume;
+      on/off, private context, checkpoint resume;
     * one simulated run (every ``stats`` field) per selective mode across
-      depth, workers, shards and private context, and ``execution`` as
+      depth, workers and private context, and ``execution`` as
       each key declares it;
     * dense skips nothing and every dense iteration is one full sweep; no
       selective iteration asks for more, and a selective run asks for no
@@ -469,7 +444,7 @@ def lattice_violations(records: dict) -> "list[str]":
         differ(key, answer, ref_key, ref)
         out += diff_records(
             rec["execution"],
-            _declared_execution(variant, mode, live[name]),
+            _declared_execution(variant, mode),
             f"{key}.execution",
         )
         if variant == "resumed":
@@ -550,5 +525,5 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, ROOT)  # for tests.shard_floor, here and in shard workers
+    sys.path.insert(0, ROOT)  # for tests.shard_floor
     sys.exit(main())

@@ -2,8 +2,8 @@
 """CI wall-clock smoke: prefetch overlap and concurrent serving.
 
 Two gates on the real clock, each exiting non-zero on failure.  What does
-not need a wall clock (bit-identical results across prefetch depths,
-workers and shards; selective byte savings) is held by the equivalence
+not need a wall clock (bit-identical results across prefetch depths and
+workers; selective byte savings) is held by the equivalence
 lattice and tier-1 instead.
 
 1. **Overlap** — a 2^12 R-MAT streamed through a 128 KB budget in 32 KB
