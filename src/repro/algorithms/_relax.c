@@ -1,7 +1,8 @@
 /* The compiled kernel tier, loaded by repro.algorithms.native: the
  * min-relaxation kernels of SSSP (float64 distances, suffix f64) and
  * AsyncBFS (int64 depths, i64) and the min-commit CC uses too; BFS's and
- * Reachability's discovery passes; and the SNB decode (widen_*).
+ * Reachability's discovery passes; the scatter-add of PageRank, SpMV and
+ * SCC's degrees; and the SNB decode (widen_*).
  *
  * Every kernel takes n, the length of the state array, and checks an
  * endpoint or index against it before it reads or writes state there: on
@@ -211,6 +212,30 @@ i64 discover_reach(const uint8_t *frontier, const uint8_t *allowed,
                            n, src, dst, m, out)
     return sym ? PASS(1) : PASS(0);
 #undef PASS
+}
+
+/* The scatter kernels' commit, straight into the accumulator: for each
+ * of m edges in order, acc[dst[i]] += x[src[i]], and (sym) right after it
+ * the mirrored acc[src[i]] += x[dst[i]] -- np.add.at over the interleaved
+ * pairs, so the float addition order is the edge order, whatever the
+ * shards.  Returns -1, having written nothing, on an out-of-range
+ * endpoint. */
+int scatter_add(double *acc, i64 n, const double *x, const uint32_t *src,
+                const uint32_t *dst, i64 m, int sym)
+{
+    for (i64 i = 0; i < m; i++)
+        if (src[i] >= n || dst[i] >= n)
+            return -1;
+    if (sym)
+        for (i64 i = 0; i < m; i++) {
+            uint32_t s = src[i], t = dst[i];
+            acc[t] += x[s];
+            acc[s] += x[t];
+        }
+    else
+        for (i64 i = 0; i < m; i++)
+            acc[dst[i]] += x[src[i]];
+    return 0;
 }
 
 /* The SNB decode: k tiles' interleaved local (src, dst) pairs, counts[j]

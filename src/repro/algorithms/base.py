@@ -62,8 +62,8 @@ def chunk_by_edges(
     (:func:`~repro.types.shard_pieces`).
 
     The split depends only on the batch contents — never on the worker
-    count — so algorithms whose floating-point accumulation order follows
-    the shard structure produce bit-identical results at any parallelism.
+    count — so a live kernel, whose relaxation order follows the shard
+    structure, does the same work at any parallelism.
     Chunks concatenate back to the original sequence.  The engine cuts a
     decoded batch by the same arithmetic on edge counts
     (:func:`~repro.format.tiles.shard_cuts`); this list-of-views form is
@@ -154,6 +154,14 @@ class TileAlgorithm(abc.ABC):
     #: algorithm property, not a configuration choice.
     live_kernel: bool = False
 
+    #: True when the commit does all of a kernel's per-edge work (the
+    #: scatter kernels: PageRank, SpMV, SCC's degrees add straight into
+    #: their accumulator, :func:`~repro.algorithms.pagerank.scatter_add`).
+    #: Such a kernel has no read-only work for the thread pool, so cutting
+    #: a batch would only add commits: :meth:`shard_cuts` makes the whole
+    #: batch one shard.
+    one_shard: bool = False
+
     def process_batch(self, batch: DecodedBatch) -> int:
         """Process one fetched batch, one kernel pass per shard.
 
@@ -178,12 +186,15 @@ class TileAlgorithm(abc.ABC):
         (:func:`~repro.format.tiles.shard_cuts`): a small number of
         contiguous, edge-balanced shards — coarse enough that each fused
         kernel call amortises its setup over many tiles, fine enough for
-        the dynamic worker pool to balance skewed rows (§VI-B).  The structure must depend only on the batch
-        contents — never the worker count — because partials are committed
-        in shard order and that order defines the floating-point
-        accumulation sequence.  A classmethod: the cut is a function of
-        the class and the batch, never of instance state.
+        the dynamic worker pool to balance skewed rows (§VI-B).  The
+        structure must depend only on the batch contents — never the
+        worker count — because partials are committed in shard order and
+        a live kernel relaxes in that order.  A classmethod: the cut is a
+        function of the class and the batch, never of instance state.  A
+        :attr:`one_shard` kernel takes the whole batch as one shard.
         """
+        if cls.one_shard:
+            return np.array([0, batch.n_edges], dtype=np.int64)
         return batch.cuts
 
     def shard_partial(self, batch: DecodedBatch, a: int, b: int):
@@ -231,11 +242,12 @@ class TileAlgorithm(abc.ABC):
         batch is cut into shards.  Kernels whose updates commute exactly
         (constant writes, integer decrements, idempotent minima — BFS, CC,
         k-core) give the same bits, edge count and iteration count for any
-        contiguous cut, down to one edge per shard; float-accumulating
-        kernels (PageRank, SpMV) give them up to floating-point
-        reassociation, the standard parallel-reduction contract; live
-        kernels (SSSP, AsyncBFS) converge to the same distances.  Returns
-        the number of edges the partial covered.
+        contiguous cut, down to one edge per shard, and so do the
+        float-accumulating ones (PageRank, SpMV), whose commit adds edge
+        after edge in plan order (:func:`~repro.algorithms.pagerank.scatter_add`),
+        so a cut never reorders a sum; live kernels (SSSP, AsyncBFS)
+        converge to the same distances.  Returns the number of edges the
+        partial covered.
         """
 
     # ------------------------------------------------------------------ #
@@ -284,9 +296,9 @@ class TileAlgorithm(abc.ABC):
         decoder writes them.  A *gather* kernel (state indexed by
         endpoint: BFS, SSSP, CC, ...) widens them with :func:`gather_ids`
         before anything else; a *scatter* kernel (PageRank, SpMV, SCC's
-        degrees) hands them to
-        :func:`~repro.algorithms.pagerank.scatter_sums`, which views them
-        as ``int32`` without a copy.
+        degrees) returns the slices as they are, and its commit hands
+        them to :func:`~repro.algorithms.pagerank.scatter_add`, whose
+        compiled loop reads the ``uint32`` IDs directly.
         """
 
     # ------------------------------------------------------------------ #

@@ -1,10 +1,11 @@
 """The compiled kernel tier: min-relaxations, BFS and reachability
-discovery, and the SNB decode, in C.
+discovery, the scatter-add, and the SNB decode, in C.
 
 SSSP's and AsyncBFS's relaxations and the min-commits of SSSP, AsyncBFS
 and CC (:func:`candidates`, :func:`rounds`, :func:`min_commit`), BFS's and
 Reachability's discovery passes (:func:`discover_bfs`,
-:func:`discover_reach`) and the widening of SNB tile payloads into global
+:func:`discover_reach`), the commit of PageRank, SpMV and SCC's degrees
+(:func:`scatter_add`) and the widening of SNB tile payloads into global
 IDs (:func:`widen`, behind ``TiledGraph._global_ids``) each run as one
 loop of one C file.
 
@@ -63,6 +64,8 @@ int64_t discover_bfs(const uint32_t *, int64_t, const uint32_t *,
 int64_t discover_reach(const uint8_t *, const uint8_t *, const uint8_t *,
                        int64_t, const uint32_t *, const uint32_t *, int64_t,
                        int, int64_t *);
+int scatter_add(double *, int64_t, const double *, const uint32_t *,
+                const uint32_t *, int64_t, int);
 """ + "".join(
     f"""
 int widen_{x}(const {t} *, int64_t, const int64_t *, const uint32_t *,
@@ -344,6 +347,28 @@ def discover_reach(frontier, allowed, visited, gsrc, gdst,
     if k < 0:
         raise _out_of_bounds(n, src, dst)
     return out[:k]
+
+
+def scatter_add(acc, x, gsrc, gdst, symmetric: bool) -> None:
+    """``acc[gdst[i]] += x[gsrc[i]]`` edge by edge, each followed on
+    symmetric storage by the mirrored ``acc[gsrc[i]] += x[gdst[i]]``, for
+    contiguous ``float64`` ``acc`` and ``x`` of one length.  Every endpoint
+    is checked before the first add, so ``acc`` is untouched when one is
+    out of range."""
+    n = acc.shape[0]
+    if acc.dtype != np.float64 or not acc.flags.c_contiguous:
+        raise ValueError(f"acc must be contiguous float64, got {acc.dtype}")
+    if x.shape != (n,):
+        raise ValueError(f"x must have shape ({n},), got {x.shape}")
+    src, dst = _vertex_ids(n, gsrc, gdst)
+    rc = lib.scatter_add(
+        ffi.from_buffer("double[]", acc, require_writable=True), n,
+        ffi.from_buffer("double[]", np.ascontiguousarray(x, np.float64)),
+        ffi.from_buffer("uint32_t[]", src), ffi.from_buffer("uint32_t[]", dst),
+        src.shape[0], bool(symmetric),
+    )
+    if rc:
+        raise _out_of_bounds(n, src, dst)
 
 
 def widen(pairs: np.ndarray, counts: np.ndarray, sb: np.ndarray,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
-from repro.algorithms.pagerank import add_windows, scatter_sums
+from repro.algorithms.pagerank import scatter_add
 from repro.algorithms.reachability import Reachability
 from repro.engine.stats import RunStats
 from repro.errors import AlgorithmError
@@ -38,10 +38,12 @@ from repro.format.tiles import TiledGraph
 class SubgraphDegrees(TileAlgorithm):
     """One sweep counting, for every vertex, its in- and out-neighbours
     inside the ``active`` subset — the trim step's test.  PageRank's
-    windowed scatter of a 0/1 vector, once in each direction (float sums
-    of ones are exact far beyond any degree)."""
+    scatter-add of a 0/1 vector, once in each direction, straight into
+    the degree arrays (float sums of ones are exact far beyond any
+    degree, so the order of the adds cannot show)."""
 
     name = "degrees"
+    one_shard = True
 
     def __init__(self, active: np.ndarray) -> None:
         super().__init__()
@@ -53,25 +55,20 @@ class SubgraphDegrees(TileAlgorithm):
         self.out_deg = np.zeros(n, dtype=np.float64)
 
     def kernel_state(self):
-        return {"x": self._x}
+        return {}
 
     def kernel_params(self):
         return {}
 
     @staticmethod
     def kernel_partial(state, params, gsrc, gdst):
-        x = state["x"]
-        return (
-            scatter_sums(x, gsrc, gdst, False),
-            scatter_sums(x, gdst, gsrc, False),
-            int(gsrc.shape[0]),
-        )
+        return gsrc, gdst
 
     def apply_partial(self, partial) -> int:
-        in_windows, out_windows, edges = partial
-        add_windows(self.in_deg, in_windows)
-        add_windows(self.out_deg, out_windows)
-        return edges
+        gsrc, gdst = partial
+        scatter_add(self.in_deg, self._x, gsrc, gdst, False)
+        scatter_add(self.out_deg, self._x, gdst, gsrc, False)
+        return int(gsrc.shape[0])
 
     def end_iteration(self, iteration: int) -> bool:
         return False

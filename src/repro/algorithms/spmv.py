@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import TileAlgorithm
-from repro.algorithms.pagerank import add_windows, scatter_sums
+from repro.algorithms.pagerank import scatter_add
 from repro.errors import AlgorithmError
 
 
@@ -21,6 +21,7 @@ class SpMV(TileAlgorithm):
 
     name = "spmv"
     all_active = True
+    one_shard = True
 
     def __init__(self, x: "np.ndarray | None" = None, iterations: int = 1) -> None:
         super().__init__()
@@ -55,21 +56,21 @@ class SpMV(TileAlgorithm):
     # ------------------------------------------------------------------ #
 
     def kernel_state(self):
-        return {"x": self.x}
+        return {}
 
     def kernel_params(self):
-        return {"symmetric": self.symmetric}
+        return {}
 
     @staticmethod
     def kernel_partial(state, params, gsrc, gdst):
-        """Read-only fused pass (``x`` is frozen within an iteration)."""
-        windows = scatter_sums(state["x"], gsrc, gdst, params["symmetric"])
-        return windows, int(gsrc.shape[0])
+        """The shard's endpoint slices, as PageRank's: the commit
+        (:func:`~repro.algorithms.pagerank.scatter_add`) does the work."""
+        return gsrc, gdst
 
     def apply_partial(self, partial) -> int:
-        windows, edges = partial
-        add_windows(self.y, windows)
-        return edges
+        gsrc, gdst = partial
+        scatter_add(self.y, self.x, gsrc, gdst, self.symmetric)
+        return int(gsrc.shape[0])
 
     def end_iteration(self, iteration: int) -> bool:
         self.iterations_run = iteration + 1

@@ -170,8 +170,8 @@ def shard_cuts(
     batch of fewer runs than :func:`~repro.types.shard_pieces` allows is
     cut into equal-edge pieces, and the pieces are grouped greedily into
     at most that many shards of at least ``ceil(total / shards)`` edges.
-    Partials commit in shard order, so these cuts *are* the float
-    accumulation order; they depend on the batch contents alone.
+    Partials commit in shard order, so these cuts are the order a live
+    kernel relaxes in; they depend on the batch contents alone.
     """
     bounds = np.asarray(run_bounds, dtype=np.int64)
     n = bounds.shape[0] - 1

@@ -38,9 +38,10 @@ DEFAULT_STRIPE_BYTES = 64 * 1024
 #: (``format.tiles.shard_cuts``): a batch of fewer runs is split into this
 #: many equal-edge pieces and the pieces are grouped into at most this
 #: many shards — eight shards keep a thread pool busy.  Partials are
-#: committed in shard order, so the shard structure *is* the float
-#: accumulation order: it must never depend on a worker count, and every
-#: path (engine, layer walk) gets it from :func:`shard_pieces`.
+#: committed in shard order, so the shard structure is a live kernel's
+#: relaxation order (and so its edge and iteration counts): it must never
+#: depend on a worker count, and every path (engine, layer walk) gets it
+#: from :func:`shard_pieces`.
 SHARDS_PER_BATCH = 8
 
 #: Fewest edges a shard is cut down to.  A fused kernel is a dozen NumPy

@@ -69,6 +69,8 @@ def test_lattice_batches_cut_into_several_shards(edge_lists):
     graph really has empty tiles."""
 
     class Counting(PageRank):
+        one_shard = False  # take the batch's cuts, as every gather kernel does
+
         @classmethod
         def shard_cuts(cls, batch):
             cuts = super().shard_cuts(batch)

@@ -2,7 +2,9 @@
 
 :mod:`repro.algorithms.native` runs SSSP's and AsyncBFS's relaxations,
 the min-commits of SSSP, AsyncBFS and CC, BFS's and Reachability's
-discovery passes and the SNB decode in C when it loads; the NumPy bodies
+discovery passes, the scatter-add of PageRank, SpMV and SCC's degrees
+(its oracle property is in ``test_pagerank.py``) and the SNB decode in
+C when it loads; the NumPy bodies
 it replaces stay in the algorithms and the decoder as the fallback, and
 here they are the oracle: every C entry point must give what they give,
 element for element and in the same order.  The build half — the per-user cache, a
@@ -30,7 +32,9 @@ from repro.algorithms import native
 from repro.algorithms.async_bfs import AsyncBFS
 from repro.algorithms.bfs import BFS
 from repro.algorithms.cc import ConnectedComponents
+from repro.algorithms.pagerank import PageRank
 from repro.algorithms.reachability import Reachability
+from repro.algorithms.spmv import SpMV
 from repro.algorithms.sssp import SSSP, edge_weights
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
@@ -468,6 +472,8 @@ _ALGORITHMS = {
     "bfs": lambda: BFS(root=0),
     "bfs-direction-optimizing": lambda: BFS(root=0, direction_optimizing=True),
     "reachability": lambda: Reachability([0, 7]),
+    "pagerank": lambda: PageRank(max_iterations=5),
+    "spmv": lambda: SpMV(iterations=3),
 }
 
 

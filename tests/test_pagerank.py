@@ -1,5 +1,7 @@
-"""PageRank correctness against networkx, and its scatter kernel against
-the NumPy form it replaced."""
+"""PageRank correctness against networkx, and its scatter-add commit on
+both kernel tiers against plain in-order adds."""
+
+import contextlib
 
 import networkx as nx
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.pagerank import PageRank, scatter_sums
+from repro.algorithms import native
+from repro.algorithms.pagerank import PageRank, scatter_add
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
 
@@ -144,35 +147,74 @@ class TestPersonalized:
         with pytest.raises(AlgorithmError):
             PageRank(personalization={0: 0.0}).setup(tiled_undirected)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, tiled_undirected, weight):
+        """A NaN or infinite weight fails at setup instead of turning
+        every rank into NaN."""
+        from repro.errors import AlgorithmError
+
+        algo = PageRank(personalization={0: weight, 1: 1.0})
+        with pytest.raises(AlgorithmError, match="finite"):
+            algo.setup(tiled_undirected)
+
+
+@pytest.mark.parametrize("damping", [-0.1, 1.5, np.nan, np.inf])
+def test_damping_outside_unit_interval_rejected(damping):
+    from repro.errors import AlgorithmError
+
+    with pytest.raises(AlgorithmError, match="damping"):
+        PageRank(damping=damping)
+
+
+@pytest.mark.parametrize("damping", [0.0, 1.0])
+def test_damping_bounds_accepted(tiled_undirected, damping):
+    algo = PageRank(damping=damping, max_iterations=3)
+    GStoreEngine(
+        tiled_undirected,
+        EngineConfig(memory_bytes=64 * 1024, segment_bytes=8 * 1024),
+    ).run(algo)
+    assert np.isfinite(algo.result()).all()
+    assert float(algo.result().sum()) == pytest.approx(1.0, abs=1e-9)
+
 
 # ---------------------------------------------------------------------- #
-# scatter_sums: bit-identical to one weighted bincount per window
+# scatter_add: both tiers bit-identical to plain in-order adds
 # ---------------------------------------------------------------------- #
 
 
-def _bincount_sums(x, gsrc, gdst, symmetric):
-    """The oracle: ``scatter_sums``'s windows as weighted bincounts over
-    widened IDs and gathered values, the same windowing rules."""
-    if gsrc.shape[0] == 0:
-        return []
-    src = gsrc.astype(np.int64)
-    dst = gdst.astype(np.int64)
-    vals = x[src]
-    lo, hi = int(dst.min()), int(dst.max()) + 1
-    if not symmetric:
-        return [(lo, np.bincount(dst - lo, weights=vals))]
-    vals2 = x[dst]
-    lo2, hi2 = int(src.min()), int(src.max()) + 1
-    if hi <= lo2 or hi2 <= lo:
-        return [
-            (lo, np.bincount(dst - lo, weights=vals)),
-            (lo2, np.bincount(src - lo2, weights=vals2)),
-        ]
-    base = min(lo, lo2)
-    span = max(hi, hi2) - base
-    part = np.bincount(dst - base, weights=vals, minlength=span)
-    part += np.bincount(src - base, weights=vals2, minlength=span)
-    return [(base, part)]
+def _sequential(acc, x, gsrc, gdst, symmetric):
+    """The oracle: ``acc`` after adding ``x[s]`` to ``acc[t]`` for each edge
+    ``(s, t)`` in order, each followed on symmetric storage by ``x[t]`` to
+    ``acc[s]``, one float64 add at a time."""
+    out = acc.copy()
+    for s, t in zip(gsrc.tolist(), gdst.tolist()):
+        out[t] += x[s]
+        if symmetric:
+            out[s] += x[t]
+    return out
+
+
+#: The kernel tiers this process can run: the compiled one when it loaded,
+#: and always the NumPy body.
+TIERS = ([native.lib] if native.lib is not None else []) + [None]
+
+
+@contextlib.contextmanager
+def _tier(lib):
+    """Within the block, ``scatter_add`` runs the tier ``lib`` names."""
+    saved = native.lib
+    native.lib = lib
+    try:
+        yield
+    finally:
+        native.lib = saved
+
+
+def _accumulator(n, seed):
+    """A non-zero accumulator spread over many magnitudes, so an add out
+    of order changes bits."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
 
 
 @st.composite
@@ -183,7 +225,7 @@ def _shards(draw):
     n = draw(st.integers(1, 48))
     m = draw(st.integers(0, 40))
     ids = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
-    if n > 1 and draw(st.booleans()):  # disjoint windows
+    if n > 1 and draw(st.booleans()):  # disjoint ranges
         k = draw(st.integers(1, n - 1))
         src = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
         dst = draw(st.lists(st.integers(k, n - 1), min_size=m, max_size=m))
@@ -210,45 +252,55 @@ def _shard(n, pairs, symmetric):
     return x, arr[:, 0].copy(), arr[:, 1].copy(), symmetric
 
 
-class TestScatterSums:
+class TestScatterAdd:
     @settings(max_examples=300, deadline=None)
-    @given(shard=_shards())
-    @example(shard=_shard(5, [], True))  # empty shard
-    @example(shard=_shard(5, [(2, 3)], False))  # one edge
-    @example(shard=_shard(5, [(2, 3)], True))
-    @example(shard=_shard(6, [(0, 5), (0, 5), (5, 0), (0, 5)], True))
-    @example(shard=_shard(6, [(0, 5), (0, 5), (3, 5)], False))
-    @example(shard=_shard(9, [(0, 1), (1, 0), (7, 8), (8, 8)], True))
-    def test_matches_bincount_bit_for_bit(self, shard):
+    @given(shard=_shards(), seed=st.integers(0, 2**32 - 1))
+    @example(shard=_shard(5, [(2, 3)], False), seed=1)  # one edge
+    @example(shard=_shard(5, [(2, 3)], True), seed=2)
+    @example(shard=_shard(6, [(0, 5), (0, 5), (5, 0), (0, 5)], True), seed=3)
+    @example(shard=_shard(6, [(0, 5), (0, 5), (3, 5)], False), seed=4)
+    @example(shard=_shard(9, [(0, 1), (1, 0), (7, 8), (8, 8)], True), seed=5)
+    def test_tiers_match_in_order_adds_bit_for_bit(self, shard, seed):
+        """Every tier adds edge after edge into a non-zero accumulator:
+        the compiled loop and ``np.add.at`` give the oracle's bits, so
+        each other's."""
         x, gsrc, gdst, symmetric = shard
-        got = scatter_sums(x, gsrc, gdst, symmetric)
-        want = _bincount_sums(x, gsrc, gdst, symmetric)
-        assert [lo for lo, _ in got] == [lo for lo, _ in want]
-        for (_, a), (_, b) in zip(got, want):
-            assert a.dtype == np.float64
-            assert np.array_equal(a, b)
+        start = _accumulator(x.shape[0], seed)
+        want = _sequential(start, x, gsrc, gdst, symmetric)
+        for lib in TIERS:
+            acc = start.copy()
+            with _tier(lib):
+                scatter_add(acc, x, gsrc, gdst, symmetric)
+            assert acc.tobytes() == want.tobytes(), lib
 
     @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("side", ["gather", "scatter"])
     @pytest.mark.parametrize("bad", [10, 2**31, 2**32 - 1])
     def test_corrupt_id_raises_index_error(self, symmetric, side, bad):
-        """An endpoint past ``len(x)`` — or one that reads negative as
-        ``int32`` — fails typed before the compiled loop runs."""
+        """An endpoint past ``len(x)`` — 10, or one that would read
+        negative as ``int32`` — raises NumPy's ``IndexError`` on either
+        tier before the first add, so ``acc`` is untouched."""
         x = np.ones(10)
         gsrc = np.array([1, 2, 3], dtype=np.uint32)
         gdst = np.array([4, 5, 6], dtype=np.uint32)
         (gsrc if side == "gather" else gdst)[1] = bad
-        with pytest.raises(IndexError, match=f"index {bad} is out of bounds"):
-            scatter_sums(x, gsrc, gdst, symmetric)
+        for lib in TIERS:
+            acc = np.arange(10.0)
+            with _tier(lib), pytest.raises(
+                IndexError, match=f"index {bad} is out of bounds"
+            ):
+                scatter_add(acc, x, gsrc, gdst, symmetric)
+            assert np.array_equal(acc, np.arange(10.0)), lib
 
-    def test_ones_stay_read_only(self):
-        from repro.algorithms import pagerank
-
-        x = np.arange(4.0)
-        scatter_sums(x, np.arange(4, dtype=np.uint32),
-                     np.zeros(4, dtype=np.uint32), False)
-        assert pagerank._ONES.shape[0] >= 4
-        assert not pagerank._ONES.flags.writeable
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_empty_shard_adds_nothing(self, symmetric):
+        x = np.arange(5.0)
+        empty = np.zeros(0, dtype=np.uint32)
+        for lib in TIERS:
+            acc = np.full(5, 0.5)
+            with _tier(lib):
+                scatter_add(acc, x, empty, empty, symmetric)
+            assert np.array_equal(acc, np.full(5, 0.5)), lib
 
 
 @pytest.mark.parametrize("directed", [True, False])

@@ -18,6 +18,7 @@ from repro.algorithms.base import (
     TileAlgorithm,
     chunk_by_edges,
 )
+from repro.algorithms.cc import ConnectedComponents
 from repro.algorithms.pagerank import PageRank
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
@@ -196,18 +197,19 @@ class TestWorkerPool:
         before = _worker_threads()
         with self._engine(tiled_undirected) as engine:
             assert _worker_threads() == before
-            engine.run(PageRank(max_iterations=2, tolerance=0.0))
+            engine.run(ConnectedComponents(max_iterations=2))
             assert _worker_threads() > before
         assert _worker_threads() == before
         with self._engine(tiled_undirected, workers=1) as serial:
-            serial.run(PageRank(max_iterations=2, tolerance=0.0))
+            serial.run(ConnectedComponents(max_iterations=2))
             assert _worker_threads() == before
 
-    def test_reused_across_calls(self, tiled_undirected):
+    def test_reused_across_calls(self, tiled_undirected, low_shard_floor):
         with self._engine(tiled_undirected) as engine:
-            engine.run(PageRank(max_iterations=2, tolerance=0.0))
+            engine.run(ConnectedComponents(max_iterations=2))
             first = engine.pool
-            engine.run(PageRank(max_iterations=2, tolerance=0.0))
+            assert first is not None
+            engine.run(ConnectedComponents(max_iterations=2))
             assert engine.pool is first  # no per-batch churn
 
     def test_warm_backend_spawns_every_thread(self, tiled_undirected):
@@ -467,6 +469,8 @@ class TestShardFloor:
             seen: "list[list[int]]" = []
 
             class Recording(PageRank):
+                one_shard = False  # take the batch's cuts, as CC would
+
                 @classmethod
                 def shard_cuts(cls, batch):
                     cuts = super().shard_cuts(batch)

@@ -259,8 +259,8 @@ def _env_reads(tree):
 def test_source_structure_holds():
     """Rules ``src/repro`` keeps about itself: the runtime never reaches up
     into the engine, the engine and algorithms import the runtime at module
-    level only, the shard structure (which *is* the float accumulation
-    order) is assigned in one place, tile bytes take one path — no
+    level only, the shard structure (a live kernel's relaxation order) is
+    assigned in one place, tile bytes take one path — no
     execution layer holds per-tile buffers, no algorithm opens the store,
     one function decodes a batch, one function is the kernel on a single
     tile (no algorithm carries a per-tile twin, nothing asks whether an
@@ -273,16 +273,15 @@ def test_source_structure_holds():
     the config's own validation, ``prefetch_depth`` is read only by
     ``GStoreEngine._prefetch_depth`` and the ``extra["execution"]``
     record in ``_run``, so nothing else decides whether a prefetch thread
-    runs) — scipy's private ``scipy.sparse._sparsetools`` (the compiled
-    COO mat-vec behind the scatter kernels) is imported by one module,
-    ``algorithms/pagerank.py``, so the private symbol lives in one place,
-    and cffi by one, ``algorithms/native.py``, so the compiled tier is
+    runs) — no module imports scipy's private ``scipy.sparse._sparsetools``,
+    and one imports cffi, ``algorithms/native.py``, so the compiled tier is
     chosen in one place — every run is one process (no module imports
     ``multiprocessing``) —
-    every kernel indexes with ``intp`` or views its IDs as ``int32`` (each
-    ``kernel_partial`` under ``algorithms/`` calls ``gather_ids``, defined
-    once in ``algorithms/base.py``, or ``scatter_sums``, so no kernel
-    gathers through NumPy's slow ``uint32`` fancy-index path) —
+    no kernel gathers through NumPy's slow ``uint32`` fancy-index path
+    (each ``kernel_partial`` under ``algorithms/`` calls ``gather_ids``,
+    defined once in ``algorithms/base.py``, or its class's commit,
+    ``apply_partial``, calls ``scatter_add``, whose compiled loop reads
+    the ``uint32`` IDs directly) —
     one engine loop (under ``engine/`` only ``GStoreEngine`` defines
     ``run``) — the experiment verdicts are plain predicates (no
     ``assert`` in ``bench/experiments.py``, which ``python -O`` would
@@ -360,17 +359,22 @@ def test_source_structure_holds():
                 f"{rel}: {m}" for m in _imports(tree)
                 if m.endswith(".TileView")
             ]
-            for fn in ast.walk(tree):
-                if not (isinstance(fn, ast.FunctionDef)
-                        and fn.name == "kernel_partial"):
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
                     continue
-                kernels.append(rel)
-                called = {
-                    getattr(node.func, "id", getattr(node.func, "attr", None))
-                    for node in ast.walk(fn) if isinstance(node, ast.Call)
+                calls = {
+                    fn.name: {
+                        getattr(node.func, "id", getattr(node.func, "attr", None))
+                        for node in ast.walk(fn) if isinstance(node, ast.Call)
+                    }
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef)
                 }
-                if not called & {"gather_ids", "scatter_sums"}:
-                    raw_kernels.append(rel)
+                if "kernel_partial" not in calls:
+                    continue
+                kernels.append(f"{rel}: {cls.name}")
+                if ("gather_ids" not in calls["kernel_partial"]
+                        and "scatter_add" not in calls.get("apply_partial", ())):
+                    raw_kernels.append(f"{rel}: {cls.name}")
         walked += [
             f"{rel}: {name}"
             for node in ast.walk(tree)
@@ -460,7 +464,7 @@ def test_source_structure_holds():
         os.path.join("engine", "gstore.py") + f": {fn}"
         for fn in ("_prefetch_depth", "_run")
     ], depth_reads
-    assert private_scipy == [os.path.join("algorithms", "pagerank.py")]
+    assert not private_scipy, private_scipy
     assert cffi_users == [os.path.join("algorithms", "native.py")]
     # Every run executes in one process: the engine thread, the prefetch
     # thread and the kernel pool.

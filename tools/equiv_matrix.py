@@ -37,7 +37,12 @@ still cut into several shards:
   ``overlap`` on/off (72 runs: result digest, every ``RunStats`` and
   ``IterationStats`` field, the model's clock, page-cache counters).
 
-662 records in all.
+662 records in all.  Every answer, float sums included, is the same
+bits under any cut of a batch into shards: PageRank and SpMV add in edge
+order (``pagerank.scatter_add``).  That order is a declared behaviour
+change against trees whose scatter summed per-shard vertex windows:
+against them the 54 ``pagerank/*`` result digests differ, and nothing
+else does.
 
 Usage::
 
@@ -69,9 +74,6 @@ EXECUTIONS = ((0, 1), (2, 1), (1, 2), (4, 3))
 #: (memory, segment) of the comparator runs: 8 and 64 pages of page cache
 #: under a graph of 32 (CSR) to 64 (full tuples) pages.
 COMPARATOR_BUDGETS = ((32 * 1024, 4 * 1024), (256 * 1024, 16 * 1024))
-#: Kernels that accumulate floats: a batch cut into other shards sums them
-#: in another order, so it matches up to reassociation, not bit for bit.
-FLOAT_ALGORITHMS = ("pagerank", "spmv")
 
 
 # ---------------------------------------------------------------------- #
