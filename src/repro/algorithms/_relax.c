@@ -2,7 +2,9 @@
  * min-relaxation kernels of SSSP (float64 distances, suffix f64) and
  * AsyncBFS (int64 depths, i64) and the min-commit CC uses too; BFS's and
  * Reachability's discovery passes; the scatter-add of PageRank, SpMV and
- * SCC's degrees; and the SNB decode (widen_*).
+ * SCC's degrees; the SNB decode (widen_*); and the write path: the
+ * symmetric tile encoder's two passes (upper_keys, unpack_*) and the
+ * per-tile CRC32C (crc32c_extents).
  *
  * Every kernel takes n, the length of the state array, and checks an
  * endpoint or index against it before it reads or writes state there: on
@@ -10,11 +12,16 @@
  * candidate or discovery pass writes only its outputs, and a commit
  * checks all its indices before its first write.  Candidates are computed
  * against the state as it stands on entry and only then committed, as the
- * NumPy bodies they replace do; nothing relaxes in place.
+ * NumPy bodies they replace do; nothing relaxes in place.  The write-path
+ * kernels check their whole input (endpoints, tile positions, extents)
+ * before their first write too, and return -1 on anything out of range.
  */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 typedef int64_t i64;
 #define INLINE static inline __attribute__((always_inline))
@@ -269,3 +276,227 @@ int widen_##X(const L *pairs, i64 n_pairs, const i64 *counts,                \
 WIDEN(u8, uint8_t)
 WIDEN(u16, uint16_t)
 WIDEN(u32, uint32_t)
+
+/* The symmetric tile encoder's first pass: every non-loop edge of m
+ * (src, dst) as one uint64 key pos << 2*tb | lsrc << tb | ldst, in input
+ * order, lsrc/ldst the in-tile IDs of its smaller and larger endpoint and
+ * pos = pos_grid[lo >> tb][hi >> tb] (a p-by-p grid) its tile's disk
+ * position; (weighted) the weights follow their keys into w_out.  Every
+ * shift is by tb (1..32) alone, so none is by 64 when one tile makes
+ * 2*tb the full key.  Branch-free: every edge writes its slot, and a
+ * loop does not count. */
+INLINE i64 keys(int weighted, const uint32_t *src, const uint32_t *dst,
+                i64 m, const i64 *pos_grid, i64 p, int tb, const float *w,
+                uint64_t *key, float *w_out)
+{
+    uint32_t mask = (uint32_t)((UINT64_C(1) << tb) - 1);
+    i64 k = 0;
+    for (i64 i = 0; i < m; i++) {
+        uint32_t s = src[i], t = dst[i];
+        uint32_t lo = s < t ? s : t, hi = s < t ? t : s;
+        uint64_t pos = pos_grid[((uint64_t)lo >> tb) * p +
+                                ((uint64_t)hi >> tb)];
+        key[k] = pos << tb << tb | (uint64_t)(lo & mask) << tb | (hi & mask);
+        if (weighted)
+            w_out[k] = w[i];
+        k += lo != hi;
+    }
+    return k;
+}
+
+/* Whether any of a[0..m) is above top: 16 at a time, a trip count -O2
+ * vectorises (a plain loop measured 1.6 times as slow), then the rest. */
+INLINE int above(const uint32_t *a, i64 m, uint32_t top)
+{
+    uint32_t any = 0;
+    i64 i = 0;
+    for (; i + 16 <= m; i += 16)
+        for (int j = 0; j < 16; j++)
+            any |= a[i + j] > top;
+    for (; i < m; i++)
+        any |= a[i] > top;
+    return any != 0;
+}
+
+/* Returns the count of keys, or -1, having written nothing, on an
+ * endpoint not below n_vertices, a grid too small for n_vertices, or an
+ * upper-triangle grid entry not in [0, n_tiles).  w NULL: unweighted. */
+i64 upper_keys(const uint32_t *src, const uint32_t *dst, i64 m,
+               i64 n_vertices, const i64 *pos_grid, i64 p, i64 n_tiles,
+               int tb, const float *w, uint64_t *key, float *w_out)
+{
+    if (tb < 1 || tb > 32 || p < 1 || n_vertices < 1 ||
+        (uint64_t)(n_vertices - 1) >> tb >= (uint64_t)p)
+        return -1;
+    uint32_t top = n_vertices > UINT32_MAX ? UINT32_MAX
+                                           : (uint32_t)(n_vertices - 1);
+    int bad = above(src, m, top) || above(dst, m, top);
+    for (i64 r = 0; !bad && r < p; r++)
+        for (i64 c = r; c < p; c++)
+            bad |= (uint64_t)pos_grid[r * p + c] >= (uint64_t)n_tiles;
+    if (bad)
+        return -1;
+    return w ? keys(1, src, dst, m, pos_grid, p, tb, w, key, w_out)
+             : keys(0, src, dst, m, pos_grid, p, tb, w, key, w_out);
+}
+
+/* Whether unpack_* may run: walking the n_tiles tiles in order, each
+ * taking the keys from e on whose position is its own, takes all k keys
+ * in ascending order, and every key of a ragged tile (one reaching past
+ * n_vertices) decodes to global IDs below n_vertices.  A tile's global
+ * IDs are its base (row or column << tb, whose low tb bits are 0) or its
+ * in-tile IDs. */
+INLINE int unpack_ok(const uint64_t *key, i64 k, int tb, const i64 *rows,
+                     const i64 *cols, i64 n_tiles, i64 n_vertices)
+{
+    if (tb < 1 || tb > 32)
+        return 0;
+    uint64_t mask = (UINT64_C(1) << tb) - 1, n = n_vertices, prev = 0;
+    int bad = 0;
+    i64 e = 0;
+    for (i64 pos = 0; pos < n_tiles; pos++) {
+        uint64_t sb = (uint64_t)rows[pos] << tb, db = (uint64_t)cols[pos] << tb;
+        int ragged = (sb | mask) >= n || (db | mask) >= n;
+        for (; e < k && key[e] >> tb >> tb == (uint64_t)pos; e++) {
+            uint64_t x = key[e];
+            bad |= x < prev;
+            prev = x;
+            if (ragged)
+                bad |= ((sb | (x >> tb & mask)) >= n) | ((db | (x & mask)) >= n);
+        }
+    }
+    return !bad && e == k;
+}
+
+/* The symmetric tile encoder's second pass, over the k ascending distinct
+ * keys of upper_keys: each key's in-tile (lsrc, ldst) into the interleaved
+ * payload -- or, snb == 0, its global IDs rows[pos] << tb | lsrc and
+ * cols[pos] << tb | ldst -- where each of the n_tiles tiles' edges start
+ * into start[0..n_tiles], and a count for both global endpoints into deg
+ * (n_vertices zeros on entry).  Returns -1, having written nothing,
+ * unless unpack_ok. */
+#define UNPACK(X, L)                                                         \
+int unpack_##X(const uint64_t *key, i64 k, int tb, const i64 *rows,          \
+               const i64 *cols, i64 n_tiles, i64 n_vertices, int snb,        \
+               L *payload, i64 *start, uint32_t *deg)                        \
+{                                                                            \
+    if (!unpack_ok(key, k, tb, rows, cols, n_tiles, n_vertices))             \
+        return -1;                                                           \
+    uint64_t mask = (UINT64_C(1) << tb) - 1;                                 \
+    i64 e = 0;                                                               \
+    for (i64 pos = 0; pos < n_tiles; pos++) {                                \
+        uint64_t sb = (uint64_t)rows[pos] << tb;                             \
+        uint64_t db = (uint64_t)cols[pos] << tb;                             \
+        start[pos] = e;                                                      \
+        for (; e < k && key[e] >> tb >> tb == (uint64_t)pos; e++) {          \
+            uint64_t ls = key[e] >> tb & mask, ld = key[e] & mask;           \
+            payload[2 * e] = snb ? ls : sb | ls;                             \
+            payload[2 * e + 1] = snb ? ld : db | ld;                         \
+            deg[sb | ls]++;                                                  \
+            deg[db | ld]++;                                                  \
+        }                                                                    \
+    }                                                                        \
+    start[n_tiles] = k;                                                      \
+    return 0;                                                                \
+}
+
+UNPACK(u8, uint8_t)
+UNPACK(u16, uint16_t)
+UNPACK(u32, uint32_t)
+
+/* CRC32C (Castagnoli, reflected polynomial 0x82F63B78): slicing-by-8
+ * tables, built once when the library loads -- never on first use, since
+ * the prefetch and serving threads verify at once with the GIL released
+ * -- and, on x86-64, whether the CPU has SSE4.2's crc32 instruction. */
+static uint32_t crc_table[8][256];
+static int crc_hw;
+
+__attribute__((constructor)) static void crc_init(void)
+{
+    for (uint32_t n = 0; n < 256; n++) {
+        uint32_t c = n;
+        for (int b = 0; b < 8; b++)
+            c = c & 1 ? c >> 1 ^ 0x82F63B78u : c >> 1;
+        crc_table[0][n] = c;
+    }
+    for (int t = 1; t < 8; t++)
+        for (int n = 0; n < 256; n++) {
+            uint32_t c = crc_table[t - 1][n];
+            crc_table[t][n] = crc_table[0][c & 0xFF] ^ c >> 8;
+        }
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    crc_hw = __builtin_cpu_supports("sse4.2");
+#endif
+}
+
+/* Which body crc32c_extents runs: the best this CPU has, slicing-by-8, or
+ * SSE4.2 (which returns -2 where the CPU lacks it). */
+enum { CRC_BEST, CRC_SB8, CRC_SSE42 };
+
+int crc32c_sse42(void) { return crc_hw; }
+
+/* The raw (no pre- or post-inversion) CRC of n bytes at q, from crc. */
+static uint32_t crc_sb8(uint32_t crc, const uint8_t *q, i64 n)
+{
+    for (; n >= 8; q += 8, n -= 8) {
+        uint64_t x;
+        memcpy(&x, q, 8);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        x = __builtin_bswap64(x);
+#endif
+        x ^= crc;
+        crc = crc_table[7][x & 0xFF] ^ crc_table[6][x >> 8 & 0xFF] ^
+              crc_table[5][x >> 16 & 0xFF] ^ crc_table[4][x >> 24 & 0xFF] ^
+              crc_table[3][x >> 32 & 0xFF] ^ crc_table[2][x >> 40 & 0xFF] ^
+              crc_table[1][x >> 48 & 0xFF] ^ crc_table[0][x >> 56];
+    }
+    for (; n > 0; q++, n--)
+        crc = crc_table[0][(crc ^ *q) & 0xFF] ^ crc >> 8;
+    return crc;
+}
+
+#if defined(__x86_64__)
+__attribute__((target("sse4.2")))
+static uint32_t crc_sse42(uint32_t crc, const uint8_t *q, i64 n)
+{
+    uint64_t c = crc;
+    for (; n >= 8; q += 8, n -= 8) {
+        uint64_t x;
+        memcpy(&x, q, 8);
+        c = _mm_crc32_u64(c, x);
+    }
+    crc = (uint32_t)c;
+    for (; n > 0; q++, n--)
+        crc = _mm_crc32_u8(crc, *q);
+    return crc;
+}
+#endif
+
+/* CRC32C of each of n byte extents buf[off[j] : off[j] + size[j]] of a
+ * len-byte buffer into out[j] (0 for an empty one), extents in any order,
+ * overlapping or not.  Returns -1, having written nothing, unless every
+ * extent lies inside the buffer (checked without int64 overflow), and -2
+ * when asked for SSE4.2 on a CPU without it. */
+int crc32c_extents(const uint8_t *buf, i64 len, const i64 *off,
+                   const i64 *size, i64 n, uint32_t *out, int body)
+{
+    for (i64 j = 0; j < n; j++)
+        if (off[j] < 0 || size[j] < 0 || off[j] > len ||
+            size[j] > len - off[j])
+            return -1;
+    if (body == CRC_BEST)
+        body = crc_hw ? CRC_SSE42 : CRC_SB8;
+    if (body == CRC_SSE42 && !crc_hw)
+        return -2;
+#if defined(__x86_64__)
+    if (body == CRC_SSE42) {
+        for (i64 j = 0; j < n; j++)
+            out[j] = ~crc_sse42(~0u, buf + off[j], size[j]);
+        return 0;
+    }
+#endif
+    for (i64 j = 0; j < n; j++)
+        out[j] = ~crc_sb8(~0u, buf + off[j], size[j]);
+    return 0;
+}

@@ -1,13 +1,18 @@
 """The compiled kernel tier: min-relaxations, BFS and reachability
-discovery, the scatter-add, and the SNB decode, in C.
+discovery, the scatter-add, the SNB decode, and the write path's tile
+encoder and checksums, in C.
 
 SSSP's and AsyncBFS's relaxations and the min-commits of SSSP, AsyncBFS
 and CC (:func:`candidates`, :func:`rounds`, :func:`min_commit`), BFS's and
 Reachability's discovery passes (:func:`discover_bfs`,
 :func:`discover_reach`), the commit of PageRank, SpMV and SCC's degrees
-(:func:`scatter_add`) and the widening of SNB tile payloads into global
-IDs (:func:`widen`, behind ``TiledGraph._global_ids``) each run as one
-loop of one C file.
+(:func:`scatter_add`), the widening of SNB tile payloads into global
+IDs (:func:`widen`, behind ``TiledGraph._global_ids``), the symmetric tile
+encoder's key build and unpack (:func:`upper_keys`, :func:`unpack_keys`,
+around the NumPy sort in ``TiledGraph.from_edge_list``) and the per-tile
+CRC32C (:func:`crc32c_extents`, behind ``repro.faults.crc``: SSE4.2's
+``crc32`` instruction where the CPU has it, else slicing-by-8 tables
+built when the library loads) each run as one loop of one C file.
 
 ``_relax.c`` (beside this module) is compiled once with ``gcc`` into a
 per-user cache, ``~/.cache/repro/native/<sha256>.so`` keyed by source,
@@ -26,7 +31,11 @@ integer array is range-checked and converted once — and every entry point
 checks each endpoint or index against the state's length before it
 touches memory there, so a corrupt endpoint raises NumPy's own
 ``IndexError`` instead of reading out of bounds; the decode checks that
-the tiles' edge counts cover the payload before its first write.
+the tiles' edge counts cover the payload before its first write.  The
+write-path kernels check their whole input first too — endpoints against
+``n_vertices`` (a :class:`~repro.errors.FormatError` naming the first bad
+one), tile positions against the tile count, checksum extents against the
+buffer — and raise typed before their first write.
 """
 
 from __future__ import annotations
@@ -41,6 +50,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.errors import FormatError
+from repro.format.edgelist import endpoint_error
 from repro.types import VERTEX_DTYPE
 
 SOURCE = Path(__file__).with_name("_relax.c")
@@ -72,7 +83,22 @@ int widen_{x}(const {t} *, int64_t, const int64_t *, const uint32_t *,
               const uint32_t *, int64_t, uint32_t *, uint32_t *);
 """
     for x, t in (("u8", "uint8_t"), ("u16", "uint16_t"), ("u32", "uint32_t"))
-)
+) + """
+int64_t upper_keys(const uint32_t *, const uint32_t *, int64_t, int64_t,
+                   const int64_t *, int64_t, int64_t, int, const float *,
+                   uint64_t *, float *);
+""" + "".join(
+    f"""
+int unpack_{x}(const uint64_t *, int64_t, int, const int64_t *,
+               const int64_t *, int64_t, int64_t, int, {t} *, int64_t *,
+               uint32_t *);
+"""
+    for x, t in (("u8", "uint8_t"), ("u16", "uint16_t"), ("u32", "uint32_t"))
+) + """
+int crc32c_sse42(void);
+int crc32c_extents(const uint8_t *, int64_t, const int64_t *,
+                   const int64_t *, int64_t, uint32_t *, int);
+"""
 
 
 def library_path(cache: Path) -> Path:
@@ -401,3 +427,109 @@ def widen(pairs: np.ndarray, counts: np.ndarray, sb: np.ndarray,
             f"tile edge counts do not cover the payload's {m} edges"
         )
     return gsrc, gdst
+
+
+def upper_keys(src, dst, n_vertices: int, pos_grid, n_tiles: int,
+               tile_bits: int, weights=None):
+    """The symmetric tile encoder's key build: one ``uint64`` key ``pos <<
+    2·tile_bits | lsrc << tile_bits | ldst`` per non-loop edge in input
+    order (``pos = pos_grid[lo >> tile_bits, hi >> tile_bits]``), and the
+    kept edges' ``float32`` weights (``None`` when unweighted), as
+    ``TiledGraph``'s NumPy body builds them.  :class:`FormatError` naming
+    the first endpoint not below ``n_vertices``."""
+    src = np.ascontiguousarray(src, dtype=VERTEX_DTYPE)
+    dst = np.ascontiguousarray(dst, dtype=VERTEX_DTYPE)
+    grid = np.ascontiguousarray(pos_grid, dtype=np.int64)
+    m = src.shape[0]
+    if dst.shape != (m,) or grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
+        raise ValueError("endpoints differ in length or the grid is not square")
+    if weights is not None:
+        weights = np.ascontiguousarray(weights, dtype=np.float32)
+        if weights.shape != (m,):
+            raise ValueError("weights and endpoints differ in length")
+    key = np.empty(m, np.uint64)
+    w_out = None if weights is None else np.empty(m, np.float32)
+    k = lib.upper_keys(
+        ffi.from_buffer("uint32_t[]", src), ffi.from_buffer("uint32_t[]", dst),
+        m, n_vertices, ffi.from_buffer("int64_t[]", grid), grid.shape[0],
+        n_tiles, tile_bits, _buf("float[]", weights),
+        ffi.from_buffer("uint64_t[]", key), _buf("float[]", w_out),
+    )
+    if k < 0:
+        raise endpoint_error(src, dst, n_vertices) or FormatError(
+            f"a {grid.shape[0]}-row position grid of {n_tiles} tiles does "
+            f"not cover {n_vertices} vertices at tile_bits {tile_bits}"
+        )
+    return key[:k], None if w_out is None else w_out[:k]
+
+
+def unpack_keys(key, tile_rows, tile_cols, tile_bits: int, n_vertices: int,
+                dtype, snb: bool):
+    """The symmetric tile encoder's unpack: ascending distinct keys of
+    :func:`upper_keys` to ``(start, payload, degrees)`` — the ``int64``
+    start-edge offsets of the ``len(tile_rows)`` tiles, the interleaved
+    ``dtype`` payload (in-tile IDs, or global ones when ``snb`` is false)
+    and each vertex's ``uint32`` count of stored edge endpoints.
+    ``ValueError`` unless the keys ascend and name tiles and vertices of
+    the graph."""
+    dtype = np.dtype(dtype)
+    bits = 8 * dtype.itemsize
+    if dtype.kind != "u" or bits not in (8, 16, 32) or not (snb or bits == 32):
+        raise ValueError(f"no {'SNB' if snb else 'global'} payload of {dtype}")
+    key = np.ascontiguousarray(key, dtype=np.uint64)
+    rows = np.ascontiguousarray(tile_rows, dtype=np.int64)
+    cols = np.ascontiguousarray(tile_cols, dtype=np.int64)
+    n_tiles = rows.shape[0]
+    if cols.shape != (n_tiles,):
+        raise ValueError("tile rows and columns differ in length")
+    k = key.shape[0]
+    payload = np.empty(2 * k, dtype)
+    start = np.empty(n_tiles + 1, np.int64)
+    deg = np.zeros(n_vertices, np.uint32)
+    rc = getattr(lib, f"unpack_u{bits}")(
+        ffi.from_buffer("uint64_t[]", key), k, tile_bits,
+        ffi.from_buffer("int64_t[]", rows), ffi.from_buffer("int64_t[]", cols),
+        n_tiles, n_vertices, bool(snb), ffi.from_buffer(f"uint{bits}_t[]", payload),
+        ffi.from_buffer("int64_t[]", start), ffi.from_buffer("uint32_t[]", deg),
+    )
+    if rc:
+        raise ValueError(
+            "keys do not ascend or name a tile or vertex outside the graph"
+        )
+    return start, payload, deg
+
+
+#: The CRC32C bodies of :func:`crc32c_extents` by name: ``"best"`` is
+#: SSE4.2 where the CPU has it, else slicing-by-8.
+CRC_BODIES = {"best": 0, "slicing-by-8": 1, "sse4.2": 2}
+
+
+def crc32c_bodies() -> "list[str]":
+    """The CRC32C bodies this CPU can run (SSE4.2 only where it has it)."""
+    return ["slicing-by-8"] + (["sse4.2"] if lib.crc32c_sse42() else [])
+
+
+def crc32c_extents(buf, offsets, sizes, body: str = "best") -> np.ndarray:
+    """CRC32C of every byte extent ``buf[offsets[k] : offsets[k] +
+    sizes[k]]`` of a C-contiguous buffer, as ``uint32`` (what
+    :func:`repro.faults.crc.crc32c_extents` returns).  ``ValueError``,
+    before any checksum is computed, for an extent outside the buffer."""
+    data = np.frombuffer(buf, dtype=np.uint8)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    sizes = np.ascontiguousarray(sizes, dtype=np.int64)
+    if offsets.shape != sizes.shape or offsets.ndim != 1:
+        raise ValueError("offsets and sizes must be equal-length 1-D arrays")
+    n = offsets.shape[0]
+    out = np.empty(n, dtype=np.uint32)
+    if not n:
+        return out
+    rc = lib.crc32c_extents(
+        ffi.from_buffer("uint8_t[]", data), data.shape[0],
+        ffi.from_buffer("int64_t[]", offsets), ffi.from_buffer("int64_t[]", sizes),
+        n, ffi.from_buffer("uint32_t[]", out), CRC_BODIES[body],
+    )
+    if rc == -2:
+        raise ValueError("this CPU has no SSE4.2 crc32 instruction")
+    if rc:
+        raise ValueError(f"extent outside the {data.shape[0]}-byte buffer")
+    return out

@@ -2,17 +2,21 @@
 
 CRC32C is the storage-industry polynomial (iSCSI, ext4, btrfs) with
 better error-detection spread than zlib's CRC32 for the short, structured
-payloads tiles are.  The container has no ``crc32c`` wheel, so both
-kernels are table-driven Python:
+payloads tiles are.  No ``crc32c`` package is a dependency; the kernels
+are:
 
-* :func:`crc32c` — scalar slicing-by-8 over one buffer, chainable.  The
-  public single-buffer API and the oracle the tests hold the array kernel
-  to; no bulk path calls it.
-* :func:`crc32c_extents` — the CRC of *many* byte extents of one buffer
-  at NumPy speed.  This is what ``TiledGraph.save``, ``repro fsck
-  --checksums`` and the engine's decode-time verify run.
+* :func:`crc32c` — scalar slicing-by-8 in Python over one buffer,
+  chainable.  The public single-buffer API (it checksums the small info
+  file) and the oracle the tests hold every extent kernel to.
+* :func:`crc32c_extents` — the CRC of *many* byte extents of one buffer.
+  This is what ``TiledGraph.save``, ``repro fsck --checksums`` and the
+  engine's decode-time verify run.  With the compiled tier loaded it is
+  one C loop (:func:`repro.algorithms.native.crc32c_extents`: SSE4.2's
+  ``crc32`` instruction where the CPU has it, else slicing-by-8 tables);
+  otherwise the table-driven NumPy kernel below, which is also the
+  compiled one's oracle.
 
-How the array kernel works.  A CRC with init 0 and no final xor (the
+How the NumPy kernel works.  A CRC with init 0 and no final xor (the
 *raw* CRC) is linear over GF(2): ``raw(a ‖ b) = Z(len b)(raw a) ^ raw b``
 where ``Z(n)`` — "append *n* zero bytes" — is a fixed 32×32 bit matrix,
 and leading zero bytes do not change it.  So every extent is cut into
@@ -41,7 +45,7 @@ import numpy as np
 
 _POLY = 0x82F63B78  # reversed Castagnoli polynomial
 
-#: Block width of the array kernel in bytes (a multiple of 8).  Wider
+#: Block width of the NumPy kernel in bytes (a multiple of 8).  Wider
 #: blocks mean fewer rows per table gather but more zero padding in front
 #: of every extent's head block; 128 measured fastest on tile-sized
 #: extents (a few hundred bytes) and on megabyte ones alike.
@@ -110,7 +114,7 @@ def crc32c(data: "bytes | bytearray | memoryview", crc: int = 0) -> int:
 
 
 # --------------------------------------------------------------------- #
-# The array kernel
+# The NumPy kernel
 # --------------------------------------------------------------------- #
 
 
@@ -193,10 +197,27 @@ def crc32c_extents(
     Bit-identical to ``[crc32c(buf[o : o + s]) for o, s in zip(offsets,
     sizes)]`` (an empty extent checksums to 0), as a ``uint32`` array.
     Extents may come in any order, overlap, or be empty; ``buf`` is any
-    C-contiguous buffer, a memory map included.  Scratch memory is bounded
-    by the slab size, not by ``len(buf)``.  Raises :class:`ValueError` for
-    an extent that does not lie inside the buffer.
+    C-contiguous buffer, a memory map included.  Raises
+    :class:`ValueError` for an extent that does not lie inside the buffer.
+    Runs the compiled kernel (:func:`repro.algorithms.native.crc32c_extents`)
+    when it is loaded, else the NumPy one, whose scratch memory is bounded
+    by the slab size, not by ``len(buf)``.
     """
+    # Imported here: importing repro.algorithms imports this module.
+    from repro.algorithms import native
+
+    if native.lib is not None:
+        return native.crc32c_extents(buf, offsets, sizes)
+    return _numpy_extents(buf, offsets, sizes)
+
+
+def _numpy_extents(
+    buf: "bytes | bytearray | memoryview | np.ndarray",
+    offsets: np.ndarray,
+    sizes: np.ndarray,
+) -> np.ndarray:
+    """:func:`crc32c_extents`'s NumPy body: the fallback, and the compiled
+    kernel's oracle."""
     data = np.frombuffer(buf, dtype=np.uint8)
     offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -209,7 +230,8 @@ def crc32c_extents(
     if (
         int(offsets.min()) < 0
         or int(sizes.min()) < 0
-        or int((offsets + sizes).max()) > data.shape[0]
+        # Not offsets + sizes, which can overflow int64.
+        or (offsets > data.shape[0] - sizes).any()
     ):
         raise ValueError(
             f"extent outside the {data.shape[0]}-byte buffer"

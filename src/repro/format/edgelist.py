@@ -50,6 +50,23 @@ def sort_unique_keys(
     return key, weights
 
 
+def endpoint_error(
+    src: np.ndarray, dst: np.ndarray, n_vertices: int
+) -> "FormatError | None":
+    """The error naming the first edge, in input order, with an endpoint
+    not below ``n_vertices`` (its source when both are), or ``None``."""
+    bad = (src >= n_vertices) | (dst >= n_vertices)
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    s, d = int(src[k]), int(dst[k])
+    v = s if s >= n_vertices else d
+    return FormatError(
+        f"endpoint {v} is not below n_vertices {n_vertices}",
+        context={"edge": k, "src": s, "dst": d},
+    )
+
+
 def _pair_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a << 32 | b``: sorts like the pair ``(a, b)``."""
     return (a.astype(np.uint64) << np.uint64(32)) | b
@@ -169,6 +186,12 @@ class EdgeList:
         if vertex_bytes is None:
             vertex_bytes = vertex_bytes_needed(self.n_vertices)
         return 2 * vertex_bytes * self.n_edges
+
+    def check_ids(self) -> None:
+        """Raise :class:`FormatError` naming the first endpoint not below
+        ``n_vertices`` (see :func:`endpoint_error`)."""
+        if self.src.size and max(self.src.max(), self.dst.max()) >= self.n_vertices:
+            raise endpoint_error(self.src, self.dst, self.n_vertices)
 
     # ------------------------------------------------------------------ #
     # Transformations

@@ -314,12 +314,30 @@ def _load_aux(path: str) -> "dict[str, np.ndarray]":
     return aux
 
 
+def _payload(
+    gsrc: np.ndarray, gdst: np.ndarray, dt: np.dtype, snb: bool, tile_bits: int
+) -> np.ndarray:
+    """The interleaved payload of stored edges given in disk order: their
+    in-tile IDs on SNB storage, else their global ones."""
+    payload = np.empty(2 * gsrc.shape[0], dtype=dt)
+    if snb:
+        mask = np.uint32((1 << tile_bits) - 1)
+        payload[0::2] = gsrc & mask
+        payload[1::2] = gdst & mask
+    else:
+        payload[0::2] = gsrc
+        payload[1::2] = gdst
+    return payload
+
+
 def _encode_upper_triangle(
     el: EdgeList,
     pos_grid: np.ndarray,
     tile_rows: np.ndarray,
     tile_cols: np.ndarray,
     tile_bits: int,
+    dt: np.dtype,
+    snb: bool,
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]":
     """Symmetric conversion of an undirected edge list with a single sort.
 
@@ -331,9 +349,28 @@ def _encode_upper_triangle(
     tile by ``(src, dst)`` — duplicates sit side by side, and tile
     boundaries are a binary search; nothing is permuted or gathered.
 
-    Returns the start-edge array, the global endpoint arrays of the stored
-    edges in disk order, and their weights (``None`` when unweighted).
+    Returns the start-edge array, the payload, the undirected degrees
+    (each endpoint of each stored edge counted) and the stored edges'
+    weights (``None`` when unweighted).  With the compiled tier loaded the
+    key build and the unpack are one C pass each around the same sort
+    (:func:`~repro.algorithms.native.upper_keys`,
+    :func:`~repro.algorithms.native.unpack_keys`); the NumPy body below is
+    their fallback and oracle.
     """
+    # Imported here: importing repro.algorithms imports this module.
+    from repro.algorithms import native
+
+    n_tiles = tile_rows.shape[0]
+    if native.lib is not None:
+        key, weights = native.upper_keys(
+            el.src, el.dst, el.n_vertices, pos_grid, n_tiles, tile_bits,
+            el.weights,
+        )
+        key, weights = sort_unique_keys(key, weights)
+        start, payload, degrees = native.unpack_keys(
+            key, tile_rows, tile_cols, tile_bits, el.n_vertices, dt, snb
+        )
+        return start, payload, degrees, weights
     tb = np.uint32(tile_bits)
     mask = np.uint32((1 << tile_bits) - 1)
     lo = np.minimum(el.src, el.dst)
@@ -341,7 +378,6 @@ def _encode_upper_triangle(
     keep = lo != hi
     lo, hi = lo[keep], hi[keep]
     weights = None if el.weights is None else el.weights[keep]
-    n_tiles = tile_rows.shape[0]
     shift = np.uint64(tile_bits)
     key = ((lo & mask).astype(np.uint64) << shift) | (hi & mask)
     if n_tiles > 1:  # else pos is 0, and 2·tile_bits may be the full 64
@@ -359,16 +395,26 @@ def _encode_upper_triangle(
     gsrc += np.repeat((tile_rows << tile_bits).astype(VERTEX_DTYPE), counts)
     gdst = (key & span).astype(VERTEX_DTYPE)
     gdst += np.repeat((tile_cols << tile_bits).astype(VERTEX_DTYPE), counts)
-    return start, gsrc, gdst, weights
+    degrees = (
+        np.bincount(gsrc, minlength=el.n_vertices)
+        + np.bincount(gdst, minlength=el.n_vertices)
+    ).astype(np.uint32)
+    return start, _payload(gsrc, gdst, dt, snb, tile_bits), degrees, weights
 
 
 def _encode_by_position(
-    work: EdgeList, pos_grid: np.ndarray, n_tiles: int, tile_bits: int
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]":
+    work: EdgeList,
+    pos_grid: np.ndarray,
+    n_tiles: int,
+    tile_bits: int,
+    dt: np.dtype,
+    snb: bool,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray | None]":
     """Conversion that keeps the input's order inside every tile: a stable
     sort by disk position (directed graphs and the ``symmetric=False``
     ablation, whose tuples are not one canonical orientation).  Returns
-    what :func:`_encode_upper_triangle` does."""
+    the start-edge array, the payload and the weights, as
+    :func:`_encode_upper_triangle` does."""
     tb = np.uint32(tile_bits)
     pos = pos_grid[work.src >> tb, work.dst >> tb]
     counts = np.bincount(pos, minlength=n_tiles)
@@ -376,7 +422,8 @@ def _encode_by_position(
     np.cumsum(counts, out=start[1:])
     order = np.argsort(pos, kind="stable")
     weights = None if work.weights is None else work.weights[order]
-    return start, work.src[order], work.dst[order], weights
+    payload = _payload(work.src[order], work.dst[order], dt, snb, tile_bits)
+    return start, payload, weights
 
 
 @dataclass
@@ -433,9 +480,11 @@ class TiledGraph:
         (``symmetric=True``) and the whole conversion is one sort
         (:func:`_encode_upper_triangle`); for a directed input the stored
         orientation is the input's (out-edges), and symmetry does not
-        apply.
+        apply.  :class:`FormatError` names the first endpoint that is not
+        below ``el.n_vertices``.
         """
         name = name if name is not None else el.name
+        el.check_ids()
         if el.directed:
             if symmetric:
                 raise FormatError("symmetric storage applies to undirected graphs")
@@ -450,15 +499,11 @@ class TiledGraph:
         dt = local_dtype(tile_bits) if snb else np.dtype(VERTEX_DTYPE)
 
         if symmetric:
-            start, gsrc, gdst, edge_weights = _encode_upper_triangle(
-                el, pos_grid, tile_rows, tile_cols, tile_bits
+            start, payload, out_deg, edge_weights = _encode_upper_triangle(
+                el, pos_grid, tile_rows, tile_cols, tile_bits, dt, snb
             )
-            n_input = 2 * gsrc.shape[0]
-            # Undirected degree counts each endpoint of each unique edge.
-            out_deg = in_deg = (
-                np.bincount(gsrc, minlength=el.n_vertices)
-                + np.bincount(gdst, minlength=el.n_vertices)
-            ).astype(np.uint32)
+            in_deg = out_deg
+            n_input = payload.shape[0]  # both orientations of each edge
         else:
             if el.directed:
                 work = el
@@ -470,18 +515,10 @@ class TiledGraph:
                 work = canon.symmetrized()
                 n_input = 2 * canon.n_edges
                 out_deg = in_deg = canon.degrees()
-            start, gsrc, gdst, edge_weights = _encode_by_position(
-                work, pos_grid, grouping.n_tiles, tile_bits
+            start, payload, edge_weights = _encode_by_position(
+                work, pos_grid, grouping.n_tiles, tile_bits, dt, snb
             )
         start_edge = StartEdgeIndex(start, tuple_bytes=2 * dt.itemsize)
-        payload = np.empty(2 * gsrc.shape[0], dtype=dt)
-        if snb:
-            mask = np.uint32((1 << tile_bits) - 1)
-            payload[0::2] = gsrc & mask
-            payload[1::2] = gdst & mask
-        else:
-            payload[0::2] = gsrc
-            payload[1::2] = gdst
 
         info = GraphInfo(
             name=name,

@@ -5,12 +5,16 @@ before the one-sort rewrite — ``np.unique(return_index=True)`` to
 canonicalise, then a stable argsort by disk position and four gathers —
 frozen here as the oracle.  The format did not change, so payload,
 start-edge offsets, both degree arrays and the per-edge weights must be
-bit-equal on every layout the format has.
+bit-equal on every layout the format has.  Every test holds both kernel
+tiers to it: the compiled symmetric encoder (``native.upper_keys`` and
+``native.unpack_keys``) when it is loaded, and its NumPy body.
 """
 
 import numpy as np
 import pytest
 
+from repro.algorithms import native
+from repro.errors import FormatError
 from repro.format.edgelist import EdgeList
 from repro.format.grouping import PhysicalGrouping
 from repro.format.tiles import TiledGraph
@@ -21,6 +25,17 @@ GROUP_Q = 3
 #: Not a multiple of any tile span from 2**4 up, so the last tile row is
 #: always ragged.
 N_VERTICES = 777
+
+
+def _on_each_tier(build):
+    """``build()`` on the compiled tier (when it is loaded), then with
+    ``native.lib = None`` on the NumPy bodies: the results, in that order."""
+    out = []
+    for lib in dict.fromkeys((native.lib, None)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(native, "lib", lib)
+            out.append(build())
+    return out
 
 
 def _reference_canonical(src, dst, weights, n_vertices):
@@ -111,26 +126,29 @@ def _messy_edges(directed: bool, weighted: bool) -> EdgeList:
 
 
 def _assert_identical(el, tile_bits, symmetric, snb):
-    tg = TiledGraph.from_edge_list(
-        el, tile_bits=tile_bits, group_q=GROUP_Q, symmetric=symmetric, snb=snb
-    )
     payload, start, out_deg, in_deg, weights = _reference_encode(
         el, tile_bits, symmetric, snb
     )
-    for got, want in (
-        (tg.payload, payload),
-        (tg.start_edge.start_edge, start),
-        (tg.out_degrees, out_deg),
-        (tg.in_degrees, in_deg),
+    for tg in _on_each_tier(
+        lambda: TiledGraph.from_edge_list(
+            el, tile_bits=tile_bits, group_q=GROUP_Q, symmetric=symmetric,
+            snb=snb,
+        )
     ):
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-    if weights is None:
-        assert tg.edge_weights is None
-    else:
-        assert tg.edge_weights.dtype == np.float32
-        assert tg.edge_weights.tobytes() == weights.tobytes()
-    assert tg.info.n_edges == payload.shape[0] // 2
+        for got, want in (
+            (tg.payload, payload),
+            (tg.start_edge.start_edge, start),
+            (tg.out_degrees, out_deg),
+            (tg.in_degrees, in_deg),
+        ):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        if weights is None:
+            assert tg.edge_weights is None
+        else:
+            assert tg.edge_weights.dtype == np.float32
+            assert tg.edge_weights.tobytes() == weights.tobytes()
+        assert tg.info.n_edges == payload.shape[0] // 2
 
 
 #: (directed, symmetric): the three layouts the format stores.
@@ -168,6 +186,29 @@ def test_only_self_loops_and_one_tile():
     _assert_identical(EdgeList(loops, loops, 10, directed=False), 4, None, True)
     el = _messy_edges(False, True)
     _assert_identical(el, 10, None, True)  # 777 vertices < 2**10: p == 1
+
+
+@pytest.mark.parametrize("bad", [1010, 5000], ids=["last-tile", "off-grid"])
+@pytest.mark.parametrize("side", ["src", "dst"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_out_of_range_endpoint_is_a_format_error(layout, side, bad):
+    """An endpoint not below ``n_vertices`` is named, on every path: one
+    inside the last tile's span (1010 < 1024) once went through silently
+    or broke a broadcast, one beyond the grid raised a bare IndexError."""
+    directed, symmetric = LAYOUTS[layout]
+    src = np.array([1, 2, 5, 999, 7], dtype=np.uint32)
+    dst = np.array([3, 4, 6, 0, 1200], dtype=np.uint32)
+    (src if side == "src" else dst)[2] = bad
+    el = EdgeList(src, dst, 1000, directed=directed)
+
+    def build():
+        with pytest.raises(FormatError, match=f"endpoint {bad} is not below "
+                           "n_vertices 1000") as ei:
+            TiledGraph.from_edge_list(el, tile_bits=10, symmetric=symmetric)
+        return ei.value.context
+
+    for context in _on_each_tier(build):
+        assert context["edge"] == 2  # the first, not edge 4's 1200
 
 
 @pytest.mark.parametrize("weighted", (False, True))

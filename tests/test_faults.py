@@ -10,7 +10,9 @@ context-rich errors, and resuming from a checkpoint reproduces the
 uninterrupted result bit-for-bit.
 """
 
+import functools
 import os
+import tempfile
 import threading
 
 import numpy as np
@@ -18,9 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import native
 from repro.algorithms.bfs import BFS
 from repro.algorithms.cc import ConnectedComponents
 from repro.algorithms.pagerank import PageRank
+from repro.cli import main
 from repro.engine.checkpoint import CheckpointManager, capture_state
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
@@ -104,14 +108,35 @@ def _buffers_and_extents(draw):
         )
     )
     # Unsorted and overlapping by construction: every extent picks its
-    # own offset, independent of the others.
+    # own offset, independent of the others; some end at the buffer's end.
     sizes = [min(s, length) for s in sizes]
-    offsets = [draw(st.integers(0, length - s)) for s in sizes]
+    offsets = [
+        draw(st.one_of(st.just(length - s), st.integers(0, length - s)))
+        for s in sizes
+    ]
     return buf, offsets, sizes
 
 
+#: Every extent kernel: the NumPy one and the compiled tier's two bodies.
+_BODIES = ["numpy", "slicing-by-8", "sse4.2"]
+
+
+def _body(name: str):
+    """The extent kernel ``name`` as ``f(buf, offsets, sizes)``; skips the
+    test where this machine cannot run it."""
+    if name == "numpy":
+        return crc_module._numpy_extents
+    if native.lib is None:
+        pytest.skip(f"native tier not loaded: {native.status}")
+    if name not in native.crc32c_bodies():
+        pytest.skip(f"this CPU has no {name} body")
+    return functools.partial(native.crc32c_extents, body=name)
+
+
 class TestCrc32cExtents:
-    """The array kernel is held to the scalar ``crc32c`` bit for bit."""
+    """Every extent kernel — the NumPy one, and the compiled tier's
+    slicing-by-8 and SSE4.2 bodies — is held to the scalar ``crc32c`` bit
+    for bit."""
 
     def test_rfc3720_vectors(self):
         vectors = [b"", b"123456789", b"\x00" * 32, b"\xff" * 32]
@@ -130,6 +155,24 @@ class TestCrc32cExtents:
         assert got.dtype == np.uint32
         assert got.tolist() == _scalar(buf, offsets, sizes)
 
+    @pytest.mark.parametrize("body", _BODIES)
+    @given(case=_buffers_and_extents(), mapped=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_every_body_matches_scalar(self, body, case, mapped):
+        kernel = _body(body)
+        buf, offsets, sizes = case
+        want = _scalar(buf, offsets, sizes)
+        if not mapped or not buf:  # an empty file cannot be mapped
+            assert kernel(buf, offsets, sizes).tolist() == want
+            return
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "p.bin")
+            with open(path, "wb") as fh:
+                fh.write(buf)
+            mm = np.memmap(path, dtype=np.uint8, mode="r")
+            assert kernel(mm, offsets, sizes).tolist() == want
+            del mm
+
     @given(case=_buffers_and_extents())
     @settings(max_examples=60, deadline=None)
     def test_matches_scalar_across_slab_cuts(self, case):
@@ -138,7 +181,7 @@ class TestCrc32cExtents:
         buf, offsets, sizes = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(crc_module, "_SLAB", 3 * crc_module._BLOCK)
-            got = crc32c_extents(buf, offsets, sizes)
+            got = crc_module._numpy_extents(buf, offsets, sizes)
         assert got.tolist() == _scalar(buf, offsets, sizes)
 
     def test_slab_sized_and_larger_extents(self):
@@ -149,9 +192,9 @@ class TestCrc32cExtents:
         ).tobytes()
         sizes = [slab - 1, slab, slab + 1, slab + slab // 2, 0, 5]
         offsets = [7, 0, slab - 3, slab // 3, len(buf), len(buf) - 5]
-        assert crc32c_extents(buf, offsets, sizes).tolist() == _scalar(
-            buf, offsets, sizes
-        )
+        want = _scalar(buf, offsets, sizes)
+        assert crc_module._numpy_extents(buf, offsets, sizes).tolist() == want
+        assert crc32c_extents(buf, offsets, sizes).tolist() == want
 
     def test_accepts_arrays_and_memory_maps(self, tmp_path):
         payload = np.arange(5000, dtype=np.uint16)
@@ -173,15 +216,16 @@ class TestCrc32cExtents:
         sizes = [3, 17, 129, 1000, 4097, 10240]
         offsets = [0] * len(sizes)
         want = _scalar(buf, offsets, sizes)
+        kernel = crc_module._numpy_extents
         crc_module._ZERO_TABLES.clear()
-        assert crc32c_extents(buf, offsets, sizes).tolist() == want
+        assert kernel(buf, offsets, sizes).tolist() == want
         serial = list(crc_module._ZERO_TABLES)  # built by one thread
         results: "list[list[int]]" = []
         start = threading.Barrier(8)
 
         def work():
             start.wait(timeout=10)
-            results.append(crc32c_extents(buf, offsets, sizes).tolist())
+            results.append(kernel(buf, offsets, sizes).tolist())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -206,6 +250,36 @@ class TestCrc32cExtents:
         for offsets, sizes in ([-1], [1]), ([0], [-1]), ([5], [6]):
             with pytest.raises(ValueError):
                 crc32c_extents(b"0123456789", offsets, sizes)
+
+    #: Each outside a 10-byte buffer; the last two overflow int64 if
+    #: offset + size is formed.
+    _OUTSIDE = [(-1, 1), (0, -1), (5, 6), (10, 1), (11, 0),
+                (2**62, 2**62), (2**63 - 1, 1)]
+
+    @pytest.mark.parametrize("body", _BODIES)
+    def test_every_body_rejects_extents_outside_the_buffer(self, body):
+        kernel = _body(body)
+        for bad in self._OUTSIDE:
+            # Behind a good extent: nothing is checksummed before the check.
+            offsets, sizes = [0, bad[0]], [4, bad[1]]
+            with pytest.raises(ValueError, match="outside the 10-byte buffer"):
+                kernel(b"0123456789", offsets, sizes)
+
+    def test_compiled_kernel_checks_before_writing(self):
+        if native.lib is None:
+            pytest.skip(f"native tier not loaded: {native.status}")
+        buf = native.ffi.from_buffer
+        data = np.frombuffer(b"0123456789", np.uint8)
+        for body in range(len(native.CRC_BODIES)):
+            for bad in self._OUTSIDE:
+                offsets = np.array([0, bad[0]], np.int64)
+                sizes = np.array([4, bad[1]], np.int64)
+                out = np.full(2, 7, np.uint32)
+                rc = native.lib.crc32c_extents(
+                    buf("uint8_t[]", data), 10, buf("int64_t[]", offsets),
+                    buf("int64_t[]", sizes), 2, buf("uint32_t[]", out), body,
+                )
+                assert rc == -1 and (out == 7).all()
 
 
 # --------------------------------------------------------------------- #
@@ -309,6 +383,32 @@ class TestChecksums:
         )
         assert not rep.ok
         assert any("checksum mismatch" in e for e in rep.errors)
+
+    @pytest.mark.parametrize("tier", ["compiled", "numpy"])
+    def test_bit_flip_caught_on_each_tier(self, tmp_path, tiled_undirected,
+                                          monkeypatch, tier):
+        # Decode-time verify and fsck both run crc32c_extents: whichever
+        # tier it runs on, one flipped bit is a typed error naming the tile.
+        if tier == "numpy":
+            monkeypatch.setattr(native, "lib", None)
+        elif native.lib is None:
+            pytest.skip(f"native tier not loaded: {native.status}")
+        d = tmp_path / "g"
+        tiled_undirected.save(d)
+        tg = TiledGraph.load(d)
+        pos = int(np.flatnonzero(tg.tile_edge_counts())[3])
+        off, size = tg.start_edge.byte_extent(pos)
+        data = bytearray(tg.payload.tobytes()[off : off + size])
+        tg.verify_batch_bytes(np.array([pos]), bytes(data))
+        data[size // 2] ^= 0x08
+        with pytest.raises(ChecksumError) as ei:
+            tg.verify_batch_bytes(np.array([pos]), bytes(data))
+        assert ei.value.context["tile"] == pos
+        raw = bytearray((d / "tiles.dat").read_bytes())
+        raw[off + size // 2] ^= 0x08
+        (d / "tiles.dat").write_bytes(bytes(raw))
+        assert main(["fsck", str(d), "--checksums"]) == 1
+        assert [c["tile"] for c in TiledGraph.load(d).verify_checksums()] == [pos]
 
     def test_decode_rejects_bit_flip(self, tiled_undirected):
         # An injected bit-flip surfaces as a typed ChecksumError with the

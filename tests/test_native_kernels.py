@@ -14,6 +14,7 @@ on throwaway cache directories.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import mmap
 import os
@@ -38,7 +39,9 @@ from repro.algorithms.spmv import SpMV
 from repro.algorithms.sssp import SSSP, edge_weights
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
+from repro.errors import FormatError
 from repro.format.edgelist import EdgeList
+from repro.format.grouping import PhysicalGrouping
 from repro.format.tiles import TiledGraph, concat_global_edges
 from repro.types import INF_DEPTH
 
@@ -398,6 +401,98 @@ def test_decode_counts_must_cover_the_payload(dtype, counts):
         native.widen(pairs[:5], counts, args[4], args[5])
 
 
+@st.composite
+def _undirected_lists(draw):
+    """A small undirected edge list with what the encoder has to get
+    right — loops, repeats, both orientations — at a tile width from one
+    bit to a whole 32-bit tile (one tile, whose keys have no position
+    bits), and how to store it: ``(el, tile_bits, snb)``."""
+    n = draw(st.integers(1, 300))
+    tile_bits = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(0, 400))
+    src = rng.integers(0, n, m).astype(np.uint32)
+    dst = np.where(rng.random(m) < 0.1, src, rng.integers(0, n, m)).astype(np.uint32)
+    flip = rng.random(m) < 0.3  # some repeats, half of them reversed
+    src = np.concatenate([src, np.where(flip, dst, src)[: m // 4]])
+    dst = np.concatenate([dst, np.where(flip, src[:m], dst)[: m // 4]])
+    weights = None
+    if draw(st.booleans()):
+        weights = rng.permutation(src.shape[0]).astype(np.float32)
+    el = EdgeList(src, dst, n, directed=False, weights=weights)
+    return el, tile_bits, draw(st.booleans())
+
+
+@needs_tier
+@settings(max_examples=150, deadline=None)
+@given(case=_undirected_lists())
+def test_encode_matches_numpy(case):
+    """The symmetric encoder's two C passes give the NumPy body's
+    payload, start-edge offsets, degrees and weights, byte for byte."""
+    el, tile_bits, snb = case
+
+    def encode():
+        tg = TiledGraph.from_edge_list(el, tile_bits=tile_bits, group_q=2,
+                                       snb=snb)
+        return (tg.payload, tg.start_edge.start_edge, tg.out_degrees,
+                tg.in_degrees, tg.edge_weights)
+
+    for got, want in zip(encode(), _numpy(encode)):
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@needs_tier
+def test_encode_checks_before_writing():
+    """Both passes check their whole input before their first write, and
+    the wrappers raise typed: an endpoint not below ``n_vertices`` (named),
+    a grid position outside the tiles, keys out of order or decoding past
+    the last vertex."""
+    buf = native.ffi.from_buffer
+    n, tile_bits = 9, 2  # a 3 x 3 grid whose last row and column are ragged
+    grouping = PhysicalGrouping(p=3, q=2, symmetric=True)
+    grid = grouping.position_grid()
+    rows, cols = grouping.tile_coords
+    n_tiles = grouping.n_tiles
+    src = np.array([1, 2, 3], np.uint32)
+    for dst, g in (([2, 3, 9], grid), ([2, 3, 8], np.where(grid == 5, n_tiles, grid))):
+        dst = np.array(dst, np.uint32)
+        key = np.full(3, 7, np.uint64)
+        rc = native.lib.upper_keys(
+            buf("uint32_t[]", src), buf("uint32_t[]", dst), 3, n,
+            buf("int64_t[]", g), 3, n_tiles, tile_bits, native.ffi.NULL,
+            buf("uint64_t[]", key), native.ffi.NULL,
+        )
+        assert rc == -1 and (key == 7).all()
+    with pytest.raises(FormatError, match="endpoint 9 is not below n_vertices 9"):
+        native.upper_keys(src, np.array([2, 3, 9], np.uint32), n, grid,
+                          n_tiles, tile_bits)
+    last = int(grid[2, 2])  # tile (2, 2): global IDs 8..11 of 9 vertices
+    for keys in ([5, 3], [n_tiles << 4], [last << 4 | 0 << 2 | 1]):
+        keys = np.array(keys, np.uint64)
+        payload = np.full(2 * keys.shape[0], 7, np.uint8)
+        start = np.full(n_tiles + 1, 7, np.int64)
+        deg = np.full(n, 7, np.uint32)
+        rc = native.lib.unpack_u8(
+            buf("uint64_t[]", keys), keys.shape[0], tile_bits,
+            buf("int64_t[]", rows), buf("int64_t[]", cols), n_tiles, n, 1,
+            buf("uint8_t[]", payload), buf("int64_t[]", start),
+            buf("uint32_t[]", deg),
+        )
+        assert rc == -1
+        assert (payload == 7).all() and (start == 7).all() and (deg == 7).all()
+        with pytest.raises(ValueError, match="do not ascend or name"):
+            native.unpack_keys(keys, rows, cols, tile_bits, n, np.uint8, True)
+    good = np.array([last << 4 | 0 << 2 | 0], np.uint64)  # the edge (8, 8)
+    start, payload, deg = native.unpack_keys(good, rows, cols, tile_bits, n,
+                                             np.uint8, True)
+    assert start.tolist() == [0] * (last + 1) + [1] * (n_tiles - last)
+    assert payload.tolist() == [0, 0] and deg.tolist() == [0] * 8 + [2]
+
+
 def _zero_state(n: int) -> np.ndarray:
     """A read-only all-zero ``float64`` state of length ``n`` that costs no
     memory: an untouched private read-only mapping is backed by the zero
@@ -454,15 +549,38 @@ def test_candidates_convert_other_endpoint_dtypes_once(state):
 
 
 @pytest.fixture(scope="module")
-def weighted_tiled():
+def weighted_edges():
     rng = np.random.default_rng(31)
     v = 300
     src = rng.integers(0, v, 1500).astype(np.uint32)
     dst = rng.integers(0, v, 1500).astype(np.uint32)
     canon = EdgeList(src, dst, v, directed=False, name="w").canonicalized()
     w = rng.uniform(0.5, 10.0, canon.n_edges).astype(np.float32)
-    el = EdgeList(canon.src, canon.dst, v, directed=False, name="w", weights=w)
-    return TiledGraph.from_edge_list(el, tile_bits=6)
+    return EdgeList(canon.src, canon.dst, v, directed=False, name="w", weights=w)
+
+
+#: Per graph: the edge-list fixture it is built from, and how.
+_GRAPHS = {
+    "tiled_undirected": ("small_undirected", dict(tile_bits=7, group_q=2)),
+    "tiled_directed": ("small_directed", dict(tile_bits=7, group_q=2)),
+    "weighted_tiled": ("weighted_edges", dict(tile_bits=6)),
+}
+
+
+def _saved_digests(tg: TiledGraph, directory) -> dict:
+    """sha256 of every file ``save`` writes and of every array in the aux
+    file (whose zip container stamps the time)."""
+    tg.save(directory)
+    out = {}
+    for path in sorted(directory.iterdir()):
+        if path.suffix == ".npz":
+            with np.load(path) as aux:
+                for key in aux.files:
+                    a = aux[key]
+                    out[key] = (a.dtype.str, hashlib.sha256(a.tobytes()).hexdigest())
+        else:
+            out[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
 
 
 _ALGORITHMS = {
@@ -479,18 +597,24 @@ _ALGORITHMS = {
 
 @needs_tier
 @pytest.mark.parametrize("selective", [True, False])
-@pytest.mark.parametrize("graph", ["tiled_undirected", "tiled_directed", "weighted_tiled"])
+@pytest.mark.parametrize("graph", sorted(_GRAPHS))
 @pytest.mark.parametrize("name", sorted(_ALGORITHMS))
-def test_tier_off_is_bit_identical(name, graph, selective, request, monkeypatch):
-    tg = request.getfixturevalue(graph)
+def test_tier_off_is_bit_identical(name, graph, selective, request, monkeypatch,
+                                   tmp_path):
+    """Each tier encodes the graph (``from_edge_list`` + ``save``: every
+    file and aux array the same bytes) and runs the algorithm on it."""
+    source, build = _GRAPHS[graph]
+    el = request.getfixturevalue(source)
     config = EngineConfig(memory_bytes=64 * 1024, segment_bytes=8 * 1024,
                           selective=selective)
     runs = []
     for lib in (native.lib, None):
         monkeypatch.setattr(native, "lib", lib)
+        tg = TiledGraph.from_edge_list(el, **build)
+        digests = _saved_digests(tg, tmp_path / f"tier-{len(runs)}")
         algo = _ALGORITHMS[name]()
         stats = GStoreEngine(tg, config).run(algo)
-        runs.append((np.array(algo.result()), stats.iterations,
+        runs.append((np.array(algo.result()), digests, stats.iterations,
                      stats.bytes_read, stats.sim_elapsed, stats.edges_processed))
     (r1, *s1), (r2, *s2) = runs
     assert r1.dtype == r2.dtype and r1.tobytes() == r2.tobytes()
