@@ -150,8 +150,8 @@ class TileAlgorithm(abc.ABC):
     #: partial must see every earlier shard's commit, or the relaxation
     #: degenerates from Gauss-Seidel to Jacobi and re-reads the graph for
     #: it.  Live kernels therefore always run the serial in-order sweep of
-    #: :meth:`process_batch`, whatever ``workers`` says — an
-    #: algorithm property, not a configuration choice.
+    #: :meth:`process_batch` — an algorithm property, not a configuration
+    #: choice.
     live_kernel: bool = False
 
     #: True when the commit does all of a kernel's per-edge work (the
@@ -162,14 +162,23 @@ class TileAlgorithm(abc.ABC):
     #: batch one shard.
     one_shard: bool = False
 
+    @property
+    def pooled(self) -> bool:
+        """The kernel's declaration that its shard partials run faster
+        on the engine's thread pool (§VI-B) than on the engine thread —
+        made only where alternated pairs show it, never by a live or
+        :attr:`one_shard` kernel.  There is no setting; results are
+        bit-identical either way."""
+        return False
+
     def process_batch(self, batch: DecodedBatch) -> int:
         """Process one fetched batch, one kernel pass per shard.
 
         The serial path walks exactly the shards
         :func:`~repro.runtime.threads.execute_batch` would distribute over
-        workers, committing partials in shard order — which is what makes
-        fused results bit-identical at any worker count.  Returns the
-        number of edges examined.
+        the pool, committing partials in shard order — which is what makes
+        results bit-identical with or without it.  Returns the number of
+        edges examined.
         """
         cuts = self.shard_cuts(batch).tolist()
         edges = 0

@@ -45,6 +45,13 @@ class MultiSourceBFS(TileAlgorithm):
     def k(self) -> int:
         return int(self.roots.shape[0])
 
+    @property
+    def pooled(self) -> bool:
+        """Two or more traversals win on the thread pool — 0.63-0.65× the
+        serial wall time on 2 CPUs, 10/10 pairs — and one does not (0.98×;
+        docs/PERFORMANCE.md "The kernel declares the pool")."""
+        return self.k >= 2
+
     def _setup(self) -> None:
         g = self._graph()
         if int(self.roots.min()) < 0 or int(self.roots.max()) >= g.n_vertices:

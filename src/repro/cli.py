@@ -159,7 +159,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
                         n_ssds=args.ssds)
     cfg.trace = True
     cfg.prefetch_depth = args.depth
-    cfg.workers = "auto"
     cfg.realize_io = args.device_paced
     with GStoreEngine(tg, cfg) as engine:
         stats = engine.run(algo)

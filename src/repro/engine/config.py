@@ -18,8 +18,9 @@ Every optimisation the paper ablates is a field here:
   the engine runs the thread only when reads block (``realize_io``): over
   page-cached reads it has nothing to overlap and costs a GIL hand-off
   per batch.
-* ``workers`` — parallelism: the fused kernels' partial phase runs
-  over a thread pool inside the one engine process.
+
+The kernel thread pool (§VI-B) is not a field: a kernel that wins on it
+declares so (``TileAlgorithm.pooled``) and the engine sizes it.
 
 ``trace`` is not an ablation but the observability switch: it turns on
 the ``repro.obs`` span tracer and counters registry for the run.
@@ -42,8 +43,7 @@ from repro.types import DEFAULT_STRIPE_BYTES
 #: Fields that count something (bytes, devices, batches, iterations):
 #: ``__post_init__`` rejects anything but an integer (NumPy's included),
 #: ``bool`` and ``float`` too, before a fractional value can reach
-#: ``range()`` or a ``Semaphore``.  ``workers`` also takes ``"auto"``
-#: and is checked apart.
+#: ``range()`` or a ``Semaphore``.
 _INT_FIELDS = (
     "memory_bytes", "segment_bytes", "n_ssds", "stripe_bytes",
     "prefetch_depth", "max_iterations",
@@ -73,11 +73,6 @@ class EngineConfig:
     overlap: bool = True
     #: Compute-time model for the pipelined timeline.
     cost_model: CostModel = field(default_factory=CostModel)
-    #: Worker threads for row-parallel batch execution (§VI-B dynamic row
-    #: scheduling).  1 keeps execution single-threaded; ``"auto"`` clamps
-    #: the default to the machine's core count (falling back to serial on a
-    #: single-core box); results are bit-identical at any worker count.
-    workers: "int | str" = 1
     #: Activity-aware tile skipping (§V-B): each iteration fetches only
     #: the tiles the algorithm's frontier metadata says it must touch
     #: (``rows_active()``/``cols_active()``/``tile_mask()``).  False is
@@ -141,13 +136,5 @@ class EngineConfig:
             )
         if self.n_ssds < 1:
             raise StorageError("need at least one SSD")
-        if self.workers != "auto" and (
-            not isinstance(self.workers, Integral)
-            or isinstance(self.workers, bool)
-            or self.workers < 1
-        ):
-            raise StorageError(
-                f"workers must be a positive int or 'auto', got {self.workers!r}"
-            )
         if self.prefetch_depth is not None and self.prefetch_depth < 0:
             raise StorageError("prefetch_depth must be >= 0 or None")

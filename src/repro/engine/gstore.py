@@ -26,9 +26,10 @@ Per iteration the engine:
    source that fails mid-run is closed and the run continues from the
    same batch at depth 0 (:meth:`GStoreEngine._get`, the one degrade
    step).  Compute runs through the fused batch layer: a whole segment's
-   tiles execute as one vectorised kernel pass, optionally sharded
-   row-parallel over a persistent worker pool with a deterministic merge
-   (``config.workers``);
+   tiles execute as one vectorised kernel pass per shard; a kernel that
+   declares :attr:`~repro.algorithms.base.TileAlgorithm.pooled` has its
+   shards computed row-parallel over a persistent thread pool, one thread
+   per CPU up to the shard count, with a deterministic merge;
 4. *caches*: processed tiles enter the pool under the proactive rules;
    when the pool fills, analysis evicts tiles the next iteration will not
    need (§VI-C).
@@ -54,7 +55,6 @@ order (:mod:`repro.runtime.lane`).
 
 from __future__ import annotations
 
-import threading
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -90,11 +90,8 @@ from repro.util.timer import SimClock, WallTimer
 from repro.runtime.lane import FifoLane
 from repro.runtime.pipeline import PipelineTimeline, WallOverlap
 from repro.runtime.prefetch import BLOCKING_IO_DEPTH, Prefetcher, Prepared
-from repro.runtime.threads import (
-    WORKER_THREAD_PREFIX,
-    execute_batch,
-    resolve_workers,
-)
+from repro.runtime import threads
+from repro.runtime.threads import WORKER_THREAD_PREFIX, execute_batch
 
 
 class GStoreEngine:
@@ -139,12 +136,9 @@ class GStoreEngine:
         )
         if self.tracer.enabled:
             wire_device_counters(self.array, self.tracer.registry)
-        #: Resolved row-parallel worker count ("auto" clamps to the cores
-        #: actually present; 1 routes through the serial path).
-        self.workers = resolve_workers(self.config.workers)
-        # One persistent pool per engine for the fused layer's partial
-        # phase, created by the first batch that needs it (or
-        # ``warm_backend``) and joined by close().
+        #: Threads of the kernel pool a ``pooled`` kernel runs on (1: none).
+        self.kernel_threads = threads.kernel_threads()
+        # Created by the first batch that needs it; joined by close().
         self._pool: "ThreadPoolExecutor | None" = None
         #: What the slide loop's degrade step has latched on this engine,
         #: as health reason -> the error that caused it:
@@ -177,25 +171,13 @@ class GStoreEngine:
     @property
     def pool(self) -> ThreadPoolExecutor:
         """The engine's persistent kernel thread pool (created on first
-        access; only ``workers > 1`` engines ever touch it)."""
+        access, by the first batch of a ``pooled`` kernel)."""
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
+                max_workers=self.kernel_threads,
                 thread_name_prefix=WORKER_THREAD_PREFIX,
             )
         return self._pool
-
-    def warm_backend(self) -> None:
-        """Start the engine's pool threads now.  Benchmarks call this
-        before timing so the one-time thread spawn is paid off the
-        measured path — in a persistent engine it amortises to zero.
-        """
-        if self.workers > 1:
-            # An executor spawns a thread per submit only while no worker
-            # is idle, so ``workers`` tasks that cannot finish before the
-            # last one starts are what brings the whole pool up.
-            barrier = threading.Barrier(self.workers)
-            list(self.pool.map(lambda _: barrier.wait(), range(self.workers)))
 
     def close(self) -> None:
         """Join and release the engine's pool threads (idempotent)."""
@@ -234,7 +216,7 @@ class GStoreEngine:
         AIO context, and — when ``trace`` — a private tracer/registry, so
         per-query :class:`RunStats` and counters are fully isolated.
         A private run is exactly one thread (fetch, decode and kernels
-        inline on the calling thread; no worker pool or prefetch thread),
+        inline on the calling thread; no kernel pool or prefetch thread),
         waits its turn in the engine lane (:meth:`run`) and checks
         ``deadline`` (relative seconds) cooperatively — in the lane's
         queue and at iteration boundaries — raising
@@ -389,10 +371,7 @@ class GStoreEngine:
         stats.extra["pipeline_wall"] = ctx.wall_overlap.as_dict()
         stats.extra["execution"] = {
             "selective": cfg.selective,
-            "workers": cfg.workers,
-            # Private contexts always walk the serial kernel path — the
-            # honest resolution, whatever the engine-level worker count.
-            "workers_resolved": 1 if ctx.private else self.workers,
+            "kernel_threads": self._threads_for(algorithm, ctx),
             "prefetch_depth": cfg.prefetch_depth,
             "prefetch_depth_resolved": self._prefetch_depth(ctx),
             "lane_wait_s": ctx.lane_wait,
@@ -742,15 +721,20 @@ class GStoreEngine:
     def _execute(
         self, algorithm: TileAlgorithm, batch: DecodedBatch, ctx: RunContext
     ) -> int:
-        """Route one batch through ``execute_batch``.
-
-        The single funnel for kernel execution.  Private contexts always
-        run serial — their concurrency is across queries, not within one.
-        """
-        parallel = self.workers > 1 and not ctx.private
+        """Route one batch through ``execute_batch``: the single funnel
+        for kernel execution."""
+        parallel = self._threads_for(algorithm, ctx) > 1
         return execute_batch(
             algorithm, batch, pool=self.pool if parallel else None,
         )
+
+    def _threads_for(self, algorithm: TileAlgorithm, ctx: RunContext) -> int:
+        """Threads ``algorithm``'s kernels run on in ``ctx``: the pool's
+        for a ``pooled`` kernel, else 1.  Private contexts run serial —
+        their concurrency is across queries, not within one."""
+        if algorithm.pooled and not ctx.private:
+            return self.kernel_threads
+        return 1
 
     def _compute(
         self,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError
+from repro.format.tiles import tile_bases
 from repro.types import local_dtype
 
 
@@ -116,11 +117,23 @@ def decompress_tile(buf: bytes, tile_bits: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def compressed_payload_size(tg) -> int:
-    """Total compressed bytes of a :class:`TiledGraph`'s tiles."""
-    return sum(
-        len(compress_tile(tv.lsrc, tv.ldst))
-        for _, views in tg.scan(fused=False) for tv in views
-    )
+    """Total compressed bytes of a :class:`TiledGraph`'s tiles.  A tile's
+    stored locals are its decoded global IDs less the tile's SNB bases."""
+    counts = tg.tile_edge_counts()
+    total = 0
+    for positions, batch in tg.scan():
+        edges = counts[positions]
+        src, dst = batch.gsrc, batch.gdst
+        if tg.snb:
+            sb, db = tile_bases(tg.tile_rows, tg.tile_cols, positions, tg.tile_bits)
+            src = src - np.repeat(sb, edges)
+            dst = dst - np.repeat(db, edges)
+        cuts = np.cumsum(edges)[:-1]
+        total += sum(
+            len(compress_tile(s, d))
+            for s, d in zip(np.split(src, cuts), np.split(dst, cuts))
+        )
+    return total
 
 
 def compression_report(tg) -> "dict[str, float]":

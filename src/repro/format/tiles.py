@@ -927,13 +927,12 @@ class TiledGraph:
             self._payload_dt = dt
         return dt
 
-    def scan(self, slab_bytes: int = 4 << 20, fused: bool = True):
+    def scan(self, slab_bytes: int = 4 << 20):
         """The one whole-graph reader: yield ``(positions, batch)`` per
         slab of the payload in disk order — the non-empty tiles whose
         extents start inside one ``slab_bytes`` window (one byte-adjacent
         run: empty tiles hold no bytes) and their :meth:`decode_extents`
-        record, or with ``fused=False`` a list of one :meth:`decode_run`
-        view per tile.  Resident or mapped, it holds a slab at a time."""
+        record.  Resident or mapped, it holds a slab at a time."""
         offsets = self.start_edge.start_edge.astype(np.int64) * self.tuple_bytes
         live = np.flatnonzero(offsets[1:] > offsets[:-1])
         if not live.size:
@@ -942,13 +941,8 @@ class TiledGraph:
         cuts = np.flatnonzero(np.diff(offsets[live] // slab_bytes)) + 1
         for positions in np.split(live, cuts):
             extent = data[offsets[positions[0]] : offsets[positions[-1] + 1]]
-            if fused:
-                one_run = np.array([0, positions.shape[0]])
-                yield positions, self.decode_extents(positions, one_run, extent)
-            else:
-                yield positions, [
-                    tv for tv, _ in self.decode_run(positions, extent)
-                ]
+            one_run = np.array([0, positions.shape[0]])
+            yield positions, self.decode_extents(positions, one_run, extent)
 
     def to_edge_list(self) -> EdgeList:
         """Reconstruct the stored tuples as a global-ID edge list."""

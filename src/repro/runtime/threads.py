@@ -10,8 +10,10 @@ their inner loops, so skewed shards balance the way OpenMP
 ``schedule(dynamic)`` does) and committed serially in shard order.  The
 pool is a plain :class:`~concurrent.futures.ThreadPoolExecutor` the
 engine owns — like G-Store's OpenMP threads, it shares the engine's one
-address space, and it is the only parallel compute a run has; this
-module also resolves how many workers it gets.
+address space, and it is the only parallel compute a run has.  Its size
+is not a setting: a kernel that wins on it declares so
+(:attr:`~repro.algorithms.base.TileAlgorithm.pooled`), and the engine
+sizes the pool by :func:`kernel_threads`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
+
+from repro.types import SHARDS_PER_BATCH
 
 
 #: Thread-name prefix of the engine's kernel pool, so tests can assert
@@ -40,22 +44,12 @@ def available_cpus() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def resolve_workers(workers: "int | str") -> int:
-    """Resolve a worker-count setting to a concrete worker count.
-
-    ``"auto"`` is the cores this process is *allowed* to run on
-    (:func:`available_cpus`) — on a single-core box or a pinned CI
-    container that resolves to 1, which routes execution through the
-    serial path instead of paying pool overhead for no parallelism (the
-    ``fused+parallel`` regression measured on a one-CPU box, before the
-    compiled tier).  Integers pass through unchanged (must be >= 1).
-    """
-    if workers == "auto":
-        return available_cpus()
-    w = int(workers)
-    if w < 1:
-        raise ValueError(f"workers must be >= 1 or 'auto', got {workers!r}")
-    return w
+def kernel_threads() -> int:
+    """Threads of the engine's kernel pool: one per CPU this process may
+    run on, up to :data:`~repro.types.SHARDS_PER_BATCH` — a batch has no
+    more shards than that, so further threads would have nothing to do.
+    1 means no pool: the kernels run on the engine thread."""
+    return min(available_cpus(), SHARDS_PER_BATCH)
 
 
 def execute_batch(

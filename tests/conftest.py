@@ -15,6 +15,7 @@ from repro.engine.config import EngineConfig
 from repro.format.edgelist import EdgeList
 from repro.format.tiles import TiledGraph
 from repro.graphgen.kronecker import kronecker
+from repro.runtime import threads
 from repro.runtime.prefetch import PREFETCH_THREAD_NAME
 from repro.runtime.threads import WORKER_THREAD_PREFIX
 from tests import shard_floor
@@ -46,6 +47,18 @@ def low_shard_floor():
     shards."""
     with shard_floor.lowered() as floor:
         yield floor
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """``cpus(n)``: engines built afterwards see ``n`` CPUs — the one
+    input the kernel pool's size is resolved from
+    (``repro.runtime.threads.available_cpus``)."""
+
+    def set_cpus(n: int) -> None:
+        monkeypatch.setattr(threads, "available_cpus", lambda: n)
+
+    return set_cpus
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
     @pytest.mark.parametrize("field", [
         "memory_bytes", "segment_bytes", "n_ssds", "stripe_bytes",
-        "prefetch_depth", "workers", "max_iterations",
+        "prefetch_depth", "max_iterations",
     ])
     def test_integer_fields_reject_other_types(self, field, value):
         """A count is an integer: a fractional ``n_ssds`` would fail

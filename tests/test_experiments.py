@@ -50,6 +50,7 @@ class TestObservations:
         _reproduces("fig2c")
 
     @pytest.mark.slow
+    @pytest.mark.wall_clock
     def test_fig2b_localisation_helps(self):
         # Real wall-clock measurement — take the min of several repeats to
         # ride out scheduler noise, and compare best-partitioned against

@@ -9,8 +9,8 @@ here over random contiguous cuts of every batch, down to one tile or one
 edge per piece, for every algorithm of the equivalence lattice
 (``tools/equiv_matrix.py``) on its three graphs — and shown to reject a
 kernel that breaks it.  Also here: the answer under a budget that holds
-the whole payload is the streaming one, repeated fused+parallel float
-runs are bit-identical, and an algorithm cannot be built without the
+the whole payload is the streaming one, repeated float runs are
+bit-identical, and an algorithm cannot be built without the
 whole contract.
 """
 
@@ -43,12 +43,11 @@ def graphs():
 @pytest.mark.usefixtures("low_shard_floor")
 @pytest.mark.parametrize("name", ["pagerank", "spmv"])
 def test_fused_runs_are_deterministic(graphs, name):
-    """Repeated fused+parallel runs reproduce bit-identical float results."""
+    """Repeated runs reproduce bit-identical float results."""
     make = equiv_matrix.algorithms()[name]
     results = []
     for _ in range(2):
-        cfg = EngineConfig(memory_bytes=24 * 1024, segment_bytes=4 * 1024,
-                           workers=4)
+        cfg = EngineConfig(memory_bytes=24 * 1024, segment_bytes=4 * 1024)
         with GStoreEngine(graphs["undirected"], cfg) as engine:
             algo = make()
             engine.run(algo)
@@ -88,7 +87,7 @@ def reference(graphs, lattice):
 
     def graph_answer_work(name, kind, budget):
         rec = records[
-            f"{name}/{kind}/{budget[0] >> 10}K/fused/depth0-workers1/selective"
+            f"{name}/{kind}/{budget[0] >> 10}K/fused/depth0/selective"
         ]
         stats = rec["stats"]
         work = stats["edges_processed"], len(stats["iterations"])
@@ -125,8 +124,7 @@ def test_resident_budget_equivalence(reference, name):
 def _run_cut(tg, make, cut):
     """One serial engine run whose batches are cut as ``cut`` says."""
     algo = make()
-    cfg = EngineConfig(memory_bytes=BUDGET[0], segment_bytes=BUDGET[1],
-                       workers=1)
+    cfg = EngineConfig(memory_bytes=BUDGET[0], segment_bytes=BUDGET[1])
     with cut_batches(type(algo), tg, cut), GStoreEngine(tg, cfg) as engine:
         stats = engine.run(algo)
     return algo, stats

@@ -101,12 +101,12 @@ def test_prefetched_batches_recorded(graph):
 
 
 def test_execution_extra_records_pipeline(graph):
-    with GStoreEngine(graph, _config(prefetch_depth=3, workers="auto")) as engine:
+    with GStoreEngine(graph, _config(prefetch_depth=3)) as engine:
         stats = engine.run(BFS(root=0))
     ex = stats.extra["execution"]
     assert ex["prefetch_depth"] == 3
-    assert ex["workers"] == "auto"
-    assert isinstance(ex["workers_resolved"], int) and ex["workers_resolved"] >= 1
+    assert ex["prefetch_depth_resolved"] == 3
+    assert ex["kernel_threads"] == 1  # BFS does not declare the pool
 
 
 class _Exploder(PageRank):
@@ -175,8 +175,7 @@ def test_realize_io_matches_unrealized_results(graph):
 @pytest.mark.parametrize("execution", [
     {"prefetch_depth": 0},
     {"prefetch_depth": 2},
-    {"prefetch_depth": 2, "workers": 2},
-], ids=["depth0", "depth2", "depth2-workers2"])
+], ids=["depth0", "depth2"])
 def test_realize_io_paces_reads_at_the_device_bandwidth(graph, execution):
     """The pacing contract: under ``realize_io`` one device moves no more
     than its bandwidth, so a run's wall time is at least ``bytes_read /

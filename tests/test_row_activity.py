@@ -5,7 +5,8 @@ per-row array as each partial commits (``apply_partial``); proactive
 caching (§VI-C) reads it after every batch as ``rows_active_next()``, and
 the next iteration's ``rows_active()`` is the same array.  After every
 commit both must equal the masks recomputed from the state — on the
-serial path, with two kernel threads, and in a run resumed from a
+serial path, on two kernel threads (MultiBFS, which declares the pool,
+on a two-CPU engine), and in a run resumed from a
 checkpoint (which saves and restores the arrays with the rest of the
 state) — and the cache pool must take exactly
 the decisions it took when the masks were recomputed from the state.
@@ -98,19 +99,24 @@ def _config(**kw) -> EngineConfig:
 @pytest.mark.parametrize("path", ["serial", "workers=2"])
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_kept_activity_matches_state_after_every_commit(
-    name, path, graph, request, low_shard_floor
+    name, path, graph, request, low_shard_floor, cpus
 ):
     tg = request.getfixturevalue(graph)
+    cpus(1)
     clean = ALGORITHMS[name]()
     GStoreEngine(tg, _config()).run(clean)
     algo = ALGORITHMS[name]()
     commits = _checked(algo)
-    kw = {"serial": {}, "workers=2": {"workers": 2}}[path]
-    with GStoreEngine(tg, _config(**kw)) as engine:
+    # Two CPUs give MultiBFS, which declares the pool, two kernel threads;
+    # the other kernels run serial either way.
+    cpus({"serial": 1, "workers=2": 2}[path])
+    with GStoreEngine(tg, _config()) as engine:
         stats = engine.run(algo)
     assert len(set(commits)) >= 2, "fewer than two iterations committed"
     assert len(commits) > stats.n_iterations, "one commit per iteration"
     assert np.array_equal(algo.result(), clean.result())
+    pooled = path != "serial" and algo.pooled
+    assert stats.extra["execution"]["kernel_threads"] == (2 if pooled else 1)
 
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))

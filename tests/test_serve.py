@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.bfs import BFS
+from repro.algorithms.multibfs import MultiSourceBFS
 from repro.algorithms.pagerank import PageRank
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
@@ -125,13 +126,17 @@ class TestEngineReentrancy:
         stats = engine.run(BFS(root=0), context=engine.query_context())
         execution = stats.extra["execution"]
         assert execution["private_context"] is True
-        assert execution["workers_resolved"] == 1
+        assert execution["kernel_threads"] == 1
 
-    def test_private_run_spawns_no_engine_threads(self, graph, monkeypatch):
+    def test_private_run_spawns_no_engine_threads(
+        self, graph, monkeypatch, cpus
+    ):
         """A private run that both rewinds and slides is exactly one
         thread — fetch, decode and kernels all on the caller's (the
-        ``query_context`` contract) — on an engine whose batch path is
-        configured to start both kinds: no ``Thread.start`` at all."""
+        ``query_context`` contract) — on an engine whose batch path would
+        start both kinds (a prefetch depth, and two CPUs for a kernel
+        that declares the pool): no ``Thread.start`` at all."""
+        cpus(2)
         started: "list[str]" = []
         start = threading.Thread.start
 
@@ -142,7 +147,7 @@ class TestEngineReentrancy:
         monkeypatch.setattr(threading.Thread, "start", spy)
         cfg = EngineConfig(
             memory_bytes=10 * 1024, segment_bytes=2 * 1024,
-            workers=3, prefetch_depth=2,
+            prefetch_depth=2,
         )
         with GStoreEngine(graph, cfg) as eng:
             stats = eng.run(
@@ -153,6 +158,9 @@ class TestEngineReentrancy:
                 it.tiles_from_cache and it.tiles_fetched
                 for it in stats.iterations
             )
+            pooled = MultiSourceBFS([0, 5, 9])
+            assert pooled.pooled
+            eng.run(pooled, context=eng.query_context())
             assert started == []
             assert eng._pool is None
             execution = stats.extra["execution"]

@@ -1,9 +1,14 @@
 """Unit tests for the runtime's mechanisms: row-parallel kernel dispatch
-(``execute_batch`` over the engine's thread pool), the bounded
-prefetcher, and the shard structure (and the edge floor under it)."""
+(``execute_batch`` over the engine's thread pool, and which kernels the
+engine hands it to), the bounded prefetcher, and the shard structure (and
+the edge floor under it)."""
 
 import gc
+import hashlib
+import importlib
+import json
 import os
+import pkgutil
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -13,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.algorithms
 from repro.algorithms.base import (
     SHARDS_PER_BATCH,
     TileAlgorithm,
     chunk_by_edges,
 )
-from repro.algorithms.cc import ConnectedComponents
+from repro.algorithms.multibfs import MultiSourceBFS
 from repro.algorithms.pagerank import PageRank
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
@@ -28,9 +34,9 @@ from repro.runtime.threads import (
     WORKER_THREAD_PREFIX,
     available_cpus,
     execute_batch,
-    resolve_workers,
 )
 from repro.types import MIN_SHARD_EDGES, shard_pieces
+from tools import equiv_matrix
 
 
 class _FakeView:
@@ -157,71 +163,143 @@ class TestDynamicRowMap:
         assert parallel.applied == serial.applied
 
 
-class TestDefaultWorkers:
-    def test_positive(self):
-        assert resolve_workers("auto") >= 1
-
-
-class TestResolveWorkers:
-    def test_int_passthrough(self):
-        assert resolve_workers(3) == 3
-        assert resolve_workers(1) == 1
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            resolve_workers(0)
-        with pytest.raises(ValueError):
-            resolve_workers("many")
-
-    def test_auto_clamps_to_cores(self):
-        assert resolve_workers("auto") == available_cpus()
-
+class TestAvailableCpus:
     def test_available_cpus_positive(self):
         cpus = available_cpus()
         assert 1 <= cpus <= (os.cpu_count() or 1)
 
 
+def _multibfs():
+    return MultiSourceBFS([0, 7, 300])
+
+
 class TestWorkerPool:
     """The engine's kernel pool: a bare ``ThreadPoolExecutor`` it holds
-    lazily."""
+    lazily, for the kernels that declare ``pooled``."""
 
     @staticmethod
-    def _engine(graph, workers=2):
+    def _engine(graph):
         return GStoreEngine(graph, EngineConfig(
             memory_bytes=64 * 1024, segment_bytes=8 * 1024,
-            workers=workers,
         ))
 
-    def test_lazy_creation(self, tiled_undirected, low_shard_floor):
+    def test_lazy_creation(self, tiled_undirected, low_shard_floor, cpus):
         # (floor lowered: a single-shard batch never needs the pool)
         before = _worker_threads()
+        cpus(2)
         with self._engine(tiled_undirected) as engine:
             assert _worker_threads() == before
-            engine.run(ConnectedComponents(max_iterations=2))
+            engine.run(_multibfs())
             assert _worker_threads() > before
         assert _worker_threads() == before
-        with self._engine(tiled_undirected, workers=1) as serial:
-            serial.run(ConnectedComponents(max_iterations=2))
+        cpus(1)
+        with self._engine(tiled_undirected) as serial:
+            stats = serial.run(_multibfs())
             assert _worker_threads() == before
+        assert stats.extra["execution"]["kernel_threads"] == 1
 
-    def test_reused_across_calls(self, tiled_undirected, low_shard_floor):
+    def test_reused_across_calls(self, tiled_undirected, low_shard_floor, cpus):
+        cpus(2)
         with self._engine(tiled_undirected) as engine:
-            engine.run(ConnectedComponents(max_iterations=2))
+            stats = engine.run(_multibfs())
             first = engine.pool
             assert first is not None
-            engine.run(ConnectedComponents(max_iterations=2))
+            engine.run(_multibfs())
             assert engine.pool is first  # no per-batch churn
+        assert stats.extra["execution"]["kernel_threads"] == 2
 
-    def test_warm_backend_spawns_every_thread(self, tiled_undirected):
-        """``warm_backend`` leaves no thread spawn for the first timed
-        batch, and ``close`` joins them all."""
+
+class TestPooledDeclaration:
+    """The kernel declares the pool (``TileAlgorithm.pooled``); the engine
+    sizes it from the CPUs it may run on, and nothing else starts it."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return {
+            kind: equiv_matrix.tiled(el)
+            for kind, el in equiv_matrix.edge_lists().items()
+        }
+
+    @staticmethod
+    def _config():
+        budget = equiv_matrix.BUDGETS[1]
+        return EngineConfig(memory_bytes=budget[0], segment_bytes=budget[1])
+
+    def test_multibfs_same_bits_at_any_cpu_count(
+        self, graphs, low_shard_floor, cpus
+    ):
+        """MultiBFS's answer and every simulated statistic hash the same at
+        1, 2 and 3 CPUs on the lattice's graphs — and the pool really ran
+        at 2 and 3."""
+        for kind, tg in graphs.items():
+            digests = set()
+            for n in (1, 2, 3):
+                cpus(n)
+                with GStoreEngine(tg, self._config()) as engine:
+                    algo = equiv_matrix.algorithms()["multibfs"]()
+                    stats = engine.run(algo)
+                    threads = _worker_threads()
+                assert algo.pooled
+                assert stats.extra["execution"]["kernel_threads"] == n
+                assert (len(threads) > 0) == (n > 1), (kind, n)
+                rec, _ = equiv_matrix._record(algo, stats)
+                digests.add(hashlib.sha256(
+                    json.dumps(rec, sort_keys=True).encode()
+                ).hexdigest())
+            assert len(digests) == 1, kind
+
+    def test_serial_where_not_declared(self, graphs, low_shard_floor, cpus):
+        """At four CPUs: a one-root MultiBFS, a private context and every
+        kernel that does not declare ``pooled`` start no pool thread."""
+        cpus(4)
+        tg = graphs["undirected"]
+        runs = [
+            (name, make, False)
+            for name, make in equiv_matrix.algorithms().items()
+            if name != "multibfs"
+        ]
+        runs += [
+            ("multibfs, one root", lambda: MultiSourceBFS([0]), False),
+            ("multibfs, private context", _multibfs, True),
+        ]
         before = _worker_threads()
-        engine = self._engine(tiled_undirected, workers=3)
-        engine.warm_backend()
-        assert len(_worker_threads() - before) == 3
-        engine.close()
-        engine.close()  # idempotent
-        assert _worker_threads() == before
+        for name, make, private in runs:
+            with GStoreEngine(tg, self._config()) as engine:
+                algo = make()
+                assert not (algo.pooled and not private), name
+                ctx = engine.query_context() if private else None
+                stats = engine.run(algo, context=ctx)
+                assert _worker_threads() == before, name
+                assert engine._pool is None, name
+            assert stats.extra["execution"]["kernel_threads"] == 1, name
+
+    def test_pool_never_exceeds_the_shard_count(
+        self, graphs, low_shard_floor, cpus
+    ):
+        cpus(64)
+        before = _worker_threads()
+        with GStoreEngine(graphs["undirected"], self._config()) as engine:
+            assert engine.kernel_threads == SHARDS_PER_BATCH
+            stats = engine.run(_multibfs())
+            assert 0 < len(_worker_threads() - before) <= SHARDS_PER_BATCH
+        assert stats.extra["execution"]["kernel_threads"] == SHARDS_PER_BATCH
+
+    def test_live_and_one_shard_kernels_never_declare(self):
+        for info in pkgutil.iter_modules(repro.algorithms.__path__):
+            importlib.import_module(f"repro.algorithms.{info.name}")
+        kernels, todo = [], [TileAlgorithm]
+        while todo:
+            cls = todo.pop()
+            kernels.append(cls)
+            todo.extend(cls.__subclasses__())
+        exempt = [k for k in kernels if k.live_kernel or k.one_shard]
+        assert len(exempt) >= 5  # SSSP, AsyncBFS, PageRank, SpMV, SCC's
+        for cls in exempt:
+            assert cls.pooled is TileAlgorithm.pooled, cls.__name__
+
+    def test_workers_is_no_setting(self):
+        with pytest.raises(TypeError, match="workers"):
+            EngineConfig(workers=2)
 
 
 class TestPrefetcher:
@@ -460,16 +538,19 @@ class TestShardFloor:
         bounds = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
         assert shard_cuts(bounds, pieces).tolist() == want.tolist()
 
-    def test_engine_structure_is_worker_independent(self, kron_small):
-        """The engine's batches, at the shipped floor: the same shards at
-        one worker and at three, several of them, none under the floor."""
+    def test_engine_structure_is_worker_independent(self, kron_small, cpus):
+        """The engine's batches, at the shipped floor: the same shards
+        serial and on a three-thread pool, several of them, none under the
+        floor."""
         tg = TiledGraph.from_edge_list(kron_small, tile_bits=10, group_q=2)
 
-        def structure(workers: int) -> "list[list[int]]":
+        def structure(n_cpus: int) -> "list[list[int]]":
             seen: "list[list[int]]" = []
+            cpus(n_cpus)
 
             class Recording(PageRank):
                 one_shard = False  # take the batch's cuts, as CC would
+                pooled = True
 
                 @classmethod
                 def shard_cuts(cls, batch):
@@ -479,7 +560,6 @@ class TestShardFloor:
 
             cfg = EngineConfig(
                 memory_bytes=256 * 1024, segment_bytes=64 * 1024,
-                workers=workers,
             )
             with GStoreEngine(tg, cfg) as engine:
                 engine.run(Recording(max_iterations=2, tolerance=0.0))

@@ -184,22 +184,13 @@ class TestPersistence:
         tiled_undirected.save(d)
         ext = TiledGraph.load(d, resident=False)
         for slab_bytes in (4 << 20, 512):
-            for fused in (True, False):
-                want = list(tiled_undirected.scan(slab_bytes, fused))
-                got = list(ext.scan(slab_bytes, fused))
-                assert len(got) == len(want)
-                for (pos_a, views_a), (pos_b, views_b) in zip(got, want):
-                    assert np.array_equal(pos_a, pos_b)
-                    if fused:  # one decoded batch per slab
-                        for field in ("gsrc", "gdst", "run_bounds",
-                                      "run_edge_lo", "cuts"):
-                            assert np.array_equal(getattr(views_a, field),
-                                                  getattr(views_b, field))
-                        continue
-                    assert [tv.edge_lo for tv in views_a] == [
-                        tv.edge_lo for tv in views_b
-                    ]
-                    for tv_a, tv_b in zip(views_a, views_b):
-                        for x, y in zip(tv_a.global_edges(), tv_b.global_edges()):
-                            assert np.array_equal(x, y)
+            want = list(tiled_undirected.scan(slab_bytes))
+            got = list(ext.scan(slab_bytes))
+            assert len(got) == len(want)
+            for (pos_a, batch_a), (pos_b, batch_b) in zip(got, want):
+                assert np.array_equal(pos_a, pos_b)
+                for field in ("gsrc", "gdst", "run_bounds", "run_edge_lo",
+                              "cuts"):
+                    assert np.array_equal(getattr(batch_a, field),
+                                          getattr(batch_b, field))
         assert ext.payload is None

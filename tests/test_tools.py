@@ -142,7 +142,7 @@ class TestEquivMatrix:
         """The within-tree checker names the key and field of a planted
         mismatch, and the key it was held to."""
         records, _ = lattice
-        run = "bfs/directed/8K/fused/depth4-workers3/dense"
+        run = "bfs/directed/8K/fused/depth4/dense"
         answer = "pagerank/directed/24K/fused/private/selective"
         planted = dict(records)
         planted[run] = copy.deepcopy(records[run])
@@ -152,9 +152,9 @@ class TestEquivMatrix:
         assert tool.lattice_violations(planted) == [
             f"{run}.stats.iterations[1].bytes_read: "
             f"{iteration['bytes_read'] - 1} -> {iteration['bytes_read']} "
-            "(against bfs/directed/8K/fused/depth0-workers1/dense)",
+            "(against bfs/directed/8K/fused/depth0/dense)",
             f"{answer}.result: {records[answer]['result']!r} -> {'0' * 64!r} "
-            "(against pagerank/directed/24K/fused/depth0-workers1/selective)",
+            "(against pagerank/directed/24K/fused/depth0/selective)",
         ]
 
     def test_enumeration_covers_every_kind(self, tool, lattice):
@@ -168,8 +168,7 @@ class TestEquivMatrix:
             for key in records
         )
         assert kinds == {
-            "depth0-workers1": 144, "depth2-workers1": 144,
-            "depth1-workers2": 144, "depth4-workers3": 144,
+            "depth0": 144, "depth2": 144, "depth1": 144, "depth4": 144,
             "private": 6, "resumed": 6,
             "scc": 2, "xstream": 24, "flashgraph": 24, "gridgraph": 24,
         }  # 662 records
@@ -482,7 +481,7 @@ def test_source_structure_holds():
     assert shard_assigned == [
         "types.py: SHARDS_PER_BATCH", "types.py: MIN_SHARD_EDGES"
     ]
-    assert len(dataclasses.fields(EngineConfig)) == 17
+    assert len(dataclasses.fields(EngineConfig)) == 16
     assert len(dataclasses.fields(BaselineConfig)) == 7
     assert env_keys == ["REPRO_SCALE"]
     assert env_mentions == len(env_keys)

@@ -104,12 +104,12 @@ class TestTiledWeights:
             )
         }
         seen = 0
-        for tv in (tv for _, views in tg.scan(fused=False) for tv in views):
-            # As the kernels slice it: the view's extent of the
+        for _, batch in tg.scan(slab_bytes=512):
+            # As the kernels slice it: the batch's extent of the
             # disk-edge-ordered weight array.
-            w = tg.edge_weights[tv.edge_lo : tv.edge_lo + tv.n_edges]
-            gsrc, gdst = tv.global_edges()
-            for u, v, wt in zip(gsrc.tolist(), gdst.tolist(), w.tolist()):
+            w = batch.side(tg.edge_weights, 0, batch.n_edges)
+            for u, v, wt in zip(batch.gsrc.tolist(), batch.gdst.tolist(),
+                                w.tolist()):
                 assert expect[(u, v)] == pytest.approx(wt)
                 seen += 1
         assert seen == tg.n_edges

@@ -144,7 +144,7 @@ class TestGlobalEdgeLayout:
         if batched:
             batch = self._batch(g)
             ids = [(batch.gsrc, batch.gdst)]
-        else:  # one view per tile, as scan(fused=False) hands them out
+        else:  # one view per tile, as decode_run hands them out
             ids = [
                 (tv._gsrc, tv._gdst)
                 for run in self._runs(g) for tv, _ in g.decode_run(*run)

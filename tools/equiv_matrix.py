@@ -5,12 +5,15 @@ One enumeration of engine configurations, declared here once, is checked
 two ways, each record being the result's sha256 and every *simulated*
 statistic (``RunStats`` totals, every ``IterationStats`` field,
 ``SCRStats``, the pipeline totals) plus the resolved
-``extra["execution"]`` values — nothing measured on the wall clock:
+``extra["execution"]`` values — nothing measured on the wall clock, and
+nothing that depends on the machine's CPU count (``kernel_threads``):
 
 * across trees: ``--against <rev>`` exports ``<rev>`` with ``git
   archive``, runs the enumeration on both trees (a subprocess each,
   ``PYTHONPATH`` pointing at the tree's ``src/``) and diffs the records.
-  Exit 1 on any difference, each printed field by field.
+  Exit 1 on any difference, each printed field by field.  Keys of
+  revisions that also varied a ``workers`` setting (``depth<d>-workers<w>``)
+  are read as ``depth<d>``.
 * within this tree: :func:`lattice_violations` asserts the equalities the
   axes promise (one answer per algorithm, graph and budget; one simulated
   run per selective mode; dense sweeps bounding selective demand), and
@@ -24,11 +27,11 @@ still cut into several shards:
 * 11 algorithms + direction-optimising BFS on three graphs — an
   undirected R-MAT, a directed R-MAT keeping its self-loops, and a
   directed graph of the format's edge cases — × selective on/off × the
-  24 KB/4 KB and 8 KB/4 KB budgets × the single-process executions
-  (``EXECUTIONS``: ``(prefetch_depth, workers)`` (0, 1), (2, 1), (1, 2),
-  (4, 3) — 576 runs).  That an answer does not depend on where a batch
-  is cut into shards is a property of the kernel contract, checked in
-  ``tests/test_fused_equivalence.py``.
+  24 KB/4 KB and 8 KB/4 KB budgets × the prefetch depths
+  (``EXECUTIONS``: 0, 2, 1, 4 — 576 runs).  MultiBFS runs on the kernel
+  pool wherever the machine has two CPUs.  That an answer does not
+  depend on where a batch is cut into shards is a property of the kernel
+  contract, checked in ``tests/test_fused_equivalence.py``.
 * one private-context run and one checkpoint resume of BFS and PageRank
   per graph (12).
 * SCC over the directed graph, payload resident and left on disk (2).
@@ -66,11 +69,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUDGETS = ((24 * 1024, 4 * 1024), (8 * 1024, 4 * 1024))
-#: ``(prefetch_depth, workers)`` of the engine runs: the serial
-#: baseline (what the default resolves to over page-cached reads), the
-#: explicit prefetch thread, and the kernel pool beside it — depths
-#: 0/1/2/4, workers 1/2/3.
-EXECUTIONS = ((0, 1), (2, 1), (1, 2), (4, 3))
+#: ``prefetch_depth`` of the engine runs: the serial baseline (what the
+#: default resolves to over page-cached reads), then the prefetch thread
+#: at depths 2, 1 and 4.
+EXECUTIONS = (0, 2, 1, 4)
 #: (memory, segment) of the comparator runs: 8 and 64 pages of page cache
 #: under a graph of 32 (CSR) to 64 (full tuples) pages.
 COMPARATOR_BUDGETS = ((32 * 1024, 4 * 1024), (256 * 1024, 16 * 1024))
@@ -191,10 +193,10 @@ def _record(algo, stats):
     rec = {
         "result": _digest(answer),
         "stats": _stats_record(stats),
-        # lane_wait_s is the wall clock's.
+        # lane_wait_s is the wall clock's; kernel_threads the machine's.
         "execution": {
             k: v for k, v in stats.extra["execution"].items()
-            if k != "lane_wait_s"
+            if k not in ("lane_wait_s", "kernel_threads")
         },
     }
     if hasattr(algo, "rounds"):  # MIS: a changed set shows how, not just that
@@ -274,7 +276,7 @@ def enumerate_records():
     the trees are diffed on and the result array its digest names.
 
     An engine run's key is ``algorithm/graph/budget/fused/variant/mode``
-    — variant ``depth<d>-workers<w>``, ``private`` or ``resumed``, mode
+    — variant ``depth<d>``, ``private`` or ``resumed``, mode
     ``selective`` or ``dense``.  The constant ``fused`` segment keeps the
     keys those of earlier revisions, which also ran per-tile dispatch.
     """
@@ -297,14 +299,11 @@ def enumerate_records():
         )
 
     with lowered():
-        for (kind, tg), budget, selective, (depth, workers) in (
-            itertools.product(
-                graphs.items(), BUDGETS, (True, False), EXECUTIONS,
-            )
+        for (kind, tg), budget, selective, depth in itertools.product(
+            graphs.items(), BUDGETS, (True, False), EXECUTIONS,
         ):
-            cfg = config(budget, prefetch_depth=depth, workers=workers,
-                         selective=selective)
-            variant = f"depth{depth}-workers{workers}"
+            cfg = config(budget, prefetch_depth=depth, selective=selective)
+            variant = f"depth{depth}"
             with GStoreEngine(tg, cfg) as engine:
                 for name, make in algos.items():
                     algo = make()
@@ -380,17 +379,15 @@ def _declared_execution(variant, mode) -> dict:
     from repro.runtime.prefetch import BLOCKING_IO_DEPTH
 
     default = EngineConfig()
-    depth, workers = default.prefetch_depth, default.workers
+    depth = default.prefetch_depth
     if variant.startswith("depth"):
-        depth, workers = map(int, re.findall(r"\d+", variant))
+        depth = int(variant[len("depth"):])
     private = variant == "private"
     resolved = depth
     if depth is None:
         resolved = BLOCKING_IO_DEPTH if default.realize_io else 0
     return {
         "selective": mode == "selective",
-        "workers": workers,
-        "workers_resolved": 1 if private else workers,
         "prefetch_depth": depth,
         "prefetch_depth_resolved": 0 if private else resolved,
         "realize_io": default.realize_io,
@@ -409,10 +406,10 @@ def lattice_violations(records: dict) -> "list[str]":
     line per broken field, naming the key (and the key it was held to):
 
     * one answer (result digest; MIS rounds and members) per algorithm,
-      graph and budget across every run — depth, workers, selective
-      on/off, private context, checkpoint resume;
+      graph and budget across every run — depth, selective on/off,
+      private context, checkpoint resume;
     * one simulated run (every ``stats`` field) per selective mode across
-      depth, workers and private context, and ``execution`` as
+      depth and private context, and ``execution`` as
       each key declares it;
     * dense skips nothing and every dense iteration is one full sweep; no
       selective iteration asks for more, and a selective run asks for no
@@ -489,7 +486,10 @@ def _run_tree(src: str) -> dict:
         env=dict(os.environ, PYTHONPATH=src), check=True,
         stdout=subprocess.PIPE, text=True,
     )
-    return dict(json.loads(line) for line in proc.stdout.splitlines())
+    return dict(
+        (re.sub(r"/(depth\d+)-workers\d+/", r"/\1/", key), rec)
+        for key, rec in map(json.loads, proc.stdout.splitlines())
+    )
 
 
 def compare(rev: str) -> int:

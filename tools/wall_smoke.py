@@ -3,8 +3,8 @@
 
 Two gates on the real clock, each exiting non-zero on failure.  What does
 not need a wall clock (bit-identical results across prefetch depths and
-workers; selective byte savings) is held by the equivalence
-lattice and tier-1 instead.
+with or without the kernel pool; selective byte savings) is held by the
+equivalence lattice and tier-1 instead.
 
 1. **Overlap** — a 2^12 R-MAT streamed through a 128 KB budget in 32 KB
    segments from a device-paced (``realize_io``) 20 MB/s device: for BFS
@@ -80,7 +80,6 @@ def overlap_wall(tg: TiledGraph, factory, depth: int, repeats: int = 2) -> float
         prefetch_depth=depth,
         realize_io=True,
         device_profile=DeviceProfile(read_bandwidth=20e6),
-        workers="auto",
     )
     best = float("inf")
     for _ in range(repeats):
