@@ -67,14 +67,7 @@ class AsyncBFS(TileAlgorithm):
 
     live_kernel = True
 
-    def kernel_state(self):
-        return {"depth": self.depth}
-
-    def kernel_params(self):
-        return {"symmetric": self.symmetric}
-
-    @staticmethod
-    def kernel_partial(state, params, gsrc, gdst):
+    def kernel_partial(self, gsrc, gdst):
         """One relaxation of the shard against the current depths
         (read-only): the strictly improving ``(vertex, depth)`` candidates,
         both directions on symmetric storage.  The endpoints (widened, on
@@ -84,16 +77,16 @@ class AsyncBFS(TileAlgorithm):
         oracle."""
         if native.lib is not None:
             return native.candidates(
-                state["depth"], gsrc, gdst, params["symmetric"]
+                self.depth, gsrc, gdst, self.symmetric
             )[:4]
         gsrc, gdst = gather_ids(gsrc, gdst)
-        depth = state["depth"]
+        depth = self.depth
         ds = depth[gsrc]
         dd = depth[gdst]
         better = ds + 1 < dd
         idx = gdst[better]
         vals = ds[better] + 1
-        if params["symmetric"]:
+        if self.symmetric:
             better = dd + 1 < ds
             idx = np.concatenate([idx, gsrc[better]])
             vals = np.concatenate([vals, dd[better] + 1])
@@ -113,9 +106,7 @@ class AsyncBFS(TileAlgorithm):
             while idx.size:
                 np.minimum.at(self.depth, idx, vals)
                 self._changed_next[idx] = True
-                idx, vals = self.kernel_partial(
-                    self.kernel_state(), self.kernel_params(), gsrc, gdst
-                )[:2]
+                idx, vals = self.kernel_partial(gsrc, gdst)[:2]
         edges = int(gsrc.shape[0])
         self.traversed_edges += edges
         return edges

@@ -11,10 +11,12 @@ The engine drives an algorithm through a strict per-iteration protocol::
         if not algo.end_iteration(k):
             break
 
-An algorithm is written once, as a kernel: ``kernel_state`` /
-``kernel_params`` / ``kernel_partial`` / ``apply_partial``.  The engine
-calls it once per shard of a fetched batch, and an answer must not depend
-on where the shards are cut (:meth:`TileAlgorithm.apply_partial`).
+An algorithm is written once, as a kernel of two methods:
+``kernel_partial(gsrc, gdst)`` reads the algorithm's own arrays and
+scalars where they live and returns a partial, and ``apply_partial``
+commits it.  The engine calls it once per shard of a fetched batch
+(:func:`~repro.runtime.threads.execute_batch`), and an answer must not
+depend on where the shards are cut (:meth:`TileAlgorithm.apply_partial`).
 
 ``rows_active()`` reports which tile-row vertex ranges the *current*
 iteration must touch (selective fetching, §V-B); ``rows_active_next()``
@@ -150,16 +152,16 @@ class TileAlgorithm(abc.ABC):
     #: partial must see every earlier shard's commit, or the relaxation
     #: degenerates from Gauss-Seidel to Jacobi and re-reads the graph for
     #: it.  Live kernels therefore always run the serial in-order sweep of
-    #: :meth:`process_batch` — an algorithm property, not a configuration
-    #: choice.
+    #: :func:`~repro.runtime.threads.execute_batch` — an algorithm
+    #: property, not a configuration choice.
     live_kernel: bool = False
 
-    #: True when the commit does all of a kernel's per-edge work (the
-    #: scatter kernels: PageRank, SpMV, SCC's degrees add straight into
-    #: their accumulator, :func:`~repro.algorithms.pagerank.scatter_add`).
-    #: Such a kernel has no read-only work for the thread pool, so cutting
-    #: a batch would only add commits: :meth:`shard_cuts` makes the whole
-    #: batch one shard.
+    #: True when :meth:`shard_cuts` makes the whole batch one shard: where
+    #: the commit does all of a kernel's per-edge work (the scatter
+    #: kernels: PageRank, SpMV, SCC's degrees add straight into their
+    #: accumulator, :func:`~repro.algorithms.pagerank.scatter_add`), so
+    #: cutting a batch would only add commits, and where alternated pairs
+    #: show one commit per batch is faster (k-core).
     one_shard: bool = False
 
     @property
@@ -170,21 +172,6 @@ class TileAlgorithm(abc.ABC):
         :attr:`one_shard` kernel.  There is no setting; results are
         bit-identical either way."""
         return False
-
-    def process_batch(self, batch: DecodedBatch) -> int:
-        """Process one fetched batch, one kernel pass per shard.
-
-        The serial path walks exactly the shards
-        :func:`~repro.runtime.threads.execute_batch` would distribute over
-        the pool, committing partials in shard order — which is what makes
-        results bit-identical with or without it.  Returns the number of
-        edges examined.
-        """
-        cuts = self.shard_cuts(batch).tolist()
-        edges = 0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            edges += self.apply_partial(self.shard_partial(batch, a, b))
-        return edges
 
     @classmethod
     def shard_cuts(cls, batch: DecodedBatch) -> np.ndarray:
@@ -218,15 +205,11 @@ class TileAlgorithm(abc.ABC):
         opaque partial for :meth:`apply_partial`.
 
         The default hands the shard's global endpoint arrays — zero-copy
-        slices of the batch's — to :meth:`kernel_partial` with the current
-        state and params: all a kernel over ``(gsrc, gdst)`` needs;
-        override only to feed the kernel more (SSSP adds the shard's edge
-        weights, :meth:`DecodedBatch.side`).
+        slices of the batch's — to :meth:`kernel_partial`: all a kernel
+        over ``(gsrc, gdst)`` needs; override only to feed the kernel more
+        (SSSP adds the shard's edge weights, :meth:`DecodedBatch.side`).
         """
-        return self.kernel_partial(
-            self.kernel_state(), self.kernel_params(),
-            batch.gsrc[a:b], batch.gdst[a:b],
-        )
+        return self.kernel_partial(batch.gsrc[a:b], batch.gdst[a:b])
 
     def batch_shards(self, views: "list[TileView]") -> "list[list[TileView]]":
         """:func:`chunk_by_edges` of a list of views.  Nothing in ``src/``
@@ -240,6 +223,23 @@ class TileAlgorithm(abc.ABC):
         because ``benchmarks/perf/layer_walk.py`` does."""
         batch = DecodedBatch.of_views(views)
         return self.shard_partial(batch, 0, batch.n_edges)
+
+    @abc.abstractmethod
+    def kernel_partial(self, gsrc: np.ndarray, gdst: np.ndarray):
+        """Phase 1 of fused execution on a shard's global endpoint arrays:
+        the per-edge work, reading the algorithm's own arrays and scalars
+        and writing none of them (nor the endpoints, which are slices of
+        the batch, shared by the pool threads computing its other shards).
+        Returns the partial :meth:`apply_partial` commits.
+
+        The endpoints arrive as ``VERTEX_DTYPE`` (``uint32``), as the
+        decoder writes them.  A *gather* kernel (state indexed by
+        endpoint: BFS, SSSP, CC, ...) widens them with :func:`gather_ids`
+        before anything else; a *scatter* kernel (PageRank, SpMV, SCC's
+        degrees) returns the slices as they are, and its commit hands
+        them to :func:`~repro.algorithms.pagerank.scatter_add`, whose
+        compiled loop reads the ``uint32`` IDs directly.
+        """
 
     @abc.abstractmethod
     def apply_partial(self, partial) -> int:
@@ -257,57 +257,6 @@ class TileAlgorithm(abc.ABC):
         so a cut never reorders a sum; live kernels (SSSP, AsyncBFS)
         converge to the same distances.  Returns the number of edges the
         partial covered.
-        """
-
-    # ------------------------------------------------------------------ #
-    # Pure-kernel half of the fused contract (what the pool threads run)
-    # ------------------------------------------------------------------ #
-
-    @abc.abstractmethod
-    def kernel_state(self) -> "dict[str, np.ndarray]":
-        """The vertex-state arrays :meth:`kernel_partial` reads.
-
-        A name -> array mapping, read at each :meth:`shard_partial` call.
-        Arrays must be 1-D, contiguous, and *frozen* while a partial is
-        computed from them — exactly the read-only guarantee
-        :meth:`shard_partial` already makes, which lets the thread pool
-        compute a batch's partials side by side.
-        """
-
-    @abc.abstractmethod
-    def kernel_params(self) -> "dict[str, object]":
-        """Frozen per-iteration scalars for :meth:`kernel_partial`.
-
-        Small scalars (ints, floats, bools), read alongside
-        :meth:`kernel_state`.
-        """
-
-    @staticmethod
-    @abc.abstractmethod
-    def kernel_partial(
-        state: "dict[str, np.ndarray]",
-        params: "dict[str, object]",
-        gsrc: np.ndarray,
-        gdst: np.ndarray,
-    ):
-        """Pure form of :meth:`shard_partial`: no ``self``, arrays in.
-
-        Given the state snapshot, frozen params, and a shard's global
-        endpoint arrays, return the same partial :meth:`shard_partial`
-        would.  Implementations must be pure functions of their arguments
-        and must not mutate ``state`` or the endpoint arrays (the
-        endpoints are slices of the batch, shared by the pool threads
-        computing its other shards).  :meth:`shard_partial` routes
-        through this, so serial and threaded execution share one kernel
-        implementation, and the Hypothesis properties call it directly.
-
-        The endpoints arrive as ``VERTEX_DTYPE`` (``uint32``), as the
-        decoder writes them.  A *gather* kernel (state indexed by
-        endpoint: BFS, SSSP, CC, ...) widens them with :func:`gather_ids`
-        before anything else; a *scatter* kernel (PageRank, SpMV, SCC's
-        degrees) returns the slices as they are, and its commit hands
-        them to :func:`~repro.algorithms.pagerank.scatter_add`, whose
-        compiled loop reads the ``uint32`` IDs directly.
         """
 
     # ------------------------------------------------------------------ #

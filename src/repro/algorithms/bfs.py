@@ -113,22 +113,7 @@ class BFS(TileAlgorithm):
     # Fused batch kernel
     # ------------------------------------------------------------------ #
 
-    def kernel_state(self):
-        return {"depth": self.depth}
-
-    def kernel_params(self):
-        return {
-            "level": self.level,
-            "symmetric": self.symmetric,
-            "mode": (
-                ("pull" if self._pull else "push")
-                if self.direction_optimizing
-                else None
-            ),
-        }
-
-    @staticmethod
-    def kernel_partial(state, params, gsrc, gdst):
+    def kernel_partial(self, gsrc, gdst):
         """One discovery pass over the concatenated shard (read-only): the
         targets of edges from the frontier (``depth == level``) to an
         unvisited vertex, forward ones in edge order, then on symmetric
@@ -142,25 +127,24 @@ class BFS(TileAlgorithm):
 
         Compiled (:mod:`~repro.algorithms.native`) when that tier loaded,
         one loop whatever the mode.  The NumPy body below is its fallback
-        and oracle, where ``mode`` picks the evaluation order of the same
-        per-edge AND predicate: ``"push"`` filters by the frontier side
-        first, ``"pull"`` by the unvisited side, ``None`` (direction
-        optimisation off) evaluates both sides densely.  All of them give
+        and oracle, where the iteration's direction picks the evaluation
+        order of the same per-edge AND predicate: push filters by the
+        frontier side first, pull by the unvisited side, and with
+        direction optimisation off both sides are evaluated densely.  All of them give
         identical targets in identical order — only the size of the second
         gather differs.
         """
-        depth = state["depth"]
-        symmetric = params["symmetric"]
+        depth = self.depth
+        symmetric = self.symmetric
         edges = int(gsrc.shape[0])
         if native.lib is not None:
             return native.discover_bfs(
-                depth, gsrc, gdst, symmetric, params["level"]
+                depth, gsrc, gdst, symmetric, self.level
             ), edges
         gsrc, gdst = gather_ids(gsrc, gdst)
-        level = np.uint32(params["level"])
-        mode = params.get("mode")
+        level = np.uint32(self.level)
         bwd_targets = None
-        if mode is None:
+        if not self.direction_optimizing:
             src_d = depth[gsrc]
             dst_d = depth[gdst]
             fwd = (src_d == level) & (dst_d == INF_DEPTH)
@@ -171,7 +155,7 @@ class BFS(TileAlgorithm):
                 # backwards too.
                 bwd = (dst_d == level) & (src_d == INF_DEPTH)
                 bwd_targets = gsrc[bwd]
-        elif mode == "pull":
+        elif self._pull:
             # Dense frontier: the unvisited set is the small side — gather
             # it first so the frontier check touches only open targets.
             idx = np.nonzero(depth[gdst] == INF_DEPTH)[0]

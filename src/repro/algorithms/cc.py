@@ -72,17 +72,10 @@ class ConnectedComponents(TileAlgorithm):
     # Fused batch kernel
     # ------------------------------------------------------------------ #
 
-    def kernel_state(self):
-        return {"prev": self._prev}
-
-    def kernel_params(self):
-        return {}
-
-    @staticmethod
-    def kernel_partial(state, params, gsrc, gdst):
+    def kernel_partial(self, gsrc, gdst):
         """Gather propagation candidates from the iteration-start snapshot.
 
-        Labels are gathered from ``prev`` (frozen in ``begin_iteration``),
+        Labels are gathered from ``_prev`` (frozen in ``begin_iteration``),
         so the min-scatter commutes: any tile order, batch shape, shard
         interleaving or worker thread produces the same labels —
         elementwise ``min`` over the candidates.  Convergence still takes
@@ -90,7 +83,7 @@ class ConnectedComponents(TileAlgorithm):
         iterations does the long-range hops.
         """
         gsrc, gdst = gather_ids(gsrc, gdst)
-        prev = state["prev"]
+        prev = self._prev
         # WCC treats every edge as undirected: each endpoint offers its
         # label to the other regardless of the stored orientation.  The
         # two directions stay separate arrays: concatenating them would

@@ -25,6 +25,11 @@ class KCore(TileAlgorithm):
 
     name = "kcore"
     all_active = False
+    #: One commit per batch: 0.86-0.90x the cut batch's wall time on a
+    #: resident graph (17/20 alternated pairs faster), 0.73-0.76x on a
+    #: streamed one (20/20; docs/PERFORMANCE.md "k-core commits once per
+    #: batch").
+    one_shard = True
 
     def __init__(self, k: int, max_iterations: int = 100_000) -> None:
         super().__init__()
@@ -64,23 +69,17 @@ class KCore(TileAlgorithm):
     # Fused batch kernel
     # ------------------------------------------------------------------ #
 
-    def kernel_state(self):
-        return {"removed": self._removed_now, "active": self.active}
-
-    def kernel_params(self):
-        return {}
-
-    @staticmethod
-    def kernel_partial(state, params, gsrc, gdst):
+    def kernel_partial(self, gsrc, gdst):
         """One fused mask pass over the shard (read-only).
 
-        ``removed``/``active`` are frozen for the iteration and decrements
+        The just-peeled and the surviving vertices are frozen for the
+        iteration (:meth:`begin_iteration`) and decrements
         are integer sums, so the result is independent of tile order,
         batching, and sharding.
         """
         gsrc, gdst = gather_ids(gsrc, gdst)
-        removed = state["removed"]
-        active = state["active"]
+        removed = self._removed_now
+        active = self.active
         # An edge whose one endpoint was just peeled lowers the residual
         # degree of the surviving endpoint.  Duplicate decrements from
         # multi-edges are consistent (degrees counted them too).

@@ -93,16 +93,7 @@ class MaximalIndependentSet(TileAlgorithm):
     # Fused batch kernel
     # ------------------------------------------------------------------ #
 
-    def kernel_state(self):
-        return {
-            "state": self.state, "prio": self._prio, "winners": self._winners,
-        }
-
-    def kernel_params(self):
-        return {"knock": self._knock}
-
-    @staticmethod
-    def kernel_partial(state, params, gsrc, gdst):
+    def kernel_partial(self, gsrc, gdst):
         """The vertices the shard's edges beat (read-only): competing, the
         losing endpoint of every undecided-undecided edge; knocking, every
         undecided neighbour of a winner.  State, winners and priorities
@@ -110,15 +101,15 @@ class MaximalIndependentSet(TileAlgorithm):
         idempotent, so the result is independent of tile order, batching,
         and sharding."""
         gsrc, gdst = gather_ids(gsrc, gdst)
-        st = state["state"]
+        st = self.state
         edges = int(gsrc.shape[0])
-        if params["knock"]:
-            winners = state["winners"]
+        if self._knock:
+            winners = self._winners
             return np.concatenate([
                 gdst[winners[gsrc] & (st[gdst] == _UNDECIDED)],
                 gsrc[winners[gdst] & (st[gsrc] == _UNDECIDED)],
             ]), edges
-        prio = state["prio"]
+        prio = self._prio
         und = (st[gsrc] == _UNDECIDED) & (st[gdst] == _UNDECIDED)
         und &= gsrc != gdst  # a self-loop competes with nobody
         if not und.any():

@@ -70,20 +70,7 @@ class MultiSourceBFS(TileAlgorithm):
     # Fused batch kernel
     # ------------------------------------------------------------------ #
 
-    def kernel_state(self):
-        # Flattened view of the C-contiguous (k, V) matrix: the state
-        # contract ships 1-D arrays.
-        return {"depth": self.depth.reshape(-1)}
-
-    def kernel_params(self):
-        return {
-            "level": self.level,
-            "symmetric": self.symmetric,
-            "k": self.k,
-        }
-
-    @staticmethod
-    def kernel_partial(state, params, gsrc, gdst):
+    def kernel_partial(self, gsrc, gdst):
         """All ``k`` traversals' discoveries over the concatenated shard
         in one (k, E) gather (read-only).
 
@@ -92,15 +79,14 @@ class MultiSourceBFS(TileAlgorithm):
         every execution path converges on the same matrix.
         """
         gsrc, gdst = gather_ids(gsrc, gdst)
-        k = params["k"]
-        depth = state["depth"].reshape(k, -1)
+        depth = self.depth
         n = depth.shape[1]
-        level = np.uint32(params["level"])
+        level = np.uint32(self.level)
         src_d = depth[:, gsrc]
         dst_d = depth[:, gdst]
         t, e = np.nonzero((src_d == level) & (dst_d == INF_DEPTH))
         flat = t * n + gdst[e]
-        if params["symmetric"]:
+        if self.symmetric:
             t, e = np.nonzero((dst_d == level) & (src_d == INF_DEPTH))
             flat = np.concatenate([flat, t * n + gsrc[e]])
         return flat, int(gsrc.shape[0])

@@ -120,14 +120,7 @@ class PageRank(TileAlgorithm):
     # Fused batch kernel
     # ------------------------------------------------------------------ #
 
-    def kernel_state(self):
-        return {}
-
-    def kernel_params(self):
-        return {}
-
-    @staticmethod
-    def kernel_partial(state, params, gsrc, gdst):
+    def kernel_partial(self, gsrc, gdst):
         """The shard's endpoint slices: the scatter has no read-only half,
         so all of its work is the commit's (:func:`scatter_add`)."""
         return gsrc, gdst

@@ -88,18 +88,7 @@ class Reachability(TileAlgorithm):
     # Fused batch kernel
     # ------------------------------------------------------------------ #
 
-    def kernel_state(self):
-        return {
-            "frontier": self._frontier,
-            "allowed": self.allowed,
-            "visited": self.visited,
-        }
-
-    def kernel_params(self):
-        return {"forward": self.forward, "symmetric": self.symmetric}
-
-    @staticmethod
-    def kernel_partial(state, params, gsrc, gdst):
+    def kernel_partial(self, gsrc, gdst):
         """Frontier-side filter first, then the open-target check, over
         the concatenated shard (read-only): the hits in the swept
         direction in edge order, then on symmetric storage the mirrored
@@ -112,12 +101,12 @@ class Reachability(TileAlgorithm):
         Compiled (:mod:`~repro.algorithms.native`) when that tier loaded;
         the NumPy body below is its fallback and oracle.
         """
-        frontier = state["frontier"]
-        allowed = state["allowed"]
-        visited = state["visited"]
-        symmetric = params["symmetric"]
+        frontier = self._frontier
+        allowed = self.allowed
+        visited = self.visited
+        symmetric = self.symmetric
         edges = int(gsrc.shape[0])
-        if not params["forward"]:
+        if not self.forward:
             # A backward sweep follows dst -> src: from here on ``gsrc``
             # is the side expanded from and ``gdst`` the side reached.
             gsrc, gdst = gdst, gsrc

@@ -54,14 +54,7 @@ class SubgraphDegrees(TileAlgorithm):
         self.in_deg = np.zeros(n, dtype=np.float64)
         self.out_deg = np.zeros(n, dtype=np.float64)
 
-    def kernel_state(self):
-        return {}
-
-    def kernel_params(self):
-        return {}
-
-    @staticmethod
-    def kernel_partial(state, params, gsrc, gdst):
+    def kernel_partial(self, gsrc, gdst):
         return gsrc, gdst
 
     def apply_partial(self, partial) -> int:

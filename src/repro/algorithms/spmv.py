@@ -55,14 +55,7 @@ class SpMV(TileAlgorithm):
     # Fused batch kernel
     # ------------------------------------------------------------------ #
 
-    def kernel_state(self):
-        return {}
-
-    def kernel_params(self):
-        return {}
-
-    @staticmethod
-    def kernel_partial(state, params, gsrc, gdst):
+    def kernel_partial(self, gsrc, gdst):
         """The shard's endpoint slices, as PageRank's: the commit
         (:func:`~repro.algorithms.pagerank.scatter_add`) does the work."""
         return gsrc, gdst

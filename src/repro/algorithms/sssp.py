@@ -87,14 +87,7 @@ class SSSP(TileAlgorithm):
 
     live_kernel = True
 
-    def kernel_state(self):
-        return {"dist": self.dist}
-
-    def kernel_params(self):
-        return {"symmetric": self.symmetric}
-
-    @staticmethod
-    def kernel_partial(state, params, gsrc, gdst, w=None):
+    def kernel_partial(self, gsrc, gdst, w=None):
         """One relaxation of the shard against the current distances
         (read-only): the strictly improving ``(vertex, distance)``
         candidates, both directions on symmetric storage.
@@ -108,20 +101,18 @@ class SSSP(TileAlgorithm):
         body below is its fallback and oracle.
         """
         if native.lib is not None:
-            return native.candidates(
-                state["dist"], gsrc, gdst, params["symmetric"], w
-            )
+            return native.candidates(self.dist, gsrc, gdst, self.symmetric, w)
         if w is None:
             w = edge_weights(gsrc, gdst)
         gsrc, gdst = gather_ids(gsrc, gdst)
-        dist = state["dist"]
+        dist = self.dist
         ds = dist[gsrc]
         dd = dist[gdst]
         cand = ds + w
         better = cand < dd
         idx = gdst[better]
         vals = cand[better]
-        if params["symmetric"]:
+        if self.symmetric:
             cand = dd + w
             better = cand < ds
             idx = np.concatenate([idx, gsrc[better]])
@@ -134,7 +125,6 @@ class SSSP(TileAlgorithm):
         stores none: the kernel hashes them)."""
         stored = self._graph().edge_weights
         return self.kernel_partial(
-            self.kernel_state(), self.kernel_params(),
             batch.gsrc[a:b], batch.gdst[a:b],
             None if stored is None else batch.side(stored, a, b),
         )
@@ -162,9 +152,7 @@ class SSSP(TileAlgorithm):
             )
             return 2 * edges
         self._commit(idx, vals)
-        idx, vals = self.kernel_partial(
-            self.kernel_state(), self.kernel_params(), gsrc, gdst, w
-        )[:2]
+        idx, vals = self.kernel_partial(gsrc, gdst, w)[:2]
         if idx.size:
             self._commit(idx, vals)
         return 2 * edges

@@ -222,9 +222,20 @@ def cmd_fsck(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.bench.harness import graphs, scaled_config
     from repro.engine.gstore import GStoreEngine
+    from repro.errors import QueryError
     from repro.serve import QueryService, ServiceConfig
     from repro.serve.http import make_server
 
+    try:
+        service_config = ServiceConfig(
+            workers=args.workers,
+            queue_depth=args.queue_depth,
+            cache_entries=args.cache_entries,
+            default_deadline=args.deadline,
+            trace_queries=args.trace_queries,
+        )
+    except QueryError as exc:
+        raise SystemExit(f"serve: {exc}") from None
     if args.rmat_scale is not None:
         from repro.format.tiles import TiledGraph
         from repro.graphgen.rmat import rmat
@@ -237,16 +248,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit("serve needs a dataset NAME or --rmat-scale")
     cfg = scaled_config(tg, memory_fraction=args.memory_fraction)
     engine = GStoreEngine(tg, cfg)
-    service = QueryService(
-        engine,
-        ServiceConfig(
-            workers=args.workers,
-            queue_depth=args.queue_depth,
-            cache_entries=args.cache_entries,
-            default_deadline=args.deadline,
-            trace_queries=args.trace_queries,
-        ),
-    )
+    service = QueryService(engine, service_config)
     server = make_server(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(

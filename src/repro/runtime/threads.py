@@ -58,25 +58,29 @@ def execute_batch(
     pool: "ThreadPoolExecutor | None" = None,
 ) -> int:
     """Run one decoded batch (:class:`~repro.format.tiles.DecodedBatch`)
-    through an algorithm's kernel, once per shard
-    (:meth:`TileAlgorithm.process_batch`).
+    through an algorithm's kernel, once per shard of its
+    :meth:`~repro.algorithms.base.TileAlgorithm.shard_cuts`; returns the
+    number of edges examined.  The one walk of a batch's shards.
 
-    Handed a ``pool`` and a snapshot kernel, the read-only partial phase
-    is cut by the algorithm's :meth:`shard_cuts` and mapped over the
-    pool's work queue, and the partials are committed serially in shard
-    order.  Because the shard structure is worker-independent and the
-    serial :meth:`process_batch` walks the *same* shards, results are
-    bit-identical with or without a pool of any size — a deterministic
-    merge with OpenMP ``schedule(dynamic)`` balance (§VI-B).  Live kernels
-    (``algorithm.live_kernel``) need each shard's commit before the next
-    shard's partial, so they take the serial sweep whatever they are
-    handed.
+    Handed a ``pool`` (the engine hands one only to a
+    :attr:`~repro.algorithms.base.TileAlgorithm.pooled` kernel), a
+    snapshot kernel's read-only partials are mapped over the pool's work
+    queue and then committed serially in shard order; otherwise each
+    shard's partial is computed and committed before the next shard's.
+    The shards are the same either way, so results are bit-identical with
+    or without a pool of any size — a deterministic merge with OpenMP
+    ``schedule(dynamic)`` balance (§VI-B).  A live kernel
+    (``algorithm.live_kernel``) needs each shard's commit before the next
+    shard's partial, so it takes the serial walk whatever it is handed.
     """
-    if pool is not None and not algorithm.live_kernel:
-        cuts = algorithm.shard_cuts(batch).tolist()
-        if len(cuts) > 2:
-            partials = list(pool.map(
-                algorithm.shard_partial, repeat(batch), cuts[:-1], cuts[1:]
-            ))
-            return sum(algorithm.apply_partial(p) for p in partials)
-    return algorithm.process_batch(batch)
+    cuts = algorithm.shard_cuts(batch).tolist()
+    starts, ends = cuts[:-1], cuts[1:]
+    if pool is not None and not algorithm.live_kernel and len(starts) > 1:
+        partials = list(pool.map(
+            algorithm.shard_partial, repeat(batch), starts, ends
+        ))
+        return sum(algorithm.apply_partial(p) for p in partials)
+    return sum(
+        algorithm.apply_partial(algorithm.shard_partial(batch, a, b))
+        for a, b in zip(starts, ends)
+    )

@@ -46,6 +46,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 from repro.errors import AdmissionError, DeadlineError, QueryError, StorageError
 from repro.obs import MetricsRegistry, Tracer
@@ -58,6 +59,19 @@ from repro.serve.queries import (
     payload_digest,
 )
 from repro.util.timer import SimClock
+
+
+#: The least value of each int field of :class:`ServiceConfig`: a service
+#: needs a worker and an admission slot, and its health monitor a streak
+#: of at least one; 0 turns the cache and retry off.
+_INT_FLOORS = {
+    "workers": 1,
+    "queue_depth": 1,
+    "cache_entries": 0,
+    "retry_attempts": 0,
+    "health_error_threshold": 1,
+    "health_recovery_threshold": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -90,6 +104,23 @@ class ServiceConfig:
     health_error_threshold: int = 3
     #: Consecutive successes that clear an error-streak degradation.
     health_recovery_threshold: int = 3
+
+    def __post_init__(self) -> None:
+        for name, least in _INT_FLOORS.items():
+            value = getattr(self, name)
+            # ``bool`` is an ``int`` subclass; ``True`` is no count.
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise QueryError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise QueryError(f"{name} must be >= {least}, got {value}")
+        deadline = self.default_deadline
+        if deadline is not None and (
+            not isinstance(deadline, Real) or isinstance(deadline, bool)
+            or not deadline > 0
+        ):
+            raise QueryError(
+                f"default_deadline must be > 0 seconds or None, got {deadline!r}"
+            )
 
 
 class QueryService:

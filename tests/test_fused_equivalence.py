@@ -2,7 +2,7 @@
 not depend on how a batch is cut into shards.
 
 The engine calls an algorithm's kernel once per shard of a fetched batch
-(``process_batch``: ``apply_partial(shard_partial(batch, a, b))`` for each
+(``execute_batch``: ``apply_partial(shard_partial(batch, a, b))`` for each
 shard ``[a, b)`` of ``shard_cuts``, in plan order).  Where the shards are cut must not
 change the answer: that is a property of the kernel contract, checked
 here over random contiguous cuts of every batch, down to one tile or one
@@ -161,14 +161,7 @@ class LastWriterMin(TileAlgorithm):
     def result(self):
         return self.label
 
-    def kernel_state(self):
-        return {}
-
-    def kernel_params(self):
-        return {}
-
-    @staticmethod
-    def kernel_partial(state, params, gsrc, gdst):
+    def kernel_partial(self, gsrc, gdst):
         gsrc, gdst = gather_ids(gsrc, gdst)
         least = np.full(int(gdst.max(initial=0)) + 1, np.iinfo(np.int64).max)
         np.minimum.at(least, gdst, gsrc)
@@ -201,26 +194,19 @@ def test_split_invariance_rejects_last_writer_wins(graphs):
 # ---------------------------------------------------------------------- #
 
 #: The least a ``TileAlgorithm`` subclass must define: the lifecycle hooks
-#: and the four kernel-contract methods.
+#: and the two kernel-contract methods.
 _CONTRACT = {
     "_setup": lambda self: None,
     "end_iteration": lambda self, iteration: False,
     "result": lambda self: None,
-    "kernel_state": lambda self: {},
-    "kernel_params": lambda self: {},
-    "kernel_partial": staticmethod(
-        lambda state, params, gsrc, gdst: int(gsrc.shape[0])
-    ),
+    "kernel_partial": lambda self, gsrc, gdst: int(gsrc.shape[0]),
     "apply_partial": lambda self, partial: partial,
 }
 
 
-@pytest.mark.parametrize(
-    "missing",
-    ["kernel_state", "kernel_params", "kernel_partial", "apply_partial"],
-)
+@pytest.mark.parametrize("missing", ["kernel_partial", "apply_partial"])
 def test_incomplete_kernel_contract_cannot_be_constructed(graphs, missing):
-    """An algorithm is a kernel: a subclass missing any of the four
+    """An algorithm is a kernel: a subclass missing either of the two
     contract methods fails at construction, typed, not mid-run — and
     ``process_tile`` is that kernel on one tile, never overridden."""
     body = {k: v for k, v in _CONTRACT.items() if k != missing}

@@ -3,26 +3,34 @@
 Each gather kernel widens its shard's endpoints with
 :func:`~repro.algorithms.base.gather_ids` before its first gather, so
 the decoder's ``uint32`` arrays and already-widened ``intp`` arrays give
-identical partials.  State and endpoints are handed in read-only, as
-shard workers map them from shared memory, and a corrupt endpoint still
-fails typed.
+identical partials.  A kernel reads its algorithm's arrays where they
+live and writes none of them: every shipped algorithm runs whole engine
+runs with each kernel call made on read-only state.  A corrupt endpoint
+still fails typed.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
+import repro.algorithms  # noqa: F401 - imports every algorithm module
 from repro.algorithms.async_bfs import AsyncBFS
-from repro.algorithms.base import gather_ids
+from repro.algorithms.base import TileAlgorithm, gather_ids
 from repro.algorithms.bfs import BFS
 from repro.algorithms.cc import ConnectedComponents
 from repro.algorithms.kcore import KCore
 from repro.algorithms.mis import MaximalIndependentSet
 from repro.algorithms.multibfs import MultiSourceBFS
 from repro.algorithms.reachability import Reachability
+from repro.algorithms.scc import SubgraphDegrees
 from repro.algorithms.sssp import SSSP, edge_weights
+from repro.engine.config import EngineConfig
+from repro.engine.gstore import GStoreEngine
 from repro.format.tiles import concat_global_edges
+from tools import equiv_matrix
 
 KERNELS = {
     "bfs": lambda: BFS(root=0),
@@ -53,10 +61,28 @@ def _edges(tg):
     return concat_global_edges(views)
 
 
+@contextlib.contextmanager
+def read_only(algo):
+    """Every ``ndarray`` attribute of ``algo`` read-only inside the block:
+    a kernel that writes its state raises instead."""
+    arrays = []
+    for a in vars(algo).values():
+        if isinstance(a, np.ndarray) and a.flags.writeable:
+            a.flags.writeable = False
+            arrays.append(a)
+    try:
+        yield
+    finally:
+        # An array before any view of it: a view of a read-only array
+        # cannot be made writeable.
+        for a in sorted(arrays, key=lambda a: a.base is not None):
+            a.flags.writeable = True
+
+
 def _partial(algo, gsrc, gdst):
-    state = {k: _frozen(v) for k, v in algo.kernel_state().items()}
     extra = (_frozen(edge_weights(gsrc, gdst)),) if isinstance(algo, SSSP) else ()
-    return algo.kernel_partial(state, algo.kernel_params(), gsrc, gdst, *extra)
+    with read_only(algo):
+        return algo.kernel_partial(gsrc, gdst, *extra)
 
 
 def _same(a, b) -> bool:
@@ -114,3 +140,67 @@ def test_corrupt_endpoint_raises_index_error(name, side, bad, tiled_undirected):
     algo.begin_iteration(0)
     with pytest.raises(IndexError, match=f"index {bad} is out of bounds"):
         _partial(algo, _frozen(gsrc), _frozen(gdst))
+
+
+# ---------------------------------------------------------------------- #
+# A kernel writes none of its algorithm's state
+# ---------------------------------------------------------------------- #
+
+
+#: Every shipped algorithm: the lattice's (``tools/equiv_matrix.py``) and
+#: SCC's trim sweep.
+SHIPPED = [*sorted(equiv_matrix.algorithms()), "scc-degrees"]
+
+
+def _make(name: str, tg) -> TileAlgorithm:
+    if name == "scc-degrees":  # over two thirds of the vertices
+        return SubgraphDegrees(np.arange(tg.n_vertices) % 3 > 0)
+    return equiv_matrix.algorithms()[name]()
+
+
+@pytest.fixture(scope="module")
+def lattice_graphs():
+    return {
+        kind: equiv_matrix.tiled(el)
+        for kind, el in equiv_matrix.edge_lists().items()
+    }
+
+
+def test_every_shipped_algorithm_is_checked_read_only(lattice_graphs):
+    shipped = {
+        cls for cls in TileAlgorithm.__subclasses__()
+        if cls.__module__.startswith("repro.algorithms.")
+    }
+    tg = lattice_graphs["undirected"]
+    assert shipped == {type(_make(name, tg)) for name in SHIPPED}
+
+
+@pytest.mark.usefixtures("low_shard_floor")
+@pytest.mark.parametrize("kind", ["undirected", "directed", "edge-cases"])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_kernel_writes_no_state(name, kind, lattice_graphs, cpus):
+    """Through a whole engine run on a lattice graph, every kernel call
+    is made twice — once as it comes, once with every ``ndarray``
+    attribute of the instance read-only — and the two partials are the
+    same; nothing raises.  This is the guarantee that lets a ``pooled``
+    kernel's partials run side by side and commit in shard order."""
+    cpus(1)
+    tg = lattice_graphs[kind]
+    algo = _make(name, tg)
+    kernel = algo.kernel_partial
+    calls = []
+
+    def checked(gsrc, gdst, *extra):
+        want = kernel(gsrc, gdst, *extra)
+        with read_only(algo):
+            got = kernel(gsrc, gdst, *extra)
+        assert _same(got, want)
+        calls.append(int(gsrc.shape[0]))
+        return want
+
+    algo.kernel_partial = checked
+    memory, segment = equiv_matrix.BUDGETS[1]
+    cfg = EngineConfig(memory_bytes=memory, segment_bytes=segment)
+    with GStoreEngine(tg, cfg) as engine:
+        engine.run(algo)
+    assert sum(calls) > 0

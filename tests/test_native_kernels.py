@@ -108,6 +108,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _kernel(algo, symmetric=False, **fields):
+    """``algo`` with its kernel's fields set directly and a graph that
+    only says whether it is stored symmetric."""
+    algo.graph = SimpleNamespace(info=SimpleNamespace(symmetric=symmetric))
+    for name, value in fields.items():
+        setattr(algo, name, value)
+    return algo
+
+
 def _assert_partials_equal(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -125,9 +134,9 @@ def test_sssp_candidates_match_numpy(shard, symmetric, stored, seed):
         w = _frozen(
             np.random.default_rng(seed).uniform(0.5, 10, src.size).astype(np.float32)
         )
-    params = {"symmetric": symmetric}
-    got = SSSP.kernel_partial({"dist": dist}, params, src, dst, w)
-    want = _numpy(SSSP.kernel_partial, {"dist": dist}, params, src, dst, w)
+    algo = _kernel(SSSP(), symmetric, dist=dist)
+    got = algo.kernel_partial(src, dst, w)
+    want = _numpy(algo.kernel_partial, src, dst, w)
     _assert_partials_equal(got, want)
     if not stored:
         assert np.array_equal(got[4], edge_weights(src, dst))
@@ -146,14 +155,9 @@ def test_sssp_apply_matches_numpy(shard, symmetric, stored, seed):
         w = np.random.default_rng(seed).uniform(0.5, 10, src.size).astype(stored)
     runs = []
     for tier in (lambda f, *a: f(*a), _numpy):
-        algo = SSSP()
-        algo.dist = dist.copy()
-        algo._changed_next = np.zeros(dist.size, bool)
-        algo.graph = SimpleNamespace(info=SimpleNamespace(symmetric=symmetric))
-        partial = tier(
-            algo.kernel_partial, {"dist": algo.dist}, {"symmetric": symmetric},
-            src, dst, w,
-        )
+        algo = _kernel(SSSP(), symmetric, dist=dist.copy(),
+                       _changed_next=np.zeros(dist.size, bool))
+        partial = tier(algo.kernel_partial, src, dst, w)
         edges = tier(algo.apply_partial, partial)
         runs.append((edges, algo.dist, algo._changed_next))
     (e1, d1, c1), (e2, d2, c2) = runs
@@ -213,15 +217,11 @@ def test_async_bfs_matches_numpy(shard, symmetric):
     depth, src, dst = shard
     runs = []
     for tier in (lambda f, *a: f(*a), _numpy):
-        algo = AsyncBFS()
-        algo.depth = depth.copy()
-        algo._changed_next = np.zeros(depth.size, bool)
-        algo.graph = SimpleNamespace(info=SimpleNamespace(symmetric=symmetric))
-        partial = tier(
-            algo.kernel_partial, {"depth": _frozen(algo.depth)},
-            {"symmetric": symmetric}, src, dst,
-        )
+        algo = _kernel(AsyncBFS(), symmetric, depth=_frozen(depth),
+                       _changed_next=np.zeros(depth.size, bool))
+        partial = tier(algo.kernel_partial, src, dst)
         first = tuple(np.array(a) for a in partial[:2])
+        algo.depth = depth.copy()
         tier(algo.apply_partial, partial)
         runs.append((first, algo.depth, algo._changed_next))
     (f1, d1, c1), (f2, d2, c2) = runs
@@ -237,11 +237,9 @@ def test_cc_label_scatters_match_numpy(shard):
     labels, src, dst = shard
     runs = []
     for tier in (lambda f, *a: f(*a), _numpy):
-        algo = ConnectedComponents()
-        algo.comp = labels.copy()
-        partial = ConnectedComponents.kernel_partial(
-            {"prev": _frozen(labels)}, {}, src, dst
-        )
+        algo = _kernel(ConnectedComponents(), comp=labels.copy(),
+                       _prev=_frozen(labels))
+        partial = algo.kernel_partial(src, dst)
         assert tier(algo.apply_partial, partial) == src.size
         runs.append(algo.comp)
     assert np.array_equal(*runs)
@@ -271,10 +269,10 @@ def test_bfs_discovery_matches_numpy(shard, symmetric, mode):
     """One C loop for all three modes; each NumPy evaluation order gives
     the same targets in the same order."""
     depth, src, dst, level = shard
-    state = {"depth": _frozen(depth)}
-    params = {"level": level, "symmetric": symmetric, "mode": mode}
-    got = BFS.kernel_partial(state, params, _frozen(src), _frozen(dst))
-    want = _numpy(BFS.kernel_partial, state, params, src, dst)
+    algo = _kernel(BFS(), symmetric, depth=_frozen(depth), level=level,
+                   direction_optimizing=mode is not None, _pull=mode == "pull")
+    got = algo.kernel_partial(_frozen(src), _frozen(dst))
+    want = _numpy(algo.kernel_partial, src, dst)
     assert got[0].dtype == want[0].dtype == np.intp
     _assert_partials_equal(got, want)
 
@@ -286,7 +284,7 @@ def _reach_shard(draw):
     masks = st.lists(st.booleans(), min_size=n, max_size=n)
     state = {
         name: _frozen(np.array(draw(masks), bool))
-        for name in ("frontier", "allowed", "visited")
+        for name in ("_frontier", "allowed", "visited")
     }
     return state, *_endpoints(draw, n)
 
@@ -296,9 +294,9 @@ def _reach_shard(draw):
 @given(shard=_reach_shard(), forward=st.booleans(), symmetric=st.booleans())
 def test_reachability_discovery_matches_numpy(shard, forward, symmetric):
     state, src, dst = shard
-    params = {"forward": forward, "symmetric": symmetric}
-    got = Reachability.kernel_partial(state, params, _frozen(src), _frozen(dst))
-    want = _numpy(Reachability.kernel_partial, state, params, src, dst)
+    algo = _kernel(Reachability([0], forward=forward), symmetric, **state)
+    got = algo.kernel_partial(_frozen(src), _frozen(dst))
+    want = _numpy(algo.kernel_partial, src, dst)
     assert got[0].dtype == want[0].dtype == np.intp
     _assert_partials_equal(got, want)
 

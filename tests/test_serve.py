@@ -282,6 +282,23 @@ class TestQueries:
             query_from_dict({"type": "bfs", "bogus": 1})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("workers", 0), ("queue_depth", 0), ("cache_entries", -1),
+    ("retry_attempts", -1), ("health_error_threshold", 0),
+    ("health_recovery_threshold", 0), ("workers", 2.0), ("queue_depth", True),
+    ("cache_entries", "8"), ("default_deadline", -1.0),
+    ("default_deadline", 0), ("default_deadline", float("nan")),
+    ("default_deadline", True), ("default_deadline", "1"),
+])
+def test_service_config_rejects_what_no_service_can_run(field, value):
+    """An out-of-range or mistyped value fails at construction, typed and
+    naming its field — not as a pool error, or a service that rejects or
+    times out every query."""
+    with pytest.raises(QueryError, match=field):
+        ServiceConfig(**{field: value})
+    ServiceConfig(cache_entries=0, retry_attempts=0, default_deadline=0.5)
+
+
 class TestAdmissionAndDeadlines:
     def test_admission_rejection_is_synchronous_and_typed(self, engine):
         release = threading.Event()

@@ -53,8 +53,8 @@ class _Recorder(TileAlgorithm):
     """A snapshot kernel over a batch whose IDs it never reads: a shard's
     partial is its edge range ``(a, b)`` (computed after ``work(a, b)``),
     and applying it appends it to ``applied`` — so ``applied`` is the
-    commit order.  ``shard_partial`` stands in for the kernel the
-    contract's other three methods would feed."""
+    commit order.  ``shard_partial`` stands in for the kernel it would
+    feed."""
 
     def __init__(self, work=lambda a, b: None):
         super().__init__()
@@ -71,14 +71,7 @@ class _Recorder(TileAlgorithm):
     def result(self):
         return self.applied
 
-    def kernel_state(self):
-        return {}
-
-    def kernel_params(self):
-        return {}
-
-    @staticmethod
-    def kernel_partial(state, params, gsrc, gdst):
+    def kernel_partial(self, gsrc, gdst):
         raise AssertionError("shard_partial is overridden")
 
     def shard_partial(self, batch, a, b):

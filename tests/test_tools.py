@@ -261,7 +261,8 @@ def test_source_structure_holds():
     level only, the shard structure (a live kernel's relaxation order) is
     assigned in one place, tile bytes take one path — no
     execution layer holds per-tile buffers, no algorithm opens the store,
-    one function decodes a batch, one function is the kernel on a single
+    one function decodes a batch and one walks its shards
+    (``execute_batch``), one function is the kernel on a single
     tile (no algorithm carries a per-tile twin, nothing asks whether an
     algorithm or a configuration is fused, and neither ``execute_batch``
     nor ``decode_extents`` takes a ``fused`` argument: there is one
@@ -300,7 +301,7 @@ def test_source_structure_holds():
     shard_names = {"SHARDS_PER_BATCH", "MIN_SHARD_EDGES", "_RUN_SPLIT",
                    "DEFAULT_MAX_SHARDS", "FLOAT_SHARD_QUANTUM"}
     upward, late, shard_assigned, env_keys, env_mentions = [], [], [], [], 0
-    per_tile, off_engine, batch_decoders = [], [], []
+    per_tile, off_engine, batch_decoders, shard_walks = [], [], [], []
     walked, format_reach = [], []
     tile_kernels, fused_asked, twin_imports = [], [], []
     comparator_defs, page_table_reach, index_literals = [], [], []
@@ -410,15 +411,17 @@ def test_source_structure_holds():
                 f"{rel}: {m}" for m in _imports(tree)
                 if m.startswith("repro.storage")
             ]
-        batch_decoders += [
-            f"{rel}: {fn.name}"
-            for fn in ast.walk(tree)
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "decode_batch"
-        ]
+        for attr, found in (("decode_batch", batch_decoders),
+                            ("shard_cuts", shard_walks)):
+            found += [
+                f"{rel}: {fn.name}"
+                for fn in ast.walk(tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr
+            ]
         if package in ("engine", "algorithms"):
             late += [
                 f"{rel}: {fn.name}() imports {m}"
@@ -478,6 +481,8 @@ def test_source_structure_holds():
     # ``decode_batch`` is the layer walk's list-of-views adapter: nothing
     # in ``src/`` decodes through it.
     assert batch_decoders == []
+    # One function walks a batch's shards, pooled or not.
+    assert shard_walks == [os.path.join("runtime", "threads.py") + ": execute_batch"]
     assert shard_assigned == [
         "types.py: SHARDS_PER_BATCH", "types.py: MIN_SHARD_EDGES"
     ]

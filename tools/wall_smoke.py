@@ -6,10 +6,15 @@ not need a wall clock (bit-identical results across prefetch depths and
 with or without the kernel pool; selective byte savings) is held by the
 equivalence lattice and tier-1 instead.
 
-1. **Overlap** — a 2^12 R-MAT streamed through a 128 KB budget in 32 KB
-   segments from a device-paced (``realize_io``) 20 MB/s device: for BFS
-   and PageRank, the best wall time at prefetch depth 1, 2 or 4 beats
-   depth 0 (best of 2 repeats per depth).
+1. **Overlap** — a 2^14 R-MAT (edge factor 16, 1 MB of tiles) streamed
+   through a 512 KB budget in 32 KB segments from a device-paced
+   (``realize_io``) 20 MB/s device: for BFS and PageRank, the best wall
+   time at prefetch depth 1, 2 or 4 beats depth 0 (best of 5 runs per
+   depth, the depths interleaved).  A BFS run takes ≈ 0.2 s and a
+   10-iteration PageRank ≈ 0.5 s, long against one scheduler hiccup.  On
+   a 2-CPU host the overlap buys 1.06–1.09×, and the gate can still fail
+   while the host is busy (docs/PERFORMANCE.md "Prefetch pipeline
+   overlap").
 2. **Serve** — a five-kind query mix over one shared engine (2^12 R-MAT,
    4 workers, queue depth 16, result cache off), closed loop at 1, 2 and
    4 clients with 160 queries a level, then open loop at 0.5, 0.9 and
@@ -49,7 +54,7 @@ from repro.storage.device import DeviceProfile
 
 OVERLAP_ALGOS = {
     "bfs": lambda: BFS(root=0),
-    "pagerank": lambda: PageRank(max_iterations=5, tolerance=0.0),
+    "pagerank": lambda: PageRank(max_iterations=10, tolerance=0.0),
 }
 
 #: Queries per closed-loop level and per open-loop rate.
@@ -69,35 +74,43 @@ def check(ok: bool, label: str) -> None:
         _failures += 1
 
 
-def overlap_wall(tg: TiledGraph, factory, depth: int, repeats: int = 2) -> float:
-    """Best-of-``repeats`` wall seconds of one device-paced run."""
-    # The budget is far under the payload, so every iteration streams the
-    # graph; the device is slowed so that I/O weighs against this
+#: Prefetch depths gate 1 compares, and how many runs of each it takes the
+#: best of.
+DEPTHS = (0, 1, 2, 4)
+REPEATS = 5
+
+
+def overlap_wall(tg: TiledGraph, factory, depth: int) -> float:
+    """Wall seconds of one device-paced run."""
+    # The budget is half the payload, so every iteration streams most of
+    # the graph; the device is slowed so that I/O weighs against this
     # implementation's compute about as it does on the paper's hardware.
     cfg = EngineConfig(
-        memory_bytes=128 * 1024,
+        memory_bytes=512 * 1024,
         segment_bytes=32 * 1024,
         prefetch_depth=depth,
         realize_io=True,
         device_profile=DeviceProfile(read_bandwidth=20e6),
     )
-    best = float("inf")
-    for _ in range(repeats):
-        with GStoreEngine(tg, cfg) as engine:
-            algo = factory()
-            t0 = time.perf_counter()
-            engine.run(algo)
-            best = min(best, time.perf_counter() - t0)
-    return best
+    with GStoreEngine(tg, cfg) as engine:
+        algo = factory()
+        t0 = time.perf_counter()
+        engine.run(algo)
+        return time.perf_counter() - t0
 
 
 def gate_overlap() -> None:
     print("gate 1: prefetching beats serial fetch-then-compute on the wall clock")
-    el = rmat(12, edge_factor=8, seed=42)
+    el = rmat(14, edge_factor=16, seed=42)
     tg = TiledGraph.from_edge_list(el, tile_bits=10, group_q=16)
     for name, factory in OVERLAP_ALGOS.items():
-        walls = {d: overlap_wall(tg, factory, d) for d in (0, 1, 2, 4)}
-        best = min((1, 2, 4), key=walls.__getitem__)
+        walls = dict.fromkeys(DEPTHS, float("inf"))
+        # Depths interleaved, so that a slow spell on a shared host costs
+        # every depth alike.
+        for _ in range(REPEATS):
+            for depth in DEPTHS:
+                walls[depth] = min(walls[depth], overlap_wall(tg, factory, depth))
+        best = min(DEPTHS[1:], key=walls.__getitem__)
         speedup = walls[0] / walls[best]
         check(
             speedup > 1.0,
