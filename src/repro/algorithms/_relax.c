@@ -2,9 +2,9 @@
  * min-relaxation kernels of SSSP (float64 distances, suffix f64) and
  * AsyncBFS (int64 depths, i64) and the min-commit CC uses too; BFS's and
  * Reachability's discovery passes; the scatter-add of PageRank, SpMV and
- * SCC's degrees; the SNB decode (widen_*); and the write path: the
- * symmetric tile encoder's two passes (upper_keys, unpack_*) and the
- * per-tile CRC32C (crc32c_extents).
+ * SCC's degrees, straight from a batch's SNB payload; the SNB decode
+ * (widen_*); and the write path: the symmetric tile encoder's two passes
+ * (upper_keys, unpack_*) and the per-tile CRC32C (crc32c_extents).
  *
  * Every kernel takes n, the length of the state array, and checks an
  * endpoint or index against it before it reads or writes state there: on
@@ -221,28 +221,105 @@ i64 discover_reach(const uint8_t *frontier, const uint8_t *allowed,
 #undef PASS
 }
 
-/* The scatter kernels' commit, straight into the accumulator: for each
- * of m edges in order, acc[dst[i]] += x[src[i]], and (sym) right after it
- * the mirrored acc[src[i]] += x[dst[i]] -- np.add.at over the interleaved
- * pairs, so the float addition order is the edge order, whatever the
- * shards.  Returns -1, having written nothing, on an out-of-range
- * endpoint. */
-int scatter_add(double *acc, i64 n, const double *x, const uint32_t *src,
-                const uint32_t *dst, i64 m, int sym)
+/* Whether any of a[0..m) is above top: 16 at a time, a trip count -O2
+ * vectorises (a plain loop measured 1.6 times as slow), then the rest. */
+#define ABOVE(X, L)                                                          \
+INLINE int above_##X(const L *a, i64 m, L top)                              \
+{                                                                            \
+    L any = 0;                                                               \
+    i64 i = 0;                                                               \
+    for (; i + 16 <= m; i += 16)                                             \
+        for (int j = 0; j < 16; j++)                                         \
+            any |= a[i + j] > top;                                           \
+    for (; i < m; i++)                                                       \
+        any |= a[i] > top;                                                   \
+    return any != 0;                                                         \
+}
+
+ABOVE(u8, uint8_t)
+ABOVE(u16, uint16_t)
+ABOVE(u32, uint32_t)
+
+/* Whether k tiles' counts are non-negative and sum to the n_pairs edges
+ * of a payload (checked without int64 overflow). */
+INLINE int counts_cover(const i64 *counts, i64 k, i64 n_pairs)
 {
-    for (i64 i = 0; i < m; i++)
-        if (src[i] >= n || dst[i] >= n)
-            return -1;
-    if (sym)
-        for (i64 i = 0; i < m; i++) {
-            uint32_t s = src[i], t = dst[i];
-            acc[t] += x[s];
-            acc[s] += x[t];
-        }
-    else
-        for (i64 i = 0; i < m; i++)
-            acc[dst[i]] += x[src[i]];
-    return 0;
+    i64 total = 0;
+    for (i64 j = 0; j < k; j++) {
+        if (counts[j] < 0 || counts[j] > n_pairs - total)
+            return 0;
+        total += counts[j];
+    }
+    return total == n_pairs;
+}
+
+/* The scatter kernels' commit over a batch in tile form, straight from
+ * the SNB payload: k tiles' interleaved local (src, dst) pairs, counts[j]
+ * of them for tile j, each endpoint widened as widen_* widens it, s =
+ * sb[j] + local and t = db[j] + local with uint32 wraparound.  For each
+ * edge in order fwd[t] += x[s], and (bwd) right after it bwd[s] += x[t]:
+ * with bwd == fwd that is np.add.at over the interleaved pairs, so the
+ * float addition order is the edge order whatever the shards, and with
+ * two arrays each adds in edge order.  A tile none of whose locals is
+ * above n - 1 less its larger base holds no bad endpoint -- one
+ * vectorised compare per local, none at all when every local of the type
+ * fits -- and only the others are checked edge by edge.
+ * Returns, having written nothing, -1 on a widened endpoint not below n
+ * and -2 unless the counts cover the payload. */
+#define SCATTER(X, L)                                                        \
+INLINE int scatter_##X(double *fwd, double *bwd, i64 n, const double *x,     \
+                       const L *pairs, i64 n_pairs, const i64 *counts,       \
+                       const uint32_t *sb, const uint32_t *db, i64 k)        \
+{                                                                            \
+    if (!counts_cover(counts, k, n_pairs))                                   \
+        return -2;                                                           \
+    for (i64 j = 0, e = 0; j < k; e += counts[j++]) {                        \
+        uint32_t a = sb[j], b = db[j];                                       \
+        const L *p = pairs + 2 * e;                                          \
+        uint64_t hi = a > b ? a : b;                                         \
+        if (hi < (uint64_t)n) {                                              \
+            uint64_t room = (uint64_t)n - 1 - hi;                            \
+            if (room >= (L)-1 || !above_##X(p, 2 * counts[j], (L)room))      \
+                continue;                                                    \
+        }                                                                    \
+        for (i64 i = 0; i < counts[j]; i++)                                  \
+            if ((uint32_t)(a + p[2 * i]) >= n ||                             \
+                (uint32_t)(b + p[2 * i + 1]) >= n)                           \
+                return -1;                                                   \
+    }                                                                        \
+    for (i64 j = 0, e = 0; j < k; j++) {                                     \
+        uint32_t a = sb[j], b = db[j];                                       \
+        for (i64 end = e + counts[j]; e < end; e++) {                        \
+            uint32_t s = a + pairs[2 * e], t = b + pairs[2 * e + 1];         \
+            fwd[t] += x[s];                                                  \
+            if (bwd)                                                         \
+                bwd[s] += x[t];                                              \
+        }                                                                    \
+    }                                                                        \
+    return 0;                                                                \
+}
+
+SCATTER(u8, uint8_t)
+SCATTER(u16, uint16_t)
+SCATTER(u32, uint32_t)
+
+/* pairs holds bits-wide locals (8, 16 or 32); bwd may be NULL or fwd. */
+int scatter_add(double *fwd, double *bwd, i64 n, const double *x,
+                const void *pairs, int bits, i64 n_pairs, const i64 *counts,
+                const uint32_t *sb, const uint32_t *db, i64 k)
+{
+#define PASS(X, B) (B ? scatter_##X(fwd, bwd, n, x, pairs, n_pairs, counts,   \
+                                    sb, db, k)                               \
+                      : scatter_##X(fwd, NULL, n, x, pairs, n_pairs, counts, \
+                                    sb, db, k))
+    if (bits == 8)
+        return PASS(u8, bwd);
+    if (bits == 16)
+        return PASS(u16, bwd);
+    if (bits == 32)
+        return PASS(u32, bwd);
+    return -2;
+#undef PASS
 }
 
 /* The SNB decode: k tiles' interleaved local (src, dst) pairs, counts[j]
@@ -255,13 +332,7 @@ int widen_##X(const L *pairs, i64 n_pairs, const i64 *counts,                \
               const uint32_t *sb, const uint32_t *db, i64 k,                 \
               uint32_t *gsrc, uint32_t *gdst)                                \
 {                                                                            \
-    i64 total = 0;                                                           \
-    for (i64 j = 0; j < k; j++) {                                            \
-        if (counts[j] < 0 || counts[j] > n_pairs - total)                    \
-            return -1;                                                       \
-        total += counts[j];                                                  \
-    }                                                                        \
-    if (total != n_pairs)                                                    \
+    if (!counts_cover(counts, k, n_pairs))                                   \
         return -1;                                                           \
     for (i64 j = 0, e = 0; j < k; j++) {                                     \
         uint32_t a = sb[j], b = db[j];                                       \
@@ -304,20 +375,6 @@ INLINE i64 keys(int weighted, const uint32_t *src, const uint32_t *dst,
     return k;
 }
 
-/* Whether any of a[0..m) is above top: 16 at a time, a trip count -O2
- * vectorises (a plain loop measured 1.6 times as slow), then the rest. */
-INLINE int above(const uint32_t *a, i64 m, uint32_t top)
-{
-    uint32_t any = 0;
-    i64 i = 0;
-    for (; i + 16 <= m; i += 16)
-        for (int j = 0; j < 16; j++)
-            any |= a[i + j] > top;
-    for (; i < m; i++)
-        any |= a[i] > top;
-    return any != 0;
-}
-
 /* Returns the count of keys, or -1, having written nothing, on an
  * endpoint not below n_vertices, a grid too small for n_vertices, or an
  * upper-triangle grid entry not in [0, n_tiles).  w NULL: unweighted. */
@@ -330,7 +387,7 @@ i64 upper_keys(const uint32_t *src, const uint32_t *dst, i64 m,
         return -1;
     uint32_t top = n_vertices > UINT32_MAX ? UINT32_MAX
                                            : (uint32_t)(n_vertices - 1);
-    int bad = above(src, m, top) || above(dst, m, top);
+    int bad = above_u32(src, m, top) || above_u32(dst, m, top);
     for (i64 r = 0; !bad && r < p; r++)
         for (i64 c = r; c < p; c++)
             bad |= (uint64_t)pos_grid[r * p + c] >= (uint64_t)n_tiles;

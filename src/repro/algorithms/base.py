@@ -14,7 +14,9 @@ The engine drives an algorithm through a strict per-iteration protocol::
 An algorithm is written once, as a kernel of two methods:
 ``kernel_partial(gsrc, gdst)`` reads the algorithm's own arrays and
 scalars where they live and returns a partial, and ``apply_partial``
-commits it.  The engine calls it once per shard of a fetched batch
+commits it.  A scatter kernel (:attr:`TileAlgorithm.reads_ids` false) is
+handed the shard in tile form instead, ``kernel_partial(tiles)``, and
+never widens it.  The engine calls it once per shard of a fetched batch
 (:func:`~repro.runtime.threads.execute_batch`), and an answer must not
 depend on where the shards are cut (:meth:`TileAlgorithm.apply_partial`).
 
@@ -164,6 +166,14 @@ class TileAlgorithm(abc.ABC):
     #: show one commit per batch is faster (k-core).
     one_shard: bool = False
 
+    #: False for a kernel that never reads a batch's global IDs: the
+    #: scatter kernels add straight from the SNB payload, so their
+    #: :meth:`kernel_partial` takes the shard in tile form
+    #: (:meth:`~repro.format.tiles.DecodedBatch.tile_edges`) and a batch
+    #: they run is never widened.  The engine widens ahead on the
+    #: prefetch thread only for a kernel that reads IDs.
+    reads_ids: bool = True
+
     @property
     def pooled(self) -> bool:
         """The kernel's declaration that its shard partials run faster
@@ -208,7 +218,11 @@ class TileAlgorithm(abc.ABC):
         slices of the batch's — to :meth:`kernel_partial`: all a kernel
         over ``(gsrc, gdst)`` needs; override only to feed the kernel more
         (SSSP adds the shard's edge weights, :meth:`DecodedBatch.side`).
+        A kernel that does not :attr:`reads_ids` is handed the shard in
+        tile form, zero-copy slices of the batch's payload.
         """
+        if not self.reads_ids:
+            return self.kernel_partial(batch.tile_edges(a, b))
         return self.kernel_partial(batch.gsrc[a:b], batch.gdst[a:b])
 
     def batch_shards(self, views: "list[TileView]") -> "list[list[TileView]]":
@@ -233,12 +247,15 @@ class TileAlgorithm(abc.ABC):
         Returns the partial :meth:`apply_partial` commits.
 
         The endpoints arrive as ``VERTEX_DTYPE`` (``uint32``), as the
-        decoder writes them.  A *gather* kernel (state indexed by
-        endpoint: BFS, SSSP, CC, ...) widens them with :func:`gather_ids`
-        before anything else; a *scatter* kernel (PageRank, SpMV, SCC's
-        degrees) returns the slices as they are, and its commit hands
-        them to :func:`~repro.algorithms.pagerank.scatter_add`, whose
-        compiled loop reads the ``uint32`` IDs directly.
+        widen writes them.  A *gather* kernel (state indexed by endpoint:
+        BFS, SSSP, CC, ...) widens them to ``intp`` with :func:`gather_ids`
+        before anything else.  A *scatter* kernel (PageRank, SpMV, SCC's
+        degrees; :attr:`reads_ids` false) is called as
+        ``kernel_partial(tiles)`` with the shard's
+        :class:`~repro.format.tiles.TileEdges` and returns them as they
+        are; its commit hands them to
+        :func:`~repro.algorithms.pagerank.scatter_add`, whose compiled
+        loop adds each tile's bases to the stored locals as it goes.
         """
 
     @abc.abstractmethod

@@ -6,8 +6,9 @@ SSSP's and AsyncBFS's relaxations and the min-commits of SSSP, AsyncBFS
 and CC (:func:`candidates`, :func:`rounds`, :func:`min_commit`), BFS's and
 Reachability's discovery passes (:func:`discover_bfs`,
 :func:`discover_reach`), the commit of PageRank, SpMV and SCC's degrees
-(:func:`scatter_add`), the widening of SNB tile payloads into global
-IDs (:func:`widen`, behind ``TiledGraph._global_ids``), the symmetric tile
+straight from a batch's SNB payload (:func:`scatter_add`), the widening
+of SNB tile payloads into global IDs (:func:`widen`, behind
+``TileEdges.widen``, for the kernels that read them), the symmetric tile
 encoder's key build and unpack (:func:`upper_keys`, :func:`unpack_keys`,
 around the NumPy sort in ``TiledGraph.from_edge_list``) and the per-tile
 CRC32C (:func:`crc32c_extents`, behind ``repro.faults.crc``: SSE4.2's
@@ -30,8 +31,9 @@ contiguous ``VERTEX_DTYPE`` — the decoder's arrays pass through, any other
 integer array is range-checked and converted once — and every entry point
 checks each endpoint or index against the state's length before it
 touches memory there, so a corrupt endpoint raises NumPy's own
-``IndexError`` instead of reading out of bounds; the decode checks that
-the tiles' edge counts cover the payload before its first write.  The
+``IndexError`` instead of reading out of bounds; the decode and the
+scatter check that the tiles' edge counts cover the payload before their
+first write.  The
 write-path kernels check their whole input first too — endpoints against
 ``n_vertices`` (a :class:`~repro.errors.FormatError` naming the first bad
 one), tile positions against the tile count, checksum extents against the
@@ -75,8 +77,9 @@ int64_t discover_bfs(const uint32_t *, int64_t, const uint32_t *,
 int64_t discover_reach(const uint8_t *, const uint8_t *, const uint8_t *,
                        int64_t, const uint32_t *, const uint32_t *, int64_t,
                        int, int64_t *);
-int scatter_add(double *, int64_t, const double *, const uint32_t *,
-                const uint32_t *, int64_t, int);
+int scatter_add(double *, double *, int64_t, const double *, const void *,
+                int, int64_t, const int64_t *, const uint32_t *,
+                const uint32_t *, int64_t);
 """ + "".join(
     f"""
 int widen_{x}(const {t} *, int64_t, const int64_t *, const uint32_t *,
@@ -375,26 +378,61 @@ def discover_reach(frontier, allowed, visited, gsrc, gdst,
     return out[:k]
 
 
-def scatter_add(acc, x, gsrc, gdst, symmetric: bool) -> None:
-    """``acc[gdst[i]] += x[gsrc[i]]`` edge by edge, each followed on
-    symmetric storage by the mirrored ``acc[gsrc[i]] += x[gdst[i]]``, for
-    contiguous ``float64`` ``acc`` and ``x`` of one length.  Every endpoint
-    is checked before the first add, so ``acc`` is untouched when one is
-    out of range."""
-    n = acc.shape[0]
-    if acc.dtype != np.float64 or not acc.flags.c_contiguous:
-        raise ValueError(f"acc must be contiguous float64, got {acc.dtype}")
+def _accumulator(acc: np.ndarray, n: int):
+    """The writable buffer of a contiguous ``float64`` array of length
+    ``n``."""
+    if acc.dtype != np.float64 or not acc.flags.c_contiguous or acc.shape != (n,):
+        raise ValueError(
+            f"accumulator must be {n} contiguous float64, got {acc.dtype}{acc.shape}"
+        )
+    return ffi.from_buffer("double[]", acc, require_writable=True)
+
+
+def _tile_form(pairs, counts, sb, db):
+    """The width of a tile-form batch's unsigned locals, checked against
+    its counts and bases."""
+    bits = 8 * pairs.itemsize
+    k = counts.shape[0]
+    if pairs.dtype.kind != "u" or bits not in (8, 16, 32):
+        raise ValueError(f"no SNB decode of {pairs.dtype} pairs")
+    if pairs.shape[0] % 2 or sb.shape != (k,) or db.shape != (k,):
+        raise ValueError("payload, counts and bases do not match")
+    return bits
+
+
+def scatter_add(fwd, x, pairs, counts, sb, db, bwd=None) -> None:
+    """The scatter kernels' commit straight from a batch in tile form:
+    the interleaved unsigned local ``(src, dst)`` pairs of tiles holding
+    ``counts`` edges each, each endpoint widened as :func:`widen` widens
+    it (tile ``j``'s bases ``sb[j]``/``db[j]`` added with ``uint32``
+    wraparound).  Edge by edge, ``fwd[t] += x[s]``, each followed, when
+    ``bwd`` is given, by ``bwd[s] += x[t]`` — ``bwd`` may be ``fwd``
+    itself (symmetric storage's mirrored add).  ``fwd``, ``bwd`` and ``x``
+    are contiguous ``float64`` of one length ``n``.  Everything is checked
+    before the first add, so the accumulators are untouched on a
+    ``ValueError`` (counts that do not cover the payload) or an
+    ``IndexError`` (a widened endpoint not below ``n``)."""
+    n = fwd.shape[0]
     if x.shape != (n,):
         raise ValueError(f"x must have shape ({n},), got {x.shape}")
-    src, dst = _vertex_ids(n, gsrc, gdst)
+    bits = _tile_form(pairs, counts, sb, db)
+    m = pairs.shape[0] // 2
     rc = lib.scatter_add(
-        ffi.from_buffer("double[]", acc, require_writable=True), n,
+        _accumulator(fwd, n),
+        ffi.NULL if bwd is None else _accumulator(bwd, n), n,
         ffi.from_buffer("double[]", np.ascontiguousarray(x, np.float64)),
-        ffi.from_buffer("uint32_t[]", src), ffi.from_buffer("uint32_t[]", dst),
-        src.shape[0], bool(symmetric),
+        ffi.from_buffer(f"uint{bits}_t[]", np.ascontiguousarray(pairs)), bits,
+        m, ffi.from_buffer("int64_t[]", np.ascontiguousarray(counts, np.int64)),
+        ffi.from_buffer("uint32_t[]", np.ascontiguousarray(sb, VERTEX_DTYPE)),
+        ffi.from_buffer("uint32_t[]", np.ascontiguousarray(db, VERTEX_DTYPE)),
+        counts.shape[0],
     )
+    if rc == -2:
+        raise ValueError(
+            f"tile edge counts do not cover the payload's {m} edges"
+        )
     if rc:
-        raise _out_of_bounds(n, src, dst)
+        raise _out_of_bounds(n, *widen(pairs, counts, sb, db))
 
 
 def widen(pairs: np.ndarray, counts: np.ndarray, sb: np.ndarray,
@@ -405,12 +443,8 @@ def widen(pairs: np.ndarray, counts: np.ndarray, sb: np.ndarray,
     global IDs, tile ``j``'s bases ``sb[j]``/``db[j]`` added with
     ``uint32`` wraparound.  ``ValueError`` unless the counts cover the
     payload exactly."""
-    bits = 8 * pairs.itemsize
+    bits = _tile_form(pairs, counts, sb, db)
     k = counts.shape[0]
-    if pairs.dtype.kind != "u" or bits not in (8, 16, 32):
-        raise ValueError(f"no SNB decode of {pairs.dtype} pairs")
-    if pairs.shape[0] % 2 or sb.shape != (k,) or db.shape != (k,):
-        raise ValueError("payload, counts and bases do not match")
     m = pairs.shape[0] // 2
     gsrc = np.empty(m, VERTEX_DTYPE)
     gdst = np.empty(m, VERTEX_DTYPE)

@@ -3,10 +3,11 @@
 Power iteration with damping: every iteration streams the whole graph, so
 all rows stay active and — crucially for slide-cache-rewind — every cached
 tile is guaranteed useful next iteration.  Contributions are added straight
-into the iteration's accumulator, edge after edge in plan order
-(:func:`scatter_add`), as G-Store's kernel updates vertex metadata in
-place: the metadata a batch touches spans only the vertex ranges of its
-tiles, which is the access-localisation property measured in Figure 2(b).
+into the iteration's accumulator, edge after edge in plan order, from the
+batch's SNB payload (:func:`scatter_add`), as G-Store's kernel updates
+vertex metadata in place: the metadata a batch touches spans only the
+vertex ranges of its tiles, which is the access-localisation property
+measured in Figure 2(b).
 
 Dangling vertices redistribute their rank uniformly each iteration, which
 matches networkx's formulation and keeps the cross-check tight.
@@ -19,30 +20,44 @@ import numpy as np
 from repro.algorithms import native
 from repro.algorithms.base import TileAlgorithm
 from repro.errors import AlgorithmError
+from repro.format.tiles import TileEdges
 
 
 def scatter_add(
-    acc: np.ndarray, x: np.ndarray, gsrc: np.ndarray, gdst: np.ndarray,
-    symmetric: bool,
+    fwd: np.ndarray, x: np.ndarray, tiles: TileEdges,
+    bwd: "np.ndarray | None" = None,
 ) -> None:
-    """Commit a shard's ``y[dst] += x[src]`` straight into ``acc``: edge by
-    edge in order, each followed on symmetric storage by the mirrored
-    ``y[src] += x[dst]``.
+    """Commit a shard's ``fwd[dst] += x[src]`` straight into ``fwd`` from
+    its tile form (:class:`~repro.format.tiles.TileEdges`), edge by edge in
+    order, each followed, when ``bwd`` is given, by ``bwd[src] += x[dst]``:
+    symmetric storage passes ``fwd`` twice (the mirrored add), SCC's degree
+    sweep its two degree arrays.
 
     The float addition order is the edge order, so where a batch is cut
     into shards does not change a bit.  Compiled
-    (:func:`~repro.algorithms.native.scatter_add`) when that tier loaded;
-    the NumPy body below is its fallback and oracle — ``np.add.at`` over
-    the same interleaved sequence, bit-identical.  Raises ``IndexError``,
-    with ``acc`` untouched, if any endpoint lies outside ``x``.
+    (:func:`~repro.algorithms.native.scatter_add`: each tile's bases are
+    added to the stored locals as the loop reads them, and no global-ID
+    array is written) when that tier loaded; the NumPy body below is its
+    fallback and oracle — :meth:`~repro.format.tiles.TileEdges.widen`, then
+    ``np.add.at`` over the same sequence, bit-identical.  Raises
+    ``IndexError``, with the accumulators untouched, if any widened
+    endpoint lies outside ``x``.
     """
     if native.lib is not None:
-        native.scatter_add(acc, x, gsrc, gdst, symmetric)
+        native.scatter_add(fwd, x, tiles.pairs, tiles.counts, tiles.src_base,
+                           tiles.dst_base, bwd)
         return
-    if symmetric:  # edge i's mirrored add right after its forward one
+    gsrc, gdst = tiles.widen()
+    if bwd is fwd:  # edge i's mirrored add right after its forward one
         gsrc, gdst = (np.stack(pair, axis=1).ravel()
                       for pair in ((gsrc, gdst), (gdst, gsrc)))
-    np.add.at(acc, gdst, x[gsrc])
+        bwd = None
+    # Both gathers before the first add: a bad endpoint raises first.
+    forward = x[gsrc]
+    backward = None if bwd is None else x[gdst]
+    np.add.at(fwd, gdst, forward)
+    if bwd is not None:
+        np.add.at(bwd, gsrc, backward)
 
 
 class PageRank(TileAlgorithm):
@@ -51,6 +66,7 @@ class PageRank(TileAlgorithm):
     name = "pagerank"
     all_active = True
     one_shard = True
+    reads_ids = False
 
     def __init__(
         self,
@@ -120,15 +136,15 @@ class PageRank(TileAlgorithm):
     # Fused batch kernel
     # ------------------------------------------------------------------ #
 
-    def kernel_partial(self, gsrc, gdst):
-        """The shard's endpoint slices: the scatter has no read-only half,
-        so all of its work is the commit's (:func:`scatter_add`)."""
-        return gsrc, gdst
+    def kernel_partial(self, tiles):
+        """The shard in tile form: the scatter has no read-only half, so
+        all of its work is the commit's (:func:`scatter_add`)."""
+        return tiles
 
-    def apply_partial(self, partial) -> int:
-        gsrc, gdst = partial
-        scatter_add(self._acc, self._contrib, gsrc, gdst, self.symmetric)
-        return int(gsrc.shape[0])
+    def apply_partial(self, tiles) -> int:
+        scatter_add(self._acc, self._contrib, tiles,
+                    self._acc if self.symmetric else None)
+        return tiles.n_edges
 
     def end_iteration(self, iteration: int) -> bool:
         n = self.rank.shape[0]

@@ -38,12 +38,14 @@ from repro.format.tiles import TiledGraph
 class SubgraphDegrees(TileAlgorithm):
     """One sweep counting, for every vertex, its in- and out-neighbours
     inside the ``active`` subset — the trim step's test.  PageRank's
-    scatter-add of a 0/1 vector, once in each direction, straight into
-    the degree arrays (float sums of ones are exact far beyond any
-    degree, so the order of the adds cannot show)."""
+    scatter-add of a 0/1 vector, both directions in one pass over the
+    batch's payload, straight into the degree arrays (float sums of ones
+    are exact far beyond any degree, so the order of the adds cannot
+    show)."""
 
     name = "degrees"
     one_shard = True
+    reads_ids = False
 
     def __init__(self, active: np.ndarray) -> None:
         super().__init__()
@@ -54,14 +56,12 @@ class SubgraphDegrees(TileAlgorithm):
         self.in_deg = np.zeros(n, dtype=np.float64)
         self.out_deg = np.zeros(n, dtype=np.float64)
 
-    def kernel_partial(self, gsrc, gdst):
-        return gsrc, gdst
+    def kernel_partial(self, tiles):
+        return tiles
 
-    def apply_partial(self, partial) -> int:
-        gsrc, gdst = partial
-        scatter_add(self.in_deg, self._x, gsrc, gdst, False)
-        scatter_add(self.out_deg, self._x, gdst, gsrc, False)
-        return int(gsrc.shape[0])
+    def apply_partial(self, tiles) -> int:
+        scatter_add(self.in_deg, self._x, tiles, self.out_deg)
+        return tiles.n_edges
 
     def end_iteration(self, iteration: int) -> bool:
         return False

@@ -22,6 +22,7 @@ class SpMV(TileAlgorithm):
     name = "spmv"
     all_active = True
     one_shard = True
+    reads_ids = False
 
     def __init__(self, x: "np.ndarray | None" = None, iterations: int = 1) -> None:
         super().__init__()
@@ -55,15 +56,14 @@ class SpMV(TileAlgorithm):
     # Fused batch kernel
     # ------------------------------------------------------------------ #
 
-    def kernel_partial(self, gsrc, gdst):
-        """The shard's endpoint slices, as PageRank's: the commit
+    def kernel_partial(self, tiles):
+        """The shard in tile form, as PageRank's: the commit
         (:func:`~repro.algorithms.pagerank.scatter_add`) does the work."""
-        return gsrc, gdst
+        return tiles
 
-    def apply_partial(self, partial) -> int:
-        gsrc, gdst = partial
-        scatter_add(self.y, self.x, gsrc, gdst, self.symmetric)
-        return int(gsrc.shape[0])
+    def apply_partial(self, tiles) -> int:
+        scatter_add(self.y, self.x, tiles, self.y if self.symmetric else None)
+        return tiles.n_edges
 
     def end_iteration(self, iteration: int) -> bool:
         self.iterations_run = iteration + 1

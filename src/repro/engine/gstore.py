@@ -410,7 +410,9 @@ class GStoreEngine:
             # Opened *before* the rewind: the slide schedule is fixed, so
             # the prefetch thread fetches the first slide batches while
             # the engine thread rewinds.
-            source = self._source(plan.batches, ctx, self._prefetch_depth(ctx))
+            source = self._source(
+                plan.batches, ctx, self._prefetch_depth(ctx), algorithm.reads_ids
+            )
             try:
                 # --- Rewind: consume the pool before any I/O (§VI-D). ---
                 if cached.size:
@@ -570,10 +572,16 @@ class GStoreEngine:
             return BLOCKING_IO_DEPTH if self.config.realize_io else 0
         return depth
 
-    def _source(self, batches, ctx: RunContext, depth: int) -> Prefetcher:
+    def _source(
+        self, batches, ctx: RunContext, depth: int, reads_ids: bool = False
+    ) -> Prefetcher:
         """An ordered source of ``batches``, prepared ``depth`` ahead on
-        the prefetch thread, or inside ``get()`` at depth 0."""
-        jobs = [(lambda b=b: self._prepare(b, ctx)) for b in batches]
+        the prefetch thread, or inside ``get()`` at depth 0.  For a kernel
+        that ``reads_ids`` the prefetch thread widens each batch too, so
+        that work overlaps compute; at depth 0 the kernel's first read of
+        the IDs widens, on the engine thread either way."""
+        widen = reads_ids and depth > 0
+        jobs = [(lambda b=b: self._prepare(b, ctx, widen)) for b in batches]
         return Prefetcher(jobs, depth=depth, tracer=ctx.tracer)
 
     def _get(self, source, k: int, plan: SlidePlan, ctx: RunContext):
@@ -611,11 +619,12 @@ class GStoreEngine:
             return source, source.get()
 
     def _prepare(
-        self, batch_positions: np.ndarray, ctx: RunContext
+        self, batch_positions: np.ndarray, ctx: RunContext, widen: bool
     ) -> Prepared:
         """Fetch + decode one slide batch (runs on the prefetch thread when
         prefetching, inside ``get()`` on the engine thread at depth 0):
-        positions -> extent arrays -> one service call -> one decode.
+        positions -> extent arrays -> one service call -> one decode, and
+        with ``widen`` the batch's global IDs too.
 
         Everything here is free of engine-thread state: the AIO service
         half is thread-safe and clock-free and the store reads are
@@ -631,6 +640,8 @@ class GStoreEngine:
             data, io_t = ctx.aio.service(ext)
             with tracer.span("decode", cat="decode", tiles=len(batch_positions)):
                 batch = self._decode(ext, data, self._verify)
+                if widen:
+                    batch.widen()
         return Prepared(
             tiles=batch_positions,
             batch=batch,

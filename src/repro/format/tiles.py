@@ -222,26 +222,108 @@ def tile_bases(
     return sb, db
 
 
+def _batch_bases(tg, pos_arr: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Tiles ``pos_arr``'s bases in tile form: :func:`tile_bases` on SNB
+    storage, else zeros (the payload holds global IDs)."""
+    if tg.snb:
+        return tile_bases(tg.tile_rows, tg.tile_cols, pos_arr, tg.tile_bits)
+    zero = np.zeros(pos_arr.shape[0], dtype=VERTEX_DTYPE)
+    return zero, zero
+
+
 @dataclass(frozen=True, slots=True, eq=False)
+class TileEdges:
+    """Edges in tile form, as SNB stores them (§IV-B): the interleaved
+    local ``(src, dst)`` pairs of consecutive tiles (``uint8``, ``uint16``
+    or ``uint32``), ``counts[j]`` of them for tile ``j`` (``int64``), and
+    each tile's source and destination bases (``VERTEX_DTYPE``), which
+    turn a local into a global ID with ``uint32`` wraparound.  Storage
+    without SNB holds global IDs under zero bases.
+
+    A scatter kernel reads this form as it is
+    (:func:`~repro.algorithms.pagerank.scatter_add`); :meth:`widen` is the
+    one way to global-ID arrays.  Callers treat every array as read-only.
+    """
+
+    pairs: np.ndarray
+    counts: np.ndarray
+    src_base: np.ndarray
+    dst_base: np.ndarray
+
+    @classmethod
+    def of_ids(cls, gsrc: np.ndarray, gdst: np.ndarray) -> "TileEdges":
+        """Global IDs as one ``uint32`` tile of base 0."""
+        m = gsrc.shape[0]
+        pairs = np.empty(2 * m, dtype=VERTEX_DTYPE)
+        pairs[0::2] = gsrc
+        pairs[1::2] = gdst
+        zero = np.zeros(1, dtype=VERTEX_DTYPE)
+        return cls(pairs, np.array([m], dtype=np.int64), zero, zero)
+
+    @property
+    def n_edges(self) -> int:
+        return self.pairs.shape[0] // 2
+
+    def widen(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The global endpoint IDs as two contiguous ``VERTEX_DTYPE``
+        arrays, so kernels index them without a copy: one compiled pass
+        (:func:`repro.algorithms.native.widen`) de-interleaves, widens and
+        adds each tile's bases; the NumPy body is its fallback and oracle.
+        ``ValueError`` unless the counts cover the pairs exactly."""
+        # Imported here: importing repro.algorithms imports this module.
+        from repro.algorithms import native
+
+        flat, counts = self.pairs, self.counts
+        if native.lib is not None:
+            return native.widen(flat, counts, self.src_base, self.dst_base)
+        if 2 * int(counts.sum()) != flat.shape[0] or (counts < 0).any():
+            raise ValueError(
+                f"tile edge counts do not cover the payload's "
+                f"{flat.shape[0] // 2} edges"
+            )
+        return (flat[0::2] + np.repeat(self.src_base, counts),
+                flat[1::2] + np.repeat(self.dst_base, counts))
+
+
 class DecodedBatch:
     """One decoded batch of tile bytes: what every reader of them gets.
 
     A batch is a sequence of *runs* — byte-adjacent tiles, one merged
-    extent each.  ``gsrc``/``gdst`` are the whole batch's global endpoint
-    IDs, C-contiguous ``VERTEX_DTYPE`` from one widening pass, in plan
-    order.  Run ``r`` is batch edges ``[run_bounds[r], run_bounds[r + 1])``
-    and disk edges from ``run_edge_lo[r]`` on, which is how per-edge side
-    arrays (``TiledGraph.edge_weights``) are read (:meth:`side`).
-    ``cuts`` (:func:`shard_cuts`) are the shard boundaries: a kernel is
-    handed edges ``[cuts[k], cuts[k + 1])`` as zero-copy slices.  Callers
-    treat every array as read-only.
+    extent each — held as the fetch left it: :attr:`tiles`, the batch's
+    tiles in plan order in tile form, tile ``j`` batch edges
+    ``[tile_bounds[j], tile_bounds[j + 1])``.  Run ``r`` is batch edges
+    ``[run_bounds[r], run_bounds[r + 1])`` and disk edges from
+    ``run_edge_lo[r]`` on, which is how per-edge side arrays
+    (``TiledGraph.edge_weights``) are read (:meth:`side`).
+
+    Two things are computed on first read and kept: ``gsrc``/``gdst``, the
+    whole batch's global endpoint IDs from one :meth:`TileEdges.widen`
+    pass (a scatter kernel reads :meth:`tile_edges` and never widens), and
+    ``cuts`` (:func:`shard_cuts`), the shard boundaries — a kernel is
+    handed edges ``[cuts[k], cuts[k + 1])`` — which a one-shard kernel
+    never reads.  A first read writes the cache, so a batch read on
+    several threads is read on one of them first
+    (:func:`~repro.runtime.threads.execute_batch` widens before it maps a
+    pool).  Callers treat every array as read-only.
     """
 
-    gsrc: np.ndarray
-    gdst: np.ndarray
-    run_bounds: np.ndarray
-    run_edge_lo: np.ndarray
-    cuts: np.ndarray
+    __slots__ = ("run_bounds", "run_edge_lo", "_tiles", "_tile_bounds",
+                 "_ids", "_cuts")
+
+    def __init__(
+        self,
+        tiles: "TileEdges | None",
+        tile_bounds: "np.ndarray | None",
+        run_bounds: np.ndarray,
+        run_edge_lo: np.ndarray,
+        ids: "tuple[np.ndarray, np.ndarray] | None" = None,
+    ) -> None:
+        self._tiles = tiles
+        self._tile_bounds = tile_bounds
+        self.run_bounds = run_bounds
+        self.run_edge_lo = run_edge_lo
+        self._ids = ids
+        self._cuts: "np.ndarray | None" = None
 
     @classmethod
     def of_runs(
@@ -251,7 +333,10 @@ class DecodedBatch:
         run_bounds: np.ndarray,
         run_edge_lo: np.ndarray,
     ) -> "DecodedBatch":
-        return cls(gsrc, gdst, run_bounds, run_edge_lo, shard_cuts(run_bounds))
+        """A batch of given global IDs; its tile form, read only by a
+        scatter kernel, is one base-0 ``uint32`` tile
+        (:meth:`TileEdges.of_ids`), built on first read."""
+        return cls(None, None, run_bounds, run_edge_lo, (gsrc, gdst))
 
     @classmethod
     def of_views(cls, views: "list[TileView]") -> "DecodedBatch":
@@ -265,7 +350,53 @@ class DecodedBatch:
 
     @property
     def n_edges(self) -> int:
-        return int(self.gsrc.shape[0])
+        return int(self.run_bounds[-1])
+
+    def widen(self) -> "tuple[np.ndarray, np.ndarray]":
+        """``(gsrc, gdst)``: the batch widened once, on first read."""
+        if self._ids is None:
+            self._ids = self._tiles.widen()
+        return self._ids
+
+    @property
+    def gsrc(self) -> np.ndarray:
+        return self.widen()[0]
+
+    @property
+    def gdst(self) -> np.ndarray:
+        return self.widen()[1]
+
+    @property
+    def cuts(self) -> np.ndarray:
+        if self._cuts is None:
+            self._cuts = shard_cuts(self.run_bounds)
+        return self._cuts
+
+    @property
+    def tiles(self) -> TileEdges:
+        """The whole batch in tile form."""
+        if self._tiles is None:
+            gsrc, gdst = self._ids
+            self._tiles = TileEdges.of_ids(gsrc, gdst)
+            self._tile_bounds = np.array([0, gsrc.shape[0]], dtype=np.int64)
+        return self._tiles
+
+    def tile_edges(self, a: int, b: int) -> TileEdges:
+        """Batch edges ``[a, b)`` in tile form: zero-copy slices of
+        :attr:`tiles`, the counts of the first and last tile trimmed where
+        the range cuts them."""
+        tiles = self.tiles
+        if a == 0 and b == tiles.n_edges:
+            return tiles
+        bounds = self._tile_bounds
+        i = int(np.searchsorted(bounds, a, side="right")) - 1
+        j = int(np.searchsorted(bounds, b))
+        return TileEdges(
+            tiles.pairs[2 * a : 2 * b],
+            np.diff(np.clip(bounds[i : j + 1], a, b)),
+            tiles.src_base[i:j],
+            tiles.dst_base[i:j],
+        )
 
     def side(self, values: np.ndarray, a: int, b: int) -> np.ndarray:
         """A disk-edge-ordered side array's values for batch edges
@@ -784,27 +915,9 @@ class TiledGraph:
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Global endpoint IDs of the stored tuples ``flat`` — the
         interleaved locals of tiles ``pos_arr``, ``counts`` edges each, in
-        that order — as two contiguous ``VERTEX_DTYPE`` arrays, so kernels
-        index the result without a copy.  On SNB storage one compiled pass
-        (:func:`repro.algorithms.native.widen`) de-interleaves, widens and
-        adds each tile's base; the NumPy body is its fallback and oracle.
-        ``ValueError`` unless ``counts`` covers ``flat`` exactly."""
-        if not self.snb:
-            return (flat[0::2].astype(VERTEX_DTYPE),
-                    flat[1::2].astype(VERTEX_DTYPE))
-        # Imported here: importing repro.algorithms imports this module.
-        from repro.algorithms import native
-
-        sb, db = tile_bases(self.tile_rows, self.tile_cols, pos_arr, self.tile_bits)
-        if native.lib is not None:
-            return native.widen(flat, counts, sb, db)
-        if 2 * int(counts.sum()) != flat.shape[0] or (counts < 0).any():
-            raise ValueError(
-                f"tile edge counts do not cover the payload's "
-                f"{flat.shape[0] // 2} edges"
-            )
-        return (flat[0::2] + np.repeat(sb, counts),
-                flat[1::2] + np.repeat(db, counts))
+        that order — from one :meth:`TileEdges.widen` pass.  ``ValueError``
+        unless ``counts`` covers ``flat`` exactly."""
+        return TileEdges(flat, counts, *_batch_bases(self, pos_arr)).widen()
 
     def decode_batch(
         self,
@@ -898,27 +1011,32 @@ class TiledGraph:
         data: "bytes | memoryview | np.ndarray",
     ) -> DecodedBatch:
         """Decode one fetched batch — the one decode step behind every
-        reader of tile bytes (the engine's slide and rewind, the shard
-        workers, the serving lookup, :meth:`scan`).
+        reader of tile bytes (the engine's slide and rewind, the serving
+        lookup, :meth:`scan`).
 
         ``positions`` are the batch's tiles in plan order, ``first`` where
         each merged extent's tiles start among them (one entry more than
         there are extents, as :func:`~repro.engine.selective.merge_extents`
-        records it) and ``data`` the extents' bytes laid end to end.  One
-        :meth:`_global_ids` pass widens the whole batch; runs and shard
-        cuts come from the tiles' edge counts.  ``ValueError`` unless those
-        counts cover ``data`` exactly.
+        records it) and ``data`` the extents' bytes laid end to end.  The
+        batch keeps ``data`` in tile form — a view of it, the tiles' edge
+        counts and their bases, computed here once — and runs come from
+        the counts; nothing is widened or cut until a reader asks
+        (:class:`DecodedBatch`).  ``ValueError`` unless the counts cover
+        ``data`` exactly.
         """
         flat = np.frombuffer(data, dtype=self.payload_dtype())
         se = self.start_edge.start_edge
         lo = se[positions].astype(np.int64)
         counts = se[positions + 1].astype(np.int64) - lo
-        gsrc, gdst = self._global_ids(flat, positions, counts)
         tile_bounds = np.zeros(positions.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=tile_bounds[1:])
-        return DecodedBatch.of_runs(
-            gsrc, gdst, tile_bounds[first], lo[first[:-1]]
-        )
+        if 2 * int(tile_bounds[-1]) != flat.shape[0]:
+            raise ValueError(
+                f"tile edge counts do not cover the payload's "
+                f"{flat.shape[0] // 2} edges"
+            )
+        tiles = TileEdges(flat, counts, *_batch_bases(self, positions))
+        return DecodedBatch(tiles, tile_bounds, tile_bounds[first], lo[first[:-1]])
 
     def payload_dtype(self) -> np.dtype:
         dt = self._payload_dt

@@ -72,10 +72,14 @@ def execute_batch(
     ``schedule(dynamic)`` balance (§VI-B).  A live kernel
     (``algorithm.live_kernel``) needs each shard's commit before the next
     shard's partial, so it takes the serial walk whatever it is handed.
+    A kernel that reads global IDs has the batch widened here, on the
+    calling thread, before the pool's threads read them.
     """
     cuts = algorithm.shard_cuts(batch).tolist()
     starts, ends = cuts[:-1], cuts[1:]
     if pool is not None and not algorithm.live_kernel and len(starts) > 1:
+        if algorithm.reads_ids:
+            batch.widen()
         partials = list(pool.map(
             algorithm.shard_partial, repeat(batch), starts, ends
         ))

@@ -29,7 +29,7 @@ from repro.algorithms.scc import SubgraphDegrees
 from repro.algorithms.sssp import SSSP, edge_weights
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
-from repro.format.tiles import concat_global_edges
+from repro.format.tiles import TileEdges, concat_global_edges
 from tools import equiv_matrix
 
 KERNELS = {
@@ -85,7 +85,13 @@ def _partial(algo, gsrc, gdst):
         return algo.kernel_partial(gsrc, gdst, *extra)
 
 
+def _fields(tiles: TileEdges) -> tuple:
+    return tiles.pairs, tiles.counts, tiles.src_base, tiles.dst_base
+
+
 def _same(a, b) -> bool:
+    if isinstance(a, TileEdges):
+        return isinstance(b, TileEdges) and _same(_fields(a), _fields(b))
     if isinstance(a, tuple):
         return (
             isinstance(b, tuple) and len(a) == len(b)
@@ -190,12 +196,15 @@ def test_kernel_writes_no_state(name, kind, lattice_graphs, cpus):
     kernel = algo.kernel_partial
     calls = []
 
-    def checked(gsrc, gdst, *extra):
-        want = kernel(gsrc, gdst, *extra)
+    def checked(*args):
+        # (gsrc, gdst, [w]), or a scatter kernel's one TileEdges.
+        want = kernel(*args)
         with read_only(algo):
-            got = kernel(gsrc, gdst, *extra)
+            got = kernel(*args)
         assert _same(got, want)
-        calls.append(int(gsrc.shape[0]))
+        shard = args[0]
+        calls.append(shard.n_edges if isinstance(shard, TileEdges)
+                     else int(shard.shape[0]))
         return want
 
     algo.kernel_partial = checked

@@ -3,12 +3,13 @@
 :mod:`repro.algorithms.native` runs SSSP's and AsyncBFS's relaxations,
 the min-commits of SSSP, AsyncBFS and CC, BFS's and Reachability's
 discovery passes, the scatter-add of PageRank, SpMV and SCC's degrees
-(its oracle property is in ``test_pagerank.py``) and the SNB decode in
-C when it loads; the NumPy bodies
-it replaces stay in the algorithms and the decoder as the fallback, and
-here they are the oracle: every C entry point must give what they give,
-element for element and in the same order.  The build half — the per-user cache, a
-damaged cached file, no ``gcc``, two first imports at once — is checked
+over tile form (its oracle property is in ``test_pagerank.py``; its
+adversarial shapes are here) and the SNB decode in C when it loads; the
+NumPy bodies it replaces stay in the algorithms and the decoder as the
+fallback, and here they are the oracle: every C entry point must give
+what they give, element for element and in the same order.  The build
+half — the per-user cache, a damaged cached file, no ``gcc``, two first
+imports at once — is checked
 on throwaway cache directories.
 """
 
@@ -22,6 +23,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -397,6 +399,125 @@ def test_decode_counts_must_cover_the_payload(dtype, counts):
     assert all((a == 7).all() for a in out)
     with pytest.raises(ValueError):  # an odd number of local IDs
         native.widen(pairs[:5], counts, args[4], args[5])
+
+
+# ---------------------------------------------------------------------- #
+# The tile-form scatter at adversarial shapes (run under ASan + UBSan by
+# CI's sanitizer leg): the raw entry point checks everything first
+# ---------------------------------------------------------------------- #
+
+
+def _raw_scatter(fwd, bwd, x, pairs, counts, sb, db):
+    """``native.lib.scatter_add`` as called, its return code: 0, -1 (an
+    endpoint not below ``len(fwd)``) or -2 (counts missing the payload)."""
+    buf = native.ffi.from_buffer
+    bits = 8 * pairs.itemsize
+    return native.lib.scatter_add(
+        buf("double[]", fwd, require_writable=True),
+        native.ffi.NULL if bwd is None else buf("double[]", bwd,
+                                                require_writable=True),
+        fwd.shape[0], buf("double[]", x), buf(f"uint{bits}_t[]", pairs), bits,
+        pairs.shape[0] // 2,
+        buf("int64_t[]", counts), buf("uint32_t[]", sb), buf("uint32_t[]", db),
+        counts.shape[0],
+    )
+
+
+def _u32(*values):
+    return np.array(values, dtype=np.uint32)
+
+
+@needs_tier
+def test_scatter_of_nothing_onto_nothing():
+    """``n = 0`` and ``m = 0``: no tiles, or empty tiles at any bases, add
+    nothing and read nothing; one edge into no vertices is out of range."""
+    none = np.zeros(0)
+    empty = np.zeros(0, np.uint8)
+    assert _raw_scatter(none, none, none, empty, np.zeros(0, np.int64),
+                        _u32(), _u32()) == 0
+    assert _raw_scatter(none, None, none, empty, np.zeros(3, np.int64),
+                        _u32(0, 2**31, 2**32 - 1), _u32(0, 2**31, 2**32 - 1)) == 0
+    assert _raw_scatter(none, None, none, np.zeros(2, np.uint8),
+                        np.ones(1, np.int64), _u32(0), _u32(0)) == -1
+
+
+@needs_tier
+@pytest.mark.parametrize("counts", [
+    [-1, 4], [4, -1], [2, 2], [1, 1],
+    [2**62, 2**62, 2**62, 2**62 + 3],   # sums past int64
+    [2**63 - 1, 2**63 - 1],
+    [3, 2**63 - 1, -(2**63 - 1)],       # back to 3 only by overflowing
+])
+def test_scatter_counts_must_cover_the_payload(counts):
+    counts = np.array(counts, np.int64)
+    k = counts.shape[0]
+    fwd, bwd = np.arange(8.0), np.arange(8.0)
+    rc = _raw_scatter(fwd, bwd, np.ones(8), np.arange(6, dtype=np.uint16),
+                      counts, np.zeros(k, np.uint32), np.zeros(k, np.uint32))
+    assert rc == -2
+    assert np.array_equal(fwd, np.arange(8.0)) and np.array_equal(bwd, fwd)
+
+
+@needs_tier
+@pytest.mark.parametrize("bits", [8, 16, 32])
+@pytest.mark.parametrize("side", ["src", "dst", "both"])
+@pytest.mark.parametrize("base, ok", [
+    (10 - 255, True),          # base + local lands on |V| - 1 (11 vertices)
+    (11 - 255, False),         # ... on |V|
+    (2**32 - 256, False),      # ... on 2**32 - 1
+    (2**32 - 255 + 10, True),  # wraps past 2**32 onto |V| - 1
+    (2**32 - 255 + 11, False), # wraps past 2**32 onto |V|
+])
+def test_scatter_checks_widened_endpoints(bits, side, base, ok):
+    """Tile 1 holds one edge whose locals are 255, under bases that put
+    the ``side`` endpoint where the case names (the other on |V| - 1); a
+    bad one writes nothing, and the good ones add where they widen to."""
+    pairs = np.array([0, 1, 255, 255], dtype=np.dtype(f"uint{bits}"))
+    good = _u32(0, 10 - 255 + 2**32)
+    bad = _u32(0, base % 2**32)
+    sb = bad if side in ("src", "both") else good
+    db = bad if side in ("dst", "both") else good
+    x = np.arange(1.0, 12.0)
+    fwd, bwd = np.zeros(11), np.zeros(11)
+    rc = _raw_scatter(fwd, bwd, x, pairs, np.array([1, 1], np.int64), sb, db)
+    if not ok:
+        assert rc == -1 and not fwd.any() and not bwd.any()
+        return
+    assert rc == 0
+    assert fwd.tolist() == [0.0, 1.0] + [0.0] * 8 + [11.0]
+    assert bwd.tolist() == [2.0] + [0.0] * 9 + [11.0]
+
+
+@needs_tier
+@pytest.mark.parametrize("bits", [8, 16, 32])
+def test_scatter_on_two_threads_matches_serial(bits):
+    """The call releases the GIL: two threads adding the same tile-form
+    batch into disjoint accumulators at once get the serial bits."""
+    rng = np.random.default_rng(bits)
+    n, k, per = 50_000, 64, 4_000
+    top = min(2**bits, n) - 1
+    pairs = rng.integers(0, top + 1, 2 * k * per).astype(f"uint{bits}")
+    counts = np.full(k, per, np.int64)
+    sb = (rng.integers(0, n - top, k)).astype(np.uint32)
+    db = (rng.integers(0, n - top, k)).astype(np.uint32)
+    x = rng.standard_normal(n)
+    start = rng.standard_normal(n) * 1e6
+
+    def run(acc, back):
+        for _ in range(4):
+            native.scatter_add(acc, x, pairs, counts, sb, db, back)
+
+    serial = [start.copy() for _ in range(2)]
+    run(serial[0], serial[0])
+    run(serial[1], None)
+    pair = [start.copy() for _ in range(2)]
+    threads = [threading.Thread(target=run, args=(pair[0], pair[0])),
+               threading.Thread(target=run, args=(pair[1], None))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert [a.tobytes() for a in pair] == [a.tobytes() for a in serial]
 
 
 @st.composite

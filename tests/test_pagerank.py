@@ -13,6 +13,8 @@ from repro.algorithms import native
 from repro.algorithms.pagerank import PageRank, scatter_add
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
+from repro.format.tiles import TileEdges
+from repro.types import local_dtype
 
 
 def _run(tg, **kw):
@@ -178,7 +180,8 @@ def test_damping_bounds_accepted(tiled_undirected, damping):
 
 
 # ---------------------------------------------------------------------- #
-# scatter_add: both tiers bit-identical to plain in-order adds
+# scatter_add: both tiers, over tile form, bit-identical to plain in-order
+# adds over the widened IDs
 # ---------------------------------------------------------------------- #
 
 
@@ -217,90 +220,198 @@ def _accumulator(n, seed):
     return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
 
 
+#: How a shard's adds land: forward only (directed storage), each
+#: followed by its mirror in the same array (symmetric storage), or the
+#: mirror into a second array (SCC's in- and out-degrees in one pass).
+MODES = ("forward", "mirrored", "two")
+
+
+def _widened(tiles):
+    """The oracle's IDs: the NumPy body of ``TileEdges.widen``."""
+    with _tier(None):
+        return tiles.widen()
+
+
+def _want(start, x, tiles, mode):
+    """What the accumulators hold after the in-order adds of ``mode``."""
+    gsrc, gdst = _widened(tiles)
+    if mode == "two":
+        return (_sequential(start, x, gsrc, gdst, False),
+                _sequential(start[::-1].copy(), x, gdst, gsrc, False))
+    return (_sequential(start, x, gsrc, gdst, mode == "mirrored"),)
+
+
+def _scatter(start, x, tiles, mode):
+    """``scatter_add`` in ``mode`` onto copies of ``start`` (the second
+    accumulator reversed), returning the accumulators."""
+    fwd = start.copy()
+    if mode == "two":
+        bwd = start[::-1].copy()
+        scatter_add(fwd, x, tiles, bwd)
+        return fwd, bwd
+    scatter_add(fwd, x, tiles, fwd if mode == "mirrored" else None)
+    return (fwd,)
+
+
 @st.composite
-def _shards(draw):
-    """``(x, gsrc, gdst, symmetric)``: a shard over ``n`` vertices whose
-    source and destination ranges overlap or are disjoint, with values
+def _tile_shards(draw):
+    """``(x, tiles)``: a shard over ``n`` vertices in tile form with
+    ``uint8``, ``uint16`` or ``uint32`` locals (tile_bits 6, 10 or 17),
+    each tile's bases at 0, inside the vertex range or just below 2**32,
+    whose locals wrap past it into the range; empty tiles and empty
+    shards among them; or the same edges as the one base-0 ``uint32``
+    tile of a batch built from IDs (``DecodedBatch.of_runs``).  Values
     spread over many magnitudes so any reassociation shows."""
     n = draw(st.integers(1, 48))
-    m = draw(st.integers(0, 40))
-    ids = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
-    if n > 1 and draw(st.booleans()):  # disjoint ranges
-        k = draw(st.integers(1, n - 1))
-        src = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
-        dst = draw(st.lists(st.integers(k, n - 1), min_size=m, max_size=m))
-        if draw(st.booleans()):
-            src, dst = dst, src
-    else:
-        src, dst = draw(ids), draw(ids)
-        if m and draw(st.booleans()):  # both ends of the vertex range
-            src[0], dst[-1] = 0, n - 1
+    dtype = local_dtype(draw(st.sampled_from([6, 10, 17])))
+    top = np.iinfo(dtype).max
+    bases, counts, pairs = ([], []), [], []
+    for _ in range(draw(st.integers(0, 6))):
+        m = draw(st.integers(0, 12))
+        tile = []
+        for side in range(2):
+            if draw(st.booleans()):  # a base near 2**32: locals wrap
+                c = draw(st.integers(1, top))
+                bases[side].append(2**32 - c)
+                lo, hi = c, min(c + n - 1, top)
+            else:
+                base = draw(st.integers(0, n - 1))
+                bases[side].append(base)
+                lo, hi = 0, n - 1 - base
+            tile.append(draw(st.lists(st.integers(lo, hi), min_size=m,
+                                      max_size=m)))
+        counts.append(m)
+        pairs += [v for pair in zip(*tile) for v in pair]
+    tiles = TileEdges(
+        np.array(pairs, dtype=dtype), np.array(counts, dtype=np.int64),
+        np.array(bases[0], dtype=np.uint32), np.array(bases[1], dtype=np.uint32),
+    )
+    if draw(st.booleans()):
+        tiles = TileEdges.of_ids(*_widened(tiles))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-    return (
-        x,
-        np.asarray(src, dtype=np.uint32),
-        np.asarray(dst, dtype=np.uint32),
-        draw(st.booleans()),
-    )
+    return x, tiles
 
 
-def _shard(n, pairs, symmetric):
+def _shard(n, pairs):
+    """Global ``(src, dst)`` pairs as a base-0 ``uint32`` tile: the form
+    ``DecodedBatch.of_runs`` gives a batch of given IDs."""
     x = np.linspace(0.1, 7.3, n) ** 3
     arr = np.asarray(pairs, dtype=np.uint32).reshape(-1, 2)
-    return x, arr[:, 0].copy(), arr[:, 1].copy(), symmetric
+    return x, TileEdges.of_ids(arr[:, 0].copy(), arr[:, 1].copy())
 
 
 class TestScatterAdd:
     @settings(max_examples=300, deadline=None)
-    @given(shard=_shards(), seed=st.integers(0, 2**32 - 1))
-    @example(shard=_shard(5, [(2, 3)], False), seed=1)  # one edge
-    @example(shard=_shard(5, [(2, 3)], True), seed=2)
-    @example(shard=_shard(6, [(0, 5), (0, 5), (5, 0), (0, 5)], True), seed=3)
-    @example(shard=_shard(6, [(0, 5), (0, 5), (3, 5)], False), seed=4)
-    @example(shard=_shard(9, [(0, 1), (1, 0), (7, 8), (8, 8)], True), seed=5)
-    def test_tiers_match_in_order_adds_bit_for_bit(self, shard, seed):
-        """Every tier adds edge after edge into a non-zero accumulator:
-        the compiled loop and ``np.add.at`` give the oracle's bits, so
-        each other's."""
-        x, gsrc, gdst, symmetric = shard
+    @given(shard=_tile_shards(), mode=st.sampled_from(MODES),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shard=_shard(5, [(2, 3)]), mode="forward", seed=1)  # one edge
+    @example(shard=_shard(5, [(2, 3)]), mode="mirrored", seed=2)
+    @example(shard=_shard(6, [(0, 5), (0, 5), (5, 0), (0, 5)]),
+             mode="mirrored", seed=3)
+    @example(shard=_shard(6, [(0, 5), (0, 5), (3, 5)]), mode="forward", seed=4)
+    @example(shard=_shard(9, [(0, 1), (1, 0), (7, 8), (8, 8)]),
+             mode="two", seed=5)
+    @example(shard=_shard(4, []), mode="two", seed=6)  # an empty batch
+    def test_tiers_match_in_order_adds_bit_for_bit(self, shard, mode, seed):
+        """Every tier adds edge after edge, straight from the tile form,
+        into non-zero accumulators: the compiled loop and ``np.add.at``
+        give the bits of one add at a time over ``widen``'s IDs, so each
+        other's — and with two accumulators, those of two separate
+        sweeps."""
+        x, tiles = shard
         start = _accumulator(x.shape[0], seed)
-        want = _sequential(start, x, gsrc, gdst, symmetric)
+        want = _want(start, x, tiles, mode)
         for lib in TIERS:
-            acc = start.copy()
             with _tier(lib):
-                scatter_add(acc, x, gsrc, gdst, symmetric)
-            assert acc.tobytes() == want.tobytes(), lib
+                got = _scatter(start, x, tiles, mode)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], lib
 
     @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("side", ["gather", "scatter"])
     @pytest.mark.parametrize("bad", [10, 2**31, 2**32 - 1])
     def test_corrupt_id_raises_index_error(self, symmetric, side, bad):
-        """An endpoint past ``len(x)`` — 10, or one that would read
+        """A widened endpoint past ``len(x)`` — 10, or one that would read
         negative as ``int32`` — raises NumPy's ``IndexError`` on either
-        tier before the first add, so ``acc`` is untouched."""
+        tier before the first add, so ``acc`` is untouched.  The bad
+        endpoint is tile 1's base plus its local 3."""
         x = np.ones(10)
-        gsrc = np.array([1, 2, 3], dtype=np.uint32)
-        gdst = np.array([4, 5, 6], dtype=np.uint32)
-        (gsrc if side == "gather" else gdst)[1] = bad
+        pairs = np.array([1, 4, 2, 5, 3, 3], dtype=np.uint16)
+        sb = np.zeros(2, dtype=np.uint32)
+        db = np.zeros(2, dtype=np.uint32)
+        (sb if side == "gather" else db)[1] = bad - 3
+        tiles = TileEdges(pairs, np.array([2, 1]), sb, db)
         for lib in TIERS:
             acc = np.arange(10.0)
             with _tier(lib), pytest.raises(
                 IndexError, match=f"index {bad} is out of bounds"
             ):
-                scatter_add(acc, x, gsrc, gdst, symmetric)
+                scatter_add(acc, x, tiles, acc if symmetric else None)
             assert np.array_equal(acc, np.arange(10.0)), lib
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_empty_shard_adds_nothing(self, symmetric):
+        """No edges — no tiles, or tiles of none, at any bases — adds
+        nothing."""
         x = np.arange(5.0)
-        empty = np.zeros(0, dtype=np.uint32)
+        top = np.full(2, 2**32 - 1, dtype=np.uint32)
+        for tiles in (
+            TileEdges.of_ids(*[np.zeros(0, dtype=np.uint32)] * 2),
+            TileEdges(np.zeros(0, np.uint8), np.zeros(2, np.int64), top, top),
+        ):
+            for lib in TIERS:
+                acc = np.full(5, 0.5)
+                with _tier(lib):
+                    scatter_add(acc, x, tiles, acc if symmetric else None)
+                assert np.array_equal(acc, np.full(5, 0.5)), lib
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("counts", [[2, 2], [1, 1], [-1, 4], [4, -1]])
+    def test_counts_must_cover_the_payload(self, mode, counts):
+        """Counts that miss the payload's 3 edges (or go negative): a
+        ``ValueError`` on either tier, accumulators untouched."""
+        x = np.ones(8)
+        tiles = TileEdges(np.arange(6, dtype=np.uint8), np.array(counts),
+                          np.zeros(2, np.uint32), np.zeros(2, np.uint32))
+        start = np.arange(8.0)
         for lib in TIERS:
-            acc = np.full(5, 0.5)
-            with _tier(lib):
-                scatter_add(acc, x, empty, empty, symmetric)
-            assert np.array_equal(acc, np.full(5, 0.5)), lib
+            fwd, bwd = start.copy(), start.copy()
+            with _tier(lib), pytest.raises(
+                ValueError, match="do not cover the payload"
+            ):
+                scatter_add(fwd, x, tiles, {"forward": None, "mirrored": fwd,
+                                            "two": bwd}[mode])
+            assert np.array_equal(fwd, start) and np.array_equal(bwd, start)
+
+    @pytest.mark.parametrize("bits", [6, 10, 17])
+    @pytest.mark.parametrize("side", ["gather", "scatter"])
+    def test_endpoint_wrapped_past_n_raises(self, bits, side):
+        """A base just below ``2**32`` plus a local that wraps to
+        ``len(x)`` (here 8) raises on either tier, naming the widened ID,
+        both accumulators untouched; one that wraps to ``len(x) - 1``
+        adds as the oracle does."""
+        x = np.arange(1.0, 9.0)
+        base = np.array([0, 2**32 - 10], dtype=np.uint32)
+        zero = np.zeros(2, np.uint32)
+        sb, db = (base, zero) if side == "gather" else (zero, base)
+        for local in (17, 18):
+            pair = [local, 3] if side == "gather" else [3, local]
+            pairs = np.array([0, 1, *pair], dtype=local_dtype(bits))
+            tiles = TileEdges(pairs, np.array([1, 1]), sb, db)
+            start = np.zeros(8)
+            for lib in TIERS:
+                with _tier(lib):
+                    if local == 17:
+                        got = _scatter(start, x, tiles, "two")
+                        want = _want(start, x, tiles, "two")
+                        assert [a.tobytes() for a in got] == [
+                            a.tobytes() for a in want], lib
+                        continue
+                    fwd, bwd = np.zeros(8), np.zeros(8)
+                    with pytest.raises(IndexError, match="index 8 is out"):
+                        scatter_add(fwd, x, tiles, bwd)
+                    assert not fwd.any() and not bwd.any(), lib
 
 
 @pytest.mark.parametrize("directed", [True, False])

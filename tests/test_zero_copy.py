@@ -5,23 +5,34 @@
 ``bytes``: with an in-memory store a one-extent batch and the decoded
 local-ID arrays share memory with the payload array itself, with an
 on-disk store they are views over one shared mmap of the payload file,
-and a kernel's shard is a slice of its batch's global-ID arrays.
+and a kernel's shard is a slice of its batch's payload (a scatter
+kernel's) or of its global-ID arrays, widened once on first read.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.algorithms import native
 from repro.algorithms.bfs import BFS
+from repro.algorithms.kcore import KCore
+from repro.algorithms.multibfs import MultiSourceBFS
 from repro.algorithms.pagerank import PageRank
+from repro.algorithms.scc import SubgraphDegrees
+from repro.algorithms.spmv import SpMV
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
 from repro.engine.selective import merge_extents, merge_requests
-from repro.format.tiles import TiledGraph, TileView
+from repro.format import tiles
+from repro.format.tiles import TiledGraph, TileEdges, TileView
+from repro.runtime.prefetch import PREFETCH_THREAD_NAME
+from repro.runtime.threads import WORKER_THREAD_PREFIX
 from repro.storage.aio import IOEvent, IORequest
 from repro.graphgen.rmat import rmat
 from repro.storage.file import TileStore
@@ -159,15 +170,116 @@ class TestGlobalEdgeLayout:
 
     def test_one_view_shard_is_not_copied(self, tg):
         """Every shard a kernel is handed is a slice of its batch's
-        arrays, whatever the cut."""
+        arrays, whatever the cut: a scatter kernel's of the fetched
+        payload itself, an ID-reading kernel's of the widened IDs."""
         batch = self._batch(tg)
         algo = PageRank()
         algo.setup(tg)
         cuts = np.array([0, 1, batch.n_edges // 2, batch.n_edges])
         for a, b in zip(cuts[:-1], cuts[1:]):  # its partial is the shard
-            gsrc, gdst = algo.shard_partial(batch, a, b)
-            assert np.shares_memory(gsrc, batch.gsrc)
-            assert np.shares_memory(gdst, batch.gdst)
+            tiles = algo.shard_partial(batch, a, b)
+            assert tiles.n_edges == b - a
+            assert np.shares_memory(tiles.pairs, batch.tiles.pairs)
+        bfs = BFS(root=0)
+        bfs.setup(tg)
+        with mock.patch.object(BFS, "kernel_partial",
+                               lambda self, gsrc, gdst: (gsrc, gdst)):
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                gsrc, gdst = bfs.shard_partial(batch, a, b)
+                assert np.shares_memory(gsrc, batch.gsrc)
+                assert np.shares_memory(gdst, batch.gdst)
+
+
+@contextlib.contextmanager
+def _calls(owner, name):
+    """Within the block, the names of the threads that called
+    ``owner.name``, one entry per call."""
+    real = getattr(owner, name)
+    threads = []
+
+    def counted(*args, **kwargs):
+        threads.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(owner, name, counted):
+        yield threads
+
+
+_SCATTER = {
+    "pagerank": lambda tg: PageRank(max_iterations=3),
+    "spmv": lambda tg: SpMV(iterations=2),
+    "scc-degrees": lambda tg: SubgraphDegrees(np.arange(tg.n_vertices) % 3 > 0),
+}
+
+
+class TestLazyWiden:
+    """A batch is widened at most once, on the first read of its global
+    IDs, and its shard cuts are computed on first read: a scatter kernel
+    never widens, an ID-reading one widens each batch once."""
+
+    _CFG = dict(memory_bytes=8 * 1024, segment_bytes=2 * 1024)
+
+    @pytest.mark.skipif(native.lib is None,
+                        reason="the NumPy scatter body widens each shard")
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize("name", sorted(_SCATTER))
+    def test_scatter_kernels_never_widen(self, tiled_undirected, name, depth):
+        algo = _SCATTER[name](tiled_undirected)
+        cfg = EngineConfig(prefetch_depth=depth, **self._CFG)
+        with GStoreEngine(tiled_undirected, cfg) as engine, \
+                _calls(TileEdges, "widen") as widened, \
+                _calls(TiledGraph, "decode_extents") as decoded:
+            stats = engine.run(algo)
+        assert stats.tiles_fetched > 0 and decoded
+        assert widened == []
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_bfs_widens_each_batch_once(self, tiled_undirected, depth):
+        """One widen per decoded batch (the rewind's memoized batch
+        included): on the engine thread at depth 0, where the kernel
+        first reads the IDs, and the slide's on the prefetch thread
+        ahead of compute at depth 2."""
+        cfg = EngineConfig(prefetch_depth=depth, **self._CFG)
+        with GStoreEngine(tiled_undirected, cfg) as engine, \
+                _calls(TileEdges, "widen") as widened, \
+                _calls(TiledGraph, "decode_extents") as decoded:
+            stats = engine.run(BFS(root=0))
+        assert stats.tiles_fetched > 0 and stats.tiles_from_cache > 0
+        assert len(widened) == len(decoded) > 0
+        on_prefetch = PREFETCH_THREAD_NAME in widened
+        assert on_prefetch == (depth > 0)
+
+    def test_pooled_multibfs_widens_once_per_batch(
+        self, tiled_undirected, cpus, low_shard_floor
+    ):
+        """An 8-root MultiBFS runs its shards on the pool; each batch is
+        widened once, on the engine thread, before the pool reads it."""
+        cpus(4)
+        roots = np.linspace(0, tiled_undirected.n_vertices - 1, 8).astype(int)
+        algo = MultiSourceBFS(roots.tolist())
+        assert algo.pooled
+        cfg = EngineConfig(prefetch_depth=0, **self._CFG)
+        with GStoreEngine(tiled_undirected, cfg) as engine, \
+                _calls(TileEdges, "widen") as widened, \
+                _calls(TiledGraph, "decode_extents") as decoded, \
+                _calls(tiles, "shard_cuts") as cut, \
+                _calls(MultiSourceBFS, "kernel_partial") as kernels:
+            stats = engine.run(algo)
+        assert stats.extra["execution"]["kernel_threads"] == 4
+        assert any(t.startswith(WORKER_THREAD_PREFIX) for t in kernels)
+        assert len(widened) == len(decoded) == len(cut) > 0
+        assert not any(t.startswith(WORKER_THREAD_PREFIX) for t in widened)
+
+    def test_reading_edge_count_or_one_shard_cuts_computes_nothing(self, tg):
+        batch = TestGlobalEdgeLayout._batch(tg)
+        with _calls(TileEdges, "widen") as widened, \
+                _calls(tiles, "shard_cuts") as cut:
+            assert batch.n_edges == tg.start_edge.n_edges
+            for one_shard in (PageRank, KCore):
+                assert one_shard.shard_cuts(batch).tolist() == [0, batch.n_edges]
+            assert (widened, cut) == ([], [])
+            assert batch.cuts is batch.cuts and len(cut) == 1
+            assert batch.gsrc is batch.widen()[0] and len(widened) == 1
 
 
 class TestNoPerExtentObjects:

@@ -42,10 +42,12 @@ still cut into several shards:
 
 662 records in all.  Every answer, float sums included, is the same
 bits under any cut of a batch into shards: PageRank and SpMV add in edge
-order (``pagerank.scatter_add``).  That order is a declared behaviour
-change against trees whose scatter summed per-shard vertex windows:
-against them the 54 ``pagerank/*`` result digests differ, and nothing
-else does.
+order (``pagerank.scatter_add``), reading each batch's SNB payload
+(tile form) rather than widened global IDs, which reorders nothing, so
+trees that scattered over the widened IDs give the same records.  That
+edge order is a declared behaviour change against trees whose scatter
+summed per-shard vertex windows: against them the 54 ``pagerank/*``
+result digests differ, and nothing else does.
 
 Usage::
 
