@@ -119,8 +119,10 @@ class PageRank(TileAlgorithm):
         # For symmetric (undirected) storage the divisor is the full degree;
         # for directed graphs it is the out-degree of the stored orientation.
         deg = g.out_degrees.astype(np.float64)
-        self._dangling = deg == 0
-        safe = np.where(self._dangling, 1.0, deg)
+        # Indices, not a mask: gathering them is the same array in the same
+        # order, and an order of magnitude cheaper every iteration.
+        self._dangling = np.flatnonzero(deg == 0)
+        safe = np.where(deg == 0, 1.0, deg)
         self._inv_deg = 1.0 / safe
         self.delta = np.inf
         self.iterations_run = 0

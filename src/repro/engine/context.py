@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.errors import DeadlineError
 from repro.format.tiles import DecodedBatch
+from repro.memory.scr import SlidePlan
 from repro.obs.trace import NULL_TRACER
 from repro.runtime.pipeline import WallOverlap
 from repro.storage.aio import AIOContext
@@ -59,6 +60,20 @@ from repro.util.timer import SimClock
 
 #: How often a queued run looks at its cancel event (seconds).
 _CANCEL_POLL = 0.02
+
+
+@dataclass
+class SplitMemo:
+    """One iteration's cached/to-fetch split with its slide plan and,
+    once the rewind has decoded it, the cached half's batch.  Everything
+    it holds is read-only, so an iteration whose split repeats reuses it:
+    the halves are compared separately, and a repeated half keeps what
+    was derived from it."""
+
+    cached: np.ndarray
+    to_fetch: np.ndarray
+    plan: SlidePlan
+    rewind: "DecodedBatch | None" = None
 
 
 @dataclass
@@ -91,10 +106,10 @@ class RunContext:
     #: the run prepares its remaining batches at depth 0, serially on the
     #: engine thread.
     degraded: bool = False
-    # Memoized rewind batch: all-active algorithms rewind the same tile
-    # set every iteration, so it is decoded once.
-    rewind_key: "np.ndarray | None" = None
-    rewind_merged: "DecodedBatch | None" = None
+    #: The last iteration's cached/to-fetch split and what it implies:
+    #: all-active algorithms repeat the split, so their rewind is decoded
+    #: and their slide plan built once (``GStoreEngine._plan``).
+    split_memo: "SplitMemo | None" = None
     #: Seconds this run waited its turn in the engine lane before it
     #: started (private contexts; not part of ``RunStats.wall_seconds``).
     lane_wait: float = 0.0

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FormatError
-from repro.format.tiles import tile_bases
 from repro.types import local_dtype
 
 
@@ -117,18 +116,13 @@ def decompress_tile(buf: bytes, tile_bits: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def compressed_payload_size(tg) -> int:
-    """Total compressed bytes of a :class:`TiledGraph`'s tiles.  A tile's
-    stored locals are its decoded global IDs less the tile's SNB bases."""
-    counts = tg.tile_edge_counts()
+    """Total compressed bytes of a :class:`TiledGraph`'s tiles, read from
+    each slab's stored locals (:attr:`DecodedBatch.tiles`), unwidened."""
     total = 0
-    for positions, batch in tg.scan():
-        edges = counts[positions]
-        src, dst = batch.gsrc, batch.gdst
-        if tg.snb:
-            sb, db = tile_bases(tg.tile_rows, tg.tile_cols, positions, tg.tile_bits)
-            src = src - np.repeat(sb, edges)
-            dst = dst - np.repeat(db, edges)
-        cuts = np.cumsum(edges)[:-1]
+    for _, batch in tg.scan():
+        tiles = batch.tiles
+        src, dst = tiles.pairs[0::2], tiles.pairs[1::2]
+        cuts = np.cumsum(tiles.counts)[:-1]
         total += sum(
             len(compress_tile(s, d))
             for s, d in zip(np.split(src, cuts), np.split(dst, cuts))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import FormatError
-from repro.format.tiles import TiledGraph, tile_bases
+from repro.format.tiles import TiledGraph
 
 
 @dataclass
@@ -59,9 +59,9 @@ def _check_payload(tg: TiledGraph, rep: ValidationReport) -> None:
         n = info.n_vertices
         bad = {"tile (%d,%d): endpoint beyond n_vertices": (gsrc >= n) | (gdst >= n)}
         if tg.snb:
-            # The stored locals: global minus the owning tile's base.
-            sb, db = tile_bases(rows, cols, positions, info.tile_bits)
-            ids = np.maximum(gsrc - np.repeat(sb, edges), gdst - np.repeat(db, edges))
+            # The stored locals, as the payload holds them.
+            pairs = batch.tiles.pairs
+            ids = np.maximum(pairs[0::2], pairs[1::2])
             bad["tile (%d,%d): local ID beyond tile span"] = ids >= 1 << info.tile_bits
         if info.symmetric:
             diagonal = np.repeat(rows[positions] == cols[positions], edges)

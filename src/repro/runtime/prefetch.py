@@ -40,7 +40,8 @@ class Prepared:
     """One slide (or rewind) batch, decoded and ready to commit in plan
     order; its kernels still run on the engine thread.  ``tiles`` is what
     the cache pool is offered: the plan's ``int64`` position array,
-    untouched.
+    untouched, with the tiles' byte sizes from the plan (``None`` for the
+    rewind, which is offered nothing).
     """
 
     tiles: np.ndarray
@@ -48,6 +49,7 @@ class Prepared:
     io_time: float  # simulated service time, not yet charged to the clock
     bytes_read: int
     wall: float  # real seconds the preparation took, wherever it ran
+    sizes: "np.ndarray | None" = None
 
 
 class Prefetcher:

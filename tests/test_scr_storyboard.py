@@ -17,6 +17,7 @@ from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
 from repro.format.edgelist import EdgeList
 from repro.format.tiles import TiledGraph
+from repro.memory.scr import SCRScheduler
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +154,48 @@ class TestRewind:
         b = PageRank(max_iterations=4, tolerance=0.0)
         _run(story_graph, b, memory=16 * 1024, segment=2048)
         assert np.allclose(a.result(), b.result())
+
+
+class TestOnePassPerSplit:
+    """Counts, not times: a streamed all-active run derives its slide plan
+    once per distinct cached/to-fetch split (kept across iterations while
+    the split repeats), decodes its rewind once per distinct cached half,
+    and sweeps its pool once per change of the activity masks."""
+
+    def test_pagerank_plans_once_per_split_and_sweeps_once(
+        self, story_graph, monkeypatch
+    ):
+        memory = story_graph.storage_bytes() // 2
+        eng = GStoreEngine(story_graph, EngineConfig(
+            memory_bytes=memory, segment_bytes=max(memory // 8, 1024),
+            trace=True,
+        ))
+        splits, plans = [], []
+        split_cached = SCRScheduler.split_cached
+        segment_plan = SCRScheduler.segment_plan
+
+        def record_split(self, *args):
+            cached, to_fetch = split_cached(self, *args)
+            splits.append((cached.tolist(), to_fetch.tolist()))
+            return cached, to_fetch
+
+        def count_plan(self, *args):
+            plans.append(1)
+            return segment_plan(self, *args)
+
+        monkeypatch.setattr(SCRScheduler, "split_cached", record_split)
+        monkeypatch.setattr(SCRScheduler, "segment_plan", count_plan)
+        stats = eng.run(PageRank(max_iterations=10, tolerance=0.0))
+        assert len(stats.iterations) == len(splits) == 10
+        # Iteration 0 fetches everything; from iteration 1 on the pool
+        # holds the same tiles at every boundary.
+        fetch_sets = [to_fetch for _, to_fetch in splits]
+        changes = 1 + sum(a != b for a, b in zip(fetch_sets, fetch_sets[1:]))
+        assert len(plans) == changes == 2
+        names = [r.name for r in eng.tracer.records()]
+        assert names.count("rewind.decode") == 1
+        # Every analysis runs under all-active masks: the first one sweeps
+        # (and evicts nothing), every later one finds the pool settled.
+        scr = stats.extra["scr"]
+        assert scr.analyses > 10 and scr.tiles_evicted == 0
+        assert names.count("scr.analyse") == 1

@@ -83,3 +83,17 @@ class TestCorruptionDetected:
                     assert not rep.ok
                     return
         raise AssertionError("fixture had no usable diagonal tile")
+
+    def test_local_beyond_tile_span_names_its_tile(self, tiled_undirected):
+        # A stored local past the tile's 2**tile_bits span (room for it:
+        # seven-bit locals are stored as uint8) is reported once, on the
+        # tile that holds it, and by no other tile.
+        bad = self._copy(tiled_undirected)
+        assert bad.snb and bad.payload.dtype == np.uint8
+        pos = int(np.flatnonzero(bad.tile_edge_counts() > 0)[-1])
+        lo = int(bad.start_edge.start_edge[pos])
+        bad.payload[2 * lo + 1] = 1 << bad.info.tile_bits
+        rep = check_tiled_graph(bad)
+        span = [e for e in rep.errors if "local ID beyond tile span" in e]
+        i, j = int(bad.tile_rows[pos]), int(bad.tile_cols[pos])
+        assert span == [f"tile ({i},{j}): local ID beyond tile span"]
