@@ -31,7 +31,7 @@ from repro.algorithms.bfs import BFS
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.reachability import Reachability
 from repro.algorithms.sssp import SSSP
-from repro.engine.selective import merge_extents
+from repro.engine.selective import batch_extents
 from repro.errors import QueryError
 
 
@@ -289,10 +289,10 @@ class NeighborhoodQuery(Query):
         with ctx.tracer.span(
             "serve.lookup", cat="serve", vertex=v, tiles=len(positions)
         ):
-            ext = merge_extents(positions, g.start_edge)
+            ext, layout = batch_extents(positions, g)
             data, io_t = ctx.aio.service(ext)
             ctx.aio.commit(io_t)
-            batch = g.decode_extents(ext.positions, ext.first, data)
+            batch = g.decode_extents(data, layout)
             # One mask per direction over the whole lookup.
             if want_src:
                 neighbors.append(batch.gdst[batch.gsrc == v])

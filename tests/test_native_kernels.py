@@ -15,6 +15,7 @@ on throwaway cache directories.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib.util
 import mmap
@@ -41,6 +42,7 @@ from repro.algorithms.spmv import SpMV
 from repro.algorithms.sssp import SSSP, edge_weights
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
+from repro.engine.selective import batch_extents
 from repro.errors import FormatError
 from repro.format.edgelist import EdgeList
 from repro.format.grouping import PhysicalGrouping
@@ -365,8 +367,16 @@ def test_decode_runs_match_numpy(tile_bits, runs, kron_small):
     positions = np.array(live, dtype=np.int64)
     first = np.cumsum([0] + [len(c) for c in cut])
     data = np.concatenate(extents)
-    got = tg.decode_extents(positions, first, data)
-    want = _numpy(lambda: tg.decode_extents(positions, first, data))
+    # The live tiles are one byte-adjacent run; cut it where ``cut`` does.
+    _, layout = batch_extents(positions, tg)
+    layout = dataclasses.replace(
+        layout, run_bounds=layout.tile_bounds[first],
+        run_edge_lo=tg.start_edge.start_edge[positions[first[:-1]]].astype(
+            np.int64
+        ),
+    )
+    got = tg.decode_extents(data, layout)
+    want = _numpy(lambda: tg.decode_extents(data, layout))
     tiles = concat_global_edges([tg.tile_view(p) for p in live])
     for g, w, t in zip((got.gsrc, got.gdst), (want.gsrc, want.gdst), tiles):
         assert np.array_equal(g, w) and np.array_equal(g, t)

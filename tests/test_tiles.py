@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine.selective import batch_extents
 from repro.errors import FormatError
 from repro.format.edgelist import EdgeList
 from repro.format.tiles import TiledGraph
@@ -59,7 +60,8 @@ class TestPaperExample:
         gsrc, gdst = tg.tile_view(pos).global_edges()
         k = list(zip(gsrc.tolist(), gdst.tolist())).index((4, 5))
         assert tuple(pairs[k].tolist()) == (0, 1)
-        batch = tg.decode_extents(np.array([pos]), np.array([0, 1]), stored)
+        _, layout = batch_extents(np.array([pos]), tg)
+        batch = tg.decode_extents(stored, layout)
         assert (int(batch.gsrc[k]), int(batch.gdst[k])) == (4, 5)
 
 

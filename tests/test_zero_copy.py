@@ -28,7 +28,11 @@ from repro.algorithms.scc import SubgraphDegrees
 from repro.algorithms.spmv import SpMV
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
-from repro.engine.selective import merge_extents, merge_requests
+from repro.engine.selective import (
+    batch_extents,
+    merge_extents,
+    merge_requests,
+)
 from repro.format import tiles
 from repro.format.tiles import TiledGraph, TileEdges, TileView
 from repro.runtime.prefetch import PREFETCH_THREAD_NAME
@@ -141,10 +145,11 @@ class TestGlobalEdgeLayout:
     @staticmethod
     def _batch(g):
         store = TileStore.from_tiled_graph(g)
-        ext = merge_extents(np.flatnonzero(g.tile_edge_counts() > 0),
-                            g.start_edge)
+        ext, layout = batch_extents(
+            np.flatnonzero(g.tile_edge_counts() > 0), g
+        )
         data = store.gather(ext.offsets, ext.sizes)
-        return g.decode_extents(ext.positions, ext.first, data)
+        return g.decode_extents(data, layout)
 
     @pytest.mark.parametrize("snb", [True, False])
     @pytest.mark.parametrize("batched", [True, False])
