@@ -39,7 +39,6 @@ class AsyncBFS(TileAlgorithm):
         self.depth: "np.ndarray | None" = None
         self._changed: "np.ndarray | None" = None
         self._changed_next: "np.ndarray | None" = None
-        self.traversed_edges = 0
         self.iterations_run = 0
 
     def _setup(self) -> None:
@@ -52,7 +51,6 @@ class AsyncBFS(TileAlgorithm):
         self._changed = np.zeros(g.n_vertices, dtype=bool)
         self._changed[self.root] = True
         self._changed_next = np.zeros(g.n_vertices, dtype=bool)
-        self.traversed_edges = 0
         self.iterations_run = 0
 
     # ------------------------------------------------------------------ #
@@ -107,9 +105,7 @@ class AsyncBFS(TileAlgorithm):
                 np.minimum.at(self.depth, idx, vals)
                 self._changed_next[idx] = True
                 idx, vals = self.kernel_partial(gsrc, gdst)[:2]
-        edges = int(gsrc.shape[0])
-        self.traversed_edges += edges
-        return edges
+        return int(gsrc.shape[0])
 
     def end_iteration(self, iteration: int) -> bool:
         self._changed, self._changed_next = self._changed_next, self._changed

@@ -119,6 +119,10 @@ class TileAlgorithm(abc.ABC):
         """Bind to a graph and allocate metadata arrays."""
         self.graph = graph
         self.iteration = -1
+        # The default activity of every row: one read-only array per run,
+        # so all-active callers allocate nothing per batch.
+        self._all_rows = np.ones(graph.p, dtype=bool)
+        self._all_rows.flags.writeable = False
         self._setup()
 
     @abc.abstractmethod
@@ -281,16 +285,18 @@ class TileAlgorithm(abc.ABC):
     # ------------------------------------------------------------------ #
 
     def rows_active(self) -> np.ndarray:
-        """Per-tile-row activity for the current iteration (all by default)."""
-        return np.ones(self._n_rows(), dtype=bool)
+        """Per-tile-row activity for the current iteration (all by default,
+        as one read-only array)."""
+        return self._all_rows
 
     def rows_active_next(self) -> np.ndarray:
         """Currently known per-row activity for the *next* iteration.
 
         All-active algorithms reuse everything (the paper: "for PageRank,
-        all of the graph data would be utilized for the next iteration").
+        all of the graph data would be utilized for the next iteration"):
+        all by default, as one read-only array.
         """
-        return np.ones(self._n_rows(), dtype=bool)
+        return self._all_rows
 
     def cols_active(self) -> "np.ndarray | None":
         """Per-*column* activity for algorithms that traverse a directed

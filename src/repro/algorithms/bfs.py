@@ -52,7 +52,6 @@ class BFS(TileAlgorithm):
         self.direction_optimizing = bool(direction_optimizing)
         self.depth: "np.ndarray | None" = None
         self.level = 0
-        self.traversed_edges = 0
         self._frontier_count = 0
         #: Vertices discovered so far (root included) — drives the
         #: push/pull switch without an O(|V|) scan per iteration.
@@ -75,7 +74,6 @@ class BFS(TileAlgorithm):
         self.depth = np.full(g.n_vertices, INF_DEPTH, dtype=np.uint32)
         self.depth[self.root] = 0
         self.level = 0
-        self.traversed_edges = 0
         self._frontier_count = 1
         self._visited_total = 1
         self.direction_history = []
@@ -183,7 +181,6 @@ class BFS(TileAlgorithm):
         if targets.size:
             self.depth[targets] = np.uint32(self.level + 1)
             self._rows_next[targets >> self._graph().tile_bits] = True
-        self.traversed_edges += edges
         return edges
 
     # ------------------------------------------------------------------ #

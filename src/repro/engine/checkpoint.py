@@ -43,7 +43,8 @@ def capture_state(algorithm) -> "tuple[dict, dict]":
     empty lists, which are what per-iteration scratch buffers look like at
     a boundary) go to ``meta.json``.  The graph reference and any other
     non-serialisable attribute (dicts, rich objects) are skipped — they
-    are reconstructed by ``setup()`` on resume.
+    are reconstructed by ``setup()`` on resume — and so are read-only
+    arrays, which no run can have changed from what ``setup()`` built.
     """
     arrays: "dict[str, np.ndarray]" = {}
     scalars: "dict[str, object]" = {}
@@ -51,7 +52,8 @@ def capture_state(algorithm) -> "tuple[dict, dict]":
         if key == "graph":
             continue
         if isinstance(value, np.ndarray):
-            arrays[key] = value
+            if value.flags.writeable:
+                arrays[key] = value
         elif isinstance(value, np.generic):
             scalars[key] = value.item()
         elif value is None or isinstance(value, _SCALARS):

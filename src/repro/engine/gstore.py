@@ -89,7 +89,7 @@ from repro.storage.raid import Raid0Array
 from repro.types import SHARDS_PER_BATCH as _RUN_SPLIT
 from repro.util.timer import SimClock, WallTimer
 from repro.runtime.lane import FifoLane
-from repro.runtime.pipeline import PipelineTimeline, WallOverlap
+from repro.runtime.pipeline import PipelineTimeline
 from repro.runtime.prefetch import BLOCKING_IO_DEPTH, Prefetcher, Prepared
 from repro.runtime import threads
 from repro.runtime.threads import WORKER_THREAD_PREFIX, execute_batch
@@ -154,9 +154,6 @@ class GStoreEngine:
         #: side by side cost 2-3x the CPU of the same two in turn
         #: (docs/SERVING.md "Concurrency model").
         self.lane = FifoLane()
-        #: Wall-clock overlap accounting for the most recent *engine-context*
-        #: run (private-context runs carry their own on the RunContext).
-        self.wall_overlap = WallOverlap()
         # Dense demand baseline, fixed per graph: every non-empty position
         # plus its byte total.  Selective iterations measure what they
         # skipped against it; selective-off iterations fetch exactly it.
@@ -164,6 +161,10 @@ class GStoreEngine:
         self._dense_bytes = int(
             graph.start_edge.tile_bytes(self._dense_positions).sum()
         )
+        # Every row active: what the cache sees with selective off.
+        # Read-only, so every iteration and batch can share it.
+        self._all_rows = np.ones(graph.p, dtype=bool)
+        self._all_rows.flags.writeable = False
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -229,10 +230,7 @@ class GStoreEngine:
 
     def _engine_context(self) -> RunContext:
         """The classic batch-mode context aliasing the engine singletons."""
-        return RunContext(
-            clock=self.clock, tracer=self.tracer, aio=self.aio,
-            wall_overlap=WallOverlap(),
-        )
+        return RunContext(clock=self.clock, tracer=self.tracer, aio=self.aio)
 
     def run(
         self,
@@ -285,8 +283,6 @@ class GStoreEngine:
         g = self.graph
         ctx.split_memo = None
         ctx.degraded = False
-        if not ctx.private:
-            self.wall_overlap = ctx.wall_overlap
         if self._verify:
             g.ensure_checksums()
         ckpt = CheckpointManager(checkpoint) if checkpoint else None
@@ -341,7 +337,7 @@ class GStoreEngine:
                     g.tile_rows,
                     g.tile_cols,
                     algorithm.rows_active() if cfg.selective
-                    else np.ones(g.p, dtype=bool),
+                    else self._all_rows,
                     g.info.symmetric,
                     algorithm.cols_active() if cfg.selective else None,
                 )
@@ -384,8 +380,12 @@ class GStoreEngine:
                 "injected": len(self.injector.log),
                 "counters": self.injector.counters(),
             }
+        # The pool tallies only into SCRStats; they join the counters once.
+        reg = ctx.tracer.registry
+        for name, value in vars(scr.stats).items():
+            reg.counter(f"scr.{name}").add(value)
         if ctx.tracer.enabled:
-            stats.extra["counters"] = ctx.tracer.registry.as_dict()
+            stats.extra["counters"] = reg.as_dict()
         return stats
 
     # ------------------------------------------------------------------ #
@@ -513,7 +513,6 @@ class GStoreEngine:
         needed_bytes = int(g.start_edge.tile_bytes(needed).sum())
         it.tiles_skipped = int(self._dense_positions.size - needed.size)
         it.bytes_skipped = self._dense_bytes - needed_bytes
-        scr.note_skipped(it.tiles_skipped, it.bytes_skipped)
         cached, to_fetch = scr.split_cached(needed, g.start_edge)
         memo = ctx.split_memo
         if memo is not None and np.array_equal(to_fetch, memo.to_fetch):
@@ -732,7 +731,7 @@ class GStoreEngine:
         """
         if self.config.selective:
             return algorithm.rows_active_next()
-        return np.ones(self.graph.p, dtype=bool)
+        return self._all_rows
 
     def _cols_active_next(self, algorithm: TileAlgorithm) -> "np.ndarray | None":
         if self.config.selective:

@@ -86,16 +86,12 @@ class SlidePlan:
 
 @dataclass
 class SCRStats:
+    """What only the pool knows.  Rewound and skipped tiles are the
+    engine's to count (:class:`~repro.engine.stats.RunStats`)."""
+
     tiles_cached: int = 0
     tiles_evicted: int = 0
-    cache_hits: int = 0
-    bytes_from_cache: int = 0
     analyses: int = 0
-    #: Non-empty tiles / bytes the selective plan never requested (§V-B):
-    #: the difference between the dense disk order and the frontier-driven
-    #: fetch set, accumulated over the run by the engine.
-    tiles_skipped: int = 0
-    bytes_skipped: int = 0
 
 
 def _admit_in_order(size: np.ndarray, free: int) -> np.ndarray:
@@ -139,7 +135,7 @@ class SCRScheduler:
     Per-run, not per-engine: the engine constructs a fresh scheduler
     inside every ``run()`` call with that run's tracer, so concurrent
     private-context runs (docs/SERVING.md) each get an isolated pool and
-    isolated ``scr.*`` counters — nothing here is shared across queries.
+    isolated :class:`SCRStats` — nothing here is shared across queries.
     """
 
     budget: MemoryBudget
@@ -147,7 +143,7 @@ class SCRScheduler:
     stats: SCRStats = field(default_factory=SCRStats)
     pool: CachePool = None  # type: ignore[assignment]
     #: Observability hook: proactive analysis runs under a ``scr.analyse``
-    #: span and the ``scr.*`` counters mirror :class:`SCRStats`.
+    #: span.
     tracer: object = NULL_TRACER
     #: The activity masks (:meth:`_masks`) of the last analysis sweep
     #: while every admission since was made under the same masks — so
@@ -180,34 +176,7 @@ class SCRScheduler:
             return np.empty(0, dtype=np.int64), arr
         self.pool.reserve(start_edge.n_tiles)
         mask = self.pool.resident(arr)
-        hit = arr[mask]
-        to_fetch = arr[~mask]
-        if hit.size:
-            hit_bytes = int(start_edge.tile_bytes(hit).sum())
-            self.stats.cache_hits += int(hit.size)
-            self.stats.bytes_from_cache += hit_bytes
-            if self.tracer.enabled:
-                reg = self.tracer.registry
-                reg.counter("scr.cache_hits").add(int(hit.size))
-                reg.counter("scr.bytes_from_cache").add(hit_bytes)
-        return hit, to_fetch
-
-    def note_skipped(self, tiles: int, bytes_: int) -> None:
-        """Record tiles/bytes the selective plan excluded this iteration.
-
-        Called by the engine once per iteration with the difference
-        between the dense disk order and the frontier-driven fetch set;
-        mirrors into the ``selective.tiles_skipped`` / ``scr.bytes_skipped``
-        counters when tracing.
-        """
-        if tiles <= 0:
-            return
-        self.stats.tiles_skipped += tiles
-        self.stats.bytes_skipped += bytes_
-        if self.tracer.enabled:
-            reg = self.tracer.registry
-            reg.counter("selective.tiles_skipped").add(tiles)
-            reg.counter("scr.bytes_skipped").add(bytes_)
+        return arr[mask], arr[~mask]
 
     def cached_buffers(self, positions) -> "list[TileBuffer]":
         """Payload buffers for a rewind set offered as :class:`TileBuffer`
@@ -356,8 +325,6 @@ class SCRScheduler:
             if buffers is not None:
                 pool.attach(buffers[k] for k in idx.tolist())
         self.stats.tiles_cached += int(idx.size)
-        if self.tracer.enabled:
-            self.tracer.registry.counter("scr.tiles_cached").add(int(idx.size))
 
     @staticmethod
     def _masks(
@@ -391,7 +358,6 @@ class SCRScheduler:
         counted and does not sweep the pool.
         """
         self.stats.analyses += 1
-        self.tracer.registry.counter("scr.analyses").add(1)
         if masks is None:
             masks = self._masks(row_active_next, symmetric, col_active_next)
         if masks == self._settled:
@@ -410,10 +376,6 @@ class SCRScheduler:
                 self.pool.evict(victims)
                 evicted = int(victims.size)
                 self.stats.tiles_evicted += evicted
-                if self.tracer.enabled:
-                    self.tracer.registry.counter("scr.tiles_evicted").add(
-                        evicted
-                    )
         self._settled = masks
         return evicted
 

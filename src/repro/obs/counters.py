@@ -2,12 +2,15 @@
 
 A :class:`MetricsRegistry` is a flat, thread-safe namespace of named
 :class:`Counter`\\ s (monotonic adders) and :class:`Gauge`\\ s (last-value
-holders).  The engine, SCR scheduler, AIO context, device model, and LLC
-simulator all publish through one registry (owned by the run's
-:class:`~repro.obs.trace.Tracer`), so the ad-hoc per-subsystem stats
-objects become *views* over the same accounting — and
-``tests/test_obs.py`` asserts the registry agrees with
-:class:`~repro.engine.stats.RunStats` field by field.
+holders).  The engine, AIO context, device model and LLC simulator
+publish through one registry (owned by the run's
+:class:`~repro.obs.trace.Tracer`); the engine adds the SCR scheduler's
+pool tallies (:class:`~repro.memory.scr.SCRStats`) once, at the end of a
+run.  Each fact is counted once: the ``engine.*`` counters sum the
+:class:`~repro.engine.stats.RunStats` fields (``tests/test_obs.py``
+asserts they agree field by field), and the ``aio.*`` and ``device.*``
+counters are the only record of storage traffic — neither the AIO
+context nor a device keeps a tally of its own.
 
 When tracing is disabled the engine holds a :class:`NullRegistry`, whose
 counters swallow every update; the hot paths pay one attribute check and

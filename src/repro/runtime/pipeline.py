@@ -5,8 +5,10 @@ one (§VI-B).  The timeline models a two-stage pipeline: each step carries an
 I/O duration and a compute duration that run concurrently, so the step costs
 ``max(io, compute)``; the pipeline drains with one trailing compute.
 
-Totals also track how long each side idled, which the engine reports as
+Totals track how long each side idled, which the engine reports as
 "I/O bound" vs "CPU bound" — the quantity behind the Figure 15 crossover.
+Each side's busy time is the run's ``io_time`` / ``compute_time``
+(:class:`~repro.engine.stats.RunStats`).
 
 Two clocks run side by side: :class:`PipelineTimeline` accounts the
 *simulated* overlap (device model + cost model), while
@@ -25,8 +27,6 @@ from repro.util.timer import SimClock
 @dataclass
 class PipelineTotals:
     elapsed: float = 0.0
-    io_busy: float = 0.0
-    compute_busy: float = 0.0
     io_stall: float = 0.0  # time compute waited on I/O
     compute_stall: float = 0.0  # time I/O waited on compute
     steps: int = 0
@@ -79,8 +79,6 @@ class PipelineTimeline:
             dt = io_time + compute_time
             self.totals.io_stall += io_time
             self.totals.compute_stall += compute_time
-        self.totals.io_busy += io_time
-        self.totals.compute_busy += compute_time
         self.totals.elapsed += dt
         self.totals.steps += 1
         self.clock.advance(dt)

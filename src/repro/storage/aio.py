@@ -136,14 +136,6 @@ class Extents:
 
 
 @dataclass
-class AIOStats:
-    submissions: int = 0
-    requests: int = 0
-    bytes_read: int = 0
-    io_time: float = 0.0
-
-
-@dataclass
 class AIOContext:
     """Batched read interface binding a store, an array, and a clock."""
 
@@ -155,10 +147,9 @@ class AIOContext:
     #: making wall-clock I/O behave like the modeled device.
     realize_io: bool = False
     #: Observability hook (``repro.obs``): :meth:`service` runs under a
-    #: ``fetch`` span on whichever thread services the batch, and the
-    #: ``aio.*`` counters mirror :class:`AIOStats`.
+    #: ``fetch`` span on whichever thread services the batch and counts
+    #: it in the ``aio.*`` counters.
     tracer: object = NULL_TRACER
-    stats: AIOStats = field(default_factory=AIOStats)
     #: Optional :class:`~repro.faults.injector.FaultInjector`; when set,
     #: every serviced request is run through its fault plan.
     injector: "object | None" = None
@@ -207,7 +198,7 @@ class AIOContext:
             "fetch", cat="io", requests=len(batch), bytes=size
         ):
             with self._lock:
-                data, t = self._service_locked(batch, size)
+                data, t = self._service_locked(batch)
             if self.tracer.enabled:
                 reg = self.tracer.registry
                 reg.counter("aio.submissions").add(1)
@@ -217,9 +208,7 @@ class AIOContext:
                 time.sleep(t)
         return data, t
 
-    def _service_locked(
-        self, ext: Extents, size: int
-    ) -> "tuple[np.ndarray, float]":
+    def _service_locked(self, ext: Extents) -> "tuple[np.ndarray, float]":
         """Read + time one batch under the lock, retrying retryable
         failures with bounded backoff.
 
@@ -237,7 +226,7 @@ class AIOContext:
         while True:
             try:
                 # Reads (and injection) first: a failure raises before any
-                # device counter or AIOStats field mutates.
+                # device counter mutates.
                 data, spike = self._read_attempt(ext, base, attempt)
                 if self.mode is IOMode.AIO:
                     t = self.array.read_batch_time(ext)
@@ -267,11 +256,7 @@ class AIOContext:
                 attempt += 1
         if attempt > 1 and reg is not None:
             reg.counter("retry.recovered").add(1)
-        t += spike + backoff
-        self.stats.submissions += 1
-        self.stats.requests += len(ext)
-        self.stats.bytes_read += size
-        return data, t
+        return data, t + spike + backoff
 
     def _read_attempt(
         self, ext: Extents, base: int, attempt: int
@@ -324,7 +309,5 @@ class AIOContext:
         keeps the simulated timeline identical at any prefetch depth.
         """
         self.clock.advance(service_time)
-        with self._lock:
-            self.stats.io_time += service_time
         if self.tracer.enabled:
             self.tracer.registry.counter("aio.io_time_sim").add(service_time)

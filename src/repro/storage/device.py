@@ -60,17 +60,6 @@ HDD_PROFILE = DeviceProfile(
 
 
 @dataclass
-class DeviceStats:
-    """Cumulative counters of one device."""
-
-    bytes_read: int = 0
-    bytes_written: int = 0
-    read_requests: int = 0
-    write_requests: int = 0
-    busy_time: float = 0.0
-
-
-@dataclass
 class SimulatedSSD:
     """One SSD with a batch-service timing model.
 
@@ -80,7 +69,6 @@ class SimulatedSSD:
     """
 
     profile: DeviceProfile = field(default_factory=DeviceProfile)
-    stats: DeviceStats = field(default_factory=DeviceStats)
     #: Optional :class:`~repro.obs.counters.MetricsRegistry`; when set,
     #: the ``device.*`` counters aggregate this device's traffic into the
     #: run's observability registry (all devices of an array share one).
@@ -141,9 +129,6 @@ class SimulatedSSD:
         t = waves * self.profile.latency + total / self.profile.read_bandwidth
         if self.slow_factor != 1.0:  # injected degradation, never the default
             t *= self.slow_factor
-        self.stats.bytes_read += total
-        self.stats.read_requests += n
-        self.stats.busy_time += t
         self._count(True, total, n, t)
         return t
 
@@ -158,11 +143,5 @@ class SimulatedSSD:
         t = waves * self.profile.latency + total / self.profile.write_bandwidth
         if self.slow_factor != 1.0:
             t *= self.slow_factor
-        self.stats.bytes_written += total
-        self.stats.write_requests += n
-        self.stats.busy_time += t
         self._count(False, total, n, t)
         return t
-
-    def reset_stats(self) -> None:
-        self.stats = DeviceStats()

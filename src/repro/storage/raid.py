@@ -136,9 +136,10 @@ class Raid0Array:
     def read_sync_time(self, extents) -> float:
         """Service time when the extents are read one at a time
         synchronously; no overlap between requests *or* across them."""
+        shares = self._shares(extents)
+        self._check_members(shares.sum(axis=0).tolist())
         total = 0.0
-        for row in self._shares(extents).tolist():
-            self._check_members(row)
+        for row in shares.tolist():
             per_req = [
                 dev.read_time(b, 1, 1) for dev, b in zip(self.devices, row) if b
             ]
@@ -160,22 +161,6 @@ class Raid0Array:
             for d in range(self.n_devices)
         ]
         return max(times) if times else 0.0
-
-    @property
-    def bytes_read(self) -> int:
-        return sum(d.stats.bytes_read for d in self.devices)
-
-    @property
-    def bytes_written(self) -> int:
-        return sum(d.stats.bytes_written for d in self.devices)
-
-    @property
-    def read_requests(self) -> int:
-        return sum(d.stats.read_requests for d in self.devices)
-
-    def reset_stats(self) -> None:
-        for d in self.devices:
-            d.reset_stats()
 
     def aggregate_bandwidth(self) -> float:
         """Peak sequential read bandwidth of the array."""

@@ -1,6 +1,7 @@
 """Unit tests for the AIO context (§V-B): ``service`` is the clock-free
 ``io_submit`` half, ``commit`` the completion half that charges the
-clock — the split behind the prefetch pipeline."""
+clock — the split behind the prefetch pipeline.  The context's traffic
+is read from the ``aio.*`` and ``device.*`` counters of its registry."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.errors import StorageError
+from repro.faults.plan import RetryPolicy
+from repro.obs import Tracer
 from repro.storage.aio import AIOContext, Extents, IOMode, IORequest
 from repro.storage.device import DeviceProfile
 from repro.storage.file import TileStore
@@ -15,11 +18,24 @@ from repro.storage.raid import Raid0Array
 from repro.util.timer import SimClock
 
 
-def _ctx(data=b"0123456789abcdef", mode=IOMode.AIO):
+def _ctx(data=b"0123456789abcdef", mode=IOMode.AIO, array=None):
+    """A context whose ``aio.*`` and ``device.*`` counters land in one
+    registry (read back with :func:`_counts`)."""
     store = TileStore(data=data)
-    array = Raid0Array(n_devices=1, profile=DeviceProfile(latency=1e-4))
+    if array is None:
+        array = Raid0Array(n_devices=1, profile=DeviceProfile(latency=1e-4))
     clock = SimClock()
-    return AIOContext(store=store, array=array, clock=clock, mode=mode), clock
+    tracer = Tracer(clock=clock)
+    for dev in array.devices:
+        dev.counters = tracer.registry
+    ctx = AIOContext(
+        store=store, array=array, clock=clock, mode=mode, tracer=tracer
+    )
+    return ctx, clock
+
+
+def _counts(ctx) -> dict:
+    return ctx.tracer.registry.as_dict()
 
 
 class TestSubmitPoll:
@@ -38,14 +54,14 @@ class TestSubmitPoll:
         assert t > 0 and clock.now == 0.0
         ctx.commit(t)
         assert clock.now == pytest.approx(t)
-        assert ctx.stats.io_time == pytest.approx(t)
+        assert _counts(ctx)["aio.io_time_sim"] == pytest.approx(t)
 
     def test_empty_submit(self):
         ctx, clock = _ctx()
         events, t = ctx.service([])
         assert events == [] and t == 0.0
         ctx.commit(t)
-        assert clock.now == 0.0 and ctx.stats.submissions == 0
+        assert clock.now == 0.0 and _counts(ctx) == {"aio.io_time_sim": 0.0}
 
 
 def _extents(*pairs):
@@ -66,7 +82,7 @@ class TestExtentArrays:
         _, t_list = ref.service(
             [IORequest(0, 4), IORequest(8, 4), IORequest(14, 2)]
         )
-        assert t == t_list and ctx.stats == ref.stats
+        assert t == t_list and _counts(ctx) == _counts(ref)
 
     def test_one_extent_is_a_slice_of_the_store(self):
         payload = np.arange(64, dtype=np.uint8)
@@ -80,12 +96,12 @@ class TestExtentArrays:
         with pytest.raises(StorageError) as ei:
             ctx.service(_extents((0, 4), (1000, 4)))
         assert ei.value.context["offset"] == 1000
-        assert ctx.stats.submissions == 0 and clock.now == 0.0
+        assert _counts(ctx) == {} and clock.now == 0.0
 
     def test_empty_batch(self):
         ctx, _ = _ctx()
         data, t = ctx.service(_extents())
-        assert data.size == 0 and t == 0.0 and ctx.stats.submissions == 0
+        assert data.size == 0 and t == 0.0 and _counts(ctx) == {}
 
 
 class TestModes:
@@ -106,22 +122,35 @@ class TestAllOrNothing:
         bad = IORequest(1000, 4, tag="bad")  # outside the 16-byte store
         with pytest.raises(StorageError):
             ctx.service([good, bad])
-        # No partial state: stats untouched, clock still, next batch fine.
-        assert ctx.stats.submissions == 0
-        assert ctx.stats.requests == 0
-        assert ctx.stats.bytes_read == 0
+        # No partial state: no counter moved, clock still, next batch fine.
+        assert _counts(ctx) == {}
         assert clock.now == 0.0
         events, t = ctx.service([good])
         assert events[0].data == b"0123" and t > 0
-        assert ctx.stats.requests == 1
+        counts = _counts(ctx)
+        assert counts["aio.requests"] == counts["device.read_requests"] == 1
+        assert counts["aio.bytes_read"] == counts["device.bytes_read"] == 4
 
     def test_failed_service_charges_nothing(self):
         ctx, _ = _ctx()
         with pytest.raises(StorageError):
             ctx.service([IORequest(-1, 4)])
-        assert ctx.stats.submissions == 0
+        assert _counts(ctx) == {}
         events, t = ctx.service([IORequest(0, 2)])
-        assert events[0].data == b"01" and ctx.stats.submissions == 1
+        assert events[0].data == b"01" and _counts(ctx)["aio.submissions"] == 1
+
+    def test_dead_member_moves_no_counter(self):
+        """A batch that reaches a dead RAID member fails before any
+        device is charged, in both modes — sync included, where a later
+        extent's member is checked before an earlier one is timed."""
+        for mode in IOMode:
+            array = Raid0Array(n_devices=2, stripe_bytes=64)
+            array.devices[1].alive = False
+            ctx, clock = _ctx(data=bytes(128), mode=mode, array=array)
+            ctx.retry = RetryPolicy(max_attempts=1)
+            with pytest.raises(StorageError):
+                ctx.service([IORequest(0, 64), IORequest(64, 64)])
+            assert _counts(ctx) == {} and clock.now == 0.0
 
 
 class TestAsyncSubmission:
@@ -150,7 +179,7 @@ class TestAsyncSubmission:
                 ctx.commit(t)
                 total += t
         assert clock.now == pytest.approx(total)
-        assert ctx.stats.submissions == 4
+        assert _counts(ctx)["aio.submissions"] == 4
 
     def test_service_error_reraised_at_result(self):
         ctx, clock = _ctx()
@@ -159,7 +188,7 @@ class TestAsyncSubmission:
             with pytest.raises(StorageError):
                 future.result()
         assert clock.now == 0.0  # failed batches charge nothing
-        assert ctx.stats.submissions == 0
+        assert _counts(ctx) == {}
 
     def test_thread_safe_stats(self):
         """Concurrent service calls keep counters exact (lock-protected)."""
@@ -168,9 +197,10 @@ class TestAsyncSubmission:
         reqs = [[IORequest(i * 4, 4)] for i in range(256)]
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(ctx.service, reqs))
-        assert ctx.stats.submissions == 256
-        assert ctx.stats.requests == 256
-        assert ctx.stats.bytes_read == 1024
+        counts = _counts(ctx)
+        assert counts["aio.submissions"] == 256
+        assert counts["aio.requests"] == counts["device.read_requests"] == 256
+        assert counts["aio.bytes_read"] == counts["device.bytes_read"] == 1024
 
 
 class TestRealizeIO:
@@ -195,7 +225,8 @@ class TestStats:
         for batch in ([IORequest(0, 4), IORequest(4, 4)], [IORequest(8, 2)]):
             _, t = ctx.service(batch)
             ctx.commit(t)
-        assert ctx.stats.submissions == 2
-        assert ctx.stats.requests == 3
-        assert ctx.stats.bytes_read == 10
-        assert ctx.stats.io_time > 0
+        counts = _counts(ctx)
+        assert counts["aio.submissions"] == 2
+        assert counts["aio.requests"] == 3
+        assert counts["aio.bytes_read"] == 10
+        assert counts["aio.io_time_sim"] > 0

@@ -1,14 +1,23 @@
-"""Unit tests for the simulated SSD device model."""
+"""Unit tests for the simulated SSD device model.  A device's traffic is
+read from the ``device.*`` counters of the registry it is given."""
 
 import numpy as np
 import pytest
 
 from repro.errors import StorageError
+from repro.obs.counters import MetricsRegistry
 from repro.storage.device import DeviceProfile, SimulatedSSD
 
 
 def _ssd(bw=100e6, lat=1e-3, qd=4):
-    return SimulatedSSD(DeviceProfile(read_bandwidth=bw, latency=lat, queue_depth=qd))
+    return SimulatedSSD(
+        DeviceProfile(read_bandwidth=bw, latency=lat, queue_depth=qd),
+        counters=MetricsRegistry(),
+    )
+
+
+def _counts(ssd) -> dict:
+    return ssd.counters.as_dict()
 
 
 class TestProfileValidation:
@@ -47,8 +56,10 @@ class TestBatchTiming:
         assert _ssd().read_batch_time([]) == 0.0
 
     def test_negative_size_rejected(self):
+        ssd = _ssd()
         with pytest.raises(StorageError):
-            _ssd().read_batch_time([-1])
+            ssd.read_batch_time([-1])
+        assert _counts(ssd) == {}  # a refused batch charges nothing
 
     def test_size_arrays_time_as_lists(self):
         """``int64`` size arrays: the same integer total, so the same bits,
@@ -59,7 +70,7 @@ class TestBatchTiming:
             a, b = _ssd(), _ssd()
             want = getattr(a, method)(sizes)
             assert getattr(b, method)(np.array(sizes, dtype=np.int64)) == want
-            assert a.stats == b.stats
+            assert _counts(a) == _counts(b)
             with pytest.raises(StorageError, match="negative request size -3"):
                 getattr(_ssd(), method)(np.array([5, -3, -1], dtype=np.int64))
             assert getattr(_ssd(), method)(np.empty(0, np.int64)) == 0.0
@@ -81,7 +92,8 @@ class TestSyncVsAio:
         ssd_b = _ssd()
         ssd_a.read_batch_time([10, 20])
         ssd_b.read_sync_time([10, 20])
-        assert ssd_a.stats.bytes_read == ssd_b.stats.bytes_read == 30
+        assert _counts(ssd_a)["device.bytes_read"] == 30
+        assert _counts(ssd_b)["device.bytes_read"] == 30
 
 
 class TestWrite:
@@ -95,8 +107,8 @@ class TestWrite:
     def test_write_stats(self):
         ssd = _ssd()
         ssd.write_batch_time([100, 200])
-        assert ssd.stats.bytes_written == 300
-        assert ssd.stats.write_requests == 2
+        assert _counts(ssd)["device.bytes_written"] == 300
+        assert _counts(ssd)["device.write_requests"] == 2
 
 
 class TestStats:
@@ -104,12 +116,7 @@ class TestStats:
         ssd = _ssd()
         ssd.read_batch_time([10])
         ssd.read_batch_time([20, 30])
-        assert ssd.stats.bytes_read == 60
-        assert ssd.stats.read_requests == 3
-        assert ssd.stats.busy_time > 0
-
-    def test_reset(self):
-        ssd = _ssd()
-        ssd.read_batch_time([10])
-        ssd.reset_stats()
-        assert ssd.stats.bytes_read == 0
+        counts = _counts(ssd)
+        assert counts["device.bytes_read"] == 60
+        assert counts["device.read_requests"] == 3
+        assert counts["device.busy_time_sim"] > 0

@@ -11,6 +11,7 @@ uninterrupted result bit-for-bit.
 """
 
 import functools
+import json
 import os
 import tempfile
 import threading
@@ -749,6 +750,29 @@ class TestCheckpointResume:
         np.testing.assert_array_equal(clean.rank, resumed.rank)
         assert resumed.iterations_run == clean.iterations_run
 
+    def test_bfs_resumes_from_a_checkpoint_with_traversed_edges(
+        self, tmp_path, tiled_undirected
+    ):
+        """Checkpoints once saved BFS's ``traversed_edges`` scalar, which
+        is gone (RunStats.edges_processed counts edges); one that still
+        carries it resumes to the same depths."""
+        clean = BFS(root=0)
+        GStoreEngine(tiled_undirected, _cfg()).run(clean)
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(AlgorithmError):
+            GStoreEngine(tiled_undirected, _cfg(max_iterations=2)).run(
+                BFS(root=0), checkpoint=os.fspath(ckpt)
+            )
+        meta = json.loads((ckpt / "meta.json").read_text(encoding="utf-8"))
+        assert "traversed_edges" not in meta["scalars"]
+        meta["scalars"]["traversed_edges"] = 1234
+        (ckpt / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        resumed = BFS(root=0)
+        GStoreEngine(tiled_undirected, _cfg()).run(
+            resumed, checkpoint=os.fspath(ckpt)
+        )
+        np.testing.assert_array_equal(clean.depth, resumed.depth)
+
     def test_checkpoint_rejects_wrong_algorithm(self, tmp_path, tiled_undirected):
         ckpt = os.fspath(tmp_path / "ckpt")
         with pytest.raises(AlgorithmError):
@@ -781,6 +805,8 @@ class TestCheckpointResume:
         d.iterations_run = 3
         d.note = None
         d.scratch = {"skip": "me"}
+        d.constant = np.ones(4, dtype=bool)  # setup-built, read-only
+        d.constant.flags.writeable = False
         arrays, scalars = capture_state(d)
         assert set(arrays) == {"rank"}
         assert scalars == {"delta": 0.5, "iterations_run": 3, "note": None}

@@ -17,15 +17,21 @@ What these tests pin down:
 from __future__ import annotations
 
 import json
+import os
+import re
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.algorithms.bfs import BFS
 from repro.algorithms.pagerank import PageRank
+from repro.cache.llc import SetAssocCache
 from repro.engine.config import EngineConfig
+from repro.engine.context import wire_device_counters
 from repro.engine.gstore import GStoreEngine
+from repro.faults.plan import FaultPlan
 from repro.format.tiles import TiledGraph
 from repro.graphgen.rmat import rmat
 from repro.obs import (
@@ -45,6 +51,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.storage.device import DeviceProfile
+from repro.storage.raid import Raid0Array
 from repro.util.timer import SimClock
 
 
@@ -410,15 +417,24 @@ class TestEngineTracing:
         assert counters["engine.compute_time_sim"] == pytest.approx(
             stats.compute_time
         )
+        assert counters["engine.bytes_skipped"] == stats.bytes_skipped
+        assert counters["engine.tiles_skipped"] == stats.tiles_skipped
         # source-level counters agree with the engine-level rollups
         assert counters["aio.bytes_read"] == stats.bytes_read
         assert counters["device.bytes_read"] >= stats.bytes_read
+        # the pool's own tallies are added once, from SCRStats
+        scr = stats.extra["scr"]
+        assert counters["scr.tiles_cached"] == scr.tiles_cached
+        assert counters["scr.tiles_evicted"] == scr.tiles_evicted
+        assert counters["scr.analyses"] == scr.analyses
+        # rewound and skipped tiles have one name each, the engine's
+        for gone in ("scr.cache_hits", "scr.bytes_from_cache",
+                     "scr.bytes_skipped", "selective.tiles_skipped"):
+            assert gone not in counters
         # and the snapshot rides along on the stats object
         assert stats.extra["counters"] == counters
 
     def test_trace_results_identical_to_untraced(self, graph):
-        import numpy as np
-
         cfg_kw = dict(memory_bytes=24 * 1024, segment_bytes=4 * 1024,
                       prefetch_depth=1)
         with GStoreEngine(graph, EngineConfig(**cfg_kw)) as engine:
@@ -436,6 +452,77 @@ class TestEngineTracing:
             assert engine.tracer is NULL_TRACER
             assert engine.tracer.records() == []
         assert "counters" not in stats.extra
+
+
+# --------------------------------------------------------------------- #
+# docs/OBSERVABILITY.md's counter table
+# --------------------------------------------------------------------- #
+
+#: The families the runs below emit.  ``serve.`` is left out: it is the
+#: query service's shared registry, not a run's.
+RUN_FAMILIES = (
+    "engine.", "scr.", "aio.", "device.", "prefetch.", "llc.", "fault.",
+    "retry.",
+)
+
+
+def _documented_counters() -> "set[str]":
+    """Every counter name the reference table lists for ``RUN_FAMILIES``
+    (each backticked word of a row's counters column, after its prefix)."""
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "docs", "OBSERVABILITY.md"
+    )
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    names = set()
+    for line in text.split("## Counter reference", 1)[1].splitlines():
+        cells = line.split("|")
+        if len(cells) < 4:
+            continue
+        prefix = cells[1].strip().strip("`")
+        if prefix in RUN_FAMILIES:
+            names |= {prefix + w for w in re.findall(r"`([^`]+)`", cells[2])}
+    return names
+
+
+def _emitted_counters(graph) -> "set[str]":
+    """Every counter name a set of traced runs emits: clean PageRank and
+    BFS at prefetch depth 1; two faulted PageRank runs on a tight budget
+    (in one every fault recovers, the flipped payload failing its
+    checksum on the prefetch thread; in the other a persistent fault
+    exhausts its retries there), each of which finishes at depth 0; an
+    LLC model and a striped write with a registry."""
+    names = set()
+    for factory in (lambda: PageRank(max_iterations=3), lambda: BFS(root=0)):
+        _, _, counters = _traced_run(graph, factory, depth=1)
+        names |= set(counters)
+    for spec in (
+        "transient@1,short@3,spike@5:0.01,bitflip@7,slow:0:2",
+        "persistent@2,dead:1",
+    ):
+        _, _, counters = _traced_run(
+            graph, lambda: PageRank(max_iterations=3), depth=1,
+            memory_bytes=4096, segment_bytes=1024, n_ssds=2,
+            faults=FaultPlan.parse(spec),
+        )
+        names |= set(counters)
+    reg = MetricsRegistry()
+    SetAssocCache(64 * 1024, counters=reg).access(np.arange(0, 8192, 8))
+    array = Raid0Array(n_devices=2)
+    wire_device_counters(array, reg)
+    array.write_batch_time([4096])
+    return names | set(reg.as_dict())
+
+
+def test_counter_table_matches_emitted_names(graph):
+    """Every counter the table lists is emitted by one of the runs, and
+    every counter they emit is listed."""
+    documented = _documented_counters()
+    emitted = {
+        n for n in _emitted_counters(graph) if n.startswith(RUN_FAMILIES)
+    }
+    assert documented - emitted == set(), "listed but never emitted"
+    assert emitted - documented == set(), "emitted but not listed"
 
 
 # --------------------------------------------------------------------- #

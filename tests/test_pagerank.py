@@ -85,6 +85,9 @@ class TestConvergence:
         algo.setup(tiled_undirected)
         assert algo.rows_active().all()
         assert algo.rows_active_next().all()
+        # One read-only array per run, handed to every caller.
+        assert algo.rows_active() is algo.rows_active_next()
+        assert not algo.rows_active().flags.writeable
 
     def test_metadata_bytes(self, tiled_undirected):
         algo = PageRank()

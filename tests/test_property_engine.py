@@ -93,10 +93,10 @@ class TestResultStability:
     def test_sim_time_components_consistent(self, gc):
         tg, cfg = gc
         stats = GStoreEngine(tg, cfg).run(BFS(root=0))
-        pipeline = stats.extra["pipeline"]
+        elapsed = stats.extra["pipeline"].elapsed
         # Overlapped elapsed lies between max(component) and their sum.
-        assert pipeline.elapsed <= pipeline.io_busy + pipeline.compute_busy + 1e-12
-        assert pipeline.elapsed >= max(pipeline.io_busy, pipeline.compute_busy) - 1e-12
+        assert elapsed <= stats.io_time + stats.compute_time + 1e-12
+        assert elapsed >= max(stats.io_time, stats.compute_time) - 1e-12
 
 
 class TestGeometryInvariance:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.cache.llc import SetAssocCache
 from repro.cache.pagecache import LRUPageCache
+from repro.engine.context import wire_device_counters
+from repro.obs.counters import MetricsRegistry
 from repro.storage.aio import Extents
 from repro.storage.device import DeviceProfile, SimulatedSSD
 from repro.storage.raid import Raid0Array, stripe_split
@@ -109,8 +111,10 @@ class TestRaidProperties:
     @settings(max_examples=50, deadline=None)
     def test_bytes_accounted(self, extents):
         arr = Raid0Array(n_devices=4)
+        reg = MetricsRegistry()
+        wire_device_counters(arr, reg)
         arr.read_batch_time(list(extents))
-        assert arr.bytes_read == sum(s for _, s in extents)
+        assert reg.value("device.bytes_read") == sum(s for _, s in extents)
 
     @given(
         extents=st.lists(
@@ -128,6 +132,11 @@ class TestRaidProperties:
         per-extent stripe walk: every device sees the same request sizes
         in the same order, so its time, bytes and requests are equal."""
         ref = Raid0Array(n_devices=n_dev, stripe_bytes=stripe)
+        arr = Raid0Array(n_devices=n_dev, stripe_bytes=stripe)
+        # One registry per device: each device's own traffic is compared.
+        for d in range(n_dev):
+            ref.devices[d].counters = MetricsRegistry()
+            arr.devices[d].counters = MetricsRegistry()
         per_dev = [[] for _ in range(n_dev)]
         for off, size in extents:
             for d, segs in enumerate(stripe_split(off, size, stripe, n_dev)):
@@ -135,11 +144,12 @@ class TestRaidProperties:
         t_ref = max(
             ref.devices[d].read_batch_time(per_dev[d]) for d in range(n_dev)
         )
-        arr = Raid0Array(n_devices=n_dev, stripe_bytes=stripe)
         pairs = np.array(extents, dtype=np.int64).reshape(-1, 2)
         ext = Extents(offsets=pairs[:, 0], sizes=pairs[:, 1])
         assert arr.read_batch_time(ext) == t_ref
-        assert [d.stats for d in arr.devices] == [d.stats for d in ref.devices]
+        assert [d.counters.as_dict() for d in arr.devices] == [
+            d.counters.as_dict() for d in ref.devices
+        ]
         sync_ref = Raid0Array(n_devices=n_dev, stripe_bytes=stripe)
         sync = Raid0Array(n_devices=n_dev, stripe_bytes=stripe)
         assert sync.read_sync_time(ext) == sync_ref.read_sync_time(extents)

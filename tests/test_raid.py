@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.engine.context import wire_device_counters
 from repro.errors import StorageError
+from repro.obs.counters import MetricsRegistry
 from repro.storage.device import DeviceProfile
 from repro.storage.raid import Raid0Array, stripe_split
 
@@ -73,16 +75,19 @@ class TestRaidTiming:
 
     def test_aggregate_stats(self):
         arr = self._array(4)
+        reg = MetricsRegistry()
+        wire_device_counters(arr, reg)
         arr.read_batch_time([(0, 256 * 1024)])
-        assert arr.bytes_read == 256 * 1024
-        arr.reset_stats()
-        assert arr.bytes_read == 0
+        assert reg.value("device.bytes_read") == 256 * 1024
+        assert reg.value("device.read_requests") == 4
 
     def test_writes_striped(self):
         arr = self._array(4)
+        reg = MetricsRegistry()
+        wire_device_counters(arr, reg)
         t = arr.write_batch_time([256 * 1024])
         assert t > 0
-        assert arr.bytes_written == 256 * 1024
+        assert reg.value("device.bytes_written") == 256 * 1024
 
     def test_aggregate_bandwidth(self):
         assert self._array(8).aggregate_bandwidth() == 8 * 100e6

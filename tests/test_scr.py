@@ -47,8 +47,8 @@ class TestSplitCached:
         cached, fetch = s.split_cached([0, 2, 4], start_edge)
         assert cached.tolist() == [2]
         assert fetch.tolist() == [0, 4]
-        assert s.stats.cache_hits == 1
-        assert s.stats.bytes_from_cache == 80
+        # What the engine counts as this rewind's bytes_from_cache.
+        assert int(start_edge.tile_bytes(cached).sum()) == 80
 
     def test_base_policy_never_caches(self, start_edge):
         s = _sched(policy=CachePolicy.BASE)

@@ -130,9 +130,9 @@ def gate_kill_resume(tg: TiledGraph) -> None:
 
     # Kill mid-run: one AIO batch issues per streamed segment, so half
     # the clean run's request count lands several iterations in.
-    probe = GStoreEngine(tg, make_config(**cfg))
-    probe.run(PageRank(max_iterations=15))
-    kill_at = probe.aio.stats.requests // 2
+    probe = GStoreEngine(tg, make_config(trace=True, **cfg))
+    probe_stats = probe.run(PageRank(max_iterations=15))
+    kill_at = probe_stats.extra["counters"]["aio.requests"] // 2
 
     with tempfile.TemporaryDirectory() as ckpt:
         doomed = PageRank(max_iterations=15)
