@@ -2,7 +2,8 @@
  * min-relaxation kernels of SSSP (float64 distances, suffix f64) and
  * AsyncBFS (int64 depths, i64) and the min-commit CC uses too; BFS's and
  * Reachability's discovery passes; the scatter-add of PageRank, SpMV and
- * SCC's degrees, straight from a batch's SNB payload; the SNB decode
+ * SCC's degrees, straight from a batch's SNB payload; PageRank's
+ * end-of-iteration vertex pass (pagerank_end); the SNB decode
  * (widen_*); and the write path: the symmetric tile encoder's two passes
  * (upper_keys, unpack_*) and the per-tile CRC32C (crc32c_extents).
  *
@@ -16,6 +17,7 @@
  * kernels check their whole input (endpoints, tile positions, extents)
  * before their first write too, and return -1 on anything out of range.
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -320,6 +322,36 @@ int scatter_add(double *fwd, double *bwd, i64 n, const double *x,
         return PASS(u32, bwd);
     return -2;
 #undef PASS
+}
+
+/* PageRank's end-of-iteration vertex pass, in place over n vertices: the
+ * accumulator acc becomes the new rank and old, the old rank, becomes
+ * |new - old|, whose sum is the iteration's delta.  Uniform teleport
+ * (t NULL): new = c + d * (acc + a), with a = dangling mass / n and
+ * c = (1 - d) / n; else new = c * t + d * (acc + a * t), with a the
+ * dangling mass and c = 1 - d.  One statement per operation, in the order
+ * NumPy's out-of-place formula takes them (addition and multiplication
+ * commute exactly), so the bits are its: no operation is fused or
+ * reordered under -std=c11. */
+void pagerank_end(double *acc, double *old, const double *t, i64 n, double a,
+                  double d, double c)
+{
+    for (i64 i = 0; i < n; i++) {
+        double v;
+        if (t) {
+            double m = a * t[i];
+            double s = acc[i] + m;
+            double r = d * s;
+            v = c * t[i];
+            v = v + r;
+        } else {
+            double s = acc[i] + a;
+            double r = d * s;
+            v = c + r;
+        }
+        acc[i] = v;
+        old[i] = fabs(v - old[i]);
+    }
 }
 
 /* The SNB decode: k tiles' interleaved local (src, dst) pairs, counts[j]

@@ -32,6 +32,7 @@ import abc
 
 import numpy as np
 
+from repro.algorithms import native
 from repro.errors import AlgorithmError
 from repro.format.tiles import DecodedBatch, TiledGraph, TileView
 from repro.memory.proactive import row_activity_from_vertices
@@ -123,6 +124,8 @@ class TileAlgorithm(abc.ABC):
         # so all-active callers allocate nothing per batch.
         self._all_rows = np.ones(graph.p, dtype=bool)
         self._all_rows.flags.writeable = False
+        #: The compiled tier's buffers of the run's arrays.
+        self._held = native.Held()
         self._setup()
 
     @abc.abstractmethod

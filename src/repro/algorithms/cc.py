@@ -55,7 +55,8 @@ class ConnectedComponents(TileAlgorithm):
     def _setup(self) -> None:
         g = self._graph()
         self.comp = np.arange(g.n_vertices, dtype=np.int64)
-        self._prev = None
+        # The iteration-start snapshot, refilled in place every iteration.
+        self._prev = np.empty_like(self.comp)
         # Vertices whose labels changed during the previous iteration
         # (including the pointer-jumping compress) — the propagation
         # frontier.  Everything is "changed" before the first iteration.
@@ -66,7 +67,7 @@ class ConnectedComponents(TileAlgorithm):
 
     def begin_iteration(self, iteration: int) -> None:
         super().begin_iteration(iteration)
-        self._prev = self.comp.copy()
+        np.copyto(self._prev, self.comp)
 
     # ------------------------------------------------------------------ #
     # Fused batch kernel
@@ -107,7 +108,7 @@ class ConnectedComponents(TileAlgorithm):
             comp = nxt
         self.comp = comp
         self.iterations_run = iteration + 1
-        self._changed = comp != self._prev
+        np.not_equal(comp, self._prev, out=self._changed)
         changed = bool(self._changed.any())
         return changed and self.iterations_run < self.max_iterations
 

@@ -62,8 +62,12 @@ class KCore(TileAlgorithm):
 
     def begin_iteration(self, iteration: int) -> None:
         super().begin_iteration(iteration)
-        self._removed_now = self.active & (self.residual_degree < self.k)
-        self.active &= ~self._removed_now
+        # In place: the removed vertices are active ones, so removing
+        # them from ``active`` is an exclusive or.
+        removed = self._removed_now
+        np.less(self.residual_degree, self.k, out=removed)
+        removed &= self.active
+        self.active ^= removed
 
     # ------------------------------------------------------------------ #
     # Fused batch kernel

@@ -6,7 +6,8 @@ SSSP's and AsyncBFS's relaxations and the min-commits of SSSP, AsyncBFS
 and CC (:func:`candidates`, :func:`rounds`, :func:`min_commit`), BFS's and
 Reachability's discovery passes (:func:`discover_bfs`,
 :func:`discover_reach`), the commit of PageRank, SpMV and SCC's degrees
-straight from a batch's SNB payload (:func:`scatter_add`), the widening
+straight from a batch's SNB payload (:func:`scatter_add`), PageRank's
+end-of-iteration vertex pass (:func:`pagerank_end`), the widening
 of SNB tile payloads into global IDs (:func:`widen`, behind
 ``TileEdges.widen``, for the kernels that read them), the symmetric tile
 encoder's key build and unpack (:func:`upper_keys`, :func:`unpack_keys`,
@@ -80,6 +81,8 @@ int64_t discover_reach(const uint8_t *, const uint8_t *, const uint8_t *,
 int scatter_add(double *, double *, int64_t, const double *, const void *,
                 int, int64_t, const int64_t *, const uint32_t *,
                 const uint32_t *, int64_t);
+void pagerank_end(double *, double *, const double *, int64_t, double, double,
+                  double);
 """ + "".join(
     f"""
 int widen_{x}(const {t} *, int64_t, const int64_t *, const uint32_t *,
@@ -378,14 +381,58 @@ def discover_reach(frontier, allowed, visited, gsrc, gdst,
     return out[:k]
 
 
-def _accumulator(acc: np.ndarray, n: int):
+class Held:
+    """The C buffers of arrays that outlive many compiled calls — a run's
+    vertex state, a slide plan's layout — each converted, its dtype and
+    contiguity checked, on its first call only.  An identity cache: an
+    entry keeps its array alive, so an ``id`` is never reused under it,
+    and the cache starts over past :attr:`LIMIT` arrays (a slide plan's
+    layouts and the state of a run fit).  Each algorithm's ``setup`` makes
+    one, so it lives for a run.  Every per-call check (a shape against
+    the state's length, the C loop's bounds checks) runs whatever it
+    holds."""
+
+    LIMIT = 64
+    __slots__ = ("_bufs",)
+
+    def __init__(self) -> None:
+        self._bufs: "dict[int, tuple]" = {}
+
+    def buffer(self, ctype: str, a: np.ndarray, dtype, writable: bool = False):
+        """``a``'s buffer as ``ctype``, ``a`` being a contiguous ``dtype``
+        array; ``None`` when it is not one."""
+        hit = self._bufs.get(id(a))
+        if hit is not None and hit[0] is a and hit[1] == ctype and (
+            hit[2] or not writable
+        ):
+            return hit[3]
+        if a.dtype != dtype or not a.flags.c_contiguous:
+            return None
+        buf = ffi.from_buffer(ctype, a, require_writable=writable)
+        if len(self._bufs) >= self.LIMIT:
+            self._bufs.clear()
+        self._bufs[id(a)] = (a, ctype, writable, buf)
+        return buf
+
+
+def _input(held, ctype: str, a: np.ndarray, dtype):
+    """The read-only buffer of ``a`` as a contiguous ``dtype`` array,
+    through ``held`` when it is one already, else from a converted copy."""
+    buf = held.buffer(ctype, a, dtype)
+    if buf is None:
+        buf = ffi.from_buffer(ctype, np.ascontiguousarray(a, dtype))
+    return buf
+
+
+def _accumulator(acc: np.ndarray, n: int, held: Held):
     """The writable buffer of a contiguous ``float64`` array of length
     ``n``."""
-    if acc.dtype != np.float64 or not acc.flags.c_contiguous or acc.shape != (n,):
+    buf = held.buffer("double[]", acc, np.float64, writable=True)
+    if buf is None or acc.shape != (n,):
         raise ValueError(
             f"accumulator must be {n} contiguous float64, got {acc.dtype}{acc.shape}"
         )
-    return ffi.from_buffer("double[]", acc, require_writable=True)
+    return buf
 
 
 def _tile_form(pairs, counts, sb, db):
@@ -400,7 +447,7 @@ def _tile_form(pairs, counts, sb, db):
     return bits
 
 
-def scatter_add(fwd, x, pairs, counts, sb, db, bwd=None) -> None:
+def scatter_add(fwd, x, pairs, counts, sb, db, bwd=None, held=None) -> None:
     """The scatter kernels' commit straight from a batch in tile form:
     the interleaved unsigned local ``(src, dst)`` pairs of tiles holding
     ``counts`` edges each, each endpoint widened as :func:`widen` widens
@@ -411,20 +458,24 @@ def scatter_add(fwd, x, pairs, counts, sb, db, bwd=None) -> None:
     are contiguous ``float64`` of one length ``n``.  Everything is checked
     before the first add, so the accumulators are untouched on a
     ``ValueError`` (counts that do not cover the payload) or an
-    ``IndexError`` (a widened endpoint not below ``n``)."""
+    ``IndexError`` (a widened endpoint not below ``n``).  ``held`` (a
+    :class:`Held`) keeps the buffers of the state and the counts and
+    bases across calls."""
+    held = Held() if held is None else held
     n = fwd.shape[0]
     if x.shape != (n,):
         raise ValueError(f"x must have shape ({n},), got {x.shape}")
     bits = _tile_form(pairs, counts, sb, db)
     m = pairs.shape[0] // 2
+    acc = _accumulator(fwd, n, held)
     rc = lib.scatter_add(
-        _accumulator(fwd, n),
-        ffi.NULL if bwd is None else _accumulator(bwd, n), n,
-        ffi.from_buffer("double[]", np.ascontiguousarray(x, np.float64)),
+        acc, ffi.NULL if bwd is None else
+        acc if bwd is fwd else _accumulator(bwd, n, held), n,
+        _input(held, "double[]", x, np.float64),
         ffi.from_buffer(f"uint{bits}_t[]", np.ascontiguousarray(pairs)), bits,
-        m, ffi.from_buffer("int64_t[]", np.ascontiguousarray(counts, np.int64)),
-        ffi.from_buffer("uint32_t[]", np.ascontiguousarray(sb, VERTEX_DTYPE)),
-        ffi.from_buffer("uint32_t[]", np.ascontiguousarray(db, VERTEX_DTYPE)),
+        m, _input(held, "int64_t[]", counts, np.int64),
+        _input(held, "uint32_t[]", sb, VERTEX_DTYPE),
+        _input(held, "uint32_t[]", db, VERTEX_DTYPE),
         counts.shape[0],
     )
     if rc == -2:
@@ -433,6 +484,34 @@ def scatter_add(fwd, x, pairs, counts, sb, db, bwd=None) -> None:
         )
     if rc:
         raise _out_of_bounds(n, *widen(pairs, counts, sb, db))
+
+
+def pagerank_end(acc, old, teleport, dangling_mass: float, damping: float,
+                 held=None) -> None:
+    """PageRank's end-of-iteration vertex pass in one loop: ``acc`` becomes
+    the new ranks, ``(1 - d)/n + d·(acc + dangling/n)`` (with a
+    ``teleport`` distribution ``t``: ``(1 - d)·t + d·(acc + dangling·t)``),
+    and ``old``, the old ranks, becomes ``|new - old|`` — each element by
+    the operations of NumPy's out-of-place formula, in its order.  All
+    three are contiguous ``float64`` of one length, ``acc`` and ``old``
+    distinct; checked before the first write.  ``held`` as for
+    :func:`scatter_add`."""
+    held = Held() if held is None else held
+    n = acc.shape[0]
+    if old is acc:
+        raise ValueError("the new and old ranks must be distinct arrays")
+    new_buf = _accumulator(acc, n, held)
+    old_buf = _accumulator(old, n, held)
+    if teleport is None:
+        t_buf, a, c = ffi.NULL, dangling_mass / n, (1.0 - damping) / n
+    else:
+        if teleport.shape != (n,):
+            raise ValueError(
+                f"teleport must have shape ({n},), got {teleport.shape}"
+            )
+        t_buf = _input(held, "double[]", teleport, np.float64)
+        a, c = dangling_mass, 1.0 - damping
+    lib.pagerank_end(new_buf, old_buf, t_buf, n, a, damping, c)
 
 
 def widen(pairs: np.ndarray, counts: np.ndarray, sb: np.ndarray,

@@ -25,7 +25,7 @@ from repro.format.tiles import TileEdges
 
 def scatter_add(
     fwd: np.ndarray, x: np.ndarray, tiles: TileEdges,
-    bwd: "np.ndarray | None" = None,
+    bwd: "np.ndarray | None" = None, held: "native.Held | None" = None,
 ) -> None:
     """Commit a shard's ``fwd[dst] += x[src]`` straight into ``fwd`` from
     its tile form (:class:`~repro.format.tiles.TileEdges`), edge by edge in
@@ -41,11 +41,13 @@ def scatter_add(
     fallback and oracle — :meth:`~repro.format.tiles.TileEdges.widen`, then
     ``np.add.at`` over the same sequence, bit-identical.  Raises
     ``IndexError``, with the accumulators untouched, if any widened
-    endpoint lies outside ``x``.
+    endpoint lies outside ``x``.  ``held``, the caller's run's
+    :class:`~repro.algorithms.native.Held`, keeps the compiled tier's
+    buffers of its run-lifetime arrays.
     """
     if native.lib is not None:
         native.scatter_add(fwd, x, tiles.pairs, tiles.counts, tiles.src_base,
-                           tiles.dst_base, bwd)
+                           tiles.dst_base, bwd, held)
         return
     gsrc, gdst = tiles.widen()
     if bwd is fwd:  # edge i's mirrored add right after its forward one
@@ -89,6 +91,7 @@ class PageRank(TileAlgorithm):
         self.personalization = personalization
         self.rank: "np.ndarray | None" = None
         self._acc: "np.ndarray | None" = None
+        self._contrib: "np.ndarray | None" = None
         self._inv_deg: "np.ndarray | None" = None
         self.delta = np.inf
         self.iterations_run = 0
@@ -116,6 +119,7 @@ class PageRank(TileAlgorithm):
             self._teleport = t / total
         self.rank = np.full(n, 1.0 / n, dtype=np.float64)
         self._acc = np.zeros(n, dtype=np.float64)
+        self._contrib = np.empty(n, dtype=np.float64)
         # For symmetric (undirected) storage the divisor is the full degree;
         # for directed graphs it is the out-degree of the stored orientation.
         deg = g.out_degrees.astype(np.float64)
@@ -132,7 +136,7 @@ class PageRank(TileAlgorithm):
     def begin_iteration(self, iteration: int) -> None:
         super().begin_iteration(iteration)
         self._acc.fill(0.0)
-        self._contrib = self.rank * self._inv_deg
+        np.multiply(self.rank, self._inv_deg, out=self._contrib)
 
     # ------------------------------------------------------------------ #
     # Fused batch kernel
@@ -145,26 +149,45 @@ class PageRank(TileAlgorithm):
 
     def apply_partial(self, tiles) -> int:
         scatter_add(self._acc, self._contrib, tiles,
-                    self._acc if self.symmetric else None)
+                    self._acc if self.symmetric else None, self._held)
         return tiles.n_edges
 
     def end_iteration(self, iteration: int) -> bool:
+        """The new ranks, ``(1 - d)/n + d·(acc + dangling/n)`` (teleport
+        ``t``: ``(1 - d)·t + d·(acc + dangling·t)``), computed in place
+        into the accumulator, and ``delta``, their L1 distance from the
+        old ranks, into the old ranks' buffer; then the two swap.  Each
+        element sees the operations of the out-of-place formula in the
+        same order (addition and multiplication commute exactly), so the
+        bits are the same, and no |V|-sized array is allocated: one
+        compiled pass (:func:`~repro.algorithms.native.pagerank_end`) when
+        that tier loaded, else the NumPy passes below, its oracle."""
         n = self.rank.shape[0]
         dangling_mass = float(self.rank[self._dangling].sum())
-        if self._teleport is None:
-            new_rank = (
-                (1.0 - self.damping) / n
-                + self.damping * (self._acc + dangling_mass / n)
-            )
+        new, old = self._acc, self.rank
+        if native.lib is not None:
+            native.pagerank_end(new, old, self._teleport, dangling_mass,
+                                self.damping, self._held)
         else:
-            # Personalised: teleports and dangling mass land on the seed
-            # distribution instead of uniformly (networkx's convention).
-            new_rank = (
-                (1.0 - self.damping) * self._teleport
-                + self.damping * (self._acc + dangling_mass * self._teleport)
-            )
-        self.delta = float(np.abs(new_rank - self.rank).sum())
-        self.rank = new_rank
+            if self._teleport is None:
+                new += dangling_mass / n
+                new *= self.damping
+                new += (1.0 - self.damping) / n
+            else:
+                # Personalised: teleports and dangling mass land on the
+                # seed distribution instead of uniformly (networkx's
+                # convention).  The contributions are spent, so their
+                # buffer is scratch.
+                scratch = self._contrib
+                np.multiply(self._teleport, dangling_mass, out=scratch)
+                new += scratch
+                new *= self.damping
+                np.multiply(self._teleport, 1.0 - self.damping, out=scratch)
+                new += scratch
+            np.subtract(new, old, out=old)
+            np.abs(old, out=old)
+        self.delta = float(old.sum())
+        self.rank, self._acc = new, old
         self.iterations_run = iteration + 1
         if self.delta < self.tolerance:
             return False

@@ -60,7 +60,7 @@ class SubgraphDegrees(TileAlgorithm):
         return tiles
 
     def apply_partial(self, tiles) -> int:
-        scatter_add(self.in_deg, self._x, tiles, self.out_deg)
+        scatter_add(self.in_deg, self._x, tiles, self.out_deg, self._held)
         return tiles.n_edges
 
     def end_iteration(self, iteration: int) -> bool:

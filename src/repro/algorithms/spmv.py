@@ -62,7 +62,8 @@ class SpMV(TileAlgorithm):
         return tiles
 
     def apply_partial(self, tiles) -> int:
-        scatter_add(self.y, self.x, tiles, self.y if self.symmetric else None)
+        scatter_add(self.y, self.x, tiles, self.y if self.symmetric else None,
+                    self._held)
         return tiles.n_edges
 
     def end_iteration(self, iteration: int) -> bool:

@@ -15,6 +15,11 @@ Commands
     ``trace_event`` JSON (load in Perfetto) or JSONL.  ``--rmat-scale N``
     substitutes the 2^N R-MAT reference graph (the geometry of the overlap
     gate in ``tools/wall_smoke.py``) for a registered dataset.
+``profile ALGO [NAME]``
+    Run once, traced, and print where the wall time went: the run's layer
+    table (``RunStats.extra["layers"]``), each row in seconds and as a
+    share of ``wall_seconds``; the last line is the table as one JSON
+    object.  ``--rmat-scale N`` as for ``trace``.
 ``bench [LABEL ...] [--results DIR]``
     Regenerate paper tables/figures (all of them without a label), print
     each, write it to ``DIR/<stem>.txt`` and exit 1 if a paper claim of
@@ -138,10 +143,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def _run_setup(args: argparse.Namespace):
+    """The graph, algorithm and config a ``trace`` or ``profile`` runs."""
     from repro.bench.harness import graphs, scaled_config
-    from repro.engine.gstore import GStoreEngine
-    from repro.obs import write_chrome, write_jsonl
 
     if args.rmat_scale is not None:
         from repro.format.tiles import TiledGraph
@@ -153,12 +157,22 @@ def cmd_trace(args: argparse.Namespace) -> int:
     elif args.name is not None:
         tg = graphs().tiled(args.name, tier=args.tier)
     else:
-        raise SystemExit("trace needs a dataset NAME or --rmat-scale")
+        raise SystemExit(
+            f"{args.command} needs a dataset NAME or --rmat-scale"
+        )
     algo = _make_algorithm(args.algorithm, root=args.root, k=args.k)
     cfg = scaled_config(tg, memory_fraction=args.memory_fraction,
                         n_ssds=args.ssds)
-    cfg.trace = True
     cfg.prefetch_depth = args.depth
+    return tg, algo, cfg
+
+
+def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.engine.gstore import GStoreEngine
+    from repro.obs import write_chrome, write_jsonl
+
+    tg, algo, cfg = _run_setup(args)
+    cfg.trace = True
     cfg.realize_io = args.device_paced
     with GStoreEngine(tg, cfg) as engine:
         stats = engine.run(algo)
@@ -176,6 +190,25 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
     print(f"wrote {args.out} — open it at https://ui.perfetto.dev "
           f"(or chrome://tracing)")
+    return 0
+
+
+def cmd_profile(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.engine.gstore import GStoreEngine
+
+    tg, algo, cfg = _run_setup(args)
+    cfg.trace = True  # the layer table is kept by traced runs
+    with GStoreEngine(tg, cfg) as engine:
+        stats = engine.run(algo)
+    print(stats.summary())
+    layers = stats.extra["layers"]
+    wall = stats.wall_seconds
+    print(f"{'layer':<16}{'seconds':>12}{'of wall':>10}")
+    for row, seconds in layers.items():
+        print(f"{row:<16}{seconds:>12.6f}{seconds / wall:>10.1%}")
+    print(json.dumps({"wall_seconds": wall, "layers": layers}))
     return 0
 
 
@@ -351,22 +384,27 @@ def build_parser() -> argparse.ArgumentParser:
                     help="use the two-segment base policy instead of SCR")
     pr.set_defaults(fn=cmd_run)
 
+    def run_arguments(parser: argparse.ArgumentParser) -> None:
+        """What ``trace`` and ``profile`` take to set a run up."""
+        parser.add_argument("algorithm", choices=_ALGORITHMS)
+        parser.add_argument("name", nargs="?", default=None)
+        parser.add_argument("--tier", default=None,
+                            choices=["tiny", "small", "large"])
+        parser.add_argument("--rmat-scale", type=int, default=None,
+                            help="run on the 2^N R-MAT reference graph "
+                                 "instead of a registered dataset")
+        parser.add_argument("--root", type=int, default=0)
+        parser.add_argument("--k", type=int, default=2, help="k for kcore")
+        parser.add_argument("--memory-fraction", type=float, default=0.25)
+        parser.add_argument("--ssds", type=int, default=1)
+        parser.add_argument("--depth", type=int, default=None,
+                            help="prefetch depth (0 = serial baseline; "
+                                 "default: 2 with --device-paced, else 0)")
+
     pt = sub.add_parser(
         "trace", help="run with tracing on and export a Chrome/JSONL trace"
     )
-    pt.add_argument("algorithm", choices=_ALGORITHMS)
-    pt.add_argument("name", nargs="?", default=None)
-    pt.add_argument("--tier", default=None, choices=["tiny", "small", "large"])
-    pt.add_argument("--rmat-scale", type=int, default=None,
-                    help="trace the 2^N R-MAT reference graph instead of a "
-                         "registered dataset")
-    pt.add_argument("--root", type=int, default=0)
-    pt.add_argument("--k", type=int, default=2, help="k for kcore")
-    pt.add_argument("--memory-fraction", type=float, default=0.25)
-    pt.add_argument("--ssds", type=int, default=1)
-    pt.add_argument("--depth", type=int, default=None,
-                    help="prefetch depth (0 = serial baseline; default: "
-                         "2 with --device-paced, else 0)")
+    run_arguments(pt)
     pt.add_argument("--device-paced", action="store_true",
                     help="sleep simulated I/O time for real (realize_io)")
     pt.add_argument("--out", default="trace.json")
@@ -375,6 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="chrome export timeline: real threads (wall) or "
                          "the deterministic simulated lanes (sim)")
     pt.set_defaults(fn=cmd_trace)
+
+    pp = sub.add_parser(
+        "profile", help="run once and print the run's layer table"
+    )
+    run_arguments(pp)
+    pp.set_defaults(fn=cmd_profile)
 
     pf = sub.add_parser("fsck", help="audit an on-disk tile graph")
     pf.add_argument("directory")

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine.stats import LayerClock
 from repro.errors import DeadlineError
 from repro.format.tiles import DecodedBatch
 from repro.memory.scr import SlidePlan
@@ -64,15 +65,20 @@ _CANCEL_POLL = 0.02
 
 @dataclass
 class SplitMemo:
-    """One iteration's cached/to-fetch split with its slide plan and,
-    once the rewind has decoded it, the cached half's batch.  Everything
-    it holds is read-only, so an iteration whose split repeats reuses it:
-    the halves are compared separately, and a repeated half keeps what
-    was derived from it."""
+    """One iteration's cached/to-fetch split of its selection with its
+    slide plan and, once the rewind has decoded it, the cached half's
+    batch.  Everything it holds is read-only, so an iteration whose split
+    repeats reuses it: the same selection array over a pool of the same
+    version splits the same way, and otherwise the halves are compared
+    separately, a repeated half keeping what was derived from it: the
+    plan, the cached half's byte total and decoded batch."""
 
+    needed: np.ndarray
+    pool_version: int
     cached: np.ndarray
     to_fetch: np.ndarray
     plan: SlidePlan
+    cached_bytes: int
     rewind: "DecodedBatch | None" = None
 
 
@@ -113,6 +119,10 @@ class RunContext:
     #: Seconds this run waited its turn in the engine lane before it
     #: started (private contexts; not part of ``RunStats.wall_seconds``).
     lane_wait: float = 0.0
+    #: The layer clock of the run on this context (``None`` before one):
+    #: a traced run's ``rows`` are its ``RunStats.extra["layers"]``, an
+    #: untraced run's ``None``.
+    layers: "LayerClock | None" = None
 
     def check_cancelled(self) -> None:
         """Raise :class:`DeadlineError` if this run should stop.

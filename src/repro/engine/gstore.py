@@ -74,7 +74,12 @@ from repro.engine.selective import (
     dense_positions,
     select_positions,
 )
-from repro.engine.stats import IterationStats, RunStats
+from repro.engine.stats import (
+    NULL_LAYERS,
+    IterationStats,
+    LayerClock,
+    RunStats,
+)
 from repro.errors import AlgorithmError, ChecksumError, FormatError, StorageError
 from repro.faults.injector import FaultInjector
 from repro.format.tiles import BatchLayout, DecodedBatch, TiledGraph
@@ -158,6 +163,7 @@ class GStoreEngine:
         # plus its byte total.  Selective iterations measure what they
         # skipped against it; selective-off iterations fetch exactly it.
         self._dense_positions = dense_positions(graph)
+        self._dense_positions.flags.writeable = False
         self._dense_bytes = int(
             graph.start_edge.tile_bytes(self._dense_positions).sum()
         )
@@ -289,6 +295,9 @@ class GStoreEngine:
         with WallTimer() as wall, ctx.tracer.span(
             "run", cat="engine", algorithm=algorithm.name, graph=g.info.name
         ):
+            laps = ctx.layers = (
+                LayerClock() if ctx.tracer.enabled else NULL_LAYERS
+            )
             algorithm.setup(g)
             start_iteration = 0
             resume_cached: "list[int] | None" = None
@@ -299,6 +308,7 @@ class GStoreEngine:
                     ckpt.restore(algorithm, g.info.name, arrays, scalars)
                     start_iteration = saved_iter + 1
                     resume_cached = engine_state.get("cached_positions")
+            laps.lap("hooks")
             budget = MemoryBudget(
                 total_bytes=cfg.memory_bytes, segment_bytes=cfg.segment_bytes
             )
@@ -320,6 +330,7 @@ class GStoreEngine:
             timeline = PipelineTimeline(
                 clock=ctx.clock, overlap=cfg.overlap, tracer=ctx.tracer
             )
+            laps.lap("select_plan")
 
             iteration = start_iteration
             while iteration < cfg.max_iterations:
@@ -331,7 +342,9 @@ class GStoreEngine:
                     algorithm, scr, timeline, iteration, ctx
                 )
                 stats.add_iteration(it_stats)
-                if not algorithm.end_iteration(iteration):
+                more = algorithm.end_iteration(iteration)
+                laps.lap("hooks")
+                if not more:
                     break
                 scr.end_iteration(
                     g.tile_rows,
@@ -341,6 +354,7 @@ class GStoreEngine:
                     g.info.symmetric,
                     algorithm.cols_active() if cfg.selective else None,
                 )
+                laps.lap("scr_analysis")
                 if ckpt is not None:
                     # Saved after the end-of-iteration cache analysis, so
                     # the recorded pool is exactly the next iteration's
@@ -360,6 +374,9 @@ class GStoreEngine:
 
         stats.wall_seconds = wall.elapsed
         ctx.wall_overlap.elapsed = wall.elapsed
+        layers = laps.close(wall.elapsed, ctx.lane_wait)
+        if layers is not None:
+            stats.extra["layers"] = layers
         stats.metadata_bytes = algorithm.metadata_bytes()
         stats.extra["scr"] = scr.stats
         stats.extra["pipeline"] = timeline.totals
@@ -398,12 +415,13 @@ class GStoreEngine:
         iteration: int,
         ctx: RunContext,
     ) -> IterationStats:
-        g = self.graph
         tracer = ctx.tracer
+        laps = ctx.layers
         it = IterationStats(iteration=iteration)
         elapsed_before = timeline.totals.elapsed
         with tracer.span("iteration", cat="engine", iteration=iteration):
             algorithm.begin_iteration(iteration)
+            laps.lap("hooks")
             with tracer.span("select", cat="engine", iteration=iteration):
                 cached, plan = self._plan(algorithm, scr, it, ctx)
             # Opened *before* the rewind: the slide schedule is fixed, so
@@ -412,6 +430,7 @@ class GStoreEngine:
             source = self._source(
                 plan, ctx, self._prefetch_depth(ctx), algorithm.reads_ids
             )
+            laps.lap("select_plan")
             try:
                 # --- Rewind: consume the pool before any I/O (§VI-D). ---
                 if cached.size:
@@ -426,14 +445,13 @@ class GStoreEngine:
                         batch=self._rewind_batch(ctx),
                         io_time=0.0, bytes_read=0, wall=0.0,
                     )
+                    laps.lap("rewind_decode")
                     timeline.compute_only(self._compute(
                         algorithm, rewound, it, ctx,
                         phase="rewind", tiles=len(cached),
                     ))
                     it.tiles_from_cache += len(cached)
-                    it.bytes_from_cache += int(
-                        g.start_edge.tile_bytes(cached).sum()
-                    )
+                    it.bytes_from_cache += ctx.split_memo.cached_bytes
 
                 # --- Slide: compute k-1, get k, commit k.  Batch k-1
                 # computes on the engine thread while the source prepares
@@ -451,6 +469,10 @@ class GStoreEngine:
                     with tracer.span("stall", cat="pipeline", batch=k):
                         source, prep = self._get(source, k, plan, ctx)
                     waited = _time.perf_counter() - t0
+                    if source.overlapped:
+                        laps.lap("stall")
+                    else:
+                        laps.lap("stall", prep.fetch, prep.decode)
                     # A batch prepared inside get() stalls the engine
                     # thread for exactly its preparation, by definition.
                     ctx.wall_overlap.record_fetch(
@@ -464,6 +486,7 @@ class GStoreEngine:
                     it.bytes_read += prep.bytes_read
                     it.tiles_fetched += len(prep.tiles)
                     prev = prep
+                    laps.lap("fetch")  # the batch's completion
 
                 # Pipeline drain: the last fetched batch computes with no
                 # I/O.
@@ -491,40 +514,49 @@ class GStoreEngine:
         """Select this iteration's tiles: the resident ones to rewind and
         the slide schedule for the rest (skips accounted on ``it``).
 
-        The split is kept on ``ctx`` (:class:`SplitMemo`): a to-fetch half
-        equal to the last iteration's reuses its plan, a cached half its
-        decoded rewind batch."""
+        The split is kept on ``ctx`` (:class:`SplitMemo`): the last
+        iteration's selection array over an unchanged pool reuses all of
+        it, a to-fetch half equal to the last iteration's its plan, a
+        cached half its byte total and decoded rewind batch."""
         g = self.graph
+        # Dense ablation baseline: every non-empty tile, every iteration —
+        # what the engine did before activity-aware skipping.
+        needed, needed_bytes = self._dense_positions, self._dense_bytes
         if self.config.selective:
-            needed = select_positions(
-                g,
-                algorithm.rows_active(),
-                algorithm.cols_active(),
-                algorithm.tile_mask(g.tile_rows, g.tile_cols),
-            )
-        else:
-            # Dense ablation baseline: every non-empty tile, every
-            # iteration — what the engine did before activity-aware
-            # skipping.
-            needed = self._dense_positions
+            rows = algorithm.rows_active()
+            cols = algorithm.cols_active()
+            mask = algorithm.tile_mask(g.tile_rows, g.tile_cols)
+            # Every row active under the row predicate alone selects
+            # every non-empty tile: the dense demand, derived once.
+            dense = mask is None and cols is None and np.asarray(rows).all()
+            if not dense:
+                needed = select_positions(g, rows, cols, mask)
+                needed_bytes = int(g.start_edge.tile_bytes(needed).sum())
         # Skip accounting against the fixed dense demand: what a
         # fetch-everything iteration would have moved but this one's
         # frontier ruled out.
-        needed_bytes = int(g.start_edge.tile_bytes(needed).sum())
         it.tiles_skipped = int(self._dense_positions.size - needed.size)
         it.bytes_skipped = self._dense_bytes - needed_bytes
-        cached, to_fetch = scr.split_cached(needed, g.start_edge)
         memo = ctx.split_memo
+        version = scr.pool.version
+        if (memo is not None and needed is memo.needed
+                and version == memo.pool_version):
+            return memo.cached, memo.plan
+        cached, to_fetch = scr.split_cached(needed, g.start_edge)
         if memo is not None and np.array_equal(to_fetch, memo.to_fetch):
             plan = memo.plan
         else:
             # The slide schedule is fixed before anything executes, so a
             # source can run arbitrarily far ahead of compute.
             plan = scr.segment_plan(to_fetch, g.start_edge, g)
-        rewind = None
         if memo is not None and np.array_equal(cached, memo.cached):
-            rewind = memo.rewind
-        ctx.split_memo = SplitMemo(cached, to_fetch, plan, rewind)
+            cached_bytes, rewind = memo.cached_bytes, memo.rewind
+        else:
+            cached_bytes = int(g.start_edge.tile_bytes(cached).sum())
+            rewind = None
+        ctx.split_memo = SplitMemo(
+            needed, version, cached, to_fetch, plan, cached_bytes, rewind
+        )
         return cached, plan
 
     def _flush_iteration(
@@ -659,23 +691,28 @@ class GStoreEngine:
         unset depth runs the prefetch thread at all
         (:meth:`_prefetch_depth`).
         """
-        t0 = _time.perf_counter()
+        clock = _time.perf_counter
+        t0 = clock()
         tracer = ctx.tracer
         ext = plan.extents[k]
         tiles = len(ext.positions)
         with tracer.span("prepare", cat="pipeline", tiles=tiles):
             data, io_t = ctx.aio.service(ext)
+            t1 = clock()
             with tracer.span("decode", cat="decode", tiles=tiles):
                 batch = self._decode(ext, plan.layouts[k], data, self._verify)
                 if widen:
                     batch.widen()
+            t2 = clock()
         return Prepared(
             tiles=ext.positions,
             batch=batch,
             io_time=io_t,
             bytes_read=ext.nbytes,
-            wall=_time.perf_counter() - t0,
+            wall=clock() - t0,
             sizes=plan.tile_bytes[k],
+            fetch=t1 - t0,
+            decode=t2 - t1,
         )
 
     def _decode(
@@ -771,6 +808,7 @@ class GStoreEngine:
         parallel = self._threads_for(algorithm, ctx) > 1
         return execute_batch(
             algorithm, batch, pool=self.pool if parallel else None,
+            layers=ctx.layers,
         )
 
     def _threads_for(self, algorithm: TileAlgorithm, ctx: RunContext) -> int:
@@ -821,4 +859,7 @@ class GStoreEngine:
         )
         it.edges_processed += edges
         it.compute_time += comp_t
+        # One lap for all that follows the commits: the offer, with the
+        # batch's accounting.
+        ctx.layers.lap("apply" if scr is None else "scr_offer")
         return comp_t

@@ -12,13 +12,108 @@ clocks: ``extra["pipeline"]`` carries the simulated
 :class:`~repro.runtime.pipeline.WallOverlap` numbers (how long the engine
 thread actually stalled on fetch+decode vs computed), so the Figure-15
 I/O-bound fraction exists simulated and measured.
+
+``extra["layers"]`` says where a traced G-Store run's wall time went: one
+row of seconds per layer, :data:`LAYERS` in order (docs/OBSERVABILITY.md
+"The layer table").
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.util.humanize import fmt_bytes, fmt_count, fmt_time
+
+_clock = time.perf_counter
+
+#: The rows of a run's layer table (``RunStats.extra["layers"]``), each
+#: the wall seconds of one layer on the engine thread:
+#:
+#: * ``select_plan`` — the iteration's tile selection, cached/to-fetch
+#:   split and slide plan (each batch's extents merged there) and the
+#:   opening of its batch source;
+#: * ``fetch`` — a slide batch's service (store reads and the device
+#:   model) and its completion (the clock charge and its accounting);
+#:   ``verify_decode`` — its checksum check and decode, and the widen
+#:   where it runs ahead; ``rewind_decode`` — the cached half's gather and
+#:   decode;
+#: * ``kernel`` — a batch's shard cuts and partials; ``apply`` — their
+#:   commits; ``scr_offer`` — a slide batch's cache offer and, after it,
+#:   the batch's accounting (a rewind's goes to ``apply``);
+#:   ``scr_analysis`` — the end-of-iteration cache analysis; ``hooks`` —
+#:   the algorithm's ``setup`` (and a checkpoint's restore),
+#:   ``begin_iteration`` and ``end_iteration``;
+#: * ``stall`` — the engine thread waiting for a batch, less the batch's
+#:   own fetch and decode when it was prepared inside the wait (prefetch
+#:   depth 0); ``lane_wait`` — a private run's wait for the engine lane,
+#:   which lies outside ``wall_seconds``;
+#: * ``unattributed`` — ``wall_seconds`` less every other row but
+#:   ``lane_wait``.
+#:
+#: With a prefetch thread a batch's fetch and decode run off the engine
+#: thread, and the table shows only what the engine thread waited for
+#: them (``stall``); their own time is ``extra["pipeline_wall"]``'s
+#: ``io_busy``.
+LAYERS = (
+    "select_plan", "fetch", "verify_decode", "rewind_decode",
+    "kernel", "apply", "scr_offer", "scr_analysis", "hooks",
+    "stall", "lane_wait", "unattributed",
+)
+
+
+class LayerClock:
+    """A run's layer table (:data:`LAYERS`), filled by laps on the engine
+    thread: each :meth:`lap` charges the wall time since the previous one
+    to the row of the step that just ended, so the rows partition the
+    time from the clock's start to its last lap, bookkeeping between two
+    steps included."""
+
+    __slots__ = ("rows", "_t")
+
+    def __init__(self) -> None:
+        self.rows = dict.fromkeys(LAYERS, 0.0)
+        self._t = _clock()
+
+    def lap(self, row: str, fetch: float = 0.0, decode: float = 0.0) -> None:
+        """Charge the time since the last lap to ``row``, less ``fetch``
+        and ``decode``: a batch's service and decode timed inside that
+        time, which go to ``fetch`` and ``verify_decode``."""
+        t = _clock()
+        rows = self.rows
+        rows[row] += t - self._t
+        if fetch or decode:
+            rows[row] -= fetch + decode
+            rows["fetch"] += fetch
+            rows["verify_decode"] += decode
+        self._t = t
+
+    def close(self, wall: float, lane_wait: float = 0.0) -> "dict[str, float]":
+        """The finished table of a run of ``wall`` seconds that waited
+        ``lane_wait`` for the engine lane."""
+        rows = self.rows  # no lap charges the last two rows
+        rows["unattributed"] = wall - sum(rows.values())
+        rows["lane_wait"] = lane_wait
+        return rows
+
+
+class _NullLayerClock:
+    """The layer clock of an untraced run: its laps do nothing and it
+    keeps no table.  The laps of a real one cost 1-2 % of a ``pr_stream``
+    run (docs/PERFORMANCE.md "The fixed costs around the kernel"), so the
+    table is kept, as spans are, only when the run traces."""
+
+    rows = None
+
+    def lap(self, row: str, fetch: float = 0.0, decode: float = 0.0) -> None:
+        pass
+
+    def close(self, wall: float, lane_wait: float = 0.0) -> None:
+        return None
+
+
+#: The shared layer clock of every untraced run.
+NULL_LAYERS = _NullLayerClock()
 
 
 @dataclass

@@ -273,8 +273,10 @@ class SCRScheduler:
         later, smaller ones are still tried — computed with one cumulative
         sum and a ``searchsorted`` per admitted run rather than a step per
         tile.  An analysis the pool is settled for (:meth:`_analyse`) is
-        counted without a sweep.  ``TypeError`` for a position array
-        without ``sizes``.
+        counted without a sweep, and an offer to a settled pool whose free
+        bytes are below the batch's smallest tile, which can admit
+        nothing, only counts the analysis its first refusal would run.
+        ``TypeError`` for a position array without ``sizes``.
         """
         if self.policy is not CachePolicy.SCR:
             return
@@ -288,22 +290,22 @@ class SCRScheduler:
             buffers, pos = None, tiles
         else:
             buffers = tiles
-            pos = np.fromiter((b.pos for b in buffers), np.int64, len(buffers))
-        keep = tiles_needed_for_rows(
-            tile_rows[pos], tile_cols[pos], row_active_next, symmetric,
-            col_active=col_active_next,
-        )
-        idx = (keep & ~pool.resident(pos)).nonzero()[0]
+            n = len(buffers)
+            pos = np.fromiter((b.pos for b in buffers), np.int64, n)
+            sizes = np.fromiter((b.nbytes for b in buffers), np.int64, n)
+        if not pos.size:
+            return
+        masks = self._masks(row_active_next, symmetric, col_active_next)
+        if masks == self._settled and pool.free_bytes < int(sizes.min()):
+            # No tile fits, so the first candidate's refusal runs an
+            # analysis, which a settled pool counts and nothing else.
+            if self._candidates(pos, tile_rows, tile_cols, masks).size:
+                self.stats.analyses += 1
+            return
+        idx = self._candidates(pos, tile_rows, tile_cols, masks)
         if idx.size:
             cand = pos[idx]
-            if buffers is None:
-                size = sizes[idx]
-            else:
-                size = np.fromiter(
-                    (buffers[k].nbytes for k in idx.tolist()), np.int64,
-                    idx.size,
-                )
-            masks = self._masks(row_active_next, symmetric, col_active_next)
+            size = sizes[idx]
             if masks != self._settled:
                 self._settled = None  # an admission under other masks
             csum = size.cumsum()
@@ -325,6 +327,25 @@ class SCRScheduler:
             if buffers is not None:
                 pool.attach(buffers[k] for k in idx.tolist())
         self.stats.tiles_cached += int(idx.size)
+
+    def _candidates(
+        self, pos: np.ndarray, tile_rows: np.ndarray, tile_cols: np.ndarray,
+        masks: tuple,
+    ) -> np.ndarray:
+        """Indices into ``pos`` of the tiles an offer may admit: not
+        resident, and needed next under the activity ``masks``
+        (:meth:`_masks`) — which every tile is when every row is active,
+        whatever the column activity or symmetry."""
+        new = ~self.pool.resident(pos)
+        rows, symmetric, cols = masks
+        if b"\x00" in rows:  # some row inactive
+            new &= tiles_needed_for_rows(
+                tile_rows[pos], tile_cols[pos],
+                np.frombuffer(rows, dtype=bool), symmetric,
+                col_active=None if cols is None
+                else np.frombuffer(cols, dtype=bool),
+            )
+        return new.nonzero()[0]
 
     @staticmethod
     def _masks(

@@ -102,6 +102,9 @@ class CachePool:
         self._buffers: "dict[int, TileBuffer]" = {}
         self._used = 0
         self._count = 0
+        #: Bumped by every change of residency: equal versions mean the
+        #: same resident set.
+        self.version = 0
 
     def reserve(self, n_tiles: int) -> None:
         """Grow the position space to cover ``[0, n_tiles)``."""
@@ -153,6 +156,7 @@ class CachePool:
         self._nbytes[positions] = sizes
         self._used += int(sizes.sum())
         self._count += int(positions.size)
+        self.version += 1
 
     def attach(self, buffers: "Iterable[TileBuffer]") -> None:
         """Keep the payload buffers of resident tiles in the side table
@@ -197,6 +201,7 @@ class CachePool:
         self._resident[pos] = False
         self._used -= freed
         self._count -= int(pos.size)
+        self.version += 1
         if self._buffers:
             for p in pos.tolist():
                 self._buffers.pop(p, None)
@@ -207,3 +212,4 @@ class CachePool:
         self._buffers.clear()
         self._used = 0
         self._count = 0
+        self.version += 1

@@ -56,6 +56,7 @@ def execute_batch(
     algorithm,
     batch,
     pool: "ThreadPoolExecutor | None" = None,
+    layers=None,
 ) -> int:
     """Run one decoded batch (:class:`~repro.format.tiles.DecodedBatch`)
     through an algorithm's kernel, once per shard of its
@@ -74,7 +75,12 @@ def execute_batch(
     shard's partial, so it takes the serial walk whatever it is handed.
     A kernel that reads global IDs has the batch widened here, on the
     calling thread, before the pool's threads read them.
+
+    ``layers``, a run's :class:`~repro.engine.stats.LayerClock`, is lapped
+    on the calling thread after every partial (``kernel``) and commit
+    (``apply``).
     """
+    lap = layers.lap if layers is not None else _no_lap
     cuts = algorithm.shard_cuts(batch).tolist()
     starts, ends = cuts[:-1], cuts[1:]
     if pool is not None and not algorithm.live_kernel and len(starts) > 1:
@@ -83,8 +89,19 @@ def execute_batch(
         partials = list(pool.map(
             algorithm.shard_partial, repeat(batch), starts, ends
         ))
-        return sum(algorithm.apply_partial(p) for p in partials)
-    return sum(
-        algorithm.apply_partial(algorithm.shard_partial(batch, a, b))
-        for a, b in zip(starts, ends)
-    )
+        lap("kernel")
+        edges = sum(algorithm.apply_partial(p) for p in partials)
+        lap("apply")
+        return edges
+    edges = 0
+    for a, b in zip(starts, ends):
+        partial = algorithm.shard_partial(batch, a, b)
+        lap("kernel")
+        edges += algorithm.apply_partial(partial)
+        del partial  # before the next shard's partial is built
+        lap("apply")
+    return edges
+
+
+def _no_lap(row: str) -> None:
+    pass

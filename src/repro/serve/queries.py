@@ -106,6 +106,11 @@ class QueryResult:
     #: Per-query counters snapshot (only when the service traces queries;
     #: drawn from the query's *private* registry — never the shared one).
     counters: "dict | None" = None
+    #: The layer table of the query's engine run, row -> wall seconds
+    #: (``RunStats.extra["layers"]``; only when the service traces
+    #: queries, and ``None`` for a cache hit or a query that runs no
+    #: algorithm).
+    layers: "dict[str, float] | None" = None
 
     def summary(self) -> dict:
         """JSON-safe digest of this result (the HTTP response body)."""

@@ -346,6 +346,7 @@ class QueryService:
                     if self.config.trace_queries
                     else None
                 ),
+                layers=None if ctx.layers is None else ctx.layers.rows,
             )
             self.cache.put(key, result)
             self.registry.counter("serve.completed").add(1)

@@ -94,13 +94,15 @@ class SimulatedSSD:
                 retryable=True,
             )
 
-    def _count(self, reads: bool, total: int, n: int, t: float) -> None:
+    def _count(self, total: int, n: int, t: float) -> None:
+        """Count ``n`` reads of ``total`` bytes taking ``t``.  Writes are
+        counted nowhere here: the one writer, the X-Stream baseline, owns
+        them in ``RunStats.bytes_written``."""
         reg = self.counters
         if reg is None:
             return
-        kind = "read" if reads else "written"
-        reg.counter(f"device.bytes_{kind}").add(total)
-        reg.counter(f"device.{'read' if reads else 'write'}_requests").add(n)
+        reg.counter("device.bytes_read").add(total)
+        reg.counter("device.read_requests").add(n)
         reg.counter("device.busy_time_sim").add(t)
 
     def read_batch_time(self, sizes: "np.ndarray | list[int]") -> float:
@@ -129,7 +131,7 @@ class SimulatedSSD:
         t = waves * self.profile.latency + total / self.profile.read_bandwidth
         if self.slow_factor != 1.0:  # injected degradation, never the default
             t *= self.slow_factor
-        self._count(True, total, n, t)
+        self._count(total, n, t)
         return t
 
     def write_batch_time(self, sizes: "list[int]") -> float:
@@ -143,5 +145,4 @@ class SimulatedSSD:
         t = waves * self.profile.latency + total / self.profile.write_bandwidth
         if self.slow_factor != 1.0:
             t *= self.slow_factor
-        self._count(False, total, n, t)
         return t

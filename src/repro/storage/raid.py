@@ -97,39 +97,43 @@ class Raid0Array:
             if nbytes and not self.devices[d].alive:
                 self.devices[d].check_alive(nbytes)
 
-    def _shares(self, extents) -> np.ndarray:
-        """``shares[k, d]``: the bytes device ``d`` serves of extent ``k``
+    def _shares(self, extents) -> "list[list[int]]":
+        """``shares[k][d]``: the bytes device ``d`` serves of extent ``k``
         (:func:`stripe_split` per extent; one device serves it whole).
         ``extents`` is a record with ``offsets``/``sizes`` arrays or a
-        sequence of ``(offset, size)`` pairs."""
+        sequence of ``(offset, size)`` pairs.  A batch is one to a few
+        hundred extents, so they are walked as Python ints: one list
+        conversion costs less than a NumPy reduction on a short array."""
         if hasattr(extents, "offsets"):
-            offsets, sizes = extents.offsets, extents.sizes
+            offsets, sizes = extents.offsets.tolist(), extents.sizes.tolist()
         else:
             pairs = np.asarray(extents, dtype=np.int64).reshape(-1, 2)
-            offsets, sizes = pairs[:, 0], pairs[:, 1]
-        if len(sizes) and (offsets | sizes).min() < 0:  # either sign bit
-            k = int(np.argmax((offsets < 0) | (sizes < 0)))
-            raise StorageError(f"bad extent ({int(offsets[k])}, {int(sizes[k])})")
+            offsets, sizes = pairs[:, 0].tolist(), pairs[:, 1].tolist()
+        if sizes and min(min(offsets), min(sizes)) < 0:
+            k = next(k for k, (off, size) in enumerate(zip(offsets, sizes))
+                     if off < 0 or size < 0)
+            raise StorageError(f"bad extent ({offsets[k]}, {sizes[k]})")
         n = self.n_devices
         if n == 1:
-            return sizes[:, None]
-        shares = np.zeros((len(sizes), n), dtype=np.int64)
-        for k, (off, size) in enumerate(zip(offsets.tolist(), sizes.tolist())):
-            split = stripe_split(off, size, self.stripe_bytes, n)
-            shares[k] = [segs[0] if segs else 0 for segs in split]
-        return shares
+            return [[size] for size in sizes]
+        return [
+            [segs[0] if segs else 0
+             for segs in stripe_split(off, size, self.stripe_bytes, n)]
+            for off, size in zip(offsets, sizes)
+        ]
 
     def read_batch_time(self, extents) -> float:
         """Service time of a batch of reads submitted together — an
         :class:`~repro.storage.aio.Extents` record or ``(offset, size)``
         pairs; the batch completes when the slowest device drains."""
-        shares = self._shares(extents)
-        totals = shares.sum(axis=0).tolist()
+        # Per device: its bytes, and its non-zero shares as requests.
+        loads = list(zip(*self._shares(extents))) or [()] * self.n_devices
+        totals = [sum(col) for col in loads]
         self._check_members(totals)
         qd = self.profile.queue_depth
         times = []
-        for dev, col, total in zip(self.devices, shares.T, totals):
-            n = int(np.count_nonzero(col))  # zero shares are no request
+        for dev, col, total in zip(self.devices, loads, totals):
+            n = len(col) - col.count(0)  # zero shares are no request
             times.append(dev.read_time(total, n, ceil_div(n, qd)))
         return max(times)
 
@@ -137,9 +141,9 @@ class Raid0Array:
         """Service time when the extents are read one at a time
         synchronously; no overlap between requests *or* across them."""
         shares = self._shares(extents)
-        self._check_members(shares.sum(axis=0).tolist())
+        self._check_members([sum(col) for col in zip(*shares)])
         total = 0.0
-        for row in shares.tolist():
+        for row in shares:
             per_req = [
                 dev.read_time(b, 1, 1) for dev, b in zip(self.devices, row) if b
             ]

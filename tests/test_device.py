@@ -105,10 +105,11 @@ class TestWrite:
         assert t == pytest.approx(1.0)
 
     def test_write_stats(self):
+        """A write is timed and moves no counter: ``RunStats.bytes_written``
+        owns the fact."""
         ssd = _ssd()
-        ssd.write_batch_time([100, 200])
-        assert _counts(ssd)["device.bytes_written"] == 300
-        assert _counts(ssd)["device.write_requests"] == 2
+        assert ssd.write_batch_time([100, 200]) > 0
+        assert _counts(ssd) == {}
 
 
 class TestStats:

@@ -29,7 +29,6 @@ from repro.algorithms.bfs import BFS
 from repro.algorithms.pagerank import PageRank
 from repro.cache.llc import SetAssocCache
 from repro.engine.config import EngineConfig
-from repro.engine.context import wire_device_counters
 from repro.engine.gstore import GStoreEngine
 from repro.faults.plan import FaultPlan
 from repro.format.tiles import TiledGraph
@@ -51,7 +50,6 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.storage.device import DeviceProfile
-from repro.storage.raid import Raid0Array
 from repro.util.timer import SimClock
 
 
@@ -490,8 +488,8 @@ def _emitted_counters(graph) -> "set[str]":
     BFS at prefetch depth 1; two faulted PageRank runs on a tight budget
     (in one every fault recovers, the flipped payload failing its
     checksum on the prefetch thread; in the other a persistent fault
-    exhausts its retries there), each of which finishes at depth 0; an
-    LLC model and a striped write with a registry."""
+    exhausts its retries there), each of which finishes at depth 0; and
+    an LLC model with a registry."""
     names = set()
     for factory in (lambda: PageRank(max_iterations=3), lambda: BFS(root=0)):
         _, _, counters = _traced_run(graph, factory, depth=1)
@@ -508,9 +506,6 @@ def _emitted_counters(graph) -> "set[str]":
         names |= set(counters)
     reg = MetricsRegistry()
     SetAssocCache(64 * 1024, counters=reg).access(np.arange(0, 8192, 8))
-    array = Raid0Array(n_devices=2)
-    wire_device_counters(array, reg)
-    array.write_batch_time([4096])
     return names | set(reg.as_dict())
 
 

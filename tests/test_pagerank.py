@@ -2,6 +2,7 @@
 both kernel tiers against plain in-order adds."""
 
 import contextlib
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import native
+from repro.algorithms.base import TileAlgorithm
 from repro.algorithms.pagerank import PageRank, scatter_add
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
@@ -354,6 +356,35 @@ class TestScatterAdd:
             assert np.array_equal(acc, np.arange(10.0)), lib
 
     @pytest.mark.parametrize("symmetric", [False, True])
+    def test_held_buffers_still_check_every_call(self, symmetric):
+        """Kept across calls (:class:`~repro.algorithms.native.Held`), the
+        buffers of two accumulators that swap roles between calls — as
+        PageRank's rank and accumulator do — still add where the arrays
+        are, and a corrupt endpoint still raises before the first add."""
+        if native.lib is None:
+            pytest.skip("the compiled tier did not load")
+        held = native.Held()
+        x = np.linspace(1.0, 2.0, 10)
+        good = TileEdges(np.array([1, 4, 2, 5], dtype=np.uint16),
+                         np.array([2]), np.zeros(1, np.uint32),
+                         np.zeros(1, np.uint32))
+        a, b = np.zeros(10), np.zeros(10)
+        for _ in range(3):
+            want = _sequential(a, x, *_widened(good), symmetric)
+            scatter_add(a, x, good, a if symmetric else None, held)
+            assert a.tobytes() == want.tobytes()
+            a, b = b, a
+        bad = TileEdges(good.pairs, good.counts, np.array([9], np.uint32),
+                        good.dst_base)
+        before = a.copy()
+        with pytest.raises(IndexError, match="index 10 is out of bounds"):
+            scatter_add(a, x, bad, a if symmetric else None, held)
+        assert a.tobytes() == before.tobytes()
+        with pytest.raises(ValueError, match="accumulator"):
+            scatter_add(a, x, good, b[:5], held)
+        assert a.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("symmetric", [False, True])
     def test_empty_shard_adds_nothing(self, symmetric):
         """No edges — no tiles, or tiles of none, at any bases — adds
         nothing."""
@@ -446,3 +477,243 @@ def test_corrupt_local_id_fails_typed(directed, prefetch):
     )
     with pytest.raises(IndexError, match="index 11 is out of bounds"):
         eng.run(PageRank())
+
+
+# ---------------------------------------------------------------------- #
+# The vertex passes run in place
+# ---------------------------------------------------------------------- #
+
+
+class _OutOfPlace(PageRank):
+    """PageRank's iteration hooks as they were before the vertex passes ran
+    in place, frozen: a new contribution array every iteration and the new
+    ranks and ``delta`` built out of place.  The oracle of the in-place
+    hooks, and the writer of the checkpoint layout they replaced."""
+
+    def begin_iteration(self, iteration):
+        TileAlgorithm.begin_iteration(self, iteration)
+        self._acc.fill(0.0)
+        self._contrib = self.rank * self._inv_deg
+
+    def end_iteration(self, iteration):
+        n = self.rank.shape[0]
+        dangling_mass = float(self.rank[self._dangling].sum())
+        if self._teleport is None:
+            new_rank = (
+                (1.0 - self.damping) / n
+                + self.damping * (self._acc + dangling_mass / n)
+            )
+        else:
+            new_rank = (
+                (1.0 - self.damping) * self._teleport
+                + self.damping * (self._acc + dangling_mass * self._teleport)
+            )
+        self.delta = float(np.abs(new_rank - self.rank).sum())
+        self.rank = new_rank
+        self.iterations_run = iteration + 1
+        if self.delta < self.tolerance:
+            return False
+        return self.iterations_run < self.max_iterations
+
+
+#: Teleport weights of the personalised runs (vertices of both graphs).
+SEEDS = {0: 1.0, 7: 2.5, 311: 0.5}
+
+
+class TestInPlaceHooks:
+    @pytest.mark.parametrize("graph", ["tiled_undirected", "tiled_directed"])
+    @pytest.mark.parametrize("seeds", [None, SEEDS])
+    @pytest.mark.parametrize("lib", TIERS)
+    def test_bit_identical_to_the_out_of_place_formula(
+        self, request, graph, seeds, lib
+    ):
+        """Fed the same accumulator — spread over many magnitudes, so any
+        reordered operation changes bits — the in-place hooks leave the
+        same contributions, ranks and ``delta`` as the frozen formula, on
+        either tier, symmetric and directed storage, uniform and
+        personalised, iteration after iteration (the buffers swap
+        between)."""
+        tg = request.getfixturevalue(graph)
+        got = PageRank(personalization=seeds, tolerance=0.0)
+        want = _OutOfPlace(personalization=seeds, tolerance=0.0)
+        for algo in (got, want):
+            algo.setup(tg)
+        assert got.symmetric == (graph == "tiled_undirected")
+        rng = np.random.default_rng(5)
+        n = tg.n_vertices
+        with _tier(lib):
+            for it in range(6):
+                for algo in (got, want):
+                    algo.begin_iteration(it)
+                assert got._contrib.tobytes() == want._contrib.tobytes()
+                assert not got._acc.any()
+                acc = rng.standard_normal(n) * 10.0 ** rng.integers(-9, 0, n)
+                for algo in (got, want):
+                    algo._acc[:] = acc
+                assert got.end_iteration(it) == want.end_iteration(it)
+                assert got.rank.tobytes() == want.rank.tobytes(), it
+                assert np.float64(got.delta).tobytes() == (
+                    np.float64(want.delta).tobytes()
+                ), it
+                assert got._acc is not got.rank
+
+    @pytest.mark.parametrize("graph", ["tiled_undirected", "tiled_directed"])
+    @pytest.mark.parametrize("seeds", [None, SEEDS])
+    def test_engine_runs_match_the_out_of_place_formula(
+        self, request, graph, seeds
+    ):
+        tg = request.getfixturevalue(graph)
+        runs = []
+        for cls in (PageRank, _OutOfPlace):
+            algo = cls(personalization=seeds, max_iterations=30, tolerance=0.0)
+            _, stats = _run_algo(tg, algo)
+            runs.append((algo.rank.tobytes(), algo.delta, stats.sim_elapsed))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("seeds", [None, SEEDS])
+    @pytest.mark.parametrize("lib", TIERS)
+    def test_hooks_allocate_no_vertex_sized_array(self, seeds, lib):
+        """After setup, ``begin_iteration`` and ``end_iteration`` allocate
+        less than one |V|-sized ``float64`` array at any moment (the
+        dangling vertices' gather is all they allocate)."""
+        from repro.format.tiles import TiledGraph
+        from repro.graphgen.rmat import rmat
+
+        tg = TiledGraph.from_edge_list(
+            rmat(12, edge_factor=8, seed=3), tile_bits=8, group_q=4
+        )
+        n = tg.n_vertices
+        algo = PageRank(personalization=seeds, tolerance=0.0)
+        algo.setup(tg)
+        with _tier(lib):
+            algo.begin_iteration(0)
+            algo.end_iteration(0)
+            tracemalloc.start()
+            try:
+                for it in range(1, 4):
+                    algo.begin_iteration(it)
+                    algo._acc += 1e-6
+                    algo.end_iteration(it)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * n, peak
+
+    @pytest.mark.parametrize("lib", TIERS)
+    def test_corrupt_endpoint_after_the_swap_leaves_the_accumulator(
+        self, tiled_undirected, lib
+    ):
+        """After a run — every kernel call on the run's own arrays, whose
+        compiled buffers are kept, and the rank/accumulator swap after
+        every iteration — a batch with an endpoint past |V| still raises
+        ``IndexError`` with the accumulator untouched."""
+        algo = PageRank(max_iterations=3, tolerance=0.0)
+        with _tier(lib):
+            _run_algo(tiled_undirected, algo)
+            algo.begin_iteration(3)
+            algo._acc += 0.5
+            before = algo._acc.copy()
+            n = tiled_undirected.n_vertices
+            tiles = TileEdges(
+                np.array([1, 2, 3, 4], dtype=np.uint32), np.array([1, 1]),
+                np.array([0, n], dtype=np.uint32),
+                np.zeros(2, dtype=np.uint32),
+            )
+            with pytest.raises(IndexError, match=f"index {n + 3} is out"):
+                algo.apply_partial(tiles)
+            assert algo._acc.tobytes() == before.tobytes(), lib
+
+
+@pytest.mark.skipif(native.lib is None, reason="the compiled tier did not load")
+def test_pagerank_end_checks_before_the_first_write():
+    acc, old, t = np.ones(4), np.full(4, 0.25), np.full(4, 0.25)
+    for args, match in (
+        ((acc, acc, None), "distinct"),
+        ((acc, old[:3], None), "accumulator"),
+        ((acc, old, t[:3]), "teleport"),
+        ((acc, old.astype(np.float32), None), "accumulator"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            native.pagerank_end(*args, 0.5, 0.85)
+        assert acc.tolist() == [1.0] * 4 and old.tolist() == [0.25] * 4
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@pytest.mark.skipif(native.lib is None, reason="the compiled tier did not load")
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_FINITE, _FINITE, st.floats(0, 1)),
+                  min_size=1, max_size=40),
+    damping=st.sampled_from([0.0, 0.5, 0.85, 1.0]),
+    personalised=st.booleans(),
+)
+@example(rows=[(-0.0, 0.0, 0.5), (0.0, -0.0, 0.5)], damping=1.0,
+         personalised=False)
+def test_end_iteration_tiers_agree_on_any_finite_state(rows, damping,
+                                                        personalised):
+    """The compiled pass against the NumPy passes on any finite state —
+    signed zeros and magnitudes far apart included (every other vertex
+    dangling): the same ranks, buffers and ``delta``, bit for bit."""
+    acc, old, t = (np.array(col, dtype=np.float64) for col in zip(*rows))
+    runs = []
+    for lib in TIERS:
+        algo = PageRank(damping=damping, tolerance=0.0)
+        algo._teleport = t if personalised else None
+        algo._acc, algo.rank = acc.copy(), old.copy()
+        algo._contrib = np.empty_like(acc)
+        algo._dangling = np.arange(0, acc.shape[0], 2)
+        algo._held = native.Held()
+        with _tier(lib), np.errstate(all="ignore"):
+            algo.end_iteration(0)
+        runs.append((algo.rank.tobytes(), algo._acc.tobytes(),
+                     np.float64(algo.delta).tobytes()))
+    assert runs[0] == runs[-1]
+
+
+def _run_algo(tg, algo, checkpoint=None, **cfg):
+    eng = GStoreEngine(
+        tg,
+        EngineConfig(memory_bytes=64 * 1024, segment_bytes=8 * 1024, **cfg),
+    )
+    return algo, eng.run(algo, checkpoint=checkpoint)
+
+
+class TestCheckpointLayouts:
+    """A checkpoint saves every writable array (``capture_state``), so the
+    in-place hooks' contribution buffer and swapped accumulator are in it;
+    the layout the out-of-place hooks wrote must still resume."""
+
+    def _resume(self, tg, writer, tmp_path, interrupt):
+        from repro.errors import AlgorithmError
+
+        clean, _ = _run_algo(tg, PageRank(max_iterations=12))
+        ckpt = str(tmp_path / "ckpt")
+        with pytest.raises(AlgorithmError):
+            _run_algo(tg, writer, checkpoint=ckpt, max_iterations=interrupt)
+        resumed, _ = _run_algo(tg, PageRank(max_iterations=12), checkpoint=ckpt)
+        assert resumed.rank.tobytes() == clean.rank.tobytes()
+        assert resumed.delta == clean.delta
+        return ckpt
+
+    @pytest.mark.parametrize("interrupt", [3, 4])
+    def test_out_of_place_layout_resumes_to_the_same_bits(
+        self, tiled_undirected, tmp_path, interrupt
+    ):
+        self._resume(
+            tiled_undirected, _OutOfPlace(max_iterations=12), tmp_path,
+            interrupt,
+        )
+
+    @pytest.mark.parametrize("interrupt", [3, 4])
+    def test_checkpoint_after_the_swap_resumes_to_the_same_bits(
+        self, tiled_directed, tmp_path, interrupt
+    ):
+        from repro.engine.checkpoint import CheckpointManager
+
+        ckpt = self._resume(
+            tiled_directed, PageRank(max_iterations=12), tmp_path, interrupt
+        )
+        _, arrays, _, _ = CheckpointManager(ckpt).load()
+        assert {"rank", "_acc", "_contrib"} <= set(arrays)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.format.startedge import StartEdgeIndex
@@ -269,10 +269,69 @@ def _admission_cases(draw):
     return sizes, capacity, resident, offers, draw(st.booleans())
 
 
+#: Cases whose later offers reach a full pool settled under their masks
+#: — all rows active and not — with free bytes below every tile, so the
+#: offer returns before its admission arithmetic (and one, under other
+#: masks, that does not).
+_FULL_SETTLED = [
+    ([10, 10, 10, 10], 20, [0, 1],
+     [([2, 3], [True] * 4), (None, [True] * 4), ([2, 3], [True] * 4),
+      ([3], [True] * 4), ([2, 3], [True, True, False, True])], as_buffers)
+    for as_buffers in (False, True)
+] + [
+    ([10, 12, 11, 13, 14], 23, [0], [([1, 2], keep), ([3, 4], keep),
+                                     (None, keep), ([3, 4], keep)], False)
+    for keep in ([True, False, True, True, True], [True] * 5)
+]
+#: Free bytes equal to the batch's smallest tile: that tile still fits.
+_FITS_EXACTLY = ([10, 10, 10, 5], 25, [0],
+                 [([1, 2], [True] * 4), ([3], [True] * 4)], False)
+
+
 class TestAdmissionOrderExact:
     @given(case=_admission_cases())
     @settings(max_examples=300, deadline=None)
+    @example(case=_FULL_SETTLED[0])
+    @example(case=_FULL_SETTLED[1])
+    @example(case=_FULL_SETTLED[2])
+    @example(case=_FULL_SETTLED[3])
+    @example(case=_FITS_EXACTLY)
     def test_matches_sequential_rule(self, case):
+        _drive_both(*case)
+
+    @pytest.mark.parametrize("case", _FULL_SETTLED)
+    def test_full_settled_pool_returns_first(self, case):
+        """An offer to a settled pool whose free bytes are below the
+        batch's smallest tile admits nothing and counts the analysis its
+        first refusal runs without running it; the pool state and
+        ``SCRStats`` stay the sequential rule's."""
+        sizes, capacity, resident, offers, as_buffers = case
+        n = len(sizes)
+        grid = np.arange(n)
+        s = SCRScheduler(
+            budget=MemoryBudget(total_bytes=capacity + 2, segment_bytes=1),
+        )
+        for pos in resident:
+            s.pool.add(_buf(pos, sizes[pos]))
+        analysed = []
+        real = s._analyse
+        s._analyse = lambda *a, **k: analysed.append(1) or real(*a, **k)
+        early = 0
+        for batch, keep in offers:
+            keep = np.asarray(keep, dtype=bool)
+            if batch is None:
+                s.end_iteration(grid, grid, keep, symmetric=False)
+                continue
+            tiles = np.asarray(batch, dtype=np.int64)
+            settled = s._settled == s._masks(keep, False, None)
+            runs, counted = len(analysed), s.stats.analyses
+            s.offer(tiles, grid, grid, keep, symmetric=False,
+                    sizes=np.asarray(sizes, dtype=np.int64)[tiles])
+            if settled and s.pool.free_bytes < min(sizes[p] for p in batch):
+                early += 1
+                assert len(analysed) == runs
+                assert s.stats.analyses == counted + 1
+        assert early >= 1
         _drive_both(*case)
 
     @pytest.mark.parametrize("as_buffers", [False, True])

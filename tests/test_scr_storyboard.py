@@ -158,10 +158,11 @@ class TestRewind:
 
 
 class TestOnePassPerSplit:
-    """Counts, not times: a streamed all-active run derives its slide plan
-    once per distinct cached/to-fetch split (kept across iterations while
-    the split repeats), decodes its rewind once per distinct cached half,
-    and sweeps its pool once per change of the activity masks."""
+    """Counts, not times: a streamed all-active run splits its selection
+    once per pool state it meets, derives its slide plan once per
+    distinct cached/to-fetch split (kept across iterations while the
+    split repeats), decodes its rewind once per distinct cached half, and
+    sweeps its pool once per change of the activity masks."""
 
     def test_pagerank_plans_once_per_split_and_sweeps_once(
         self, story_graph, monkeypatch
@@ -171,28 +172,36 @@ class TestOnePassPerSplit:
             memory_bytes=memory, segment_bytes=max(memory // 8, 1024),
             trace=True,
         ))
-        splits, plans = [], []
+        splits, derived, plans = [], [], []
+        plan = GStoreEngine._plan
         split_cached = SCRScheduler.split_cached
         segment_plan = SCRScheduler.segment_plan
 
-        def record_split(self, *args):
-            cached, to_fetch = split_cached(self, *args)
-            splits.append((cached.tolist(), to_fetch.tolist()))
-            return cached, to_fetch
+        def record_split(self, algorithm, scr, it, ctx):
+            out = plan(self, algorithm, scr, it, ctx)
+            memo = ctx.split_memo
+            splits.append((memo.cached.tolist(), memo.to_fetch.tolist()))
+            return out
+
+        def count_split(self, *args):
+            derived.append(1)
+            return split_cached(self, *args)
 
         def count_plan(self, *args):
             plans.append(1)
             return segment_plan(self, *args)
 
-        monkeypatch.setattr(SCRScheduler, "split_cached", record_split)
+        monkeypatch.setattr(GStoreEngine, "_plan", record_split)
+        monkeypatch.setattr(SCRScheduler, "split_cached", count_split)
         monkeypatch.setattr(SCRScheduler, "segment_plan", count_plan)
         stats = eng.run(PageRank(max_iterations=10, tolerance=0.0))
         assert len(stats.iterations) == len(splits) == 10
         # Iteration 0 fetches everything; from iteration 1 on the pool
-        # holds the same tiles at every boundary.
+        # holds the same tiles at every boundary, so the split is derived
+        # for the empty pool and the filled one only.
         fetch_sets = [to_fetch for _, to_fetch in splits]
         changes = 1 + sum(a != b for a, b in zip(fetch_sets, fetch_sets[1:]))
-        assert len(plans) == changes == 2
+        assert len(plans) == len(derived) == changes == 2
         names = [r.name for r in eng.tracer.records()]
         assert names.count("rewind.decode") == 1
         # Every analysis runs under all-active masks: the first one sweeps
