@@ -1,21 +1,26 @@
-/* The compiled kernel tier, loaded by repro.algorithms.native: the
- * min-relaxation kernels of SSSP (float64 distances, suffix f64) and
- * AsyncBFS (int64 depths, i64) and the min-commit CC uses too; BFS's and
- * Reachability's discovery passes; the scatter-add of PageRank, SpMV and
- * SCC's degrees, straight from a batch's SNB payload; PageRank's
- * end-of-iteration vertex pass (pagerank_end); the SNB decode
- * (widen_*); and the write path: the symmetric tile encoder's two passes
- * (upper_keys, unpack_*) and the per-tile CRC32C (crc32c_extents).
+/* The compiled kernel tier, loaded by repro.algorithms.native: the live
+ * relaxations of SSSP (float64 distances, suffix f64) and AsyncBFS (int64
+ * depths, i64) with their commits, and the min-commit CC uses too; BFS's
+ * and Reachability's discovery passes and BFS's commit; the scatter-add
+ * of PageRank, SpMV and SCC's degrees; PageRank's end-of-iteration vertex
+ * pass (pagerank_end); the SNB decode (widen), for the kernels that still
+ * read global IDs; and the write path: the symmetric tile encoder's two
+ * passes (upper_keys, unpack_*) and the per-tile CRC32C (crc32c_extents).
  *
- * Every kernel takes n, the length of the state array, and checks an
- * endpoint or index against it before it reads or writes state there: on
- * an out-of-range one it returns -1 (the caller raises IndexError).  A
- * candidate or discovery pass writes only its outputs, and a commit
- * checks all its indices before its first write.  Candidates are computed
- * against the state as it stands on entry and only then committed, as the
- * NumPy bodies they replace do; nothing relaxes in place.  The write-path
- * kernels check their whole input (endpoints, tile positions, extents)
- * before their first write too, and return -1 on anything out of range.
+ * Every kernel that reads edges reads them as the slide holds them, in
+ * tile form: k tiles' interleaved local (src, dst) pairs, 8, 16 or 32 bits
+ * wide, counts[j] of them for tile j, an endpoint being its tile's base
+ * plus its local with uint32 wraparound (s = sb[j] + local, t = db[j] +
+ * local).  Each takes n, the length of the state array, and checks the
+ * whole batch (tiles_ok) before it reads state: counts that do not cover
+ * the payload return -2 and an endpoint not below n -1 (the caller raises
+ * ValueError or IndexError).  A discovery pass writes only its outputs; a
+ * commit checks all its indices and its row array before its first
+ * write; a relaxation computes each pass's candidates against the state
+ * as it stands and only then commits them, as the NumPy bodies it
+ * replaces do -- nothing relaxes in place.  The write-path kernels check
+ * their whole input (endpoints, tile positions, extents) before their
+ * first write too, and return -1 on anything out of range.
  */
 #include <math.h>
 #include <stdint.h>
@@ -28,219 +33,64 @@
 typedef int64_t i64;
 #define INLINE static inline __attribute__((always_inline))
 
-/* Where an edge's weight comes from.  The relaxation loop is inlined once
- * per source, so no edge tests which (about 10 % of a pass). */
-enum { UNIT, HASH, HASH_OUT, W32, W64 };
-
-/* Edge i's weight: 1 (AsyncBFS); stored (w32, w64); or the endpoint hash
- * 1 + ((a ^ 7b) & 15) of a = min(s, t), b = max(s, t) (sssp.edge_weights),
- * also written to w_out under HASH_OUT. */
-INLINE double weight(int mode, const float *w32, const double *w64,
-                     float *w_out, i64 i, uint32_t s, uint32_t t)
+/* Local i of a payload of bits-wide locals.  Every kernel loop is inlined
+ * once per width (BY_WIDTH), so none tests the width per edge. */
+INLINE uint32_t local(const void *pairs, int bits, i64 i)
 {
-    if (mode == UNIT)
-        return 1;
-    if (mode == W32)
-        return w32[i];
-    if (mode == W64)
-        return w64[i];
-    uint32_t a = s < t ? s : t, b = s < t ? t : s;
-    float h = 1 + ((a ^ (b * 7u)) & 15u);
-    if (mode == HASH_OUT)
-        w_out[i] = h;
-    return h;
+    if (bits == 8)
+        return ((const uint8_t *)pairs)[i];
+    if (bits == 16)
+        return ((const uint16_t *)pairs)[i];
+    return ((const uint32_t *)pairs)[i];
 }
 
-#define KERNELS(X, T)                                                        \
-/* d[idx[j]] = min(d[idx[j]], val[j]) in order, and flags[idx[j]] = 1 when  \
- * flags is not NULL: np.minimum.at(d, idx, val); flags[idx] = True. */     \
-int min_commit_##X(T *d, i64 n, const i64 *idx, const T *val, i64 k,        \
-                   uint8_t *flags)                                           \
-{                                                                            \
-    for (i64 j = 0; j < k; j++)                                              \
-        if ((uint64_t)idx[j] >= (uint64_t)n)                                 \
-            return -1;                                                       \
-    for (i64 j = 0; j < k; j++) {                                            \
-        i64 v = idx[j];                                                      \
-        d[v] = d[v] < val[j] ? d[v] : val[j]; /* np.minimum's choice */      \
-        if (flags)                                                           \
-            flags[v] = 1;                                                    \
-    }                                                                        \
-    return 0;                                                                \
-}                                                                            \
-                                                                             \
-/* One relaxation pass over m edges against d: the strictly improving       \
- * (vertex, value) candidates, forward ones in edge order, then (sym) the   \
- * mirrored ones, packed into idx/val (room for 2m when sym, m otherwise).  \
- * Returns their count, or -1 on an out-of-range endpoint.  (Writing every  \
- * edge's slot branch-free measured no faster: few edges improve.) */       \
-INLINE i64 relax_##X(const T *d, i64 n, const uint32_t *src,                 \
-                     const uint32_t *dst, i64 m, int sym, int mode,          \
-                     const float *w32, const double *w64, float *w_out,      \
-                     i64 *idx, T *val)                                       \
-{                                                                            \
-    i64 k = 0, kb = 0;                                                       \
-    for (i64 i = 0; i < m; i++) {                                            \
-        uint32_t s = src[i], t = dst[i];                                     \
-        if (s >= n || t >= n)                                                \
-            return -1;                                                       \
-        T w = weight(mode, w32, w64, w_out, i, s, t);                        \
-        T ds = d[s], dt = d[t], c = ds + w, cb = dt + w;                     \
-        if (c < dt) { idx[k] = t; val[k++] = c; }                            \
-        if (sym && cb < ds) { idx[m + kb] = s; val[m + kb++] = cb; }         \
-    }                                                                        \
-    memmove(idx + k, idx + m, kb * sizeof *idx);                             \
-    memmove(val + k, val + m, kb * sizeof *val);                             \
-    return k + kb;                                                           \
-}                                                                            \
-                                                                             \
-i64 candidates_##X(const T *d, i64 n, const uint32_t *src,                   \
-                   const uint32_t *dst, i64 m, int sym, const float *w32,    \
-                   const double *w64, float *w_out, i64 *idx, T *val);       \
-                                                                             \
-/* Commit k candidates (flagging changed), then relax the shard against the \
- * committed state and commit again, at most `rounds` times (a negative     \
- * count: until no candidate is left, the shard's fixpoint).  Returns 0,    \
- * -1 out of range, -2 out of memory. */                                     \
-int rounds_##X(T *d, i64 n, const uint32_t *src, const uint32_t *dst,        \
-               i64 m, int sym, const float *w32, const double *w64,          \
-               const i64 *idx, const T *val, i64 k, uint8_t *changed,        \
-               i64 rounds)                                                   \
-{                                                                            \
-    if (min_commit_##X(d, n, idx, val, k, changed))                          \
-        return -1;                                                           \
-    if (k == 0 || rounds == 0)                                               \
-        return 0;                                                            \
-    i64 cap = sym ? 2 * m : m;                                               \
-    i64 *bidx = malloc(cap * sizeof *bidx);                                  \
-    T *bval = malloc(cap * sizeof *bval);                                    \
-    int rc = bidx && bval ? 0 : -2;                                          \
-    for (; rc == 0 && k > 0 && rounds != 0; rounds--) {                      \
-        k = candidates_##X(d, n, src, dst, m, sym, w32, w64, NULL, bidx,     \
-                           bval);                                            \
-        rc = k < 0 ? -1 : min_commit_##X(d, n, bidx, bval, k, changed);      \
-    }                                                                        \
-    free(bidx);                                                              \
-    free(bval);                                                              \
-    return rc;                                                               \
-}
-
-KERNELS(f64, double)
-KERNELS(i64, i64)
-
-/* SSSP's pass: stored weights (w32 or w64), else the hash, written to
- * w_out when that is not NULL. */
-i64 candidates_f64(const double *d, i64 n, const uint32_t *src,
-                   const uint32_t *dst, i64 m, int sym, const float *w32,
-                   const double *w64, float *w_out, i64 *idx, double *val)
-{
-#define PASS(MODE) \
-    relax_f64(d, n, src, dst, m, sym, MODE, w32, w64, w_out, idx, val)
-    if (w32)
-        return PASS(W32);
-    if (w64)
-        return PASS(W64);
-    return w_out ? PASS(HASH_OUT) : PASS(HASH);
-#undef PASS
-}
-
-/* AsyncBFS's pass: every edge weighs 1 (the weight arguments unused). */
-i64 candidates_i64(const i64 *d, i64 n, const uint32_t *src,
-                   const uint32_t *dst, i64 m, int sym, const float *w32,
-                   const double *w64, float *w_out, i64 *idx, i64 *val)
-{
-    return relax_i64(d, n, src, dst, m, sym, UNIT, w32, w64, w_out, idx,
-                     val);
-}
-
-/* Which discovery a pass runs: BFS's (frontier depth == level, open
- * depth == inf, UINT32_MAX = types.INF_DEPTH) or Reachability's (frontier
- * flags; open is allowed and not visited). */
-enum { BFS, REACH };
-
-/* One discovery pass over m edges against the state as it stands (read
- * only): the targets t of edges whose source s is on the frontier and t
- * open, in edge order, then (sym) the mirrored ones, the sources of edges
- * whose target is on the frontier and s open, packed into out (room for
- * 2m when sym, m otherwise).  A vertex discovered twice is listed twice,
- * as the NumPy bodies list it.  Returns the count, or -1 on an
- * out-of-range endpoint.  Branch-free: every edge writes its slot and
- * advances the count by the predicate, since the explosion level makes a
- * frontier test unpredictable (a third faster than branching there). */
-INLINE i64 discover(int kind, int sym, const uint32_t *depth,
-                    uint32_t level, const uint8_t *frontier,
-                    const uint8_t *allowed, const uint8_t *visited, i64 n,
-                    const uint32_t *src, const uint32_t *dst, i64 m,
-                    i64 *out)
-{
-    i64 k = 0, kb = 0;
-    for (i64 i = 0; i < m; i++) {
-        uint32_t s = src[i], t = dst[i];
-        if (s >= n || t >= n)
-            return -1;
-        int from_s, from_t, open_s, open_t;
-        if (kind == BFS) {
-            uint32_t ds = depth[s], dt = depth[t];
-            from_s = ds == level;
-            from_t = dt == level;
-            open_s = ds == UINT32_MAX;
-            open_t = dt == UINT32_MAX;
-        } else {
-            from_s = frontier[s];
-            from_t = frontier[t];
-            open_s = allowed[s] & !visited[s];
-            open_t = allowed[t] & !visited[t];
-        }
-        out[k] = t;
-        k += from_s & open_t;
-        if (sym) {
-            out[m + kb] = s;
-            kb += from_t & open_s;
-        }
-    }
-    memmove(out + k, out + m, kb * sizeof *out);
-    return k + kb;
-}
-
-i64 discover_bfs(const uint32_t *depth, i64 n, const uint32_t *src,
-                 const uint32_t *dst, i64 m, int sym, uint32_t level,
-                 i64 *out)
-{
-#define PASS(SYM) \
-    discover(BFS, SYM, depth, level, NULL, NULL, NULL, n, src, dst, m, out)
-    return sym ? PASS(1) : PASS(0);
-#undef PASS
-}
-
-/* A backward sweep passes src and dst swapped. */
-i64 discover_reach(const uint8_t *frontier, const uint8_t *allowed,
-                   const uint8_t *visited, i64 n, const uint32_t *src,
-                   const uint32_t *dst, i64 m, int sym, i64 *out)
-{
-#define PASS(SYM) discover(REACH, SYM, NULL, 0, frontier, allowed, visited, \
-                           n, src, dst, m, out)
-    return sym ? PASS(1) : PASS(0);
-#undef PASS
-}
+/* CALL(8), CALL(16) or CALL(32) by the width bits, a constant in each. */
+#define BY_WIDTH(CALL) (bits == 8 ? CALL(8) : bits == 16 ? CALL(16) : CALL(32))
 
 /* Whether any of a[0..m) is above top: 16 at a time, a trip count -O2
  * vectorises (a plain loop measured 1.6 times as slow), then the rest. */
-#define ABOVE(X, L)                                                          \
-INLINE int above_##X(const L *a, i64 m, L top)                              \
+INLINE int above_u32(const uint32_t *a, i64 m, uint32_t top)
+{
+    uint32_t any = 0;
+    i64 i = 0;
+    for (; i + 16 <= m; i += 16)
+        for (int j = 0; j < 16; j++)
+            any |= a[i + j] > top;
+    for (; i < m; i++)
+        any |= a[i] > top;
+    return any != 0;
+}
+
+/* The bitwise OR of a[0..m), which is no smaller than its largest
+ * element: 32 at a time, as above_u32 (half the time of a compare per
+ * element on 16-bit locals). */
+#define ORED(X, L)                                                           \
+INLINE L ored_##X(const L *a, i64 m)                                         \
 {                                                                            \
     L any = 0;                                                               \
     i64 i = 0;                                                               \
-    for (; i + 16 <= m; i += 16)                                             \
-        for (int j = 0; j < 16; j++)                                         \
-            any |= a[i + j] > top;                                           \
+    for (; i + 32 <= m; i += 32)                                             \
+        for (int j = 0; j < 32; j++)                                         \
+            any |= a[i + j];                                                 \
     for (; i < m; i++)                                                       \
-        any |= a[i] > top;                                                   \
-    return any != 0;                                                         \
+        any |= a[i];                                                         \
+    return any;                                                              \
 }
 
-ABOVE(u8, uint8_t)
-ABOVE(u16, uint16_t)
-ABOVE(u32, uint32_t)
+ORED(u8, uint8_t)
+ORED(u16, uint16_t)
+ORED(u32, uint32_t)
+
+/* The OR of the m bits-wide locals from local i on. */
+static uint32_t locals_or(const void *pairs, int bits, i64 i, i64 m)
+{
+    const char *p = (const char *)pairs + i * (bits / 8);
+    if (bits == 8)
+        return ored_u8((const uint8_t *)p, m);
+    if (bits == 16)
+        return ored_u16((const uint16_t *)p, m);
+    return ored_u32((const uint32_t *)p, m);
+}
 
 /* Whether k tiles' counts are non-negative and sum to the n_pairs edges
  * of a payload (checked without int64 overflow). */
@@ -255,72 +105,373 @@ INLINE int counts_cover(const i64 *counts, i64 k, i64 n_pairs)
     return total == n_pairs;
 }
 
-/* The scatter kernels' commit over a batch in tile form, straight from
- * the SNB payload: k tiles' interleaved local (src, dst) pairs, counts[j]
- * of them for tile j, each endpoint widened as widen_* widens it, s =
- * sb[j] + local and t = db[j] + local with uint32 wraparound.  For each
- * edge in order fwd[t] += x[s], and (bwd) right after it bwd[s] += x[t]:
- * with bwd == fwd that is np.add.at over the interleaved pairs, so the
- * float addition order is the edge order whatever the shards, and with
- * two arrays each adds in edge order.  A tile none of whose locals is
- * above n - 1 less its larger base holds no bad endpoint -- one
- * vectorised compare per local, none at all when every local of the type
- * fits -- and only the others are checked edge by edge.
- * Returns, having written nothing, -1 on a widened endpoint not below n
- * and -2 unless the counts cover the payload. */
-#define SCATTER(X, L)                                                        \
-INLINE int scatter_##X(double *fwd, double *bwd, i64 n, const double *x,     \
-                       const L *pairs, i64 n_pairs, const i64 *counts,       \
-                       const uint32_t *sb, const uint32_t *db, i64 k)        \
-{                                                                            \
-    if (!counts_cover(counts, k, n_pairs))                                   \
-        return -2;                                                           \
-    for (i64 j = 0, e = 0; j < k; e += counts[j++]) {                        \
-        uint32_t a = sb[j], b = db[j];                                       \
-        const L *p = pairs + 2 * e;                                          \
-        uint64_t hi = a > b ? a : b;                                         \
-        if (hi < (uint64_t)n) {                                              \
-            uint64_t room = (uint64_t)n - 1 - hi;                            \
-            if (room >= (L)-1 || !above_##X(p, 2 * counts[j], (L)room))      \
-                continue;                                                    \
-        }                                                                    \
-        for (i64 i = 0; i < counts[j]; i++)                                  \
-            if ((uint32_t)(a + p[2 * i]) >= n ||                             \
-                (uint32_t)(b + p[2 * i + 1]) >= n)                           \
-                return -1;                                                   \
-    }                                                                        \
-    for (i64 j = 0, e = 0; j < k; j++) {                                     \
-        uint32_t a = sb[j], b = db[j];                                       \
-        for (i64 end = e + counts[j]; e < end; e++) {                        \
-            uint32_t s = a + pairs[2 * e], t = b + pairs[2 * e + 1];         \
-            fwd[t] += x[s];                                                  \
-            if (bwd)                                                         \
-                bwd[s] += x[t];                                              \
-        }                                                                    \
-    }                                                                        \
-    return 0;                                                                \
+/* Whether every endpoint of a batch in tile form widens to below n: 0;
+ * else -2 unless the width is 8, 16 or 32 and the k tiles' counts cover
+ * the payload's m edges, and -1 on an endpoint not below n.  Checked
+ * batch-wide first -- the OR of every local, one vectorised pass, against
+ * n - 1 less the largest base -- and tile by tile only when that fails,
+ * where a tile whose locals' OR is within n - 1 less its larger base
+ * passes and only the others are checked edge by edge (a base near 2^32
+ * can wrap a local back below n). */
+static int tiles_ok(const void *pairs, int bits, i64 m, const i64 *counts,
+                    const uint32_t *sb, const uint32_t *db, i64 k, i64 n)
+{
+    if ((bits != 8 && bits != 16 && bits != 32) || !counts_cover(counts, k, m))
+        return -2;
+    uint64_t hi = 0;
+    for (i64 j = 0; j < k; j++) {
+        hi = sb[j] > hi ? sb[j] : hi;
+        hi = db[j] > hi ? db[j] : hi;
+    }
+    if (hi < (uint64_t)n &&
+        locals_or(pairs, bits, 0, 2 * m) <= (uint64_t)n - 1 - hi)
+        return 0;
+    for (i64 j = 0, e = 0; j < k; e += counts[j++]) {
+        uint32_t a = sb[j], b = db[j];
+        uint64_t th = a > b ? a : b;
+        if (th < (uint64_t)n &&
+            locals_or(pairs, bits, 2 * e, 2 * counts[j]) <= (uint64_t)n - 1 - th)
+            continue;
+        for (i64 i = e; i < e + counts[j]; i++)
+            if ((uint32_t)(a + local(pairs, bits, 2 * i)) >= n ||
+                (uint32_t)(b + local(pairs, bits, 2 * i + 1)) >= n)
+                return -1;
+    }
+    return 0;
 }
 
-SCATTER(u8, uint8_t)
-SCATTER(u16, uint16_t)
-SCATTER(u32, uint32_t)
-
-/* pairs holds bits-wide locals (8, 16 or 32); bwd may be NULL or fwd. */
-int scatter_add(double *fwd, double *bwd, i64 n, const double *x,
-                const void *pairs, int bits, i64 n_pairs, const i64 *counts,
-                const uint32_t *sb, const uint32_t *db, i64 k)
+/* Whether rows, n_rows flags (or NULL), has the row v >> tb of every
+ * vertex v below n. */
+INLINE int rows_fit(const uint8_t *rows, i64 n, int tb, i64 n_rows)
 {
-#define PASS(X, B) (B ? scatter_##X(fwd, bwd, n, x, pairs, n_pairs, counts,   \
-                                    sb, db, k)                               \
-                      : scatter_##X(fwd, NULL, n, x, pairs, n_pairs, counts, \
-                                    sb, db, k))
-    if (bits == 8)
-        return PASS(u8, bwd);
-    if (bits == 16)
-        return PASS(u16, bwd);
-    if (bits == 32)
-        return PASS(u32, bwd);
-    return -2;
+    return !rows || n <= 0 ||
+           (n_rows > 0 && tb >= 0 && tb < 64 &&
+            (uint64_t)(n - 1) >> tb < (uint64_t)n_rows);
+}
+
+/* The edges of a batch in tile form, in order, as global (s, t): the body
+ * runs once per edge e (0..m) of the k tiles with s and t set. */
+#define FOR_EDGES(...)                                                       \
+    for (i64 j = 0, e = 0; j < k; j++) {                                     \
+        uint32_t a_ = sb[j], b_ = db[j];                                     \
+        for (i64 end_ = e + counts[j]; e < end_; e++) {                      \
+            uint32_t s = a_ + local(pairs, bits, 2 * e);                     \
+            uint32_t t = b_ + local(pairs, bits, 2 * e + 1);                 \
+            __VA_ARGS__                                                      \
+        }                                                                    \
+    }
+
+/* The tile-form arguments every edge kernel takes after its state. */
+#define TILES const void *pairs, int bits, i64 m, const i64 *counts,        \
+              const uint32_t *sb, const uint32_t *db, i64 k
+#define TILE_ARGS pairs, bits, m, counts, sb, db, k
+
+/* Where an edge's weight comes from.  The relaxation loop is inlined once
+ * per source, so no edge tests which (about 10 % of a pass). */
+enum { UNIT, HASH, W32, W64 };
+
+/* Edge e's weight: 1 (AsyncBFS); stored (w32, w64); or the endpoint hash
+ * 1 + ((a ^ 7b) & 15) of a = min(s, t), b = max(s, t) (sssp.edge_weights)
+ * of the widened endpoints. */
+INLINE double weight(int mode, const float *w32, const double *w64, i64 e,
+                     uint32_t s, uint32_t t)
+{
+    if (mode == UNIT)
+        return 1;
+    if (mode == W32)
+        return w32[e];
+    if (mode == W64)
+        return w64[e];
+    uint32_t a = s < t ? s : t, b = s < t ? t : s;
+    return (float)(1 + ((a ^ (b * 7u)) & 15u));
+}
+
+/* mark[idx[j]] = on for j < k (mark NULL: nothing). */
+INLINE void set_marks(uint8_t *mark, const i64 *idx, i64 k, uint8_t on)
+{
+    if (mark)
+        for (i64 j = 0; j < k; j++)
+            mark[idx[j]] = on;
+}
+
+#define KERNELS(X, T)                                                        \
+/* d[idx[j]] = min(d[idx[j]], val[j]) in order, and flags[idx[j]] = 1 when  \
+ * flags is not NULL and rows[idx[j] >> tb] = 1 when rows is not NULL:      \
+ * np.minimum.at(d, idx, val); flags[idx] = True; rows[idx >> tb] = True.   \
+ * Returns 0, -1 on an index not below n, -3 when rows (n_rows flags) has   \
+ * no row for some vertex below n. */                                       \
+int min_commit_##X(T *d, i64 n, const i64 *idx, const T *val, i64 k,        \
+                   uint8_t *flags, uint8_t *rows, int tb, i64 n_rows)        \
+{                                                                            \
+    if (!rows_fit(rows, n, tb, n_rows))                                      \
+        return -3;                                                           \
+    for (i64 j = 0; j < k; j++)                                              \
+        if ((uint64_t)idx[j] >= (uint64_t)n)                                 \
+            return -1;                                                       \
+    for (i64 j = 0; j < k; j++) {                                            \
+        i64 v = idx[j];                                                      \
+        d[v] = d[v] < val[j] ? d[v] : val[j]; /* np.minimum's choice */      \
+        if (flags)                                                           \
+            flags[v] = 1;                                                    \
+        if (rows)                                                            \
+            rows[v >> tb] = 1;                                               \
+    }                                                                        \
+    return 0;                                                                \
+}                                                                            \
+                                                                             \
+/* One relaxation pass over the m edges of a checked batch against d: the   \
+ * strictly improving (vertex, value) candidates, forward ones in edge      \
+ * order, then (sym) the mirrored ones, packed into idx/val (room for 2m    \
+ * when sym, m otherwise); returns their count.  With only (not NULL), an   \
+ * edge neither of whose endpoints is marked there is passed over.          \
+ * (Writing every edge's slot branch-free measured no faster: few edges     \
+ * improve.) */                                                             \
+INLINE i64 relax_##X(const T *d, int sym, int mode, TILES,                   \
+                     const float *w32, const double *w64,                    \
+                     const uint8_t *only, i64 *idx, T *val)                  \
+{                                                                            \
+    i64 nf = 0, nb = 0;                                                      \
+    FOR_EDGES(                                                               \
+        if (only && !(only[s] | only[t]))                                    \
+            continue;                                                        \
+        T w = weight(mode, w32, w64, e, s, t);                               \
+        T ds = d[s], dt = d[t], c = ds + w, cb = dt + w;                     \
+        if (c < dt) { idx[nf] = t; val[nf++] = c; }                          \
+        if (sym && cb < ds) { idx[m + nb] = s; val[m + nb++] = cb; }         \
+    )                                                                        \
+    memmove(idx + nf, idx + m, nb * sizeof *idx);                            \
+    memmove(val + nf, val + m, nb * sizeof *val);                            \
+    return nf + nb;                                                          \
+}                                                                            \
+                                                                             \
+static i64 pass_##X(const T *d, TILES, int sym, const float *w32,            \
+                    const double *w64, const uint8_t *only, i64 *idx,        \
+                    T *val);                                                 \
+                                                                             \
+/* The live relaxation of a batch in tile form: relax its edges against d   \
+ * as it stands and commit the candidates (flagging changed and marking     \
+ * rows, as min_commit), pass after pass, until a pass finds nothing or     \
+ * `rounds` passes have run (a negative count: until the batch's            \
+ * fixpoint).  Everything is checked before the first write.  Returns the   \
+ * passes run, or -1 on an endpoint out of range, -2 as tiles_ok, -3 rows   \
+ * too short, -4 out of memory.                                             \
+ *                                                                          \
+ * mark, when not NULL, is an n-byte scratch: every pass after the first    \
+ * relaxes only the edges with an endpoint marked there -- the vertices the \
+ * commit before it listed, marked for the pass and cleared after it.  An   \
+ * edge of two endpoints that commit left alone offers what it offered the  \
+ * pass before, and anything it offered there lowered its target, so it     \
+ * offers nothing: each pass finds the full pass's candidates, in its       \
+ * order.  A mark set on entry only widens the passes. */                   \
+i64 rounds_##X(T *d, i64 n, TILES, int sym, const float *w32,                \
+               const double *w64, uint8_t *changed, uint8_t *rows, int tb,   \
+               i64 n_rows, i64 rounds, uint8_t *mark)                        \
+{                                                                            \
+    int rc = tiles_ok(TILE_ARGS, n);                                         \
+    if (rc)                                                                  \
+        return rc;                                                           \
+    if (!rows_fit(rows, n, tb, n_rows))                                      \
+        return -3;                                                           \
+    if (rounds == 0 || m == 0)                                               \
+        return 0;                                                            \
+    i64 cap = sym ? 2 * m : m;                                               \
+    i64 *idx = malloc(2 * cap * sizeof *idx);                                \
+    T *val = malloc(cap * sizeof *val);                                      \
+    if (!idx || !val) {                                                      \
+        free(idx);                                                           \
+        free(val);                                                           \
+        return -4;                                                           \
+    }                                                                        \
+    i64 passes = 0, k_last = 0, *last = idx + cap, *next = idx;              \
+    const uint8_t *only = NULL; /* the first pass relaxes every edge */      \
+    for (; rounds != 0; rounds--) {                                          \
+        i64 kn = pass_##X(d, TILE_ARGS, sym, w32, w64, only, next, val);     \
+        passes++;                                                            \
+        min_commit_##X(d, n, next, val, kn, changed, rows, tb, n_rows);      \
+        set_marks(mark, last, k_last, 0);                                    \
+        set_marks(mark, next, kn, 1);                                        \
+        only = mark;                                                         \
+        i64 *was = last;                                                     \
+        last = next;                                                         \
+        k_last = kn;                                                         \
+        next = was;                                                          \
+        if (kn == 0)                                                         \
+            break;                                                           \
+    }                                                                        \
+    set_marks(mark, last, k_last, 0);                                        \
+    free(idx);                                                               \
+    free(val);                                                               \
+    return passes;                                                           \
+}
+
+KERNELS(f64, double)
+KERNELS(i64, i64)
+
+/* One relaxation pass of X over every edge (only NULL) or over the edges
+ * with an endpoint flagged in only, SYM and the width constants. */
+#define RELAX(X, M, B, ONLY)                                                 \
+    (sym ? relax_##X(d, 1, M, pairs, B, m, counts, sb, db, k, w32, w64,      \
+                     ONLY, idx, val)                                         \
+         : relax_##X(d, 0, M, pairs, B, m, counts, sb, db, k, w32, w64,      \
+                     ONLY, idx, val))
+
+/* SSSP's pass: stored weights (w32 or w64), else the endpoint hash. */
+static i64 pass_f64(const double *d, TILES, int sym, const float *w32,
+                    const double *w64, const uint8_t *only, i64 *idx,
+                    double *val)
+{
+    int mode = w32 ? W32 : w64 ? W64 : HASH;
+#define MODE(M, B) (only ? RELAX(f64, M, B, only) : RELAX(f64, M, B, NULL))
+#define PASS(B) (mode == W32 ? MODE(W32, B) : mode == W64 ? MODE(W64, B)     \
+                                            : MODE(HASH, B))
+    return BY_WIDTH(PASS);
+#undef PASS
+#undef MODE
+}
+
+/* AsyncBFS's pass: every edge weighs 1 (the weight arguments unused). */
+static i64 pass_i64(const i64 *d, TILES, int sym, const float *w32,
+                    const double *w64, const uint8_t *only, i64 *idx,
+                    i64 *val)
+{
+#define PASS(B) (only ? RELAX(i64, UNIT, B, only) : RELAX(i64, UNIT, B, NULL))
+    return BY_WIDTH(PASS);
+#undef PASS
+}
+
+/* Which discovery a pass runs: BFS's (frontier depth == level, open
+ * depth == inf, UINT32_MAX = types.INF_DEPTH) or Reachability's (frontier
+ * flags; open is allowed and not visited). */
+enum { BFS, REACH };
+
+/* One discovery pass over the m edges of a checked batch against the
+ * state as it stands (read only): the targets t of edges whose source s
+ * is on the frontier and t open, in edge order, then (sym) the mirrored
+ * ones, the sources of edges whose target is on the frontier and s open,
+ * packed into out (room for 2m when sym, m otherwise); a backward sweep
+ * (back) takes each edge as (t, s).  A vertex discovered twice is listed
+ * twice, as the NumPy bodies list it.  Returns the count.  Branch-free:
+ * every edge writes its slot and advances the count by the predicate,
+ * since the explosion level makes a frontier test unpredictable (a third
+ * faster than branching there). */
+INLINE i64 discover(int kind, int sym, int back, const uint32_t *depth,
+                    uint32_t level, const uint8_t *frontier,
+                    const uint8_t *allowed, const uint8_t *visited, TILES,
+                    i64 *out)
+{
+    i64 nf = 0, nb = 0;
+    FOR_EDGES(
+        uint32_t from = back ? t : s, to = back ? s : t;
+        int from_s, from_t, open_s, open_t;
+        if (kind == BFS) {
+            uint32_t ds = depth[from], dt = depth[to];
+            from_s = ds == level;
+            from_t = dt == level;
+            open_s = ds == UINT32_MAX;
+            open_t = dt == UINT32_MAX;
+        } else {
+            from_s = frontier[from];
+            from_t = frontier[to];
+            open_s = allowed[from] & !visited[from];
+            open_t = allowed[to] & !visited[to];
+        }
+        out[nf] = to;
+        nf += from_s & open_t;
+        if (sym) {
+            out[m + nb] = from;
+            nb += from_t & open_s;
+        }
+    )
+    memmove(out + nf, out + m, nb * sizeof *out);
+    return nf + nb;
+}
+
+/* BFS's discovery over a batch in tile form: the count, or -1/-2 as
+ * tiles_ok. */
+i64 discover_bfs(const uint32_t *depth, i64 n, TILES, int sym,
+                 uint32_t level, i64 *out)
+{
+    int rc = tiles_ok(TILE_ARGS, n);
+    if (rc)
+        return rc;
+#define PASS(B) (sym ? discover(BFS, 1, 0, depth, level, NULL, NULL, NULL,    \
+                                pairs, B, m, counts, sb, db, k, out)          \
+                     : discover(BFS, 0, 0, depth, level, NULL, NULL, NULL,    \
+                                pairs, B, m, counts, sb, db, k, out))
+    return BY_WIDTH(PASS);
+#undef PASS
+}
+
+/* Reachability's, forward or (back) backward. */
+i64 discover_reach(const uint8_t *frontier, const uint8_t *allowed,
+                   const uint8_t *visited, i64 n, TILES, int sym, int back,
+                   i64 *out)
+{
+    int rc = tiles_ok(TILE_ARGS, n);
+    if (rc)
+        return rc;
+#define SWEEP(S, K, B) discover(REACH, S, K, NULL, 0, frontier, allowed,      \
+                                visited, pairs, B, m, counts, sb, db, k, out)
+#define PASS(B) (sym ? (back ? SWEEP(1, 1, B) : SWEEP(1, 0, B))               \
+                     : (back ? SWEEP(0, 1, B) : SWEEP(0, 0, B)))
+    return BY_WIDTH(PASS);
+#undef PASS
+#undef SWEEP
+}
+
+/* BFS's commit: depth[v] = level for every listed v not at it yet,
+ * marking rows[v >> tb] as min_commit does.  Returns how many vertices it
+ * set -- each once, however often listed -- or, having written nothing,
+ * -1 on an index not below n and -3 when rows has no row for some vertex
+ * below n. */
+i64 commit_level(uint32_t *depth, i64 n, const i64 *idx, i64 k,
+                 uint32_t level, uint8_t *rows, int tb, i64 n_rows)
+{
+    if (!rows_fit(rows, n, tb, n_rows))
+        return -3;
+    for (i64 j = 0; j < k; j++)
+        if ((uint64_t)idx[j] >= (uint64_t)n)
+            return -1;
+    i64 set = 0;
+    for (i64 j = 0; j < k; j++) {
+        i64 v = idx[j];
+        if (depth[v] != level) {
+            depth[v] = level;
+            set++;
+            if (rows)
+                rows[v >> tb] = 1;
+        }
+    }
+    return set;
+}
+
+/* The scatter kernels' commit over a checked batch: for each edge in
+ * order fwd[t] += x[s], and (two) right after it bwd[s] += x[t]. */
+INLINE int scatter(int two, double *fwd, double *bwd, const double *x,
+                   TILES)
+{
+    (void)m;
+    FOR_EDGES(
+        fwd[t] += x[s];
+        if (two)
+            bwd[s] += x[t];
+    )
+    return 0;
+}
+
+/* The scatter over a batch in tile form: with bwd == fwd that is
+ * np.add.at over the interleaved pairs, so the float addition order is the
+ * edge order whatever the shards, and with two arrays each adds in edge
+ * order; bwd may be NULL.  Returns, having written nothing, -1 or -2 as
+ * tiles_ok. */
+int scatter_add(double *fwd, double *bwd, i64 n, const double *x, TILES)
+{
+    int rc = tiles_ok(TILE_ARGS, n);
+    if (rc)
+        return rc;
+#define PASS(B) (bwd ? scatter(1, fwd, bwd, x, pairs, B, m, counts, sb, db, k) \
+                     : scatter(0, fwd, bwd, x, pairs, B, m, counts, sb, db, k))
+    return BY_WIDTH(PASS);
 #undef PASS
 }
 
@@ -354,31 +505,28 @@ void pagerank_end(double *acc, double *old, const double *t, i64 n, double a,
     }
 }
 
-/* The SNB decode: k tiles' interleaved local (src, dst) pairs, counts[j]
- * of them for tile j, in order, to global IDs, gsrc[e] = sb[j] + pairs[2e]
- * and gdst[e] = db[j] + pairs[2e + 1] with uint32 wraparound (numpy's).
- * Returns -1, having written nothing, unless the counts are non-negative
- * and sum to the n_pairs the payload holds. */
-#define WIDEN(X, L)                                                          \
-int widen_##X(const L *pairs, i64 n_pairs, const i64 *counts,                \
-              const uint32_t *sb, const uint32_t *db, i64 k,                 \
-              uint32_t *gsrc, uint32_t *gdst)                                \
-{                                                                            \
-    if (!counts_cover(counts, k, n_pairs))                                   \
-        return -1;                                                           \
-    for (i64 j = 0, e = 0; j < k; j++) {                                     \
-        uint32_t a = sb[j], b = db[j];                                       \
-        for (i64 end = e + counts[j]; e < end; e++) {                        \
-            gsrc[e] = a + pairs[2 * e];                                      \
-            gdst[e] = b + pairs[2 * e + 1];                                  \
-        }                                                                    \
-    }                                                                        \
-    return 0;                                                                \
+/* The SNB decode of a batch in tile form, in order, to global IDs:
+ * gsrc[e] = s, gdst[e] = t (with uint32 wraparound, numpy's).  Returns -1,
+ * having written nothing, unless the width is 8, 16 or 32 and the counts
+ * are non-negative and sum to the m edges the payload holds. */
+INLINE int widen_pass(TILES, uint32_t *gsrc, uint32_t *gdst)
+{
+    (void)m;
+    FOR_EDGES(
+        gsrc[e] = s;
+        gdst[e] = t;
+    )
+    return 0;
 }
 
-WIDEN(u8, uint8_t)
-WIDEN(u16, uint16_t)
-WIDEN(u32, uint32_t)
+int widen(TILES, uint32_t *gsrc, uint32_t *gdst)
+{
+    if ((bits != 8 && bits != 16 && bits != 32) || !counts_cover(counts, k, m))
+        return -1;
+#define PASS(B) widen_pass(pairs, B, m, counts, sb, db, k, gsrc, gdst)
+    return BY_WIDTH(PASS);
+#undef PASS
+}
 
 /* The symmetric tile encoder's first pass: every non-loop edge of m
  * (src, dst) as one uint64 key pos << 2*tb | lsrc << tb | ldst, in input

@@ -31,6 +31,7 @@ class AsyncBFS(TileAlgorithm):
 
     name = "bfs"  # same cost-model family as synchronous BFS
     all_active = False
+    reads_ids = False
 
     def __init__(self, root: int = 0, max_iterations: int = 10_000) -> None:
         super().__init__()
@@ -39,6 +40,10 @@ class AsyncBFS(TileAlgorithm):
         self.depth: "np.ndarray | None" = None
         self._changed: "np.ndarray | None" = None
         self._changed_next: "np.ndarray | None" = None
+        #: Row activity of the changed vertices of the last iteration and
+        #: of this one, the latter marked where commits land.
+        self._rows_now: "np.ndarray | None" = None
+        self._rows_next: "np.ndarray | None" = None
         self.iterations_run = 0
 
     def _setup(self) -> None:
@@ -51,6 +56,8 @@ class AsyncBFS(TileAlgorithm):
         self._changed = np.zeros(g.n_vertices, dtype=bool)
         self._changed[self.root] = True
         self._changed_next = np.zeros(g.n_vertices, dtype=bool)
+        self._rows_now = self._rows_of_vertices(self._changed)
+        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
         self.iterations_run = 0
 
     # ------------------------------------------------------------------ #
@@ -58,6 +65,7 @@ class AsyncBFS(TileAlgorithm):
     def begin_iteration(self, iteration: int) -> None:
         super().begin_iteration(iteration)
         self._changed_next.fill(False)
+        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
 
     # ------------------------------------------------------------------ #
     # Fused batch kernel (live: shards commit in order)
@@ -65,60 +73,66 @@ class AsyncBFS(TileAlgorithm):
 
     live_kernel = True
 
-    def kernel_partial(self, gsrc, gdst):
-        """One relaxation of the shard against the current depths
-        (read-only): the strictly improving ``(vertex, depth)`` candidates,
-        both directions on symmetric storage.  The endpoints (widened, on
-        the NumPy tier) ride in the partial, so the fixpoint rounds of
-        :meth:`apply_partial` convert nothing again.  Compiled (:mod:`~repro.algorithms.native`)
-        when that tier loaded; the NumPy body below is its fallback and
-        oracle."""
-        if native.lib is not None:
-            return native.candidates(
-                self.depth, gsrc, gdst, self.symmetric
-            )[:4]
-        gsrc, gdst = gather_ids(gsrc, gdst)
-        depth = self.depth
-        ds = depth[gsrc]
-        dd = depth[gdst]
-        better = ds + 1 < dd
-        idx = gdst[better]
-        vals = ds[better] + 1
-        if self.symmetric:
-            better = dd + 1 < ds
-            idx = np.concatenate([idx, gsrc[better]])
-            vals = np.concatenate([vals, dd[better] + 1])
-        return idx, vals, gsrc, gdst
+    def kernel_partial(self, tiles):
+        """The shard in tile form: a live relaxation has no read-only
+        half, since each pass must see the commit before it
+        (:meth:`apply_partial` runs them all)."""
+        return tiles
 
-    def apply_partial(self, partial) -> int:
-        """Commit the shard's improvements and keep relaxing the resident
-        shard until nothing moves.  The edges count once however many
-        rounds the fixpoint takes."""
-        idx, vals, gsrc, gdst = partial
+    def apply_partial(self, tiles) -> int:
+        """Relax the resident shard against the current depths and commit
+        the improvements, pass after pass, until nothing moves.  The edges
+        count once however many rounds the fixpoint takes.  Compiled
+        (:func:`~repro.algorithms.native.rounds`: one call, each pass
+        after the first over the edges the commit before it touched) when
+        that tier loaded; the NumPy body below is its fallback and oracle
+        (the shard widened once)."""
+        tile_bits = self._graph().tile_bits
         if native.lib is not None:
             native.rounds(
-                self.depth, gsrc, gdst, self.symmetric, idx, vals,
-                self._changed_next, -1,
+                self.depth, tiles, self.symmetric, self._changed_next, -1,
+                rows=self._rows_next, tile_bits=tile_bits, held=self._held,
             )
-        else:
-            while idx.size:
-                np.minimum.at(self.depth, idx, vals)
-                self._changed_next[idx] = True
-                idx, vals = self.kernel_partial(gsrc, gdst)[:2]
-        return int(gsrc.shape[0])
+            return tiles.n_edges
+        gsrc, gdst = gather_ids(*tiles.widen())
+        depth = self.depth
+        while True:
+            ds = depth[gsrc]
+            dd = depth[gdst]
+            better = ds + 1 < dd
+            idx = gdst[better]
+            vals = ds[better] + 1
+            if self.symmetric:
+                better = dd + 1 < ds
+                idx = np.concatenate([idx, gsrc[better]])
+                vals = np.concatenate([vals, dd[better] + 1])
+            if not idx.size:
+                return tiles.n_edges
+            np.minimum.at(depth, idx, vals)
+            self._changed_next[idx] = True
+            self._rows_next[idx >> tile_bits] = True
 
     def end_iteration(self, iteration: int) -> bool:
         self._changed, self._changed_next = self._changed_next, self._changed
+        self._rows_now = self._rows_next
         self.iterations_run = iteration + 1
-        return bool(self._changed.any()) and self.iterations_run < self.max_iterations
+        # A row is marked exactly where a vertex was flagged changed.
+        return bool(self._rows_now.any()) and (
+            self.iterations_run < self.max_iterations
+        )
 
     # ------------------------------------------------------------------ #
 
     def rows_active(self) -> np.ndarray:
-        return self._rows_of_vertices(self._changed)
+        """Rows holding vertices changed last iteration: the previous
+        iteration's :meth:`rows_active_next`."""
+        return self._rows_now
 
     def rows_active_next(self) -> np.ndarray:
-        return self._rows_of_vertices(self._changed_next)
+        """Rows holding vertices changed so far this iteration, marked per
+        commit (never rescanned); a fresh array every iteration, so a
+        caller may keep it."""
+        return self._rows_next
 
     def visited_count(self) -> int:
         return int(np.count_nonzero(self.depth != np.int64(INF_DEPTH)))

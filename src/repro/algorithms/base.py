@@ -14,9 +14,10 @@ The engine drives an algorithm through a strict per-iteration protocol::
 An algorithm is written once, as a kernel of two methods:
 ``kernel_partial(gsrc, gdst)`` reads the algorithm's own arrays and
 scalars where they live and returns a partial, and ``apply_partial``
-commits it.  A scatter kernel (:attr:`TileAlgorithm.reads_ids` false) is
-handed the shard in tile form instead, ``kernel_partial(tiles)``, and
-never widens it.  The engine calls it once per shard of a fetched batch
+commits it.  A kernel that reads tile form (:attr:`TileAlgorithm.reads_ids`
+false: the scatter kernels and the traversals) is handed the shard as the
+slide holds it instead, ``kernel_partial(tiles)``, and never widens it.
+The engine calls it once per shard of a fetched batch
 (:func:`~repro.runtime.threads.execute_batch`), and an answer must not
 depend on where the shards are cut (:meth:`TileAlgorithm.apply_partial`).
 
@@ -111,6 +112,8 @@ class TileAlgorithm(abc.ABC):
     def __init__(self) -> None:
         self.graph: "TiledGraph | None" = None
         self.iteration = -1
+        #: The compiled tier's buffers of the run's arrays.
+        self._held = native.Held()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -124,7 +127,6 @@ class TileAlgorithm(abc.ABC):
         # so all-active callers allocate nothing per batch.
         self._all_rows = np.ones(graph.p, dtype=bool)
         self._all_rows.flags.writeable = False
-        #: The compiled tier's buffers of the run's arrays.
         self._held = native.Held()
         self._setup()
 
@@ -170,15 +172,19 @@ class TileAlgorithm(abc.ABC):
     #: kernels: PageRank, SpMV, SCC's degrees add straight into their
     #: accumulator, :func:`~repro.algorithms.pagerank.scatter_add`), so
     #: cutting a batch would only add commits, and where alternated pairs
-    #: show one commit per batch is faster (k-core).
+    #: show one commit per batch is faster (k-core, and BFS's and
+    #: Reachability's discovery, which then read the layout's own tile
+    #: arrays).
     one_shard: bool = False
 
     #: False for a kernel that never reads a batch's global IDs: the
-    #: scatter kernels add straight from the SNB payload, so their
-    #: :meth:`kernel_partial` takes the shard in tile form
-    #: (:meth:`~repro.format.tiles.DecodedBatch.tile_edges`) and a batch
-    #: they run is never widened.  The engine widens ahead on the
-    #: prefetch thread only for a kernel that reads IDs.
+    #: scatter kernels add straight from the SNB payload and the
+    #: traversals (BFS, Reachability, SSSP, AsyncBFS) discover and relax
+    #: straight from it, so their :meth:`kernel_partial` takes the shard
+    #: in tile form (:meth:`~repro.format.tiles.DecodedBatch.tile_edges`)
+    #: and a batch they run is never widened.  CC, k-core, MIS and
+    #: MultiBFS still read IDs; the engine widens ahead on the prefetch
+    #: thread only for a kernel that does.
     reads_ids: bool = True
 
     @property
@@ -254,15 +260,18 @@ class TileAlgorithm(abc.ABC):
         Returns the partial :meth:`apply_partial` commits.
 
         The endpoints arrive as ``VERTEX_DTYPE`` (``uint32``), as the
-        widen writes them.  A *gather* kernel (state indexed by endpoint:
-        BFS, SSSP, CC, ...) widens them to ``intp`` with :func:`gather_ids`
-        before anything else.  A *scatter* kernel (PageRank, SpMV, SCC's
-        degrees; :attr:`reads_ids` false) is called as
-        ``kernel_partial(tiles)`` with the shard's
-        :class:`~repro.format.tiles.TileEdges` and returns them as they
-        are; its commit hands them to
-        :func:`~repro.algorithms.pagerank.scatter_add`, whose compiled
-        loop adds each tile's bases to the stored locals as it goes.
+        widen writes them.  A *gather* kernel that reads IDs (CC, k-core,
+        MIS, MultiBFS) widens them to ``intp`` with :func:`gather_ids`
+        before anything else.  A kernel that does not :attr:`reads_ids` is
+        called as ``kernel_partial(tiles)`` with the shard's
+        :class:`~repro.format.tiles.TileEdges`: BFS's and Reachability's
+        discovery passes read it in C (their NumPy bodies widen it
+        first); a *scatter* kernel (PageRank, SpMV, SCC's degrees) and a
+        live relaxation (SSSP, AsyncBFS), which have no read-only half,
+        return it as it is, and their commit hands it to
+        :func:`~repro.algorithms.pagerank.scatter_add` or
+        :func:`~repro.algorithms.native.rounds`, whose compiled loop adds
+        each tile's bases to the stored locals as it goes.
         """
 
     @abc.abstractmethod

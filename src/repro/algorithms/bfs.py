@@ -19,6 +19,22 @@ from repro.errors import AlgorithmError
 from repro.types import INF_DEPTH
 
 
+def _set_level(depth: np.ndarray, idx: np.ndarray, level, rows: np.ndarray,
+               tile_bits: int) -> int:
+    """``depth[idx] = level``, marking the rows of the vertices it moves;
+    returns how many it moved, each counted once however often ``idx``
+    lists it: every listing of a moved vertex writes its own position
+    there first, and only the listing whose write stuck counts (the NumPy
+    body of :func:`~repro.algorithms.native.commit_level`)."""
+    fresh = idx[depth[idx] != level]
+    order = np.arange(fresh.shape[0], dtype=depth.dtype)
+    depth[fresh] = order
+    count = int(np.count_nonzero(depth[fresh] == order))
+    depth[fresh] = level
+    rows[fresh >> tile_bits] = True
+    return count
+
+
 class BFS(TileAlgorithm):
     """Level-synchronous BFS from a root vertex.
 
@@ -45,6 +61,10 @@ class BFS(TileAlgorithm):
 
     name = "bfs"
     all_active = False
+    reads_ids = False
+    #: Neither live nor pooled, so any cut gives the same bits, and one
+    #: discovery per batch measured faster than one per shard.
+    one_shard = True
 
     def __init__(self, root: int = 0, direction_optimizing: bool = False) -> None:
         super().__init__()
@@ -53,6 +73,8 @@ class BFS(TileAlgorithm):
         self.depth: "np.ndarray | None" = None
         self.level = 0
         self._frontier_count = 0
+        #: Vertices the current iteration's commits set to ``level + 1``.
+        self._discovered = 0
         #: Vertices discovered so far (root included) — drives the
         #: push/pull switch without an O(|V|) scan per iteration.
         self._visited_total = 0
@@ -75,6 +97,7 @@ class BFS(TileAlgorithm):
         self.depth[self.root] = 0
         self.level = 0
         self._frontier_count = 1
+        self._discovered = 0
         self._visited_total = 1
         self.direction_history = []
         self._pull = False
@@ -86,6 +109,7 @@ class BFS(TileAlgorithm):
     def begin_iteration(self, iteration: int) -> None:
         super().begin_iteration(iteration)
         self._rows_next = np.zeros(self._n_rows(), dtype=bool)
+        self._discovered = 0
         if self.direction_optimizing:
             # Beamer-style switch on algorithm state only (never timing):
             # pull once the frontier outnumbers the remaining unvisited
@@ -95,12 +119,9 @@ class BFS(TileAlgorithm):
             self.direction_history.append("pull" if self._pull else "push")
 
     def end_iteration(self, iteration: int) -> bool:
-        # The new frontier is exactly the vertices assigned ``level + 1``:
-        # one pass over the depth array (microseconds), where a unique
-        # over every discovered target sorted or hashed them all.
-        new_frontier = int(
-            np.count_nonzero(self.depth == np.uint32(self.level + 1))
-        )
+        # The new frontier is exactly the vertices assigned ``level + 1``,
+        # counted as the commits assigned them.
+        new_frontier = self._discovered
         self.level += 1
         self._rows_now = self._rows_next
         self._frontier_count = new_frontier
@@ -111,8 +132,8 @@ class BFS(TileAlgorithm):
     # Fused batch kernel
     # ------------------------------------------------------------------ #
 
-    def kernel_partial(self, gsrc, gdst):
-        """One discovery pass over the concatenated shard (read-only): the
+    def kernel_partial(self, tiles):
+        """One discovery pass over the shard in tile form (read-only): the
         targets of edges from the frontier (``depth == level``) to an
         unvisited vertex, forward ones in edge order, then on symmetric
         storage the mirrored ones (Algorithm 1 lines 8-10), and the edge
@@ -123,23 +144,24 @@ class BFS(TileAlgorithm):
         tile reports it, so every shard cut and thread count converges on
         bit-identical depth arrays.
 
-        Compiled (:mod:`~repro.algorithms.native`) when that tier loaded,
-        one loop whatever the mode.  The NumPy body below is its fallback
-        and oracle, where the iteration's direction picks the evaluation
-        order of the same per-edge AND predicate: push filters by the
-        frontier side first, pull by the unvisited side, and with
-        direction optimisation off both sides are evaluated densely.  All of them give
-        identical targets in identical order — only the size of the second
-        gather differs.
+        Compiled (:mod:`~repro.algorithms.native`) when that tier loaded:
+        one loop over the stored locals whatever the mode, each tile's
+        bases added as it reads.  The NumPy body below is its fallback
+        and oracle (the shard widened first), where the iteration's
+        direction picks the evaluation order of the same per-edge AND
+        predicate: push filters by the frontier side first, pull by the
+        unvisited side, and with direction optimisation off both sides
+        are evaluated densely.  All of them give identical targets in
+        identical order — only the size of the second gather differs.
         """
         depth = self.depth
         symmetric = self.symmetric
-        edges = int(gsrc.shape[0])
+        edges = tiles.n_edges
         if native.lib is not None:
             return native.discover_bfs(
-                depth, gsrc, gdst, symmetric, self.level
+                depth, tiles, symmetric, self.level, self._held
             ), edges
-        gsrc, gdst = gather_ids(gsrc, gdst)
+        gsrc, gdst = gather_ids(*tiles.widen())
         level = np.uint32(self.level)
         bwd_targets = None
         if not self.direction_optimizing:
@@ -177,10 +199,21 @@ class BFS(TileAlgorithm):
         return fwd_targets, edges
 
     def apply_partial(self, partial) -> int:
+        """Set the discovered targets to ``level + 1``, marking their rows
+        and counting each vertex once, however many edges discovered it."""
         targets, edges = partial
         if targets.size:
-            self.depth[targets] = np.uint32(self.level + 1)
-            self._rows_next[targets >> self._graph().tile_bits] = True
+            level = np.uint32(self.level + 1)
+            tile_bits = self._graph().tile_bits
+            if native.lib is not None:
+                self._discovered += native.commit_level(
+                    self.depth, targets, level, self._rows_next, tile_bits,
+                    self._held,
+                )
+            else:
+                self._discovered += _set_level(
+                    self.depth, targets, level, self._rows_next, tile_bits
+                )
         return edges
 
     # ------------------------------------------------------------------ #

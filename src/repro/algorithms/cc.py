@@ -61,6 +61,9 @@ class ConnectedComponents(TileAlgorithm):
         # (including the pointer-jumping compress) — the propagation
         # frontier.  Everything is "changed" before the first iteration.
         self._changed = np.ones(g.n_vertices, dtype=bool)
+        #: Rows whose labels moved since the iteration began, folded once
+        #: per commit on first read (``None``: not since the last change).
+        self._moved_rows: "np.ndarray | None" = None
         self.iterations_run = 0
 
     # ------------------------------------------------------------------ #
@@ -68,6 +71,7 @@ class ConnectedComponents(TileAlgorithm):
     def begin_iteration(self, iteration: int) -> None:
         super().begin_iteration(iteration)
         np.copyto(self._prev, self.comp)
+        self._moved_rows = None
 
     # ------------------------------------------------------------------ #
     # Fused batch kernel
@@ -96,6 +100,7 @@ class ConnectedComponents(TileAlgorithm):
         commit = native.min_commit if native.lib is not None else np.minimum.at
         commit(self.comp, gdst, src_labels)
         commit(self.comp, gsrc, dst_labels)
+        self._moved_rows = None
         return edges
 
     def end_iteration(self, iteration: int) -> bool:
@@ -107,6 +112,7 @@ class ConnectedComponents(TileAlgorithm):
                 break
             comp = nxt
         self.comp = comp
+        self._moved_rows = None
         self.iterations_run = iteration + 1
         np.not_equal(comp, self._prev, out=self._changed)
         changed = bool(self._changed.any())
@@ -132,11 +138,15 @@ class ConnectedComponents(TileAlgorithm):
 
     def rows_active_next(self) -> np.ndarray:
         """Partial knowledge for proactive caching: labels already lowered
-        this iteration (the compress may add more at iteration end)."""
-        return self._rows_of_vertices(self.comp != self._prev)
+        this iteration (the compress may add more at iteration end),
+        folded once per commit whichever of this and
+        :meth:`cols_active_next` asks first."""
+        if self._moved_rows is None:
+            self._moved_rows = self._rows_of_vertices(self.comp != self._prev)
+        return self._moved_rows
 
     def cols_active_next(self) -> np.ndarray:
-        return self._rows_of_vertices(self.comp != self._prev)
+        return self.rows_active_next()
 
     # ------------------------------------------------------------------ #
 

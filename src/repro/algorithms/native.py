@@ -2,19 +2,19 @@
 discovery, the scatter-add, the SNB decode, and the write path's tile
 encoder and checksums, in C.
 
-SSSP's and AsyncBFS's relaxations and the min-commits of SSSP, AsyncBFS
-and CC (:func:`candidates`, :func:`rounds`, :func:`min_commit`), BFS's and
-Reachability's discovery passes (:func:`discover_bfs`,
-:func:`discover_reach`), the commit of PageRank, SpMV and SCC's degrees
-straight from a batch's SNB payload (:func:`scatter_add`), PageRank's
-end-of-iteration vertex pass (:func:`pagerank_end`), the widening
-of SNB tile payloads into global IDs (:func:`widen`, behind
-``TileEdges.widen``, for the kernels that read them), the symmetric tile
-encoder's key build and unpack (:func:`upper_keys`, :func:`unpack_keys`,
-around the NumPy sort in ``TiledGraph.from_edge_list``) and the per-tile
-CRC32C (:func:`crc32c_extents`, behind ``repro.faults.crc``: SSE4.2's
-``crc32`` instruction where the CPU has it, else slicing-by-8 tables
-built when the library loads) each run as one loop of one C file.
+SSSP's and AsyncBFS's relaxations with their commits (:func:`rounds`),
+CC's min-commit (:func:`min_commit`), BFS's and Reachability's discovery
+passes (:func:`discover_bfs`, :func:`discover_reach`) and BFS's commit
+(:func:`commit_level`), the commit of PageRank, SpMV and SCC's degrees
+(:func:`scatter_add`), PageRank's end-of-iteration vertex pass
+(:func:`pagerank_end`), the widening of SNB tile payloads into global IDs
+(:func:`widen`, behind ``TileEdges.widen``, for the kernels that still
+read them), the symmetric tile encoder's key build and unpack
+(:func:`upper_keys`, :func:`unpack_keys`, around the NumPy sort in
+``TiledGraph.from_edge_list``) and the per-tile CRC32C
+(:func:`crc32c_extents`, behind ``repro.faults.crc``: SSE4.2's ``crc32``
+instruction where the CPU has it, else slicing-by-8 tables built when the
+library loads) each run as one loop of one C file.
 
 ``_relax.c`` (beside this module) is compiled once with ``gcc`` into a
 per-user cache, ``~/.cache/repro/native/<sha256>.so`` keyed by source,
@@ -27,18 +27,20 @@ which the tests also keep as the oracle of the C one.  The answers are
 the NumPy bodies' element for element and in the same order, so results
 and simulated statistics do not depend on the tier.
 
-The wrappers below take what the NumPy bodies take.  Endpoints reach C as
-contiguous ``VERTEX_DTYPE`` — the decoder's arrays pass through, any other
-integer array is range-checked and converted once — and every entry point
-checks each endpoint or index against the state's length before it
-touches memory there, so a corrupt endpoint raises NumPy's own
-``IndexError`` instead of reading out of bounds; the decode and the
-scatter check that the tiles' edge counts cover the payload before their
-first write.  The
-write-path kernels check their whole input first too — endpoints against
-``n_vertices`` (a :class:`~repro.errors.FormatError` naming the first bad
-one), tile positions against the tile count, checksum extents against the
-buffer — and raise typed before their first write.
+Every kernel that reads edges takes them as the slide holds them, in tile
+form (:class:`~repro.format.tiles.TileEdges`: the stored locals, per-tile
+counts and bases), and adds each tile's bases as it reads.  Each checks
+the whole batch first — that the counts cover the payload, and every
+widened endpoint against the state's length (batch-wide, tile by tile
+only where that fails) — so a corrupt endpoint raises NumPy's own
+``IndexError`` and bad counts a ``ValueError``, before anything is
+written.  A commit checks its indices and its row array first too.  A
+run's state, row arrays and a slide plan's layouts reach C through its
+:class:`Held` buffers, converted once.  The write-path kernels check
+their whole input first too — endpoints against ``n_vertices`` (a
+:class:`~repro.errors.FormatError` naming the first bad one), tile
+positions against the tile count, checksum extents against the buffer —
+and raise typed before their first write.
 """
 
 from __future__ import annotations
@@ -60,36 +62,30 @@ from repro.types import VERTEX_DTYPE
 SOURCE = Path(__file__).with_name("_relax.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-std=c11")
 
+#: The tile-form arguments of every edge kernel (:func:`_tile_args`).
+_TILES = ("const void *, int, int64_t, const int64_t *, const uint32_t *, "
+          "const uint32_t *, int64_t")
+
 CDEF = "".join(
     f"""
 int min_commit_{x}({t} *, int64_t, const int64_t *, const {t} *, int64_t,
-                  uint8_t *);
-int64_t candidates_{x}(const {t} *, int64_t, const uint32_t *,
-                       const uint32_t *, int64_t, int, const float *,
-                       const double *, float *, int64_t *, {t} *);
-int rounds_{x}({t} *, int64_t, const uint32_t *, const uint32_t *, int64_t,
-               int, const float *, const double *, const int64_t *,
-               const {t} *, int64_t, uint8_t *, int64_t);
+                  uint8_t *, uint8_t *, int, int64_t);
+int64_t rounds_{x}({t} *, int64_t, {_TILES}, int, const float *,
+                   const double *, uint8_t *, uint8_t *, int, int64_t,
+                   int64_t, uint8_t *);
 """
     for x, t in (("f64", "double"), ("i64", "int64_t"))
-) + """
-int64_t discover_bfs(const uint32_t *, int64_t, const uint32_t *,
-                     const uint32_t *, int64_t, int, uint32_t, int64_t *);
+) + f"""
+int64_t discover_bfs(const uint32_t *, int64_t, {_TILES}, int, uint32_t,
+                     int64_t *);
 int64_t discover_reach(const uint8_t *, const uint8_t *, const uint8_t *,
-                       int64_t, const uint32_t *, const uint32_t *, int64_t,
-                       int, int64_t *);
-int scatter_add(double *, double *, int64_t, const double *, const void *,
-                int, int64_t, const int64_t *, const uint32_t *,
-                const uint32_t *, int64_t);
+                       int64_t, {_TILES}, int, int, int64_t *);
+int64_t commit_level(uint32_t *, int64_t, const int64_t *, int64_t, uint32_t,
+                     uint8_t *, int, int64_t);
+int scatter_add(double *, double *, int64_t, const double *, {_TILES});
 void pagerank_end(double *, double *, const double *, int64_t, double, double,
                   double);
-""" + "".join(
-    f"""
-int widen_{x}(const {t} *, int64_t, const int64_t *, const uint32_t *,
-              const uint32_t *, int64_t, uint32_t *, uint32_t *);
-"""
-    for x, t in (("u8", "uint8_t"), ("u16", "uint16_t"), ("u32", "uint32_t"))
-) + """
+int widen({_TILES}, uint32_t *, uint32_t *);
 int64_t upper_keys(const uint32_t *, const uint32_t *, int64_t, int64_t,
                    const int64_t *, int64_t, int64_t, int, const float *,
                    uint64_t *, float *);
@@ -200,203 +196,25 @@ def _out_of_bounds(n: int, *arrays: np.ndarray) -> IndexError:
     return IndexError(f"index out of bounds for axis 0 with size {n}")
 
 
-def _vertex_ids(n: int, gsrc: np.ndarray, gdst: np.ndarray):
-    """The endpoints as contiguous ``VERTEX_DTYPE``: passed through when
-    they already are, else range-checked against ``n`` and converted once
-    (a negative ID is out of range here, not wrapped)."""
-    if gsrc.shape != gdst.shape:
-        raise ValueError("endpoint arrays differ in length")
-    if gsrc.dtype == gdst.dtype == VERTEX_DTYPE and (
-        gsrc.flags.c_contiguous and gdst.flags.c_contiguous
-    ):
-        return gsrc, gdst
-    for a in (gsrc, gdst):
-        if a.size and (a.min() < 0 or a.max() >= n):
-            raise _out_of_bounds(n, gsrc, gdst)
-    return (np.ascontiguousarray(gsrc, dtype=VERTEX_DTYPE),
-            np.ascontiguousarray(gdst, dtype=VERTEX_DTYPE))
-
-
-#: Per state dtype: the C suffix, the state's C array type.
-_KINDS = {
-    np.dtype(np.float64): ("f64", "double[]"),
-    np.dtype(np.int64): ("i64", "int64_t[]"),
-}
-
-
-def _buf(ctype: str, a: "np.ndarray | None"):
-    return ffi.NULL if a is None else ffi.from_buffer(ctype, a)
-
-
-def _flags(flags: "np.ndarray | None", n: int):
-    """The writable buffer of a ``bool`` flag array over all ``n`` vertices
-    (``NULL`` for ``None``)."""
-    if flags is None:
-        return ffi.NULL
-    if flags.dtype != np.bool_ or flags.shape != (n,):
-        raise ValueError(f"flags must be {n} bools, got {flags.dtype}{flags.shape}")
-    return ffi.from_buffer("uint8_t[]", flags, require_writable=True)
-
-
-def _weights(w: "np.ndarray | None", m: int):
-    """The ``(w32, w64)`` buffers of stored weights ``w`` (``NULL`` both
-    for the endpoint hash)."""
-    if w is None:
-        return ffi.NULL, ffi.NULL
-    if w.shape[0] != m:
-        raise ValueError("weights and endpoints differ in length")
-    if w.dtype == np.float32:
-        return _buf("float[]", np.ascontiguousarray(w)), ffi.NULL
-    return ffi.NULL, _buf("double[]", np.ascontiguousarray(w, np.float64))
-
-
-def min_commit(
-    a: np.ndarray, idx: np.ndarray, vals: np.ndarray,
-    flags: "np.ndarray | None" = None,
-) -> None:
-    """``np.minimum.at(a, idx, vals)``, then ``flags[idx] = True`` when
-    ``flags`` is given, for ``float64`` or ``int64`` ``a``."""
-    k = idx.shape[0]
-    if vals.shape[0] != k:
-        raise ValueError("indices and values differ in length")
-    if k == 0:
-        return
-    x, ctype = _KINDS[a.dtype]
-    n = a.shape[0]
-    rc = getattr(lib, f"min_commit_{x}")(
-        ffi.from_buffer(ctype, a, require_writable=True), n,
-        ffi.from_buffer("int64_t[]", np.ascontiguousarray(idx, np.int64)),
-        ffi.from_buffer(ctype, np.ascontiguousarray(vals, a.dtype)), k,
-        _flags(flags, n),
-    )
-    if rc:
-        raise _out_of_bounds(n, idx)
-
-
-def candidates(state, gsrc, gdst, symmetric: bool, w=None):
-    """One relaxation pass against ``state`` (read-only): the partial
-    ``(idx, vals, gsrc, gdst, w)`` of strictly improving candidates,
-    forward ones in edge order, then the mirrored ones on symmetric
-    storage.  ``float64`` state is SSSP's (``state[s] + w``; ``w`` the
-    stored ``float32``/``float64`` weights, or ``None``: then the endpoint
-    hash is derived in the pass and returned as ``float32``); ``int64``
-    state is AsyncBFS's (``state[s] + 1``, ``w`` stays ``None``)."""
-    x, ctype = _KINDS[state.dtype]
-    n = state.shape[0]
-    src, dst = _vertex_ids(n, gsrc, gdst)
-    m = src.shape[0]
-    w_out = None
-    if w is None and x == "f64":
-        w = w_out = np.empty(m, np.float32)
-        w32 = w64 = ffi.NULL
-    else:
-        w32, w64 = _weights(w, m)
-    cap = 2 * m if symmetric else m
-    idx = np.empty(cap, np.int64)
-    vals = np.empty(cap, state.dtype)
-    k = getattr(lib, f"candidates_{x}")(
-        ffi.from_buffer(ctype, np.ascontiguousarray(state)), n,
-        ffi.from_buffer("uint32_t[]", src), ffi.from_buffer("uint32_t[]", dst),
-        m, bool(symmetric), w32, w64, _buf("float[]", w_out),
-        ffi.from_buffer("int64_t[]", idx), ffi.from_buffer(ctype, vals),
-    )
-    if k < 0:
-        raise _out_of_bounds(n, src, dst)
-    return idx[:k], vals[:k], src, dst, w
-
-
-def rounds(state, gsrc, gdst, symmetric: bool, idx, vals, changed,
-           n_rounds: int, w=None) -> None:
-    """Commit the candidates ``(idx, vals)`` into ``state`` (flagging
-    ``changed``), then relax the shard against the committed state and
-    commit again, ``n_rounds`` times or — ``n_rounds < 0`` — until no
-    candidate is left.  Types as in :func:`candidates`."""
-    x, ctype = _KINDS[state.dtype]
-    n = state.shape[0]
-    src, dst = _vertex_ids(n, gsrc, gdst)
-    k = idx.shape[0]
-    if vals.shape[0] != k:
-        raise ValueError("indices and values differ in length")
-    rc = getattr(lib, f"rounds_{x}")(
-        ffi.from_buffer(ctype, state, require_writable=True), n,
-        ffi.from_buffer("uint32_t[]", src), ffi.from_buffer("uint32_t[]", dst),
-        src.shape[0], bool(symmetric), *_weights(w, src.shape[0]),
-        ffi.from_buffer("int64_t[]", np.ascontiguousarray(idx, np.int64)),
-        ffi.from_buffer(ctype, np.ascontiguousarray(vals, state.dtype)), k,
-        _flags(changed, n), n_rounds,
-    )
-    if rc == -2:
-        raise MemoryError("no room for a relaxation round's candidates")
-    if rc:
-        raise _out_of_bounds(n, idx, src, dst)
-
-
-def _bools(a: np.ndarray, n: int):
-    """The read-only buffer of a ``bool`` vertex mask of length ``n``."""
-    if a.dtype != np.bool_ or a.shape != (n,):
-        raise ValueError(f"mask must be {n} bools, got {a.dtype}{a.shape}")
-    return ffi.from_buffer("uint8_t[]", np.ascontiguousarray(a))
-
-
-def discover_bfs(depth, gsrc, gdst, symmetric: bool, level: int) -> np.ndarray:
-    """BFS's discovery pass against ``uint32`` ``depth`` (read-only): the
-    targets of edges from a vertex at ``level`` to an unvisited one, forward
-    ones in edge order, then the mirrored ones on symmetric storage, as
-    ``int64``."""
-    if depth.dtype != np.uint32:
-        raise ValueError(f"depth must be uint32, got {depth.dtype}")
-    n = depth.shape[0]
-    src, dst = _vertex_ids(n, gsrc, gdst)
-    m = src.shape[0]
-    out = np.empty(2 * m if symmetric else m, np.int64)
-    k = lib.discover_bfs(
-        ffi.from_buffer("uint32_t[]", np.ascontiguousarray(depth)), n,
-        ffi.from_buffer("uint32_t[]", src), ffi.from_buffer("uint32_t[]", dst),
-        m, bool(symmetric), int(level), ffi.from_buffer("int64_t[]", out),
-    )
-    if k < 0:
-        raise _out_of_bounds(n, src, dst)
-    return out[:k]
-
-
-def discover_reach(frontier, allowed, visited, gsrc, gdst,
-                   symmetric: bool) -> np.ndarray:
-    """Reachability's discovery pass against its ``bool`` masks
-    (read-only): the targets of edges from a ``frontier`` vertex to one
-    ``allowed`` and not ``visited``, forward ones in edge order, then the
-    mirrored ones on symmetric storage, as ``int64``.  A backward sweep
-    swaps ``gsrc`` and ``gdst``."""
-    n = frontier.shape[0]
-    masks = [_bools(a, n) for a in (frontier, allowed, visited)]
-    src, dst = _vertex_ids(n, gsrc, gdst)
-    m = src.shape[0]
-    out = np.empty(2 * m if symmetric else m, np.int64)
-    k = lib.discover_reach(
-        *masks, n,
-        ffi.from_buffer("uint32_t[]", src), ffi.from_buffer("uint32_t[]", dst),
-        m, bool(symmetric), ffi.from_buffer("int64_t[]", out),
-    )
-    if k < 0:
-        raise _out_of_bounds(n, src, dst)
-    return out[:k]
-
-
 class Held:
     """The C buffers of arrays that outlive many compiled calls — a run's
-    vertex state, a slide plan's layout — each converted, its dtype and
-    contiguity checked, on its first call only.  An identity cache: an
-    entry keeps its array alive, so an ``id`` is never reused under it,
-    and the cache starts over past :attr:`LIMIT` arrays (a slide plan's
-    layouts and the state of a run fit).  Each algorithm's ``setup`` makes
-    one, so it lives for a run.  Every per-call check (a shape against
-    the state's length, the C loop's bounds checks) runs whatever it
-    holds."""
+    vertex state, flag and row arrays, a slide plan's layouts and the
+    shard pieces cut from them — each converted, its dtype and contiguity
+    checked, on its first call only.  An identity cache: an entry keeps
+    its array alive, so an ``id`` is never reused under it, and the cache
+    starts over past :attr:`LIMIT` arrays, which bounds what it keeps
+    alive (1 024 entries held a run's old plans and cost 0.35 MiB of
+    ``sssp_pertile``'s peak RSS).  Each algorithm's ``setup`` makes one,
+    so it lives for a run; it also keeps the scratch :func:`rounds`
+    marks vertices in.  Every per-call check (a shape against the state's
+    length, the C loop's bounds checks) runs whatever it holds."""
 
     LIMIT = 64
-    __slots__ = ("_bufs",)
+    __slots__ = ("_bufs", "_marks")
 
     def __init__(self) -> None:
         self._bufs: "dict[int, tuple]" = {}
+        self._marks = None
 
     def buffer(self, ctype: str, a: np.ndarray, dtype, writable: bool = False):
         """``a``'s buffer as ``ctype``, ``a`` being a contiguous ``dtype``
@@ -414,6 +232,15 @@ class Held:
         self._bufs[id(a)] = (a, ctype, writable, buf)
         return buf
 
+    def marks(self, n: int):
+        """An ``n``-byte scratch of zeros, kept: :func:`rounds` marks the
+        vertices a commit listed there and clears them again."""
+        marks = self._marks
+        if marks is None or len(marks) != n:
+            self._marks = marks = ffi.new("uint8_t[]", n)
+        return marks
+
+
 
 def _input(held, ctype: str, a: np.ndarray, dtype):
     """The read-only buffer of ``a`` as a contiguous ``dtype`` array,
@@ -424,15 +251,68 @@ def _input(held, ctype: str, a: np.ndarray, dtype):
     return buf
 
 
-def _accumulator(acc: np.ndarray, n: int, held: Held):
-    """The writable buffer of a contiguous ``float64`` array of length
-    ``n``."""
-    buf = held.buffer("double[]", acc, np.float64, writable=True)
-    if buf is None or acc.shape != (n,):
+def _output(held, ctype: str, a: np.ndarray, dtype, n: int, what: str):
+    """The writable buffer of a contiguous ``dtype`` array of length
+    ``n``; ``ValueError`` naming ``what`` for anything else."""
+    buf = held.buffer(ctype, a, dtype, writable=True)
+    if buf is None or a.shape != (n,):
         raise ValueError(
-            f"accumulator must be {n} contiguous float64, got {acc.dtype}{acc.shape}"
+            f"{what} must be {n} contiguous {np.dtype(dtype)}, got "
+            f"{a.dtype}{a.shape}"
         )
     return buf
+
+
+#: Per state dtype: the C suffix, the state's C array type.
+_KINDS = {
+    np.dtype(np.float64): ("f64", "double[]"),
+    np.dtype(np.int64): ("i64", "int64_t[]"),
+}
+
+
+def _buf(ctype: str, a: "np.ndarray | None"):
+    return ffi.NULL if a is None else ffi.from_buffer(ctype, a)
+
+
+def _flags(flags: "np.ndarray | None", n: int, held: Held):
+    """The writable buffer of a ``bool`` flag array over all ``n`` vertices
+    (``NULL`` for ``None``)."""
+    if flags is None:
+        return ffi.NULL
+    buf = held.buffer("uint8_t[]", flags, np.bool_, writable=True)
+    if buf is None or flags.shape != (n,):
+        raise ValueError(f"flags must be {n} bools, got {flags.dtype}{flags.shape}")
+    return buf
+
+
+def _rows(rows: "np.ndarray | None", n: int, tile_bits: int, held: Held):
+    """``(buffer, length)`` of a writable ``bool`` row array holding the
+    row ``v >> tile_bits`` of every vertex ``v < n`` (``(NULL, 0)`` for
+    ``None``); ``ValueError`` for one too short."""
+    if rows is None:
+        return ffi.NULL, 0
+    buf = held.buffer("uint8_t[]", rows, np.bool_, writable=True)
+    if buf is None or rows.ndim != 1 or not 0 <= tile_bits < 64 or (
+        n > 0 and (n - 1) >> tile_bits >= rows.shape[0]
+    ):
+        raise ValueError(
+            f"rows must hold the {((max(n, 1) - 1) >> tile_bits) + 1} rows "
+            f"of {n} vertices at tile_bits {tile_bits} as contiguous bools, "
+            f"got {rows.dtype}{rows.shape}"
+        )
+    return buf, rows.shape[0]
+
+
+def _weights(w: "np.ndarray | None", m: int):
+    """The ``(w32, w64)`` buffers of stored weights ``w`` (``NULL`` both
+    for the endpoint hash)."""
+    if w is None:
+        return ffi.NULL, ffi.NULL
+    if w.shape[0] != m:
+        raise ValueError("weights and endpoints differ in length")
+    if w.dtype == np.float32:
+        return _buf("float[]", np.ascontiguousarray(w)), ffi.NULL
+    return ffi.NULL, _buf("double[]", np.ascontiguousarray(w, np.float64))
 
 
 def _tile_form(pairs, counts, sb, db):
@@ -442,48 +322,210 @@ def _tile_form(pairs, counts, sb, db):
     k = counts.shape[0]
     if pairs.dtype.kind != "u" or bits not in (8, 16, 32):
         raise ValueError(f"no SNB decode of {pairs.dtype} pairs")
-    if pairs.shape[0] % 2 or sb.shape != (k,) or db.shape != (k,):
+    if pairs.ndim != 1 or pairs.shape[0] % 2 or sb.shape != (k,) or db.shape != (k,):
         raise ValueError("payload, counts and bases do not match")
     return bits
 
 
-def scatter_add(fwd, x, pairs, counts, sb, db, bwd=None, held=None) -> None:
-    """The scatter kernels' commit straight from a batch in tile form:
-    the interleaved unsigned local ``(src, dst)`` pairs of tiles holding
-    ``counts`` edges each, each endpoint widened as :func:`widen` widens
-    it (tile ``j``'s bases ``sb[j]``/``db[j]`` added with ``uint32``
-    wraparound).  Edge by edge, ``fwd[t] += x[s]``, each followed, when
-    ``bwd`` is given, by ``bwd[s] += x[t]`` — ``bwd`` may be ``fwd``
-    itself (symmetric storage's mirrored add).  ``fwd``, ``bwd`` and ``x``
-    are contiguous ``float64`` of one length ``n``.  Everything is checked
-    before the first add, so the accumulators are untouched on a
-    ``ValueError`` (counts that do not cover the payload) or an
-    ``IndexError`` (a widened endpoint not below ``n``).  ``held`` (a
-    :class:`Held`) keeps the buffers of the state and the counts and
-    bases across calls."""
+def _tile_args(tiles, held: Held) -> tuple:
+    """The C arguments ``(pairs, bits, m, counts, sb, db, k)`` of a batch
+    in tile form (:class:`~repro.format.tiles.TileEdges`): the payload as
+    it is, the counts and bases through ``held`` (a slide plan's layout
+    and its shard pieces are converted once)."""
+    pairs, counts = tiles.pairs, tiles.counts
+    bits = _tile_form(pairs, counts, tiles.src_base, tiles.dst_base)
+    return (
+        ffi.from_buffer(f"uint{bits}_t[]", np.ascontiguousarray(pairs)), bits,
+        pairs.shape[0] // 2, _input(held, "int64_t[]", counts, np.int64),
+        _input(held, "uint32_t[]", tiles.src_base, VERTEX_DTYPE),
+        _input(held, "uint32_t[]", tiles.dst_base, VERTEX_DTYPE),
+        counts.shape[0],
+    )
+
+
+def _tile_error(rc: int, n: int, tiles) -> Exception:
+    """The typed error of an edge kernel's return code: ``ValueError``
+    for counts that do not cover the payload (-2) or rows too short (-3),
+    ``MemoryError`` (-4), else NumPy's ``IndexError`` for the first
+    widened endpoint not below ``n``."""
+    if rc == -2:
+        return ValueError(
+            f"tile edge counts do not cover the payload's "
+            f"{tiles.pairs.shape[0] // 2} edges"
+        )
+    if rc == -3:
+        return ValueError("rows do not hold every vertex's row")
+    if rc == -4:
+        return MemoryError("no room for a relaxation round's candidates")
+    return _out_of_bounds(n, *widen(tiles))
+
+
+def min_commit(
+    a: np.ndarray, idx: np.ndarray, vals: np.ndarray,
+    flags: "np.ndarray | None" = None, rows: "np.ndarray | None" = None,
+    tile_bits: int = 0, held: "Held | None" = None,
+) -> None:
+    """``np.minimum.at(a, idx, vals)``, then ``flags[idx] = True`` when
+    ``flags`` is given and ``rows[idx >> tile_bits] = True`` when ``rows``
+    is, for ``float64`` or ``int64`` ``a``.  Every index, and the flags'
+    and rows' shapes, are checked before the first write.  ``held`` keeps
+    the buffers of the run's arrays."""
+    held = Held() if held is None else held
+    k = idx.shape[0]
+    if vals.shape[0] != k:
+        raise ValueError("indices and values differ in length")
+    x, ctype = _KINDS[a.dtype]
+    n = a.shape[0]
+    flag_buf = _flags(flags, n, held)
+    row_buf, n_rows = _rows(rows, n, tile_bits, held)
+    if k == 0:
+        return
+    rc = getattr(lib, f"min_commit_{x}")(
+        _output(held, ctype, a, a.dtype, n, "state"), n,
+        ffi.from_buffer("int64_t[]", np.ascontiguousarray(idx, np.int64)),
+        ffi.from_buffer(ctype, np.ascontiguousarray(vals, a.dtype)), k,
+        flag_buf, row_buf, tile_bits, n_rows,
+    )
+    if rc:
+        raise _out_of_bounds(n, idx)
+
+
+def rounds(state, tiles, symmetric: bool, changed, n_rounds: int, w=None,
+           rows=None, tile_bits: int = 0, held=None) -> int:
+    """The live relaxation of a batch in tile form: relax its edges
+    against ``state`` as it stands and commit the strictly improving
+    candidates — ``np.minimum.at``, flagging ``changed`` and marking
+    ``rows`` as :func:`min_commit` does — pass after pass, until a pass
+    finds nothing or ``n_rounds`` passes have run (``n_rounds < 0``: until
+    the batch's fixpoint).  Returns the passes run.  ``float64`` state is
+    SSSP's (``state[s] + w``; ``w`` the stored ``float32``/``float64``
+    weights in edge order, or ``None``: then the endpoint hash of the
+    widened endpoints, computed in the loop); ``int64`` state is
+    AsyncBFS's (``state[s] + 1``, ``w`` stays ``None``).  Forward
+    candidates are in edge order, then the mirrored ones on symmetric
+    storage.
+
+    Every pass after the first relaxes only the edges with an endpoint
+    the commit before it listed (marked in a ``len(state)``-byte scratch
+    ``held`` keeps, which one pass does without): an edge of two endpoints that commit left alone can
+    offer nothing new, so each pass finds the full pass's candidates in
+    its order.  ``IndexError`` on a widened endpoint not below
+    ``len(state)`` and ``ValueError`` on counts that do not cover the
+    payload or rows too short, before anything is written."""
+    held = Held() if held is None else held
+    x, ctype = _KINDS[state.dtype]
+    n = state.shape[0]
+    args = _tile_args(tiles, held)
+    flag_buf = _flags(changed, n, held)
+    row_buf, n_rows = _rows(rows, n, tile_bits, held)
+    passes = getattr(lib, f"rounds_{x}")(
+        _output(held, ctype, state, state.dtype, n, "state"), n, *args,
+        bool(symmetric), *_weights(w, args[2]), flag_buf, row_buf, tile_bits,
+        n_rows, n_rounds, ffi.NULL if n_rounds == 1 else held.marks(n),
+    )
+    if passes < 0:
+        raise _tile_error(passes, n, tiles)
+    return passes
+
+
+def _bools(a: np.ndarray, n: int, held: Held):
+    """The read-only buffer of a ``bool`` vertex mask of length ``n``."""
+    if a.dtype != np.bool_ or a.shape != (n,):
+        raise ValueError(f"mask must be {n} bools, got {a.dtype}{a.shape}")
+    return _input(held, "uint8_t[]", a, np.bool_)
+
+
+def discover_bfs(depth, tiles, symmetric: bool, level: int,
+                 held=None) -> np.ndarray:
+    """BFS's discovery pass over a batch in tile form against ``uint32``
+    ``depth`` (read-only): the targets of edges from a vertex at ``level``
+    to an unvisited one, forward ones in edge order, then the mirrored
+    ones on symmetric storage, as ``int64``.  Errors as
+    :func:`rounds`."""
+    held = Held() if held is None else held
+    if depth.dtype != np.uint32:
+        raise ValueError(f"depth must be uint32, got {depth.dtype}")
+    n = depth.shape[0]
+    args = _tile_args(tiles, held)
+    m = args[2]
+    out = np.empty(2 * m if symmetric else m, np.int64)
+    k = lib.discover_bfs(
+        _input(held, "uint32_t[]", depth, np.uint32), n, *args,
+        bool(symmetric), int(level), ffi.from_buffer("int64_t[]", out),
+    )
+    if k < 0:
+        raise _tile_error(k, n, tiles)
+    return out[:k]
+
+
+def discover_reach(frontier, allowed, visited, tiles, symmetric: bool,
+                   backward: bool = False, held=None) -> np.ndarray:
+    """Reachability's discovery pass over a batch in tile form against its
+    ``bool`` masks (read-only): the targets of edges from a ``frontier``
+    vertex to one ``allowed`` and not ``visited`` — each edge taken as
+    ``(dst, src)`` when ``backward`` — forward ones in edge order, then
+    the mirrored ones on symmetric storage, as ``int64``.  Errors as
+    :func:`rounds`."""
+    held = Held() if held is None else held
+    n = frontier.shape[0]
+    masks = [_bools(a, n, held) for a in (frontier, allowed, visited)]
+    args = _tile_args(tiles, held)
+    m = args[2]
+    out = np.empty(2 * m if symmetric else m, np.int64)
+    k = lib.discover_reach(
+        *masks, n, *args, bool(symmetric), bool(backward),
+        ffi.from_buffer("int64_t[]", out),
+    )
+    if k < 0:
+        raise _tile_error(k, n, tiles)
+    return out[:k]
+
+
+def commit_level(depth, idx, level: int, rows=None, tile_bits: int = 0,
+                 held=None) -> int:
+    """BFS's commit: ``depth[idx] = level`` on ``uint32`` ``depth``,
+    marking ``rows[idx >> tile_bits]`` when ``rows`` is given; returns how
+    many vertices were not at ``level`` before — each counted once,
+    however often ``idx`` lists it.  Every index and the rows' shape are
+    checked before the first write."""
+    held = Held() if held is None else held
+    n = depth.shape[0]
+    row_buf, n_rows = _rows(rows, n, tile_bits, held)
+    k = lib.commit_level(
+        _output(held, "uint32_t[]", depth, np.uint32, n, "depth"), n,
+        ffi.from_buffer("int64_t[]", np.ascontiguousarray(idx, np.int64)),
+        idx.shape[0], int(level), row_buf, tile_bits, n_rows,
+    )
+    if k < 0:
+        raise _out_of_bounds(n, idx)
+    return k
+
+
+def scatter_add(fwd, x, tiles, bwd=None, held=None) -> None:
+    """The scatter kernels' commit straight from a batch in tile form
+    (:class:`~repro.format.tiles.TileEdges`): edge by edge,
+    ``fwd[t] += x[s]``, each followed, when ``bwd`` is given, by
+    ``bwd[s] += x[t]`` — ``bwd`` may be ``fwd`` itself (symmetric
+    storage's mirrored add).  ``fwd``, ``bwd`` and ``x`` are contiguous
+    ``float64`` of one length ``n``.  Everything is checked before the
+    first add, so the accumulators are untouched on a ``ValueError``
+    (counts that do not cover the payload) or an ``IndexError`` (a
+    widened endpoint not below ``n``).  ``held`` (a :class:`Held`) keeps
+    the buffers of the state and the counts and bases across calls."""
     held = Held() if held is None else held
     n = fwd.shape[0]
     if x.shape != (n,):
         raise ValueError(f"x must have shape ({n},), got {x.shape}")
-    bits = _tile_form(pairs, counts, sb, db)
-    m = pairs.shape[0] // 2
-    acc = _accumulator(fwd, n, held)
+    args = _tile_args(tiles, held)
+    acc = _output(held, "double[]", fwd, np.float64, n, "accumulator")
     rc = lib.scatter_add(
         acc, ffi.NULL if bwd is None else
-        acc if bwd is fwd else _accumulator(bwd, n, held), n,
-        _input(held, "double[]", x, np.float64),
-        ffi.from_buffer(f"uint{bits}_t[]", np.ascontiguousarray(pairs)), bits,
-        m, _input(held, "int64_t[]", counts, np.int64),
-        _input(held, "uint32_t[]", sb, VERTEX_DTYPE),
-        _input(held, "uint32_t[]", db, VERTEX_DTYPE),
-        counts.shape[0],
+        acc if bwd is fwd else
+        _output(held, "double[]", bwd, np.float64, n, "accumulator"), n,
+        _input(held, "double[]", x, np.float64), *args,
     )
-    if rc == -2:
-        raise ValueError(
-            f"tile edge counts do not cover the payload's {m} edges"
-        )
     if rc:
-        raise _out_of_bounds(n, *widen(pairs, counts, sb, db))
+        raise _tile_error(rc, n, tiles)
 
 
 def pagerank_end(acc, old, teleport, dangling_mass: float, damping: float,
@@ -500,8 +542,8 @@ def pagerank_end(acc, old, teleport, dangling_mass: float, damping: float,
     n = acc.shape[0]
     if old is acc:
         raise ValueError("the new and old ranks must be distinct arrays")
-    new_buf = _accumulator(acc, n, held)
-    old_buf = _accumulator(old, n, held)
+    new_buf = _output(held, "double[]", acc, np.float64, n, "accumulator")
+    old_buf = _output(held, "double[]", old, np.float64, n, "accumulator")
     if teleport is None:
         t_buf, a, c = ffi.NULL, dangling_mass / n, (1.0 - damping) / n
     else:
@@ -514,28 +556,18 @@ def pagerank_end(acc, old, teleport, dangling_mass: float, damping: float,
     lib.pagerank_end(new_buf, old_buf, t_buf, n, a, damping, c)
 
 
-def widen(pairs: np.ndarray, counts: np.ndarray, sb: np.ndarray,
-          db: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """The SNB decode in one pass: the interleaved unsigned local ``(src,
-    dst)`` pairs (``uint8``, ``uint16`` or ``uint32``) of tiles holding
-    ``counts`` edges each, to two contiguous ``VERTEX_DTYPE`` arrays of
-    global IDs, tile ``j``'s bases ``sb[j]``/``db[j]`` added with
-    ``uint32`` wraparound.  ``ValueError`` unless the counts cover the
-    payload exactly."""
-    bits = _tile_form(pairs, counts, sb, db)
-    k = counts.shape[0]
-    m = pairs.shape[0] // 2
+def widen(tiles) -> "tuple[np.ndarray, np.ndarray]":
+    """The SNB decode in one pass: a batch in tile form
+    (:class:`~repro.format.tiles.TileEdges`) to two contiguous
+    ``VERTEX_DTYPE`` arrays of global IDs, tile ``j``'s bases added to its
+    locals with ``uint32`` wraparound.  ``ValueError`` unless the counts
+    cover the payload exactly."""
+    args = _tile_args(tiles, Held())
+    m = args[2]
     gsrc = np.empty(m, VERTEX_DTYPE)
     gdst = np.empty(m, VERTEX_DTYPE)
-    rc = getattr(lib, f"widen_u{bits}")(
-        ffi.from_buffer(f"uint{bits}_t[]", np.ascontiguousarray(pairs)), m,
-        ffi.from_buffer("int64_t[]", np.ascontiguousarray(counts, np.int64)),
-        ffi.from_buffer("uint32_t[]", np.ascontiguousarray(sb, VERTEX_DTYPE)),
-        ffi.from_buffer("uint32_t[]", np.ascontiguousarray(db, VERTEX_DTYPE)),
-        k, ffi.from_buffer("uint32_t[]", gsrc),
-        ffi.from_buffer("uint32_t[]", gdst),
-    )
-    if rc:
+    if lib.widen(*args, ffi.from_buffer("uint32_t[]", gsrc),
+                 ffi.from_buffer("uint32_t[]", gdst)):
         raise ValueError(
             f"tile edge counts do not cover the payload's {m} edges"
         )

@@ -46,8 +46,7 @@ def scatter_add(
     buffers of its run-lifetime arrays.
     """
     if native.lib is not None:
-        native.scatter_add(fwd, x, tiles.pairs, tiles.counts, tiles.src_base,
-                           tiles.dst_base, bwd, held)
+        native.scatter_add(fwd, x, tiles, bwd, held)
         return
     gsrc, gdst = tiles.widen()
     if bwd is fwd:  # edge i's mirrored add right after its forward one

@@ -35,6 +35,10 @@ class Reachability(TileAlgorithm):
 
     name = "bfs"  # same per-edge cost family as BFS
     all_active = False
+    reads_ids = False
+    #: Neither live nor pooled, so any cut gives the same bits, and one
+    #: discovery per batch measured faster than one per shard.
+    one_shard = True
 
     def __init__(
         self,
@@ -88,9 +92,9 @@ class Reachability(TileAlgorithm):
     # Fused batch kernel
     # ------------------------------------------------------------------ #
 
-    def kernel_partial(self, gsrc, gdst):
+    def kernel_partial(self, tiles):
         """Frontier-side filter first, then the open-target check, over
-        the concatenated shard (read-only): the hits in the swept
+        the shard in tile form (read-only): the hits in the swept
         direction in edge order, then on symmetric storage the mirrored
         ones, and the edge count.
 
@@ -98,23 +102,25 @@ class Reachability(TileAlgorithm):
         visited is idempotent, so the union of the hit sets — hence the
         result — is the same whichever ``visited`` snapshot a shard sees:
         every shard cut, serial and threaded execution agree bit for bit.
-        Compiled (:mod:`~repro.algorithms.native`) when that tier loaded;
-        the NumPy body below is its fallback and oracle.
+        Compiled (:mod:`~repro.algorithms.native`) when that tier loaded,
+        a backward sweep taking each stored edge as ``(dst, src)``; the
+        NumPy body below is its fallback and oracle.
         """
         frontier = self._frontier
         allowed = self.allowed
         visited = self.visited
         symmetric = self.symmetric
-        edges = int(gsrc.shape[0])
+        edges = tiles.n_edges
+        if native.lib is not None:
+            return native.discover_reach(
+                frontier, allowed, visited, tiles, symmetric,
+                not self.forward, self._held,
+            ), edges
+        gsrc, gdst = gather_ids(*tiles.widen())
         if not self.forward:
             # A backward sweep follows dst -> src: from here on ``gsrc``
             # is the side expanded from and ``gdst`` the side reached.
             gsrc, gdst = gdst, gsrc
-        if native.lib is not None:
-            return native.discover_reach(
-                frontier, allowed, visited, gsrc, gdst, symmetric
-            ), edges
-        gsrc, gdst = gather_ids(gsrc, gdst)
 
         def expand(from_ids, to_ids):
             cand = to_ids[frontier[from_ids]]
@@ -136,7 +142,8 @@ class Reachability(TileAlgorithm):
     def end_iteration(self, iteration: int) -> bool:
         self._frontier, self._frontier_next = self._frontier_next, self._frontier
         self._rows_now = self._rows_next
-        return bool(self._frontier.any())
+        # A row is marked exactly where a frontier vertex was set.
+        return bool(self._rows_now.any())
 
     # ------------------------------------------------------------------ #
 

@@ -54,6 +54,7 @@ class SSSP(TileAlgorithm):
 
     name = "sssp"
     all_active = False
+    reads_ids = False
 
     def __init__(self, root: int = 0, max_iterations: int = 10_000) -> None:
         super().__init__()
@@ -62,6 +63,10 @@ class SSSP(TileAlgorithm):
         self.dist: "np.ndarray | None" = None
         self._changed: "np.ndarray | None" = None
         self._changed_next: "np.ndarray | None" = None
+        #: Row activity of the changed vertices of the last iteration and
+        #: of this one, the latter marked where commits land.
+        self._rows_now: "np.ndarray | None" = None
+        self._rows_next: "np.ndarray | None" = None
         self.iterations_run = 0
 
     def _setup(self) -> None:
@@ -73,6 +78,8 @@ class SSSP(TileAlgorithm):
         self._changed = np.zeros(g.n_vertices, dtype=bool)
         self._changed[self.root] = True
         self._changed_next = np.zeros(g.n_vertices, dtype=bool)
+        self._rows_now = self._rows_of_vertices(self._changed)
+        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
         self.iterations_run = 0
 
     # ------------------------------------------------------------------ #
@@ -80,6 +87,7 @@ class SSSP(TileAlgorithm):
     def begin_iteration(self, iteration: int) -> None:
         super().begin_iteration(iteration)
         self._changed_next.fill(False)
+        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
 
     # ------------------------------------------------------------------ #
     # Fused batch kernel (live: shards commit in order)
@@ -87,24 +95,30 @@ class SSSP(TileAlgorithm):
 
     live_kernel = True
 
-    def kernel_partial(self, gsrc, gdst, w=None):
-        """One relaxation of the shard against the current distances
-        (read-only): the strictly improving ``(vertex, distance)``
-        candidates, both directions on symmetric storage.
+    def kernel_partial(self, tiles, w=None):
+        """The shard in tile form and its weights: a live relaxation has
+        no read-only half, since each pass must see the commit before it
+        (:meth:`apply_partial` runs both).  ``w`` is the shard's stored
+        weights (:meth:`shard_partial`), or ``None`` on an unweighted
+        graph: then the endpoint hash (:func:`edge_weights`) of the
+        widened endpoints weighs each edge."""
+        return tiles, w
 
-        ``w`` is the shard's stored weights (:meth:`_shard_weights`), or
-        ``None`` on an unweighted graph: then the endpoint hash
-        (:func:`edge_weights`) is derived here and nowhere else.  The
-        weights ride in the partial with the endpoints, so the second pass
-        of :meth:`apply_partial` reuses all three.  Compiled
-        (:mod:`~repro.algorithms.native`) when that tier loaded; the NumPy
-        body below is its fallback and oracle.
-        """
-        if native.lib is not None:
-            return native.candidates(self.dist, gsrc, gdst, self.symmetric, w)
-        if w is None:
-            w = edge_weights(gsrc, gdst)
-        gsrc, gdst = gather_ids(gsrc, gdst)
+    def shard_partial(self, batch, a, b):
+        """Edges ``[a, b)`` of ``batch`` in tile form with their stored
+        weights, read from the disk-edge-ordered weight array (none when
+        the graph stores none: the kernel hashes them)."""
+        stored = self._graph().edge_weights
+        return self.kernel_partial(
+            batch.tile_edges(a, b),
+            None if stored is None else batch.side(stored, a, b),
+        )
+
+    def _candidates(self, gsrc, gdst, w):
+        """One relaxation pass of the NumPy body over ``intp`` endpoints:
+        the strictly improving ``(vertex, distance)`` candidates against
+        the distances as they stand, forward ones in edge order, then the
+        mirrored ones on symmetric storage."""
         dist = self.dist
         ds = dist[gsrc]
         dd = dist[gdst]
@@ -117,58 +131,67 @@ class SSSP(TileAlgorithm):
             better = cand < ds
             idx = np.concatenate([idx, gsrc[better]])
             vals = np.concatenate([vals, cand[better]])
-        return idx, vals, gsrc, gdst, w
-
-    def shard_partial(self, batch, a, b):
-        """Edges ``[a, b)`` of ``batch`` with their stored weights, read
-        from the disk-edge-ordered weight array (none when the graph
-        stores none: the kernel hashes them)."""
-        stored = self._graph().edge_weights
-        return self.kernel_partial(
-            batch.gsrc[a:b], batch.gdst[a:b],
-            None if stored is None else batch.side(stored, a, b),
-        )
+        return idx, vals
 
     def _commit(self, idx: np.ndarray, vals: np.ndarray) -> None:
         np.minimum.at(self.dist, idx, vals)
         self._changed_next[idx] = True
+        self._rows_next[idx >> self._graph().tile_bits] = True
 
     def apply_partial(self, partial) -> int:
-        """Commit the shard's improvements, then relax the same resident
-        shard once more against the updated distances.
+        """Relax the shard against the current distances and commit the
+        improvements, then relax the same resident shard once more against
+        the updated distances and commit again.
 
         The second pass is real per-edge work and is counted into the
         returned edge total; a shard whose first pass improved nothing is
         not re-relaxed (the pass would repeat the first bit for bit).
+        Compiled (:func:`~repro.algorithms.native.rounds`: one call, the
+        hash computed in the loop, the second pass over the edges the
+        first commit touched) when that tier loaded; the NumPy body below
+        is its fallback and oracle (the shard widened and hashed once).
         """
-        idx, vals, gsrc, gdst, w = partial
-        edges = int(gsrc.shape[0])
+        tiles, w = partial
+        edges = tiles.n_edges
+        if native.lib is not None:
+            return edges * native.rounds(
+                self.dist, tiles, self.symmetric, self._changed_next, 2, w,
+                self._rows_next, self._graph().tile_bits, self._held,
+            )
+        gsrc, gdst = tiles.widen()
+        if w is None:
+            w = edge_weights(gsrc, gdst)
+        gsrc, gdst = gather_ids(gsrc, gdst)
+        idx, vals = self._candidates(gsrc, gdst, w)
         if idx.size == 0:
             return edges
-        if native.lib is not None:
-            native.rounds(
-                self.dist, gsrc, gdst, self.symmetric, idx, vals,
-                self._changed_next, 1, w,
-            )
-            return 2 * edges
         self._commit(idx, vals)
-        idx, vals = self.kernel_partial(gsrc, gdst, w)[:2]
+        idx, vals = self._candidates(gsrc, gdst, w)
         if idx.size:
             self._commit(idx, vals)
         return 2 * edges
 
     def end_iteration(self, iteration: int) -> bool:
         self._changed, self._changed_next = self._changed_next, self._changed
+        self._rows_now = self._rows_next
         self.iterations_run = iteration + 1
-        return bool(self._changed.any()) and self.iterations_run < self.max_iterations
+        # A row is marked exactly where a vertex was flagged changed.
+        return bool(self._rows_now.any()) and (
+            self.iterations_run < self.max_iterations
+        )
 
     # ------------------------------------------------------------------ #
 
     def rows_active(self) -> np.ndarray:
-        return self._rows_of_vertices(self._changed)
+        """Rows holding vertices changed last iteration: the previous
+        iteration's :meth:`rows_active_next`."""
+        return self._rows_now
 
     def rows_active_next(self) -> np.ndarray:
-        return self._rows_of_vertices(self._changed_next)
+        """Rows holding vertices changed so far this iteration, marked per
+        commit (never rescanned); a fresh array every iteration, so a
+        caller may keep it."""
+        return self._rows_next
 
     def metadata_bytes(self) -> int:
         return int(self.dist.nbytes + self._changed.nbytes + self._changed_next.nbytes)

@@ -275,7 +275,7 @@ class TileEdges:
 
         flat, counts = self.pairs, self.counts
         if native.lib is not None:
-            return native.widen(flat, counts, self.src_base, self.dst_base)
+            return native.widen(self)
         if 2 * int(counts.sum()) != flat.shape[0] or (counts < 0).any():
             raise ValueError(
                 f"tile edge counts do not cover the payload's "
@@ -295,7 +295,9 @@ class BatchLayout:
     :func:`~repro.engine.selective.split_extents` derives it from
     positions alone, so a slide plan computes it once and every fetch of
     the batch only wraps its bytes (:meth:`TiledGraph.decode_extents`).
-    Read-only: a layout may be shared by every batch decoded with it."""
+    Read-only: a layout may be shared by every batch decoded with it, and
+    so are its shard cuts and the shards' tile pieces, derived from the
+    layout alone on a batch's first read and kept in ``shards``."""
 
     counts: np.ndarray
     tile_bounds: np.ndarray
@@ -303,6 +305,7 @@ class BatchLayout:
     run_edge_lo: np.ndarray
     src_base: np.ndarray
     dst_base: np.ndarray
+    shards: dict = field(default_factory=dict, init=False, repr=False)
 
 
 class DecodedBatch:
@@ -316,19 +319,23 @@ class DecodedBatch:
     ``run_edge_lo[r]`` on, which is how per-edge side arrays
     (``TiledGraph.edge_weights``) are read (:meth:`side`).
 
-    Two things are computed on first read and kept: ``gsrc``/``gdst``, the
-    whole batch's global endpoint IDs from one :meth:`TileEdges.widen`
-    pass (a scatter kernel reads :meth:`tile_edges` and never widens), and
-    ``cuts`` (:func:`shard_cuts`), the shard boundaries — a kernel is
-    handed edges ``[cuts[k], cuts[k + 1])`` — which a one-shard kernel
-    never reads.  A first read writes the cache, so a batch read on
+    Three things are computed on first read and kept: ``gsrc``/``gdst``,
+    the whole batch's global endpoint IDs from one :meth:`TileEdges.widen`
+    pass (a kernel that reads tile form, :meth:`tile_edges`, never
+    widens); ``cuts`` (:func:`shard_cuts`), the shard boundaries — a
+    kernel is handed edges ``[cuts[k], cuts[k + 1])`` — which a one-shard
+    kernel never reads; and each shard's tile pieces (its counts, trimmed
+    where a cut falls inside a tile, and bases).  The last two depend on
+    the layout alone, so they are kept in its ``shards``
+    (:class:`BatchLayout`) and every batch of a slide plan's layout reads
+    them from there.  A first read writes the cache, so a batch read on
     several threads is read on one of them first
     (:func:`~repro.runtime.threads.execute_batch` widens before it maps a
     pool).  Callers treat every array as read-only.
     """
 
     __slots__ = ("run_bounds", "run_edge_lo", "_tiles", "_tile_bounds",
-                 "_ids", "_cuts")
+                 "_ids", "_shards")
 
     def __init__(
         self,
@@ -337,13 +344,14 @@ class DecodedBatch:
         run_bounds: np.ndarray,
         run_edge_lo: np.ndarray,
         ids: "tuple[np.ndarray, np.ndarray] | None" = None,
+        shards: "dict | None" = None,
     ) -> None:
         self._tiles = tiles
         self._tile_bounds = tile_bounds
         self.run_bounds = run_bounds
         self.run_edge_lo = run_edge_lo
         self._ids = ids
-        self._cuts: "np.ndarray | None" = None
+        self._shards = {} if shards is None else shards
 
     @classmethod
     def of_runs(
@@ -388,9 +396,10 @@ class DecodedBatch:
 
     @property
     def cuts(self) -> np.ndarray:
-        if self._cuts is None:
-            self._cuts = shard_cuts(self.run_bounds)
-        return self._cuts
+        cuts = self._shards.get("cuts")
+        if cuts is None:
+            cuts = self._shards["cuts"] = shard_cuts(self.run_bounds)
+        return cuts
 
     @property
     def tiles(self) -> TileEdges:
@@ -402,21 +411,28 @@ class DecodedBatch:
         return self._tiles
 
     def tile_edges(self, a: int, b: int) -> TileEdges:
-        """Batch edges ``[a, b)`` in tile form: zero-copy slices of
-        :attr:`tiles`, the counts of the first and last tile trimmed where
-        the range cuts them."""
+        """Batch edges ``[a, b)`` in tile form: a zero-copy slice of
+        :attr:`tiles`' payload under the range's tile pieces — the counts
+        of the first and last tile trimmed where the range cuts them, and
+        the bases — which are derived once per range and layout and kept,
+        so a kernel handed the same shard of another batch of the layout
+        gets the same piece arrays."""
         tiles = self.tiles
         if a == 0 and b == tiles.n_edges:
             return tiles
-        bounds = self._tile_bounds
-        i = int(np.searchsorted(bounds, a, side="right")) - 1
-        j = int(np.searchsorted(bounds, b))
-        return TileEdges(
-            tiles.pairs[2 * a : 2 * b],
-            np.diff(np.clip(bounds[i : j + 1], a, b)),
-            tiles.src_base[i:j],
-            tiles.dst_base[i:j],
-        )
+        piece = self._shards.get((a, b))
+        if piece is None:
+            bounds = self._tile_bounds
+            i = int(bounds.searchsorted(a, side="right")) - 1
+            j = max(i, int(bounds.searchsorted(b)))
+            counts = tiles.counts[i:j].copy()
+            if j > i:  # tiles i..j-1 hold the range: trim the two ends
+                counts[0] -= a - int(bounds[i])
+                counts[-1] -= int(bounds[j]) - b
+            piece = self._shards[a, b] = (
+                counts, tiles.src_base[i:j], tiles.dst_base[i:j],
+            )
+        return TileEdges(tiles.pairs[2 * a : 2 * b], *piece)
 
     def side(self, values: np.ndarray, a: int, b: int) -> np.ndarray:
         """A disk-edge-ordered side array's values for batch edges
@@ -1047,7 +1063,8 @@ class TiledGraph:
             )
         tiles = TileEdges(flat, layout.counts, layout.src_base, layout.dst_base)
         return DecodedBatch(
-            tiles, layout.tile_bounds, layout.run_bounds, layout.run_edge_lo
+            tiles, layout.tile_bounds, layout.run_bounds, layout.run_edge_lo,
+            shards=layout.shards,
         )
 
     def payload_dtype(self) -> np.dtype:

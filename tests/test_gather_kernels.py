@@ -1,17 +1,22 @@
-"""Gather kernels index with ``intp`` whatever endpoint dtype arrives.
+"""Gather kernels index with ``intp`` whatever endpoint dtype arrives,
+and the traversals read tile form whatever form the edges take.
 
-Each gather kernel widens its shard's endpoints with
+Each kernel that reads global IDs widens its shard's endpoints with
 :func:`~repro.algorithms.base.gather_ids` before its first gather, so
 the decoder's ``uint32`` arrays and already-widened ``intp`` arrays give
-identical partials.  A kernel reads its algorithm's arrays where they
-live and writes none of them: every shipped algorithm runs whole engine
-runs with each kernel call made on read-only state.  A corrupt endpoint
-still fails typed.
+identical partials.  A traversal kernel (``reads_ids`` false) reads the
+shard in tile form, and the stored SNB locals under their tiles' bases
+give the partial the same edges as global IDs under base 0 give.  A
+kernel reads its algorithm's arrays where they live and writes none of
+them: every shipped algorithm runs whole engine runs with each kernel
+call made twice, once on read-only state, and the state's bytes the same
+after both.  A corrupt endpoint still fails typed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 
 import numpy as np
 import pytest
@@ -79,19 +84,29 @@ def read_only(algo):
             a.flags.writeable = True
 
 
-def _partial(algo, gsrc, gdst):
-    extra = (_frozen(edge_weights(gsrc, gdst)),) if isinstance(algo, SSSP) else ()
+def _tiles(tg) -> TileEdges:
+    """Every stored edge in tile form, as the slide hands a shard to a
+    traversal kernel: the SNB locals under their tiles' bases."""
+    ((_, batch),) = tg.scan(slab_bytes=1 << 62)
+    return batch.tiles
+
+
+def _partial(algo, edges, w=None):
+    """The kernel's partial on read-only state: ``edges`` is ``(gsrc,
+    gdst)`` or, for a traversal, a :class:`TileEdges`; SSSP gets the
+    endpoint hash as stored weights."""
+    if not algo.reads_ids and not isinstance(edges, TileEdges):
+        edges = TileEdges.of_ids(*edges)
+    args = (edges,) if isinstance(edges, TileEdges) else edges
+    if isinstance(algo, SSSP):
+        args += (_frozen(edge_weights(*edges.widen())) if w is None else w,)
     with read_only(algo):
-        return algo.kernel_partial(gsrc, gdst, *extra)
-
-
-def _fields(tiles: TileEdges) -> tuple:
-    return tiles.pairs, tiles.counts, tiles.src_base, tiles.dst_base
+        return algo.kernel_partial(*args)
 
 
 def _same(a, b) -> bool:
-    if isinstance(a, TileEdges):
-        return isinstance(b, TileEdges) and _same(_fields(a), _fields(b))
+    if isinstance(a, TileEdges):  # the same edges in the same order
+        return isinstance(b, TileEdges) and _same(a.widen(), b.widen())
     if isinstance(a, tuple):
         return (
             isinstance(b, tuple) and len(a) == len(b)
@@ -100,6 +115,14 @@ def _same(a, b) -> bool:
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and np.array_equal(a, b)
     return a == b
+
+
+def _state_digest(algo) -> dict:
+    """sha256 of every ``ndarray`` attribute of ``algo``."""
+    return {
+        name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+        for name, a in vars(algo).items() if isinstance(a, np.ndarray)
+    }
 
 
 def test_gather_ids_widens_once():
@@ -116,17 +139,24 @@ def test_gather_ids_widens_once():
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_partials_do_not_depend_on_endpoint_dtype(name, graph, request):
     """Drive the kernel iteration by iteration over the whole graph as
-    one shard; at every iteration both dtypes give the same partial."""
+    one shard; at every iteration both dtypes give the same partial — and
+    for a traversal, the stored locals under their bases and the global
+    IDs under base 0 give the same partial too (the same edges)."""
     tg = request.getfixturevalue(graph)
     src32, dst32 = (_frozen(a) for a in _edges(tg))
     assert src32.dtype == dst32.dtype == np.uint32
     srcp, dstp = (_frozen(a.astype(np.intp)) for a in (src32, dst32))
     algo = KERNELS[name]()
     algo.setup(tg)
+    stored = _tiles(tg)
+    assert tg.snb and stored.pairs.dtype != np.uint32
     for it in range(6):
         algo.begin_iteration(it)
-        narrow = _partial(algo, src32, dst32)
-        assert _same(narrow, _partial(algo, srcp, dstp)), it
+        narrow = _partial(algo, (src32, dst32))
+        assert _same(narrow, _partial(algo, (srcp, dstp))), it
+        if not algo.reads_ids:
+            w = narrow[1] if isinstance(algo, SSSP) else None
+            assert _same(narrow, _partial(algo, stored, w)), it
         algo.apply_partial(narrow)
         if not algo.end_iteration(it):
             break
@@ -144,8 +174,11 @@ def test_corrupt_endpoint_raises_index_error(name, side, bad, tiled_undirected):
     algo = KERNELS[name]()
     algo.setup(tg)
     algo.begin_iteration(0)
+    before = _state_digest(algo)
     with pytest.raises(IndexError, match=f"index {bad} is out of bounds"):
-        _partial(algo, _frozen(gsrc), _frozen(gdst))
+        # A live relaxation (SSSP, AsyncBFS) reads the edges at commit.
+        algo.apply_partial(_partial(algo, (_frozen(gsrc), _frozen(gdst))))
+    assert _state_digest(algo) == before
 
 
 # ---------------------------------------------------------------------- #
@@ -188,8 +221,13 @@ def test_kernel_writes_no_state(name, kind, lattice_graphs, cpus):
     """Through a whole engine run on a lattice graph, every kernel call
     is made twice — once as it comes, once with every ``ndarray``
     attribute of the instance read-only — and the two partials are the
-    same; nothing raises.  This is the guarantee that lets a ``pooled``
-    kernel's partials run side by side and commit in shard order."""
+    same, nothing raises, and every attribute's bytes are what they were
+    before the first call.  The digest is what catches a compiled kernel
+    that writes: C writes through a buffer converted while its array was
+    writable (a run's :class:`~repro.algorithms.native.Held` buffers)
+    whatever the array's flag says later.  This is the guarantee that
+    lets a ``pooled`` kernel's partials run side by side and commit in
+    shard order."""
     cpus(1)
     tg = lattice_graphs[kind]
     algo = _make(name, tg)
@@ -197,10 +235,12 @@ def test_kernel_writes_no_state(name, kind, lattice_graphs, cpus):
     calls = []
 
     def checked(*args):
-        # (gsrc, gdst, [w]), or a scatter kernel's one TileEdges.
+        # (gsrc, gdst), or a tile-form kernel's TileEdges (SSSP: [w]).
+        before = _state_digest(algo)
         want = kernel(*args)
         with read_only(algo):
             got = kernel(*args)
+        assert _state_digest(algo) == before
         assert _same(got, want)
         shard = args[0]
         calls.append(shard.n_edges if isinstance(shard, TileEdges)

@@ -32,8 +32,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import bfs as bfs_module
 from repro.algorithms import native
 from repro.algorithms.async_bfs import AsyncBFS
+from repro.algorithms.base import gather_ids
 from repro.algorithms.bfs import BFS
 from repro.algorithms.cc import ConnectedComponents
 from repro.algorithms.pagerank import PageRank
@@ -46,7 +48,7 @@ from repro.engine.selective import batch_extents
 from repro.errors import FormatError
 from repro.format.edgelist import EdgeList
 from repro.format.grouping import PhysicalGrouping
-from repro.format.tiles import TiledGraph, concat_global_edges
+from repro.format.tiles import TiledGraph, TileEdges, concat_global_edges
 from repro.types import INF_DEPTH
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -84,26 +86,52 @@ def test_native_tier_loaded():
 _N = st.integers(1, 40)
 
 
-def _endpoints(draw, n: int):
-    """A shard's endpoints over ``n`` vertices that hit 0 and n - 1 often."""
-    ids = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
-    m = draw(st.integers(0, 60))
-    src = np.array(draw(st.lists(ids, min_size=m, max_size=m)), np.uint32)
-    dst = np.array(draw(st.lists(ids, min_size=m, max_size=m)), np.uint32)
-    return src, dst
+def _tile_side(draw, n: int, top: int):
+    """One tile's base on one side and the range of its locals, so that
+    base + local lands in ``[0, n)``: a base in range, or one near 2**32
+    that the locals wrap past."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
+        return base, 0, min(top, n - 1 - base)
+    r = draw(st.integers(1, top))
+    return 2**32 - r, r, min(top, r + n - 1)
+
+
+@st.composite
+def _tile_edges(draw, n: int):
+    """A shard over ``n`` vertices in tile form: 8-, 16- or 32-bit locals
+    of up to five tiles, every endpoint widening into range (some through
+    ``uint32`` wraparound), empty tiles included."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.uint32]))
+    top = int(np.iinfo(dtype).max)
+    k = draw(st.integers(0, 5))
+    counts, sb, db, pairs = [], [], [], []
+    for _ in range(k):
+        c = draw(st.integers(0, 14))
+        (a, alo, ahi), (b, blo, bhi) = (_tile_side(draw, n, top) for _ in "ab")
+        for _ in range(c):
+            for lo, hi in ((alo, ahi), (blo, bhi)):
+                pairs.append(draw(st.sampled_from([lo, hi]) | st.integers(lo, hi)))
+        counts.append(c)
+        sb.append(a)
+        db.append(b)
+    tiles = TileEdges(np.array(pairs, dtype), np.array(counts, np.int64),
+                      np.array(sb, np.uint32), np.array(db, np.uint32))
+    gsrc, gdst = _numpy(tiles.widen)
+    assert (gsrc < n).all() and (gdst < n).all()
+    return tiles
 
 
 @st.composite
 def _shard(draw, dtype):
-    """A state array (some entries unreached) and a shard's endpoints."""
+    """A state array (some entries unreached) and a shard in tile form."""
     n = draw(_N)
-    src, dst = _endpoints(draw, n)
     if dtype == np.float64:
         vals = st.one_of(st.just(np.inf), st.floats(0, 100, width=32))
     else:
         vals = st.one_of(st.just(int(INF_DEPTH)), st.integers(0, 30))
     state = np.array(draw(st.lists(vals, min_size=n, max_size=n)), dtype)
-    return state, src, dst
+    return state, draw(_tile_edges(n))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -112,13 +140,23 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _kernel(algo, symmetric=False, **fields):
+def _frozen_tiles(tiles: TileEdges) -> TileEdges:
+    return TileEdges(*(_frozen(getattr(tiles, f.name))
+                       for f in dataclasses.fields(tiles)))
+
+
+def _kernel(algo, symmetric=False, tile_bits=3, **fields):
     """``algo`` with its kernel's fields set directly and a graph that
-    only says whether it is stored symmetric."""
-    algo.graph = SimpleNamespace(info=SimpleNamespace(symmetric=symmetric))
+    only says whether it is stored symmetric and its tile width."""
+    algo.graph = SimpleNamespace(info=SimpleNamespace(symmetric=symmetric),
+                                 tile_bits=tile_bits)
     for name, value in fields.items():
         setattr(algo, name, value)
     return algo
+
+
+def _rows_of(n: int, tile_bits: int = 3) -> np.ndarray:
+    return np.zeros(((n - 1) >> tile_bits) + 1, bool)
 
 
 def _assert_partials_equal(got, want):
@@ -127,23 +165,55 @@ def _assert_partials_equal(got, want):
         assert np.array_equal(g, w), (g, w)
 
 
+def _sssp_oracle(algo, tiles, w, passes):
+    """Up to ``passes`` NumPy relaxation passes of ``algo`` (an SSSP over
+    its own arrays), each committed, stopping after a pass that found
+    nothing; the passes run."""
+    if not tiles.n_edges:
+        return 0
+    gsrc, gdst = _numpy(tiles.widen)
+    if w is None:
+        w = edge_weights(gsrc, gdst)
+    gsrc, gdst = gather_ids(gsrc, gdst)
+    for ran in range(1, passes + 1):
+        idx, vals = algo._candidates(gsrc, gdst, w)
+        algo._commit(idx, vals)
+        if not idx.size:
+            break
+    return ran
+
+
 @needs_tier
 @settings(max_examples=100, deadline=None)
 @given(shard=_shard(np.float64), symmetric=st.booleans(), stored=st.booleans(),
        seed=st.integers(0, 2**16))
 def test_sssp_candidates_match_numpy(shard, symmetric, stored, seed):
-    dist, src, dst = (_frozen(a) for a in shard)
+    """One relaxation pass of a shard in tile form and its commit: the
+    candidates the NumPy body finds, committed with their flags and rows.
+    Without stored weights the compiled loop hashes the widened
+    endpoints, as :func:`edge_weights` does."""
+    dist, tiles = shard[0], _frozen_tiles(shard[1])
     w = None
     if stored:
         w = _frozen(
-            np.random.default_rng(seed).uniform(0.5, 10, src.size).astype(np.float32)
+            np.random.default_rng(seed).uniform(0.5, 10, tiles.n_edges)
+            .astype(np.float32)
         )
-    algo = _kernel(SSSP(), symmetric, dist=dist)
-    got = algo.kernel_partial(src, dst, w)
-    want = _numpy(algo.kernel_partial, src, dst, w)
-    _assert_partials_equal(got, want)
-    if not stored:
-        assert np.array_equal(got[4], edge_weights(src, dst))
+    runs = []
+    for compiled in (True, False):
+        algo = _kernel(SSSP(), symmetric, dist=dist.copy(),
+                       _changed_next=np.zeros(dist.size, bool),
+                       _rows_next=_rows_of(dist.size))
+        if compiled:
+            passes = native.rounds(algo.dist, tiles, symmetric,
+                                   algo._changed_next, 1, w, algo._rows_next, 3)
+        else:
+            passes = _sssp_oracle(algo, tiles, w, 1)
+        runs.append((passes, algo.dist, algo._changed_next, algo._rows_next))
+    (p1, *a1), (p2, *a2) = runs
+    assert p1 == p2 == (1 if tiles.n_edges else 0)
+    for g, want in zip(a1, a2):
+        assert g.tobytes() == want.tobytes()
 
 
 @needs_tier
@@ -152,22 +222,24 @@ def test_sssp_candidates_match_numpy(shard, symmetric, stored, seed):
        stored=st.sampled_from([None, np.float32, np.float64]),
        seed=st.integers(0, 2**16))
 def test_sssp_apply_matches_numpy(shard, symmetric, stored, seed):
-    """Commit, second pass and its commit, flags included."""
-    dist, src, dst = shard
+    """The whole live step — the first pass and its commit, the second
+    pass over what moved and its commit — flags and rows included."""
+    dist, tiles = shard
     w = None
     if stored is not None:
-        w = np.random.default_rng(seed).uniform(0.5, 10, src.size).astype(stored)
+        w = np.random.default_rng(seed).uniform(0.5, 10, tiles.n_edges).astype(stored)
     runs = []
     for tier in (lambda f, *a: f(*a), _numpy):
         algo = _kernel(SSSP(), symmetric, dist=dist.copy(),
-                       _changed_next=np.zeros(dist.size, bool))
-        partial = tier(algo.kernel_partial, src, dst, w)
+                       _changed_next=np.zeros(dist.size, bool),
+                       _rows_next=_rows_of(dist.size))
+        partial = tier(algo.kernel_partial, tiles, w)
         edges = tier(algo.apply_partial, partial)
-        runs.append((edges, algo.dist, algo._changed_next))
-    (e1, d1, c1), (e2, d2, c2) = runs
+        runs.append((edges, algo.dist, algo._changed_next, algo._rows_next))
+    (e1, *a1), (e2, *a2) = runs
     assert e1 == e2
-    assert np.array_equal(d1, d2)
-    assert np.array_equal(c1, c2)
+    for g, w in zip(a1, a2):
+        assert np.array_equal(g, w)
 
 
 @needs_tier
@@ -175,9 +247,11 @@ def test_sssp_apply_matches_numpy(shard, symmetric, stored, seed):
 @given(
     n=_N, data=st.data(),
     dtype=st.sampled_from([np.float64, np.int64]), flags=st.booleans(),
+    rows=st.booleans(), tile_bits=st.integers(0, 6),
 )
-def test_min_commit_matches_minimum_at(n, data, dtype, flags):
-    """Duplicate indices included: every one of them is committed."""
+def test_min_commit_matches_minimum_at(n, data, dtype, flags, rows, tile_bits):
+    """Duplicate indices included: every one of them is committed, and
+    flags and rows are marked for each."""
     k = data.draw(st.integers(0, 80))
     idx = np.array(
         data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)),
@@ -191,54 +265,61 @@ def test_min_commit_matches_minimum_at(n, data, dtype, flags):
     base = np.array(data.draw(st.lists(elems, min_size=n, max_size=n)), dtype)
     got, want = base.copy(), base.copy()
     got_flags, want_flags = np.zeros(n, bool), np.zeros(n, bool)
-    native.min_commit(got, idx, vals, got_flags if flags else None)
+    got_rows, want_rows = _rows_of(n, tile_bits), _rows_of(n, tile_bits)
+    native.min_commit(got, idx, vals, got_flags if flags else None,
+                      got_rows if rows else None, tile_bits)
     np.minimum.at(want, idx, vals)
     if flags:
         want_flags[idx] = True
+    if rows:
+        want_rows[idx >> tile_bits] = True
     assert np.array_equal(got, want)
     assert np.array_equal(got_flags, want_flags)
+    assert np.array_equal(got_rows, want_rows)
 
 
 @needs_tier
 def test_min_commit_checks_before_writing():
-    """Every index, and the flags' length and dtype, before the first
-    write."""
+    """Every index, and the flags' and rows' length and dtype, before the
+    first write."""
     a = np.zeros(4)
     with pytest.raises(IndexError, match="index 4 is out of bounds for axis 0 with size 4"):
         native.min_commit(a, np.array([0, 4]), np.array([-1.0, -1.0]))
     for flags in (np.zeros(3, bool), np.zeros(4, np.int64)):
         with pytest.raises(ValueError, match="flags must be 4 bools"):
             native.min_commit(a, np.array([0]), np.array([-1.0]), flags)
-    assert a.tolist() == [0.0] * 4
+    rows = np.zeros(1, bool)  # vertex 3 is in row 1 at tile_bits 1
+    with pytest.raises(ValueError, match="rows must hold the 2 rows"):
+        native.min_commit(a, np.array([0]), np.array([-1.0]), None, rows, 1)
+    assert a.tolist() == [0.0] * 4 and not rows.any()
 
 
 @needs_tier
 @settings(max_examples=100, deadline=None)
 @given(shard=_shard(np.int64), symmetric=st.booleans())
 def test_async_bfs_matches_numpy(shard, symmetric):
-    """First pass, then the rounds to the shard's fixpoint, from depths
-    that include ``INF_DEPTH``."""
-    depth, src, dst = shard
+    """The rounds to the shard's fixpoint, from depths that include
+    ``INF_DEPTH``."""
+    depth, tiles = shard
     runs = []
     for tier in (lambda f, *a: f(*a), _numpy):
-        algo = _kernel(AsyncBFS(), symmetric, depth=_frozen(depth),
-                       _changed_next=np.zeros(depth.size, bool))
-        partial = tier(algo.kernel_partial, src, dst)
-        first = tuple(np.array(a) for a in partial[:2])
-        algo.depth = depth.copy()
-        tier(algo.apply_partial, partial)
-        runs.append((first, algo.depth, algo._changed_next))
-    (f1, d1, c1), (f2, d2, c2) = runs
-    _assert_partials_equal(f1, f2)
-    assert np.array_equal(d1, d2)
-    assert np.array_equal(c1, c2)
+        algo = _kernel(AsyncBFS(), symmetric, depth=depth.copy(),
+                       _changed_next=np.zeros(depth.size, bool),
+                       _rows_next=_rows_of(depth.size))
+        partial = algo.kernel_partial(tiles)
+        assert partial is tiles
+        assert tier(algo.apply_partial, partial) == tiles.n_edges
+        runs.append((algo.depth, algo._changed_next, algo._rows_next))
+    for g, w in zip(*runs):
+        assert np.array_equal(g, w)
 
 
 @needs_tier
 @settings(max_examples=100, deadline=None)
 @given(shard=_shard(np.int64))
 def test_cc_label_scatters_match_numpy(shard):
-    labels, src, dst = shard
+    labels, tiles = shard
+    src, dst = _numpy(tiles.widen)
     runs = []
     for tier in (lambda f, *a: f(*a), _numpy):
         algo = _kernel(ConnectedComponents(), comp=labels.copy(),
@@ -252,8 +333,8 @@ def test_cc_label_scatters_match_numpy(shard):
 @st.composite
 def _bfs_shard(draw):
     """Depths around ``level`` — on it, one past it, unvisited — and a
-    shard; the level includes 0 and the top of the ``uint32`` range,
-    where it meets ``INF_DEPTH``."""
+    shard in tile form; the level includes 0 and the top of the
+    ``uint32`` range, where it meets ``INF_DEPTH``."""
     inf = int(INF_DEPTH)
     level = draw(st.sampled_from([0, 1, inf - 1, inf]) | st.integers(0, 30))
     n = draw(_N)
@@ -262,7 +343,7 @@ def _bfs_shard(draw):
         draw(st.lists(vals | st.integers(0, 30), min_size=n, max_size=n)),
         np.uint32,
     )
-    return depth, *_endpoints(draw, n), level
+    return depth, draw(_tile_edges(n)), level
 
 
 @needs_tier
@@ -270,37 +351,50 @@ def _bfs_shard(draw):
 @given(shard=_bfs_shard(), symmetric=st.booleans(),
        mode=st.sampled_from([None, "push", "pull"]))
 def test_bfs_discovery_matches_numpy(shard, symmetric, mode):
-    """One C loop for all three modes; each NumPy evaluation order gives
-    the same targets in the same order."""
-    depth, src, dst, level = shard
+    """One C loop over tile form for all three modes; each NumPy
+    evaluation order gives the same targets in the same order, and the
+    commit sets the same depths and rows and counts each vertex once."""
+    depth, tiles, level = shard
     algo = _kernel(BFS(), symmetric, depth=_frozen(depth), level=level,
                    direction_optimizing=mode is not None, _pull=mode == "pull")
-    got = algo.kernel_partial(_frozen(src), _frozen(dst))
-    want = _numpy(algo.kernel_partial, src, dst)
+    got = algo.kernel_partial(_frozen_tiles(tiles))
+    want = _numpy(algo.kernel_partial, tiles)
     assert got[0].dtype == want[0].dtype == np.intp
     _assert_partials_equal(got, want)
+    if level >= int(INF_DEPTH):
+        return  # no vertex is ever set to level + 1
+    runs = []
+    for tier in (lambda f, *a: f(*a), _numpy):
+        algo.depth, algo._discovered = depth.copy(), 0
+        algo._rows_next = _rows_of(depth.size)
+        tier(algo.apply_partial, got)
+        runs.append((algo.depth, algo._rows_next, algo._discovered))
+    (d1, r1, c1), (d2, r2, c2) = runs
+    assert np.array_equal(d1, d2) and np.array_equal(r1, r2)
+    fresh = np.unique(got[0][depth[got[0]] != level + 1])
+    assert c1 == c2 == fresh.size
 
 
 @st.composite
 def _reach_shard(draw):
-    """Frontier, allowed and visited masks, and a shard."""
+    """Frontier, allowed and visited masks, and a shard in tile form."""
     n = draw(_N)
     masks = st.lists(st.booleans(), min_size=n, max_size=n)
     state = {
         name: _frozen(np.array(draw(masks), bool))
         for name in ("_frontier", "allowed", "visited")
     }
-    return state, *_endpoints(draw, n)
+    return state, draw(_tile_edges(n))
 
 
 @needs_tier
 @settings(max_examples=100, deadline=None)
 @given(shard=_reach_shard(), forward=st.booleans(), symmetric=st.booleans())
 def test_reachability_discovery_matches_numpy(shard, forward, symmetric):
-    state, src, dst = shard
+    state, tiles = shard
     algo = _kernel(Reachability([0], forward=forward), symmetric, **state)
-    got = algo.kernel_partial(_frozen(src), _frozen(dst))
-    want = _numpy(algo.kernel_partial, src, dst)
+    got = algo.kernel_partial(_frozen_tiles(tiles))
+    want = _numpy(algo.kernel_partial, tiles)
     assert got[0].dtype == want[0].dtype == np.intp
     _assert_partials_equal(got, want)
 
@@ -400,15 +494,15 @@ def test_decode_counts_must_cover_the_payload(dtype, counts):
     out = [np.full(4, 7, np.uint32) for _ in range(2)]
     bits = 8 * pairs.itemsize
     buf = native.ffi.from_buffer
-    rc = getattr(native.lib, f"widen_u{bits}")(
-        buf(f"uint{bits}_t[]", pairs), 3,
+    rc = native.lib.widen(
+        buf(f"uint{bits}_t[]", pairs), bits, 3,
         buf("int64_t[]", counts), buf("uint32_t[]", args[4]),
         buf("uint32_t[]", args[5]), 2, *(buf("uint32_t[]", a) for a in out),
     )
     assert rc == -1
     assert all((a == 7).all() for a in out)
     with pytest.raises(ValueError):  # an odd number of local IDs
-        native.widen(pairs[:5], counts, args[4], args[5])
+        native.widen(TileEdges(pairs[:5], counts, args[4], args[5]))
 
 
 # ---------------------------------------------------------------------- #
@@ -513,9 +607,11 @@ def test_scatter_on_two_threads_matches_serial(bits):
     x = rng.standard_normal(n)
     start = rng.standard_normal(n) * 1e6
 
+    tiles = TileEdges(pairs, counts, sb, db)
+
     def run(acc, back):
         for _ in range(4):
-            native.scatter_add(acc, x, pairs, counts, sb, db, back)
+            native.scatter_add(acc, x, tiles, back)
 
     serial = [start.copy() for _ in range(2)]
     run(serial[0], serial[0])
@@ -528,6 +624,286 @@ def test_scatter_on_two_threads_matches_serial(bits):
     for t in threads:
         t.join()
     assert [a.tobytes() for a in pair] == [a.tobytes() for a in serial]
+
+
+# ---------------------------------------------------------------------- #
+# The tile-form traversal kernels at adversarial shapes (run under ASan +
+# UBSan by CI's sanitizer leg): a call either raises the wrapper's typed
+# error with the state and outputs untouched, or equals the NumPy oracle
+# ---------------------------------------------------------------------- #
+
+
+@st.composite
+def _hostile_tiles(draw):
+    """``(n, tiles, error)``: a batch in tile form as a corrupt file or a
+    wrong caller could hand it over — no vertices, no edges, counts that
+    are ragged or reach the payload only by overflowing int64, bases
+    shorter than the counts, and bases that widen endpoints onto |V| - 1,
+    |V| and 2**32 - 1, directly or by wrapping — and the error it must
+    raise (``None``: every endpoint is below ``n``)."""
+    n = draw(st.integers(0, 24) | st.sampled_from([300, 70_000]))
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.uint32]))
+    top = int(np.iinfo(dtype).max)
+    m = draw(st.integers(0, 10))
+    local = st.sampled_from([0, 1, top]) | st.integers(0, top)
+    pairs = draw(st.lists(local, min_size=2 * m, max_size=2 * m))
+    shape = draw(st.sampled_from(["cover"] * 4 + ["ragged", "overflow",
+                                                  "short bases"]))
+    k = draw(st.integers(1 if m else 0, 4))
+    if shape == "overflow":
+        counts = [2**62, 2**62, 2**62, 2**62 + m]
+        k = 4
+    elif shape == "ragged":
+        counts = draw(st.lists(st.integers(-2, m + 2), min_size=k, max_size=k))
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, m), min_size=max(k - 1, 0),
+                                    max_size=max(k - 1, 0))))
+        counts = np.diff([0, *cuts, m]).tolist() if k else []
+    near = [0, max(n - 1, 0), n, 2**32 - 1, (n - 1 - top) % 2**32,
+            (n - top) % 2**32]
+    base = st.sampled_from(near) | st.integers(0, 2**32 - 1)
+    if draw(st.booleans()):  # bases under which every local fits
+        base = st.integers(0, max(n - 1 - top, 0))
+    sb = draw(st.lists(base, min_size=k, max_size=k))
+    db = draw(st.lists(base, min_size=k, max_size=k))
+    if shape == "short bases" and k:
+        sb = sb[:-1]
+    tiles = TileEdges(np.array(pairs, dtype), np.array(counts, np.int64),
+                      np.array(sb, np.uint32), np.array(db, np.uint32))
+    if len(sb) != k or min(counts, default=0) < 0 or sum(counts) != m:
+        return n, tiles, ValueError
+    ends = [(b + p) % 2**32
+            for j, c in enumerate(counts)
+            for e in range(sum(counts[:j]), sum(counts[:j]) + c)
+            for b, p in ((sb[j], pairs[2 * e]), (db[j], pairs[2 * e + 1]))]
+    return n, tiles, IndexError if any(v >= n for v in ends) else None
+
+
+def _untouched(call, error, *arrays):
+    """``call()`` raises ``error`` and leaves every array as it was."""
+    before = [a.copy() for a in arrays]
+    with pytest.raises(error):
+        call()
+    for a, b in zip(arrays, before):
+        assert a.tobytes() == b.tobytes()
+
+
+@needs_tier
+@settings(max_examples=200, deadline=None)
+@given(case=_hostile_tiles(), symmetric=st.booleans(), data=st.data())
+def test_fuzz_discover_bfs(case, symmetric, data):
+    n, tiles, error = case
+    level = data.draw(st.sampled_from([0, 1, int(INF_DEPTH) - 1]))
+    choice = np.array([level, level + 1, int(INF_DEPTH)], np.uint32)
+    depth = choice[np.random.default_rng(level + n).integers(0, 3, n)]
+    if error:
+        return _untouched(
+            lambda: native.discover_bfs(depth, tiles, symmetric, level),
+            error, depth)
+    algo = _kernel(BFS(), symmetric, depth=depth, level=level)
+    _assert_partials_equal(algo.kernel_partial(tiles),
+                           _numpy(algo.kernel_partial, tiles))
+
+
+@needs_tier
+@settings(max_examples=200, deadline=None)
+@given(case=_hostile_tiles(), symmetric=st.booleans(), forward=st.booleans(),
+       data=st.data())
+def test_fuzz_discover_reach(case, symmetric, forward, data):
+    n, tiles, error = case
+    masks = {name: _mask(data, n)
+             for name in ("_frontier", "allowed", "visited")}
+    if error:
+        return _untouched(
+            lambda: native.discover_reach(
+                masks["_frontier"], masks["allowed"], masks["visited"],
+                tiles, symmetric, not forward),
+            error, *masks.values())
+    algo = _kernel(Reachability([0], forward=forward), symmetric, **masks)
+    _assert_partials_equal(algo.kernel_partial(tiles),
+                           _numpy(algo.kernel_partial, tiles))
+
+
+def _state(data, n, dtype):
+    """``n`` distances or depths, a third of them unreached."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if dtype == np.float64:
+        vals = rng.uniform(0, 50, n).astype(np.float32).astype(np.float64)
+        return np.where(rng.random(n) < 1 / 3, np.inf, vals)
+    vals = rng.integers(0, 21, n)
+    return np.where(rng.random(n) < 1 / 3, int(INF_DEPTH), vals)
+
+
+def _mask(data, n):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    return rng.random(n) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+
+
+def _rounds_oracle(state, tiles, symmetric, flags, rows, tile_bits, n_rounds,
+                   w=None):
+    """The NumPy relaxation passes and commits of ``native.rounds``, every
+    pass over every edge: SSSP's body over ``float64`` state, AsyncBFS's
+    over ``int64``; the passes run."""
+    gsrc, gdst = _numpy(tiles.widen)
+    if state.dtype == np.float64 and w is None:
+        w = edge_weights(gsrc, gdst)
+    gsrc, gdst = gather_ids(gsrc, gdst)
+    passes = 0
+    while tiles.n_edges and n_rounds != 0:
+        ds, dd = state[gsrc], state[gdst]
+        step = w if state.dtype == np.float64 else 1
+        cand, back = ds + step, dd + step
+        better, mirror = cand < dd, back < ds
+        idx, vals = gdst[better], cand[better]
+        if symmetric:
+            idx = np.concatenate([idx, gsrc[mirror]])
+            vals = np.concatenate([vals, back[mirror]])
+        passes += 1
+        n_rounds -= 1
+        np.minimum.at(state, idx, vals)
+        flags[idx] = True
+        rows[idx >> tile_bits] = True
+        if not idx.size:
+            break
+    return passes
+
+
+@needs_tier
+@settings(max_examples=200, deadline=None)
+@given(case=_hostile_tiles(), symmetric=st.booleans(),
+       dtype=st.sampled_from([np.float64, np.int64]), stored=st.booleans(),
+       n_rounds=st.sampled_from([0, 1, 2, -1]), short_rows=st.booleans(),
+       stale=st.booleans(), tile_bits=st.integers(0, 5), data=st.data())
+def test_fuzz_rounds(case, symmetric, dtype, stored, n_rounds, short_rows,
+                     stale, tile_bits, data):
+    """The live relaxation: state, flags and rows and the passes run equal
+    the NumPy passes' over every edge (each pass after the first relaxes
+    only what the commit before it touched), or, for a hostile batch or
+    rows one row too short, the typed error with nothing written.  A mark
+    left set in the scratch (``stale``) only widens the passes, and every
+    mark the call sets it clears."""
+    n, tiles, error = case
+    state = _state(data, n, dtype)
+    w = None
+    if stored and dtype == np.float64:
+        w = np.linspace(0.5, 9.5, tiles.n_edges).astype(np.float32)
+    flags = np.zeros(n, bool)
+    rows = _rows_of(n, tile_bits) if n else np.zeros(1, bool)
+    if short_rows and n:
+        rows = rows[:-1]
+        error = (error, ValueError) if error else ValueError
+    held = native.Held()
+    marks = held.marks(n)
+    if stale and n:
+        marks[n // 2] = 1
+    if error:
+        return _untouched(
+            lambda: native.rounds(state, tiles, symmetric, flags, n_rounds,
+                                  w, rows, tile_bits, held),
+            error, state, flags, rows)
+    want = (state.copy(), flags.copy(), rows.copy())
+    passes = native.rounds(state, tiles, symmetric, flags, n_rounds, w, rows,
+                           tile_bits, held)
+    assert passes == _rounds_oracle(*want[:1], tiles, symmetric, *want[1:],
+                                    tile_bits, n_rounds, w)
+    for got, exp in zip((state, flags, rows), want):
+        assert got.tobytes() == exp.tobytes()
+    left = bytes(native.ffi.buffer(marks))
+    assert not any(left[: n // 2] + left[n // 2 + 1 :])
+
+
+@needs_tier
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 24), level=st.sampled_from([1, 5, int(INF_DEPTH) - 1]),
+       bad=st.sampled_from([None, "n", "-1", "2**63-1"]),
+       short_rows=st.booleans(), tile_bits=st.integers(0, 5), data=st.data())
+def test_fuzz_commit_level(n, level, bad, short_rows, tile_bits, data):
+    """BFS's commit: an index out of range (``n``, negative, the top of
+    int64) or rows one row too short change nothing; else depths, rows and
+    the count of moved vertices equal the NumPy body's."""
+    depth = np.array(data.draw(st.lists(
+        st.sampled_from([level, int(INF_DEPTH)]) | st.integers(0, 9),
+        min_size=n, max_size=n)), np.uint32)
+    idx = data.draw(st.lists(st.integers(0, n - 1), max_size=12)) if n else []
+    if bad is not None:
+        at = data.draw(st.integers(0, len(idx)))
+        idx.insert(at, {"n": n, "-1": -1, "2**63-1": 2**63 - 1}[bad])
+    idx = np.array(idx, np.int64)
+    rows = _rows_of(n, tile_bits) if n else np.zeros(1, bool)
+    error = IndexError if ((idx < 0) | (idx >= n)).any() else None
+    if short_rows and n:
+        rows = rows[:-1]
+        error = (error, ValueError) if error else ValueError
+    if error:
+        return _untouched(
+            lambda: native.commit_level(depth, idx, level, rows, tile_bits),
+            error, depth, rows)
+    want, want_rows = depth.copy(), rows.copy()
+    got = native.commit_level(depth, idx, level, rows, tile_bits)
+    assert got == bfs_module._set_level(want, idx, np.uint32(level),
+                                        want_rows, tile_bits)
+    assert depth.tobytes() == want.tobytes()
+    assert rows.tobytes() == want_rows.tobytes()
+
+
+def _big_tiles(seed: int, n: int, bits: int, k: int = 64, per: int = 2_000):
+    rng = np.random.default_rng(seed)
+    top = min(2**bits, n) - 1
+    return TileEdges(
+        rng.integers(0, top + 1, 2 * k * per).astype(f"uint{bits}"),
+        np.full(k, per, np.int64),
+        rng.integers(0, n - top, k).astype(np.uint32),
+        rng.integers(0, n - top, k).astype(np.uint32),
+    )
+
+
+@needs_tier
+@pytest.mark.parametrize("kernel", ["discover_bfs", "discover_reach",
+                                    "rounds", "commit_level"])
+def test_tile_kernels_on_two_threads_match_serial(kernel):
+    """Each call releases the GIL: two threads running one entry point
+    over the same tile-form batches into disjoint states and outputs at
+    once get the serial bits."""
+    n = 50_000
+    rng = np.random.default_rng(7)
+    tiles = [_big_tiles(s, n, bits) for s, bits in enumerate((8, 16, 32))]
+    depth0 = np.where(rng.random(n) < 0.1, 3, INF_DEPTH).astype(np.uint32)
+    mask = rng.random(n) < 0.3
+    dist0 = np.where(rng.random(n) < 0.05, rng.random(n) * 20, np.inf)
+
+    def state():
+        return {"depth": depth0.copy(), "dist": dist0.copy(),
+                "hops": np.where(mask, 0, int(INF_DEPTH)).astype(np.int64),
+                "flags": np.zeros(n, bool), "rows": _rows_of(n, 9)}
+
+    def run(st_, out):
+        for t in tiles:
+            if kernel == "discover_bfs":
+                out.append(native.discover_bfs(st_["depth"], t, True, 3))
+            elif kernel == "discover_reach":
+                out.append(native.discover_reach(mask, ~mask, mask, t, True))
+            elif kernel == "rounds":
+                native.rounds(st_["dist"], t, True, st_["flags"], 2,
+                              rows=st_["rows"], tile_bits=9)
+                native.rounds(st_["hops"], t, True, st_["flags"], -1,
+                              rows=st_["rows"], tile_bits=9)
+            else:
+                targets = native.discover_bfs(st_["depth"], t, True, 3)
+                out.append(np.array([native.commit_level(
+                    st_["depth"], targets, 4, st_["rows"], 9)]))
+        out.extend(st_.values())
+
+    serial = []
+    run(state(), serial)
+    pair = [[], []]
+    threads = [threading.Thread(target=run, args=(state(), out))
+               for out in pair]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for got in pair:
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in serial]
 
 
 @st.composite
@@ -622,13 +998,17 @@ def test_encode_checks_before_writing():
     assert payload.tolist() == [0, 0] and deg.tolist() == [0] * 8 + [2]
 
 
-def _zero_state(n: int) -> np.ndarray:
-    """A read-only all-zero ``float64`` state of length ``n`` that costs no
-    memory: an untouched private read-only mapping is backed by the zero
-    page and charged to nobody."""
-    mm = mmap.mmap(-1, 8 * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS,
-                   prot=mmap.PROT_READ)
-    return np.frombuffer(mm, dtype=np.float64)
+@pytest.fixture(scope="module")
+def every_id_state(tmp_path_factory):
+    """A writable all-zero ``float64`` state over every ``uint32`` ID that
+    costs only the pages written: a shared mapping of a sparse 32 GiB file
+    (an anonymous one that size would be refused its commit charge)."""
+    path = tmp_path_factory.mktemp("state") / "dist.f64"
+    with open(path, "wb") as fh:
+        fh.truncate(8 * 2**32)
+    with open(path, "r+b") as fh:
+        mm = mmap.mmap(fh.fileno(), 0)
+    yield np.frombuffer(mm, dtype=np.float64)
 
 
 _MAX_ID = 2**32 - 1
@@ -640,36 +1020,22 @@ _IDS = st.one_of(
 
 @needs_tier
 @settings(max_examples=200, deadline=None)
-@given(pairs=st.lists(st.tuples(_IDS, _IDS | st.none()), max_size=40))
-@example(pairs=[(0, 0), (0, _MAX_ID), (_MAX_ID, 0), (_MAX_ID, None), (9, None)])
-def test_inline_hash_matches_edge_weights(pairs):
-    """Over the whole ``uint32`` ID range (``None``: ``a == b``): the state
-    spans every ID, so no endpoint is out of range, and all-zero distances
-    leave nothing to commit, only the derived weights."""
-    src = np.array([a for a, _ in pairs], np.uint32)
-    dst = np.array([a if b is None else b for a, b in pairs], np.uint32)
-    dist = _zero_state(2**32)
-    idx, _, _, _, w = native.candidates(dist, src, dst, True)
-    assert idx.size == 0
-    assert w.dtype == np.float32
-    assert np.array_equal(w, edge_weights(src, dst))
-    assert np.array_equal(w, edge_weights(dst, src))
-
-
-@needs_tier
-@pytest.mark.parametrize("state", [np.zeros(5), np.zeros(5, np.int64)])
-def test_candidates_convert_other_endpoint_dtypes_once(state):
-    """``intp`` endpoints are range-checked, then converted: the same
-    partial as ``uint32`` ones, and a negative ID is out of range."""
-    src = np.array([0, 1, 4], np.intp)
-    dst = np.array([4, 2, 3], np.intp)
-    got = native.candidates(state, src, dst, True)
-    want = native.candidates(state, src.astype(np.uint32), dst.astype(np.uint32), True)
-    assert got[2].dtype == got[3].dtype == np.uint32
-    _assert_partials_equal(got[:4], want[:4])
-    src[1] = -1
-    with pytest.raises(IndexError, match="index -1 is out of bounds"):
-        native.candidates(state, src, dst, True)
+@given(pairs=st.lists(st.tuples(_IDS, _IDS), max_size=40))
+@example(pairs=[(0, 1), (0, _MAX_ID), (_MAX_ID, 0), (9, 9)])
+def test_inline_hash_matches_edge_weights(pairs, every_id_state):
+    """Over the whole ``uint32`` ID range, both stored orientations: the
+    state spans every ID, so no endpoint is out of range, and each edge
+    runs alone from a source at 0 to an unreached target, so one pass
+    commits its hashed weight there (a loop offers none)."""
+    dist = every_id_state
+    for a, b in pairs:
+        for s, t in ((a, b), (b, a)):
+            dist[t] = np.inf
+            dist[s] = 0.0
+            native.rounds(dist, TileEdges.of_ids(_u32(s), _u32(t)), False,
+                          None, 1)
+            got, dist[t] = dist[t], 0.0
+            assert got == (0.0 if s == t else edge_weights(_u32(s), _u32(t))[0])
 
 
 # ---------------------------------------------------------------------- #
@@ -779,7 +1145,8 @@ def test_truncated_library_is_rebuilt(tmp_path, keep):
     assert status == "loaded" and lib is not None
     assert native.intact(so) and so.stat().st_size == len(whole)
     assert [p.name for p in tmp_path.iterdir()] == [so.name]  # no temporaries
-    assert lib.min_commit_i64(ffi.NULL, 0, ffi.NULL, ffi.NULL, 0, ffi.NULL) == 0
+    assert lib.min_commit_i64(ffi.NULL, 0, ffi.NULL, ffi.NULL, 0, ffi.NULL,
+                              ffi.NULL, 0, 0) == 0
 
 
 def test_no_gcc_falls_back_to_numpy_with_the_reason(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import native
 from repro.algorithms.sssp import SSSP, edge_weights
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
@@ -86,16 +87,34 @@ class TestWeights:
             assert np.array_equal(got, want)
         assert np.array_equal(np.stack([s, d], axis=1), arr)  # inputs kept
 
-    def test_hash_weights_are_derived_in_the_kernel_only(self, tiled_undirected):
-        # An unweighted graph stores no weights; they are derived once,
-        # on the way into the kernel, and ride in the partial for the
-        # second relaxation pass.
-        algo = SSSP(root=0)
-        algo.setup(tiled_undirected)
+    def test_hash_weights_are_derived_in_the_kernel_only(
+        self, tiled_undirected, monkeypatch
+    ):
+        # An unweighted graph stores no weights, and the partial carries
+        # none: the relaxation hashes each widened edge as it reads it —
+        # in the compiled loop, or once per shard in the NumPy body — and
+        # both find the distances the hash defines.
         assert tiled_undirected.edge_weights is None
         batch = DecodedBatch.of_views([tiled_undirected.tile_view(0)])
-        *_, gsrc, gdst, w = algo.shard_partial(batch, 0, batch.n_edges)
-        assert np.array_equal(w, edge_weights(gsrc, gdst))
+        gsrc, gdst = batch.gsrc.astype(np.intp), batch.gdst.astype(np.intp)
+        w = edge_weights(batch.gsrc, batch.gdst)
+        dists = []
+        for lib in (native.lib, None):
+            monkeypatch.setattr(native, "lib", lib)
+            algo = SSSP(root=0)
+            algo.setup(tiled_undirected)
+            algo.begin_iteration(0)
+            tiles, stored = algo.shard_partial(batch, 0, batch.n_edges)
+            assert tiles.n_edges == batch.n_edges and stored is None
+            algo.apply_partial((tiles, stored))
+            dists.append(algo.dist)
+        want = np.full(tiled_undirected.n_vertices, np.inf)
+        want[0] = 0.0
+        for _ in range(2):  # the two passes, each committed
+            cand = np.concatenate([want[gsrc] + w, want[gdst] + w])
+            np.minimum.at(want, np.concatenate([gdst, gsrc]), cand)
+        for got in dists:
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCorrectness:

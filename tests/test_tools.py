@@ -281,7 +281,14 @@ def test_source_structure_holds():
     (each ``kernel_partial`` under ``algorithms/`` calls ``gather_ids``,
     defined once in ``algorithms/base.py``, or its class's commit,
     ``apply_partial``, calls ``scatter_add``, whose compiled loop reads
-    the ``uint32`` IDs directly) —
+    the tile form directly; a live relaxation, whose ``kernel_partial``
+    only hands its commit the shard, gathers in ``apply_partial``) — a
+    kernel that declares ``reads_ids`` false reads tile form (its commit
+    calls ``scatter_add``; or its ``kernel_partial`` calls a compiled
+    tile-form discovery, or its commit the compiled relaxation
+    ``rounds``, and the same method's NumPy fallback widens the shard
+    before ``gather_ids``) and only CC, k-core, MIS and MultiBFS still
+    read IDs —
     one engine loop (under ``engine/`` only ``GStoreEngine`` defines
     ``run``) — the experiment verdicts are plain predicates (no
     ``assert`` in ``bench/experiments.py``, which ``python -O`` would
@@ -307,6 +314,8 @@ def test_source_structure_holds():
     comparator_defs, page_table_reach, index_literals = [], [], []
     depth_reads, private_scipy, cffi_users, process_users = [], [], [], []
     gather_defs, kernels, raw_kernels = [], [], []
+    id_readers, unwidened = [], []
+    discoveries = {"discover_bfs", "discover_reach"}
     engine_runs, verdict_asserts = [], []
     comparator_names = {"run_bfs", "run_pagerank", "run_cc", "_account"}
     stems = {stem for _, _, (stem, _), _ in EXPERIMENTS}
@@ -372,9 +381,27 @@ def test_source_structure_holds():
                 if "kernel_partial" not in calls:
                     continue
                 kernels.append(f"{rel}: {cls.name}")
-                if ("gather_ids" not in calls["kernel_partial"]
-                        and "scatter_add" not in calls.get("apply_partial", ())):
+                kernel = calls["kernel_partial"]
+                commit = calls.get("apply_partial", set())
+                scatters = "scatter_add" in commit
+                relaxes = "rounds" in commit
+                if not ("gather_ids" in kernel or scatters
+                        or relaxes and "gather_ids" in commit):
                     raw_kernels.append(f"{rel}: {cls.name}")
+                tile_form = any(
+                    isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets]
+                    == ["reads_ids"]
+                    and getattr(node.value, "value", True) is False
+                    for node in cls.body
+                )
+                if not tile_form:
+                    id_readers.append(cls.name)
+                elif not scatters and not (
+                    discoveries & kernel and "widen" in kernel
+                    or relaxes and "widen" in commit
+                ):
+                    unwidened.append(f"{rel}: {cls.name}")
         walked += [
             f"{rel}: {name}"
             for node in ast.walk(tree)
@@ -473,6 +500,11 @@ def test_source_structure_holds():
     assert not process_users, process_users
     assert gather_defs == [os.path.join("algorithms", "base.py") + ": gather_ids"]
     assert kernels and not raw_kernels, raw_kernels
+    assert not unwidened, unwidened
+    assert sorted(id_readers) == [
+        "ConnectedComponents", "KCore", "MaximalIndependentSet",
+        "MultiSourceBFS",
+    ], id_readers
     results_dir = os.path.join(SRC, "..", "..", "benchmarks", "results")
     recorded = {
         os.path.splitext(f)[0] for f in os.listdir(results_dir) if f.endswith(".txt")

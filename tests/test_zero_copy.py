@@ -5,8 +5,9 @@
 ``bytes``: with an in-memory store a one-extent batch and the decoded
 local-ID arrays share memory with the payload array itself, with an
 on-disk store they are views over one shared mmap of the payload file,
-and a kernel's shard is a slice of its batch's payload (a scatter
-kernel's) or of its global-ID arrays, widened once on first read.
+and a kernel's shard is a slice of its batch's payload (a scatter or
+traversal kernel's, which reads tile form) or of its global-ID arrays,
+widened once on first read (a kernel that still reads IDs).
 """
 
 from __future__ import annotations
@@ -20,12 +21,16 @@ import numpy as np
 import pytest
 
 from repro.algorithms import native
+from repro.algorithms.async_bfs import AsyncBFS
 from repro.algorithms.bfs import BFS
+from repro.algorithms.cc import ConnectedComponents
 from repro.algorithms.kcore import KCore
 from repro.algorithms.multibfs import MultiSourceBFS
 from repro.algorithms.pagerank import PageRank
+from repro.algorithms.reachability import Reachability
 from repro.algorithms.scc import SubgraphDegrees
 from repro.algorithms.spmv import SpMV
+from repro.algorithms.sssp import SSSP
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
 from repro.engine.selective import (
@@ -175,22 +180,27 @@ class TestGlobalEdgeLayout:
 
     def test_one_view_shard_is_not_copied(self, tg):
         """Every shard a kernel is handed is a slice of its batch's
-        arrays, whatever the cut: a scatter kernel's of the fetched
-        payload itself, an ID-reading kernel's of the widened IDs."""
+        arrays, whatever the cut: a scatter or traversal kernel's of the
+        fetched payload itself, an ID-reading kernel's of the widened
+        IDs."""
         batch = self._batch(tg)
-        algo = PageRank()
-        algo.setup(tg)
         cuts = np.array([0, 1, batch.n_edges // 2, batch.n_edges])
-        for a, b in zip(cuts[:-1], cuts[1:]):  # its partial is the shard
-            tiles = algo.shard_partial(batch, a, b)
-            assert tiles.n_edges == b - a
-            assert np.shares_memory(tiles.pairs, batch.tiles.pairs)
-        bfs = BFS(root=0)
-        bfs.setup(tg)
-        with mock.patch.object(BFS, "kernel_partial",
+        for cls in (PageRank, BFS, SSSP):
+            algo = cls()
+            algo.setup(tg)
+            assert not algo.reads_ids
+            with mock.patch.object(cls, "kernel_partial",
+                                   lambda self, tiles, w=None: tiles):
+                for a, b in zip(cuts[:-1], cuts[1:]):
+                    shard = algo.shard_partial(batch, a, b)
+                    assert shard.n_edges == b - a
+                    assert np.shares_memory(shard.pairs, batch.tiles.pairs)
+        cc = ConnectedComponents()
+        cc.setup(tg)
+        with mock.patch.object(ConnectedComponents, "kernel_partial",
                                lambda self, gsrc, gdst: (gsrc, gdst)):
             for a, b in zip(cuts[:-1], cuts[1:]):
-                gsrc, gdst = bfs.shard_partial(batch, a, b)
+                gsrc, gdst = cc.shard_partial(batch, a, b)
                 assert np.shares_memory(gsrc, batch.gsrc)
                 assert np.shares_memory(gdst, batch.gdst)
 
@@ -217,6 +227,14 @@ _SCATTER = {
 }
 
 
+_TRAVERSAL = {
+    "bfs": lambda: BFS(root=0),
+    "reachability": lambda: Reachability([0, 7]),
+    "sssp": lambda: SSSP(root=0),
+    "async_bfs": lambda: AsyncBFS(root=0),
+}
+
+
 class TestLazyWiden:
     """A batch is widened at most once, on the first read of its global
     IDs, and its shard cuts are computed on first read: a scatter kernel
@@ -238,9 +256,27 @@ class TestLazyWiden:
         assert stats.tiles_fetched > 0 and decoded
         assert widened == []
 
+    @pytest.mark.skipif(native.lib is None,
+                        reason="the NumPy traversal bodies widen each shard")
     @pytest.mark.parametrize("depth", [0, 2])
-    def test_bfs_widens_each_batch_once(self, tiled_undirected, depth):
-        """One widen per decoded batch (the rewind's memoized batch
+    @pytest.mark.parametrize("name", sorted(_TRAVERSAL))
+    def test_traversal_kernels_never_widen(self, tiled_undirected, name,
+                                           depth):
+        """BFS, Reachability, SSSP and AsyncBFS read each shard's stored
+        locals under its tiles' bases: no batch they run is widened, on
+        either thread."""
+        cfg = EngineConfig(prefetch_depth=depth, **self._CFG)
+        with GStoreEngine(tiled_undirected, cfg) as engine, \
+                _calls(TileEdges, "widen") as widened, \
+                _calls(TiledGraph, "decode_extents") as decoded:
+            stats = engine.run(_TRAVERSAL[name]())
+        assert stats.tiles_fetched > 0 and decoded
+        assert widened == []
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_id_reader_widens_each_batch_once(self, tiled_undirected, depth):
+        """A kernel that still reads global IDs (CC's label gathers) has
+        one widen per decoded batch (the rewind's memoized batch
         included): on the engine thread at depth 0, where the kernel
         first reads the IDs, and the slide's on the prefetch thread
         ahead of compute at depth 2."""
@@ -248,7 +284,7 @@ class TestLazyWiden:
         with GStoreEngine(tiled_undirected, cfg) as engine, \
                 _calls(TileEdges, "widen") as widened, \
                 _calls(TiledGraph, "decode_extents") as decoded:
-            stats = engine.run(BFS(root=0))
+            stats = engine.run(ConnectedComponents())
         assert stats.tiles_fetched > 0 and stats.tiles_from_cache > 0
         assert len(widened) == len(decoded) > 0
         on_prefetch = PREFETCH_THREAD_NAME in widened
@@ -258,21 +294,33 @@ class TestLazyWiden:
         self, tiled_undirected, cpus, low_shard_floor
     ):
         """An 8-root MultiBFS runs its shards on the pool; each batch is
-        widened once, on the engine thread, before the pool reads it."""
+        widened once, on the engine thread, before the pool reads it, and
+        each layout is cut into shards once, whichever of its batches is
+        read first (a slide plan's layout serves every iteration that
+        reuses the plan)."""
         cpus(4)
         roots = np.linspace(0, tiled_undirected.n_vertices - 1, 8).astype(int)
         algo = MultiSourceBFS(roots.tolist())
         assert algo.pooled
         cfg = EngineConfig(prefetch_depth=0, **self._CFG)
+        layouts = []
+        decode = TiledGraph.decode_extents
+
+        def decode_and_keep(graph, data, layout):
+            layouts.append(layout)
+            return decode(graph, data, layout)
+
         with GStoreEngine(tiled_undirected, cfg) as engine, \
+                mock.patch.object(TiledGraph, "decode_extents",
+                                  decode_and_keep), \
                 _calls(TileEdges, "widen") as widened, \
-                _calls(TiledGraph, "decode_extents") as decoded, \
                 _calls(tiles, "shard_cuts") as cut, \
                 _calls(MultiSourceBFS, "kernel_partial") as kernels:
             stats = engine.run(algo)
         assert stats.extra["execution"]["kernel_threads"] == 4
         assert any(t.startswith(WORKER_THREAD_PREFIX) for t in kernels)
-        assert len(widened) == len(decoded) == len(cut) > 0
+        assert len(widened) == len(layouts) > 0
+        assert len(cut) == len({id(layout) for layout in layouts}) > 0
         assert not any(t.startswith(WORKER_THREAD_PREFIX) for t in widened)
 
     def test_reading_edge_count_or_one_shard_cuts_computes_nothing(self, tg):
