@@ -195,13 +195,13 @@ INLINE void set_marks(uint8_t *mark, const i64 *idx, i64 k, uint8_t on)
 }
 
 #define KERNELS(X, T)                                                        \
-/* d[idx[j]] = min(d[idx[j]], val[j]) in order, and flags[idx[j]] = 1 when  \
- * flags is not NULL and rows[idx[j] >> tb] = 1 when rows is not NULL:      \
- * np.minimum.at(d, idx, val); flags[idx] = True; rows[idx >> tb] = True.   \
- * Returns 0, -1 on an index not below n, -3 when rows (n_rows flags) has   \
- * no row for some vertex below n. */                                       \
+/* d[idx[j]] = min(d[idx[j]], val[j]) in order, and rows[idx[j] >> tb] = 1  \
+ * where that strictly lowered d[idx[j]], when rows is not NULL:            \
+ * np.minimum.at(d, idx, val) with rows[idx[val < d[idx]] >> tb] = True     \
+ * against d as it was.  Returns 0, -1 on an index not below n, -3 when     \
+ * rows (n_rows flags) has no row for some vertex below n. */               \
 int min_commit_##X(T *d, i64 n, const i64 *idx, const T *val, i64 k,        \
-                   uint8_t *flags, uint8_t *rows, int tb, i64 n_rows)        \
+                   uint8_t *rows, int tb, i64 n_rows)                        \
 {                                                                            \
     if (!rows_fit(rows, n, tb, n_rows))                                      \
         return -3;                                                           \
@@ -210,11 +210,10 @@ int min_commit_##X(T *d, i64 n, const i64 *idx, const T *val, i64 k,        \
             return -1;                                                       \
     for (i64 j = 0; j < k; j++) {                                            \
         i64 v = idx[j];                                                      \
-        d[v] = d[v] < val[j] ? d[v] : val[j]; /* np.minimum's choice */      \
-        if (flags)                                                           \
-            flags[v] = 1;                                                    \
-        if (rows)                                                            \
+        T low = d[v] < val[j] ? d[v] : val[j]; /* np.minimum's choice */     \
+        if (rows && low < d[v])                                              \
             rows[v >> tb] = 1;                                               \
+        d[v] = low;                                                          \
     }                                                                        \
     return 0;                                                                \
 }                                                                            \
@@ -249,10 +248,10 @@ static i64 pass_##X(const T *d, TILES, int sym, const float *w32,            \
                     T *val);                                                 \
                                                                              \
 /* The live relaxation of a batch in tile form: relax its edges against d   \
- * as it stands and commit the candidates (flagging changed and marking     \
- * rows, as min_commit), pass after pass, until a pass finds nothing or     \
- * `rounds` passes have run (a negative count: until the batch's            \
- * fixpoint).  Everything is checked before the first write.  Returns the   \
+ * as it stands and commit the candidates (marking rows as min_commit does: \
+ * each candidate's vertex falls), pass after pass, until a pass finds      \
+ * nothing or `rounds` passes have run (a negative count: until the         \
+ * batch's fixpoint).  Everything is checked before the first write.  Returns the   \
  * passes run, or -1 on an endpoint out of range, -2 as tiles_ok, -3 rows   \
  * too short, -4 out of memory.                                             \
  *                                                                          \
@@ -264,8 +263,8 @@ static i64 pass_##X(const T *d, TILES, int sym, const float *w32,            \
  * offers nothing: each pass finds the full pass's candidates, in its       \
  * order.  A mark set on entry only widens the passes. */                   \
 i64 rounds_##X(T *d, i64 n, TILES, int sym, const float *w32,                \
-               const double *w64, uint8_t *changed, uint8_t *rows, int tb,   \
-               i64 n_rows, i64 rounds, uint8_t *mark)                        \
+               const double *w64, uint8_t *rows, int tb, i64 n_rows,         \
+               i64 rounds, uint8_t *mark)                                    \
 {                                                                            \
     int rc = tiles_ok(TILE_ARGS, n);                                         \
     if (rc)                                                                  \
@@ -287,7 +286,7 @@ i64 rounds_##X(T *d, i64 n, TILES, int sym, const float *w32,                \
     for (; rounds != 0; rounds--) {                                          \
         i64 kn = pass_##X(d, TILE_ARGS, sym, w32, w64, only, next, val);     \
         passes++;                                                            \
-        min_commit_##X(d, n, next, val, kn, changed, rows, tb, n_rows);      \
+        min_commit_##X(d, n, next, val, kn, rows, tb, n_rows);               \
         set_marks(mark, last, k_last, 0);                                    \
         set_marks(mark, next, kn, 1);                                        \
         only = mark;                                                         \

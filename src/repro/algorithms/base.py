@@ -24,7 +24,12 @@ depend on where the shards are cut (:meth:`TileAlgorithm.apply_partial`).
 ``rows_active()`` reports which tile-row vertex ranges the *current*
 iteration must touch (selective fetching, §V-B); ``rows_active_next()``
 reports the — possibly still partial — knowledge about the *next*
-iteration that proactive caching consumes (§VI-C).
+iteration that proactive caching consumes (§VI-C).  Both are state the
+base class keeps, ``_rows_now`` and ``_rows_next``: every row until an
+algorithm starts a frontier (:meth:`TileAlgorithm._start_frontier`), and
+from then on the rows its commits mark, advanced once per iteration
+(:meth:`TileAlgorithm._advance_frontier`) — never a fold of a vertex mask
+per batch.
 """
 
 from __future__ import annotations
@@ -105,10 +110,6 @@ class TileAlgorithm(abc.ABC):
     #: Cost-model key; subclasses override.
     name: str = "default"
 
-    #: True when every iteration touches the whole graph (PageRank, WCC);
-    #: anchored computations (BFS) set False and rely on frontiers.
-    all_active: bool = True
-
     def __init__(self) -> None:
         self.graph: "TiledGraph | None" = None
         self.iteration = -1
@@ -127,6 +128,9 @@ class TileAlgorithm(abc.ABC):
         # so all-active callers allocate nothing per batch.
         self._all_rows = np.ones(graph.p, dtype=bool)
         self._all_rows.flags.writeable = False
+        #: Row activity of this iteration and of the next, the latter
+        #: marked where commits land: every row until a frontier starts.
+        self._rows_now = self._rows_next = self._all_rows
         self._held = native.Held()
         self._setup()
 
@@ -135,7 +139,12 @@ class TileAlgorithm(abc.ABC):
         """Subclass hook: allocate metadata (``self.graph`` is bound)."""
 
     def begin_iteration(self, iteration: int) -> None:
+        """Number the iteration; with a frontier started, the next
+        iteration's rows start empty, in a fresh array (a caller may keep
+        the last one)."""
         self.iteration = iteration
+        if self._rows_next is not self._all_rows:
+            self._rows_next = np.zeros(self._n_rows(), dtype=bool)
 
     def process_tile(self, tv: TileView) -> int:
         """The kernel on one tile; returns the number of edges examined.
@@ -297,18 +306,21 @@ class TileAlgorithm(abc.ABC):
     # ------------------------------------------------------------------ #
 
     def rows_active(self) -> np.ndarray:
-        """Per-tile-row activity for the current iteration (all by default,
-        as one read-only array)."""
-        return self._all_rows
+        """Per-tile-row activity for the current iteration: every row (one
+        read-only array) until a frontier starts, then the rows the
+        previous iteration's commits marked."""
+        return self._rows_now
 
     def rows_active_next(self) -> np.ndarray:
         """Currently known per-row activity for the *next* iteration.
 
         All-active algorithms reuse everything (the paper: "for PageRank,
         all of the graph data would be utilized for the next iteration"):
-        all by default, as one read-only array.
+        every row, as one read-only array.  Once a frontier starts, the
+        rows this iteration's commits have marked so far (never rescanned),
+        in an array fresh every iteration.
         """
-        return self._all_rows
+        return self._rows_next
 
     def cols_active(self) -> "np.ndarray | None":
         """Per-*column* activity for algorithms that traverse a directed
@@ -348,6 +360,21 @@ class TileAlgorithm(abc.ABC):
     def _rows_of_vertices(self, active_mask: np.ndarray) -> np.ndarray:
         g = self._graph()
         return row_activity_from_vertices(active_mask, g.p, g.tile_bits)
+
+    def _start_frontier(self, vertices: np.ndarray) -> None:
+        """Select by frontier from here on: the coming iteration reads the
+        rows of ``vertices`` (a vertex mask), and each later one the rows
+        the commits before it marked in :meth:`rows_active_next`."""
+        self._rows_now = self._rows_of_vertices(vertices)
+        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
+
+    def _advance_frontier(self) -> bool:
+        """At ``end_iteration``: the rows this iteration's commits marked
+        become the next iteration's :meth:`rows_active`, so the engine's
+        end-of-iteration cache analysis already sees them.  Returns
+        whether any row was marked."""
+        self._rows_now = self._rows_next
+        return bool(self._rows_now.any())
 
     @property
     def symmetric(self) -> bool:

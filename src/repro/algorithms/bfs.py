@@ -60,7 +60,6 @@ class BFS(TileAlgorithm):
     """
 
     name = "bfs"
-    all_active = False
     reads_ids = False
     #: Neither live nor pooled, so any cut gives the same bits, and one
     #: discovery per batch measured faster than one per shard.
@@ -82,10 +81,6 @@ class BFS(TileAlgorithm):
         #: empty unless ``direction_optimizing``.
         self.direction_history: "list[str]" = []
         self._pull = False
-        #: Row activity of the current and of the next frontier, the
-        #: latter marked as commits land (:meth:`apply_partial`).
-        self._rows_now: "np.ndarray | None" = None
-        self._rows_next: "np.ndarray | None" = None
 
     def _setup(self) -> None:
         g = self._graph()
@@ -101,14 +96,12 @@ class BFS(TileAlgorithm):
         self._visited_total = 1
         self.direction_history = []
         self._pull = False
-        self._rows_now = self._rows_of_vertices(self.depth == 0)
-        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
+        self._start_frontier(self.depth == 0)
 
     # ------------------------------------------------------------------ #
 
     def begin_iteration(self, iteration: int) -> None:
         super().begin_iteration(iteration)
-        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
         self._discovered = 0
         if self.direction_optimizing:
             # Beamer-style switch on algorithm state only (never timing):
@@ -123,7 +116,7 @@ class BFS(TileAlgorithm):
         # counted as the commits assigned them.
         new_frontier = self._discovered
         self.level += 1
-        self._rows_now = self._rows_next
+        self._advance_frontier()
         self._frontier_count = new_frontier
         self._visited_total += new_frontier
         return new_frontier > 0
@@ -217,17 +210,6 @@ class BFS(TileAlgorithm):
         return edges
 
     # ------------------------------------------------------------------ #
-
-    def rows_active(self) -> np.ndarray:
-        """Rows whose vertex range holds current-frontier vertices: the
-        previous iteration's :meth:`rows_active_next`."""
-        return self._rows_now
-
-    def rows_active_next(self) -> np.ndarray:
-        """Rows holding next-level frontiers discovered so far, marked per
-        commit (never rescanned); a fresh array every iteration, so a
-        caller may keep it."""
-        return self._rows_next
 
     def tile_mask(self, tile_rows, tile_cols):
         if not self.direction_optimizing:

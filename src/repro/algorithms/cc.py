@@ -35,9 +35,6 @@ class ConnectedComponents(TileAlgorithm):
     """Weakly connected components by min-label propagation."""
 
     name = "cc"
-    #: Not all-active: after the first few hook-and-compress rounds only
-    #: vertices whose labels still move need their edges re-read.
-    all_active = False
 
     @property
     def direction_passes(self) -> int:
@@ -57,13 +54,10 @@ class ConnectedComponents(TileAlgorithm):
         self.comp = np.arange(g.n_vertices, dtype=np.int64)
         # The iteration-start snapshot, refilled in place every iteration.
         self._prev = np.empty_like(self.comp)
-        # Vertices whose labels changed during the previous iteration
-        # (including the pointer-jumping compress) — the propagation
-        # frontier.  Everything is "changed" before the first iteration.
+        # Vertices whose labels changed during the previous iteration,
+        # compress included: every one before the first.
         self._changed = np.ones(g.n_vertices, dtype=bool)
-        #: Rows whose labels moved since the iteration began, folded once
-        #: per commit on first read (``None``: not since the last change).
-        self._moved_rows: "np.ndarray | None" = None
+        self._start_frontier(self._changed)
         self.iterations_run = 0
 
     # ------------------------------------------------------------------ #
@@ -71,7 +65,6 @@ class ConnectedComponents(TileAlgorithm):
     def begin_iteration(self, iteration: int) -> None:
         super().begin_iteration(iteration)
         np.copyto(self._prev, self.comp)
-        self._moved_rows = None
 
     # ------------------------------------------------------------------ #
     # Fused batch kernel
@@ -85,22 +78,28 @@ class ConnectedComponents(TileAlgorithm):
         interleaving or worker thread produces the same labels —
         elementwise ``min`` over the candidates.  Convergence still takes
         very few iterations because the pointer-jumping compress between
-        iterations does the long-range hops.
+        iterations does the long-range hops.  WCC treats every edge as
+        undirected: each endpoint offers its label to the other whatever
+        the stored orientation.  (Keeping only the offers below the
+        other's snapshot label is exact but measured slower: four mask
+        selections cost more than the commits they save.)
         """
         gsrc, gdst = gather_ids(gsrc, gdst)
         prev = self._prev
-        # WCC treats every edge as undirected: each endpoint offers its
-        # label to the other regardless of the stored orientation.  The
-        # two directions stay separate arrays: concatenating them would
-        # copy every widened ID and label once more.
         return gsrc, gdst, prev[gsrc], prev[gdst], int(gsrc.shape[0])
 
     def apply_partial(self, partial) -> int:
+        """Commit both directions' offers, marking the row of every label
+        that fell."""
         gsrc, gdst, src_labels, dst_labels, edges = partial
-        commit = native.min_commit if native.lib is not None else np.minimum.at
-        commit(self.comp, gdst, src_labels)
-        commit(self.comp, gsrc, dst_labels)
-        self._moved_rows = None
+        rows, tile_bits = self._rows_next, self._graph().tile_bits
+        for idx, labels in ((gdst, src_labels), (gsrc, dst_labels)):
+            if native.lib is not None:
+                native.min_commit(self.comp, idx, labels, rows, tile_bits,
+                                  self._held)
+            else:
+                rows[idx[labels < self.comp[idx]] >> tile_bits] = True
+                np.minimum.at(self.comp, idx, labels)
         return edges
 
     def end_iteration(self, iteration: int) -> bool:
@@ -112,41 +111,28 @@ class ConnectedComponents(TileAlgorithm):
                 break
             comp = nxt
         self.comp = comp
-        self._moved_rows = None
         self.iterations_run = iteration + 1
+        # The compress lowers labels no commit marked: fold once, here.
         np.not_equal(comp, self._prev, out=self._changed)
-        changed = bool(self._changed.any())
-        return changed and self.iterations_run < self.max_iterations
+        self._rows_now = self._rows_of_vertices(self._changed)
+        return bool(self._rows_now.any()) and (
+            self.iterations_run < self.max_iterations
+        )
 
     # ------------------------------------------------------------------ #
     # Activity predicates: the changed-label frontier
     # ------------------------------------------------------------------ #
 
-    def rows_active(self) -> np.ndarray:
-        """Rows holding vertices whose labels moved last iteration.
-
-        Skipping the rest is exact, not heuristic: labels only decrease,
-        so an edge whose endpoints both kept their labels already had its
-        min applied in the iteration that last changed one of them.
-        """
-        return self._rows_of_vertices(self._changed)
-
     def cols_active(self) -> np.ndarray:
         """Propagation is bidirectional whatever the stored orientation,
-        so a tile is also needed when its *column* range moved."""
-        return self._rows_of_vertices(self._changed)
-
-    def rows_active_next(self) -> np.ndarray:
-        """Partial knowledge for proactive caching: labels already lowered
-        this iteration (the compress may add more at iteration end),
-        folded once per commit whichever of this and
-        :meth:`cols_active_next` asks first."""
-        if self._moved_rows is None:
-            self._moved_rows = self._rows_of_vertices(self.comp != self._prev)
-        return self._moved_rows
+        so a tile is also needed when its *column* range holds a label
+        that moved last iteration (skipping the rest is exact: see the
+        module docstring)."""
+        return self._rows_now
 
     def cols_active_next(self) -> np.ndarray:
-        return self.rows_active_next()
+        """Labels lowered so far (the compress may add more at the end)."""
+        return self._rows_next
 
     # ------------------------------------------------------------------ #
 

@@ -24,7 +24,6 @@ class KCore(TileAlgorithm):
     """Iterative peeling to the k-core."""
 
     name = "kcore"
-    all_active = False
     #: One commit per batch: 0.86-0.90x the cut batch's wall time on a
     #: resident graph (17/20 alternated pairs faster), 0.73-0.76x on a
     #: streamed one (20/20; docs/PERFORMANCE.md "k-core commits once per
@@ -56,6 +55,9 @@ class KCore(TileAlgorithm):
         self.residual_degree = deg.copy()
         self.active = np.ones(g.n_vertices, dtype=bool)
         self._removed_now = np.zeros(g.n_vertices, dtype=bool)
+        # The first removal set's rows are folded where it is computed
+        # (begin_iteration), as are those of a checkpoint that kept none.
+        self._rows_now = None
         self.iterations_run = 0
 
     # ------------------------------------------------------------------ #
@@ -68,6 +70,8 @@ class KCore(TileAlgorithm):
         np.less(self.residual_degree, self.k, out=removed)
         removed &= self.active
         self.active ^= removed
+        if self._rows_now is None:
+            self._start_frontier(removed)
 
     # ------------------------------------------------------------------ #
     # Fused batch kernel
@@ -98,42 +102,37 @@ class KCore(TileAlgorithm):
         return targets, int(gsrc.shape[0])
 
     def apply_partial(self, partial) -> int:
+        """Decrement the targets' residual degrees, marking the row of
+        each one the decrement pushes below k — the next iteration's
+        removal set (every target survives this one's)."""
         targets, edges = partial
         if targets is not None:
             deg = self.residual_degree
             deg -= np.bincount(targets, minlength=deg.shape[0])
+            low = targets[deg[targets] < self.k]
+            self._rows_next[low >> self._graph().tile_bits] = True
         return edges
 
     def end_iteration(self, iteration: int) -> bool:
         self.iterations_run = iteration + 1
-        if not self._removed_now.any():
-            return False
-        if self.iterations_run >= self.max_iterations:
-            return False
-        return True
+        self._advance_frontier()
+        return bool(self._removed_now.any()) and (
+            self.iterations_run < self.max_iterations
+        )
 
     # ------------------------------------------------------------------ #
 
-    def rows_active(self) -> np.ndarray:
-        """Only tiles touching just-peeled vertices need reading."""
-        return self._rows_of_vertices(self._removed_now)
-
     def cols_active(self) -> np.ndarray:
-        """Peeling decrements both endpoints whatever the stored
-        orientation, so on directed storage a tile is also needed when a
-        just-peeled vertex sits in its *column* range."""
-        return self._rows_of_vertices(self._removed_now)
-
-    def rows_active_next(self) -> np.ndarray:
-        """Vertices that may fall below k next round sit where degrees
-        just changed — conservatively, rows of current survivors whose
-        degree is already marginal."""
-        marginal = self.active & (self.residual_degree < self.k)
-        return self._rows_of_vertices(marginal)
+        """Only tiles touching just-peeled vertices need reading.  Peeling
+        decrements both endpoints whatever the stored orientation, so on
+        directed storage a tile is also needed when a just-peeled vertex
+        sits in its *column* range."""
+        return self._rows_now
 
     def cols_active_next(self) -> np.ndarray:
-        marginal = self.active & (self.residual_degree < self.k)
-        return self._rows_of_vertices(marginal)
+        """The rows of the survivors already below k: next round's removal
+        set so far, marked per commit."""
+        return self._rows_next
 
     def core_vertices(self) -> np.ndarray:
         """Vertex IDs in the k-core."""

@@ -42,7 +42,6 @@ class MaximalIndependentSet(TileAlgorithm):
     bounds rounds; the engine runs two iterations per round."""
 
     name = "cc"  # comparable per-edge work to label propagation
-    all_active = False
 
     def __init__(self, seed: int = 1, max_iterations: int = 10_000) -> None:
         super().__init__()
@@ -77,6 +76,10 @@ class MaximalIndependentSet(TileAlgorithm):
         self._winners = np.zeros(g.n_vertices, dtype=bool)
         self._knock = False
         self.rounds = 0
+        # Rows are set once per phase flip; the undecided vertices' are
+        # what the sweep after the coming one may read.
+        self._start_frontier(self.state == _UNDECIDED)
+        self._undecided_rows = self._rows_now
 
     # ------------------------------------------------------------------ #
 
@@ -88,6 +91,8 @@ class MaximalIndependentSet(TileAlgorithm):
             )
         # Decided vertices never beat anyone and cannot be beaten.
         self._beaten.fill(False)
+        # State is frozen for the sweep, so is the next one's activity.
+        self._rows_next = self._undecided_rows
 
     # ------------------------------------------------------------------ #
     # Fused batch kernel
@@ -130,41 +135,38 @@ class MaximalIndependentSet(TileAlgorithm):
     def end_iteration(self, iteration: int) -> bool:
         # The phase flips here, not in begin_iteration: the engine's
         # end-of-iteration cache analysis asks rows_active() right after,
-        # and must be told what the *next* sweep reads.
+        # and must be told what the *next* sweep reads — the winners'
+        # rows for a knock, the undecided vertices' for a compete.
         state = self.state
         if self._knock:
             state[self._beaten] = _OUT
             self._knock = False
-            return (
-                bool((state == _UNDECIDED).any())
-                and self.rounds < self.max_iterations
-            )
-        np.logical_and(state == _UNDECIDED, ~self._beaten, out=self._winners)
-        state[self._winners] = _IN_SET
-        self.rounds += 1
-        # Winners' neighbours must leave the set before the next round
-        # draws priorities; that takes one more edge sweep — the knock.
-        # No winner means nobody is left undecided (the largest-priority
-        # undecided vertex always wins); stopping here is the guard.
-        self._knock = bool(self._winners.any())
-        return self._knock
+        else:
+            np.logical_and(state == _UNDECIDED, ~self._beaten, out=self._winners)
+            state[self._winners] = _IN_SET
+            self.rounds += 1
+            # Winners' neighbours must leave the set before the next round
+            # draws priorities; that takes one more edge sweep — the knock.
+            # No winner means nobody is left undecided (the largest-priority
+            # undecided vertex always wins); stopping here is the guard.
+            self._knock = bool(self._winners.any())
+            if not self._knock:
+                return False
+        self._undecided_rows = self._rows_of_vertices(state == _UNDECIDED)
+        self._rows_now = (self._rows_of_vertices(self._winners) if self._knock
+                          else self._undecided_rows)
+        return self._knock or (
+            bool(self._rows_now.any()) and self.rounds < self.max_iterations
+        )
 
     # ------------------------------------------------------------------ #
-
-    def rows_active(self) -> np.ndarray:
-        if self._knock:
-            return self._rows_of_vertices(self._winners)
-        return self._rows_of_vertices(self.state == _UNDECIDED)
 
     def cols_active(self) -> "np.ndarray | None":
         # A directed graph stores each edge once, in its own orientation:
         # a winner's in-neighbours sit in its tile *column*.
         if self._knock and self._graph().info.directed:
-            return self._rows_of_vertices(self._winners)
+            return self._rows_now
         return None
-
-    def rows_active_next(self) -> np.ndarray:
-        return self._rows_of_vertices(self.state == _UNDECIDED)
 
     def in_set(self) -> np.ndarray:
         """Vertex IDs of the maximal independent set."""

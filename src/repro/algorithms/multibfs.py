@@ -27,7 +27,6 @@ class MultiSourceBFS(TileAlgorithm):
     """``k`` level-synchronous BFS traversals sharing one tile stream."""
 
     name = "bfs"
-    all_active = False
 
     def __init__(self, roots: "list[int] | np.ndarray") -> None:
         super().__init__()
@@ -36,10 +35,6 @@ class MultiSourceBFS(TileAlgorithm):
             raise AlgorithmError("need a non-empty 1-D root list")
         self.depth: "np.ndarray | None" = None  # (k, V) uint32
         self.level = 0
-        #: Row activity of the current and of the next frontiers (any
-        #: traversal), the latter marked as commits land.
-        self._rows_now: "np.ndarray | None" = None
-        self._rows_next: "np.ndarray | None" = None
 
     @property
     def k(self) -> int:
@@ -59,12 +54,7 @@ class MultiSourceBFS(TileAlgorithm):
         self.depth = np.full((self.k, g.n_vertices), INF_DEPTH, dtype=np.uint32)
         self.depth[np.arange(self.k), self.roots] = 0
         self.level = 0
-        self._rows_now = self._rows_of_vertices((self.depth == 0).any(axis=0))
-        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
-
-    def begin_iteration(self, iteration: int) -> None:
-        super().begin_iteration(iteration)
-        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
+        self._start_frontier((self.depth == 0).any(axis=0))
 
     # ------------------------------------------------------------------ #
     # Fused batch kernel
@@ -101,19 +91,9 @@ class MultiSourceBFS(TileAlgorithm):
 
     def end_iteration(self, iteration: int) -> bool:
         self.level += 1
-        self._rows_now = self._rows_next
-        return bool(self._rows_now.any())
+        return self._advance_frontier()
 
     # ------------------------------------------------------------------ #
-
-    def rows_active(self) -> np.ndarray:
-        """The previous iteration's :meth:`rows_active_next`."""
-        return self._rows_now
-
-    def rows_active_next(self) -> np.ndarray:
-        """Rows holding a vertex some traversal reached at ``level + 1``,
-        marked per commit; a fresh array every iteration."""
-        return self._rows_next
 
     @property
     def direction_passes(self) -> int:

@@ -60,7 +60,8 @@ from repro.format.edgelist import endpoint_error
 from repro.types import VERTEX_DTYPE
 
 SOURCE = Path(__file__).with_name("_relax.c")
-FLAGS = ("-O2", "-shared", "-fPIC", "-std=c11")
+FLAGS = ("-O2", "-shared", "-fPIC", "-std=c11", "-Wall", "-Wextra", "-Wshadow",
+         "-Werror")
 
 #: The tile-form arguments of every edge kernel (:func:`_tile_args`).
 _TILES = ("const void *, int, int64_t, const int64_t *, const uint32_t *, "
@@ -69,10 +70,10 @@ _TILES = ("const void *, int, int64_t, const int64_t *, const uint32_t *, "
 CDEF = "".join(
     f"""
 int min_commit_{x}({t} *, int64_t, const int64_t *, const {t} *, int64_t,
-                  uint8_t *, uint8_t *, int, int64_t);
+                  uint8_t *, int, int64_t);
 int64_t rounds_{x}({t} *, int64_t, {_TILES}, int, const float *,
-                   const double *, uint8_t *, uint8_t *, int, int64_t,
-                   int64_t, uint8_t *);
+                   const double *, uint8_t *, int, int64_t, int64_t,
+                   uint8_t *);
 """
     for x, t in (("f64", "double"), ("i64", "int64_t"))
 ) + f"""
@@ -169,7 +170,9 @@ def load(cache: "Path | None" = None):
         return ffi.dlopen(str(so)), ffi, "loaded"
     except subprocess.CalledProcessError as exc:
         err = exc.stderr.decode(errors="replace").strip().splitlines()
-        return None, None, f"gcc failed: {err[-1] if err else exc}"
+        # The first error names the line (a warning is one under FLAGS).
+        err = [line for line in err if "error:" in line] or err
+        return None, None, f"gcc failed: {err[0] if err else exc}"
     except (OSError, subprocess.SubprocessError) as exc:
         return None, None, f"build or load failed: {exc}"
 
@@ -198,7 +201,7 @@ def _out_of_bounds(n: int, *arrays: np.ndarray) -> IndexError:
 
 class Held:
     """The C buffers of arrays that outlive many compiled calls — a run's
-    vertex state, flag and row arrays, a slide plan's layouts and the
+    vertex state and row arrays, a slide plan's layouts and the
     shard pieces cut from them — each converted, its dtype and contiguity
     checked, on its first call only.  An identity cache: an entry keeps
     its array alive, so an ``id`` is never reused under it, and the cache
@@ -272,17 +275,6 @@ _KINDS = {
 
 def _buf(ctype: str, a: "np.ndarray | None"):
     return ffi.NULL if a is None else ffi.from_buffer(ctype, a)
-
-
-def _flags(flags: "np.ndarray | None", n: int, held: Held):
-    """The writable buffer of a ``bool`` flag array over all ``n`` vertices
-    (``NULL`` for ``None``)."""
-    if flags is None:
-        return ffi.NULL
-    buf = held.buffer("uint8_t[]", flags, np.bool_, writable=True)
-    if buf is None or flags.shape != (n,):
-        raise ValueError(f"flags must be {n} bools, got {flags.dtype}{flags.shape}")
-    return buf
 
 
 def _rows(rows: "np.ndarray | None", n: int, tile_bits: int, held: Held):
@@ -362,21 +354,21 @@ def _tile_error(rc: int, n: int, tiles) -> Exception:
 
 def min_commit(
     a: np.ndarray, idx: np.ndarray, vals: np.ndarray,
-    flags: "np.ndarray | None" = None, rows: "np.ndarray | None" = None,
-    tile_bits: int = 0, held: "Held | None" = None,
+    rows: "np.ndarray | None" = None, tile_bits: int = 0,
+    held: "Held | None" = None,
 ) -> None:
-    """``np.minimum.at(a, idx, vals)``, then ``flags[idx] = True`` when
-    ``flags`` is given and ``rows[idx >> tile_bits] = True`` when ``rows``
-    is, for ``float64`` or ``int64`` ``a``.  Every index, and the flags'
-    and rows' shapes, are checked before the first write.  ``held`` keeps
-    the buffers of the run's arrays."""
+    """``np.minimum.at(a, idx, vals)`` for ``float64`` or ``int64`` ``a``,
+    marking ``rows[v >> tile_bits]`` when ``rows`` is given for every
+    ``v`` whose value strictly fell — ``rows[idx[vals < a[idx]] >>
+    tile_bits] = True`` against ``a`` as it was, duplicates included.
+    Every index and the rows' shape are checked before the first write.
+    ``held`` keeps the buffers of the run's arrays."""
     held = Held() if held is None else held
     k = idx.shape[0]
     if vals.shape[0] != k:
         raise ValueError("indices and values differ in length")
     x, ctype = _KINDS[a.dtype]
     n = a.shape[0]
-    flag_buf = _flags(flags, n, held)
     row_buf, n_rows = _rows(rows, n, tile_bits, held)
     if k == 0:
         return
@@ -384,18 +376,19 @@ def min_commit(
         _output(held, ctype, a, a.dtype, n, "state"), n,
         ffi.from_buffer("int64_t[]", np.ascontiguousarray(idx, np.int64)),
         ffi.from_buffer(ctype, np.ascontiguousarray(vals, a.dtype)), k,
-        flag_buf, row_buf, tile_bits, n_rows,
+        row_buf, tile_bits, n_rows,
     )
     if rc:
         raise _out_of_bounds(n, idx)
 
 
-def rounds(state, tiles, symmetric: bool, changed, n_rounds: int, w=None,
+def rounds(state, tiles, symmetric: bool, n_rounds: int, w=None,
            rows=None, tile_bits: int = 0, held=None) -> int:
     """The live relaxation of a batch in tile form: relax its edges
     against ``state`` as it stands and commit the strictly improving
-    candidates — ``np.minimum.at``, flagging ``changed`` and marking
-    ``rows`` as :func:`min_commit` does — pass after pass, until a pass
+    candidates — ``np.minimum.at``, marking ``rows[idx >> tile_bits]``
+    (each candidate lowers its vertex, so :func:`min_commit`'s marks are
+    every candidate's) — pass after pass, until a pass
     finds nothing or ``n_rounds`` passes have run (``n_rounds < 0``: until
     the batch's fixpoint).  Returns the passes run.  ``float64`` state is
     SSSP's (``state[s] + w``; ``w`` the stored ``float32``/``float64``
@@ -407,21 +400,20 @@ def rounds(state, tiles, symmetric: bool, changed, n_rounds: int, w=None,
 
     Every pass after the first relaxes only the edges with an endpoint
     the commit before it listed (marked in a ``len(state)``-byte scratch
-    ``held`` keeps, which one pass does without): an edge of two endpoints that commit left alone can
-    offer nothing new, so each pass finds the full pass's candidates in
-    its order.  ``IndexError`` on a widened endpoint not below
+    ``held`` keeps, which one pass does without): an edge of two
+    endpoints that commit left alone can offer nothing new, so each pass
+    finds the full pass's candidates in its order.  ``IndexError`` on a widened endpoint not below
     ``len(state)`` and ``ValueError`` on counts that do not cover the
     payload or rows too short, before anything is written."""
     held = Held() if held is None else held
     x, ctype = _KINDS[state.dtype]
     n = state.shape[0]
     args = _tile_args(tiles, held)
-    flag_buf = _flags(changed, n, held)
     row_buf, n_rows = _rows(rows, n, tile_bits, held)
     passes = getattr(lib, f"rounds_{x}")(
         _output(held, ctype, state, state.dtype, n, "state"), n, *args,
-        bool(symmetric), *_weights(w, args[2]), flag_buf, row_buf, tile_bits,
-        n_rows, n_rounds, ffi.NULL if n_rounds == 1 else held.marks(n),
+        bool(symmetric), *_weights(w, args[2]), row_buf, tile_bits, n_rows,
+        n_rounds, ffi.NULL if n_rounds == 1 else held.marks(n),
     )
     if passes < 0:
         raise _tile_error(passes, n, tiles)

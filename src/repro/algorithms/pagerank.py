@@ -65,7 +65,6 @@ class PageRank(TileAlgorithm):
     """Damped power-iteration PageRank."""
 
     name = "pagerank"
-    all_active = True
     one_shard = True
     reads_ids = False
 

@@ -34,7 +34,6 @@ class Reachability(TileAlgorithm):
     """
 
     name = "bfs"  # same per-edge cost family as BFS
-    all_active = False
     reads_ids = False
     #: Neither live nor pooled, so any cut gives the same bits, and one
     #: discovery per batch measured faster than one per shard.
@@ -53,10 +52,6 @@ class Reachability(TileAlgorithm):
         self.visited: "np.ndarray | None" = None
         self._frontier: "np.ndarray | None" = None
         self._frontier_next: "np.ndarray | None" = None
-        #: Row activity of the current and of the next frontier, the
-        #: latter marked as commits land (:meth:`apply_partial`).
-        self._rows_now: "np.ndarray | None" = None
-        self._rows_next: "np.ndarray | None" = None
 
     def _setup(self) -> None:
         g = self._graph()
@@ -78,15 +73,13 @@ class Reachability(TileAlgorithm):
         self._frontier = np.zeros(n, dtype=bool)
         self._frontier[self._seed_init] = True
         self._frontier_next = np.zeros(n, dtype=bool)
-        self._rows_now = self._rows_of_vertices(self._frontier)
-        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
+        self._start_frontier(self._frontier)
 
     # ------------------------------------------------------------------ #
 
     def begin_iteration(self, iteration: int) -> None:
         super().begin_iteration(iteration)
         self._frontier_next.fill(False)
-        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
 
     # ------------------------------------------------------------------ #
     # Fused batch kernel
@@ -141,9 +134,8 @@ class Reachability(TileAlgorithm):
 
     def end_iteration(self, iteration: int) -> bool:
         self._frontier, self._frontier_next = self._frontier_next, self._frontier
-        self._rows_now = self._rows_next
         # A row is marked exactly where a frontier vertex was set.
-        return bool(self._rows_now.any())
+        return self._advance_frontier()
 
     # ------------------------------------------------------------------ #
 

@@ -55,6 +55,9 @@ class SubgraphDegrees(TileAlgorithm):
         n = self._graph().n_vertices
         self.in_deg = np.zeros(n, dtype=np.float64)
         self.out_deg = np.zeros(n, dtype=np.float64)
+        # The sweep reads the rows of the active subset and, its one
+        # iteration marking nothing, caches nothing.
+        self._start_frontier(self._x > 0)
 
     def kernel_partial(self, tiles):
         return tiles
@@ -65,12 +68,6 @@ class SubgraphDegrees(TileAlgorithm):
 
     def end_iteration(self, iteration: int) -> bool:
         return False
-
-    def rows_active(self) -> np.ndarray:
-        return self._rows_of_vertices(self._x > 0)
-
-    def rows_active_next(self) -> np.ndarray:
-        return np.zeros(self._n_rows(), dtype=bool)  # one sweep: cache nothing
 
     def result(self) -> "tuple[np.ndarray, np.ndarray]":
         return self.in_deg, self.out_deg

@@ -20,7 +20,6 @@ class SpMV(TileAlgorithm):
     """One adjacency-matrix-vector multiply: ``y[dst] += x[src]``."""
 
     name = "spmv"
-    all_active = True
     one_shard = True
     reads_ids = False
 

@@ -5,9 +5,8 @@ weights (kept resident alongside the algorithmic metadata) drive the
 relaxations; otherwise weights are derived deterministically from the
 edge endpoints with a multiplicative hash — either way every engine and
 the networkx cross-check see identical weights.  Relaxation is
-Bellman-Ford style per iteration with a changed-vertex frontier driving
-selective I/O, exercising the same metadata machinery as BFS but with
-floating-point metadata.
+Bellman-Ford style per iteration, the rows of the vertices it lowered
+driving selective I/O (:class:`LiveRelaxation`, shared with AsyncBFS).
 
 The relaxation is *asynchronous*: an improvement made early in an
 iteration feeds every later relaxation of that iteration.  The fused
@@ -49,66 +48,53 @@ def edge_weights(gsrc: np.ndarray, gdst: np.ndarray) -> np.ndarray:
     return a.astype(np.float64) + 1.0
 
 
-class SSSP(TileAlgorithm):
-    """Iterative edge relaxation from a root vertex."""
+class LiveRelaxation(TileAlgorithm):
+    """``state[t] = min(state[t], state[s] + w)`` along every edge (and
+    its mirror on symmetric storage) from a root: SSSP and AsyncBFS.  A
+    subclass says only what differs — the class attributes below and
+    :meth:`result` — and names :attr:`state` its own way."""
 
-    name = "sssp"
-    all_active = False
+    live_kernel = True
     reads_ids = False
+
+    #: The state's dtype and unreached value.
+    dtype, unreached = np.float64, np.inf
+    #: Stored weights or the endpoint hash (:func:`edge_weights`), or 1.
+    weighted = True
+    #: Passes per shard (-1: to the shard's fixpoint), the edges counted
+    #: per pass or once.
+    passes, edges_per_pass = 2, True
 
     def __init__(self, root: int = 0, max_iterations: int = 10_000) -> None:
         super().__init__()
         self.root = int(root)
         self.max_iterations = int(max_iterations)
-        self.dist: "np.ndarray | None" = None
-        self._changed: "np.ndarray | None" = None
-        self._changed_next: "np.ndarray | None" = None
-        #: Row activity of the changed vertices of the last iteration and
-        #: of this one, the latter marked where commits land.
-        self._rows_now: "np.ndarray | None" = None
-        self._rows_next: "np.ndarray | None" = None
+        self.state: "np.ndarray | None" = None
         self.iterations_run = 0
 
     def _setup(self) -> None:
         g = self._graph()
         if not (0 <= self.root < g.n_vertices):
             raise AlgorithmError(f"root {self.root} out of range")
-        self.dist = np.full(g.n_vertices, np.inf, dtype=np.float64)
-        self.dist[self.root] = 0.0
-        self._changed = np.zeros(g.n_vertices, dtype=bool)
-        self._changed[self.root] = True
-        self._changed_next = np.zeros(g.n_vertices, dtype=bool)
-        self._rows_now = self._rows_of_vertices(self._changed)
-        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
+        self.state = np.full(g.n_vertices, self.unreached, dtype=self.dtype)
+        self.state[self.root] = 0
+        self._start_frontier(self.state == 0)
         self.iterations_run = 0
-
-    # ------------------------------------------------------------------ #
-
-    def begin_iteration(self, iteration: int) -> None:
-        super().begin_iteration(iteration)
-        self._changed_next.fill(False)
-        self._rows_next = np.zeros(self._n_rows(), dtype=bool)
 
     # ------------------------------------------------------------------ #
     # Fused batch kernel (live: shards commit in order)
     # ------------------------------------------------------------------ #
 
-    live_kernel = True
-
     def kernel_partial(self, tiles, w=None):
-        """The shard in tile form and its weights: a live relaxation has
-        no read-only half, since each pass must see the commit before it
-        (:meth:`apply_partial` runs both).  ``w`` is the shard's stored
-        weights (:meth:`shard_partial`), or ``None`` on an unweighted
-        graph: then the endpoint hash (:func:`edge_weights`) of the
-        widened endpoints weighs each edge."""
+        """The shard in tile form and its stored weights (``None``: hashed,
+        or 1): a live relaxation has no read-only half, since each pass
+        must see the commit before it (:meth:`apply_partial` runs them)."""
         return tiles, w
 
     def shard_partial(self, batch, a, b):
-        """Edges ``[a, b)`` of ``batch`` in tile form with their stored
-        weights, read from the disk-edge-ordered weight array (none when
-        the graph stores none: the kernel hashes them)."""
-        stored = self._graph().edge_weights
+        """Edges ``[a, b)`` of ``batch`` in tile form with their weights
+        from the disk-edge-ordered array the graph may store."""
+        stored = self._graph().edge_weights if self.weighted else None
         return self.kernel_partial(
             batch.tile_edges(a, b),
             None if stored is None else batch.side(stored, a, b),
@@ -116,12 +102,12 @@ class SSSP(TileAlgorithm):
 
     def _candidates(self, gsrc, gdst, w):
         """One relaxation pass of the NumPy body over ``intp`` endpoints:
-        the strictly improving ``(vertex, distance)`` candidates against
-        the distances as they stand, forward ones in edge order, then the
-        mirrored ones on symmetric storage."""
-        dist = self.dist
-        ds = dist[gsrc]
-        dd = dist[gdst]
+        the strictly improving ``(vertex, value)`` candidates against the
+        state as it stands, forward ones in edge order, then the mirrored
+        ones on symmetric storage."""
+        state = self.state
+        ds = state[gsrc]
+        dd = state[gdst]
         cand = ds + w
         better = cand < dd
         idx = gdst[better]
@@ -133,69 +119,63 @@ class SSSP(TileAlgorithm):
             vals = np.concatenate([vals, cand[better]])
         return idx, vals
 
-    def _commit(self, idx: np.ndarray, vals: np.ndarray) -> None:
-        np.minimum.at(self.dist, idx, vals)
-        self._changed_next[idx] = True
-        self._rows_next[idx >> self._graph().tile_bits] = True
-
     def apply_partial(self, partial) -> int:
-        """Relax the shard against the current distances and commit the
-        improvements, then relax the same resident shard once more against
-        the updated distances and commit again.
-
-        The second pass is real per-edge work and is counted into the
-        returned edge total; a shard whose first pass improved nothing is
-        not re-relaxed (the pass would repeat the first bit for bit).
-        Compiled (:func:`~repro.algorithms.native.rounds`: one call, the
-        hash computed in the loop, the second pass over the edges the
-        first commit touched) when that tier loaded; the NumPy body below
-        is its fallback and oracle (the shard widened and hashed once).
-        """
+        """Relax the resident shard against the current state and commit
+        the improvements, marking their rows, for :attr:`passes` passes,
+        stopping after a pass that improved nothing (another would repeat
+        it bit for bit).  Compiled (:func:`~repro.algorithms.native.rounds`:
+        one call, the hash computed in the loop, each pass after the first
+        over the edges the commit before it touched) when that tier
+        loaded; the NumPy body below is its fallback and oracle (the shard
+        widened and hashed once)."""
         tiles, w = partial
-        edges = tiles.n_edges
+        tile_bits = self._graph().tile_bits
         if native.lib is not None:
-            return edges * native.rounds(
-                self.dist, tiles, self.symmetric, self._changed_next, 2, w,
-                self._rows_next, self._graph().tile_bits, self._held,
+            ran = native.rounds(
+                self.state, tiles, self.symmetric, self.passes, w,
+                self._rows_next, tile_bits, self._held,
             )
-        gsrc, gdst = tiles.widen()
-        if w is None:
-            w = edge_weights(gsrc, gdst)
-        gsrc, gdst = gather_ids(gsrc, gdst)
-        idx, vals = self._candidates(gsrc, gdst, w)
-        if idx.size == 0:
-            return edges
-        self._commit(idx, vals)
-        idx, vals = self._candidates(gsrc, gdst, w)
-        if idx.size:
-            self._commit(idx, vals)
-        return 2 * edges
+        else:
+            gsrc, gdst = tiles.widen()
+            if not self.weighted:
+                w = 1
+            elif w is None:
+                w = edge_weights(gsrc, gdst)
+            gsrc, gdst = gather_ids(gsrc, gdst)
+            ran, left = 0, self.passes
+            while left:
+                idx, vals = self._candidates(gsrc, gdst, w)
+                ran, left = ran + 1, left - 1
+                if not idx.size:
+                    break
+                np.minimum.at(self.state, idx, vals)
+                self._rows_next[idx >> tile_bits] = True
+        return tiles.n_edges * ran if self.edges_per_pass else tiles.n_edges
 
     def end_iteration(self, iteration: int) -> bool:
-        self._changed, self._changed_next = self._changed_next, self._changed
-        self._rows_now = self._rows_next
         self.iterations_run = iteration + 1
-        # A row is marked exactly where a vertex was flagged changed.
-        return bool(self._rows_now.any()) and (
+        return self._advance_frontier() and (
             self.iterations_run < self.max_iterations
         )
 
-    # ------------------------------------------------------------------ #
-
-    def rows_active(self) -> np.ndarray:
-        """Rows holding vertices changed last iteration: the previous
-        iteration's :meth:`rows_active_next`."""
-        return self._rows_now
-
-    def rows_active_next(self) -> np.ndarray:
-        """Rows holding vertices changed so far this iteration, marked per
-        commit (never rescanned); a fresh array every iteration, so a
-        caller may keep it."""
-        return self._rows_next
-
     def metadata_bytes(self) -> int:
-        return int(self.dist.nbytes + self._changed.nbytes + self._changed_next.nbytes)
+        return int(self.state.nbytes)
+
+
+def state_alias(doc: str) -> property:
+    """A subclass's name of :attr:`LiveRelaxation.state`, writable too (a
+    checkpoint restores the array under it)."""
+    return property(lambda self: self.state,
+                    lambda self, value: setattr(self, "state", value), doc=doc)
+
+
+class SSSP(LiveRelaxation):
+    """Iterative edge relaxation from a root vertex: two passes over each
+    resident shard, both counted."""
+
+    name = "sssp"
+    dist = state_alias("Per-vertex distance from the root (inf when unreachable).")
 
     def result(self) -> np.ndarray:
         """Per-vertex distance from the root (inf when unreachable)."""
-        return self.dist
+        return self.state

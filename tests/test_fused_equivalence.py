@@ -22,7 +22,7 @@ from hypothesis import example, find, given, settings
 
 from repro.algorithms.async_bfs import AsyncBFS
 from repro.algorithms.base import TileAlgorithm, gather_ids
-from repro.algorithms.sssp import SSSP
+from repro.algorithms.sssp import LiveRelaxation, SSSP
 from repro.engine.config import EngineConfig
 from repro.engine.gstore import GStoreEngine
 from tests.batch_cuts import CUTS, PER_TILE, WHOLE, cut_batches
@@ -221,8 +221,8 @@ def test_incomplete_kernel_contract_cannot_be_constructed(graphs, missing):
 
 def test_every_shipped_algorithm_is_fused():
     """Every in-repo algorithm is a kernel (the base class is abstract
-    without one); the live ones are exactly the two asynchronous
-    relaxations."""
+    without one); the live one is the asynchronous relaxation that SSSP
+    and AsyncBFS share."""
     import repro.algorithms  # noqa: F401 - imports every algorithm module
 
     shipped = [
@@ -230,4 +230,5 @@ def test_every_shipped_algorithm_is_fused():
         if cls.__module__.startswith("repro.algorithms.")
     ]
     assert len(shipped) >= 10
-    assert {cls for cls in shipped if cls.live_kernel} == {SSSP, AsyncBFS}
+    assert {cls for cls in shipped if cls.live_kernel} == {LiveRelaxation}
+    assert set(LiveRelaxation.__subclasses__()) == {SSSP, AsyncBFS}

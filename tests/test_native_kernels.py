@@ -167,8 +167,8 @@ def _assert_partials_equal(got, want):
 
 def _sssp_oracle(algo, tiles, w, passes):
     """Up to ``passes`` NumPy relaxation passes of ``algo`` (an SSSP over
-    its own arrays), each committed, stopping after a pass that found
-    nothing; the passes run."""
+    its own arrays), each committed with its rows, stopping after a pass
+    that found nothing; the passes run."""
     if not tiles.n_edges:
         return 0
     gsrc, gdst = _numpy(tiles.widen)
@@ -177,7 +177,8 @@ def _sssp_oracle(algo, tiles, w, passes):
     gsrc, gdst = gather_ids(gsrc, gdst)
     for ran in range(1, passes + 1):
         idx, vals = algo._candidates(gsrc, gdst, w)
-        algo._commit(idx, vals)
+        np.minimum.at(algo.dist, idx, vals)
+        algo._rows_next[idx >> algo.graph.tile_bits] = True
         if not idx.size:
             break
     return ran
@@ -189,7 +190,7 @@ def _sssp_oracle(algo, tiles, w, passes):
        seed=st.integers(0, 2**16))
 def test_sssp_candidates_match_numpy(shard, symmetric, stored, seed):
     """One relaxation pass of a shard in tile form and its commit: the
-    candidates the NumPy body finds, committed with their flags and rows.
+    candidates the NumPy body finds, committed with their rows.
     Without stored weights the compiled loop hashes the widened
     endpoints, as :func:`edge_weights` does."""
     dist, tiles = shard[0], _frozen_tiles(shard[1])
@@ -202,14 +203,13 @@ def test_sssp_candidates_match_numpy(shard, symmetric, stored, seed):
     runs = []
     for compiled in (True, False):
         algo = _kernel(SSSP(), symmetric, dist=dist.copy(),
-                       _changed_next=np.zeros(dist.size, bool),
                        _rows_next=_rows_of(dist.size))
         if compiled:
-            passes = native.rounds(algo.dist, tiles, symmetric,
-                                   algo._changed_next, 1, w, algo._rows_next, 3)
+            passes = native.rounds(algo.dist, tiles, symmetric, 1, w,
+                                   algo._rows_next, 3)
         else:
             passes = _sssp_oracle(algo, tiles, w, 1)
-        runs.append((passes, algo.dist, algo._changed_next, algo._rows_next))
+        runs.append((passes, algo.dist, algo._rows_next))
     (p1, *a1), (p2, *a2) = runs
     assert p1 == p2 == (1 if tiles.n_edges else 0)
     for g, want in zip(a1, a2):
@@ -223,7 +223,7 @@ def test_sssp_candidates_match_numpy(shard, symmetric, stored, seed):
        seed=st.integers(0, 2**16))
 def test_sssp_apply_matches_numpy(shard, symmetric, stored, seed):
     """The whole live step — the first pass and its commit, the second
-    pass over what moved and its commit — flags and rows included."""
+    pass over what moved and its commit — rows included."""
     dist, tiles = shard
     w = None
     if stored is not None:
@@ -231,11 +231,10 @@ def test_sssp_apply_matches_numpy(shard, symmetric, stored, seed):
     runs = []
     for tier in (lambda f, *a: f(*a), _numpy):
         algo = _kernel(SSSP(), symmetric, dist=dist.copy(),
-                       _changed_next=np.zeros(dist.size, bool),
                        _rows_next=_rows_of(dist.size))
         partial = tier(algo.kernel_partial, tiles, w)
         edges = tier(algo.apply_partial, partial)
-        runs.append((edges, algo.dist, algo._changed_next, algo._rows_next))
+        runs.append((edges, algo.dist, algo._rows_next))
     (e1, *a1), (e2, *a2) = runs
     assert e1 == e2
     for g, w in zip(a1, a2):
@@ -246,12 +245,13 @@ def test_sssp_apply_matches_numpy(shard, symmetric, stored, seed):
 @settings(max_examples=100, deadline=None)
 @given(
     n=_N, data=st.data(),
-    dtype=st.sampled_from([np.float64, np.int64]), flags=st.booleans(),
-    rows=st.booleans(), tile_bits=st.integers(0, 6),
+    dtype=st.sampled_from([np.float64, np.int64]), rows=st.booleans(),
+    tile_bits=st.integers(0, 6),
 )
-def test_min_commit_matches_minimum_at(n, data, dtype, flags, rows, tile_bits):
+def test_min_commit_matches_minimum_at(n, data, dtype, rows, tile_bits):
     """Duplicate indices included: every one of them is committed, and
-    flags and rows are marked for each."""
+    rows are marked where a value fell
+    (:func:`test_min_commit_marks_the_rows_of_what_fell`)."""
     k = data.draw(st.integers(0, 80))
     idx = np.array(
         data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)),
@@ -264,34 +264,53 @@ def test_min_commit_matches_minimum_at(n, data, dtype, flags, rows, tile_bits):
     vals = np.array(data.draw(st.lists(elems, min_size=k, max_size=k)), dtype)
     base = np.array(data.draw(st.lists(elems, min_size=n, max_size=n)), dtype)
     got, want = base.copy(), base.copy()
-    got_flags, want_flags = np.zeros(n, bool), np.zeros(n, bool)
     got_rows, want_rows = _rows_of(n, tile_bits), _rows_of(n, tile_bits)
-    native.min_commit(got, idx, vals, got_flags if flags else None,
-                      got_rows if rows else None, tile_bits)
-    np.minimum.at(want, idx, vals)
-    if flags:
-        want_flags[idx] = True
+    native.min_commit(got, idx, vals, got_rows if rows else None, tile_bits)
     if rows:
-        want_rows[idx >> tile_bits] = True
+        want_rows[idx[vals < want[idx]] >> tile_bits] = True
+    np.minimum.at(want, idx, vals)
     assert np.array_equal(got, want)
-    assert np.array_equal(got_flags, want_flags)
     assert np.array_equal(got_rows, want_rows)
 
 
 @needs_tier
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 12), data=st.data(),
+    dtype=st.sampled_from([np.float64, np.int64]), tile_bits=st.integers(0, 3),
+)
+def test_min_commit_marks_the_rows_of_what_fell(n, data, dtype, tile_bits):
+    """A row is marked exactly where some vertex's value strictly fell:
+    over few vertices and small values, so indices repeat (a later
+    duplicate that lowers nothing more, or an equal value, marks
+    nothing new) and candidates tie the state."""
+    k = data.draw(st.integers(0, 30))
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=k,
+                                      max_size=k)), np.int64)
+    elems = st.integers(0, 4)
+    vals = np.array(data.draw(st.lists(elems, min_size=k, max_size=k)), dtype)
+    base = np.array(data.draw(st.lists(elems, min_size=n, max_size=n)), dtype)
+    state, rows = base.copy(), _rows_of(n, tile_bits)
+    native.min_commit(state, idx, vals, rows, tile_bits)
+    fell = np.flatnonzero(state < base)
+    want = _rows_of(n, tile_bits)
+    want[fell >> tile_bits] = True
+    assert rows.tobytes() == want.tobytes()
+
+
+@needs_tier
 def test_min_commit_checks_before_writing():
-    """Every index, and the flags' and rows' length and dtype, before the
-    first write."""
+    """Every index, and the rows' length and dtype, before the first
+    write."""
     a = np.zeros(4)
     with pytest.raises(IndexError, match="index 4 is out of bounds for axis 0 with size 4"):
         native.min_commit(a, np.array([0, 4]), np.array([-1.0, -1.0]))
-    for flags in (np.zeros(3, bool), np.zeros(4, np.int64)):
-        with pytest.raises(ValueError, match="flags must be 4 bools"):
-            native.min_commit(a, np.array([0]), np.array([-1.0]), flags)
-    rows = np.zeros(1, bool)  # vertex 3 is in row 1 at tile_bits 1
-    with pytest.raises(ValueError, match="rows must hold the 2 rows"):
-        native.min_commit(a, np.array([0]), np.array([-1.0]), None, rows, 1)
-    assert a.tolist() == [0.0] * 4 and not rows.any()
+    for rows in (np.zeros(1, bool), np.zeros(2, np.int64)):
+        # vertex 3 is in row 1 at tile_bits 1
+        with pytest.raises(ValueError, match="rows must hold the 2 rows"):
+            native.min_commit(a, np.array([0]), np.array([-1.0]), rows, 1)
+        assert not rows.any()
+    assert a.tolist() == [0.0] * 4
 
 
 @needs_tier
@@ -299,17 +318,16 @@ def test_min_commit_checks_before_writing():
 @given(shard=_shard(np.int64), symmetric=st.booleans())
 def test_async_bfs_matches_numpy(shard, symmetric):
     """The rounds to the shard's fixpoint, from depths that include
-    ``INF_DEPTH``."""
+    ``INF_DEPTH``, rows included; the edges count once."""
     depth, tiles = shard
     runs = []
     for tier in (lambda f, *a: f(*a), _numpy):
         algo = _kernel(AsyncBFS(), symmetric, depth=depth.copy(),
-                       _changed_next=np.zeros(depth.size, bool),
                        _rows_next=_rows_of(depth.size))
         partial = algo.kernel_partial(tiles)
-        assert partial is tiles
+        assert partial[0] is tiles and partial[1] is None
         assert tier(algo.apply_partial, partial) == tiles.n_edges
-        runs.append((algo.depth, algo._changed_next, algo._rows_next))
+        runs.append((algo.depth, algo._rows_next))
     for g, w in zip(*runs):
         assert np.array_equal(g, w)
 
@@ -318,16 +336,28 @@ def test_async_bfs_matches_numpy(shard, symmetric):
 @settings(max_examples=100, deadline=None)
 @given(shard=_shard(np.int64))
 def test_cc_label_scatters_match_numpy(shard):
+    """On both tiers the labels, and the rows marked where a label fell,
+    are the same — the rows of every label that fell, and the labels
+    ``np.minimum.at``'s over both directions' offers."""
     labels, tiles = shard
     src, dst = _numpy(tiles.widen)
     runs = []
     for tier in (lambda f, *a: f(*a), _numpy):
         algo = _kernel(ConnectedComponents(), comp=labels.copy(),
-                       _prev=_frozen(labels))
+                       _prev=_frozen(labels), _rows_next=_rows_of(labels.size))
         partial = algo.kernel_partial(src, dst)
         assert tier(algo.apply_partial, partial) == src.size
-        runs.append(algo.comp)
-    assert np.array_equal(*runs)
+        runs.append((algo.comp, algo._rows_next))
+    (comp, rows), (want, want_rows) = runs
+    assert comp.tobytes() == want.tobytes()
+    assert rows.tobytes() == want_rows.tobytes()
+    fell = _rows_of(labels.size)
+    fell[np.flatnonzero(comp < labels) >> 3] = True
+    assert rows.tobytes() == fell.tobytes()
+    unfiltered = labels.copy()
+    np.minimum.at(unfiltered, dst, labels[src])
+    np.minimum.at(unfiltered, src, labels[dst])
+    assert comp.tobytes() == unfiltered.tobytes()
 
 
 @st.composite
@@ -739,8 +769,7 @@ def _mask(data, n):
     return rng.random(n) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
 
 
-def _rounds_oracle(state, tiles, symmetric, flags, rows, tile_bits, n_rounds,
-                   w=None):
+def _rounds_oracle(state, tiles, symmetric, rows, tile_bits, n_rounds, w=None):
     """The NumPy relaxation passes and commits of ``native.rounds``, every
     pass over every edge: SSSP's body over ``float64`` state, AsyncBFS's
     over ``int64``; the passes run."""
@@ -761,7 +790,6 @@ def _rounds_oracle(state, tiles, symmetric, flags, rows, tile_bits, n_rounds,
         passes += 1
         n_rounds -= 1
         np.minimum.at(state, idx, vals)
-        flags[idx] = True
         rows[idx >> tile_bits] = True
         if not idx.size:
             break
@@ -776,8 +804,8 @@ def _rounds_oracle(state, tiles, symmetric, flags, rows, tile_bits, n_rounds,
        stale=st.booleans(), tile_bits=st.integers(0, 5), data=st.data())
 def test_fuzz_rounds(case, symmetric, dtype, stored, n_rounds, short_rows,
                      stale, tile_bits, data):
-    """The live relaxation: state, flags and rows and the passes run equal
-    the NumPy passes' over every edge (each pass after the first relaxes
+    """The live relaxation: state and rows and the passes run equal the
+    NumPy passes' over every edge (each pass after the first relaxes
     only what the commit before it touched), or, for a hostile batch or
     rows one row too short, the typed error with nothing written.  A mark
     left set in the scratch (``stale``) only widens the passes, and every
@@ -787,7 +815,6 @@ def test_fuzz_rounds(case, symmetric, dtype, stored, n_rounds, short_rows,
     w = None
     if stored and dtype == np.float64:
         w = np.linspace(0.5, 9.5, tiles.n_edges).astype(np.float32)
-    flags = np.zeros(n, bool)
     rows = _rows_of(n, tile_bits) if n else np.zeros(1, bool)
     if short_rows and n:
         rows = rows[:-1]
@@ -798,18 +825,39 @@ def test_fuzz_rounds(case, symmetric, dtype, stored, n_rounds, short_rows,
         marks[n // 2] = 1
     if error:
         return _untouched(
-            lambda: native.rounds(state, tiles, symmetric, flags, n_rounds,
-                                  w, rows, tile_bits, held),
-            error, state, flags, rows)
-    want = (state.copy(), flags.copy(), rows.copy())
-    passes = native.rounds(state, tiles, symmetric, flags, n_rounds, w, rows,
+            lambda: native.rounds(state, tiles, symmetric, n_rounds, w, rows,
+                                  tile_bits, held),
+            error, state, rows)
+    want = (state.copy(), rows.copy())
+    passes = native.rounds(state, tiles, symmetric, n_rounds, w, rows,
                            tile_bits, held)
-    assert passes == _rounds_oracle(*want[:1], tiles, symmetric, *want[1:],
+    assert passes == _rounds_oracle(want[0], tiles, symmetric, want[1],
                                     tile_bits, n_rounds, w)
-    for got, exp in zip((state, flags, rows), want):
+    for got, exp in zip((state, rows), want):
         assert got.tobytes() == exp.tobytes()
     left = bytes(native.ffi.buffer(marks))
     assert not any(left[: n // 2] + left[n // 2 + 1 :])
+
+
+@needs_tier
+@settings(max_examples=100, deadline=None)
+@given(shard=_shard(np.float64) | _shard(np.int64), symmetric=st.booleans(),
+       n_rounds=st.sampled_from([1, 2, -1]), tile_bits=st.integers(0, 3))
+def test_rounds_marks_the_rows_of_what_fell(shard, symmetric, n_rounds,
+                                            tile_bits):
+    """With no per-vertex flags to keep, the rows are the whole record of
+    what moved: after any number of passes, on both tiers, a row is
+    marked exactly where some vertex's state fell."""
+    state, tiles = shard
+    got, rows = state.copy(), _rows_of(state.size, tile_bits)
+    native.rounds(got, tiles, symmetric, n_rounds, None, rows, tile_bits)
+    want, want_rows = state.copy(), _rows_of(state.size, tile_bits)
+    _rounds_oracle(want, tiles, symmetric, want_rows, tile_bits, n_rounds)
+    assert got.tobytes() == want.tobytes()
+    assert rows.tobytes() == want_rows.tobytes()
+    fell = _rows_of(state.size, tile_bits)
+    fell[np.flatnonzero(got < state) >> tile_bits] = True
+    assert rows.tobytes() == fell.tobytes()
 
 
 @needs_tier
@@ -874,7 +922,7 @@ def test_tile_kernels_on_two_threads_match_serial(kernel):
     def state():
         return {"depth": depth0.copy(), "dist": dist0.copy(),
                 "hops": np.where(mask, 0, int(INF_DEPTH)).astype(np.int64),
-                "flags": np.zeros(n, bool), "rows": _rows_of(n, 9)}
+                "rows": _rows_of(n, 9)}
 
     def run(st_, out):
         for t in tiles:
@@ -883,10 +931,10 @@ def test_tile_kernels_on_two_threads_match_serial(kernel):
             elif kernel == "discover_reach":
                 out.append(native.discover_reach(mask, ~mask, mask, t, True))
             elif kernel == "rounds":
-                native.rounds(st_["dist"], t, True, st_["flags"], 2,
-                              rows=st_["rows"], tile_bits=9)
-                native.rounds(st_["hops"], t, True, st_["flags"], -1,
-                              rows=st_["rows"], tile_bits=9)
+                native.rounds(st_["dist"], t, True, 2, rows=st_["rows"],
+                              tile_bits=9)
+                native.rounds(st_["hops"], t, True, -1, rows=st_["rows"],
+                              tile_bits=9)
             else:
                 targets = native.discover_bfs(st_["depth"], t, True, 3)
                 out.append(np.array([native.commit_level(
@@ -1032,8 +1080,7 @@ def test_inline_hash_matches_edge_weights(pairs, every_id_state):
         for s, t in ((a, b), (b, a)):
             dist[t] = np.inf
             dist[s] = 0.0
-            native.rounds(dist, TileEdges.of_ids(_u32(s), _u32(t)), False,
-                          None, 1)
+            native.rounds(dist, TileEdges.of_ids(_u32(s), _u32(t)), False, 1)
             got, dist[t] = dist[t], 0.0
             assert got == (0.0 if s == t else edge_weights(_u32(s), _u32(t))[0])
 
@@ -1146,7 +1193,7 @@ def test_truncated_library_is_rebuilt(tmp_path, keep):
     assert native.intact(so) and so.stat().st_size == len(whole)
     assert [p.name for p in tmp_path.iterdir()] == [so.name]  # no temporaries
     assert lib.min_commit_i64(ffi.NULL, 0, ffi.NULL, ffi.NULL, 0, ffi.NULL,
-                              ffi.NULL, 0, 0) == 0
+                              0, 0) == 0
 
 
 def test_no_gcc_falls_back_to_numpy_with_the_reason(
@@ -1164,6 +1211,23 @@ def test_no_gcc_falls_back_to_numpy_with_the_reason(
     GStoreEngine(tiled_undirected, EngineConfig(memory_bytes=64 * 1024,
                                                 segment_bytes=8 * 1024)).run(algo)
     assert np.isfinite(algo.result()).any()
+
+
+@needs_tier
+def test_a_warning_refuses_the_build(tmp_path, monkeypatch):
+    """Every warning is an error under ``FLAGS``: a C file that warns is
+    not loaded, and the status names gcc's first error — what
+    ``test_native_tier_loaded`` then reports."""
+    source = tmp_path / "_relax.c"
+    source.write_text(native.SOURCE.read_text().replace(
+        "int crc32c_sse42(void) { return crc_hw; }",
+        "int crc32c_sse42(void) { int planted; return crc_hw; }",
+    ))
+    monkeypatch.setattr(native, "SOURCE", source)
+    lib, ffi, status = native.load(tmp_path / "cache")
+    assert (lib, ffi) == (None, None)
+    assert status.startswith("gcc failed: ") and "error: unused variable" in status
+    assert "planted" in status and "-Werror=unused-variable" in status
 
 
 @needs_tier

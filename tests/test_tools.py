@@ -288,7 +288,9 @@ def test_source_structure_holds():
     tile-form discovery, or its commit the compiled relaxation
     ``rounds``, and the same method's NumPy fallback widens the shard
     before ``gather_ids``) and only CC, k-core, MIS and MultiBFS still
-    read IDs —
+    read IDs — no ``rows_active_next`` or ``cols_active_next``, which the
+    cache asks after every batch, folds a vertex mask
+    (``_rows_of_vertices``): the rows are kept as commits land —
     one engine loop (under ``engine/`` only ``GStoreEngine`` defines
     ``run``) — the experiment verdicts are plain predicates (no
     ``assert`` in ``bench/experiments.py``, which ``python -O`` would
@@ -314,7 +316,7 @@ def test_source_structure_holds():
     comparator_defs, page_table_reach, index_literals = [], [], []
     depth_reads, private_scipy, cffi_users, process_users = [], [], [], []
     gather_defs, kernels, raw_kernels = [], [], []
-    id_readers, unwidened = [], []
+    id_readers, unwidened, folds = [], [], []
     discoveries = {"discover_bfs", "discover_reach"}
     engine_runs, verdict_asserts = [], []
     comparator_names = {"run_bfs", "run_pagerank", "run_cc", "_account"}
@@ -378,6 +380,11 @@ def test_source_structure_holds():
                     }
                     for fn in cls.body if isinstance(fn, ast.FunctionDef)
                 }
+                folds += [
+                    f"{rel}: {cls.name}.{name}" for name in
+                    ("rows_active_next", "cols_active_next")
+                    if "_rows_of_vertices" in calls.get(name, ())
+                ]
                 if "kernel_partial" not in calls:
                     continue
                 kernels.append(f"{rel}: {cls.name}")
@@ -501,6 +508,7 @@ def test_source_structure_holds():
     assert gather_defs == [os.path.join("algorithms", "base.py") + ": gather_ids"]
     assert kernels and not raw_kernels, raw_kernels
     assert not unwidened, unwidened
+    assert not folds, folds
     assert sorted(id_readers) == [
         "ConnectedComponents", "KCore", "MaximalIndependentSet",
         "MultiSourceBFS",
