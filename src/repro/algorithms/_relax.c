@@ -4,8 +4,9 @@
  * and Reachability's discovery passes and BFS's commit; the scatter-add
  * of PageRank, SpMV and SCC's degrees; PageRank's end-of-iteration vertex
  * pass (pagerank_end); the SNB decode (widen), for the kernels that still
- * read global IDs; and the write path: the symmetric tile encoder's two
- * passes (upper_keys, unpack_*) and the per-tile CRC32C (crc32c_extents).
+ * read global IDs; and the write path: the tile encoders' bucket passes
+ * (by_position, bucket_upper, unpack_buckets) and the per-tile CRC32C
+ * (crc32c_extents).
  *
  * Every kernel that reads edges reads them as the slide holds them, in
  * tile form: k tiles' interleaved local (src, dst) pairs, 8, 16 or 32 bits
@@ -80,6 +81,7 @@ INLINE L ored_##X(const L *a, i64 m)                                         \
 ORED(u8, uint8_t)
 ORED(u16, uint16_t)
 ORED(u32, uint32_t)
+ORED(u64, uint64_t)
 
 /* The OR of the m bits-wide locals from local i on. */
 static uint32_t locals_or(const void *pairs, int bits, i64 i, i64 m)
@@ -527,118 +529,424 @@ int widen(TILES, uint32_t *gsrc, uint32_t *gdst)
 #undef PASS
 }
 
-/* The symmetric tile encoder's first pass: every non-loop edge of m
- * (src, dst) as one uint64 key pos << 2*tb | lsrc << tb | ldst, in input
- * order, lsrc/ldst the in-tile IDs of its smaller and larger endpoint and
- * pos = pos_grid[lo >> tb][hi >> tb] (a p-by-p grid) its tile's disk
- * position; (weighted) the weights follow their keys into w_out.  Every
- * shift is by tb (1..32) alone, so none is by 64 when one tile makes
- * 2*tb the full key.  Branch-free: every edge writes its slot, and a
- * loop does not count. */
-INLINE i64 keys(int weighted, const uint32_t *src, const uint32_t *dst,
-                i64 m, const i64 *pos_grid, i64 p, int tb, const float *w,
-                uint64_t *key, float *w_out)
+/* The write path's tile encoders, the paper's converter (Section IV-B):
+ * edges are bucketed by where they go first, and only then ordered inside
+ * a bucket.  Directed inputs and the symmetric=False ablation, which keep
+ * the input's order inside a tile, are one stable counting sort by disk
+ * position (by_position).  Undirected inputs are bucketed by the high
+ * bits of their upper-triangle keys (bucket_upper); NumPy sorts each
+ * bucket's 32- or 64-bit words, and unpack_buckets unpacks the sorted
+ * buckets with their duplicates dropped. */
+
+/* Store v as element i of a bits-wide (8, 16, 32 or 64) array. */
+INLINE void put(void *a, int bits, i64 i, uint64_t v)
+{
+    if (bits == 8)
+        ((uint8_t *)a)[i] = (uint8_t)v;
+    else if (bits == 16)
+        ((uint16_t *)a)[i] = (uint16_t)v;
+    else if (bits == 32)
+        ((uint32_t *)a)[i] = (uint32_t)v;
+    else
+        ((uint64_t *)a)[i] = v;
+}
+
+/* Word i of an array of uint64 (wide) or uint32 words. */
+INLINE uint64_t word(const void *a, int wide, i64 i)
+{
+    return wide ? ((const uint64_t *)a)[i] : ((const uint32_t *)a)[i];
+}
+
+/* Whether a bits-wide payload holds a stored ID: an in-tile one (snb)
+ * needs tb bits, a global one 32. */
+INLINE int ids_fit(int bits, int snb, int tb)
+{
+    return (bits == 8 || bits == 16 || bits == 32) &&
+           (snb ? tb <= bits : bits == 32);
+}
+
+/* Whether an encoder may read m (src, dst): tb is 1..32, the p-by-p
+ * pos_grid has a row and a column for every tile row of n_vertices, every
+ * endpoint is below n_vertices, and every entry an edge can name (upper:
+ * those on and above the diagonal only) is a position in [0, n_tiles). */
+INLINE int encode_ok(const uint32_t *src, const uint32_t *dst, i64 m,
+                     i64 n_vertices, const i64 *pos_grid, i64 p,
+                     i64 n_tiles, int tb, int upper)
+{
+    if (tb < 1 || tb > 32 || p < 1 || n_vertices < 1 ||
+        (uint64_t)(n_vertices - 1) >> tb >= (uint64_t)p)
+        return 0;
+    uint32_t top = n_vertices > UINT32_MAX ? UINT32_MAX
+                                           : (uint32_t)(n_vertices - 1);
+    int bad = above_u32(src, m, top) || above_u32(dst, m, top);
+    for (i64 r = 0; !bad && r < p; r++)
+        for (i64 c = upper ? r : 0; c < p; c++)
+            bad |= (uint64_t)pos_grid[r * p + c] >= (uint64_t)n_tiles;
+    return !bad;
+}
+
+/* The counting sort by disk position.  Pass one records each edge's
+ * position pos_grid[src >> tb][dst >> tb] in pos and counts it into
+ * start[pos + 1], whose prefix sum is then the start-edge array; pass two
+ * writes each edge's IDs (& mask: in-tile or global), bits wide, and
+ * (weighted) its weight into its position's next slot, in input order --
+ * start[pos] is the cursor, and a shift by one puts it back. */
+INLINE void position_pass(int bits, int weighted, const uint32_t *src,
+                          const uint32_t *dst, i64 m, const i64 *pos_grid,
+                          i64 p, i64 n_tiles, int tb, uint32_t mask,
+                          const float *w, uint32_t *pos, i64 *start,
+                          void *payload, float *w_out)
+{
+    memset(start, 0, (size_t)(n_tiles + 1) * sizeof *start);
+    for (i64 i = 0; i < m; i++) {
+        uint32_t q = (uint32_t)pos_grid[((uint64_t)src[i] >> tb) * p +
+                                        ((uint64_t)dst[i] >> tb)];
+        pos[i] = q;
+        start[(i64)q + 1]++;
+    }
+    for (i64 j = 0; j < n_tiles; j++)
+        start[j + 1] += start[j];
+    for (i64 i = 0; i < m; i++) {
+        i64 slot = start[pos[i]]++;
+        put(payload, bits, 2 * slot, src[i] & mask);
+        put(payload, bits, 2 * slot + 1, dst[i] & mask);
+        if (weighted)
+            w_out[slot] = w[i];
+    }
+    memmove(start + 1, start, (size_t)n_tiles * sizeof *start);
+    start[0] = 0;
+}
+
+/* Tiles m directed (src, dst) into start (n_tiles + 1), the bits-wide
+ * payload (in-tile IDs when snb, else global ones) and, w not NULL, the
+ * weights w_out, with pos m uint32 of scratch.  Returns 0, or -1 having
+ * written nothing unless encode_ok, the width holds a stored ID and every
+ * position fits a uint32. */
+int by_position(const uint32_t *src, const uint32_t *dst, i64 m,
+                i64 n_vertices, const i64 *pos_grid, i64 p, i64 n_tiles,
+                int tb, int snb, int bits, const float *w, uint32_t *pos,
+                i64 *start, void *payload, float *w_out)
+{
+    if (!ids_fit(bits, snb, tb) || n_tiles > (i64)UINT32_MAX + 1 ||
+        !encode_ok(src, dst, m, n_vertices, pos_grid, p, n_tiles, tb, 0))
+        return -1;
+    uint32_t mask = snb ? (uint32_t)((UINT64_C(1) << tb) - 1) : UINT32_MAX;
+#define SORT(B, W) position_pass(B, W, src, dst, m, pos_grid, p, n_tiles, tb, \
+                                 mask, w, pos, start, payload, w_out)
+#define PASS(B) (w ? SORT(B, 1) : SORT(B, 0))
+    BY_WIDTH(PASS);
+#undef PASS
+#undef SORT
+    return 0;
+}
+
+/* Whether nb buckets of key >> shift (32..63) hold exactly the keys of
+ * n_tiles tiles at tb: the largest, (n_tiles - 1) << 2tb with the largest
+ * in-tile pair, fits 64 bits, and its bucket is the last, at most the
+ * 256th (bucket ids are uint8). */
+INLINE int buckets_ok(i64 n_tiles, int tb, int shift, i64 nb)
+{
+    if (tb < 1 || tb > 32 || n_tiles < 1 || shift < 32 || shift > 63 ||
+        nb < 1 || nb > 256)
+        return 0;
+    uint64_t pos = (uint64_t)(n_tiles - 1);
+    if (tb == 32 ? pos != 0 : pos >> (64 - 2 * tb) != 0)
+        return 0;
+    uint64_t pair = tb == 32 ? UINT64_MAX : (UINT64_C(1) << 2 * tb) - 1;
+    return ((pos << tb << tb | pair) >> shift) + 1 == (uint64_t)nb;
+}
+
+/* The symmetric encoder's pass one over edges i..end: every non-loop
+ * edge's key pos << 2tb | lsrc << tb | ldst (lsrc/ldst the in-tile IDs
+ * of its smaller and larger endpoint, pos = pos_grid[lo >> tb][hi >>
+ * tb]), its low shift bits into slot k of tmp, then k + 1, ..., its
+ * bucket key >> shift into bid and (weighted) its weight into w_tmp,
+ * counted in count.  Branch-free: every edge writes its slot, and a loop
+ * does not count.  Every shift of a key is by tb (1..32) alone, so none
+ * is by 64 when one tile makes 2tb the full key.  Returns the next
+ * slot. */
+INLINE i64 bucket_keys(int wide, int weighted, const uint32_t *src,
+                       const uint32_t *dst, i64 i, i64 end,
+                       const i64 *pos_grid, i64 p, int tb, int shift,
+                       const float *w, void *tmp, uint8_t *bid, float *w_tmp,
+                       i64 k, i64 *count)
 {
     uint32_t mask = (uint32_t)((UINT64_C(1) << tb) - 1);
-    i64 k = 0;
-    for (i64 i = 0; i < m; i++) {
+    uint64_t low = (UINT64_C(1) << shift) - 1;
+    for (; i < end; i++) {
         uint32_t s = src[i], t = dst[i];
         uint32_t lo = s < t ? s : t, hi = s < t ? t : s;
         uint64_t pos = pos_grid[((uint64_t)lo >> tb) * p +
                                 ((uint64_t)hi >> tb)];
-        key[k] = pos << tb << tb | (uint64_t)(lo & mask) << tb | (hi & mask);
+        uint64_t key = pos << tb << tb | (uint64_t)(lo & mask) << tb |
+                       (hi & mask);
+        uint8_t b = (uint8_t)(key >> shift);
+        put(tmp, wide ? 64 : 32, k, key & low);
+        bid[k] = b;
         if (weighted)
-            w_out[k] = w[i];
+            w_tmp[k] = w[i];
+        count[b] += lo != hi;
         k += lo != hi;
     }
     return k;
 }
 
-/* Returns the count of keys, or -1, having written nothing, on an
- * endpoint not below n_vertices, a grid too small for n_vertices, or an
- * upper-triangle grid entry not in [0, n_tiles).  w NULL: unweighted. */
-i64 upper_keys(const uint32_t *src, const uint32_t *dst, i64 m,
-               i64 n_vertices, const i64 *pos_grid, i64 p, i64 n_tiles,
-               int tb, const float *w, uint64_t *key, float *w_out)
+/* Pass two's step: slot i's word (and weight) into the next slot of its
+ * bucket, at[bid[i]] -- a stable scatter into the buckets' ranges
+ * words[off[b]..off[b + 1]). */
+INLINE void bucket_place(int wide, int weighted, const void *tmp,
+                         const uint8_t *bid, const float *w_tmp, i64 i,
+                         i64 *at, void *words, float *w_out)
 {
-    if (tb < 1 || tb > 32 || p < 1 || n_vertices < 1 ||
-        (uint64_t)(n_vertices - 1) >> tb >= (uint64_t)p)
-        return -1;
-    uint32_t top = n_vertices > UINT32_MAX ? UINT32_MAX
-                                           : (uint32_t)(n_vertices - 1);
-    int bad = above_u32(src, m, top) || above_u32(dst, m, top);
-    for (i64 r = 0; !bad && r < p; r++)
-        for (i64 c = r; c < p; c++)
-            bad |= (uint64_t)pos_grid[r * p + c] >= (uint64_t)n_tiles;
-    if (bad)
-        return -1;
-    return w ? keys(1, src, dst, m, pos_grid, p, tb, w, key, w_out)
-             : keys(0, src, dst, m, pos_grid, p, tb, w, key, w_out);
+    i64 j = at[bid[i]]++;
+    put(words, wide ? 64 : 32, j, word(tmp, wide, i));
+    if (weighted)
+        w_out[j] = w_tmp[i];
 }
 
-/* Whether unpack_* may run: walking the n_tiles tiles in order, each
- * taking the keys from e on whose position is its own, takes all k keys
- * in ascending order, and every key of a ragged tile (one reaching past
- * n_vertices) decodes to global IDs below n_vertices.  A tile's global
- * IDs are its base (row or column << tb, whose low tb bits are 0) or its
- * in-tile IDs. */
-INLINE int unpack_ok(const uint64_t *key, i64 k, int tb, const i64 *rows,
-                     const i64 *cols, i64 n_tiles, i64 n_vertices)
+/* Both passes over the two halves of the input: each half has its own
+ * counts and so its own cursors into every bucket (the first half's
+ * words before the second's), and pass two steps both at once -- two
+ * chains of cursor updates instead of one, each update waiting on the
+ * store before it (0.4-0.6 ms of 1 M edges).  Returns the count of
+ * keys. */
+INLINE i64 bucket_pass(int wide, int weighted, const uint32_t *src,
+                       const uint32_t *dst, i64 m, const i64 *pos_grid,
+                       i64 p, int tb, int shift, i64 nb, const float *w,
+                       void *tmp, uint8_t *bid, float *w_tmp, void *words,
+                       float *w_out, i64 *off)
 {
-    if (tb < 1 || tb > 32)
-        return 0;
-    uint64_t mask = (UINT64_C(1) << tb) - 1, n = n_vertices, prev = 0;
-    int bad = 0;
-    i64 e = 0;
-    for (i64 pos = 0; pos < n_tiles; pos++) {
-        uint64_t sb = (uint64_t)rows[pos] << tb, db = (uint64_t)cols[pos] << tb;
-        int ragged = (sb | mask) >= n || (db | mask) >= n;
-        for (; e < k && key[e] >> tb >> tb == (uint64_t)pos; e++) {
-            uint64_t x = key[e];
-            bad |= x < prev;
-            prev = x;
-            if (ragged)
-                bad |= ((sb | (x >> tb & mask)) >= n) | ((db | (x & mask)) >= n);
+    i64 at[2][256] = {{0}};
+#define KEYS(I, END, K, C) bucket_keys(wide, weighted, src, dst, I, END,      \
+                                       pos_grid, p, tb, shift, w, tmp, bid,   \
+                                       w_tmp, K, C)
+    i64 h = KEYS(0, m / 2, 0, at[0]);
+    i64 k = KEYS(m / 2, m, h, at[1]);
+#undef KEYS
+    off[0] = 0;
+    for (i64 b = 0; b < nb; b++) {
+        off[b + 1] = off[b] + at[0][b] + at[1][b];
+        at[1][b] = off[b] + at[0][b];
+        at[0][b] = off[b];
+    }
+#define PLACE(I, C) bucket_place(wide, weighted, tmp, bid, w_tmp, I, C, words, \
+                                 w_out)
+    i64 both = h < k - h ? h : k - h;
+    for (i64 i = 0; i < both; i++) {
+        PLACE(i, at[0]);
+        PLACE(h + i, at[1]);
+    }
+    for (i64 i = both; i < h; i++)
+        PLACE(i, at[0]);
+    for (i64 i = h + both; i < k; i++)
+        PLACE(i, at[1]);
+#undef PLACE
+    return k;
+}
+
+/* Buckets m undirected (src, dst) into nb buckets of key >> shift, their
+ * words uint32 (shift 32) or uint64, with tmp (m words) and bid (m) -- and,
+ * w not NULL, w_tmp (m) -- of scratch: returns the count of keys, or -1
+ * having written nothing unless buckets_ok and encode_ok. */
+i64 bucket_upper(const uint32_t *src, const uint32_t *dst, i64 m,
+                 i64 n_vertices, const i64 *pos_grid, i64 p, i64 n_tiles,
+                 int tb, int shift, i64 nb, const float *w, void *tmp,
+                 uint8_t *bid, float *w_tmp, void *words, float *w_out,
+                 i64 *off)
+{
+    if (!buckets_ok(n_tiles, tb, shift, nb) ||
+        !encode_ok(src, dst, m, n_vertices, pos_grid, p, n_tiles, tb, 1))
+        return -1;
+#define PASS(X, W) bucket_pass(X, W, src, dst, m, pos_grid, p, tb, shift, nb, \
+                               w, tmp, bid, w_tmp, words, w_out, off)
+    if (shift > 32)
+        return w ? PASS(1, 1) : PASS(1, 0);
+    return w ? PASS(0, 1) : PASS(0, 0);
+#undef PASS
+}
+
+/* The count of a[i] equal to a[i - 1] (i in 1..m), setting *bad when
+ * one is below it instead: 16 at a time, as above_u32. */
+#define ASCENT(X, L)                                                         \
+INLINE i64 ascent_##X(const L *a, i64 m, int *bad)                           \
+{                                                                            \
+    L fell = 0;                                                              \
+    i64 same = 0, i = 1;                                                     \
+    for (; i + 16 <= m; i += 16) {                                           \
+        L eq = 0;                                                            \
+        for (int j = 0; j < 16; j++) {                                       \
+            fell |= a[i + j] < a[i + j - 1];                                 \
+            eq += a[i + j] == a[i + j - 1];                                  \
+        }                                                                    \
+        same += (i64)eq;                                                     \
+    }                                                                        \
+    for (; i < m; i++) {                                                     \
+        fell |= a[i] < a[i - 1];                                             \
+        same += a[i] == a[i - 1];                                            \
+    }                                                                        \
+    *bad |= fell != 0;                                                       \
+    return same;                                                             \
+}
+
+ASCENT(u32, uint32_t)
+ASCENT(u64, uint64_t)
+
+/* The index of the first of the k keys of nb buckets of ascending words
+ * not below x, each key being b << shift | word for its bucket b (k when
+ * every key is below x). */
+INLINE i64 key_bound(int wide, const void *words, i64 k, const i64 *off,
+                     i64 nb, int shift, uint64_t x)
+{
+    uint64_t b = x >> shift, w = x & ((UINT64_C(1) << shift) - 1);
+    if (b >= (uint64_t)nb)
+        return k;
+    i64 lo = off[b], hi = off[b + 1];
+    while (lo < hi) {
+        i64 mid = lo + (hi - lo) / 2;
+        if (word(words, wide, mid) < w)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* The count of distinct keys of nb sorted buckets -- bucket b's words
+ * words[off[b]..off[b + 1]), its keys b << shift | word -- or -1 unless
+ * the offsets run from 0 to k without falling (checked before any word
+ * is read), every word is below 2^shift and ascends within its bucket
+ * (so the keys ascend), the last key names a tile below n_tiles, and
+ * every key of a ragged tile, one whose span reaches past n_vertices,
+ * decodes to IDs below n_vertices.  A tile's global IDs are its base
+ * (row or column << tb, whose low tb bits are 0) or its in-tile IDs.
+ * One pass over the words, which -O2 vectorises, then a binary search
+ * for each ragged tile's keys. */
+INLINE i64 unpack_check(int wide, const void *words, i64 k, const i64 *off,
+                        i64 nb, int shift, int tb, const i64 *rows,
+                        const i64 *cols, i64 n_tiles, i64 n_vertices)
+{
+    if (off[0] != 0 || off[nb] != k)
+        return -1;
+    for (i64 b = 0; b < nb; b++)
+        if (off[b + 1] < off[b])
+            return -1;
+    i64 d = 0, last = -1;
+    for (i64 b = 0; b < nb; b++) {
+        i64 a = off[b], z = off[b + 1];
+        if (z == a)
+            continue;
+        const uint64_t *w64 = (const uint64_t *)words + a;
+        const uint32_t *w32 = (const uint32_t *)words + a;
+        int bad = wide && ored_u64(w64, z - a) >> shift;
+        i64 same = wide ? ascent_u64(w64, z - a, &bad)
+                        : ascent_u32(w32, z - a, &bad);
+        if (bad)
+            return -1;
+        d += z - a - same;
+        last = b;
+    }
+    if (last >= 0 && ((uint64_t)last << shift |
+                      word(words, wide, off[last + 1] - 1)) >> tb >> tb >=
+                         (uint64_t)n_tiles)
+        return -1;
+    uint64_t mask = (UINT64_C(1) << tb) - 1, n = (uint64_t)n_vertices;
+    for (i64 q = 0; q < n_tiles; q++) {
+        uint64_t sb = (uint64_t)rows[q] << tb, db = (uint64_t)cols[q] << tb;
+        if ((sb | mask) < n && (db | mask) < n)
+            continue;
+#define BOUND(X)                                                             \
+    key_bound(wide, words, k, off, nb, shift, (uint64_t)(X) << tb << tb)
+        i64 e = BOUND(q), end = q + 1 == n_tiles ? k : BOUND(q + 1);
+#undef BOUND
+        for (i64 b = 0; e < end; e++) {
+            while (e >= off[b + 1])
+                b++;
+            uint64_t x = (uint64_t)b << shift | word(words, wide, e);
+            if ((sb | (x >> tb & mask)) >= n || (db | (x & mask)) >= n)
+                return -1;
         }
     }
-    return !bad && e == k;
+    return d;
 }
 
-/* The symmetric tile encoder's second pass, over the k ascending distinct
- * keys of upper_keys: each key's in-tile (lsrc, ldst) into the interleaved
- * payload -- or, snb == 0, its global IDs rows[pos] << tb | lsrc and
- * cols[pos] << tb | ldst -- where each of the n_tiles tiles' edges start
- * into start[0..n_tiles], and a count for both global endpoints into deg
- * (n_vertices zeros on entry).  Returns -1, having written nothing,
- * unless unpack_ok. */
-#define UNPACK(X, L)                                                         \
-int unpack_##X(const uint64_t *key, i64 k, int tb, const i64 *rows,          \
-               const i64 *cols, i64 n_tiles, i64 n_vertices, int snb,        \
-               L *payload, i64 *start, uint32_t *deg)                        \
-{                                                                            \
-    if (!unpack_ok(key, k, tb, rows, cols, n_tiles, n_vertices))             \
-        return -1;                                                           \
-    uint64_t mask = (UINT64_C(1) << tb) - 1;                                 \
-    i64 e = 0;                                                               \
-    for (i64 pos = 0; pos < n_tiles; pos++) {                                \
-        uint64_t sb = (uint64_t)rows[pos] << tb;                             \
-        uint64_t db = (uint64_t)cols[pos] << tb;                             \
-        start[pos] = e;                                                      \
-        for (; e < k && key[e] >> tb >> tb == (uint64_t)pos; e++) {          \
-            uint64_t ls = key[e] >> tb & mask, ld = key[e] & mask;           \
-            payload[2 * e] = snb ? ls : sb | ls;                             \
-            payload[2 * e + 1] = snb ? ld : db | ld;                         \
-            deg[sb | ls]++;                                                  \
-            deg[db | ld]++;                                                  \
-        }                                                                    \
-    }                                                                        \
-    start[n_tiles] = k;                                                      \
-    return 0;                                                                \
+/* The write pass over buckets unpack_check passed: each distinct key's
+ * in-tile IDs -- or, snb == 0, its global ones -- into the bits-wide
+ * interleaved payload, where each of the n_tiles tiles' edges start into
+ * start[0..n_tiles], a count for both global endpoints into deg (zeros on
+ * entry) and (weighted) the weight of the first of its repeats into
+ * w_out. */
+INLINE void unpack_pass(int wide, int bits, int weighted, int snb,
+                        const void *words, const i64 *off, i64 nb, int shift,
+                        int tb, const i64 *rows, const i64 *cols,
+                        i64 n_tiles, const float *w, void *payload,
+                        i64 *start, uint32_t *deg, float *w_out)
+{
+    uint64_t mask = (UINT64_C(1) << tb) - 1, prev = 0, sb = 0, db = 0;
+    uint64_t ps = 0, pd = 0; /* what the payload adds: 0, or the bases */
+    i64 o = 0, next = 0;     /* next: the first tile whose start is unset */
+    for (i64 b = 0; b < nb; b++) {
+        uint64_t base = (uint64_t)b << shift;
+        for (i64 e = off[b]; e < off[b + 1]; e++) {
+            uint64_t x = word(words, wide, e) | base;
+            if (e && x == prev)
+                continue;
+            prev = x;
+            i64 q = (i64)(x >> tb >> tb);
+            if (q >= next) {
+                for (; next <= q; next++)
+                    start[next] = o;
+                sb = (uint64_t)rows[q] << tb;
+                db = (uint64_t)cols[q] << tb;
+                ps = snb ? 0 : sb;
+                pd = snb ? 0 : db;
+            }
+            uint64_t ls = x >> tb & mask, ld = x & mask;
+            put(payload, bits, 2 * o, ps | ls);
+            put(payload, bits, 2 * o + 1, pd | ld);
+            deg[sb | ls]++;
+            deg[db | ld]++;
+            if (weighted)
+                w_out[o] = w[e];
+            o++;
+        }
+    }
+    for (; next <= n_tiles; next++)
+        start[next] = o;
 }
 
-UNPACK(u8, uint8_t)
-UNPACK(u16, uint16_t)
-UNPACK(u32, uint32_t)
+/* The symmetric encoder's unpack of nb sorted buckets of k words (uint64
+ * when shift > 32, else uint32) and, w not NULL, their weights: checks
+ * them (unpack_check) and returns -1 having written nothing on a fault,
+ * the count d of distinct keys when payload is NULL, and otherwise, for a
+ * payload of 2d bits-wide IDs, writes the tiles (unpack_pass) and returns
+ * d. */
+i64 unpack_buckets(const void *words, i64 k, const i64 *off, i64 nb,
+                   int shift, int tb, const i64 *rows, const i64 *cols,
+                   i64 n_tiles, i64 n_vertices, int snb, int bits,
+                   const float *w, i64 d, void *payload, i64 *start,
+                   uint32_t *deg, float *w_out)
+{
+    int wide = shift > 32;
+    if (!ids_fit(bits, snb, tb) || !buckets_ok(n_tiles, tb, shift, nb))
+        return -1;
+    i64 count = wide ? unpack_check(1, words, k, off, nb, shift, tb, rows,
+                                    cols, n_tiles, n_vertices)
+                     : unpack_check(0, words, k, off, nb, shift, tb, rows,
+                                    cols, n_tiles, n_vertices);
+    if (count < 0 || !payload)
+        return count;
+    if (count != d)
+        return -1;
+#define WRITE(X, B, W) unpack_pass(X, B, W, snb, words, off, nb, shift, tb,   \
+                                   rows, cols, n_tiles, w, payload, start,   \
+                                   deg, w_out)
+#define PASS(B) (wide ? (w ? WRITE(1, B, 1) : WRITE(1, B, 0))                 \
+                      : (w ? WRITE(0, B, 1) : WRITE(0, B, 0)))
+    BY_WIDTH(PASS);
+#undef PASS
+#undef WRITE
+    return d;
+}
 
 /* CRC32C (Castagnoli, reflected polynomial 0x82F63B78): slicing-by-8
  * tables, built once when the library loads -- never on first use, since

@@ -9,9 +9,11 @@ passes (:func:`discover_bfs`, :func:`discover_reach`) and BFS's commit
 (:func:`scatter_add`), PageRank's end-of-iteration vertex pass
 (:func:`pagerank_end`), the widening of SNB tile payloads into global IDs
 (:func:`widen`, behind ``TileEdges.widen``, for the kernels that still
-read them), the symmetric tile encoder's key build and unpack
-(:func:`upper_keys`, :func:`unpack_keys`, around the NumPy sort in
-``TiledGraph.from_edge_list``) and the per-tile CRC32C
+read them), the tile encoders' bucket passes — the counting sort by
+position of directed inputs (:func:`by_position`), and the symmetric
+encoder's bucketing and unpack (:func:`bucket_upper`,
+:func:`unpack_buckets`, around NumPy's sort of each bucket in
+``TiledGraph.from_edge_list``) — and the per-tile CRC32C
 (:func:`crc32c_extents`, behind ``repro.faults.crc``: SSE4.2's ``crc32``
 instruction where the CPU has it, else slicing-by-8 tables built when the
 library loads) each run as one loop of one C file.
@@ -87,17 +89,17 @@ int scatter_add(double *, double *, int64_t, const double *, {_TILES});
 void pagerank_end(double *, double *, const double *, int64_t, double, double,
                   double);
 int widen({_TILES}, uint32_t *, uint32_t *);
-int64_t upper_keys(const uint32_t *, const uint32_t *, int64_t, int64_t,
-                   const int64_t *, int64_t, int64_t, int, const float *,
-                   uint64_t *, float *);
-""" + "".join(
-    f"""
-int unpack_{x}(const uint64_t *, int64_t, int, const int64_t *,
-               const int64_t *, int64_t, int64_t, int, {t} *, int64_t *,
-               uint32_t *);
-"""
-    for x, t in (("u8", "uint8_t"), ("u16", "uint16_t"), ("u32", "uint32_t"))
-) + """
+int by_position(const uint32_t *, const uint32_t *, int64_t, int64_t,
+                const int64_t *, int64_t, int64_t, int, int, int,
+                const float *, uint32_t *, int64_t *, void *, float *);
+int64_t bucket_upper(const uint32_t *, const uint32_t *, int64_t, int64_t,
+                     const int64_t *, int64_t, int64_t, int, int, int64_t,
+                     const float *, void *, uint8_t *, float *, void *,
+                     float *, int64_t *);
+int64_t unpack_buckets(const void *, int64_t, const int64_t *, int64_t, int,
+                       int, const int64_t *, const int64_t *, int64_t,
+                       int64_t, int, int, const float *, int64_t, void *,
+                       int64_t *, uint32_t *, float *);
 int crc32c_sse42(void);
 int crc32c_extents(const uint8_t *, int64_t, const int64_t *,
                    const int64_t *, int64_t, uint32_t *, int);
@@ -566,14 +568,9 @@ def widen(tiles) -> "tuple[np.ndarray, np.ndarray]":
     return gsrc, gdst
 
 
-def upper_keys(src, dst, n_vertices: int, pos_grid, n_tiles: int,
-               tile_bits: int, weights=None):
-    """The symmetric tile encoder's key build: one ``uint64`` key ``pos <<
-    2·tile_bits | lsrc << tile_bits | ldst`` per non-loop edge in input
-    order (``pos = pos_grid[lo >> tile_bits, hi >> tile_bits]``), and the
-    kept edges' ``float32`` weights (``None`` when unweighted), as
-    ``TiledGraph``'s NumPy body builds them.  :class:`FormatError` naming
-    the first endpoint not below ``n_vertices``."""
+def _edges(src, dst, pos_grid, weights):
+    """The encoders' contiguous inputs: ``VERTEX_DTYPE`` endpoints, the
+    ``int64`` grid and the ``float32`` weights (or ``None``)."""
     src = np.ascontiguousarray(src, dtype=VERTEX_DTYPE)
     dst = np.ascontiguousarray(dst, dtype=VERTEX_DTYPE)
     grid = np.ascontiguousarray(pos_grid, dtype=np.int64)
@@ -584,56 +581,174 @@ def upper_keys(src, dst, n_vertices: int, pos_grid, n_tiles: int,
         weights = np.ascontiguousarray(weights, dtype=np.float32)
         if weights.shape != (m,):
             raise ValueError("weights and endpoints differ in length")
-    key = np.empty(m, np.uint64)
-    w_out = None if weights is None else np.empty(m, np.float32)
-    k = lib.upper_keys(
-        ffi.from_buffer("uint32_t[]", src), ffi.from_buffer("uint32_t[]", dst),
-        m, n_vertices, ffi.from_buffer("int64_t[]", grid), grid.shape[0],
-        n_tiles, tile_bits, _buf("float[]", weights),
-        ffi.from_buffer("uint64_t[]", key), _buf("float[]", w_out),
-    )
-    if k < 0:
-        raise endpoint_error(src, dst, n_vertices) or FormatError(
-            f"a {grid.shape[0]}-row position grid of {n_tiles} tiles does "
-            f"not cover {n_vertices} vertices at tile_bits {tile_bits}"
-        )
-    return key[:k], None if w_out is None else w_out[:k]
+    return src, dst, grid, weights
 
 
-def unpack_keys(key, tile_rows, tile_cols, tile_bits: int, n_vertices: int,
-                dtype, snb: bool):
-    """The symmetric tile encoder's unpack: ascending distinct keys of
-    :func:`upper_keys` to ``(start, payload, degrees)`` — the ``int64``
-    start-edge offsets of the ``len(tile_rows)`` tiles, the interleaved
-    ``dtype`` payload (in-tile IDs, or global ones when ``snb`` is false)
-    and each vertex's ``uint32`` count of stored edge endpoints.
-    ``ValueError`` unless the keys ascend and name tiles and vertices of
-    the graph."""
+def _payload_bits(dtype, snb: bool, tile_bits: int) -> int:
+    """The width of a payload of ``dtype`` IDs, which must hold them."""
     dtype = np.dtype(dtype)
     bits = 8 * dtype.itemsize
-    if dtype.kind != "u" or bits not in (8, 16, 32) or not (snb or bits == 32):
-        raise ValueError(f"no {'SNB' if snb else 'global'} payload of {dtype}")
-    key = np.ascontiguousarray(key, dtype=np.uint64)
-    rows = np.ascontiguousarray(tile_rows, dtype=np.int64)
-    cols = np.ascontiguousarray(tile_cols, dtype=np.int64)
-    n_tiles = rows.shape[0]
-    if cols.shape != (n_tiles,):
-        raise ValueError("tile rows and columns differ in length")
-    k = key.shape[0]
-    payload = np.empty(2 * k, dtype)
-    start = np.empty(n_tiles + 1, np.int64)
-    deg = np.zeros(n_vertices, np.uint32)
-    rc = getattr(lib, f"unpack_u{bits}")(
-        ffi.from_buffer("uint64_t[]", key), k, tile_bits,
-        ffi.from_buffer("int64_t[]", rows), ffi.from_buffer("int64_t[]", cols),
-        n_tiles, n_vertices, bool(snb), ffi.from_buffer(f"uint{bits}_t[]", payload),
-        ffi.from_buffer("int64_t[]", start), ffi.from_buffer("uint32_t[]", deg),
+    if dtype.kind != "u" or bits not in (8, 16, 32) or (
+        bits < tile_bits if snb else bits != 32
+    ):
+        raise ValueError(
+            f"no {'SNB' if snb else 'global'} payload of {dtype} at "
+            f"tile_bits {tile_bits}"
+        )
+    return bits
+
+
+def _encode_error(src, dst, n_vertices: int, grid, n_tiles: int,
+                  tile_bits: int) -> FormatError:
+    """What an encoder's -1 was: the first endpoint not below
+    ``n_vertices`` (named), else a grid that does not fit the graph."""
+    return endpoint_error(src, dst, n_vertices) or FormatError(
+        f"a {grid.shape[0]}-row position grid of {n_tiles} tiles does not "
+        f"cover {n_vertices} vertices at tile_bits {tile_bits}"
+    )
+
+
+def by_position(src, dst, n_vertices: int, pos_grid, n_tiles: int,
+                tile_bits: int, dtype, snb: bool, weights=None):
+    """The encoder of directed inputs and the ``symmetric=False``
+    ablation: a stable counting sort of the edges by disk position
+    ``pos_grid[src >> tile_bits, dst >> tile_bits]``, two passes and no
+    permutation.  Returns ``(start, payload, weights)`` — the ``int64``
+    start-edge offsets of the ``n_tiles`` tiles, the interleaved ``dtype``
+    payload (in-tile IDs, or global ones when ``snb`` is false) and the
+    ``float32`` weights in disk order (``None`` when unweighted), the
+    input's order kept inside every tile.  :class:`FormatError`, before
+    anything is written, naming the first endpoint not below
+    ``n_vertices``, or for a grid entry outside the tiles."""
+    src, dst, grid, weights = _edges(src, dst, pos_grid, weights)
+    bits = _payload_bits(dtype, snb, tile_bits)
+    m = src.shape[0]
+    start = np.empty(max(n_tiles, 0) + 1, np.int64)
+    payload = np.empty(2 * m, dtype)
+    w_out = None if weights is None else np.empty(m, np.float32)
+    rc = lib.by_position(
+        ffi.from_buffer("uint32_t[]", src), ffi.from_buffer("uint32_t[]", dst),
+        m, n_vertices, ffi.from_buffer("int64_t[]", grid), grid.shape[0],
+        n_tiles, tile_bits, bool(snb), bits, _buf("float[]", weights),
+        ffi.from_buffer("uint32_t[]", np.empty(m, np.uint32)),
+        ffi.from_buffer("int64_t[]", start), ffi.from_buffer(payload),
+        _buf("float[]", w_out),
     )
     if rc:
+        raise _encode_error(src, dst, n_vertices, grid, n_tiles, tile_bits)
+    return start, payload, w_out
+
+
+def key_buckets(n_tiles: int, tile_bits: int) -> "tuple[int, int]":
+    """The symmetric encoder's bucket rule, ``(shift, n_buckets)``: a key
+    ``pos << 2·tile_bits | lsrc << tile_bits | ldst`` of ``n_tiles`` tiles'
+    keys is in bucket ``key >> shift``, ``shift = max(32, bits(largest
+    key) − 8)``, so there are at most 256 buckets (``uint8`` ids).  The
+    word a bucket holds of a key, its low ``shift`` bits, is ``uint32`` at
+    ``shift`` 32 and ``uint64`` above (:func:`word_dtype`)."""
+    if not 1 <= tile_bits <= 32 or n_tiles < 1:
         raise ValueError(
-            "keys do not ascend or name a tile or vertex outside the graph"
+            f"no keys of {n_tiles} tiles at tile_bits {tile_bits}"
         )
-    return start, payload, deg
+    top = (n_tiles - 1) << 2 * tile_bits | (1 << 2 * tile_bits) - 1
+    shift = max(32, top.bit_length() - 8)
+    return shift, (top >> shift) + 1
+
+
+def word_dtype(shift: int) -> np.dtype:
+    """The dtype of a bucket's words at ``shift`` (:func:`key_buckets`)."""
+    return np.dtype(np.uint32 if shift == 32 else np.uint64)
+
+
+def bucket_upper(src, dst, n_vertices: int, pos_grid, n_tiles: int,
+                 tile_bits: int, weights=None):
+    """The symmetric encoder's bucket passes: every non-loop edge's key
+    ``pos << 2·tile_bits | lsrc << tile_bits | ldst`` (``lsrc``/``ldst``
+    the in-tile IDs of its smaller and larger endpoint, ``pos =
+    pos_grid[lo >> tile_bits, hi >> tile_bits]``), bucketed by
+    :func:`key_buckets`.  Returns ``(words, offsets, shift, weights)``:
+    bucket ``b`` is ``words[offsets[b]:offsets[b + 1]]``, its keys' low
+    ``shift`` bits in input order, and the kept edges' ``float32``
+    weights run alongside (``None`` when unweighted).  Errors as
+    :func:`by_position`."""
+    src, dst, grid, weights = _edges(src, dst, pos_grid, weights)
+    shift, nb = key_buckets(n_tiles, tile_bits)
+    word = word_dtype(shift)
+    m = src.shape[0]
+    words = np.empty(m, word)
+    offsets = np.empty(nb + 1, np.int64)
+    w_out = None if weights is None else np.empty(m, np.float32)
+    k = lib.bucket_upper(
+        ffi.from_buffer("uint32_t[]", src), ffi.from_buffer("uint32_t[]", dst),
+        m, n_vertices, ffi.from_buffer("int64_t[]", grid), grid.shape[0],
+        n_tiles, tile_bits, shift, nb, _buf("float[]", weights),
+        ffi.from_buffer(np.empty(m, word)),
+        ffi.from_buffer("uint8_t[]", np.empty(m, np.uint8)),
+        _buf("float[]", None if weights is None else np.empty(m, np.float32)),
+        ffi.from_buffer(words), _buf("float[]", w_out),
+        ffi.from_buffer("int64_t[]", offsets),
+    )
+    if k < 0:
+        raise _encode_error(src, dst, n_vertices, grid, n_tiles, tile_bits)
+    return words[:k], offsets, shift, None if w_out is None else w_out[:k]
+
+
+def unpack_buckets(words, offsets, shift: int, tile_rows, tile_cols,
+                   tile_bits: int, n_vertices: int, dtype, snb: bool,
+                   weights=None):
+    """The symmetric encoder's unpack: the buckets of
+    :func:`bucket_upper`, each sorted, to ``(start, payload, degrees,
+    weights)`` — the ``int64`` start-edge offsets of the
+    ``len(tile_rows)`` tiles, the interleaved ``dtype`` payload (in-tile
+    IDs, or global ones when ``snb`` is false), each vertex's ``uint32``
+    count of stored edge endpoints, and the weights of the stored edges
+    (``None`` when unweighted) — a repeated key stored once, with the
+    weight of its first.  A check pass counts the distinct keys, and the
+    write pass fills outputs of exactly that size.  ``ValueError``, before
+    anything is allocated, unless the words ascend within their buckets
+    and name tiles and vertices of the graph."""
+    bits = _payload_bits(dtype, snb, tile_bits)
+    word = word_dtype(shift)
+    if words.dtype != word:
+        raise ValueError(
+            f"words must be {word} at shift {shift}, got {words.dtype}"
+        )
+    words = np.ascontiguousarray(words)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    rows = np.ascontiguousarray(tile_rows, dtype=np.int64)
+    cols = np.ascontiguousarray(tile_cols, dtype=np.int64)
+    n_tiles, k = rows.shape[0], words.shape[0]
+    if cols.shape != (n_tiles,) or offsets.ndim != 1 or offsets.shape[0] < 2:
+        raise ValueError(
+            "tile rows and columns differ in length, or there is no bucket"
+        )
+    if weights is not None:
+        weights = np.ascontiguousarray(weights, dtype=np.float32)
+        if weights.shape != (k,):
+            raise ValueError("weights and words differ in length")
+    args = (
+        ffi.from_buffer(words), k, ffi.from_buffer("int64_t[]", offsets),
+        offsets.shape[0] - 1, shift, tile_bits,
+        ffi.from_buffer("int64_t[]", rows), ffi.from_buffer("int64_t[]", cols),
+        n_tiles, n_vertices, bool(snb), bits, _buf("float[]", weights),
+    )
+    d = lib.unpack_buckets(*args, 0, ffi.NULL, ffi.NULL, ffi.NULL, ffi.NULL)
+    if d < 0:
+        raise ValueError(
+            "words do not ascend in their buckets or name a tile or vertex "
+            "outside the graph"
+        )
+    payload = np.empty(2 * d, dtype)
+    start = np.empty(n_tiles + 1, np.int64)
+    deg = np.zeros(n_vertices, np.uint32)
+    w_out = None if weights is None else np.empty(d, np.float32)
+    if lib.unpack_buckets(
+        *args, d, ffi.from_buffer(payload),
+        ffi.from_buffer("int64_t[]", start),
+        ffi.from_buffer("uint32_t[]", deg), _buf("float[]", w_out),
+    ) != d:
+        raise ValueError("the buckets changed between the unpack's passes")
+    return start, payload, deg, w_out
 
 
 #: The CRC32C bodies of :func:`crc32c_extents` by name: ``"best"`` is

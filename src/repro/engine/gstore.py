@@ -711,6 +711,7 @@ class GStoreEngine:
             bytes_read=ext.nbytes,
             wall=clock() - t0,
             sizes=plan.tile_bytes[k],
+            smallest=plan.smallest[k],
             fetch=t1 - t0,
             decode=t2 - t1,
         )
@@ -850,6 +851,7 @@ class GStoreEngine:
                     g.info.symmetric,
                     self._cols_active_next(algorithm),
                     prep.sizes,
+                    prep.smallest,
                 )
         ctx.wall_overlap.compute_busy += _time.perf_counter() - t0
         comp_t = self.config.cost_model.compute_time(

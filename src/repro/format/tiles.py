@@ -506,7 +506,7 @@ def _encode_upper_triangle(
     dt: np.dtype,
     snb: bool,
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]":
-    """Symmetric conversion of an undirected edge list with a single sort.
+    """Symmetric conversion of an undirected edge list.
 
     Every non-loop edge becomes one ``uint64`` key ``pos << 2·tile_bits |
     lsrc << tile_bits | ldst`` (``lsrc``/``ldst`` the in-tile IDs of its
@@ -519,25 +519,28 @@ def _encode_upper_triangle(
     Returns the start-edge array, the payload, the undirected degrees
     (each endpoint of each stored edge counted) and the stored edges'
     weights (``None`` when unweighted).  With the compiled tier loaded the
-    key build and the unpack are one C pass each around the same sort
-    (:func:`~repro.algorithms.native.upper_keys`,
-    :func:`~repro.algorithms.native.unpack_keys`); the NumPy body below is
-    their fallback and oracle.
+    keys are bucketed by their high bits first, the paper's bucket by
+    tile (:func:`~repro.algorithms.native.bucket_upper`), each bucket's
+    low 32 (or 64) bits are sorted by :func:`_sort_buckets`, and one pass
+    drops the repeats as it unpacks them
+    (:func:`~repro.algorithms.native.unpack_buckets`); the NumPy body
+    below, one global ``uint64`` sort, is their fallback and oracle.
     """
     # Imported here: importing repro.algorithms imports this module.
     from repro.algorithms import native
 
     n_tiles = tile_rows.shape[0]
     if native.lib is not None:
-        key, weights = native.upper_keys(
+        words, offsets, shift, weights = native.bucket_upper(
             el.src, el.dst, el.n_vertices, pos_grid, n_tiles, tile_bits,
             el.weights,
         )
-        key, weights = sort_unique_keys(key, weights)
-        start, payload, degrees = native.unpack_keys(
-            key, tile_rows, tile_cols, tile_bits, el.n_vertices, dt, snb
+        _sort_buckets(words, offsets, weights)
+        return native.unpack_buckets(
+            words, offsets, shift, tile_rows, tile_cols, tile_bits,
+            el.n_vertices, dt, snb, weights,
         )
-        return start, payload, degrees, weights
+    el.check_ids()
     tb = np.uint32(tile_bits)
     mask = np.uint32((1 << tile_bits) - 1)
     lo = np.minimum(el.src, el.dst)
@@ -569,6 +572,23 @@ def _encode_upper_triangle(
     return start, _payload(gsrc, gdst, dt, snb, tile_bits), degrees, weights
 
 
+def _sort_buckets(words: np.ndarray, offsets: np.ndarray,
+                  weights: "np.ndarray | None") -> None:
+    """Sort each bucket ``words[offsets[b]:offsets[b + 1]]`` in place —
+    by value when unweighted; weighted, by a stable argsort whose order
+    the weights follow, so of repeated words the first in input order
+    stays first."""
+    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        if b - a < 2:
+            continue
+        if weights is None:
+            words[a:b].sort()
+        else:
+            order = np.argsort(words[a:b], kind="stable")
+            words[a:b] = words[a:b][order]
+            weights[a:b] = weights[a:b][order]
+
+
 def _encode_by_position(
     work: EdgeList,
     pos_grid: np.ndarray,
@@ -581,7 +601,18 @@ def _encode_by_position(
     sort by disk position (directed graphs and the ``symmetric=False``
     ablation, whose tuples are not one canonical orientation).  Returns
     the start-edge array, the payload and the weights, as
-    :func:`_encode_upper_triangle` does."""
+    :func:`_encode_upper_triangle` does.  With the compiled tier loaded it
+    is one counting sort by position
+    (:func:`~repro.algorithms.native.by_position`); the NumPy body below,
+    a stable argsort and gathers, is its fallback and oracle."""
+    from repro.algorithms import native
+
+    if native.lib is not None:
+        return native.by_position(
+            work.src, work.dst, work.n_vertices, pos_grid, n_tiles,
+            tile_bits, dt, snb, work.weights,
+        )
+    work.check_ids()
     tb = np.uint32(tile_bits)
     pos = pos_grid[work.src >> tb, work.dst >> tb]
     counts = np.bincount(pos, minlength=n_tiles)
@@ -644,14 +675,17 @@ class TiledGraph:
         Edges are bucketed by tile into disk order and stored as SNB
         tuples, with the start-edge array counting each tile's share.  For
         an undirected input the default stores only the upper triangle
-        (``symmetric=True``) and the whole conversion is one sort
-        (:func:`_encode_upper_triangle`); for a directed input the stored
-        orientation is the input's (out-edges), and symmetry does not
-        apply.  :class:`FormatError` names the first endpoint that is not
-        below ``el.n_vertices``.
+        (``symmetric=True``): its keys are bucketed, each bucket sorted and
+        the repeats dropped (:func:`_encode_upper_triangle`); for a
+        directed input the stored orientation is the input's (out-edges),
+        symmetry does not apply, and the edges are counting-sorted by
+        position (:func:`_encode_by_position`).  :class:`FormatError`
+        names the first endpoint that is not below ``el.n_vertices``.
         """
         name = name if name is not None else el.name
-        el.check_ids()
+        # Each encoder checks the endpoints before it reads them (the
+        # compiled passes in C, with the same error), so they are read
+        # once more only where NumPy reads them first.
         if el.directed:
             if symmetric:
                 raise FormatError("symmetric storage applies to undirected graphs")
@@ -675,9 +709,8 @@ class TiledGraph:
             if el.directed:
                 work = el
                 n_input = el.n_edges
-                out_deg = el.out_degrees()
-                in_deg = el.in_degrees()
             else:
+                el.check_ids()
                 canon = el.canonicalized()
                 work = canon.symmetrized()
                 n_input = 2 * canon.n_edges
@@ -685,6 +718,9 @@ class TiledGraph:
             start, payload, edge_weights = _encode_by_position(
                 work, pos_grid, grouping.n_tiles, tile_bits, dt, snb
             )
+            if el.directed:
+                out_deg = el.out_degrees()
+                in_deg = el.in_degrees()
         start_edge = StartEdgeIndex(start, tuple_bytes=2 * dt.itemsize)
 
         info = GraphInfo(

@@ -56,6 +56,9 @@ class SlidePlan:
     extents: "tuple[Extents, ...]"
     #: Per batch: each tile's byte size, aligned with its positions.
     tile_bytes: "tuple[np.ndarray, ...]"
+    #: Per batch: its smallest tile's byte size (what an offer to a full
+    #: pool compares its free bytes with).
+    smallest: "tuple[int, ...]"
     #: Per batch: where its tiles and runs lie in its bytes (empty when
     #: the plan was built without the graph).
     layouts: "tuple[BatchLayout, ...]" = ()
@@ -92,6 +95,14 @@ class SCRStats:
     tiles_cached: int = 0
     tiles_evicted: int = 0
     analyses: int = 0
+
+
+def _frozen(a) -> bool:
+    """Whether ``a`` cannot change: ``None``, or a read-only array that
+    owns its data."""
+    return a is None or (
+        isinstance(a, np.ndarray) and a.base is None and not a.flags.writeable
+    )
 
 
 def _admit_in_order(size: np.ndarray, free: int) -> np.ndarray:
@@ -149,6 +160,9 @@ class SCRScheduler:
     #: while every admission since was made under the same masks — so
     #: every resident passes them — else ``None``.
     _settled: "tuple | None" = field(default=None, init=False, repr=False)
+    #: ``(row_active, col_active, masks)`` of the last frozen activity
+    #: :meth:`_masks` keyed, or ``None``.
+    _last_masks: "tuple | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.pool is None:
@@ -234,6 +248,9 @@ class SCRScheduler:
             tile_bytes=tuple(
                 [sizes[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
             ),
+            smallest=tuple(
+                np.minimum.reduceat(sizes, bounds[:-1]).tolist() if n else []
+            ),
             layouts=layouts,
         )
 
@@ -250,12 +267,14 @@ class SCRScheduler:
         symmetric: bool,
         col_active_next: "np.ndarray | None" = None,
         sizes: "np.ndarray | None" = None,
+        smallest: "int | None" = None,
     ) -> None:
         """Offer one processed batch to the pool, analysing on pressure.
 
         ``tiles`` is the batch's ``int64`` position array with its tiles'
-        byte ``sizes`` (what the engine hands over, both from its
-        :class:`SlidePlan`: nothing per-tile is built) or a sequence of
+        byte ``sizes`` and the ``smallest`` of them (what the engine hands
+        over, all from its :class:`SlidePlan`: nothing per-tile is built;
+        ``smallest`` is computed here when not given) or a sequence of
         :class:`TileBuffer`
         (``benchmarks/perf/layer_walk.py``'s call shape: reduced to
         positions and sizes here, the admitted buffers kept in the pool's
@@ -296,7 +315,9 @@ class SCRScheduler:
         if not pos.size:
             return
         masks = self._masks(row_active_next, symmetric, col_active_next)
-        if masks == self._settled and pool.free_bytes < int(sizes.min()):
+        if masks == self._settled and pool.free_bytes < (
+            int(sizes.min()) if smallest is None else smallest
+        ):
             # No tile fits, so the first candidate's refusal runs an
             # analysis, which a settled pool counts and nothing else.
             if self._candidates(pos, tile_rows, tile_cols, masks).size:
@@ -347,17 +368,30 @@ class SCRScheduler:
             )
         return new.nonzero()[0]
 
-    @staticmethod
     def _masks(
-        row_active: np.ndarray, symmetric: bool, col_active: "np.ndarray | None"
+        self, row_active: np.ndarray, symmetric: bool,
+        col_active: "np.ndarray | None",
     ) -> tuple:
-        """The activity masks an analysis reads, as a comparable key."""
-        return (
+        """The activity masks an analysis reads, as a comparable key —
+        the last one again while the activity is the same two arrays and
+        neither can change (read-only arrays that own their data, as the
+        every-row-active ``_all_rows`` is)."""
+        last = self._last_masks
+        if (
+            last is not None and last[0] is row_active
+            and last[1] is col_active and last[2][1] == bool(symmetric)
+            and _frozen(row_active) and _frozen(col_active)
+        ):
+            return last[2]
+        masks = (
             np.asarray(row_active, dtype=bool).tobytes(),
             bool(symmetric),
             None if col_active is None
             else np.asarray(col_active, dtype=bool).tobytes(),
         )
+        if _frozen(row_active) and _frozen(col_active):
+            self._last_masks = (row_active, col_active, masks)
+        return masks
 
     def _analyse(
         self,

@@ -40,9 +40,10 @@ class Prepared:
     """One slide (or rewind) batch, decoded and ready to commit in plan
     order; its kernels still run on the engine thread.  ``tiles`` is what
     the cache pool is offered: the plan's ``int64`` position array,
-    untouched, with the tiles' byte sizes from the plan (``None`` for the
-    rewind, which is offered nothing).  ``fetch`` and ``decode`` split
-    ``wall`` for the layer table (``RunStats.extra["layers"]``).
+    untouched, with the tiles' byte sizes and the smallest of them from
+    the plan (``None`` for the rewind, which is offered nothing).
+    ``fetch`` and ``decode`` split ``wall`` for the layer table
+    (``RunStats.extra["layers"]``).
     """
 
     tiles: np.ndarray
@@ -51,6 +52,7 @@ class Prepared:
     bytes_read: int
     wall: float  # real seconds the preparation took, wherever it ran
     sizes: "np.ndarray | None" = None
+    smallest: "int | None" = None
     fetch: float = 0.0  # real seconds of the service call
     decode: float = 0.0  # real seconds of the verify, decode and widen
 

@@ -6,8 +6,9 @@ canonicalise, then a stable argsort by disk position and four gathers —
 frozen here as the oracle.  The format did not change, so payload,
 start-edge offsets, both degree arrays and the per-edge weights must be
 bit-equal on every layout the format has.  Every test holds both kernel
-tiers to it: the compiled symmetric encoder (``native.upper_keys`` and
-``native.unpack_keys``) when it is loaded, and its NumPy body.
+tiers to it: the compiled encoders (``native.by_position``, and
+``native.bucket_upper`` and ``native.unpack_buckets`` around NumPy's sort
+of each bucket) when they are loaded, and their NumPy bodies.
 """
 
 import numpy as np

@@ -16,6 +16,7 @@ on throwaway cache directories.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import mmap
@@ -29,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import bfs as bfs_module
@@ -48,8 +49,10 @@ from repro.engine.selective import batch_extents
 from repro.errors import FormatError
 from repro.format.edgelist import EdgeList
 from repro.format.grouping import PhysicalGrouping
+from repro.format import tiles as tiles_module
 from repro.format.tiles import TiledGraph, TileEdges, concat_global_edges
-from repro.types import INF_DEPTH
+from repro.types import INF_DEPTH, local_dtype
+from repro.util.bitops import ceil_div
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -999,51 +1002,358 @@ def test_encode_matches_numpy(case):
 
 
 @needs_tier
-def test_encode_checks_before_writing():
-    """Both passes check their whole input before their first write, and
-    the wrappers raise typed: an endpoint not below ``n_vertices`` (named),
-    a grid position outside the tiles, keys out of order or decoding past
-    the last vertex."""
+@settings(max_examples=100, deadline=None)
+@given(case=_undirected_lists(), directed=st.booleans())
+def test_encode_by_position_matches_numpy(case, directed):
+    """The counting sort by position (directed inputs and the
+    ``symmetric=False`` ablation) gives the NumPy body's stable argsort
+    byte for byte, weights included."""
+    el, tile_bits, snb = case
+    el = EdgeList(el.src, el.dst, el.n_vertices, directed=directed,
+                  weights=el.weights)
+
+    def encode():
+        tg = TiledGraph.from_edge_list(
+            el, tile_bits=tile_bits, group_q=2, snb=snb,
+            symmetric=None if directed else False,
+        )
+        return tg.payload, tg.start_edge.start_edge, tg.edge_weights
+
+    for got, want in zip(encode(), _numpy(encode)):
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def _sentinels(*specs):
+    """Arrays of 7s, one per ``(length, dtype)``: outputs an encoder that
+    fails must leave as they are."""
+    return [np.full(n, 7, dtype) for n, dtype in specs]
+
+
+def _raw_bucket_upper(src, dst, n, grid, n_tiles, tile_bits, w):
+    """``lib.bucket_upper`` on sentinel outputs: ``(rc, outputs)``."""
     buf = native.ffi.from_buffer
+    m = src.shape[0]
+    shift, nb = native.key_buckets(n_tiles, tile_bits)
+    word = native.word_dtype(shift)
+    outs = _sentinels((m, word), (m, np.uint8), (m, np.float32), (m, word),
+                      (m, np.float32), (nb + 1, np.int64))
+    tmp, bid, w_tmp, words, w_out, off = outs
+    weighted = w is not None
+    rc = native.lib.bucket_upper(
+        buf("uint32_t[]", src), buf("uint32_t[]", dst), m, n,
+        buf("int64_t[]", grid), grid.shape[0], n_tiles, tile_bits, shift, nb,
+        buf("float[]", w) if weighted else native.ffi.NULL, buf(tmp),
+        buf("uint8_t[]", bid),
+        buf("float[]", w_tmp) if weighted else native.ffi.NULL,
+        buf(words), buf("float[]", w_out) if weighted else native.ffi.NULL,
+        buf("int64_t[]", off),
+    )
+    return rc, outs
+
+
+def _raw_by_position(src, dst, n, grid, n_tiles, tile_bits, dt, snb, w):
+    """``lib.by_position`` on sentinel outputs: ``(rc, outputs)``."""
+    buf = native.ffi.from_buffer
+    m = src.shape[0]
+    outs = _sentinels((m, np.uint32), (n_tiles + 1, np.int64), (2 * m, dt),
+                      (m, np.float32))
+    pos, start, payload, w_out = outs
+    weighted = w is not None
+    rc = native.lib.by_position(
+        buf("uint32_t[]", src), buf("uint32_t[]", dst), m, n,
+        buf("int64_t[]", grid), grid.shape[0], n_tiles, tile_bits, snb,
+        8 * np.dtype(dt).itemsize,
+        buf("float[]", w) if weighted else native.ffi.NULL,
+        buf("uint32_t[]", pos), buf("int64_t[]", start), buf(payload),
+        buf("float[]", w_out) if weighted else native.ffi.NULL,
+    )
+    return rc, outs
+
+
+@needs_tier
+def test_encode_checks_before_writing():
+    """Every encoder pass checks its whole input before its first write,
+    and the wrappers raise typed: an endpoint not below ``n_vertices``
+    (named), a grid position outside the tiles, words out of order or
+    decoding past the last vertex."""
     n, tile_bits = 9, 2  # a 3 x 3 grid whose last row and column are ragged
+    src = np.array([1, 2, 3], np.uint32)
+    for upper in (True, False):
+        grouping = PhysicalGrouping(p=3, q=2, symmetric=upper)
+        grid = grouping.position_grid()
+        n_tiles = grouping.n_tiles
+        bad_grid = np.where(grid == grid[1, 2], n_tiles, grid)
+        for dst, g in (([2, 3, 9], grid), ([2, 3, 8], bad_grid)):
+            dst = np.array(dst, np.uint32)
+            if upper:
+                rc, outs = _raw_bucket_upper(src, dst, n, g, n_tiles,
+                                             tile_bits, None)
+            else:
+                rc, outs = _raw_by_position(src, dst, n, g, n_tiles,
+                                            tile_bits, np.uint8, True, None)
+            assert rc == -1 and all((a == 7).all() for a in outs)
+        encode = native.bucket_upper if upper else functools.partial(
+            native.by_position, dtype=np.uint8, snb=True)
+        with pytest.raises(FormatError,
+                           match="endpoint 9 is not below n_vertices 9"):
+            encode(src, np.array([2, 3, 9], np.uint32), n, grid, n_tiles,
+                   tile_bits)
+        with pytest.raises(FormatError, match="position grid"):
+            encode(src, np.array([2, 3, 8], np.uint32), n, bad_grid, n_tiles,
+                   tile_bits)
     grouping = PhysicalGrouping(p=3, q=2, symmetric=True)
     grid = grouping.position_grid()
     rows, cols = grouping.tile_coords
     n_tiles = grouping.n_tiles
-    src = np.array([1, 2, 3], np.uint32)
-    for dst, g in (([2, 3, 9], grid), ([2, 3, 8], np.where(grid == 5, n_tiles, grid))):
-        dst = np.array(dst, np.uint32)
-        key = np.full(3, 7, np.uint64)
-        rc = native.lib.upper_keys(
-            buf("uint32_t[]", src), buf("uint32_t[]", dst), 3, n,
-            buf("int64_t[]", g), 3, n_tiles, tile_bits, native.ffi.NULL,
-            buf("uint64_t[]", key), native.ffi.NULL,
-        )
-        assert rc == -1 and (key == 7).all()
-    with pytest.raises(FormatError, match="endpoint 9 is not below n_vertices 9"):
-        native.upper_keys(src, np.array([2, 3, 9], np.uint32), n, grid,
-                          n_tiles, tile_bits)
+    shift, nb = native.key_buckets(n_tiles, tile_bits)
     last = int(grid[2, 2])  # tile (2, 2): global IDs 8..11 of 9 vertices
     for keys in ([5, 3], [n_tiles << 4], [last << 4 | 0 << 2 | 1]):
-        keys = np.array(keys, np.uint64)
-        payload = np.full(2 * keys.shape[0], 7, np.uint8)
-        start = np.full(n_tiles + 1, 7, np.int64)
-        deg = np.full(n, 7, np.uint32)
-        rc = native.lib.unpack_u8(
-            buf("uint64_t[]", keys), keys.shape[0], tile_bits,
-            buf("int64_t[]", rows), buf("int64_t[]", cols), n_tiles, n, 1,
-            buf("uint8_t[]", payload), buf("int64_t[]", start),
-            buf("uint32_t[]", deg),
-        )
-        assert rc == -1
-        assert (payload == 7).all() and (start == 7).all() and (deg == 7).all()
-        with pytest.raises(ValueError, match="do not ascend or name"):
-            native.unpack_keys(keys, rows, cols, tile_bits, n, np.uint8, True)
-    good = np.array([last << 4 | 0 << 2 | 0], np.uint64)  # the edge (8, 8)
-    start, payload, deg = native.unpack_keys(good, rows, cols, tile_bits, n,
-                                             np.uint8, True)
+        words = np.array(keys, np.uint32)  # one bucket, shift 32
+        offsets = np.array([0, words.shape[0]], np.int64)
+        with pytest.raises(ValueError, match="do not ascend in their buckets"):
+            native.unpack_buckets(words, offsets, shift, rows, cols,
+                                  tile_bits, n, np.uint8, True)
+        _assert_unpack_untouched(words, offsets, shift, rows, cols, tile_bits,
+                                 n, np.uint8, None, 1)
+    good = np.array([last << 4 | 0 << 2 | 0], np.uint32)  # the edge (8, 8)
+    start, payload, deg, w = native.unpack_buckets(
+        good, np.array([0, 1], np.int64), shift, rows, cols, tile_bits, n,
+        np.uint8, True)
     assert start.tolist() == [0] * (last + 1) + [1] * (n_tiles - last)
     assert payload.tolist() == [0, 0] and deg.tolist() == [0] * 8 + [2]
+    assert w is None
+
+
+def _assert_unpack_untouched(words, offsets, shift, rows, cols, tile_bits, n,
+                             dt, w, d):
+    """``lib.unpack_buckets`` returns -1 on these words, counting or
+    writing ``d`` keys, and leaves its sentinel outputs as they were."""
+    buf = native.ffi.from_buffer
+    weighted = w is not None
+    args = (buf(words), words.shape[0], buf("int64_t[]", offsets),
+            offsets.shape[0] - 1, shift, tile_bits, buf("int64_t[]", rows),
+            buf("int64_t[]", cols), rows.shape[0], n, 1,
+            8 * np.dtype(dt).itemsize,
+            buf("float[]", w) if weighted else native.ffi.NULL)
+    null = native.ffi.NULL
+    assert native.lib.unpack_buckets(*args, 0, null, null, null, null) == -1
+    outs = _sentinels((2 * d, dt), (rows.shape[0] + 1, np.int64),
+                      (n, np.uint32), (d, np.float32))
+    payload, start, deg, w_out = outs
+    rc = native.lib.unpack_buckets(
+        *args, d, buf(payload), buf("int64_t[]", start),
+        buf("uint32_t[]", deg), buf("float[]", w_out) if weighted else null)
+    assert rc == -1 and all((a == 7).all() for a in outs)
+
+
+# ---------------------------------------------------------------------- #
+# The tile encoders at adversarial shapes (run under ASan + UBSan by CI's
+# sanitizer leg): a call either raises the wrapper's typed error with its
+# outputs untouched, or equals the NumPy oracle
+# ---------------------------------------------------------------------- #
+
+
+@st.composite
+def _hostile_edges(draw, upper=None, clean=False):
+    """An edge list as a corrupt file or a wrong caller could hand it to an
+    encoder: ``(src, dst, n, tile_bits, grouping, grid, weights, error)``.
+    No edges, only repeats (both orientations) or only loops; endpoints at
+    |V| - 1, |V| and 2**32 - 1; a grid entry outside ``[0, n_tiles)``, on
+    (``error``) or off the cells the edges can name; one tile whose keys
+    are all 2·``tile_bits`` = 64 in-tile bits; distinct weights, so which
+    repeat's survived shows.  ``error`` is ``FormatError`` or ``None``;
+    ``upper`` fixes the grid's kind, and ``clean`` leaves out every
+    fault."""
+    upper = draw(st.booleans()) if upper is None else upper
+    tile_bits = draw(st.sampled_from([1, 2, 3, 5, 8, 32]))
+    n = draw(st.integers(1, 40) | st.sampled_from([300, 1027]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(0, 60))
+    shape = draw(st.sampled_from(["random"] * 3 +
+                                 ["repeats", "loops", "empty"]))
+    src = rng.integers(0, n, m).astype(np.uint32)
+    dst = rng.integers(0, n, m).astype(np.uint32)
+    if shape == "empty":
+        src, dst = src[:0], dst[:0]
+    elif shape == "repeats":
+        a, b = src[:1].repeat(m), dst[:1].repeat(m)
+        flip = rng.random(m) < 0.5
+        src, dst = np.where(flip, b, a), np.where(flip, a, b)
+    elif shape == "loops":
+        dst = src.copy()
+    m = src.shape[0]
+    error = None
+    if m and not clean and draw(st.booleans()):
+        side = src if draw(st.booleans()) else dst
+        side[draw(st.integers(0, m - 1))] = draw(
+            st.sampled_from([n - 1, n, 2**32 - 1]))
+        if (side >= n).any():
+            error = FormatError
+    grouping = PhysicalGrouping(p=ceil_div(n, 1 << tile_bits),
+                                q=draw(st.integers(1, 3)), symmetric=upper)
+    grid = grouping.position_grid().copy()
+    if not clean and draw(st.booleans()):
+        p = grid.shape[0]
+        r, c = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        grid[r, c] = draw(st.sampled_from([-1, grouping.n_tiles, 2**40]))
+        if not upper or r <= c:  # an upper grid's lower cells are never read
+            error = FormatError
+    weights = None
+    if draw(st.booleans()):
+        weights = rng.permutation(m).astype(np.float32)
+    return src, dst, n, tile_bits, grouping, grid, weights, error
+
+
+#: One tile of 32-bit in-tile IDs: keys of 2·tile_bits = 64 in-tile bits
+#: and no position bits, 256 buckets of uint64 words.
+_ONE_TILE = (np.array([0, 1, 4], np.uint32), np.array([4, 3, 0], np.uint32),
+             5, 32, PhysicalGrouping(p=1, q=1, symmetric=True),
+             PhysicalGrouping(p=1, q=1, symmetric=True).position_grid(),
+             None, None)
+
+
+def _assert_same(got, want):
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@needs_tier
+@settings(max_examples=300, deadline=None)
+@given(case=_hostile_edges(), snb=st.booleans())
+@example(case=_ONE_TILE, snb=False)
+def test_fuzz_encoders(case, snb):
+    src, dst, n, tile_bits, grouping, grid, weights, error = case
+    upper = grouping.symmetric
+    n_tiles = grouping.n_tiles
+    dt = local_dtype(tile_bits) if snb else np.dtype(np.uint32)
+    event(f"{'upper' if upper else 'by position'}: {error and error.__name__}")
+    if error:
+        if upper:
+            rc, outs = _raw_bucket_upper(src, dst, n, grid, n_tiles, tile_bits,
+                                         weights)
+            call = lambda: native.bucket_upper(src, dst, n, grid, n_tiles,
+                                               tile_bits, weights)
+        else:
+            rc, outs = _raw_by_position(src, dst, n, grid, n_tiles, tile_bits,
+                                        dt, snb, weights)
+            call = lambda: native.by_position(src, dst, n, grid, n_tiles,
+                                              tile_bits, dt, snb, weights)
+        assert rc == -1 and all((a == 7).all() for a in outs)
+        with pytest.raises(error):
+            call()
+        return
+    el = EdgeList(src, dst, n, directed=not upper, weights=weights)
+    if upper:
+        rows, cols = grouping.tile_coords
+        args = (el, grid, rows, cols, tile_bits, dt, snb)
+        _assert_same(tiles_module._encode_upper_triangle(*args),
+                     _numpy(tiles_module._encode_upper_triangle, *args))
+    else:
+        args = (el, grid, n_tiles, tile_bits, dt, snb)
+        _assert_same(tiles_module._encode_by_position(*args),
+                     _numpy(tiles_module._encode_by_position, *args))
+
+
+@needs_tier
+@pytest.mark.parametrize("tile_bits", [1, 32])
+def test_repeats_keep_the_first_weight(tile_bits):
+    """Of an undirected edge given three times, both ways round, the first
+    in input order keeps its weight, on both tiers."""
+    el = EdgeList(np.array([1, 2, 1, 0], np.uint32),
+                  np.array([2, 1, 2, 3], np.uint32), 4, directed=False,
+                  weights=np.array([5, 3, 9, 7], np.float32))
+    encode = functools.partial(TiledGraph.from_edge_list, el,
+                               tile_bits=tile_bits, group_q=1)
+    for tg in (encode(), _numpy(encode)):
+        assert sorted(tg.edge_weights.tolist()) == [5.0, 7.0]
+
+
+def _keys_of(words, offsets, shift):
+    """The keys of sorted buckets, as Python ints."""
+    return [b << shift | int(x)
+            for b in range(offsets.shape[0] - 1)
+            for x in words[offsets[b]:offsets[b + 1]]]
+
+
+def _buckets_of(keys, shift, nb):
+    """Words and offsets holding ``keys``, in the order given."""
+    bucket = np.array([k >> shift for k in keys], np.int64)
+    words = np.array([k & ((1 << shift) - 1) for k in keys],
+                     native.word_dtype(shift))
+    offsets = np.zeros(nb + 1, np.int64)
+    np.cumsum(np.bincount(bucket, minlength=nb)[:nb], out=offsets[1:])
+    return words, offsets
+
+
+@needs_tier
+@settings(max_examples=500, deadline=None)
+@given(case=_hostile_edges(upper=True, clean=True), fault=st.sampled_from(
+    [None, "swap", "high bits", "offsets fall", "offsets short",
+     "past the tiles", "past the vertices"]))
+@example(case=_ONE_TILE, fault="high bits")
+def test_fuzz_unpack_buckets(case, fault):
+    """Sorted buckets with one fault handed to the unpack: non-ascending
+    words, a word above its bucket's bits, offsets that fall or stop
+    short, a key of a tile past the last, a key of a ragged tile IDs past
+    the last vertex.  Each raises ``ValueError`` before anything is
+    written; without a fault, the unpack is the NumPy body's."""
+    src, dst, n, tile_bits, grouping, grid, weights, _ = case
+    rows, cols = grouping.tile_coords
+    n_tiles = grouping.n_tiles
+    dt = local_dtype(tile_bits)
+    words, offsets, shift, w = native.bucket_upper(
+        src, dst, n, grid, n_tiles, tile_bits, weights)
+    tiles_module._sort_buckets(words, offsets, w)
+    nb = offsets.shape[0] - 1
+    keys = _keys_of(words, offsets, shift)
+    words, offsets = words.copy(), offsets.copy()
+    if fault == "swap" and len(set(keys)) > 1:
+        b = int(np.argmax(np.diff(offsets)))
+        a, z = offsets[b], offsets[b + 1] - 1
+        words[a], words[z] = words[z], words[a]
+    elif fault == "high bits" and shift > 32 and keys:
+        words[0] |= np.uint64(1 << shift)
+    elif fault == "offsets fall":
+        if nb > 1:
+            offsets[1] = offsets[2] + 1
+        else:
+            offsets[0] = 1
+    elif fault == "offsets short":
+        offsets[-1] += 1 if not keys else -1
+    elif fault == "past the tiles" and (
+        n_tiles << 2 * tile_bits) >> shift < nb:
+        words, offsets = _buckets_of(keys + [n_tiles << 2 * tile_bits],
+                                     shift, nb)
+        w = None if w is None else np.append(w, np.float32(1))
+    elif fault == "past the vertices" and n % (1 << tile_bits):
+        mask = (1 << tile_bits) - 1
+        last = int(grid[-1, -1]) << 2 * tile_bits | mask << tile_bits | mask
+        words, offsets = _buckets_of(sorted(keys + [last]), shift, nb)
+        w = None if w is None else np.append(w, np.float32(1))
+    else:
+        fault = None
+    event(str(fault))
+    if not fault:
+        el = EdgeList(src, dst, n, directed=False, weights=weights)
+        _assert_same(
+            native.unpack_buckets(words, offsets, shift, rows, cols,
+                                  tile_bits, n, dt, True, w),
+            _numpy(tiles_module._encode_upper_triangle, el, grid, rows, cols,
+                   tile_bits, dt, True),
+        )
+        return
+    with pytest.raises(ValueError, match="do not ascend in their buckets"):
+        native.unpack_buckets(words, offsets, shift, rows, cols, tile_bits, n,
+                              dt, True, w)
+    _assert_unpack_untouched(words, offsets, shift, rows, cols, tile_bits, n,
+                             dt, w, max(len(set(keys)), 1))
 
 
 @pytest.fixture(scope="module")

@@ -67,6 +67,12 @@ class TestSegmentBatches:
             assert size == nbytes
             assert size <= 100 or len(batch) == 1
 
+    def test_smallest_tile_of_each_batch(self, start_edge):
+        s = _sched(seg=60)
+        plan = s.segment_plan([0, 2, 3, 4], start_edge)
+        assert plan.smallest == tuple(int(b.min()) for b in plan.tile_bytes)
+        assert s.segment_plan([], start_edge).smallest == ()
+
     def test_all_positions_covered_in_order(self, start_edge):
         s = _sched(seg=60)
         plan = s.segment_plan([0, 2, 3, 4], start_edge)
@@ -387,6 +393,24 @@ class TestAdmissionOrderExact:
         assert s.stats.analyses == 6 and len(sweeps) == 2
         assert s.stats.tiles_evicted == 0 and s.pool.positions() == [0, 1]
         _drive_both(sizes, 20, [0, 1], offers, False)
+
+    def test_masks_key_is_kept_only_for_frozen_activity(self):
+        """The masks key is reused while the activity is the same
+        read-only array that owns its data; an array that can change is
+        read afresh every time, so an in-place edit is seen."""
+        s = _sched()
+        frozen = np.ones(4, bool)
+        frozen.flags.writeable = False
+        key = s._masks(frozen, True, None)
+        assert s._masks(frozen, True, None) is key
+        assert s._masks(frozen, False, None) == (key[0], False, None)
+        live = np.ones(4, bool)
+        first = s._masks(live, True, None)
+        live[1] = False
+        assert s._masks(live, True, None) != first
+        view = np.ones(4, bool)[:]
+        view.flags.writeable = False  # a view: its base can still change
+        assert s._masks(view, True, None) is not s._masks(view, True, None)
 
     def test_positions_need_sizes(self):
         s = SCRScheduler(budget=MemoryBudget(total_bytes=100, segment_bytes=10))

@@ -7,6 +7,7 @@ import copy
 import dataclasses
 import inspect
 import os
+import subprocess
 
 import pytest
 
@@ -137,6 +138,28 @@ class TestEquivMatrix:
             "k.result: 'b' -> 'a'",
             "k.stats.iterations[1].io: 2.5 -> 2.0",
         ]
+
+    def test_a_tree_runs_with_the_callers_import_path_after_it(
+        self, tool, monkeypatch
+    ):
+        """``--against`` puts each tree's ``src`` first and keeps the
+        caller's ``PYTHONPATH`` entries after it: a cffi-blocking
+        ``sitecustomize`` there still reaches both runs."""
+        seen = {}
+
+        def run(cmd, env, **kwargs):
+            seen["path"] = env["PYTHONPATH"]
+            return subprocess.CompletedProcess(cmd, 0, stdout="")
+
+        caller = os.pathsep.join(["/elsewhere/numpy-tier", "", "/extra"])
+        monkeypatch.setenv("PYTHONPATH", caller)
+        monkeypatch.setattr(tool.subprocess, "run", run)
+        assert tool._run_tree("/tree/src") == {}
+        assert seen["path"].split(os.pathsep) == [
+            "/tree/src", "/elsewhere/numpy-tier", "/extra"]
+        monkeypatch.delenv("PYTHONPATH")
+        tool._run_tree("/tree/src")
+        assert seen["path"] == "/tree/src"
 
     def test_lattice_violations_name_key_and_field(self, tool, lattice):
         """The within-tree checker names the key and field of a planted

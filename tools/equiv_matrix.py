@@ -481,12 +481,20 @@ def lattice_violations(records: dict) -> "list[str]":
     return out
 
 
+def _tree_env(src: str) -> dict:
+    """The environment of a run of the tree at ``src``: this one, with
+    ``src`` put first on ``PYTHONPATH`` and the caller's entries kept after
+    it (a ``sitecustomize`` there that blocks cffi runs both trees on the
+    NumPy tier)."""
+    rest = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, *rest]))
+
+
 def _run_tree(src: str) -> dict:
     """The enumeration's records with ``src`` first on the import path."""
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--enumerate"],
-        env=dict(os.environ, PYTHONPATH=src), check=True,
-        stdout=subprocess.PIPE, text=True,
+        env=_tree_env(src), check=True, stdout=subprocess.PIPE, text=True,
     )
     return dict(
         (re.sub(r"/(depth\d+)-workers\d+/", r"/\1/", key), rec)
